@@ -144,9 +144,13 @@ type anonCache struct {
 	n atomic.Int64
 }
 
-// anonCacheMax bounds the cache: distinct normalized texts past the cap
-// (an unparameterized workload embeds its literals in norm, so the key
-// space can be unbounded) are rewritten directly and not stored.
+// anonCacheMax bounds the cache. Only texts the rewrite leaves unchanged
+// are admitted — templates, whose values all sit in `?` slots. A text with
+// literals of its own (an inlined INSERT, a range fence) is one of an
+// unbounded family and would only crowd the templates out, so it is rewritten
+// each time and never stored: no burst of one-off texts can fill the memo.
+// Should distinct templates alone pass the cap, the memo is dropped and
+// refills from live traffic.
 const anonCacheMax = 4096
 
 type anonEntry struct {
@@ -160,9 +164,6 @@ func (c *anonCache) anonymize(norm string, params []relation.Value) (string, []s
 		e := v.(*anonEntry)
 		return e.template, e.resolve(params)
 	}
-	if c.n.Load() >= anonCacheMax {
-		return AnonymizeSQL(norm, params)
-	}
 	template, binds := AnonymizeSQL(norm, nil)
 	e := &anonEntry{template: template, binds: binds}
 	// With nil params every `?` placeholder reports kind "any", and nothing
@@ -172,8 +173,11 @@ func (c *anonCache) anonymize(norm string, params []relation.Value) (string, []s
 			e.paramSlots = append(e.paramSlots, i)
 		}
 	}
-	if _, loaded := c.m.LoadOrStore(norm, e); !loaded {
-		c.n.Add(1)
+	if template == norm {
+		if _, loaded := c.m.LoadOrStore(norm, e); !loaded && c.n.Add(1) > anonCacheMax {
+			c.m.Clear()
+			c.n.Store(0)
+		}
 	}
 	return e.template, e.resolve(params)
 }

@@ -3,10 +3,12 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -318,5 +320,54 @@ func TestAnonCacheMatchesDirect(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAnonCacheSurvivesLiteralBurst: a burst of distinct literal-bearing
+// texts larger than the memo must not turn memoization off for a template
+// that arrives after it (the memo used to store whatever came first and stop
+// at its cap, for good). Literal-bearing texts are not admitted at all.
+func TestAnonCacheSurvivesLiteralBurst(t *testing.T) {
+	var c anonCache
+	for i := 0; i < 5000; i++ {
+		c.anonymize(fmt.Sprintf("insert into T values (%d, 'x')", i), nil)
+		c.anonymize(fmt.Sprintf("select T.a from T where T.k = ? and T.n > %d", i), []relation.Value{relation.Int(1)})
+	}
+	if n := c.n.Load(); n != 0 {
+		t.Fatalf("memo admitted %d literal-bearing texts", n)
+	}
+	const tmpl = "select T.a from T where T.k = ?"
+	c.anonymize(tmpl, []relation.Value{relation.Int(1)})
+	if _, ok := c.m.Load(tmpl); !ok {
+		t.Fatal("template arriving after 5000 distinct literal texts was not memoized")
+	}
+}
+
+// TestAnonCacheConcurrentOverflow drives the memo past its cap with distinct
+// templates from several goroutines at once (run under -race): drops race
+// with loads and stores, the memo stays bounded, and every answer must still
+// equal the direct rewrite.
+func TestAnonCacheConcurrentOverflow(t *testing.T) {
+	var c anonCache
+	const tmpl = "select T.a from T where T.k = ?"
+	wantT, wantB := AnonymizeSQL(tmpl, []relation.Value{relation.Int(1)})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 3000; i++ {
+				c.anonymize(fmt.Sprintf("select T.c%d_%d from T where T.k = ?", g, i), nil)
+				gotT, gotB := c.anonymize(tmpl, []relation.Value{relation.Int(int64(i))})
+				if gotT != wantT || !reflect.DeepEqual(gotB, wantB) {
+					t.Errorf("got %q %v, want %q %v", gotT, gotB, wantT, wantB)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := c.n.Load(); n > anonCacheMax {
+		t.Fatalf("memo holds %d entries, over its cap %d", n, anonCacheMax)
 	}
 }

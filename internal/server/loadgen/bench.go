@@ -103,10 +103,10 @@ func BenchServer(out io.Writer, opts BenchOptions) error {
 	}
 
 	// Distinct-literal phases: every request carries a literal never seen
-	// before, so literal-inlined caching cannot hit and only template reuse
-	// can. Phase one inlines (the pre-template baseline, ~0%), phase two
-	// parameterizes (one cached template per shape, approaching 100%). Only
-	// numeric templates can generate unbounded distinct literals.
+	// before, so only template reuse can hit. Phase one inlines the literals
+	// (the server lifts them onto the template), phase two parameterizes;
+	// both approach 100% on one cached template per shape. Only numeric
+	// templates can generate unbounded distinct literals.
 	var numeric []Template
 	for _, t := range templates {
 		if len(t.Strings) == 0 {

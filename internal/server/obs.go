@@ -53,8 +53,8 @@ type serverObs struct {
 	capture *captureLog
 
 	// anon memoizes AnonymizeSQL by normalized text — a serving workload is
-	// a small set of templates repeated, and parameterized statements hit
-	// the cache with their literals already lifted out.
+	// a small set of templates repeated, and parameterized or lifted
+	// statements hit the cache with their equality literals already out.
 	anon anonCache
 
 	slowThreshold time.Duration
@@ -205,6 +205,7 @@ func newServerObs(s *Server, cfg Config) *serverObs {
 				{Label: "miss", Value: float64(st.Misses)},
 				{Label: "eviction", Value: float64(st.Evictions)},
 				{Label: "params_hit", Value: float64(st.ParamsHits)},
+				{Label: "lifted_hit", Value: float64(st.LiftedHits)},
 				{Label: "literal_hit", Value: float64(st.LiteralHits)},
 				{Label: "invalidation", Value: float64(st.Invalidations)},
 				{Label: "stale_drop", Value: float64(st.StaleDrops)},
@@ -330,8 +331,7 @@ func (o *serverObs) begin(verb string) *stmtCtx {
 type stmtCtx struct {
 	o         *serverObs
 	verb      string
-	norm      string
-	template  string   // anonymized norm: literals replaced by ?
+	template  string   // anonymized statement text: literals replaced by ?
 	binds     []string // kinds of bound/replaced values, in order
 	session   uint64   // originating wire session (0 for HTTP)
 	relations []string
@@ -349,15 +349,17 @@ func (c *stmtCtx) Trace() *obs.Trace {
 	return c.trace
 }
 
-// setStmt records the normalized statement text and derives the anonymized
+// setStmt derives, from the normalized statement text, the anonymized
 // template and bind-kind list that key the statistics registry and the
-// capture stream. params are the statement's bound values (their kinds fill
-// the positions of pre-existing ? placeholders; values are never kept).
+// capture stream. params are the statement's bound values — sent by the
+// client or lifted from its text; their kinds fill the positions of the ?
+// placeholders and the values are never kept. A lifted template still goes
+// through the anonymizer: the range literals the lift leaves in the text
+// must not reach the feed either.
 func (c *stmtCtx) setStmt(norm string, params []relation.Value) {
 	if c == nil {
 		return
 	}
-	c.norm = norm
 	c.template, c.binds = c.o.anon.anonymize(norm, params)
 }
 

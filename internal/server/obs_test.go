@@ -274,6 +274,23 @@ func TestSlowQueryLog(t *testing.T) {
 	if e.TS == "" || e.WallMicros < 0 {
 		t.Fatalf("bad line fields: %+v", e)
 	}
+
+	// An ad hoc statement is lifted onto its template, which still holds the
+	// range literal: the log gets the anonymized template and the kinds'
+	// count, never the lifted value nor the literal the lift left behind.
+	if _, _, _, err := c.Query("select O.speed from OBSERVATION O where O.vehicle_id = 424242 and O.speed > 7171"); err != nil {
+		t.Fatal(err)
+	}
+	lines = strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &e); err != nil {
+		t.Fatal(err)
+	}
+	if want := "select O.speed from OBSERVATION O where O.vehicle_id = ? and O.speed > ?"; e.Template != want || e.BindArity != 2 {
+		t.Fatalf("lifted statement logged as %q arity %d, want %q arity 2", e.Template, e.BindArity, want)
+	}
+	if raw := buf.String(); strings.Contains(raw, "424242") || strings.Contains(raw, "7171") {
+		t.Fatalf("slow log holds a literal of the lifted statement:\n%s", raw)
+	}
 }
 
 // TestQueueTimeoutCodeAndWaitRecorded: statements rejected by admission

@@ -2,12 +2,14 @@ package server_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
 	"testing"
 
+	"zidian"
 	"zidian/internal/server"
 	"zidian/internal/server/client"
 )
@@ -166,10 +168,10 @@ func TestHTTPQueryParams(t *testing.T) {
 	}
 }
 
-// TestTemplateCacheKeying pins the cache-keying contract: parameterized
-// statements share one entry per template across all bindings, while
-// non-parameterized SQL falls back to literal-inlined keys (distinct
-// literals = distinct entries, the intended fallback), with the hit split
+// TestTemplateCacheKeying pins the cache-keying contract: statements of one
+// shape share one entry across all their values — bound by the client or
+// lifted from the text by the server — while literals the planner reads
+// (BETWEEN bounds here) stay significant in the key, with the hit split
 // reported per class.
 func TestTemplateCacheKeying(t *testing.T) {
 	srv, tcp, _ := startServer(t, server.Config{})
@@ -186,8 +188,8 @@ func TestTemplateCacheKeying(t *testing.T) {
 		}
 	}
 	cs := srv.Cache().Stats()
-	if cs.ParamsHits != 9 {
-		t.Fatalf("10 distinct bindings should be 1 miss + 9 template hits: %+v", cs)
+	if cs.ParamsHits != 9 || cs.LiftedHits != 0 {
+		t.Fatalf("10 distinct bindings should be 1 miss + 9 template hits, none of them lifted: %+v", cs)
 	}
 	if srv.Cache().Len() != 1 {
 		t.Fatalf("cache should hold one template entry, has %d", srv.Cache().Len())
@@ -201,27 +203,166 @@ func TestTemplateCacheKeying(t *testing.T) {
 		t.Fatalf("normalization should collapse spellings: %d entries", srv.Cache().Len())
 	}
 
-	// The literal fallback: distinct literals make distinct entries and no
-	// cross-literal reuse, but exact-text repeats still hit.
+	// Ad hoc spellings of the same shape are lifted onto the template: five
+	// distinct equality literals add no entry and miss nothing; each is a
+	// lifted hit on the entry the `?` client compiled.
 	base := srv.Cache().Stats()
 	for i := 0; i < 5; i++ {
 		sql := fmt.Sprintf("select V.make from VEHICLE V where V.vehicle_id = %d", 2000+i)
+		_, _, stats, err := c.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stats.CacheHit {
+			t.Fatalf("lifted statement %d did not report a cache hit", i)
+		}
+	}
+	cs = srv.Cache().Stats()
+	if cs.LiftedHits-base.LiftedHits != 5 || cs.Misses != base.Misses ||
+		cs.ParamsHits != base.ParamsHits || cs.LiteralHits != base.LiteralHits {
+		t.Fatalf("5 equality literals should be 5 lifted hits and nothing else: before %+v after %+v", base, cs)
+	}
+	if srv.Cache().Len() != 1 {
+		t.Fatalf("cache entries = %d, want the 1 template", srv.Cache().Len())
+	}
+
+	// Range literals stay in the text: each distinct BETWEEN pair is its own
+	// entry, and only an exact-text repeat hits it, as a literal hit.
+	base = cs
+	for i := 0; i < 3; i++ {
+		sql := fmt.Sprintf("select V.vehicle_id from VEHICLE V where V.year between %d and %d", 2000+i, 2001+i)
+		if _, _, _, err := c.Query(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, stats, err := c.Query("select V.vehicle_id from VEHICLE V where V.year between 2000 and 2001"); err != nil || !stats.CacheHit {
+		t.Fatalf("exact-text repeat should hit: %+v %v", stats, err)
+	}
+	cs = srv.Cache().Stats()
+	if cs.Misses-base.Misses != 3 || cs.LiteralHits-base.LiteralHits != 1 || cs.LiftedHits != base.LiftedHits {
+		t.Fatalf("3 BETWEEN pairs + 1 repeat should be 3 misses and 1 literal hit: before %+v after %+v", base, cs)
+	}
+	if srv.Cache().Len() != 4 {
+		t.Fatalf("cache entries = %d, want 1 template + 3 range texts", srv.Cache().Len())
+	}
+
+	// Both in one statement: the equality is lifted, the range keys the entry.
+	base = cs
+	for _, mk := range []string{"FORD", "BMW", "AUDI"} {
+		sql := fmt.Sprintf("select V.vehicle_id from VEHICLE V where V.make = '%s' and V.year between 2003 and 2004", mk)
 		if _, _, _, err := c.Query(sql); err != nil {
 			t.Fatal(err)
 		}
 	}
 	cs = srv.Cache().Stats()
-	if got := cs.Misses - base.Misses; got != 5 {
-		t.Fatalf("5 distinct literals should all miss, missed %d", got)
+	if cs.Misses-base.Misses != 1 || cs.LiftedHits-base.LiftedHits != 2 || srv.Cache().Len() != 5 {
+		t.Fatalf("3 makes over one range should be 1 miss + 2 lifted hits on 1 new entry: before %+v after %+v", base, cs)
 	}
-	if srv.Cache().Len() != 6 {
-		t.Fatalf("cache entries = %d, want 1 template + 5 literal", srv.Cache().Len())
+}
+
+// TestLiftFallback: statements the lift cannot serve from a template — a
+// lifted value the slot's column kind rejects, a template that does not
+// compile — and statements whose template plans differently from their
+// literal text (contradicting or repeated equalities) answer with exactly
+// the rows or error string a literal compile gives.
+func TestLiftFallback(t *testing.T) {
+	inst, _, err := server.OpenWorkload("mot", 0.2, 7, 2, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, stats, err := c.Query("select V.make from VEHICLE V where V.vehicle_id = 2000"); err != nil || !stats.CacheHit {
-		t.Fatalf("exact-text repeat should hit: %+v %v", stats, err)
+	srv := server.New(inst, server.Config{})
+	defer srv.Shutdown(context.Background())
+	ctx := context.Background()
+	answer := func(res *zidian.Result, err error) string {
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		res.Sort()
+		return fmt.Sprint(res.Cols, res.Rows)
 	}
-	cs = srv.Cache().Stats()
-	if cs.LiteralHits == 0 {
-		t.Fatalf("literalHits = 0: %+v", cs)
+	for _, tc := range []struct {
+		sql    string
+		lifted bool // served from the template (when it answers at all)
+	}{
+		{"select V.make from VEHICLE V where V.vehicle_id = 44.5", false},
+		{"select V.make from VEHICLE V where V.vehicle_id = 'x'", false},
+		{"select V.make from VEHICLE V where V.vehicle_id in (1, 2.5)", false},
+		{"select V.make from VEHICLE V where V.nope = 1", false},
+		{"select V.make from NOPE V where V.vehicle_id = 1", false},
+		{"select V.make from VEHICLE V where V.vehicle_id = 44.0", true},
+		{"select V.make from VEHICLE V where V.vehicle_id = 1 and V.vehicle_id = 2", true},
+		{"select V.make from VEHICLE V where V.vehicle_id = 1 and V.vehicle_id = 1", true},
+		{"select V.make from VEHICLE V where V.vehicle_id in (1, 2, 2)", true},
+	} {
+		before := srv.Cache().Stats()
+		res, _, _, err := srv.Query(ctx, tc.sql)
+		got := answer(res, err)
+		// One statement is one counted lookup, and a lifted hit only when
+		// the template served it: the template lookup of a fallback is not
+		// counted.
+		after := srv.Cache().Stats()
+		if n := after.Hits + after.Misses - before.Hits - before.Misses; n != 1 {
+			t.Errorf("%s: counted %d cache lookups, want 1", tc.sql, n)
+		}
+		if !tc.lifted && after.LiftedHits != before.LiftedHits {
+			t.Errorf("%s: fell back to its literal text but counted a lifted hit", tc.sql)
+		}
+		lres, _, lerr := inst.Query(tc.sql)
+		if want := answer(lres, lerr); got != want {
+			t.Errorf("%s\n served %s\nliteral %s", tc.sql, got, want)
+		}
+		if _, _, ok := server.LiftSQL(tc.sql); !ok {
+			t.Fatalf("%s: LiftSQL declined; the case tests nothing", tc.sql)
+		}
+		// A fallback leaves an entry keyed by the literal text behind; a
+		// statement served from its template never compiles that text.
+		if _, literal := srv.Cache().Get(server.NormalizeSQL(tc.sql)); err == nil && literal == tc.lifted {
+			t.Errorf("%s: literal-text entry = %v, want served from template = %v", tc.sql, literal, tc.lifted)
+		}
+	}
+}
+
+// TestLiftedEntriesFollowEpoch: CREATE INDEX and DROP INDEX invalidate the
+// template entries ad hoc statements were lifted onto, so the next literal
+// of the shape recompiles against the new catalog.
+func TestLiftedEntriesFollowEpoch(t *testing.T) {
+	srv, _ := startIndexServer(t, server.Config{})
+	ctx := context.Background()
+	query := func(mk int) (*zidian.Stats, bool) {
+		t.Helper()
+		res, stats, hit, err := srv.Query(ctx,
+			fmt.Sprintf("select V.vehicle_id, V.model from VEHICLE V where V.make = 'MAKE-%02d'", mk))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 20 {
+			t.Fatalf("MAKE-%02d: %d rows, want 20", mk, len(res.Rows))
+		}
+		return stats, hit
+	}
+	if _, hit := query(1); hit {
+		t.Fatal("first literal of the shape hit")
+	}
+	if stats, hit := query(2); !hit || strings.Contains(stats.Plan, "IndexLookup") {
+		t.Fatalf("second literal should hit the scan template: hit=%v plan %s", hit, stats.Plan)
+	}
+	if _, err := srv.Exec(ctx, "create index ix_make on VEHICLE(make)"); err != nil {
+		t.Fatal(err)
+	}
+	if stats, hit := query(3); hit || !strings.Contains(stats.Plan, "IndexLookup") {
+		t.Fatalf("after CREATE INDEX the template must recompile onto the index: hit=%v plan %s", hit, stats.Plan)
+	}
+	if stats, hit := query(4); !hit || !strings.Contains(stats.Plan, "IndexLookup") {
+		t.Fatalf("then hit the indexed template: hit=%v plan %s", hit, stats.Plan)
+	}
+	if _, err := srv.Exec(ctx, "drop index ix_make"); err != nil {
+		t.Fatal(err)
+	}
+	if stats, hit := query(5); hit || strings.Contains(stats.Plan, "IndexLookup") {
+		t.Fatalf("after DROP INDEX the template must recompile off the index: hit=%v plan %s", hit, stats.Plan)
+	}
+	cs := srv.Cache().Stats()
+	if cs.LiftedHits != 2 || cs.Misses != 3 || cs.StaleDrops != 2 || cs.Size != 1 {
+		t.Fatalf("cache stats = %+v, want 2 lifted hits, 3 misses, 2 stale drops, 1 entry", cs)
 	}
 }

@@ -15,13 +15,21 @@ import (
 // queries, so a serving layer must reuse plans across requests; the cache
 // makes that reuse safe and cheap under concurrency.
 //
-// The key is the normalized statement text. A parameterized statement keeps
-// its `?` placeholders in the key, so one cached template serves every
-// binding — the serving hot path. Non-parameterized SQL falls back to
-// literal-inlined keys on purpose: the literals are baked into the compiled
-// plan, so they must stay significant, and a distinct-literal workload that
-// does not parameterize pays one compilation per distinct statement (the
-// ParamsHits/LiteralHits split in CacheStats makes the difference visible).
+// The key is the normalized statement text with its `?` placeholders kept,
+// so one cached template serves every binding — the serving hot path. Ad hoc
+// SQL reaches the same entries: before lookup the server lifts the literals
+// in `=` and `IN (...)` operand positions out of a SELECT's text (LiftSQL)
+// and binds them as parameters, so `... where id = 7` and `... where id = 8`
+// are one key, the one a client sending `... where id = ?` uses. What the
+// planner reads stays in the text and therefore in the key: literals under
+// <, <=, >, >=, <> and BETWEEN (index-range fences are interpolated from
+// their values), LIMIT counts (plan shape), and all of INSERT, DELETE, DDL
+// and EXPLAIN. A statement the lift declines, or whose lifted values the
+// template's slot kinds reject (44.5 against an int column), is compiled
+// and keyed by its literal text, exactly as if the lift did not exist.
+// CacheStats splits hits three ways — ParamsHits (the client sent `?`),
+// LiftedHits (the server lifted the literals), LiteralHits (a literal-text
+// entry) — so which path serves a workload is visible.
 //
 // The key space is split across independently locked shards so concurrent
 // lookups of different statements do not serialize on one mutex. Each shard
@@ -42,6 +50,7 @@ type PlanCache struct {
 
 	hits          atomic.Int64
 	paramsHits    atomic.Int64
+	liftedHits    atomic.Int64
 	literalHits   atomic.Int64
 	misses        atomic.Int64
 	evictions     atomic.Int64
@@ -69,12 +78,15 @@ type CacheStats struct {
 	Misses    int64   `json:"misses"`
 	Evictions int64   `json:"evictions"`
 	HitRate   float64 `json:"hitRate"`
-	// ParamsHits counts hits on parameterized templates (one entry serving
-	// every literal of a statement shape) and LiteralHits counts hits on
-	// literal-inlined entries (the fallback for non-parameterized SQL, whose
-	// cache key keeps the literals). The split makes the template-reuse win
-	// observable: a distinct-literal workload only hits through ParamsHits.
+	// The three-way split of Hits by how the statement reached its entry:
+	// ParamsHits on a template the client parameterized itself, LiftedHits
+	// on a template the server derived by lifting the statement's equality
+	// literals (both kinds share entries: one plan serves every literal of a
+	// shape), LiteralHits on an entry keyed by literal text — the fallback,
+	// which only an exact-text repeat can hit. A lifted statement whose
+	// values the template rejects counts once, under its literal text.
 	ParamsHits  int64 `json:"paramsHits"`
+	LiftedHits  int64 `json:"liftedHits"`
 	LiteralHits int64 `json:"literalHits"`
 	// Epoch is the current schema epoch; Invalidations counts Invalidate
 	// calls and StaleDrops the entries discarded for trailing the epoch.
@@ -126,6 +138,16 @@ func (c *PlanCache) Invalidate() {
 // recently used. Entries whose epoch trails the current schema epoch are
 // stale: they are removed and reported as misses.
 func (c *PlanCache) Get(key string) (*zidian.Prepared, bool) {
+	plan, ok := c.lookup(key)
+	c.count(plan, ok, false)
+	return plan, ok
+}
+
+// lookup is Get with the hit or miss left for the caller to count. The
+// server looks a lifted template up this way and counts it only once the
+// template has accepted the lifted values, so a statement that falls back to
+// its literal text is counted once, by that text's lookup.
+func (c *PlanCache) lookup(key string) (*zidian.Prepared, bool) {
 	cur := c.epoch.Load()
 	s := c.shard(key)
 	s.mu.Lock()
@@ -143,20 +165,30 @@ func (c *PlanCache) Get(key string) (*zidian.Prepared, bool) {
 	}
 	s.mu.Unlock()
 	if !ok {
-		c.misses.Add(1)
 		if stale {
 			c.stale.Add(1)
 		}
 		return nil, false
 	}
+	return el.Value.(*cacheEntry).plan, true
+}
+
+// count records one lookup's outcome; lifted attributes a hit to a template
+// the server derived with LiftSQL.
+func (c *PlanCache) count(plan *zidian.Prepared, hit, lifted bool) {
+	if !hit {
+		c.misses.Add(1)
+		return
+	}
 	c.hits.Add(1)
-	plan := el.Value.(*cacheEntry).plan
-	if plan != nil && plan.NumParams() > 0 {
+	switch {
+	case lifted:
+		c.liftedHits.Add(1)
+	case plan != nil && plan.NumParams() > 0:
 		c.paramsHits.Add(1)
-	} else {
+	default:
 		c.literalHits.Add(1)
 	}
-	return plan, true
 }
 
 // Put stores a compiled plan under the normalized key at the current schema
@@ -215,6 +247,7 @@ func (c *PlanCache) Stats() CacheStats {
 		Capacity:      c.perCap * len(c.shards),
 		Hits:          c.hits.Load(),
 		ParamsHits:    c.paramsHits.Load(),
+		LiftedHits:    c.liftedHits.Load(),
 		LiteralHits:   c.literalHits.Load(),
 		Misses:        c.misses.Load(),
 		Evictions:     c.evictions.Load(),

@@ -317,3 +317,19 @@ func NormalizeSQL(src string) string {
 	}
 	return s
 }
+
+// LiftSQL turns an ad hoc SELECT into the plan-cache key and bindings of its
+// `?` template: sql.LiftLiterals takes the literals in `=` and `IN (...)`
+// operand positions out of the text, walking the parser's own lexer so an
+// operand is exactly what the parser would read as one, and NormalizeSQL
+// keys what is left — the text a client that parameterized those positions
+// would have sent, so both reach one cache entry. Range-compared literals
+// and LIMIT counts stay in the template. ok is false when the statement must
+// be keyed and compiled by its literal text (see sql.LiftLiterals).
+func LiftSQL(src string) (template string, vals []relation.Value, ok bool) {
+	text, vals, ok := sql.LiftLiterals(src)
+	if !ok {
+		return "", nil, false
+	}
+	return NormalizeSQL(text), vals, true
+}

@@ -376,9 +376,9 @@ func (s *Server) handle(sess *Session, req *Request) Response {
 		if err != nil {
 			return fail(err)
 		}
-		norm := NormalizeSQL(req.SQL)
-		if strings.HasPrefix(norm, "select") {
-			res, stats, cacheHit, err := s.queryNorm(ctx, norm, req.SQL, params)
+		key, lifted := stmtKey(req.SQL, params)
+		if strings.HasPrefix(key, "select") {
+			res, stats, _, cacheHit, err := s.queryNorm(ctx, key, req.SQL, params, lifted)
 			if err != nil {
 				return fail(err)
 			}
@@ -399,11 +399,12 @@ func (s *Server) handle(sess *Session, req *Request) Response {
 		if req.Name == "" {
 			return fail(fmt.Errorf("server: prepare needs a statement name"))
 		}
-		p, _, err := s.compile(req.SQL)
+		key := NormalizeSQL(req.SQL)
+		p, _, err := s.compileNorm(key, req.SQL, false)
 		if err != nil {
 			return fail(err)
 		}
-		if err := sess.SetPrepared(req.Name, p); err != nil {
+		if err := sess.SetPrepared(req.Name, key, p); err != nil {
 			return fail(err)
 		}
 		resp.OK = true
@@ -412,7 +413,7 @@ func (s *Server) handle(sess *Session, req *Request) Response {
 		if err != nil {
 			return fail(err)
 		}
-		p, ok := sess.Prepared(req.Name)
+		p, key, ok := sess.Prepared(req.Name)
 		if !ok {
 			return fail(fmt.Errorf("server: no prepared statement %q", req.Name))
 		}
@@ -421,25 +422,24 @@ func (s *Server) handle(sess *Session, req *Request) Response {
 		// runFresh repeats the refresh if another DDL lands mid-execution.
 		stored := p
 		if p.Epoch() != s.inst.SchemaEpoch() {
-			p2, _, err := s.compile(p.SQL())
+			p2, _, err := s.compileNorm(key, p.SQL(), false)
 			if err != nil {
 				return fail(err)
 			}
 			p = p2
 		}
-		norm := NormalizeSQL(p.SQL())
 		c := s.obs.begin(verbSelect)
-		c.setStmt(norm, params)
+		c.setStmt(key, params)
 		c.setSession(sess.ID)
 		c.setRelations(p.Relations())
-		res, stats, ran, err := s.runFresh(ctx, c, norm, p.SQL(), p, params)
+		res, stats, ran, err := s.runFresh(ctx, c, key, p.SQL(), nil, p, params)
 		if err != nil {
 			c.finish(0, true, err)
 			return fail(err)
 		}
 		c.finish(len(res.Rows), true, nil)
 		if ran != stored {
-			if err := sess.SetPrepared(req.Name, ran); err != nil {
+			if err := sess.SetPrepared(req.Name, key, ran); err != nil {
 				return fail(err)
 			}
 		}
@@ -469,18 +469,34 @@ func (s *Server) fillResult(resp *Response, res *zidian.Result, stats *zidian.St
 	}
 }
 
-// compile returns the cached plan for the statement, compiling and caching
-// it on a miss, and reports whether it was a cache hit.
-func (s *Server) compile(sql string) (*zidian.Prepared, bool, error) {
-	return s.compileNorm(NormalizeSQL(sql), sql)
+// stmtKey computes a statement's plan-cache key. An ad hoc SELECT — no bound
+// params, no `?` in the text, the property the server observes instead of
+// taking an option — has its equality literals lifted: key is then the `?`
+// template and lifted its bindings. Everything else keys by NormalizeSQL
+// with lifted nil; a statement that came with params pays only the length
+// check.
+func stmtKey(sql string, params []zidian.Value) (key string, lifted []zidian.Value) {
+	if len(params) == 0 {
+		if tmpl, vals, ok := LiftSQL(sql); ok {
+			return tmpl, vals
+		}
+	}
+	return NormalizeSQL(sql), nil
 }
 
-// compileNorm is compile with the normalization already done. The cache
-// epoch is captured under the compile lock — DDL holds the global gate
+// compileNorm returns the cached plan for the normalized key, compiling sql
+// and caching it on a miss, and reports whether it was a cache hit. With
+// lifted set the key came from LiftSQL and the lookup is not counted here:
+// queryNorm counts it once the template has accepted the lifted values. The
+// cache epoch is captured under the compile lock — DDL holds the global gate
 // exclusively while it invalidates — so a plan compiled just before a DDL
 // lands in the cache tagged stale instead of surviving the flush.
-func (s *Server) compileNorm(norm, sql string) (*zidian.Prepared, bool, error) {
-	if p, ok := s.cache.Get(norm); ok {
+func (s *Server) compileNorm(norm, sql string, lifted bool) (*zidian.Prepared, bool, error) {
+	p, ok := s.cache.lookup(norm)
+	if !lifted {
+		s.cache.count(p, ok, false)
+	}
+	if ok {
 		return p, true, nil
 	}
 	release := s.locks.compileLock()
@@ -517,46 +533,74 @@ func (s *Server) run(ctx context.Context, c *stmtCtx, p *zidian.Prepared, params
 
 // Query compiles (or reuses) and executes one SELECT, binding params into
 // the statement's `?` placeholders, and reports whether the plan came from
-// the cache. Parameterized statements share one cache entry across all
-// bindings: the cache key is the template text, so a distinct-literal
-// workload that parameterizes compiles once per template instead of once
-// per literal.
+// the cache. Statements of one shape share one cache entry across all their
+// values, whether the client sent `?` and params or inlined the literals
+// (see stmtKey): the workload compiles once per template, not once per
+// literal.
 func (s *Server) Query(ctx context.Context, sql string, params ...zidian.Value) (*zidian.Result, *zidian.Stats, bool, error) {
-	return s.queryNorm(ctx, NormalizeSQL(sql), sql, params)
+	key, lifted := stmtKey(sql, params)
+	res, stats, _, hit, err := s.queryNorm(ctx, key, sql, params, lifted)
+	return res, stats, hit, err
 }
 
-// queryNorm is Query with the normalization already done.
-func (s *Server) queryNorm(ctx context.Context, norm, sql string, params []zidian.Value) (*zidian.Result, *zidian.Stats, bool, error) {
+// queryNorm is Query with stmtKey already applied; it also returns the plan
+// that ran. With lifted values, norm is a template: it is its own source
+// text (what a miss or an epoch change compiles), and the statement runs the
+// template bound to lifted. When the template does not compile, or its slot
+// kinds reject a lifted value, the statement is served from its literal text
+// instead, so rows and error text are what they would be without the lift.
+func (s *Server) queryNorm(ctx context.Context, norm, sql string, params, lifted []zidian.Value) (*zidian.Result, *zidian.Stats, *zidian.Prepared, bool, error) {
 	c := s.obs.begin(verbSelect)
-	c.setStmt(norm, params)
 	c.setSession(sessionID(ctx))
-	p, hit, err := s.compileNorm(norm, sql)
-	if err != nil {
-		c.finish(0, false, err)
-		return nil, nil, false, err
+	var p *zidian.Prepared
+	var hit bool
+	binds := params // the values whose kinds the statement feed reports
+	if lifted != nil {
+		if tp, thit, err := s.compileNorm(norm, norm, true); err == nil {
+			if bp, err := tp.Bind(lifted...); err == nil {
+				s.cache.count(tp, thit, true)
+				p, hit, sql, binds = bp, thit, norm, lifted
+			}
+		}
+		if p == nil {
+			norm, lifted = NormalizeSQL(sql), nil
+		}
+	}
+	c.setStmt(norm, binds)
+	if p == nil {
+		var err error
+		if p, hit, err = s.compileNorm(norm, sql, false); err != nil {
+			c.finish(0, false, err)
+			return nil, nil, nil, false, err
+		}
 	}
 	c.setRelations(p.Relations())
-	res, stats, _, err := s.runFresh(ctx, c, norm, sql, p, params)
+	res, stats, ran, err := s.runFresh(ctx, c, norm, sql, lifted, p, params)
 	if err != nil {
 		c.finish(0, hit, err)
-		return nil, nil, hit, err
+		return nil, nil, nil, hit, err
 	}
 	c.finish(len(res.Rows), hit, nil)
-	return res, stats, hit, nil
+	return res, stats, ran, hit, nil
 }
 
 // runFresh executes a compiled plan, recompiling and retrying when DDL made
 // the plan stale between compilation and execution (compile and run hold
 // the read lock in separate critical sections, so a DROP INDEX can land in
-// between and strand a plan on a vanished index). It returns the plan that
-// finally ran so callers can refresh session state.
-func (s *Server) runFresh(ctx context.Context, c *stmtCtx, norm, sql string, p *zidian.Prepared, params []zidian.Value) (*zidian.Result, *zidian.Stats, *zidian.Prepared, error) {
+// between and strand a plan on a vanished index). Non-nil lifted means p is
+// a template already bound to those values, and a recompiled template is
+// bound to them before the retry. It returns the plan that finally ran so
+// callers can refresh session state.
+func (s *Server) runFresh(ctx context.Context, c *stmtCtx, norm, sql string, lifted []zidian.Value, p *zidian.Prepared, params []zidian.Value) (*zidian.Result, *zidian.Stats, *zidian.Prepared, error) {
 	for attempt := 0; ; attempt++ {
 		res, stats, err := s.run(ctx, c, p, params)
 		if err == nil || attempt >= 2 || p.Epoch() == s.inst.SchemaEpoch() {
 			return res, stats, p, err
 		}
-		p2, _, cerr := s.compileNorm(norm, sql)
+		p2, _, cerr := s.compileNorm(norm, sql, lifted != nil)
+		if cerr == nil && lifted != nil {
+			p2, cerr = p2.Bind(lifted...)
+		}
 		if cerr != nil {
 			return nil, nil, p, cerr
 		}
@@ -581,22 +625,11 @@ func (s *Server) Exec(ctx context.Context, sql string, params ...zidian.Value) (
 		return s.execShow(ctx)
 	}
 	if kind == zidian.StmtSelect {
-		norm := NormalizeSQL(sql)
-		c := s.obs.begin(verbSelect)
-		c.setStmt(norm, params)
-		c.setSession(sessionID(ctx))
-		p, hit, err := s.compileNorm(norm, sql)
+		key, lifted := stmtKey(sql, params)
+		res, stats, ran, _, err := s.queryNorm(ctx, key, sql, params, lifted)
 		if err != nil {
-			c.finish(0, false, err)
 			return nil, err
 		}
-		c.setRelations(p.Relations())
-		res, stats, ran, err := s.runFresh(ctx, c, norm, sql, p, params)
-		if err != nil {
-			c.finish(0, hit, err)
-			return nil, err
-		}
-		c.finish(len(res.Rows), hit, nil)
 		return &zidian.ExecResult{Result: res, Stats: stats, Relations: ran.Relations()}, nil
 	}
 	if kind == zidian.StmtExplainAnalyze {
@@ -649,18 +682,20 @@ func (s *Server) Exec(ctx context.Context, sql string, params ...zidian.Value) (
 }
 
 // execExplainAnalyze serves EXPLAIN ANALYZE <select>: the inner SELECT
-// compiles through the plan cache under its own template key (so the
-// analyzed statement shares the cached plan of the query it wraps), the
-// statement schedules exactly like a read — admission, then the plan's
-// relation read locks — and executes under the statement trace; the client
-// receives the annotated operator tree instead of the rows.
+// compiles through the plan cache under its own normalized text — literals
+// are not lifted here, so the analyzed plan is the one compiled from
+// exactly the text given, and a `?` inner statement shares the cached
+// template of the query it wraps — the statement schedules exactly like a
+// read — admission, then the plan's relation read locks — and executes
+// under the statement trace; the client receives the annotated operator
+// tree instead of the rows.
 func (s *Server) execExplainAnalyze(ctx context.Context, sql string, params []zidian.Value) (*zidian.ExecResult, error) {
 	inner, _ := zidian.TrimExplainAnalyze(sql)
 	norm := NormalizeSQL(inner)
 	c := s.obs.begin(verbExplainAnalyze)
 	c.setStmt(norm, params)
 	c.setSession(sessionID(ctx))
-	p, hit, err := s.compileNorm(norm, inner)
+	p, hit, err := s.compileNorm(norm, inner, false)
 	if err != nil {
 		c.finish(0, false, err)
 		return nil, err
@@ -896,12 +931,12 @@ func (s *Server) httpQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var resp Response
-	norm := NormalizeSQL(sql)
-	if strings.HasPrefix(norm, "select") {
+	key, lifted := stmtKey(sql, params)
+	if strings.HasPrefix(key, "select") {
 		var res *zidian.Result
 		var stats *zidian.Stats
 		var cacheHit bool
-		res, stats, cacheHit, err = s.queryNorm(s.ctx, norm, sql, params)
+		res, stats, _, cacheHit, err = s.queryNorm(s.ctx, key, sql, params, lifted)
 		if err == nil {
 			s.fillResult(&resp, res, stats, cacheHit)
 		}

@@ -18,8 +18,15 @@ type Session struct {
 	Remote string
 
 	mu      sync.Mutex
-	stmts   map[string]*zidian.Prepared
+	stmts   map[string]preparedStmt
 	started time.Time
+}
+
+// preparedStmt is a named statement with the plan-cache key of its text,
+// normalized once at prepare so executions and epoch refreshes reuse it.
+type preparedStmt struct {
+	key  string
+	plan *zidian.Prepared
 }
 
 // newSession builds an empty session.
@@ -27,7 +34,7 @@ func newSession(id uint64, remote string) *Session {
 	return &Session{
 		ID:      id,
 		Remote:  remote,
-		stmts:   make(map[string]*zidian.Prepared),
+		stmts:   make(map[string]preparedStmt),
 		started: time.Now(),
 	}
 }
@@ -37,23 +44,23 @@ func newSession(id uint64, remote string) *Session {
 const maxPreparedPerSession = 256
 
 // SetPrepared names a compiled statement within the session, replacing any
-// previous statement of that name.
-func (s *Session) SetPrepared(name string, p *zidian.Prepared) error {
+// previous statement of that name. key is the statement's plan-cache key.
+func (s *Session) SetPrepared(name, key string, p *zidian.Prepared) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.stmts[name]; !ok && len(s.stmts) >= maxPreparedPerSession {
 		return fmt.Errorf("server: session holds %d prepared statements already", maxPreparedPerSession)
 	}
-	s.stmts[name] = p
+	s.stmts[name] = preparedStmt{key: key, plan: p}
 	return nil
 }
 
-// Prepared looks up a named statement.
-func (s *Session) Prepared(name string) (*zidian.Prepared, bool) {
+// Prepared looks up a named statement and its plan-cache key.
+func (s *Session) Prepared(name string) (p *zidian.Prepared, key string, ok bool) {
 	s.mu.Lock()
-	p, ok := s.stmts[name]
+	st, ok := s.stmts[name]
 	s.mu.Unlock()
-	return p, ok
+	return st.plan, st.key, ok
 }
 
 // ClosePrepared drops a named statement, reporting whether it existed.

@@ -319,24 +319,31 @@ func (p *parser) parseLit() (relation.Value, error) {
 	switch t.kind {
 	case tokNumber:
 		p.advance()
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return relation.Value{}, fmt.Errorf("sql: bad number %q", t.text)
-			}
-			return relation.Float(f), nil
-		}
-		i, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return relation.Value{}, fmt.Errorf("sql: bad number %q", t.text)
-		}
-		return relation.Int(i), nil
+		return numberValue(t.text)
 	case tokString:
 		p.advance()
 		return relation.String(t.text), nil
 	default:
 		return relation.Value{}, fmt.Errorf("sql: expected literal, found %s", t)
 	}
+}
+
+// numberValue converts the text of a number token (optional sign, digits
+// and dots, as the lexer cuts it) to its value: a dot makes it a float,
+// anything else must fit an int64.
+func numberValue(text string) (relation.Value, error) {
+	if strings.Contains(text, ".") {
+		f, err := strconv.ParseFloat(text, 64)
+		if err != nil {
+			return relation.Value{}, fmt.Errorf("sql: bad number %q", text)
+		}
+		return relation.Float(f), nil
+	}
+	i, err := strconv.ParseInt(text, 10, 64)
+	if err != nil {
+		return relation.Value{}, fmt.Errorf("sql: bad number %q", text)
+	}
+	return relation.Int(i), nil
 }
 
 // boundPred builds one comparison conjunct whose RHS is a literal or a `?`

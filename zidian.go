@@ -398,6 +398,22 @@ func (p *Prepared) NumParams() int {
 	return p.info.NumParams
 }
 
+// Bind validates params against the template (arity, per-slot kinds) and
+// returns the statement with them injected: a Prepared of the same epoch
+// that takes no params and shares every plan node that carries no slot.
+// Run(params...) is Bind(params...) then Run(); binding first is for a
+// caller that must learn whether the values fit before it commits to the
+// template, such as a serving layer that lifted them out of literal text.
+func (p *Prepared) Bind(params ...Value) (*Prepared, error) {
+	info, err := p.info.Bind(params)
+	if err != nil {
+		return nil, err
+	}
+	bound := *p
+	bound.info = info
+	return &bound, nil
+}
+
 // Epoch returns the catalog epoch the statement was compiled at. When it
 // trails the instance's SchemaEpoch, DDL has run since compilation and the
 // plan should be recompiled: it may reference a dropped index or miss a

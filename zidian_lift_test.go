@@ -1,0 +1,130 @@
+package zidian_test
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"testing"
+
+	"zidian"
+	"zidian/internal/obs"
+	"zidian/internal/server"
+	"zidian/internal/workload"
+)
+
+// checkLifted runs one SELECT three ways — compiled from its literal text
+// (what the server did before it lifted literals), through the server, and
+// from the LiftSQL template with the lifted values bound — and requires
+// byte-identical rows from all three, and from the template the same
+// EXPLAIN (classification headline with its access-path tags, and operator
+// tree, once the values are written back into the placeholders) and the
+// same traced kv get and scan-step counts as from the literal text. It
+// reports whether the statement had anything to lift.
+func checkLifted(t *testing.T, inst *zidian.Instance, srv *server.Server, label, sql string) bool {
+	t.Helper()
+	run := func(src string, vals []zidian.Value) (string, obs.KVSnapshot) {
+		t.Helper()
+		p, err := inst.Prepare(src)
+		if err != nil {
+			t.Fatalf("%s: prepare %q: %v", label, src, err)
+		}
+		tr := &obs.Trace{}
+		res, _, err := p.RunTraced(tr, vals...)
+		if err != nil {
+			t.Fatalf("%s: run %q %v: %v", label, src, vals, err)
+		}
+		return zidian.RenderResult(res), tr.KV.Snapshot()
+	}
+	want, wantKV := run(sql, nil)
+
+	res, _, _, err := srv.Query(context.Background(), sql)
+	if err != nil {
+		t.Fatalf("%s: served %q: %v", label, sql, err)
+	}
+	if got := zidian.RenderResult(res); got != want {
+		t.Fatalf("%s: %q\nserved:\n%s\nliteral compile:\n%s", label, sql, got, want)
+	}
+
+	tmpl, vals, ok := server.LiftSQL(sql)
+	if !ok {
+		return false // no equality literal: the server compiled the literal text
+	}
+	got, gotKV := run(tmpl, vals)
+	if got != want {
+		t.Fatalf("%s: %q\ntemplate %q %v:\n%s\nliteral compile:\n%s", label, sql, tmpl, vals, got, want)
+	}
+	if gotKV.Gets != wantKV.Gets || gotKV.ScanNexts != wantKV.ScanNexts {
+		t.Fatalf("%s: %q: template did %d gets / %d scan steps, literal compile %d / %d",
+			label, sql, gotKV.Gets, gotKV.ScanNexts, wantKV.Gets, wantKV.ScanNexts)
+	}
+	wantPlan, err := inst.Explain(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotPlan, err := inst.Explain(tmpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := len(vals) - 1; i >= 0; i-- { // ?10 before ?1
+		gotPlan = strings.ReplaceAll(gotPlan, fmt.Sprintf("?%d", i), vals[i].String())
+	}
+	if gotPlan != wantPlan {
+		t.Fatalf("%s: %q plans differently as a template\ntemplate %q:\n%s\nliteral:\n%s", label, sql, tmpl, gotPlan, wantPlan)
+	}
+	return true
+}
+
+// TestDifferentialLiftedVsLiteral covers every SELECT of the three workload
+// suites, the range suite and the scatter suite, on all three kv engines,
+// the ITEM suites both before and after their indexes exist.
+func TestDifferentialLiftedVsLiteral(t *testing.T) {
+	lifted, total := 0, 0
+	check := func(inst *zidian.Instance, srv *server.Server, label, sql string) {
+		t.Helper()
+		total++
+		if checkLifted(t, inst, srv, label, sql) {
+			lifted++
+		}
+	}
+	for _, eng := range zidian.RangeEngines {
+		for _, name := range []string{"mot", "airca", "tpch"} {
+			w, err := workload.Generate(name, workload.Spec{Scale: 0.1, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inst, err := zidian.Open(w.DB, w.Schema, zidian.Options{Engine: eng, Nodes: 4, Workers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := server.New(inst, server.Config{})
+			for _, q := range w.Queries {
+				check(inst, srv, eng+"/"+name+"/"+q.Name, q.SQL)
+			}
+			srv.Shutdown(context.Background())
+		}
+
+		db, bv := zidian.RangeItemsDB(t)
+		inst, err := zidian.Open(db, bv, zidian.Options{Engine: eng, Nodes: 4, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := server.New(inst, server.Config{})
+		items := append(append([]string{}, zidian.RangeSuite...), zidian.ScatterSuite...)
+		for _, sql := range items {
+			check(inst, srv, eng+"/item/scan", sql)
+		}
+		for _, ddl := range zidian.RangeSuiteDDL {
+			if _, err := srv.Exec(context.Background(), ddl); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, sql := range items {
+			check(inst, srv, eng+"/item/indexed", sql)
+		}
+		srv.Shutdown(context.Background())
+	}
+	t.Logf("%d of %d statements had equality literals to lift", lifted, total)
+	if lifted*4 < total {
+		t.Fatalf("only %d of %d statements were lifted: the suites no longer exercise the lift", lifted, total)
+	}
+}
