@@ -83,7 +83,7 @@ func main() {
 	fmt.Printf("%-22s %12d %12d %9.1fx\n", "#get", bDelta.Gets+bDelta.ScanNexts, zDelta.Gets+zDelta.ScanNexts,
 		float64(bDelta.Gets+bDelta.ScanNexts)/float64(zDelta.Gets+zDelta.ScanNexts))
 	fmt.Printf("%-22s %12.3f %12.3f %9.1fx\n", "comm (MB)",
-		float64(bM.FetchBytes+bM.ShuffleBytes)/(1<<20),
-		float64(zM.FetchBytes+zM.ShuffleBytes)/(1<<20),
-		float64(bM.FetchBytes+bM.ShuffleBytes)/float64(zM.FetchBytes+zM.ShuffleBytes))
+		float64(bM.BytesRead+bM.ShuffleBytes)/(1<<20),
+		float64(zM.BytesRead+zM.ShuffleBytes)/(1<<20),
+		float64(bM.BytesRead+bM.ShuffleBytes)/float64(zM.BytesRead+zM.ShuffleBytes))
 }

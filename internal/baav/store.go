@@ -332,33 +332,6 @@ func (st *Store) ScanInstanceT(kvt *obs.KV, name string, fn func(key relation.Tu
 	})
 }
 
-// ScanInstanceScatterT is ScanInstanceT returning the per-node stats of the
-// scattered walk (pairs yielded, seek round trip, emptiness skips) so
-// executors can surface the fan-out in EXPLAIN ANALYZE.
-func (st *Store) ScanInstanceScatterT(kvt *obs.KV, name string, fn func(key relation.Tuple, blk *Block, stats *BlockStats) bool) ([]kv.NodeScanStat, error) {
-	var stats []kv.NodeScanStat
-	err := st.scanInstanceWith(name, fn, func(prefix []byte, visit func(k, v []byte) bool) {
-		stats = st.Cluster.ScanScatterT(kvt, prefix, visit)
-	})
-	return stats, err
-}
-
-// AnnotateScatter records a scattered walk's per-node fan-out (pairs and
-// seek round trips) on the trace's innermost open operator span; no-op
-// untraced.
-func AnnotateScatter(t *obs.Trace, stats []kv.NodeScanStat) {
-	if t == nil || len(stats) == 0 {
-		return
-	}
-	rows := make([]int64, len(stats))
-	rtt := make([]int64, len(stats))
-	for i, s := range stats {
-		rows[i] = s.Pairs
-		rtt[i] = int64(s.Wait)
-	}
-	t.AnnotateNodes(rows, rtt)
-}
-
 // ScanInstanceNode visits the keyed blocks of the instance held by one
 // storage node. Blocks are colocated by key (segments route on the block
 // prefix), so per-node scans see whole blocks; parallel scan drivers split

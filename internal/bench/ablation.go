@@ -65,7 +65,7 @@ func ablationInterleaved(out io.Writer, cfg Config) error {
 			simMS += sys.Profile.QueryUS(delta, m.ShuffleBytes, env.Nodes, cfg.Workers) / 1000
 			gets += delta.Gets + delta.ScanNexts
 			data += m.DataValues
-			commMB += float64(m.FetchBytes+m.ShuffleBytes) / (1 << 20)
+			commMB += float64(m.BytesRead+m.ShuffleBytes) / (1 << 20)
 		}
 		n := float64(len(queries))
 		fmt.Fprintf(w, "%s\t%.2f\t%d\t%d\t%.3f\n", mode, simMS/n, gets/int64(len(queries)), data/int64(len(queries)), commMB/n)

@@ -143,7 +143,7 @@ func (e *Env) RunQuery(sys *System, zidian bool, queryName string, workers int) 
 		row.SimMS = sys.Profile.QueryUS(delta, m.ShuffleBytes, e.Nodes, workers) / 1000
 		row.Gets = delta.Gets + delta.ScanNexts
 		row.Data = m.DataValues
-		row.CommMB = float64(m.FetchBytes+m.ShuffleBytes) / (1 << 20)
+		row.CommMB = float64(m.BytesRead+m.ShuffleBytes) / (1 << 20)
 		return row, nil
 	}
 	before := sys.Taav.Cluster.Metrics()
@@ -158,7 +158,7 @@ func (e *Env) RunQuery(sys *System, zidian bool, queryName string, workers int) 
 	// Under TaaV a full scan costs one get per tuple (Section 1).
 	row.Gets = delta.Gets + delta.ScanNexts
 	row.Data = m.DataValues
-	row.CommMB = float64(m.FetchBytes+m.ShuffleBytes) / (1 << 20)
+	row.CommMB = float64(m.BytesRead+m.ShuffleBytes) / (1 << 20)
 	return row, nil
 }
 

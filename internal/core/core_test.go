@@ -456,7 +456,7 @@ func TestToResultErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := &kba.KeyedRel{KeyAttrs: []string{"wrong"}}
+	bad := kba.NewPartRel([]string{"wrong"}, 1)
 	if _, err := info.ToResult(bad); err == nil {
 		t.Fatal("missing output column must error")
 	}

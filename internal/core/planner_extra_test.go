@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"zidian/internal/baav"
+	"zidian/internal/kba"
 	"zidian/internal/kv"
 	"zidian/internal/ra"
 	"zidian/internal/relation"
@@ -230,8 +231,8 @@ func TestCostBasedScanVsProbe(t *testing.T) {
 }
 
 // TestRandomizedDifferential drives randomly generated conjunctive queries
-// through plan generation and both executors, comparing against the
-// reference evaluator.
+// through plan generation and the executor at one and at several workers,
+// comparing against the reference evaluator.
 func TestRandomizedDifferential(t *testing.T) {
 	db, store, c := fixture(t, 42)
 	r := rand.New(rand.NewSource(123))
@@ -312,6 +313,16 @@ func TestRandomizedDifferential(t *testing.T) {
 		if !got.Equal(want) {
 			t.Fatalf("differential mismatch (%d vs %d rows) for %q\nplan %s",
 				len(got.Rows), len(want.Rows), src, info.Root)
+		}
+		if info.Empty {
+			continue
+		}
+		out, _, err := kba.Run(info.Root, store, 4, nil)
+		if err != nil {
+			t.Fatalf("four workers %q: %v", src, err)
+		}
+		if got, err = info.ToResult(out); err != nil || !got.Equal(want) {
+			t.Fatalf("differential mismatch at four workers for %q (%v)\nplan %s", src, err, info.Root)
 		}
 	}
 }

@@ -12,11 +12,16 @@ import (
 
 // ToResult converts an executed plan output into the query's relational
 // answer: output columns are selected by name, then ORDER BY and LIMIT are
-// applied.
-func (p *PlanInfo) ToResult(rel *kba.KeyedRel) (*ra.Result, error) {
+// applied. Identical output rows are delivered adjacently, at the position
+// of their first occurrence. An Empty plan has no output to convert.
+func (p *PlanInfo) ToResult(out *kba.PartRel) (*ra.Result, error) {
 	res := &ra.Result{Cols: p.Query.OutNames}
 	if p.Empty {
 		return res, nil
+	}
+	rel, err := kba.FromRows(out.Attrs, out.Rows(), out.Attrs)
+	if err != nil {
+		return nil, err
 	}
 	attrs := rel.Attrs()
 	pos := make(map[string]int, len(attrs))
@@ -69,21 +74,20 @@ func (p *PlanInfo) ToResult(rel *kba.KeyedRel) (*ra.Result, error) {
 }
 
 // Answer plans nothing: it executes an already generated plan sequentially
-// on the store and shapes the relational answer, returning the data-access
-// statistics of the run.
+// — the KBA executor at one worker — on the store and shapes the relational
+// answer, returning the data-access statistics of the run.
 func Answer(info *PlanInfo, store *baav.Store) (*ra.Result, *kba.ExecStats, error) {
-	if info.Empty {
-		res, err := info.ToResult(nil)
-		return res, &kba.ExecStats{}, err
-	}
-	exec := kba.NewExecutor(store)
-	out, err := exec.Run(info.Root)
-	if err != nil {
-		return nil, nil, err
+	var out *kba.PartRel
+	var stats kba.ExecStats
+	if !info.Empty {
+		var err error
+		if out, stats, err = kba.Run(info.Root, store, 1, nil); err != nil {
+			return nil, nil, err
+		}
 	}
 	res, err := info.ToResult(out)
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, exec.Stats, nil
+	return res, &stats, nil
 }

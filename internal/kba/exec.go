@@ -1,7 +1,9 @@
 package kba
 
 import (
+	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"zidian/internal/baav"
 	"zidian/internal/obs"
@@ -11,14 +13,15 @@ import (
 
 // ExecStats counts the logical data access of one plan execution: the #get,
 // #data (values accessed) and fetched bytes reported in the paper's
-// experiments. Physical per-node counters live in kv.Metrics; these are the
-// query-level numbers.
+// experiments, plus the worker-to-worker communication of the run. Physical
+// per-node counters live in kv.Metrics; these are the query-level numbers.
 type ExecStats struct {
-	Gets       int64 // get invocations against the BaaV store
-	Blocks     int64 // keyed blocks fetched (hits)
-	DataValues int64 // values accessed (block rows × width, plus keys)
-	ScanBlocks int64 // blocks visited by ScanKV / StatsAgg leaves, posting lists by IndexRange walks
-	BytesRead  int64 // accounting size of all fetched data
+	Gets         int64 // get invocations against the BaaV store
+	Blocks       int64 // keyed blocks fetched by ∝ (hits)
+	DataValues   int64 // values accessed (block rows × width, plus keys)
+	ScanBlocks   int64 // blocks visited by ScanKV / StatsAgg leaves, posting lists by IndexRange walks
+	BytesRead    int64 // accounting size of all fetched data, postings included
+	ShuffleBytes int64 // bytes of rows that changed workers in a repartition
 }
 
 // Add folds another stats record into s.
@@ -28,61 +31,87 @@ func (s *ExecStats) Add(o ExecStats) {
 	s.DataValues += o.DataValues
 	s.ScanBlocks += o.ScanBlocks
 	s.BytesRead += o.BytesRead
+	s.ShuffleBytes += o.ShuffleBytes
 }
 
-// Executor runs KBA plans sequentially against a BaaV store.
-type Executor struct {
-	Store *baav.Store
-	Stats *ExecStats
-
-	// Trace, when set, records one operator span per executed plan node
-	// plus kv/posting/block counters for the statement.
-	Trace *obs.Trace
-	// KV, when set while Trace is nil, sinks kv-op counts without opening
-	// operator spans. The parallel executor's sequential delegate (StatsAgg)
-	// uses it so the delegate's kv traffic lands in the enclosing
-	// statement's totals without starting a second span tree.
-	KV *obs.KV
+// Run executes a KBA plan on the given number of workers with the
+// interleaved strategy of Section 7.2: intermediates stay partitioned
+// across workers, ∝ repartitions its input by the target key and fetches
+// only the blocks it needs. One worker is sequential execution — no
+// goroutine is started and nothing is shuffled. Under a non-nil trace every
+// plan node records an operator span (rows, wall time, inclusive kv delta,
+// worker fan-out); a nil trace costs nothing.
+func Run(p Plan, store *baav.Store, workers int, t *obs.Trace) (*PartRel, ExecStats, error) {
+	return (&executor{store: store, workers: workers, trace: t}).runPlan(p)
 }
 
-// NewExecutor returns an executor with a fresh stats record.
-func NewExecutor(store *baav.Store) *Executor {
-	return &Executor{Store: store, Stats: &ExecStats{}}
+// RunFetchAll is Run with ∝ flattened into retrieve-then-join, the
+// parallelization Section 7.1 describes and rejects; the ablation contrasts
+// it with Run.
+func RunFetchAll(p Plan, store *baav.Store, workers int) (*PartRel, ExecStats, error) {
+	return (&executor{store: store, workers: workers, fetchAll: true}).runPlan(p)
 }
 
-// kv returns the kv-op sink the executor threads into the store: the
-// trace's counters when tracing, the bare sink otherwise, nil untraced.
-func (e *Executor) kv() *obs.KV {
-	if e.Trace != nil {
-		return &e.Trace.KV
+// executor is the one implementation of every KBA operator.
+type executor struct {
+	store   *baav.Store
+	workers int
+	// fetchAll flattens ∝ into retrieve-then-join (the Section 7.1
+	// strawman) instead of the interleaved strategy.
+	fetchAll bool
+	// trace, when set, records operator spans and statement counters. The
+	// span stack stays single-goroutine: run recurses on the driving
+	// goroutine only, and ForWorkers joins its workers before any span
+	// finishes.
+	trace *obs.Trace
+
+	// Scan workers and repartition add concurrently.
+	gets, blocks, data, scanned, bytes, shuffle atomic.Int64
+}
+
+func (e *executor) runPlan(p Plan) (*PartRel, ExecStats, error) {
+	if e.workers < 1 {
+		e.workers = 1
 	}
-	return e.KV
+	out, err := e.run(p)
+	return out, ExecStats{
+		Gets:         e.gets.Load(),
+		Blocks:       e.blocks.Load(),
+		DataValues:   e.data.Load(),
+		ScanBlocks:   e.scanned.Load(),
+		BytesRead:    e.bytes.Load(),
+		ShuffleBytes: e.shuffle.Load(),
+	}, err
 }
 
-// Run executes the plan and returns the resulting KV instance. Under a
-// trace every node gets an operator span whose kv delta is inclusive of
-// its inputs (the plan-tree recursion runs within the parent's span).
-func (e *Executor) Run(p Plan) (*KeyedRel, error) {
-	span := e.Trace.StartOpLazy(OpName(p), func() string { return NodeLabel(p) })
-	out, err := e.exec(p)
-	e.Trace.FinishOp(span, RowCount(out))
-	return out, err
-}
+// kv returns the kv-op sink threaded into store calls; nil untraced.
+func (e *executor) kv() *obs.KV { return e.trace.KVCounters() }
 
-// RowCount returns the flattened row count of a result without
-// materializing it; 0 for nil.
-func RowCount(kr *KeyedRel) int {
-	if kr == nil {
-		return 0
+// run executes a node under an operator span. Workers fan out only inside
+// exec, so span open/close stays on the driving goroutine; Lit leaves
+// (already computed intermediates) get no span of their own.
+func (e *executor) run(p Plan) (*PartRel, error) {
+	if l, ok := p.(*Lit); ok {
+		return l.V, nil
 	}
-	n := 0
-	for _, b := range kr.Blocks {
-		n += len(b.Rows)
+	span := e.trace.StartOpLazy(OpName(p), func() string { return NodeLabel(p) })
+	v, err := e.exec(p)
+	rows := 0
+	if v != nil {
+		rows = v.Len()
+		if span != nil {
+			span.Workers = e.workers
+			span.PerWorker = make([]int64, len(v.Parts))
+			for w, part := range v.Parts {
+				span.PerWorker[w] = int64(len(part))
+			}
+		}
 	}
-	return n
+	e.trace.FinishOp(span, rows)
+	return v, err
 }
 
-func (e *Executor) exec(p Plan) (*KeyedRel, error) {
+func (e *executor) exec(p Plan) (*PartRel, error) {
 	switch n := p.(type) {
 	case *Const:
 		return e.runConst(n)
@@ -93,6 +122,9 @@ func (e *Executor) exec(p Plan) (*KeyedRel, error) {
 	case *IndexRange:
 		return e.runIndexRange(n)
 	case *Extend:
+		if e.fetchAll {
+			return e.runExtendFetchAll(n)
+		}
 		return e.runExtend(n)
 	case *Shift:
 		return e.runShift(n)
@@ -102,6 +134,8 @@ func (e *Executor) exec(p Plan) (*KeyedRel, error) {
 		return e.runSelect(n)
 	case *Project:
 		return e.runProject(n)
+	case *Distinct:
+		return e.runDistinct(n)
 	case *Union:
 		return e.runUnion(n)
 	case *Diff:
@@ -110,25 +144,28 @@ func (e *Executor) exec(p Plan) (*KeyedRel, error) {
 		return e.runGroupBy(n)
 	case *StatsAgg:
 		return e.runStatsAgg(n)
-	case *Distinct:
-		return e.runDistinct(n)
 	default:
 		return nil, fmt.Errorf("kba: unknown plan node %T", p)
 	}
 }
 
-func (e *Executor) runConst(n *Const) (*KeyedRel, error) {
-	if len(n.Args) > 0 {
-		return nil, fmt.Errorf("kba: plan template has unbound parameters (call Bind before executing)")
+var errUnbound = errors.New("kba: plan template has unbound parameters (call Bind before executing)")
+
+func errUnknownKV(name string) error {
+	return fmt.Errorf("kba: unknown KV schema %q", name)
+}
+
+func errNoIndexCatalog(index string) error {
+	return fmt.Errorf("kba: plan uses index %q but the store has no index catalog", index)
+}
+
+// identity returns the positions 0..n-1: "partition by the whole row".
+func identity(n int) []int {
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
 	}
-	out := &KeyedRel{KeyAttrs: n.KeyAttrs}
-	for _, k := range n.Keys {
-		if len(k) != len(n.KeyAttrs) {
-			return nil, fmt.Errorf("kba: constant key %v does not match attrs %v", k, n.KeyAttrs)
-		}
-		out.Blocks = append(out.Blocks, KeyedBlock{Key: k, Rows: []relation.Tuple{{}}})
-	}
-	return out, nil
+	return all
 }
 
 // qualify prefixes attribute names with a query alias.
@@ -140,70 +177,149 @@ func qualify(alias string, attrs []string) []string {
 	return out
 }
 
-func (e *Executor) runScan(n *ScanKV) (*KeyedRel, error) {
-	kvSchema := e.Store.Schema.ByName(n.KV)
-	if kvSchema == nil {
-		return nil, fmt.Errorf("kba: unknown KV schema %q", n.KV)
-	}
-	out := &KeyedRel{
-		KeyAttrs: qualify(n.Alias, kvSchema.Key),
-		ValAttrs: qualify(n.Alias, kvSchema.Val),
-	}
-	stats, err := e.Store.ScanInstanceScatterT(e.kv(), n.KV, func(key relation.Tuple, blk *baav.Block, _ *baav.BlockStats) bool {
-		rows := blk.Expand()
-		e.Stats.ScanBlocks++
-		e.Trace.CountBlocks(1)
-		e.Stats.DataValues += int64(len(rows)*len(kvSchema.Val) + len(key))
-		e.Stats.BytesRead += int64(key.SizeBytes())
-		for _, r := range rows {
-			e.Stats.BytesRead += int64(r.SizeBytes())
-		}
-		out.Blocks = append(out.Blocks, KeyedBlock{Key: key, Rows: rows})
-		return true
-	})
-	baav.AnnotateScatter(e.Trace, stats)
-	return out, err
-}
-
-func (e *Executor) runIndexLookup(n *IndexLookup) (*KeyedRel, error) {
+func (e *executor) runConst(n *Const) (*PartRel, error) {
 	if len(n.Args) > 0 {
-		return nil, fmt.Errorf("kba: plan template has unbound parameters (call Bind before executing)")
+		return nil, errUnbound
 	}
-	if e.Store.Index == nil {
-		return nil, fmt.Errorf("kba: plan uses index %q but the store has no index catalog", n.Index)
-	}
-	out := &KeyedRel{KeyAttrs: append([]string{n.ValAttr}, n.KeyAttrs...)}
-	// The whole IN-list resolves in one batched round: the posting gets
-	// group by owning node instead of paying one round trip per value.
-	lists, gets, err := e.Store.Index.LookupManyT(e.Trace, n.Index, n.Values)
-	if err != nil {
-		return nil, err
-	}
-	e.Stats.Gets += int64(gets)
-	for i, v := range n.Values {
-		for _, k := range lists[i] {
-			if len(k) != len(n.KeyAttrs) {
-				return nil, fmt.Errorf("kba: index %q posts %d key attributes, plan expects %d",
-					n.Index, len(k), len(n.KeyAttrs))
-			}
-			row := relation.Tuple{v}.Concat(k)
-			e.Stats.DataValues += int64(len(row))
-			e.Stats.BytesRead += int64(row.SizeBytes())
-			out.Blocks = append(out.Blocks, KeyedBlock{Key: row, Rows: []relation.Tuple{{}}})
+	out := NewPartRel(append([]string{}, n.KeyAttrs...), e.workers)
+	all := identity(len(n.KeyAttrs))
+	for _, k := range n.Keys {
+		if len(k) != len(n.KeyAttrs) {
+			return nil, fmt.Errorf("kba: constant key %v does not match attrs %v", k, n.KeyAttrs)
 		}
+		w := 0
+		if len(all) > 0 {
+			w = hashTuple(k, all, e.workers)
+		}
+		out.Parts[w] = append(out.Parts[w], k)
 	}
 	return out, nil
 }
 
-// RangeBounds resolves an IndexRange node's bound Args into the values the
-// index walk takes; shared by both executors. It fails on unresolved slots.
-func RangeBounds(n *IndexRange) (lo, hi *relation.Value, err error) {
+// countBlock accounts one fetched or scanned block: its values and the
+// accounting size of its key and rows.
+func countBlock(key relation.Tuple, rows []relation.Tuple, width int, data, bytes *int64) {
+	*data += int64(len(rows)*width + len(key))
+	*bytes += int64(key.SizeBytes())
+	for _, r := range rows {
+		*bytes += int64(r.SizeBytes())
+	}
+}
+
+func (e *executor) runScan(n *ScanKV) (*PartRel, error) {
+	kvSchema := e.store.Schema.ByName(n.KV)
+	if kvSchema == nil {
+		return nil, errUnknownKV(n.KV)
+	}
+	attrs := append(qualify(n.Alias, kvSchema.Key), qualify(n.Alias, kvSchema.Val)...)
+	out := NewPartRel(attrs, e.workers)
+	nodes := e.store.Cluster.NodeCount()
+	// perNode records each storage node's row contribution for the span's
+	// fan-out annotation; every node is walked by exactly one worker, so the
+	// slots are written race-free.
+	perNode := make([]int64, nodes)
+	// Workers split the storage nodes; each worker scans its nodes and keeps
+	// the rows locally — scan output starts partitioned by storage layout.
+	err := ForWorkers(e.workers, func(w int) error {
+		var local []relation.Tuple
+		var blocks, data, bytes int64
+		for node := w; node < nodes; node += e.workers {
+			err := e.store.ScanInstanceNodeT(e.kv(), node, n.KV, func(key relation.Tuple, blk *baav.Block, _ *baav.BlockStats) bool {
+				rows := blk.Expand()
+				e.trace.CountBlocks(1)
+				blocks++
+				perNode[node] += int64(len(rows))
+				countBlock(key, rows, len(kvSchema.Val), &data, &bytes)
+				for _, r := range rows {
+					local = append(local, key.Concat(r))
+				}
+				return true
+			})
+			if err != nil {
+				return err
+			}
+		}
+		e.scanned.Add(blocks)
+		e.data.Add(data)
+		e.bytes.Add(bytes)
+		out.Parts[w] = local
+		return nil
+	})
+	e.trace.AnnotateNodes(perNode, nil)
+	return out, err
+}
+
+// postingSink shapes an index walk's (value, block key) pairs into rows
+// partitioned by their full content, so the downstream ∝ starts from an
+// even spread of probe keys, and accounts the postings as fetched data.
+type postingSink struct {
+	e           *executor
+	index       string
+	keyWidth    int
+	out         *PartRel
+	all         []int
+	data, bytes int64
+}
+
+func (e *executor) newPostingSink(index, valAttr string, keyAttrs []string) *postingSink {
+	attrs := append([]string{valAttr}, keyAttrs...)
+	return &postingSink{e: e, index: index, keyWidth: len(keyAttrs), out: NewPartRel(attrs, e.workers), all: identity(len(attrs))}
+}
+
+// rows folds the sink's accounting into the run's counters and returns the
+// partitioned posting rows.
+func (s *postingSink) rows() *PartRel {
+	s.e.data.Add(s.data)
+	s.e.bytes.Add(s.bytes)
+	return s.out
+}
+
+func (s *postingSink) add(v relation.Value, k relation.Tuple) error {
+	if len(k) != s.keyWidth {
+		return fmt.Errorf("kba: index %q posts %d key attributes, plan expects %d", s.index, len(k), s.keyWidth)
+	}
+	row := relation.Tuple{v}.Concat(k)
+	s.data += int64(len(row))
+	s.bytes += int64(row.SizeBytes())
+	w := hashTuple(row, s.all, len(s.out.Parts))
+	s.out.Parts[w] = append(s.out.Parts[w], row)
+	return nil
+}
+
+// runIndexLookup fetches every constant's posting list in one batched
+// cluster round (the point gets group by owning node).
+func (e *executor) runIndexLookup(n *IndexLookup) (*PartRel, error) {
+	if len(n.Args) > 0 {
+		return nil, errUnbound
+	}
+	if e.store.Index == nil {
+		return nil, errNoIndexCatalog(n.Index)
+	}
+	lists, gets, err := e.store.Index.LookupManyT(e.trace, n.Index, n.Values)
+	if err != nil {
+		return nil, err
+	}
+	e.gets.Add(int64(gets))
+	sink := e.newPostingSink(n.Index, n.ValAttr, n.KeyAttrs)
+	for i, v := range n.Values {
+		for _, k := range lists[i] {
+			if err := sink.add(v, k); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return sink.rows(), nil
+}
+
+// rangeBounds resolves an IndexRange node's bound Args into the values the
+// index walk takes. It fails on unresolved slots.
+func rangeBounds(n *IndexRange) (lo, hi *relation.Value, err error) {
 	resolve := func(a *Arg) (*relation.Value, error) {
 		if a == nil {
 			return nil, nil
 		}
 		if a.IsSlot {
-			return nil, fmt.Errorf("kba: plan template has unbound parameters (call Bind before executing)")
+			return nil, errUnbound
 		}
 		v := a.Lit
 		return &v, nil
@@ -215,16 +331,16 @@ func RangeBounds(n *IndexRange) (lo, hi *relation.Value, err error) {
 	return lo, hi, err
 }
 
-// RangeWalkLimit resolves an IndexRange node's pushed-down LIMIT into the
+// rangeWalkLimit resolves an IndexRange node's pushed-down LIMIT into the
 // posting cap the walk takes: -1 when the node carries none. It fails on
 // unresolved slots and on non-integer or negative bound values (which the
 // query-level LIMIT validation rejects before execution anyway).
-func RangeWalkLimit(n *IndexRange) (int, error) {
+func rangeWalkLimit(n *IndexRange) (int, error) {
 	if n.Limit == nil {
 		return -1, nil
 	}
 	if n.Limit.IsSlot {
-		return 0, fmt.Errorf("kba: plan template has unbound parameters (call Bind before executing)")
+		return 0, errUnbound
 	}
 	v := n.Limit.Lit
 	if v.Kind != relation.KindInt || v.Int < 0 {
@@ -233,194 +349,190 @@ func RangeWalkLimit(n *IndexRange) (int, error) {
 	return int(v.Int), nil
 }
 
-func (e *Executor) runIndexRange(n *IndexRange) (*KeyedRel, error) {
-	lo, hi, err := RangeBounds(n)
+// runIndexRange performs the bounded ordered posting walk once (the walk is
+// one cluster range scan; parallelizing it would not reduce its cost).
+func (e *executor) runIndexRange(n *IndexRange) (*PartRel, error) {
+	lo, hi, err := rangeBounds(n)
 	if err != nil {
 		return nil, err
 	}
-	limit, err := RangeWalkLimit(n)
+	limit, err := rangeWalkLimit(n)
 	if err != nil {
 		return nil, err
 	}
-	if e.Store.Index == nil {
-		return nil, fmt.Errorf("kba: plan uses index %q but the store has no index catalog", n.Index)
+	if e.store.Index == nil {
+		return nil, errNoIndexCatalog(n.Index)
 	}
-	vals, keys, scanned, err := e.Store.Index.RangeLimitT(e.Trace, n.Index, lo, hi, n.LoIncl, n.HiIncl, limit)
+	vals, keys, scanned, err := e.store.Index.RangeLimitT(e.trace, n.Index, lo, hi, n.LoIncl, n.HiIncl, limit)
 	if err != nil {
 		return nil, err
 	}
-	e.Stats.ScanBlocks += int64(scanned)
-	out := &KeyedRel{KeyAttrs: append([]string{n.ValAttr}, n.KeyAttrs...)}
+	e.scanned.Add(int64(scanned))
+	sink := e.newPostingSink(n.Index, n.ValAttr, n.KeyAttrs)
 	for i, k := range keys {
-		if len(k) != len(n.KeyAttrs) {
-			return nil, fmt.Errorf("kba: index %q posts %d key attributes, plan expects %d",
-				n.Index, len(k), len(n.KeyAttrs))
+		if err := sink.add(vals[i], k); err != nil {
+			return nil, err
 		}
-		row := relation.Tuple{vals[i]}.Concat(k)
-		e.Stats.DataValues += int64(len(row))
-		e.Stats.BytesRead += int64(row.SizeBytes())
-		out.Blocks = append(out.Blocks, KeyedBlock{Key: row, Rows: []relation.Tuple{{}}})
 	}
-	return out, nil
+	return sink.rows(), nil
 }
 
-func (e *Executor) runExtend(n *Extend) (*KeyedRel, error) {
-	in, err := e.Run(n.Input)
+// runExtend is the interleaved ∝: deduplicate the target keys across the
+// whole input, fetch every needed block in one batched cluster round per
+// owning node, then have workers expand their partitions against the shared
+// read-only cache — the query fetches only the blocks it needs, and pays
+// one storage round per node instead of one per distinct key. Input rows
+// with no matching block are joined away.
+func (e *executor) runExtend(n *Extend) (*PartRel, error) {
+	in, err := e.run(n.Input)
 	if err != nil {
 		return nil, err
 	}
-	kvSchema := e.Store.Schema.ByName(n.KV)
+	kvSchema := e.store.Schema.ByName(n.KV)
 	if kvSchema == nil {
-		return nil, fmt.Errorf("kba: unknown KV schema %q", n.KV)
+		return nil, errUnknownKV(n.KV)
 	}
 	if len(n.KeyFrom) != len(kvSchema.Key) {
 		return nil, fmt.Errorf("kba: extend on %s needs %d key attributes, got %v",
 			n.KV, len(kvSchema.Key), n.KeyFrom)
 	}
-	inAttrs := in.Attrs()
-	pos := make(map[string]int, len(inAttrs))
-	for i, a := range inAttrs {
-		pos[a] = i
-	}
-	keyIdx := make([]int, len(n.KeyFrom))
-	for i, a := range n.KeyFrom {
-		j, ok := pos[a]
-		if !ok {
-			return nil, fmt.Errorf("kba: extend key attribute %q not in input %v", a, inAttrs)
-		}
-		keyIdx[i] = j
-	}
-
-	out := &KeyedRel{
-		KeyAttrs: inAttrs,
-		ValAttrs: qualify(n.Alias, kvSchema.Val),
-	}
-	// One get per distinct key, and all of them in one batched round: the
-	// operator's whole fetch set goes out as a single GetBlocksT, which
-	// groups segment gets by owning node instead of paying one round trip
-	// per block.
-	inRows := in.Flatten()
-	var keys []relation.Tuple
-	at := make(map[string]int) // key string -> index into keys
-	for _, row := range inRows {
-		key := row.Project(keyIdx)
-		ks := relation.KeyString(key)
-		if _, ok := at[ks]; !ok {
-			at[ks] = len(keys)
-			keys = append(keys, key)
-		}
-	}
-	blks, _, gets, err := e.Store.GetBlocksT(e.kv(), n.KV, keys)
+	keyIdx, err := in.Positions(n.KeyFrom)
 	if err != nil {
 		return nil, err
 	}
-	e.Stats.Gets += int64(gets)
+	shuffled := repartition(in, keyIdx, &e.shuffle)
+
+	// Collect the distinct probe keys across all partitions (order is
+	// deterministic: partition-major, first occurrence wins).
+	seen := make(map[string]bool)
+	var keys []relation.Tuple
+	for _, part := range shuffled.Parts {
+		for _, row := range part {
+			key := row.Project(keyIdx)
+			ks := relation.KeyString(key)
+			if !seen[ks] {
+				seen[ks] = true
+				keys = append(keys, key)
+			}
+		}
+	}
+	blks, _, gets, err := e.store.GetBlocksT(e.kv(), n.KV, keys)
+	if err != nil {
+		return nil, err
+	}
+	e.gets.Add(int64(gets))
 	cache := make(map[string][]relation.Tuple, len(keys))
+	var hits, data, bytes int64
 	for i, key := range keys {
 		var rows []relation.Tuple
 		if blk := blks[i]; blk != nil {
 			rows = blk.Expand()
-			e.Stats.Blocks++
-			e.Trace.CountBlocks(1)
-			e.Stats.DataValues += int64(len(rows)*len(kvSchema.Val) + len(key))
-			e.Stats.BytesRead += int64(key.SizeBytes())
-			for _, r := range rows {
-				e.Stats.BytesRead += int64(r.SizeBytes())
-			}
+			e.trace.CountBlocks(1)
+			hits++
+			countBlock(key, rows, len(kvSchema.Val), &data, &bytes)
 		}
 		cache[relation.KeyString(key)] = rows
 	}
-	for _, row := range inRows {
-		rows := cache[relation.KeyString(row.Project(keyIdx))]
-		if len(rows) == 0 {
-			continue // no matching block: ∝ joins away the row
+	e.blocks.Add(hits)
+	e.data.Add(data)
+	e.bytes.Add(bytes)
+
+	outAttrs := append(append([]string{}, in.Attrs...), qualify(n.Alias, kvSchema.Val)...)
+	out := NewPartRel(outAttrs, e.workers)
+	err = ForWorkers(e.workers, func(w int) error {
+		var local []relation.Tuple
+		for _, row := range shuffled.Parts[w] {
+			for _, r := range cache[relation.KeyString(row.Project(keyIdx))] {
+				local = append(local, row.Concat(r))
+			}
 		}
-		out.Blocks = append(out.Blocks, KeyedBlock{Key: row, Rows: rows})
-	}
-	return out, nil
+		out.Parts[w] = local
+		return nil
+	})
+	return out, err
 }
 
-func (e *Executor) runShift(n *Shift) (*KeyedRel, error) {
-	in, err := e.Run(n.Input)
+// runShift re-keys the input: rows agreeing on the new key are colocated.
+// The relational version is unchanged.
+func (e *executor) runShift(n *Shift) (*PartRel, error) {
+	in, err := e.run(n.Input)
 	if err != nil {
 		return nil, err
 	}
-	return FromRows(in.Attrs(), in.Flatten(), n.NewKey)
-}
-
-func (e *Executor) runJoin(n *Join) (*KeyedRel, error) {
-	l, err := e.Run(n.L)
+	keyIdx, err := in.Positions(n.NewKey)
 	if err != nil {
 		return nil, err
 	}
-	r, err := e.Run(n.R)
+	return repartition(in, keyIdx, &e.shuffle), nil
+}
+
+func (e *executor) runJoin(n *Join) (*PartRel, error) {
+	l, err := e.run(n.L)
+	if err != nil {
+		return nil, err
+	}
+	r, err := e.run(n.R)
 	if err != nil {
 		return nil, err
 	}
 	if len(n.LOn) != len(n.ROn) {
 		return nil, fmt.Errorf("kba: join attribute lists differ in length")
 	}
-	lAttrs, rAttrs := l.Attrs(), r.Attrs()
-	lIdx, err := attrPositions(lAttrs, n.LOn)
+	lIdx, err := l.Positions(n.LOn)
 	if err != nil {
 		return nil, err
 	}
-	rIdx, err := attrPositions(rAttrs, n.ROn)
+	rIdx, err := r.Positions(n.ROn)
 	if err != nil {
 		return nil, err
 	}
-	index := make(map[string][]relation.Tuple)
-	for _, row := range r.Flatten() {
-		k := relation.KeyString(row.Project(rIdx))
-		index[k] = append(index[k], row)
-	}
-	var joined []relation.Tuple
-	for _, row := range l.Flatten() {
-		k := relation.KeyString(row.Project(lIdx))
-		for _, rr := range index[k] {
-			joined = append(joined, row.Concat(rr))
+	ls := repartition(l, lIdx, &e.shuffle)
+	rs := repartition(r, rIdx, &e.shuffle)
+	out := NewPartRel(append(append([]string{}, l.Attrs...), r.Attrs...), e.workers)
+	err = ForWorkers(e.workers, func(w int) error {
+		index := make(map[string][]relation.Tuple)
+		for _, row := range rs.Parts[w] {
+			k := relation.KeyString(row.Project(rIdx))
+			index[k] = append(index[k], row)
 		}
-	}
-	return FromRows(append(append([]string{}, lAttrs...), rAttrs...), joined, n.LOn)
+		var local []relation.Tuple
+		for _, row := range ls.Parts[w] {
+			k := relation.KeyString(row.Project(lIdx))
+			for _, rr := range index[k] {
+				local = append(local, row.Concat(rr))
+			}
+		}
+		out.Parts[w] = local
+		return nil
+	})
+	return out, err
 }
 
-func attrPositions(attrs, want []string) ([]int, error) {
-	pos := make(map[string]int, len(attrs))
-	for i, a := range attrs {
-		pos[a] = i
-	}
-	out := make([]int, len(want))
-	for i, a := range want {
-		j, ok := pos[a]
-		if !ok {
-			return nil, fmt.Errorf("kba: attribute %q not in %v", a, attrs)
-		}
-		out[i] = j
-	}
-	return out, nil
-}
-
-func (e *Executor) runSelect(n *Select) (*KeyedRel, error) {
-	in, err := e.Run(n.Input)
+func (e *executor) runSelect(n *Select) (*PartRel, error) {
+	in, err := e.run(n.Input)
 	if err != nil {
 		return nil, err
 	}
-	attrs := in.Attrs()
-	checks, err := CompilePreds(attrs, n.Preds)
+	check, err := CompilePreds(in.Attrs, n.Preds)
 	if err != nil {
 		return nil, err
 	}
-	var kept []relation.Tuple
-	for _, row := range in.Flatten() {
-		if checks(row) {
-			kept = append(kept, row)
+	out := NewPartRel(in.Attrs, e.workers)
+	err = ForWorkers(e.workers, func(w int) error {
+		var local []relation.Tuple
+		for _, row := range in.Parts[w] {
+			if check(row) {
+				local = append(local, row)
+			}
 		}
-	}
-	return FromRows(attrs, kept, in.KeyAttrs)
+		out.Parts[w] = local
+		return nil
+	})
+	return out, err
 }
 
 // CompilePreds compiles predicates over the attribute layout into a single
-// row filter; shared with the parallel executor.
+// row filter; the facade's DELETE matcher and the TaaV baseline share it.
 func CompilePreds(attrs []string, preds []Pred) (func(relation.Tuple) bool, error) {
 	type check func(relation.Tuple) bool
 	var checks []check
@@ -493,116 +605,109 @@ func cmpOK(a relation.Value, op sql.CmpOp, b relation.Value) bool {
 	}
 }
 
-func (e *Executor) runProject(n *Project) (*KeyedRel, error) {
-	in, err := e.Run(n.Input)
+func (e *executor) runProject(n *Project) (*PartRel, error) {
+	in, err := e.run(n.Input)
 	if err != nil {
 		return nil, err
 	}
-	attrs := in.Attrs()
-	idx, err := attrPositions(attrs, n.Attrs)
+	idx, err := in.Positions(n.Attrs)
 	if err != nil {
 		return nil, err
 	}
-	rows := in.Flatten()
-	proj := make([]relation.Tuple, len(rows))
-	for i, r := range rows {
-		proj[i] = r.Project(idx)
-	}
-	// Key by the kept input-key attributes.
-	var key []string
-	kept := make(map[string]bool, len(n.Attrs))
-	for _, a := range n.Attrs {
-		kept[a] = true
-	}
-	for _, a := range in.KeyAttrs {
-		if kept[a] {
-			key = append(key, a)
+	out := NewPartRel(append([]string{}, n.Attrs...), e.workers)
+	err = ForWorkers(e.workers, func(w int) error {
+		local := make([]relation.Tuple, len(in.Parts[w]))
+		for i, row := range in.Parts[w] {
+			local[i] = row.Project(idx)
 		}
-	}
-	return FromRows(n.Attrs, proj, key)
+		out.Parts[w] = local
+		return nil
+	})
+	return out, err
 }
 
-// align reorders r's columns to match l's attribute set.
-func align(l, r *KeyedRel) ([]relation.Tuple, error) {
-	idx, err := attrPositions(r.Attrs(), l.Attrs())
+func (e *executor) runDistinct(n *Distinct) (*PartRel, error) {
+	in, err := e.run(n.Input)
 	if err != nil {
-		return nil, fmt.Errorf("kba: set operation over mismatched attributes: %v", err)
+		return nil, err
 	}
-	rows := r.Flatten()
-	out := make([]relation.Tuple, len(rows))
-	for i, row := range rows {
-		out[i] = row.Project(idx)
-	}
-	return out, nil
+	shuffled := repartition(in, identity(len(in.Attrs)), &e.shuffle)
+	out := NewPartRel(in.Attrs, e.workers)
+	err = ForWorkers(e.workers, func(w int) error {
+		seen := make(map[string]bool)
+		var local []relation.Tuple
+		for _, row := range shuffled.Parts[w] {
+			k := relation.KeyString(row)
+			if !seen[k] {
+				seen[k] = true
+				local = append(local, row)
+			}
+		}
+		out.Parts[w] = local
+		return nil
+	})
+	return out, err
 }
 
-func (e *Executor) runUnion(n *Union) (*KeyedRel, error) {
-	l, err := e.Run(n.L)
-	if err != nil {
-		return nil, err
+// aligned evaluates both inputs of a set operation and reorders the right
+// side's columns to the left side's attribute layout.
+func (e *executor) aligned(lp, rp Plan) (l, r *PartRel, err error) {
+	if l, err = e.run(lp); err != nil {
+		return nil, nil, err
 	}
-	r, err := e.Run(n.R)
-	if err != nil {
-		return nil, err
+	if r, err = e.run(rp); err != nil {
+		return nil, nil, err
 	}
-	rRows, err := align(l, r)
+	rIdx, err := r.Positions(l.Attrs)
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("kba: set operation over mismatched attributes: %v", err)
 	}
-	seen := make(map[string]bool)
-	var rows []relation.Tuple
-	for _, row := range append(l.Flatten(), rRows...) {
-		k := relation.KeyString(row)
-		if !seen[k] {
-			seen[k] = true
-			rows = append(rows, row)
+	ra := NewPartRel(l.Attrs, e.workers)
+	for w, part := range r.Parts {
+		for _, row := range part {
+			ra.Parts[w] = append(ra.Parts[w], row.Project(rIdx))
 		}
 	}
-	return FromRows(l.Attrs(), rows, l.KeyAttrs)
+	return l, ra, nil
 }
 
-func (e *Executor) runDiff(n *Diff) (*KeyedRel, error) {
-	l, err := e.Run(n.L)
+func (e *executor) runUnion(n *Union) (*PartRel, error) {
+	l, r, err := e.aligned(n.L, n.R)
 	if err != nil {
 		return nil, err
 	}
-	r, err := e.Run(n.R)
-	if err != nil {
-		return nil, err
+	merged := NewPartRel(l.Attrs, e.workers)
+	for w := range merged.Parts {
+		merged.Parts[w] = append(append(merged.Parts[w], l.Parts[w]...), r.Parts[w]...)
 	}
-	rRows, err := align(l, r)
-	if err != nil {
-		return nil, err
-	}
-	drop := make(map[string]bool, len(rRows))
-	for _, row := range rRows {
-		drop[relation.KeyString(row)] = true
-	}
-	seen := make(map[string]bool)
-	var rows []relation.Tuple
-	for _, row := range l.Flatten() {
-		k := relation.KeyString(row)
-		if !drop[k] && !seen[k] {
-			seen[k] = true
-			rows = append(rows, row)
-		}
-	}
-	return FromRows(l.Attrs(), rows, l.KeyAttrs)
+	return e.runDistinct(&Distinct{Input: &Lit{merged}})
 }
 
-func (e *Executor) runDistinct(n *Distinct) (*KeyedRel, error) {
-	in, err := e.Run(n.Input)
+func (e *executor) runDiff(n *Diff) (*PartRel, error) {
+	l, r, err := e.aligned(n.L, n.R)
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[string]bool)
-	var rows []relation.Tuple
-	for _, row := range in.Flatten() {
-		k := relation.KeyString(row)
-		if !seen[k] {
-			seen[k] = true
-			rows = append(rows, row)
+	all := identity(len(l.Attrs))
+	ls := repartition(l, all, &e.shuffle)
+	rs := repartition(r, all, &e.shuffle)
+	out := NewPartRel(l.Attrs, e.workers)
+	err = ForWorkers(e.workers, func(w int) error {
+		drop := make(map[string]bool)
+		for _, row := range rs.Parts[w] {
+			drop[relation.KeyString(row)] = true
 		}
-	}
-	return FromRows(in.Attrs(), rows, in.KeyAttrs)
+		seen := make(map[string]bool)
+		var local []relation.Tuple
+		for _, row := range ls.Parts[w] {
+			k := relation.KeyString(row)
+			if !drop[k] && !seen[k] {
+				seen[k] = true
+				local = append(local, row)
+			}
+		}
+		out.Parts[w] = local
+		return nil
+	})
+	return out, err
 }

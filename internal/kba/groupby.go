@@ -9,13 +9,38 @@ import (
 	"zidian/internal/sql"
 )
 
-func (e *Executor) runGroupBy(n *GroupBy) (*KeyedRel, error) {
-	in, err := e.Run(n.Input)
+// aggGroup is one group's key and its aggregate states.
+type aggGroup struct {
+	key    relation.Tuple
+	states []*ra.AggState
+}
+
+// groupOf returns key's group in groups, creating it with naggs empty
+// states on first sight. (The map stays a plain local of the calling
+// worker: small group sets then cost no heap map.)
+func groupOf(groups map[string]*aggGroup, key relation.Tuple, naggs int) (g *aggGroup, created bool) {
+	ks := relation.KeyString(key)
+	if g, ok := groups[ks]; ok {
+		return g, false
+	}
+	g = &aggGroup{key: key, states: make([]*ra.AggState, naggs)}
+	for i := range g.states {
+		g.states[i] = ra.NewAggState()
+	}
+	groups[ks] = g
+	return g, true
+}
+
+// runGroupBy aggregates with local partial states, shuffles the encoded
+// partials by group key, and finalizes per worker — the standard two-phase
+// parallel aggregation that keeps communication proportional to the number
+// of groups, not rows.
+func (e *executor) runGroupBy(n *GroupBy) (*PartRel, error) {
+	in, err := e.run(n.Input)
 	if err != nil {
 		return nil, err
 	}
-	attrs := in.Attrs()
-	keyIdx, err := attrPositions(attrs, n.Keys)
+	keyIdx, err := in.Positions(n.Keys)
 	if err != nil {
 		return nil, err
 	}
@@ -25,78 +50,116 @@ func (e *Executor) runGroupBy(n *GroupBy) (*KeyedRel, error) {
 			aggIdx[i] = -1
 			continue
 		}
-		j, err := attrPositions(attrs, []string{a.Attr})
+		idx, err := in.Positions([]string{a.Attr})
 		if err != nil {
 			return nil, err
 		}
-		aggIdx[i] = j[0]
+		aggIdx[i] = idx[0]
 	}
 
-	type group struct {
-		key    relation.Tuple
-		states []*ra.AggState
+	// Phase 1: local partial aggregation, encoded as flat tuples
+	// key ++ state_1 ++ ... ++ state_m.
+	stateW := ra.AggStateWidth()
+	partialAttrs := append([]string{}, n.Keys...)
+	for i := range n.Aggs {
+		for j := 0; j < stateW; j++ {
+			partialAttrs = append(partialAttrs, fmt.Sprintf("$agg%d.%d", i, j))
+		}
 	}
-	groups := make(map[string]*group)
-	var order []string
-	for _, row := range in.Flatten() {
-		key := row.Project(keyIdx)
-		ks := relation.KeyString(key)
-		g, ok := groups[ks]
-		if !ok {
-			g = &group{key: key, states: make([]*ra.AggState, len(n.Aggs))}
-			for i := range g.states {
-				g.states[i] = ra.NewAggState()
+	partial := NewPartRel(partialAttrs, e.workers)
+	err = ForWorkers(e.workers, func(w int) error {
+		groups := make(map[string]*aggGroup)
+		var order []*aggGroup
+		for _, row := range in.Parts[w] {
+			g, created := groupOf(groups, row.Project(keyIdx), len(n.Aggs))
+			if created {
+				order = append(order, g)
 			}
-			groups[ks] = g
-			order = append(order, ks)
-		}
-		for i := range n.Aggs {
-			if aggIdx[i] < 0 {
-				g.states[i].AddCount()
-			} else {
-				g.states[i].Add(row[aggIdx[i]])
+			for i := range n.Aggs {
+				if aggIdx[i] < 0 {
+					g.states[i].AddCount()
+				} else {
+					g.states[i].Add(row[aggIdx[i]])
+				}
 			}
 		}
+		local := make([]relation.Tuple, 0, len(order))
+		for _, g := range order {
+			row := g.key.Clone()
+			for _, st := range g.states {
+				row = append(row, st.EncodeState()...)
+			}
+			local = append(local, row)
+		}
+		partial.Parts[w] = local
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	out := &KeyedRel{KeyAttrs: n.Keys}
+	// Phase 2: shuffle partials by key and merge.
+	shuffled := repartition(partial, identity(len(n.Keys)), &e.shuffle)
+	outAttrs := append([]string{}, n.Keys...)
 	for _, a := range n.Aggs {
-		out.ValAttrs = append(out.ValAttrs, a.Name)
+		outAttrs = append(outAttrs, a.Name)
 	}
-	for _, ks := range order {
-		g := groups[ks]
-		row := make(relation.Tuple, 0, len(n.Aggs))
-		for i, a := range n.Aggs {
-			row = append(row, g.states[i].Final(a.Func))
+	out := NewPartRel(outAttrs, e.workers)
+	err = ForWorkers(e.workers, func(w int) error {
+		groups := make(map[string]*aggGroup)
+		var order []*aggGroup
+		for _, row := range shuffled.Parts[w] {
+			g, created := groupOf(groups, row[:len(n.Keys)], len(n.Aggs))
+			if created {
+				order = append(order, g)
+			}
+			for i := range n.Aggs {
+				st, err := ra.DecodeAggState(row, len(n.Keys)+i*stateW)
+				if err != nil {
+					return err
+				}
+				g.states[i].Merge(st)
+			}
 		}
-		out.Blocks = append(out.Blocks, KeyedBlock{Key: g.key, Rows: []relation.Tuple{row}})
-	}
-	return out, nil
+		local := make([]relation.Tuple, 0, len(order))
+		for _, g := range order {
+			row := g.key.Clone()
+			for i, a := range n.Aggs {
+				row = append(row, g.states[i].Final(a.Func))
+			}
+			local = append(local, row)
+		}
+		out.Parts[w] = local
+		return nil
+	})
+	return out, err
 }
 
 // runStatsAgg answers a group-by over a whole KV instance from per-block
 // statistics, reading only block headers. Supported when group keys are the
 // instance key and every aggregate is COUNT(*)/SUM/MIN/MAX/AVG over a
-// numeric value attribute.
-func (e *Executor) runStatsAgg(n *StatsAgg) (*KeyedRel, error) {
-	kvSchema := e.Store.Schema.ByName(n.KV)
+// numeric value attribute. The header walk runs once on the driving
+// goroutine and its (tiny) output is dealt round-robin to the workers.
+func (e *executor) runStatsAgg(n *StatsAgg) (*PartRel, error) {
+	kvSchema := e.store.Schema.ByName(n.KV)
 	if kvSchema == nil {
-		return nil, fmt.Errorf("kba: unknown KV schema %q", n.KV)
+		return nil, errUnknownKV(n.KV)
 	}
 	valPos := make(map[string]int, len(kvSchema.Val))
 	for i, a := range kvSchema.Val {
 		valPos[n.Alias+"."+a] = i
 	}
-	out := &KeyedRel{KeyAttrs: qualify(n.Alias, kvSchema.Key)}
+	attrs := qualify(n.Alias, kvSchema.Key)
 	for _, a := range n.Aggs {
-		out.ValAttrs = append(out.ValAttrs, a.Name)
+		attrs = append(attrs, a.Name)
 	}
 	// ScanStats yields segmented blocks of one key as separate records;
 	// merge them here by key.
 	merged := make(map[string]*statsAcc)
-	var order []string
-	err := e.Store.ScanStatsT(e.kv(), n.KV, func(key relation.Tuple, stats *baav.BlockStats) bool {
-		e.Stats.ScanBlocks++
+	var order []*statsAcc
+	var scanned int64
+	err := e.store.ScanStatsT(e.kv(), n.KV, func(key relation.Tuple, stats *baav.BlockStats) bool {
+		scanned++
 		if stats == nil {
 			return true // block without stats: handled by validation below
 		}
@@ -105,17 +168,18 @@ func (e *Executor) runStatsAgg(n *StatsAgg) (*KeyedRel, error) {
 		if !ok {
 			m = &statsAcc{key: key}
 			merged[ks] = m
-			order = append(order, ks)
+			order = append(order, m)
 		}
-		m.merge(stats)
+		m.stats.Merge(stats)
 		return true
 	})
+	e.scanned.Add(scanned)
 	if err != nil {
 		return nil, err
 	}
-	for _, ks := range order {
-		m := merged[ks]
-		row := make(relation.Tuple, 0, len(n.Aggs))
+	out := NewPartRel(attrs, e.workers)
+	for i, m := range order {
+		row := m.key.Clone()
 		for _, a := range n.Aggs {
 			v, err := statsFinal(m, a, valPos)
 			if err != nil {
@@ -123,7 +187,7 @@ func (e *Executor) runStatsAgg(n *StatsAgg) (*KeyedRel, error) {
 			}
 			row = append(row, v)
 		}
-		out.Blocks = append(out.Blocks, KeyedBlock{Key: m.key, Rows: []relation.Tuple{row}})
+		out.Parts[i%e.workers] = append(out.Parts[i%e.workers], row)
 	}
 	return out, nil
 }
@@ -132,8 +196,6 @@ type statsAcc struct {
 	key   relation.Tuple
 	stats baav.BlockStats
 }
-
-func (m *statsAcc) merge(s *baav.BlockStats) { m.stats.Merge(s) }
 
 func statsFinal(m *statsAcc, a AggSpec, valPos map[string]int) (relation.Value, error) {
 	if a.Star || a.Func == sql.AggCount {

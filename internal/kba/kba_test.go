@@ -1,7 +1,12 @@
 package kba
 
 import (
+	"errors"
+	"reflect"
+	"runtime"
+	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"zidian/internal/baav"
@@ -73,6 +78,39 @@ func paperPlan() Plan {
 	}
 }
 
+// testWorkers are the worker counts every operator test runs at: one worker
+// is sequential execution, the others partition the same operators.
+var testWorkers = []int{1, 2, 4, 7}
+
+// sorted returns the flattened rows of an executor output in canonical
+// order, so assertions hold at every worker count.
+func sorted(v *PartRel) []relation.Tuple {
+	rows := v.Rows()
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Compare(rows[j]) < 0 })
+	return rows
+}
+
+// multiset counts rows by content.
+func multiset(rows []relation.Tuple) map[string]int {
+	m := make(map[string]int)
+	for _, r := range rows {
+		m[relation.KeyString(r)]++
+	}
+	return m
+}
+
+func mustRun(t *testing.T, store *baav.Store, p Plan, workers int) (*PartRel, ExecStats) {
+	t.Helper()
+	out, stats, err := Run(p, store, workers, nil)
+	if err != nil {
+		t.Fatalf("p=%d: %v", workers, err)
+	}
+	if len(out.Parts) != workers {
+		t.Fatalf("p=%d: output has %d partitions", workers, len(out.Parts))
+	}
+	return out, stats
+}
+
 func TestPaperQ1PlanScanFree(t *testing.T) {
 	_, store := fixture(t)
 	plan := paperPlan()
@@ -82,32 +120,24 @@ func TestPaperQ1PlanScanFree(t *testing.T) {
 	if len(CollectScans(plan)) != 0 {
 		t.Fatal("scan-free plan must scan nothing")
 	}
-	exec := NewExecutor(store)
-	out, err := exec.Run(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out.SortBlocks()
-	if len(out.Blocks) != 2 {
-		t.Fatalf("blocks = %v", out.Blocks)
-	}
-	// Supplier 10: 5+7=12; supplier 11: 3.
-	if out.Blocks[0].Key[0].Int != 10 || out.Blocks[0].Rows[0][0].Int != 12 {
-		t.Fatalf("group 10 = %v", out.Blocks[0])
-	}
-	if out.Blocks[1].Key[0].Int != 11 || out.Blocks[1].Rows[0][0].Int != 3 {
-		t.Fatalf("group 11 = %v", out.Blocks[1])
-	}
-	// Scan-free data access: one get per block (3 extends, 1+1+2 distinct
-	// keys), zero scans.
-	if exec.Stats.ScanBlocks != 0 {
-		t.Fatalf("scan blocks = %d", exec.Stats.ScanBlocks)
-	}
-	if exec.Stats.Gets != 4 {
-		t.Fatalf("gets = %d (want 4: germany, nation-1, supp-10, supp-11)", exec.Stats.Gets)
-	}
-	if exec.Stats.DataValues == 0 || exec.Stats.BytesRead == 0 {
-		t.Fatal("stats must count fetched data")
+	for _, p := range testWorkers {
+		out, stats := mustRun(t, store, plan, p)
+		rows := sorted(out)
+		// Supplier 10: 5+7=12; supplier 11: 3.
+		if len(rows) != 2 || rows[0][0].Int != 10 || rows[0][1].Int != 12 || rows[1][0].Int != 11 || rows[1][1].Int != 3 {
+			t.Fatalf("p=%d: groups = %v", p, rows)
+		}
+		// Scan-free data access: one get per block (3 extends, 1+1+2
+		// distinct keys), zero scans.
+		if stats.ScanBlocks != 0 {
+			t.Fatalf("p=%d: scan blocks = %d", p, stats.ScanBlocks)
+		}
+		if stats.Gets != 4 || stats.Blocks != 4 {
+			t.Fatalf("p=%d: gets = %d, blocks = %d (want 4: germany, nation-1, supp-10, supp-11)", p, stats.Gets, stats.Blocks)
+		}
+		if stats.DataValues == 0 || stats.BytesRead == 0 {
+			t.Fatalf("p=%d: stats must count fetched data", p)
+		}
 	}
 }
 
@@ -117,16 +147,14 @@ func TestExtendDropsUnmatchedRows(t *testing.T) {
 		{relation.String("GERMANY")}, {relation.String("ATLANTIS")},
 	}}
 	plan := &Extend{Input: seed, KV: "NATION_by_name", Alias: "N", KeyFrom: []string{"N.name"}}
-	exec := NewExecutor(store)
-	out, err := exec.Run(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Blocks) != 1 {
-		t.Fatalf("blocks = %d", len(out.Blocks))
-	}
-	if exec.Stats.Gets != 2 || exec.Stats.Blocks != 1 {
-		t.Fatalf("gets=%d blocks=%d", exec.Stats.Gets, exec.Stats.Blocks)
+	for _, p := range testWorkers {
+		out, stats := mustRun(t, store, plan, p)
+		if out.Len() != 1 {
+			t.Fatalf("p=%d: rows = %d", p, out.Len())
+		}
+		if stats.Gets != 2 || stats.Blocks != 1 {
+			t.Fatalf("p=%d: gets=%d blocks=%d", p, stats.Gets, stats.Blocks)
+		}
 	}
 }
 
@@ -138,52 +166,83 @@ func TestExtendDeduplicatesGets(t *testing.T) {
 		{relation.Int(2), relation.String("GERMANY")},
 	}}
 	plan := &Extend{Input: seed, KV: "NATION_by_name", Alias: "N", KeyFrom: []string{"N.name"}}
-	exec := NewExecutor(store)
-	out, err := exec.Run(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exec.Stats.Gets != 1 {
-		t.Fatalf("gets = %d, extend must dedup keys", exec.Stats.Gets)
-	}
-	if len(out.Blocks) != 2 {
-		t.Fatalf("both input rows must extend: %d", len(out.Blocks))
+	for _, p := range testWorkers {
+		out, stats := mustRun(t, store, plan, p)
+		if stats.Gets != 1 {
+			t.Fatalf("p=%d: gets = %d, extend must dedup keys", p, stats.Gets)
+		}
+		if out.Len() != 2 {
+			t.Fatalf("p=%d: both input rows must extend: %d", p, out.Len())
+		}
 	}
 }
 
-func TestExtendErrors(t *testing.T) {
+type unknownNode struct{}
+
+func (*unknownNode) Children() []Plan { return nil }
+func (*unknownNode) String() string   { return "?" }
+
+// TestExecutorErrors triggers each executor error once: every cause has one
+// spelling under the one kba: prefix, whatever the worker count.
+func TestExecutorErrors(t *testing.T) {
 	_, store := fixture(t)
-	exec := NewExecutor(store)
-	seed := &Const{KeyAttrs: []string{"x"}, Keys: []relation.Tuple{{relation.Int(1)}}}
-	if _, err := exec.Run(&Extend{Input: seed, KV: "nope", Alias: "N", KeyFrom: []string{"x"}}); err == nil {
-		t.Fatal("unknown KV schema")
+	one := relation.Int(1)
+	slot := Arg{IsSlot: true}
+	seed := &Const{KeyAttrs: []string{"x"}, Keys: []relation.Tuple{{one}}}
+	k := &Const{KeyAttrs: []string{"k"}, Keys: []relation.Tuple{{one}}}
+	other := &Const{KeyAttrs: []string{"other"}, Keys: []relation.Tuple{{one}}}
+	scanS := &ScanKV{KV: "SUPPLIER_by_nation", Alias: "S"}
+	scanPS := &ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"}
+	const unbound = "kba: plan template has unbound parameters (call Bind before executing)"
+	const noCatalog = `kba: plan uses index "ix" but the store has no index catalog`
+	const setOp = `kba: set operation over mismatched attributes: kba: attribute "k" not in [other]`
+	cases := []struct {
+		name string
+		plan Plan
+		want string
+	}{
+		{"unbound const", &Const{KeyAttrs: []string{"x"}, Args: [][]Arg{{slot}}}, unbound},
+		{"unbound index lookup", &IndexLookup{Index: "ix", ValAttr: "v", KeyAttrs: []string{"k"}, Args: []Arg{slot}}, unbound},
+		{"unbound range bound", &IndexRange{Index: "ix", ValAttr: "v", KeyAttrs: []string{"k"}, Lo: &slot}, unbound},
+		{"unbound range limit", &IndexRange{Index: "ix", ValAttr: "v", KeyAttrs: []string{"k"}, Limit: &slot}, unbound},
+		{"unknown KV schema in scan", &ScanKV{KV: "nope", Alias: "N"}, `kba: unknown KV schema "nope"`},
+		{"unknown KV schema in extend", &Extend{Input: seed, KV: "nope", Alias: "N", KeyFrom: []string{"x"}}, `kba: unknown KV schema "nope"`},
+		{"unknown KV schema in stats-agg", &StatsAgg{KV: "nope", Alias: "N"}, `kba: unknown KV schema "nope"`},
+		{"no index catalog for lookup", &IndexLookup{Index: "ix", ValAttr: "v", KeyAttrs: []string{"k"}, Values: []relation.Value{one}}, noCatalog},
+		{"no index catalog for range", &IndexRange{Index: "ix", ValAttr: "v", KeyAttrs: []string{"k"}}, noCatalog},
+		{"extend key arity", &Extend{Input: seed, KV: "PARTSUPP_by_supp", Alias: "PS"}, "kba: extend on PARTSUPP_by_supp needs 1 key attributes, got []"},
+		{"constant key arity", &Const{KeyAttrs: []string{"a", "b"}, Keys: []relation.Tuple{{one}}}, "kba: constant key (1) does not match attrs [a b]"},
+		{"extend key attribute", &Extend{Input: seed, KV: "NATION_by_name", Alias: "N", KeyFrom: []string{"zz"}}, `kba: attribute "zz" not in [x]`},
+		{"shift key attribute", &Shift{Input: seed, NewKey: []string{"zz"}}, `kba: attribute "zz" not in [x]`},
+		{"join lists differ", &Join{L: scanS, R: scanPS, LOn: []string{"S.suppkey"}}, "kba: join attribute lists differ in length"},
+		{"union over mismatched attributes", &Union{L: k, R: other}, setOp},
+		{"diff over mismatched attributes", &Diff{L: k, R: other}, setOp},
+		{"predicate attribute", &Select{Input: seed, Preds: []Pred{{Attr: "zzz", Op: sql.OpEq, Lit: &one}}}, `kba: predicate attribute "zzz" not in [x]`},
+		{"unknown plan node", &unknownNode{}, "kba: unknown plan node *kba.unknownNode"},
 	}
-	if _, err := exec.Run(&Extend{Input: seed, KV: "NATION_by_name", Alias: "N", KeyFrom: []string{"zz"}}); err == nil {
-		t.Fatal("unknown key attribute")
-	}
-	if _, err := exec.Run(&Extend{Input: seed, KV: "PARTSUPP_by_supp", Alias: "PS", KeyFrom: []string{}}); err == nil {
-		t.Fatal("key arity mismatch")
-	}
-	if _, err := exec.Run(&Const{KeyAttrs: []string{"a", "b"}, Keys: []relation.Tuple{{relation.Int(1)}}}); err == nil {
-		t.Fatal("constant arity mismatch")
+	for _, c := range cases {
+		for _, p := range []int{1, 4} {
+			_, _, err := Run(c.plan, store, p, nil)
+			if err == nil || err.Error() != c.want {
+				t.Errorf("%s at p=%d: error %v, want %q", c.name, p, err, c.want)
+			}
+		}
 	}
 }
 
 func TestScanKV(t *testing.T) {
 	_, store := fixture(t)
-	exec := NewExecutor(store)
-	out, err := exec.Run(&ScanKV{KV: "SUPPLIER_by_nation", Alias: "S"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Rows() != 3 {
-		t.Fatalf("rows = %d", out.Rows())
-	}
-	if out.KeyAttrs[0] != "S.nationkey" || out.ValAttrs[0] != "S.suppkey" {
-		t.Fatalf("attrs = %v %v", out.KeyAttrs, out.ValAttrs)
-	}
-	if exec.Stats.ScanBlocks != 2 || exec.Stats.DataValues == 0 {
-		t.Fatalf("stats = %+v", exec.Stats)
+	for _, p := range testWorkers {
+		out, stats := mustRun(t, store, &ScanKV{KV: "SUPPLIER_by_nation", Alias: "S"}, p)
+		if out.Len() != 3 {
+			t.Fatalf("p=%d: rows = %d", p, out.Len())
+		}
+		if !reflect.DeepEqual(out.Attrs, []string{"S.nationkey", "S.suppkey"}) {
+			t.Fatalf("p=%d: attrs = %v", p, out.Attrs)
+		}
+		if stats.ScanBlocks != 2 || stats.DataValues == 0 || stats.BytesRead == 0 || stats.Gets != 0 {
+			t.Fatalf("p=%d: stats = %+v", p, stats)
+		}
 	}
 	if IsScanFree(&ScanKV{KV: "x", Alias: "a"}) {
 		t.Fatal("ScanKV is not scan-free")
@@ -192,69 +251,60 @@ func TestScanKV(t *testing.T) {
 
 func TestShiftPreservesRelationalVersion(t *testing.T) {
 	_, store := fixture(t)
-	exec := NewExecutor(store)
 	scan := &ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"}
-	shifted, err := exec.Run(&Shift{Input: scan, NewKey: []string{"PS.partkey"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shifted.KeyAttrs[0] != "PS.partkey" || len(shifted.Blocks) != 2 {
-		t.Fatalf("shifted = %s", shifted)
-	}
-	base, err := exec.Run(scan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same relational version: compare flattened multisets modulo column order.
-	idx, err := attrPositions(shifted.Attrs(), base.Attrs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]int{}
-	for _, r := range base.Flatten() {
-		want[relation.KeyString(r)]++
-	}
-	got := map[string]int{}
-	for _, r := range shifted.Flatten() {
-		got[relation.KeyString(r.Project(idx))]++
-	}
-	if len(got) != len(want) {
-		t.Fatalf("flatten mismatch: %d vs %d", len(got), len(want))
-	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Fatal("shift changed the relational version")
+	for _, p := range testWorkers {
+		shifted, _ := mustRun(t, store, &Shift{Input: scan, NewKey: []string{"PS.partkey"}}, p)
+		base, _ := mustRun(t, store, scan, p)
+		// Same relational version: same attributes, same row multiset.
+		if !reflect.DeepEqual(shifted.Attrs, base.Attrs) {
+			t.Fatalf("p=%d: shift changed attrs %v -> %v", p, base.Attrs, shifted.Attrs)
+		}
+		if !reflect.DeepEqual(multiset(shifted.Rows()), multiset(base.Rows())) {
+			t.Fatalf("p=%d: shift changed the relational version", p)
+		}
+		// Re-keyed: rows agreeing on the new key share a worker.
+		owner := make(map[int64]int)
+		for w, part := range shifted.Parts {
+			for _, row := range part {
+				k := row[1].Int // PS.partkey
+				if prev, ok := owner[k]; ok && prev != w {
+					t.Fatalf("p=%d: partkey %d on workers %d and %d", p, k, prev, w)
+				}
+				owner[k] = w
+			}
+		}
+		if len(owner) != 2 {
+			t.Fatalf("p=%d: distinct partkeys = %d", p, len(owner))
 		}
 	}
 }
 
 func TestJoin(t *testing.T) {
 	_, store := fixture(t)
-	exec := NewExecutor(store)
 	j := &Join{
 		L:   &ScanKV{KV: "SUPPLIER_by_nation", Alias: "S"},
 		R:   &ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"},
 		LOn: []string{"S.suppkey"},
 		ROn: []string{"PS.suppkey"},
 	}
-	out, err := exec.Run(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Rows() != 4 {
-		t.Fatalf("rows = %d", out.Rows())
-	}
-	if len(out.Attrs()) != 2+4 {
-		t.Fatalf("attrs = %v", out.Attrs())
-	}
-	if _, err := exec.Run(&Join{L: j.L, R: j.R, LOn: []string{"S.suppkey"}, ROn: nil}); err == nil {
-		t.Fatal("mismatched join lists")
+	for _, p := range testWorkers {
+		out, _ := mustRun(t, store, j, p)
+		if out.Len() != 4 {
+			t.Fatalf("p=%d: rows = %d", p, out.Len())
+		}
+		if len(out.Attrs) != 2+4 {
+			t.Fatalf("p=%d: attrs = %v", p, out.Attrs)
+		}
+		for _, row := range out.Rows() {
+			if row[1].Int != row[2].Int { // S.suppkey = PS.suppkey
+				t.Fatalf("p=%d: joined row %v violates the join condition", p, row)
+			}
+		}
 	}
 }
 
 func TestSelectPredicates(t *testing.T) {
 	_, store := fixture(t)
-	exec := NewExecutor(store)
 	scan := &ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"}
 	five := relation.Int(5)
 	sel := &Select{Input: scan, Preds: []Pred{
@@ -262,73 +312,64 @@ func TestSelectPredicates(t *testing.T) {
 		{Attr: "PS.partkey", Op: sql.OpNe, RAttr: "PS.availqty"},
 		{Attr: "PS.suppkey", In: []relation.Value{relation.Int(10), relation.Int(12)}},
 	}}
-	out, err := exec.Run(sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Rows() != 3 {
-		t.Fatalf("rows = %d", out.Rows())
-	}
-	bad := &Select{Input: scan, Preds: []Pred{{Attr: "zzz", Op: sql.OpEq, Lit: &five}}}
-	if _, err := exec.Run(bad); err == nil {
-		t.Fatal("unknown attribute must error")
+	for _, p := range testWorkers {
+		if out, _ := mustRun(t, store, sel, p); out.Len() != 3 {
+			t.Fatalf("p=%d: rows = %d", p, out.Len())
+		}
 	}
 }
 
 func TestProject(t *testing.T) {
 	_, store := fixture(t)
-	exec := NewExecutor(store)
-	out, err := exec.Run(&Project{
+	plan := &Project{
 		Input: &ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"},
 		Attrs: []string{"PS.partkey", "PS.suppkey"},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if len(out.Attrs()) != 2 || out.Rows() != 4 {
-		t.Fatalf("projected = %s", out)
+	want := map[string]int{}
+	for _, ps := range [][2]int64{{100, 10}, {101, 10}, {100, 11}, {100, 12}} {
+		want[relation.KeyString(relation.Tuple{relation.Int(ps[0]), relation.Int(ps[1])})]++
 	}
-	if out.KeyAttrs[0] != "PS.suppkey" {
-		t.Fatalf("kept key attrs = %v", out.KeyAttrs)
+	for _, p := range testWorkers {
+		out, _ := mustRun(t, store, plan, p)
+		if !reflect.DeepEqual(out.Attrs, plan.Attrs) || !reflect.DeepEqual(multiset(out.Rows()), want) {
+			t.Fatalf("p=%d: projected %v: %v", p, out.Attrs, out.Rows())
+		}
 	}
 }
 
 func TestUnionAndDiff(t *testing.T) {
 	_, store := fixture(t)
-	exec := NewExecutor(store)
-	a := &Const{KeyAttrs: []string{"k"}, Keys: []relation.Tuple{{relation.Int(1)}, {relation.Int(2)}}}
+	a := &Const{KeyAttrs: []string{"k"}, Keys: []relation.Tuple{{relation.Int(1)}, {relation.Int(2)}, {relation.Int(2)}}}
 	b := &Const{KeyAttrs: []string{"k"}, Keys: []relation.Tuple{{relation.Int(2)}, {relation.Int(3)}}}
-	u, err := exec.Run(&Union{L: a, R: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Rows() != 3 {
-		t.Fatalf("union rows = %d", u.Rows())
-	}
-	d, err := exec.Run(&Diff{L: a, R: b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Rows() != 1 || d.Blocks[0].Key[0].Int != 1 {
-		t.Fatalf("diff = %v", d.Blocks)
-	}
-	mismatched := &Const{KeyAttrs: []string{"other"}, Keys: []relation.Tuple{{relation.Int(1)}}}
-	if _, err := exec.Run(&Union{L: a, R: mismatched}); err == nil {
-		t.Fatal("mismatched attrs must error")
+	// The right side aligns to the left side's column order.
+	xy := &Const{KeyAttrs: []string{"x", "y"}, Keys: []relation.Tuple{{relation.Int(1), relation.Int(2)}}}
+	yx := &Const{KeyAttrs: []string{"y", "x"}, Keys: []relation.Tuple{{relation.Int(2), relation.Int(1)}, {relation.Int(1), relation.Int(2)}}}
+	for _, p := range testWorkers {
+		u, _ := mustRun(t, store, &Union{L: a, R: b}, p)
+		if rows := sorted(u); len(rows) != 3 || rows[0][0].Int != 1 || rows[1][0].Int != 2 || rows[2][0].Int != 3 {
+			t.Fatalf("p=%d: union = %v", p, rows)
+		}
+		d, _ := mustRun(t, store, &Diff{L: a, R: b}, p)
+		if rows := d.Rows(); len(rows) != 1 || rows[0][0].Int != 1 {
+			t.Fatalf("p=%d: diff = %v", p, rows)
+		}
+		if u, _ := mustRun(t, store, &Union{L: xy, R: yx}, p); u.Len() != 2 {
+			t.Fatalf("p=%d: aligned union = %v", p, u.Rows())
+		}
+		if d, _ := mustRun(t, store, &Diff{L: xy, R: yx}, p); d.Len() != 0 {
+			t.Fatalf("p=%d: aligned diff = %v", p, d.Rows())
+		}
 	}
 }
 
 func TestDistinct(t *testing.T) {
 	_, store := fixture(t)
-	exec := NewExecutor(store)
 	// Project supplier block values onto nationkey only: duplicates appear.
-	p := &Project{Input: &ScanKV{KV: "SUPPLIER_by_nation", Alias: "S"}, Attrs: []string{"S.nationkey"}}
-	out, err := exec.Run(&Distinct{Input: p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Rows() != 2 {
-		t.Fatalf("distinct rows = %d", out.Rows())
+	proj := &Project{Input: &ScanKV{KV: "SUPPLIER_by_nation", Alias: "S"}, Attrs: []string{"S.nationkey"}}
+	for _, p := range testWorkers {
+		if out, _ := mustRun(t, store, &Distinct{Input: proj}, p); out.Len() != 2 {
+			t.Fatalf("p=%d: distinct rows = %d", p, out.Len())
+		}
 	}
 }
 
@@ -342,14 +383,12 @@ func TestGroupByMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := NewExecutor(store)
-	out, err := exec.Run(paperPlan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := &ra.Result{Cols: want.Cols, Rows: out.Flatten()}
-	if !got.Equal(want) {
-		t.Fatalf("KBA plan answer %v != reference %v", got.Rows, want.Rows)
+	for _, p := range testWorkers {
+		out, _ := mustRun(t, store, paperPlan(), p)
+		got := &ra.Result{Cols: want.Cols, Rows: out.Rows()}
+		if !got.Equal(want) {
+			t.Fatalf("p=%d: KBA plan answer %v != reference %v", p, got.Rows, want.Rows)
+		}
 	}
 }
 
@@ -362,46 +401,38 @@ func TestStatsAggMatchesGroupBy(t *testing.T) {
 		{Func: sql.AggMax, Attr: "PS.supplycost", Name: "max"},
 		{Func: sql.AggAvg, Attr: "PS.supplycost", Name: "avg"},
 	}
-	full := NewExecutor(store)
-	wantRel, err := full.Run(&GroupBy{
-		Input: &ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"},
-		Keys:  []string{"PS.suppkey"},
-		Aggs:  aggs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast := NewExecutor(store)
-	gotRel, err := fast.Run(&StatsAgg{KV: "PARTSUPP_by_supp", Alias: "PS", Aggs: aggs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRel.SortBlocks()
-	gotRel.SortBlocks()
-	if len(gotRel.Blocks) != len(wantRel.Blocks) {
-		t.Fatalf("groups: %d vs %d", len(gotRel.Blocks), len(wantRel.Blocks))
-	}
-	for i := range wantRel.Blocks {
-		w, g := wantRel.Blocks[i], gotRel.Blocks[i]
-		if !w.Key.Equal(g.Key) {
-			t.Fatalf("group keys differ: %v vs %v", w.Key, g.Key)
+	for _, p := range testWorkers {
+		full, fullStats := mustRun(t, store, &GroupBy{
+			Input: &ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"},
+			Keys:  []string{"PS.suppkey"},
+			Aggs:  aggs,
+		}, p)
+		fast, fastStats := mustRun(t, store, &StatsAgg{KV: "PARTSUPP_by_supp", Alias: "PS", Aggs: aggs}, p)
+		if !reflect.DeepEqual(fast.Attrs, full.Attrs) {
+			t.Fatalf("p=%d: attrs %v vs %v", p, fast.Attrs, full.Attrs)
 		}
-		for j := range w.Rows[0] {
-			if w.Rows[0][j].AsFloat() != g.Rows[0][j].AsFloat() {
-				t.Fatalf("group %v agg %d: %v vs %v", w.Key, j, g.Rows[0][j], w.Rows[0][j])
+		want, got := sorted(full), sorted(fast)
+		if len(want) != 3 || len(got) != len(want) {
+			t.Fatalf("p=%d: groups: %d vs %d", p, len(got), len(want))
+		}
+		for i := range want {
+			for j := range want[i] {
+				if want[i][j].AsFloat() != got[i][j].AsFloat() {
+					t.Fatalf("p=%d: group %v column %d: %v vs %v", p, want[i][0], j, got[i][j], want[i][j])
+				}
 			}
 		}
-	}
-	// The stats path reads block headers only: strictly less data.
-	if fast.Stats.DataValues >= full.Stats.DataValues {
-		t.Fatalf("stats path must touch less data: %d vs %d", fast.Stats.DataValues, full.Stats.DataValues)
+		// The stats path reads block headers only: strictly less data.
+		if fastStats.DataValues >= fullStats.DataValues || fastStats.ScanBlocks == 0 {
+			t.Fatalf("p=%d: stats path must touch less data: %+v vs %+v", p, fastStats, fullStats)
+		}
 	}
 }
 
 func TestExecStatsAdd(t *testing.T) {
-	a := ExecStats{Gets: 1, Blocks: 2, DataValues: 3, ScanBlocks: 4, BytesRead: 5}
-	a.Add(ExecStats{Gets: 10, Blocks: 20, DataValues: 30, ScanBlocks: 40, BytesRead: 50})
-	if a.Gets != 11 || a.Blocks != 22 || a.DataValues != 33 || a.ScanBlocks != 44 || a.BytesRead != 55 {
+	a := ExecStats{Gets: 1, Blocks: 2, DataValues: 3, ScanBlocks: 4, BytesRead: 5, ShuffleBytes: 6}
+	a.Add(ExecStats{Gets: 10, Blocks: 20, DataValues: 30, ScanBlocks: 40, BytesRead: 50, ShuffleBytes: 60})
+	if a != (ExecStats{Gets: 11, Blocks: 22, DataValues: 33, ScanBlocks: 44, BytesRead: 55, ShuffleBytes: 66}) {
 		t.Fatalf("add = %+v", a)
 	}
 }
@@ -435,26 +466,105 @@ func TestPlanStrings(t *testing.T) {
 
 func TestShiftThenGroupBy(t *testing.T) {
 	_, store := fixture(t)
-	exec := NewExecutor(store)
 	// Re-key partsupp by partkey, then aggregate per part.
 	plan := &GroupBy{
 		Input: &Shift{Input: &ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"}, NewKey: []string{"PS.partkey"}},
 		Keys:  []string{"PS.partkey"},
 		Aggs:  []AggSpec{{Func: sql.AggCount, Star: true, Name: "n"}},
 	}
-	out, err := exec.Run(plan)
-	if err != nil {
-		t.Fatal(err)
+	for _, p := range testWorkers {
+		out, _ := mustRun(t, store, plan, p)
+		rows := sorted(out)
+		if len(rows) != 2 || rows[0][0].Int != 100 || rows[0][1].Int != 3 || rows[1][0].Int != 101 || rows[1][1].Int != 1 {
+			t.Fatalf("p=%d: counts per part = %v", p, rows)
+		}
 	}
-	out.SortBlocks()
-	if len(out.Blocks) != 2 {
-		t.Fatalf("groups = %d", len(out.Blocks))
+}
+
+func TestRepartitionColocatesKeys(t *testing.T) {
+	v := NewPartRel([]string{"k", "x"}, 4)
+	for i := 0; i < 100; i++ {
+		row := relation.Tuple{relation.Int(int64(i % 7)), relation.Int(int64(i))}
+		v.Parts[i%4] = append(v.Parts[i%4], row)
 	}
-	if out.Blocks[0].Key[0].Int != 100 || out.Blocks[0].Rows[0][0].Int != 3 {
-		t.Fatalf("part 100 count = %v", out.Blocks[0])
+	var shuffle atomic.Int64
+	out := repartition(v, []int{0}, &shuffle)
+	ownerOf := make(map[int64]int)
+	for w, part := range out.Parts {
+		for _, row := range part {
+			k := row[0].Int
+			if prev, ok := ownerOf[k]; ok && prev != w {
+				t.Fatalf("key %d on workers %d and %d", k, prev, w)
+			}
+			ownerOf[k] = w
+		}
 	}
-	// Shift with an unknown attribute errors.
-	if _, err := exec.Run(&Shift{Input: &ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"}, NewKey: []string{"zzz"}}); err == nil {
-		t.Fatal("unknown shift key must error")
+	if out.Len() != 100 {
+		t.Fatalf("rows lost: %d", out.Len())
+	}
+	if shuffle.Load() == 0 {
+		t.Fatal("some rows must have moved")
+	}
+	// Gather with empty key.
+	gathered := repartition(v, nil, &shuffle)
+	if len(gathered.Parts[0]) != 100 {
+		t.Fatalf("gather put %d rows on worker 0", len(gathered.Parts[0]))
+	}
+}
+
+// TestOneWorkerIsTheSequentialCase: with one worker ForWorkers runs its
+// function on the calling goroutine (this test's frame is on its stack) and
+// repartition hands back its input, unhashed and uncopied, shuffling
+// nothing. With two workers neither holds.
+func TestOneWorkerIsTheSequentialCase(t *testing.T) {
+	inline := func(workers int) bool {
+		var onCallerStack atomic.Bool
+		err := ForWorkers(workers, func(int) error {
+			pcs := make([]uintptr, 32)
+			frames := runtime.CallersFrames(pcs[:runtime.Callers(0, pcs)])
+			for {
+				f, more := frames.Next()
+				if strings.HasSuffix(f.Function, ".TestOneWorkerIsTheSequentialCase") {
+					onCallerStack.Store(true)
+				}
+				if !more {
+					return nil
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return onCallerStack.Load()
+	}
+	if !inline(1) {
+		t.Fatal("ForWorkers(1) started a goroutine")
+	}
+	if inline(2) {
+		t.Fatal("ForWorkers(2) must run its workers concurrently")
+	}
+	want := errors.New("worker failed")
+	for _, p := range []int{1, 3} {
+		err := ForWorkers(p, func(w int) error {
+			if w == p-1 {
+				return want
+			}
+			return nil
+		})
+		if !errors.Is(err, want) {
+			t.Fatalf("ForWorkers(%d) error = %v", p, err)
+		}
+	}
+
+	var shuffle atomic.Int64
+	one := NewPartRel([]string{"k"}, 1)
+	one.Parts[0] = []relation.Tuple{{relation.Int(1)}, {relation.Int(2)}}
+	if repartition(one, []int{0}, &shuffle) != one || shuffle.Load() != 0 {
+		t.Fatal("repartition at one worker must return its input and shuffle nothing")
+	}
+	two := NewPartRel([]string{"k"}, 2)
+	two.Parts[0] = one.Parts[0]
+	if repartition(two, []int{0}, &shuffle) == two {
+		t.Fatal("repartition at two workers builds a new partitioning")
 	}
 }

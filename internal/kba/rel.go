@@ -1,13 +1,13 @@
 // Package kba implements KBA, the paper's extension of relational algebra to
 // keyed blocks (Section 4.2): plan nodes for the new operators extension (∝)
-// and shift (↑), BaaV versions of the classical operators, and a sequential
-// executor over BaaV stores with first-class data-access accounting.
+// and shift (↑), BaaV versions of the classical operators, and the one
+// executor of those plans over BaaV stores — partitioned over p workers with
+// the interleaved strategy of Section 7.2, sequential at p = 1 — with
+// first-class data-access accounting.
 package kba
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"zidian/internal/relation"
 )
@@ -66,8 +66,9 @@ func (r *KeyedRel) Flatten() []relation.Tuple {
 }
 
 // FromRows groups flat rows (over the given attributes) into a KeyedRel
-// keyed by keyAttrs; the remaining attributes become values. This is the
-// shift operator's workhorse.
+// keyed by keyAttrs, blocks in first-occurrence order; the remaining
+// attributes become values. Result shaping (core.PlanInfo.ToResult) keys
+// the executor's output by all attributes through it.
 func FromRows(attrs []string, rows []relation.Tuple, keyAttrs []string) (*KeyedRel, error) {
 	pos := make(map[string]int, len(attrs))
 	for i, a := range attrs {
@@ -77,7 +78,7 @@ func FromRows(attrs []string, rows []relation.Tuple, keyAttrs []string) (*KeyedR
 	for _, a := range keyAttrs {
 		i, ok := pos[a]
 		if !ok {
-			return nil, fmt.Errorf("kba: shift key attribute %q not in %v", a, attrs)
+			return nil, fmt.Errorf("kba: attribute %q not in %v", a, attrs)
 		}
 		keyIdx = append(keyIdx, i)
 	}
@@ -107,17 +108,4 @@ func FromRows(attrs []string, rows []relation.Tuple, keyAttrs []string) (*KeyedR
 		out.Blocks[bi].Rows = append(out.Blocks[bi].Rows, row.Project(valIdx))
 	}
 	return out, nil
-}
-
-// SortBlocks orders blocks by key; canonical form for tests and output.
-func (r *KeyedRel) SortBlocks() {
-	sort.Slice(r.Blocks, func(i, j int) bool {
-		return r.Blocks[i].Key.Compare(r.Blocks[j].Key) < 0
-	})
-}
-
-// String summarizes the instance shape.
-func (r *KeyedRel) String() string {
-	return fmt.Sprintf("⟨%s | %s⟩ %d blocks, %d rows",
-		strings.Join(r.KeyAttrs, ","), strings.Join(r.ValAttrs, ","), len(r.Blocks), r.Rows())
 }

@@ -81,7 +81,7 @@ func runTracethread(p *Pass) {
 
 // traceInScope reports whether the function can reach a trace: a receiver
 // or parameter of type *obs.Trace/*obs.KV, or any expression in the body
-// of one of those types (a field read like e.Trace, or a call like e.kv()).
+// of one of those types (a field read like e.trace, or a call like e.kv()).
 func traceInScope(p *Pass, fn *ast.FuncDecl) bool {
 	check := func(fl *ast.FieldList) bool {
 		if fl == nil {

@@ -13,8 +13,8 @@ import (
 // branch-cheap: the cluster threads a *KV through its routed operations and
 // counts into it only when non-nil, mirroring exactly what the per-node
 // Metrics count (so a trace's totals equal the cluster-wide delta for the
-// statement). Fields are atomics because the parallel executor's workers
-// record concurrently.
+// statement). Fields are atomics because the executor's workers record
+// concurrently.
 type KV struct {
 	gets, puts, deletes, scanNexts atomic.Int64
 	bytesRead, bytesWritten        atomic.Int64
@@ -127,9 +127,9 @@ func (s KVSnapshot) Ops() int64 { return s.Gets + s.Puts + s.Deletes + s.ScanNex
 // traced statement and threads it through planner and executor; layers
 // below the executor see only the embedded KV counters. All counter
 // methods are nil-safe. The operator span stack is NOT synchronized: plan
-// tree recursion is single-goroutine in both executors (the parallel
-// executor fans workers out only inside an operator and joins them before
-// the operator's span finishes), so spans open and close on one goroutine.
+// tree recursion is single-goroutine (the executor fans workers out only
+// inside an operator and joins them before the operator's span finishes),
+// so spans open and close on one goroutine.
 type Trace struct {
 	KV           KV
 	postingReads atomic.Int64 // index posting lists decoded

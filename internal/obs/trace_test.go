@@ -8,7 +8,7 @@ import (
 )
 
 // TestTraceConcurrentRecording hammers one trace's counters from many
-// goroutines — the parallel executor's worker pattern — and checks the
+// goroutines — the executor's worker pattern — and checks the
 // totals. Run under -race this is the trace-recording race test.
 func TestTraceConcurrentRecording(t *testing.T) {
 	tr := &Trace{}

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"zidian/internal/kba"
@@ -24,35 +25,44 @@ func RunTaaV(q *ra.Query, store *taav.Store, workers int) (*ra.Result, *Metrics,
 		workers = 1
 	}
 	start := time.Now()
-	e := &kbaExec{workers: workers} // reuses shuffle/groupby machinery
+	// The join, aggregation and projection tail runs on the KBA executor
+	// over already retrieved rows (no store); its shuffle volume folds into
+	// the run's stats.
+	var stats kba.ExecStats
+	exec := func(p kba.Plan) (*kba.PartRel, error) {
+		v, s, err := kba.Run(p, nil, workers, nil)
+		stats.Add(s)
+		return v, err
+	}
 
 	// Phase 1: retrieve. One scan per distinct relation; aliases share rows.
-	scanned := make(map[string]*pval)
+	var gets, data, fetch atomic.Int64
+	scanned := make(map[string]*kba.PartRel)
 	nodes := store.Cluster.NodeCount()
 	for _, atom := range q.Atoms {
 		if _, ok := scanned[atom.Rel]; ok {
 			continue
 		}
-		raw := newPval(atom.Schema.AttrNames(), workers)
-		err := forWorkers(workers, func(w int) error {
+		raw := kba.NewPartRel(atom.Schema.AttrNames(), workers)
+		err := kba.ForWorkers(workers, func(w int) error {
 			var local []relation.Tuple
-			var gets, data, fetch int64
+			var g, d, f int64
 			for node := w; node < nodes; node += workers {
 				err := store.ScanNode(node, atom.Rel, func(t relation.Tuple) bool {
 					local = append(local, t)
-					gets++
-					data += int64(len(t))
-					fetch += int64(t.SizeBytes())
+					g++
+					d += int64(len(t))
+					f += int64(t.SizeBytes())
 					return true
 				})
 				if err != nil {
 					return err
 				}
 			}
-			e.c.gets.Add(gets)
-			e.c.data.Add(data)
-			e.c.fetch.Add(fetch)
-			raw.parts[w] = local
+			gets.Add(g)
+			data.Add(d)
+			fetch.Add(f)
+			raw.Parts[w] = local
 			return nil
 		})
 		if err != nil {
@@ -63,30 +73,16 @@ func RunTaaV(q *ra.Query, store *taav.Store, workers int) (*ra.Result, *Metrics,
 
 	// Per-atom views with qualified attributes and local predicates applied
 	// (in the SQL layer, after retrieval).
-	atomVals := make([]*pval, len(q.Atoms))
+	atomVals := make([]*kba.PartRel, len(q.Atoms))
 	for i, atom := range q.Atoms {
 		raw := scanned[atom.Rel]
-		v := &pval{attrs: qualify(atom.Alias, atom.Schema.AttrNames()), parts: raw.parts}
+		v := &kba.PartRel{Attrs: qualify(atom.Alias, atom.Schema.AttrNames()), Parts: raw.Parts}
 		preds := localPreds(q, atom.Alias)
 		if len(preds) > 0 {
-			check, err := kba.CompilePreds(v.attrs, preds)
-			if err != nil {
+			var err error
+			if v, err = exec(&kba.Select{Input: &kba.Lit{V: v}, Preds: preds}); err != nil {
 				return nil, nil, err
 			}
-			filtered := newPval(v.attrs, workers)
-			if err := forWorkers(workers, func(w int) error {
-				var local []relation.Tuple
-				for _, row := range v.parts[w] {
-					if check(row) {
-						local = append(local, row)
-					}
-				}
-				filtered.parts[w] = local
-				return nil
-			}); err != nil {
-				return nil, nil, err
-			}
-			v = filtered
 		}
 		atomVals[i] = v
 	}
@@ -111,24 +107,24 @@ func RunTaaV(q *ra.Query, store *taav.Store, workers int) (*ra.Result, *Metrics,
 				continue
 			}
 			l, r := eq.L.String(), eq.R.String()
-			if has(acc.attrs, r) && has(next.attrs, l) {
+			if has(acc.Attrs, r) && has(next.Attrs, l) {
 				l, r = r, l
 			}
-			if has(acc.attrs, l) && has(next.attrs, r) {
+			if has(acc.Attrs, l) && has(next.Attrs, r) {
 				lOn = append(lOn, l)
 				rOn = append(rOn, r)
 				eqDone[ei] = true
 			}
 		}
-		joined, err := e.joinPvals(acc, next, lOn, rOn)
+		var err error
+		acc, err = exec(&kba.Join{L: &kba.Lit{V: acc}, R: &kba.Lit{V: next}, LOn: lOn, ROn: rOn})
 		if err != nil {
 			return nil, nil, err
 		}
-		acc = joined
 		// Newly bound cross-atom predicates.
 		var preds []kba.Pred
 		for ei, eq := range q.EqAttrs {
-			if !eqDone[ei] && has(acc.attrs, eq.L.String()) && has(acc.attrs, eq.R.String()) {
+			if !eqDone[ei] && has(acc.Attrs, eq.L.String()) && has(acc.Attrs, eq.R.String()) {
 				preds = append(preds, kba.Pred{Attr: eq.L.String(), Op: sql.OpEq, RAttr: eq.R.String()})
 				eqDone[ei] = true
 			}
@@ -137,30 +133,15 @@ func RunTaaV(q *ra.Query, store *taav.Store, workers int) (*ra.Result, *Metrics,
 			if fDone[fi] || f.RCol == nil {
 				continue
 			}
-			if has(acc.attrs, f.Col.String()) && has(acc.attrs, f.RCol.String()) {
+			if has(acc.Attrs, f.Col.String()) && has(acc.Attrs, f.RCol.String()) {
 				preds = append(preds, kba.Pred{Attr: f.Col.String(), Op: f.Op, RAttr: f.RCol.String()})
 				fDone[fi] = true
 			}
 		}
 		if len(preds) > 0 {
-			check, err := kba.CompilePreds(acc.attrs, preds)
-			if err != nil {
+			if acc, err = exec(&kba.Select{Input: &kba.Lit{V: acc}, Preds: preds}); err != nil {
 				return nil, nil, err
 			}
-			filtered := newPval(acc.attrs, workers)
-			if err := forWorkers(workers, func(w int) error {
-				var local []relation.Tuple
-				for _, row := range acc.parts[w] {
-					if check(row) {
-						local = append(local, row)
-					}
-				}
-				filtered.parts[w] = local
-				return nil
-			}); err != nil {
-				return nil, nil, err
-			}
-			acc = filtered
 		}
 	}
 
@@ -176,7 +157,7 @@ func RunTaaV(q *ra.Query, store *taav.Store, workers int) (*ra.Result, *Metrics,
 			keyCols = append(keyCols, col)
 		}
 	}
-	var final *pval
+	var final kba.Plan
 	if q.IsAggregate() {
 		specs := make([]kba.AggSpec, len(q.Aggs))
 		for i, a := range q.Aggs {
@@ -187,44 +168,39 @@ func RunTaaV(q *ra.Query, store *taav.Store, workers int) (*ra.Result, *Metrics,
 			specs[i] = spec
 			outCols = append(outCols, a.Name)
 		}
-		v, err := e.runGroupBy(&kba.GroupBy{Input: &litPlan{acc}, Keys: keyCols, Aggs: specs})
-		if err != nil {
-			return nil, nil, err
-		}
-		final = v
+		final = &kba.GroupBy{Input: &kba.Lit{V: acc}, Keys: keyCols, Aggs: specs}
 	} else {
-		v, err := e.runProject(&kba.Project{Input: &litPlan{acc}, Attrs: keyCols})
-		if err != nil {
-			return nil, nil, err
-		}
+		final = &kba.Project{Input: &kba.Lit{V: acc}, Attrs: keyCols}
 		if q.Distinct {
-			if v, err = e.runDistinct(&kba.Distinct{Input: &litPlan{v}}); err != nil {
-				return nil, nil, err
-			}
+			final = &kba.Distinct{Input: final}
 		}
-		final = v
+	}
+	out, err := exec(final)
+	if err != nil {
+		return nil, nil, err
 	}
 
-	idx, err := final.positions(outCols)
+	idx, err := out.Positions(outCols)
 	if err != nil {
 		return nil, nil, err
 	}
 	res := &ra.Result{Cols: q.OutNames}
-	for _, row := range final.rows() {
+	for _, row := range out.Rows() {
 		res.Rows = append(res.Rows, row.Project(idx))
 	}
 	if err := ra.OrderAndLimit(res, q.OrderBy, q.Limit); err != nil {
 		return nil, nil, err
 	}
-	return res, e.c.metrics(workers, time.Since(start)), nil
+	stats.Gets, stats.DataValues, stats.BytesRead = gets.Load(), data.Load(), fetch.Load()
+	return res, &Metrics{ExecStats: stats, Workers: workers, Wall: time.Since(start)}, nil
 }
 
-// joinPvals hash-joins two partitioned relations on the paired columns.
-func (e *kbaExec) joinPvals(l, r *pval, lOn, rOn []string) (*pval, error) {
-	if len(lOn) != len(rOn) {
-		return nil, fmt.Errorf("parallel: join attribute lists differ")
+func qualify(alias string, attrs []string) []string {
+	out := make([]string, len(attrs))
+	for i, a := range attrs {
+		out[i] = alias + "." + a
 	}
-	return e.runJoin(&kba.Join{L: &litPlan{l}, R: &litPlan{r}, LOn: lOn, ROn: rOn})
+	return out
 }
 
 // localPreds collects the per-atom predicates the SQL layer applies right

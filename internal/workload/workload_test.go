@@ -1,6 +1,10 @@
 package workload
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"zidian/internal/baav"
@@ -26,8 +30,9 @@ func buildStores(t *testing.T, w *Workload) (*baav.Store, *taav.Store, *core.Che
 
 // verifyWorkload checks, for every query of a workload: the declared
 // scan-free classification matches Condition (III); the generated plan's
-// scan-freeness matches; and Zidian (sequential + parallel) and the TaaV
-// baseline all agree with the reference evaluator.
+// scan-freeness matches; and Zidian at every worker count (one worker is
+// sequential execution) and the TaaV baseline agree with the reference
+// evaluator.
 func verifyWorkload(t *testing.T, w *Workload) {
 	t.Helper()
 	bv, tv, checker := buildStores(t, w)
@@ -54,20 +59,15 @@ func verifyWorkload(t *testing.T, w *Workload) {
 		if err != nil {
 			t.Fatalf("%s/%s: reference: %v", w.Name, wq.Name, err)
 		}
-		got, _, err := core.Answer(info, bv)
-		if err != nil {
-			t.Fatalf("%s/%s: answer: %v", w.Name, wq.Name, err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("%s/%s: Zidian answer differs from reference (%d vs %d rows)",
-				w.Name, wq.Name, len(got.Rows), len(want.Rows))
-		}
-		gotPar, _, err := parallel.RunKBA(info, bv, 4)
-		if err != nil {
-			t.Fatalf("%s/%s: parallel: %v", w.Name, wq.Name, err)
-		}
-		if !gotPar.Equal(want) {
-			t.Fatalf("%s/%s: parallel Zidian answer differs", w.Name, wq.Name)
+		for _, workers := range []int{1, 2, 4, 7} {
+			got, _, err := parallel.RunKBA(info, bv, workers)
+			if err != nil {
+				t.Fatalf("%s/%s: p=%d: %v", w.Name, wq.Name, workers, err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("%s/%s: Zidian answer at p=%d differs from reference (%d vs %d rows)",
+					w.Name, wq.Name, workers, len(got.Rows), len(want.Rows))
+			}
 		}
 		gotBase, _, err := parallel.RunTaaV(q, tv, 4)
 		if err != nil {
@@ -92,6 +92,119 @@ func TestMOTWorkload(t *testing.T) {
 func TestAIRCAWorkload(t *testing.T) {
 	w := AIRCA(Spec{Scale: 0.3, Seed: 7})
 	verifyWorkload(t, w)
+}
+
+// eachPlan plans every query of the three suites over a store on the given
+// number of storage nodes.
+func eachPlan(t *testing.T, nodes int, fn func(label string, info *core.PlanInfo, store *baav.Store)) {
+	t.Helper()
+	for _, name := range []string{"mot", "airca", "tpch"} {
+		w, err := Generate(name, Spec{Scale: 0.1, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := baav.Map(w.DB, w.Schema, kv.NewCluster(kv.EngineHash, nodes), baav.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checker := core.NewChecker(w.Schema, baav.RelSchemas(w.DB)).WithStats(store)
+		for _, wq := range w.Queries {
+			info, err := checker.Plan(ra.MustParse(wq.SQL, w.DB))
+			if err != nil {
+				t.Fatalf("%s/%s: plan: %v", name, wq.Name, err)
+			}
+			fn(name+"/"+wq.Name, info, store)
+		}
+	}
+}
+
+// TestAnswerIsRunKBAAtOneWorker: sequential execution is the one executor
+// at one worker, not a second algorithm — core.Answer and RunKBA(…, 1)
+// return the same rows in the same order with the same counters, and a
+// one-worker run shuffles nothing.
+func TestAnswerIsRunKBAAtOneWorker(t *testing.T) {
+	eachPlan(t, 4, func(label string, info *core.PlanInfo, store *baav.Store) {
+		seq, stats, err := core.Answer(info, store)
+		if err != nil {
+			t.Fatalf("%s: answer: %v", label, err)
+		}
+		one, m, err := parallel.RunKBA(info, store, 1)
+		if err != nil {
+			t.Fatalf("%s: RunKBA: %v", label, err)
+		}
+		if !reflect.DeepEqual(seq, one) {
+			t.Fatalf("%s: Answer and RunKBA at one worker return different rows or row order", label)
+		}
+		if *stats != m.ExecStats {
+			t.Fatalf("%s: counters differ: Answer %+v, RunKBA %+v", label, *stats, m.ExecStats)
+		}
+		if m.Workers != 1 || m.ShuffleBytes != 0 {
+			t.Fatalf("%s: one worker must shuffle nothing: %+v", label, m)
+		}
+	})
+}
+
+// goroutinesStarted reports how many goroutines f started, including ones
+// that already exited. Goroutine ids are handed out in increasing order
+// from per-P caches, so with a single P the ids of two marker goroutines
+// started around f differ by one more than the number started in between.
+// The runtime may start a goroutine of its own meanwhile; the minimum over a
+// few attempts is f's own count.
+func goroutinesStarted(f func()) int {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	marker := func() int {
+		id := make(chan int)
+		go func() {
+			var n int
+			fmt.Sscanf(string(debug.Stack()), "goroutine %d ", &n)
+			id <- n
+		}()
+		return <-id
+	}
+	least := -1
+	for attempt := 0; attempt < 5 && least != 0; attempt++ {
+		before := marker()
+		f()
+		if n := marker() - before - 1; least < 0 || n < least {
+			least = n
+		}
+	}
+	return least
+}
+
+// TestAnswerStartsNoGoroutine: at one worker no operator starts a goroutine
+// — every query of the three suites (point and chain plans, scans, joins,
+// group-bys, distincts) runs entirely on the calling goroutine. A single
+// storage node keeps the kv layer's own scatter pipelines out of the count;
+// two workers on the same plans do start goroutines, so the count sees them.
+func TestAnswerStartsNoGoroutine(t *testing.T) {
+	points, parallelStarted := 0, 0
+	eachPlan(t, 1, func(label string, info *core.PlanInfo, store *baav.Store) {
+		if info.Empty {
+			return
+		}
+		if info.ScanFree {
+			points++
+		}
+		if n := goroutinesStarted(func() {
+			if _, _, err := core.Answer(info, store); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+		}); n != 0 {
+			t.Fatalf("%s: core.Answer started %d goroutines", label, n)
+		}
+		parallelStarted += goroutinesStarted(func() {
+			if _, _, err := parallel.RunKBA(info, store, 2); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+		})
+	})
+	if points == 0 {
+		t.Fatal("the suites no longer contain a scan-free (point or chain) plan")
+	}
+	if parallelStarted == 0 {
+		t.Fatal("two workers started no goroutine: the count is blind")
+	}
 }
 
 func TestTPCHCardinalityRatios(t *testing.T) {

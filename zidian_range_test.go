@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"zidian/internal/core"
+	"zidian/internal/kba"
+	"zidian/internal/parallel"
 	"zidian/internal/ra"
 	sqlpkg "zidian/internal/sql"
 	"zidian/internal/workload"
@@ -189,10 +191,14 @@ func TestRangeBoundedWalk(t *testing.T) {
 			t.Fatalf("%s: expected one get per matched block, got %d", eng, delta.Gets)
 		}
 
-		// Sequential-executor parity: the same plan run outside the
-		// parallel runtime returns the same rows, and its logical stats
-		// count the posting walk, not an instance scan.
+		// The same plan at every worker count (one worker is sequential
+		// execution) answers what the reference evaluator answers, and its
+		// logical stats count the posting walk, not an instance scan.
 		bound, err := ra.Parse(q, inst.db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ra.Evaluate(bound, inst.db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,15 +206,88 @@ func TestRangeBoundedWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seqRes, seqStats, err := core.Answer(info, inst.store)
+		for _, workers := range []int{1, 2, 4, 7} {
+			got, m, err := parallel.RunKBA(info, inst.store, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("%s: range answer at p=%d differs from the reference", eng, workers)
+			}
+			if m.ScanBlocks != 10 {
+				t.Fatalf("%s: walk at p=%d visited %d posting lists, want 10", eng, workers, m.ScanBlocks)
+			}
+		}
+	}
+}
+
+// TestIndexTrafficCounted: the executor's one counter set accounts index
+// traffic — posting bytes of lookups and range walks, the posting lists a
+// walk steps over, the blocks ∝ fetches — and core.Answer reports exactly
+// what RunKBA at one worker reports. (Before the executors were unified the
+// serving path dropped posting bytes, walk steps and block hits.)
+func TestIndexTrafficCounted(t *testing.T) {
+	db, bv := rangeItemsDB(t)
+	inst, err := Open(db, bv, Options{Engine: "hash", Nodes: 4, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inst.Exec("create index ix_item_sku on ITEM(sku)"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sql, node string
+		walked    bool
+	}{
+		{"select I.item_id, I.qty from ITEM I where I.sku = 'SKU-00042'", "IndexLookup", false},
+		{"select I.item_id, I.qty from ITEM I where I.sku between 'SKU-00050' and 'SKU-00059'", "IndexRange", true},
+	} {
+		q, err := ra.Parse(c.sql, inst.db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if renderResult(seqRes) != renderResult(res) {
-			t.Fatalf("%s: sequential and parallel range answers differ", eng)
+		info, err := inst.checker.Plan(q)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if seqStats.ScanBlocks != 10 {
-			t.Fatalf("%s: sequential walk visited %d posting lists, want 10", eng, seqStats.ScanBlocks)
+		_, seq, err := core.Answer(info, inst.store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, m, err := parallel.RunKBA(info, inst.store, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *seq != m.ExecStats {
+			t.Fatalf("%q: Answer counts %+v, RunKBA at one worker %+v", c.sql, *seq, m.ExecStats)
+		}
+		if m.Gets == 0 || m.Blocks == 0 || m.DataValues == 0 {
+			t.Fatalf("%q: fetched blocks not counted: %+v", c.sql, m.ExecStats)
+		}
+		if (m.ScanBlocks > 0) != c.walked {
+			t.Fatalf("%q: walked posting lists = %d", c.sql, m.ScanBlocks)
+		}
+		// The postings alone: the plan's index leaf, run by itself.
+		var leaf kba.Plan
+		var find func(p kba.Plan)
+		find = func(p kba.Plan) {
+			if kba.OpName(p) == c.node {
+				leaf = p
+			}
+			for _, ch := range p.Children() {
+				find(ch)
+			}
+		}
+		find(info.Root)
+		if leaf == nil {
+			t.Fatalf("%q: plan %s has no %s", c.sql, info.Root, c.node)
+		}
+		_, postings, err := kba.Run(leaf, inst.store, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if postings.BytesRead == 0 || postings.BytesRead >= m.BytesRead {
+			t.Fatalf("%q: posting bytes %d of %d total", c.sql, postings.BytesRead, m.BytesRead)
 		}
 	}
 }
