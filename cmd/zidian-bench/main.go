@@ -14,7 +14,7 @@
 //	zidian-bench -exp server             # serving layer (writes BENCH_server.json)
 //	zidian-bench -exp index              # secondary indexes (writes BENCH_index.json)
 //	zidian-bench -exp range              # range predicates / ordered posting scans (writes BENCH_range.json)
-//	zidian-bench -exp mixed              # mixed read/write locking regimes (writes BENCH_mixed.json)
+//	zidian-bench -exp mixed              # write-fraction sweep under an emulated 200µs service time (writes BENCH_mixed.json)
 //	zidian-bench -exp replay             # capture→replay fidelity (writes BENCH_replay.json)
 //	zidian-bench -exp scaleout           # horizontal read scaling under the emulated service-capacity network (writes BENCH_scaleout.json)
 //

@@ -44,8 +44,6 @@ func main() {
 		queueTO  = flag.Duration("queue-timeout", time.Second, "admission queue timeout")
 		cacheSz  = flag.Int("plan-cache", 4096, "plan cache capacity (plans)")
 		drainTO  = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown drain timeout")
-		regime   = flag.String("lock-regime", "", "locking regime: mvcc (default; snapshot reads + group commit), per-relation, or global")
-		gwl      = flag.Bool("global-write-lock", false, "legacy alias for -lock-regime=global (applies only when -lock-regime is unset)")
 		obsOn    = flag.Bool("obs", true, "collect metrics and serve /metrics (off disables all observability counting)")
 		slowTO   = flag.Duration("slow-query-threshold", 0, "log statements slower than this as JSON lines (0 disables)")
 		slowLog  = flag.String("slow-query-log", "", "slow-query log file (default stderr); with -slow-query-max-bytes the file rotates to <path>.1 at the cap")
@@ -83,8 +81,6 @@ func main() {
 		QueueDepth:         *queue,
 		QueueTimeout:       *queueTO,
 		PlanCacheSize:      *cacheSz,
-		LockRegime:         *regime,
-		GlobalWriteLock:    *gwl,
 		DisableMetrics:     !*obsOn,
 		SlowQueryThreshold: *slowTO,
 		SlowQueryMaxBytes:  *slowMax,

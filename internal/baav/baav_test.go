@@ -312,10 +312,10 @@ func TestSegmentation(t *testing.T) {
 func TestIncrementalMaintenance(t *testing.T) {
 	st, _ := newTestStore(t, DefaultOptions())
 	// Insert a new supplier in nation 1 and a supplier in a new nation.
-	if err := st.Insert("SUPPLIER", relation.Tuple{relation.Int(13), relation.Int(1)}); err != nil {
+	if err := insertTuple(st, "SUPPLIER", relation.Tuple{relation.Int(13), relation.Int(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Insert("SUPPLIER", relation.Tuple{relation.Int(14), relation.Int(3)}); err != nil {
+	if err := insertTuple(st, "SUPPLIER", relation.Tuple{relation.Int(14), relation.Int(3)}); err != nil {
 		t.Fatal(err)
 	}
 	blk, _, _, _ := st.GetBlock("SUPPLIER_by_nation", relation.Tuple{relation.Int(1)})
@@ -327,7 +327,7 @@ func TestIncrementalMaintenance(t *testing.T) {
 		t.Fatalf("new block: %+v", blk)
 	}
 	// Delete one supplier; deleting the last tuple removes the block.
-	if err := st.Delete("SUPPLIER", relation.Tuple{relation.Int(14), relation.Int(3)}); err != nil {
+	if err := deleteTuple(st, "SUPPLIER", relation.Tuple{relation.Int(14), relation.Int(3)}); err != nil {
 		t.Fatal(err)
 	}
 	blk, _, _, _ = st.GetBlock("SUPPLIER_by_nation", relation.Tuple{relation.Int(3)})
@@ -335,14 +335,14 @@ func TestIncrementalMaintenance(t *testing.T) {
 		t.Fatalf("block should be gone: %+v", blk)
 	}
 	// Deleting a non-existent tuple is a no-op.
-	if err := st.Delete("SUPPLIER", relation.Tuple{relation.Int(99), relation.Int(9)}); err != nil {
+	if err := deleteTuple(st, "SUPPLIER", relation.Tuple{relation.Int(99), relation.Int(9)}); err != nil {
 		t.Fatal(err)
 	}
 	// Errors.
-	if err := st.Insert("NOPE", relation.Tuple{}); err == nil {
+	if err := insertTuple(st, "NOPE", relation.Tuple{}); err == nil {
 		t.Fatal("unknown relation")
 	}
-	if err := st.Insert("SUPPLIER", relation.Tuple{relation.Int(1)}); err == nil {
+	if err := insertTuple(st, "SUPPLIER", relation.Tuple{relation.Int(1)}); err == nil {
 		t.Fatal("arity mismatch")
 	}
 }
@@ -400,14 +400,14 @@ func TestQuickMaintenanceMatchesRemap(t *testing.T) {
 			if r.Intn(2) == 0 || len(live) == 0 {
 				tp := relation.Tuple{relation.Int(int64(r.Intn(20))), relation.Int(int64(r.Intn(4)))}
 				live = append(live, tp)
-				if err := st.Insert("SUPPLIER", tp); err != nil {
+				if err := insertTuple(st, "SUPPLIER", tp); err != nil {
 					return false
 				}
 			} else {
 				j := r.Intn(len(live))
 				tp := live[j]
 				live = append(live[:j], live[j+1:]...)
-				if err := st.Delete("SUPPLIER", tp); err != nil {
+				if err := deleteTuple(st, "SUPPLIER", tp); err != nil {
 					return false
 				}
 			}
@@ -495,14 +495,14 @@ func TestInstanceStats(t *testing.T) {
 		t.Fatal("unknown instance must error")
 	}
 	// Maintenance keeps the counters in sync.
-	if err := st.Insert("SUPPLIER", relation.Tuple{relation.Int(40), relation.Int(9)}); err != nil {
+	if err := insertTuple(st, "SUPPLIER", relation.Tuple{relation.Int(40), relation.Int(9)}); err != nil {
 		t.Fatal(err)
 	}
 	if st.InstanceBlocks("SUPPLIER_by_nation") != 3 || st.RelationRows("SUPPLIER") != 4 {
 		t.Fatalf("after insert: blocks=%d rows=%d",
 			st.InstanceBlocks("SUPPLIER_by_nation"), st.RelationRows("SUPPLIER"))
 	}
-	if err := st.Delete("SUPPLIER", relation.Tuple{relation.Int(40), relation.Int(9)}); err != nil {
+	if err := deleteTuple(st, "SUPPLIER", relation.Tuple{relation.Int(40), relation.Int(9)}); err != nil {
 		t.Fatal(err)
 	}
 	if st.InstanceBlocks("SUPPLIER_by_nation") != 2 || st.RelationRows("SUPPLIER") != 3 {

@@ -483,8 +483,10 @@ func (c *Commit) Prefetch(kvt *obs.KV, tuples []relation.Tuple) error {
 }
 
 // StageInsert stages one inserted tuple into every KV schema projecting
-// the relation. Fallible (reads, decoding) — an error leaves the commit
-// abandonable with nothing written.
+// the relation: a read-modify-write of the affected block per schema,
+// O(deg(~D)) per tuple and independent of |D| (Section 8.2). Fallible
+// (reads, decoding) — an error leaves the commit abandonable with nothing
+// written.
 func (c *Commit) StageInsert(kvt *obs.KV, t relation.Tuple) error {
 	schema := c.st.Rels[c.rel]
 	if len(t) != len(schema.Attrs) {

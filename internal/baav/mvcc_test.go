@@ -7,22 +7,47 @@ import (
 	"zidian/internal/relation"
 )
 
-// commitOne runs one full commit on SUPPLIER applying stage, returning the
-// watermark Reclaim observed.
-func commitOne(t *testing.T, st *Store, stage func(c *Commit, kvt *obs.KV) error) uint64 {
-	t.Helper()
+// commit runs one full commit on rel the way the group committer drives
+// it — stage, apply the batch, install, reclaim — returning the watermark
+// Reclaim observed. A staging error abandons the commit with nothing
+// written.
+func commit(st *Store, rel string, stage func(c *Commit, kvt *obs.KV) error) (uint64, error) {
 	kvt := &obs.KV{}
-	c, err := st.BeginCommit("SUPPLIER")
+	c, err := st.BeginCommit(rel)
 	if err != nil {
-		t.Fatal(err)
+		return 0, err
 	}
 	defer c.Close()
 	if err := stage(c, kvt); err != nil {
-		t.Fatal(err)
+		return 0, err
 	}
 	st.Cluster.ApplyBatch(kvt, c.Ops())
 	c.Install()
-	return c.Reclaim(kvt)
+	return c.Reclaim(kvt), nil
+}
+
+// commitOne is commit on SUPPLIER, fatal on error.
+func commitOne(t *testing.T, st *Store, stage func(c *Commit, kvt *obs.KV) error) uint64 {
+	t.Helper()
+	w, err := commit(st, "SUPPLIER", stage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// insertTuple and deleteTuple commit one tuple each.
+func insertTuple(st *Store, rel string, t relation.Tuple) error {
+	_, err := commit(st, rel, func(c *Commit, kvt *obs.KV) error { return c.StageInsert(kvt, t) })
+	return err
+}
+
+func deleteTuple(st *Store, rel string, t relation.Tuple) error {
+	_, err := commit(st, rel, func(c *Commit, kvt *obs.KV) error {
+		_, err := c.StageDelete(kvt, t)
+		return err
+	})
+	return err
 }
 
 func supplierBlock(t *testing.T, st *Store, nation int64) *Block {

@@ -520,55 +520,6 @@ func (st *Store) ScanStatsT(kvt *obs.KV, name string, fn func(key relation.Tuple
 	return scanErr
 }
 
-// Insert incrementally maintains the store for one inserted tuple of the
-// named relation: a read-modify-write of the affected block in every KV
-// schema projecting that relation — O(deg(~D)) per tuple, independent of
-// |D| (Section 8.2).
-func (st *Store) Insert(rel string, t relation.Tuple) error {
-	return st.maintain(nil, rel, t, true)
-}
-
-// InsertT is Insert with a per-statement kv trace sink.
-func (st *Store) InsertT(kvt *obs.KV, rel string, t relation.Tuple) error {
-	return st.maintain(kvt, rel, t, true)
-}
-
-// Delete incrementally maintains the store for one deleted tuple.
-func (st *Store) Delete(rel string, t relation.Tuple) error {
-	return st.maintain(nil, rel, t, false)
-}
-
-// DeleteT is Delete with a per-statement kv trace sink.
-func (st *Store) DeleteT(kvt *obs.KV, rel string, t relation.Tuple) error {
-	return st.maintain(kvt, rel, t, false)
-}
-
-// maintain applies one tuple's insert or delete as a single-op commit:
-// stage (every fallible step — reads, decoding — happens here, leaving
-// the store untouched on error), write the new block versions in one
-// batch, install the sequence, reclaim what the watermark allows. The
-// all-or-nothing shape PR 5's two-phase path provided is now structural:
-// nothing is visible until Install.
-func (st *Store) maintain(kvt *obs.KV, rel string, t relation.Tuple, insert bool) error {
-	c, err := st.BeginCommit(rel)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	if insert {
-		err = c.StageInsert(kvt, t)
-	} else {
-		_, err = c.StageDelete(kvt, t)
-	}
-	if err != nil {
-		return err
-	}
-	st.Cluster.ApplyBatch(kvt, c.Ops())
-	c.Install()
-	c.Reclaim(kvt)
-	return nil
-}
-
 // InstanceBlocks returns the number of keyed blocks in the named KV
 // instance — the planner's cost statistic for scan-vs-probe decisions.
 func (st *Store) InstanceBlocks(name string) int {

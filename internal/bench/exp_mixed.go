@@ -14,36 +14,21 @@ import (
 	"zidian/internal/server/loadgen"
 )
 
-// ExpMixed measures the serving layer under mixed read/write traffic: the
-// multi-relation readwrite suite (point/chain/range reads across VEHICLE,
-// TEST and OBSERVATION; INSERT/DELETE writes on TEST and OBSERVATION,
-// including secondary-index posting maintenance) runs at several write
-// fractions under three locking regimes:
+// ExpMixed measures the serving layer under mixed read/write traffic with an
+// emulated network: the multi-relation readwrite suite (point and chain
+// reads across VEHICLE, TEST and OBSERVATION; INSERT/DELETE writes on all
+// three, including secondary-index posting maintenance) runs at several
+// write fractions, and the report shows how much of the read-only rate
+// survives as writes are mixed in. It is the repo's one write-path
+// measurement under a storage round trip; benchmark/ (mixed_rw) measures the
+// same path at zero delay.
 //
-//   - global: the legacy instance-wide write gate (Config.GlobalWriteLock) —
-//     one writer stalls every statement in the instance;
-//   - per-relation: read/write locks per relation — a writer stalls only its
-//     own relation's readers;
-//   - mvcc: snapshot reads over versioned blocks plus per-relation group
-//     commit — writers never stall readers at all, and concurrent writers of
-//     one relation fold into a single batched commit.
-//
-// The headline numbers are the throughput ratios between regimes, and how
-// close the mvcc mixed-traffic throughput stays to the read-only phase.
-//
-// The cluster runs with an emulated per-operation storage latency
-// (mixedStorageDelay), standing in for the network round trip every real
-// SQL-over-NoSQL deployment pays per get — the wait the regimes differ in
-// overlapping: a writer parked on a storage round trip blocks the whole
-// instance under the global gate, its relation's readers under per-relation
-// locks, and nobody under mvcc. Without it the in-process cluster is pure
-// CPU and the comparison degenerates into a measurement of host core count.
-//
-// The global and per-relation cells also reproduce their eras' wire
-// behavior (SetPerOpBatchDelay): before the group committer, every block
-// put and posting read was its own RPC, so those cells charge the RTT per
-// op, while the mvcc cell uses the batched per-node fan-out that arrived
-// with it. The machine-readable report goes to jsonPath (BENCH_mixed.json).
+// The cluster runs with an emulated per-node service time
+// (mixedStorageDelay, kv.Cluster.SetServiceDelay), standing in for the
+// network round trip every real SQL-over-NoSQL deployment pays per get.
+// Without it the in-process cluster is pure CPU and the sweep degenerates
+// into a measurement of host core count. The machine-readable report goes
+// to jsonPath (BENCH_mixed.json).
 func ExpMixed(out io.Writer, cfg Config, jsonPath string, clients, requests int) error {
 	cfg = cfg.normalized()
 	if clients <= 0 {
@@ -60,54 +45,40 @@ func ExpMixed(out io.Writer, cfg Config, jsonPath string, clients, requests int)
 		StorageDelayMicros: mixedStorageDelay.Microseconds(),
 	}
 	for _, frac := range []float64{0, 0.05, 0.20, 0.50} {
-		ph := mixedPhase{WriteFraction: frac}
-		for _, regime := range []string{"global", "per-relation", "mvcc"} {
-			// Best of mixedCellReps runs per cell: on a small shared host
-			// the CPU-bound cells lose throughput to scheduler and GC noise
-			// — noise only ever subtracts — so the fastest run is the least
-			// contaminated estimate of each regime's capacity.
-			var run *loadgen.Report
-			for rep := 0; rep < mixedCellReps; rep++ {
-				r, err := expMixedRun(cfg, regime, frac, clients, requests)
-				if err != nil {
-					return err
-				}
-				if run == nil || r.QPS > run.QPS {
-					run = r
-				}
+		// Best of mixedCellReps runs per cell: on a small shared host the
+		// CPU-bound cells lose throughput to scheduler and GC noise — noise
+		// only ever subtracts — so the fastest run is the least
+		// contaminated estimate of the cell's capacity.
+		var run *loadgen.Report
+		for i := 0; i < mixedCellReps; i++ {
+			r, err := expMixedRun(cfg, frac, clients, requests)
+			if err != nil {
+				return err
 			}
-			switch regime {
-			case "global":
-				ph.GlobalQPS, ph.GlobalErrors = run.QPS, run.Errors
-				ph.GlobalP99Micros = run.Latency.P99
-				ph.GlobalServerLatency = run.ServerLatency
-			case "per-relation":
-				ph.PerRelationQPS, ph.PerRelationErrors = run.QPS, run.Errors
-				ph.PerRelationP99Micros = run.Latency.P99
-				ph.PerRelationServerLatency = run.ServerLatency
-			case "mvcc":
-				ph.MVCCQPS, ph.MVCCErrors = run.QPS, run.Errors
-				ph.MVCCP99Micros = run.Latency.P99
-				ph.MVCCServerLatency = run.ServerLatency
-				ph.Writes = run.Writes
+			if run == nil || r.QPS > run.QPS {
+				run = r
 			}
 		}
-		if ph.GlobalQPS > 0 {
-			ph.Speedup = ph.PerRelationQPS / ph.GlobalQPS
+		ph := mixedPhase{
+			WriteFraction: frac,
+			QPS:           run.QPS,
+			P99Micros:     run.Latency.P99,
+			Errors:        run.Errors,
+			Writes:        run.Writes,
+			ServerLatency: run.ServerLatency,
+			QPSVsReadOnly: 1,
 		}
-		if ph.PerRelationQPS > 0 {
-			ph.MVCCSpeedup = ph.MVCCQPS / ph.PerRelationQPS
+		if len(rep.Phases) > 0 && rep.Phases[0].QPS > 0 {
+			ph.QPSVsReadOnly = ph.QPS / rep.Phases[0].QPS
 		}
 		rep.Phases = append(rep.Phases, ph)
 	}
 
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "write%%\tglobal qps\tper-rel qps\tmvcc qps\tmvcc/per-rel\twrites\terrors\n")
+	fmt.Fprintf(w, "write%%\tqps\tvs read-only\tp99 µs\twrites\terrors\n")
 	for _, ph := range rep.Phases {
-		fmt.Fprintf(w, "%.0f%%\t%.0f\t%.0f\t%.0f\t%.2f×\t%d\t%d\n",
-			100*ph.WriteFraction, ph.GlobalQPS, ph.PerRelationQPS, ph.MVCCQPS,
-			ph.MVCCSpeedup, ph.Writes,
-			ph.GlobalErrors+ph.PerRelationErrors+ph.MVCCErrors)
+		fmt.Fprintf(w, "%.0f%%\t%.0f\t%.2f×\t%d\t%d\t%d\n",
+			100*ph.WriteFraction, ph.QPS, ph.QPSVsReadOnly, ph.P99Micros, ph.Writes, ph.Errors)
 	}
 	w.Flush()
 
@@ -126,10 +97,8 @@ func ExpMixed(out io.Writer, cfg Config, jsonPath string, clients, requests int)
 }
 
 // mixedReport is the BENCH_mixed.json payload. CPUs records the host's
-// parallelism: the regimes differ in how many statements may run at once, so
-// on a single-CPU host (where the core serializes all statements regardless
-// of locks) the qps columns measure alike, and the contrast grows with
-// cores.
+// parallelism: statements spend most of their time parked on emulated
+// storage rounds, but the 0%-write cell is CPU-bound on a small host.
 type mixedReport struct {
 	Bench    string `json:"bench"`
 	Workload string `json:"workload"`
@@ -138,74 +107,54 @@ type mixedReport struct {
 	Clients  int    `json:"clients"`
 	Requests int    `json:"requests"`
 	CPUs     int    `json:"cpus"`
-	// StorageDelayMicros is the emulated per-operation storage round trip
-	// (kv.Cluster.SetOpDelay) the cells run under.
+	// StorageDelayMicros is the emulated per-node service time per storage
+	// round (kv.Cluster.SetServiceDelay) the cells run under.
 	StorageDelayMicros int64        `json:"storageDelayMicros"`
 	Phases             []mixedPhase `json:"phases"`
 }
 
 // mixedStorageDelay emulates a same-datacenter KV round trip per storage
-// operation. 200µs is conservative for the Cassandra/HBase deployments the
+// round. 200µs is conservative for the Cassandra/HBase deployments the
 // paper benchmarks against.
 const mixedStorageDelay = 200 * time.Microsecond
 
-// mixedCellReps is how many times each (regime, write fraction) cell runs;
-// the report keeps each cell's fastest run (see ExpMixed).
+// mixedCellReps is how many times each write-fraction cell runs; the report
+// keeps each cell's fastest run (see ExpMixed).
 const mixedCellReps = 2
 
 type mixedPhase struct {
 	// WriteFraction is the probability a request is an INSERT/DELETE.
 	WriteFraction float64 `json:"writeFraction"`
-	// GlobalQPS is throughput under the legacy instance-wide write gate,
-	// PerRelationQPS under per-relation locking, MVCCQPS under snapshot
-	// reads + group commit. Speedup is per-relation over global (the PR 5
-	// headline); MVCCSpeedup is mvcc over per-relation (this PR's).
-	GlobalQPS      float64 `json:"globalQPS"`
-	PerRelationQPS float64 `json:"perRelationQPS"`
-	MVCCQPS        float64 `json:"mvccQPS"`
-	Speedup        float64 `json:"speedup"`
-	MVCCSpeedup    float64 `json:"mvccSpeedup"`
-	// Writes counts the write statements of the mvcc run.
-	Writes            int64 `json:"writes"`
-	GlobalErrors      int64 `json:"globalErrors"`
-	PerRelationErrors int64 `json:"perRelationErrors"`
-	MVCCErrors        int64 `json:"mvccErrors"`
-	// P99 latencies (µs) show the write-stall effect on the tail even when
-	// throughput is capacity-bound.
-	GlobalP99Micros      int64 `json:"globalP99Micros"`
-	PerRelationP99Micros int64 `json:"perRelationP99Micros"`
-	MVCCP99Micros        int64 `json:"mvccP99Micros"`
-	// Server-side latency summaries scraped from each cell's /metrics after
-	// the run: the same tail without wire or client scheduling time.
-	GlobalServerLatency      *loadgen.ServerLatency `json:"globalServerLatencyMicros,omitempty"`
-	PerRelationServerLatency *loadgen.ServerLatency `json:"perRelationServerLatencyMicros,omitempty"`
-	MVCCServerLatency        *loadgen.ServerLatency `json:"mvccServerLatencyMicros,omitempty"`
+	// QPS is client-observed throughput; QPSVsReadOnly is its ratio to the
+	// 0%-write phase.
+	QPS           float64 `json:"qps"`
+	QPSVsReadOnly float64 `json:"qpsVsReadOnly"`
+	// P99Micros is the client-observed tail: it shows a write stall even
+	// when throughput is capacity-bound.
+	P99Micros int64 `json:"p99Micros"`
+	Errors    int64 `json:"errors"`
+	// Writes counts the write statements issued.
+	Writes int64 `json:"writes"`
+	// ServerLatency is scraped from the cell's /metrics after the run: the
+	// same tail without wire or client scheduling time.
+	ServerLatency *loadgen.ServerLatency `json:"serverLatencyMicros,omitempty"`
 }
 
-// expMixedRun drives one (lock regime, write fraction) cell: a fresh mot
-// instance — writes mutate the dataset, so every cell starts equal — behind
-// an in-process server on a loopback port, loaded with the readwrite suite.
-// The served instance runs with one SQL-layer worker per query: the suite
-// is point/short-range statements whose speedup comes from running many
+// expMixedRun drives one write-fraction cell: a fresh mot instance — writes
+// mutate the dataset, so every cell starts equal — behind an in-process
+// server on a loopback port, loaded with the readwrite suite. The served
+// instance runs with one SQL-layer worker per query: the suite is
+// point/short-range statements whose throughput comes from running many
 // statements at once, so per-query fan-out would only steal cores from
-// inter-statement parallelism — which is exactly the axis the locking
-// regimes differ on. (On a single-core host the CPU serializes everything
-// regardless of locks and the regimes measure alike; the contrast needs
-// cores for the unblocked statements to run on.)
-func expMixedRun(cfg Config, regime string, frac float64, clients, requests int) (*loadgen.Report, error) {
+// inter-statement parallelism.
+func expMixedRun(cfg Config, frac float64, clients, requests int) (*loadgen.Report, error) {
 	inst, _, err := server.OpenWorkload("mot", cfg.Scale, cfg.Seed, cfg.Nodes, 1)
 	if err != nil {
 		return nil, err
 	}
 	// The delay goes in after the dataset is built — loading pays no
 	// emulated round trips.
-	inst.Store().Cluster.SetOpDelay(mixedStorageDelay)
-	// The baseline regimes reproduce the pre-group-commit wire behavior:
-	// every block put and posting read was its own RPC, so their cells
-	// charge the emulated RTT per op. Only the mvcc regime runs the batched
-	// per-node fan-out that arrived with the group committer — otherwise the
-	// A/B would credit the baselines with batching they never had.
-	inst.Store().Cluster.SetPerOpBatchDelay(regime != "mvcc")
+	inst.Store().Cluster.SetServiceDelay(mixedStorageDelay)
 	// Statements spend most of their time parked on emulated storage round
 	// trips, so the useful in-flight count is set by overlap, not cores.
 	maxConc := 32
@@ -213,7 +162,6 @@ func expMixedRun(cfg Config, regime string, frac float64, clients, requests int)
 		maxConc = c
 	}
 	srv := server.New(inst, server.Config{
-		LockRegime:    regime,
 		MaxConcurrent: maxConc,
 		QueueDepth:    4 * clients,
 		QueueTimeout:  30 * time.Second,

@@ -105,15 +105,6 @@ func contains(lst [][]byte, pk []byte) bool {
 	return at < len(lst) && bytes.Equal(lst[at], pk)
 }
 
-func removeFrom(lst [][]byte, pk []byte) ([][]byte, bool) {
-	for i, p := range lst {
-		if bytes.Equal(p, pk) {
-			return append(lst[:i], lst[i+1:]...), true
-		}
-	}
-	return lst, false
-}
-
 // StageInsert stages posting maintenance for one inserted tuple.
 func (c *Commit) StageInsert(kvt *obs.KV, t relation.Tuple) error {
 	defs, err := c.m.defsOn(c.rel)
@@ -129,14 +120,14 @@ func (c *Commit) StageInsert(kvt *obs.KV, t relation.Tuple) error {
 			return err
 		}
 		pk := relation.EncodeTuple(t.Project(d.keyPos))
-		if next, canceled := removeFrom(sp.remove, pk); canceled {
+		if next, canceled := removePosting(sp.remove, pk); canceled {
 			sp.remove = next // delete+insert in one batch: net no-op
 			continue
 		}
 		if contains(sp.lst, pk) {
 			// Physically present already (possibly pending removal from an
 			// earlier commit): keep it and cancel that removal at Apply.
-			sp.readds = append(sp.readds, pk)
+			sp.readds, _ = insertPosting(sp.readds, pk)
 			continue
 		}
 		if !contains(sp.adds, pk) {
@@ -161,14 +152,14 @@ func (c *Commit) StageDelete(kvt *obs.KV, t relation.Tuple) error {
 			return err
 		}
 		pk := relation.EncodeTuple(t.Project(d.keyPos))
-		if next, was := removeFrom(sp.adds, pk); was {
+		if next, was := removePosting(sp.adds, pk); was {
 			sp.adds = next // insert+delete in one batch: net no-op
 			continue
 		}
 		if contains(sp.lst, pk) && !contains(sp.remove, pk) {
 			sp.remove, _ = insertPosting(sp.remove, pk)
 			// A re-add earlier in the batch loses to the later delete.
-			sp.readds, _ = removeFrom(sp.readds, pk)
+			sp.readds, _ = removePosting(sp.readds, pk)
 		}
 	}
 	return nil

@@ -162,11 +162,11 @@ func (st *Stats) bump(from, to int) {
 }
 
 // Manager is the secondary-index subsystem of one opened instance: the
-// catalog of index definitions plus the read/maintenance paths over the
-// cluster. All methods are safe for concurrent use; the caller is expected
-// to serialize DDL and data maintenance against each other the same way it
-// serializes writes to the BaaV store (the server's instance-level write
-// lock does this).
+// catalog of index definitions plus the read paths and the staged
+// maintenance path (BeginCommit, commit.go) over the cluster. All methods
+// are safe for concurrent use; the caller is expected to keep DDL apart
+// from data maintenance (the server's statement gate does this) and to run
+// one commit per relation at a time (the group committer does this).
 type Manager struct {
 	cluster *kv.Cluster
 
@@ -323,102 +323,10 @@ func (m *Manager) Drop(name string) error {
 	return nil
 }
 
-// Insert maintains every index on rel for one inserted tuple: a
-// read-modify-write of the affected posting per index, O(posting) work
-// independent of the relation size.
-func (m *Manager) Insert(rel string, t relation.Tuple) error {
-	return m.maintain(nil, rel, t, true)
-}
-
-// InsertT is Insert with a per-statement kv trace sink.
-func (m *Manager) InsertT(kvt *obs.KV, rel string, t relation.Tuple) error {
-	return m.maintain(kvt, rel, t, true)
-}
-
-// Delete maintains every index on rel for one deleted tuple.
-func (m *Manager) Delete(rel string, t relation.Tuple) error {
-	return m.maintain(nil, rel, t, false)
-}
-
-// DeleteT is Delete with a per-statement kv trace sink.
-func (m *Manager) DeleteT(kvt *obs.KV, rel string, t relation.Tuple) error {
-	return m.maintain(kvt, rel, t, false)
-}
-
-// maintain updates every index on rel for one inserted or deleted tuple in
-// two phases: a validate-and-read phase that performs every fallible step
-// (arity checks, posting reads, payload decoding) without writing anything,
-// and an apply phase of pure cluster puts/deletes that cannot fail. An error
-// therefore leaves every posting list exactly as it was — the write path's
-// callers rely on this to keep relation, blocks, and postings consistent.
-func (m *Manager) maintain(kvt *obs.KV, rel string, t relation.Tuple, insert bool) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	type edit struct {
-		d       *Def
-		v       relation.Value
-		key     []byte
-		oldLen  int
-		payload [][]byte
-	}
-	var edits []edit
-	for _, d := range m.defs {
-		if d.Rel != rel {
-			continue
-		}
-		if d.attrPos >= len(t) {
-			return fmt.Errorf("index: tuple arity %d too small for %s(%s)", len(t), rel, d.Attr)
-		}
-		v := t[d.attrPos]
-		pk := relation.EncodeTuple(t.Project(d.keyPos))
-		key := postingKey(d.id, v)
-		var lst [][]byte
-		if data, ok := m.cluster.GetRoutedT(kvt, key, key); ok {
-			var err error
-			if lst, err = splitPostings(data, len(d.Key)); err != nil {
-				return fmt.Errorf("index: %s: %v", d.Name, err)
-			}
-		}
-		oldLen := len(lst)
-		var next [][]byte
-		var changed bool
-		if insert {
-			next, changed = insertPosting(lst, pk)
-		} else {
-			next, changed = removePosting(lst, pk)
-		}
-		if !changed {
-			continue
-		}
-		edits = append(edits, edit{d: d, v: v, key: key, oldLen: oldLen, payload: next})
-	}
-	for _, e := range edits {
-		st := m.stats[e.d.Name]
-		if len(e.payload) == 0 {
-			m.cluster.DeleteRoutedT(kvt, e.key, e.key)
-			st.Entries--
-			st.removeValue(e.v)
-		} else {
-			m.cluster.PutRoutedT(kvt, e.key, e.key, joinPostings(e.payload))
-			if e.oldLen == 0 {
-				st.Entries++
-				st.addValue(e.v)
-			}
-		}
-		if insert {
-			st.Postings++
-		} else {
-			st.Postings--
-		}
-		st.bump(e.oldLen, len(e.payload))
-	}
-	return nil
-}
-
 // insertPosting splices an encoded block key into a sorted posting list,
 // reporting whether it was added (false: already present). Backfill and
-// incremental maintenance share it so their ordering and dedup semantics
-// cannot diverge.
+// commit staging share it so their ordering and dedup semantics cannot
+// diverge.
 func insertPosting(lst [][]byte, pk []byte) ([][]byte, bool) {
 	at := sort.Search(len(lst), func(i int) bool { return bytes.Compare(lst[i], pk) >= 0 })
 	if at < len(lst) && bytes.Equal(lst[at], pk) {

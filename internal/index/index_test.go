@@ -29,6 +29,30 @@ func itemTuples(n int) []relation.Tuple {
 	return out
 }
 
+// commit drives one staged maintenance round the way the group committer
+// does: stage, apply the grown payloads, publish at seq, then apply the
+// deferred shrinks the watermark has passed.
+func commit(m *Manager, rel string, seq, watermark uint64, stage func(c *Commit) error) error {
+	c := m.BeginCommit(rel)
+	if err := stage(c); err != nil {
+		return err
+	}
+	m.cluster.ApplyBatch(nil, c.Ops())
+	c.Apply(seq)
+	return m.ReclaimRemovals(nil, rel, watermark)
+}
+
+// insertTuple and deleteTuple commit one tuple each with the watermark at
+// the commit's own sequence: no snapshot is pinned in these tests, so a
+// delete's shrink is due at once.
+func insertTuple(m *Manager, rel string, t relation.Tuple) error {
+	return commit(m, rel, 1, 1, func(c *Commit) error { return c.StageInsert(nil, t) })
+}
+
+func deleteTuple(m *Manager, rel string, t relation.Tuple) error {
+	return commit(m, rel, 1, 1, func(c *Commit) error { return c.StageDelete(nil, t) })
+}
+
 func lookupIDs(t *testing.T, m *Manager, name string, v relation.Value) []int64 {
 	t.Helper()
 	keys, gets, err := m.Lookup(name, v)
@@ -95,20 +119,20 @@ func TestMaintenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	add := relation.Tuple{relation.Int(100), relation.String("S03"), relation.Int(1)}
-	if err := m.Insert("ITEM", add); err != nil {
+	if err := insertTuple(m, "ITEM", add); err != nil {
 		t.Fatal(err)
 	}
 	if ids := lookupIDs(t, m, "ix_sku", relation.String("S03")); len(ids) != 3 || ids[2] != 100 {
 		t.Fatalf("after insert: %v", ids)
 	}
 	// Duplicate insert of the same block key is a no-op.
-	if err := m.Insert("ITEM", add); err != nil {
+	if err := insertTuple(m, "ITEM", add); err != nil {
 		t.Fatal(err)
 	}
 	if ids := lookupIDs(t, m, "ix_sku", relation.String("S03")); len(ids) != 3 {
 		t.Fatalf("after duplicate insert: %v", ids)
 	}
-	if err := m.Delete("ITEM", add); err != nil {
+	if err := deleteTuple(m, "ITEM", add); err != nil {
 		t.Fatal(err)
 	}
 	if ids := lookupIDs(t, m, "ix_sku", relation.String("S03")); len(ids) != 2 {
@@ -116,7 +140,7 @@ func TestMaintenance(t *testing.T) {
 	}
 	// Deleting the last posting of a value removes the pair entirely.
 	for _, id := range []int64{4, 14} {
-		if err := m.Delete("ITEM", relation.Tuple{relation.Int(id), relation.String("S04"), relation.Int(0)}); err != nil {
+		if err := deleteTuple(m, "ITEM", relation.Tuple{relation.Int(id), relation.String("S04"), relation.Int(0)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -128,8 +152,16 @@ func TestMaintenance(t *testing.T) {
 		t.Fatalf("entries after drain = %d, want 9", st.Entries)
 	}
 	// Maintenance on an unindexed relation is a no-op, not an error.
-	if err := m.Insert("OTHER", relation.Tuple{relation.Int(1)}); err != nil {
+	if err := insertTuple(m, "OTHER", relation.Tuple{relation.Int(1)}); err != nil {
 		t.Fatal(err)
+	}
+	// A tuple too short to carry the indexed attribute fails at staging,
+	// before anything is written.
+	if err := insertTuple(m, "ITEM", relation.Tuple{relation.Int(7)}); err == nil {
+		t.Fatal("short tuple staged without an arity error")
+	}
+	if after, _ := m.StatsOf("ix_sku"); after.Postings != st.Postings {
+		t.Fatalf("failed staging changed postings: %d -> %d", st.Postings, after.Postings)
 	}
 }
 
@@ -345,10 +377,10 @@ func TestRangeSeesMaintenance(t *testing.T) {
 	if _, err := m.Create("ix_sku", "ITEM", "sku", itemSchema(t), itemTuples(20)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Insert("ITEM", relation.Tuple{relation.Int(200), relation.String("S03x"), relation.Int(0)}); err != nil {
+	if err := insertTuple(m, "ITEM", relation.Tuple{relation.Int(200), relation.String("S03x"), relation.Int(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Delete("ITEM", relation.Tuple{relation.Int(4), relation.String("S04"), relation.Int(4)}); err != nil {
+	if err := deleteTuple(m, "ITEM", relation.Tuple{relation.Int(4), relation.String("S04"), relation.Int(4)}); err != nil {
 		t.Fatal(err)
 	}
 	lo, hi := relation.String("S03"), relation.String("S04")
@@ -388,7 +420,7 @@ func TestMaxPostingDecay(t *testing.T) {
 	}
 	// Drain the hot value down to 2 postings.
 	for i := 0; i < 28; i++ {
-		if err := m.Delete("ITEM", relation.Tuple{relation.Int(int64(i)), relation.String("HOT"), relation.Int(0)}); err != nil {
+		if err := deleteTuple(m, "ITEM", relation.Tuple{relation.Int(int64(i)), relation.String("HOT"), relation.Int(0)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -401,7 +433,7 @@ func TestMaxPostingDecay(t *testing.T) {
 	}
 	// Growth after decay re-raises it.
 	for i := 0; i < 3; i++ {
-		if err := m.Insert("ITEM", relation.Tuple{relation.Int(int64(300 + i)), relation.String("C0"), relation.Int(0)}); err != nil {
+		if err := insertTuple(m, "ITEM", relation.Tuple{relation.Int(int64(300 + i)), relation.String("C0"), relation.Int(0)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -410,7 +442,7 @@ func TestMaxPostingDecay(t *testing.T) {
 	}
 	// Deleting a non-longest list must not trigger a recompute visible as a
 	// wrong maximum.
-	if err := m.Delete("ITEM", relation.Tuple{relation.Int(101), relation.String("C1"), relation.Int(0)}); err != nil {
+	if err := deleteTuple(m, "ITEM", relation.Tuple{relation.Int(101), relation.String("C1"), relation.Int(0)}); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.MaxPostings("ix_sku"); got != 4 {

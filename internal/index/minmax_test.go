@@ -29,19 +29,19 @@ func TestValueBoundsMaintenance(t *testing.T) {
 	wantBounds(0, 4)
 
 	// Widen both sides.
-	if err := m.Insert("ITEM", relation.Tuple{relation.Int(100), relation.String("S99"), relation.Int(-3)}); err != nil {
+	if err := insertTuple(m, "ITEM", relation.Tuple{relation.Int(100), relation.String("S99"), relation.Int(-3)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Insert("ITEM", relation.Tuple{relation.Int(101), relation.String("S99"), relation.Int(9)}); err != nil {
+	if err := insertTuple(m, "ITEM", relation.Tuple{relation.Int(101), relation.String("S99"), relation.Int(9)}); err != nil {
 		t.Fatal(err)
 	}
 	wantBounds(-3, 9)
 
 	// Drain the extremes: the bounds must decay back.
-	if err := m.Delete("ITEM", relation.Tuple{relation.Int(100), relation.String("S99"), relation.Int(-3)}); err != nil {
+	if err := deleteTuple(m, "ITEM", relation.Tuple{relation.Int(100), relation.String("S99"), relation.Int(-3)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Delete("ITEM", relation.Tuple{relation.Int(101), relation.String("S99"), relation.Int(9)}); err != nil {
+	if err := deleteTuple(m, "ITEM", relation.Tuple{relation.Int(101), relation.String("S99"), relation.Int(9)}); err != nil {
 		t.Fatal(err)
 	}
 	wantBounds(0, 4)
@@ -49,7 +49,7 @@ func TestValueBoundsMaintenance(t *testing.T) {
 	// Drain qty 4 entirely (tuples 4, 9, 14, ... carry it).
 	for _, tp := range tuples {
 		if tp[2].Int == 4 {
-			if err := m.Delete("ITEM", tp); err != nil {
+			if err := deleteTuple(m, "ITEM", tp); err != nil {
 				t.Fatal(err)
 			}
 		}

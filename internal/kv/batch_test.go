@@ -2,6 +2,7 @@ package kv
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -89,7 +90,7 @@ func TestApplyBatchChargesOneDelayPerNode(t *testing.T) {
 			c := NewCluster(kind, 4)
 			routes := distinctRoutes(t, c, 3)
 			delay := 2 * time.Millisecond
-			c.SetOpDelay(delay)
+			c.SetServiceDelay(delay)
 			// 30 ops spread over exactly 3 nodes: the batch must pay 3 RTTs,
 			// not 30.
 			var ops []BatchOp
@@ -149,7 +150,7 @@ func TestGetManyRoutedAlignmentAndMisses(t *testing.T) {
 	}
 	// Empty batches are free.
 	var kvt obs.KV
-	c.SetOpDelay(time.Millisecond)
+	c.SetServiceDelay(time.Millisecond)
 	c.ApplyBatch(&kvt, nil)
 	if out := c.GetManyRouted(&kvt, nil); len(out) != 0 {
 		t.Fatalf("empty multi-get returned %d results", len(out))
@@ -159,43 +160,39 @@ func TestGetManyRoutedAlignmentAndMisses(t *testing.T) {
 	}
 }
 
-// TestPerOpBatchDelay flips the batched calls to the legacy cost model:
-// every op in the batch pays its own round trip, the wire behavior of the
-// pre-group-commit write path that baseline bench cells reproduce.
-func TestPerOpBatchDelay(t *testing.T) {
+// TestServiceDelayQueuesPerNode pins the one property the emulated network
+// has: a round occupies its node for the delay, so two concurrent rounds to
+// the same node queue behind each other while rounds to different nodes
+// overlap. It is what makes node count a capacity axis in -exp scaleout.
+func TestServiceDelayQueuesPerNode(t *testing.T) {
 	c := NewCluster(EngineHash, 4)
-	routes := distinctRoutes(t, c, 3)
-	delay := time.Millisecond
-	c.SetOpDelay(delay)
-	c.SetPerOpBatchDelay(true)
-	var ops []BatchOp
-	for i := 0; i < 12; i++ {
-		r := routes[i%3]
-		ops = append(ops, BatchOp{
-			Route: r,
-			Key:   []byte(fmt.Sprintf("%s/p%02d", r, i)),
-			Value: []byte("v"),
-		})
+	routes := distinctRoutes(t, c, 2)
+	const delay = 50 * time.Millisecond
+	c.SetServiceDelay(delay)
+	pair := func(a, b []byte) time.Duration {
+		var wg sync.WaitGroup
+		start := time.Now()
+		for _, r := range [][]byte{a, b} {
+			wg.Add(1)
+			go func(r []byte) {
+				defer wg.Done()
+				c.GetRouted(r, r)
+			}(r)
+		}
+		wg.Wait()
+		return time.Since(start)
 	}
+	if d := pair(routes[0], routes[0]); d < 2*delay {
+		t.Fatalf("two rounds to one node took %v, want >= %v (they must queue)", d, 2*delay)
+	}
+	if d := pair(routes[0], routes[1]); d >= 2*delay {
+		t.Fatalf("two rounds to different nodes took %v, want < %v (they must overlap)", d, 2*delay)
+	}
+	// Zero switches the emulation off: no wait is charged.
+	c.SetServiceDelay(0)
 	var kvt obs.KV
-	c.ApplyBatch(&kvt, ops)
-	if got, want := kvt.Snapshot().WaitNanos, int64(12*delay); got != want {
-		t.Fatalf("per-op apply waited %d ns, want %d (12 ops x 1 RTT)", got, want)
-	}
-	var gt obs.KV
-	reqs := make([]GetRequest, len(ops))
-	for i, op := range ops {
-		reqs[i] = GetRequest{Route: op.Route, Key: op.Key}
-	}
-	c.GetManyRouted(&gt, reqs)
-	if got, want := gt.Snapshot().WaitNanos, int64(12*delay); got != want {
-		t.Fatalf("per-op get waited %d ns, want %d", got, want)
-	}
-	// Back to the batched model: 3 node groups, 3 RTTs.
-	c.SetPerOpBatchDelay(false)
-	var bt obs.KV
-	c.ApplyBatch(&bt, ops)
-	if got, want := bt.Snapshot().WaitNanos, int64(3*delay); got != want {
-		t.Fatalf("batched apply waited %d ns, want %d", got, want)
+	c.GetRoutedT(&kvt, routes[0], routes[0])
+	if w := kvt.Snapshot().WaitNanos; w != 0 {
+		t.Fatalf("zero delay charged %d ns", w)
 	}
 }

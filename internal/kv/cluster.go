@@ -26,129 +26,73 @@ type Cluster struct {
 	kind  EngineKind
 	nodes []*node
 
-	// opDelayNanos, when non-zero, emulates the network round trip a real
-	// SQL-over-NoSQL deployment pays per storage operation (the in-process
-	// cluster is otherwise latency-free): each get/put/delete, and each
-	// node seek of a scan, sleeps this long outside the node's lock.
-	// Benchmarks that study how locking regimes overlap storage waits
-	// (zidian-bench -exp mixed) opt in via SetOpDelay; the default is off.
-	opDelayNanos atomic.Int64
-	// serviceDelayNanos, when non-zero, upgrades the emulated network from
-	// pure latency to per-node service capacity: each storage round at a
-	// node holds that node's service slot for the delay, so one node
-	// sustains at most 1/delay rounds per second no matter how many
-	// statements are in flight. This is the model under which horizontal
-	// read scaling is even observable — adding nodes adds aggregate service
-	// capacity, exactly like adding region servers to an HBase or Cassandra
-	// deployment — where the latency-only model gives every node infinite
-	// throughput. When set it takes precedence over opDelayNanos.
+	// serviceDelayNanos, when non-zero, emulates the network a real
+	// SQL-over-NoSQL deployment pays per storage round trip (the in-process
+	// cluster is otherwise latency-free) as per-node service capacity: each
+	// storage round at a node holds that node's service slot for the delay,
+	// outside the node's data lock, so one node sustains at most 1/delay
+	// rounds per second no matter how many statements are in flight. This
+	// is the model under which horizontal read scaling is observable —
+	// adding nodes adds aggregate service capacity, exactly like adding
+	// region servers to an HBase or Cassandra deployment.
 	serviceDelayNanos atomic.Int64
-	// perOpBatchDelay makes ApplyBatch/GetManyRouted charge the emulated
-	// delay once per operation instead of once per batched round — the wire
-	// behavior of the pre-batching write path, where every put and posting
-	// read was its own RPC. Benchmarks enable it on baseline cells to keep
-	// an A/B honest; serving deployments never should.
-	perOpBatchDelay atomic.Bool
 }
-
-// SetOpDelay installs an emulated per-operation storage latency (zero
-// disables). Safe to change at runtime.
-func (c *Cluster) SetOpDelay(d time.Duration) { c.opDelayNanos.Store(int64(d)) }
 
 // SetServiceDelay installs an emulated per-node service time (zero
 // disables): every storage round trip occupies the target node for d, so a
 // node's throughput is capped at 1/d rounds per second and concurrent
-// statements queue behind each other at hot nodes. The scale-out bench
-// (zidian-bench -exp scaleout) and `zidian-server -op-delay` use it to
-// make node count a real capacity axis. Takes precedence over SetOpDelay.
+// statements queue behind each other at hot nodes. The benches
+// (zidian-bench -exp scaleout, -exp mixed) and `zidian-server -op-delay`
+// use it to make node count a real capacity axis. Safe to change at
+// runtime.
 func (c *Cluster) SetServiceDelay(d time.Duration) { c.serviceDelayNanos.Store(int64(d)) }
 
-// SetPerOpBatchDelay switches the emulated-delay cost model of batched
-// calls between one round trip per node group (default, the batched-RPC
-// fan-out this store issues) and one round trip per operation (the legacy
-// per-op RPCs of the pre-group-commit write path, for baseline benchmark
-// cells).
-func (c *Cluster) SetPerOpBatchDelay(v bool) { c.perOpBatchDelay.Store(v) }
-
-// opWait sleeps the emulated storage latency, if any, attributing the wait
-// to the statement's trace counters when one is threaded through.
-func (c *Cluster) opWait(t *obs.KV) {
-	if d := c.opDelayNanos.Load(); d > 0 {
-		time.Sleep(time.Duration(d))
-		t.CountWait(time.Duration(d))
-	}
+// serve occupies the node's service slot for one emulated round.
+func (n *node) serve(d time.Duration) {
+	n.svc.Lock()
+	time.Sleep(d)
+	n.svc.Unlock()
 }
 
-// roundWait models one storage round trip to node ni. Under the service
-// model the round occupies the node's service slot for the delay —
-// concurrent rounds to the same node queue, rounds to different nodes
-// proceed in parallel; under the latency-only model it is a plain sleep.
+// roundWait models one storage round trip to node ni: the round occupies
+// the node's service slot for the delay — concurrent rounds to the same
+// node queue, rounds to different nodes proceed in parallel — and the wait
+// is attributed to the statement's trace counters when one is threaded
+// through.
 func (c *Cluster) roundWait(t *obs.KV, ni int) {
-	if sd := c.serviceDelayNanos.Load(); sd > 0 {
-		n := c.nodes[ni]
-		n.svc.Lock()
-		time.Sleep(time.Duration(sd))
-		n.svc.Unlock()
-		t.CountWait(time.Duration(sd))
-		return
+	if d := time.Duration(c.serviceDelayNanos.Load()); d > 0 {
+		c.nodes[ni].serve(d)
+		t.CountWait(d)
 	}
-	c.opWait(t)
 }
 
 // batchWait models one batched round issued to the nodes of byNode
-// concurrently, the way a real client library fans out per-node RPCs: the
-// wall-clock wait is a single round trip regardless of fan-out (under the
-// service model, the slowest node's queue), while the trace still charges
-// one emulated RTT per node touched (the traffic the deployment pays).
-func (c *Cluster) batchWait(t *obs.KV, byNode map[int][]int, ops int) {
-	d := c.opDelayNanos.Load()
-	sd := c.serviceDelayNanos.Load()
-	if (d <= 0 && sd <= 0) || len(byNode) == 0 {
+// concurrently, the way a real client library fans out per-node RPCs: each
+// involved node's round occupies that node's service slot and the batch
+// returns when the slowest completes, while the trace still charges one
+// emulated RTT per node touched (the traffic the deployment pays).
+func (c *Cluster) batchWait(t *obs.KV, byNode map[int][]int) {
+	d := time.Duration(c.serviceDelayNanos.Load())
+	if d <= 0 || len(byNode) == 0 {
 		return
 	}
-	if c.perOpBatchDelay.Load() && d > 0 {
-		// Legacy cost model: every operation is its own round trip, paid
-		// serially. One sleep covers the sum to spare the timer; the trace
-		// charges per op.
-		time.Sleep(time.Duration(d) * time.Duration(ops))
-		for i := 0; i < ops; i++ {
-			t.CountWait(time.Duration(d))
+	if len(byNode) == 1 {
+		for ni := range byNode {
+			c.nodes[ni].serve(d)
 		}
-		return
+	} else {
+		var wg sync.WaitGroup
+		for ni := range byNode {
+			wg.Add(1)
+			go func(n *node) {
+				defer wg.Done()
+				n.serve(d)
+			}(c.nodes[ni])
+		}
+		wg.Wait()
 	}
-	if sd > 0 {
-		// Service model: each involved node's round occupies that node's
-		// service slot; the rounds run concurrently and the batch returns
-		// when the slowest completes.
-		if len(byNode) == 1 {
-			for ni := range byNode {
-				n := c.nodes[ni]
-				n.svc.Lock()
-				time.Sleep(time.Duration(sd))
-				n.svc.Unlock()
-			}
-		} else {
-			var wg sync.WaitGroup
-			for ni := range byNode {
-				wg.Add(1)
-				go func(ni int) {
-					defer wg.Done()
-					n := c.nodes[ni]
-					n.svc.Lock()
-					time.Sleep(time.Duration(sd))
-					n.svc.Unlock()
-				}(ni)
-			}
-			wg.Wait()
-		}
-		for range byNode {
-			t.CountWait(time.Duration(sd))
-		}
-		return
-	}
-	time.Sleep(time.Duration(d))
 	for range byNode {
-		t.CountWait(time.Duration(d))
+		t.CountWait(d)
 	}
 }
 
@@ -156,10 +100,10 @@ type node struct {
 	mu      sync.RWMutex
 	eng     Engine
 	metrics Metrics
-	// svc serializes emulated service rounds at this node when the cluster
-	// runs under the service-capacity delay model (SetServiceDelay). It is
-	// deliberately separate from mu: the service wait stands in for the
-	// remote node's request queue and must not extend data-lock hold times.
+	// svc serializes emulated service rounds at this node (SetServiceDelay).
+	// It is deliberately separate from mu: the service wait stands in for
+	// the remote node's request queue and must not extend data-lock hold
+	// times.
 	svc sync.Mutex
 }
 
@@ -226,37 +170,31 @@ func (c *Cluster) GetRoutedT(t *obs.KV, route, key []byte) ([]byte, bool) {
 // Put stores value under key.
 func (c *Cluster) Put(key, value []byte) { c.PutRouted(key, key, value) }
 
-// PutRouted is Put with an explicit routing key.
-func (c *Cluster) PutRouted(route, key, value []byte) { c.PutRoutedT(nil, route, key, value) }
-
-// PutRoutedT is PutRouted with a per-statement trace sink.
-func (c *Cluster) PutRoutedT(t *obs.KV, route, key, value []byte) {
+// PutRouted is Put with an explicit routing key. Statement writes go
+// through ApplyBatch, which is where their trace accounting lives; this is
+// the single-op form the bulk load and catalog writes use.
+func (c *Cluster) PutRouted(route, key, value []byte) {
 	ni := c.NodeFor(route)
-	c.roundWait(t, ni)
+	c.roundWait(nil, ni)
 	n := c.nodes[ni]
 	n.mu.Lock()
 	n.eng.Put(key, value)
 	n.metrics.countPut(len(key) + len(value))
 	n.mu.Unlock()
-	t.CountPut(len(key) + len(value))
 }
 
 // Delete removes key, reporting whether it was present.
 func (c *Cluster) Delete(key []byte) bool { return c.DeleteRouted(key, key) }
 
 // DeleteRouted is Delete with an explicit routing key.
-func (c *Cluster) DeleteRouted(route, key []byte) bool { return c.DeleteRoutedT(nil, route, key) }
-
-// DeleteRoutedT is DeleteRouted with a per-statement trace sink.
-func (c *Cluster) DeleteRoutedT(t *obs.KV, route, key []byte) bool {
+func (c *Cluster) DeleteRouted(route, key []byte) bool {
 	ni := c.NodeFor(route)
-	c.roundWait(t, ni)
+	c.roundWait(nil, ni)
 	n := c.nodes[ni]
 	n.mu.Lock()
 	ok := n.eng.Delete(key)
 	n.metrics.countDelete()
 	n.mu.Unlock()
-	t.CountDelete()
 	return ok
 }
 
@@ -272,10 +210,10 @@ type BatchOp struct {
 }
 
 // ApplyBatch applies a set of mutations grouped by owning node: each node
-// involved pays one emulated round trip (opWait) and one lock acquisition
-// for all of its ops, instead of one per op. Per-op metric and trace
-// accounting is identical to the routed single-op calls, so traced totals
-// still equal the cluster-wide metric delta. Ops land in input order within
+// involved pays one emulated round trip (batchWait) and one lock
+// acquisition for all of its ops, instead of one per op. Every op counts
+// into both the node metrics and the trace, so traced totals still equal
+// the cluster-wide metric delta. Ops land in input order within
 // each node; cross-node order is unspecified (the key space is disjoint by
 // construction, so it cannot matter).
 func (c *Cluster) ApplyBatch(t *obs.KV, ops []BatchOp) {
@@ -283,7 +221,7 @@ func (c *Cluster) ApplyBatch(t *obs.KV, ops []BatchOp) {
 		return
 	}
 	byNode := groupByNode(c, ops, func(op BatchOp) []byte { return op.Route })
-	c.batchWait(t, byNode, len(ops)) // one concurrent round: per-node RTTs overlap
+	c.batchWait(t, byNode) // one concurrent round: per-node RTTs overlap
 	for ni, idxs := range byNode {
 		n := c.nodes[ni]
 		n.mu.Lock()
@@ -326,7 +264,7 @@ func (c *Cluster) GetManyRouted(t *obs.KV, reqs []GetRequest) []GetResult {
 		return out
 	}
 	byNode := groupByNode(c, reqs, func(r GetRequest) []byte { return r.Route })
-	c.batchWait(t, byNode, len(reqs)) // one concurrent round: per-node RTTs overlap
+	c.batchWait(t, byNode) // one concurrent round: per-node RTTs overlap
 	for ni, idxs := range byNode {
 		n := c.nodes[ni]
 		n.mu.RLock()

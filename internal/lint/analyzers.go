@@ -85,18 +85,6 @@ func funcBodies(f *ast.File) []funcBody {
 	return out
 }
 
-// identsIn collects the names of every identifier in the expression.
-func identsIn(e ast.Expr) map[string]bool {
-	out := make(map[string]bool)
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			out[id.Name] = true
-		}
-		return true
-	})
-	return out
-}
-
 // rootIdent returns the leftmost identifier of a selector/index/star
 // chain: rootIdent(a.b[i].c) == a.
 func rootIdent(e ast.Expr) *ast.Ident {

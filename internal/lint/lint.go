@@ -10,9 +10,8 @@
 //     returning a release func) must release via defer or escape to the
 //     caller, so a panicking executor can never stall the reclamation
 //     watermark.
-//   - lockorder: relation-lock acquisition loops iterate sorted slices,
-//     and striped/per-node mutexes never nest outside the documented
-//     pairs.
+//   - lockorder: striped/per-node mutexes never nest outside the
+//     documented pairs.
 //   - literalleak: slow-log, capture, and statement-statistics sinks only
 //     ever see anonymized templates, never raw SQL text.
 //   - atomiccopy: structs holding sync or sync/atomic state in

@@ -6,27 +6,18 @@ import (
 	"go/types"
 )
 
-// lockorder enforces the PR 5/8 deadlock-freedom discipline:
-//
-//  1. A loop that acquires locks per element (the relation-lock pattern)
-//     must range over a slice with sort evidence in the same function — a
-//     sort.Strings/sort.Slice call or a sort.StringsAreSorted guard
-//     naming the ranged slice. Two statements locking overlapping
-//     relation sets in different orders deadlock; sorted acquisition is
-//     the documented total order.
-//
-//  2. Striped or per-node mutexes (reached through an index expression or
-//     a lookup call: shards[i].mu, nodes[n].mu, lockFor(rel)) must not
-//     nest: acquiring a second striped lock while one is held orders two
-//     stripes of the same family arbitrarily, which deadlocks against the
-//     opposite interleaving. Documented pairs that sit on different
-//     levels of the lock hierarchy (commitMu -> pinMu: the group
-//     committer pins while holding its relation's commit lock) are
-//     allowlisted below.
+// lockorder enforces the deadlock-freedom discipline of the striped locks:
+// striped or per-node mutexes (reached through an index expression or a
+// lookup call: shards[i].mu, nodes[n].mu, mvcc.rel(name)) must not nest.
+// Acquiring a second striped lock while one is held orders two stripes of
+// the same family arbitrarily, which deadlocks against the opposite
+// interleaving. Documented pairs that sit on different levels of the lock
+// hierarchy (commitMu -> pinMu: the group committer pins while holding its
+// relation's commit lock) are allowlisted below.
 func lockorderAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "lockorder",
-		Doc:  "relation-lock loops iterate sorted slices; striped mutexes never nest outside documented pairs",
+		Doc:  "striped mutexes never nest outside documented pairs",
 		Inspects: func(p string) bool {
 			return true // striped locks live in server, obs, kv, and baav
 		},
@@ -44,179 +35,10 @@ var allowedNestings = map[[2]string]bool{
 func runLockorder(p *Pass) {
 	for _, f := range p.Files {
 		for _, fb := range funcBodies(f) {
-			checkSortedLoops(p, fb)
 			checkNestedStripes(p, fb)
 		}
 	}
 }
-
-// --- rule 1: lock-acquisition loops need sort evidence ---
-
-// sortEvidence are the callees accepted as proof the ranged slice is in a
-// deterministic order.
-var sortEvidence = map[string]bool{
-	"Strings": true, "Slice": true, "SliceStable": true, "Sort": true, "Stable": true,
-	"StringsAreSorted": true, "SliceIsSorted": true, "IsSorted": true,
-	"SortFunc": true, "SortStableFunc": true, "IsSortedFunc": true,
-}
-
-func checkSortedLoops(p *Pass, fb funcBody) {
-	// Literals are analyzed within their declaration; standalone
-	// literal entries would double-report nested loops.
-	if fb.decl == nil {
-		return
-	}
-	ast.Inspect(fb.decl.Body, func(n ast.Node) bool {
-		rng, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		lockPos, locksPerElement := loopAcquiresPerElement(p, rng)
-		if !locksPerElement {
-			return true
-		}
-		if !hasSortEvidence(fb.decl.Body, rng) {
-			p.Reportf(lockPos, "lock acquisition loop ranges over %s without sort evidence — sort it (or guard with sort.StringsAreSorted) so overlapping acquirers agree on one order", exprString(rng.X))
-		}
-		return true
-	})
-}
-
-// loopAcquiresPerElement reports whether the range body acquires a mutex
-// that depends on the loop variables (a per-element lock) and holds it
-// past the iteration, and where. A lock released by a plain Unlock inside
-// the same iteration (the per-shard walk pattern) never holds two
-// elements' locks at once, so its order cannot deadlock; only
-// accumulating acquisitions (the relation-lock pattern) need the sorted
-// order.
-func loopAcquiresPerElement(p *Pass, rng *ast.RangeStmt) (token.Pos, bool) {
-	// Collect loop variables plus body-local vars derived from them
-	// (m := l.lockFor(r)).
-	derived := make(map[string]bool)
-	for _, v := range []ast.Expr{rng.Key, rng.Value} {
-		if id, ok := v.(*ast.Ident); ok && id.Name != "_" {
-			derived[id.Name] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(rng.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			uses := false
-			for _, r := range as.Rhs {
-				for name := range identsIn(r) {
-					if derived[name] {
-						uses = true
-					}
-				}
-			}
-			if !uses {
-				return true
-			}
-			for _, l := range as.Lhs {
-				if id, ok := l.(*ast.Ident); ok && id.Name != "_" && !derived[id.Name] {
-					derived[id.Name] = true
-					changed = true
-				}
-			}
-			return true
-		})
-	}
-	var pos token.Pos
-	found := false
-	ast.Inspect(rng.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if _, isDefer := n.(*ast.DeferStmt); isDefer {
-			return false // a deferred unlock runs at function return, not per iteration
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
-			return true
-		}
-		if !isMutexExpr(p, sel.X) {
-			return true
-		}
-		root := rootIdent(sel.X)
-		if root == nil || !derived[root.Name] {
-			return true
-		}
-		if unlockedInLoop(rng.Body, exprString(sel.X)) {
-			return true
-		}
-		pos, found = call.Pos(), true
-		return false
-	})
-	return pos, found
-}
-
-// unlockedInLoop reports whether the loop body contains a plain (non-
-// deferred) Unlock/RUnlock of the same mutex expression, meaning the lock
-// is released within the iteration that took it.
-func unlockedInLoop(body *ast.BlockStmt, key string) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if _, isDefer := n.(*ast.DeferStmt); isDefer {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "Unlock" && sel.Sel.Name != "RUnlock") {
-			return true
-		}
-		if exprString(sel.X) == key {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// hasSortEvidence reports whether the function sorts (or asserts
-// sortedness of) the slice the loop ranges over, before the loop.
-func hasSortEvidence(body *ast.BlockStmt, rng *ast.RangeStmt) bool {
-	names := identsIn(rng.X)
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() >= rng.Pos() {
-			return true
-		}
-		if !sortEvidence[calleeName(call)] {
-			return true
-		}
-		for _, arg := range call.Args {
-			for name := range identsIn(arg) {
-				if names[name] {
-					found = true
-					return false
-				}
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// --- rule 2: striped mutexes must not nest ---
 
 type heldLock struct {
 	key   string // rendered expression, identity for release matching
@@ -294,7 +116,7 @@ func isMutexExpr(p *Pass, e ast.Expr) bool {
 // stripedMutex reports whether the locked expression denotes one stripe of
 // a family: the expression contains an index step (shards[i].mu), or its
 // root variable was assigned from an index expression or a lookup call
-// (sh := s.shards[h%n]; m := l.lockFor(rel); r := st.mvcc.rel(name)).
+// (sh := s.shards[h%n]; r := st.mvcc.rel(name)).
 func stripedMutex(p *Pass, fb funcBody, e ast.Expr) bool {
 	if containsIndexExpr(e) {
 		return true
@@ -348,7 +170,7 @@ func containsIndexExpr(e ast.Expr) bool {
 }
 
 // isLookupCall reports whether the expression is a call yielding a
-// pointer to a struct — the stripe-lookup shape (lockFor, mvcc.rel).
+// pointer to a struct — the stripe-lookup shape (mvcc.rel).
 func isLookupCall(p *Pass, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {

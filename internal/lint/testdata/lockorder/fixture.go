@@ -1,68 +1,8 @@
-// Package fixture exercises the lockorder rule: relation-lock loops need
-// sort evidence, and striped mutexes must not nest outside the documented
-// pairs.
+// Package fixture exercises the lockorder rule: striped mutexes must not
+// nest outside the documented pairs.
 package fixture
 
-import (
-	"sort"
-	"sync"
-)
-
-type lockTable struct {
-	locks map[string]*sync.RWMutex
-}
-
-func (t *lockTable) lockFor(rel string) *sync.RWMutex { return t.locks[rel] }
-
-// sortedAcquire is the documented relation-lock pattern: sort first.
-func sortedAcquire(t *lockTable, rels []string) []*sync.RWMutex {
-	sort.Strings(rels)
-	held := make([]*sync.RWMutex, 0, len(rels))
-	for _, r := range rels {
-		m := t.lockFor(r)
-		m.RLock() // ok: sort evidence above
-		held = append(held, m)
-	}
-	return held
-}
-
-// guardedAcquire asserts sortedness instead of sorting — also evidence.
-func guardedAcquire(t *lockTable, rels []string) []*sync.RWMutex {
-	if !sort.StringsAreSorted(rels) {
-		return nil
-	}
-	held := make([]*sync.RWMutex, 0, len(rels))
-	for _, r := range rels {
-		m := t.lockFor(r)
-		m.RLock() // ok: sortedness asserted above
-		held = append(held, m)
-	}
-	return held
-}
-
-// unsortedAcquire accumulates per-relation locks with no ordering proof.
-func unsortedAcquire(t *lockTable, rels []string) []*sync.RWMutex {
-	held := make([]*sync.RWMutex, 0, len(rels))
-	for _, r := range rels {
-		m := t.lockFor(r)
-		m.RLock() // want `lock acquisition loop ranges over rels without sort evidence`
-		held = append(held, m)
-	}
-	return held
-}
-
-// perElementWalk locks and unlocks within each iteration: it never holds
-// two relations' locks at once, so order cannot deadlock.
-func perElementWalk(t *lockTable, rels []string) int {
-	n := 0
-	for _, r := range rels {
-		m := t.lockFor(r)
-		m.Lock()
-		n += len(r)
-		m.Unlock() // ok: released within the iteration
-	}
-	return n
-}
+import "sync"
 
 type shardSet struct {
 	shards [16]struct{ mu sync.Mutex }

@@ -191,25 +191,19 @@ func rangeTemplates(workload string) ([]Template, []string, error) {
 }
 
 // readWriteTemplates returns the mixed read/write suite for a workload: a
-// read side spread across the relations (point and chain lookups plus an
-// index-served range, so reads hold shared relation locks of every flavor)
-// and a write side of INSERT/DELETE templates over two different relations
-// (so writers exercise disjoint write locks, and index posting maintenance
-// rides the written relations' locks). The setup DDL creates the index the
-// suites rely on. The throughput contrast between Config.GlobalWriteLock
-// and per-relation locking on this suite is the PR's headline number.
+// read side spread across the relations (point and chain lookups) and a
+// write side of INSERT/DELETE templates over three relations (so writers
+// ride three different group committers, one of them with index posting
+// maintenance). The setup DDL creates the index the suite relies on.
 func readWriteTemplates(workload string) (reads, writes []Template, setup []string, err error) {
 	switch workload {
 	case "mot":
 		// The read side is OLTP-shaped — cheap point and chain lookups, a
-		// few storage round trips each — leaning toward VEHICLE, the
-		// relation the writers never touch, so per-relation locking has
-		// disjoint traffic to overlap; the TEST/OBSERVATION reads keep the
-		// conflict path honest. Writes are single-row inserts paired with
-		// deletes of earlier inserts: each is a handful of block and
-		// posting maintenance round trips — an exclusive window the
-		// instance-wide gate charges to every statement, and a
-		// per-relation lock charges only to the written relation's.
+		// few storage round trips each — leaning toward VEHICLE; the
+		// TEST/OBSERVATION reads pin snapshots of the relations the
+		// writers commit to most. Writes are single-row inserts paired
+		// with deletes of earlier inserts: each is a handful of block and
+		// posting maintenance round trips inside its relation's commit.
 		reads = []Template{
 			{Name: "vehicle_lookup", Format: "select V.make, V.model, V.fuel, V.year from VEHICLE V where V.vehicle_id = %d"},
 			{Name: "vehicle_detail", Format: "select V.color, V.region, V.engine_cc from VEHICLE V where V.vehicle_id = %d"},
@@ -234,7 +228,7 @@ func readWriteTemplates(workload string) (reads, writes []Template, setup []stri
 				Delete: "delete from OBSERVATION where obs_id = %d"},
 		}
 		// The speed index keeps secondary-index posting maintenance on the
-		// OBSERVATION write path, under that relation's lock.
+		// OBSERVATION write path.
 		setup = []string{"create index ix_obs_speed on OBSERVATION(speed)"}
 		return reads, writes, setup, nil
 	default:

@@ -136,7 +136,7 @@ func TestReadWriteMixShape(t *testing.T) {
 
 // TestRunReadWriteMix drives the mixed read/write suite end to end through
 // the wire protocol at a 50% write fraction and requires zero errors — the
-// per-relation locking path under real concurrent INSERT/DELETE traffic.
+// group-commit write path under real concurrent INSERT/DELETE traffic.
 func TestRunReadWriteMix(t *testing.T) {
 	inst, _, err := server.OpenWorkload("mot", 0.3, 7, 2, 2)
 	if err != nil {

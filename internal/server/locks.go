@@ -1,74 +1,27 @@
 package server
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "sync"
 
-// Lock regimes. The server schedules statements under one of three
-// regimes, selectable per deployment for A/B measurement (zidian-bench's
-// -exp mixed runs all three):
+// The statement gate. Every statement passes one gate: SELECT, INSERT,
+// DELETE, plan compilation and plain EXPLAIN take it SHARED, and only DDL
+// (CREATE/DROP INDEX) takes it exclusive. Readers pin MVCC snapshots inside
+// the instance and writers ride their relation's group committer, which
+// serializes conflicting writes itself, so the gate carries no isolation
+// between statements. DDL is the exception: index backfill reads the
+// relation's tuple slice and rewrites the posting space, so nothing may be
+// in flight — and with no statements in flight there are no pinned
+// snapshots to invalidate. The exclusive hold is also the window in which
+// the plan cache's epoch moves, which is why compilation captures the epoch
+// under a shared hold (see compileNorm).
 //
-//   - regimeMVCC (the default): readers and writers both take the global
-//     gate SHARED and no relation locks at all. Readers pin MVCC snapshots
-//     inside the instance; writers ride their relation's group committer,
-//     which serializes conflicting writes itself. Only DDL (CREATE/DROP
-//     INDEX) takes the gate exclusive: index backfill reads the relation's
-//     tuple slice and rewrites the posting space, so nothing may be in
-//     flight — and with no statements in flight there are no pinned
-//     snapshots to invalidate.
-//   - regimePerRelation: the PR 5 discipline. A SELECT takes the gate
-//     shared plus the read lock of every relation its plan touches in
-//     sorted order; a write takes the gate shared plus its target's write
-//     lock, so writes stall their own relation's readers but nobody
-//     else's. Kept as the measured baseline MVCC is judged against.
-//   - regimeGlobal: the legacy instance-wide write gate — every write
-//     excludes every read.
-//
-// The global gate is a queue-fair (FIFO) readers-writer lock, not a
-// sync.RWMutex: arrivals are admitted strictly in order, with consecutive
-// readers batched. Under a flood of overlapping readers a sync.RWMutex
-// never drains its readers, so a pending DDL could starve; under the fair
-// gate the DDL's slot in the queue blocks readers that arrive after it,
-// and it acquires as soon as the readers ahead of it finish.
-//
-// Deadlock freedom: every acquisition orders the global gate first, then
-// relation locks in sorted name order; writers hold at most one relation
-// lock. There is no lock-upgrade path.
-
-type lockRegime int
-
-const (
-	regimeMVCC lockRegime = iota
-	regimePerRelation
-	regimeGlobal
-)
-
-// parseRegime maps a Config.LockRegime string to its regime.
-func parseRegime(s string) (lockRegime, error) {
-	switch s {
-	case "", "mvcc":
-		return regimeMVCC, nil
-	case "per-relation":
-		return regimePerRelation, nil
-	case "global":
-		return regimeGlobal, nil
-	default:
-		return 0, fmt.Errorf("server: unknown lock regime %q (want mvcc, per-relation or global)", s)
-	}
-}
-
-func (r lockRegime) String() string {
-	switch r {
-	case regimePerRelation:
-		return "per-relation"
-	case regimeGlobal:
-		return "global"
-	default:
-		return "mvcc"
-	}
-}
+// The gate is a queue-fair (FIFO) readers-writer lock, not a sync.RWMutex:
+// arrivals are admitted strictly in order, with consecutive readers
+// batched. Under a flood of overlapping readers a sync.RWMutex never drains
+// its readers, so a pending DDL could starve; under the fair gate the DDL's
+// slot in the queue blocks readers that arrive after it, and it acquires as
+// soon as the readers ahead of it finish. A statement holds the gate once
+// and takes no other statement-level lock, so there is no lock order to
+// keep and no upgrade path.
 
 // gateWaiter is one queued acquisition on the fair gate.
 type gateWaiter struct {
@@ -142,7 +95,7 @@ func (g *fairGate) wake() {
 				return
 			}
 			g.active = -1
-			g.queue = g.queue[0:copy(g.queue, g.queue[1:])]
+			g.pop()
 			close(head.ready)
 			return
 		}
@@ -150,113 +103,16 @@ func (g *fairGate) wake() {
 			return
 		}
 		g.active++
-		g.queue = g.queue[0:copy(g.queue, g.queue[1:])]
+		g.pop()
 		close(head.ready)
 	}
 }
 
-// relLocks schedules statements under the configured regime (see the
-// package comment above for the three disciplines).
-type relLocks struct {
-	regime lockRegime
-	global fairGate
-
-	// rels is built once at construction from the schema's fixed relation
-	// set and never mutated after, so the hot path reads it lock-free. A
-	// name outside it (a typo'd INSERT target — the statement fails
-	// downstream anyway) maps to the shared fallback lock instead of
-	// growing state per distinct bad name. Only regimePerRelation uses it.
-	rels    map[string]*sync.RWMutex
-	unknown sync.RWMutex
-}
-
-// newRelLocks builds a lock manager over the fixed relation set.
-func newRelLocks(regime lockRegime, rels []string) *relLocks {
-	l := &relLocks{regime: regime, rels: make(map[string]*sync.RWMutex, len(rels))}
-	for _, r := range rels {
-		l.rels[r] = &sync.RWMutex{}
-	}
-	return l
-}
-
-// lockFor returns the named relation's lock, or the fallback for names
-// outside the schema. Read-only after construction — no synchronization.
-func (l *relLocks) lockFor(rel string) *sync.RWMutex {
-	if m, ok := l.rels[rel]; ok {
-		return m
-	}
-	return &l.unknown
-}
-
-// acquireRead admits a read over the given relations, returning the
-// release. Under mvcc and global regimes only the gate (shared) is taken;
-// per-relation additionally read-locks each relation. rels may be in any
-// order and contain duplicates; acquisition sorts and dedups so
-// concurrent multi-relation readers cannot deadlock.
-func (l *relLocks) acquireRead(rels []string) func() {
-	l.global.RLock()
-	if l.regime != regimePerRelation || len(rels) == 0 {
-		return l.global.RUnlock
-	}
-	sorted := rels
-	if !sort.StringsAreSorted(sorted) {
-		// The usual producer (PlanInfo.Relations) is already canonical;
-		// only unordered ad-hoc lists pay the copy and sort.
-		sorted = append([]string{}, rels...)
-		sort.Strings(sorted)
-	}
-	locks := make([]*sync.RWMutex, 0, len(sorted))
-	for i, r := range sorted {
-		if i > 0 && r == sorted[i-1] {
-			continue
-		}
-		m := l.lockFor(r)
-		m.RLock()
-		locks = append(locks, m)
-	}
-	return func() {
-		for i := len(locks) - 1; i >= 0; i-- {
-			locks[i].RUnlock()
-		}
-		l.global.RUnlock()
-	}
-}
-
-// acquireWrite admits a write to one relation, returning the release.
-// Under mvcc the write shares the gate with readers — snapshot pinning and
-// the group committer carry the isolation; under per-relation it excludes
-// the target's readers; under global it excludes everything.
-func (l *relLocks) acquireWrite(rel string) func() {
-	switch l.regime {
-	case regimeGlobal:
-		l.global.Lock()
-		return l.global.Unlock
-	case regimePerRelation:
-		l.global.RLock()
-		m := l.lockFor(rel)
-		m.Lock()
-		return func() {
-			m.Unlock()
-			l.global.RUnlock()
-		}
-	default:
-		l.global.RLock()
-		return l.global.RUnlock
-	}
-}
-
-// acquireDDL locks the whole instance exclusively for a catalog change.
-// The fair gate guarantees it cannot be starved by a reader flood: it
-// waits only for statements admitted before it.
-func (l *relLocks) acquireDDL() func() {
-	l.global.Lock()
-	return l.global.Unlock
-}
-
-// compileLock locks the instance for plan compilation: shared with reads
-// and writes, excluded by DDL — the window in which the plan cache's epoch
-// is captured, so a plan compiled just before a DDL lands tagged stale.
-func (l *relLocks) compileLock() func() {
-	l.global.RLock()
-	return l.global.RUnlock
+// pop removes the queue head in place, clearing the vacated tail slot so
+// the backing array does not keep an admitted waiter (and its channel)
+// reachable until some later enqueue overwrites it.
+func (g *fairGate) pop() {
+	n := copy(g.queue, g.queue[1:])
+	g.queue[n] = nil
+	g.queue = g.queue[:n]
 }

@@ -6,159 +6,50 @@ import (
 	"time"
 )
 
-// mixedTestRels is the fixed relation set the lock scenarios run over.
-var mixedTestRels = []string{"VEHICLE", "TEST", "OBSERVATION"}
-
 // tryAcquire runs acquire in a goroutine and reports whether it completed
 // within the patience window, returning the release when it did. A blocked
-// acquisition keeps waiting in the background and self-releases, so each
-// scenario below uses a fresh relLocks to keep leftovers from interfering.
-func tryAcquire(acquire func() func()) (release func(), ok bool) {
-	done := make(chan func(), 1)
-	go func() { done <- acquire() }()
+// acquisition keeps waiting in the background and self-releases.
+func tryAcquire(lock, unlock func()) (release func(), ok bool) {
+	done := make(chan struct{})
+	go func() { lock(); close(done) }()
 	select {
-	case rel := <-done:
-		return rel, true
+	case <-done:
+		return unlock, true
 	case <-time.After(200 * time.Millisecond):
-		go func() { (<-done)() }() // release once it eventually acquires
+		go func() { <-done; unlock() }() // release once it eventually acquires
 		return nil, false
 	}
 }
 
-// TestRelLocksOverlap pins the scheduling semantics the mixed-workload
-// speedup rests on: while a writer holds one relation, readers and writers
-// of other relations proceed, only that relation's readers block, and DDL
-// excludes everything.
-func TestRelLocksOverlap(t *testing.T) {
-	// Writer vs disjoint traffic: everything not touching TEST proceeds.
-	{
-		l := newRelLocks(regimePerRelation, mixedTestRels)
-		releaseW := l.acquireWrite("TEST")
-		if rel, ok := tryAcquire(func() func() { return l.acquireRead([]string{"VEHICLE"}) }); !ok {
-			t.Fatal("reader of an unwritten relation blocked behind the writer")
-		} else {
-			rel()
-		}
-		if rel, ok := tryAcquire(func() func() { return l.acquireWrite("OBSERVATION") }); !ok {
-			t.Fatal("writer of a different relation blocked behind the writer")
-		} else {
-			rel()
-		}
-		releaseW()
-	}
-	// Writer vs the written relation's reader: excluded until release.
-	{
-		l := newRelLocks(regimePerRelation, mixedTestRels)
-		releaseW := l.acquireWrite("TEST")
-		if rel, ok := tryAcquire(func() func() { return l.acquireRead([]string{"VEHICLE", "TEST"}) }); ok {
-			rel()
-			t.Fatal("reader of the written relation was admitted mid-write")
-		}
-		releaseW()
-	}
-	// Readers share; duplicate/unsorted lock sets are fine.
-	{
-		l := newRelLocks(regimePerRelation, mixedTestRels)
-		r1 := l.acquireRead([]string{"TEST"})
-		r2, ok := tryAcquire(func() func() { return l.acquireRead([]string{"TEST", "VEHICLE", "TEST"}) })
-		if !ok {
-			t.Fatal("readers of one relation did not share")
-		}
-		r1()
-		r2()
-	}
-	// DDL excludes writers...
-	{
-		l := newRelLocks(regimePerRelation, mixedTestRels)
-		releaseW := l.acquireWrite("TEST")
-		if rel, ok := tryAcquire(l.acquireDDL); ok {
-			rel()
-			t.Fatal("DDL was admitted while a writer held a relation")
-		}
-		releaseW()
-	}
-	// ...and readers, and excludes them in turn.
-	{
-		l := newRelLocks(regimePerRelation, mixedTestRels)
-		r := l.acquireRead([]string{"TEST"})
-		if rel, ok := tryAcquire(l.acquireDDL); ok {
-			rel()
-			t.Fatal("DDL was admitted while a reader was in flight")
-		}
-		r()
-	}
-	{
-		l := newRelLocks(regimePerRelation, mixedTestRels)
-		releaseDDL := l.acquireDDL()
-		if rel, ok := tryAcquire(func() func() { return l.acquireRead([]string{"VEHICLE"}) }); ok {
-			rel()
-			t.Fatal("reader was admitted during DDL")
-		}
-		releaseDDL()
-	}
-}
-
-// TestRelLocksUnknownRelation: names outside the schema share the fallback
-// lock — the table never grows — and never stall schema relations.
-func TestRelLocksUnknownRelation(t *testing.T) {
-	l := newRelLocks(regimePerRelation, mixedTestRels)
-	releaseW := l.acquireWrite("NOPE")
-	if rel, ok := tryAcquire(func() func() { return l.acquireRead([]string{"VEHICLE"}) }); !ok {
-		t.Fatal("schema reader blocked behind an unknown-relation writer")
+// TestGateSharedExclusive: reads and writes all share the gate — even on
+// the same relation, since snapshots and the group committer provide the
+// isolation — and DDL excludes both, in both directions.
+func TestGateSharedExclusive(t *testing.T) {
+	var g fairGate
+	g.RLock() // a write in flight
+	if rel, ok := tryAcquire(g.RLock, g.RUnlock); !ok {
+		t.Fatal("the gate stalled a reader behind a writer")
 	} else {
 		rel()
 	}
-	if rel, ok := tryAcquire(func() func() { return l.acquireWrite("ALSO-NOPE") }); ok {
-		rel()
-		t.Fatal("two unknown-relation writers did not share the fallback lock")
-	}
-	releaseW()
-}
-
-// TestRelLocksGlobalMode: the legacy gate serializes every write against
-// every read, instance-wide.
-func TestRelLocksGlobalMode(t *testing.T) {
-	{
-		l := newRelLocks(regimeGlobal, mixedTestRels)
-		releaseW := l.acquireWrite("TEST")
-		if rel, ok := tryAcquire(func() func() { return l.acquireRead([]string{"VEHICLE"}) }); ok {
-			rel()
-			t.Fatal("global mode admitted a reader during a write")
-		}
-		releaseW()
-	}
-	{
-		l := newRelLocks(regimeGlobal, mixedTestRels)
-		r := l.acquireRead([]string{"VEHICLE"})
-		if rel, ok := tryAcquire(func() func() { return l.acquireWrite("OBSERVATION") }); ok {
-			rel()
-			t.Fatal("global mode admitted a writer during a read")
-		}
-		r()
-	}
-}
-
-// TestRelLocksMVCCMode: under the default regime readers and writers all
-// share the gate — even on the same relation, since snapshots and the group
-// committer provide the isolation — and only DDL excludes.
-func TestRelLocksMVCCMode(t *testing.T) {
-	l := newRelLocks(regimeMVCC, mixedTestRels)
-	releaseW := l.acquireWrite("TEST")
-	if rel, ok := tryAcquire(func() func() { return l.acquireRead([]string{"TEST"}) }); !ok {
-		t.Fatal("mvcc mode stalled a reader of the written relation")
+	if rel, ok := tryAcquire(g.RLock, g.RUnlock); !ok {
+		t.Fatal("the gate stalled a second writer (the committer, not the gate, serializes)")
 	} else {
 		rel()
 	}
-	if rel, ok := tryAcquire(func() func() { return l.acquireWrite("TEST") }); !ok {
-		t.Fatal("mvcc mode stalled a second writer at the gate (the committer, not the gate, serializes)")
-	} else {
-		rel()
-	}
-	if rel, ok := tryAcquire(l.acquireDDL); ok {
+	if rel, ok := tryAcquire(g.Lock, g.Unlock); ok {
 		rel()
 		t.Fatal("DDL was admitted while statements were in flight")
 	}
-	releaseW()
+	g.RUnlock() // the parked DDL acquires now and self-releases
+
+	var g2 fairGate
+	g2.Lock() // DDL in flight
+	if rel, ok := tryAcquire(g2.RLock, g2.RUnlock); ok {
+		rel()
+		t.Fatal("a statement was admitted during DDL")
+	}
+	g2.Unlock()
 }
 
 // queuedWaiters reports how many acquisitions are parked on the gate.
@@ -173,11 +64,13 @@ func (g *fairGate) queuedWaiters() int {
 // a plain RWMutex an overlapping reader flood starves the writer forever.
 // The sequencing is deterministic: each phase waits until the previous
 // acquisition is observably parked on the gate's queue before proceeding.
+// Once the burst has drained, the queue's backing array must hold no
+// admitted waiter: wake clears each slot it vacates.
 func TestDDLGateFIFO(t *testing.T) {
-	l := newRelLocks(regimeMVCC, mixedTestRels)
+	var g fairGate
 	waitQueued := func(n int) {
 		deadline := time.Now().Add(5 * time.Second)
-		for l.global.queuedWaiters() < n {
+		for g.queuedWaiters() < n {
 			if time.Now().After(deadline) {
 				t.Fatalf("gate queue never reached %d waiters", n)
 			}
@@ -193,22 +86,22 @@ func TestDDLGateFIFO(t *testing.T) {
 		mu.Unlock()
 	}
 
-	r1 := l.acquireRead([]string{"TEST"}) // in-flight reader: DDL must wait for it
-	ddlDone := make(chan func(), 1)
+	g.RLock() // in-flight reader: DDL must wait for it
+	ddlDone := make(chan struct{}, 1)
 	go func() {
-		rel := l.acquireDDL()
+		g.Lock()
 		record("ddl")
-		ddlDone <- rel
+		ddlDone <- struct{}{}
 	}()
-	waitQueued(1) // the DDL is parked behind r1
+	waitQueued(1) // the DDL is parked behind the reader
 
 	const lateReaders = 8
-	readerDone := make(chan func(), lateReaders)
+	readerDone := make(chan struct{}, lateReaders)
 	for i := 0; i < lateReaders; i++ {
 		go func() {
-			rel := l.acquireRead([]string{"TEST", "VEHICLE"})
+			g.RLock()
 			record("reader")
-			readerDone <- rel
+			readerDone <- struct{}{}
 		}()
 	}
 	waitQueued(1 + lateReaders) // every late reader parked behind the DDL
@@ -216,29 +109,39 @@ func TestDDLGateFIFO(t *testing.T) {
 	select {
 	case <-ddlDone:
 		t.Fatal("DDL acquired while the earlier reader still held the gate")
-	case rel := <-readerDone:
-		rel()
+	case <-readerDone:
 		t.Fatal("a late-arriving reader jumped the queued DDL")
 	default:
 	}
 
-	r1() // drain the pre-DDL reader: the DDL must now acquire, alone
-	releaseDDL := <-ddlDone
+	g.RUnlock() // drain the pre-DDL reader: the DDL must now acquire, alone
+	<-ddlDone
 	select {
-	case rel := <-readerDone:
-		rel()
+	case <-readerDone:
 		t.Fatal("a reader was admitted during DDL")
 	default:
 	}
-	releaseDDL()
+	g.Unlock()
 
 	// With the DDL gone the reader batch flows; all of it ordered after.
 	for i := 0; i < lateReaders; i++ {
-		(<-readerDone)()
+		<-readerDone
+		g.RUnlock()
 	}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(order) != 1+lateReaders || order[0] != "ddl" {
 		t.Fatalf("acquisition order = %v, want ddl first then %d readers", order, lateReaders)
+	}
+
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.queue) != 0 || g.active != 0 {
+		t.Fatalf("gate not idle after the burst: %d queued, active=%d", len(g.queue), g.active)
+	}
+	for i, w := range g.queue[:cap(g.queue)] {
+		if w != nil {
+			t.Fatalf("queue backing slot %d of %d still holds an admitted waiter", i, cap(g.queue))
+		}
 	}
 }

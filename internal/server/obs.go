@@ -89,7 +89,7 @@ func newServerObs(s *Server, cfg Config) *serverObs {
 	o.admWait = r.NewHistogram("zidian_admission_wait_seconds",
 		"Time statements spent queued at the admission gate, including waits that ended in rejection or timeout.", nil)
 	o.lockWait = r.NewHistogram("zidian_lock_wait_seconds",
-		"Time statements spent acquiring relation locks.", nil)
+		"Time statements spent waiting at the statement gate (nonzero only around DDL).", nil)
 	o.postings = r.NewCounter("zidian_index_posting_reads_total",
 		"Secondary-index posting entries read by traced statements.")
 	o.blocks = r.NewCounter("zidian_blocks_fetched_total",
@@ -325,7 +325,7 @@ func (o *serverObs) begin(verb string) *stmtCtx {
 }
 
 // stmtCtx measures one statement through the serving layer: it owns the
-// statement's trace, records where time went (queue, locks, execution), and
+// statement's trace, records where time went (queue, gate, execution), and
 // on finish folds everything into the registry and — when the statement was
 // slow or failed slow — the slow-query log. All methods are nil-safe.
 type stmtCtx struct {
@@ -390,7 +390,7 @@ func (c *stmtCtx) admissionWait(d time.Duration) {
 	c.o.admWait.Observe(d)
 }
 
-// locksWait records time spent acquiring relation locks.
+// locksWait records time spent waiting at the statement gate.
 func (c *stmtCtx) locksWait(d time.Duration) {
 	if c == nil {
 		return

@@ -37,16 +37,6 @@ type Config struct {
 	PlanCacheSize int
 	// MaxLineBytes bounds one wire-protocol line (default 1 MiB).
 	MaxLineBytes int
-	// LockRegime selects the statement scheduling discipline: "mvcc" (the
-	// default — readers pin snapshots and never block on writers, writers
-	// group-commit per relation), "per-relation" (the PR 5 read/write
-	// locks, kept as the measured baseline), or "global" (the legacy
-	// instance-wide write gate). See locks.go for the exact disciplines;
-	// zidian-bench -exp mixed compares all three.
-	LockRegime string
-	// GlobalWriteLock is the legacy switch for LockRegime "global"; it
-	// applies only when LockRegime is unset.
-	GlobalWriteLock bool
 	// DisableMetrics turns the observability layer off entirely: no
 	// registry, no per-statement traces, no slow-query log, and /metrics
 	// answers 404. Metrics are on by default; this exists for overhead
@@ -112,9 +102,6 @@ func (c Config) normalized() Config {
 	if c.StmtMetricsTopK <= 0 {
 		c.StmtMetricsTopK = 10
 	}
-	if c.LockRegime == "" && c.GlobalWriteLock {
-		c.LockRegime = "global"
-	}
 	return c
 }
 
@@ -134,25 +121,22 @@ func sessionID(ctx context.Context) uint64 {
 // Server is a long-lived, concurrent SQL service over one opened
 // zidian.Instance. It terminates the wire protocol on TCP, serves the HTTP
 // surface, shares one plan cache and one admission gate across both, and
-// schedules statements with per-relation read/write locking (see relLocks):
-// queries run concurrently with each other and with writes to relations
-// they do not read; an INSERT/DELETE excludes only its target relation; DDL
-// alone takes the instance-wide gate. Compiled plans survive writes — they
-// depend only on the schemas — and each plan carries the relation set its
-// execution reads, which is exactly the lock set taken.
+// schedules statements on one FIFO gate (see fairGate): queries and writes
+// hold it shared and run concurrently — readers pin MVCC snapshots, writers
+// group-commit per relation — and DDL alone holds it exclusively. Compiled
+// plans survive writes — they depend only on the schemas.
 type Server struct {
 	inst  *zidian.Instance
 	cfg   Config
 	cache *PlanCache
 	adm   *Admission
 
-	// locks is the statement scheduler described above. The kv cluster
-	// below is already safe for concurrent use, and the store/index
-	// bookkeeping is internally synchronized; these locks provide the
-	// statement-level consistency — a reader admitted after a write sees
-	// the relation's blocks and index postings move together — and the DDL
-	// gate the plan cache's epoch capture relies on.
-	locks *relLocks
+	// gate is the statement scheduler described above. The kv cluster is
+	// already safe for concurrent use and the store/index bookkeeping is
+	// internally synchronized; the gate only keeps DDL apart from every
+	// other statement, which is what the plan cache's epoch capture relies
+	// on.
+	gate fairGate
 
 	// obs is the metrics registry + slow-query log; nil when
 	// Config.DisableMetrics is set (every use is nil-safe).
@@ -184,17 +168,12 @@ type Server struct {
 // Start) to begin accepting, and Shutdown to drain.
 func New(inst *zidian.Instance, cfg Config) *Server {
 	cfg = cfg.normalized()
-	regime, err := parseRegime(cfg.LockRegime)
-	if err != nil {
-		panic(err) // a startup configuration error: fail fast, loudly
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		inst:    inst,
 		cfg:     cfg,
 		cache:   NewPlanCache(cfg.PlanCacheSize),
 		adm:     NewAdmission(cfg.MaxConcurrent, cfg.QueueDepth, cfg.QueueTimeout),
-		locks:   newRelLocks(regime, inst.Relations()),
 		ctx:     ctx,
 		cancel:  cancel,
 		conns:   make(map[net.Conn]struct{}),
@@ -488,7 +467,7 @@ func stmtKey(sql string, params []zidian.Value) (key string, lifted []zidian.Val
 // and caching it on a miss, and reports whether it was a cache hit. With
 // lifted set the key came from LiftSQL and the lookup is not counted here:
 // queryNorm counts it once the template has accepted the lifted values. The
-// cache epoch is captured under the compile lock — DDL holds the global gate
+// cache epoch is captured under a shared hold of the gate — DDL holds it
 // exclusively while it invalidates — so a plan compiled just before a DDL
 // lands in the cache tagged stale instead of surviving the flush.
 func (s *Server) compileNorm(norm, sql string, lifted bool) (*zidian.Prepared, bool, error) {
@@ -499,10 +478,10 @@ func (s *Server) compileNorm(norm, sql string, lifted bool) (*zidian.Prepared, b
 	if ok {
 		return p, true, nil
 	}
-	release := s.locks.compileLock()
+	s.gate.RLock()
 	epoch := s.cache.Epoch()
 	p, err := s.inst.Prepare(sql)
-	release()
+	s.gate.RUnlock()
 	if err != nil {
 		return nil, false, err
 	}
@@ -510,10 +489,9 @@ func (s *Server) compileNorm(norm, sql string, lifted bool) (*zidian.Prepared, b
 	return p, false, nil
 }
 
-// run executes a compiled plan under admission control and the read locks
-// of the relations the plan touches, binding params into the plan template
-// first. Writes to any other relation proceed concurrently. Queue and lock
-// waits land in the statement context even when acquisition fails, so a
+// run executes a compiled plan under admission control and a shared hold of
+// the statement gate, binding params into the plan template first. Queue and
+// gate waits land in the statement context even when acquisition fails, so a
 // timed-out statement still reports where its latency went.
 func (s *Server) run(ctx context.Context, c *stmtCtx, p *zidian.Prepared, params []zidian.Value) (*zidian.Result, *zidian.Stats, error) {
 	qStart := time.Now()
@@ -524,9 +502,9 @@ func (s *Server) run(ctx context.Context, c *stmtCtx, p *zidian.Prepared, params
 	}
 	defer s.adm.Release()
 	lStart := time.Now()
-	release := s.locks.acquireRead(p.Relations())
+	s.gate.RLock()
 	c.locksWait(time.Since(lStart))
-	defer release()
+	defer s.gate.RUnlock()
 	s.queries.Add(1)
 	return p.RunTraced(c.Trace(), params...)
 }
@@ -608,16 +586,15 @@ func (s *Server) runFresh(ctx context.Context, c *stmtCtx, norm, sql string, lif
 	}
 }
 
-// Exec runs one SQL statement under the locks its kind requires:
-// INSERT/DELETE take their target relation's write lock (statements on
-// other relations keep flowing), DDL takes the instance-wide gate and
-// invalidates the plan cache while still holding it — so no statement can
-// observe the new catalog with an old plan — EXPLAIN takes only the compile
-// lock (it plans, it touches no data), EXPLAIN ANALYZE schedules like the
-// SELECT it wraps (it executes), and a SELECT routed here delegates to the
-// cached read path. Params bind into `?` placeholders.
+// Exec runs one SQL statement under the gate hold its kind requires: DDL
+// takes the gate exclusively and invalidates the plan cache while still
+// holding it — so no statement can observe the new catalog with an old plan
+// — and INSERT, DELETE and EXPLAIN take it shared like a read (the group
+// committer orders writes; EXPLAIN only plans). EXPLAIN ANALYZE schedules
+// like the SELECT it wraps (it executes), and a SELECT routed here delegates
+// to the cached read path. Params bind into `?` placeholders.
 func (s *Server) Exec(ctx context.Context, sql string, params ...zidian.Value) (*zidian.ExecResult, error) {
-	kind, target, err := zidian.StatementInfo(sql)
+	kind, _, err := zidian.StatementInfo(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -655,18 +632,15 @@ func (s *Server) Exec(ctx context.Context, sql string, params ...zidian.Value) (
 	}
 	c.admissionWait(time.Since(qStart))
 	defer s.adm.Release()
-	var release func()
 	lStart := time.Now()
-	switch kind {
-	case zidian.StmtInsert, zidian.StmtDelete:
-		release = s.locks.acquireWrite(target)
-	case zidian.StmtDDL:
-		release = s.locks.acquireDDL()
-	default: // EXPLAIN: planning only, no data access
-		release = s.locks.compileLock()
+	if kind == zidian.StmtDDL {
+		s.gate.Lock()
+		defer s.gate.Unlock()
+	} else {
+		s.gate.RLock()
+		defer s.gate.RUnlock()
 	}
 	c.locksWait(time.Since(lStart))
-	defer release()
 	s.queries.Add(1)
 	r, err := s.inst.ExecTraced(c.Trace(), sql, params...)
 	if err != nil {
@@ -686,7 +660,7 @@ func (s *Server) Exec(ctx context.Context, sql string, params ...zidian.Value) (
 // are not lifted here, so the analyzed plan is the one compiled from
 // exactly the text given, and a `?` inner statement shares the cached
 // template of the query it wraps — the statement schedules exactly like a
-// read — admission, then the plan's relation read locks — and executes
+// read — admission, then the gate shared — and executes
 // under the statement trace; the client receives the annotated operator
 // tree instead of the rows.
 func (s *Server) execExplainAnalyze(ctx context.Context, sql string, params []zidian.Value) (*zidian.ExecResult, error) {
@@ -710,9 +684,9 @@ func (s *Server) execExplainAnalyze(ctx context.Context, sql string, params []zi
 	c.admissionWait(time.Since(qStart))
 	defer s.adm.Release()
 	lStart := time.Now()
-	release := s.locks.acquireRead(p.Relations())
+	s.gate.RLock()
 	c.locksWait(time.Since(lStart))
-	defer release()
+	defer s.gate.RUnlock()
 	s.queries.Add(1)
 	res, stats, _, err := p.Analyze(c.Trace(), params...)
 	if err != nil {

@@ -314,8 +314,8 @@ func (in *Instance) SchemaEpoch() uint64 { return in.epoch.Load() }
 func (in *Instance) IndexNames() []string { return in.indexes.Names() }
 
 // Relations lists the base relations of the opened database, sorted. The
-// set is fixed at open time; serving layers size their per-relation lock
-// tables from it and reject write targets outside it.
+// set is fixed at open time; serving layers label per-relation metrics
+// from it.
 func (in *Instance) Relations() []string {
 	names := append([]string{}, in.db.Names()...)
 	sort.Strings(names)
@@ -425,9 +425,8 @@ func (p *Prepared) ScanFree() bool { return p.info.ScanFree }
 
 // Relations lists the base relations the compiled plan reads, sorted and
 // deduplicated. Every block, index posting, and statistic the plan touches
-// belongs to one of them, so a serving layer that holds these relations'
-// read locks runs the statement concurrently with writes to any other
-// relation.
+// belongs to one of them: they are the relations whose snapshots a run pins
+// and the ones serving layers attribute the statement to.
 func (p *Prepared) Relations() []string {
 	if p == nil || p.info == nil {
 		return nil
@@ -672,8 +671,8 @@ type ExecResult struct {
 }
 
 // StmtKind classifies a SQL statement for scheduling: serving layers pick
-// locks by kind before executing (readers share, writers exclude their
-// target relation, DDL excludes everything).
+// how to admit it by kind before executing (reads and writes run
+// concurrently, DDL excludes everything).
 type StmtKind int
 
 const (
@@ -689,8 +688,7 @@ const (
 	// StmtExplain plans a query without touching any data.
 	StmtExplain
 	// StmtExplainAnalyze plans AND executes the wrapped query, so serving
-	// layers schedule it like a read: it takes the query's relation read
-	// locks and runs under a statement trace.
+	// layers schedule it like a read, under a statement trace.
 	StmtExplainAnalyze
 	// StmtShow reads serving-layer state (SHOW STATEMENTS): no data access,
 	// no locks. Only a serving layer can answer it — the embedded instance
@@ -700,8 +698,7 @@ const (
 
 // StatementInfo classifies a statement without executing it, returning its
 // kind and, for INSERT/DELETE, the relation it writes. Serving layers call
-// it to choose locks: reads take their plan's relation read locks, writes
-// their target's write lock, DDL the global gate.
+// it to schedule the statement: only DDL needs the instance to itself.
 func StatementInfo(src string) (kind StmtKind, target string, err error) {
 	stmt, err := sqlpkg.ParseStatement(src)
 	if err != nil {

@@ -246,7 +246,7 @@ func TestMVCCSnapshotDifferential(t *testing.T) {
 // keeps each commit in flight long enough for followers to queue.
 func TestGroupCommitBatching(t *testing.T) {
 	inst := mvccItemsInstance(t, "hash")
-	inst.Store().Cluster.SetOpDelay(200 * time.Microsecond)
+	inst.Store().Cluster.SetServiceDelay(200 * time.Microsecond)
 	var maxBatch int64
 	inst.SetCommitObserver(func(n int) {
 		for {
