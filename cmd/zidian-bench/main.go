@@ -1,22 +1,8 @@
 // Command zidian-bench regenerates the paper's experimental tables and
-// figures (Section 9) on the in-process cluster.
-//
-// Usage:
-//
-//	zidian-bench -exp all                # every experiment
-//	zidian-bench -exp 1case              # Table 2 (Q1 case study)
-//	zidian-bench -exp 1                  # Table 3 (overall averages)
-//	zidian-bench -exp 2 -workload mot    # Figure 3a/3b
-//	zidian-bench -exp 3p -workload tpch  # Figure 4c/4d
-//	zidian-bench -exp 3d -workload mot   # Figure 4e/4f
-//	zidian-bench -exp 4                  # KV throughput
-//	zidian-bench -exp 4h                 # horizontal scalability
-//	zidian-bench -exp server             # serving layer (writes BENCH_server.json)
-//	zidian-bench -exp index              # secondary indexes (writes BENCH_index.json)
-//	zidian-bench -exp range              # range predicates / ordered posting scans (writes BENCH_range.json)
-//	zidian-bench -exp mixed              # write-fraction sweep under an emulated 200µs service time (writes BENCH_mixed.json)
-//	zidian-bench -exp replay             # capture→replay fidelity (writes BENCH_replay.json)
-//	zidian-bench -exp scaleout           # horizontal read scaling under the emulated service-capacity network (writes BENCH_scaleout.json)
+// figures (Section 9) on the in-process cluster, plus the two emulated-RTT
+// sweeps of the serving layer. `zidian-bench -h` lists the experiments;
+// -exp all runs every one in that order. Serving-layer speed on real CPU
+// cost is measured by benchmark/ (see benchmark/README.md), not here.
 //
 // -scale multiplies the dataset sizes; -workers and -nodes set the cluster
 // shape (paper defaults: 8 workers, 12 nodes). -exp scaleout sweeps its own
@@ -29,149 +15,145 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"zidian/internal/bench"
-	"zidian/internal/server/loadgen"
 )
 
-func main() {
-	var (
-		exp      = flag.String("exp", "all", "experiment: all, 1case, 1, 2, 3p, 3d, 4, 4h, ablation, server, index, range, mixed, replay, scaleout")
-		workload = flag.String("workload", "mot", "workload for exp 2/3/server: mot, airca, tpch")
-		mix      = flag.String("mix", "point", "query mix for -exp server: point, nonkey, range, mixed")
-		scale    = flag.Float64("scale", 1.0, "dataset scale multiplier")
-		workers  = flag.Int("workers", 8, "SQL-layer workers")
-		nodes    = flag.Int("nodes", 12, "storage nodes")
-		seed     = flag.Int64("seed", 7, "generator seed")
-		clients  = flag.Int("clients", 64, "concurrent connections for -exp server")
-		requests = flag.Int("requests", 100, "statements per connection for -exp server")
-		jsonOut  = flag.String("json", "", "report path for -exp server/index/range (default BENCH_server.json / BENCH_index.json / BENCH_range.json; \"none\" disables)")
-		opDelay  = flag.Duration("op-delay", 0, "for -exp scaleout: pin the emulated per-node service time to this single value instead of sweeping 0/200µs/1ms")
-	)
-	flag.Parse()
+// options are the parsed flags an experiment may read.
+type options struct {
+	cfg      bench.Config
+	clients  int
+	requests int
+	jsonOut  string
+	opDelay  time.Duration
+}
 
-	cfg := bench.Config{Scale: *scale, Seed: *seed, Nodes: *nodes, Workers: *workers}
-	out := os.Stdout
-
-	jsonPath := func(def string) string {
-		switch *jsonOut {
-		case "":
-			return def
-		case "none":
-			return ""
-		default:
-			return *jsonOut
-		}
-	}
-
-	serverBench := func(out io.Writer, cfg bench.Config) error {
-		return loadgen.BenchServer(out, loadgen.BenchOptions{
-			Workload: *workload,
-			Mix:      *mix,
-			Scale:    cfg.Scale,
-			Seed:     cfg.Seed,
-			Nodes:    cfg.Nodes,
-			Workers:  cfg.Workers,
-			Clients:  *clients,
-			Requests: *requests,
-			JSONPath: jsonPath("BENCH_server.json"),
-		})
-	}
-
-	indexBench := func(out io.Writer, cfg bench.Config) error {
-		return bench.ExpIndex(out, cfg, jsonPath("BENCH_index.json"))
-	}
-
-	rangeBench := func(out io.Writer, cfg bench.Config) error {
-		return bench.ExpRange(out, cfg, jsonPath("BENCH_range.json"))
-	}
-
-	mixedBench := func(out io.Writer, cfg bench.Config) error {
-		return bench.ExpMixed(out, cfg, jsonPath("BENCH_mixed.json"), *clients, *requests)
-	}
-
-	scaleoutBench := func(out io.Writer, cfg bench.Config) error {
-		var delays []time.Duration
-		if *opDelay > 0 {
-			delays = []time.Duration{*opDelay}
-		}
-		return bench.ExpScaleout(out, cfg, jsonPath("BENCH_scaleout.json"), *clients, *requests, delays)
-	}
-
-	replayBench := func(out io.Writer, cfg bench.Config) error {
-		return loadgen.BenchReplay(out, loadgen.ReplayBenchOptions{
-			Workload: *workload,
-			Scale:    cfg.Scale,
-			Seed:     cfg.Seed,
-			Nodes:    cfg.Nodes,
-			Workers:  cfg.Workers,
-			Clients:  *clients,
-			Requests: *requests,
-			JSONPath: jsonPath("BENCH_replay.json"),
-		})
-	}
-
-	run := func(name string, f func() error) {
-		fmt.Fprintf(out, "==> %s\n", name)
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "zidian-bench: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(out)
-	}
-
-	switch *exp {
-	case "1case":
-		run("exp1-case", func() error { return bench.Exp1Case(out, cfg) })
-	case "1":
-		run("exp1-overall", func() error { return bench.Exp1Overall(out, cfg) })
-	case "2":
-		run("exp2", func() error { return bench.Exp2(out, cfg, *workload, nil) })
-	case "3p":
-		run("exp3-workers", func() error { return bench.Exp3Workers(out, cfg, *workload, nil) })
-	case "3d":
-		run("exp3-data", func() error { return bench.Exp3Data(out, cfg, *workload, nil) })
-	case "4":
-		run("exp4-throughput", func() error { return bench.Exp4Throughput(out, cfg) })
-	case "4h":
-		run("exp4-horizontal", func() error { return bench.Exp4Horizontal(out, cfg, nil) })
-	case "ablation":
-		run("ablation", func() error { return bench.Ablation(out, cfg) })
-	case "server":
-		run("server", func() error { return serverBench(out, cfg) })
-	case "index":
-		run("index", func() error { return indexBench(out, cfg) })
-	case "range":
-		run("range", func() error { return rangeBench(out, cfg) })
-	case "mixed":
-		run("mixed", func() error { return mixedBench(out, cfg) })
-	case "replay":
-		run("replay", func() error { return replayBench(out, cfg) })
-	case "scaleout":
-		run("scaleout", func() error { return scaleoutBench(out, cfg) })
-	case "all":
-		run("exp1-case (Table 2)", func() error { return bench.Exp1Case(out, cfg) })
-		run("exp1-overall (Table 3)", func() error { return bench.Exp1Overall(out, cfg) })
-		for _, w := range []string{"mot", "tpch"} {
-			w := w
-			run("exp2 (Figure 3, "+w+")", func() error { return bench.Exp2(out, cfg, w, nil) })
-			run("exp3-workers (Figure 4a-d, "+w+")", func() error { return bench.Exp3Workers(out, cfg, w, nil) })
-			run("exp3-data (Figure 4e-h, "+w+")", func() error { return bench.Exp3Data(out, cfg, w, nil) })
-		}
-		run("exp2 (airca)", func() error { return bench.Exp2(out, cfg, "airca", nil) })
-		run("exp4-throughput", func() error { return bench.Exp4Throughput(out, cfg) })
-		run("exp4-horizontal", func() error { return bench.Exp4Horizontal(out, cfg, nil) })
-		run("ablation", func() error { return bench.Ablation(out, cfg) })
-		run("server", func() error { return serverBench(out, cfg) })
-		run("index", func() error { return indexBench(out, cfg) })
-		run("range", func() error { return rangeBench(out, cfg) })
-		run("mixed", func() error { return mixedBench(out, cfg) })
-		run("replay", func() error { return replayBench(out, cfg) })
-		run("scaleout", func() error { return scaleoutBench(out, cfg) })
+// jsonPath resolves -json against an experiment's default report file.
+func (o *options) jsonPath(def string) string {
+	switch o.jsonOut {
+	case "":
+		return def
+	case "none":
+		return ""
 	default:
-		fmt.Fprintf(os.Stderr, "zidian-bench: unknown experiment %q\n", *exp)
-		flag.Usage()
-		os.Exit(2)
+		return o.jsonOut
 	}
+}
+
+// experiment is one -exp value. An entry with workloads reads -workload and,
+// under -exp all, runs once per listed workload instead.
+type experiment struct {
+	name      string
+	title     string
+	workloads []string
+	run       func(out io.Writer, o *options, workload string) error
+}
+
+// experiments is the one list of what zidian-bench runs: -exp dispatches on
+// name, -exp all walks it in order, and the -exp help is built from it.
+var experiments = []experiment{
+	{"1case", "exp1-case (Table 2)", nil, func(out io.Writer, o *options, _ string) error {
+		return bench.Exp1Case(out, o.cfg)
+	}},
+	{"1", "exp1-overall (Table 3)", nil, func(out io.Writer, o *options, _ string) error {
+		return bench.Exp1Overall(out, o.cfg)
+	}},
+	{"2", "exp2 (Figure 3)", []string{"mot", "tpch", "airca"}, func(out io.Writer, o *options, w string) error {
+		return bench.Exp2(out, o.cfg, w, nil)
+	}},
+	{"3p", "exp3-workers (Figure 4a-d)", []string{"mot", "tpch"}, func(out io.Writer, o *options, w string) error {
+		return bench.Exp3Workers(out, o.cfg, w, nil)
+	}},
+	{"3d", "exp3-data (Figure 4e-h)", []string{"mot", "tpch"}, func(out io.Writer, o *options, w string) error {
+		return bench.Exp3Data(out, o.cfg, w, nil)
+	}},
+	{"4", "exp4-throughput", nil, func(out io.Writer, o *options, _ string) error {
+		return bench.Exp4Throughput(out, o.cfg)
+	}},
+	{"4h", "exp4-horizontal", nil, func(out io.Writer, o *options, _ string) error {
+		return bench.Exp4Horizontal(out, o.cfg, nil)
+	}},
+	{"ablation", "ablation", nil, func(out io.Writer, o *options, _ string) error {
+		return bench.Ablation(out, o.cfg)
+	}},
+	{"mixed", "mixed (write-fraction sweep, 200µs service time → BENCH_mixed.json)", nil, func(out io.Writer, o *options, _ string) error {
+		return bench.ExpMixed(out, o.cfg, o.jsonPath("BENCH_mixed.json"), o.clients, o.requests)
+	}},
+	{"scaleout", "scaleout (read scaling over 1/2/4/8 nodes → BENCH_scaleout.json)", nil, func(out io.Writer, o *options, _ string) error {
+		var delays []time.Duration
+		if o.opDelay > 0 {
+			delays = []time.Duration{o.opDelay}
+		}
+		return bench.ExpScaleout(out, o.cfg, o.jsonPath("BENCH_scaleout.json"), o.clients, o.requests, delays)
+	}},
+}
+
+// names lists the table's -exp values in order.
+func names(table []experiment) string {
+	ns := make([]string, len(table))
+	for i, e := range table {
+		ns[i] = e.name
+	}
+	return strings.Join(ns, ", ")
+}
+
+// dispatch runs the experiment called exp, or the whole table for "all",
+// and returns the process exit code: 1 when an experiment fails, 2 when exp
+// names none.
+func dispatch(table []experiment, exp, workload string, o *options, out, errw io.Writer) int {
+	matched := false
+	for _, e := range table {
+		if exp != "all" && exp != e.name {
+			continue
+		}
+		matched = true
+		ws := []string{workload}
+		if exp == "all" && e.workloads != nil {
+			ws = e.workloads
+		}
+		for _, w := range ws {
+			heading := e.title
+			if e.workloads != nil {
+				heading += " [" + w + "]"
+			}
+			fmt.Fprintf(out, "==> %s\n", heading)
+			if err := e.run(out, o, w); err != nil {
+				fmt.Fprintf(errw, "zidian-bench: %s: %v\n", heading, err)
+				return 1
+			}
+			fmt.Fprintln(out)
+		}
+	}
+	if !matched {
+		fmt.Fprintf(errw, "zidian-bench: unknown experiment %q (want all, %s)\n", exp, names(table))
+		return 2
+	}
+	return 0
+}
+
+func main() {
+	var o options
+	exp := flag.String("exp", "all", "experiment: all, "+names(experiments))
+	workload := flag.String("workload", "mot", "workload for -exp 2, 3p, 3d: mot, airca, tpch")
+	flag.Float64Var(&o.cfg.Scale, "scale", 1.0, "dataset scale multiplier")
+	flag.IntVar(&o.cfg.Workers, "workers", 8, "SQL-layer workers")
+	flag.IntVar(&o.cfg.Nodes, "nodes", 12, "storage nodes")
+	flag.Int64Var(&o.cfg.Seed, "seed", 7, "generator seed")
+	flag.IntVar(&o.clients, "clients", 64, "concurrent connections for -exp mixed, scaleout")
+	flag.IntVar(&o.requests, "requests", 100, "statements per connection for -exp mixed, scaleout")
+	flag.StringVar(&o.jsonOut, "json", "", "report path for -exp mixed, scaleout (default BENCH_mixed.json / BENCH_scaleout.json; \"none\" disables)")
+	flag.DurationVar(&o.opDelay, "op-delay", 0, "for -exp scaleout: pin the emulated per-node service time to this single value instead of sweeping 0/200µs/1ms")
+	flag.Usage = func() {
+		w := flag.CommandLine.Output()
+		fmt.Fprintf(w, "Usage of %s:\n", os.Args[0])
+		flag.PrintDefaults()
+		fmt.Fprintln(w, "experiments, in -exp all order:")
+		for _, e := range experiments {
+			fmt.Fprintf(w, "  %-9s %s\n", e.name, e.title)
+		}
+	}
+	flag.Parse()
+	os.Exit(dispatch(experiments, *exp, *workload, &o, os.Stdout, os.Stderr))
 }

@@ -1,10 +1,9 @@
 // Command zidian-loadgen drives a running zidian-server with a
 // repeated-template workload over many concurrent connections and reports
 // throughput, latency percentiles, and the plan-cache hit rate. With -out
-// it also writes the machine-readable report (the BENCH_server.json
-// format) for tracking the serving-layer perf trajectory across changes.
+// it also writes the machine-readable report (loadgen.Report as JSON).
 //
-//	zidian-loadgen -addr localhost:7071 -clients 64 -requests 200 -out BENCH_server.json
+//	zidian-loadgen -addr localhost:7071 -clients 64 -requests 200 -out report.json
 package main
 
 import (
@@ -28,7 +27,6 @@ func main() {
 		pool     = flag.Int("params", 100, "distinct parameter values per template")
 		seed     = flag.Int64("seed", 1, "parameter sequence seed")
 		prep     = flag.Bool("parameterized", false, "send `?` templates with wire parameters instead of inlined literals")
-		distinct = flag.Bool("distinct", false, "use a globally unique literal per request (numeric templates)")
 		out      = flag.String("out", "", "write the JSON report to this file")
 		metrics  = flag.String("metrics", "", "server /metrics URL (e.g. http://localhost:7072/metrics); scraped after the run to fold server-side latency quantiles into the report")
 		strict   = flag.Bool("metrics-strict", false, "exit non-zero when the -metrics scrape fails instead of warning")
@@ -79,15 +77,14 @@ func main() {
 	}
 
 	opts := loadgen.Options{
-		Addr:           *addr,
-		Clients:        *clients,
-		Requests:       *requests,
-		ParamPool:      *pool,
-		Seed:           *seed,
-		Parameterized:  *prep,
-		DistinctParams: *distinct,
-		MetricsURL:     *metrics,
-		MetricsStrict:  *strict,
+		Addr:          *addr,
+		Clients:       *clients,
+		Requests:      *requests,
+		ParamPool:     *pool,
+		Seed:          *seed,
+		Parameterized: *prep,
+		MetricsURL:    *metrics,
+		MetricsStrict: *strict,
 	}
 	if *mix == "readwrite" {
 		reads, writes, setup, err := loadgen.ReadWriteMix(*wl)

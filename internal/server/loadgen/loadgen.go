@@ -1,8 +1,8 @@
 // Package loadgen drives a running zidian server with a repeated-template
 // workload over many concurrent wire-protocol connections and reports
-// throughput, latency percentiles, and plan-cache effectiveness. It backs
-// both the cmd/zidian-loadgen binary and the zidian-bench server experiment
-// (BENCH_server.json).
+// throughput, latency percentiles, and plan-cache effectiveness; it also
+// replays capture files. It backs the cmd/zidian-loadgen binary and the
+// zidian-bench mixed and scaleout sweeps.
 package loadgen
 
 import (
@@ -305,11 +305,6 @@ type Options struct {
 	// as a wire parameter, instead of inlining the literal into the SQL
 	// text. One plan-cache entry then serves the whole template.
 	Parameterized bool
-	// DistinctParams makes every request use a globally unique numeric
-	// value (client × request counter) instead of drawing from ParamPool —
-	// the distinct-literal regime where literal-inlined caching degrades to
-	// ~0% hits. Only meaningful for numeric templates.
-	DistinctParams bool
 	// WriteTemplates, with WriteFraction > 0, mixes writes into the load:
 	// each request flips a coin and, at the write fraction, draws a write
 	// template instead of a read. Inserts take a globally unique id
@@ -362,8 +357,7 @@ type Latency struct {
 	Max int64 `json:"max"`
 }
 
-// Report is the machine-readable outcome of one run: the BENCH_server.json
-// payload.
+// Report is the machine-readable outcome of one run.
 type Report struct {
 	Bench       string  `json:"bench"`
 	Workload    string  `json:"workload,omitempty"`
@@ -386,15 +380,6 @@ type Report struct {
 	// echoes the configured write probability.
 	Writes        int64   `json:"writes,omitempty"`
 	WriteFraction float64 `json:"writeFraction,omitempty"`
-	// PlanCacheHitRateDistinctLiterals is the cache hit rate of the
-	// distinct-literal phase run with parameterized statements: every
-	// request uses a literal never seen before, and only template reuse can
-	// produce hits. PlanCacheHitRateDistinctLiteralsInlined is the same
-	// workload with literals inlined into the SQL text: the server lifts
-	// equality literals onto the same templates, so it approaches 100% too
-	// (it was ~0% while ad hoc text keyed the cache by its literals).
-	PlanCacheHitRateDistinctLiterals        float64 `json:"planCacheHitRateDistinctLiterals"`
-	PlanCacheHitRateDistinctLiteralsInlined float64 `json:"planCacheHitRateDistinctLiteralsInlined"`
 	// Server is the server's own statistics snapshot after the run.
 	Server *server.ServerStats `json:"server,omitempty"`
 	// ServerLatency is the server-side statement latency summary scraped
@@ -421,28 +406,11 @@ func Run(opts Options) (*Report, error) {
 		return nil, fmt.Errorf("loadgen: no templates")
 	}
 
-	clients := make([]*client.Client, opts.Clients)
-	for i := range clients {
-		c, err := client.Dial(opts.Addr)
-		if err != nil {
-			for _, prev := range clients[:i] {
-				prev.Close()
-			}
-			return nil, fmt.Errorf("loadgen: dial client %d: %w", i, err)
-		}
-		if err := c.Ping(); err != nil {
-			for _, prev := range clients[:i+1] {
-				prev.Close()
-			}
-			return nil, fmt.Errorf("loadgen: ping client %d: %w", i, err)
-		}
-		clients[i] = c
+	clients, err := dialAll(opts.Addr, opts.Clients)
+	if err != nil {
+		return nil, err
 	}
-	defer func() {
-		for _, c := range clients {
-			c.Close()
-		}
-	}()
+	defer closeAll(clients)
 
 	for _, stmt := range opts.Setup {
 		if _, err := clients[0].Exec(stmt); err != nil &&
@@ -506,14 +474,9 @@ func Run(opts Options) (*Report, error) {
 				ti := r.Intn(len(opts.Templates))
 				t := opts.Templates[ti]
 				var args []any
-				switch {
-				case len(t.Strings) > 0:
+				if len(t.Strings) > 0 {
 					args = []any{t.Strings[r.Intn(len(t.Strings))]}
-				case opts.DistinctParams:
-					// Globally unique literal, offset past any ParamPool
-					// value another phase may have warmed the cache with.
-					args = t.args(1<<20 + i*opts.Requests + n)
-				default:
+				} else {
 					args = t.args(t.Base + r.Intn(opts.ParamPool))
 				}
 				var sql string
@@ -575,22 +538,60 @@ func Run(opts Options) (*Report, error) {
 		rep.ScanFreeRate = float64(scanFree) / float64(answered)
 	}
 	rep.Latency = percentiles(all)
-
-	if st, err := clients[0].Stats(); err == nil {
-		rep.Server = st
-	}
-	if opts.MetricsURL != "" {
-		sl, err := ScrapeServerLatency(opts.MetricsURL)
-		switch {
-		case err == nil:
-			rep.ServerLatency = sl
-		case opts.MetricsStrict:
-			return nil, fmt.Errorf("loadgen: metrics scrape %s: %w", opts.MetricsURL, err)
-		default:
-			fmt.Fprintf(os.Stderr, "loadgen: warning: metrics scrape %s failed: %v\n", opts.MetricsURL, err)
-		}
+	if err := serverSide(rep, clients[0], opts.MetricsURL, opts.MetricsStrict); err != nil {
+		return nil, err
 	}
 	return rep, nil
+}
+
+// dialAll opens n connections to addr and pings each, so that connection
+// failures surface before load starts. On failure every connection opened
+// so far, the failing one included, is closed.
+func dialAll(addr string, n int) ([]*client.Client, error) {
+	clients := make([]*client.Client, 0, n)
+	for i := 0; i < n; i++ {
+		c, err := client.Dial(addr)
+		if err != nil {
+			closeAll(clients)
+			return nil, fmt.Errorf("loadgen: dial client %d: %w", i, err)
+		}
+		if err := c.Ping(); err != nil {
+			c.Close()
+			closeAll(clients)
+			return nil, fmt.Errorf("loadgen: ping client %d: %w", i, err)
+		}
+		clients = append(clients, c)
+	}
+	return clients, nil
+}
+
+func closeAll(clients []*client.Client) {
+	for _, c := range clients {
+		c.Close()
+	}
+}
+
+// serverSide folds the server's own view of a finished run into rep: its
+// statistics snapshot over c and, when metricsURL is set, the /metrics
+// latency summary. A failed scrape is an error under strict and a warning
+// on stderr otherwise.
+func serverSide(rep *Report, c *client.Client, metricsURL string, strict bool) error {
+	if st, err := c.Stats(); err == nil {
+		rep.Server = st
+	}
+	if metricsURL == "" {
+		return nil
+	}
+	sl, err := ScrapeServerLatency(metricsURL)
+	switch {
+	case err == nil:
+		rep.ServerLatency = sl
+	case strict:
+		return fmt.Errorf("loadgen: metrics scrape %s: %w", metricsURL, err)
+	default:
+		fmt.Fprintf(os.Stderr, "loadgen: warning: metrics scrape %s failed: %v\n", metricsURL, err)
+	}
+	return nil
 }
 
 // percentiles summarizes a latency sample (µs).

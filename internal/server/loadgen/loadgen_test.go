@@ -2,6 +2,9 @@ package loadgen
 
 import (
 	"context"
+	"net"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -65,5 +68,43 @@ func TestRunAgainstLiveServer(t *testing.T) {
 
 	if _, err := Templates("nope"); err == nil {
 		t.Fatal("unknown workload should fail")
+	}
+}
+
+// TestPingFailureIsAnError: a peer that accepts and hangs up makes Dial
+// succeed and Ping fail. Run and Replay must report that, not dereference
+// the slot the failed client never reached.
+func TestPingFailureIsAnError(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			c.Close()
+		}
+	}()
+	addr := ln.Addr().String()
+
+	templates, err := Templates("mot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(Options{Addr: addr, Clients: 2, Requests: 1, Templates: templates}); err == nil {
+		t.Fatal("Run against a peer that hangs up: want an error")
+	}
+
+	capture := filepath.Join(t.TempDir(), "capture.jsonl")
+	line := `{"dtMicros":0,"session":1,"verb":"select","template":"select V.make from VEHICLE V where V.vehicle_id = ?","binds":["int"]}` + "\n"
+	if err := os.WriteFile(capture, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(ReplayOptions{Addr: addr, Path: capture}); err == nil {
+		t.Fatal("Replay against a peer that hangs up: want an error")
 	}
 }

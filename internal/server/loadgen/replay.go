@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -20,7 +19,6 @@ import (
 	"time"
 
 	"zidian/internal/server"
-	"zidian/internal/server/client"
 )
 
 // ReadCapture loads a capture file: one JSON CaptureEntry per line.
@@ -61,10 +59,8 @@ func ReadCapture(path string) ([]server.CaptureEntry, error) {
 type ReplayOptions struct {
 	// Addr is the target server's wire-protocol TCP address.
 	Addr string
-	// Path is the capture file; ignored when Entries is set directly.
+	// Path is the capture file.
 	Path string
-	// Entries replays a pre-loaded capture (tests, bench harness).
-	Entries []server.CaptureEntry
 	// Clients bounds the concurrent connections (default 16). Entries of one
 	// captured session always replay on one connection, in capture order.
 	Clients int
@@ -117,16 +113,9 @@ func synthBind(kind string, seed int64, idx, pos, pool int) any {
 // result rows, so two replays can be compared for byte-identical reads.
 func Replay(opts ReplayOptions) (*Report, error) {
 	opts = opts.normalized()
-	entries := opts.Entries
-	if entries == nil {
-		var err error
-		entries, err = ReadCapture(opts.Path)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("loadgen: nothing to replay")
+	entries, err := ReadCapture(opts.Path)
+	if err != nil {
+		return nil, err
 	}
 
 	// Partition by captured session, preserving order: session affinity keeps
@@ -153,28 +142,11 @@ func Replay(opts ReplayOptions) (*Report, error) {
 		queues[ci] = append(queues[ci], job{idx: i, e: e})
 	}
 
-	clients := make([]*client.Client, nClients)
-	for i := range clients {
-		c, err := client.Dial(opts.Addr)
-		if err != nil {
-			for _, prev := range clients[:i] {
-				prev.Close()
-			}
-			return nil, fmt.Errorf("loadgen: dial replay client %d: %w", i, err)
-		}
-		if err := c.Ping(); err != nil {
-			for _, prev := range clients[:i+1] {
-				prev.Close()
-			}
-			return nil, fmt.Errorf("loadgen: ping replay client %d: %w", i, err)
-		}
-		clients[i] = c
+	clients, err := dialAll(opts.Addr, nClients)
+	if err != nil {
+		return nil, err
 	}
-	defer func() {
-		for _, c := range clients {
-			c.Close()
-		}
-	}()
+	defer closeAll(clients)
 
 	type workerResult struct {
 		lat    []int64
@@ -245,20 +217,8 @@ func Replay(opts ReplayOptions) (*Report, error) {
 	}
 	rep.Latency = percentiles(all)
 	rep.RowDigest = fmt.Sprintf("%016x", digest)
-
-	if st, err := clients[0].Stats(); err == nil {
-		rep.Server = st
-	}
-	if opts.MetricsURL != "" {
-		sl, err := ScrapeServerLatency(opts.MetricsURL)
-		switch {
-		case err == nil:
-			rep.ServerLatency = sl
-		case opts.MetricsStrict:
-			return nil, fmt.Errorf("loadgen: metrics scrape %s: %w", opts.MetricsURL, err)
-		default:
-			fmt.Fprintf(os.Stderr, "loadgen: warning: metrics scrape %s failed: %v\n", opts.MetricsURL, err)
-		}
+	if err := serverSide(rep, clients[0], opts.MetricsURL, opts.MetricsStrict); err != nil {
+		return nil, err
 	}
 	return rep, nil
 }
@@ -279,22 +239,4 @@ func rowHash(idx int, cols []string, rows [][]any) uint64 {
 		h.Write([]byte{'\n'})
 	}
 	return h.Sum64()
-}
-
-// FetchStatements fetches a server's /stats/statements payload.
-func FetchStatements(url string) (*server.StatementsPayload, error) {
-	hc := http.Client{Timeout: 5 * time.Second}
-	resp, err := hc.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("loadgen: fetch %s: status %s", url, resp.Status)
-	}
-	var payload server.StatementsPayload
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-		return nil, err
-	}
-	return &payload, nil
 }

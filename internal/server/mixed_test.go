@@ -117,11 +117,12 @@ func renderRows(res *zidian.Result) string {
 }
 
 // TestConcurrentMixedDifferential runs N writers on disjoint relations
-// concurrently with M readers issuing point, nonkey, and range queries —
-// through the server's per-relation locking, on all three kv engines — and
-// requires the final answers to be byte-identical to a serial replay of the
-// same write sequences on a fresh instance. Run with -race, it is also the
-// write-path data-race probe.
+// concurrently with M readers issuing point, nonkey, and range queries — all
+// holding the server's statement gate shared, each writer ordered by its
+// relation's group committer, on all three kv engines — and requires the
+// final answers to be byte-identical to a serial replay of the same write
+// sequences on a fresh instance. Run with -race, it is also the write-path
+// data-race probe.
 func TestConcurrentMixedDifferential(t *testing.T) {
 	for _, eng := range []string{"hash", "lsm", "sorted"} {
 		t.Run(eng, func(t *testing.T) {

@@ -489,23 +489,46 @@ func (s *Server) compileNorm(norm, sql string, lifted bool) (*zidian.Prepared, b
 	return p, false, nil
 }
 
-// run executes a compiled plan under admission control and a shared hold of
-// the statement gate, binding params into the plan template first. Queue and
+// schedule admits one statement: an admission slot, then the statement gate
+// — exclusive for DDL, shared for everything else — and counts it. Queue and
 // gate waits land in the statement context even when acquisition fails, so a
-// timed-out statement still reports where its latency went.
-func (s *Server) run(ctx context.Context, c *stmtCtx, p *zidian.Prepared, params []zidian.Value) (*zidian.Result, *zidian.Stats, error) {
+// timed-out statement still reports where its latency went. A nil return is
+// paired with one unschedule of the same mode.
+func (s *Server) schedule(ctx context.Context, c *stmtCtx, exclusive bool) error {
 	qStart := time.Now()
 	err := s.adm.Acquire(ctx)
 	c.admissionWait(time.Since(qStart))
 	if err != nil {
+		return err
+	}
+	lStart := time.Now()
+	if exclusive {
+		s.gate.Lock()
+	} else {
+		s.gate.RLock()
+	}
+	c.locksWait(time.Since(lStart))
+	s.queries.Add(1)
+	return nil
+}
+
+// unschedule releases what schedule took, gate first.
+func (s *Server) unschedule(exclusive bool) {
+	if exclusive {
+		s.gate.Unlock()
+	} else {
+		s.gate.RUnlock()
+	}
+	s.adm.Release()
+}
+
+// run executes a compiled plan as one scheduled statement, binding params
+// into the plan template first.
+func (s *Server) run(ctx context.Context, c *stmtCtx, p *zidian.Prepared, params []zidian.Value) (*zidian.Result, *zidian.Stats, error) {
+	if err := s.schedule(ctx, c, false); err != nil {
 		return nil, nil, err
 	}
-	defer s.adm.Release()
-	lStart := time.Now()
-	s.gate.RLock()
-	c.locksWait(time.Since(lStart))
-	defer s.gate.RUnlock()
-	s.queries.Add(1)
+	defer s.unschedule(false)
 	return p.RunTraced(c.Trace(), params...)
 }
 
@@ -594,7 +617,7 @@ func (s *Server) runFresh(ctx context.Context, c *stmtCtx, norm, sql string, lif
 // like the SELECT it wraps (it executes), and a SELECT routed here delegates
 // to the cached read path. Params bind into `?` placeholders.
 func (s *Server) Exec(ctx context.Context, sql string, params ...zidian.Value) (*zidian.ExecResult, error) {
-	kind, _, err := zidian.StatementInfo(sql)
+	kind, err := zidian.StatementInfo(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -624,24 +647,12 @@ func (s *Server) Exec(ctx context.Context, sql string, params ...zidian.Value) (
 	c := s.obs.begin(verb)
 	c.setStmt(NormalizeSQL(sql), params)
 	c.setSession(sessionID(ctx))
-	qStart := time.Now()
-	if err := s.adm.Acquire(ctx); err != nil {
-		c.admissionWait(time.Since(qStart))
+	ddl := kind == zidian.StmtDDL
+	if err := s.schedule(ctx, c, ddl); err != nil {
 		c.finish(0, false, err)
 		return nil, err
 	}
-	c.admissionWait(time.Since(qStart))
-	defer s.adm.Release()
-	lStart := time.Now()
-	if kind == zidian.StmtDDL {
-		s.gate.Lock()
-		defer s.gate.Unlock()
-	} else {
-		s.gate.RLock()
-		defer s.gate.RUnlock()
-	}
-	c.locksWait(time.Since(lStart))
-	s.queries.Add(1)
+	defer s.unschedule(ddl)
 	r, err := s.inst.ExecTraced(c.Trace(), sql, params...)
 	if err != nil {
 		c.finish(0, false, err)
@@ -675,19 +686,11 @@ func (s *Server) execExplainAnalyze(ctx context.Context, sql string, params []zi
 		return nil, err
 	}
 	c.setRelations(p.Relations())
-	qStart := time.Now()
-	if err := s.adm.Acquire(ctx); err != nil {
-		c.admissionWait(time.Since(qStart))
+	if err := s.schedule(ctx, c, false); err != nil {
 		c.finish(0, hit, err)
 		return nil, err
 	}
-	c.admissionWait(time.Since(qStart))
-	defer s.adm.Release()
-	lStart := time.Now()
-	s.gate.RLock()
-	c.locksWait(time.Since(lStart))
-	defer s.gate.RUnlock()
-	s.queries.Add(1)
+	defer s.unschedule(false)
 	res, stats, _, err := p.Analyze(c.Trace(), params...)
 	if err != nil {
 		c.finish(0, hit, err)

@@ -696,32 +696,31 @@ const (
 	StmtShow
 )
 
-// StatementInfo classifies a statement without executing it, returning its
-// kind and, for INSERT/DELETE, the relation it writes. Serving layers call
-// it to schedule the statement: only DDL needs the instance to itself.
-func StatementInfo(src string) (kind StmtKind, target string, err error) {
+// StatementInfo classifies a statement without executing it. Serving layers
+// call it to schedule the statement: only DDL needs the instance to itself.
+func StatementInfo(src string) (StmtKind, error) {
 	stmt, err := sqlpkg.ParseStatement(src)
 	if err != nil {
-		return 0, "", err
+		return 0, err
 	}
 	switch s := stmt.(type) {
 	case *sqlpkg.Query:
-		return StmtSelect, "", nil
+		return StmtSelect, nil
 	case *sqlpkg.Insert:
-		return StmtInsert, s.Table, nil
+		return StmtInsert, nil
 	case *sqlpkg.Delete:
-		return StmtDelete, s.Table, nil
+		return StmtDelete, nil
 	case *sqlpkg.CreateIndex, *sqlpkg.DropIndex:
-		return StmtDDL, "", nil
+		return StmtDDL, nil
 	case *sqlpkg.Explain:
 		if s.Analyze {
-			return StmtExplainAnalyze, "", nil
+			return StmtExplainAnalyze, nil
 		}
-		return StmtExplain, "", nil
+		return StmtExplain, nil
 	case *sqlpkg.Show:
-		return StmtShow, "", nil
+		return StmtShow, nil
 	default:
-		return 0, "", fmt.Errorf("zidian: unsupported statement")
+		return 0, fmt.Errorf("zidian: unsupported statement")
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 )
 
 // TestPreparedRelationsAndStatementInfo: the facade surfaces exactly what a
-// serving layer needs to pick locks — the compiled plan's read set, and a
-// statement's kind and write target without executing it.
+// serving layer needs to schedule a statement — the compiled plan's read set,
+// and a statement's kind without executing it.
 func TestPreparedRelationsAndStatementInfo(t *testing.T) {
 	db, bv := atomicItemsDB(t)
 	inst, err := Open(db, bv, Options{})
@@ -52,27 +52,26 @@ func TestPreparedRelationsAndStatementInfo(t *testing.T) {
 	}
 
 	cases := []struct {
-		sql    string
-		kind   StmtKind
-		target string
+		sql  string
+		kind StmtKind
 	}{
-		{"select I.qty from ITEM I where I.item_id = 1", StmtSelect, ""},
-		{"insert into ITEM values (1, 'a', 2)", StmtInsert, "ITEM"},
-		{"delete from ITEM where item_id = 1", StmtDelete, "ITEM"},
-		{"create index ix on ITEM(qty)", StmtDDL, ""},
-		{"drop index ix", StmtDDL, ""},
-		{"explain select I.qty from ITEM I where I.item_id = 1", StmtExplain, ""},
+		{"select I.qty from ITEM I where I.item_id = 1", StmtSelect},
+		{"insert into ITEM values (1, 'a', 2)", StmtInsert},
+		{"delete from ITEM where item_id = 1", StmtDelete},
+		{"create index ix on ITEM(qty)", StmtDDL},
+		{"drop index ix", StmtDDL},
+		{"explain select I.qty from ITEM I where I.item_id = 1", StmtExplain},
 	}
 	for _, c := range cases {
-		kind, target, err := StatementInfo(c.sql)
+		kind, err := StatementInfo(c.sql)
 		if err != nil {
 			t.Fatalf("%q: %v", c.sql, err)
 		}
-		if kind != c.kind || target != c.target {
-			t.Fatalf("StatementInfo(%q) = (%v, %q), want (%v, %q)", c.sql, kind, target, c.kind, c.target)
+		if kind != c.kind {
+			t.Fatalf("StatementInfo(%q) = %v, want %v", c.sql, kind, c.kind)
 		}
 	}
-	if _, _, err := StatementInfo("frobnicate"); err == nil {
+	if _, err := StatementInfo("frobnicate"); err == nil {
 		t.Fatal("malformed statement classified without error")
 	}
 }
