@@ -255,7 +255,7 @@ func (co *committer) commit(batch []*writeOp) {
 // blocks that lack the row at the snapshot and drop out. The one unsound
 // path is a pushed-down LIMIT — a stale key inside the first `limit`
 // postings would displace a real one that the executor then never fetches.
-// RangeLimitT therefore push the limit down only when the relation is
+// RangeLimitT therefore pushes the limit down only when the relation is
 // quiescent (no commit in flight, nothing newer than the snapshot, no
 // pending posting shrinks) before AND after the walk; on conflict it
 // re-walks unlimited and trims, trading scan steps for soundness.
@@ -290,20 +290,12 @@ func (si *snapshotIndex) Lookup(name string, v Value) ([]Tuple, int, error) {
 	return si.in.indexes.Lookup(name, v)
 }
 
-func (si *snapshotIndex) LookupT(t *obs.Trace, name string, v Value) ([]Tuple, int, error) {
-	return si.in.indexes.LookupT(t, name, v)
-}
-
 func (si *snapshotIndex) LookupManyT(t *obs.Trace, name string, vs []Value) ([][]Tuple, int, error) {
 	return si.in.indexes.LookupManyT(t, name, vs)
 }
 
 func (si *snapshotIndex) Range(name string, lo, hi *Value, loIncl, hiIncl bool) ([]Value, []Tuple, int, error) {
 	return si.in.indexes.Range(name, lo, hi, loIncl, hiIncl)
-}
-
-func (si *snapshotIndex) RangeLimit(name string, lo, hi *Value, loIncl, hiIncl bool, limit int) ([]Value, []Tuple, int, error) {
-	return si.RangeLimitT(nil, name, lo, hi, loIncl, hiIncl, limit)
 }
 
 func (si *snapshotIndex) RangeLimitT(t *obs.Trace, name string, lo, hi *Value, loIncl, hiIncl bool, limit int) ([]Value, []Tuple, int, error) {

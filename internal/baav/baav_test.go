@@ -3,10 +3,12 @@ package baav
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"zidian/internal/kv"
+	"zidian/internal/obs"
 	"zidian/internal/relation"
 )
 
@@ -252,7 +254,7 @@ func TestScanInstance(t *testing.T) {
 func TestScanStatsFastPath(t *testing.T) {
 	st, _ := newTestStore(t, DefaultOptions())
 	var total int64
-	err := st.ScanStats("SUPPLIER_by_nation", func(_ relation.Tuple, stats *BlockStats) bool {
+	err := st.ScanStatsT(nil, "SUPPLIER_by_nation", func(_ relation.Tuple, stats *BlockStats) bool {
 		if stats != nil {
 			total += stats.Rows
 		}
@@ -508,5 +510,145 @@ func TestInstanceStats(t *testing.T) {
 	if st.InstanceBlocks("SUPPLIER_by_nation") != 2 || st.RelationRows("SUPPLIER") != 3 {
 		t.Fatalf("after delete: blocks=%d rows=%d",
 			st.InstanceBlocks("SUPPLIER_by_nation"), st.RelationRows("SUPPLIER"))
+	}
+}
+
+// TestReadFormsAgree holds the one-implementation read path across engines
+// and node counts, over a store whose nation-1 block is segmented, whose
+// nation-2 block is tombstoned (a pinned snapshot keeps the tombstone
+// materialized) and which has no nation-99 block:
+//
+//   - GetBlock answers what GetBlocksT answers at the same index of a batch,
+//     with the same gets;
+//   - every read form's traced kv totals equal the cluster metrics delta;
+//   - ScanInstance visits the node-order concatenation of ScanInstanceNodeT;
+//   - Prefetch issues no get for a batch whose blocks are all absent or
+//     tombstoned at the commit's base sequence (readers probe, commits do
+//     not), and staging after it issues none either.
+func TestReadFormsAgree(t *testing.T) {
+	const name = "SUPPLIER_by_nation"
+	for _, kind := range []kv.EngineKind{kv.EngineHash, kv.EngineLSM, kv.EngineSorted} {
+		for _, nodes := range []int{1, 4} {
+			db := paperDB()
+			sup := db.Relation("SUPPLIER")
+			for i := 0; i < 100; i++ {
+				sup.MustInsert(relation.Tuple{relation.Int(int64(1000 + i)), relation.Int(int64(1 + 2*(i%3)))})
+			}
+			cluster := kv.NewCluster(kind, nodes)
+			st, err := Map(db, paperSchema(db), cluster, Options{SegmentThreshold: 16, Compress: true, Stats: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := st.PinSnapshot([]string{"SUPPLIER"})
+			if err := deleteTuple(st, "SUPPLIER", relation.Tuple{relation.Int(12), relation.Int(2)}); err != nil {
+				t.Fatal(err)
+			}
+			// traced runs a read form and checks its trace against the
+			// cluster-wide metrics delta, returning the traced gets.
+			traced := func(form string, run func(kvt *obs.KV)) int64 {
+				t.Helper()
+				kvt := &obs.KV{}
+				before := cluster.Metrics()
+				run(kvt)
+				d, tr := cluster.Metrics().Sub(before), kvt.Snapshot()
+				if tr.Gets != d.Gets || tr.ScanNexts != d.ScanNexts || tr.BytesRead != d.BytesRead || d.Gets+d.ScanNexts == 0 {
+					t.Fatalf("%v/%d nodes %s: trace %+v vs metrics delta %+v", kind, nodes, form, tr, d)
+				}
+				return tr.Gets
+			}
+
+			keys := []relation.Tuple{{relation.Int(1)}, {relation.Int(99)}, {relation.Int(2)}, {relation.Int(3)}}
+			wantGets := []int{3, 1, 1, 3} // 36 and 33 tuples at 16 per segment; one probe each for absent and tombstoned
+			var blks []*Block
+			var statss []*BlockStats
+			var gets int
+			if got := traced("GetBlocksT", func(kvt *obs.KV) {
+				blks, statss, gets, err = st.GetBlocksT(kvt, name, keys)
+			}); err != nil || got != int64(gets) {
+				t.Fatalf("%v/%d nodes GetBlocksT: traced %d gets, reported %d, err %v", kind, nodes, got, gets, err)
+			}
+			sum := 0
+			for i, key := range keys {
+				before := cluster.Metrics()
+				blk, stats, g, err := st.GetBlock(name, key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := cluster.Metrics().Sub(before); g != wantGets[i] || d.Gets != int64(g) {
+					t.Fatalf("%v/%d nodes GetBlock(%v): gets %d (metrics %d), want %d", kind, nodes, key, g, d.Gets, wantGets[i])
+				}
+				if !reflect.DeepEqual(blk, blks[i]) || !reflect.DeepEqual(stats, statss[i]) {
+					t.Fatalf("%v/%d nodes GetBlock(%v) = %+v, batch answered %+v", kind, nodes, key, blk, blks[i])
+				}
+				if (blk == nil) != (wantGets[i] == 1) {
+					t.Fatalf("%v/%d nodes GetBlock(%v): block %+v", kind, nodes, key, blk)
+				}
+				sum += g
+			}
+			if sum != gets {
+				t.Fatalf("%v/%d nodes: batch issued %d gets, one-key calls %d", kind, nodes, gets, sum)
+			}
+			if blk, _, g, err := st.AtSnapshot(snap).GetBlock(name, keys[2]); err != nil || blk == nil || g != 1 {
+				t.Fatalf("%v/%d nodes: pinned read of the tombstoned block = %+v, %d gets, %v", kind, nodes, blk, g, err)
+			}
+
+			var perNode, whole []string
+			traced("ScanInstanceNodeT", func(kvt *obs.KV) {
+				for node := 0; node < nodes; node++ {
+					if err := st.ScanInstanceNodeT(kvt, node, name, func(key relation.Tuple, blk *Block, _ *BlockStats) bool {
+						perNode = append(perNode, fmt.Sprint(key, blk.Rows()))
+						return true
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			if err := st.ScanInstance(name, func(key relation.Tuple, blk *Block, _ *BlockStats) bool {
+				whole = append(whole, fmt.Sprint(key, blk.Rows()))
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(whole) != 3 || !reflect.DeepEqual(whole, perNode) {
+				t.Fatalf("%v/%d nodes: ScanInstance %v, node-order walk %v", kind, nodes, whole, perNode)
+			}
+			var rows int64
+			traced("ScanStatsT", func(kvt *obs.KV) {
+				if err := st.ScanStatsT(kvt, name, func(_ relation.Tuple, stats *BlockStats) bool {
+					rows += stats.Rows
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if rows != 102 {
+				t.Fatalf("%v/%d nodes: ScanStatsT saw %d rows, want 102", kind, nodes, rows)
+			}
+
+			c, err := st.BeginCommit("SUPPLIER")
+			if err != nil {
+				t.Fatal(err)
+			}
+			kvt := &obs.KV{}
+			fresh := []relation.Tuple{
+				{relation.Int(50), relation.Int(98)},
+				{relation.Int(51), relation.Int(99)},
+				{relation.Int(52), relation.Int(2)},
+			}
+			before := cluster.Metrics()
+			if err := c.Prefetch(kvt, fresh); err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range fresh {
+				if err := c.StageInsert(kvt, row); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if d := cluster.Metrics().Sub(before); d.Gets != 0 || kvt.Snapshot().Gets != 0 {
+				t.Fatalf("%v/%d nodes: prefetch+stage over absent blocks issued %d gets", kind, nodes, d.Gets)
+			}
+			c.Close()
+			snap.Release()
+		}
 	}
 }

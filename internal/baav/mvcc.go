@@ -397,28 +397,24 @@ func (c *Commit) edit(kvt *obs.KV, kvSchema KVSchema, key relation.Tuple) (*stag
 	if e, ok := byPrefix[string(prefix)]; ok {
 		return e, nil
 	}
-	blk, _, _, err := c.st.GetBlockT(kvt, kvSchema.Name, key)
+	blks, _, _, err := c.st.GetBlocksT(kvt, kvSchema.Name, []relation.Tuple{key})
 	if err != nil {
 		return nil, err
 	}
-	e := &stagedEdit{kvSchema: kvSchema, key: key, prefix: prefix, blk: blk}
+	e := &stagedEdit{kvSchema: kvSchema, key: key, prefix: prefix, blk: blks[0]}
 	byPrefix[string(prefix)] = e
 	return e, nil
 }
 
 // Prefetch batch-reads the pre-image blocks every tuple in the batch will
 // touch — one multi-get round trip per storage node instead of one get
-// per block — and seeds the staged-edit cache with them.
+// per block — and seeds the staged-edit cache with them. Unlike a reader it
+// issues nothing for a block that is absent or tombstoned at the commit's
+// base sequence: the directory already says there is no pre-image.
 func (c *Commit) Prefetch(kvt *obs.KV, tuples []relation.Tuple) error {
 	schema := c.st.Rels[c.rel]
-	type want struct {
-		kvSchema KVSchema
-		key      relation.Tuple
-		prefix   []byte
-		winner   verEntry
-		reqBase  int // index of its first request in reqs; -1 when absent
-	}
-	var wants []*want
+	var wants []*stagedEdit
+	var spans []segSpan
 	var reqs []kv.GetRequest
 	for _, kvSchema := range c.st.Schema.ForRelation(c.rel) {
 		keyPos, err := schema.Positions(kvSchema.Key)
@@ -445,39 +441,22 @@ func (c *Commit) Prefetch(kvt *obs.KV, tuples []relation.Tuple) error {
 			if _, ok := byPrefix[ps]; ok {
 				continue // already staged by an earlier round
 			}
-			w := &want{kvSchema: kvSchema, key: key, prefix: prefix, reqBase: -1}
-			entry, ok := pickWinner(c.st.mvcc.lookup(kvSchema.Name, ps), c.seq-1)
-			if ok && entry.nsegs > 0 {
-				w.winner = entry
-				w.reqBase = len(reqs)
-				for seg := 0; seg < entry.nsegs; seg++ {
-					reqs = append(reqs, kv.GetRequest{Route: prefix, Key: verSegKey(prefix, uint32(seg), entry.ver)})
-				}
-			}
-			wants = append(wants, w)
+			var span segSpan
+			reqs, span, _ = c.st.appendSegReqs(reqs, kvSchema.Name, prefix, c.seq-1)
+			wants = append(wants, &stagedEdit{kvSchema: kvSchema, key: key, prefix: prefix})
+			spans = append(spans, span)
 		}
 	}
 	res := c.st.Cluster.GetManyRouted(kvt, reqs)
-	for _, w := range wants {
-		var blk *Block
-		if w.reqBase >= 0 {
-			datas := make([][]byte, w.winner.nsegs)
-			for i := 0; i < w.winner.nsegs; i++ {
-				r := res[w.reqBase+i]
-				if !r.OK {
-					return fmt.Errorf("baav: missing segment %d of block in %s", i, w.kvSchema.Name)
-				}
-				datas[i] = r.Value
-			}
+	for i, e := range wants {
+		if spans[i].nsegs > 0 {
 			var err error
-			blk, _, err = assembleSegs(datas, len(w.kvSchema.Val))
+			e.blk, _, err = assembleSpan(res, spans[i], e.kvSchema.Name, len(e.kvSchema.Val))
 			if err != nil {
 				return err
 			}
 		}
-		c.staged[w.kvSchema.Name][string(w.prefix)] = &stagedEdit{
-			kvSchema: w.kvSchema, key: w.key, prefix: w.prefix, blk: blk,
-		}
+		c.staged[e.kvSchema.Name][string(e.prefix)] = e
 	}
 	return nil
 }

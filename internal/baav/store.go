@@ -151,69 +151,64 @@ func (st *Store) instancePrefix(id uint32) []byte {
 }
 
 // GetBlock retrieves the keyed block under key in the named KV instance,
-// reassembling segments. It returns nil when no block exists. gets reports
-// the number of get invocations issued.
+// reassembling segments: GetBlocksT for a batch of one key, untraced. It
+// returns nil when no block exists. gets reports the number of get
+// invocations issued.
 func (st *Store) GetBlock(name string, key relation.Tuple) (blk *Block, stats *BlockStats, gets int, err error) {
-	return st.GetBlockT(nil, name, key)
-}
-
-// GetBlockT is GetBlock with a per-statement kv trace sink (nil untraced).
-// The read resolves against this view's snapshot sequence: the version
-// directory picks the winning version in memory, then every segment of
-// that version is fetched in one batched multi-get (the segments share a
-// route, so the whole block costs one round trip).
-func (st *Store) GetBlockT(kvt *obs.KV, name string, key relation.Tuple) (blk *Block, stats *BlockStats, gets int, err error) {
-	kvSchema := st.Schema.ByName(name)
-	if kvSchema == nil {
-		return nil, nil, 0, fmt.Errorf("baav: unknown KV schema %q", name)
-	}
-	id := st.ids[name]
-	prefix := st.blockPrefix(id, key)
-	seqLimit := st.snapSeqFor(kvSchema.Rel)
-
-	winner, ok := pickWinner(st.mvcc.lookup(name, string(prefix)), seqLimit)
-	if !ok {
-		// No version visible at this snapshot. Probe the kv layer anyway so
-		// a point lookup of an absent block keeps the accounting shape (one
-		// get, one round trip) of a physical miss; the probe key cannot hit
-		// (a version at exactly seqLimit would have been visible).
-		st.Cluster.GetRoutedT(kvt, prefix, verSegKey(prefix, 0, seqLimit))
-		return nil, nil, 1, nil
-	}
-	if winner.nsegs == 0 {
-		// Tombstone: the block is deleted at this snapshot. Reading it costs
-		// the one get a real versioned store would pay.
-		st.Cluster.GetRoutedT(kvt, prefix, verSegKey(prefix, 0, winner.ver))
-		return nil, nil, 1, nil
-	}
-	reqs := make([]kv.GetRequest, winner.nsegs)
-	for seg := 0; seg < winner.nsegs; seg++ {
-		reqs[seg] = kv.GetRequest{Route: prefix, Key: verSegKey(prefix, uint32(seg), winner.ver)}
-	}
-	res := st.Cluster.GetManyRouted(kvt, reqs)
-	gets = winner.nsegs
-	datas := make([][]byte, winner.nsegs)
-	for i, r := range res {
-		if !r.OK {
-			return nil, nil, gets, fmt.Errorf("baav: missing segment %d of block in %s", i, name)
-		}
-		datas[i] = r.Value
-	}
-	blk, stats, err = assembleSegs(datas, len(kvSchema.Val))
+	blks, statss, gets, err := st.GetBlocksT(nil, name, []relation.Tuple{key})
 	if err != nil {
 		return nil, nil, gets, err
 	}
-	return blk, stats, gets, nil
+	return blks[0], statss[0], gets, nil
+}
+
+// segSpan locates one block's segment gets inside a batched request list.
+// nsegs is 0 when no block is visible at the resolved sequence.
+type segSpan struct {
+	base, nsegs int
+}
+
+// appendSegReqs resolves the block's winning version at seq in the version
+// directory — in memory, never a scan — and appends one routed get per
+// segment of it to reqs (the segments share a route, so the whole block
+// costs its owner node one round). When no block is visible nothing is
+// appended and ver names the version a reader probes instead: the winning
+// tombstone's, or seq itself for a block with no version at or below seq.
+func (st *Store) appendSegReqs(reqs []kv.GetRequest, name string, prefix []byte, seq uint64) (_ []kv.GetRequest, span segSpan, ver uint64) {
+	winner, ok := pickWinner(st.mvcc.lookup(name, string(prefix)), seq)
+	if !ok {
+		return reqs, segSpan{}, seq
+	}
+	span = segSpan{base: len(reqs), nsegs: winner.nsegs}
+	for seg := 0; seg < winner.nsegs; seg++ {
+		reqs = append(reqs, kv.GetRequest{Route: prefix, Key: verSegKey(prefix, uint32(seg), winner.ver)})
+	}
+	return reqs, span, winner.ver
+}
+
+// assembleSpan decodes the block whose segment gets came back at span.
+func assembleSpan(res []kv.GetResult, span segSpan, name string, width int) (*Block, *BlockStats, error) {
+	datas := make([][]byte, span.nsegs)
+	for i, r := range res[span.base : span.base+span.nsegs] {
+		if !r.OK {
+			return nil, nil, fmt.Errorf("baav: missing segment %d of block in %s", i, name)
+		}
+		datas[i] = r.Value
+	}
+	return assembleSegs(datas, width)
 }
 
 // GetBlocksT retrieves several keyed blocks of one KV instance in a single
-// batched cluster round: every block's winning version resolves in memory,
-// then all their segments — and the probe gets of absent or tombstoned
-// blocks, keeping GetBlockT's accounting shape per key — go out as one
-// GetManyRouted, one emulated round trip and one lock acquisition per
-// owning node however many blocks the round touches. blks and statss align
-// with keys (nil where no block is visible); gets matches the sum the
-// per-key GetBlockT calls would have reported.
+// batched cluster round, counting into the kv trace sink (nil untraced).
+// The read resolves against this view's snapshot sequence: every block's
+// winning version resolves in memory, then all their segments go out as one
+// GetManyRouted — one emulated round trip and one lock acquisition per
+// owning node however many blocks the round touches. A block that is absent
+// or tombstoned at the snapshot still costs the one get (and round trip) of
+// a physical miss: its probe rides the same batch. The absent probe's key
+// cannot hit — a version at exactly the snapshot sequence would have been
+// visible. blks and statss align with keys (nil where no block is visible);
+// gets is the number of get invocations issued.
 func (st *Store) GetBlocksT(kvt *obs.KV, name string, keys []relation.Tuple) (blks []*Block, statss []*BlockStats, gets int, err error) {
 	if len(keys) == 0 {
 		return nil, nil, 0, nil
@@ -224,54 +219,29 @@ func (st *Store) GetBlocksT(kvt *obs.KV, name string, keys []relation.Tuple) (bl
 	}
 	id := st.ids[name]
 	seqLimit := st.snapSeqFor(kvSchema.Rel)
-	width := len(kvSchema.Val)
 
-	type want struct {
-		reqBase int
-		nsegs   int // 0: probe only (absent or tombstoned at this snapshot)
-	}
-	wants := make([]want, len(keys))
+	spans := make([]segSpan, len(keys))
 	var reqs []kv.GetRequest
 	for i, key := range keys {
 		prefix := st.blockPrefix(id, key)
-		winner, ok := pickWinner(st.mvcc.lookup(name, string(prefix)), seqLimit)
-		switch {
-		case !ok:
-			wants[i] = want{reqBase: len(reqs)}
-			reqs = append(reqs, kv.GetRequest{Route: prefix, Key: verSegKey(prefix, 0, seqLimit)})
-			gets++
-		case winner.nsegs == 0:
-			wants[i] = want{reqBase: len(reqs)}
-			reqs = append(reqs, kv.GetRequest{Route: prefix, Key: verSegKey(prefix, 0, winner.ver)})
-			gets++
-		default:
-			wants[i] = want{reqBase: len(reqs), nsegs: winner.nsegs}
-			for seg := 0; seg < winner.nsegs; seg++ {
-				reqs = append(reqs, kv.GetRequest{Route: prefix, Key: verSegKey(prefix, uint32(seg), winner.ver)})
-			}
-			gets += winner.nsegs
+		var ver uint64
+		reqs, spans[i], ver = st.appendSegReqs(reqs, name, prefix, seqLimit)
+		if spans[i].nsegs == 0 {
+			reqs = append(reqs, kv.GetRequest{Route: prefix, Key: verSegKey(prefix, 0, ver)})
 		}
 	}
 	res := st.Cluster.GetManyRouted(kvt, reqs)
+	gets = len(reqs)
 	blks = make([]*Block, len(keys))
 	statss = make([]*BlockStats, len(keys))
-	for i, w := range wants {
-		if w.nsegs == 0 {
+	for i, span := range spans {
+		if span.nsegs == 0 {
 			continue
 		}
-		datas := make([][]byte, w.nsegs)
-		for s := 0; s < w.nsegs; s++ {
-			r := res[w.reqBase+s]
-			if !r.OK {
-				return nil, nil, gets, fmt.Errorf("baav: missing segment %d of block in %s", s, name)
-			}
-			datas[s] = r.Value
-		}
-		b, bs, err := assembleSegs(datas, width)
+		blks[i], statss[i], err = assembleSpan(res, span, name, len(kvSchema.Val))
 		if err != nil {
 			return nil, nil, gets, err
 		}
-		blks[i], statss[i] = b, bs
 	}
 	return blks, statss, gets, nil
 }
@@ -319,48 +289,77 @@ func (st *Store) PutBlock(name string, key relation.Tuple, blk *Block) error {
 	return nil
 }
 
-// ScanInstance visits every keyed block of the named KV instance in key
-// order until fn returns false. Segment reassembly is transparent.
+// ScanInstance visits every keyed block of the named KV instance until fn
+// returns false: whole nodes in node order, key order within each node.
+// Segment reassembly is transparent.
 func (st *Store) ScanInstance(name string, fn func(key relation.Tuple, blk *Block, stats *BlockStats) bool) error {
-	return st.ScanInstanceT(nil, name, fn)
+	return st.scanBlocks(name, st.Cluster.Scan, fn)
 }
 
-// ScanInstanceT is ScanInstance with a per-statement kv trace sink.
-func (st *Store) ScanInstanceT(kvt *obs.KV, name string, fn func(key relation.Tuple, blk *Block, stats *BlockStats) bool) error {
-	return st.scanInstanceWith(name, fn, func(prefix []byte, visit func(k, v []byte) bool) {
-		st.Cluster.ScanT(kvt, prefix, visit)
-	})
-}
-
-// ScanInstanceNode visits the keyed blocks of the instance held by one
-// storage node. Blocks are colocated by key (segments route on the block
-// prefix), so per-node scans see whole blocks; parallel scan drivers split
-// work across nodes with it.
-func (st *Store) ScanInstanceNode(node int, name string, fn func(key relation.Tuple, blk *Block, stats *BlockStats) bool) error {
-	return st.ScanInstanceNodeT(nil, node, name, fn)
-}
-
-// ScanInstanceNodeT is ScanInstanceNode with a per-statement kv trace sink.
+// ScanInstanceNodeT visits the keyed blocks of the instance held by one
+// storage node, counting into the kv trace sink (nil untraced). Blocks are
+// colocated by key (segments route on the block prefix), so per-node scans
+// see whole blocks; parallel scan drivers split work across nodes with it.
 func (st *Store) ScanInstanceNodeT(kvt *obs.KV, node int, name string, fn func(key relation.Tuple, blk *Block, stats *BlockStats) bool) error {
-	return st.scanInstanceWith(name, fn, func(prefix []byte, visit func(k, v []byte) bool) {
+	return st.scanBlocks(name, func(prefix []byte, visit func(k, v []byte) bool) {
 		st.Cluster.ScanNodeT(kvt, node, prefix, visit)
+	}, fn)
+}
+
+// scanBlocks decodes each winning block version of a raw kv scan.
+func (st *Store) scanBlocks(name string, scan func(prefix []byte, visit func(k, v []byte) bool),
+	fn func(key relation.Tuple, blk *Block, stats *BlockStats) bool) error {
+	return st.scanWinners(name, scan, func(width int, key relation.Tuple, segs [][]byte) (bool, error) {
+		blk, stats, err := assembleSegs(segs, width)
+		if err != nil {
+			return false, err
+		}
+		return fn(key, blk, stats), nil
 	})
 }
 
-// scanInstanceWith drives a raw kv scan over the instance's prefix and
-// reassembles winner-version blocks. The physical key order within one
-// block is (segment, newest-version-first), so the first segment-0 key at
-// or below the snapshot sequence is the block's winning version; segments
-// of any other version, and versions newer than the snapshot (including
-// in-flight uninstalled commits), are skipped. A winning tombstone yields
-// nothing — the block is deleted at this snapshot.
-func (st *Store) scanInstanceWith(name string, fn func(key relation.Tuple, blk *Block, stats *BlockStats) bool,
-	driver func(prefix []byte, visit func(k, v []byte) bool)) error {
+// ScanStatsT visits only the statistics of every block of the instance,
+// reading headers without decoding tuples and counting into the kv trace
+// sink. Like the block scans it resolves each block's winning version at
+// this view's snapshot sequence; a segmented block yields one record per
+// segment. Blocks without stats yield nil.
+func (st *Store) ScanStatsT(kvt *obs.KV, name string, fn func(key relation.Tuple, stats *BlockStats) bool) error {
+	scan := func(prefix []byte, visit func(k, v []byte) bool) { st.Cluster.ScanT(kvt, prefix, visit) }
+	return st.scanWinners(name, scan, func(_ int, key relation.Tuple, segs [][]byte) (bool, error) {
+		for i, payload := range segs {
+			if i == 0 {
+				_, hk := binary.Uvarint(payload)
+				payload = payload[hk:]
+			}
+			stats, err := DecodeBlockStats(payload)
+			if err != nil {
+				return false, err
+			}
+			if !fn(key, stats) {
+				return false, nil
+			}
+		}
+		return true, nil
+	})
+}
+
+// scanWinners drives a raw kv scan over the instance's prefix and hands
+// visit, block by block, the segment payloads of the version that wins at
+// this view's snapshot sequence (segs[0] still carries the segment-count
+// header; the slice is reused between calls), along with the instance's
+// value width. The physical key order within one block is (segment,
+// newest-version-first), so the first segment-0 key at or below the
+// snapshot sequence is the block's winning version; segments of any other
+// version, and versions newer than the snapshot (including in-flight
+// uninstalled commits), are skipped. A winning tombstone yields nothing —
+// the block is deleted at this snapshot. visit returning false stops the
+// scan at the block boundary.
+func (st *Store) scanWinners(name string, scan func(prefix []byte, visit func(k, v []byte) bool),
+	visit func(width int, key relation.Tuple, segs [][]byte) (bool, error)) error {
 	kvSchema := st.Schema.ByName(name)
 	if kvSchema == nil {
 		return fmt.Errorf("baav: unknown KV schema %q", name)
 	}
-	id := st.ids[name]
 	width := len(kvSchema.Val)
 	keyWidth := len(kvSchema.Key)
 	seqLimit := st.snapSeqFor(kvSchema.Rel)
@@ -369,21 +368,20 @@ func (st *Store) scanInstanceWith(name string, fn func(key relation.Tuple, blk *
 	var winnerVer uint64
 	haveWinner := false
 	var curKey relation.Tuple
-	var curBlk *Block
-	var curStats *BlockStats
+	var segs [][]byte
 	var scanErr error
-	stopped := false
 
 	flush := func() bool {
-		if curBlk == nil {
+		if len(segs) == 0 {
 			return true
 		}
-		ok := fn(curKey, curBlk, curStats)
-		curBlk, curStats, curKey = nil, nil, nil
-		return ok
+		ok, err := visit(width, curKey, segs)
+		segs = segs[:0]
+		scanErr = err
+		return ok && err == nil
 	}
 
-	driver(st.instancePrefix(id), func(k, v []byte) bool {
+	scan(st.instancePrefix(st.ids[name]), func(k, v []byte) bool {
 		key, n, err := relation.DecodeTuple(k[4:], keyWidth)
 		if err != nil {
 			scanErr = err
@@ -398,7 +396,6 @@ func (st *Store) scanInstanceWith(name string, fn func(key relation.Tuple, blk *
 		ver := ^binary.BigEndian.Uint64(k[prefixLen+4:])
 		if !bytes.Equal(curPrefix, k[:prefixLen]) {
 			if !flush() {
-				stopped = true
 				return false
 			}
 			curPrefix = append(curPrefix[:0], k[:prefixLen]...)
@@ -418,105 +415,18 @@ func (st *Store) scanInstanceWith(name string, fn func(key relation.Tuple, blk *
 			if nsegs == 0 {
 				return true // tombstone: deleted at this snapshot
 			}
-			blk, stats, err := DecodeBlock(v[hk:], width)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			curKey, curBlk, curStats = key, blk, stats
+			curKey = key
+			segs = append(segs, v)
 			return true
 		}
-		if !haveWinner || ver != winnerVer || curBlk == nil {
-			return true // segment of a non-winning version
-		}
-		blk, stats, err := DecodeBlock(v, width)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		curBlk.Tuples = append(curBlk.Tuples, blk.Tuples...)
-		if curBlk.Counts != nil && blk.Counts != nil {
-			curBlk.Counts = append(curBlk.Counts, blk.Counts...)
-		}
-		if curStats != nil {
-			curStats.Merge(stats)
+		if haveWinner && ver == winnerVer && len(segs) > 0 {
+			segs = append(segs, v)
 		}
 		return true
 	})
-	if scanErr != nil {
-		return scanErr
-	}
-	if !stopped {
+	if scanErr == nil {
 		flush()
 	}
-	return nil
-}
-
-// ScanStats visits only the statistics of every block of the instance,
-// reading headers without decoding tuples. Blocks without stats yield nil.
-func (st *Store) ScanStats(name string, fn func(key relation.Tuple, stats *BlockStats) bool) error {
-	return st.ScanStatsT(nil, name, fn)
-}
-
-// ScanStatsT is ScanStats with a per-statement kv trace sink. Like the
-// block scans it resolves each block's winning version at this view's
-// snapshot sequence and emits stats only for that version's segments.
-func (st *Store) ScanStatsT(kvt *obs.KV, name string, fn func(key relation.Tuple, stats *BlockStats) bool) error {
-	kvSchema := st.Schema.ByName(name)
-	if kvSchema == nil {
-		return fmt.Errorf("baav: unknown KV schema %q", name)
-	}
-	id := st.ids[name]
-	keyWidth := len(kvSchema.Key)
-	seqLimit := st.snapSeqFor(kvSchema.Rel)
-
-	var curPrefix []byte
-	var winnerVer uint64
-	haveWinner := false
-	var scanErr error
-	st.Cluster.ScanT(kvt, st.instancePrefix(id), func(k, v []byte) bool {
-		key, n, err := relation.DecodeTuple(k[4:], keyWidth)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		if len(k) < 4+n+12 {
-			scanErr = errCorruptBlock
-			return false
-		}
-		prefixLen := 4 + n
-		seg := binary.BigEndian.Uint32(k[prefixLen:])
-		ver := ^binary.BigEndian.Uint64(k[prefixLen+4:])
-		if !bytes.Equal(curPrefix, k[:prefixLen]) {
-			curPrefix = append(curPrefix[:0], k[:prefixLen]...)
-			haveWinner = false
-		}
-		payload := v
-		if seg == 0 {
-			if haveWinner || ver > seqLimit {
-				return true
-			}
-			haveWinner = true
-			winnerVer = ver
-			nsegs, hk := binary.Uvarint(v)
-			if hk <= 0 {
-				scanErr = errCorruptBlock
-				return false
-			}
-			if nsegs == 0 {
-				return true // tombstone
-			}
-			payload = v[hk:]
-		} else if !haveWinner || ver != winnerVer {
-			return true
-		}
-		stats, err := DecodeBlockStats(payload)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		return fn(key, stats)
-	})
 	return scanErr
 }
 

@@ -349,48 +349,25 @@ func removePosting(lst [][]byte, pk []byte) ([][]byte, bool) {
 }
 
 // Lookup returns the block keys posted under value v in the named index, in
-// encoded key order, along with the number of get invocations issued. A
-// value with no posting returns no keys.
+// encoded key order, along with the number of get invocations issued:
+// LookupManyT for one value, untraced. A value with no posting returns no
+// keys.
 func (m *Manager) Lookup(name string, v relation.Value) ([]relation.Tuple, int, error) {
-	return m.LookupT(nil, name, v)
-}
-
-// LookupT is Lookup with a per-statement trace sink (nil untraced): the
-// posting get counts into the trace's kv counters, and each decoded
-// posting list into its posting-read counter.
-func (m *Manager) LookupT(t *obs.Trace, name string, v relation.Value) ([]relation.Tuple, int, error) {
-	m.mu.RLock()
-	d, ok := m.defs[name]
-	m.mu.RUnlock()
-	if !ok {
-		return nil, 0, fmt.Errorf("index: unknown index %q", name)
+	outs, gets, err := m.LookupManyT(nil, name, []relation.Value{v})
+	if err != nil {
+		return nil, gets, err
 	}
-	key := postingKey(d.id, v)
-	data, found := m.cluster.GetRoutedT(t.KVCounters(), key, key)
-	if !found {
-		return nil, 1, nil
-	}
-	t.CountPostings(1)
-	width := len(d.Key)
-	var out []relation.Tuple
-	off := 0
-	for off < len(data) {
-		t, k, err := relation.DecodeTuple(data[off:], width)
-		if err != nil {
-			return nil, 1, fmt.Errorf("index: %s: corrupt posting: %v", name, err)
-		}
-		out = append(out, t)
-		off += k
-	}
-	return out, 1, nil
+	return outs[0], gets, nil
 }
 
 // LookupManyT resolves the postings of several values of one index in a
 // single batched cluster round: the posting gets are grouped by owning
 // node and issued as one GetManyRouted — one emulated round trip and one
-// lock acquisition per node — instead of one routed get per value. outs
-// aligns with vs (nil for a value with no posting); gets reports the
-// point lookups issued, one per value, matching LookupT's accounting.
+// lock acquisition per node — instead of one routed get per value. The
+// gets count into the trace's kv counters (nil untraced) and each decoded
+// posting list into its posting-read counter. outs aligns with vs (nil for
+// a value with no posting); gets reports the point lookups issued, one per
+// value.
 func (m *Manager) LookupManyT(t *obs.Trace, name string, vs []relation.Value) (outs [][]relation.Tuple, gets int, err error) {
 	if len(vs) == 0 {
 		return nil, 0, nil
@@ -439,46 +416,36 @@ func (m *Manager) LookupManyT(t *obs.Trace, name string, vs []relation.Value) (o
 // Range returns the postings of every indexed value within the bounds, as
 // parallel slices: vals[i] is the indexed value that posted block key
 // keys[i]. A nil lo (hi) leaves that side unbounded; loIncl/hiIncl select
-// closed or open ends. Postings are stored in encoded (memcmp) value order,
-// so the read is ONE ordered cluster walk bounded to the index prefix with
-// encoded-value fences — the engines seek to lo and stop past hi, visiting
-// only the posting lists the range matches, never the whole posting space.
-// Block keys are deduplicated and the result is sorted by (value, block
-// key) in encoded order, so callers see one deterministic merged posting
-// regardless of how the key space is sharded. scanned reports the number of
-// posting lists visited (the walk's scan steps).
+// closed or open ends. It is RangeLimitT untraced and unbounded.
 func (m *Manager) Range(name string, lo, hi *relation.Value, loIncl, hiIncl bool) (vals []relation.Value, keys []relation.Tuple, scanned int, err error) {
 	return m.RangeLimitT(nil, name, lo, hi, loIncl, hiIncl, -1)
 }
 
-// RangeLimit is Range bounded to the first limit postings in (value, block
-// key) order; a negative limit is unbounded, a zero limit returns nothing.
-// The merge is streaming: each storage node walks its slice of the posting
-// key space in ascending order and stops as soon as it alone has yielded
-// limit entries — since a node's walk is ordered, no later posting list on
-// it can displace an already-collected entry from the global first limit.
-// A bound LIMIT k therefore costs O(k) scan steps per node, not O(range):
-// the walk never visits the posting lists past the ones the answer needs.
-func (m *Manager) RangeLimit(name string, lo, hi *relation.Value, loIncl, hiIncl bool, limit int) (vals []relation.Value, keys []relation.Tuple, scanned int, err error) {
-	return m.RangeLimitT(nil, name, lo, hi, loIncl, hiIncl, limit)
-}
-
-// RangeLimitT is RangeLimit with a per-statement trace sink (nil
-// untraced): scan steps count into the trace's kv counters and each
-// decoded posting list into its posting-read counter.
+// RangeLimitT returns the first limit postings, in (value, block key)
+// order, of every indexed value within the bounds (see Range); a negative
+// limit is unbounded, a zero limit returns nothing. Scan steps count into
+// the trace's kv counters (nil untraced) and each decoded posting list into
+// its posting-read counter; scanned reports the posting lists visited.
 //
-// Placement: the logical plan is "the posting window [lo, hi] of this
-// index"; how it fans out is decided here. One node walks it inline; more
-// scatter it as one ordered pipeline per node (kv.RangeScatterT) whose
-// streams an ascending heap merge recombines — each posting key lives on
-// exactly one node and per-node streams ascend, so popping the smallest
-// head IS the global walk, while every node's seek round trip and engine
-// walk overlaps the others. Block-key dedup happens at the merge point in
-// global (value, block key) order, so the kept posting of a block key
-// listed under several in-range values is the same whatever the node
-// count or shard layout. The value encoding is prefix-free, so per-key
-// merge order equals the (value, block key) concatenated encoded order
-// and no post-sort is needed.
+// Postings are stored in encoded (memcmp) value order, so the read is one
+// ordered cluster walk bounded to the index prefix with encoded-value
+// fences — the engines seek to lo and stop past hi, visiting only the
+// posting lists the range matches, never the whole posting space. The walk
+// is the ordered gather over the scatter pipeline (kv.RangeMergeT): one
+// ordered stream per storage node, recombined by popping the smallest
+// stream head — each posting key lives on exactly one node and per-node
+// streams ascend, so that IS the global walk, while every node's seek round
+// trip and engine walk overlaps the others. Block-key dedup happens at the
+// merge point in global (value, block key) order, so the kept posting of a
+// block key listed under several in-range values is the same whatever the
+// node count or shard layout. The value encoding is prefix-free, so per-key
+// merge order equals the (value, block key) concatenated encoded order and
+// no post-sort is needed.
+//
+// The merge is streaming and a bound LIMIT k costs O(k) scan steps per
+// node, not O(range): each node stops as soon as it alone has yielded limit
+// entries — its walk is ordered, so no later posting list on it can
+// displace an already-collected entry from the global first limit.
 func (m *Manager) RangeLimitT(t *obs.Trace, name string, lo, hi *relation.Value, loIncl, hiIncl bool, limit int) (vals []relation.Value, keys []relation.Tuple, scanned int, err error) {
 	m.mu.RLock()
 	d, ok := m.defs[name]
@@ -550,58 +517,49 @@ func (m *Manager) RangeLimitT(t *obs.Trace, name string, lo, hi *relation.Value,
 		return true
 	}
 
-	if m.cluster.NodeCount() == 1 {
-		m.cluster.ScanRangeNodeT(t.KVCounters(), 0, pfx, loKey, hiKey, process)
-		if t != nil {
-			t.AnnotateNodes([]int64{int64(scanned)}, nil)
+	// Producer-side LIMIT cut: a node stops after yielding limit entries
+	// net of its own duplicates. Sound: an entry that survives the global
+	// dedup survives its node's self-dedup too, so anything in the global
+	// first limit sits within the first limit self-deduped entries of its
+	// node — the cut keeps every candidate while holding each node's scan
+	// cost at O(limit), not O(range), deterministically (not subject to
+	// cancellation timing).
+	nodes := m.cluster.NodeCount()
+	var cut func(node int, k, v []byte) bool
+	if limit > 0 {
+		counts := make([]int, nodes)
+		seenNode := make([]map[string]bool, nodes)
+		for i := range seenNode {
+			seenNode[i] = make(map[string]bool)
 		}
-	} else {
-		// Producer-side LIMIT cut: a node stops after yielding limit
-		// entries net of its own duplicates. Sound: an entry that survives
-		// the global dedup survives its node's self-dedup too, so anything
-		// in the global first limit sits within the first limit
-		// self-deduped entries of its node — the cut keeps every candidate
-		// while holding each node's scan cost at O(limit), not O(range),
-		// deterministically (not subject to cancellation timing).
-		var cut func(node int, k, v []byte) bool
-		if limit > 0 {
-			counts := make([]int, m.cluster.NodeCount())
-			seenNode := make([]map[string]bool, m.cluster.NodeCount())
-			for i := range seenNode {
-				seenNode[i] = make(map[string]bool)
+		cut = func(node int, k, v []byte) bool {
+			if excluded(k) {
+				return true
 			}
-			cut = func(node int, k, v []byte) bool {
-				if excluded(k) {
-					return true
-				}
-				lst, err := splitPostings(v, width)
-				if err != nil {
-					return false // the merge surfaces the error when it gets here
-				}
-				for _, pk := range lst {
-					if !seenNode[node][string(pk)] {
-						seenNode[node][string(pk)] = true
-						counts[node]++
-					}
-				}
-				return counts[node] < limit
+			lst, err := splitPostings(v, width)
+			if err != nil {
+				return false // the merge surfaces the error when it gets here
 			}
-		}
-		sc := m.cluster.RangeScatterT(t.KVCounters(), pfx, loKey, hiKey, cut)
-		// Per-node posting-list counts are taken at the merge point (the
-		// global walk the consumer actually processed), so they are as
-		// deterministic as scanned itself.
-		perNode := make([]int64, m.cluster.NodeCount())
-		mergeRangeStreams(sc, func(node int, k, v []byte) bool {
-			before := scanned
-			ok := process(k, v)
-			perNode[node] += int64(scanned - before)
-			return ok
-		})
-		if t != nil {
-			t.AnnotateNodes(perNode, nil)
+			for _, pk := range lst {
+				if !seenNode[node][string(pk)] {
+					seenNode[node][string(pk)] = true
+					counts[node]++
+				}
+			}
+			return counts[node] < limit
 		}
 	}
+	// Per-node posting-list counts are taken at the merge point (the global
+	// walk the consumer actually processed), so they are as deterministic as
+	// scanned itself.
+	perNode := make([]int64, nodes)
+	m.cluster.RangeMergeT(t.KVCounters(), pfx, loKey, hiKey, cut, func(node int, k, v []byte) bool {
+		before := scanned
+		ok := process(k, v)
+		perNode[node] += int64(scanned - before)
+		return ok
+	})
+	t.AnnotateNodes(perNode, nil)
 	if scanErr != nil {
 		return nil, nil, scanned, scanErr
 	}
@@ -613,51 +571,6 @@ func (m *Manager) RangeLimitT(t *obs.Trace, name string, lo, hi *relation.Value,
 		keys[i] = e.key
 	}
 	return vals, keys, scanned, nil
-}
-
-// mergeRangeStreams recombines a range scatter's per-node ordered streams
-// into one globally key-ordered walk: pop the smallest head among the live
-// streams, refill that stream, repeat. Node counts are small, so a linear
-// min over stream heads beats a heap. fn receives the node each pair came
-// from so callers can account fan-out. Always cancels the scatter before
-// returning so an early stop aborts the in-flight node walks.
-func mergeRangeStreams(sc *kv.RangeScatter, fn func(node int, k, v []byte) bool) {
-	defer sc.Cancel()
-	chunks := make([][]kv.Pair, len(sc.Streams))
-	at := make([]int, len(sc.Streams))
-	live := make([]bool, len(sc.Streams))
-	// refill ensures stream i has a head pair, blocking on its channel;
-	// reports false once the stream is exhausted.
-	refill := func(i int) bool {
-		for at[i] >= len(chunks[i]) {
-			c, ok := <-sc.Streams[i].C
-			if !ok {
-				return false
-			}
-			chunks[i], at[i] = c, 0
-		}
-		return true
-	}
-	for i := range sc.Streams {
-		live[i] = refill(i)
-	}
-	for {
-		min := -1
-		for i := range live {
-			if live[i] && (min < 0 || bytes.Compare(chunks[i][at[i]].Key, chunks[min][at[min]].Key) < 0) {
-				min = i
-			}
-		}
-		if min < 0 {
-			return
-		}
-		p := chunks[min][at[min]]
-		at[min]++
-		if !fn(min, p.Key, p.Value) {
-			return
-		}
-		live[min] = refill(min)
-	}
 }
 
 // IndexOn reports the index covering rel(attr): its name and the block-key

@@ -2,9 +2,11 @@ package index
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"zidian/internal/kv"
+	"zidian/internal/obs"
 	"zidian/internal/relation"
 )
 
@@ -447,5 +449,105 @@ func TestMaxPostingDecay(t *testing.T) {
 	}
 	if got := m.MaxPostings("ix_sku"); got != 4 {
 		t.Fatalf("MaxPostings after unrelated delete = %d, want 4", got)
+	}
+}
+
+// TestReadFormsAgree holds the one-implementation posting reads across
+// engines and node counts: Lookup answers what LookupManyT answers at the
+// same index of a batch — present and missing postings alike — for the same
+// gets; Range is RangeLimitT unbounded; a limited walk is a prefix of it
+// whose scan cost one node's stream bounds exactly as four nodes' do; and
+// every form's traced kv totals equal the cluster metrics delta, with one
+// posting read per decoded list.
+func TestReadFormsAgree(t *testing.T) {
+	for _, kind := range []kv.EngineKind{kv.EngineHash, kv.EngineLSM, kv.EngineSorted} {
+		for _, nodes := range []int{1, 4} {
+			c := kv.NewCluster(kind, nodes)
+			m := NewManager(c)
+			// 200 tuples → 10 sku values × 20 postings each.
+			if _, err := m.Create("ix_sku", "ITEM", "sku", itemSchema(t), itemTuples(200)); err != nil {
+				t.Fatal(err)
+			}
+			// traced runs a read form and checks its trace against the
+			// cluster-wide metrics delta.
+			traced := func(form string, run func(tr *obs.Trace)) obs.KVSnapshot {
+				t.Helper()
+				tr := &obs.Trace{}
+				before := c.Metrics()
+				run(tr)
+				d, got := c.Metrics().Sub(before), tr.KV.Snapshot()
+				if got.Gets != d.Gets || got.ScanNexts != d.ScanNexts || got.BytesRead != d.BytesRead || d.Gets+d.ScanNexts == 0 {
+					t.Fatalf("%v/%d nodes %s: trace %+v vs metrics delta %+v", kind, nodes, form, got, d)
+				}
+				if tr.PostingReads() == 0 {
+					t.Fatalf("%v/%d nodes %s: no posting reads traced", kind, nodes, form)
+				}
+				return got
+			}
+
+			vs := []relation.Value{relation.String("S03"), relation.String("nope"), relation.String("S07")}
+			var outs [][]relation.Tuple
+			var gets int
+			var err error
+			if got := traced("LookupManyT", func(tr *obs.Trace) {
+				outs, gets, err = m.LookupManyT(tr, "ix_sku", vs)
+				if tr.PostingReads() != 2 {
+					t.Fatalf("%v/%d nodes LookupManyT: %d posting reads, want 2", kind, nodes, tr.PostingReads())
+				}
+			}); err != nil || got.Gets != int64(gets) || gets != len(vs) {
+				t.Fatalf("%v/%d nodes LookupManyT: traced %d gets, reported %d, err %v", kind, nodes, got.Gets, gets, err)
+			}
+			for i, v := range vs {
+				before := c.Metrics()
+				keys, g, err := m.Lookup("ix_sku", v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := c.Metrics().Sub(before); g != 1 || d.Gets != 1 {
+					t.Fatalf("%v/%d nodes Lookup(%s): %d gets (metrics %d), want 1", kind, nodes, v, g, d.Gets)
+				}
+				if !reflect.DeepEqual(keys, outs[i]) || (len(keys) == 0) != (i == 1) {
+					t.Fatalf("%v/%d nodes Lookup(%s) = %v, batch answered %v", kind, nodes, v, keys, outs[i])
+				}
+			}
+
+			lo, hi := relation.String("S02"), relation.String("S08")
+			fullVals, fullKeys, fullScanned, err := m.Range("ix_sku", &lo, &hi, true, false)
+			if err != nil || len(fullKeys) != 120 || fullScanned != 6 {
+				t.Fatalf("%v/%d nodes Range: %d keys over %d lists, err %v", kind, nodes, len(fullKeys), fullScanned, err)
+			}
+			for _, limit := range []int{-1, 1, 20, 21, 119} {
+				var vals []relation.Value
+				var keys []relation.Tuple
+				var scanned int
+				got := traced(fmt.Sprint("RangeLimitT/", limit), func(tr *obs.Trace) {
+					vals, keys, scanned, err = m.RangeLimitT(tr, "ix_sku", &lo, &hi, true, false, limit)
+					if err != nil || tr.PostingReads() != int64(scanned) {
+						t.Fatalf("%v/%d nodes limit %d: %d posting reads, %d scanned, err %v", kind, nodes, limit, tr.PostingReads(), scanned, err)
+					}
+				})
+				want := limit
+				if limit < 0 {
+					want = len(fullKeys)
+				}
+				if !reflect.DeepEqual(keys, fullKeys[:want]) || !reflect.DeepEqual(vals, fullVals[:want]) {
+					t.Fatalf("%v/%d nodes limit %d: not the first %d postings of the unbounded walk", kind, nodes, limit, want)
+				}
+				// A node stops after the list that carries it to limit
+				// entries: the scan is bounded per node, cancellation timing
+				// aside. The excluded hi fence key costs each walk one step.
+				perNode := int64(fullScanned + 1)
+				if limit > 0 {
+					perNode = int64((limit + 19) / 20)
+				}
+				if got.ScanNexts > int64(nodes)*perNode || int64(scanned) > got.ScanNexts {
+					t.Fatalf("%v/%d nodes limit %d: %d scan steps for %d lists merged, bound %d per node",
+						kind, nodes, limit, got.ScanNexts, scanned, perNode)
+				}
+				if nodes == 1 && limit > 0 && got.ScanNexts != perNode {
+					t.Fatalf("%v/1 node limit %d: %d scan steps, want exactly %d", kind, limit, got.ScanNexts, perNode)
+				}
+			}
+		}
 	}
 }

@@ -93,7 +93,7 @@ func TestRangeLimitStreaming(t *testing.T) {
 			t.Fatalf("full range: %d keys over %d lists", len(fullKeys), fullScanned)
 		}
 		const limit = 7
-		vals, keys, scanned, err := m.RangeLimit("ix_sku", &lo, &hi, true, true, limit)
+		vals, keys, scanned, err := m.RangeLimitT(nil, "ix_sku", &lo, &hi, true, true, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestRangeLimitStreaming(t *testing.T) {
 			}
 		}
 		// Zero limit short-circuits; negative is unbounded.
-		if _, zk, zs, err := m.RangeLimit("ix_sku", &lo, &hi, true, true, 0); err != nil || len(zk) != 0 || zs != 0 {
+		if _, zk, zs, err := m.RangeLimitT(nil, "ix_sku", &lo, &hi, true, true, 0); err != nil || len(zk) != 0 || zs != 0 {
 			t.Fatalf("zero limit: %d keys, %d scanned, %v", len(zk), zs, err)
 		}
 	}

@@ -16,12 +16,10 @@ import (
 // concurrent use; each node is guarded by its own RWMutex so concurrent
 // readers of the same node proceed in parallel (gets are pure reads in
 // every engine) and contend only with writers. Scans run under the per-node
-// read lock on all three engine kinds — the hash engine's key order is
-// precomputed on the write path, the LSM engine's merge-on-scan is a pure
-// read, and the sorted engine overlays its write buffer on the sorted array
-// without folding it — so scan-heavy mixes parallelize with gets. The
-// ReadOnlyScan capability gate remains for engines that cannot promise a
-// non-mutating scan.
+// read lock too — the hash engine's key order is precomputed on the write
+// path, the LSM engine's merge-on-scan is a pure read, and the sorted engine
+// overlays its write buffer on the sorted array without folding it — so
+// scan-heavy mixes parallelize with gets.
 type Cluster struct {
 	kind  EngineKind
 	nodes []*node
@@ -105,17 +103,6 @@ type node struct {
 	// the remote node's request queue and must not extend data-lock hold
 	// times.
 	svc sync.Mutex
-}
-
-// lockScan acquires the cheapest lock that makes a scan safe on this node's
-// engine and returns the matching unlock.
-func (n *node) lockScan() func() {
-	if n.eng.ReadOnlyScan() {
-		n.mu.RLock()
-		return n.mu.RUnlock
-	}
-	n.mu.Lock()
-	return n.mu.Unlock
 }
 
 // NewCluster builds a cluster of n nodes using the given engine kind.
@@ -296,13 +283,45 @@ func (c *Cluster) Scan(prefix []byte, fn func(key, value []byte) bool) {
 	c.ScanT(nil, prefix, fn)
 }
 
-// ScanT is Scan with a per-statement trace sink. The walk is scattered:
-// every node's seek round trip and engine walk runs concurrently (see
-// ScanScatterT), while delivery stays node-contiguous in node order, so
-// callers observe exactly the serial walk's output. fn must not issue
-// cluster operations (see scatter.go).
+// ScanT is Scan with a per-statement trace sink: the node-contiguous gather
+// over the scatter pipeline (see scatter.go). Every node's seek round trip
+// and engine walk runs concurrently, while delivery stays whole node streams
+// in node order, so callers observe exactly the output of walking the nodes
+// one after another with ScanNodeT. fn must not issue cluster operations.
 func (c *Cluster) ScanT(t *obs.KV, prefix []byte, fn func(key, value []byte) bool) {
-	c.ScanScatterT(t, prefix, fn)
+	if c.walkSingle(t, prefix, nil, nil, nil, func(_ int, k, v []byte) bool { return fn(k, v) }) {
+		return
+	}
+	s := c.RangeScatterT(t, prefix, nil, nil, nil)
+	defer s.Cancel()
+	for _, stream := range s.Streams {
+		for chunk := range stream.C {
+			for _, p := range chunk {
+				if !fn(p.Key, p.Value) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// walkSingle is the one place a one-node cluster is told apart: both gathers
+// over a single stream are that node's own walk, so it runs on the calling
+// goroutine — fn consuming each pair, then cut bounding the walk as it would
+// in the producer — and walkSingle reports true. With more nodes it does
+// nothing. There is no second round trip for the pipeline to overlap, and
+// its goroutine, chunk buffers and channel hand-offs measured 2.4-2.8x the
+// inline walk (13.7 vs 4.9 µs over 100 pairs, 3.4 vs 1.4 ms over 20 000);
+// it also keeps a one-worker plan on one node entirely on its caller's
+// goroutine.
+func (c *Cluster) walkSingle(t *obs.KV, prefix, lo, hi []byte, cut, fn func(node int, k, v []byte) bool) bool {
+	if len(c.nodes) > 1 {
+		return false
+	}
+	c.ScanRangeNodeT(t, 0, prefix, lo, hi, func(k, v []byte) bool {
+		return fn(0, k, v) && (cut == nil || cut(0, k, v))
+	})
+	return true
 }
 
 // ScanRange visits every pair whose key k satisfies the window — k starts
@@ -315,38 +334,25 @@ func (c *Cluster) ScanT(t *obs.KV, prefix []byte, fn func(key, value []byte) boo
 // O(key space). Every visited pair counts as one scan step.
 func (c *Cluster) ScanRange(prefix, lo, hi []byte, fn func(key, value []byte) bool) {
 	for i := range c.nodes {
-		if !c.ScanRangeNode(i, prefix, lo, hi, fn) {
+		if !c.ScanRangeNodeT(nil, i, prefix, lo, hi, fn) {
 			return
 		}
 	}
 }
 
-// ScanRangeNode is ScanRange restricted to one storage node: it walks the
-// node's pairs inside the window in ascending key order and reports whether
-// the walk reached the window's end (false: fn stopped it early). Callers
-// that merge across nodes use it to stop each node independently — a
-// LIMIT-bounded posting walk stops a node as soon as that node has yielded
-// enough entries, without abandoning the other nodes' contributions.
-func (c *Cluster) ScanRangeNode(i int, prefix, lo, hi []byte, fn func(key, value []byte) bool) bool {
-	return c.ScanRangeNodeT(nil, i, prefix, lo, hi, fn)
-}
-
-// ScanRangeNodeT is ScanRangeNode with a per-statement trace sink. The
-// trace counts a scan step only after the prefix check admits the pair —
-// the same fence the node metrics apply — so traced totals always equal
-// the cluster-wide metric delta for the statement. A node whose engine
-// holds no keys under the prefix is skipped without the seek round trip.
+// ScanRangeNodeT is the walk of one storage node every scan is built from:
+// the node's pairs inside the window of ScanRange in ascending key order,
+// reporting whether the walk reached the window's end (false: fn stopped it
+// early). A node whose engine holds no keys under the prefix is skipped
+// without the seek round trip; otherwise the walk pays one emulated seek
+// round, takes the node's read lock and counts a scan step per pair the
+// prefix fence admits — into the node metrics and the trace alike, so traced
+// totals always equal the cluster-wide metric delta for the statement.
 func (c *Cluster) ScanRangeNodeT(t *obs.KV, i int, prefix, lo, hi []byte, fn func(key, value []byte) bool) bool {
-	if c.nodePrefixEmpty(c.nodes[i], prefix) {
+	n := c.nodes[i]
+	if c.nodePrefixEmpty(n, prefix) {
 		return true
 	}
-	return c.scanRangeNode(t, i, prefix, lo, hi, fn)
-}
-
-// scanRangeNode is the core bounded walk of one node: seek round trip,
-// lock, engine range scan with prefix fencing and per-pair accounting.
-// Callers are expected to have applied the prefix-emptiness skip.
-func (c *Cluster) scanRangeNode(t *obs.KV, i int, prefix, lo, hi []byte, fn func(key, value []byte) bool) bool {
 	start := prefix
 	if bytes.Compare(lo, prefix) > 0 {
 		start = lo
@@ -359,10 +365,9 @@ func (c *Cluster) scanRangeNode(t *obs.KV, i int, prefix, lo, hi []byte, fn func
 	if hi == nil {
 		hi = prefixSuccessor(prefix)
 	}
-	n := c.nodes[i]
 	stopped := false
 	c.roundWait(t, i) // one emulated seek round trip per node
-	unlock := n.lockScan()
+	n.mu.RLock()
 	n.eng.ScanRange(start, hi, func(k, v []byte) bool {
 		if !bytes.HasPrefix(k, prefix) {
 			return false // past the prefix on this node; next node
@@ -375,7 +380,7 @@ func (c *Cluster) scanRangeNode(t *obs.KV, i int, prefix, lo, hi []byte, fn func
 		}
 		return true
 	})
-	unlock()
+	n.mu.RUnlock()
 	return !stopped
 }
 
@@ -400,21 +405,10 @@ func (c *Cluster) ScanNode(i int, prefix []byte, fn func(key, value []byte) bool
 	c.ScanNodeT(nil, i, prefix, fn)
 }
 
-// ScanNodeT is ScanNode with a per-statement trace sink. A node whose
-// engine holds no keys under the prefix is skipped without the seek round
-// trip.
+// ScanNodeT is ScanNode with a per-statement trace sink: the node walk with
+// the window open on both sides.
 func (c *Cluster) ScanNodeT(t *obs.KV, i int, prefix []byte, fn func(key, value []byte) bool) {
-	n := c.nodes[i]
-	if c.nodePrefixEmpty(n, prefix) {
-		return
-	}
-	c.roundWait(t, i) // one emulated seek round trip per node
-	defer n.lockScan()()
-	n.eng.Scan(prefix, func(k, v []byte) bool {
-		n.metrics.countScanNext(len(v))
-		t.CountScanNext(len(v))
-		return fn(k, v)
-	})
+	c.ScanRangeNodeT(t, i, prefix, nil, nil, fn)
 }
 
 // Metrics returns the aggregate snapshot across all nodes.
@@ -440,9 +434,9 @@ func (c *Cluster) ResetMetrics() {
 func (c *Cluster) Len() int {
 	total := 0
 	for _, n := range c.nodes {
-		n.mu.Lock()
+		n.mu.RLock()
 		total += n.eng.Len()
-		n.mu.Unlock()
+		n.mu.RUnlock()
 	}
 	return total
 }
@@ -451,9 +445,9 @@ func (c *Cluster) Len() int {
 func (c *Cluster) SizeBytes() int64 {
 	var total int64
 	for _, n := range c.nodes {
-		n.mu.Lock()
+		n.mu.RLock()
 		total += n.eng.SizeBytes()
-		n.mu.Unlock()
+		n.mu.RUnlock()
 	}
 	return total
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestClusterRoutingIsStable(t *testing.T) {
@@ -57,6 +58,41 @@ func TestClusterScanVisitsAllNodes(t *testing.T) {
 	c.Scan([]byte("p/"), func(_, _ []byte) bool { n++; return n < 5 })
 	if n != 5 {
 		t.Fatalf("early stop visited %d", n)
+	}
+}
+
+// TestSizeReadsShareTheNodeLock: Len and SizeBytes are pure reads on every
+// engine, so they must proceed while a reader holds a node's shared lock (a
+// scan callback parked mid-walk) instead of queueing behind it as a writer.
+func TestSizeReadsShareTheNodeLock(t *testing.T) {
+	for _, kind := range allKinds {
+		c := NewCluster(kind, 2)
+		for i := 0; i < 16; i++ {
+			c.Put([]byte(fmt.Sprintf("p/%02d", i)), []byte("v"))
+		}
+		parked, release := make(chan struct{}), make(chan struct{})
+		scanDone := make(chan struct{})
+		go func() {
+			defer close(scanDone)
+			c.ScanNode(c.NodeFor([]byte("p/00")), []byte("p/"), func(_, _ []byte) bool {
+				close(parked)
+				<-release
+				return false
+			})
+		}()
+		<-parked
+		sized := make(chan int64, 1)
+		go func() { sized <- int64(c.Len()) + c.SizeBytes() }()
+		select {
+		case got := <-sized:
+			if got <= 16 {
+				t.Errorf("%v: Len+SizeBytes = %d", kind, got)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%v: Len/SizeBytes blocked behind a reader holding the node's shared lock", kind)
+		}
+		close(release)
+		<-scanDone
 	}
 }
 

@@ -1,14 +1,15 @@
 package kv
 
 import (
-	"bytes"
 	"sort"
 	"strings"
 )
 
 // Engine is a single storage node: a dictionary from byte-string keys to
-// byte-string values with ordered prefix scans. Engines are not safe for
-// concurrent mutation; the Cluster serializes access per node.
+// byte-string values with ordered range scans. Engines are not safe for
+// concurrent mutation; the Cluster serializes access per node. Everything
+// but Put and Delete is a pure read — the cluster runs gets, scans and size
+// reads under the node's shared lock, concurrently with each other.
 type Engine interface {
 	// Get returns the value stored under key.
 	Get(key []byte) ([]byte, bool)
@@ -16,23 +17,18 @@ type Engine interface {
 	Put(key, value []byte)
 	// Delete removes key, reporting whether it was present.
 	Delete(key []byte) bool
-	// Scan visits pairs whose key starts with prefix, in ascending key
-	// order, until fn returns false. An empty prefix visits everything.
-	Scan(prefix []byte, fn func(key, value []byte) bool)
 	// ScanRange visits pairs with from <= key <= to (bytewise), in ascending
 	// key order, until fn returns false. A nil from starts at the first key;
 	// a nil to runs to the last. The bounded seek is what makes ordered
 	// posting-range walks cost O(range), not O(instance): keys below from are
-	// never visited. ScanRange obeys the same ReadOnlyScan contract as Scan.
+	// never visited. A prefix scan is the range [prefix, successor(prefix)].
+	// It must not mutate engine state: engines that would sort or merge
+	// lazily on scan do that work on the write path instead.
 	ScanRange(from, to []byte, fn func(key, value []byte) bool)
 	// Len returns the number of stored pairs.
 	Len() int
 	// SizeBytes returns the total payload size (keys + values).
 	SizeBytes() int64
-	// ReadOnlyScan reports whether Scan never mutates engine state, so a
-	// cluster may run it under a shared (read) lock concurrently with gets.
-	// Engines that sort or merge lazily on scan must return false.
-	ReadOnlyScan() bool
 	// PrefixEmpty reports whether the engine definitely holds no key
 	// carrying prefix. It must not mutate engine state (the cluster probes
 	// it under the shared lock) and may answer conservatively: true is a
@@ -91,7 +87,7 @@ func NewEngine(kind EngineKind) Engine {
 // scan-heavy mixes). Fresh keys accumulate in a small unsorted pending
 // buffer that Put folds into the sorted slice once it fills — one O(n)
 // merge per hashMergeAt writes keeps bulk loads near O(N log N) instead of
-// the O(N²) a splice-per-key would cost. Scan merges the (copied, sorted)
+// the O(N²) a splice-per-key would cost. ScanRange merges the (copied, sorted)
 // pending buffer with the sorted keys on the fly, mutating nothing.
 type hashEngine struct {
 	m       map[string][]byte
@@ -162,15 +158,6 @@ func (e *hashEngine) Delete(key []byte) bool {
 	return true
 }
 
-func (e *hashEngine) Scan(prefix []byte, fn func(key, value []byte) bool) {
-	e.ScanRange(prefix, nil, func(k, v []byte) bool {
-		if !bytes.HasPrefix(k, prefix) {
-			return false
-		}
-		return fn(k, v)
-	})
-}
-
 func (e *hashEngine) ScanRange(from, to []byte, fn func(key, value []byte) bool) {
 	f := string(from)
 	var pend []string
@@ -202,8 +189,6 @@ func (e *hashEngine) ScanRange(from, to []byte, fn func(key, value []byte) bool)
 func (e *hashEngine) Len() int { return len(e.m) }
 
 func (e *hashEngine) SizeBytes() int64 { return e.size }
-
-func (e *hashEngine) ReadOnlyScan() bool { return true }
 
 // PrefixEmpty: one binary search over the sorted keys plus a linear pass
 // over the small pending buffer, no mutation.

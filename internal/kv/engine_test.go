@@ -17,6 +17,14 @@ func forEachEngine(t *testing.T, body func(t *testing.T, e Engine)) {
 	}
 }
 
+// scanPrefix walks the engine's pairs carrying prefix the way the cluster
+// does: the range [prefix, successor(prefix)], fenced by the prefix check.
+func scanPrefix(e Engine, prefix []byte, fn func(key, value []byte) bool) {
+	e.ScanRange(prefix, prefixSuccessor(prefix), func(k, v []byte) bool {
+		return bytes.HasPrefix(k, prefix) && fn(k, v)
+	})
+}
+
 func TestEngineGetPut(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, e Engine) {
 		if _, ok := e.Get([]byte("a")); ok {
@@ -62,7 +70,7 @@ func TestEngineScanOrderAndPrefix(t *testing.T) {
 			e.Put([]byte(k), []byte("v"+k))
 		}
 		var got []string
-		e.Scan([]byte("b/"), func(k, v []byte) bool {
+		scanPrefix(e, []byte("b/"), func(k, v []byte) bool {
 			got = append(got, string(k))
 			if string(v) != "v"+string(k) {
 				t.Fatalf("value mismatch for %s", k)
@@ -80,7 +88,7 @@ func TestEngineScanOrderAndPrefix(t *testing.T) {
 		}
 		// Early stop.
 		n := 0
-		e.Scan(nil, func(k, v []byte) bool { n++; return n < 2 })
+		scanPrefix(e, nil, func(k, v []byte) bool { n++; return n < 2 })
 		if n != 2 {
 			t.Fatalf("early stop visited %d", n)
 		}
@@ -105,7 +113,7 @@ func TestEngineScanAllSorted(t *testing.T) {
 			}
 		}
 		var got []string
-		e.Scan(nil, func(k, _ []byte) bool { got = append(got, string(k)); return true })
+		scanPrefix(e, nil, func(k, _ []byte) bool { got = append(got, string(k)); return true })
 		if len(got) != len(dedup) {
 			t.Fatalf("scan %d keys, want %d", len(got), len(dedup))
 		}
@@ -150,7 +158,7 @@ func TestEngineMatchesModel(t *testing.T) {
 		if e.Len() != len(model) {
 			t.Fatalf("len = %d, model %d", e.Len(), len(model))
 		}
-		e.Scan(nil, func(k, v []byte) bool {
+		scanPrefix(e, nil, func(k, v []byte) bool {
 			if model[string(k)] != string(v) {
 				t.Fatalf("scan mismatch at %s", k)
 			}
@@ -193,7 +201,7 @@ func TestSortedMerge(t *testing.T) {
 		e.Put([]byte(fmt.Sprintf("k%d", i)), []byte{byte('0' + i)})
 	}
 	var got []string
-	e.Scan(nil, func(k, _ []byte) bool { got = append(got, string(k)); return true })
+	scanPrefix(e, nil, func(k, _ []byte) bool { got = append(got, string(k)); return true })
 	if len(got) != 10 || got[0] != "k0" || got[9] != "k9" {
 		t.Fatalf("scan = %v", got)
 	}

@@ -1,7 +1,6 @@
 package kv
 
 import (
-	"bytes"
 	"sort"
 	"strings"
 )
@@ -127,43 +126,24 @@ func (e *lsmEngine) compact() {
 	e.runs = []run{{keys: keys, vals: vals}}
 }
 
-// Scan merges the memtable and all runs, newest version wins.
-func (e *lsmEngine) Scan(prefix []byte, fn func(key, value []byte) bool) {
-	e.scanMerged(prefix, prefix, nil, fn)
-}
-
-// ScanRange is the bounded ordered walk: the snapshot covers only the
-// [from, to] key window, so the cost is proportional to the range, not the
-// engine.
+// ScanRange is the bounded ordered walk: a merge-on-scan snapshot of the
+// memtable and all runs over the [from, to] key window, newest version
+// winning, streamed in ascending order — so the cost is proportional to the
+// range, not the engine. It reads the memtable and runs without flushing or
+// compacting. Small engine sizes make the snapshot acceptable; real LSM
+// trees stream a k-way merge instead.
 func (e *lsmEngine) ScanRange(from, to []byte, fn func(key, value []byte) bool) {
-	e.scanMerged(from, nil, to, fn)
-}
-
-// scanMerged builds a merge-on-scan snapshot of the keys at or above seek
-// that satisfy the (prefix, to) window and streams it in ascending order,
-// newest version winning. Small engine sizes make the snapshot acceptable;
-// real LSM trees stream a k-way merge instead. Shared by prefix scans
-// (prefix set, to nil) and bounded range scans (prefix nil, to set).
-func (e *lsmEngine) scanMerged(seek, prefix, to []byte, fn func(key, value []byte) bool) {
-	keep := func(k string) bool {
-		if prefix != nil && !bytes.HasPrefix([]byte(k), prefix) {
-			return false
-		}
-		return to == nil || k <= string(to)
-	}
-	s := string(seek)
+	within := func(k string) bool { return to == nil || k <= string(to) }
+	s := string(from)
 	merged := make(map[string][]byte)
 	for _, r := range e.runs {
 		i := sort.SearchStrings(r.keys, s)
-		for ; i < len(r.keys); i++ {
-			if !keep(r.keys[i]) {
-				break
-			}
+		for ; i < len(r.keys) && within(r.keys[i]); i++ {
 			merged[r.keys[i]] = r.vals[i]
 		}
 	}
 	for k, v := range e.mem {
-		if k >= s && keep(k) {
+		if k >= s && within(k) {
 			merged[k] = v
 		}
 	}
@@ -183,19 +163,15 @@ func (e *lsmEngine) scanMerged(seek, prefix, to []byte, fn func(key, value []byt
 
 func (e *lsmEngine) Len() int {
 	n := 0
-	e.Scan(nil, func(_, _ []byte) bool { n++; return true })
+	e.ScanRange(nil, nil, func(_, _ []byte) bool { n++; return true })
 	return n
 }
 
 func (e *lsmEngine) SizeBytes() int64 {
 	var n int64
-	e.Scan(nil, func(k, v []byte) bool { n += int64(len(k) + len(v)); return true })
+	e.ScanRange(nil, nil, func(k, v []byte) bool { n += int64(len(k) + len(v)); return true })
 	return n
 }
-
-// ReadOnlyScan: the merge-on-scan snapshot reads the memtable and runs
-// without flushing or compacting, so scans are pure reads.
-func (e *lsmEngine) ReadOnlyScan() bool { return true }
 
 // PrefixEmpty: a binary search per run plus a linear pass over the
 // memtable, no mutation. Tombstoned keys count as "maybe non-empty" —

@@ -10,8 +10,8 @@ import (
 // every engine kind. Its job is to fail under the race detector if a scan
 // mutates engine state while only holding the read lock: the hash engine's
 // precomputed key order, the LSM engine's snapshot scan, and the sorted
-// engine's buffer-overlay scan must all stay pure reads (all three now
-// report ReadOnlyScan, so every cluster scan runs under the shared lock).
+// engine's buffer-overlay scan must all stay pure reads (every cluster scan
+// runs under the shared lock).
 func TestScanDuringGetRace(t *testing.T) {
 	for _, kind := range []EngineKind{EngineHash, EngineLSM, EngineSorted} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -79,7 +79,7 @@ func TestSortedEngineScanOverlay(t *testing.T) {
 	}
 	bufBefore := len(e.buf)
 	var got []string
-	e.Scan(nil, func(k, v []byte) bool {
+	scanPrefix(e, nil, func(k, v []byte) bool {
 		got = append(got, string(k)+"="+string(v))
 		return true
 	})
@@ -104,7 +104,7 @@ func TestSortedEngineScanOverlay(t *testing.T) {
 	// Prefix scans see the overlay too.
 	e.Put([]byte("cc"), []byte("cc:new"))
 	got = nil
-	e.Scan([]byte("c"), func(k, _ []byte) bool {
+	scanPrefix(e, []byte("c"), func(k, _ []byte) bool {
 		got = append(got, string(k))
 		return true
 	})
@@ -124,7 +124,7 @@ func TestHashEngineIncrementalOrder(t *testing.T) {
 	e.Put([]byte("ab"), []byte("ab"))
 	e.Put([]byte("a"), []byte("a2")) // overwrite must not duplicate the key
 	var got []string
-	e.Scan(nil, func(k, _ []byte) bool {
+	scanPrefix(e, nil, func(k, _ []byte) bool {
 		got = append(got, string(k))
 		return true
 	})

@@ -1,31 +1,33 @@
 package kv
 
 import (
+	"bytes"
 	"sync"
-	"time"
 
 	"zidian/internal/obs"
 )
 
-// Scatter-gather scan pipelines: the placement layer that turns "walk the
-// cluster" into "walk every node at once". A logical scan names a key
-// window; placement fans it out as one streaming walk per storage node,
-// each in its own goroutine behind a bounded channel, and a gather step
-// recombines the per-node streams. Two merge disciplines exist:
+// The scatter pipeline: the placement layer that turns "walk the cluster"
+// into "walk every node at once". A logical scan names a key window;
+// RangeScatterT fans it out as one streaming node walk (ScanRangeNodeT) per
+// storage node, each in its own goroutine behind a bounded channel, and a
+// gather step recombines the per-node streams. There is one pipeline and two
+// gathers (a one-node cluster has nothing to overlap: both gathers then run
+// the node's walk inline, see Cluster.walkSingle):
 //
-//   - Node-contiguous fan-in (ScanScatterT): each node's stream is
-//     delivered whole, in node order, exactly matching the serial walk's
-//     output. Callers that reassemble multi-pair records from adjacent
-//     keys (BaaV multi-segment blocks — segments of one block are
-//     colocated on the block's owner node) rely on streams never
+//   - Node-contiguous gather (ScanT): each node's stream is delivered
+//     whole, in node order, exactly matching the output of walking the
+//     nodes one after another. Callers that reassemble multi-pair records
+//     from adjacent keys (BaaV multi-segment blocks — segments of one block
+//     are colocated on the block's owner node) rely on streams never
 //     interleaving at pair granularity. The win is overlap: every node's
 //     emulated seek round trip and engine walk runs concurrently instead
 //     of back to back.
 //
-//   - Ordered key-granularity merge: each key lives on exactly one node
-//     and per-node streams arrive in ascending key order, so a heap merge
-//     recombines them into one globally ordered stream. The posting-range
-//     walk in internal/index builds this on top of RangeScatterT.
+//   - Ordered key-granularity merge (RangeMergeT): each key lives on
+//     exactly one node and per-node streams arrive in ascending key order,
+//     so popping the smallest stream head recombines them into one globally
+//     ordered walk. The posting-range walk in internal/index is this gather.
 //
 // Cancellation: when the consumer stops early (LIMIT, error), in-flight
 // node walks observe the cancel between pairs and abort instead of
@@ -53,123 +55,6 @@ type Pair struct {
 	Value []byte
 }
 
-// NodeScanStat reports one node's share of a scattered walk.
-type NodeScanStat struct {
-	// Pairs counts the pairs the node's walk yielded.
-	Pairs int64
-	// Wait is the node's emulated seek round trip as observed by this walk —
-	// under the service-capacity model it includes time queued behind other
-	// statements' rounds at the node, so it localizes hot-node contention.
-	Wait time.Duration
-	// Skipped is set when the node was never visited because its engine
-	// reported no keys under the scan prefix: no seek round trip, no lock.
-	Skipped bool
-}
-
-// ScanScatterT walks every pair carrying prefix exactly like ScanT —
-// node by node in key order within each node — but runs all node walks
-// concurrently: each node's emulated seek round trip and engine walk
-// overlaps the others, and the fan-in delivers node streams contiguously
-// in node order so the output is byte-for-byte the serial walk's. Nodes
-// whose engines hold no keys under the prefix are skipped without paying
-// the seek round trip. fn must not issue cluster operations (see the
-// package comment above). The returned stats have one entry per node.
-func (c *Cluster) ScanScatterT(t *obs.KV, prefix []byte, fn func(key, value []byte) bool) []NodeScanStat {
-	stats := make([]NodeScanStat, len(c.nodes))
-	if len(c.nodes) == 1 {
-		// One node: no pipeline to overlap; walk inline.
-		n := c.nodes[0]
-		if c.nodePrefixEmpty(n, prefix) {
-			stats[0].Skipped = true
-			return stats
-		}
-		seek := time.Now()
-		c.roundWait(t, 0)
-		stats[0].Wait = time.Since(seek)
-		unlock := n.lockScan()
-		n.eng.Scan(prefix, func(k, v []byte) bool {
-			n.metrics.countScanNext(len(v))
-			t.CountScanNext(len(v))
-			stats[0].Pairs++
-			return fn(k, v)
-		})
-		unlock()
-		return stats
-	}
-
-	done := make(chan struct{})
-	var once sync.Once
-	cancel := func() { once.Do(func() { close(done) }) }
-	defer cancel()
-
-	chans := make([]chan []Pair, len(c.nodes))
-	var wg sync.WaitGroup
-	for i := range c.nodes {
-		chans[i] = make(chan []Pair, scanChanCap)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ch := chans[i]
-			defer close(ch)
-			n := c.nodes[i]
-			if c.nodePrefixEmpty(n, prefix) {
-				stats[i].Skipped = true
-				return
-			}
-			seek := time.Now()
-			c.roundWait(t, i) // per-node seek rounds overlap across producers
-			stats[i].Wait = time.Since(seek)
-			unlock := n.lockScan()
-			defer unlock()
-			chunk := make([]Pair, 0, scanChunk)
-			flush := func() bool {
-				if len(chunk) == 0 {
-					return true
-				}
-				select {
-				case ch <- chunk:
-					chunk = make([]Pair, 0, scanChunk)
-					return true
-				case <-done:
-					return false
-				}
-			}
-			n.eng.Scan(prefix, func(k, v []byte) bool {
-				select {
-				case <-done:
-					return false
-				default:
-				}
-				n.metrics.countScanNext(len(v))
-				t.CountScanNext(len(v))
-				stats[i].Pairs++
-				chunk = append(chunk, Pair{Key: k, Value: v})
-				if len(chunk) == scanChunk {
-					return flush()
-				}
-				return true
-			})
-			flush()
-		}(i)
-	}
-
-	// Node-contiguous fan-in, in node order: identical delivery order to
-	// the serial walk, with all the per-node work already in flight.
-gather:
-	for i := range chans {
-		for chunk := range chans[i] {
-			for _, p := range chunk {
-				if !fn(p.Key, p.Value) {
-					break gather
-				}
-			}
-		}
-	}
-	cancel()
-	wg.Wait()
-	return stats
-}
-
 // RangeStream is one node's ordered, bounded-window walk inside a
 // RangeScatterT: pairs arrive in ascending key order on C until the walk
 // ends or the scatter is canceled.
@@ -182,10 +67,9 @@ type RangeScatter struct {
 	// Streams has one ordered pair stream per storage node.
 	Streams []RangeStream
 
-	done   chan struct{}
-	once   sync.Once
-	wg     sync.WaitGroup
-	cutoff []func() bool
+	done chan struct{}
+	once sync.Once
+	wg   sync.WaitGroup
 }
 
 // Cancel aborts every in-flight node walk and waits for the pipelines to
@@ -199,13 +83,12 @@ func (s *RangeScatter) Cancel() {
 // window semantics of ScanRangeNodeT: keys carrying prefix with
 // lo <= k <= hi, ascending per node — each in its own goroutine behind a
 // bounded channel, and returns the per-node streams for the caller to
-// merge (each key lives on exactly one node, so an ascending heap merge
-// of the streams is a globally ordered walk). cut, when non-nil, is the
-// producer-side early stop: it runs in the node's goroutine after each
-// pair is appended and stops that node's walk when it returns false —
-// callers use it to cap how far a LIMIT-bound walk scans per node.
-// Nodes with no keys under the prefix are skipped without a seek round
-// trip. The caller must Cancel the scatter once it stops consuming.
+// gather. cut, when non-nil, is the producer-side early stop: it runs in
+// the node's goroutine after each pair is appended and stops that node's
+// walk when it returns false — callers use it to cap how far a LIMIT-bound
+// walk scans per node. Nodes with no keys under the prefix are skipped
+// without a seek round trip. The caller must Cancel the scatter once it
+// stops consuming.
 func (c *Cluster) RangeScatterT(t *obs.KV, prefix, lo, hi []byte, cut func(node int, k, v []byte) bool) *RangeScatter {
 	s := &RangeScatter{
 		Streams: make([]RangeStream, len(c.nodes)),
@@ -218,28 +101,27 @@ func (c *Cluster) RangeScatterT(t *obs.KV, prefix, lo, hi []byte, cut func(node 
 		go func(i int, ch chan []Pair) {
 			defer s.wg.Done()
 			defer close(ch)
-			n := c.nodes[i]
-			if c.nodePrefixEmpty(n, prefix) {
-				return
-			}
-			chunk := make([]Pair, 0, scanChunk)
+			var chunk []Pair
 			flush := func() bool {
 				if len(chunk) == 0 {
 					return true
 				}
 				select {
 				case ch <- chunk:
-					chunk = make([]Pair, 0, scanChunk)
+					chunk = nil
 					return true
 				case <-s.done:
 					return false
 				}
 			}
-			c.scanRangeNode(t, i, prefix, lo, hi, func(k, v []byte) bool {
+			c.ScanRangeNodeT(t, i, prefix, lo, hi, func(k, v []byte) bool {
 				select {
 				case <-s.done:
 					return false
 				default:
+				}
+				if chunk == nil {
+					chunk = make([]Pair, 0, scanChunk)
 				}
 				chunk = append(chunk, Pair{Key: k, Value: v})
 				if cut != nil && !cut(i, k, v) {
@@ -255,6 +137,56 @@ func (c *Cluster) RangeScatterT(t *obs.KV, prefix, lo, hi []byte, cut func(node 
 		}(i, ch)
 	}
 	return s
+}
+
+// RangeMergeT walks the window of RangeScatterT in global ascending key
+// order: the ordered gather. It pops the smallest head among the live node
+// streams, refills that stream, and repeats — node counts are small, so a
+// linear min over stream heads beats a heap. fn receives the node each pair
+// came from so callers can account fan-out, and stops the walk by returning
+// false; the scatter is always canceled before returning, so an early stop
+// aborts the in-flight node walks. fn must not issue cluster operations.
+func (c *Cluster) RangeMergeT(t *obs.KV, prefix, lo, hi []byte, cut, fn func(node int, k, v []byte) bool) {
+	if c.walkSingle(t, prefix, lo, hi, cut, fn) {
+		return
+	}
+	s := c.RangeScatterT(t, prefix, lo, hi, cut)
+	defer s.Cancel()
+	chunks := make([][]Pair, len(s.Streams))
+	at := make([]int, len(s.Streams))
+	live := make([]bool, len(s.Streams))
+	// refill ensures stream i has a head pair, blocking on its channel;
+	// reports false once the stream is exhausted.
+	refill := func(i int) bool {
+		for at[i] >= len(chunks[i]) {
+			chunk, ok := <-s.Streams[i].C
+			if !ok {
+				return false
+			}
+			chunks[i], at[i] = chunk, 0
+		}
+		return true
+	}
+	for i := range s.Streams {
+		live[i] = refill(i)
+	}
+	for {
+		min := -1
+		for i := range live {
+			if live[i] && (min < 0 || bytes.Compare(chunks[i][at[i]].Key, chunks[min][at[min]].Key) < 0) {
+				min = i
+			}
+		}
+		if min < 0 {
+			return
+		}
+		p := chunks[min][at[min]]
+		at[min]++
+		if !fn(min, p.Key, p.Value) {
+			return
+		}
+		live[min] = refill(min)
+	}
 }
 
 // nodePrefixEmpty probes, under a brief read lock, whether the node's

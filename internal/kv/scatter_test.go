@@ -4,19 +4,27 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
+	"time"
+
+	"zidian/internal/obs"
 )
 
-// The scatter differential suite: the concurrent per-node pipelines must be
-// observationally identical to the serial per-node walks they replaced —
-// byte-for-byte, across engines and node counts, under -race.
+// The scatter differential suite: the gathers over the concurrent per-node
+// pipeline must be observationally identical to walking the nodes one after
+// another — byte-for-byte, across engines and node counts, under -race.
 
 var scatterNodeCounts = []int{1, 2, 4, 8}
 
+// ffPrefix has no successor: its scans run with an open upper fence.
+var ffPrefix = []byte{0xFF, 0xFF}
+
 // scatterFixture loads a deterministic keyspace: nPairs keys under prefix
 // "blk/", plus decoys under "idx/" and "zzz/" that a prefix walk must never
-// leak. Values vary in size so chunk boundaries land at different offsets
-// per node count.
+// leak and a handful under the all-0xFF prefix. Values vary in size so chunk
+// boundaries land at different offsets per node count.
 func scatterFixture(kind EngineKind, nodes, nPairs int) *Cluster {
 	c := NewCluster(kind, nodes)
 	rng := rand.New(rand.NewSource(42))
@@ -28,6 +36,9 @@ func scatterFixture(kind EngineKind, nodes, nPairs int) *Cluster {
 		c.Put([]byte(fmt.Sprintf("idx/%05d", i)), []byte{byte(i)})
 	}
 	c.Put([]byte("zzz/tail"), []byte("tail"))
+	for i := 0; i < 9; i++ {
+		c.Put(append(append([]byte{}, ffPrefix...), byte(i)), []byte{byte(i)})
+	}
 	return c
 }
 
@@ -41,8 +52,8 @@ func collectPairs(pairs []Pair) string {
 	return b.String()
 }
 
-// serialScan is the reference implementation the scatter must match: walk
-// each node in node order, pairs in key order within the node.
+// serialScan is the reference the gather must match: walk each node in node
+// order, pairs in key order within the node.
 func serialScan(c *Cluster, prefix []byte) []Pair {
 	var out []Pair
 	for i := 0; i < c.NodeCount(); i++ {
@@ -54,88 +65,121 @@ func serialScan(c *Cluster, prefix []byte) []Pair {
 	return out
 }
 
-func TestScanScatterMatchesSerialWalk(t *testing.T) {
-	prefix := []byte("blk/")
+// TestScanMatchesNodeOrderWalk: Scan delivers exactly the node-order
+// concatenation of the per-node walks — for an ordinary prefix, the empty
+// prefix (everything) and an all-0xFF prefix (no successor fence) — and a
+// consumer that stops after k pairs has seen exactly the first k, with the
+// in-flight node pipelines wound down (Cancel waits for them; a stuck
+// producer hangs the test).
+func TestScanMatchesNodeOrderWalk(t *testing.T) {
 	for _, kind := range allKinds {
 		for _, nodes := range scatterNodeCounts {
 			c := scatterFixture(kind, nodes, 300)
-			want := collectPairs(serialScan(c, prefix))
-
-			var got []Pair
-			stats := c.ScanScatterT(nil, prefix, func(k, v []byte) bool {
-				got = append(got, Pair{Key: k, Value: v})
-				return true
-			})
-			if collectPairs(got) != want {
-				t.Fatalf("%v/%d nodes: scattered walk diverged from serial walk (%d vs %d pairs)",
-					kind, nodes, len(got), len(serialScan(c, prefix)))
-			}
-			if len(stats) != nodes {
-				t.Fatalf("%v/%d nodes: %d stat entries", kind, nodes, len(stats))
-			}
-			var statPairs int64
-			for _, s := range stats {
-				statPairs += s.Pairs
-			}
-			if statPairs != int64(len(got)) {
-				t.Fatalf("%v/%d nodes: stats count %d pairs, delivered %d", kind, nodes, statPairs, len(got))
-			}
-		}
-	}
-}
-
-// TestScanScatterEarlyStop: a consumer that stops after k pairs must have
-// seen exactly the serial walk's first k pairs, and the in-flight node
-// pipelines must wind down cleanly (covered by -race and goroutine leak
-// checks via wg.Wait inside the scatter).
-func TestScanScatterEarlyStop(t *testing.T) {
-	prefix := []byte("blk/")
-	for _, kind := range allKinds {
-		for _, nodes := range scatterNodeCounts {
-			c := scatterFixture(kind, nodes, 300)
-			ref := serialScan(c, prefix)
-			for _, stop := range []int{0, 1, 63, 64, 65, 200} {
-				var got []Pair
-				c.ScanScatterT(nil, prefix, func(k, v []byte) bool {
-					got = append(got, Pair{Key: k, Value: v})
-					return len(got) < stop
-				})
-				wantN := stop
-				if stop == 0 {
-					wantN = 1 // fn sees the first pair, then stops
+			for _, prefix := range [][]byte{[]byte("blk/"), nil, ffPrefix} {
+				ref := serialScan(c, prefix)
+				if len(ref) == 0 {
+					t.Fatalf("%v/%d nodes prefix %q: empty reference walk", kind, nodes, prefix)
 				}
-				if wantN > len(ref) {
-					wantN = len(ref)
-				}
-				if collectPairs(got) != collectPairs(ref[:wantN]) {
-					t.Fatalf("%v/%d nodes stop=%d: early-stopped walk is not a prefix of the serial walk",
-						kind, nodes, stop)
+				for _, stop := range []int{-1, 0, 1, 63, 64, 65, 200} {
+					var got []Pair
+					c.Scan(prefix, func(k, v []byte) bool {
+						got = append(got, Pair{Key: k, Value: v})
+						return stop < 0 || len(got) < stop
+					})
+					wantN := stop
+					if stop == 0 {
+						wantN = 1 // fn sees the first pair, then stops
+					}
+					if stop < 0 || wantN > len(ref) {
+						wantN = len(ref)
+					}
+					if collectPairs(got) != collectPairs(ref[:wantN]) {
+						t.Fatalf("%v/%d nodes prefix %q stop=%d: walk is not the node-order walk's first %d pairs (got %d)",
+							kind, nodes, prefix, stop, wantN, len(got))
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestScanScatterEmptyPrefixSkipsNodes: a prefix no node holds must answer
-// without paying any seek round trip — every engine answers prefix-emptiness
-// definitively (one binary search), so all nodes report Skipped and the
-// cluster-wide scan metrics stay untouched.
-func TestScanScatterEmptyPrefixSkipsNodes(t *testing.T) {
-	for _, kind := range allKinds {
-		for _, nodes := range scatterNodeCounts {
-			c := scatterFixture(kind, nodes, 100)
-			before := c.Metrics()
-			stats := c.ScanScatterT(nil, []byte("nope/"), func(k, v []byte) bool {
-				t.Fatalf("%v/%d nodes: pair %q under an absent prefix", kind, nodes, k)
-				return false
-			})
-			for i, s := range stats {
-				if !s.Skipped || s.Pairs != 0 {
-					t.Fatalf("%v/%d nodes: node %d not skipped (%+v)", kind, nodes, i, s)
+// TestTracedReadsEqualMetricsDelta: every read form counts into the trace
+// exactly what it counts into the node metrics, so a statement's traced
+// totals reconcile with the cluster-wide delta. A prefix no node holds is
+// answered without a seek round or a scan step: every engine answers
+// prefix-emptiness definitively, so with a service delay installed the
+// absent-prefix forms accrue no wait at all.
+func TestTracedReadsEqualMetricsDelta(t *testing.T) {
+	present, absent := []byte("blk/"), []byte("nope/")
+	keep := func(_, _ []byte) bool { return true }
+	forms := []struct {
+		name string
+		run  func(c *Cluster, kvt *obs.KV, prefix []byte)
+	}{
+		{"GetRoutedT", func(c *Cluster, kvt *obs.KV, prefix []byte) {
+			for i := 0; i < 40; i++ {
+				k := append(append([]byte{}, prefix...), fmt.Sprintf("%05d", i*9)...)
+				c.GetRoutedT(kvt, k, k)
+			}
+		}},
+		{"GetManyRouted", func(c *Cluster, kvt *obs.KV, prefix []byte) {
+			var reqs []GetRequest
+			for i := 0; i < 40; i++ {
+				k := append(append([]byte{}, prefix...), fmt.Sprintf("%05d", i*9)...)
+				reqs = append(reqs, GetRequest{Route: k, Key: k})
+			}
+			c.GetManyRouted(kvt, reqs)
+		}},
+		{"ScanT", func(c *Cluster, kvt *obs.KV, prefix []byte) { c.ScanT(kvt, prefix, keep) }},
+		{"ScanNodeT", func(c *Cluster, kvt *obs.KV, prefix []byte) {
+			for i := 0; i < c.NodeCount(); i++ {
+				c.ScanNodeT(kvt, i, prefix, keep)
+			}
+		}},
+		{"ScanRangeNodeT", func(c *Cluster, kvt *obs.KV, prefix []byte) {
+			lo := append(append([]byte{}, prefix...), "00100"...)
+			hi := append(append([]byte{}, prefix...), "00199"...)
+			for i := 0; i < c.NodeCount(); i++ {
+				c.ScanRangeNodeT(kvt, i, prefix, lo, hi, keep)
+			}
+		}},
+		{"RangeMergeT", func(c *Cluster, kvt *obs.KV, prefix []byte) {
+			c.RangeMergeT(kvt, prefix, nil, nil, nil, func(_ int, k, v []byte) bool { return true })
+		}},
+		{"RangeScatterT", func(c *Cluster, kvt *obs.KV, prefix []byte) {
+			s := c.RangeScatterT(kvt, prefix, nil, nil, nil)
+			for _, stream := range s.Streams {
+				for range stream.C {
 				}
 			}
-			if d := c.Metrics().Sub(before); d.ScanNexts != 0 {
-				t.Fatalf("%v/%d nodes: absent-prefix scan took %d scan steps", kind, nodes, d.ScanNexts)
+			s.Cancel()
+		}},
+	}
+	for _, kind := range allKinds {
+		for _, nodes := range []int{1, 4} {
+			c := scatterFixture(kind, nodes, 300)
+			for _, f := range forms {
+				for _, prefix := range [][]byte{present, absent} {
+					skips := bytes.Equal(prefix, absent) && !strings.HasPrefix(f.name, "Get")
+					if skips {
+						c.SetServiceDelay(time.Millisecond)
+					}
+					kvt := &obs.KV{}
+					before := c.Metrics()
+					f.run(c, kvt, prefix)
+					c.SetServiceDelay(0)
+					d, tr := c.Metrics().Sub(before), kvt.Snapshot()
+					if tr.Gets != d.Gets || tr.ScanNexts != d.ScanNexts || tr.BytesRead != d.BytesRead {
+						t.Fatalf("%v/%d nodes %s(%q): trace %+v != metrics delta %+v", kind, nodes, f.name, prefix, tr, d)
+					}
+					switch {
+					case skips && (d.ScanNexts != 0 || tr.WaitNanos != 0):
+						t.Fatalf("%v/%d nodes %s: absent prefix took %d scan steps, %dns of seek rounds",
+							kind, nodes, f.name, d.ScanNexts, tr.WaitNanos)
+					case !skips && d.Gets+d.ScanNexts == 0:
+						t.Fatalf("%v/%d nodes %s(%q): no traffic", kind, nodes, f.name, prefix)
+					}
+				}
 			}
 		}
 	}
@@ -182,6 +226,44 @@ func TestRangeScatterStreamsMatchSerial(t *testing.T) {
 					}
 				}
 				s.Cancel()
+			}
+		}
+	}
+}
+
+// TestRangeMergeIsGlobalOrder: the ordered gather delivers the window's
+// pairs of all nodes in one ascending key order, each tagged with its owner
+// node, and an early stop sees exactly the first k of them.
+func TestRangeMergeIsGlobalOrder(t *testing.T) {
+	prefix, lo, hi := []byte("blk/"), []byte("blk/00050"), []byte("blk/00249")
+	for _, kind := range allKinds {
+		for _, nodes := range scatterNodeCounts {
+			c := scatterFixture(kind, nodes, 300)
+			var ref []Pair
+			for i := 0; i < nodes; i++ {
+				c.ScanRangeNodeT(nil, i, prefix, lo, hi, func(k, v []byte) bool {
+					ref = append(ref, Pair{Key: k, Value: v})
+					return true
+				})
+			}
+			sort.Slice(ref, func(i, j int) bool { return bytes.Compare(ref[i].Key, ref[j].Key) < 0 })
+			for _, stop := range []int{-1, 1, 64, 65} {
+				var got []Pair
+				c.RangeMergeT(nil, prefix, lo, hi, nil, func(node int, k, v []byte) bool {
+					if node != c.NodeFor(k) {
+						t.Fatalf("%v/%d nodes: pair %q tagged node %d, owner %d", kind, nodes, k, node, c.NodeFor(k))
+					}
+					got = append(got, Pair{Key: k, Value: v})
+					return stop < 0 || len(got) < stop
+				})
+				wantN := stop
+				if stop < 0 {
+					wantN = len(ref)
+				}
+				if len(ref) != 200 || collectPairs(got) != collectPairs(ref[:wantN]) {
+					t.Fatalf("%v/%d nodes stop=%d: merged walk is not the first %d of %d pairs in key order (got %d)",
+						kind, nodes, stop, wantN, len(ref), len(got))
+				}
 			}
 		}
 	}

@@ -10,10 +10,9 @@ import (
 // Kudu tablet (DiskRowSet + DeltaMemStore): point reads are binary searches,
 // ordered scans are sequential, and writes pay an amortized merge cost.
 // Merging happens only on Put/Delete (batched every mergeAt writes), never
-// on the read path: Scan overlays the buffer on the sorted array on the
+// on the read path: ScanRange overlays the buffer on the sorted array on the
 // fly, so it is a pure read and the cluster can run it under the per-node
-// read lock, concurrent with gets — scans on all three engine kinds now
-// parallelize with point reads.
+// read lock, concurrent with gets.
 type sortedEngine struct {
 	keys []string
 	vals [][]byte
@@ -107,29 +106,15 @@ func (e *sortedEngine) merge() {
 	}
 }
 
-// Scan walks the sorted array and the write buffer with a read-only
-// two-pointer overlay: buffered entries win over sorted ones of the same
-// key, and buffered deletions hide them. Nothing is mutated, so the
-// cluster runs scans under the shared lock.
-func (e *sortedEngine) Scan(prefix []byte, fn func(key, value []byte) bool) {
-	p := string(prefix)
-	e.overlayScan(p,
-		func(k string) bool { return strings.HasPrefix(k, p) },
-		fn)
-}
-
-// ScanRange is the bounded ordered walk over [from, to]: the same read-only
-// buffer overlay as Scan, seeked to from and stopped past to, so buffered
-// but unmerged writes inside the range are visible without folding.
+// ScanRange is the bounded ordered walk over [from, to]: a read-only
+// two-pointer overlay of the write buffer on the sorted array, seeked to
+// from and stopped past to. Buffered entries win over sorted ones of the
+// same key and buffered deletions hide them, so unmerged writes inside the
+// range are visible without folding. Nothing is mutated, so the cluster
+// runs scans under the shared lock.
 func (e *sortedEngine) ScanRange(from, to []byte, fn func(key, value []byte) bool) {
-	e.overlayScan(string(from),
-		func(k string) bool { return to == nil || k <= string(to) },
-		fn)
-}
-
-// overlayScan merges the sorted array and the write buffer from the seek
-// position, visiting keys while within reports true.
-func (e *sortedEngine) overlayScan(seek string, within func(string) bool, fn func(key, value []byte) bool) {
+	seek := string(from)
+	within := func(k string) bool { return to == nil || k <= string(to) }
 	var bufKeys []string
 	for k := range e.buf {
 		if k >= seek && within(k) {
@@ -203,10 +188,6 @@ func (e *sortedEngine) SizeBytes() int64 {
 	}
 	return total
 }
-
-// ReadOnlyScan: the overlay scan never mutates engine state, so cluster
-// scans may run under the shared (read) lock, concurrent with gets.
-func (e *sortedEngine) ReadOnlyScan() bool { return true }
 
 // PrefixEmpty: one binary search over the sorted array plus a linear pass
 // over the write buffer, no mutation. Buffered deletions count as "maybe

@@ -44,14 +44,6 @@ func isObsTraceOrKV(t types.Type) bool {
 	return isTypeFrom(t, "internal/obs", "Trace") || isTypeFrom(t, "internal/obs", "KV")
 }
 
-// hasMethod reports whether the named type (or its pointer) has a method
-// with the given name.
-func hasMethod(n *types.Named, name string) bool {
-	obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(n), true, n.Obj().Pkg(), name)
-	_, ok := obj.(*types.Func)
-	return ok
-}
-
 // isNilIdent reports whether the expression is the predeclared nil.
 func isNilIdent(e ast.Expr) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)

@@ -5,19 +5,26 @@ package fixture
 
 import (
 	"zidian/internal/baav"
+	"zidian/internal/index"
 	"zidian/internal/kv"
 	"zidian/internal/obs"
+	"zidian/internal/relation"
 )
 
 func keep(k, v []byte) bool { return true }
 
 // tracedParam reaches its trace through a parameter.
 func tracedParam(c *kv.Cluster, t *obs.KV) {
-	c.Scan([]byte("p"), keep)       // want `untraced Cluster\.Scan on a traced path — use ScanT`
-	c.ScanT(nil, []byte("p"), keep) // want `Cluster\.ScanT called with a nil trace`
-	c.ScanT(t, []byte("p"), keep)   // ok: trace threaded
-	c.Get([]byte("k"))              // want `untraced Cluster\.Get on a traced path — use GetRoutedT`
-	c.GetRoutedT(t, []byte("k"), []byte("k"))
+	c.Scan([]byte("p"), keep)                           // want `untraced Cluster\.Scan on a traced path — use ScanT`
+	c.ScanT(nil, []byte("p"), keep)                     // want `Cluster\.ScanT called with a nil trace`
+	c.ScanT(t, []byte("p"), keep)                       // ok: trace threaded
+	c.Get([]byte("k"))                                  // want `untraced Cluster\.Get on a traced path — use GetRoutedT`
+	c.GetRouted([]byte("k"), []byte("k"))               // want `untraced Cluster\.GetRouted on a traced path — use GetRoutedT`
+	c.GetRoutedT(t, []byte("k"), []byte("k"))           // ok: trace threaded
+	c.ScanNode(0, []byte("p"), keep)                    // want `untraced Cluster\.ScanNode on a traced path — use ScanNodeT`
+	c.ScanNodeT(t, 0, []byte("p"), keep)                // ok: trace threaded
+	c.ScanRange([]byte("p"), nil, nil, keep)            // want `untraced Cluster\.ScanRange on a traced path — use ScanRangeNodeT`
+	c.ScanRangeNodeT(t, 0, []byte("p"), nil, nil, keep) // ok: trace threaded
 }
 
 type env struct {
@@ -27,8 +34,19 @@ type env struct {
 
 // fieldTrace reaches its trace through a field read in the body.
 func (e *env) fieldTrace(name string) {
-	e.store.GetBlock(name, nil) // want `untraced Store\.GetBlock on a traced path — use GetBlockT`
-	_ = e.kvt
+	e.store.GetBlock(name, nil)                    // want `untraced Store\.GetBlock on a traced path — use GetBlocksT`
+	e.store.GetBlocksT(nil, name, nil)             // want `Store\.GetBlocksT called with a nil trace`
+	e.store.GetBlocksT(e.kvt, name, nil)           // ok: trace threaded
+	e.store.ScanInstance(name, nil)                // want `untraced Store\.ScanInstance on a traced path — use ScanInstanceNodeT`
+	e.store.ScanInstanceNodeT(e.kvt, 0, name, nil) // ok: trace threaded
+}
+
+// postings covers the index manager's one-value and unbounded forms.
+func postings(m *index.Manager, t *obs.Trace, v relation.Value) {
+	m.Lookup("ix", v)                                 // want `untraced Manager\.Lookup on a traced path — use LookupManyT`
+	m.Range("ix", nil, nil, true, true)               // want `untraced Manager\.Range on a traced path — use RangeLimitT`
+	m.RangeLimitT(nil, "ix", nil, nil, true, true, 1) // want `Manager\.RangeLimitT called with a nil trace`
+	m.LookupManyT(t, "ix", []relation.Value{v})       // ok: trace threaded
 }
 
 // untraced has no trace anywhere: plain variants are the right call.

@@ -8,21 +8,21 @@ import (
 
 // tracethread enforces the PR 6/9 observability contract: on the query
 // path (internal/index, internal/baav, internal/kba, internal/parallel,
-// internal/core), every kv.Cluster / index.Manager / baav.Store call that
-// has a traced variant must use it when the enclosing function has an
-// *obs.Trace or *obs.KV in scope. An untraced call in a traced function
-// silently drops its kv ops from EXPLAIN ANALYZE, /metrics, the slow-query
-// log, and the statement-statistics registry — the totals stop reconciling
-// and nobody notices until a benchmark disagrees with the trace.
+// internal/core), a kv.Cluster / index.Manager / baav.Store read must
+// thread the trace when the enclosing function has an *obs.Trace or *obs.KV
+// in scope. An untraced call in a traced function silently drops its kv ops
+// from EXPLAIN ANALYZE, /metrics, the slow-query log, and the
+// statement-statistics registry — the totals stop reconciling and nobody
+// notices until a benchmark disagrees with the trace.
 //
 // A function "has a trace in scope" when a receiver, parameter, or any
 // expression in its body is typed *obs.Trace or *obs.KV (so executor
 // methods reaching their trace through e.kv() count). Flagged:
 //
-//   - recv.M(...) where recv is one of the three storage types and MT (or
-//     MRoutedT, for the Get/Put/Delete convenience wrappers) exists;
-//   - recv.MT(nil, ...) — a traced variant explicitly discarding the
-//     in-scope trace.
+//   - a call of one of the untraced convenience forms in untracedForms —
+//     each is its traced form with a nil trace;
+//   - recv.MT(nil, ...) — a traced form explicitly discarding the in-scope
+//     trace.
 func tracethreadAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "tracethread",
@@ -70,7 +70,7 @@ func runTracethread(p *Pass) {
 					}
 					return true
 				}
-				if traced := tracedVariant(recv, name); traced != "" {
+				if traced := untracedForms[recv.Obj().Name()+"."+name]; traced != "" {
 					p.Reportf(call.Pos(), "untraced %s.%s on a traced path — use %s with the in-scope trace", recv.Obj().Name(), name, traced)
 				}
 				return true
@@ -133,15 +133,16 @@ func isStorageType(n *types.Named) bool {
 	return false
 }
 
-// tracedVariant returns the name of the traced sibling of method name on
-// recv, or "" when none exists: MT, or MRoutedT for the convenience
-// wrappers (Get -> GetRoutedT) that route through a routed traced call.
-func tracedVariant(recv *types.Named, name string) string {
-	if hasMethod(recv, name+"T") {
-		return name + "T"
-	}
-	if hasMethod(recv, name+"RoutedT") {
-		return name + "RoutedT"
-	}
-	return ""
+// untracedForms lists the storage types' convenience reads that take no
+// trace, each with the traced form that does the same work.
+var untracedForms = map[string]string{
+	"Cluster.Get":        "GetRoutedT",
+	"Cluster.GetRouted":  "GetRoutedT",
+	"Cluster.Scan":       "ScanT",
+	"Cluster.ScanNode":   "ScanNodeT",
+	"Cluster.ScanRange":  "ScanRangeNodeT",
+	"Store.GetBlock":     "GetBlocksT",
+	"Store.ScanInstance": "ScanInstanceNodeT",
+	"Manager.Lookup":     "LookupManyT",
+	"Manager.Range":      "RangeLimitT",
 }

@@ -21,8 +21,8 @@
 //
 // Each request is one JSON object on one line. Fields:
 //
-//	{"id": 7, "op": "query",   "sql": "select ..."}        run one SELECT
-//	{"id": 8, "op": "exec",    "sql": "insert ..."}        run any statement
+//	{"id": 7, "op": "query",   "sql": "select ..."}        run one statement (a SELECT, by convention)
+//	{"id": 8, "op": "exec",    "sql": "insert ..."}        run one statement (the same dispatch)
 //	{"id": 9, "op": "prepare", "name": "q1", "sql": "..."} compile + name a SELECT
 //	{"id":10, "op": "execute", "name": "q1"}               run a prepared SELECT
 //	{"id":11, "op": "close",   "name": "q1"}               drop a prepared SELECT
@@ -143,8 +143,9 @@ type Response struct {
 	OK bool  `json:"ok"`
 	// Error describes the failure when OK is false; Code is its
 	// machine-readable class ("queue_timeout", "overloaded", "canceled",
-	// "statement"), so clients can tell retryable backpressure rejections
-	// from statement faults without parsing the message.
+	// "statement", or "protocol" for a line that is not a request), so
+	// clients can tell retryable backpressure rejections from statement
+	// faults without parsing the message.
 	Error string `json:"error,omitempty"`
 	Code  string `json:"code,omitempty"`
 	// Cols and Rows carry a SELECT answer.

@@ -295,9 +295,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		var req Request
-		resp := Response{}
+		var resp Response
 		if err := json.Unmarshal(line, &req); err != nil {
-			resp.Error = "malformed request: " + err.Error()
+			resp = s.protocolError("malformed request: " + err.Error())
 		} else {
 			resp = s.handle(sess, &req)
 		}
@@ -316,10 +316,19 @@ func (s *Server) serveConn(conn net.Conn) {
 		if errors.Is(err, bufio.ErrTooLong) {
 			msg = fmt.Sprintf("server: request line exceeds %d bytes", s.cfg.MaxLineBytes)
 		}
-		if enc.Encode(&Response{Error: msg}) == nil {
+		resp := s.protocolError(msg)
+		if enc.Encode(&resp) == nil {
 			out.Flush()
 		}
 	}
+}
+
+// protocolError shapes a failure of the wire protocol itself — a line that
+// is not a request — like every statement failure: counted once, with a
+// stable code.
+func (s *Server) protocolError(msg string) Response {
+	s.errors.Add(1)
+	return Response{Error: msg, Code: "protocol"}
 }
 
 // handle dispatches one request against a session.
@@ -340,40 +349,17 @@ func (s *Server) handle(sess *Session, req *Request) Response {
 		st := s.Stats()
 		resp.OK = true
 		resp.Server = &st
-	case "query":
+	case "query", "exec":
 		params, err := DecodeParams(req.Params)
 		if err != nil {
 			return fail(err)
 		}
-		res, stats, cacheHit, err := s.Query(ctx, req.SQL, params...)
+		r, err := s.serveSQL(ctx, req.SQL, params)
 		if err != nil {
 			return fail(err)
 		}
-		s.fillResult(&resp, res, stats, cacheHit)
-	case "exec":
-		params, err := DecodeParams(req.Params)
-		if err != nil {
-			return fail(err)
-		}
-		key, lifted := stmtKey(req.SQL, params)
-		if strings.HasPrefix(key, "select") {
-			res, stats, _, cacheHit, err := s.queryNorm(ctx, key, req.SQL, params, lifted)
-			if err != nil {
-				return fail(err)
-			}
-			s.fillResult(&resp, res, stats, cacheHit)
-			return resp
-		}
-		r, err := s.Exec(ctx, req.SQL, params...)
-		if err != nil {
-			return fail(err)
-		}
-		resp.OK = true
-		resp.Affected = r.Affected
-		if r.Result != nil {
-			resp.Cols = r.Result.Cols
-			resp.Rows = jsonRows(r.Result.Rows)
-		}
+		r.ID = req.ID
+		return r
 	case "prepare":
 		if req.Name == "" {
 			return fail(fmt.Errorf("server: prepare needs a statement name"))
@@ -432,6 +418,35 @@ func (s *Server) handle(sess *Session, req *Request) Response {
 		return fail(fmt.Errorf("server: unknown op %q", req.Op))
 	}
 	return resp
+}
+
+// serveSQL runs one statement of any kind and shapes its response: the one
+// dispatch behind the wire's query and exec ops and HTTP /query. A SELECT —
+// recognized by its plan-cache key, without parsing — takes the cached read
+// path and reports its execution statistics; everything else goes through
+// Exec.
+func (s *Server) serveSQL(ctx context.Context, sql string, params []zidian.Value) (Response, error) {
+	var resp Response
+	key, lifted := stmtKey(sql, params)
+	if strings.HasPrefix(key, "select") {
+		res, stats, _, cacheHit, err := s.queryNorm(ctx, key, sql, params, lifted)
+		if err != nil {
+			return resp, err
+		}
+		s.fillResult(&resp, res, stats, cacheHit)
+		return resp, nil
+	}
+	r, err := s.Exec(ctx, sql, params...)
+	if err != nil {
+		return resp, err
+	}
+	resp.OK = true
+	resp.Affected = r.Affected
+	if r.Result != nil {
+		resp.Cols = r.Result.Cols
+		resp.Rows = jsonRows(r.Result.Rows)
+	}
+	return resp, nil
 }
 
 func (s *Server) fillResult(resp *Response, res *zidian.Result, stats *zidian.Stats, cacheHit bool) {
@@ -907,28 +922,7 @@ func (s *Server) httpQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var resp Response
-	key, lifted := stmtKey(sql, params)
-	if strings.HasPrefix(key, "select") {
-		var res *zidian.Result
-		var stats *zidian.Stats
-		var cacheHit bool
-		res, stats, _, cacheHit, err = s.queryNorm(s.ctx, key, sql, params, lifted)
-		if err == nil {
-			s.fillResult(&resp, res, stats, cacheHit)
-		}
-	} else {
-		var r *zidian.ExecResult
-		r, err = s.Exec(s.ctx, sql, params...)
-		if err == nil {
-			resp.OK = true
-			resp.Affected = r.Affected
-			if r.Result != nil {
-				resp.Cols = r.Result.Cols
-				resp.Rows = jsonRows(r.Result.Rows)
-			}
-		}
-	}
+	resp, err := s.serveSQL(s.ctx, sql, params)
 	w.Header().Set("Content-Type", "application/json")
 	if err != nil {
 		s.errors.Add(1)

@@ -1,9 +1,11 @@
 package server_test
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"reflect"
 	"strings"
@@ -331,6 +333,62 @@ func TestServerMalformedAndUnknown(t *testing.T) {
 	// The connection survives statement errors.
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServerProtocolErrors: a line that is not a request — malformed JSON, or
+// longer than the line bound — is answered like every other failure: an
+// error with a stable code, counted once. The session survives the first
+// and ends after the second.
+func TestServerProtocolErrors(t *testing.T) {
+	srv, tcp, _ := startServer(t, server.Config{MaxLineBytes: 1 << 10})
+	conn, err := net.Dial("tcp", tcp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	rd := bufio.NewReaderSize(conn, 1<<20)
+	roundTrip := func(line string) server.Response {
+		t.Helper()
+		if _, err := conn.Write([]byte(line)); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := rd.ReadBytes('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp server.Response
+		if err := json.Unmarshal(raw, &resp); err != nil {
+			t.Fatalf("response %q: %v", raw, err)
+		}
+		return resp
+	}
+	cases := []struct {
+		name, line, msg string
+	}{
+		{"malformed", `{"op": "ping"` + "\n", "malformed request"},
+		// Exactly the server's read buffer, unterminated: the server has
+		// consumed every byte when it gives up on the line, so the
+		// connection closes cleanly behind its answer.
+		{"oversized", strings.Repeat("x", 64<<10), "request line exceeds 1024 bytes"},
+	}
+	for _, tc := range cases {
+		before := srv.Stats().Errors
+		resp := roundTrip(tc.line)
+		if resp.OK || resp.Code != "protocol" || !strings.Contains(resp.Error, tc.msg) {
+			t.Fatalf("%s line: response %+v, want code protocol and %q", tc.name, resp, tc.msg)
+		}
+		if got := srv.Stats().Errors - before; got != 1 {
+			t.Fatalf("%s line counted %d errors, want 1", tc.name, got)
+		}
+		if tc.name == "malformed" {
+			if resp := roundTrip(`{"op": "ping"}` + "\n"); !resp.OK {
+				t.Fatalf("session did not survive a malformed line: %+v", resp)
+			}
+		}
+	}
+	if _, err := rd.ReadBytes('\n'); err == nil {
+		t.Fatal("session still open after an oversized line")
 	}
 }
 

@@ -553,11 +553,6 @@ func planLinesResult(lines []string) *Result {
 	return &Result{Cols: []string{"plan"}, Rows: rows}
 }
 
-// Execute is Run under the name conventional for prepared statements.
-func (p *Prepared) Execute(params ...Value) (*Result, *Stats, error) {
-	return p.Run(params...)
-}
-
 // Explain plans the query without running it and describes the plan and its
 // classification.
 func (in *Instance) Explain(src string) (string, error) {
@@ -616,22 +611,16 @@ func (in *Instance) planClass(info *core.PlanInfo) string {
 // compensation: every fallible step (validation, block and posting reads,
 // decoding) happens while staging, before anything is written, and a
 // staging failure aborts the whole batch with the relation rolled back.
-func (in *Instance) Insert(rel string, t Tuple) error { return in.insertT(nil, rel, t) }
-
-// insertT is Insert with an optional kv-op counter sink for traced writes.
-func (in *Instance) insertT(kvt *obs.KV, rel string, t Tuple) error {
-	return in.submitWrite(rel, &writeOp{insertRows: []Tuple{t}, kvt: kvt}).err
+func (in *Instance) Insert(rel string, t Tuple) error {
+	return in.submitWrite(rel, &writeOp{insertRows: []Tuple{t}}).err
 }
 
 // Delete maintains the BaaV store and every secondary index on the
 // relation for one deleted tuple, through the same group committer as
 // Insert and with the same all-or-nothing staging discipline. Deleting a
 // tuple the relation does not hold is a no-op, not an error.
-func (in *Instance) Delete(rel string, t Tuple) error { return in.deleteT(nil, rel, t) }
-
-// deleteT is Delete with an optional kv-op counter sink for traced writes.
-func (in *Instance) deleteT(kvt *obs.KV, rel string, t Tuple) error {
-	return in.submitWrite(rel, &writeOp{deleteTuple: &t, kvt: kvt}).err
+func (in *Instance) Delete(rel string, t Tuple) error {
+	return in.submitWrite(rel, &writeOp{deleteTuple: &t}).err
 }
 
 // DataPreserving checks Condition (I) for the instance's schema; when it

@@ -136,7 +136,7 @@ func scatterCollect(t *testing.T, inst *Instance, mid func()) string {
 	defer snap.Release()
 	var b strings.Builder
 	first := true
-	err := inst.Store().AtSnapshot(snap).ScanInstanceT(nil, "item_full", func(key Tuple, blk *baav.Block, _ *baav.BlockStats) bool {
+	err := inst.Store().AtSnapshot(snap).ScanInstance("item_full", func(key Tuple, blk *baav.Block, _ *baav.BlockStats) bool {
 		if first && mid != nil {
 			mid()
 			first = false
