@@ -15,7 +15,7 @@ import (
 
 // fixture builds the paper's Example 1 schema with a randomized instance of
 // moderate size, its BaaV schema ~R1, and the mapped store.
-func fixture(t *testing.T, seed int64) (*relation.Database, *baav.Store, *Checker) {
+func fixture(t testing.TB, seed int64) (*relation.Database, *baav.Store, *Checker) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	db := relation.NewDatabase()

@@ -58,6 +58,9 @@ type PlanInfo struct {
 	// (from the column each placeholder compares with); Bind validates and
 	// coerces supplied values against it.
 	ParamKinds []relation.Kind
+	// shape is the result shape over Root's output, derived once by Plan;
+	// nil for a PlanInfo assembled by hand, which ToResult resolves per call.
+	shape *resultShape
 }
 
 // Bounded reports whether the plan is bounded on the store: scan-free with
@@ -117,6 +120,12 @@ func (c *Checker) Plan(q *ra.Query) (*PlanInfo, error) {
 	info, err := c.plan(q)
 	if info != nil {
 		info.Relations = queryRelations(q)
+		if info.Root != nil {
+			// Everything an execution would derive from the plan and the
+			// schema alone is derived here, once. A plan that does not
+			// resolve keeps reporting its error when it runs.
+			info.shape, _ = info.shapeOver(kba.Resolve(info.Root, c.Schema))
+		}
 	}
 	return info, err
 }
@@ -1429,7 +1438,7 @@ func (p *planner) tail(f *frag) ([]string, error) {
 			outCols = append(outCols, a.Name)
 		}
 		f.plan = &kba.GroupBy{Input: f.plan, Keys: keyCols, Aggs: specs}
-		f.attrs = append(append([]string{}, keyCols...), namesOf(specs)...)
+		f.attrs = append(append([]string{}, keyCols...), kba.AggNames(specs)...)
 		return outCols, nil
 	}
 	f.plan = &kba.Project{Input: f.plan, Attrs: keyCols}
@@ -1438,14 +1447,6 @@ func (p *planner) tail(f *frag) ([]string, error) {
 		f.plan = &kba.Distinct{Input: f.plan}
 	}
 	return outCols, nil
-}
-
-func namesOf(specs []kba.AggSpec) []string {
-	out := make([]string, len(specs))
-	for i, s := range specs {
-		out[i] = s.Name
-	}
-	return out
 }
 
 // extendBeatsScan decides whether probing the instance with one get per

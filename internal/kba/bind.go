@@ -10,9 +10,11 @@ import (
 // values, returning an executable literal-only plan. Subtrees without slots
 // are shared, not copied, so binding a cached template is cheap: the cost is
 // proportional to the number of parameterized nodes, not the plan size, and
-// no parsing, checking or plan generation happens. Callers validate arity
-// and types before Bind (see core.PlanInfo.Bind); Bind itself only fails on
-// out-of-range slots, which indicates a template/binding mismatch.
+// no parsing, checking or plan generation happens. Copied nodes keep the
+// layout Resolve stored on the template: binding changes values, never an
+// attribute layout. Callers validate arity and types before Bind (see
+// core.PlanInfo.Bind); Bind itself only fails on out-of-range slots, which
+// indicates a template/binding mismatch.
 func Bind(p Plan, params []relation.Value) (Plan, error) {
 	if p == nil {
 		return nil, nil
@@ -35,7 +37,7 @@ func Bind(p Plan, params []relation.Value) (Plan, error) {
 			}
 			keys = append(keys, t)
 		}
-		return &Const{KeyAttrs: n.KeyAttrs, Keys: dedupeTuples(keys)}, nil
+		return &Const{KeyAttrs: n.KeyAttrs, Keys: dedupeTuples(keys), resolved: n.resolved}, nil
 	case *IndexLookup:
 		if len(n.Args) == 0 {
 			return n, nil
@@ -105,7 +107,7 @@ func Bind(p Plan, params []relation.Value) (Plan, error) {
 		if !changed {
 			return n, nil
 		}
-		return &Select{Input: in, Preds: preds}, nil
+		return &Select{Input: in, Preds: preds, resolved: n.resolved}, nil
 	case *Extend:
 		return bind1(n, &n.Input, params, func(in Plan) Plan {
 			c := *n

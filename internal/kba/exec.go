@@ -94,7 +94,10 @@ func (e *executor) run(p Plan) (*PartRel, error) {
 	if l, ok := p.(*Lit); ok {
 		return l.V, nil
 	}
-	span := e.trace.StartOpLazy(OpName(p), func() string { return NodeLabel(p) })
+	var span *obs.OpNode
+	if e.trace.Spans() {
+		span = e.trace.StartOpLazy(OpName(p), func() string { return NodeLabel(p) })
+	}
 	v, err := e.exec(p)
 	rows := 0
 	if v != nil {
@@ -159,30 +162,30 @@ func errNoIndexCatalog(index string) error {
 	return fmt.Errorf("kba: plan uses index %q but the store has no index catalog", index)
 }
 
-// identity returns the positions 0..n-1: "partition by the whole row".
-func identity(n int) []int {
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
+// layoutOf returns the layout Resolve stored on a node, or derives it now
+// for a node no Resolve has seen: a hand-built plan, or an operator over a
+// Lit-wrapped intermediate.
+func (e *executor) layoutOf(p Plan, have *layout, l, r []string) (*layout, error) {
+	if have != nil {
+		return have, nil
 	}
-	return all
-}
-
-// qualify prefixes attribute names with a query alias.
-func qualify(alias string, attrs []string) []string {
-	out := make([]string, len(attrs))
-	for i, a := range attrs {
-		out[i] = alias + "." + a
+	var schema *baav.Schema
+	if e.store != nil {
+		schema = e.store.Schema
 	}
-	return out
+	return deriveLayout(p, schema, l, r)
 }
 
 func (e *executor) runConst(n *Const) (*PartRel, error) {
 	if len(n.Args) > 0 {
 		return nil, errUnbound
 	}
-	out := NewPartRel(append([]string{}, n.KeyAttrs...), e.workers)
-	all := identity(len(n.KeyAttrs))
+	lay, err := e.layoutOf(n, n.lay, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := NewPartRel(lay.attrs, e.workers)
+	all := lay.key
 	for _, k := range n.Keys {
 		if len(k) != len(n.KeyAttrs) {
 			return nil, fmt.Errorf("kba: constant key %v does not match attrs %v", k, n.KeyAttrs)
@@ -207,12 +210,11 @@ func countBlock(key relation.Tuple, rows []relation.Tuple, width int, data, byte
 }
 
 func (e *executor) runScan(n *ScanKV) (*PartRel, error) {
-	kvSchema := e.store.Schema.ByName(n.KV)
-	if kvSchema == nil {
-		return nil, errUnknownKV(n.KV)
+	lay, err := e.layoutOf(n, n.lay, nil, nil)
+	if err != nil {
+		return nil, err
 	}
-	attrs := append(qualify(n.Alias, kvSchema.Key), qualify(n.Alias, kvSchema.Val)...)
-	out := NewPartRel(attrs, e.workers)
+	out := NewPartRel(lay.attrs, e.workers)
 	nodes := e.store.Cluster.NodeCount()
 	// perNode records each storage node's row contribution for the span's
 	// fan-out annotation; every node is walked by exactly one worker, so the
@@ -220,7 +222,7 @@ func (e *executor) runScan(n *ScanKV) (*PartRel, error) {
 	perNode := make([]int64, nodes)
 	// Workers split the storage nodes; each worker scans its nodes and keeps
 	// the rows locally — scan output starts partitioned by storage layout.
-	err := ForWorkers(e.workers, func(w int) error {
+	err = ForWorkers(e.workers, Unsized, func(w int) error {
 		var local []relation.Tuple
 		var blocks, data, bytes int64
 		for node := w; node < nodes; node += e.workers {
@@ -229,7 +231,7 @@ func (e *executor) runScan(n *ScanKV) (*PartRel, error) {
 				e.trace.CountBlocks(1)
 				blocks++
 				perNode[node] += int64(len(rows))
-				countBlock(key, rows, len(kvSchema.Val), &data, &bytes)
+				countBlock(key, rows, lay.width, &data, &bytes)
 				for _, r := range rows {
 					local = append(local, key.Concat(r))
 				}
@@ -261,9 +263,12 @@ type postingSink struct {
 	data, bytes int64
 }
 
-func (e *executor) newPostingSink(index, valAttr string, keyAttrs []string) *postingSink {
-	attrs := append([]string{valAttr}, keyAttrs...)
-	return &postingSink{e: e, index: index, keyWidth: len(keyAttrs), out: NewPartRel(attrs, e.workers), all: identity(len(attrs))}
+func (e *executor) newPostingSink(p Plan, have *layout, index string) (*postingSink, error) {
+	lay, err := e.layoutOf(p, have, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &postingSink{e: e, index: index, keyWidth: len(lay.attrs) - 1, out: NewPartRel(lay.attrs, e.workers), all: lay.key}, nil
 }
 
 // rows folds the sink's accounting into the run's counters and returns the
@@ -300,7 +305,10 @@ func (e *executor) runIndexLookup(n *IndexLookup) (*PartRel, error) {
 		return nil, err
 	}
 	e.gets.Add(int64(gets))
-	sink := e.newPostingSink(n.Index, n.ValAttr, n.KeyAttrs)
+	sink, err := e.newPostingSink(n, n.lay, n.Index)
+	if err != nil {
+		return nil, err
+	}
 	for i, v := range n.Values {
 		for _, k := range lists[i] {
 			if err := sink.add(v, k); err != nil {
@@ -368,7 +376,10 @@ func (e *executor) runIndexRange(n *IndexRange) (*PartRel, error) {
 		return nil, err
 	}
 	e.scanned.Add(int64(scanned))
-	sink := e.newPostingSink(n.Index, n.ValAttr, n.KeyAttrs)
+	sink, err := e.newPostingSink(n, n.lay, n.Index)
+	if err != nil {
+		return nil, err
+	}
 	for i, k := range keys {
 		if err := sink.add(vals[i], k); err != nil {
 			return nil, err
@@ -388,18 +399,11 @@ func (e *executor) runExtend(n *Extend) (*PartRel, error) {
 	if err != nil {
 		return nil, err
 	}
-	kvSchema := e.store.Schema.ByName(n.KV)
-	if kvSchema == nil {
-		return nil, errUnknownKV(n.KV)
-	}
-	if len(n.KeyFrom) != len(kvSchema.Key) {
-		return nil, fmt.Errorf("kba: extend on %s needs %d key attributes, got %v",
-			n.KV, len(kvSchema.Key), n.KeyFrom)
-	}
-	keyIdx, err := in.Positions(n.KeyFrom)
+	lay, err := e.layoutOf(n, n.lay, in.Attrs, nil)
 	if err != nil {
 		return nil, err
 	}
+	keyIdx := lay.key
 	shuffled := repartition(in, keyIdx, &e.shuffle)
 
 	// Collect the distinct probe keys across all partitions (order is
@@ -429,7 +433,7 @@ func (e *executor) runExtend(n *Extend) (*PartRel, error) {
 			rows = blk.Expand()
 			e.trace.CountBlocks(1)
 			hits++
-			countBlock(key, rows, len(kvSchema.Val), &data, &bytes)
+			countBlock(key, rows, lay.width, &data, &bytes)
 		}
 		cache[relation.KeyString(key)] = rows
 	}
@@ -437,9 +441,8 @@ func (e *executor) runExtend(n *Extend) (*PartRel, error) {
 	e.data.Add(data)
 	e.bytes.Add(bytes)
 
-	outAttrs := append(append([]string{}, in.Attrs...), qualify(n.Alias, kvSchema.Val)...)
-	out := NewPartRel(outAttrs, e.workers)
-	err = ForWorkers(e.workers, func(w int) error {
+	out := NewPartRel(lay.attrs, e.workers)
+	err = ForWorkers(e.workers, shuffled.Len(), func(w int) error {
 		var local []relation.Tuple
 		for _, row := range shuffled.Parts[w] {
 			for _, r := range cache[relation.KeyString(row.Project(keyIdx))] {
@@ -459,11 +462,11 @@ func (e *executor) runShift(n *Shift) (*PartRel, error) {
 	if err != nil {
 		return nil, err
 	}
-	keyIdx, err := in.Positions(n.NewKey)
+	lay, err := e.layoutOf(n, n.lay, in.Attrs, nil)
 	if err != nil {
 		return nil, err
 	}
-	return repartition(in, keyIdx, &e.shuffle), nil
+	return repartition(in, lay.key, &e.shuffle), nil
 }
 
 func (e *executor) runJoin(n *Join) (*PartRel, error) {
@@ -475,21 +478,15 @@ func (e *executor) runJoin(n *Join) (*PartRel, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(n.LOn) != len(n.ROn) {
-		return nil, fmt.Errorf("kba: join attribute lists differ in length")
-	}
-	lIdx, err := l.Positions(n.LOn)
+	lay, err := e.layoutOf(n, n.lay, l.Attrs, r.Attrs)
 	if err != nil {
 		return nil, err
 	}
-	rIdx, err := r.Positions(n.ROn)
-	if err != nil {
-		return nil, err
-	}
+	lIdx, rIdx := lay.key, lay.rkey
 	ls := repartition(l, lIdx, &e.shuffle)
 	rs := repartition(r, rIdx, &e.shuffle)
-	out := NewPartRel(append(append([]string{}, l.Attrs...), r.Attrs...), e.workers)
-	err = ForWorkers(e.workers, func(w int) error {
+	out := NewPartRel(lay.attrs, e.workers)
+	err = ForWorkers(e.workers, ls.Len()+rs.Len(), func(w int) error {
 		index := make(map[string][]relation.Tuple)
 		for _, row := range rs.Parts[w] {
 			k := relation.KeyString(row.Project(rIdx))
@@ -513,15 +510,21 @@ func (e *executor) runSelect(n *Select) (*PartRel, error) {
 	if err != nil {
 		return nil, err
 	}
-	check, err := CompilePreds(in.Attrs, n.Preds)
+	lay, err := e.layoutOf(n, n.lay, in.Attrs, nil)
 	if err != nil {
 		return nil, err
 	}
+	check := lay.check
+	if check == nil {
+		if check, err = bindPreds(n.Preds, lay.preds); err != nil {
+			return nil, err
+		}
+	}
 	out := NewPartRel(in.Attrs, e.workers)
-	err = ForWorkers(e.workers, func(w int) error {
+	err = ForWorkers(e.workers, in.Len(), func(w int) error {
 		var local []relation.Tuple
 		for _, row := range in.Parts[w] {
-			if check(row) {
+			if check.ok(row) {
 				local = append(local, row)
 			}
 		}
@@ -534,55 +537,15 @@ func (e *executor) runSelect(n *Select) (*PartRel, error) {
 // CompilePreds compiles predicates over the attribute layout into a single
 // row filter; the facade's DELETE matcher and the TaaV baseline share it.
 func CompilePreds(attrs []string, preds []Pred) (func(relation.Tuple) bool, error) {
-	type check func(relation.Tuple) bool
-	var checks []check
-	pos := make(map[string]int, len(attrs))
-	for i, a := range attrs {
-		pos[a] = i
+	pos, err := resolvePreds(attrs, preds)
+	if err != nil {
+		return nil, err
 	}
-	for _, p := range preds {
-		if p.hasSlots() {
-			return nil, fmt.Errorf("kba: predicate %s has unbound parameters (call Bind before executing)", p)
-		}
-		i, ok := pos[p.Attr]
-		if !ok {
-			return nil, fmt.Errorf("kba: predicate attribute %q not in %v", p.Attr, attrs)
-		}
-		switch {
-		case len(p.In) > 0:
-			set := make(map[string]bool, len(p.In))
-			for _, v := range p.In {
-				set[relation.KeyString(relation.Tuple{v})] = true
-			}
-			checks = append(checks, func(t relation.Tuple) bool {
-				return set[relation.KeyString(relation.Tuple{t[i]})]
-			})
-		case p.RAttr != "":
-			j, ok := pos[p.RAttr]
-			if !ok {
-				return nil, fmt.Errorf("kba: predicate attribute %q not in %v", p.RAttr, attrs)
-			}
-			op := p.Op
-			checks = append(checks, func(t relation.Tuple) bool {
-				return cmpOK(t[i], op, t[j])
-			})
-		case p.Lit != nil:
-			op, lit := p.Op, *p.Lit
-			checks = append(checks, func(t relation.Tuple) bool {
-				return cmpOK(t[i], op, lit)
-			})
-		default:
-			return nil, fmt.Errorf("kba: malformed predicate %v", p)
-		}
+	check, err := bindPreds(preds, pos)
+	if err != nil {
+		return nil, err
 	}
-	return func(t relation.Tuple) bool {
-		for _, c := range checks {
-			if !c(t) {
-				return false
-			}
-		}
-		return true
-	}, nil
+	return check.ok, nil
 }
 
 func cmpOK(a relation.Value, op sql.CmpOp, b relation.Value) bool {
@@ -610,12 +573,13 @@ func (e *executor) runProject(n *Project) (*PartRel, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx, err := in.Positions(n.Attrs)
+	lay, err := e.layoutOf(n, n.lay, in.Attrs, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := NewPartRel(append([]string{}, n.Attrs...), e.workers)
-	err = ForWorkers(e.workers, func(w int) error {
+	idx := lay.key
+	out := NewPartRel(lay.attrs, e.workers)
+	err = ForWorkers(e.workers, in.Len(), func(w int) error {
 		local := make([]relation.Tuple, len(in.Parts[w]))
 		for i, row := range in.Parts[w] {
 			local[i] = row.Project(idx)
@@ -631,9 +595,13 @@ func (e *executor) runDistinct(n *Distinct) (*PartRel, error) {
 	if err != nil {
 		return nil, err
 	}
-	shuffled := repartition(in, identity(len(in.Attrs)), &e.shuffle)
+	lay, err := e.layoutOf(n, n.lay, in.Attrs, nil)
+	if err != nil {
+		return nil, err
+	}
+	shuffled := repartition(in, lay.key, &e.shuffle)
 	out := NewPartRel(in.Attrs, e.workers)
-	err = ForWorkers(e.workers, func(w int) error {
+	err = ForWorkers(e.workers, shuffled.Len(), func(w int) error {
 		seen := make(map[string]bool)
 		var local []relation.Tuple
 		for _, row := range shuffled.Parts[w] {
@@ -651,28 +619,28 @@ func (e *executor) runDistinct(n *Distinct) (*PartRel, error) {
 
 // aligned evaluates both inputs of a set operation and reorders the right
 // side's columns to the left side's attribute layout.
-func (e *executor) aligned(lp, rp Plan) (l, r *PartRel, err error) {
-	if l, err = e.run(lp); err != nil {
-		return nil, nil, err
+func (e *executor) aligned(p Plan, have *layout) (l, r *PartRel, lay *layout, err error) {
+	inputs := p.Children()
+	if l, err = e.run(inputs[0]); err != nil {
+		return nil, nil, nil, err
 	}
-	if r, err = e.run(rp); err != nil {
-		return nil, nil, err
+	if r, err = e.run(inputs[1]); err != nil {
+		return nil, nil, nil, err
 	}
-	rIdx, err := r.Positions(l.Attrs)
-	if err != nil {
-		return nil, nil, fmt.Errorf("kba: set operation over mismatched attributes: %v", err)
+	if lay, err = e.layoutOf(p, have, l.Attrs, r.Attrs); err != nil {
+		return nil, nil, nil, err
 	}
 	ra := NewPartRel(l.Attrs, e.workers)
 	for w, part := range r.Parts {
 		for _, row := range part {
-			ra.Parts[w] = append(ra.Parts[w], row.Project(rIdx))
+			ra.Parts[w] = append(ra.Parts[w], row.Project(lay.rkey))
 		}
 	}
-	return l, ra, nil
+	return l, ra, lay, nil
 }
 
 func (e *executor) runUnion(n *Union) (*PartRel, error) {
-	l, r, err := e.aligned(n.L, n.R)
+	l, r, _, err := e.aligned(n, n.lay)
 	if err != nil {
 		return nil, err
 	}
@@ -684,15 +652,14 @@ func (e *executor) runUnion(n *Union) (*PartRel, error) {
 }
 
 func (e *executor) runDiff(n *Diff) (*PartRel, error) {
-	l, r, err := e.aligned(n.L, n.R)
+	l, r, lay, err := e.aligned(n, n.lay)
 	if err != nil {
 		return nil, err
 	}
-	all := identity(len(l.Attrs))
-	ls := repartition(l, all, &e.shuffle)
-	rs := repartition(r, all, &e.shuffle)
+	ls := repartition(l, lay.key, &e.shuffle)
+	rs := repartition(r, lay.key, &e.shuffle)
 	out := NewPartRel(l.Attrs, e.workers)
-	err = ForWorkers(e.workers, func(w int) error {
+	err = ForWorkers(e.workers, ls.Len()+rs.Len(), func(w int) error {
 		drop := make(map[string]bool)
 		for _, row := range rs.Parts[w] {
 			drop[relation.KeyString(row)] = true

@@ -13,26 +13,23 @@ func (e *executor) runExtendFetchAll(n *Extend) (*PartRel, error) {
 	if err != nil {
 		return nil, err
 	}
-	kvSchema := e.store.Schema.ByName(n.KV)
-	if kvSchema == nil {
-		return nil, errUnknownKV(n.KV)
-	}
-	keyIdx, err := in.Positions(n.KeyFrom)
+	lay, err := e.layoutOf(n, n.lay, in.Attrs, nil)
 	if err != nil {
 		return nil, err
 	}
+	keyIdx := lay.key
 	// Phase 1: fetch the entire instance, workers splitting storage nodes,
 	// indexing blocks by key and placing each block on its hash owner (the
 	// shuffle the strawman pays for the whole relation).
 	nodes := e.store.Cluster.NodeCount()
-	wholeKey := identity(len(kvSchema.Key))
+	wholeKey := identity(len(keyIdx))
 	type chunk struct {
 		key  string
 		home int
 		rows []relation.Tuple
 	}
 	chunks := make([][]chunk, e.workers)
-	err = ForWorkers(e.workers, func(w int) error {
+	err = ForWorkers(e.workers, Unsized, func(w int) error {
 		var local []chunk
 		var blocks, data, bytes, moved int64
 		for node := w; node < nodes; node += e.workers {
@@ -40,7 +37,7 @@ func (e *executor) runExtendFetchAll(n *Extend) (*PartRel, error) {
 				rows := blk.Expand()
 				e.trace.CountBlocks(1)
 				blocks++
-				countBlock(key, rows, len(kvSchema.Val), &data, &bytes)
+				countBlock(key, rows, lay.width, &data, &bytes)
 				home := hashTuple(key, wholeKey, e.workers)
 				if home != w {
 					for _, r := range rows {
@@ -76,9 +73,8 @@ func (e *executor) runExtendFetchAll(n *Extend) (*PartRel, error) {
 
 	// Phase 2: repartition the input by key and hash join locally.
 	shuffled := repartition(in, keyIdx, &e.shuffle)
-	outAttrs := append(append([]string{}, in.Attrs...), qualify(n.Alias, kvSchema.Val)...)
-	out := NewPartRel(outAttrs, e.workers)
-	err = ForWorkers(e.workers, func(w int) error {
+	out := NewPartRel(lay.attrs, e.workers)
+	err = ForWorkers(e.workers, shuffled.Len(), func(w int) error {
 		var local []relation.Tuple
 		for _, row := range shuffled.Parts[w] {
 			k := relation.KeyString(row.Project(keyIdx))

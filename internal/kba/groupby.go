@@ -40,34 +40,17 @@ func (e *executor) runGroupBy(n *GroupBy) (*PartRel, error) {
 	if err != nil {
 		return nil, err
 	}
-	keyIdx, err := in.Positions(n.Keys)
+	lay, err := e.layoutOf(n, n.lay, in.Attrs, nil)
 	if err != nil {
 		return nil, err
 	}
-	aggIdx := make([]int, len(n.Aggs))
-	for i, a := range n.Aggs {
-		if a.Star {
-			aggIdx[i] = -1
-			continue
-		}
-		idx, err := in.Positions([]string{a.Attr})
-		if err != nil {
-			return nil, err
-		}
-		aggIdx[i] = idx[0]
-	}
+	keyIdx, aggIdx := lay.key, lay.aggs
 
 	// Phase 1: local partial aggregation, encoded as flat tuples
 	// key ++ state_1 ++ ... ++ state_m.
 	stateW := ra.AggStateWidth()
-	partialAttrs := append([]string{}, n.Keys...)
-	for i := range n.Aggs {
-		for j := 0; j < stateW; j++ {
-			partialAttrs = append(partialAttrs, fmt.Sprintf("$agg%d.%d", i, j))
-		}
-	}
-	partial := NewPartRel(partialAttrs, e.workers)
-	err = ForWorkers(e.workers, func(w int) error {
+	partial := NewPartRel(lay.partial, e.workers)
+	err = ForWorkers(e.workers, in.Len(), func(w int) error {
 		groups := make(map[string]*aggGroup)
 		var order []*aggGroup
 		for _, row := range in.Parts[w] {
@@ -99,13 +82,9 @@ func (e *executor) runGroupBy(n *GroupBy) (*PartRel, error) {
 	}
 
 	// Phase 2: shuffle partials by key and merge.
-	shuffled := repartition(partial, identity(len(n.Keys)), &e.shuffle)
-	outAttrs := append([]string{}, n.Keys...)
-	for _, a := range n.Aggs {
-		outAttrs = append(outAttrs, a.Name)
-	}
-	out := NewPartRel(outAttrs, e.workers)
-	err = ForWorkers(e.workers, func(w int) error {
+	shuffled := repartition(partial, lay.rkey, &e.shuffle)
+	out := NewPartRel(lay.attrs, e.workers)
+	err = ForWorkers(e.workers, shuffled.Len(), func(w int) error {
 		groups := make(map[string]*aggGroup)
 		var order []*aggGroup
 		for _, row := range shuffled.Parts[w] {
@@ -141,6 +120,10 @@ func (e *executor) runGroupBy(n *GroupBy) (*PartRel, error) {
 // numeric value attribute. The header walk runs once on the driving
 // goroutine and its (tiny) output is dealt round-robin to the workers.
 func (e *executor) runStatsAgg(n *StatsAgg) (*PartRel, error) {
+	lay, err := e.layoutOf(n, n.lay, nil, nil)
+	if err != nil {
+		return nil, err
+	}
 	kvSchema := e.store.Schema.ByName(n.KV)
 	if kvSchema == nil {
 		return nil, errUnknownKV(n.KV)
@@ -149,16 +132,12 @@ func (e *executor) runStatsAgg(n *StatsAgg) (*PartRel, error) {
 	for i, a := range kvSchema.Val {
 		valPos[n.Alias+"."+a] = i
 	}
-	attrs := qualify(n.Alias, kvSchema.Key)
-	for _, a := range n.Aggs {
-		attrs = append(attrs, a.Name)
-	}
 	// ScanStats yields segmented blocks of one key as separate records;
 	// merge them here by key.
 	merged := make(map[string]*statsAcc)
 	var order []*statsAcc
 	var scanned int64
-	err := e.store.ScanStatsT(e.kv(), n.KV, func(key relation.Tuple, stats *baav.BlockStats) bool {
+	err = e.store.ScanStatsT(e.kv(), n.KV, func(key relation.Tuple, stats *baav.BlockStats) bool {
 		scanned++
 		if stats == nil {
 			return true // block without stats: handled by validation below
@@ -177,7 +156,7 @@ func (e *executor) runStatsAgg(n *StatsAgg) (*PartRel, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := NewPartRel(attrs, e.workers)
+	out := NewPartRel(lay.attrs, e.workers)
 	for i, m := range order {
 		row := m.key.Clone()
 		for _, a := range n.Aggs {

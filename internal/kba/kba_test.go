@@ -515,11 +515,12 @@ func TestRepartitionColocatesKeys(t *testing.T) {
 // TestOneWorkerIsTheSequentialCase: with one worker ForWorkers runs its
 // function on the calling goroutine (this test's frame is on its stack) and
 // repartition hands back its input, unhashed and uncopied, shuffling
-// nothing. With two workers neither holds.
+// nothing. With two workers neither holds — except that a loop over fewer
+// than inlineRows rows stays on the calling goroutine at any worker count.
 func TestOneWorkerIsTheSequentialCase(t *testing.T) {
-	inline := func(workers int) bool {
+	inline := func(workers, rows int) bool {
 		var onCallerStack atomic.Bool
-		err := ForWorkers(workers, func(int) error {
+		err := ForWorkers(workers, rows, func(int) error {
 			pcs := make([]uintptr, 32)
 			frames := runtime.CallersFrames(pcs[:runtime.Callers(0, pcs)])
 			for {
@@ -537,22 +538,27 @@ func TestOneWorkerIsTheSequentialCase(t *testing.T) {
 		}
 		return onCallerStack.Load()
 	}
-	if !inline(1) {
+	if !inline(1, Unsized) {
 		t.Fatal("ForWorkers(1) started a goroutine")
 	}
-	if inline(2) {
-		t.Fatal("ForWorkers(2) must run its workers concurrently")
+	if inline(2, inlineRows) {
+		t.Fatal("ForWorkers(2) must run its workers concurrently from inlineRows rows up")
+	}
+	if !inline(2, inlineRows-1) {
+		t.Fatal("ForWorkers(2) started goroutines for fewer than inlineRows rows")
 	}
 	want := errors.New("worker failed")
 	for _, p := range []int{1, 3} {
-		err := ForWorkers(p, func(w int) error {
-			if w == p-1 {
-				return want
+		for _, rows := range []int{0, Unsized} {
+			err := ForWorkers(p, rows, func(w int) error {
+				if w == p-1 {
+					return want
+				}
+				return nil
+			})
+			if !errors.Is(err, want) {
+				t.Fatalf("ForWorkers(%d, %d) error = %v", p, rows, err)
 			}
-			return nil
-		})
-		if !errors.Is(err, want) {
-			t.Fatalf("ForWorkers(%d) error = %v", p, err)
 		}
 	}
 

@@ -1,8 +1,7 @@
 package kba
 
 import (
-	"fmt"
-	"hash/fnv"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -42,21 +41,7 @@ func (v *PartRel) Len() int {
 }
 
 // Positions resolves attribute names to column positions.
-func (v *PartRel) Positions(names []string) ([]int, error) {
-	pos := make(map[string]int, len(v.Attrs))
-	for i, a := range v.Attrs {
-		pos[a] = i
-	}
-	out := make([]int, len(names))
-	for i, n := range names {
-		j, ok := pos[n]
-		if !ok {
-			return nil, fmt.Errorf("kba: attribute %q not in %v", n, v.Attrs)
-		}
-		out[i] = j
-	}
-	return out, nil
-}
+func (v *PartRel) Positions(names []string) ([]int, error) { return positions(v.Attrs, names) }
 
 // Lit wraps an already computed PartRel as a plan leaf, so composed
 // operators (union → distinct) and the TaaV baseline's join tail run their
@@ -66,23 +51,45 @@ type Lit struct{ V *PartRel }
 func (l *Lit) Children() []Plan { return nil }
 func (l *Lit) String() string   { return "lit" }
 
-// hashTuple routes a projected key to a worker.
+// hashTuple routes a projected key to a worker: FNV-1a over the key
+// columns' order-preserving encodings, built in a stack buffer.
 func hashTuple(t relation.Tuple, idx []int, workers int) int {
 	if workers == 1 {
 		return 0
 	}
-	h := fnv.New64a()
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	var buf [64]byte
+	h := uint64(offset64)
 	for _, i := range idx {
-		h.Write(relation.AppendValue(nil, t[i]))
+		for _, c := range relation.AppendValue(buf[:0], t[i]) {
+			h = (h ^ uint64(c)) * prime64
+		}
 	}
-	return int(h.Sum64() % uint64(workers))
+	return int(h % uint64(workers))
 }
+
+// inlineRows is the input size below which an operator runs its per-worker
+// closures one after another on the calling goroutine instead of fanning
+// them out: starting and joining a goroutine per worker costs more than
+// that many rows of any operator's work. It is read off
+// BenchmarkFanoutBreakEven (CHANGES.md, PR 18, has the table). The
+// partition layout does not depend on which side of it an input falls.
+const inlineRows = 512
+
+// Unsized is the row count of a per-worker loop whose input is not
+// materialized yet (a storage scan): it always fans out.
+const Unsized = math.MaxInt
 
 // repartition redistributes rows so that rows agreeing on the key columns
 // land on the same worker. Bytes of rows that change workers are added to
 // shuffle. Empty keyIdx sends everything to worker 0 (a gather). With one
 // worker every row is already colocated: the input is returned as is.
 func repartition(v *PartRel, keyIdx []int, shuffle *atomic.Int64) *PartRel {
+	return repartitionAs(v, keyIdx, shuffle, v.Len() < inlineRows)
+}
+
+// repartitionAs is repartition with the inline decision made by the caller.
+func repartitionAs(v *PartRel, keyIdx []int, shuffle *atomic.Int64, inline bool) *PartRel {
 	workers := len(v.Parts)
 	if workers == 1 {
 		return v
@@ -90,28 +97,23 @@ func repartition(v *PartRel, keyIdx []int, shuffle *atomic.Int64) *PartRel {
 	out := NewPartRel(v.Attrs, workers)
 	// buckets[src][dst]
 	buckets := make([][][]relation.Tuple, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			local := make([][]relation.Tuple, workers)
-			var moved int64
-			for _, row := range v.Parts[w] {
-				dst := 0
-				if len(keyIdx) > 0 {
-					dst = hashTuple(row, keyIdx, workers)
-				}
-				local[dst] = append(local[dst], row)
-				if dst != w {
-					moved += int64(row.SizeBytes())
-				}
+	forWorkers(workers, inline, func(w int) error {
+		local := make([][]relation.Tuple, workers)
+		var moved int64
+		for _, row := range v.Parts[w] {
+			dst := 0
+			if len(keyIdx) > 0 {
+				dst = hashTuple(row, keyIdx, workers)
 			}
-			buckets[w] = local
-			shuffle.Add(moved)
-		}(w)
-	}
-	wg.Wait()
+			local[dst] = append(local[dst], row)
+			if dst != w {
+				moved += int64(row.SizeBytes())
+			}
+		}
+		buckets[w] = local
+		shuffle.Add(moved)
+		return nil
+	})
 	for dst := 0; dst < workers; dst++ {
 		for src := 0; src < workers; src++ {
 			out.Parts[dst] = append(out.Parts[dst], buckets[src][dst]...)
@@ -120,12 +122,24 @@ func repartition(v *PartRel, keyIdx []int, shuffle *atomic.Int64) *PartRel {
 	return out
 }
 
-// ForWorkers runs fn once per worker concurrently and returns the first
-// error. One worker runs inline on the calling goroutine: sequential
-// execution starts no goroutine.
-func ForWorkers(workers int, fn func(w int) error) error {
-	if workers == 1 {
-		return fn(0)
+// ForWorkers runs fn once per worker and returns the first error in worker
+// order. The workers run concurrently when there is more than one and the
+// loop has at least inlineRows rows to process between them; otherwise fn
+// runs for worker 0, 1, … on the calling goroutine, so sequential
+// execution and small inputs start no goroutine. What each worker computes
+// is the same either way.
+func ForWorkers(workers, rows int, fn func(w int) error) error {
+	return forWorkers(workers, rows < inlineRows, fn)
+}
+
+func forWorkers(workers int, inline bool, fn func(w int) error) error {
+	if workers == 1 || inline {
+		for w := 0; w < workers; w++ {
+			if err := fn(w); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	errs := make([]error, workers)
 	var wg sync.WaitGroup

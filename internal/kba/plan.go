@@ -1,3 +1,9 @@
+// Package kba implements KBA, the paper's extension of relational algebra to
+// keyed blocks (Section 4.2): plan nodes for the new operators extension (∝)
+// and shift (↑), BaaV versions of the classical operators, and the one
+// executor of those plans over BaaV stores — partitioned over p workers with
+// the interleaved strategy of Section 7.2, sequential at p = 1 — with
+// first-class data-access accounting.
 package kba
 
 import (
@@ -62,6 +68,7 @@ type Const struct {
 	KeyAttrs []string
 	Keys     []relation.Tuple
 	Args     [][]Arg
+	resolved
 }
 
 // Children implements Plan.
@@ -88,6 +95,7 @@ func (c *Const) String() string {
 type ScanKV struct {
 	KV    string
 	Alias string // query alias that qualifies the fetched attributes
+	resolved
 }
 
 // Children implements Plan.
@@ -109,6 +117,7 @@ type Extend struct {
 	// KeyFrom lists the input attributes supplying the KV key X, in X's
 	// declared order.
 	KeyFrom []string
+	resolved
 }
 
 // Children implements Plan.
@@ -144,6 +153,7 @@ type IndexLookup struct {
 	// unresolved; Bind materializes them into Values. A lookup with
 	// non-empty Args is not executable.
 	Args []Arg
+	resolved
 }
 
 // Children implements Plan.
@@ -194,6 +204,7 @@ type IndexRange struct {
 	// paying for the whole range. Like the bounds it is a bind-time Arg,
 	// so a `LIMIT ?` template fixes the plan once and binds per execution.
 	Limit *Arg
+	resolved
 }
 
 // Children implements Plan.
@@ -233,6 +244,7 @@ func (r *IndexRange) String() string {
 type Shift struct {
 	Input  Plan
 	NewKey []string
+	resolved
 }
 
 // Children implements Plan.
@@ -250,6 +262,7 @@ type Join struct {
 	L, R Plan
 	LOn  []string
 	ROn  []string
+	resolved
 }
 
 // Children implements Plan.
@@ -299,6 +312,7 @@ func (p Pred) String() string {
 type Select struct {
 	Input Plan
 	Preds []Pred
+	resolved
 }
 
 // Children implements Plan.
@@ -318,6 +332,7 @@ func (s *Select) String() string {
 type Project struct {
 	Input Plan
 	Attrs []string
+	resolved
 }
 
 // Children implements Plan.
@@ -330,7 +345,10 @@ func (p *Project) String() string {
 
 // Union is set union of two instances over identical attribute sets (↑ is
 // applied implicitly to align keys).
-type Union struct{ L, R Plan }
+type Union struct {
+	L, R Plan
+	resolved
+}
 
 // Children implements Plan.
 func (u *Union) Children() []Plan { return []Plan{u.L, u.R} }
@@ -339,7 +357,10 @@ func (u *Union) Children() []Plan { return []Plan{u.L, u.R} }
 func (u *Union) String() string { return fmt.Sprintf("(%s ∪ %s)", u.L, u.R) }
 
 // Diff is set difference L − R over identical attribute sets.
-type Diff struct{ L, R Plan }
+type Diff struct {
+	L, R Plan
+	resolved
+}
 
 // Children implements Plan.
 func (d *Diff) Children() []Plan { return []Plan{d.L, d.R} }
@@ -361,6 +382,7 @@ type GroupBy struct {
 	Input Plan
 	Keys  []string
 	Aggs  []AggSpec
+	resolved
 }
 
 // Children implements Plan.
@@ -383,6 +405,7 @@ type StatsAgg struct {
 	KV    string
 	Alias string
 	Aggs  []AggSpec
+	resolved
 }
 
 // Children implements Plan.
@@ -394,7 +417,10 @@ func (s *StatsAgg) String() string {
 }
 
 // Distinct removes duplicate flattened rows.
-type Distinct struct{ Input Plan }
+type Distinct struct {
+	Input Plan
+	resolved
+}
 
 // Children implements Plan.
 func (d *Distinct) Children() []Plan { return []Plan{d.Input} }

@@ -126,7 +126,10 @@ func (s KVSnapshot) Ops() int64 { return s.Gets + s.Puts + s.Deletes + s.ScanNex
 // Trace is the per-statement trace context. The server allocates one per
 // traced statement and threads it through planner and executor; layers
 // below the executor see only the embedded KV counters. All counter
-// methods are nil-safe. The operator span stack is NOT synchronized: plan
+// methods are nil-safe. The zero value records counters and operator spans;
+// CountersOnly returns one that records counters alone, for statements
+// whose operator tree nobody will read. The operator span stack is NOT
+// synchronized: plan
 // tree recursion is single-goroutine (the executor fans workers out only
 // inside an operator and joins them before the operator's span finishes),
 // so spans open and close on one goroutine.
@@ -151,7 +154,17 @@ type Trace struct {
 
 	Root  *OpNode
 	stack []*OpNode
+	// noSpans turns StartOp and StartOpLazy into no-ops (see CountersOnly).
+	noSpans bool
 }
+
+// CountersOnly returns a trace that counts kv operations, posting reads,
+// block fetches, waits and snapshot sequences but opens no operator span:
+// Root stays nil.
+func CountersOnly() *Trace { return &Trace{noSpans: true} }
+
+// Spans reports whether the trace records operator spans; false when nil.
+func (t *Trace) Spans() bool { return t != nil && !t.noSpans }
 
 // CountPostings records n index posting-list reads; nil-safe.
 func (t *Trace) CountPostings(n int) {
@@ -225,19 +238,12 @@ type OpNode struct {
 }
 
 // StartOp opens an operator span as a child of the innermost open span
-// (or as the root). Returns nil on a nil trace.
+// (or as the root). Returns nil on a nil or counters-only trace.
 func (t *Trace) StartOp(name, label string) *OpNode {
-	if t == nil {
-		return nil
+	n := t.StartOpLazy(name, nil)
+	if n != nil {
+		n.Label = label
 	}
-	n := &OpNode{Name: name, Label: label, start: time.Now(), startKV: t.KV.Snapshot()}
-	if len(t.stack) == 0 {
-		t.Root = n
-	} else {
-		p := t.stack[len(t.stack)-1]
-		p.Children = append(p.Children, n)
-	}
-	t.stack = append(t.stack, n)
 	return n
 }
 
@@ -246,7 +252,7 @@ func (t *Trace) StartOp(name, label string) *OpNode {
 // EXPLAIN ANALYZE renders it — while a label costs several allocations per
 // operator, so hot executors pass a thunk instead of the string.
 func (t *Trace) StartOpLazy(name string, label func() string) *OpNode {
-	if t == nil {
+	if !t.Spans() {
 		return nil
 	}
 	n := &OpNode{Name: name, lazyLabel: label, start: time.Now(), startKV: t.KV.Snapshot()}

@@ -44,7 +44,7 @@ func RunTaaV(q *ra.Query, store *taav.Store, workers int) (*ra.Result, *Metrics,
 			continue
 		}
 		raw := kba.NewPartRel(atom.Schema.AttrNames(), workers)
-		err := kba.ForWorkers(workers, func(w int) error {
+		err := kba.ForWorkers(workers, kba.Unsized, func(w int) error {
 			var local []relation.Tuple
 			var g, d, f int64
 			for node := w; node < nodes; node += workers {

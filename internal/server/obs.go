@@ -316,12 +316,18 @@ func newServerObs(s *Server, cfg Config) *serverObs {
 }
 
 // begin opens a per-statement measurement context. Nil receiver → nil
-// context → nil trace, so a disabled server pays only nil checks.
+// context → nil trace, so a disabled server pays only nil checks. The trace
+// carries counters only — all that finish and the slow log read — except
+// under EXPLAIN ANALYZE, the one verb whose answer is the operator tree.
 func (o *serverObs) begin(verb string) *stmtCtx {
 	if o == nil {
 		return nil
 	}
-	return &stmtCtx{o: o, verb: verb, trace: &obs.Trace{}, start: time.Now()}
+	trace := obs.CountersOnly()
+	if verb == verbExplainAnalyze {
+		trace = &obs.Trace{}
+	}
+	return &stmtCtx{o: o, verb: verb, trace: trace, start: time.Now()}
 }
 
 // stmtCtx measures one statement through the serving layer: it owns the

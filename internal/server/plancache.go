@@ -152,25 +152,23 @@ func (c *PlanCache) lookup(key string) (*zidian.Prepared, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	el, ok := s.m[key]
-	stale := false
-	if ok {
-		if el.Value.(*cacheEntry).epoch != cur {
-			s.lru.Remove(el)
-			delete(s.m, key)
-			ok = false
-			stale = true
-		} else {
-			s.lru.MoveToFront(el)
-		}
-	}
-	s.mu.Unlock()
 	if !ok {
-		if stale {
-			c.stale.Add(1)
-		}
+		s.mu.Unlock()
 		return nil, false
 	}
-	return el.Value.(*cacheEntry).plan, true
+	e := el.Value.(*cacheEntry)
+	if e.epoch != cur {
+		s.lru.Remove(el)
+		delete(s.m, key)
+		s.mu.Unlock()
+		c.stale.Add(1)
+		return nil, false
+	}
+	s.lru.MoveToFront(el)
+	// Read under the lock: PutAt rewrites a live entry's plan in place.
+	plan := e.plan
+	s.mu.Unlock()
+	return plan, true
 }
 
 // count records one lookup's outcome; lifted attributes a hit to a template

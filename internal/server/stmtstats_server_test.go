@@ -134,3 +134,57 @@ func TestStmtStatsServerConservation(t *testing.T) {
 		})
 	}
 }
+
+// TestOperatorSpansOnlyWhereRead: an operator tree is recorded for the one
+// verb whose answer is the tree. An ordinary read runs under a trace that
+// counts and opens no span — Root stays nil — and its counters lose nothing
+// for it: the kv totals of either trace equal the cluster's own deltas over
+// the statement.
+func TestOperatorSpansOnlyWhereRead(t *testing.T) {
+	db, bv := mixedDB(t)
+	inst, err := zidian.Open(db, bv, zidian.Options{Nodes: 4, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(inst, Config{})
+	ctx := context.Background()
+	for _, ddl := range mixedDDL() {
+		if _, err := srv.Exec(ctx, ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cluster := inst.Store().Cluster
+	for _, sql := range mixedReadSuite() {
+		p, _, err := srv.compileNorm(NormalizeSQL(sql), sql, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, verb := range []string{verbSelect, verbExplainAnalyze} {
+			c := srv.obs.begin(verb)
+			before := cluster.Metrics()
+			if verb == verbSelect {
+				_, _, err = srv.run(ctx, c, p, nil)
+			} else {
+				_, _, _, err = p.Analyze(c.Trace())
+			}
+			if err != nil {
+				t.Fatalf("%s %q: %v", verb, sql, err)
+			}
+			delta := cluster.Metrics().Sub(before)
+			if got := c.trace.Root != nil; got != (verb == verbExplainAnalyze) {
+				t.Fatalf("%s %q: operator tree recorded = %v", verb, sql, got)
+			}
+			kv := c.trace.KV.Snapshot()
+			if kv.Ops() == 0 {
+				t.Fatalf("%s %q: the trace counted no kv operation", verb, sql)
+			}
+			if kv.Gets != delta.Gets || kv.ScanNexts != delta.ScanNexts || kv.BytesRead != delta.BytesRead {
+				t.Fatalf("%s %q: trace counted gets=%d scan_next=%d bytes=%d, the cluster gets=%d scan_next=%d bytes=%d",
+					verb, sql, kv.Gets, kv.ScanNexts, kv.BytesRead, delta.Gets, delta.ScanNexts, delta.BytesRead)
+			}
+			if c.trace.SnapshotSeqs == nil {
+				t.Fatalf("%s %q: no snapshot sequences on the trace", verb, sql)
+			}
+		}
+	}
+}

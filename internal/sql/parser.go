@@ -107,11 +107,26 @@ var reserved = map[string]bool{
 // statements that parse differently: identifier case is significant (the
 // parser preserves it and relation/attribute lookups are case-sensitive),
 // keyword case is not.
-func IsReserved(word string) bool { return reserved[strings.ToLower(word)] }
+func IsReserved(word string) bool {
+	// Reserved words are ASCII and at most eight letters: fold into a stack
+	// buffer; probing the map with a converted byte slice does not allocate.
+	var buf [8]byte
+	if len(word) > len(buf) {
+		return false
+	}
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return reserved[string(buf[:len(word)])]
+}
 
 func (p *parser) ident() (string, error) {
 	t := p.peek()
-	if t.kind != tokIdent || reserved[strings.ToLower(t.text)] {
+	if t.kind != tokIdent || IsReserved(t.text) {
 		return "", fmt.Errorf("sql: expected identifier, found %s", t)
 	}
 	p.advance()
@@ -155,7 +170,7 @@ func (p *parser) parseQuery() (*Query, error) {
 			if ref.Alias, err = p.ident(); err != nil {
 				return nil, err
 			}
-		} else if t := p.peek(); t.kind == tokIdent && !reserved[strings.ToLower(t.text)] {
+		} else if t := p.peek(); t.kind == tokIdent && !IsReserved(t.text) {
 			ref.Alias = t.text
 			p.advance()
 		}

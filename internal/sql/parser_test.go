@@ -269,3 +269,28 @@ func TestParseStatementSelectAndErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestIsReserved: every reserved word is recognized in any letter case,
+// nothing else is — a word containing one, a longer word, a non-ASCII
+// look-alike — and the probe allocates nothing (NormalizeSQL runs it on
+// every word of every statement).
+func TestIsReserved(t *testing.T) {
+	for word := range reserved {
+		for _, form := range []string{word, strings.ToUpper(word), strings.ToUpper(word[:1]) + word[1:]} {
+			if !IsReserved(form) {
+				t.Errorf("IsReserved(%q) = false", form)
+			}
+		}
+		if IsReserved(word+"x") || IsReserved("x"+word) {
+			t.Errorf("IsReserved accepts %q with a letter attached", word)
+		}
+	}
+	for _, word := range []string{"", "vehicle_id", "selects", "distinctly", "İn", "ſelect", "BETWEENS"} {
+		if IsReserved(word) {
+			t.Errorf("IsReserved(%q) = true", word)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { IsReserved("BETWEEN"); IsReserved("vehicle_id") }); n != 0 {
+		t.Errorf("IsReserved allocates %v times per call pair", n)
+	}
+}

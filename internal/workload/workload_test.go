@@ -12,6 +12,7 @@ import (
 	"zidian/internal/kv"
 	"zidian/internal/parallel"
 	"zidian/internal/ra"
+	"zidian/internal/relation"
 	"zidian/internal/taav"
 )
 
@@ -175,35 +176,51 @@ func goroutinesStarted(f func()) int {
 // TestAnswerStartsNoGoroutine: at one worker no operator starts a goroutine
 // — every query of the three suites (point and chain plans, scans, joins,
 // group-bys, distincts) runs entirely on the calling goroutine. A single
-// storage node keeps the kv layer's own scatter pipelines out of the count;
-// two workers on the same plans do start goroutines, so the count sees them.
+// storage node keeps the kv layer's own scatter pipelines out of that count.
+// At 2, 4 and 7 workers the scan-free plans — point and chain lookups whose
+// intermediates stay far below the executor's inline threshold — still start
+// none, on one storage node and on four (a batched get is no pipeline); the
+// scan plans do, so the count sees them.
 func TestAnswerStartsNoGoroutine(t *testing.T) {
-	points, parallelStarted := 0, 0
-	eachPlan(t, 1, func(label string, info *core.PlanInfo, store *baav.Store) {
-		if info.Empty {
-			return
-		}
-		if info.ScanFree {
-			points++
-		}
-		if n := goroutinesStarted(func() {
-			if _, _, err := core.Answer(info, store); err != nil {
-				t.Fatalf("%s: %v", label, err)
+	for _, nodes := range []int{1, 4} {
+		points, scansStarted := 0, 0
+		eachPlan(t, nodes, func(label string, info *core.PlanInfo, store *baav.Store) {
+			if info.Empty {
+				return
 			}
-		}); n != 0 {
-			t.Fatalf("%s: core.Answer started %d goroutines", label, n)
-		}
-		parallelStarted += goroutinesStarted(func() {
-			if _, _, err := parallel.RunKBA(info, store, 2); err != nil {
-				t.Fatalf("%s: %v", label, err)
+			started := func(workers int) int {
+				return goroutinesStarted(func() {
+					if _, _, err := parallel.RunKBA(info, store, workers); err != nil {
+						t.Fatalf("%s: p=%d: %v", label, workers, err)
+					}
+				})
+			}
+			if nodes == 1 {
+				if n := goroutinesStarted(func() {
+					if _, _, err := core.Answer(info, store); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+				}); n != 0 {
+					t.Fatalf("%s: core.Answer started %d goroutines", label, n)
+				}
+			}
+			if !info.ScanFree {
+				scansStarted += started(2)
+				return
+			}
+			points++
+			for _, workers := range []int{2, 4, 7} {
+				if n := started(workers); n != 0 {
+					t.Fatalf("%s: scan-free plan started %d goroutines at %d workers on %d nodes", label, n, workers, nodes)
+				}
 			}
 		})
-	})
-	if points == 0 {
-		t.Fatal("the suites no longer contain a scan-free (point or chain) plan")
-	}
-	if parallelStarted == 0 {
-		t.Fatal("two workers started no goroutine: the count is blind")
+		if points == 0 {
+			t.Fatal("the suites no longer contain a scan-free (point or chain) plan")
+		}
+		if scansStarted == 0 {
+			t.Fatal("two workers over the scan plans started no goroutine: the count is blind")
+		}
 	}
 }
 
@@ -331,5 +348,52 @@ func TestPaperQ1Constant(t *testing.T) {
 	}
 	if len(q.Atoms) != 3 {
 		t.Fatal("paper Q1 has three atoms")
+	}
+}
+
+// pointSQL are the five scan-free point/chain shapes of the serving
+// benchmark's point_zipf workload (benchmark/gen.go pointTemplates).
+var pointSQL = []string{
+	"select T.test_date, T.result, T.mileage from TEST T where T.vehicle_id = ?",
+	"select V.make, V.model, T.test_date, T.result from VEHICLE V, TEST T where V.vehicle_id = ? and T.vehicle_id = V.vehicle_id",
+	"select O.obs_date, O.speed, O.road_type from OBSERVATION O where O.vehicle_id = ? and O.speed > 70",
+	"select COUNT(*), AVG(T.mileage), MAX(T.defect_count) from TEST T where T.vehicle_id = ?",
+	"select T.test_date, T.result, O.obs_date, O.speed from VEHICLE V, TEST T, OBSERVATION O where V.vehicle_id = ? and T.vehicle_id = V.vehicle_id and O.vehicle_id = V.vehicle_id",
+}
+
+// BenchmarkRunPoint is the execute phase of a point statement: the five
+// point_zipf plans, each bound to 16 vehicles, run and shaped at the worker
+// counts the server uses. One worker is the floor the other counts are
+// held to.
+func BenchmarkRunPoint(b *testing.B) {
+	w := MOT(Spec{Scale: 2, Seed: 1})
+	store, err := baav.Map(w.DB, w.Schema, kv.NewCluster(kv.EngineHash, 4), baav.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	checker := core.NewChecker(w.Schema, baav.RelSchemas(w.DB)).WithStats(store)
+	var plans []*core.PlanInfo
+	for _, src := range pointSQL {
+		info, err := checker.Plan(ra.MustParse(src, w.DB))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for v := 0; v < 16; v++ {
+			bound, err := info.Bind([]relation.Value{relation.Int(int64(v * 71))})
+			if err != nil {
+				b.Fatal(err)
+			}
+			plans = append(plans, bound)
+		}
+	}
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := parallel.RunKBA(plans[i%len(plans)], store, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
