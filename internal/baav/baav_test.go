@@ -595,7 +595,7 @@ func TestReadFormsAgree(t *testing.T) {
 			var perNode, whole []string
 			traced("ScanInstanceNodeT", func(kvt *obs.KV) {
 				for node := 0; node < nodes; node++ {
-					if err := st.ScanInstanceNodeT(kvt, node, name, func(key relation.Tuple, blk *Block, _ *BlockStats) bool {
+					if err := st.ScanInstanceNodeT(kvt, node, name, nil, func(key relation.Tuple, blk *Block, _ int64) bool {
 						perNode = append(perNode, fmt.Sprint(key, blk.Rows()))
 						return true
 					}); err != nil {

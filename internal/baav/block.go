@@ -202,48 +202,78 @@ func EncodeBlock(b *Block, stats *BlockStats, width int) []byte {
 // DecodeBlock deserializes a block of the given width. Stats are returned
 // when present.
 func DecodeBlock(data []byte, width int) (*Block, *BlockStats, error) {
+	b, stats, _, err := decodeBlock(data, width, nil, true)
+	return b, stats, err
+}
+
+// decodeBlock is the one block decoder. cols lists, ascending, the value
+// positions a tuple keeps (nil keeps all width of them); the others are
+// stepped over in the encoding and cost no Value. The stats header is built
+// only when wantStats is set and stepped over otherwise. size is the
+// accounting size of the block as fetched — every tuple at full width,
+// multiplicities applied — whatever cols says: what a plan reads of a block
+// does not change what fetching it cost.
+func decodeBlock(data []byte, width int, cols []int, wantStats bool) (b *Block, stats *BlockStats, size int64, err error) {
 	if len(data) == 0 {
-		return nil, nil, errCorruptBlock
+		return nil, nil, 0, errCorruptBlock
 	}
 	flags := data[0]
 	off := 1
 	n, k := binary.Uvarint(data[off:])
 	if k <= 0 {
-		return nil, nil, errCorruptBlock
+		return nil, nil, 0, errCorruptBlock
 	}
 	off += k
-	var stats *BlockStats
 	if flags&flagStats != 0 {
-		var err error
-		stats, off, err = decodeStats(data, off)
-		if err != nil {
-			return nil, nil, err
+		if stats, off, err = decodeStats(data, off, wantStats); err != nil {
+			return nil, nil, 0, err
 		}
 	}
-	b := &Block{Tuples: make([]relation.Tuple, 0, n)}
+	// A tuple takes at least a byte per value and a byte of count, so a
+	// count the remaining payload cannot hold is corruption — caught here,
+	// before it sizes an allocation.
+	perTuple := max(width, 1)
 	if flags&flagCounts != 0 {
-		b.Counts = make([]int64, 0, n)
+		perTuple++
 	}
-	for i := uint64(0); i < n; i++ {
-		if flags&flagCounts != 0 {
+	if n > uint64((len(data)-off)/perTuple) {
+		return nil, nil, 0, errCorruptBlock
+	}
+	keep := width
+	if cols != nil {
+		keep = len(cols)
+	}
+	// One backing array for the block's values; each tuple is a window
+	// onto it, capped so that an append to one cannot reach the next.
+	vals := make([]relation.Value, int(n)*keep)
+	b = &Block{Tuples: make([]relation.Tuple, n)}
+	if flags&flagCounts != 0 {
+		b.Counts = make([]int64, n)
+	}
+	for i := range b.Tuples {
+		mult := int64(1)
+		if b.Counts != nil {
 			c, k := binary.Uvarint(data[off:])
-			if k <= 0 {
-				return nil, nil, errCorruptBlock
+			if k <= 0 || c > math.MaxInt64 {
+				return nil, nil, 0, errCorruptBlock
 			}
 			off += k
-			b.Counts = append(b.Counts, int64(c))
+			mult = int64(c)
+			b.Counts[i] = mult
 		}
-		t, k, err := relation.DecodeTuple(data[off:], width)
+		t := relation.Tuple(vals[i*keep : (i+1)*keep : (i+1)*keep])
+		k, sz, err := relation.DecodeColumns(t, data[off:], width, cols)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
 		off += k
-		b.Tuples = append(b.Tuples, t)
+		size += mult * int64(sz)
+		b.Tuples[i] = t
 	}
 	if stats != nil {
 		stats.Rows = b.Rows()
 	}
-	return b, stats, nil
+	return b, stats, size, nil
 }
 
 // DecodeBlockStats reads only the statistics header of an encoded block,
@@ -263,14 +293,16 @@ func DecodeBlockStats(data []byte) (*BlockStats, error) {
 	} else {
 		off += k // skip distinct count
 	}
-	stats, _, err := decodeStats(data, off)
+	stats, _, err := decodeStats(data, off, true)
 	if err != nil {
 		return nil, err
 	}
 	return stats, nil
 }
 
-func decodeStats(data []byte, off int) (*BlockStats, int, error) {
+// decodeStats reads the stats header at off and returns the offset just
+// past it; with build unset the header is only stepped over and st is nil.
+func decodeStats(data []byte, off int, build bool) (st *BlockStats, end int, err error) {
 	rows, k := binary.Uvarint(data[off:])
 	if k <= 0 {
 		return nil, 0, errCorruptBlock
@@ -281,8 +313,14 @@ func decodeStats(data []byte, off int) (*BlockStats, int, error) {
 		return nil, 0, errCorruptBlock
 	}
 	off += k
-	st := &BlockStats{Rows: int64(rows), Attrs: make([]AttrStats, w)}
-	for i := uint64(0); i < w; i++ {
+	// Every attribute has at least its valid byte in the payload.
+	if w > uint64(len(data)-off) {
+		return nil, 0, errCorruptBlock
+	}
+	if build {
+		st = &BlockStats{Rows: int64(rows), Attrs: make([]AttrStats, w)}
+	}
+	for i := 0; i < int(w); i++ {
 		if off >= len(data) {
 			return nil, 0, errCorruptBlock
 		}
@@ -294,11 +332,13 @@ func decodeStats(data []byte, off int) (*BlockStats, int, error) {
 		if off+24 > len(data) {
 			return nil, 0, errCorruptBlock
 		}
-		a := &st.Attrs[i]
-		a.Valid = true
-		a.Min = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-		a.Max = math.Float64frombits(binary.LittleEndian.Uint64(data[off+8:]))
-		a.Sum = math.Float64frombits(binary.LittleEndian.Uint64(data[off+16:]))
+		if build {
+			a := &st.Attrs[i]
+			a.Valid = true
+			a.Min = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
+			a.Max = math.Float64frombits(binary.LittleEndian.Uint64(data[off+8:]))
+			a.Sum = math.Float64frombits(binary.LittleEndian.Uint64(data[off+16:]))
+		}
 		off += 24
 	}
 	return st, off, nil

@@ -397,7 +397,7 @@ func (c *Commit) edit(kvt *obs.KV, kvSchema KVSchema, key relation.Tuple) (*stag
 	if e, ok := byPrefix[string(prefix)]; ok {
 		return e, nil
 	}
-	blks, _, _, err := c.st.GetBlocksT(kvt, kvSchema.Name, []relation.Tuple{key})
+	blks, _, _, err := c.st.FetchBlocksT(kvt, kvSchema.Name, []relation.Tuple{key}, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -451,7 +451,7 @@ func (c *Commit) Prefetch(kvt *obs.KV, tuples []relation.Tuple) error {
 	for i, e := range wants {
 		if spans[i].nsegs > 0 {
 			var err error
-			e.blk, _, err = assembleSpan(res, spans[i], e.kvSchema.Name, len(e.kvSchema.Val))
+			e.blk, _, _, err = assembleSpan(res, spans[i], e.kvSchema.Name, len(e.kvSchema.Val), nil, false)
 			if err != nil {
 				return err
 			}
@@ -772,24 +772,26 @@ func (st *Store) encodeVersionOps(kvSchema KVSchema, prefix []byte, blk *Block, 
 }
 
 // assembleSegs decodes a block from its ordered segment payloads (seg 0
-// carries the uvarint segment-count header).
-func assembleSegs(datas [][]byte, width int) (*Block, *BlockStats, error) {
+// carries the uvarint segment-count header) with decodeBlock's cols,
+// wantStats and size.
+func assembleSegs(datas [][]byte, width int, cols []int, wantStats bool) (*Block, *BlockStats, int64, error) {
 	nsegs, k := binary.Uvarint(datas[0])
 	if k <= 0 {
-		return nil, nil, errCorruptBlock
+		return nil, nil, 0, errCorruptBlock
 	}
 	if int(nsegs) != len(datas) {
-		return nil, nil, fmt.Errorf("baav: block header says %d segments, read %d", nsegs, len(datas))
+		return nil, nil, 0, fmt.Errorf("baav: block header says %d segments, read %d", nsegs, len(datas))
 	}
-	blk, stats, err := DecodeBlock(datas[0][k:], width)
+	blk, stats, size, err := decodeBlock(datas[0][k:], width, cols, wantStats)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	for _, data := range datas[1:] {
-		more, moreStats, err := DecodeBlock(data, width)
+		more, moreStats, moreSize, err := decodeBlock(data, width, cols, wantStats)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
+		size += moreSize
 		blk.Tuples = append(blk.Tuples, more.Tuples...)
 		switch {
 		case blk.Counts != nil && more.Counts != nil:
@@ -809,5 +811,5 @@ func assembleSegs(datas [][]byte, width int) (*Block, *BlockStats, error) {
 			stats.Merge(moreStats)
 		}
 	}
-	return blk, stats, nil
+	return blk, stats, size, nil
 }

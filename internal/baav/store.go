@@ -162,6 +162,19 @@ func (st *Store) GetBlock(name string, key relation.Tuple) (blk *Block, stats *B
 	return blks[0], statss[0], gets, nil
 }
 
+// GetBlocksT is FetchBlocksT taking every column and the blocks' stats
+// headers; statss aligns with keys like blks.
+func (st *Store) GetBlocksT(kvt *obs.KV, name string, keys []relation.Tuple) (blks []*Block, statss []*BlockStats, gets int, err error) {
+	if len(keys) > 0 {
+		statss = make([]*BlockStats, len(keys))
+	}
+	blks, _, gets, err = st.FetchBlocksT(kvt, name, keys, nil, statss)
+	if err != nil {
+		return nil, nil, gets, err
+	}
+	return blks, statss, gets, nil
+}
+
 // segSpan locates one block's segment gets inside a batched request list.
 // nsegs is 0 when no block is visible at the resolved sequence.
 type segSpan struct {
@@ -186,19 +199,20 @@ func (st *Store) appendSegReqs(reqs []kv.GetRequest, name string, prefix []byte,
 	return reqs, span, winner.ver
 }
 
-// assembleSpan decodes the block whose segment gets came back at span.
-func assembleSpan(res []kv.GetResult, span segSpan, name string, width int) (*Block, *BlockStats, error) {
+// assembleSpan decodes the block whose segment gets came back at span (see
+// assembleSegs for cols, wantStats and size).
+func assembleSpan(res []kv.GetResult, span segSpan, name string, width int, cols []int, wantStats bool) (*Block, *BlockStats, int64, error) {
 	datas := make([][]byte, span.nsegs)
 	for i, r := range res[span.base : span.base+span.nsegs] {
 		if !r.OK {
-			return nil, nil, fmt.Errorf("baav: missing segment %d of block in %s", i, name)
+			return nil, nil, 0, fmt.Errorf("baav: missing segment %d of block in %s", i, name)
 		}
 		datas[i] = r.Value
 	}
-	return assembleSegs(datas, width)
+	return assembleSegs(datas, width, cols, wantStats)
 }
 
-// GetBlocksT retrieves several keyed blocks of one KV instance in a single
+// FetchBlocksT retrieves several keyed blocks of one KV instance in a single
 // batched cluster round, counting into the kv trace sink (nil untraced).
 // The read resolves against this view's snapshot sequence: every block's
 // winning version resolves in memory, then all their segments go out as one
@@ -207,9 +221,18 @@ func assembleSpan(res []kv.GetResult, span segSpan, name string, width int) (*Bl
 // or tombstoned at the snapshot still costs the one get (and round trip) of
 // a physical miss: its probe rides the same batch. The absent probe's key
 // cannot hit — a version at exactly the snapshot sequence would have been
-// visible. blks and statss align with keys (nil where no block is visible);
-// gets is the number of get invocations issued.
-func (st *Store) GetBlocksT(kvt *obs.KV, name string, keys []relation.Tuple) (blks []*Block, statss []*BlockStats, gets int, err error) {
+// visible.
+//
+// cols lists, ascending, the value positions the caller reads: the blocks'
+// tuples hold those values only, in that order, and the rest of each tuple
+// is stepped over undecoded. nil reads every column. statss, when non-nil,
+// has a slot per key and receives the blocks' stats headers; a caller that
+// passes nil takes no stats and none are built. blks and sizes align with
+// keys: blks[i] is nil where no block is visible, sizes[i] the accounting
+// size of the whole block as fetched — full width, multiplicities applied —
+// so what a fetch is reported to cost does not depend on cols. gets is the
+// number of get invocations issued.
+func (st *Store) FetchBlocksT(kvt *obs.KV, name string, keys []relation.Tuple, cols []int, statss []*BlockStats) (blks []*Block, sizes []int64, gets int, err error) {
 	if len(keys) == 0 {
 		return nil, nil, 0, nil
 	}
@@ -233,17 +256,21 @@ func (st *Store) GetBlocksT(kvt *obs.KV, name string, keys []relation.Tuple) (bl
 	res := st.Cluster.GetManyRouted(kvt, reqs)
 	gets = len(reqs)
 	blks = make([]*Block, len(keys))
-	statss = make([]*BlockStats, len(keys))
+	sizes = make([]int64, len(keys))
 	for i, span := range spans {
 		if span.nsegs == 0 {
 			continue
 		}
-		blks[i], statss[i], err = assembleSpan(res, span, name, len(kvSchema.Val))
+		var stats *BlockStats
+		blks[i], stats, sizes[i], err = assembleSpan(res, span, name, len(kvSchema.Val), cols, statss != nil)
 		if err != nil {
 			return nil, nil, gets, err
 		}
+		if statss != nil {
+			statss[i] = stats
+		}
 	}
-	return blks, statss, gets, nil
+	return blks, sizes, gets, nil
 }
 
 // loadBlock writes the initial (sequence-zero) version of a block during
@@ -291,30 +318,38 @@ func (st *Store) PutBlock(name string, key relation.Tuple, blk *Block) error {
 
 // ScanInstance visits every keyed block of the named KV instance until fn
 // returns false: whole nodes in node order, key order within each node.
-// Segment reassembly is transparent.
+// Segment reassembly is transparent. Every column is decoded and the stats
+// header built.
 func (st *Store) ScanInstance(name string, fn func(key relation.Tuple, blk *Block, stats *BlockStats) bool) error {
-	return st.scanBlocks(name, st.Cluster.Scan, fn)
+	return st.scanBlocks(name, st.Cluster.Scan, nil, true, func(key relation.Tuple, blk *Block, stats *BlockStats, _ int64) bool {
+		return fn(key, blk, stats)
+	})
 }
 
 // ScanInstanceNodeT visits the keyed blocks of the instance held by one
 // storage node, counting into the kv trace sink (nil untraced). Blocks are
 // colocated by key (segments route on the block prefix), so per-node scans
 // see whole blocks; parallel scan drivers split work across nodes with it.
-func (st *Store) ScanInstanceNodeT(kvt *obs.KV, node int, name string, fn func(key relation.Tuple, blk *Block, stats *BlockStats) bool) error {
+// cols and size are FetchBlocksT's: the tuples hold the value positions in
+// cols only (nil: all), size is the whole block's accounting size. No stats
+// header is built.
+func (st *Store) ScanInstanceNodeT(kvt *obs.KV, node int, name string, cols []int, fn func(key relation.Tuple, blk *Block, size int64) bool) error {
 	return st.scanBlocks(name, func(prefix []byte, visit func(k, v []byte) bool) {
 		st.Cluster.ScanNodeT(kvt, node, prefix, visit)
-	}, fn)
+	}, cols, false, func(key relation.Tuple, blk *Block, _ *BlockStats, size int64) bool {
+		return fn(key, blk, size)
+	})
 }
 
 // scanBlocks decodes each winning block version of a raw kv scan.
-func (st *Store) scanBlocks(name string, scan func(prefix []byte, visit func(k, v []byte) bool),
-	fn func(key relation.Tuple, blk *Block, stats *BlockStats) bool) error {
+func (st *Store) scanBlocks(name string, scan func(prefix []byte, visit func(k, v []byte) bool), cols []int, wantStats bool,
+	fn func(key relation.Tuple, blk *Block, stats *BlockStats, size int64) bool) error {
 	return st.scanWinners(name, scan, func(width int, key relation.Tuple, segs [][]byte) (bool, error) {
-		blk, stats, err := assembleSegs(segs, width)
+		blk, stats, size, err := assembleSegs(segs, width, cols, wantStats)
 		if err != nil {
 			return false, err
 		}
-		return fn(key, blk, stats), nil
+		return fn(key, blk, stats, size), nil
 	})
 }
 

@@ -391,7 +391,7 @@ func (m *Manager) LookupManyT(t *obs.Trace, name string, vs []relation.Value) (o
 		for _, r := range reqs {
 			perNode[m.cluster.NodeFor(r.Route)]++
 		}
-		t.AnnotateNodes(perNode, nil)
+		t.AnnotateNodes(perNode)
 	}
 	width := len(d.Key)
 	outs = make([][]relation.Tuple, len(vs))
@@ -493,15 +493,13 @@ func (m *Manager) RangeLimitT(t *obs.Trace, name string, lo, hi *relation.Value,
 			scanErr = fmt.Errorf("index: %s: corrupt posting key: %v", name, err)
 			return false
 		}
-		lst, err := splitPostings(v, width)
-		if err != nil {
-			scanErr = fmt.Errorf("index: %s: %v", name, err)
-			return false
-		}
 		scanned++
-		for _, pk := range lst {
+		// The list is walked only as far as the limit reaches: the rest of
+		// it is never cut, looked up or decoded.
+		full := false
+		err = eachPosting(v, width, func(pk []byte) bool {
 			if seen[string(pk)] {
-				continue
+				return true
 			}
 			seen[string(pk)] = true
 			tup, _, err := relation.DecodeTuple(pk, width)
@@ -510,11 +508,13 @@ func (m *Manager) RangeLimitT(t *obs.Trace, name string, lo, hi *relation.Value,
 				return false
 			}
 			entries = append(entries, entry{val: val, key: tup})
-			if limit >= 0 && len(entries) >= limit {
-				return false
-			}
+			full = limit >= 0 && len(entries) >= limit
+			return !full
+		})
+		if err != nil {
+			scanErr = fmt.Errorf("index: %s: %v", name, err)
 		}
-		return true
+		return scanErr == nil && !full
 	}
 
 	// Producer-side LIMIT cut: a node stops after yielding limit entries
@@ -536,17 +536,17 @@ func (m *Manager) RangeLimitT(t *obs.Trace, name string, lo, hi *relation.Value,
 			if excluded(k) {
 				return true
 			}
-			lst, err := splitPostings(v, width)
-			if err != nil {
-				return false // the merge surfaces the error when it gets here
-			}
-			for _, pk := range lst {
+			// Walked as far as the node's limit and no further. A list that
+			// does not cut cleanly stops the node here; the merge surfaces
+			// the error when it gets to it.
+			err := eachPosting(v, width, func(pk []byte) bool {
 				if !seenNode[node][string(pk)] {
 					seenNode[node][string(pk)] = true
 					counts[node]++
 				}
-			}
-			return counts[node] < limit
+				return counts[node] < limit
+			})
+			return err == nil && counts[node] < limit
 		}
 	}
 	// Per-node posting-list counts are taken at the merge point (the global
@@ -559,7 +559,7 @@ func (m *Manager) RangeLimitT(t *obs.Trace, name string, lo, hi *relation.Value,
 		perNode[node] += int64(scanned - before)
 		return ok
 	})
-	t.AnnotateNodes(perNode, nil)
+	t.AnnotateNodes(perNode)
 	if scanErr != nil {
 		return nil, nil, scanned, scanErr
 	}
@@ -750,17 +750,32 @@ func (m *Manager) Load(rels map[string]*relation.Schema) error {
 	return nil
 }
 
-// splitPostings cuts a posting payload into its encoded block keys.
-func splitPostings(b []byte, width int) ([][]byte, error) {
-	var out [][]byte
-	off := 0
-	for off < len(b) {
+// eachPosting cuts a posting payload into its encoded block keys one at a
+// time, handing each to fn until fn returns false; what follows the last
+// key fn took is not looked at.
+func eachPosting(b []byte, width int, fn func(pk []byte) bool) error {
+	for off := 0; off < len(b); {
 		n, err := relation.SkipTuple(b[off:], width)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, b[off:off+n])
+		if !fn(b[off : off+n]) {
+			return nil
+		}
 		off += n
+	}
+	return nil
+}
+
+// splitPostings cuts a posting payload into all of its encoded block keys.
+func splitPostings(b []byte, width int) ([][]byte, error) {
+	var out [][]byte
+	err := eachPosting(b, width, func(pk []byte) bool {
+		out = append(out, pk)
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

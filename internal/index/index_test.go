@@ -551,3 +551,39 @@ func TestReadFormsAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestRangeLimitWalksListsLazily: under a limit a posting list is walked
+// only as far as the limit reaches — at the merge and at the producer-side
+// cut — so what a LIMIT k walk allocates does not grow with the length of
+// the lists it stops in. The answer and the lists visited are those of the
+// unlimited walk's first k.
+func TestRangeLimitWalksListsLazily(t *testing.T) {
+	const limit = 5
+	lo, hi := relation.String("S00"), relation.String("S09")
+	var allocs [2]float64
+	for i, n := range []int{400, 40000} { // 40 and 4 000 postings per list
+		m := NewManager(kv.NewCluster(kv.EngineSorted, 3))
+		if _, err := m.Create("ix_sku", "ITEM", "sku", itemSchema(t), itemTuples(n)); err != nil {
+			t.Fatal(err)
+		}
+		_, want, _, err := m.RangeLimitT(nil, "ix_sku", &lo, &hi, true, true, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, got, scanned, err := m.RangeLimitT(nil, "ix_sku", &lo, &hi, true, true, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scanned != 1 || !reflect.DeepEqual(got, want[:limit]) {
+			t.Fatalf("%d tuples: limit %d visited %d lists and returned %v, want 1 list and %v", n, limit, scanned, got, want[:limit])
+		}
+		allocs[i] = testing.AllocsPerRun(20, func() {
+			if _, _, _, err := m.RangeLimitT(nil, "ix_sku", &lo, &hi, true, true, limit); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[1] > allocs[0]+10 {
+		t.Fatalf("LIMIT %d walk: %.0f allocations over 40-posting lists, %.0f over 4 000-posting lists", limit, allocs[0], allocs[1])
+	}
+}

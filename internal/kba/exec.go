@@ -200,14 +200,18 @@ func (e *executor) runConst(n *Const) (*PartRel, error) {
 }
 
 // countBlock accounts one fetched or scanned block: its values and the
-// accounting size of its key and rows.
-func countBlock(key relation.Tuple, rows []relation.Tuple, width int, data, bytes *int64) {
-	*data += int64(len(rows)*width + len(key))
-	*bytes += int64(key.SizeBytes())
-	for _, r := range rows {
-		*bytes += int64(r.SizeBytes())
-	}
+// accounting size of its key and rows. rows is the block's expanded row
+// count, width and size the instance's full width and the whole block's
+// size — a column-pruned read accounts for what it fetched, not for what it
+// kept.
+func countBlock(key relation.Tuple, rows, width int, size int64, data, bytes *int64) {
+	*data += int64(rows*width + len(key))
+	*bytes += int64(key.SizeBytes()) + size
 }
+
+// annotateCols records on the ∝ or scan span how many of the instance's
+// value attributes the plan reads.
+func (e *executor) annotateCols(lay *layout) { e.trace.AnnotateCols(lay.kept(), lay.width) }
 
 func (e *executor) runScan(n *ScanKV) (*PartRel, error) {
 	lay, err := e.layoutOf(n, n.lay, nil, nil)
@@ -226,12 +230,12 @@ func (e *executor) runScan(n *ScanKV) (*PartRel, error) {
 		var local []relation.Tuple
 		var blocks, data, bytes int64
 		for node := w; node < nodes; node += e.workers {
-			err := e.store.ScanInstanceNodeT(e.kv(), node, n.KV, func(key relation.Tuple, blk *baav.Block, _ *baav.BlockStats) bool {
+			err := e.store.ScanInstanceNodeT(e.kv(), node, n.KV, lay.cols, func(key relation.Tuple, blk *baav.Block, size int64) bool {
 				rows := blk.Expand()
 				e.trace.CountBlocks(1)
 				blocks++
 				perNode[node] += int64(len(rows))
-				countBlock(key, rows, lay.width, &data, &bytes)
+				countBlock(key, len(rows), lay.width, size, &data, &bytes)
 				for _, r := range rows {
 					local = append(local, key.Concat(r))
 				}
@@ -247,7 +251,8 @@ func (e *executor) runScan(n *ScanKV) (*PartRel, error) {
 		out.Parts[w] = local
 		return nil
 	})
-	e.trace.AnnotateNodes(perNode, nil)
+	e.trace.AnnotateNodes(perNode)
+	e.annotateCols(lay)
 	return out, err
 }
 
@@ -391,7 +396,7 @@ func (e *executor) runIndexRange(n *IndexRange) (*PartRel, error) {
 // runExtend is the interleaved ∝: deduplicate the target keys across the
 // whole input, fetch every needed block in one batched cluster round per
 // owning node, then have workers expand their partitions against the shared
-// read-only cache — the query fetches only the blocks it needs, and pays
+// read-only blocks — the query fetches only the blocks it needs, and pays
 // one storage round per node instead of one per distinct key. Input rows
 // with no matching block are joined away.
 func (e *executor) runExtend(n *Extend) (*PartRel, error) {
@@ -407,45 +412,54 @@ func (e *executor) runExtend(n *Extend) (*PartRel, error) {
 	shuffled := repartition(in, keyIdx, &e.shuffle)
 
 	// Collect the distinct probe keys across all partitions (order is
-	// deterministic: partition-major, first occurrence wins).
-	seen := make(map[string]bool)
+	// deterministic: partition-major, first occurrence wins). Each row's
+	// key is encoded once, into a buffer the rows share; at[w][i] is where
+	// row i of partition w finds its key, and so its block.
+	index := make(map[string]int32)
 	var keys []relation.Tuple
-	for _, part := range shuffled.Parts {
-		for _, row := range part {
-			key := row.Project(keyIdx)
-			ks := relation.KeyString(key)
-			if !seen[ks] {
-				seen[ks] = true
-				keys = append(keys, key)
+	at := make([][]int32, len(shuffled.Parts))
+	var buf []byte
+	for w, part := range shuffled.Parts {
+		at[w] = make([]int32, len(part))
+		for i, row := range part {
+			buf = buf[:0]
+			for _, k := range keyIdx {
+				buf = relation.AppendValue(buf, row[k])
 			}
+			k, ok := index[string(buf)]
+			if !ok {
+				k = int32(len(keys))
+				index[string(buf)] = k
+				keys = append(keys, row.Project(keyIdx))
+			}
+			at[w][i] = k
 		}
 	}
-	blks, _, gets, err := e.store.GetBlocksT(e.kv(), n.KV, keys)
+	blks, sizes, gets, err := e.store.FetchBlocksT(e.kv(), n.KV, keys, lay.cols, nil)
 	if err != nil {
 		return nil, err
 	}
 	e.gets.Add(int64(gets))
-	cache := make(map[string][]relation.Tuple, len(keys))
+	fetched := make([][]relation.Tuple, len(keys))
 	var hits, data, bytes int64
 	for i, key := range keys {
-		var rows []relation.Tuple
 		if blk := blks[i]; blk != nil {
-			rows = blk.Expand()
+			fetched[i] = blk.Expand()
 			e.trace.CountBlocks(1)
 			hits++
-			countBlock(key, rows, lay.width, &data, &bytes)
+			countBlock(key, len(fetched[i]), lay.width, sizes[i], &data, &bytes)
 		}
-		cache[relation.KeyString(key)] = rows
 	}
 	e.blocks.Add(hits)
 	e.data.Add(data)
 	e.bytes.Add(bytes)
+	e.annotateCols(lay)
 
 	out := NewPartRel(lay.attrs, e.workers)
 	err = ForWorkers(e.workers, shuffled.Len(), func(w int) error {
 		var local []relation.Tuple
-		for _, row := range shuffled.Parts[w] {
-			for _, r := range cache[relation.KeyString(row.Project(keyIdx))] {
+		for i, row := range shuffled.Parts[w] {
+			for _, r := range fetched[at[w][i]] {
 				local = append(local, row.Concat(r))
 			}
 		}

@@ -33,11 +33,11 @@ func (e *executor) runExtendFetchAll(n *Extend) (*PartRel, error) {
 		var local []chunk
 		var blocks, data, bytes, moved int64
 		for node := w; node < nodes; node += e.workers {
-			err := e.store.ScanInstanceNodeT(e.kv(), node, n.KV, func(key relation.Tuple, blk *baav.Block, _ *baav.BlockStats) bool {
+			err := e.store.ScanInstanceNodeT(e.kv(), node, n.KV, lay.cols, func(key relation.Tuple, blk *baav.Block, size int64) bool {
 				rows := blk.Expand()
 				e.trace.CountBlocks(1)
 				blocks++
-				countBlock(key, rows, lay.width, &data, &bytes)
+				countBlock(key, len(rows), lay.width, size, &data, &bytes)
 				home := hashTuple(key, wholeKey, e.workers)
 				if home != w {
 					for _, r := range rows {

@@ -24,8 +24,15 @@ type layout struct {
 	// left side's attributes. For γ it is the identity over the group keys,
 	// which lead the shuffled partial states.
 	rkey []int
-	// width is the number of value attributes per block row (∝, scan).
+	// width is the number of value attributes per block row (∝, scan): the
+	// instance's, whatever the plan reads of them — it is what the fetch is
+	// accounted at.
 	width int
+	// cols lists, ascending, the instance value positions anything above
+	// the operator reads (∝, scan); attrs carries those values only. nil
+	// reads them all: an instance no pass has narrowed, or one whose every
+	// value is read.
+	cols []int
 	// preds are σ's predicates with their columns resolved; check is their
 	// executable form when none of them waits for a parameter.
 	preds, check predChecks
@@ -41,20 +48,108 @@ type resolved struct{ lay *layout }
 
 func (r *resolved) setLayout(l *layout) { r.lay = l }
 
-// Resolve derives every operator's layout once, bottom-up, and stores it on
-// the nodes, so executions read index vectors, qualified names and
-// parameter-free predicates instead of rebuilding them. It returns the
-// root's output attributes. The planner calls it on a finished plan, before
-// the plan is shared; a subtree it cannot resolve (an unknown KV schema, an
-// attribute its input lacks) is left as it was, returns nil, and reports its
-// error when executed, as an unresolved plan always has.
+// Resolve derives every operator's layout once and stores it on the nodes,
+// so executions read index vectors, qualified names and parameter-free
+// predicates instead of rebuilding them. It returns the root's output
+// attributes. The planner calls it on a finished plan, before the plan is
+// shared.
+//
+// The layouts carry only what the plan reads. Going down from the root,
+// whose output is all wanted, each operator adds the attributes it reads
+// itself — σ its predicates' columns, ⋈, ∝ and ↑ their keys, γ its keys and
+// aggregate inputs, π exactly its list — and asks its inputs for the sum;
+// δ, ∪ and − compare whole rows and ask for everything. Coming back up,
+// every ∝ and scan keeps of its instance's value attributes the ones that
+// were asked for (a fetch always brings the whole block; the others are
+// stepped over when it is decoded), and every operator above resolves its
+// positions against the narrower rows.
+//
+// A plan that does not resolve as a whole (an unknown KV schema, an
+// attribute its input lacks) is left untouched, returns nil, and reports
+// its error when executed, reading every column, as an unresolved plan
+// always has.
 func Resolve(p Plan, schema *baav.Schema) []string {
+	var r resolver
+	attrs := r.resolve(p, schema, nil)
+	if attrs == nil {
+		return nil
+	}
+	for _, s := range r.done {
+		s.node.setLayout(s.lay)
+	}
+	return attrs
+}
+
+// resolver collects the layouts of one Resolve, so that a plan is either
+// resolved throughout or not at all.
+type resolver struct{ done []nodeLayout }
+
+type nodeLayout struct {
+	node interface{ setLayout(*layout) }
+	lay  *layout
+}
+
+// attrSet is the set of attribute names an operator's consumers read; nil
+// stands for all of its output.
+type attrSet map[string]bool
+
+// with returns s and names; all of the output plus anything is still all.
+func (s attrSet) with(names ...string) attrSet {
+	if s == nil {
+		return nil
+	}
+	out := make(attrSet, len(s)+len(names))
+	for n := range s {
+		out[n] = true
+	}
+	for _, n := range names {
+		out[n] = true
+	}
+	return out
+}
+
+// asks returns what p asks of its inputs when need is asked of p: its own
+// reads on top of its consumers', or — for π and γ, whose output is their
+// own list — its own reads alone. δ, ∪ and − compare whole rows and ask for
+// everything.
+func asks(p Plan, need attrSet) (l, r attrSet) {
+	switch n := p.(type) {
+	case *Extend:
+		return need.with(n.KeyFrom...), nil
+	case *Shift:
+		return need.with(n.NewKey...), nil
+	case *Join:
+		return need.with(n.LOn...), need.with(n.ROn...)
+	case *Select:
+		var reads []string
+		for _, pr := range n.Preds {
+			reads = append(reads, pr.Attr, pr.RAttr)
+		}
+		return need.with(reads...), nil
+	case *Project:
+		return attrSet{}.with(n.Attrs...), nil
+	case *GroupBy:
+		reads := append([]string{}, n.Keys...)
+		for _, a := range n.Aggs {
+			reads = append(reads, a.Attr)
+		}
+		return attrSet{}.with(reads...), nil
+	default:
+		return nil, nil
+	}
+}
+
+// resolve derives the layouts under p given that p's consumers read need of
+// its output, and returns p's output attributes.
+func (r *resolver) resolve(p Plan, schema *baav.Schema, need attrSet) []string {
 	if l, ok := p.(*Lit); ok {
 		return l.V.Attrs
 	}
+	var ask [2]attrSet
+	ask[0], ask[1] = asks(p, need)
 	var ins [2][]string
 	for i, c := range p.Children() {
-		if ins[i] = Resolve(c, schema); ins[i] == nil {
+		if ins[i] = r.resolve(c, schema, ask[i]); ins[i] == nil {
 			return nil
 		}
 	}
@@ -62,8 +157,41 @@ func Resolve(p Plan, schema *baav.Schema) []string {
 	if err != nil {
 		return nil
 	}
-	p.(interface{ setLayout(*layout) }).setLayout(lay)
+	switch p.(type) {
+	case *Extend, *ScanKV:
+		lay.keepValues(need)
+	}
+	r.done = append(r.done, nodeLayout{p.(interface{ setLayout(*layout) }), lay})
 	return lay.attrs
+}
+
+// kept is how many of the instance's width values a ∝ or scan layout keeps.
+func (l *layout) kept() int {
+	if l.cols != nil {
+		return len(l.cols)
+	}
+	return l.width
+}
+
+// keepValues narrows a ∝ or scan layout, as derived with every value
+// attribute of the instance as its last width outputs, to the values named
+// in need.
+func (l *layout) keepValues(need attrSet) {
+	if need == nil {
+		return
+	}
+	lead := len(l.attrs) - l.width
+	attrs := append([]string{}, l.attrs[:lead]...)
+	cols := []int{}
+	for i, a := range l.attrs[lead:] {
+		if need[a] {
+			attrs = append(attrs, a)
+			cols = append(cols, i)
+		}
+	}
+	if len(cols) < l.width {
+		l.attrs, l.cols = attrs, cols
+	}
 }
 
 // deriveLayout computes one operator's layout from its inputs' attributes

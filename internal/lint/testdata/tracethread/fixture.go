@@ -34,11 +34,13 @@ type env struct {
 
 // fieldTrace reaches its trace through a field read in the body.
 func (e *env) fieldTrace(name string) {
-	e.store.GetBlock(name, nil)                    // want `untraced Store\.GetBlock on a traced path — use GetBlocksT`
-	e.store.GetBlocksT(nil, name, nil)             // want `Store\.GetBlocksT called with a nil trace`
-	e.store.GetBlocksT(e.kvt, name, nil)           // ok: trace threaded
-	e.store.ScanInstance(name, nil)                // want `untraced Store\.ScanInstance on a traced path — use ScanInstanceNodeT`
-	e.store.ScanInstanceNodeT(e.kvt, 0, name, nil) // ok: trace threaded
+	e.store.GetBlock(name, nil)                         // want `untraced Store\.GetBlock on a traced path — use GetBlocksT`
+	e.store.GetBlocksT(nil, name, nil)                  // want `Store\.GetBlocksT called with a nil trace`
+	e.store.GetBlocksT(e.kvt, name, nil)                // ok: trace threaded
+	e.store.FetchBlocksT(nil, name, nil, nil, nil)      // want `Store\.FetchBlocksT called with a nil trace`
+	e.store.FetchBlocksT(e.kvt, name, nil, nil, nil)    // ok: trace threaded
+	e.store.ScanInstance(name, nil)                     // want `untraced Store\.ScanInstance on a traced path — use ScanInstanceNodeT`
+	e.store.ScanInstanceNodeT(e.kvt, 0, name, nil, nil) // ok: trace threaded
 }
 
 // postings covers the index manager's one-value and unbounded forms.

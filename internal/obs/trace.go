@@ -222,14 +222,15 @@ type OpNode struct {
 	// Nodes and PerNode record the storage-node fan-out of a scattered
 	// walk or batched fetch: how many nodes the operator touched and each
 	// node's contribution (pairs walked, postings yielded, or gets served,
-	// depending on the operator). PerNodeRTT, when known, is each node's
-	// emulated round-trip time in nanoseconds — under the service-capacity
-	// delay model it includes queueing at the node, so a hot node shows up
-	// directly in the plan.
-	Nodes      int       `json:"nodes,omitempty"`
-	PerNode    []int64   `json:"perNode,omitempty"`
-	PerNodeRTT []int64   `json:"perNodeRTTNanos,omitempty"`
-	Children   []*OpNode `json:"children,omitempty"`
+	// depending on the operator).
+	Nodes   int     `json:"nodes,omitempty"`
+	PerNode []int64 `json:"perNode,omitempty"`
+	// Cols and Width, on ∝ and scan spans, are how many of the instance's
+	// Width value attributes the operator materialized: Cols < Width marks a
+	// column-pruned read. Width is 0 on every other span.
+	Cols     int       `json:"cols,omitempty"`
+	Width    int       `json:"width,omitempty"`
+	Children []*OpNode `json:"children,omitempty"`
 
 	start   time.Time
 	startKV KVSnapshot
@@ -284,19 +285,28 @@ func (n *OpNode) ResolveLabels() {
 
 // AnnotateNodes records a storage-node fan-out on the innermost open
 // span: perNode holds each node's contribution to the operator's walk or
-// batch, rttNanos (optional, nil to omit) each node's emulated round-trip
-// time. Called by the access-path layers (scan scatter, posting merge,
+// batch. Called by the access-path layers (scan scatter, posting merge,
 // batched gets) while their operator's span is on top of the stack; safe
 // no-op on a nil or span-less trace. Like the span stack itself it must be
 // called from the driving goroutine only.
-func (t *Trace) AnnotateNodes(perNode []int64, rttNanos []int64) {
+func (t *Trace) AnnotateNodes(perNode []int64) {
 	if t == nil || len(t.stack) == 0 || len(perNode) == 0 {
 		return
 	}
 	n := t.stack[len(t.stack)-1]
 	n.Nodes = len(perNode)
 	n.PerNode = perNode
-	n.PerNodeRTT = rttNanos
+}
+
+// AnnotateCols records on the innermost open span that its operator
+// materialized cols of its instance's width value attributes; the rules are
+// AnnotateNodes'.
+func (t *Trace) AnnotateCols(cols, width int) {
+	if t == nil || len(t.stack) == 0 {
+		return
+	}
+	n := t.stack[len(t.stack)-1]
+	n.Cols, n.Width = cols, width
 }
 
 // FinishOp closes the span, recording its row count, wall time, and
@@ -367,9 +377,9 @@ func RenderPlan(root *OpNode, analyze bool) []string {
 				if len(n.PerNode) > 0 {
 					fmt.Fprintf(&b, " per_node=%s", fmtPerWorker(n.PerNode))
 				}
-				if len(n.PerNodeRTT) > 0 {
-					fmt.Fprintf(&b, " node_rtt=%s", fmtPerNodeRTT(n.PerNodeRTT))
-				}
+			}
+			if n.Width > 0 {
+				fmt.Fprintf(&b, " cols=%d/%d", n.Cols, n.Width)
 			}
 			b.WriteByte(')')
 		}
@@ -396,23 +406,6 @@ func fmtPerWorker(rows []int64) string {
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	return fmt.Sprintf("[min=%d med=%d max=%d n=%d]",
 		sorted[0], sorted[len(sorted)/2], sorted[len(sorted)-1], len(sorted))
-}
-
-// fmtPerNodeRTT renders per-node round-trip times compactly: the exact
-// list for small fan-outs, min/median/max beyond eight nodes.
-func fmtPerNodeRTT(nanos []int64) string {
-	if len(nanos) <= 8 {
-		parts := make([]string, len(nanos))
-		for i, n := range nanos {
-			parts[i] = fmtDur(time.Duration(n))
-		}
-		return "[" + strings.Join(parts, ",") + "]"
-	}
-	sorted := append([]int64(nil), nanos...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return fmt.Sprintf("[min=%s med=%s max=%s n=%d]",
-		fmtDur(time.Duration(sorted[0])), fmtDur(time.Duration(sorted[len(sorted)/2])),
-		fmtDur(time.Duration(sorted[len(sorted)-1])), len(sorted))
 }
 
 // fmtDur rounds a duration for display so plan lines stay scannable.

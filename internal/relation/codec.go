@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -95,33 +96,46 @@ func DecodeValue(b []byte) (Value, int, error) {
 		}
 		return Float(math.Float64frombits(bits)), 9, nil
 	case tagString:
-		var out []byte
-		i := 1
-		for {
-			if i >= len(b) {
-				return Value{}, 0, errCorrupt
-			}
-			c := b[i]
-			if c != 0x00 {
-				out = append(out, c)
-				i++
-				continue
-			}
-			if i+1 >= len(b) {
-				return Value{}, 0, errCorrupt
-			}
-			switch b[i+1] {
-			case 0xFF:
-				out = append(out, 0x00)
-				i += 2
-			case 0x01:
-				return String(string(out)), i + 2, nil
-			default:
-				return Value{}, 0, errCorrupt
+		end, escapes, err := stringEnd(b)
+		if err != nil {
+			return Value{}, 0, err
+		}
+		if escapes == 0 {
+			return String(string(b[1 : end-2])), end, nil
+		}
+		out := make([]byte, 0, end-3-escapes)
+		for i := 1; i < end-2; i++ {
+			out = append(out, b[i])
+			if b[i] == 0x00 {
+				i++ // the 0xFF of the escape pair
 			}
 		}
+		return String(string(out)), end, nil
 	default:
 		return Value{}, 0, errCorrupt
+	}
+}
+
+// stringEnd finds the end of the string value at the front of b (b[0] is
+// the tag): the offset just past its 0x00 0x01 terminator, and how many
+// escaped 0x00 bytes the payload holds — zero for almost every string, in
+// which case the payload is the decoded string as it stands.
+func stringEnd(b []byte) (end, escapes int, err error) {
+	i := 1
+	for {
+		z := bytes.IndexByte(b[i:], 0x00)
+		if z < 0 || i+z+1 >= len(b) {
+			return 0, 0, errCorrupt
+		}
+		i += z + 2
+		switch b[i-1] {
+		case 0x01:
+			return i, escapes, nil
+		case 0xFF:
+			escapes++
+		default:
+			return 0, 0, errCorrupt
+		}
 	}
 }
 
@@ -143,59 +157,78 @@ func AppendTuple(dst []byte, t Tuple) []byte {
 }
 
 // DecodeTuple decodes exactly n values from b, returning the tuple and the
-// bytes consumed.
+// bytes consumed: DecodeColumns taking every column.
 func DecodeTuple(b []byte, n int) (Tuple, int, error) {
-	t := make(Tuple, 0, n)
-	off := 0
-	for i := 0; i < n; i++ {
-		v, k, err := DecodeValue(b[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		t = append(t, v)
-		off += k
+	t := make(Tuple, n)
+	off, _, err := DecodeColumns(t, b, n, nil)
+	if err != nil {
+		return nil, 0, err
 	}
 	return t, off, nil
+}
+
+// DecodeColumns reads the n-value row at the front of b, materializing the
+// values at positions cols (ascending; nil takes all n) into dst — which
+// must hold len(cols) values, or n — and stepping over the rest without
+// building a Value. It returns the bytes consumed and the accounting size
+// (Tuple.SizeBytes) of the whole row, which it reads off the encoded form,
+// so a reader that keeps three columns of fourteen still accounts for the
+// fourteen it fetched.
+func DecodeColumns(dst Tuple, b []byte, n int, cols []int) (consumed, size int, err error) {
+	next := 0 // index into cols (or dst, when cols is nil) of the next value to keep
+	for i := 0; i < n; i++ {
+		if cols != nil && (next == len(cols) || cols[next] != i) {
+			k, sz, err := skipValue(b[consumed:])
+			if err != nil {
+				return 0, 0, err
+			}
+			consumed += k
+			size += sz
+			continue
+		}
+		v, k, err := DecodeValue(b[consumed:])
+		if err != nil {
+			return 0, 0, err
+		}
+		dst[next] = v
+		next++
+		consumed += k
+		size += v.SizeBytes()
+	}
+	return consumed, size, nil
 }
 
 // SkipValue returns the encoded length of the first value in b without
 // materializing it.
 func SkipValue(b []byte) (int, error) {
+	n, _, err := skipValue(b)
+	return n, err
+}
+
+// skipValue is SkipValue that also reports the accounting size
+// (Value.SizeBytes) the value would have decoded to.
+func skipValue(b []byte) (n, size int, err error) {
 	if len(b) == 0 {
-		return 0, errCorrupt
+		return 0, 0, errCorrupt
 	}
 	switch b[0] {
 	case tagNull:
-		return 1, nil
+		return 1, 1, nil
 	case tagInt, tagFloat:
 		if len(b) < 9 {
-			return 0, errCorrupt
+			return 0, 0, errCorrupt
 		}
-		return 9, nil
+		return 9, 8, nil
 	case tagString:
-		i := 1
-		for {
-			if i >= len(b) {
-				return 0, errCorrupt
-			}
-			if b[i] != 0x00 {
-				i++
-				continue
-			}
-			if i+1 >= len(b) {
-				return 0, errCorrupt
-			}
-			switch b[i+1] {
-			case 0xFF:
-				i += 2
-			case 0x01:
-				return i + 2, nil
-			default:
-				return 0, errCorrupt
-			}
+		end, escapes, err := stringEnd(b)
+		if err != nil {
+			return 0, 0, err
 		}
+		// tag + payload + terminator = end bytes; an escape pair decodes to
+		// one byte, and the accounting size is the string's length plus one.
+		return end, end - 2 - escapes, nil
 	default:
-		return 0, errCorrupt
+		return 0, 0, errCorrupt
 	}
 }
 

@@ -238,3 +238,63 @@ func TestSkipMatchesDecode(t *testing.T) {
 		t.Fatal("SkipValue(unterminated string) did not fail")
 	}
 }
+
+// TestQuickDecodeColumns: whatever columns are taken, DecodeColumns returns
+// the projection of the whole row, consumes the whole row's bytes and
+// reports the whole row's accounting size — strings with escaped zero bytes
+// and empty column lists included.
+func TestQuickDecodeColumns(t *testing.T) {
+	f := func(p tuplePair, mask uint8) bool {
+		enc := append(EncodeTuple(p.A), 0xAB) // trailing byte: nothing may rely on exhaustion
+		cols := []int{}
+		for c := range p.A {
+			if mask&(1<<c) != 0 {
+				cols = append(cols, c)
+			}
+		}
+		for _, take := range [][]int{nil, cols} {
+			want := p.A
+			if take != nil {
+				want = p.A.Project(take)
+			}
+			got := make(Tuple, len(want))
+			n, size, err := DecodeColumns(got, enc, len(p.A), take)
+			if err != nil || n != len(enc)-1 || size != p.A.SizeBytes() || !got.Equal(want) {
+				t.Logf("row %v columns %v: got %v, %d bytes, size %d, err %v", p.A, take, got, n, size, err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	// A skipped value is still checked: corruption is reported whether or
+	// not the column it sits in is read.
+	bad := append(EncodeTuple(Tuple{Int(1)}), tagString, 'a', 0x00, 0x77)
+	for _, take := range [][]int{nil, {0}, {1}, {}} {
+		if _, _, err := DecodeColumns(make(Tuple, 2), bad, 2, take); err == nil {
+			t.Fatalf("columns %v of a row with a corrupt string decoded", take)
+		}
+	}
+}
+
+// TestDecodeStringAllocatesOnce pins the string decode at one allocation
+// (the string itself) when nothing in it is escaped.
+func TestDecodeStringAllocatesOnce(t *testing.T) {
+	enc := EncodeTuple(Tuple{String("a string long enough not to be interned or inlined")})
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, err := DecodeValue(enc); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("DecodeValue of an unescaped string: %v allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := SkipValue(enc); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("SkipValue: %v allocations, want 0", n)
+	}
+}

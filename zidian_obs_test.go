@@ -115,6 +115,25 @@ func TestExplainAnalyzeStatement(t *testing.T) {
 		if !strings.Contains(tree, "rows=") || !strings.Contains(tree, "time=") {
 			t.Fatalf("%s: tree line unannotated: %q", eng, tree)
 		}
+		// The ∝ line says how many of item_full's three values the plan
+		// read — one, the sku its residual σ rechecks; item_id is the key —
+		// and plain EXPLAIN says nothing of it.
+		var extend string
+		for _, row := range r.Result.Rows {
+			if strings.Contains(row[0].Str, "Extend ") {
+				extend = row[0].Str
+			}
+		}
+		if !strings.Contains(extend, " cols=1/3)") {
+			t.Fatalf("%s: ∝ line does not report cols=1/3: %q", eng, extend)
+		}
+		plain, err := inst.Explain("select I.item_id from ITEM I where I.sku = 'SKU-00010'")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(plain, "cols=") {
+			t.Fatalf("%s: plain EXPLAIN changed: %s", eng, plain)
+		}
 	}
 }
 
