@@ -6,7 +6,6 @@ package client
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"time"
@@ -17,9 +16,8 @@ import (
 // Client is one wire-protocol connection.
 type Client struct {
 	conn net.Conn
-	out  *bufio.Writer
-	enc  *json.Encoder
 	sc   *bufio.Scanner
+	buf  []byte // the request line, reused
 	next int64
 }
 
@@ -34,23 +32,21 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := bufio.NewWriter(conn)
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 64<<10), 1<<24)
-	return &Client{conn: conn, out: out, enc: json.NewEncoder(out), sc: sc}, nil
+	return &Client{conn: conn, sc: sc}, nil
 }
 
 // Close closes the connection (and the server-side session with it).
 func (c *Client) Close() error { return c.conn.Close() }
 
-// roundTrip sends one request and reads its response.
-func (c *Client) roundTrip(req *server.Request) (*server.Response, error) {
+// roundTrip sends one request and reads its response; lean leaves the
+// response's cols and rows undecoded.
+func (c *Client) roundTrip(req *server.Request, lean bool) (*server.Response, error) {
 	c.next++
 	req.ID = c.next
-	if err := c.enc.Encode(req); err != nil {
-		return nil, err
-	}
-	if err := c.out.Flush(); err != nil {
+	c.buf = append(req.AppendJSON(c.buf[:0]), '\n')
+	if _, err := c.conn.Write(c.buf); err != nil {
 		return nil, err
 	}
 	if !c.sc.Scan() {
@@ -60,7 +56,7 @@ func (c *Client) roundTrip(req *server.Request) (*server.Response, error) {
 		return nil, fmt.Errorf("client: connection closed by server")
 	}
 	var resp server.Response
-	if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
+	if err := server.DecodeResponse(c.sc.Bytes(), &resp, lean); err != nil {
 		return nil, fmt.Errorf("client: malformed response: %w", err)
 	}
 	if resp.ID != req.ID {
@@ -88,8 +84,8 @@ func (e *ServerError) Retryable() bool {
 }
 
 // do round-trips and converts ok:false into a *ServerError.
-func (c *Client) do(req *server.Request) (*server.Response, error) {
-	resp, err := c.roundTrip(req)
+func (c *Client) do(req *server.Request, lean bool) (*server.Response, error) {
+	resp, err := c.roundTrip(req, lean)
 	if err != nil {
 		return nil, err
 	}
@@ -99,51 +95,19 @@ func (c *Client) do(req *server.Request) (*server.Response, error) {
 	return resp, nil
 }
 
-// leanResponse mirrors server.Response but leaves the row payload
-// undecoded: load generators discard rows, and unmarshalling them into
-// [][]any costs more than everything else a bench client does per request.
-type leanResponse struct {
-	ID    int64              `json:"id"`
-	OK    bool               `json:"ok"`
-	Error string             `json:"error,omitempty"`
-	Code  string             `json:"code,omitempty"`
-	Rows  json.RawMessage    `json:"rows,omitempty"`
-	Stats *server.QueryStats `json:"stats,omitempty"`
-}
-
 // QueryLean runs one SELECT and returns only its execution statistics,
-// leaving the rows on the wire undecoded. Use it when the caller needs the
-// round trip and the stats but not the data — load generation, warmup,
-// liveness probes over real statements.
+// leaving the rows on the wire undecoded: load generators discard them, and
+// decoding them costs more than everything else a bench client does per
+// request. Use it when the caller needs the round trip and the stats but not
+// the data — load generation, warmup, liveness probes over real statements.
 func (c *Client) QueryLean(sql string, params ...any) (*server.QueryStats, error) {
 	raw, err := server.EncodeParams(params)
 	if err != nil {
 		return nil, err
 	}
-	req := &server.Request{Op: "query", SQL: sql, Params: raw}
-	c.next++
-	req.ID = c.next
-	if err := c.enc.Encode(req); err != nil {
+	resp, err := c.do(&server.Request{Op: "query", SQL: sql, Params: raw}, true)
+	if err != nil {
 		return nil, err
-	}
-	if err := c.out.Flush(); err != nil {
-		return nil, err
-	}
-	if !c.sc.Scan() {
-		if err := c.sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("client: connection closed by server")
-	}
-	var resp leanResponse
-	if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
-		return nil, fmt.Errorf("client: malformed response: %w", err)
-	}
-	if resp.ID != req.ID {
-		return nil, fmt.Errorf("client: response id %d for request %d", resp.ID, req.ID)
-	}
-	if !resp.OK {
-		return nil, &ServerError{Msg: resp.Error, Code: resp.Code}
 	}
 	return resp.Stats, nil
 }
@@ -156,7 +120,7 @@ func (c *Client) Query(sql string, params ...any) (cols []string, rows [][]any, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	resp, err := c.do(&server.Request{Op: "query", SQL: sql, Params: raw})
+	resp, err := c.do(&server.Request{Op: "query", SQL: sql, Params: raw}, false)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -170,13 +134,13 @@ func (c *Client) Exec(sql string, params ...any) (*server.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.do(&server.Request{Op: "exec", SQL: sql, Params: raw})
+	return c.do(&server.Request{Op: "exec", SQL: sql, Params: raw}, false)
 }
 
 // Prepare compiles a SELECT — possibly a `?` template — under a
 // session-scoped name.
 func (c *Client) Prepare(name, sql string) error {
-	_, err := c.do(&server.Request{Op: "prepare", Name: name, SQL: sql})
+	_, err := c.do(&server.Request{Op: "prepare", Name: name, SQL: sql}, false)
 	return err
 }
 
@@ -187,7 +151,7 @@ func (c *Client) Execute(name string, params ...any) (cols []string, rows [][]an
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	resp, err := c.do(&server.Request{Op: "execute", Name: name, Params: raw})
+	resp, err := c.do(&server.Request{Op: "execute", Name: name, Params: raw}, false)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -196,19 +160,19 @@ func (c *Client) Execute(name string, params ...any) (cols []string, rows [][]an
 
 // ClosePrepared drops a prepared statement.
 func (c *Client) ClosePrepared(name string) error {
-	_, err := c.do(&server.Request{Op: "close", Name: name})
+	_, err := c.do(&server.Request{Op: "close", Name: name}, false)
 	return err
 }
 
 // Ping checks liveness.
 func (c *Client) Ping() error {
-	_, err := c.do(&server.Request{Op: "ping"})
+	_, err := c.do(&server.Request{Op: "ping"}, false)
 	return err
 }
 
 // Stats fetches server-wide statistics.
 func (c *Client) Stats() (*server.ServerStats, error) {
-	resp, err := c.do(&server.Request{Op: "stats"})
+	resp, err := c.do(&server.Request{Op: "stats"}, false)
 	if err != nil {
 		return nil, err
 	}

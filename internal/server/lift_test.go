@@ -177,8 +177,12 @@ func TestPreparedKeyNormalizedOnce(t *testing.T) {
 	}
 	exec := func() {
 		t.Helper()
-		resp := srv.handle(sess, &Request{Op: "execute", Name: "q", Params: []json.RawMessage{json.RawMessage("3")}})
-		if !resp.OK || len(resp.Rows) != 1 {
+		var req Request
+		if err := json.Unmarshal([]byte(`{"op":"execute","name":"q","params":[3]}`), &req); err != nil {
+			t.Fatal(err)
+		}
+		resp := srv.handle(sess, &req)
+		if !resp.OK || len(resp.tuples) != 1 {
 			t.Fatalf("execute: %+v", resp)
 		}
 	}

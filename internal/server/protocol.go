@@ -43,11 +43,16 @@
 //
 //	{"id":7,"ok":true,"cols":["make","model"],"rows":[["FORD","F-150"]],
 //	 "stats":{"scanFree":true,"gets":3,"wallMicros":412,"cacheHit":true}}
+//
+// Both structs are read and written by the hand-written codec in wire.go, on
+// both ends of the connection: it accepts what encoding/json accepted for a
+// Request except that keys match by exact case, and writes byte for byte
+// what encoding/json wrote for a Response (README "Wire protocol" has the
+// grammar).
 package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"strings"
 
 	"zidian/internal/obs"
@@ -68,73 +73,12 @@ type Request struct {
 	// Params binds the statement's `?` placeholders positionally (query,
 	// exec, execute). Elements are JSON numbers or strings.
 	Params []json.RawMessage `json:"params,omitempty"`
-}
 
-// DecodeParams converts a request's raw JSON parameters into SQL values.
-// Integral JSON numbers become ints (block keys are routinely ints, and a
-// float-typed 42 would encode to a different storage key than the int 42),
-// other numbers become floats, JSON strings become strings. Booleans, null,
-// arrays and objects are rejected.
-func DecodeParams(raw []json.RawMessage) ([]relation.Value, error) {
-	if len(raw) == 0 {
-		return nil, nil
-	}
-	out := make([]relation.Value, len(raw))
-	for i, r := range raw {
-		s := strings.TrimSpace(string(r))
-		if s == "" {
-			return nil, fmt.Errorf("server: parameter %d is empty", i)
-		}
-		if s[0] == '"' {
-			var v string
-			if err := json.Unmarshal(r, &v); err != nil {
-				return nil, fmt.Errorf("server: parameter %d: %w", i, err)
-			}
-			out[i] = relation.String(v)
-			continue
-		}
-		var num json.Number
-		if err := json.Unmarshal(r, &num); err != nil {
-			return nil, fmt.Errorf("server: parameter %d must be a number or string, got %s", i, s)
-		}
-		if iv, err := num.Int64(); err == nil {
-			out[i] = relation.Int(iv)
-			continue
-		}
-		fv, err := num.Float64()
-		if err != nil {
-			return nil, fmt.Errorf("server: parameter %d: %w", i, err)
-		}
-		out[i] = relation.Float(fv)
-	}
-	return out, nil
-}
-
-// EncodeParams converts Go values into wire parameters; the client uses it
-// to build requests. Supported kinds: integers, floats, strings, and
-// relation.Value.
-func EncodeParams(params []any) ([]json.RawMessage, error) {
-	if len(params) == 0 {
-		return nil, nil
-	}
-	out := make([]json.RawMessage, len(params))
-	for i, p := range params {
-		if v, ok := p.(relation.Value); ok {
-			p = jsonValue(v)
-		}
-		switch p.(type) {
-		case int, int8, int16, int32, int64, uint, uint8, uint16, uint32, uint64,
-			float32, float64, string:
-		default:
-			return nil, fmt.Errorf("server: unsupported parameter %d type %T", i, p)
-		}
-		b, err := json.Marshal(p)
-		if err != nil {
-			return nil, fmt.Errorf("server: parameter %d: %w", i, err)
-		}
-		out[i] = b
-	}
-	return out, nil
+	// vals and valErr are Params as the wire decoder bound them while it
+	// scanned the line (see wireScanner.params): the values, or why one of
+	// them is not a parameter.
+	vals   []relation.Value
+	valErr error
 }
 
 // Response is the reply to one Request.
@@ -157,6 +101,10 @@ type Response struct {
 	Stats *QueryStats `json:"stats,omitempty"`
 	// Server carries server-wide statistics for the stats op.
 	Server *ServerStats `json:"server,omitempty"`
+
+	// tuples is a SELECT answer as the executor returned it; the encoder
+	// reads it in place of Rows, so the server never boxes a cell.
+	tuples []relation.Tuple
 }
 
 // QueryStats is the wire form of zidian.Stats plus serving-layer fields.
@@ -209,33 +157,6 @@ type LatencyQuantiles struct {
 	P99Micros float64 `json:"p99Micros"`
 }
 
-// jsonValue converts a relation value to its natural JSON representation.
-func jsonValue(v relation.Value) any {
-	switch v.Kind {
-	case relation.KindInt:
-		return v.Int
-	case relation.KindFloat:
-		return v.Flt
-	case relation.KindString:
-		return v.Str
-	default:
-		return nil
-	}
-}
-
-// jsonRows converts result tuples to JSON-ready rows.
-func jsonRows(rows []relation.Tuple) [][]any {
-	out := make([][]any, len(rows))
-	for i, r := range rows {
-		row := make([]any, len(r))
-		for j, v := range r {
-			row[j] = jsonValue(v)
-		}
-		out[i] = row
-	}
-	return out
-}
-
 // NormalizeSQL canonicalizes a statement for plan-cache keying: whitespace
 // runs outside quoted regions collapse to one space, reserved keywords fold
 // to lower case, and trailing semicolons are dropped. Two spellings of the
@@ -252,8 +173,15 @@ func jsonRows(rows []relation.Tuple) [][]any {
 //     select * from emp — different relations — key separately. Only words
 //     in the lexer's reserved set, which can never be identifiers, fold.
 func NormalizeSQL(src string) string {
+	// Clients mostly send normal form already. Find the first byte the
+	// builder below would not copy as it stands; with none, src is the key.
+	at := normalPrefix(src)
+	if at == len(src) && !strings.HasSuffix(src, ";") {
+		return src
+	}
 	var b strings.Builder
 	b.Grow(len(src))
+	b.WriteString(src[:at])
 	space := false
 	flushSpace := func() {
 		if space && b.Len() > 0 {
@@ -261,44 +189,21 @@ func NormalizeSQL(src string) string {
 		}
 		space = false
 	}
-	isWord := func(c byte) bool {
-		return c == '_' || ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || ('0' <= c && c <= '9')
-	}
-	for i := 0; i < len(src); {
+	for i := at; i < len(src); {
 		c := src[i]
 		switch {
 		case c == '\'' || c == '"':
-			// Quoted region: copy verbatim up to the closing quote. A ''
-			// inside a '-quoted literal is the lexer's escape for one quote
-			// character, not the end of the literal, so it keeps the region
-			// open (the pre-fix normalizer exited here and mangled the rest
-			// of the literal).
-			quote := c
 			flushSpace()
-			b.WriteByte(c)
-			i++
-			for i < len(src) {
-				b.WriteByte(src[i])
-				if src[i] == quote {
-					if quote == '\'' && i+1 < len(src) && src[i+1] == quote {
-						b.WriteByte(src[i+1])
-						i += 2
-						continue
-					}
-					i++
-					break
-				}
-				i++
-			}
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			end := quotedEnd(src, i)
+			b.WriteString(src[i:end])
+			i = end
+		case isSQLSpace(c):
 			space = true
 			i++
-		case isWord(c):
-			start := i
-			for i < len(src) && isWord(src[i]) {
-				i++
-			}
-			word := src[start:i]
+		case isSQLWord(c):
+			end := wordEnd(src, i)
+			word := src[i:end]
+			i = end
 			flushSpace()
 			if sql.IsReserved(word) {
 				b.WriteString(strings.ToLower(word))
@@ -317,6 +222,77 @@ func NormalizeSQL(src string) string {
 		s = strings.TrimRight(s, " ")
 	}
 	return s
+}
+
+// normalPrefix returns how much of src NormalizeSQL copies unchanged: up to
+// the first white space that is not one blank between two tokens, or the
+// first reserved word holding an upper-case letter. It stops on token
+// boundaries, so the builder can take over there with nothing pending.
+func normalPrefix(src string) int {
+	for i := 0; i < len(src); {
+		c := src[i]
+		switch {
+		case c == '\'' || c == '"':
+			i = quotedEnd(src, i)
+		case c == ' ':
+			if i == 0 || i+1 == len(src) || isSQLSpace(src[i+1]) {
+				return i
+			}
+			i++
+		case isSQLSpace(c):
+			return i
+		case isSQLWord(c):
+			end := wordEnd(src, i)
+			if word := src[i:end]; hasUpper(word) && sql.IsReserved(word) {
+				return i
+			}
+			i = end
+		default:
+			i++
+		}
+	}
+	return len(src)
+}
+
+func isSQLSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+func isSQLWord(c byte) bool {
+	return c == '_' || ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || ('0' <= c && c <= '9')
+}
+
+func hasUpper(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if 'A' <= s[i] && s[i] <= 'Z' {
+			return true
+		}
+	}
+	return false
+}
+
+func wordEnd(src string, i int) int {
+	for i < len(src) && isSQLWord(src[i]) {
+		i++
+	}
+	return i
+}
+
+// quotedEnd returns the index after the quoted region opening at src[i] (the
+// end of src when it never closes). A doubled quote inside a '-quoted literal is
+// the lexer's escape for one quote character, not the end of the literal, so it
+// keeps the region open.
+func quotedEnd(src string, i int) int {
+	quote := src[i]
+	for i++; i < len(src); i++ {
+		if src[i] != quote {
+			continue
+		}
+		if quote == '\'' && i+1 < len(src) && src[i+1] == quote {
+			i++
+			continue
+		}
+		return i + 1
+	}
+	return len(src)
 }
 
 // LiftSQL turns an ad hoc SELECT into the plan-cache key and bindings of its

@@ -287,8 +287,8 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 64<<10), s.cfg.MaxLineBytes)
-	out := bufio.NewWriter(conn)
-	enc := json.NewEncoder(out)
+	var dec wireScanner // its unescape scratch is reused from line to line
+	var out []byte      // the response line; reused, see writeResponse
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
@@ -296,15 +296,13 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		var req Request
 		var resp Response
-		if err := json.Unmarshal(line, &req); err != nil {
+		dec.buf, dec.pos, dec.depth = line, 0, 0
+		if err := dec.request(&req, false); err != nil {
 			resp = s.protocolError("malformed request: " + err.Error())
 		} else {
 			resp = s.handle(sess, &req)
 		}
-		if err := enc.Encode(&resp); err != nil {
-			return
-		}
-		if err := out.Flush(); err != nil {
+		if err := s.writeResponse(conn, &out, &resp); err != nil {
 			return
 		}
 	}
@@ -317,10 +315,37 @@ func (s *Server) serveConn(conn net.Conn) {
 			msg = fmt.Sprintf("server: request line exceeds %d bytes", s.cfg.MaxLineBytes)
 		}
 		resp := s.protocolError(msg)
-		if enc.Encode(&resp) == nil {
-			out.Flush()
-		}
+		_ = s.writeResponse(conn, &out, &resp) // the session is ending either way
 	}
+}
+
+// maxRetainedLine bounds the response buffer a connection keeps between
+// statements: one large answer must not pin its buffer for the session.
+const maxRetainedLine = 64 << 10
+
+// encodeResponse appends resp's line to dst. An answer JSON cannot carry (a
+// non-finite float) is the statement's failure: it is counted and resp is
+// replaced by the error response, which is what the line then holds.
+func (s *Server) encodeResponse(dst []byte, resp *Response) []byte {
+	b, err := resp.AppendJSON(dst)
+	if err != nil {
+		s.errors.Add(1)
+		*resp = Response{ID: resp.ID, Error: err.Error(), Code: "statement"}
+		b, _ = resp.AppendJSON(dst) // no rows: cannot fail
+	}
+	return append(b, '\n')
+}
+
+// writeResponse encodes resp into the connection's buffer and hands the
+// socket one Write.
+func (s *Server) writeResponse(w io.Writer, buf *[]byte, resp *Response) error {
+	b := s.encodeResponse((*buf)[:0], resp)
+	_, err := w.Write(b)
+	if cap(b) > maxRetainedLine {
+		b = nil
+	}
+	*buf = b
+	return err
 }
 
 // protocolError shapes a failure of the wire protocol itself — a line that
@@ -350,11 +375,10 @@ func (s *Server) handle(sess *Session, req *Request) Response {
 		resp.OK = true
 		resp.Server = &st
 	case "query", "exec":
-		params, err := DecodeParams(req.Params)
-		if err != nil {
-			return fail(err)
+		if req.valErr != nil {
+			return fail(req.valErr)
 		}
-		r, err := s.serveSQL(ctx, req.SQL, params)
+		r, err := s.serveSQL(ctx, req.SQL, req.vals)
 		if err != nil {
 			return fail(err)
 		}
@@ -374,9 +398,9 @@ func (s *Server) handle(sess *Session, req *Request) Response {
 		}
 		resp.OK = true
 	case "execute":
-		params, err := DecodeParams(req.Params)
-		if err != nil {
-			return fail(err)
+		params := req.vals
+		if req.valErr != nil {
+			return fail(req.valErr)
 		}
 		p, key, ok := sess.Prepared(req.Name)
 		if !ok {
@@ -444,7 +468,7 @@ func (s *Server) serveSQL(ctx context.Context, sql string, params []zidian.Value
 	resp.Affected = r.Affected
 	if r.Result != nil {
 		resp.Cols = r.Result.Cols
-		resp.Rows = jsonRows(r.Result.Rows)
+		resp.tuples = r.Result.Rows
 	}
 	return resp, nil
 }
@@ -452,7 +476,7 @@ func (s *Server) serveSQL(ctx context.Context, sql string, params []zidian.Value
 func (s *Server) fillResult(resp *Response, res *zidian.Result, stats *zidian.Stats, cacheHit bool) {
 	resp.OK = true
 	resp.Cols = res.Cols
-	resp.Rows = jsonRows(res.Rows)
+	resp.tuples = res.Rows
 	resp.Stats = &QueryStats{
 		ScanFree:   stats.ScanFree,
 		Bounded:    stats.Bounded,
@@ -924,6 +948,7 @@ func (s *Server) httpQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.serveSQL(s.ctx, sql, params)
 	w.Header().Set("Content-Type", "application/json")
+	status := http.StatusOK
 	if err != nil {
 		s.errors.Add(1)
 		resp.Error = err.Error()
@@ -931,14 +956,18 @@ func (s *Server) httpQuery(w http.ResponseWriter, r *http.Request) {
 		// Backpressure and shutdown are transient server-side conditions the
 		// client should retry elsewhere/later; everything else is the
 		// statement's own fault.
+		status = http.StatusBadRequest
 		if errors.Is(err, ErrOverloaded) || errors.Is(err, ErrQueueTimeout) ||
 			errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			w.WriteHeader(http.StatusServiceUnavailable)
-		} else {
-			w.WriteHeader(http.StatusBadRequest)
+			status = http.StatusServiceUnavailable
 		}
 	}
-	json.NewEncoder(w).Encode(&resp)
+	body := s.encodeResponse(nil, &resp)
+	if status == http.StatusOK && !resp.OK { // the answer did not encode
+		status = http.StatusBadRequest
+	}
+	w.WriteHeader(status)
+	w.Write(body)
 }
 
 // Shutdown stops accepting, unblocks idle connections, and waits for
