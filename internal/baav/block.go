@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"zidian/internal/relation"
 )
@@ -206,74 +207,175 @@ func DecodeBlock(data []byte, width int) (*Block, *BlockStats, error) {
 	return b, stats, err
 }
 
-// decodeBlock is the one block decoder. cols lists, ascending, the value
-// positions a tuple keeps (nil keeps all width of them); the others are
-// stepped over in the encoding and cost no Value. The stats header is built
-// only when wantStats is set and stepped over otherwise. size is the
-// accounting size of the block as fetched — every tuple at full width,
-// multiplicities applied — whatever cols says: what a plan reads of a block
-// does not change what fetching it cost.
+// decodeBlock decodes one block payload (no segment-count header) into an
+// arena of its own. cols lists, ascending, the value positions a tuple keeps
+// (nil keeps all width of them); the others are stepped over in the
+// encoding and cost no Value. The stats header is built only when wantStats
+// is set and stepped over otherwise. size is the accounting size of the
+// block as fetched — every tuple at full width, multiplicities applied —
+// whatever cols says: what a plan reads of a block does not change what
+// fetching it cost.
 func decodeBlock(data []byte, width int, cols []int, wantStats bool) (b *Block, stats *BlockStats, size int64, err error) {
-	if len(data) == 0 {
-		return nil, nil, 0, errCorruptBlock
+	return decodeSegs([][]byte{data}, width, cols, wantStats)
+}
+
+// decodeSegs decodes one block from its ordered segment payloads into an
+// arena of its own, with decodeBlock's cols, wantStats and size.
+func decodeSegs(segs [][]byte, width int, cols []int, wantStats bool) (*Block, *BlockStats, int64, error) {
+	var a blockArena
+	if err := a.count(segs, width, cols); err != nil {
+		return nil, nil, 0, err
 	}
+	a.alloc()
+	b := &Block{}
+	stats, size, err := a.decode(b, segs, width, cols, wantStats)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return b, stats, size, nil
+}
+
+// blockArena is the backing store a batch of blocks decodes into: one array
+// each of tuple headers, multiplicities and values. count reads the tuple
+// counts of every payload of the batch first, so alloc makes each array
+// once, at its final size, and decode carves the blocks out of them: each
+// block's Tuples and Counts and each tuple are windows capped so that an
+// append to one cannot reach its neighbour.
+type blockArena struct {
+	tuples []relation.Tuple
+	counts []int64
+	vals   []relation.Value
+	// What count has seen: tuples, values kept of them, and whether any
+	// payload carries multiplicities.
+	ntuples, nvals int
+	counted        bool
+}
+
+// count adds one block's segment payloads to the arena's size. A tuple takes
+// at least a byte per value and a byte of count, so a tuple count the
+// payload cannot hold is corruption — caught here, before it sizes an
+// allocation.
+func (a *blockArena) count(segs [][]byte, width int, cols []int) error {
+	keep := width
+	if cols != nil {
+		keep = len(cols)
+	}
+	for _, data := range segs {
+		if len(data) == 0 {
+			return errCorruptBlock
+		}
+		n, k := binary.Uvarint(data[1:])
+		if k <= 0 {
+			return errCorruptBlock
+		}
+		perTuple := max(width, 1)
+		if data[0]&flagCounts != 0 {
+			perTuple++
+			a.counted = true
+		}
+		if n > uint64((len(data)-1-k)/perTuple) {
+			return errCorruptBlock
+		}
+		a.ntuples += int(n)
+		a.nvals += int(n) * keep
+	}
+	return nil
+}
+
+// alloc makes the arena's arrays at the size count reached.
+func (a *blockArena) alloc() {
+	a.tuples = make([]relation.Tuple, 0, a.ntuples)
+	a.vals = make([]relation.Value, 0, a.nvals)
+	if a.counted {
+		a.counts = make([]int64, 0, a.ntuples)
+	}
+}
+
+// decode decodes one block from its ordered segment payloads, all counted
+// into the arena, into b: the segments' tuples in order, with multiplicities
+// when any segment carries them. stats merges the segments' headers (built
+// only with wantStats; nil when the first segment has none); size is their
+// summed accounting size (see decodeBlock).
+func (a *blockArena) decode(b *Block, segs [][]byte, width int, cols []int, wantStats bool) (stats *BlockStats, size int64, err error) {
+	first := len(a.tuples)
+	counted := false
+	for i, data := range segs {
+		segStats, segSize, segCounted, err := a.payload(data, width, cols, wantStats)
+		if err != nil {
+			return nil, 0, err
+		}
+		size += segSize
+		counted = counted || segCounted
+		switch {
+		case i == 0:
+			stats = segStats
+		case stats != nil:
+			stats.Merge(segStats)
+		}
+	}
+	end := len(a.tuples)
+	b.Tuples = a.tuples[first:end:end]
+	if counted {
+		b.Counts = a.counts[first:end:end]
+	}
+	return stats, size, nil
+}
+
+// payload decodes one segment payload's tuples onto the arena. Where some
+// payload of the arena carries multiplicities, every tuple gets one (1 when
+// its own payload has none); counted reports whether this one did.
+func (a *blockArena) payload(data []byte, width int, cols []int, wantStats bool) (stats *BlockStats, size int64, counted bool, err error) {
 	flags := data[0]
 	off := 1
 	n, k := binary.Uvarint(data[off:])
-	if k <= 0 {
-		return nil, nil, 0, errCorruptBlock
-	}
 	off += k
 	if flags&flagStats != 0 {
 		if stats, off, err = decodeStats(data, off, wantStats); err != nil {
-			return nil, nil, 0, err
+			return nil, 0, false, err
 		}
 	}
-	// A tuple takes at least a byte per value and a byte of count, so a
-	// count the remaining payload cannot hold is corruption — caught here,
-	// before it sizes an allocation.
+	counted = flags&flagCounts != 0
 	perTuple := max(width, 1)
-	if flags&flagCounts != 0 {
+	if counted {
 		perTuple++
 	}
 	if n > uint64((len(data)-off)/perTuple) {
-		return nil, nil, 0, errCorruptBlock
+		return nil, 0, false, errCorruptBlock
 	}
 	keep := width
 	if cols != nil {
 		keep = len(cols)
 	}
-	// One backing array for the block's values; each tuple is a window
-	// onto it, capped so that an append to one cannot reach the next.
-	vals := make([]relation.Value, int(n)*keep)
-	b = &Block{Tuples: make([]relation.Tuple, n)}
-	if flags&flagCounts != 0 {
-		b.Counts = make([]int64, n)
-	}
-	for i := range b.Tuples {
+	var rows int64
+	for range int(n) {
 		mult := int64(1)
-		if b.Counts != nil {
+		if counted {
 			c, k := binary.Uvarint(data[off:])
 			if k <= 0 || c > math.MaxInt64 {
-				return nil, nil, 0, errCorruptBlock
+				return nil, 0, false, errCorruptBlock
 			}
 			off += k
 			mult = int64(c)
-			b.Counts[i] = mult
 		}
-		t := relation.Tuple(vals[i*keep : (i+1)*keep : (i+1)*keep])
+		if a.counts != nil {
+			a.counts = append(a.counts, mult)
+		}
+		lo := len(a.vals)
+		a.vals = slices.Grow(a.vals, keep)[:lo+keep]
+		t := relation.Tuple(a.vals[lo : lo+keep : lo+keep])
 		k, sz, err := relation.DecodeColumns(t, data[off:], width, cols)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, 0, false, err
 		}
 		off += k
 		size += mult * int64(sz)
-		b.Tuples[i] = t
+		rows += mult
+		a.tuples = append(a.tuples, t)
 	}
 	if stats != nil {
-		stats.Rows = b.Rows()
+		stats.Rows = rows
 	}
-	return b, stats, size, nil
+	return stats, size, counted, nil
 }
 
 // DecodeBlockStats reads only the statistics header of an encoded block,

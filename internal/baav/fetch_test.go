@@ -1,0 +1,138 @@
+package baav
+
+import (
+	"fmt"
+	"testing"
+
+	"zidian/internal/kv"
+	"zidian/internal/relation"
+)
+
+// obsStore maps n rows shaped like MOT's OBSERVATION onto four hash-engine
+// nodes: an obs_id key and wideBlock's 14 values (eight ints, two floats,
+// four strings), one block per key, every fourth key's block holding its
+// row twice — the ∝ target of an index_scan statement.
+func obsStore(tb testing.TB, n int) (*Store, []relation.Tuple) {
+	tb.Helper()
+	attrs := []relation.Attr{{Name: "obs_id", Kind: relation.KindInt}}
+	val := make([]string, 14)
+	for c := range val {
+		val[c] = fmt.Sprintf("v%d", c)
+		kind := relation.KindInt
+		switch {
+		case c >= 10:
+			kind = relation.KindString
+		case c >= 8:
+			kind = relation.KindFloat
+		}
+		attrs = append(attrs, relation.Attr{Name: val[c], Kind: kind})
+	}
+	rel := relation.NewRelation(relation.MustSchema("OBS", attrs, nil))
+	rows, _ := wideBlock(n, false)
+	keys := make([]relation.Tuple, n)
+	for i, t := range rows.Tuples {
+		keys[i] = relation.Tuple{relation.Int(int64(i))}
+		rel.MustInsert(append(relation.Tuple{keys[i][0]}, t...))
+		if i%4 == 3 {
+			rel.MustInsert(append(relation.Tuple{keys[i][0]}, t...))
+		}
+	}
+	db := relation.NewDatabase()
+	db.Add(rel)
+	schema := MustSchema(RelSchemas(db), KVSchema{Name: "obs_full", Rel: "OBS", Key: []string{"obs_id"}, Val: val})
+	st, err := Map(db, schema, kv.NewCluster(kv.EngineHash, 4), DefaultOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st, keys
+}
+
+// TestFetchBlocksAllocsIndependentOfKeys: a batched fetch costs the same
+// number of allocations for one block as for 700 — every prefix and segment
+// key shares one buffer, every block one arena — as long as nothing it
+// decodes is a string (a string value is its own allocation).
+func TestFetchBlocksAllocsIndependentOfKeys(t *testing.T) {
+	st, keys := obsStore(t, 700)
+	ints := []int{0, 3, 7}
+	var counts []float64
+	for _, n := range []int{1, 20, 700} {
+		batch := keys[700-n:] // each ends with a block that has multiplicities
+		blks, _, gets, err := st.FetchBlocksT(nil, "obs_full", batch, ints, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gets != n || blks[n-1] == nil || len(blks[n-1].Tuples[0]) != len(ints) {
+			t.Fatalf("%d keys: %d gets, last block %v", n, gets, blks[n-1])
+		}
+		counts = append(counts, testing.AllocsPerRun(20, func() {
+			if _, _, _, err := st.FetchBlocksT(nil, "obs_full", batch, ints, nil); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if counts[0] != counts[1] || counts[1] != counts[2] {
+		t.Fatalf("allocations for 1, 20 and 700 keys: %v, want one count", counts)
+	}
+}
+
+// TestFetchedBlocksShareNoTail: the blocks of one batched fetch are carved
+// from one arena, and each is the caller's: appending to one block's tuples,
+// counts or a tuple of it leaves every other block as fetched.
+func TestFetchedBlocksShareNoTail(t *testing.T) {
+	st, keys := obsStore(t, 16)
+	fetch := func() []*Block {
+		blks, _, _, err := st.FetchBlocksT(nil, "obs_full", keys, []int{0, 12}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blks
+	}
+	want, got := fetch(), fetch()
+	for i, blk := range got {
+		blk.Tuples[0] = append(blk.Tuples[0], relation.Int(-1))
+		blk.Tuples = append(blk.Tuples, relation.Tuple{relation.Int(-2), relation.String("x")})
+		if blk.Counts != nil {
+			blk.Counts = append(blk.Counts, 99)
+		}
+		for j, other := range got {
+			if j == i {
+				continue
+			}
+			if len(other.Tuples) != len(want[j].Tuples) && j > i {
+				t.Fatalf("appending to block %d grew block %d", i, j)
+			}
+			for k, tup := range want[j].Tuples {
+				if !other.Tuples[k][:len(tup)].Equal(tup) {
+					t.Fatalf("appending to block %d changed block %d tuple %d: %v, fetched %v", i, j, k, other.Tuples[k], tup)
+				}
+			}
+			for k, c := range want[j].Counts {
+				if other.Counts[k] != c {
+					t.Fatalf("appending to block %d changed block %d multiplicity %d", i, j, k)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkFetchBlocks is one batched ∝ fetch from an obs_full-shaped
+// instance: 1, 20 and 700 keys, reading the three columns an index_scan
+// plan keeps (one of them a string) or all fourteen.
+func BenchmarkFetchBlocks(b *testing.B) {
+	st, keys := obsStore(b, 700)
+	for _, n := range []int{1, 20, 700} {
+		for _, c := range []struct {
+			name string
+			cols []int
+		}{{"3of14", []int{2, 9, 11}}, {"all", nil}} {
+			b.Run(fmt.Sprintf("keys=%d/cols=%s", n, c.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, _, err := st.FetchBlocksT(nil, "obs_full", keys[:n], c.cols, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -141,6 +141,21 @@ func (m *mvccState) lookup(kvName, prefix string) []verEntry {
 	return m.dirs[kvName][prefix]
 }
 
+// resolve sets, under one read lock, every read's win to the version of its
+// block that wins at seq (see blockRead.win).
+func (m *mvccState) resolve(b *blockBatch, seq uint64) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	for i := range b.reads {
+		r := &b.reads[i]
+		win, ok := pickWinner(m.dirs[r.kv][string(b.buf[r.pre:r.end])], seq)
+		if !ok {
+			win = verEntry{ver: seq}
+		}
+		r.win = win
+	}
+}
+
 // addVersion prepends a new version (necessarily the newest) to a block's
 // directory entry.
 func (m *mvccState) addVersion(kvName, prefix string, e verEntry) {
@@ -206,10 +221,14 @@ func pickWinner(entries []verEntry, seq uint64) (verEntry, bool) {
 // blockPrefix | seg (4 bytes BE) | ^ver (8 bytes BE). Complementing the
 // version makes newer versions sort before older ones.
 func verSegKey(prefix []byte, seg uint32, ver uint64) []byte {
-	out := make([]byte, len(prefix), len(prefix)+12)
-	copy(out, prefix)
-	out = binary.BigEndian.AppendUint32(out, seg)
-	return binary.BigEndian.AppendUint64(out, ^ver)
+	return appendSegKey(make([]byte, 0, len(prefix)+12), prefix, seg, ver)
+}
+
+// appendSegKey appends verSegKey(prefix, seg, ver) to dst.
+func appendSegKey(dst, prefix []byte, seg uint32, ver uint64) []byte {
+	dst = append(dst, prefix...)
+	dst = binary.BigEndian.AppendUint32(dst, seg)
+	return binary.BigEndian.AppendUint64(dst, ^ver)
 }
 
 // Snapshot pins, per relation, the commit sequence a statement's reads
@@ -388,11 +407,7 @@ func (c *Commit) Seq() uint64 { return c.seq }
 // edit returns the staged state for one block, loading its pre-image from
 // the store (at the commit's base sequence) on first touch.
 func (c *Commit) edit(kvt *obs.KV, kvSchema KVSchema, key relation.Tuple) (*stagedEdit, error) {
-	byPrefix := c.staged[kvSchema.Name]
-	if byPrefix == nil {
-		byPrefix = make(map[string]*stagedEdit)
-		c.staged[kvSchema.Name] = byPrefix
-	}
+	byPrefix := c.stagedIn(kvSchema.Name)
 	prefix := c.st.blockPrefix(c.st.ids[kvSchema.Name], key)
 	if e, ok := byPrefix[string(prefix)]; ok {
 		return e, nil
@@ -413,50 +428,40 @@ func (c *Commit) edit(kvt *obs.KV, kvSchema KVSchema, key relation.Tuple) (*stag
 // base sequence: the directory already says there is no pre-image.
 func (c *Commit) Prefetch(kvt *obs.KV, tuples []relation.Tuple) error {
 	schema := c.st.Rels[c.rel]
+	var b blockBatch
 	var wants []*stagedEdit
-	var spans []segSpan
-	var reqs []kv.GetRequest
 	for _, kvSchema := range c.st.Schema.ForRelation(c.rel) {
 		keyPos, err := schema.Positions(kvSchema.Key)
 		if err != nil {
 			return err
 		}
-		byPrefix := c.staged[kvSchema.Name]
-		if byPrefix == nil {
-			byPrefix = make(map[string]*stagedEdit)
-			c.staged[kvSchema.Name] = byPrefix
-		}
-		seen := make(map[string]bool)
+		byPrefix := c.stagedIn(kvSchema.Name)
 		for _, t := range tuples {
 			if len(t) != len(schema.Attrs) {
 				return fmt.Errorf("baav: tuple arity %d != %s arity %d", len(t), c.rel, len(schema.Attrs))
 			}
 			key := t.Project(keyPos)
-			prefix := c.st.blockPrefix(c.st.ids[kvSchema.Name], key)
-			ps := string(prefix)
-			if seen[ps] {
+			r := b.add(kvSchema.Name, len(kvSchema.Val), c.st.ids[kvSchema.Name], key)
+			prefix := b.prefix(&r)
+			if _, ok := byPrefix[string(prefix)]; ok {
+				b.buf = b.buf[:r.pre] // staged already, by an earlier round or tuple
 				continue
 			}
-			seen[ps] = true
-			if _, ok := byPrefix[ps]; ok {
-				continue // already staged by an earlier round
-			}
-			var span segSpan
-			reqs, span, _ = c.st.appendSegReqs(reqs, kvSchema.Name, prefix, c.seq-1)
-			wants = append(wants, &stagedEdit{kvSchema: kvSchema, key: key, prefix: prefix})
-			spans = append(spans, span)
+			e := &stagedEdit{kvSchema: kvSchema, key: key, prefix: prefix}
+			byPrefix[string(prefix)] = e
+			b.reads = append(b.reads, r)
+			wants = append(wants, e)
 		}
 	}
-	res := c.st.Cluster.GetManyRouted(kvt, reqs)
+	if len(wants) == 0 {
+		return nil
+	}
+	blks, _, _, err := c.st.fetch(kvt, &b, c.seq-1, false, nil, nil)
+	if err != nil {
+		return err
+	}
 	for i, e := range wants {
-		if spans[i].nsegs > 0 {
-			var err error
-			e.blk, _, _, err = assembleSpan(res, spans[i], e.kvSchema.Name, len(e.kvSchema.Val), nil, false)
-			if err != nil {
-				return err
-			}
-		}
-		c.staged[e.kvSchema.Name][string(e.prefix)] = e
+		e.blk = blks[i]
 	}
 	return nil
 }
@@ -526,15 +531,21 @@ func (c *Commit) StageDelete(kvt *obs.KV, t relation.Tuple) (found bool, err err
 	return found, nil
 }
 
-// stagePut stages a whole-block replacement (PutBlock's path).
-func (c *Commit) stagePut(kvSchema KVSchema, key relation.Tuple, blk *Block) {
-	byPrefix := c.staged[kvSchema.Name]
+// stagedIn returns the commit's staged edits of one KV instance by block
+// prefix, creating the map on first use.
+func (c *Commit) stagedIn(kvName string) map[string]*stagedEdit {
+	byPrefix := c.staged[kvName]
 	if byPrefix == nil {
 		byPrefix = make(map[string]*stagedEdit)
-		c.staged[kvSchema.Name] = byPrefix
+		c.staged[kvName] = byPrefix
 	}
+	return byPrefix
+}
+
+// stagePut stages a whole-block replacement (PutBlock's path).
+func (c *Commit) stagePut(kvSchema KVSchema, key relation.Tuple, blk *Block) {
 	prefix := c.st.blockPrefix(c.st.ids[kvSchema.Name], key)
-	byPrefix[string(prefix)] = &stagedEdit{kvSchema: kvSchema, key: key, prefix: prefix, blk: blk, dirty: true}
+	c.stagedIn(kvSchema.Name)[string(prefix)] = &stagedEdit{kvSchema: kvSchema, key: key, prefix: prefix, blk: blk, dirty: true}
 }
 
 // Ops materializes the commit's dirty edits as versioned batch mutations
@@ -772,44 +783,25 @@ func (st *Store) encodeVersionOps(kvSchema KVSchema, prefix []byte, blk *Block, 
 }
 
 // assembleSegs decodes a block from its ordered segment payloads (seg 0
-// carries the uvarint segment-count header) with decodeBlock's cols,
-// wantStats and size.
-func assembleSegs(datas [][]byte, width int, cols []int, wantStats bool) (*Block, *BlockStats, int64, error) {
-	nsegs, k := binary.Uvarint(datas[0])
-	if k <= 0 {
-		return nil, nil, 0, errCorruptBlock
-	}
-	if int(nsegs) != len(datas) {
-		return nil, nil, 0, fmt.Errorf("baav: block header says %d segments, read %d", nsegs, len(datas))
-	}
-	blk, stats, size, err := decodeBlock(datas[0][k:], width, cols, wantStats)
-	if err != nil {
+// carries the uvarint segment-count header, which it steps over in place)
+// with decodeBlock's cols, wantStats and size.
+func assembleSegs(segs [][]byte, width int, cols []int, wantStats bool) (*Block, *BlockStats, int64, error) {
+	if err := stripSegHeader(segs); err != nil {
 		return nil, nil, 0, err
 	}
-	for _, data := range datas[1:] {
-		more, moreStats, moreSize, err := decodeBlock(data, width, cols, wantStats)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		size += moreSize
-		blk.Tuples = append(blk.Tuples, more.Tuples...)
-		switch {
-		case blk.Counts != nil && more.Counts != nil:
-			blk.Counts = append(blk.Counts, more.Counts...)
-		case blk.Counts != nil:
-			for range more.Tuples {
-				blk.Counts = append(blk.Counts, 1)
-			}
-		case more.Counts != nil:
-			counts := make([]int64, len(blk.Tuples)-len(more.Tuples))
-			for i := range counts {
-				counts[i] = 1
-			}
-			blk.Counts = append(counts, more.Counts...)
-		}
-		if stats != nil {
-			stats.Merge(moreStats)
-		}
+	return decodeSegs(segs, width, cols, wantStats)
+}
+
+// stripSegHeader checks the segment-count header of a block's segment 0
+// against the segments read and steps segs[0] past it.
+func stripSegHeader(segs [][]byte) error {
+	nsegs, k := binary.Uvarint(segs[0])
+	if k <= 0 {
+		return errCorruptBlock
 	}
-	return blk, stats, size, nil
+	if int(nsegs) != len(segs) {
+		return fmt.Errorf("baav: block header says %d segments, read %d", nsegs, len(segs))
+	}
+	segs[0] = segs[0][k:]
+	return nil
 }

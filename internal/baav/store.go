@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -175,43 +176,6 @@ func (st *Store) GetBlocksT(kvt *obs.KV, name string, keys []relation.Tuple) (bl
 	return blks, statss, gets, nil
 }
 
-// segSpan locates one block's segment gets inside a batched request list.
-// nsegs is 0 when no block is visible at the resolved sequence.
-type segSpan struct {
-	base, nsegs int
-}
-
-// appendSegReqs resolves the block's winning version at seq in the version
-// directory — in memory, never a scan — and appends one routed get per
-// segment of it to reqs (the segments share a route, so the whole block
-// costs its owner node one round). When no block is visible nothing is
-// appended and ver names the version a reader probes instead: the winning
-// tombstone's, or seq itself for a block with no version at or below seq.
-func (st *Store) appendSegReqs(reqs []kv.GetRequest, name string, prefix []byte, seq uint64) (_ []kv.GetRequest, span segSpan, ver uint64) {
-	winner, ok := pickWinner(st.mvcc.lookup(name, string(prefix)), seq)
-	if !ok {
-		return reqs, segSpan{}, seq
-	}
-	span = segSpan{base: len(reqs), nsegs: winner.nsegs}
-	for seg := 0; seg < winner.nsegs; seg++ {
-		reqs = append(reqs, kv.GetRequest{Route: prefix, Key: verSegKey(prefix, uint32(seg), winner.ver)})
-	}
-	return reqs, span, winner.ver
-}
-
-// assembleSpan decodes the block whose segment gets came back at span (see
-// assembleSegs for cols, wantStats and size).
-func assembleSpan(res []kv.GetResult, span segSpan, name string, width int, cols []int, wantStats bool) (*Block, *BlockStats, int64, error) {
-	datas := make([][]byte, span.nsegs)
-	for i, r := range res[span.base : span.base+span.nsegs] {
-		if !r.OK {
-			return nil, nil, 0, fmt.Errorf("baav: missing segment %d of block in %s", i, name)
-		}
-		datas[i] = r.Value
-	}
-	return assembleSegs(datas, width, cols, wantStats)
-}
-
 // FetchBlocksT retrieves several keyed blocks of one KV instance in a single
 // batched cluster round, counting into the kv trace sink (nil untraced).
 // The read resolves against this view's snapshot sequence: every block's
@@ -231,7 +195,9 @@ func assembleSpan(res []kv.GetResult, span segSpan, name string, width int, cols
 // keys: blks[i] is nil where no block is visible, sizes[i] the accounting
 // size of the whole block as fetched — full width, multiplicities applied —
 // so what a fetch is reported to cost does not depend on cols. gets is the
-// number of get invocations issued.
+// number of get invocations issued. The blocks share one arena (see
+// blockArena): each is the caller's to modify, and an append to one cannot
+// reach another.
 func (st *Store) FetchBlocksT(kvt *obs.KV, name string, keys []relation.Tuple, cols []int, statss []*BlockStats) (blks []*Block, sizes []int64, gets int, err error) {
 	if len(keys) == 0 {
 		return nil, nil, 0, nil
@@ -241,31 +207,125 @@ func (st *Store) FetchBlocksT(kvt *obs.KV, name string, keys []relation.Tuple, c
 		return nil, nil, 0, fmt.Errorf("baav: unknown KV schema %q", name)
 	}
 	id := st.ids[name]
-	seqLimit := st.snapSeqFor(kvSchema.Rel)
-
-	spans := make([]segSpan, len(keys))
-	var reqs []kv.GetRequest
+	// The prefixes, then (see fetch) one segment key per block — a prefix
+	// and 12 bytes — in one buffer sized for both.
+	size := 0
+	for _, key := range keys {
+		size += 2*(4+relation.EncodedLen(key)) + 12
+	}
+	b := blockBatch{buf: make([]byte, 0, size), reads: make([]blockRead, len(keys))}
 	for i, key := range keys {
-		prefix := st.blockPrefix(id, key)
-		var ver uint64
-		reqs, spans[i], ver = st.appendSegReqs(reqs, name, prefix, seqLimit)
-		if spans[i].nsegs == 0 {
-			reqs = append(reqs, kv.GetRequest{Route: prefix, Key: verSegKey(prefix, 0, ver)})
+		b.reads[i] = b.add(name, len(kvSchema.Val), id, key)
+	}
+	return st.fetch(kvt, &b, st.snapSeqFor(kvSchema.Rel), true, cols, statss)
+}
+
+// blockBatch is one batched block read: every block's prefix, then every
+// segment key, in one byte buffer, and per block what the version
+// directory resolved for it.
+type blockBatch struct {
+	buf   []byte
+	reads []blockRead
+}
+
+// blockRead is one block of a batch.
+type blockRead struct {
+	kv       string // KV schema name
+	width    int    // its value width
+	pre, end int    // the block prefix is buf[pre:end]
+	// win is the version that wins at the batch's sequence; nsegs 0 when no
+	// block is visible, and then ver is the version a reader probes: the
+	// winning tombstone's, or the sequence itself for a block with no
+	// version at or below it.
+	win verEntry
+	// req is the block's first get in the round and gets how many it has:
+	// a segment each, or the one probe of a block not visible.
+	req, gets int
+}
+
+// add encodes the prefix of key's block in instance kv (schema id id, value
+// width width) onto the buffer and returns its read.
+func (b *blockBatch) add(kv string, width int, id uint32, key relation.Tuple) blockRead {
+	pre := len(b.buf)
+	b.buf = binary.BigEndian.AppendUint32(b.buf, id)
+	b.buf = relation.AppendTuple(b.buf, key)
+	return blockRead{kv: kv, width: width, pre: pre, end: len(b.buf)}
+}
+
+// prefix returns read r's block prefix, capped.
+func (b *blockBatch) prefix(r *blockRead) []byte { return b.buf[r.pre:r.end:r.end] }
+
+// fetch resolves the batch's blocks at seq in the version directory, issues
+// their segment gets — and, with probe, a get for every block not visible —
+// in one cluster round, and decodes what it read into one arena. cols,
+// statss and the results are FetchBlocksT's, aligned with b.reads.
+func (st *Store) fetch(kvt *obs.KV, b *blockBatch, seq uint64, probe bool, cols []int, statss []*BlockStats) (blks []*Block, sizes []int64, gets int, err error) {
+	st.mvcc.resolve(b, seq)
+	nreq, keyBytes, hits := 0, 0, 0
+	for i := range b.reads {
+		r := &b.reads[i]
+		r.req, r.gets = nreq, r.win.nsegs
+		if r.gets > 0 {
+			hits++
+		} else if probe {
+			r.gets = 1
+		}
+		nreq += r.gets
+		keyBytes += r.gets * (r.end - r.pre + 12)
+	}
+	b.buf = slices.Grow(b.buf, keyBytes)
+	reqs := make([]kv.GetRequest, 0, nreq)
+	for i := range b.reads {
+		r := &b.reads[i]
+		for seg := range r.gets {
+			lo := len(b.buf)
+			b.buf = appendSegKey(b.buf, b.buf[r.pre:r.end], uint32(seg), r.win.ver)
+			reqs = append(reqs, kv.GetRequest{Route: b.prefix(r), Key: b.buf[lo:len(b.buf):len(b.buf)]})
 		}
 	}
 	res := st.Cluster.GetManyRouted(kvt, reqs)
 	gets = len(reqs)
-	blks = make([]*Block, len(keys))
-	sizes = make([]int64, len(keys))
-	for i, span := range spans {
-		if span.nsegs == 0 {
+	blks = make([]*Block, len(b.reads))
+	sizes = make([]int64, len(b.reads))
+	if hits == 0 {
+		return blks, sizes, gets, nil
+	}
+	// Check every block's segments and size the arena, then decode.
+	segs := make([][]byte, len(res))
+	var a blockArena
+	for i := range b.reads {
+		r := &b.reads[i]
+		if r.win.nsegs == 0 {
 			continue
 		}
-		var stats *BlockStats
-		blks[i], stats, sizes[i], err = assembleSpan(res, span, name, len(kvSchema.Val), cols, statss != nil)
+		mine := segs[r.req : r.req+r.win.nsegs]
+		for s, g := range res[r.req : r.req+r.win.nsegs] {
+			if !g.OK {
+				return nil, nil, gets, fmt.Errorf("baav: missing segment %d of block in %s", s, r.kv)
+			}
+			mine[s] = g.Value
+		}
+		if err := stripSegHeader(mine); err != nil {
+			return nil, nil, gets, err
+		}
+		if err := a.count(mine, r.width, cols); err != nil {
+			return nil, nil, gets, err
+		}
+	}
+	a.alloc()
+	blocks := make([]Block, hits)
+	for i := range b.reads {
+		r := &b.reads[i]
+		if r.win.nsegs == 0 {
+			continue
+		}
+		blk := &blocks[0]
+		blocks = blocks[1:]
+		stats, size, err := a.decode(blk, segs[r.req:r.req+r.win.nsegs], r.width, cols, statss != nil)
 		if err != nil {
 			return nil, nil, gets, err
 		}
+		blks[i], sizes[i] = blk, size
 		if statss != nil {
 			statss[i] = stats
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"zidian/internal/baav"
@@ -19,6 +20,9 @@ type resultShape struct {
 	attrs []string
 	cols  []int
 	order []int
+	// identity marks cols as 0..len(attrs)-1: the output rows are the
+	// answer's rows as they stand.
+	identity bool
 }
 
 // fits reports whether attrs is the very layout the shape was resolved
@@ -42,6 +46,10 @@ func (p *PlanInfo) shapeOver(attrs []string) (*resultShape, error) {
 			return nil, fmt.Errorf("core: plan output missing column %q (have %v)", c, attrs)
 		}
 	}
+	s.identity = len(s.cols) == len(attrs)
+	for i, c := range s.cols {
+		s.identity = s.identity && c == i
+	}
 	for _, k := range p.Query.OrderBy {
 		at := -1
 		for j, n := range p.Query.OutNames {
@@ -61,7 +69,10 @@ func (p *PlanInfo) shapeOver(attrs []string) (*resultShape, error) {
 // ToResult converts an executed plan output into the query's relational
 // answer: output columns are selected by name, then ORDER BY and LIMIT are
 // applied. Identical output rows are delivered adjacently, at the position
-// of their first occurrence. An Empty plan has no output to convert.
+// of their first occurrence. An Empty plan has no output to convert. When
+// the plan's rows are the answer's as they stand — every column selected in
+// order, no row repeated — they are handed back without a copy: the
+// executor's rows are the run's own, capped windows the caller may modify.
 func (p *PlanInfo) ToResult(out *kba.PartRel) (*ra.Result, error) {
 	res := &ra.Result{Cols: p.Query.OutNames}
 	if p.Empty {
@@ -78,14 +89,24 @@ func (p *PlanInfo) ToResult(out *kba.PartRel) (*ra.Result, error) {
 	}
 	rows := out.Rows()
 	if len(rows) > 0 {
-		res.Rows = make([]relation.Tuple, len(rows))
 		order := firstOccurrenceOrder(rows)
-		for i := range rows {
-			at := i
-			if order != nil {
-				at = order[i]
+		if order == nil && shape.identity {
+			res.Rows = rows
+		} else {
+			slab := make([]relation.Value, len(rows)*len(shape.cols))
+			res.Rows = make([]relation.Tuple, len(rows))
+			for i := range rows {
+				at := i
+				if order != nil {
+					at = order[i]
+				}
+				t := relation.Tuple(slab[:len(shape.cols):len(shape.cols)])
+				slab = slab[len(shape.cols):]
+				for j, c := range shape.cols {
+					t[j] = rows[at][c]
+				}
+				res.Rows[i] = t
 			}
-			res.Rows[i] = rows[at].Project(shape.cols)
 		}
 	}
 	if len(shape.order) > 0 {
@@ -117,38 +138,53 @@ func firstOccurrenceOrder(rows []relation.Tuple) []int {
 	if len(rows) < 2 {
 		return nil
 	}
-	// Rows are identical when their encodings are: encode them all into one
-	// string and key the map by its substrings, so that no row costs an
-	// allocation of its own.
-	enc := make([]byte, 0, 16*len(rows[0])*len(rows))
-	ends := make([]int, len(rows))
+	// Rows meet by a 64-bit hash of their values and are compared only when
+	// the hashes agree. seen maps a hash to the first row carrying it; rows
+	// whose hashes collide without being equal chain on through other, which
+	// is made only if that ever happens. first[i], made at the first repeat,
+	// is the index of the first row identical to row i.
+	seen := make(map[uint64]int, len(rows))
+	var other map[int]int
+	var first []int
 	for i, row := range rows {
-		enc = relation.AppendTuple(enc, row)
-		ends[i] = len(enc)
-	}
-	keys := string(enc)
-	// first[i] is the index of the first row identical to row i; copies[f]
-	// counts the rows identical to row f.
-	first := make([]int, len(rows))
-	copies := make([]int, len(rows))
-	seen := make(map[string]int, len(rows))
-	start := 0
-	for i, end := range ends {
-		k := keys[start:end]
-		start = end
-		f, ok := seen[k]
+		h := hashRow(row)
+		f, ok := seen[h]
 		if !ok {
-			f = i
-			seen[k] = i
+			seen[h] = i
+			if first != nil {
+				first[i] = i
+			}
+			continue
 		}
-		first[i] = f
-		copies[f]++
+		for !rows[f].Equal(row) {
+			next, ok := other[f]
+			if !ok {
+				if other == nil {
+					other = make(map[int]int)
+				}
+				other[f], next = i, i
+			}
+			f = next
+		}
+		if f != i && first == nil {
+			first = make([]int, len(rows))
+			for j := range i {
+				first[j] = j
+			}
+		}
+		if first != nil {
+			first[i] = f
+		}
 	}
-	if len(seen) == len(rows) {
+	if first == nil {
 		return nil
 	}
-	// Turn the counts into each group's start position, then deal the rows
-	// out in arrival order.
+	// copies[f] counts the rows identical to row f; turn the counts into each
+	// group's start position, then deal the rows out in arrival order.
+	copies := make([]int, len(rows))
+	for _, f := range first {
+		copies[f]++
+	}
 	at := 0
 	for f, n := range copies {
 		copies[f] = at
@@ -160,6 +196,34 @@ func firstOccurrenceOrder(rows []relation.Tuple) []int {
 		copies[f]++
 	}
 	return order
+}
+
+// hashRow is FNV-1a over a row's values: kind, then the integer, the float's
+// bits or the string's bytes.
+func hashRow(t relation.Tuple) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	word := func(x uint64) {
+		for range 8 {
+			h = (h ^ (x & 0xff)) * prime64
+			x >>= 8
+		}
+	}
+	for _, v := range t {
+		h = (h ^ uint64(v.Kind)) * prime64
+		switch v.Kind {
+		case relation.KindInt:
+			word(uint64(v.Int))
+		case relation.KindFloat:
+			word(math.Float64bits(v.Flt))
+		case relation.KindString:
+			for i := 0; i < len(v.Str); i++ {
+				h = (h ^ uint64(v.Str[i])) * prime64
+			}
+			word(uint64(len(v.Str)))
+		}
+	}
+	return h
 }
 
 // Answer plans nothing: it executes an already generated plan sequentially

@@ -3,6 +3,7 @@ package kba
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sync/atomic"
 
 	"zidian/internal/baav"
@@ -94,24 +95,44 @@ func (e *executor) run(p Plan) (*PartRel, error) {
 	if l, ok := p.(*Lit); ok {
 		return l.V, nil
 	}
-	var span *obs.OpNode
-	if e.trace.Spans() {
-		span = e.trace.StartOpLazy(OpName(p), func() string { return NodeLabel(p) })
-	}
+	span := e.startSpan(p)
 	v, err := e.exec(p)
-	rows := 0
-	if v != nil {
-		rows = v.Len()
-		if span != nil {
-			span.Workers = e.workers
-			span.PerWorker = make([]int64, len(v.Parts))
+	if span != nil {
+		var perWorker []int64
+		if v != nil {
+			perWorker = make([]int64, len(v.Parts))
 			for w, part := range v.Parts {
-				span.PerWorker[w] = int64(len(part))
+				perWorker[w] = int64(len(part))
 			}
 		}
+		e.finishSpan(span, perWorker)
 	}
-	e.trace.FinishOp(span, rows)
 	return v, err
+}
+
+// startSpan opens p's operator span; nil unless the trace records spans.
+func (e *executor) startSpan(p Plan) *obs.OpNode {
+	if !e.trace.Spans() {
+		return nil
+	}
+	return e.trace.StartOpLazy(OpName(p), func() string { return NodeLabel(p) })
+}
+
+// finishSpan closes a span with its operator's output rows per worker — nil
+// when the operator failed before it produced any.
+func (e *executor) finishSpan(span *obs.OpNode, perWorker []int64) {
+	if span == nil {
+		return
+	}
+	var rows int64
+	for _, r := range perWorker {
+		rows += r
+	}
+	if perWorker != nil {
+		span.Workers = e.workers
+		span.PerWorker = perWorker
+	}
+	e.trace.FinishOp(span, int(rows))
 }
 
 func (e *executor) exec(p Plan) (*PartRel, error) {
@@ -185,16 +206,19 @@ func (e *executor) runConst(n *Const) (*PartRel, error) {
 		return nil, err
 	}
 	out := NewPartRel(lay.attrs, e.workers)
-	all := lay.key
+	// The keys belong to the plan, the rows to whoever runs it: copy them.
+	slab := newRowSlab(len(n.Keys), len(n.KeyAttrs))
 	for _, k := range n.Keys {
 		if len(k) != len(n.KeyAttrs) {
 			return nil, fmt.Errorf("kba: constant key %v does not match attrs %v", k, n.KeyAttrs)
 		}
+		row := slab.next()
+		copy(row, k)
 		w := 0
-		if len(all) > 0 {
-			w = hashTuple(k, all, e.workers)
+		if len(lay.key) > 0 {
+			w = hashTuple(row, lay.key, e.workers)
 		}
-		out.Parts[w] = append(out.Parts[w], k)
+		out.Parts[w] = append(out.Parts[w], row)
 	}
 	return out, nil
 }
@@ -219,26 +243,38 @@ func (e *executor) runScan(n *ScanKV) (*PartRel, error) {
 		return nil, err
 	}
 	out := NewPartRel(lay.attrs, e.workers)
+	width := len(lay.attrs)
+	_, err = e.walkScan(n.KV, lay, func(w int, key relation.Tuple, blk *baav.Block) {
+		slab := newRowSlab(int(blk.Rows()), width)
+		out.Parts[w] = blockRows(out.Parts[w], &slab, key, blk)
+	})
+	return out, err
+}
+
+// walkScan is the one walk of a KV instance scan: the workers split the
+// storage nodes — scan output starts partitioned by storage layout — and
+// each hands its blocks to visit(w, key, blk) on its own goroutine; the
+// scan copies their rows out, a γ above the scan aggregates them in place.
+// walkScan does the leaf's accounting, annotates the open span with the
+// rows each storage node gave and the columns read, and returns the rows
+// each worker was handed.
+func (e *executor) walkScan(kvName string, lay *layout, visit func(w int, key relation.Tuple, blk *baav.Block)) ([]int64, error) {
 	nodes := e.store.Cluster.NodeCount()
-	// perNode records each storage node's row contribution for the span's
-	// fan-out annotation; every node is walked by exactly one worker, so the
-	// slots are written race-free.
+	// Every node is walked by exactly one worker, and every worker writes
+	// only its own slot, so both are written race-free.
 	perNode := make([]int64, nodes)
-	// Workers split the storage nodes; each worker scans its nodes and keeps
-	// the rows locally — scan output starts partitioned by storage layout.
-	err = ForWorkers(e.workers, Unsized, func(w int) error {
-		var local []relation.Tuple
+	perWorker := make([]int64, e.workers)
+	err := ForWorkers(e.workers, Unsized, func(w int) error {
 		var blocks, data, bytes int64
 		for node := w; node < nodes; node += e.workers {
-			err := e.store.ScanInstanceNodeT(e.kv(), node, n.KV, lay.cols, func(key relation.Tuple, blk *baav.Block, size int64) bool {
-				rows := blk.Expand()
+			err := e.store.ScanInstanceNodeT(e.kv(), node, kvName, lay.cols, func(key relation.Tuple, blk *baav.Block, size int64) bool {
+				rows := blk.Rows()
 				e.trace.CountBlocks(1)
 				blocks++
-				perNode[node] += int64(len(rows))
-				countBlock(key, len(rows), lay.width, size, &data, &bytes)
-				for _, r := range rows {
-					local = append(local, key.Concat(r))
-				}
+				perNode[node] += rows
+				perWorker[w] += rows
+				countBlock(key, int(rows), lay.width, size, &data, &bytes)
+				visit(w, key, blk)
 				return true
 			})
 			if err != nil {
@@ -248,52 +284,72 @@ func (e *executor) runScan(n *ScanKV) (*PartRel, error) {
 		e.scanned.Add(blocks)
 		e.data.Add(data)
 		e.bytes.Add(bytes)
-		out.Parts[w] = local
 		return nil
 	})
 	e.trace.AnnotateNodes(perNode)
 	e.annotateCols(lay)
-	return out, err
+	return perWorker, err
 }
 
-// postingSink shapes an index walk's (value, block key) pairs into rows
+// postingRows shapes an index walk's n (value, block key) pairs into rows
 // partitioned by their full content, so the downstream ∝ starts from an
-// even spread of probe keys, and accounts the postings as fetched data.
-type postingSink struct {
-	e           *executor
-	index       string
-	keyWidth    int
-	out         *PartRel
-	all         []int
-	data, bytes int64
-}
-
-func (e *executor) newPostingSink(p Plan, have *layout, index string) (*postingSink, error) {
+// even spread of probe keys, and accounts the postings as fetched data. A
+// first pass over pairs routes and counts them; the second carves the rows
+// out of one slab, each partition's contiguous in one row array.
+func (e *executor) postingRows(p Plan, have *layout, index string, n int, pairs iter.Seq2[relation.Value, relation.Tuple]) (*PartRel, error) {
 	lay, err := e.layoutOf(p, have, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &postingSink{e: e, index: index, keyWidth: len(lay.attrs) - 1, out: NewPartRel(lay.attrs, e.workers), all: lay.key}, nil
-}
-
-// rows folds the sink's accounting into the run's counters and returns the
-// partitioned posting rows.
-func (s *postingSink) rows() *PartRel {
-	s.e.data.Add(s.data)
-	s.e.bytes.Add(s.bytes)
-	return s.out
-}
-
-func (s *postingSink) add(v relation.Value, k relation.Tuple) error {
-	if len(k) != s.keyWidth {
-		return fmt.Errorf("kba: index %q posts %d key attributes, plan expects %d", s.index, len(k), s.keyWidth)
+	width, workers := len(lay.attrs), e.workers
+	dst := make([]int32, n)
+	// start[w] is where partition w begins in rows; fill[w] its next slot.
+	counts := make([]int, 2*workers+1)
+	start, fill := counts[:workers+1], counts[workers+1:]
+	var data, bytes int64
+	i := 0
+	for v, k := range pairs {
+		if len(k) != width-1 {
+			return nil, fmt.Errorf("kba: index %q posts %d key attributes, plan expects %d", index, len(k), width-1)
+		}
+		data += int64(width)
+		bytes += int64(v.SizeBytes() + k.SizeBytes())
+		d := 0
+		if workers > 1 {
+			h := hashValue(fnvOffset64, v)
+			for _, x := range k {
+				h = hashValue(h, x)
+			}
+			d = int(h % uint64(workers))
+		}
+		dst[i] = int32(d)
+		start[d+1]++
+		i++
 	}
-	row := relation.Tuple{v}.Concat(k)
-	s.data += int64(len(row))
-	s.bytes += int64(row.SizeBytes())
-	w := hashTuple(row, s.all, len(s.out.Parts))
-	s.out.Parts[w] = append(s.out.Parts[w], row)
-	return nil
+	for w := 0; w < workers; w++ {
+		start[w+1] += start[w]
+		fill[w] = start[w]
+	}
+	slab := newRowSlab(n, width)
+	rows := make([]relation.Tuple, n)
+	i = 0
+	for v, k := range pairs {
+		row := slab.next()
+		row[0] = v
+		copy(row[1:], k)
+		rows[fill[dst[i]]] = row
+		fill[dst[i]]++
+		i++
+	}
+	out := NewPartRel(lay.attrs, workers)
+	for w := range out.Parts {
+		if lo, hi := start[w], start[w+1]; lo < hi {
+			out.Parts[w] = rows[lo:hi:hi]
+		}
+	}
+	e.data.Add(data)
+	e.bytes.Add(bytes)
+	return out, nil
 }
 
 // runIndexLookup fetches every constant's posting list in one batched
@@ -310,18 +366,19 @@ func (e *executor) runIndexLookup(n *IndexLookup) (*PartRel, error) {
 		return nil, err
 	}
 	e.gets.Add(int64(gets))
-	sink, err := e.newPostingSink(n, n.lay, n.Index)
-	if err != nil {
-		return nil, err
+	postings := 0
+	for _, list := range lists {
+		postings += len(list)
 	}
-	for i, v := range n.Values {
-		for _, k := range lists[i] {
-			if err := sink.add(v, k); err != nil {
-				return nil, err
+	return e.postingRows(n, n.lay, n.Index, postings, func(yield func(relation.Value, relation.Tuple) bool) {
+		for i, v := range n.Values {
+			for _, k := range lists[i] {
+				if !yield(v, k) {
+					return
+				}
 			}
 		}
-	}
-	return sink.rows(), nil
+	})
 }
 
 // rangeBounds resolves an IndexRange node's bound Args into the values the
@@ -381,16 +438,13 @@ func (e *executor) runIndexRange(n *IndexRange) (*PartRel, error) {
 		return nil, err
 	}
 	e.scanned.Add(int64(scanned))
-	sink, err := e.newPostingSink(n, n.lay, n.Index)
-	if err != nil {
-		return nil, err
-	}
-	for i, k := range keys {
-		if err := sink.add(vals[i], k); err != nil {
-			return nil, err
+	return e.postingRows(n, n.lay, n.Index, len(keys), func(yield func(relation.Value, relation.Tuple) bool) {
+		for i, k := range keys {
+			if !yield(vals[i], k) {
+				return
+			}
 		}
-	}
-	return sink.rows(), nil
+	})
 }
 
 // runExtend is the interleaved ∝: deduplicate the target keys across the
@@ -414,23 +468,28 @@ func (e *executor) runExtend(n *Extend) (*PartRel, error) {
 	// Collect the distinct probe keys across all partitions (order is
 	// deterministic: partition-major, first occurrence wins). Each row's
 	// key is encoded once, into a buffer the rows share; at[w][i] is where
-	// row i of partition w finds its key, and so its block.
+	// row i of partition w finds its key, and so its block. The keys are
+	// rows of a slab sized as if every input row had its own.
+	total := shuffled.Len()
 	index := make(map[string]int32)
-	var keys []relation.Tuple
+	keys := make([]relation.Tuple, 0, total)
+	keySlab := newRowSlab(total, len(keyIdx))
+	flat := make([]int32, total)
 	at := make([][]int32, len(shuffled.Parts))
 	var buf []byte
 	for w, part := range shuffled.Parts {
-		at[w] = make([]int32, len(part))
+		at[w], flat = flat[:len(part)], flat[len(part):]
 		for i, row := range part {
-			buf = buf[:0]
-			for _, k := range keyIdx {
-				buf = relation.AppendValue(buf, row[k])
-			}
+			buf = appendKey(buf[:0], row, keyIdx)
 			k, ok := index[string(buf)]
 			if !ok {
 				k = int32(len(keys))
 				index[string(buf)] = k
-				keys = append(keys, row.Project(keyIdx))
+				key := keySlab.next()
+				for j, c := range keyIdx {
+					key[j] = row[c]
+				}
+				keys = append(keys, key)
 			}
 			at[w][i] = k
 		}
@@ -440,14 +499,14 @@ func (e *executor) runExtend(n *Extend) (*PartRel, error) {
 		return nil, err
 	}
 	e.gets.Add(int64(gets))
-	fetched := make([][]relation.Tuple, len(keys))
+	rowsOf := make([]int, len(keys))
 	var hits, data, bytes int64
 	for i, key := range keys {
 		if blk := blks[i]; blk != nil {
-			fetched[i] = blk.Expand()
+			rowsOf[i] = int(blk.Rows())
 			e.trace.CountBlocks(1)
 			hits++
-			countBlock(key, len(fetched[i]), lay.width, sizes[i], &data, &bytes)
+			countBlock(key, rowsOf[i], lay.width, sizes[i], &data, &bytes)
 		}
 	}
 	e.blocks.Add(hits)
@@ -456,11 +515,20 @@ func (e *executor) runExtend(n *Extend) (*PartRel, error) {
 	e.annotateCols(lay)
 
 	out := NewPartRel(lay.attrs, e.workers)
-	err = ForWorkers(e.workers, shuffled.Len(), func(w int) error {
-		var local []relation.Tuple
+	width := len(lay.attrs)
+	err = ForWorkers(e.workers, total, func(w int) error {
+		count := 0
+		for _, k := range at[w] {
+			count += rowsOf[k]
+		}
+		if count == 0 {
+			return nil
+		}
+		slab := newRowSlab(count, width)
+		local := make([]relation.Tuple, 0, count)
 		for i, row := range shuffled.Parts[w] {
-			for _, r := range fetched[at[w][i]] {
-				local = append(local, row.Concat(r))
+			if blk := blks[at[w][i]]; blk != nil {
+				local = blockRows(local, &slab, row, blk)
 			}
 		}
 		out.Parts[w] = local
@@ -500,17 +568,53 @@ func (e *executor) runJoin(n *Join) (*PartRel, error) {
 	ls := repartition(l, lIdx, &e.shuffle)
 	rs := repartition(r, rIdx, &e.shuffle)
 	out := NewPartRel(lay.attrs, e.workers)
+	width := len(lay.attrs)
 	err = ForWorkers(e.workers, ls.Len()+rs.Len(), func(w int) error {
-		index := make(map[string][]relation.Tuple)
-		for _, row := range rs.Parts[w] {
-			k := relation.KeyString(row.Project(rIdx))
-			index[k] = append(index[k], row)
+		left, right := ls.Parts[w], rs.Parts[w]
+		if len(left) == 0 || len(right) == 0 {
+			return nil
 		}
-		var local []relation.Tuple
-		for _, row := range ls.Parts[w] {
-			k := relation.KeyString(row.Project(lIdx))
-			for _, rr := range index[k] {
-				local = append(local, row.Concat(rr))
+		// Build: the right rows of one key form a chain in arrival order,
+		// from heads[s] through next; slot s is the key's, lens[s] its
+		// chain's length.
+		var buf []byte
+		slots := make(map[string]int32)
+		var heads, lens []int32
+		next := make([]int32, len(right))
+		for i := len(right) - 1; i >= 0; i-- {
+			buf = appendKey(buf[:0], right[i], rIdx)
+			s, ok := slots[string(buf)]
+			if !ok {
+				s = int32(len(heads))
+				slots[string(buf)] = s
+				heads, lens = append(heads, -1), append(lens, 0)
+			}
+			next[i], heads[s] = heads[s], int32(i)
+			lens[s]++
+		}
+		// Probe: find each left row's chain and count the output, then
+		// copy it into a slab of that size.
+		match := make([]int32, len(left))
+		count := 0
+		for i, row := range left {
+			match[i] = -1
+			buf = appendKey(buf[:0], row, lIdx)
+			if s, ok := slots[string(buf)]; ok {
+				match[i] = heads[s]
+				count += int(lens[s])
+			}
+		}
+		if count == 0 {
+			return nil
+		}
+		slab := newRowSlab(count, width)
+		local := make([]relation.Tuple, 0, count)
+		for i, row := range left {
+			for j := match[i]; j >= 0; j = next[j] {
+				t := slab.next()
+				copy(t, row)
+				copy(t[len(row):], right[j])
+				local = append(local, t)
 			}
 		}
 		out.Parts[w] = local
@@ -591,17 +695,27 @@ func (e *executor) runProject(n *Project) (*PartRel, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := lay.key
 	out := NewPartRel(lay.attrs, e.workers)
 	err = ForWorkers(e.workers, in.Len(), func(w int) error {
-		local := make([]relation.Tuple, len(in.Parts[w]))
-		for i, row := range in.Parts[w] {
-			local[i] = row.Project(idx)
-		}
-		out.Parts[w] = local
+		out.Parts[w] = project(in.Parts[w], lay.key)
 		return nil
 	})
 	return out, err
+}
+
+// project returns the rows restricted to the positions idx, in order,
+// carved from one slab.
+func project(rows []relation.Tuple, idx []int) []relation.Tuple {
+	slab := newRowSlab(len(rows), len(idx))
+	out := make([]relation.Tuple, len(rows))
+	for i, row := range rows {
+		t := slab.next()
+		for j, c := range idx {
+			t[j] = row[c]
+		}
+		out[i] = t
+	}
+	return out
 }
 
 func (e *executor) runDistinct(n *Distinct) (*PartRel, error) {
@@ -618,10 +732,11 @@ func (e *executor) runDistinct(n *Distinct) (*PartRel, error) {
 	err = ForWorkers(e.workers, shuffled.Len(), func(w int) error {
 		seen := make(map[string]bool)
 		var local []relation.Tuple
+		var buf []byte
 		for _, row := range shuffled.Parts[w] {
-			k := relation.KeyString(row)
-			if !seen[k] {
-				seen[k] = true
+			buf = relation.AppendTuple(buf[:0], row)
+			if !seen[string(buf)] {
+				seen[string(buf)] = true
 				local = append(local, row)
 			}
 		}
@@ -646,8 +761,8 @@ func (e *executor) aligned(p Plan, have *layout) (l, r *PartRel, lay *layout, er
 	}
 	ra := NewPartRel(l.Attrs, e.workers)
 	for w, part := range r.Parts {
-		for _, row := range part {
-			ra.Parts[w] = append(ra.Parts[w], row.Project(lay.rkey))
+		if len(part) > 0 {
+			ra.Parts[w] = project(part, lay.rkey)
 		}
 	}
 	return l, ra, lay, nil
@@ -674,16 +789,18 @@ func (e *executor) runDiff(n *Diff) (*PartRel, error) {
 	rs := repartition(r, lay.key, &e.shuffle)
 	out := NewPartRel(l.Attrs, e.workers)
 	err = ForWorkers(e.workers, ls.Len()+rs.Len(), func(w int) error {
+		var buf []byte
 		drop := make(map[string]bool)
 		for _, row := range rs.Parts[w] {
-			drop[relation.KeyString(row)] = true
+			buf = relation.AppendTuple(buf[:0], row)
+			drop[string(buf)] = true
 		}
 		seen := make(map[string]bool)
 		var local []relation.Tuple
 		for _, row := range ls.Parts[w] {
-			k := relation.KeyString(row)
-			if !drop[k] && !seen[k] {
-				seen[k] = true
+			buf = relation.AppendTuple(buf[:0], row)
+			if !drop[string(buf)] && !seen[string(buf)] {
+				seen[string(buf)] = true
 				local = append(local, row)
 			}
 		}

@@ -19,67 +19,70 @@ func (e *executor) runExtendFetchAll(n *Extend) (*PartRel, error) {
 	}
 	keyIdx := lay.key
 	// Phase 1: fetch the entire instance, workers splitting storage nodes,
-	// indexing blocks by key and placing each block on its hash owner (the
-	// shuffle the strawman pays for the whole relation).
-	nodes := e.store.Cluster.NodeCount()
+	// placing each block on its hash owner (the shuffle the strawman pays
+	// for the whole relation) and indexing it there by key.
 	wholeKey := identity(len(keyIdx))
-	type chunk struct {
-		key  string
+	type placed struct {
+		key  relation.Tuple
+		blk  *baav.Block
 		home int
-		rows []relation.Tuple
 	}
-	chunks := make([][]chunk, e.workers)
-	err = ForWorkers(e.workers, Unsized, func(w int) error {
-		var local []chunk
-		var blocks, data, bytes, moved int64
-		for node := w; node < nodes; node += e.workers {
-			err := e.store.ScanInstanceNodeT(e.kv(), node, n.KV, lay.cols, func(key relation.Tuple, blk *baav.Block, size int64) bool {
-				rows := blk.Expand()
-				e.trace.CountBlocks(1)
-				blocks++
-				countBlock(key, len(rows), lay.width, size, &data, &bytes)
-				home := hashTuple(key, wholeKey, e.workers)
-				if home != w {
-					for _, r := range rows {
-						moved += int64(r.SizeBytes())
-					}
+	scanned := make([][]placed, e.workers)
+	_, err = e.walkScan(n.KV, lay, func(w int, key relation.Tuple, blk *baav.Block) {
+		home := hashTuple(key, wholeKey, e.workers)
+		if home != w {
+			var moved int64
+			for j, t := range blk.Tuples {
+				mult := int64(1)
+				if blk.Counts != nil {
+					mult = blk.Counts[j]
 				}
-				local = append(local, chunk{key: relation.KeyString(key), home: home, rows: rows})
-				return true
-			})
-			if err != nil {
-				return err
+				moved += mult * int64(t.SizeBytes())
 			}
+			e.shuffle.Add(moved)
 		}
-		e.scanned.Add(blocks)
-		e.data.Add(data)
-		e.bytes.Add(bytes)
-		e.shuffle.Add(moved)
-		chunks[w] = local
-		return nil
+		scanned[w] = append(scanned[w], placed{key: key, blk: blk, home: home})
 	})
 	if err != nil {
 		return nil, err
 	}
-	indexes := make([]map[string][]relation.Tuple, e.workers)
+	indexes := make([]map[string][]*baav.Block, e.workers)
 	for w := range indexes {
-		indexes[w] = make(map[string][]relation.Tuple)
+		indexes[w] = make(map[string][]*baav.Block)
 	}
-	for _, cs := range chunks {
-		for _, c := range cs {
-			indexes[c.home][c.key] = append(indexes[c.home][c.key], c.rows...)
+	var buf []byte
+	for _, ps := range scanned {
+		for _, p := range ps {
+			buf = relation.AppendTuple(buf[:0], p.key)
+			index := indexes[p.home]
+			index[string(buf)] = append(index[string(buf)], p.blk)
 		}
 	}
 
 	// Phase 2: repartition the input by key and hash join locally.
 	shuffled := repartition(in, keyIdx, &e.shuffle)
 	out := NewPartRel(lay.attrs, e.workers)
+	width := len(lay.attrs)
 	err = ForWorkers(e.workers, shuffled.Len(), func(w int) error {
-		var local []relation.Tuple
-		for _, row := range shuffled.Parts[w] {
-			k := relation.KeyString(row.Project(keyIdx))
-			for _, r := range indexes[w][k] {
-				local = append(local, row.Concat(r))
+		part := shuffled.Parts[w]
+		match := make([][]*baav.Block, len(part))
+		var buf []byte
+		count := 0
+		for i, row := range part {
+			buf = appendKey(buf[:0], row, keyIdx)
+			match[i] = indexes[w][string(buf)]
+			for _, blk := range match[i] {
+				count += int(blk.Rows())
+			}
+		}
+		if count == 0 {
+			return nil
+		}
+		slab := newRowSlab(count, width)
+		local := make([]relation.Tuple, 0, count)
+		for i, row := range part {
+			for _, blk := range match[i] {
+				local = blockRows(local, &slab, row, blk)
 			}
 		}
 		out.Parts[w] = local

@@ -385,7 +385,8 @@ func (cs predChecks) ok(t relation.Tuple) bool {
 		pass := false
 		switch {
 		case c.set != nil:
-			pass = c.set[relation.KeyString(relation.Tuple{t[c.i]})]
+			var buf [64]byte
+			pass = c.set[string(relation.AppendValue(buf[:0], t[c.i]))]
 		case c.j >= 0:
 			pass = cmpOK(t[c.i], c.op, t[c.j])
 		default:

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"zidian/internal/baav"
 	"zidian/internal/relation"
 )
 
@@ -52,20 +53,77 @@ func (l *Lit) Children() []Plan { return nil }
 func (l *Lit) String() string   { return "lit" }
 
 // hashTuple routes a projected key to a worker: FNV-1a over the key
-// columns' order-preserving encodings, built in a stack buffer.
+// columns' order-preserving encodings.
 func hashTuple(t relation.Tuple, idx []int, workers int) int {
 	if workers == 1 {
 		return 0
 	}
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	var buf [64]byte
-	h := uint64(offset64)
+	h := uint64(fnvOffset64)
 	for _, i := range idx {
-		for _, c := range relation.AppendValue(buf[:0], t[i]) {
-			h = (h ^ uint64(c)) * prime64
-		}
+		h = hashValue(h, t[i])
 	}
 	return int(h % uint64(workers))
+}
+
+const fnvOffset64, fnvPrime64 = 14695981039346656037, 1099511628211
+
+// hashValue folds v's order-preserving encoding, built in a stack buffer,
+// into the FNV-1a state h.
+func hashValue(h uint64, v relation.Value) uint64 {
+	var buf [64]byte
+	for _, c := range relation.AppendValue(buf[:0], v) {
+		h = (h ^ uint64(c)) * fnvPrime64
+	}
+	return h
+}
+
+// appendKey appends the encodings of t's values at idx to buf: the bytes an
+// operator keys its hash map by, looked up as m[string(buf)] so that only a
+// key's first sighting allocates.
+func appendKey(buf []byte, t relation.Tuple, idx []int) []byte {
+	for _, i := range idx {
+		buf = relation.AppendValue(buf, t[i])
+	}
+	return buf
+}
+
+// rowSlab carves an operator's output rows out of one backing array,
+// allocated at its final size from a count the operator makes before it
+// copies anything. Each row is a window capped at its width, so an append
+// to one row reallocates it instead of reaching its neighbour, and a caller
+// may modify the rows it is handed.
+type rowSlab struct {
+	vals  []relation.Value
+	width int
+}
+
+func newRowSlab(rows, width int) rowSlab {
+	return rowSlab{vals: make([]relation.Value, rows*width), width: width}
+}
+
+// next returns the slab's next row, zeroed.
+func (s *rowSlab) next() relation.Tuple {
+	t := relation.Tuple(s.vals[:s.width:s.width])
+	s.vals = s.vals[s.width:]
+	return t
+}
+
+// blockRows appends to out one row lead ++ t, carved from slab, per tuple t
+// of blk and per multiplicity.
+func blockRows(out []relation.Tuple, slab *rowSlab, lead relation.Tuple, blk *baav.Block) []relation.Tuple {
+	for j, t := range blk.Tuples {
+		mult := int64(1)
+		if blk.Counts != nil {
+			mult = blk.Counts[j]
+		}
+		for range mult {
+			row := slab.next()
+			copy(row, lead)
+			copy(row[len(lead):], t)
+			out = append(out, row)
+		}
+	}
+	return out
 }
 
 // inlineRows is the input size below which an operator runs its per-worker

@@ -315,3 +315,28 @@ func BenchmarkRunIndexScan(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkGroupByScan is the make_counts shape alone — γ over a scan of
+// vehicle_by_make_model at MOT scale 2, phase 1 folded into the walk — at
+// one worker and at two.
+func BenchmarkGroupByScan(b *testing.B) {
+	w := workload.MOT(workload.Spec{Scale: 2, Seed: 1})
+	store, c := planner(b, w, nil)
+	info, err := c.Plan(ra.MustParse("select V.make, COUNT(*) from VEHICLE V group by V.make", w.DB))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, ok := info.Root.(*kba.GroupBy); !ok {
+		b.Fatalf("plan %s is not γ over a scan", info.Root)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := kba.Run(info.Root, store, workers, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

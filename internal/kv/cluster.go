@@ -2,7 +2,6 @@ package kv
 
 import (
 	"bytes"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,10 +15,11 @@ import (
 // concurrent use; each node is guarded by its own RWMutex so concurrent
 // readers of the same node proceed in parallel (gets are pure reads in
 // every engine) and contend only with writers. Scans run under the per-node
-// read lock too — the hash engine's key order is precomputed on the write
-// path, the LSM engine's merge-on-scan is a pure read, and the sorted engine
-// overlays its write buffer on the sorted array without folding it — so
-// scan-heavy mixes parallelize with gets.
+// read lock too — the hash engine keeps its key order on the write path
+// (the first read after a write fills its pending buffer's sorted view
+// atomically), the LSM engine's merge-on-scan is a pure read, and the
+// sorted engine overlays its write buffer on the sorted array without
+// folding it — so scan-heavy mixes parallelize with gets.
 type Cluster struct {
 	kind  EngineKind
 	nodes []*node
@@ -64,32 +64,39 @@ func (c *Cluster) roundWait(t *obs.KV, ni int) {
 	}
 }
 
-// batchWait models one batched round issued to the nodes of byNode
-// concurrently, the way a real client library fans out per-node RPCs: each
-// involved node's round occupies that node's service slot and the batch
-// returns when the slowest completes, while the trace still charges one
-// emulated RTT per node touched (the traffic the deployment pays).
-func (c *Cluster) batchWait(t *obs.KV, byNode map[int][]int) {
+// batchWait models one batched round issued to the nodes holding items in
+// g concurrently, the way a real client library fans out per-node RPCs:
+// each involved node's round occupies that node's service slot and the
+// batch returns when the slowest completes, while the trace still charges
+// one emulated RTT per node touched (the traffic the deployment pays).
+func (c *Cluster) batchWait(t *obs.KV, g nodeGroups) {
 	d := time.Duration(c.serviceDelayNanos.Load())
-	if d <= 0 || len(byNode) == 0 {
+	if d <= 0 {
 		return
 	}
-	if len(byNode) == 1 {
-		for ni := range byNode {
-			c.nodes[ni].serve(d)
+	touched, last := 0, 0
+	for ni := range c.nodes {
+		if len(g.of(ni)) > 0 {
+			touched, last = touched+1, ni
 		}
+	}
+	if touched == 1 {
+		c.nodes[last].serve(d)
 	} else {
 		var wg sync.WaitGroup
-		for ni := range byNode {
+		for ni, n := range c.nodes {
+			if len(g.of(ni)) == 0 {
+				continue
+			}
 			wg.Add(1)
-			go func(n *node) {
+			go func() {
 				defer wg.Done()
 				n.serve(d)
-			}(c.nodes[ni])
+			}()
 		}
 		wg.Wait()
 	}
-	for range byNode {
+	for range touched {
 		t.CountWait(d)
 	}
 }
@@ -123,11 +130,15 @@ func (c *Cluster) Kind() EngineKind { return c.kind }
 // NodeCount returns the number of storage nodes.
 func (c *Cluster) NodeCount() int { return len(c.nodes) }
 
-// NodeFor returns the node index that owns key.
+// NodeFor returns the node index that owns key: FNV-1a 64 of the key,
+// modulo the node count.
 func (c *Cluster) NodeFor(key []byte) int {
-	h := fnv.New64a()
-	h.Write(key)
-	return int(h.Sum64() % uint64(len(c.nodes)))
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for _, b := range key {
+		h = (h ^ uint64(b)) * prime64
+	}
+	return int(h % uint64(len(c.nodes)))
 }
 
 // Get retrieves the value stored under key, counting one get invocation.
@@ -207,10 +218,13 @@ func (c *Cluster) ApplyBatch(t *obs.KV, ops []BatchOp) {
 	if len(ops) == 0 {
 		return
 	}
-	byNode := groupByNode(c, ops, func(op BatchOp) []byte { return op.Route })
-	c.batchWait(t, byNode) // one concurrent round: per-node RTTs overlap
-	for ni, idxs := range byNode {
-		n := c.nodes[ni]
+	g := groupByNode(c, ops, func(op BatchOp) []byte { return op.Route })
+	c.batchWait(t, g) // one concurrent round: per-node RTTs overlap
+	for ni, n := range c.nodes {
+		idxs := g.of(ni)
+		if len(idxs) == 0 {
+			continue
+		}
 		n.mu.Lock()
 		for _, i := range idxs {
 			op := ops[i]
@@ -250,10 +264,13 @@ func (c *Cluster) GetManyRouted(t *obs.KV, reqs []GetRequest) []GetResult {
 	if len(reqs) == 0 {
 		return out
 	}
-	byNode := groupByNode(c, reqs, func(r GetRequest) []byte { return r.Route })
-	c.batchWait(t, byNode) // one concurrent round: per-node RTTs overlap
-	for ni, idxs := range byNode {
-		n := c.nodes[ni]
+	g := groupByNode(c, reqs, func(r GetRequest) []byte { return r.Route })
+	c.batchWait(t, g) // one concurrent round: per-node RTTs overlap
+	for ni, n := range c.nodes {
+		idxs := g.of(ni)
+		if len(idxs) == 0 {
+			continue
+		}
 		n.mu.RLock()
 		for _, i := range idxs {
 			v, ok := n.eng.Get(reqs[i].Key)
@@ -266,14 +283,41 @@ func (c *Cluster) GetManyRouted(t *obs.KV, reqs []GetRequest) []GetResult {
 	return out
 }
 
-// groupByNode buckets item indexes by the node that owns each item's route.
-func groupByNode[T any](c *Cluster, items []T, route func(T) []byte) map[int][]int {
-	byNode := make(map[int][]int)
+// nodeGroups holds a batch's item indexes grouped by owning node, each
+// node's in input order: node n's are order[start[n]:start[n+1]].
+type nodeGroups struct {
+	order []int32
+	start []int32
+}
+
+// of returns the indexes of the items node ni owns.
+func (g nodeGroups) of(ni int) []int32 { return g.order[g.start[ni]:g.start[ni+1]] }
+
+// groupByNode buckets item indexes by the node that owns each item's route
+// with one counting pass: two allocations whatever the batch size.
+func groupByNode[T any](c *Cluster, items []T, route func(T) []byte) nodeGroups {
+	nodes := len(c.nodes)
+	// owner[i] is item i's node; order is filled from it.
+	idx := make([]int32, 2*len(items))
+	owner, order := idx[:len(items)], idx[len(items):]
+	// start[n+1] counts node n's items, then becomes its end; fill is each
+	// node's next free slot.
+	counts := make([]int32, 2*nodes+1)
+	start, fill := counts[:nodes+1], counts[nodes+1:]
 	for i, it := range items {
 		ni := c.NodeFor(route(it))
-		byNode[ni] = append(byNode[ni], i)
+		owner[i] = int32(ni)
+		start[ni+1]++
 	}
-	return byNode
+	for ni := 0; ni < nodes; ni++ {
+		start[ni+1] += start[ni]
+		fill[ni] = start[ni]
+	}
+	for i, ni := range owner {
+		order[fill[ni]] = int32(i)
+		fill[ni]++
+	}
+	return nodeGroups{order: order, start: start}
 }
 
 // Scan visits every pair whose key starts with prefix, node by node in key

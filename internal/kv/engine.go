@@ -2,7 +2,7 @@ package kv
 
 import (
 	"sort"
-	"strings"
+	"sync/atomic"
 )
 
 // Engine is a single storage node: a dictionary from byte-string keys to
@@ -22,16 +22,20 @@ type Engine interface {
 	// a nil to runs to the last. The bounded seek is what makes ordered
 	// posting-range walks cost O(range), not O(instance): keys below from are
 	// never visited. A prefix scan is the range [prefix, successor(prefix)].
-	// It must not mutate engine state: engines that would sort or merge
-	// lazily on scan do that work on the write path instead.
+	// It must not mutate engine state that another read depends on: engines
+	// merge on the write path. The one thing a read may do is fill a
+	// read-only view of state only writes change (the hash engine's sorted
+	// pending buffer) through an atomic pointer that every write clears —
+	// readers under the shared lock may race to build it, and each builds
+	// the same view.
 	ScanRange(from, to []byte, fn func(key, value []byte) bool)
 	// Len returns the number of stored pairs.
 	Len() int
 	// SizeBytes returns the total payload size (keys + values).
 	SizeBytes() int64
 	// PrefixEmpty reports whether the engine definitely holds no key
-	// carrying prefix. It must not mutate engine state (the cluster probes
-	// it under the shared lock) and may answer conservatively: true is a
+	// carrying prefix. It reads like ScanRange (the cluster probes it under
+	// the shared lock) and may answer conservatively: true is a
 	// guarantee of emptiness, false only means "maybe non-empty". The
 	// cluster uses it to skip a node's emulated seek round trip when a scan
 	// prefix provably misses the node.
@@ -43,7 +47,9 @@ type Engine interface {
 type EngineKind int
 
 const (
-	// EngineHash is a hash-table engine with lazily sorted scans; it plays
+	// EngineHash is a hash-table engine that keeps its keys in order beside
+	// the map — a sorted slice plus a small pending buffer of fresh keys,
+	// sorted once per write burst by the first read that needs it; it plays
 	// the role of Cassandra's partition store ("cstore").
 	EngineHash EngineKind = iota
 	// EngineLSM is a log-structured merge engine (memtable + sorted runs
@@ -87,13 +93,20 @@ func NewEngine(kind EngineKind) Engine {
 // scan-heavy mixes). Fresh keys accumulate in a small unsorted pending
 // buffer that Put folds into the sorted slice once it fills — one O(n)
 // merge per hashMergeAt writes keeps bulk loads near O(N log N) instead of
-// the O(N²) a splice-per-key would cost. ScanRange merges the (copied, sorted)
-// pending buffer with the sorted keys on the fly, mutating nothing.
+// the O(N²) a splice-per-key would cost. ScanRange and PrefixEmpty read the
+// pending buffer through a sorted copy, built by the first of them after a
+// write and kept until the next one: a burst of range walks between two
+// writes sorts the buffer once, and the load path pays a nil check per Put.
 type hashEngine struct {
 	m       map[string][]byte
 	keys    []string // sorted; excludes pending
 	pending []string // fresh keys not yet merged, unsorted
 	size    int64
+	// sorted is pending in key order, or nil when no read has asked for it
+	// since the last write. Readers under the cluster's shared lock fill it
+	// (several may race; each stores an equal copy); Put, Delete and
+	// mergePending clear it under the exclusive lock.
+	sorted atomic.Pointer[[]string]
 }
 
 const hashMergeAt = 4096
@@ -107,11 +120,35 @@ func (e *hashEngine) Get(key []byte) ([]byte, bool) {
 	return v, ok
 }
 
+// dropSorted forgets the sorted view after a write changed the pending
+// buffer; an atomic store only when a view exists, so bulk loads pay a load.
+func (e *hashEngine) dropSorted() {
+	if e.sorted.Load() != nil {
+		e.sorted.Store(nil)
+	}
+}
+
+// sortedPending returns the pending buffer in key order, building the view
+// on first use after a write.
+func (e *hashEngine) sortedPending() []string {
+	if len(e.pending) == 0 {
+		return nil
+	}
+	if v := e.sorted.Load(); v != nil {
+		return *v
+	}
+	v := append([]string(nil), e.pending...)
+	sort.Strings(v)
+	e.sorted.Store(&v)
+	return v
+}
+
 // mergePending folds the pending buffer into the sorted key slice.
 func (e *hashEngine) mergePending() {
 	if len(e.pending) == 0 {
 		return
 	}
+	e.dropSorted()
 	sort.Strings(e.pending)
 	merged := make([]string, 0, len(e.keys)+len(e.pending))
 	i, j := 0, 0
@@ -135,6 +172,7 @@ func (e *hashEngine) Put(key, value []byte) {
 	} else {
 		e.size += int64(len(k))
 		e.pending = append(e.pending, k)
+		e.dropSorted()
 		if len(e.pending) >= hashMergeAt {
 			e.mergePending()
 		}
@@ -158,16 +196,24 @@ func (e *hashEngine) Delete(key []byte) bool {
 	return true
 }
 
-func (e *hashEngine) ScanRange(from, to []byte, fn func(key, value []byte) bool) {
-	f := string(from)
-	var pend []string
-	if len(e.pending) > 0 {
-		pend = append([]string{}, e.pending...)
-		sort.Strings(pend)
-		j := sort.SearchStrings(pend, f)
-		pend = pend[j:]
+// lowerBound returns the index of the first of the sorted keys >= from.
+func lowerBound(keys []string, from []byte) int {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if keys[h] < string(from) {
+			lo = h + 1
+		} else {
+			hi = h
+		}
 	}
-	i := sort.SearchStrings(e.keys, f)
+	return lo
+}
+
+func (e *hashEngine) ScanRange(from, to []byte, fn func(key, value []byte) bool) {
+	pend := e.sortedPending()
+	pend = pend[lowerBound(pend, from):]
+	i := lowerBound(e.keys, from)
 	for i < len(e.keys) || len(pend) > 0 {
 		var k string
 		if len(pend) == 0 || (i < len(e.keys) && e.keys[i] < pend[0]) {
@@ -190,16 +236,12 @@ func (e *hashEngine) Len() int { return len(e.m) }
 
 func (e *hashEngine) SizeBytes() int64 { return e.size }
 
-// PrefixEmpty: one binary search over the sorted keys plus a linear pass
-// over the small pending buffer, no mutation.
+// PrefixEmpty: one binary search over the sorted keys and one over the
+// sorted view of the pending buffer, no mutation.
 func (e *hashEngine) PrefixEmpty(prefix []byte) bool {
-	p := string(prefix)
-	i := sort.SearchStrings(e.keys, p)
-	if i < len(e.keys) && strings.HasPrefix(e.keys[i], p) {
-		return false
-	}
-	for _, k := range e.pending {
-		if strings.HasPrefix(k, p) {
+	for _, keys := range [2][]string{e.keys, e.sortedPending()} {
+		i := lowerBound(keys, prefix)
+		if i < len(keys) && len(keys[i]) >= len(prefix) && keys[i][:len(prefix)] == string(prefix) {
 			return false
 		}
 	}

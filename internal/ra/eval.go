@@ -442,12 +442,12 @@ func (s *AggState) Merge(o *AggState) {
 	}
 }
 
-// stateWidth is the number of values EncodeState produces.
+// stateWidth is the number of values PutState writes.
 const stateWidth = 7
 
-// EncodeState serializes the accumulator so partial aggregates can be
-// shuffled between workers as ordinary tuples.
-func (s *AggState) EncodeState() Tuple7 {
+// PutState serializes the accumulator into dst[:AggStateWidth()], so partial
+// aggregates can be shuffled between workers as ordinary tuples.
+func (s *AggState) PutState(dst relation.Tuple) {
 	allInt := int64(0)
 	if s.AllInt {
 		allInt = 1
@@ -456,22 +456,17 @@ func (s *AggState) EncodeState() Tuple7 {
 	if s.started {
 		started = 1
 	}
-	return Tuple7{
-		relation.Int(s.Count), relation.Float(s.Sum), relation.Int(s.SumInt),
-		relation.Int(allInt), relation.Int(started), s.Min, s.Max,
-	}
+	dst[0], dst[1], dst[2] = relation.Int(s.Count), relation.Float(s.Sum), relation.Int(s.SumInt)
+	dst[3], dst[4], dst[5], dst[6] = relation.Int(allInt), relation.Int(started), s.Min, s.Max
 }
 
-// Tuple7 is the fixed-width encoded form of an AggState.
-type Tuple7 = relation.Tuple
-
-// DecodeAggState rebuilds an accumulator from EncodeState's layout starting
-// at offset off of the tuple.
-func DecodeAggState(t relation.Tuple, off int) (*AggState, error) {
+// DecodeAggState rebuilds an accumulator from PutState's layout starting at
+// offset off of the tuple.
+func DecodeAggState(t relation.Tuple, off int) (AggState, error) {
 	if off+stateWidth > len(t) {
-		return nil, fmt.Errorf("ra: truncated aggregate state")
+		return AggState{}, fmt.Errorf("ra: truncated aggregate state")
 	}
-	return &AggState{
+	return AggState{
 		Count:   t[off].Int,
 		Sum:     t[off+1].Flt,
 		SumInt:  t[off+2].Int,

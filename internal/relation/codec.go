@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // The codec encodes tuples into byte strings whose bytewise (memcmp) order
@@ -154,6 +155,23 @@ func AppendTuple(dst []byte, t Tuple) []byte {
 		dst = AppendValue(dst, v)
 	}
 	return dst
+}
+
+// EncodedLen returns the number of bytes AppendTuple appends for t, so a
+// caller encoding many tuples into one buffer can size it once.
+func EncodedLen(t Tuple) int {
+	n := 0
+	for _, v := range t {
+		switch v.Kind {
+		case KindInt, KindFloat:
+			n += 9
+		case KindString:
+			n += 3 + len(v.Str) + strings.Count(v.Str, "\x00")
+		default:
+			n++
+		}
+	}
+	return n
 }
 
 // DecodeTuple decodes exactly n values from b, returning the tuple and the

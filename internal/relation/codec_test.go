@@ -139,7 +139,7 @@ func TestQuickTupleRoundTrip(t *testing.T) {
 	f := func(p tuplePair) bool {
 		enc := EncodeTuple(p.A)
 		dec, n, err := DecodeTuple(enc, len(p.A))
-		if err != nil || n != len(enc) {
+		if err != nil || n != len(enc) || EncodedLen(p.A) != len(enc) {
 			return false
 		}
 		return dec.Equal(p.A)

@@ -1,0 +1,265 @@
+package zidian
+
+import (
+	"fmt"
+	"regexp"
+	"strings"
+	"sync"
+	"testing"
+
+	"zidian/internal/kba"
+	"zidian/internal/relation"
+	"zidian/internal/workload"
+)
+
+// servingTemplates are the serving benchmark's nine read templates — the
+// five point shapes and the four index_scan shapes — with bindings drawn
+// from MOT scale 1 (vehicles 0..599, roads 4..11).
+var servingTemplates = []struct {
+	name, sql string
+	params    [][]Value
+}{
+	{"vehicle_tests", "select T.test_date, T.result, T.mileage from TEST T where T.vehicle_id = ?",
+		[][]Value{{Int(7)}, {Int(123)}, {Int(599)}}},
+	{"vehicle_profile", "select V.make, V.model, T.test_date, T.result from VEHICLE V, TEST T where V.vehicle_id = ? and T.vehicle_id = V.vehicle_id",
+		[][]Value{{Int(7)}, {Int(123)}, {Int(599)}}},
+	{"vehicle_speeding", "select O.obs_date, O.speed, O.road_type from OBSERVATION O where O.vehicle_id = ? and O.speed > 70",
+		[][]Value{{Int(7)}, {Int(123)}, {Int(599)}}},
+	{"vehicle_test_stats", "select COUNT(*), AVG(T.mileage), MAX(T.defect_count) from TEST T where T.vehicle_id = ?",
+		[][]Value{{Int(7)}, {Int(123)}, {Int(599)}}},
+	{"vehicle_history", "select T.test_date, T.result, O.obs_date, O.speed from VEHICLE V, TEST T, OBSERVATION O where V.vehicle_id = ? and T.vehicle_id = V.vehicle_id and O.vehicle_id = V.vehicle_id",
+		[][]Value{{Int(7)}, {Int(123)}, {Int(599)}}},
+	{"road_observations", "select O.obs_id, O.speed, O.weather from OBSERVATION O where O.road_id = ?",
+		[][]Value{{Int(5)}, {Int(9)}}},
+	{"year_band", "select V.vehicle_id, V.color, V.fuel from VEHICLE V where V.year between ? and ?",
+		[][]Value{{Int(1999), Int(1999)}, {Int(2003), Int(2004)}}},
+	{"speed_band_limit", "select O.obs_id, O.direction, O.lane from OBSERVATION O where O.speed between ? and ? limit 20",
+		[][]Value{{Int(30), Int(35)}, {Int(72), Int(77)}}},
+	{"make_counts", "select V.make, COUNT(*) from VEHICLE V group by V.make", [][]Value{nil}},
+}
+
+// servingInstance opens MOT scale 1 on the default four nodes and four
+// workers with the index_scan workload's three indexes.
+func servingInstance(t *testing.T) *Instance {
+	t.Helper()
+	w := workload.MOT(workload.Spec{Scale: 1, Seed: 1})
+	inst, err := Open(w.DB, w.Schema, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ddl := range pruneSuiteMOTDDL {
+		if _, err := inst.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return inst
+}
+
+func renderAnswer(res *Result) string {
+	var b strings.Builder
+	b.WriteString(strings.Join(res.Cols, ","))
+	for _, row := range res.Rows {
+		b.WriteString(" " + row.String())
+	}
+	return b.String()
+}
+
+// TestResultRowsAreTheCallers: the rows a statement answers belong to the
+// caller — they alias nothing of the plan, of a fetched block or of each
+// other. For each serving template, for SELECT * over ∝ and for a plan that
+// is a constant alone: while another goroutine re-runs the prepared
+// statement, every cell of every row of the first answer is overwritten and
+// every row appended to; no row's append reaches a neighbour, every re-run
+// answers the first answer, and under -race nothing is shared.
+func TestResultRowsAreTheCallers(t *testing.T) {
+	inst := servingInstance(t)
+	type statement struct {
+		name   string
+		p      *Prepared
+		params []Value
+	}
+	var stmts []statement
+	prepare := func(name, src string, params []Value) *Prepared {
+		p, err := inst.Prepare(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		stmts = append(stmts, statement{name, p, params})
+		return p
+	}
+	for _, tpl := range servingTemplates {
+		prepare(tpl.name, tpl.sql, tpl.params[0])
+	}
+	prepare("select *", "select * from VEHICLE V where V.vehicle_id = ?", []Value{Int(42)})
+	// A constant leaf as the whole plan: its rows are the plan's keys.
+	p := prepare("const", "select V.vehicle_id from VEHICLE V where V.vehicle_id = 7", nil)
+	info := *p.info
+	info.Root = &kba.Const{KeyAttrs: []string{info.OutCols[0]}, Keys: []relation.Tuple{{Int(7)}, {Int(8)}, {Int(9)}}}
+	p.info = &info
+
+	for _, s := range stmts {
+		first, _, err := s.p.Run(s.params...)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		want := renderAnswer(first)
+		if len(first.Rows) == 0 {
+			t.Fatalf("%s answers no rows", s.name)
+		}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 20 {
+				res, _, err := s.p.Run(s.params...)
+				if err != nil {
+					t.Errorf("%s: %v", s.name, err)
+					return
+				}
+				if got := renderAnswer(res); got != want {
+					t.Errorf("%s re-run while the first answer was overwritten:\n got %s\nwant %s", s.name, got, want)
+					return
+				}
+			}
+		}()
+		mark := func(i, j int) Value { return String(fmt.Sprintf("r%d.c%d", i, j)) }
+		for i, row := range first.Rows {
+			for j := range row {
+				row[j] = mark(i, j)
+			}
+		}
+		for i := range first.Rows {
+			first.Rows[i] = append(first.Rows[i], Int(-1))
+		}
+		for i, row := range first.Rows {
+			for j := range row[:len(row)-1] {
+				if row[j] != mark(i, j) {
+					t.Fatalf("%s: appending to the rows changed row %d cell %d to %v", s.name, i, j, row[j])
+				}
+			}
+		}
+		wg.Wait()
+		again, _, err := s.p.Run(s.params...)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if got := renderAnswer(again); got != want {
+			t.Fatalf("%s after the first answer was overwritten:\n got %s\nwant %s", s.name, got, want)
+		}
+	}
+}
+
+// heldExecStats is every serving template's ExecStats per binding at one
+// worker and at four, with its answer's row count, as recorded before rows
+// were carved from slabs and γ ran inside the scan.
+const heldExecStats = `
+vehicle_tests [7] p=1 gets=1 blocks=1 data=9 scanned=0 bytes=71 shuffle=0 rows=1
+vehicle_tests [7] p=4 gets=1 blocks=1 data=9 scanned=0 bytes=71 shuffle=0 rows=1
+vehicle_tests [123] p=1 gets=1 blocks=1 data=9 scanned=0 bytes=72 shuffle=0 rows=1
+vehicle_tests [123] p=4 gets=1 blocks=1 data=9 scanned=0 bytes=72 shuffle=0 rows=1
+vehicle_tests [599] p=1 gets=1 blocks=1 data=9 scanned=0 bytes=71 shuffle=0 rows=1
+vehicle_tests [599] p=4 gets=1 blocks=1 data=9 scanned=0 bytes=71 shuffle=0 rows=1
+vehicle_profile [7] p=1 gets=2 blocks=2 data=22 scanned=0 bytes=180 shuffle=0 rows=1
+vehicle_profile [7] p=4 gets=2 blocks=2 data=22 scanned=0 bytes=180 shuffle=0 rows=1
+vehicle_profile [123] p=1 gets=2 blocks=2 data=22 scanned=0 bytes=181 shuffle=0 rows=1
+vehicle_profile [123] p=4 gets=2 blocks=2 data=22 scanned=0 bytes=181 shuffle=0 rows=1
+vehicle_profile [599] p=1 gets=2 blocks=2 data=22 scanned=0 bytes=176 shuffle=0 rows=1
+vehicle_profile [599] p=4 gets=2 blocks=2 data=22 scanned=0 bytes=176 shuffle=0 rows=1
+vehicle_speeding [7] p=1 gets=1 blocks=1 data=33 scanned=0 bytes=260 shuffle=0 rows=1
+vehicle_speeding [7] p=4 gets=1 blocks=1 data=33 scanned=0 bytes=260 shuffle=0 rows=1
+vehicle_speeding [123] p=1 gets=1 blocks=1 data=25 scanned=0 bytes=199 shuffle=0 rows=2
+vehicle_speeding [123] p=4 gets=1 blocks=1 data=25 scanned=0 bytes=199 shuffle=0 rows=2
+vehicle_speeding [599] p=1 gets=1 blocks=1 data=33 scanned=0 bytes=259 shuffle=0 rows=1
+vehicle_speeding [599] p=4 gets=1 blocks=1 data=33 scanned=0 bytes=259 shuffle=0 rows=1
+vehicle_test_stats [7] p=1 gets=1 blocks=1 data=9 scanned=0 bytes=71 shuffle=0 rows=1
+vehicle_test_stats [7] p=4 gets=1 blocks=1 data=9 scanned=0 bytes=71 shuffle=0 rows=1
+vehicle_test_stats [123] p=1 gets=1 blocks=1 data=9 scanned=0 bytes=72 shuffle=0 rows=1
+vehicle_test_stats [123] p=4 gets=1 blocks=1 data=9 scanned=0 bytes=72 shuffle=0 rows=1
+vehicle_test_stats [599] p=1 gets=1 blocks=1 data=9 scanned=0 bytes=71 shuffle=0 rows=1
+vehicle_test_stats [599] p=4 gets=1 blocks=1 data=9 scanned=0 bytes=71 shuffle=154 rows=1
+vehicle_history [7] p=1 gets=3 blocks=3 data=55 scanned=0 bytes=440 shuffle=0 rows=4
+vehicle_history [7] p=4 gets=3 blocks=3 data=55 scanned=0 bytes=440 shuffle=0 rows=4
+vehicle_history [123] p=1 gets=3 blocks=3 data=47 scanned=0 bytes=380 shuffle=0 rows=3
+vehicle_history [123] p=4 gets=3 blocks=3 data=47 scanned=0 bytes=380 shuffle=0 rows=3
+vehicle_history [599] p=1 gets=3 blocks=3 data=55 scanned=0 bytes=435 shuffle=0 rows=4
+vehicle_history [599] p=4 gets=3 blocks=3 data=55 scanned=0 bytes=435 shuffle=0 rows=4
+road_observations [5] p=1 gets=87 blocks=86 data=1462 scanned=0 bytes=11100 shuffle=0 rows=86
+road_observations [5] p=4 gets=87 blocks=86 data=1462 scanned=0 bytes=11100 shuffle=3900 rows=86
+road_observations [9] p=1 gets=33 blocks=32 data=544 scanned=0 bytes=4121 shuffle=0 rows=32
+road_observations [9] p=4 gets=33 blocks=32 data=544 scanned=0 bytes=4121 shuffle=1412 rows=32
+year_band [1999 1999] p=1 gets=34 blocks=34 data=510 scanned=1 bytes=4171 shuffle=0 rows=34
+year_band [1999 1999] p=4 gets=34 blocks=34 data=510 scanned=1 bytes=4171 shuffle=544 rows=34
+year_band [2003 2004] p=1 gets=86 blocks=86 data=1290 scanned=2 bytes=10335 shuffle=0 rows=86
+year_band [2003 2004] p=4 gets=86 blocks=86 data=1290 scanned=2 bytes=10335 shuffle=1376 rows=86
+speed_band_limit [30 35] p=1 gets=20 blocks=20 data=340 scanned=1 bytes=2592 shuffle=0 rows=20
+speed_band_limit [30 35] p=4 gets=20 blocks=20 data=340 scanned=1 bytes=2592 shuffle=320 rows=20
+speed_band_limit [72 77] p=1 gets=20 blocks=20 data=340 scanned=1 bytes=2577 shuffle=0 rows=20
+speed_band_limit [72 77] p=4 gets=20 blocks=20 data=340 scanned=1 bytes=2577 shuffle=0 rows=20
+make_counts [] p=1 gets=0 blocks=0 data=2700 scanned=150 bytes=21545 shuffle=0 rows=12
+make_counts [] p=4 gets=0 blocks=0 data=2700 scanned=150 bytes=21545 shuffle=1717 rows=12
+`
+
+// TestServingTemplatesHoldTheirCounts: what the nine serving templates read
+// and ship — gets, blocks, values, scanned blocks, bytes, shuffled bytes —
+// and how many rows they answer are exactly the table above.
+func TestServingTemplatesHoldTheirCounts(t *testing.T) {
+	inst := servingInstance(t)
+	var b strings.Builder
+	for _, tpl := range servingTemplates {
+		p, err := inst.Prepare(tpl.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tpl.name, err)
+		}
+		for _, params := range tpl.params {
+			bound, err := p.info.Bind(params)
+			if err != nil {
+				t.Fatalf("%s: %v", tpl.name, err)
+			}
+			for _, workers := range []int{1, 4} {
+				out, st, err := kba.Run(bound.Root, inst.store, workers, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", tpl.name, err)
+				}
+				res, err := bound.ToResult(out)
+				if err != nil {
+					t.Fatalf("%s: %v", tpl.name, err)
+				}
+				fmt.Fprintf(&b, "%s %v p=%d gets=%d blocks=%d data=%d scanned=%d bytes=%d shuffle=%d rows=%d\n",
+					tpl.name, params, workers, st.Gets, st.Blocks, st.DataValues, st.ScanBlocks, st.BytesRead, st.ShuffleBytes, len(res.Rows))
+			}
+		}
+	}
+	if got := b.String(); got != heldExecStats[1:] {
+		t.Fatalf("serving templates' counts moved:\n%s\nwant\n%s", got, heldExecStats[1:])
+	}
+}
+
+// heldMakeCounts is EXPLAIN ANALYZE of make_counts with its times masked,
+// as recorded before γ ran inside the scan: the scan keeps its span, rows,
+// worker and node fan-out and columns.
+const heldMakeCounts = `
+[not scan-free] γ[V.make; COUNT(*)](scan[vehicle_by_make_model as V])
+GroupBy V.make; COUNT(*) (rows=12 time=… kvops=150 [scan_next=150] workers=4 per_worker=[4,3,2,3])
+  ScanKV vehicle_by_make_model as V (rows=600 time=… kvops=150 [scan_next=150] workers=4 per_worker=[143,147,180,130] nodes=4 per_node=[143,147,180,130] cols=0/4)
+totals: rows=12 wall=… kv_ops=150 (gets=0 scan_next=150 puts=0 deletes=0) rtt=0s posting_reads=0 blocks=150 nodes=4 snapshot=VEHICLE:0
+`
+
+func TestMakeCountsAnalyzeHeld(t *testing.T) {
+	inst := servingInstance(t)
+	p, err := inst.Prepare("select V.make, COUNT(*) from VEHICLE V group by V.make")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, _, err := p.Analyze(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	times := regexp.MustCompile(`(time|wall)=[^ )]+`)
+	var b strings.Builder
+	for _, row := range res.Rows {
+		b.WriteString(times.ReplaceAllString(row[0].Str, "$1=…") + "\n")
+	}
+	if got := b.String(); got != heldMakeCounts[1:] {
+		t.Fatalf("EXPLAIN ANALYZE make_counts:\n%s\nwant\n%s", got, heldMakeCounts[1:])
+	}
+}
