@@ -30,7 +30,7 @@ func UnresolvedCopy(t *testing.T, p kba.Plan) kba.Plan {
 	case *kba.ScanKV:
 		out = &kba.ScanKV{KV: n.KV, Alias: n.Alias}
 	case *kba.StatsAgg:
-		out = &kba.StatsAgg{KV: n.KV, Alias: n.Alias, Aggs: n.Aggs}
+		out = &kba.StatsAgg{KV: n.KV, Alias: n.Alias, Keys: n.Keys, Aggs: n.Aggs}
 	case *kba.IndexLookup:
 		out = &kba.IndexLookup{Index: n.Index, Alias: n.Alias, ValAttr: n.ValAttr, KeyAttrs: n.KeyAttrs, Values: n.Values, Args: n.Args}
 	case *kba.IndexRange:

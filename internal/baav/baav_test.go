@@ -134,9 +134,9 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 					t.Fatalf("stats validity = %+v", gotStats.Attrs)
 				}
 				// Fast path agrees.
-				fast, err := DecodeBlockStats(enc)
-				if err != nil || fast == nil {
-					t.Fatalf("fast stats: %v %v", fast, err)
+				var fast BlockStats
+				if ok, err := readStats(enc, &fast); err != nil || !ok {
+					t.Fatalf("fast stats: %v %v", ok, err)
 				}
 				if fast.Rows != gotStats.Rows || fast.Attrs[0].Sum != gotStats.Attrs[0].Sum {
 					t.Fatalf("fast stats mismatch: %+v vs %+v", fast, gotStats)
@@ -173,11 +173,11 @@ func TestDecodeBlockCorrupt(t *testing.T) {
 	if _, _, err := DecodeBlock([]byte{0, 5}, 1); err == nil {
 		t.Fatal("truncated tuples must fail")
 	}
-	if _, err := DecodeBlockStats(nil); err == nil {
+	if _, err := readStats(nil, &BlockStats{}); err == nil {
 		t.Fatal("empty stats must fail")
 	}
-	if st, err := DecodeBlockStats([]byte{0, 0}); err != nil || st != nil {
-		t.Fatal("no-stats block yields nil stats")
+	if ok, err := readStats([]byte{0, 0}, &BlockStats{}); err != nil || ok {
+		t.Fatal("no-stats block yields no stats")
 	}
 }
 
@@ -254,9 +254,9 @@ func TestScanInstance(t *testing.T) {
 func TestScanStatsFastPath(t *testing.T) {
 	st, _ := newTestStore(t, DefaultOptions())
 	var total int64
-	err := st.ScanStatsT(nil, "SUPPLIER_by_nation", func(_ relation.Tuple, stats *BlockStats) bool {
-		if stats != nil {
-			total += stats.Rows
+	err := st.ScanStatsT(nil, "SUPPLIER_by_nation", func(h *HeaderBlock) bool {
+		if h.Stats != nil {
+			total += h.Stats.Rows
 		}
 		return true
 	})
@@ -612,17 +612,30 @@ func TestReadFormsAgree(t *testing.T) {
 			if len(whole) != 3 || !reflect.DeepEqual(whole, perNode) {
 				t.Fatalf("%v/%d nodes: ScanInstance %v, node-order walk %v", kind, nodes, whole, perNode)
 			}
-			var rows int64
+			// The header walk visits the blocks ScanInstance does, once each,
+			// segments merged, and decodes each to what ScanInstance read.
+			var headers []string
 			traced("ScanStatsT", func(kvt *obs.KV) {
-				if err := st.ScanStatsT(kvt, name, func(_ relation.Tuple, stats *BlockStats) bool {
-					rows += stats.Rows
+				if err := st.ScanStatsT(kvt, name, func(h *HeaderBlock) bool {
+					key, _, err := relation.DecodeTuple(h.Key, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					blk, err := h.Decode()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if blk.Rows() != h.Stats.Rows {
+						t.Fatalf("%v/%d nodes: block %v decodes to %d rows, header says %d", kind, nodes, key, blk.Rows(), h.Stats.Rows)
+					}
+					headers = append(headers, fmt.Sprint(key, h.Stats.Rows))
 					return true
 				}); err != nil {
 					t.Fatal(err)
 				}
 			})
-			if rows != 102 {
-				t.Fatalf("%v/%d nodes: ScanStatsT saw %d rows, want 102", kind, nodes, rows)
+			if !reflect.DeepEqual(headers, whole) {
+				t.Fatalf("%v/%d nodes: ScanStatsT %v, ScanInstance %v", kind, nodes, headers, whole)
 			}
 
 			c, err := st.BeginCommit("SUPPLIER")

@@ -330,7 +330,10 @@ func (a *blockArena) payload(data []byte, width int, cols []int, wantStats bool)
 	n, k := binary.Uvarint(data[off:])
 	off += k
 	if flags&flagStats != 0 {
-		if stats, off, err = decodeStats(data, off, wantStats); err != nil {
+		if wantStats {
+			stats = &BlockStats{}
+		}
+		if off, err = decodeStats(data, off, stats); err != nil {
 			return nil, 0, false, err
 		}
 	}
@@ -378,72 +381,75 @@ func (a *blockArena) payload(data []byte, width int, cols []int, wantStats bool)
 	return stats, size, counted, nil
 }
 
-// DecodeBlockStats reads only the statistics header of an encoded block,
-// without decoding the tuples; the fast path for statistics-backed
-// aggregates. It returns nil when the block carries no stats.
-func DecodeBlockStats(data []byte) (*BlockStats, error) {
+// readStats reads only the statistics header of an encoded block, without
+// decoding the tuples — the fast path of statistics-backed aggregates — into
+// st, reusing its attribute slice; ok is false when the block carries no
+// header (or it is corrupt).
+func readStats(data []byte, st *BlockStats) (ok bool, err error) {
 	if len(data) == 0 {
-		return nil, errCorruptBlock
+		return false, errCorruptBlock
 	}
-	flags := data[0]
-	if flags&flagStats == 0 {
-		return nil, nil
+	if data[0]&flagStats == 0 {
+		return false, nil
 	}
-	off := 1
-	if _, k := binary.Uvarint(data[off:]); k <= 0 {
-		return nil, errCorruptBlock
-	} else {
-		off += k // skip distinct count
+	_, k := binary.Uvarint(data[1:]) // the distinct count
+	if k <= 0 {
+		return false, errCorruptBlock
 	}
-	stats, _, err := decodeStats(data, off, true)
-	if err != nil {
-		return nil, err
+	if _, err := decodeStats(data, 1+k, st); err != nil {
+		return false, err
 	}
-	return stats, nil
+	return true, nil
 }
 
-// decodeStats reads the stats header at off and returns the offset just
-// past it; with build unset the header is only stepped over and st is nil.
-func decodeStats(data []byte, off int, build bool) (st *BlockStats, end int, err error) {
+// decodeStats reads the stats header at off into st — its attribute slice
+// reused — and returns the offset just past it; with a nil st the header is
+// only stepped over.
+func decodeStats(data []byte, off int, st *BlockStats) (end int, err error) {
 	rows, k := binary.Uvarint(data[off:])
 	if k <= 0 {
-		return nil, 0, errCorruptBlock
+		return 0, errCorruptBlock
 	}
 	off += k
 	w, k := binary.Uvarint(data[off:])
 	if k <= 0 {
-		return nil, 0, errCorruptBlock
+		return 0, errCorruptBlock
 	}
 	off += k
 	// Every attribute has at least its valid byte in the payload.
 	if w > uint64(len(data)-off) {
-		return nil, 0, errCorruptBlock
+		return 0, errCorruptBlock
 	}
-	if build {
-		st = &BlockStats{Rows: int64(rows), Attrs: make([]AttrStats, w)}
+	if st != nil {
+		st.Rows = int64(rows)
+		st.Attrs = slices.Grow(st.Attrs[:0], int(w))[:w]
 	}
 	for i := 0; i < int(w); i++ {
 		if off >= len(data) {
-			return nil, 0, errCorruptBlock
+			return 0, errCorruptBlock
 		}
 		valid := data[off]
 		off++
+		if st != nil {
+			st.Attrs[i] = AttrStats{}
+		}
 		if valid == 0 {
 			continue
 		}
 		if off+24 > len(data) {
-			return nil, 0, errCorruptBlock
+			return 0, errCorruptBlock
 		}
-		if build {
-			a := &st.Attrs[i]
-			a.Valid = true
-			a.Min = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-			a.Max = math.Float64frombits(binary.LittleEndian.Uint64(data[off+8:]))
-			a.Sum = math.Float64frombits(binary.LittleEndian.Uint64(data[off+16:]))
+		if st != nil {
+			st.Attrs[i] = AttrStats{
+				Valid: true,
+				Min:   math.Float64frombits(binary.LittleEndian.Uint64(data[off:])),
+				Max:   math.Float64frombits(binary.LittleEndian.Uint64(data[off+8:])),
+				Sum:   math.Float64frombits(binary.LittleEndian.Uint64(data[off+16:])),
+			}
 		}
 		off += 24
 	}
-	return st, off, nil
+	return off, nil
 }
 
 // Merge folds another stats block into s (attributewise).

@@ -112,8 +112,8 @@ func TestDecodeBlockBoundsCounts(t *testing.T) {
 			t.Errorf("%s: err = %v, want %v", name, err, errCorruptBlock)
 		}
 	}
-	if _, err := DecodeBlockStats(append(append([]byte{flagStats, 0}, 1), huge...)); !errors.Is(err, errCorruptBlock) {
-		t.Errorf("DecodeBlockStats: err = %v, want %v", err, errCorruptBlock)
+	if _, err := readStats(append(append([]byte{flagStats, 0}, 1), huge...), &BlockStats{}); !errors.Is(err, errCorruptBlock) {
+		t.Errorf("readStats: err = %v, want %v", err, errCorruptBlock)
 	}
 }
 

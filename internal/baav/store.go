@@ -404,7 +404,11 @@ func (st *Store) ScanInstanceNodeT(kvt *obs.KV, node int, name string, cols []in
 // scanBlocks decodes each winning block version of a raw kv scan.
 func (st *Store) scanBlocks(name string, scan func(prefix []byte, visit func(k, v []byte) bool), cols []int, wantStats bool,
 	fn func(key relation.Tuple, blk *Block, stats *BlockStats, size int64) bool) error {
-	return st.scanWinners(name, scan, func(width int, key relation.Tuple, segs [][]byte) (bool, error) {
+	return st.scanWinners(name, scan, func(keyWidth, width int, enc []byte, segs [][]byte) (bool, error) {
+		key, _, err := relation.DecodeTuple(enc, keyWidth)
+		if err != nil {
+			return false, err
+		}
 		blk, stats, size, err := assembleSegs(segs, width, cols, wantStats)
 		if err != nil {
 			return false, err
@@ -413,44 +417,73 @@ func (st *Store) scanBlocks(name string, scan func(prefix []byte, visit func(k, 
 	})
 }
 
-// ScanStatsT visits only the statistics of every block of the instance,
-// reading headers without decoding tuples and counting into the kv trace
+// HeaderBlock is one block as ScanStatsT walks it. The walk reuses it, and
+// every slice in it, for the next block.
+type HeaderBlock struct {
+	// Key is the block key's order-preserving encoding: the key attributes'
+	// values, none of them decoded.
+	Key []byte
+	// Stats is the block's statistics header, merged over its segments; nil
+	// when a segment carries none.
+	Stats *BlockStats
+
+	segs         [][]byte
+	width        int
+	stats, other BlockStats
+}
+
+// Decode decodes the block's tuples, every column: for a reader the header
+// cannot answer.
+func (h *HeaderBlock) Decode() (*Block, error) {
+	blk, _, _, err := decodeSegs(h.segs, h.width, nil, false)
+	return blk, err
+}
+
+// ScanStatsT visits the statistics header of every block of the instance,
+// decoding neither its key nor its tuples, and counting into the kv trace
 // sink. Like the block scans it resolves each block's winning version at
-// this view's snapshot sequence; a segmented block yields one record per
-// segment. Blocks without stats yield nil.
-func (st *Store) ScanStatsT(kvt *obs.KV, name string, fn func(key relation.Tuple, stats *BlockStats) bool) error {
+// this view's snapshot sequence and visits a segmented block once, its
+// segments' headers merged.
+func (st *Store) ScanStatsT(kvt *obs.KV, name string, fn func(h *HeaderBlock) bool) error {
 	scan := func(prefix []byte, visit func(k, v []byte) bool) { st.Cluster.ScanT(kvt, prefix, visit) }
-	return st.scanWinners(name, scan, func(_ int, key relation.Tuple, segs [][]byte) (bool, error) {
+	var h HeaderBlock
+	return st.scanWinners(name, scan, func(_, width int, enc []byte, segs [][]byte) (bool, error) {
+		if err := stripSegHeader(segs); err != nil {
+			return false, err
+		}
+		h.Key, h.Stats, h.segs, h.width = enc, &h.stats, segs, width
 		for i, payload := range segs {
-			if i == 0 {
-				_, hk := binary.Uvarint(payload)
-				payload = payload[hk:]
+			into := &h.stats
+			if i > 0 {
+				into = &h.other
 			}
-			stats, err := DecodeBlockStats(payload)
+			ok, err := readStats(payload, into)
 			if err != nil {
 				return false, err
 			}
-			if !fn(key, stats) {
-				return false, nil
+			if !ok {
+				h.Stats = nil
+			} else if i > 0 {
+				h.stats.Merge(into)
 			}
 		}
-		return true, nil
+		return fn(&h), nil
 	})
 }
 
 // scanWinners drives a raw kv scan over the instance's prefix and hands
-// visit, block by block, the segment payloads of the version that wins at
-// this view's snapshot sequence (segs[0] still carries the segment-count
-// header; the slice is reused between calls), along with the instance's
-// value width. The physical key order within one block is (segment,
-// newest-version-first), so the first segment-0 key at or below the
-// snapshot sequence is the block's winning version; segments of any other
-// version, and versions newer than the snapshot (including in-flight
-// uninstalled commits), are skipped. A winning tombstone yields nothing —
-// the block is deleted at this snapshot. visit returning false stops the
-// scan at the block boundary.
+// visit, block by block, the encoded block key and the segment payloads of
+// the version that wins at this view's snapshot sequence (segs[0] still
+// carries the segment-count header; the key and the slice are reused
+// between calls), along with the instance's key and value widths. The
+// physical key order within one block is (segment, newest-version-first),
+// so the first segment-0 key at or below the snapshot sequence is the
+// block's winning version; segments of any other version, and versions
+// newer than the snapshot (including in-flight uninstalled commits), are
+// skipped. A winning tombstone yields nothing — the block is deleted at this
+// snapshot. visit returning false stops the scan at the block boundary.
 func (st *Store) scanWinners(name string, scan func(prefix []byte, visit func(k, v []byte) bool),
-	visit func(width int, key relation.Tuple, segs [][]byte) (bool, error)) error {
+	visit func(keyWidth, width int, key []byte, segs [][]byte) (bool, error)) error {
 	kvSchema := st.Schema.ByName(name)
 	if kvSchema == nil {
 		return fmt.Errorf("baav: unknown KV schema %q", name)
@@ -462,7 +495,6 @@ func (st *Store) scanWinners(name string, scan func(prefix []byte, visit func(k,
 	var curPrefix []byte // block whose versions are being resolved
 	var winnerVer uint64
 	haveWinner := false
-	var curKey relation.Tuple
 	var segs [][]byte
 	var scanErr error
 
@@ -470,14 +502,14 @@ func (st *Store) scanWinners(name string, scan func(prefix []byte, visit func(k,
 		if len(segs) == 0 {
 			return true
 		}
-		ok, err := visit(width, curKey, segs)
+		ok, err := visit(keyWidth, width, curPrefix[4:], segs)
 		segs = segs[:0]
 		scanErr = err
 		return ok && err == nil
 	}
 
 	scan(st.instancePrefix(st.ids[name]), func(k, v []byte) bool {
-		key, n, err := relation.DecodeTuple(k[4:], keyWidth)
+		n, err := relation.SkipTuple(k[4:], keyWidth)
 		if err != nil {
 			scanErr = err
 			return false
@@ -510,7 +542,6 @@ func (st *Store) scanWinners(name string, scan func(prefix []byte, visit func(k,
 			if nsegs == 0 {
 				return true // tombstone: deleted at this snapshot
 			}
-			curKey = key
 			segs = append(segs, v)
 			return true
 		}

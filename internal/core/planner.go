@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"zidian/internal/baav"
@@ -323,10 +324,12 @@ func (p *planner) run() (*PlanInfo, error) {
 	return info, nil
 }
 
-// tryStatsAgg recognizes whole-instance group-by aggregates that per-block
-// statistics can answer without decoding any tuple (Section 8.2): a single
-// atom, no predicates, group keys exactly a KV schema's key attributes, and
-// COUNT/SUM/MIN/MAX/AVG over its numeric value attributes.
+// tryStatsAgg recognizes grouped aggregates that per-block statistics can
+// answer without decoding a tuple (Section 8.2): a single atom, no
+// predicates, group keys among a KV schema's key attributes — all of them or
+// a subset, so every block falls in one group — and COUNT/SUM/MIN/MAX/AVG
+// over its numeric value attributes. Of the schemas that qualify it walks
+// the one with the fewest blocks.
 func (p *planner) tryStatsAgg() (*PlanInfo, bool) {
 	q := p.q
 	if p.c.Stats == nil || !p.c.Stats.HasBlockStats() {
@@ -339,67 +342,70 @@ func (p *planner) tryStatsAgg() (*PlanInfo, bool) {
 		return nil, false
 	}
 	atom := q.Atoms[0]
-	rel := p.c.Rels[atom.Rel]
+	var best *baav.KVSchema
 	for _, s := range p.c.Schema.ForRelation(atom.Rel) {
-		// Group keys must be exactly the schema's key attributes.
-		if len(q.Proj) != len(s.Key) {
-			continue
+		if p.statsAnswer(s) && (best == nil || p.c.Stats.InstanceBlocks(s.Name) < p.c.Stats.InstanceBlocks(best.Name)) {
+			best = &s
 		}
-		keySet := make(map[string]bool, len(s.Key))
-		for _, k := range s.Key {
-			keySet[k] = true
+	}
+	if best == nil {
+		return nil, false
+	}
+	grouped := make(map[string]bool, len(q.Proj))
+	outCols := make([]string, 0, len(q.Proj)+len(q.Aggs))
+	for _, ref := range q.Proj {
+		grouped[ref.Attr] = true
+		outCols = append(outCols, ref.String())
+	}
+	var keys []string
+	for _, k := range best.Key {
+		if grouped[k] {
+			keys = append(keys, atom.Alias+"."+k)
 		}
-		match := true
-		for _, ref := range q.Proj {
-			if !keySet[ref.Attr] {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		valSet := make(map[string]bool, len(s.Val))
-		for _, v := range s.Val {
-			valSet[v] = true
-		}
-		specs := make([]kba.AggSpec, len(q.Aggs))
-		ok := true
-		for i, a := range q.Aggs {
-			specs[i] = kba.AggSpec{Func: a.Func, Star: a.Star, Name: a.Name}
-			if a.Star {
-				continue
-			}
-			kind := relation.KindNull
-			if j := rel.Index(a.Col.Attr); j >= 0 {
-				kind = rel.Attrs[j].Kind
-			}
-			if !valSet[a.Col.Attr] || (kind != relation.KindInt && kind != relation.KindFloat) {
-				ok = false
-				break
-			}
+	}
+	specs := make([]kba.AggSpec, len(q.Aggs))
+	for i, a := range q.Aggs {
+		specs[i] = kba.AggSpec{Func: a.Func, Star: a.Star, Name: a.Name}
+		if !a.Star {
 			specs[i].Attr = atom.Alias + "." + a.Col.Attr
 		}
-		if !ok {
+		outCols = append(outCols, a.Name)
+	}
+	return &PlanInfo{
+		Query:      q,
+		Root:       &kba.StatsAgg{KV: best.Name, Alias: atom.Alias, Keys: keys, Aggs: specs},
+		ScanFree:   false, // header scans are still scans
+		Scans:      []string{best.Name},
+		OutCols:    outCols,
+		UsedStats:  true,
+		NumParams:  q.NumParams,
+		ParamKinds: q.ParamKinds,
+	}, true
+}
+
+// statsAnswer reports whether schema s's statistics answer the single-atom
+// aggregate query: every group key is a key attribute of s and every
+// aggregate is COUNT(*) or over a numeric value attribute of s.
+func (p *planner) statsAnswer(s baav.KVSchema) bool {
+	for _, ref := range p.q.Proj {
+		if !slices.Contains(s.Key, ref.Attr) {
+			return false
+		}
+	}
+	rel := p.c.Rels[p.q.Atoms[0].Rel]
+	for _, a := range p.q.Aggs {
+		if a.Star {
 			continue
 		}
-		outCols := make([]string, 0, len(q.Proj)+len(q.Aggs))
-		for _, ref := range q.Proj {
-			outCols = append(outCols, ref.String())
+		kind := relation.KindNull
+		if j := rel.Index(a.Col.Attr); j >= 0 {
+			kind = rel.Attrs[j].Kind
 		}
-		for _, a := range q.Aggs {
-			outCols = append(outCols, a.Name)
+		if !slices.Contains(s.Val, a.Col.Attr) || (kind != relation.KindInt && kind != relation.KindFloat) {
+			return false
 		}
-		return &PlanInfo{
-			Query:     q,
-			Root:      &kba.StatsAgg{KV: s.Name, Alias: atom.Alias, Aggs: specs},
-			ScanFree:  false, // header scans are still scans
-			Scans:     []string{s.Name},
-			OutCols:   outCols,
-			UsedStats: true,
-		}, true
 	}
-	return nil, false
+	return true
 }
 
 // seedValues collects, per pinned equality class, the candidate bind-time

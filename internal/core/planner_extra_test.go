@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"zidian/internal/kv"
 	"zidian/internal/ra"
 	"zidian/internal/relation"
+	"zidian/internal/workload"
 )
 
 // splitFixture builds a database whose BaaV schema forces multi-step atom
@@ -167,6 +169,70 @@ func TestPlanStatsAggSelection(t *testing.T) {
 	if info4.UsedStats {
 		t.Fatal("pushdown requires statistics in the store")
 	}
+
+	// Over the MOT and TPC-H schemas: any subset of a KV schema's key
+	// attributes — a prefix, a later attribute alone, the whole key in
+	// either order — selects the header walk; a group attribute outside
+	// every key, a predicate or a string aggregate declines it. Every answer
+	// is ra.Eval's, value for value and kind for kind.
+	for _, c := range []struct {
+		workload, sql string
+		stats         bool
+	}{
+		{"mot", "select V.make, COUNT(*) from VEHICLE V group by V.make", true},
+		{"mot", "select V.model, COUNT(*), MIN(V.year), MAX(V.year) from VEHICLE V group by V.model", true},
+		{"mot", "select V.make, V.model, MAX(V.year), SUM(V.year), COUNT(*) from VEHICLE V group by V.make, V.model", true},
+		{"mot", "select V.model, V.make, AVG(V.year) from VEHICLE V group by V.model, V.make", true},
+		{"mot", "select O.region, COUNT(*), SUM(O.speed) from OBSERVATION O group by O.region order by O.region limit 3", true},
+		{"mot", "select V.color, COUNT(*) from VEHICLE V group by V.color", false},
+		{"mot", "select V.make, V.fuel, COUNT(*) from VEHICLE V group by V.make, V.fuel", false},
+		{"mot", "select V.make, COUNT(*) from VEHICLE V where V.year > 2000 group by V.make", false},
+		{"mot", "select V.make, MIN(V.fuel) from VEHICLE V group by V.make", false},
+		{"tpch", "select PS.suppkey, SUM(PS.availqty), MIN(PS.supplycost), COUNT(*) from PARTSUPP PS group by PS.suppkey", true},
+		{"tpch", "select L.shipmode, MIN(L.orderkey), SUM(L.extendedprice), COUNT(*) from LINEITEM L group by L.shipmode", true},
+		{"tpch", "select L.returnflag, COUNT(*) from LINEITEM L group by L.returnflag", false},
+	} {
+		w, err := workload.Generate(c.workload, workload.Spec{Scale: 0.1, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := baav.Map(w.DB, w.Schema, kv.NewCluster(kv.EngineHash, 2), baav.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := ra.MustParse(c.sql, w.DB)
+		info, err := NewChecker(w.Schema, baav.RelSchemas(w.DB)).WithStats(store).Plan(q)
+		if err != nil {
+			t.Fatalf("%q: %v", c.sql, err)
+		}
+		if info.UsedStats != c.stats {
+			t.Fatalf("%q: statistics plan %v, want %v: %s", c.sql, info.UsedStats, c.stats, info.Root)
+		}
+		got, _, err := Answer(info, store)
+		if err != nil {
+			t.Fatalf("%q: %v", c.sql, err)
+		}
+		want, _ := ra.Evaluate(q, w.DB)
+		if !got.Equal(want) || !sameKinds(got, want) {
+			t.Fatalf("%q answers\n%v\nra.Eval answers\n%v", c.sql, got.Rows, want.Rows)
+		}
+	}
+}
+
+// sameKinds reports whether two answers of equal rows hold, row for row in
+// sorted order, values of the same kinds.
+func sameKinds(a, b *ra.Result) bool {
+	a, b = &ra.Result{Rows: slices.Clone(a.Rows)}, &ra.Result{Rows: slices.Clone(b.Rows)}
+	a.Sort()
+	b.Sort()
+	for i := range a.Rows {
+		for j := range a.Rows[i] {
+			if a.Rows[i][j].Kind != b.Rows[i][j].Kind {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestCostBasedScanVsProbe: with statistics, probing a small instance from a

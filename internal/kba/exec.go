@@ -98,16 +98,21 @@ func (e *executor) run(p Plan) (*PartRel, error) {
 	span := e.startSpan(p)
 	v, err := e.exec(p)
 	if span != nil {
-		var perWorker []int64
-		if v != nil {
-			perWorker = make([]int64, len(v.Parts))
-			for w, part := range v.Parts {
-				perWorker[w] = int64(len(part))
-			}
-		}
-		e.finishSpan(span, perWorker)
+		e.finishSpan(span, rowsPerWorker(v))
 	}
 	return v, err
+}
+
+// rowsPerWorker is the row count of each of v's partitions; nil for no v.
+func rowsPerWorker(v *PartRel) []int64 {
+	if v == nil {
+		return nil
+	}
+	perWorker := make([]int64, len(v.Parts))
+	for w, part := range v.Parts {
+		perWorker[w] = int64(len(part))
+	}
+	return perWorker
 }
 
 // startSpan opens p's operator span; nil unless the trace records spans.
@@ -146,17 +151,20 @@ func (e *executor) exec(p Plan) (*PartRel, error) {
 	case *IndexRange:
 		return e.runIndexRange(n)
 	case *Extend:
-		if e.fetchAll {
-			return e.runExtendFetchAll(n)
-		}
-		return e.runExtend(n)
+		return e.runExtendAs(n, nil)
 	case *Shift:
 		return e.runShift(n)
 	case *Join:
-		return e.runJoin(n)
+		return e.runJoin(n, nil)
 	case *Select:
 		return e.runSelect(n)
 	case *Project:
+		if sel, ok := n.Input.(*Select); ok {
+			switch sel.Input.(type) {
+			case *Extend, *Join:
+				return e.runFused(n, sel)
+			}
+		}
 		return e.runProject(n)
 	case *Distinct:
 		return e.runDistinct(n)
@@ -447,18 +455,89 @@ func (e *executor) runIndexRange(n *IndexRange) (*PartRel, error) {
 	})
 }
 
+// fusion is a σ and the π above it, run inside the ∝ or ⋈ that feeds them
+// (runFused). sink is set once the producer knows its own layout.
+type fusion struct {
+	sel  *Select
+	proj *Project
+	sink *rowSink
+}
+
+// sink returns where a producer whose rows are attrs writes them, and the
+// attributes of what it returns: its own rows, or — under fusion f — π's
+// columns of the rows σ passes.
+func (e *executor) sink(f *fusion, attrs []string) (*rowSink, []string, error) {
+	s := &rowSink{width: len(attrs)}
+	if f == nil {
+		return s, attrs, nil
+	}
+	selLay, err := e.layoutOf(f.sel, f.sel.lay, attrs, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	if s.check, err = selectCheck(f.sel, selLay); err != nil {
+		return nil, nil, err
+	}
+	projLay, err := e.layoutOf(f.proj, f.proj.lay, attrs, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.cols, s.made = projLay.key, make([]int64, e.workers)
+	f.sink = s
+	return s, projLay.attrs, nil
+}
+
+// runFused runs π(σ(p)) for a ∝ or ⋈ p inside p (see rowSink). Its spans
+// and accounting are those of the three operators run one after another:
+// σ's span and p's open inside π's, p's with the rows it made per worker
+// and σ's with the rows it passed, and the statement's ExecStats are p's
+// own, as they were.
+func (e *executor) runFused(proj *Project, sel *Select) (*PartRel, error) {
+	selSpan := e.startSpan(sel)
+	span := e.startSpan(sel.Input)
+	f := &fusion{sel: sel, proj: proj}
+	var out *PartRel
+	var err error
+	switch n := sel.Input.(type) {
+	case *Extend:
+		out, err = e.runExtendAs(n, f)
+	case *Join:
+		out, err = e.runJoin(n, f)
+	}
+	var made []int64
+	if out != nil {
+		made = f.sink.made
+	}
+	e.finishSpan(span, made)
+	e.finishSpan(selSpan, rowsPerWorker(out))
+	return out, err
+}
+
+// runExtendAs runs ∝ interleaved, or flattened into retrieve-then-join when
+// the executor is set to, writing its rows under fusion f (nil: none).
+func (e *executor) runExtendAs(n *Extend, f *fusion) (*PartRel, error) {
+	if e.fetchAll {
+		return e.runExtendFetchAll(n, f)
+	}
+	return e.runExtend(n, f)
+}
+
 // runExtend is the interleaved ∝: deduplicate the target keys across the
 // whole input, fetch every needed block in one batched cluster round per
 // owning node, then have workers expand their partitions against the shared
 // read-only blocks — the query fetches only the blocks it needs, and pays
 // one storage round per node instead of one per distinct key. Input rows
 // with no matching block are joined away.
-func (e *executor) runExtend(n *Extend) (*PartRel, error) {
+func (e *executor) runExtend(n *Extend, f *fusion) (*PartRel, error) {
 	in, err := e.run(n.Input)
 	if err != nil {
 		return nil, err
 	}
 	lay, err := e.layoutOf(n, n.lay, in.Attrs, nil)
+	if err != nil {
+		return nil, err
+	}
+	sink, attrs, err := e.sink(f, lay.attrs)
 	if err != nil {
 		return nil, err
 	}
@@ -514,8 +593,7 @@ func (e *executor) runExtend(n *Extend) (*PartRel, error) {
 	e.bytes.Add(bytes)
 	e.annotateCols(lay)
 
-	out := NewPartRel(lay.attrs, e.workers)
-	width := len(lay.attrs)
+	out := NewPartRel(attrs, e.workers)
 	err = ForWorkers(e.workers, total, func(w int) error {
 		count := 0
 		for _, k := range at[w] {
@@ -524,14 +602,13 @@ func (e *executor) runExtend(n *Extend) (*PartRel, error) {
 		if count == 0 {
 			return nil
 		}
-		slab := newRowSlab(count, width)
-		local := make([]relation.Tuple, 0, count)
+		wr := sink.writer(w, count)
 		for i, row := range shuffled.Parts[w] {
 			if blk := blks[at[w][i]]; blk != nil {
-				local = blockRows(local, &slab, row, blk)
+				wr.block(row, blk)
 			}
 		}
-		out.Parts[w] = local
+		out.Parts[w] = wr.rows
 		return nil
 	})
 	return out, err
@@ -551,7 +628,9 @@ func (e *executor) runShift(n *Shift) (*PartRel, error) {
 	return repartition(in, lay.key, &e.shuffle), nil
 }
 
-func (e *executor) runJoin(n *Join) (*PartRel, error) {
+// runJoin is the hash equi-join, writing its rows under fusion f (nil:
+// none).
+func (e *executor) runJoin(n *Join, f *fusion) (*PartRel, error) {
 	l, err := e.run(n.L)
 	if err != nil {
 		return nil, err
@@ -564,11 +643,14 @@ func (e *executor) runJoin(n *Join) (*PartRel, error) {
 	if err != nil {
 		return nil, err
 	}
+	sink, attrs, err := e.sink(f, lay.attrs)
+	if err != nil {
+		return nil, err
+	}
 	lIdx, rIdx := lay.key, lay.rkey
 	ls := repartition(l, lIdx, &e.shuffle)
 	rs := repartition(r, rIdx, &e.shuffle)
-	out := NewPartRel(lay.attrs, e.workers)
-	width := len(lay.attrs)
+	out := NewPartRel(attrs, e.workers)
 	err = ForWorkers(e.workers, ls.Len()+rs.Len(), func(w int) error {
 		left, right := ls.Parts[w], rs.Parts[w]
 		if len(left) == 0 || len(right) == 0 {
@@ -593,7 +675,7 @@ func (e *executor) runJoin(n *Join) (*PartRel, error) {
 			lens[s]++
 		}
 		// Probe: find each left row's chain and count the output, then
-		// copy it into a slab of that size.
+		// write it through a writer of that size.
 		match := make([]int32, len(left))
 		count := 0
 		for i, row := range left {
@@ -607,17 +689,16 @@ func (e *executor) runJoin(n *Join) (*PartRel, error) {
 		if count == 0 {
 			return nil
 		}
-		slab := newRowSlab(count, width)
-		local := make([]relation.Tuple, 0, count)
+		wr := sink.writer(w, count)
 		for i, row := range left {
 			for j := match[i]; j >= 0; j = next[j] {
-				t := slab.next()
+				t := wr.row()
 				copy(t, row)
 				copy(t[len(row):], right[j])
-				local = append(local, t)
+				wr.keep(t)
 			}
 		}
-		out.Parts[w] = local
+		out.Parts[w] = wr.rows
 		return nil
 	})
 	return out, err
@@ -632,11 +713,9 @@ func (e *executor) runSelect(n *Select) (*PartRel, error) {
 	if err != nil {
 		return nil, err
 	}
-	check := lay.check
-	if check == nil {
-		if check, err = bindPreds(n.Preds, lay.preds); err != nil {
-			return nil, err
-		}
+	check, err := selectCheck(n, lay)
+	if err != nil {
+		return nil, err
 	}
 	out := NewPartRel(in.Attrs, e.workers)
 	err = ForWorkers(e.workers, in.Len(), func(w int) error {
@@ -650,6 +729,16 @@ func (e *executor) runSelect(n *Select) (*PartRel, error) {
 		return nil
 	})
 	return out, err
+}
+
+// selectCheck returns σ's executable predicates: the layout's, or — where a
+// predicate waited for a parameter when the layout was derived — its bound
+// node's, bound now.
+func selectCheck(n *Select, lay *layout) (predChecks, error) {
+	if lay.check != nil {
+		return lay.check, nil
+	}
+	return bindPreds(n.Preds, lay.preds)
 }
 
 // CompilePreds compiles predicates over the attribute layout into a single

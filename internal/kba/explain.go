@@ -90,7 +90,7 @@ func NodeLabel(p Plan) string {
 		}
 		return fmt.Sprintf("%s; %s", strings.Join(n.Keys, ","), strings.Join(parts, ","))
 	case *StatsAgg:
-		return fmt.Sprintf("%s as %s", n.KV, n.Alias)
+		return fmt.Sprintf("%s from %s as %s", statsLabel(n), n.KV, n.Alias)
 	default:
 		return ""
 	}

@@ -7,13 +7,18 @@ import (
 
 // runExtendFetchAll replaces the interleaved ∝ with retrieve-then-join: the
 // whole parameter instance is scanned into a per-worker hash index, the
-// input is repartitioned by the join key, and the join runs locally.
-func (e *executor) runExtendFetchAll(n *Extend) (*PartRel, error) {
+// input is repartitioned by the join key, and the join runs locally,
+// writing its rows under fusion f (nil: none).
+func (e *executor) runExtendFetchAll(n *Extend, f *fusion) (*PartRel, error) {
 	in, err := e.run(n.Input)
 	if err != nil {
 		return nil, err
 	}
 	lay, err := e.layoutOf(n, n.lay, in.Attrs, nil)
+	if err != nil {
+		return nil, err
+	}
+	sink, attrs, err := e.sink(f, lay.attrs)
 	if err != nil {
 		return nil, err
 	}
@@ -33,11 +38,7 @@ func (e *executor) runExtendFetchAll(n *Extend) (*PartRel, error) {
 		if home != w {
 			var moved int64
 			for j, t := range blk.Tuples {
-				mult := int64(1)
-				if blk.Counts != nil {
-					mult = blk.Counts[j]
-				}
-				moved += mult * int64(t.SizeBytes())
+				moved += multiplicity(blk, j) * int64(t.SizeBytes())
 			}
 			e.shuffle.Add(moved)
 		}
@@ -61,8 +62,7 @@ func (e *executor) runExtendFetchAll(n *Extend) (*PartRel, error) {
 
 	// Phase 2: repartition the input by key and hash join locally.
 	shuffled := repartition(in, keyIdx, &e.shuffle)
-	out := NewPartRel(lay.attrs, e.workers)
-	width := len(lay.attrs)
+	out := NewPartRel(attrs, e.workers)
 	err = ForWorkers(e.workers, shuffled.Len(), func(w int) error {
 		part := shuffled.Parts[w]
 		match := make([][]*baav.Block, len(part))
@@ -78,14 +78,13 @@ func (e *executor) runExtendFetchAll(n *Extend) (*PartRel, error) {
 		if count == 0 {
 			return nil
 		}
-		slab := newRowSlab(count, width)
-		local := make([]relation.Tuple, 0, count)
+		wr := sink.writer(w, count)
 		for i, row := range part {
 			for _, blk := range match[i] {
-				local = blockRows(local, &slab, row, blk)
+				wr.block(row, blk)
 			}
 		}
-		out.Parts[w] = local
+		out.Parts[w] = wr.rows
 		return nil
 	})
 	return out, err

@@ -1,12 +1,12 @@
 package kba
 
 import (
-	"fmt"
+	"math"
+	"slices"
 
 	"zidian/internal/baav"
 	"zidian/internal/ra"
 	"zidian/internal/relation"
-	"zidian/internal/sql"
 )
 
 // groupTable is one worker's groups of one γ phase: a map from a group key's
@@ -29,18 +29,41 @@ func newGroupTable(nkeys, naggs int) *groupTable {
 // call.
 func (g *groupTable) group(row relation.Tuple, idx []int) []ra.AggState {
 	g.buf = appendKey(g.buf[:0], row, idx)
-	at, ok := g.index[string(g.buf)]
-	if !ok {
-		at = int32(len(g.index))
-		g.index[string(g.buf)] = at
+	st, fresh := g.lookup(g.buf)
+	if fresh {
 		for _, i := range idx {
 			g.keys = append(g.keys, row[i])
 		}
+	}
+	return st
+}
+
+// groupEncoded is group for a key given as its values' encodings, enc;
+// they are decoded on the group's first sight only.
+func (g *groupTable) groupEncoded(enc []byte) ([]ra.AggState, error) {
+	st, fresh := g.lookup(enc)
+	if fresh {
+		at := len(g.keys)
+		g.keys = slices.Grow(g.keys, g.nkeys)[:at+g.nkeys]
+		if _, _, err := relation.DecodeColumns(g.keys[at:], enc, g.nkeys, nil); err != nil {
+			return nil, err
+		}
+	}
+	return st, nil
+}
+
+// lookup returns the aggregate states of the group whose key encodes as
+// enc, and whether it made the group (its key values still to be added).
+func (g *groupTable) lookup(enc []byte) (st []ra.AggState, fresh bool) {
+	at, ok := g.index[string(enc)]
+	if !ok {
+		at = int32(len(g.index))
+		g.index[string(enc)] = at
 		for range g.naggs {
 			g.states = append(g.states, *ra.NewAggState())
 		}
 	}
-	return g.states[int(at)*g.naggs : int(at+1)*g.naggs]
+	return g.states[int(at)*g.naggs : int(at+1)*g.naggs], !ok
 }
 
 // fold folds mult copies of row into a group's aggregate states (phase 1):
@@ -182,14 +205,10 @@ func (e *executor) groupScan(n *GroupBy, scan *ScanKV) (*layout, *PartRel, error
 		}
 		for j, t := range blk.Tuples {
 			copy(row[len(key):], t)
-			mult := int64(1)
-			if blk.Counts != nil {
-				mult = blk.Counts[j]
-			}
 			if !perBlock {
 				st = g.group(row, lay.key)
 			}
-			fold(st, row, lay.aggs, mult)
+			fold(st, row, lay.aggs, multiplicity(blk, j))
 		}
 	})
 	e.finishSpan(span, perWorker)
@@ -203,94 +222,131 @@ func (e *executor) groupScan(n *GroupBy, scan *ScanKV) (*layout, *PartRel, error
 	return lay, partial, nil
 }
 
-// runStatsAgg answers a group-by over a whole KV instance from per-block
-// statistics, reading only block headers. Supported when group keys are the
-// instance key and every aggregate is COUNT(*)/SUM/MIN/MAX/AVG over a
-// numeric value attribute. The header walk runs once on the driving
-// goroutine and its (tiny) output is dealt round-robin to the workers.
+// runStatsAgg answers a group-by over a whole KV instance from its blocks'
+// statistics headers. Every block falls in one group — the group keys are
+// key attributes — so the walk takes of each block only the encodings of
+// the key attributes it groups by, decoding them once per group, and folds
+// the header straight into its group's states. A header stands in for its
+// block only where it is exact: SUM, MIN and MAX of an int attribute answer
+// ints, as over the rows, and the header's float64s hold those only within
+// 2⁵³. A block whose header cannot stand in (none kept, a column with a
+// value that is not a number, an int column beyond 2⁵³) has its tuples
+// decoded and folded instead. The walk runs once on the driving goroutine
+// and its (tiny) output is dealt round-robin to the workers.
 func (e *executor) runStatsAgg(n *StatsAgg) (*PartRel, error) {
 	lay, err := e.layoutOf(n, n.lay, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	kvSchema := e.store.Schema.ByName(n.KV)
-	if kvSchema == nil {
-		return nil, errUnknownKV(n.KV)
+	rel := e.store.Rels[kvSchema.Rel]
+	ints := make([]bool, len(lay.aggs))
+	for i, c := range lay.aggs {
+		ints[i] = c >= 0 && rel.Attrs[rel.Index(kvSchema.Val[c])].Kind == relation.KindInt
 	}
-	valPos := make(map[string]int, len(kvSchema.Val))
-	for i, a := range kvSchema.Val {
-		valPos[n.Alias+"."+a] = i
-	}
-	// ScanStats yields segmented blocks of one key as separate records;
-	// merge them here by key.
-	merged := make(map[string]*statsAcc)
-	var order []*statsAcc
+	w := statsWalk{g: newGroupTable(len(lay.key), len(lay.aggs)), lay: lay, ints: ints, keyWidth: len(kvSchema.Key)}
 	var scanned int64
-	var buf []byte
-	err = e.store.ScanStatsT(e.kv(), n.KV, func(key relation.Tuple, stats *baav.BlockStats) bool {
+	var walkErr error
+	err = e.store.ScanStatsT(e.kv(), n.KV, func(h *baav.HeaderBlock) bool {
 		scanned++
-		if stats == nil {
-			return true // block without stats: handled by validation below
-		}
-		buf = relation.AppendTuple(buf[:0], key)
-		m, ok := merged[string(buf)]
-		if !ok {
-			m = &statsAcc{key: key}
-			merged[string(buf)] = m
-			order = append(order, m)
-		}
-		m.stats.Merge(stats)
-		return true
+		walkErr = w.block(h)
+		return walkErr == nil
 	})
 	e.scanned.Add(scanned)
+	e.data.Add(w.decoded)
+	if err == nil {
+		err = walkErr
+	}
 	if err != nil {
 		return nil, err
 	}
 	out := NewPartRel(lay.attrs, e.workers)
-	for i, m := range order {
-		row := m.key.Clone()
-		for _, a := range n.Aggs {
-			v, err := statsFinal(m, a, valPos)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
-		}
+	rows := w.g.rows(1, func(dst relation.Tuple, i int, st *ra.AggState) { dst[0] = st.Final(n.Aggs[i].Func) })
+	for i, row := range rows {
 		out.Parts[i%e.workers] = append(out.Parts[i%e.workers], row)
 	}
 	return out, nil
 }
 
-type statsAcc struct {
-	key   relation.Tuple
-	stats baav.BlockStats
+// statsWalk is the state of one StatsAgg header walk.
+type statsWalk struct {
+	g        *groupTable
+	lay      *layout
+	ints     []bool // per aggregate: over an int attribute
+	keyWidth int
+	decoded  int64 // values of the blocks decoded in place of their headers
 }
 
-func statsFinal(m *statsAcc, a AggSpec, valPos map[string]int) (relation.Value, error) {
-	if a.Star || a.Func == sql.AggCount {
-		return relation.Int(m.stats.Rows), nil
-	}
-	i, ok := valPos[a.Attr]
-	if !ok {
-		return relation.Value{}, fmt.Errorf("kba: stats aggregate attribute %q not a value attribute", a.Attr)
-	}
-	if i >= len(m.stats.Attrs) || !m.stats.Attrs[i].Valid {
-		return relation.Value{}, fmt.Errorf("kba: no statistics for attribute %q", a.Attr)
-	}
-	st := m.stats.Attrs[i]
-	switch a.Func {
-	case sql.AggSum:
-		return relation.Float(st.Sum), nil
-	case sql.AggMin:
-		return relation.Float(st.Min), nil
-	case sql.AggMax:
-		return relation.Float(st.Max), nil
-	case sql.AggAvg:
-		if m.stats.Rows == 0 {
-			return relation.Null(), nil
+// block folds one block into its group: by its header when that is exact,
+// by its decoded tuples otherwise. An empty block makes no group.
+func (w *statsWalk) block(h *baav.HeaderBlock) error {
+	exact := headerExact(h.Stats, w.lay.aggs, w.ints)
+	var blk *baav.Block
+	var err error
+	switch {
+	case exact && h.Stats.Rows == 0:
+		return nil
+	case !exact:
+		if blk, err = h.Decode(); err != nil || len(blk.Tuples) == 0 {
+			return err
 		}
-		return relation.Float(st.Sum / float64(m.stats.Rows)), nil
-	default:
-		return relation.Value{}, fmt.Errorf("kba: aggregate %s not supported from statistics", a.Func)
+		w.decoded += blk.Rows() * int64(w.lay.width)
+	}
+	if w.g.buf, err = relation.AppendColumns(w.g.buf[:0], h.Key, w.keyWidth, w.lay.key); err != nil {
+		return err
+	}
+	st, err := w.g.groupEncoded(w.g.buf)
+	if err != nil {
+		return err
+	}
+	if exact {
+		foldHeader(st, h.Stats, w.lay.aggs, w.ints)
+		return nil
+	}
+	for j, t := range blk.Tuples {
+		fold(st, t, w.lay.aggs, multiplicity(blk, j))
+	}
+	return nil
+}
+
+// headerExact reports whether a block's statistics header stands in exactly
+// for its tuples under the aggregates aggs (value positions, -1 for
+// COUNT(*)): it exists, every aggregated column is all numbers, and an int
+// column's extremes and sum are integral and its extremes times the block's
+// rows — a bound on every partial sum the header's float64 sum took — stay
+// within 2⁵³.
+func headerExact(s *baav.BlockStats, aggs []int, ints []bool) bool {
+	if s == nil {
+		return false
+	}
+	for i, c := range aggs {
+		if c < 0 {
+			continue
+		}
+		if c >= len(s.Attrs) || !s.Attrs[c].Valid {
+			return false
+		}
+		a := s.Attrs[c]
+		integral := a.Min == math.Trunc(a.Min) && a.Max == math.Trunc(a.Max) && a.Sum == math.Trunc(a.Sum)
+		if ints[i] && (!integral || max(math.Abs(a.Min), math.Abs(a.Max))*float64(s.Rows) > 1<<53) {
+			return false
+		}
+	}
+	return true
+}
+
+// foldHeader folds an exact header (headerExact) into a group's states.
+func foldHeader(st []ra.AggState, s *baav.BlockStats, aggs []int, ints []bool) {
+	for i, c := range aggs {
+		if c < 0 {
+			st[i].Count += s.Rows
+			continue
+		}
+		a := s.Attrs[c]
+		if ints[i] {
+			st[i].AddRun(s.Rows, a.Sum, int64(a.Sum), true, relation.Int(int64(a.Min)), relation.Int(int64(a.Max)))
+		} else {
+			st[i].AddRun(s.Rows, a.Sum, 0, false, relation.Float(a.Min), relation.Float(a.Max))
+		}
 	}
 }

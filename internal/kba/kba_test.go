@@ -2,8 +2,10 @@ package kba
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -56,6 +58,7 @@ func fixture(t *testing.T) (*relation.Database, *baav.Store) {
 		baav.KVSchema{Name: "NATION_by_name", Rel: "NATION", Key: []string{"name"}, Val: []string{"nationkey"}},
 		baav.KVSchema{Name: "SUPPLIER_by_nation", Rel: "SUPPLIER", Key: []string{"nationkey"}, Val: []string{"suppkey"}},
 		baav.KVSchema{Name: "PARTSUPP_by_supp", Rel: "PARTSUPP", Key: []string{"suppkey"}, Val: []string{"partkey", "supplycost", "availqty"}},
+		baav.KVSchema{Name: "PARTSUPP_by_part", Rel: "PARTSUPP", Key: []string{"partkey", "suppkey"}, Val: []string{"supplycost", "availqty"}},
 	)
 	store, err := baav.Map(db, schema, kv.NewCluster(kv.EngineHash, 3), baav.DefaultOptions())
 	if err != nil {
@@ -392,39 +395,164 @@ func TestGroupByMatchesReference(t *testing.T) {
 	}
 }
 
+// sameRows reports whether two row sets, sorted, are equal value for value
+// and kind for kind: no numeric tolerance, no int standing in for a float.
+func sameRows(a, b []relation.Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if a[i][j].Kind != b[i][j].Kind || !relation.Equal(a[i][j], b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestStatsAggMatchesGroupBy: the statistics header walk answers what γ over
+// a scan of the same instance answers — the same groups, every aggregate the
+// same value of the same kind (SUM, MIN and MAX of an int column are ints) —
+// grouped by a one-attribute key, by both attributes of a two-attribute key,
+// by either of them and by neither; and it decodes no value doing so.
 func TestStatsAggMatchesGroupBy(t *testing.T) {
 	_, store := fixture(t)
 	aggs := []AggSpec{
 		{Func: sql.AggCount, Star: true, Name: "cnt"},
 		{Func: sql.AggSum, Attr: "PS.supplycost", Name: "sum"},
 		{Func: sql.AggMin, Attr: "PS.supplycost", Name: "min"},
-		{Func: sql.AggMax, Attr: "PS.supplycost", Name: "max"},
+		{Func: sql.AggMax, Attr: "PS.availqty", Name: "max"},
 		{Func: sql.AggAvg, Attr: "PS.supplycost", Name: "avg"},
 	}
-	for _, p := range testWorkers {
-		full, fullStats := mustRun(t, store, &GroupBy{
-			Input: &ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"},
-			Keys:  []string{"PS.suppkey"},
-			Aggs:  aggs,
-		}, p)
-		fast, fastStats := mustRun(t, store, &StatsAgg{KV: "PARTSUPP_by_supp", Alias: "PS", Aggs: aggs}, p)
-		if !reflect.DeepEqual(fast.Attrs, full.Attrs) {
-			t.Fatalf("p=%d: attrs %v vs %v", p, fast.Attrs, full.Attrs)
-		}
-		want, got := sorted(full), sorted(fast)
-		if len(want) != 3 || len(got) != len(want) {
-			t.Fatalf("p=%d: groups: %d vs %d", p, len(got), len(want))
-		}
-		for i := range want {
-			for j := range want[i] {
-				if want[i][j].AsFloat() != got[i][j].AsFloat() {
-					t.Fatalf("p=%d: group %v column %d: %v vs %v", p, want[i][0], j, got[i][j], want[i][j])
-				}
+	for _, c := range []struct {
+		kv   string
+		keys []string
+	}{
+		{"PARTSUPP_by_supp", []string{"PS.suppkey"}},
+		{"PARTSUPP_by_part", []string{"PS.partkey", "PS.suppkey"}},
+		{"PARTSUPP_by_part", []string{"PS.partkey"}},
+		{"PARTSUPP_by_part", []string{"PS.suppkey"}},
+		{"PARTSUPP_by_part", nil},
+	} {
+		for _, p := range testWorkers {
+			full, fullStats := mustRun(t, store, &GroupBy{Input: &ScanKV{KV: c.kv, Alias: "PS"}, Keys: c.keys, Aggs: aggs}, p)
+			fast, fastStats := mustRun(t, store, &StatsAgg{KV: c.kv, Alias: "PS", Keys: c.keys, Aggs: aggs}, p)
+			if !reflect.DeepEqual(fast.Attrs, full.Attrs) {
+				t.Fatalf("%s by %v, p=%d: attrs %v vs %v", c.kv, c.keys, p, fast.Attrs, full.Attrs)
+			}
+			if got, want := sorted(fast), sorted(full); len(got) == 0 || !sameRows(got, want) {
+				t.Fatalf("%s by %v, p=%d: header walk %v, γ over the scan %v", c.kv, c.keys, p, got, want)
+			}
+			if fastStats.DataValues != 0 || fastStats.ScanBlocks != fullStats.ScanBlocks {
+				t.Fatalf("%s by %v, p=%d: header walk %+v, scan %+v", c.kv, c.keys, p, fastStats, fullStats)
 			}
 		}
-		// The stats path reads block headers only: strictly less data.
-		if fastStats.DataValues >= fullStats.DataValues || fastStats.ScanBlocks == 0 {
-			t.Fatalf("p=%d: stats path must touch less data: %+v vs %+v", p, fastStats, fullStats)
+	}
+}
+
+// TestStatsAggDecodesWhatHeadersCannotHold: where a block's header cannot
+// stand in exactly for its tuples — an int column whose sum passes 2⁵³, a
+// NULL in an int column — the walk decodes that block and folds its tuples,
+// and the answer is ra.Eval's to the kind; the other blocks still answer
+// from their headers.
+func TestStatsAggDecodesWhatHeadersCannotHold(t *testing.T) {
+	db := relation.NewDatabase()
+	m := relation.NewRelation(relation.MustSchema("M", []relation.Attr{
+		{Name: "id", Kind: relation.KindInt}, {Name: "g", Kind: relation.KindInt},
+		{Name: "v", Kind: relation.KindInt}, {Name: "f", Kind: relation.KindFloat},
+	}, []string{"id"}))
+	for i, r := range [][3]relation.Value{
+		{relation.Int(1), relation.Int(1 << 60), relation.Float(0.5)},
+		{relation.Int(1), relation.Int(3), relation.Float(1.25)},
+		{relation.Int(2), relation.Null(), relation.Float(2)},
+		{relation.Int(2), relation.Int(5), relation.Float(-1)},
+		{relation.Int(3), relation.Int(7), relation.Float(3)},
+		{relation.Int(3), relation.Int(-9), relation.Float(3)},
+	} {
+		m.MustInsert(relation.Tuple{relation.Int(int64(i)), r[0], r[1], r[2]})
+	}
+	db.Add(m)
+	schema := baav.MustSchema(baav.RelSchemas(db),
+		baav.KVSchema{Name: "M_by_g", Rel: "M", Key: []string{"g"}, Val: []string{"id", "v", "f"}})
+	store, err := baav.Map(db, schema, kv.NewCluster(kv.EngineHash, 2), baav.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := ra.MustParse(`select M.g, SUM(M.v), MIN(M.v), MAX(M.v), COUNT(M.v), AVG(M.v), SUM(M.f), MIN(M.f)
+		from M group by M.g`, db)
+	want, err := ra.Evaluate(q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &StatsAgg{KV: "M_by_g", Alias: "M", Keys: []string{"M.g"}}
+	for i, a := range q.Aggs {
+		plan.Aggs = append(plan.Aggs, AggSpec{Func: a.Func, Attr: "M." + a.Col.Attr, Name: fmt.Sprint("a", i)})
+	}
+	sort.Slice(want.Rows, func(i, j int) bool { return want.Rows[i].Compare(want.Rows[j]) < 0 })
+	for _, p := range testWorkers {
+		out, stats := mustRun(t, store, plan, p)
+		if got := sorted(out); !sameRows(got, want.Rows) {
+			t.Fatalf("p=%d: header walk %v, ra.Eval %v", p, got, want.Rows)
+		}
+		// Two of the three blocks decoded, three values a row.
+		if stats.DataValues != 2*2*3 || stats.ScanBlocks != 3 {
+			t.Fatalf("p=%d: stats %+v, want the two inexact blocks decoded", p, stats)
+		}
+	}
+}
+
+// TestFusedSelectProjectIsOneAfterAnother: π(σ(∝)) and π(σ(⋈)), with a σ
+// that drops rows and compares two columns, answer partition for partition
+// what the ∝ or ⋈ run alone and then σ and π over its rows answer, with the
+// same ExecStats — interleaved and fetch-all, at every worker count.
+func TestFusedSelectProjectIsOneAfterAnother(t *testing.T) {
+	_, store := fixture(t)
+	five := relation.Int(5)
+	preds := []Pred{
+		{Attr: "PS.supplycost", Op: sql.OpGe, Lit: &five},
+		{Attr: "PS.partkey", Op: sql.OpNe, RAttr: "PS.availqty"},
+	}
+	attrs := []string{"PS.partkey", "S.suppkey"}
+	seed := &Const{KeyAttrs: []string{"S.suppkey"}, Keys: []relation.Tuple{{relation.Int(10)}, {relation.Int(11)}, {relation.Int(12)}}}
+	producers := []Plan{
+		&Extend{Input: seed, KV: "PARTSUPP_by_supp", Alias: "PS", KeyFrom: []string{"S.suppkey"}},
+		&Join{L: &ScanKV{KV: "SUPPLIER_by_nation", Alias: "S"}, R: &ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"},
+			LOn: []string{"S.suppkey"}, ROn: []string{"PS.suppkey"}},
+	}
+	runs := map[string]func(Plan, *baav.Store, int) (*PartRel, ExecStats, error){
+		"interleaved": func(p Plan, st *baav.Store, w int) (*PartRel, ExecStats, error) { return Run(p, st, w, nil) },
+		"fetch-all":   RunFetchAll,
+	}
+	for _, producer := range producers {
+		for name, run := range runs {
+			for _, p := range testWorkers {
+				fused, fs, err := run(&Project{Input: &Select{Input: producer, Preds: preds}, Attrs: attrs}, store, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				made, ms, err := run(producer, store, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				apart, as, err := run(&Project{Input: &Select{Input: &Lit{made}, Preds: preds}, Attrs: attrs}, store, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ms.Add(as)
+				if apart.Len() == 0 || apart.Len() == made.Len() {
+					t.Fatalf("%T %s p=%d: σ passes %d of %d rows, want some but not all", producer, name, p, apart.Len(), made.Len())
+				}
+				samePart := func(a, b []relation.Tuple) bool {
+					return slices.EqualFunc(a, b, func(x, y relation.Tuple) bool { return reflect.DeepEqual(x, y) })
+				}
+				if !reflect.DeepEqual(fused.Attrs, apart.Attrs) || !slices.EqualFunc(fused.Parts, apart.Parts, samePart) || fs != ms {
+					t.Fatalf("%T %s p=%d: fused %v %+v\none after another %v %+v", producer, name, p, fused.Parts, fs, apart.Parts, ms)
+				}
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package kba
 
 import (
 	"fmt"
+	"slices"
 
 	"zidian/internal/baav"
 	"zidian/internal/ra"
@@ -212,11 +213,7 @@ func deriveLayout(p Plan, schema *baav.Schema, l, r []string) (*layout, error) {
 		}
 		return &layout{attrs: append(qualify(n.Alias, kv.Key), qualify(n.Alias, kv.Val)...), width: len(kv.Val)}, nil
 	case *StatsAgg:
-		kv := schema.ByName(n.KV)
-		if kv == nil {
-			return nil, errUnknownKV(n.KV)
-		}
-		return &layout{attrs: append(qualify(n.Alias, kv.Key), AggNames(n.Aggs)...)}, nil
+		return statsAggLayout(n, schema)
 	case *Extend:
 		kv := schema.ByName(n.KV)
 		if kv == nil {
@@ -319,6 +316,38 @@ func groupByLayout(n *GroupBy, in []string) (*layout, error) {
 		}
 	}
 	lay.attrs = append(append([]string{}, n.Keys...), AggNames(n.Aggs)...)
+	return lay, nil
+}
+
+// statsAggLayout is a StatsAgg's layout: key holds the group keys' positions
+// in the instance key, ascending, and aggs each aggregate's value position
+// (-1 for COUNT(*)); width is the instance's value width.
+func statsAggLayout(n *StatsAgg, schema *baav.Schema) (*layout, error) {
+	kv := schema.ByName(n.KV)
+	if kv == nil {
+		return nil, errUnknownKV(n.KV)
+	}
+	key, err := positions(qualify(n.Alias, kv.Key), n.Keys)
+	if err != nil {
+		return nil, err
+	}
+	for i := 1; i < len(key); i++ {
+		if key[i] <= key[i-1] {
+			return nil, fmt.Errorf("kba: stats aggregate keys %v are not in the key order of %s", n.Keys, n.KV)
+		}
+	}
+	lay := &layout{attrs: append(append([]string{}, n.Keys...), AggNames(n.Aggs)...), key: key,
+		aggs: make([]int, len(n.Aggs)), width: len(kv.Val)}
+	vals := qualify(n.Alias, kv.Val)
+	for i, a := range n.Aggs {
+		lay.aggs[i] = -1
+		if a.Star {
+			continue
+		}
+		if lay.aggs[i] = slices.Index(vals, a.Attr); lay.aggs[i] < 0 {
+			return nil, fmt.Errorf("kba: stats aggregate attribute %q not a value attribute", a.Attr)
+		}
+	}
 	return lay, nil
 }
 

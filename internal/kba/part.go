@@ -108,15 +108,19 @@ func (s *rowSlab) next() relation.Tuple {
 	return t
 }
 
+// multiplicity returns how many rows tuple j of blk stands for.
+func multiplicity(blk *baav.Block, j int) int64 {
+	if blk.Counts == nil {
+		return 1
+	}
+	return blk.Counts[j]
+}
+
 // blockRows appends to out one row lead ++ t, carved from slab, per tuple t
 // of blk and per multiplicity.
 func blockRows(out []relation.Tuple, slab *rowSlab, lead relation.Tuple, blk *baav.Block) []relation.Tuple {
 	for j, t := range blk.Tuples {
-		mult := int64(1)
-		if blk.Counts != nil {
-			mult = blk.Counts[j]
-		}
-		for range mult {
+		for range multiplicity(blk, j) {
 			row := slab.next()
 			copy(row, lead)
 			copy(row[len(lead):], t)
@@ -124,6 +128,93 @@ func blockRows(out []relation.Tuple, slab *rowSlab, lead relation.Tuple, blk *ba
 		}
 	}
 	return out
+}
+
+// rowSink is where ∝ and ⋈ write their output rows. Alone, each row is
+// carved from the producer's slab as it is made. Under a σ and the π above
+// it (runFused), each worker makes its rows in one scratch row instead: σ
+// tests it, and only π's columns of a row σ passes are carved from the slab
+// — sized, as the producer's own would be, from the count before filtering,
+// but at π's width — so neither the producer's rows nor σ's or π's output
+// slices exist apart from the answer.
+type rowSink struct {
+	width int // the producer's row width
+	// check and cols are σ's predicates and π's positions in the producer's
+	// row; made counts, per worker, the rows the producer made before σ.
+	// All three are nil when nothing is fused.
+	check predChecks
+	cols  []int
+	made  []int64
+}
+
+// rowWriter is one worker's side of a rowSink: the rows it keeps, the slab
+// they are carved from and, fused, the scratch row the producer fills.
+type rowWriter struct {
+	sink    *rowSink
+	slab    rowSlab
+	rows    []relation.Tuple
+	scratch relation.Tuple
+}
+
+// writer returns worker w's writer for the count rows it will make.
+func (s *rowSink) writer(w, count int) rowWriter {
+	wr := rowWriter{sink: s, rows: make([]relation.Tuple, 0, count)}
+	if s.made == nil {
+		wr.slab = newRowSlab(count, s.width)
+		return wr
+	}
+	s.made[w] = int64(count)
+	wr.slab = newRowSlab(count, len(s.cols))
+	wr.scratch = make(relation.Tuple, s.width)
+	return wr
+}
+
+// row returns the row the producer fills next and hands to keep.
+func (w *rowWriter) row() relation.Tuple {
+	if w.scratch != nil {
+		return w.scratch
+	}
+	return w.slab.next()
+}
+
+// keep keeps a row from row(): as it is, or — fused — π's columns of it if
+// σ passes it.
+func (w *rowWriter) keep(t relation.Tuple) {
+	if w.scratch != nil {
+		if !w.sink.check.ok(t) {
+			return
+		}
+		t = w.project(t)
+	}
+	w.rows = append(w.rows, t)
+}
+
+// project carves π's columns of t from the slab.
+func (w *rowWriter) project(t relation.Tuple) relation.Tuple {
+	out := w.slab.next()
+	for j, c := range w.sink.cols {
+		out[j] = t[c]
+	}
+	return out
+}
+
+// block keeps one row lead ++ t per tuple t of blk and per multiplicity;
+// fused, σ tests each distinct tuple once.
+func (w *rowWriter) block(lead relation.Tuple, blk *baav.Block) {
+	if w.scratch == nil {
+		w.rows = blockRows(w.rows, &w.slab, lead, blk)
+		return
+	}
+	copy(w.scratch, lead)
+	for j, t := range blk.Tuples {
+		copy(w.scratch[len(lead):], t)
+		if !w.sink.check.ok(w.scratch) {
+			continue
+		}
+		for range multiplicity(blk, j) {
+			w.rows = append(w.rows, w.project(w.scratch))
+		}
+	}
 }
 
 // inlineRows is the input size below which an operator runs its per-worker

@@ -399,12 +399,16 @@ func (g *GroupBy) String() string {
 
 // StatsAgg computes a GroupBy directly from per-block statistics of a whole
 // KV instance, reading only block headers (the Section 8.2 statistics
-// feature). It requires group keys equal to the instance's key attributes
-// and aggregates the instance's value attributes with COUNT/SUM/MIN/MAX/AVG.
+// feature). It groups by some of the instance's key attributes — every block
+// falls in one group — and aggregates the instance's value attributes with
+// COUNT/SUM/MIN/MAX/AVG.
 type StatsAgg struct {
 	KV    string
 	Alias string
-	Aggs  []AggSpec
+	// Keys are the group keys: alias-qualified key attributes of KV, in the
+	// key's own order.
+	Keys []string
+	Aggs []AggSpec
 	resolved
 }
 
@@ -413,7 +417,12 @@ func (s *StatsAgg) Children() []Plan { return nil }
 
 // String renders the node.
 func (s *StatsAgg) String() string {
-	return fmt.Sprintf("γstats[%s as %s]", s.KV, s.Alias)
+	return fmt.Sprintf("γstats[%s](%s as %s)", statsLabel(s), s.KV, s.Alias)
+}
+
+// statsLabel renders a StatsAgg's group keys and aggregates as γ's label.
+func statsLabel(s *StatsAgg) string {
+	return fmt.Sprintf("%s; %s", strings.Join(s.Keys, ","), strings.Join(AggNames(s.Aggs), ","))
 }
 
 // Distinct removes duplicate flattened rows.

@@ -1,7 +1,9 @@
 package kv
 
 import (
-	"sort"
+	"bytes"
+	"hash/maphash"
+	"slices"
 	"sync/atomic"
 )
 
@@ -10,10 +12,17 @@ import (
 // concurrent mutation; the Cluster serializes access per node. Everything
 // but Put and Delete is a pure read — the cluster runs gets, scans and size
 // reads under the node's shared lock, concurrently with each other.
+//
+// Every key and value an engine hands out is a read-only window: the engine
+// never writes stored bytes in place (an overwrite stores new ones), so a
+// window stays valid, and keeps its bytes, across any later Put, Delete or
+// merge; and it is capped at its length, so an append to it reallocates
+// instead of reaching another pair. A caller must not write into it.
 type Engine interface {
 	// Get returns the value stored under key.
 	Get(key []byte) ([]byte, bool)
-	// Put stores value under key, replacing any previous value.
+	// Put stores value under key, replacing any previous value. The engine
+	// may keep value itself: the caller must not modify it afterwards.
 	Put(key, value []byte)
 	// Delete removes key, reporting whether it was present.
 	Delete(key []byte) bool
@@ -42,13 +51,17 @@ type Engine interface {
 	PrefixEmpty(prefix []byte) bool
 }
 
+// capped returns v capped at its length: the window engines that keep the
+// caller's value slice hand out.
+func capped(v []byte) []byte { return v[:len(v):len(v)] }
+
 // EngineKind selects one of the engine implementations, each standing in for
 // one of the paper's storage systems.
 type EngineKind int
 
 const (
 	// EngineHash is a hash-table engine that keeps its keys in order beside
-	// the map — a sorted slice plus a small pending buffer of fresh keys,
+	// the table — a sorted slice plus a small pending buffer of fresh keys,
 	// sorted once per write burst by the first read that needs it; it plays
 	// the role of Cassandra's partition store ("cstore").
 	EngineHash EngineKind = iota
@@ -87,37 +100,133 @@ func NewEngine(kind EngineKind) Engine {
 	}
 }
 
-// hashEngine stores pairs in a map and maintains key order on the write
-// path, so scans are pure reads and the cluster can run them under
-// per-node read locks concurrently with gets (ROADMAP: parallelize
-// scan-heavy mixes). Fresh keys accumulate in a small unsorted pending
-// buffer that Put folds into the sorted slice once it fills — one O(n)
-// merge per hashMergeAt writes keeps bulk loads near O(N log N) instead of
-// the O(N²) a splice-per-key would cost. ScanRange and PrefixEmpty read the
-// pending buffer through a sorted copy, built by the first of them after a
-// write and kept until the next one: a burst of range walks between two
-// writes sorts the buffer once, and the load path pays a nil check per Put.
+// hashEngine stores every pair as one record, key‖value, addressed by an id,
+// and finds it through an open-addressing table of (hash tag, id) words —
+// so a stored pair costs the collector one pointer and one object, and
+// neither the table nor the id slices below hold a pointer at all. It
+// maintains key order on the write path, so scans are pure reads and the
+// cluster can run them under per-node read locks concurrently with gets.
+// Fresh keys accumulate in a small unsorted pending buffer that Put folds
+// into the sorted id slice once it fills — one O(n) merge per hashMergeAt
+// writes keeps bulk loads near O(N log N) instead of the O(N²) a
+// splice-per-key would cost. ScanRange and PrefixEmpty read the pending
+// buffer through a sorted copy, built by the first of them after a write
+// and kept until the next one: a burst of range walks between two writes
+// sorts the buffer once, and the load path pays a nil check per Put.
 type hashEngine struct {
-	m       map[string][]byte
-	keys    []string // sorted; excludes pending
-	pending []string // fresh keys not yet merged, unsorted
+	recs []record // id → its pair; a free id holds the zero record
+	free []int32  // ids of deleted records, reused by the next new key
+	// table holds, per slot, tag<<32 | id+1 (0: empty), tag being the low
+	// 32 bits of the key's hash; a key's home slot is its tag modulo the
+	// table's power-of-two size, probed linearly.
+	table []uint64
+	seed  maphash.Seed
+
+	keys    []int32 // ids in key order; excludes pending
+	pending []int32 // ids of fresh keys not yet merged, unsorted
 	size    int64
 	// sorted is pending in key order, or nil when no read has asked for it
 	// since the last write. Readers under the cluster's shared lock fill it
 	// (several may race; each stores an equal copy); Put, Delete and
 	// mergePending clear it under the exclusive lock.
-	sorted atomic.Pointer[[]string]
+	sorted atomic.Pointer[[]int32]
 }
 
-const hashMergeAt = 4096
+// record is one stored pair, key‖value, and the length of its key — kept
+// side by side, so a lookup finds both in one place.
+type record struct {
+	kv   []byte
+	klen int32
+}
+
+const (
+	hashMergeAt = 4096
+	// hashMinTable is the table's first size; it doubles whenever it would
+	// pass three quarters full.
+	hashMinTable = 64
+)
 
 func newHashEngine() *hashEngine {
-	return &hashEngine{m: make(map[string][]byte)}
+	return &hashEngine{table: make([]uint64, hashMinTable), seed: maphash.MakeSeed()}
 }
 
+// key and val are record id's key and value as capped windows.
+func (e *hashEngine) key(id int32) []byte {
+	r := &e.recs[id]
+	return r.kv[:r.klen:r.klen]
+}
+
+func (e *hashEngine) val(id int32) []byte {
+	r := &e.recs[id]
+	return r.kv[r.klen:]
+}
+
+// find returns the slot holding key, or the empty slot that ends its probe
+// sequence, and the key's record id (ok false when absent).
+func (e *hashEngine) find(key []byte, tag uint32) (slot int, id int32, ok bool) {
+	mask := len(e.table) - 1
+	for i := int(tag) & mask; ; i = (i + 1) & mask {
+		s := e.table[i]
+		if s == 0 {
+			return i, -1, false
+		}
+		if uint32(s>>32) == tag {
+			if id := int32(uint32(s)) - 1; bytes.Equal(e.key(id), key) {
+				return i, id, true
+			}
+		}
+	}
+}
+
+func (e *hashEngine) tag(key []byte) uint32 { return uint32(maphash.Bytes(e.seed, key)) }
+
 func (e *hashEngine) Get(key []byte) ([]byte, bool) {
-	v, ok := e.m[string(key)]
-	return v, ok
+	if _, id, ok := e.find(key, e.tag(key)); ok {
+		return e.val(id), true
+	}
+	return nil, false
+}
+
+// grow doubles the table; every entry's home follows from its tag alone.
+func (e *hashEngine) grow() {
+	old := e.table
+	e.table = make([]uint64, 2*len(old))
+	mask := len(e.table) - 1
+	for _, s := range old {
+		if s == 0 {
+			continue
+		}
+		i := int(s>>32) & mask
+		for e.table[i] != 0 {
+			i = (i + 1) & mask
+		}
+		e.table[i] = s
+	}
+}
+
+// unslot empties slot i and shifts back the entries after it whose probe
+// sequence ran through it, so no lookup ever meets a hole.
+func (e *hashEngine) unslot(i int) {
+	mask := len(e.table) - 1
+	for {
+		e.table[i] = 0
+		j := i
+		for {
+			j = (j + 1) & mask
+			s := e.table[j]
+			if s == 0 {
+				return
+			}
+			// The entry at j may move to i unless its home lies cyclically
+			// in (i, j].
+			home := int(s>>32) & mask
+			if (i <= j && (home <= i || home > j)) || (i > j && home <= i && home > j) {
+				e.table[i] = s
+				i = j
+				break
+			}
+		}
+	}
 }
 
 // dropSorted forgets the sorted view after a write changed the pending
@@ -128,32 +237,34 @@ func (e *hashEngine) dropSorted() {
 	}
 }
 
+func (e *hashEngine) cmpIDs(a, b int32) int { return bytes.Compare(e.key(a), e.key(b)) }
+
 // sortedPending returns the pending buffer in key order, building the view
 // on first use after a write.
-func (e *hashEngine) sortedPending() []string {
+func (e *hashEngine) sortedPending() []int32 {
 	if len(e.pending) == 0 {
 		return nil
 	}
 	if v := e.sorted.Load(); v != nil {
 		return *v
 	}
-	v := append([]string(nil), e.pending...)
-	sort.Strings(v)
+	v := slices.Clone(e.pending)
+	slices.SortFunc(v, e.cmpIDs)
 	e.sorted.Store(&v)
 	return v
 }
 
-// mergePending folds the pending buffer into the sorted key slice.
+// mergePending folds the pending buffer into the sorted id slice.
 func (e *hashEngine) mergePending() {
 	if len(e.pending) == 0 {
 		return
 	}
 	e.dropSorted()
-	sort.Strings(e.pending)
-	merged := make([]string, 0, len(e.keys)+len(e.pending))
+	slices.SortFunc(e.pending, e.cmpIDs)
+	merged := make([]int32, 0, len(e.keys)+len(e.pending))
 	i, j := 0, 0
 	for i < len(e.keys) || j < len(e.pending) {
-		if j >= len(e.pending) || (i < len(e.keys) && e.keys[i] < e.pending[j]) {
+		if j >= len(e.pending) || (i < len(e.keys) && e.cmpIDs(e.keys[i], e.pending[j]) < 0) {
 			merged = append(merged, e.keys[i])
 			i++
 		} else {
@@ -166,42 +277,62 @@ func (e *hashEngine) mergePending() {
 }
 
 func (e *hashEngine) Put(key, value []byte) {
-	k := string(key)
-	if old, ok := e.m[k]; ok {
-		e.size -= int64(len(old))
-	} else {
-		e.size += int64(len(k))
-		e.pending = append(e.pending, k)
-		e.dropSorted()
-		if len(e.pending) >= hashMergeAt {
-			e.mergePending()
-		}
+	rec := make([]byte, len(key)+len(value))
+	copy(rec, key)
+	copy(rec[len(key):], value)
+	tag := e.tag(key)
+	slot, id, ok := e.find(key, tag)
+	if ok {
+		// An overwrite replaces the record under its id: the key order,
+		// which holds ids, does not move, and windows into the old record
+		// keep their bytes.
+		e.size += int64(len(value) - len(e.val(id)))
+		e.recs[id].kv = rec
+		return
 	}
-	e.m[k] = value
-	e.size += int64(len(value))
+	if 4*(e.Len()+1) > 3*len(e.table) {
+		e.grow()
+		slot, _, _ = e.find(key, tag)
+	}
+	if n := len(e.free); n > 0 {
+		id, e.free = e.free[n-1], e.free[:n-1]
+		e.recs[id] = record{rec, int32(len(key))}
+	} else {
+		id = int32(len(e.recs))
+		e.recs = append(e.recs, record{rec, int32(len(key))})
+	}
+	e.table[slot] = uint64(tag)<<32 | uint64(id+1)
+	e.size += int64(len(rec))
+	e.pending = append(e.pending, id)
+	e.dropSorted()
+	if len(e.pending) >= hashMergeAt {
+		e.mergePending()
+	}
 }
 
 func (e *hashEngine) Delete(key []byte) bool {
-	k := string(key)
-	old, ok := e.m[k]
+	slot, id, ok := e.find(key, e.tag(key))
 	if !ok {
 		return false
 	}
-	delete(e.m, k)
-	e.size -= int64(len(k) + len(old))
+	e.unslot(slot)
+	e.size -= int64(len(e.recs[id].kv))
 	// Deletes are rare next to puts: fold pending first, then splice once.
 	e.mergePending()
-	i := sort.SearchStrings(e.keys, k)
-	e.keys = append(e.keys[:i], e.keys[i+1:]...)
+	i := e.lowerBound(e.keys, key)
+	e.keys = slices.Delete(e.keys, i, i+1)
+	e.recs[id] = record{}
+	e.free = append(e.free, id)
 	return true
 }
 
-// lowerBound returns the index of the first of the sorted keys >= from.
-func lowerBound(keys []string, from []byte) int {
-	lo, hi := 0, len(keys)
+// lowerBound returns the index of the first of the ids, in key order, whose
+// key is >= from.
+func (e *hashEngine) lowerBound(ids []int32, from []byte) int {
+	lo, hi := 0, len(ids)
 	for lo < hi {
 		h := int(uint(lo+hi) >> 1)
-		if keys[h] < string(from) {
+		if bytes.Compare(e.key(ids[h]), from) < 0 {
 			lo = h + 1
 		} else {
 			hi = h
@@ -210,38 +341,39 @@ func lowerBound(keys []string, from []byte) int {
 	return lo
 }
 
+// ScanRange merges the sorted ids and the sorted view of the pending buffer,
+// handing out windows into the records: no lookup and no copy per pair.
 func (e *hashEngine) ScanRange(from, to []byte, fn func(key, value []byte) bool) {
 	pend := e.sortedPending()
-	pend = pend[lowerBound(pend, from):]
-	i := lowerBound(e.keys, from)
-	for i < len(e.keys) || len(pend) > 0 {
-		var k string
-		if len(pend) == 0 || (i < len(e.keys) && e.keys[i] < pend[0]) {
-			k = e.keys[i]
-			i++
+	pend = pend[e.lowerBound(pend, from):]
+	keys := e.keys[e.lowerBound(e.keys, from):]
+	for len(keys) > 0 || len(pend) > 0 {
+		var id int32
+		if len(pend) == 0 || (len(keys) > 0 && e.cmpIDs(keys[0], pend[0]) < 0) {
+			id, keys = keys[0], keys[1:]
 		} else {
-			k = pend[0]
-			pend = pend[1:]
+			id, pend = pend[0], pend[1:]
 		}
-		if to != nil && k > string(to) {
+		k := e.key(id)
+		if to != nil && bytes.Compare(k, to) > 0 {
 			return
 		}
-		if !fn([]byte(k), e.m[k]) {
+		if !fn(k, e.val(id)) {
 			return
 		}
 	}
 }
 
-func (e *hashEngine) Len() int { return len(e.m) }
+func (e *hashEngine) Len() int { return len(e.recs) - len(e.free) }
 
 func (e *hashEngine) SizeBytes() int64 { return e.size }
 
-// PrefixEmpty: one binary search over the sorted keys and one over the
+// PrefixEmpty: one binary search over the sorted ids and one over the
 // sorted view of the pending buffer, no mutation.
 func (e *hashEngine) PrefixEmpty(prefix []byte) bool {
-	for _, keys := range [2][]string{e.keys, e.sortedPending()} {
-		i := lowerBound(keys, prefix)
-		if i < len(keys) && len(keys[i]) >= len(prefix) && keys[i][:len(prefix)] == string(prefix) {
+	for _, ids := range [2][]int32{e.keys, e.sortedPending()} {
+		i := e.lowerBound(ids, prefix)
+		if i < len(ids) && bytes.HasPrefix(e.key(ids[i]), prefix) {
 			return false
 		}
 	}

@@ -43,7 +43,7 @@ func (e *lsmEngine) Get(key []byte) ([]byte, bool) {
 		if v == nil {
 			return nil, false
 		}
-		return v, true
+		return capped(v), true
 	}
 	for i := len(e.runs) - 1; i >= 0; i-- {
 		r := &e.runs[i]
@@ -52,7 +52,7 @@ func (e *lsmEngine) Get(key []byte) ([]byte, bool) {
 			if r.vals[j] == nil {
 				return nil, false
 			}
-			return r.vals[j], true
+			return capped(r.vals[j]), true
 		}
 	}
 	return nil, false
@@ -155,7 +155,7 @@ func (e *lsmEngine) ScanRange(from, to []byte, fn func(key, value []byte) bool) 
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if !fn([]byte(k), merged[k]) {
+		if !fn([]byte(k), capped(merged[k])) {
 			return
 		}
 	}

@@ -34,11 +34,11 @@ func (e *sortedEngine) Get(key []byte) ([]byte, bool) {
 		if v == nil {
 			return nil, false
 		}
-		return v, true
+		return capped(v), true
 	}
 	i := sort.SearchStrings(e.keys, k)
 	if i < len(e.keys) && e.keys[i] == k {
-		return e.vals[i], true
+		return capped(e.vals[i]), true
 	}
 	return nil, false
 }
@@ -149,7 +149,7 @@ func (e *sortedEngine) ScanRange(from, to []byte, fn func(key, value []byte) boo
 				continue // buffered deletion
 			}
 		}
-		if !fn([]byte(k), v) {
+		if !fn([]byte(k), capped(v)) {
 			return
 		}
 	}

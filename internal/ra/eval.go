@@ -425,6 +425,24 @@ func (s *AggState) Add(v relation.Value) {
 // AddCount folds a bare row count (for COUNT(*)).
 func (s *AggState) AddCount() { s.Count++ }
 
+// AddRun folds in n > 0 values known only by their sum, smallest and largest
+// — what a block's statistics header keeps of a column — as if each had gone
+// through Add. ints reports that every one is an int, sumInt being then
+// their sum.
+func (s *AggState) AddRun(n int64, sum float64, sumInt int64, ints bool, min, max relation.Value) {
+	s.Count += n
+	s.Sum += sum
+	s.SumInt += sumInt
+	s.AllInt = s.AllInt && ints
+	if !s.started || relation.Compare(min, s.Min) < 0 {
+		s.Min = min
+	}
+	if !s.started || relation.Compare(max, s.Max) > 0 {
+		s.Max = max
+	}
+	s.started = true
+}
+
 // Merge folds another accumulator into s (for partial aggregation).
 func (s *AggState) Merge(o *AggState) {
 	s.Count += o.Count

@@ -216,6 +216,25 @@ func DecodeColumns(dst Tuple, b []byte, n int, cols []int) (consumed, size int, 
 	return consumed, size, nil
 }
 
+// AppendColumns appends to dst the encodings of the values at positions cols
+// (ascending) of the n-value row encoded at the front of b, stepping over
+// the others: the key of the projected row, built without decoding a value.
+func AppendColumns(dst, b []byte, n int, cols []int) ([]byte, error) {
+	off, next := 0, 0
+	for i := 0; i < n && next < len(cols); i++ {
+		k, _, err := skipValue(b[off:])
+		if err != nil {
+			return nil, err
+		}
+		if cols[next] == i {
+			dst = append(dst, b[off:off+k]...)
+			next++
+		}
+		off += k
+	}
+	return dst, nil
+}
+
 // SkipValue returns the encoded length of the first value in b without
 // materializing it.
 func SkipValue(b []byte) (int, error) {

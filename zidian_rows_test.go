@@ -2,6 +2,7 @@ package zidian
 
 import (
 	"fmt"
+	"os"
 	"regexp"
 	"strings"
 	"sync"
@@ -151,7 +152,8 @@ func TestResultRowsAreTheCallers(t *testing.T) {
 
 // heldExecStats is every serving template's ExecStats per binding at one
 // worker and at four, with its answer's row count, as recorded before rows
-// were carved from slabs and γ ran inside the scan.
+// were carved from slabs and γ ran inside the scan — but make_counts, which
+// now walks the same 150 blocks' statistics headers and decodes no value.
 const heldExecStats = `
 vehicle_tests [7] p=1 gets=1 blocks=1 data=9 scanned=0 bytes=71 shuffle=0 rows=1
 vehicle_tests [7] p=4 gets=1 blocks=1 data=9 scanned=0 bytes=71 shuffle=0 rows=1
@@ -195,8 +197,8 @@ speed_band_limit [30 35] p=1 gets=20 blocks=20 data=340 scanned=1 bytes=2592 shu
 speed_band_limit [30 35] p=4 gets=20 blocks=20 data=340 scanned=1 bytes=2592 shuffle=320 rows=20
 speed_band_limit [72 77] p=1 gets=20 blocks=20 data=340 scanned=1 bytes=2577 shuffle=0 rows=20
 speed_band_limit [72 77] p=4 gets=20 blocks=20 data=340 scanned=1 bytes=2577 shuffle=0 rows=20
-make_counts [] p=1 gets=0 blocks=0 data=2700 scanned=150 bytes=21545 shuffle=0 rows=12
-make_counts [] p=4 gets=0 blocks=0 data=2700 scanned=150 bytes=21545 shuffle=1717 rows=12
+make_counts [] p=1 gets=0 blocks=0 data=0 scanned=150 bytes=0 shuffle=0 rows=12
+make_counts [] p=4 gets=0 blocks=0 data=0 scanned=150 bytes=0 shuffle=0 rows=12
 `
 
 // TestServingTemplatesHoldTheirCounts: what the nine serving templates read
@@ -234,23 +236,11 @@ func TestServingTemplatesHoldTheirCounts(t *testing.T) {
 	}
 }
 
-// heldMakeCounts is EXPLAIN ANALYZE of make_counts with its times masked,
-// as recorded before γ ran inside the scan: the scan keeps its span, rows,
-// worker and node fan-out and columns.
-const heldMakeCounts = `
-[not scan-free] γ[V.make; COUNT(*)](scan[vehicle_by_make_model as V])
-GroupBy V.make; COUNT(*) (rows=12 time=… kvops=150 [scan_next=150] workers=4 per_worker=[4,3,2,3])
-  ScanKV vehicle_by_make_model as V (rows=600 time=… kvops=150 [scan_next=150] workers=4 per_worker=[143,147,180,130] nodes=4 per_node=[143,147,180,130] cols=0/4)
-totals: rows=12 wall=… kv_ops=150 (gets=0 scan_next=150 puts=0 deletes=0) rtt=0s posting_reads=0 blocks=150 nodes=4 snapshot=VEHICLE:0
-`
-
-func TestMakeCountsAnalyzeHeld(t *testing.T) {
-	inst := servingInstance(t)
-	p, err := inst.Prepare("select V.make, COUNT(*) from VEHICLE V group by V.make")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _, _, err := p.Analyze(nil)
+// analyzeMasked is EXPLAIN ANALYZE of a prepared statement under params,
+// one line per row, with its times masked.
+func analyzeMasked(t *testing.T, p *Prepared, params ...Value) string {
+	t.Helper()
+	res, _, _, err := p.Analyze(nil, params...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +249,72 @@ func TestMakeCountsAnalyzeHeld(t *testing.T) {
 	for _, row := range res.Rows {
 		b.WriteString(times.ReplaceAllString(row[0].Str, "$1=…") + "\n")
 	}
-	if got := b.String(); got != heldMakeCounts[1:] {
-		t.Fatalf("EXPLAIN ANALYZE make_counts:\n%s\nwant\n%s", got, heldMakeCounts[1:])
+	return b.String()
+}
+
+// TestServingTemplatesAnalyzeHeld: EXPLAIN ANALYZE of the serving templates
+// but make_counts, times masked, per binding, is byte for byte the
+// rendering in testdata/serving_analyze.txt, recorded before σ and π ran
+// inside the ∝ or ⋈ feeding them: every operator keeps its span, rows,
+// worker fan-out, kv counts and columns.
+func TestServingTemplatesAnalyzeHeld(t *testing.T) {
+	want, err := os.ReadFile("testdata/serving_analyze.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := servingInstance(t)
+	var b strings.Builder
+	for _, tpl := range servingTemplates {
+		if tpl.name == "make_counts" {
+			continue
+		}
+		p, err := inst.Prepare(tpl.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tpl.name, err)
+		}
+		for _, params := range tpl.params {
+			fmt.Fprintf(&b, "== %s %v\n", tpl.name, params)
+			b.WriteString(analyzeMasked(t, p, params...))
+		}
+	}
+	if got := b.String(); got != string(want) {
+		t.Fatalf("EXPLAIN ANALYZE of the serving templates moved:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// heldGroupScan is EXPLAIN ANALYZE of a γ over a scan with its times
+// masked, as recorded before γ ran inside the scan: the scan keeps its
+// span, rows, worker and node fan-out and columns.
+const heldGroupScan = `
+[not scan-free] γ[V.color; COUNT(*)](scan[vehicle_full as V])
+GroupBy V.color; COUNT(*) (rows=7 time=… kvops=600 [scan_next=600] workers=4 per_worker=[1,4,0,2])
+  ScanKV vehicle_full as V (rows=600 time=… kvops=600 [scan_next=600] workers=4 per_worker=[150,150,150,150] nodes=4 per_node=[150,150,150,150] cols=1/12)
+totals: rows=7 wall=… kv_ops=600 (gets=0 scan_next=600 puts=0 deletes=0) rtt=0s posting_reads=0 blocks=600 nodes=4 snapshot=VEHICLE:0
+`
+
+// heldMakeCounts is EXPLAIN ANALYZE of make_counts with its times masked:
+// a walk of the same blocks' statistics headers, grouped by the first of
+// their two key attributes.
+const heldMakeCounts = `
+[not scan-free] γstats[V.make; COUNT(*)](vehicle_by_make_model as V)
+StatsAgg V.make; COUNT(*) from vehicle_by_make_model as V (rows=12 time=… kvops=150 [scan_next=150] workers=4 per_worker=[3,3,3,3])
+totals: rows=12 wall=… kv_ops=150 (gets=0 scan_next=150 puts=0 deletes=0) rtt=0s posting_reads=0 blocks=0 nodes=4 snapshot=VEHICLE:0
+`
+
+// TestMakeCountsAnalyzeHeld: make_counts' header walk and a γ over the
+// same instance's scan render exactly as held above.
+func TestMakeCountsAnalyzeHeld(t *testing.T) {
+	inst := servingInstance(t)
+	for _, c := range []struct{ sql, want string }{
+		{"select V.color, COUNT(*) from VEHICLE V group by V.color", heldGroupScan},
+		{"select V.make, COUNT(*) from VEHICLE V group by V.make", heldMakeCounts},
+	} {
+		p, err := inst.Prepare(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := analyzeMasked(t, p); got != c.want[1:] {
+			t.Errorf("EXPLAIN ANALYZE %s:\n%s\nwant\n%s", c.sql, got, c.want[1:])
+		}
 	}
 }
