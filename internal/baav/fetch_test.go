@@ -115,6 +115,28 @@ func TestFetchedBlocksShareNoTail(t *testing.T) {
 	}
 }
 
+// BenchmarkResolve is the version-directory half of a batched fetch: the
+// 512 blocks of one ∝ batch resolved, under one read lock, at the sequence a
+// snapshot pinned.
+func BenchmarkResolve(b *testing.B) {
+	st, keys := obsStore(b, 700)
+	snap := st.PinSnapshot([]string{"OBS"})
+	defer snap.Release()
+	seq, _ := snap.Seq("OBS")
+	var batch blockBatch
+	for _, key := range keys[:512] {
+		batch.reads = append(batch.reads, batch.add("obs_full", 14, st.ids["obs_full"], key))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.mvcc.resolve(&batch, seq)
+	}
+	if batch.reads[511].win.nsegs != 1 {
+		b.Fatalf("block 511 resolved to %+v", batch.reads[511].win)
+	}
+}
+
 // BenchmarkFetchBlocks is one batched ∝ fetch from an obs_full-shaped
 // instance: 1, 20 and 700 keys, reading the three columns an index_scan
 // plan keeps (one of them a string) or all fourteen.

@@ -62,6 +62,13 @@ type tombRef struct {
 	ver    uint64
 }
 
+// dirAdd is a version a commit enters in the directory when it installs.
+type dirAdd struct {
+	kvName string
+	prefix []byte
+	e      verEntry
+}
+
 // relMVCC is the per-relation MVCC state.
 type relMVCC struct {
 	// commitMu serializes commits on the relation: exactly one commit
@@ -98,10 +105,11 @@ func (r *relMVCC) watermark() uint64 {
 }
 
 // mvccState is the store-wide MVCC bookkeeping, shared by every snapshot
-// view of one Store.
+// view of one Store. mu guards the version directories: one read lock per
+// fetch batch, the exclusive lock for every change.
 type mvccState struct {
 	mu   sync.RWMutex
-	dirs map[string]map[string][]verEntry // kv name -> block prefix -> versions, descending
+	dirs map[string]*verDir // kv name -> its version directory
 	rels map[string]*relMVCC
 
 	live      atomic.Int64 // block versions currently materialized
@@ -111,7 +119,7 @@ type mvccState struct {
 
 func newMVCCState() *mvccState {
 	return &mvccState{
-		dirs: make(map[string]map[string][]verEntry),
+		dirs: make(map[string]*verDir),
 		rels: make(map[string]*relMVCC),
 	}
 }
@@ -133,12 +141,24 @@ func (m *mvccState) rel(name string) *relMVCC {
 	return r
 }
 
-// lookup returns the version list for a block, newest first. The returned
-// slice is immutable (writers replace, never mutate in place).
-func (m *mvccState) lookup(kvName, prefix string) []verEntry {
+// winner returns the newest version of a block visible at seq.
+func (m *mvccState) winner(kvName string, prefix []byte, seq uint64) (verEntry, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.dirs[kvName][prefix]
+	if d := m.dirs[kvName]; d != nil {
+		return d.winner(prefix, seq)
+	}
+	return verEntry{}, false
+}
+
+// head returns a block's newest version and its number of versions.
+func (m *mvccState) head(kvName string, prefix []byte) (verEntry, int) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if d := m.dirs[kvName]; d != nil {
+		return d.head(prefix)
+	}
+	return verEntry{}, 0
 }
 
 // resolve sets, under one read lock, every read's win to the version of its
@@ -146,9 +166,17 @@ func (m *mvccState) lookup(kvName, prefix string) []verEntry {
 func (m *mvccState) resolve(b *blockBatch, seq uint64) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	var d *verDir
+	kvName := ""
 	for i := range b.reads {
 		r := &b.reads[i]
-		win, ok := pickWinner(m.dirs[r.kv][string(b.buf[r.pre:r.end])], seq)
+		if d == nil || r.kv != kvName {
+			d, kvName = m.dirs[r.kv], r.kv
+		}
+		win, ok := verEntry{}, false
+		if d != nil {
+			win, ok = d.winner(b.buf[r.pre:r.end], seq)
+		}
 		if !ok {
 			win = verEntry{ver: seq}
 		}
@@ -156,65 +184,28 @@ func (m *mvccState) resolve(b *blockBatch, seq uint64) {
 	}
 }
 
-// addVersion prepends a new version (necessarily the newest) to a block's
-// directory entry.
-func (m *mvccState) addVersion(kvName, prefix string, e verEntry) {
+// addVersion enters a new version (necessarily the newest) of a block.
+func (m *mvccState) addVersion(kvName string, prefix []byte, e verEntry) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	byPrefix := m.dirs[kvName]
-	if byPrefix == nil {
-		byPrefix = make(map[string][]verEntry)
-		m.dirs[kvName] = byPrefix
+	d := m.dirs[kvName]
+	if d == nil {
+		d = newVerDir()
+		m.dirs[kvName] = d
 	}
-	old := byPrefix[prefix]
-	fresh := make([]verEntry, 0, len(old)+1)
-	fresh = append(fresh, e)
-	fresh = append(fresh, old...)
-	byPrefix[prefix] = fresh
+	d.add(prefix, e)
 	m.live.Add(1)
 }
 
-// dropVersion removes one version from a block's directory entry,
-// deleting the entry when it empties.
-func (m *mvccState) dropVersion(kvName, prefix string, ver uint64) {
+// dropVersion removes one version of a block.
+func (m *mvccState) dropVersion(kvName string, prefix []byte, ver uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	byPrefix := m.dirs[kvName]
-	old := byPrefix[prefix]
-	fresh := make([]verEntry, 0, len(old))
-	for _, e := range old {
-		if e.ver != ver {
-			fresh = append(fresh, e)
-		}
-	}
-	if len(fresh) == len(old) {
+	if d := m.dirs[kvName]; d == nil || !d.drop(prefix, ver) {
 		return
-	}
-	if len(fresh) == 0 {
-		delete(byPrefix, prefix)
-	} else {
-		byPrefix[prefix] = fresh
 	}
 	m.live.Add(-1)
 	m.reclaimed.Add(1)
-}
-
-// soleVersion reports whether ver is the block's only remaining version.
-func (m *mvccState) soleVersion(kvName, prefix string, ver uint64) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	es := m.dirs[kvName][prefix]
-	return len(es) == 1 && es[0].ver == ver
-}
-
-// pickWinner selects the newest version visible at seq.
-func pickWinner(entries []verEntry, seq uint64) (verEntry, bool) {
-	for _, e := range entries {
-		if e.ver <= seq {
-			return e, true
-		}
-	}
-	return verEntry{}, false
 }
 
 // verSegKey is the physical key of one segment of one block version:
@@ -365,11 +356,8 @@ type Commit struct {
 	rowsDelta int
 
 	// computed by Ops, consumed by Install
-	opsBuilt bool
-	dirAdds  []struct {
-		kvName, prefix string
-		e              verEntry
-	}
+	opsBuilt   bool
+	dirAdds    []dirAdd
 	retires    []retiredVer
 	newTombs   []tombRef
 	blockDelta map[string]int
@@ -570,7 +558,7 @@ func (c *Commit) Ops() []kv.BatchOp {
 			if !e.dirty {
 				continue
 			}
-			oldWinner, hadOld := pickWinner(c.st.mvcc.lookup(name, ps), c.seq-1)
+			oldWinner, hadOld := c.st.mvcc.winner(name, e.prefix, c.seq-1)
 			oldExists := hadOld && oldWinner.nsegs > 0
 			newExists := e.blk != nil && len(e.blk.Tuples) > 0
 			if !oldExists && !newExists {
@@ -579,10 +567,7 @@ func (c *Commit) Ops() []kv.BatchOp {
 			if newExists {
 				segOps, nsegs := c.st.encodeVersionOps(e.kvSchema, e.prefix, e.blk, c.seq)
 				ops = append(ops, segOps...)
-				c.dirAdds = append(c.dirAdds, struct {
-					kvName, prefix string
-					e              verEntry
-				}{name, ps, verEntry{ver: c.seq, nsegs: nsegs}})
+				c.dirAdds = append(c.dirAdds, dirAdd{name, e.prefix, verEntry{ver: c.seq, nsegs: nsegs}})
 				if d := e.blk.Distinct(); d > c.degreeMax[name] {
 					c.degreeMax[name] = d
 				}
@@ -596,10 +581,7 @@ func (c *Commit) Ops() []kv.BatchOp {
 					Key:   verSegKey(e.prefix, 0, c.seq),
 					Value: binary.AppendUvarint(nil, 0),
 				})
-				c.dirAdds = append(c.dirAdds, struct {
-					kvName, prefix string
-					e              verEntry
-				}{name, ps, verEntry{ver: c.seq, nsegs: 0}})
+				c.dirAdds = append(c.dirAdds, dirAdd{name, e.prefix, verEntry{ver: c.seq, nsegs: 0}})
 				c.newTombs = append(c.newTombs, tombRef{kvName: name, prefix: ps, ver: c.seq})
 				c.blockDelta[name]--
 			}
@@ -675,24 +657,24 @@ func (st *Store) reclaimRel(kvt *obs.KV, r *relMVCC) (w uint64, swept int) {
 		for seg := 0; seg < rv.segs; seg++ {
 			ops = append(ops, kv.BatchOp{Route: prefix, Key: verSegKey(prefix, uint32(seg), rv.ver), Delete: true})
 		}
-		st.mvcc.dropVersion(rv.kvName, rv.prefix, rv.ver)
+		st.mvcc.dropVersion(rv.kvName, prefix, rv.ver)
 		swept++
 	}
 	r.retired = keep
 	keepT := r.tombs[:0]
 	for _, tb := range r.tombs {
-		es := st.mvcc.lookup(tb.kvName, tb.prefix)
-		if len(es) == 0 || es[0].ver > tb.ver {
+		prefix := []byte(tb.prefix)
+		newest, n := st.mvcc.head(tb.kvName, prefix)
+		if n == 0 || newest.ver > tb.ver {
 			continue // superseded or gone: the normal retire path owns its key
 		}
-		if len(es) == 1 && tb.ver <= w {
+		if n == 1 && tb.ver <= w {
 			// Sole remaining version and unreachable: the block is fully
 			// deleted — drop the tombstone key itself. Older versions were
 			// already deleted above (same batch, earlier ops), so a reader
 			// can never resurrect a pre-delete version.
-			prefix := []byte(tb.prefix)
 			ops = append(ops, kv.BatchOp{Route: prefix, Key: verSegKey(prefix, 0, tb.ver), Delete: true})
-			st.mvcc.dropVersion(tb.kvName, tb.prefix, tb.ver)
+			st.mvcc.dropVersion(tb.kvName, prefix, tb.ver)
 			swept++
 			continue
 		}

@@ -182,7 +182,7 @@ func TestMVCCTombstone(t *testing.T) {
 		return c.StageInsert(kvt, relation.Tuple{relation.Int(13), relation.Int(1)})
 	})
 	// The old nation-2 version and its tombstone are both unreachable now.
-	if len(st.mvcc.lookup("SUPPLIER_by_nation", string(st.blockPrefix(st.ids["SUPPLIER_by_nation"], relation.Tuple{relation.Int(2)})))) != 0 {
+	if _, n := st.mvcc.head("SUPPLIER_by_nation", st.blockPrefix(st.ids["SUPPLIER_by_nation"], relation.Tuple{relation.Int(2)})); n != 0 {
 		t.Fatal("tombstoned block still has directory entries")
 	}
 	if blk := supplierBlock(t, st, 2); blk != nil {

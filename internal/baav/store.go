@@ -345,7 +345,7 @@ func (st *Store) loadBlock(kvSchema KVSchema, key relation.Tuple, blk *Block) er
 	for _, op := range ops {
 		st.Cluster.PutRouted(op.Route, op.Key, op.Value)
 	}
-	st.mvcc.addVersion(kvSchema.Name, string(prefix), verEntry{ver: 0, nsegs: nsegs})
+	st.mvcc.addVersion(kvSchema.Name, prefix, verEntry{ver: 0, nsegs: nsegs})
 	st.statsMu.Lock()
 	st.blocks[kvSchema.Name]++
 	if d := blk.Distinct(); d > st.degrees[kvSchema.Name] {

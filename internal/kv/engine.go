@@ -116,10 +116,8 @@ func NewEngine(kind EngineKind) Engine {
 type hashEngine struct {
 	recs []record // id → its pair; a free id holds the zero record
 	free []int32  // ids of deleted records, reused by the next new key
-	// table holds, per slot, tag<<32 | id+1 (0: empty), tag being the low
-	// 32 bits of the key's hash; a key's home slot is its tag modulo the
-	// table's power-of-two size, probed linearly.
-	table []uint64
+	// table finds a key's id, under the low 32 bits of its hash.
+	table Table
 	seed  maphash.Seed
 
 	keys    []int32 // ids in key order; excludes pending
@@ -139,16 +137,9 @@ type record struct {
 	klen int32
 }
 
-const (
-	hashMergeAt = 4096
-	// hashMinTable is the table's first size; it doubles whenever it would
-	// pass three quarters full.
-	hashMinTable = 64
-)
+const hashMergeAt = 4096
 
-func newHashEngine() *hashEngine {
-	return &hashEngine{table: make([]uint64, hashMinTable), seed: maphash.MakeSeed()}
-}
+func newHashEngine() *hashEngine { return &hashEngine{seed: maphash.MakeSeed()} }
 
 // key and val are record id's key and value as capped windows.
 func (e *hashEngine) key(id int32) []byte {
@@ -164,16 +155,9 @@ func (e *hashEngine) val(id int32) []byte {
 // find returns the slot holding key, or the empty slot that ends its probe
 // sequence, and the key's record id (ok false when absent).
 func (e *hashEngine) find(key []byte, tag uint32) (slot int, id int32, ok bool) {
-	mask := len(e.table) - 1
-	for i := int(tag) & mask; ; i = (i + 1) & mask {
-		s := e.table[i]
-		if s == 0 {
-			return i, -1, false
-		}
-		if uint32(s>>32) == tag {
-			if id := int32(uint32(s)) - 1; bytes.Equal(e.key(id), key) {
-				return i, id, true
-			}
+	for slot = int(tag); ; slot++ {
+		if slot, id = e.table.Probe(slot, tag); id < 0 || bytes.Equal(e.key(id), key) {
+			return slot, id, id >= 0
 		}
 	}
 }
@@ -185,48 +169,6 @@ func (e *hashEngine) Get(key []byte) ([]byte, bool) {
 		return e.val(id), true
 	}
 	return nil, false
-}
-
-// grow doubles the table; every entry's home follows from its tag alone.
-func (e *hashEngine) grow() {
-	old := e.table
-	e.table = make([]uint64, 2*len(old))
-	mask := len(e.table) - 1
-	for _, s := range old {
-		if s == 0 {
-			continue
-		}
-		i := int(s>>32) & mask
-		for e.table[i] != 0 {
-			i = (i + 1) & mask
-		}
-		e.table[i] = s
-	}
-}
-
-// unslot empties slot i and shifts back the entries after it whose probe
-// sequence ran through it, so no lookup ever meets a hole.
-func (e *hashEngine) unslot(i int) {
-	mask := len(e.table) - 1
-	for {
-		e.table[i] = 0
-		j := i
-		for {
-			j = (j + 1) & mask
-			s := e.table[j]
-			if s == 0 {
-				return
-			}
-			// The entry at j may move to i unless its home lies cyclically
-			// in (i, j].
-			home := int(s>>32) & mask
-			if (i <= j && (home <= i || home > j)) || (i > j && home <= i && home > j) {
-				e.table[i] = s
-				i = j
-				break
-			}
-		}
-	}
 }
 
 // dropSorted forgets the sorted view after a write changed the pending
@@ -290,10 +232,6 @@ func (e *hashEngine) Put(key, value []byte) {
 		e.recs[id].kv = rec
 		return
 	}
-	if 4*(e.Len()+1) > 3*len(e.table) {
-		e.grow()
-		slot, _, _ = e.find(key, tag)
-	}
 	if n := len(e.free); n > 0 {
 		id, e.free = e.free[n-1], e.free[:n-1]
 		e.recs[id] = record{rec, int32(len(key))}
@@ -301,7 +239,7 @@ func (e *hashEngine) Put(key, value []byte) {
 		id = int32(len(e.recs))
 		e.recs = append(e.recs, record{rec, int32(len(key))})
 	}
-	e.table[slot] = uint64(tag)<<32 | uint64(id+1)
+	e.table.Add(slot, tag, id)
 	e.size += int64(len(rec))
 	e.pending = append(e.pending, id)
 	e.dropSorted()
@@ -315,7 +253,7 @@ func (e *hashEngine) Delete(key []byte) bool {
 	if !ok {
 		return false
 	}
-	e.unslot(slot)
+	e.table.Remove(slot)
 	e.size -= int64(len(e.recs[id].kv))
 	// Deletes are rare next to puts: fold pending first, then splice once.
 	e.mergePending()
@@ -364,7 +302,7 @@ func (e *hashEngine) ScanRange(from, to []byte, fn func(key, value []byte) bool)
 	}
 }
 
-func (e *hashEngine) Len() int { return len(e.recs) - len(e.free) }
+func (e *hashEngine) Len() int { return e.table.Len() }
 
 func (e *hashEngine) SizeBytes() int64 { return e.size }
 

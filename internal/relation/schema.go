@@ -115,22 +115,74 @@ func (s *Schema) String() string {
 }
 
 // Relation is an in-memory instance of a schema.
+//
+// Insert copies each row into the relation's own storage: a caller may
+// mutate or reuse its tuple afterwards. The rows live in chunks of a few
+// hundred rows each, so the collector marks one object per chunk instead of
+// one per row; every element of Tuples is a window into a chunk, capped at
+// the row's end, so an append to one reallocates it instead of reaching the
+// next. A chunk is never written after a row has been carved from it: a
+// tuple anyone still holds keeps its values whatever later happens to the
+// relation. Code that removes rows splices Tuples directly; once the slots
+// of removed rows outnumber the live rows, the next Insert re-packs the live
+// rows into fresh chunks so the memory of the removed ones comes back.
 type Relation struct {
 	Schema *Schema
 	Tuples []Tuple
+
+	// chunk is the chunk rows are being carved from: its free tail is
+	// cap(chunk)-len(chunk) values. placed counts the rows carved since the
+	// last re-pack, removed ones included, and chunkValues the capacity of
+	// every chunk allocated since then.
+	chunk       []Value
+	placed      int
+	chunkValues int
 }
+
+// Chunks double from firstChunkRows rows up to maxChunkValues values
+// (160 KB of Values), or one row when a row is wider than that.
+const (
+	firstChunkRows = 8
+	maxChunkValues = 4096
+)
 
 // NewRelation returns an empty relation over the schema.
 func NewRelation(s *Schema) *Relation { return &Relation{Schema: s} }
 
-// Insert appends a tuple after arity checking.
+// Insert appends a copy of the tuple after arity checking.
 func (r *Relation) Insert(t Tuple) error {
 	if len(t) != len(r.Schema.Attrs) {
 		return fmt.Errorf("relation %s: tuple arity %d != schema arity %d",
 			r.Schema.Name, len(t), len(r.Schema.Attrs))
 	}
-	r.Tuples = append(r.Tuples, t)
+	if r.placed-len(r.Tuples) > len(r.Tuples) {
+		r.repack()
+	}
+	r.Tuples = append(r.Tuples, r.place(t))
 	return nil
+}
+
+// place copies t into the current chunk, starting the next one when it has
+// no room, and returns the copy as a capped window.
+func (r *Relation) place(t Tuple) Tuple {
+	if cap(r.chunk)-len(r.chunk) < len(t) {
+		n := min(max(2*cap(r.chunk), firstChunkRows*len(t)), max(maxChunkValues, len(t)))
+		r.chunk = make([]Value, 0, n)
+		r.chunkValues += n
+	}
+	i := len(r.chunk)
+	r.chunk = append(r.chunk, t...)
+	r.placed++
+	return r.chunk[i:len(r.chunk):len(r.chunk)]
+}
+
+// repack copies the live rows into fresh chunks, in place in Tuples. The
+// old chunks stay intact for whoever still holds a row of them.
+func (r *Relation) repack() {
+	r.chunk, r.placed, r.chunkValues = nil, 0, 0
+	for i, t := range r.Tuples {
+		r.Tuples[i] = r.place(t)
+	}
 }
 
 // MustInsert is Insert that panics on arity mismatch.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"runtime/metrics"
 	"strconv"
 	"sync"
 	"time"
@@ -312,7 +313,33 @@ func newServerObs(s *Server, cfg Config) *serverObs {
 		func() []obs.Sample {
 			return []obs.Sample{{Value: time.Since(s.started).Seconds()}}
 		})
+	// The Go collector, read from runtime/metrics at scrape time: no
+	// stop-the-world, nothing per statement.
+	for _, m := range []struct{ name, help, typ, sample string }{
+		{"zidian_go_heap_live_bytes", "Heap bytes the last GC cycle marked live.", "gauge", "/gc/heap/live:bytes"},
+		{"zidian_go_heap_objects", "Heap objects, live or not yet swept.", "gauge", "/gc/heap/objects:objects"},
+		{"zidian_go_gc_cycles_total", "Completed GC cycles since the process started.", "counter", "/gc/cycles/total:gc-cycles"},
+		{"zidian_go_gc_cpu_seconds_total", "Estimated CPU time the GC has spent since the process started.", "counter", "/cpu/classes/gc/total:cpu-seconds"},
+	} {
+		r.RegisterFunc(m.name, m.help, m.typ, "", func() []obs.Sample {
+			return []obs.Sample{{Value: runtimeMetric(m.sample)}}
+		})
+	}
 	return o
+}
+
+// runtimeMetric reads one runtime/metrics sample as a float.
+func runtimeMetric(name string) float64 {
+	s := []metrics.Sample{{Name: name}}
+	metrics.Read(s)
+	switch s[0].Value.Kind() {
+	case metrics.KindUint64:
+		return float64(s[0].Value.Uint64())
+	case metrics.KindFloat64:
+		return s[0].Value.Float64()
+	default:
+		return 0
+	}
 }
 
 // begin opens a per-statement measurement context. Nil receiver → nil

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -118,6 +119,25 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
 		if !strings.Contains(text, "zidian_admission_wait_seconds"+suffix) {
 			t.Fatalf("admission wait histogram missing %s", suffix)
+		}
+	}
+}
+
+// TestMetricsGoCollector: the collector families come from runtime/metrics
+// at scrape time — a forced GC between two scrapes moves the cycle counter,
+// and the live heap holds the server's own data.
+func TestMetricsGoCollector(t *testing.T) {
+	_, _, httpA := startServer(t, server.Config{MaxConcurrent: 4, QueueDepth: 16, QueueTimeout: time.Second})
+	runtime.GC()
+	before := scrapeMetrics(t, httpA)
+	runtime.GC()
+	after := scrapeMetrics(t, httpA)
+	if b, a := metricValue(t, before, "zidian_go_gc_cycles_total"), metricValue(t, after, "zidian_go_gc_cycles_total"); a <= b || b < 1 {
+		t.Fatalf("gc cycles %g then %g around a forced GC", b, a)
+	}
+	for _, sample := range []string{"zidian_go_heap_live_bytes", "zidian_go_heap_objects", "zidian_go_gc_cpu_seconds_total"} {
+		if v := metricValue(t, after, sample); v <= 0 {
+			t.Fatalf("%s = %g, want > 0", sample, v)
 		}
 	}
 }
