@@ -368,3 +368,78 @@ func BenchmarkStatsAggPrefix(b *testing.B) {
 	store, headers, _ := makeCountsPlans(b)
 	runWorkers(b, store, headers)
 }
+
+// groupOverMOT resolves a hand-built γ plan against MOT scale 2 and checks
+// that its answer is that of the named MOT suite query.
+func groupOverMOT(b *testing.B, name string, plan kba.Plan) *baav.Store {
+	w := workload.MOT(workload.Spec{Scale: 2, Seed: 1})
+	store, c := planner(b, w, nil)
+	if kba.Resolve(plan, c.Schema) == nil {
+		b.Fatalf("%s does not resolve", plan)
+	}
+	for _, q := range w.Queries {
+		if q.Name != name {
+			continue
+		}
+		info, err := c.Plan(ra.MustParse(q.SQL, w.DB))
+		if err != nil {
+			b.Fatal(err)
+		}
+		want, err := ra.Evaluate(ra.MustParse(q.SQL, w.DB), w.DB)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, _, err := kba.Run(plan, store, 2, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		got, err := info.ToResult(out)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !got.Equal(want) {
+			b.Fatalf("%s answers %d rows, %s %d", plan, len(got.Rows), name, len(want.Rows))
+		}
+		return store
+	}
+	b.Fatalf("no MOT query %s", name)
+	return nil
+}
+
+// BenchmarkAggOverExtend is mq08_mileage_by_make at MOT scale 2 as γ(σ(∝ …)):
+// every vehicle's tests fetched by ∝, a σ every row passes, and AVG of the
+// mileage per make. The planner joins two scans for it instead.
+func BenchmarkAggOverExtend(b *testing.B) {
+	zero := relation.Int(0)
+	plan := &kba.GroupBy{
+		Input: &kba.Select{
+			Input: &kba.Extend{Input: &kba.ScanKV{KV: "vehicle_by_make_model", Alias: "V"},
+				KV: "test_by_vehicle", Alias: "T", KeyFrom: []string{"V.vehicle_id"}},
+			Preds: []kba.Pred{{Attr: "T.mileage", Op: sql.OpGe, Lit: &zero}},
+		},
+		Keys: []string{"V.make"},
+		Aggs: []kba.AggSpec{{Func: sql.AggAvg, Attr: "T.mileage", Name: "AVG(T.mileage)"}},
+	}
+	store := groupOverMOT(b, "mq08_mileage_by_make", plan)
+	runWorkers(b, store, plan)
+}
+
+// BenchmarkSelectGroupScan is mq11_speed_by_roadtype at MOT scale 2 as
+// γ(σ(scan)): the wet observations of a scan, AVG of their speed and COUNT
+// per road type. The planner joins the scan with the constant instead.
+func BenchmarkSelectGroupScan(b *testing.B) {
+	wet := relation.String("WET")
+	plan := &kba.GroupBy{
+		Input: &kba.Select{
+			Input: &kba.ScanKV{KV: "obs_by_vehicle", Alias: "O"},
+			Preds: []kba.Pred{{Attr: "O.weather", Op: sql.OpEq, Lit: &wet}},
+		},
+		Keys: []string{"O.road_type"},
+		Aggs: []kba.AggSpec{
+			{Func: sql.AggAvg, Attr: "O.speed", Name: "AVG(O.speed)"},
+			{Func: sql.AggCount, Star: true, Name: "COUNT(*)"},
+		},
+	}
+	store := groupOverMOT(b, "mq11_speed_by_roadtype", plan)
+	runWorkers(b, store, plan)
+}

@@ -282,6 +282,126 @@ func TestServingTemplatesAnalyzeHeld(t *testing.T) {
 	}
 }
 
+// TestSuitePlansAnalyzeHeld: every mot, airca and tpch suite query at scale
+// 0.1, on the hash engine over four nodes at one worker and at four, renders
+// EXPLAIN ANALYZE (times masked) and reads and ships the ExecStats that
+// testdata/suite_analyze.txt holds, byte for byte. The file was recorded
+// before σ, π and γ's first phase ran inside whatever feeds them; with it
+// absent, the test records it and fails, so a change to it is reviewed.
+func TestSuitePlansAnalyzeHeld(t *testing.T) {
+	const golden = "testdata/suite_analyze.txt"
+	var b strings.Builder
+	for _, workers := range []int{1, 4} {
+		for _, name := range []string{"mot", "airca", "tpch"} {
+			w, err := workload.Generate(name, workload.Spec{Scale: 0.1, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inst, err := Open(w.DB, w.Schema, Options{Engine: "hash", Nodes: 4, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range w.Queries {
+				p, err := inst.Prepare(q.SQL)
+				if err != nil {
+					t.Fatalf("%s: %v", q.Name, err)
+				}
+				fmt.Fprintf(&b, "== %s/%s p=%d\n", name, q.Name, workers)
+				b.WriteString(analyzeMasked(t, p))
+				if p.info.Empty {
+					continue
+				}
+				bound, err := p.info.Bind(nil)
+				if err != nil {
+					t.Fatalf("%s: %v", q.Name, err)
+				}
+				out, st, err := kba.Run(bound.Root, inst.store, workers, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", q.Name, err)
+				}
+				res, err := bound.ToResult(out)
+				if err != nil {
+					t.Fatalf("%s: %v", q.Name, err)
+				}
+				fmt.Fprintf(&b, "gets=%d blocks=%d data=%d scanned=%d bytes=%d shuffle=%d rows=%d\n",
+					st.Gets, st.Blocks, st.DataValues, st.ScanBlocks, st.BytesRead, st.ShuffleBytes, len(res.Rows))
+			}
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if os.IsNotExist(err) {
+		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("recorded %s: review it and run again", golden)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("suite plans' EXPLAIN ANALYZE moved at line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("suite plans' EXPLAIN ANALYZE moved: %d lines, want %d", len(gl), len(wl))
+	}
+}
+
+// servingAllocBudget is, per serving template at its first binding, the
+// allocations of one kba.Run at one worker plus shaping its answer, as
+// recorded before σ, π and γ's first phase ran inside whatever feeds them.
+// raceEnabled is set under the race detector (race_on_test.go).
+var raceEnabled bool
+
+var servingAllocBudget = map[string]float64{
+	"vehicle_tests":      39,
+	"vehicle_profile":    67,
+	"vehicle_speeding":   45,
+	"vehicle_test_stats": 58,
+	"vehicle_history":    94,
+	"road_observations":  352,
+	"year_band":          305,
+	"speed_band_limit":   304,
+	"make_counts":        124,
+}
+
+// TestServingTemplatesAllocBudget: executing and shaping each of the nine
+// serving templates allocates no more than its budget above, so no change
+// to the executor raises its allocation without changing the table. The race
+// detector drops sync.Pool items at random, so under it the counts are not
+// fixed and the test does not run.
+func TestServingTemplatesAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	inst := servingInstance(t)
+	for _, tpl := range servingTemplates {
+		p, err := inst.Prepare(tpl.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tpl.name, err)
+		}
+		bound, err := p.info.Bind(tpl.params[0])
+		if err != nil {
+			t.Fatalf("%s: %v", tpl.name, err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			out, _, err := kba.Run(bound.Root, inst.store, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := bound.ToResult(out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s %.0f", tpl.name, allocs)
+		if budget, ok := servingAllocBudget[tpl.name]; !ok || allocs > budget {
+			t.Errorf("%s allocates %.0f times per run, budget %.0f", tpl.name, allocs, budget)
+		}
+	}
+}
+
 // heldGroupScan is EXPLAIN ANALYZE of a γ over a scan with its times
 // masked, as recorded before γ ran inside the scan: the scan keeps its
 // span, rows, worker and node fan-out and columns.
