@@ -145,35 +145,25 @@ func (e *executor) exec(p Plan) (*PartRel, error) {
 	case *Const:
 		return e.runConst(n)
 	case *ScanKV:
-		return e.runScan(n)
+		return e.runScan(n, &rowSink{})
 	case *IndexLookup:
 		return e.runIndexLookup(n)
 	case *IndexRange:
 		return e.runIndexRange(n)
 	case *Extend:
-		return e.runExtendAs(n, nil)
+		return e.runExtend(n, &rowSink{})
 	case *Shift:
 		return e.runShift(n)
 	case *Join:
-		return e.runJoin(n, nil)
-	case *Select:
-		return e.runSelect(n)
-	case *Project:
-		if sel, ok := n.Input.(*Select); ok {
-			switch sel.Input.(type) {
-			case *Extend, *Join:
-				return e.runFused(n, sel)
-			}
-		}
-		return e.runProject(n)
+		return e.runJoin(n, &rowSink{})
+	case *Select, *Project, *GroupBy:
+		return e.runChain(p)
 	case *Distinct:
 		return e.runDistinct(n)
 	case *Union:
 		return e.runUnion(n)
 	case *Diff:
 		return e.runDiff(n)
-	case *GroupBy:
-		return e.runGroupBy(n)
 	case *StatsAgg:
 		return e.runStatsAgg(n)
 	default:
@@ -245,33 +235,42 @@ func countBlock(key relation.Tuple, rows, width int, size int64, data, bytes *in
 // value attributes the plan reads.
 func (e *executor) annotateCols(lay *layout) { e.trace.AnnotateCols(lay.kept(), lay.width) }
 
-func (e *executor) runScan(n *ScanKV) (*PartRel, error) {
+// runScan is the KV instance scan, writing its rows through s.
+func (e *executor) runScan(n *ScanKV, s *rowSink) (*PartRel, error) {
 	lay, err := e.layoutOf(n, n.lay, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := NewPartRel(lay.attrs, e.workers)
-	width := len(lay.attrs)
-	_, err = e.walkScan(n.KV, lay, func(w int, key relation.Tuple, blk *baav.Block) {
-		slab := newRowSlab(int(blk.Rows()), width)
-		out.Parts[w] = blockRows(out.Parts[w], &slab, key, blk)
+	attrs, err := e.compile(s, lay.attrs)
+	if err != nil {
+		return nil, err
+	}
+	writers := make([]rowWriter, e.workers)
+	for w := range writers {
+		writers[w] = s.writer(0, true)
+	}
+	err = e.walkScan(n.KV, lay, func(w int, key relation.Tuple, blk *baav.Block) {
+		writers[w].reserve(int(blk.Rows()))
+		writers[w].block(key, blk)
 	})
+	out := NewPartRel(attrs, e.workers)
+	for w := range writers {
+		out.Parts[w] = writers[w].finish(w)
+	}
 	return out, err
 }
 
 // walkScan is the one walk of a KV instance scan: the workers split the
 // storage nodes — scan output starts partitioned by storage layout — and
 // each hands its blocks to visit(w, key, blk) on its own goroutine; the
-// scan copies their rows out, a γ above the scan aggregates them in place.
-// walkScan does the leaf's accounting, annotates the open span with the
-// rows each storage node gave and the columns read, and returns the rows
-// each worker was handed.
-func (e *executor) walkScan(kvName string, lay *layout, visit func(w int, key relation.Tuple, blk *baav.Block)) ([]int64, error) {
+// scan writes their rows, the fetch-all ∝ indexes the blocks. walkScan does
+// the leaf's accounting and annotates the open span with the rows each
+// storage node gave and the columns read.
+func (e *executor) walkScan(kvName string, lay *layout, visit func(w int, key relation.Tuple, blk *baav.Block)) error {
 	nodes := e.store.Cluster.NodeCount()
-	// Every node is walked by exactly one worker, and every worker writes
-	// only its own slot, so both are written race-free.
+	// Every node is walked by exactly one worker, so each slot is written
+	// race-free.
 	perNode := make([]int64, nodes)
-	perWorker := make([]int64, e.workers)
 	err := ForWorkers(e.workers, Unsized, func(w int) error {
 		var blocks, data, bytes int64
 		for node := w; node < nodes; node += e.workers {
@@ -280,7 +279,6 @@ func (e *executor) walkScan(kvName string, lay *layout, visit func(w int, key re
 				e.trace.CountBlocks(1)
 				blocks++
 				perNode[node] += rows
-				perWorker[w] += rows
 				countBlock(key, int(rows), lay.width, size, &data, &bytes)
 				visit(w, key, blk)
 				return true
@@ -296,7 +294,7 @@ func (e *executor) walkScan(kvName string, lay *layout, visit func(w int, key re
 	})
 	e.trace.AnnotateNodes(perNode)
 	e.annotateCols(lay)
-	return perWorker, err
+	return err
 }
 
 // postingRows shapes an index walk's n (value, block key) pairs into rows
@@ -455,71 +453,109 @@ func (e *executor) runIndexRange(n *IndexRange) (*PartRel, error) {
 	})
 }
 
-// fusion is a σ and the π above it, run inside the ∝ or ⋈ that feeds them
-// (runFused). sink is set once the producer knows its own layout.
-type fusion struct {
-	sel  *Select
-	proj *Project
-	sink *rowSink
+// runChain runs the chain p tops inside whatever feeds it (see rowSink),
+// then γ's phase 2. Spans and accounting are those of the operators run one
+// after another: below p's span, σ's opens and then the producer's, and each
+// closes with its own rows per worker — the producer's the rows it made,
+// σ's the rows it passed. The statement's ExecStats are the producer's own.
+func (e *executor) runChain(p Plan) (*PartRel, error) {
+	s := peel(p)
+	var selSpan, span *obs.OpNode
+	if s.sel != nil && s.sel != p {
+		selSpan = e.startSpan(s.sel)
+	}
+	if _, lit := s.producer.(*Lit); !lit {
+		span = e.startSpan(s.producer)
+	}
+	out, err := e.produce(s)
+	if err != nil {
+		s.made, s.passed = nil, nil
+	}
+	e.finishSpan(span, s.made)
+	e.finishSpan(selSpan, s.passed)
+	if err != nil || s.group == nil {
+		return out, err
+	}
+	return e.mergeGroups(s.group, s.groupLay, out)
 }
 
-// sink returns where a producer whose rows are attrs writes them, and the
-// attributes of what it returns: its own rows, or — under fusion f — π's
-// columns of the rows σ passes.
-func (e *executor) sink(f *fusion, attrs []string) (*rowSink, []string, error) {
-	s := &rowSink{width: len(attrs)}
-	if f == nil {
-		return s, attrs, nil
-	}
-	selLay, err := e.layoutOf(f.sel, f.sel.lay, attrs, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	if s.check, err = selectCheck(f.sel, selLay); err != nil {
-		return nil, nil, err
-	}
-	projLay, err := e.layoutOf(f.proj, f.proj.lay, attrs, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.cols, s.made = projLay.key, make([]int64, e.workers)
-	f.sink = s
-	return s, projLay.attrs, nil
-}
-
-// runFused runs π(σ(p)) for a ∝ or ⋈ p inside p (see rowSink). Its spans
-// and accounting are those of the three operators run one after another:
-// σ's span and p's open inside π's, p's with the rows it made per worker
-// and σ's with the rows it passed, and the statement's ExecStats are p's
-// own, as they were.
-func (e *executor) runFused(proj *Project, sel *Select) (*PartRel, error) {
-	selSpan := e.startSpan(sel)
-	span := e.startSpan(sel.Input)
-	f := &fusion{sel: sel, proj: proj}
-	var out *PartRel
+// produce runs s's producer, writing its rows through s: a scan, ∝ or ⋈
+// makes them there; s's chain loops over what any other producer builds.
+func (e *executor) produce(s *rowSink) (*PartRel, error) {
+	var in *PartRel
 	var err error
-	switch n := sel.Input.(type) {
+	switch n := s.producer.(type) {
+	case *ScanKV:
+		return e.runScan(n, s)
 	case *Extend:
-		out, err = e.runExtendAs(n, f)
+		return e.runExtend(n, s)
 	case *Join:
-		out, err = e.runJoin(n, f)
+		return e.runJoin(n, s)
+	case *Lit:
+		in = n.V
+	default:
+		if in, err = e.exec(n); err != nil {
+			return nil, err
+		}
 	}
-	var made []int64
-	if out != nil {
-		made = f.sink.made
+	attrs, err := e.compile(s, in.Attrs)
+	if err != nil {
+		return nil, err
 	}
-	e.finishSpan(span, made)
-	e.finishSpan(selSpan, rowsPerWorker(out))
+	out := NewPartRel(attrs, e.workers)
+	err = ForWorkers(e.workers, in.Len(), func(w int) error {
+		if part := in.Parts[w]; len(part) > 0 {
+			wr := s.writer(len(part), false)
+			for _, row := range part {
+				wr.keep(row)
+			}
+			out.Parts[w] = wr.finish(w)
+		}
+		return nil
+	})
 	return out, err
 }
 
-// runExtendAs runs ∝ interleaved, or flattened into retrieve-then-join when
-// the executor is set to, writing its rows under fusion f (nil: none).
-func (e *executor) runExtendAs(n *Extend, f *fusion) (*PartRel, error) {
-	if e.fetchAll {
-		return e.runExtendFetchAll(n, f)
+// compile compiles s's chain against the attributes of its producer's rows
+// and returns those of what the producer returns: its own rows, the chain's
+// output, or γ's partial states.
+func (e *executor) compile(s *rowSink, attrs []string) ([]string, error) {
+	s.width, s.outWidth = len(attrs), len(attrs)
+	if s.producer == nil {
+		return attrs, nil
 	}
-	return e.runExtend(n, f)
+	if e.trace.Spans() {
+		s.made, s.passed = make([]int64, e.workers), make([]int64, e.workers)
+	}
+	if n := s.sel; n != nil {
+		lay, err := e.layoutOf(n, n.lay, attrs, nil)
+		if err != nil {
+			return nil, err
+		}
+		if s.check, err = selectCheck(n, lay); err != nil {
+			return nil, err
+		}
+	}
+	if n := s.proj; n != nil {
+		lay, err := e.layoutOf(n, n.lay, attrs, nil)
+		if err != nil {
+			return nil, err
+		}
+		s.cols, s.outWidth = lay.key, len(lay.key)
+		return lay.attrs, nil
+	}
+	if n := s.group; n != nil {
+		lay, err := e.layoutOf(n, n.lay, attrs, nil)
+		if err != nil {
+			return nil, err
+		}
+		s.groupLay, s.lastKey = lay, -1
+		for _, c := range lay.key {
+			s.lastKey = max(s.lastKey, c)
+		}
+		return lay.partial, nil
+	}
+	return attrs, nil
 }
 
 // runExtend is the interleaved ∝: deduplicate the target keys across the
@@ -527,8 +563,12 @@ func (e *executor) runExtendAs(n *Extend, f *fusion) (*PartRel, error) {
 // owning node, then have workers expand their partitions against the shared
 // read-only blocks — the query fetches only the blocks it needs, and pays
 // one storage round per node instead of one per distinct key. Input rows
-// with no matching block are joined away.
-func (e *executor) runExtend(n *Extend, f *fusion) (*PartRel, error) {
+// with no matching block are joined away. It writes its rows through s; the
+// executor set to fetch-all runs the retrieve-then-join strawman instead.
+func (e *executor) runExtend(n *Extend, s *rowSink) (*PartRel, error) {
+	if e.fetchAll {
+		return e.runExtendFetchAll(n, s)
+	}
 	in, err := e.run(n.Input)
 	if err != nil {
 		return nil, err
@@ -537,7 +577,7 @@ func (e *executor) runExtend(n *Extend, f *fusion) (*PartRel, error) {
 	if err != nil {
 		return nil, err
 	}
-	sink, attrs, err := e.sink(f, lay.attrs)
+	attrs, err := e.compile(s, lay.attrs)
 	if err != nil {
 		return nil, err
 	}
@@ -602,13 +642,13 @@ func (e *executor) runExtend(n *Extend, f *fusion) (*PartRel, error) {
 		if count == 0 {
 			return nil
 		}
-		wr := sink.writer(w, count)
+		wr := s.writer(count, true)
 		for i, row := range shuffled.Parts[w] {
 			if blk := blks[at[w][i]]; blk != nil {
 				wr.block(row, blk)
 			}
 		}
-		out.Parts[w] = wr.rows
+		out.Parts[w] = wr.finish(w)
 		return nil
 	})
 	return out, err
@@ -628,9 +668,8 @@ func (e *executor) runShift(n *Shift) (*PartRel, error) {
 	return repartition(in, lay.key, &e.shuffle), nil
 }
 
-// runJoin is the hash equi-join, writing its rows under fusion f (nil:
-// none).
-func (e *executor) runJoin(n *Join, f *fusion) (*PartRel, error) {
+// runJoin is the hash equi-join, writing its probe side's rows through s.
+func (e *executor) runJoin(n *Join, s *rowSink) (*PartRel, error) {
 	l, err := e.run(n.L)
 	if err != nil {
 		return nil, err
@@ -643,7 +682,7 @@ func (e *executor) runJoin(n *Join, f *fusion) (*PartRel, error) {
 	if err != nil {
 		return nil, err
 	}
-	sink, attrs, err := e.sink(f, lay.attrs)
+	attrs, err := e.compile(s, lay.attrs)
 	if err != nil {
 		return nil, err
 	}
@@ -689,7 +728,7 @@ func (e *executor) runJoin(n *Join, f *fusion) (*PartRel, error) {
 		if count == 0 {
 			return nil
 		}
-		wr := sink.writer(w, count)
+		wr := s.writer(count, true)
 		for i, row := range left {
 			for j := match[i]; j >= 0; j = next[j] {
 				t := wr.row()
@@ -698,34 +737,7 @@ func (e *executor) runJoin(n *Join, f *fusion) (*PartRel, error) {
 				wr.keep(t)
 			}
 		}
-		out.Parts[w] = wr.rows
-		return nil
-	})
-	return out, err
-}
-
-func (e *executor) runSelect(n *Select) (*PartRel, error) {
-	in, err := e.run(n.Input)
-	if err != nil {
-		return nil, err
-	}
-	lay, err := e.layoutOf(n, n.lay, in.Attrs, nil)
-	if err != nil {
-		return nil, err
-	}
-	check, err := selectCheck(n, lay)
-	if err != nil {
-		return nil, err
-	}
-	out := NewPartRel(in.Attrs, e.workers)
-	err = ForWorkers(e.workers, in.Len(), func(w int) error {
-		var local []relation.Tuple
-		for _, row := range in.Parts[w] {
-			if check.ok(row) {
-				local = append(local, row)
-			}
-		}
-		out.Parts[w] = local
+		out.Parts[w] = wr.finish(w)
 		return nil
 	})
 	return out, err
@@ -775,38 +787,6 @@ func cmpOK(a relation.Value, op sql.CmpOp, b relation.Value) bool {
 	}
 }
 
-func (e *executor) runProject(n *Project) (*PartRel, error) {
-	in, err := e.run(n.Input)
-	if err != nil {
-		return nil, err
-	}
-	lay, err := e.layoutOf(n, n.lay, in.Attrs, nil)
-	if err != nil {
-		return nil, err
-	}
-	out := NewPartRel(lay.attrs, e.workers)
-	err = ForWorkers(e.workers, in.Len(), func(w int) error {
-		out.Parts[w] = project(in.Parts[w], lay.key)
-		return nil
-	})
-	return out, err
-}
-
-// project returns the rows restricted to the positions idx, in order,
-// carved from one slab.
-func project(rows []relation.Tuple, idx []int) []relation.Tuple {
-	slab := newRowSlab(len(rows), len(idx))
-	out := make([]relation.Tuple, len(rows))
-	for i, row := range rows {
-		t := slab.next()
-		for j, c := range idx {
-			t[j] = row[c]
-		}
-		out[i] = t
-	}
-	return out
-}
-
 func (e *executor) runDistinct(n *Distinct) (*PartRel, error) {
 	in, err := e.run(n.Input)
 	if err != nil {
@@ -836,7 +816,7 @@ func (e *executor) runDistinct(n *Distinct) (*PartRel, error) {
 }
 
 // aligned evaluates both inputs of a set operation and reorders the right
-// side's columns to the left side's attribute layout.
+// side's columns to the left side's attribute layout, as a π over it.
 func (e *executor) aligned(p Plan, have *layout) (l, r *PartRel, lay *layout, err error) {
 	inputs := p.Children()
 	if l, err = e.run(inputs[0]); err != nil {
@@ -848,13 +828,10 @@ func (e *executor) aligned(p Plan, have *layout) (l, r *PartRel, lay *layout, er
 	if lay, err = e.layoutOf(p, have, l.Attrs, r.Attrs); err != nil {
 		return nil, nil, nil, err
 	}
-	ra := NewPartRel(l.Attrs, e.workers)
-	for w, part := range r.Parts {
-		if len(part) > 0 {
-			ra.Parts[w] = project(part, lay.rkey)
-		}
+	if r, err = e.runChain(&Project{Input: &Lit{V: r}, Attrs: l.Attrs}); err != nil {
+		return nil, nil, nil, err
 	}
-	return l, ra, lay, nil
+	return l, r, lay, nil
 }
 
 func (e *executor) runUnion(n *Union) (*PartRel, error) {

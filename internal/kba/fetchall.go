@@ -8,8 +8,8 @@ import (
 // runExtendFetchAll replaces the interleaved ∝ with retrieve-then-join: the
 // whole parameter instance is scanned into a per-worker hash index, the
 // input is repartitioned by the join key, and the join runs locally,
-// writing its rows under fusion f (nil: none).
-func (e *executor) runExtendFetchAll(n *Extend, f *fusion) (*PartRel, error) {
+// writing its rows through s.
+func (e *executor) runExtendFetchAll(n *Extend, s *rowSink) (*PartRel, error) {
 	in, err := e.run(n.Input)
 	if err != nil {
 		return nil, err
@@ -18,7 +18,7 @@ func (e *executor) runExtendFetchAll(n *Extend, f *fusion) (*PartRel, error) {
 	if err != nil {
 		return nil, err
 	}
-	sink, attrs, err := e.sink(f, lay.attrs)
+	attrs, err := e.compile(s, lay.attrs)
 	if err != nil {
 		return nil, err
 	}
@@ -33,7 +33,7 @@ func (e *executor) runExtendFetchAll(n *Extend, f *fusion) (*PartRel, error) {
 		home int
 	}
 	scanned := make([][]placed, e.workers)
-	_, err = e.walkScan(n.KV, lay, func(w int, key relation.Tuple, blk *baav.Block) {
+	err = e.walkScan(n.KV, lay, func(w int, key relation.Tuple, blk *baav.Block) {
 		home := hashTuple(key, wholeKey, e.workers)
 		if home != w {
 			var moved int64
@@ -78,13 +78,13 @@ func (e *executor) runExtendFetchAll(n *Extend, f *fusion) (*PartRel, error) {
 		if count == 0 {
 			return nil
 		}
-		wr := sink.writer(w, count)
+		wr := s.writer(count, true)
 		for i, row := range part {
 			for _, blk := range match[i] {
 				wr.block(row, blk)
 			}
 		}
-		out.Parts[w] = wr.rows
+		out.Parts[w] = wr.finish(w)
 		return nil
 	})
 	return out, err

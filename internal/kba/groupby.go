@@ -104,28 +104,16 @@ func (g *groupTable) partials() []relation.Tuple {
 	return g.rows(ra.AggStateWidth(), func(dst relation.Tuple, _ int, st *ra.AggState) { st.PutState(dst) })
 }
 
-// runGroupBy aggregates with local partial states, shuffles the encoded
-// partials by group key, and finalizes per worker — the standard two-phase
-// parallel aggregation that keeps communication proportional to the number
-// of groups, not rows. Over a scan, phase 1 runs inside it (groupScan).
-func (e *executor) runGroupBy(n *GroupBy) (*PartRel, error) {
-	var lay *layout
-	var partial *PartRel
-	var err error
-	if scan, ok := n.Input.(*ScanKV); ok {
-		lay, partial, err = e.groupScan(n, scan)
-	} else {
-		lay, partial, err = e.groupRows(n)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 2: shuffle partials by key and merge.
+// mergeGroups is γ's phase 2. Phase 1 aggregated into local partial states
+// per worker inside whatever fed γ (see rowSink); phase 2 shuffles the
+// encoded partials by group key and finalizes per worker — the standard
+// two-phase parallel aggregation that keeps communication proportional to
+// the number of groups, not rows.
+func (e *executor) mergeGroups(n *GroupBy, lay *layout, partial *PartRel) (*PartRel, error) {
 	stateW := ra.AggStateWidth()
 	shuffled := repartition(partial, lay.rkey, &e.shuffle)
 	out := NewPartRel(lay.attrs, e.workers)
-	err = ForWorkers(e.workers, shuffled.Len(), func(w int) error {
+	err := ForWorkers(e.workers, shuffled.Len(), func(w int) error {
 		g := newGroupTable(len(n.Keys), len(n.Aggs))
 		for _, row := range shuffled.Parts[w] {
 			st := g.group(row, lay.rkey)
@@ -141,85 +129,6 @@ func (e *executor) runGroupBy(n *GroupBy) (*PartRel, error) {
 		return nil
 	})
 	return out, err
-}
-
-// groupRows is phase 1 over a materialized input: local partial
-// aggregation per worker.
-func (e *executor) groupRows(n *GroupBy) (*layout, *PartRel, error) {
-	in, err := e.run(n.Input)
-	if err != nil {
-		return nil, nil, err
-	}
-	lay, err := e.layoutOf(n, n.lay, in.Attrs, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	partial := NewPartRel(lay.partial, e.workers)
-	err = ForWorkers(e.workers, in.Len(), func(w int) error {
-		g := newGroupTable(len(n.Keys), len(n.Aggs))
-		for _, row := range in.Parts[w] {
-			fold(g.group(row, lay.key), row, lay.aggs, 1)
-		}
-		partial.Parts[w] = g.partials()
-		return nil
-	})
-	return lay, partial, err
-}
-
-// groupScan is phase 1 over a KV instance scan, run inside the scan's walk:
-// each worker folds the rows of the blocks it is handed into its groups
-// through one scratch row, key ++ values, so the scan's output is never
-// built. The scan keeps its operator span, with the rows, worker and node
-// fan-out and columns it would have reported producing them, and its
-// accounting is the walk's own, so traced and untraced runs, and the
-// statement's ExecStats, are those of γ over a materialized scan.
-func (e *executor) groupScan(n *GroupBy, scan *ScanKV) (*layout, *PartRel, error) {
-	span := e.startSpan(scan)
-	scanLay, err := e.layoutOf(scan, scan.lay, nil, nil)
-	var lay *layout
-	if err == nil {
-		lay, err = e.layoutOf(n, n.lay, scanLay.attrs, nil)
-	}
-	if err != nil {
-		e.finishSpan(span, nil)
-		return nil, nil, err
-	}
-	tables := make([]*groupTable, e.workers)
-	scratch := make([]relation.Tuple, e.workers)
-	for w := range tables {
-		tables[w] = newGroupTable(len(n.Keys), len(n.Aggs))
-		scratch[w] = make(relation.Tuple, len(scanLay.attrs))
-	}
-	// When every group key is a block key attribute, a block's rows all
-	// fall in one group: it is looked up once per block.
-	perBlock := true
-	for _, c := range lay.key {
-		perBlock = perBlock && c < len(scanLay.attrs)-scanLay.kept()
-	}
-	perWorker, err := e.walkScan(scan.KV, scanLay, func(w int, key relation.Tuple, blk *baav.Block) {
-		g, row := tables[w], scratch[w]
-		copy(row, key)
-		var st []ra.AggState
-		if perBlock && len(blk.Tuples) > 0 {
-			st = g.group(row, lay.key)
-		}
-		for j, t := range blk.Tuples {
-			copy(row[len(key):], t)
-			if !perBlock {
-				st = g.group(row, lay.key)
-			}
-			fold(st, row, lay.aggs, multiplicity(blk, j))
-		}
-	})
-	e.finishSpan(span, perWorker)
-	if err != nil {
-		return nil, nil, err
-	}
-	partial := NewPartRel(lay.partial, e.workers)
-	for w, g := range tables {
-		partial.Parts[w] = g.partials()
-	}
-	return lay, partial, nil
 }
 
 // runStatsAgg answers a group-by over a whole KV instance from its blocks'

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"zidian/internal/baav"
+	"zidian/internal/ra"
 	"zidian/internal/relation"
 )
 
@@ -116,57 +117,87 @@ func multiplicity(blk *baav.Block, j int) int64 {
 	return blk.Counts[j]
 }
 
-// blockRows appends to out one row lead ++ t, carved from slab, per tuple t
-// of blk and per multiplicity.
-func blockRows(out []relation.Tuple, slab *rowSlab, lead relation.Tuple, blk *baav.Block) []relation.Tuple {
-	for j, t := range blk.Tuples {
-		for range multiplicity(blk, j) {
-			row := slab.next()
-			copy(row, lead)
-			copy(row[len(lead):], t)
-			out = append(out, row)
-		}
-	}
-	return out
-}
-
-// rowSink is where ∝ and ⋈ write their output rows. Alone, each row is
-// carved from the producer's slab as it is made. Under a σ and the π above
-// it (runFused), each worker makes its rows in one scratch row instead: σ
-// tests it, and only π's columns of a row σ passes are carved from the slab
-// — sized, as the producer's own would be, from the count before filtering,
-// but at π's width — so neither the producer's rows nor σ's or π's output
-// slices exist apart from the answer.
+// rowSink is where every row producer writes: a scan, ∝ (interleaved or
+// fetch-all), ⋈'s probe side, and the loop over an already built relation.
+// It holds the chain exec peels off the producer — a σ over it and a π or γ
+// on top, the shapes the planner emits — compiled against the producer's
+// row. Alone, each row is carved from the producer's slab as it is made.
+// Under a chain, each worker makes its rows in one scratch row: σ tests it,
+// and only what the chain outputs of a row σ passes — π's columns, or the
+// whole row — is carved, from a slab sized as the producer's own from its
+// count before filtering; under γ nothing is carved and the row is folded
+// into its group. A longer chain nests: each link runs over the rows of the
+// one below.
 type rowSink struct {
-	width int // the producer's row width
-	// check and cols are σ's predicates and π's positions in the producer's
-	// row; made counts, per worker, the rows the producer made before σ.
-	// All three are nil when nothing is fused.
-	check predChecks
-	cols  []int
-	made  []int64
+	// producer feeds the chain and sel, proj and group are its σ, π and γ;
+	// each is nil when absent, all for a producer with no chain.
+	producer Plan
+	sel      *Select
+	proj     *Project
+	group    *GroupBy
+
+	width, outWidth int        // the producer's row width and a kept row's
+	check           predChecks // σ's predicates
+	cols            []int      // π's positions; nil: no π
+	groupLay        *layout    // γ's layout
+	lastKey         int        // the highest γ key position, -1 for none
+	// made and passed are, per worker, the rows the producer made and the
+	// rows σ passed, for the chain's spans; nil untraced.
+	made, passed []int64
 }
 
-// rowWriter is one worker's side of a rowSink: the rows it keeps, the slab
-// they are carved from and, fused, the scratch row the producer fills.
-type rowWriter struct {
-	sink    *rowSink
-	slab    rowSlab
-	rows    []relation.Tuple
-	scratch relation.Tuple
-}
-
-// writer returns worker w's writer for the count rows it will make.
-func (s *rowSink) writer(w, count int) rowWriter {
-	wr := rowWriter{sink: s, rows: make([]relation.Tuple, 0, count)}
-	if s.made == nil {
-		wr.slab = newRowSlab(count, s.width)
-		return wr
+// peel returns the chain p tops.
+func peel(p Plan) *rowSink {
+	s := &rowSink{}
+	switch n := p.(type) {
+	case *Project:
+		s.proj, p = n, n.Input
+	case *GroupBy:
+		s.group, p = n, n.Input
 	}
-	s.made[w] = int64(count)
-	wr.slab = newRowSlab(count, len(s.cols))
-	wr.scratch = make(relation.Tuple, s.width)
+	if n, ok := p.(*Select); ok {
+		s.sel, p = n, n.Input
+	}
+	s.producer = p
+	return s
+}
+
+// rowWriter is one worker's side of a rowSink.
+type rowWriter struct {
+	s            *rowSink
+	slab         rowSlab
+	want         int // rows the next slab is carved for
+	rows         []relation.Tuple
+	scratch      relation.Tuple // the row a producer fills under a chain
+	groups       *groupTable
+	made, passed int64
+}
+
+// writer returns a worker's writer for the count rows its producer will make
+// at most; fill says the producer makes them through row and block rather
+// than keeping rows it already has.
+func (s *rowSink) writer(count int, fill bool) rowWriter {
+	wr := rowWriter{s: s, want: count}
+	if s.group != nil {
+		wr.groups = newGroupTable(len(s.groupLay.key), len(s.groupLay.aggs))
+	} else if count > 0 {
+		wr.rows = make([]relation.Tuple, 0, count)
+	}
+	if fill && s.producer != nil {
+		wr.scratch = make(relation.Tuple, s.width)
+	}
 	return wr
+}
+
+// reserve sizes the next slab for n rows.
+func (w *rowWriter) reserve(n int) { w.slab, w.want = rowSlab{}, n }
+
+// carve returns a fresh row of the slab at the chain's output width.
+func (w *rowWriter) carve() relation.Tuple {
+	if len(w.slab.vals) == 0 {
+		w.slab = newRowSlab(w.want, w.s.outWidth)
+	}
+	return w.slab.next()
 }
 
 // row returns the row the producer fills next and hands to keep.
@@ -174,47 +205,96 @@ func (w *rowWriter) row() relation.Tuple {
 	if w.scratch != nil {
 		return w.scratch
 	}
-	return w.slab.next()
+	return w.carve()
 }
 
-// keep keeps a row from row(): as it is, or — fused — π's columns of it if
-// σ passes it.
+// keep takes one row the producer made, if σ passes it: into γ's groups, or
+// as the chain's output.
 func (w *rowWriter) keep(t relation.Tuple) {
-	if w.scratch != nil {
-		if !w.sink.check.ok(t) {
-			return
-		}
-		t = w.project(t)
+	w.made++
+	if !w.pass(t, 1) {
+		return
 	}
-	w.rows = append(w.rows, t)
+	if w.groups != nil {
+		fold(w.groups.group(t, w.s.groupLay.key), t, w.s.groupLay.aggs, 1)
+		return
+	}
+	w.rows = append(w.rows, w.out(t))
 }
 
-// project carves π's columns of t from the slab.
-func (w *rowWriter) project(t relation.Tuple) relation.Tuple {
-	out := w.slab.next()
-	for j, c := range w.sink.cols {
-		out[j] = t[c]
+// pass reports whether σ passes the n rows t stands for.
+func (w *rowWriter) pass(t relation.Tuple, n int64) bool {
+	if !w.s.check.ok(t) {
+		return false
 	}
-	return out
+	w.passed += n
+	return true
+}
+
+// out is the row the chain outputs for t: π's columns of it or a copy of the
+// scratch row, carved from the slab, or else t itself — a row the producer
+// carved, or a row of an already built relation, kept by reference.
+func (w *rowWriter) out(t relation.Tuple) relation.Tuple {
+	if w.s.cols == nil && w.scratch == nil {
+		return t
+	}
+	o := w.carve()
+	if w.s.cols == nil {
+		copy(o, t)
+	}
+	for j, c := range w.s.cols {
+		o[j] = t[c]
+	}
+	return o
 }
 
 // block keeps one row lead ++ t per tuple t of blk and per multiplicity;
-// fused, σ tests each distinct tuple once.
+// under a chain σ tests each distinct tuple once. When every γ key lies in
+// lead, a block's rows all fall in one group, looked up once, on the first
+// row σ passes.
 func (w *rowWriter) block(lead relation.Tuple, blk *baav.Block) {
-	if w.scratch == nil {
-		w.rows = blockRows(w.rows, &w.slab, lead, blk)
-		return
+	w.made += blk.Rows()
+	if w.scratch != nil {
+		copy(w.scratch, lead)
 	}
-	copy(w.scratch, lead)
+	var st []ra.AggState
 	for j, t := range blk.Tuples {
-		copy(w.scratch[len(lead):], t)
-		if !w.sink.check.ok(w.scratch) {
+		n := multiplicity(blk, j)
+		if w.scratch == nil {
+			for range n {
+				row := w.carve()
+				copy(row, lead)
+				copy(row[len(lead):], t)
+				w.rows = append(w.rows, row)
+			}
 			continue
 		}
-		for range multiplicity(blk, j) {
-			w.rows = append(w.rows, w.project(w.scratch))
+		copy(w.scratch[len(lead):], t)
+		switch {
+		case !w.pass(w.scratch, n):
+		case w.groups == nil:
+			for range n {
+				w.rows = append(w.rows, w.out(w.scratch))
+			}
+		default:
+			if st == nil || w.s.lastKey >= len(lead) {
+				st = w.groups.group(w.scratch, w.s.groupLay.key)
+			}
+			fold(st, w.scratch, w.s.groupLay.aggs, n)
 		}
 	}
+}
+
+// finish returns what the writer of the given worker kept — its rows, or
+// γ's partial states — and records its counts for the spans.
+func (w *rowWriter) finish(worker int) []relation.Tuple {
+	if w.s.made != nil {
+		w.s.made[worker], w.s.passed[worker] = w.made, w.passed
+	}
+	if w.groups != nil {
+		return w.groups.partials()
+	}
+	return w.rows
 }
 
 // inlineRows is the input size below which an operator runs its per-worker
