@@ -13,7 +13,9 @@ import (
 )
 
 // carStore maps rows CAR(id, make, year) — eight makes, years cycling over
-// twelve — onto four nodes, keyed by make: eight blocks however many rows.
+// twelve — onto four nodes, keyed by make: eight blocks however many rows,
+// once with the ids and once with the years alone, which repeat within a
+// block.
 func carStore(t testing.TB, rows int) *baav.Store {
 	t.Helper()
 	db := relation.NewDatabase()
@@ -25,7 +27,8 @@ func carStore(t testing.TB, rows int) *baav.Store {
 	}
 	db.Add(car)
 	schema := baav.MustSchema(baav.RelSchemas(db),
-		baav.KVSchema{Name: "car_by_make", Rel: "CAR", Key: []string{"make"}, Val: []string{"id", "year"}})
+		baav.KVSchema{Name: "car_by_make", Rel: "CAR", Key: []string{"make"}, Val: []string{"id", "year"}},
+		baav.KVSchema{Name: "car_years_by_make", Rel: "CAR", Key: []string{"make"}, Val: []string{"year"}})
 	store, err := baav.Map(db, schema, kv.NewCluster(kv.EngineHash, 4), baav.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

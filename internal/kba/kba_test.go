@@ -13,6 +13,7 @@ import (
 
 	"zidian/internal/baav"
 	"zidian/internal/kv"
+	"zidian/internal/obs"
 	"zidian/internal/ra"
 	"zidian/internal/relation"
 	"zidian/internal/sql"
@@ -505,52 +506,114 @@ func TestStatsAggDecodesWhatHeadersCannotHold(t *testing.T) {
 	}
 }
 
-// TestFusedSelectProjectIsOneAfterAnother: π(σ(∝)) and π(σ(⋈)), with a σ
-// that drops rows and compares two columns, answer partition for partition
-// what the ∝ or ⋈ run alone and then σ and π over its rows answer, with the
-// same ExecStats — interleaved and fetch-all, at every worker count.
+// TestFusedSelectProjectIsOneAfterAnother: every chain the executor peels —
+// π(σ(p)), σ(p), γ(σ(p)) with its key in the block's lead and outside it,
+// γ(p) and π(p) — over a ∝, a ⋈ and a scan p, with a σ that drops rows,
+// answers partition for partition what p run alone and then the chain over
+// its rows answers, with the same ExecStats, and traces the same spans with
+// the same rows per worker — interleaved and fetch-all, at every worker
+// count, over Example 1 and over blocks whose tuples repeat.
 func TestFusedSelectProjectIsOneAfterAnother(t *testing.T) {
-	_, store := fixture(t)
-	five := relation.Int(5)
-	preds := []Pred{
-		{Attr: "PS.supplycost", Op: sql.OpGe, Lit: &five},
-		{Attr: "PS.partkey", Op: sql.OpNe, RAttr: "PS.availqty"},
+	_, paper := fixture(t)
+	cars := carStore(t, 200)
+	five, y1995 := relation.Int(5), relation.Int(1995)
+	count := AggSpec{Func: sql.AggCount, Star: true, Name: "n"}
+	cases := []struct {
+		store     *baav.Store
+		producers []Plan
+		preds     []Pred
+		proj      []string
+		keys      [][]string // γ keys: in the ∝'s and scan's lead, then not
+		sum       string
+	}{{
+		store: paper,
+		producers: []Plan{
+			&Extend{Input: &Const{KeyAttrs: []string{"PS.suppkey"}, Keys: []relation.Tuple{{relation.Int(10)}, {relation.Int(11)}, {relation.Int(12)}}},
+				KV: "PARTSUPP_by_supp", Alias: "PS", KeyFrom: []string{"PS.suppkey"}},
+			&Join{L: &ScanKV{KV: "SUPPLIER_by_nation", Alias: "S"}, R: &ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"},
+				LOn: []string{"S.suppkey"}, ROn: []string{"PS.suppkey"}},
+			&ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"},
+		},
+		preds: []Pred{{Attr: "PS.supplycost", Op: sql.OpGe, Lit: &five}, {Attr: "PS.partkey", Op: sql.OpNe, RAttr: "PS.availqty"}},
+		proj:  []string{"PS.partkey", "PS.suppkey"},
+		keys:  [][]string{{"PS.suppkey"}, {"PS.partkey"}},
+		sum:   "PS.supplycost",
+	}, {
+		store: cars,
+		producers: []Plan{
+			&Extend{Input: &Const{KeyAttrs: []string{"C.make"}, Keys: []relation.Tuple{{relation.String("MAKE-1")}, {relation.String("MAKE-2")}, {relation.String("MAKE-9")}}},
+				KV: "car_years_by_make", Alias: "C", KeyFrom: []string{"C.make"}},
+			&Join{L: &Const{KeyAttrs: []string{"K.make"}, Keys: []relation.Tuple{{relation.String("MAKE-3")}, {relation.String("MAKE-5")}}},
+				R: &ScanKV{KV: "car_years_by_make", Alias: "C"}, LOn: []string{"K.make"}, ROn: []string{"C.make"}},
+			&ScanKV{KV: "car_years_by_make", Alias: "C"},
+		},
+		preds: []Pred{{Attr: "C.year", Op: sql.OpGe, Lit: &y1995}},
+		proj:  []string{"C.year", "C.make"},
+		keys:  [][]string{{"C.make"}, {"C.year"}},
+		sum:   "C.year",
+	}}
+	runs := map[string]func(Plan, *baav.Store, int, *obs.Trace) (*PartRel, ExecStats, error){
+		"interleaved": Run,
+		"fetch-all": func(p Plan, st *baav.Store, w int, tr *obs.Trace) (*PartRel, ExecStats, error) {
+			return (&executor{store: st, workers: w, fetchAll: true, trace: tr}).runPlan(p)
+		},
 	}
-	attrs := []string{"PS.partkey", "S.suppkey"}
-	seed := &Const{KeyAttrs: []string{"S.suppkey"}, Keys: []relation.Tuple{{relation.Int(10)}, {relation.Int(11)}, {relation.Int(12)}}}
-	producers := []Plan{
-		&Extend{Input: seed, KV: "PARTSUPP_by_supp", Alias: "PS", KeyFrom: []string{"S.suppkey"}},
-		&Join{L: &ScanKV{KV: "SUPPLIER_by_nation", Alias: "S"}, R: &ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"},
-			LOn: []string{"S.suppkey"}, ROn: []string{"PS.suppkey"}},
+	// spans lists a trace's spans depth first: name, rows and rows per worker.
+	var spans func(n *obs.OpNode) []string
+	spans = func(n *obs.OpNode) []string {
+		out := []string{fmt.Sprintf("%s rows=%d per_worker=%v", n.Name, n.Rows, n.PerWorker)}
+		for _, c := range n.Children {
+			out = append(out, spans(c)...)
+		}
+		return out
 	}
-	runs := map[string]func(Plan, *baav.Store, int) (*PartRel, ExecStats, error){
-		"interleaved": func(p Plan, st *baav.Store, w int) (*PartRel, ExecStats, error) { return Run(p, st, w, nil) },
-		"fetch-all":   RunFetchAll,
+	samePart := func(a, b []relation.Tuple) bool {
+		return slices.EqualFunc(a, b, func(x, y relation.Tuple) bool { return reflect.DeepEqual(x, y) })
 	}
-	for _, producer := range producers {
-		for name, run := range runs {
-			for _, p := range testWorkers {
-				fused, fs, err := run(&Project{Input: &Select{Input: producer, Preds: preds}, Attrs: attrs}, store, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				made, ms, err := run(producer, store, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				apart, as, err := run(&Project{Input: &Select{Input: &Lit{made}, Preds: preds}, Attrs: attrs}, store, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ms.Add(as)
-				if apart.Len() == 0 || apart.Len() == made.Len() {
-					t.Fatalf("%T %s p=%d: σ passes %d of %d rows, want some but not all", producer, name, p, apart.Len(), made.Len())
-				}
-				samePart := func(a, b []relation.Tuple) bool {
-					return slices.EqualFunc(a, b, func(x, y relation.Tuple) bool { return reflect.DeepEqual(x, y) })
-				}
-				if !reflect.DeepEqual(fused.Attrs, apart.Attrs) || !slices.EqualFunc(fused.Parts, apart.Parts, samePart) || fs != ms {
-					t.Fatalf("%T %s p=%d: fused %v %+v\none after another %v %+v", producer, name, p, fused.Parts, fs, apart.Parts, ms)
+	for _, c := range cases {
+		aggs := []AggSpec{count, {Func: sql.AggSum, Attr: c.sum, Name: "s"}}
+		chains := map[string]func(in Plan) Plan{
+			"π∘σ": func(in Plan) Plan { return &Project{Input: &Select{Input: in, Preds: c.preds}, Attrs: c.proj} },
+			"σ":   func(in Plan) Plan { return &Select{Input: in, Preds: c.preds} },
+			"γ∘σ lead": func(in Plan) Plan {
+				return &GroupBy{Input: &Select{Input: in, Preds: c.preds}, Keys: c.keys[0], Aggs: aggs}
+			},
+			"γ∘σ value": func(in Plan) Plan {
+				return &GroupBy{Input: &Select{Input: in, Preds: c.preds}, Keys: c.keys[1], Aggs: aggs}
+			},
+			"γ": func(in Plan) Plan { return &GroupBy{Input: in, Keys: c.keys[1], Aggs: aggs} },
+			"π": func(in Plan) Plan { return &Project{Input: in, Attrs: c.proj} },
+		}
+		for _, producer := range c.producers {
+			for chainName, chain := range chains {
+				for runName, run := range runs {
+					for _, p := range testWorkers {
+						label := fmt.Sprintf("%s over %T %s p=%d", chainName, producer, runName, p)
+						ft := &obs.Trace{}
+						fused, fs, err := run(chain(producer), c.store, p, ft)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						pt, at := &obs.Trace{}, &obs.Trace{}
+						made, ms, err := run(producer, c.store, p, pt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						apart, as, err := run(chain(&Lit{made}), c.store, p, at)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ms.Add(as)
+						if strings.HasPrefix(chainName, "σ") && (apart.Len() == 0 || apart.Len() == made.Len()) {
+							t.Fatalf("%s: σ passes %d of %d rows, want some but not all", label, apart.Len(), made.Len())
+						}
+						if !reflect.DeepEqual(fused.Attrs, apart.Attrs) || !slices.EqualFunc(fused.Parts, apart.Parts, samePart) || fs != ms {
+							t.Fatalf("%s: fused %v %+v\none after another %v %+v", label, fused.Parts, fs, apart.Parts, ms)
+						}
+						if got, want := spans(ft.Root), append(spans(at.Root), spans(pt.Root)...); !slices.Equal(got, want) {
+							t.Fatalf("%s: spans\n%s\none after another\n%s", label, strings.Join(got, "\n"), strings.Join(want, "\n"))
+						}
+					}
 				}
 			}
 		}
