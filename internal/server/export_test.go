@@ -19,6 +19,10 @@ func (s *Server) WriteResponses(w io.Writer, resps ...*Response) (retained int, 
 	return cap(buf), err
 }
 
+// StmtKey is the plan-cache key and lifted values the server derives for a
+// statement text sent with params.
+var StmtKey = stmtKey
+
 // MaxRetainedLine is the bound WriteResponses' result is held to.
 const MaxRetainedLine = maxRetainedLine
 
