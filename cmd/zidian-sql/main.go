@@ -89,36 +89,31 @@ func main() {
 		}
 		pending.WriteString(line)
 		pending.WriteString(" ")
-		if !strings.HasSuffix(line, ";") && !looksComplete(pending.String()) {
+		// Multiline input continues until the statement parses or a line
+		// ends in a semicolon.
+		src := pending.String()
+		kind, err := zidian.StatementInfo(src)
+		if err != nil && !strings.HasSuffix(line, ";") {
 			fmt.Print("... ")
 			continue
 		}
-		src := strings.TrimSuffix(strings.TrimSpace(pending.String()), ";")
 		pending.Reset()
-		runQuery(inst, stmts, src)
+		runQuery(inst, stmts, src, kind)
 		prompt()
 	}
 }
 
-// looksComplete treats a statement as complete when it has a FROM clause or
-// is an INSERT; multiline input continues until a semicolon otherwise.
-func looksComplete(src string) bool {
-	lower := strings.ToLower(strings.TrimSpace(src))
-	return strings.Contains(lower, " from ") || strings.HasPrefix(lower, "insert") ||
-		strings.HasSuffix(lower, ";")
-}
-
-func runQuery(inst *zidian.Instance, stmts *obs.StmtStats, src string) {
-	lower := strings.ToLower(strings.TrimSpace(src))
-	if lower == "show statements" {
+// runQuery runs one statement of the given kind; a statement that does not
+// parse takes the SELECT path, which reports the parse error.
+func runQuery(inst *zidian.Instance, stmts *obs.StmtStats, src string, stmtKind zidian.StmtKind) {
+	if stmtKind == zidian.StmtShow {
 		showStatements(stmts)
 		return
 	}
-	norm := server.NormalizeSQL(src)
-	template, _ := server.AnonymizeSQL(norm, nil)
-	if strings.HasPrefix(lower, "insert") || strings.HasPrefix(lower, "delete") {
+	template, _ := server.AnonymizeSQL(server.NormalizeSQL(src), nil)
+	if stmtKind == zidian.StmtInsert || stmtKind == zidian.StmtDelete {
 		verb := "insert"
-		if strings.HasPrefix(lower, "delete") {
+		if stmtKind == zidian.StmtDelete {
 			verb = "delete"
 		}
 		t0 := time.Now()

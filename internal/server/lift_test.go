@@ -35,7 +35,10 @@ func TestLiftSQL(t *testing.T) {
 		{`select a from T where a = 1 and b = "x'1"`,
 			`select a from T where a = ? and b = ?`, []relation.Value{i(1), s("x'1")}},
 		{"select a from T where a =\v1 and b > 'why?'",
-			"select a from T where a =\v? and b > 'why?'", []relation.Value{i(1)}},
+			"select a from T where a = ? and b > 'why?'", []relation.Value{i(1)}},
+		// A trailing run of semicolons ends the statement, for the parser too.
+		{"select a from T where a = 1; ;\n",
+			"select a from T where a = ?", []relation.Value{i(1)}},
 		// Declined: nothing to lift, not a SELECT, already parameterized, or
 		// text the lexer rejects.
 		{src: "select a from T where y between 1 and 2 limit 3"},
@@ -48,20 +51,20 @@ func TestLiftSQL(t *testing.T) {
 		{src: "select a from T where a = 1.2.3"},
 		{src: "select a from T where a = 99999999999999999999"},
 		{src: "select a from T where a = 1 # b"},
-		{src: "select a from T where a = 1;"},
+		{src: "select a from T where a = 1; b"},
 		{src: `select a from T where a = 1 and b = "open`},
 		{src: ""},
 	}
 	for _, tc := range cases {
-		got, vals, ok := LiftSQL(tc.src)
+		got, vals, ok := sql.LiftLiterals(tc.src)
 		if tc.want == "" {
 			if ok {
-				t.Errorf("LiftSQL(%q) = %q %v, want a decline", tc.src, got, vals)
+				t.Errorf("sql.LiftLiterals(%q) = %q %v, want a decline", tc.src, got, vals)
 			}
 			continue
 		}
 		if !ok || got != tc.want || !reflect.DeepEqual(vals, tc.vals) {
-			t.Errorf("LiftSQL(%q)\n got %q %v ok=%v\nwant %q %v", tc.src, got, vals, ok, tc.want, tc.vals)
+			t.Errorf("sql.LiftLiterals(%q)\n got %q %v ok=%v\nwant %q %v", tc.src, got, vals, ok, tc.want, tc.vals)
 		}
 		// The template is the key a `?` client's text normalizes to.
 		if n := NormalizeSQL(got); n != got {
@@ -70,7 +73,7 @@ func TestLiftSQL(t *testing.T) {
 	}
 	// Digits glued to letters are a number then an identifier to the lexer:
 	// the number lifts, and the parser rejects template and original alike.
-	if got, _, ok := LiftSQL("select a from T where a = 5x and b = 1"); !ok || got != "select a from T where a = ?x and b = ?" {
+	if got, _, ok := sql.LiftLiterals("select a from T where a = 5x and b = 1"); !ok || got != "select a from T where a = ?x and b = ?" {
 		t.Errorf("glued number: %q ok=%v", got, ok)
 	}
 }
@@ -99,11 +102,11 @@ func bindLifted(q *sql.Query, vals []relation.Value) bool {
 	return true
 }
 
-// FuzzLift checks the lift against the parser. Whenever LiftSQL accepts a
-// text, the template must parse exactly when the original
-// does, to the same AST once the lifted values are bound back, with
-// placeholders only in `=` / IN positions; whenever it declines, the server
-// keys the statement by its plain normalized text.
+// FuzzLift checks the lift against the parser. Whenever sql.LiftLiterals
+// accepts a text, the template must parse exactly when the original does, to
+// the same AST once the lifted values are bound back, with placeholders only
+// in `=` / IN positions; whenever it declines, the server keys the statement
+// by its plain normalized text.
 func FuzzLift(f *testing.F) {
 	for _, s := range []string{
 		"select a from T where a = 5",
@@ -128,7 +131,7 @@ func FuzzLift(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		tmpl, vals, ok := LiftSQL(src)
+		tmpl, vals, ok := sql.LiftLiterals(src)
 		if !ok {
 			if key, lifted := stmtKey(src, nil); key != NormalizeSQL(src) || lifted != nil {
 				t.Fatalf("declined %q but stmtKey = %q %v", src, key, lifted)

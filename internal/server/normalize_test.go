@@ -1,72 +1,11 @@
 package server
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 
 	"zidian/internal/sql"
 )
-
-// normalizeOracle is NormalizeSQL as it was before the no-op fast path: the
-// builder run from the first byte, kept here as the reference.
-func normalizeOracle(src string) string {
-	var b strings.Builder
-	space := false
-	flushSpace := func() {
-		if space && b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		space = false
-	}
-	for i := 0; i < len(src); {
-		c := src[i]
-		switch {
-		case c == '\'' || c == '"':
-			quote := c
-			flushSpace()
-			b.WriteByte(c)
-			i++
-			for i < len(src) {
-				b.WriteByte(src[i])
-				if src[i] == quote {
-					if quote == '\'' && i+1 < len(src) && src[i+1] == quote {
-						b.WriteByte(src[i+1])
-						i += 2
-						continue
-					}
-					i++
-					break
-				}
-				i++
-			}
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			space = true
-			i++
-		case isSQLWord(c):
-			start := i
-			for i < len(src) && isSQLWord(src[i]) {
-				i++
-			}
-			word := src[start:i]
-			flushSpace()
-			if sql.IsReserved(word) {
-				b.WriteString(strings.ToLower(word))
-			} else {
-				b.WriteString(word)
-			}
-		default:
-			flushSpace()
-			b.WriteByte(c)
-			i++
-		}
-	}
-	s := b.String()
-	for strings.HasSuffix(s, ";") {
-		s = strings.TrimSuffix(s, ";")
-		s = strings.TrimRight(s, " ")
-	}
-	return s
-}
 
 // TestNormalizeSQLNoOp: text already in normal form — what a client that
 // reuses its statements sends — is its own key: returned as it came, with no
@@ -88,8 +27,12 @@ func TestNormalizeSQLNoOp(t *testing.T) {
 	}
 }
 
-// FuzzNormalizeSQL: the fast path and the resumed builder give what the
-// builder gave run from the first byte, and normal form is a fixed point.
+// FuzzNormalizeSQL checks the key the server caches a plan under, lifted or
+// not: stmtKey's key is its own key, and when the lift declined, the key
+// parses exactly when the text does, to the same AST — a plan compiled from
+// the text is the plan of every text sharing its key. sql.FuzzNormalize
+// holds the key's form against an oracle; FuzzLift holds the lifted case
+// against the parser.
 func FuzzNormalizeSQL(f *testing.F) {
 	for _, s := range []string{
 		"select a from T where a = 5",
@@ -104,12 +47,17 @@ func FuzzNormalizeSQL(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		got, want := NormalizeSQL(src), normalizeOracle(src)
-		if got != want {
-			t.Fatalf("NormalizeSQL(%q) = %q, want %q", src, got, want)
+		key, lifted := stmtKey(src, nil)
+		if again, relifted := stmtKey(key, nil); again != key || relifted != nil {
+			t.Fatalf("stmtKey(%q) = %q, whose own key is %q %v", src, key, again, relifted)
 		}
-		if again := NormalizeSQL(got); again != normalizeOracle(got) {
-			t.Fatalf("NormalizeSQL(%q) = %q, the oracle says %q", got, again, normalizeOracle(got))
+		if lifted != nil {
+			return
+		}
+		want, werr := sql.ParseStatement(src)
+		got, gerr := sql.ParseStatement(key)
+		if (werr == nil) != (gerr == nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q parses to %+v (%v) but its key %q to %+v (%v)", src, want, werr, key, got, gerr)
 		}
 	})
 }

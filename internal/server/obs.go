@@ -53,11 +53,6 @@ type serverObs struct {
 	// statement for later replay.
 	capture *captureLog
 
-	// anon memoizes AnonymizeSQL by normalized text — a serving workload is
-	// a small set of templates repeated, and parameterized or lifted
-	// statements hit the cache with their equality literals already out.
-	anon anonCache
-
 	slowThreshold time.Duration
 	slowMaxBytes  int64
 	slowDropped   *obs.Counter // zidian_slow_query_dropped_total
@@ -393,7 +388,7 @@ func (c *stmtCtx) setStmt(norm string, params []relation.Value) {
 	if c == nil {
 		return
 	}
-	c.template, c.binds = c.o.anon.anonymize(norm, params)
+	c.template, c.binds = AnonymizeSQL(norm, params)
 }
 
 // setSession records the originating wire session for capture.

@@ -12,6 +12,7 @@ import (
 	"zidian"
 	"zidian/internal/server"
 	"zidian/internal/server/client"
+	"zidian/internal/sql"
 )
 
 // TestWireParams drives parameterized statements over the wire protocol:
@@ -311,8 +312,8 @@ func TestLiftFallback(t *testing.T) {
 		if want := answer(lres, lerr); got != want {
 			t.Errorf("%s\n served %s\nliteral %s", tc.sql, got, want)
 		}
-		if _, _, ok := server.LiftSQL(tc.sql); !ok {
-			t.Fatalf("%s: LiftSQL declined; the case tests nothing", tc.sql)
+		if _, _, ok := sql.LiftLiterals(tc.sql); !ok {
+			t.Fatalf("%s: the lift declined; the case tests nothing", tc.sql)
 		}
 		// A fallback leaves an entry keyed by the literal text behind; a
 		// statement served from its template never compiles that text.

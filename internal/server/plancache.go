@@ -18,13 +18,13 @@ import (
 // The key is the normalized statement text with its `?` placeholders kept,
 // so one cached template serves every binding — the serving hot path. Ad hoc
 // SQL reaches the same entries: before lookup the server lifts the literals
-// in `=` and `IN (...)` operand positions out of a SELECT's text (LiftSQL)
-// and binds them as parameters, so `... where id = 7` and `... where id = 8`
-// are one key, the one a client sending `... where id = ?` uses. What the
-// planner reads stays in the text and therefore in the key: literals under
-// <, <=, >, >=, <> and BETWEEN (index-range fences are interpolated from
-// their values), LIMIT counts (plan shape), and all of INSERT, DELETE, DDL
-// and EXPLAIN. A statement the lift declines, or whose lifted values the
+// in `=` and `IN (...)` operand positions out of a SELECT's text
+// (sql.LiftLiterals) and binds them as parameters, so `... where id = 7` and
+// `... where id = 8` are one key, the one a client sending
+// `... where id = ?` uses. What the planner reads stays in the text and
+// therefore in the key: literals under <, <=, >, >=, <> and BETWEEN
+// (index-range fences are interpolated from their values), LIMIT counts
+// (plan shape), and all of INSERT, DELETE, DDL and EXPLAIN. A statement the lift declines, or whose lifted values the
 // template's slot kinds reject (44.5 against an int column), is compiled
 // and keyed by its literal text, exactly as if the lift did not exist.
 // CacheStats splits hits three ways — ParamsHits (the client sent `?`),
@@ -172,7 +172,7 @@ func (c *PlanCache) lookup(key string) (*zidian.Prepared, bool) {
 }
 
 // count records one lookup's outcome; lifted attributes a hit to a template
-// the server derived with LiftSQL.
+// the server derived with sql.LiftLiterals.
 func (c *PlanCache) count(plan *zidian.Prepared, hit, lifted bool) {
 	if !hit {
 		c.misses.Add(1)

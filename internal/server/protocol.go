@@ -53,7 +53,6 @@ package server
 
 import (
 	"encoding/json"
-	"strings"
 
 	"zidian/internal/obs"
 	"zidian/internal/relation"
@@ -157,156 +156,6 @@ type LatencyQuantiles struct {
 	P99Micros float64 `json:"p99Micros"`
 }
 
-// NormalizeSQL canonicalizes a statement for plan-cache keying: whitespace
-// runs outside quoted regions collapse to one space, reserved keywords fold
-// to lower case, and trailing semicolons are dropped. Two spellings of the
-// same statement therefore share one cache entry, while everything the
-// compiled plan depends on stays significant:
-//
-//   - string literals — including text after an embedded ” escape, which
-//     the lexer keeps inside the literal (internal/sql/lexer.go) — are
-//     copied verbatim, so statements differing only inside a literal never
-//     collide on one cache key;
-//   - "-quoted regions are tracked like '-quoted ones and copied verbatim;
-//   - identifier case is preserved (the parser keeps it, and relation and
-//     attribute lookups are case-sensitive), so SELECT * FROM Emp and
-//     select * from emp — different relations — key separately. Only words
-//     in the lexer's reserved set, which can never be identifiers, fold.
-func NormalizeSQL(src string) string {
-	// Clients mostly send normal form already. Find the first byte the
-	// builder below would not copy as it stands; with none, src is the key.
-	at := normalPrefix(src)
-	if at == len(src) && !strings.HasSuffix(src, ";") {
-		return src
-	}
-	var b strings.Builder
-	b.Grow(len(src))
-	b.WriteString(src[:at])
-	space := false
-	flushSpace := func() {
-		if space && b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		space = false
-	}
-	for i := at; i < len(src); {
-		c := src[i]
-		switch {
-		case c == '\'' || c == '"':
-			flushSpace()
-			end := quotedEnd(src, i)
-			b.WriteString(src[i:end])
-			i = end
-		case isSQLSpace(c):
-			space = true
-			i++
-		case isSQLWord(c):
-			end := wordEnd(src, i)
-			word := src[i:end]
-			i = end
-			flushSpace()
-			if sql.IsReserved(word) {
-				b.WriteString(strings.ToLower(word))
-			} else {
-				b.WriteString(word)
-			}
-		default:
-			flushSpace()
-			b.WriteByte(c)
-			i++
-		}
-	}
-	s := b.String()
-	for strings.HasSuffix(s, ";") {
-		s = strings.TrimSuffix(s, ";")
-		s = strings.TrimRight(s, " ")
-	}
-	return s
-}
-
-// normalPrefix returns how much of src NormalizeSQL copies unchanged: up to
-// the first white space that is not one blank between two tokens, or the
-// first reserved word holding an upper-case letter. It stops on token
-// boundaries, so the builder can take over there with nothing pending.
-func normalPrefix(src string) int {
-	for i := 0; i < len(src); {
-		c := src[i]
-		switch {
-		case c == '\'' || c == '"':
-			i = quotedEnd(src, i)
-		case c == ' ':
-			if i == 0 || i+1 == len(src) || isSQLSpace(src[i+1]) {
-				return i
-			}
-			i++
-		case isSQLSpace(c):
-			return i
-		case isSQLWord(c):
-			end := wordEnd(src, i)
-			if word := src[i:end]; hasUpper(word) && sql.IsReserved(word) {
-				return i
-			}
-			i = end
-		default:
-			i++
-		}
-	}
-	return len(src)
-}
-
-func isSQLSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
-
-func isSQLWord(c byte) bool {
-	return c == '_' || ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || ('0' <= c && c <= '9')
-}
-
-func hasUpper(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if 'A' <= s[i] && s[i] <= 'Z' {
-			return true
-		}
-	}
-	return false
-}
-
-func wordEnd(src string, i int) int {
-	for i < len(src) && isSQLWord(src[i]) {
-		i++
-	}
-	return i
-}
-
-// quotedEnd returns the index after the quoted region opening at src[i] (the
-// end of src when it never closes). A doubled quote inside a '-quoted literal is
-// the lexer's escape for one quote character, not the end of the literal, so it
-// keeps the region open.
-func quotedEnd(src string, i int) int {
-	quote := src[i]
-	for i++; i < len(src); i++ {
-		if src[i] != quote {
-			continue
-		}
-		if quote == '\'' && i+1 < len(src) && src[i+1] == quote {
-			i++
-			continue
-		}
-		return i + 1
-	}
-	return len(src)
-}
-
-// LiftSQL turns an ad hoc SELECT into the plan-cache key and bindings of its
-// `?` template: sql.LiftLiterals takes the literals in `=` and `IN (...)`
-// operand positions out of the text, walking the parser's own lexer so an
-// operand is exactly what the parser would read as one, and NormalizeSQL
-// keys what is left — the text a client that parameterized those positions
-// would have sent, so both reach one cache entry. Range-compared literals
-// and LIMIT counts stay in the template. ok is false when the statement must
-// be keyed and compiled by its literal text (see sql.LiftLiterals).
-func LiftSQL(src string) (template string, vals []relation.Value, ok bool) {
-	text, vals, ok := sql.LiftLiterals(src)
-	if !ok {
-		return "", nil, false
-	}
-	return NormalizeSQL(text), vals, true
-}
+// NormalizeSQL returns a statement's plan-cache key; sql.Normalize has the
+// rules.
+func NormalizeSQL(src string) string { return sql.Normalize(src) }

@@ -19,6 +19,7 @@ import (
 
 	"zidian"
 	"zidian/internal/obs"
+	sqlpkg "zidian/internal/sql"
 )
 
 // Config tunes a Server. The zero value picks serving defaults suitable for
@@ -489,22 +490,23 @@ func (s *Server) fillResult(resp *Response, res *zidian.Result, stats *zidian.St
 
 // stmtKey computes a statement's plan-cache key. An ad hoc SELECT — no bound
 // params, no `?` in the text, the property the server observes instead of
-// taking an option — has its equality literals lifted: key is then the `?`
-// template and lifted its bindings. Everything else keys by NormalizeSQL
-// with lifted nil; a statement that came with params pays only the length
-// check.
-func stmtKey(sql string, params []zidian.Value) (key string, lifted []zidian.Value) {
+// taking an option — has its equality literals lifted (sql.LiftLiterals):
+// key is then the `?` template's key and lifted its bindings, the template's
+// key being what a client that parameterized those positions would have
+// sent. Everything else keys by NormalizeSQL with lifted nil; a statement
+// that came with params pays only the length check.
+func stmtKey(src string, params []zidian.Value) (key string, lifted []zidian.Value) {
 	if len(params) == 0 {
-		if tmpl, vals, ok := LiftSQL(sql); ok {
-			return tmpl, vals
+		if key, vals, ok := sqlpkg.LiftLiterals(src); ok {
+			return key, vals
 		}
 	}
-	return NormalizeSQL(sql), nil
+	return NormalizeSQL(src), nil
 }
 
 // compileNorm returns the cached plan for the normalized key, compiling sql
 // and caching it on a miss, and reports whether it was a cache hit. With
-// lifted set the key came from LiftSQL and the lookup is not counted here:
+// lifted set the key came from the lift and the lookup is not counted here:
 // queryNorm counts it once the template has accepted the lifted values. The
 // cache epoch is captured under a shared hold of the gate — DDL holds it
 // exclusively while it invalidates — so a plan compiled just before a DDL
@@ -713,8 +715,8 @@ func (s *Server) Exec(ctx context.Context, sql string, params ...zidian.Value) (
 // read — admission, then the gate shared — and executes
 // under the statement trace; the client receives the annotated operator
 // tree instead of the rows.
-func (s *Server) execExplainAnalyze(ctx context.Context, sql string, params []zidian.Value) (*zidian.ExecResult, error) {
-	inner, _ := zidian.TrimExplainAnalyze(sql)
+func (s *Server) execExplainAnalyze(ctx context.Context, src string, params []zidian.Value) (*zidian.ExecResult, error) {
+	inner := sqlpkg.AnalyzedQuery(src)
 	norm := NormalizeSQL(inner)
 	c := s.obs.begin(verbExplainAnalyze)
 	c.setStmt(norm, params)

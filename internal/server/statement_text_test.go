@@ -1,13 +1,18 @@
 package server_test
 
 import (
+	"context"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"zidian/internal/relation"
 	"zidian/internal/server"
+	"zidian/internal/server/client"
 	"zidian/internal/server/loadgen"
 	"zidian/internal/workload"
 )
@@ -197,4 +202,129 @@ func TestStatementTextHeld(t *testing.T) {
 		}
 		t.Fatalf("statement text moved: %d lines, want %d", len(gl), len(wl))
 	}
+}
+
+// vehicleRow is an INSERT of one VEHICLE row under a fresh id, with make
+// spelled as given.
+func vehicleRow(id int, make string) string {
+	return fmt.Sprintf("insert into VEHICLE values (%d, %s, 'ZM', 'PETROL', 'BLACK', 2026, 1600, 'R-1', 1200, 4, 120, 'BAND-A', '2026-01-15')", id, make)
+}
+
+// TestTrailingSemicolonCold: a trailing run of semicolons ends the
+// statement on a server that has compiled nothing yet — over the wire,
+// through Server.Query, and through Exec for a write. The cache key always
+// stripped the run; the parser now does too, so the first statement no
+// longer fails where a cached one succeeded.
+func TestTrailingSemicolonCold(t *testing.T) {
+	srv, tcp, _ := startServer(t, server.Config{})
+	c, err := client.Dial(tcp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, rows, _, err := c.Query("select V.make from VEHICLE V where V.vehicle_id = 3;"); err != nil || len(rows) != 1 {
+		t.Fatalf("over the wire: %v rows, %v", rows, err)
+	}
+	ctx := context.Background()
+	res, _, _, err := srv.Query(ctx, "select V.model, V.fuel from VEHICLE V where V.vehicle_id = 4 ; ;\n")
+	if err != nil || len(res.Rows) != 1 {
+		t.Fatalf("Server.Query: %v", err)
+	}
+	r, err := srv.Exec(ctx, vehicleRow(900001, "'ZMAKE'")+" ;")
+	if err != nil || r.Affected != 1 {
+		t.Fatalf("Exec of an INSERT ending in ;: %+v %v", r, err)
+	}
+}
+
+// TestDoubleQuotedLiteralsNeverReachSinks: a "-quoted string is a literal to
+// the parser, so it is one to the statistics template too. Statements
+// carrying one — under >, in INSERT values, in a DELETE predicate, and
+// unterminated — leave no trace of it in /stats/statements, SHOW
+// STATEMENTS, the capture stream or the slow log (a 1ns threshold logs every
+// statement).
+func TestDoubleQuotedLiteralsNeverReachSinks(t *testing.T) {
+	var slow, capture syncBuffer
+	srv, tcp, httpA := startServer(t, server.Config{
+		SlowQueryThreshold: time.Nanosecond,
+		SlowQueryLog:       &slow,
+		CaptureLog:         &capture,
+	})
+	c, err := client.Dial(tcp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, stmt := range []struct {
+		src string
+		ok  bool
+	}{
+		{`select V.model from VEHICLE V where V.make > "SECRETMAKE"`, true},
+		{vehicleRow(900002, `"SECRETINS"`), true},
+		{`delete from VEHICLE where vehicle_id = 900002 and make = "SECRETDEL"`, true},
+		{`select V.model from VEHICLE V where V.make = "SECRETOPEN`, false},
+	} {
+		if _, err := c.Exec(stmt.src); (err == nil) != stmt.ok {
+			t.Fatalf("%s: %v", stmt.src, err)
+		}
+	}
+	show, err := srv.Exec(context.Background(), "show statements")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get("http://" + httpA + "/stats/statements")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sink, text := range map[string]string{
+		"/stats/statements": string(stats),
+		"SHOW STATEMENTS":   fmt.Sprint(show.Result.Rows),
+		"capture":           capture.String(),
+		"slow log":          slow.String(),
+	} {
+		if !strings.Contains(text, "VEHICLE") {
+			t.Fatalf("%s recorded none of the statements:\n%s", sink, text)
+		}
+		if strings.Contains(text, "SECRET") {
+			t.Errorf("%s holds a literal:\n%s", sink, text)
+		}
+	}
+}
+
+// TestExplainAnalyzeAnyWhiteSpace: EXPLAIN and ANALYZE separated by any
+// white space the parser accepts — \v and \f included — answer the annotated
+// tree, and the statement is recorded under the inner SELECT's template.
+func TestExplainAnalyzeAnyWhiteSpace(t *testing.T) {
+	_, tcp, httpA := startServer(t, server.Config{})
+	c, err := client.Dial(tcp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, src := range []string{
+		"explain\vanalyze select V.make from VEHICLE V where V.vehicle_id = ?",
+		"EXPLAIN\fANALYZE\vselect V.make from VEHICLE V where V.vehicle_id = ?",
+	} {
+		resp, err := c.Exec(src, 3)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		if text := fmt.Sprint(resp.Rows); !strings.Contains(text, "rows=") || !strings.Contains(text, "totals:") {
+			t.Fatalf("%q: no annotated tree: %s", src, text)
+		}
+	}
+	const want = "select V.make from VEHICLE V where V.vehicle_id = ?"
+	for _, e := range fetchStatements(t, "http://"+httpA+"/stats/statements").Statements {
+		if e.Verb == "explain_analyze" {
+			if e.Template != want || e.Calls != 2 {
+				t.Fatalf("explain_analyze recorded as %q x%d, want %q x2", e.Template, e.Calls, want)
+			}
+			return
+		}
+	}
+	t.Fatal("no explain_analyze statement recorded")
 }

@@ -185,10 +185,21 @@ func TestWireScriptGolden(t *testing.T) {
 		got = append(got, resps...)
 	}
 	for i, st := range steps { // steps are client section first, like got
-		if g, w := maskResponse(got[i]), maskResponse(st.Resp); g != w {
+		w := maskResponse(st.Resp)
+		if fixed, ok := fixedAnswers[string(st.Req)]; ok {
+			w = fixed
+		}
+		if g := maskResponse(got[i]); g != w {
 			t.Errorf("request %s\n got %s\nwant %s", st.Req, g, w)
 		}
 	}
+}
+
+// fixedAnswers replace, by request line, the script's answers the parent got
+// wrong: it rejected a trailing `;` that its plan-cache key had already
+// stripped, and the parser now reads the run as the end of the statement.
+var fixedAnswers = map[string]string{
+	`{"id":26,"op":"query","sql":"SELECT  V.make FROM VEHICLE V\n WHERE V.vehicle_id = 7 ;"}`: `{"id":26,"ok":true,"cols":["V.make"],"rows":[["NISSAN"]],"stats":{"scanFree":true,"bounded":true,"gets":1,"dataValues":13,"wallMicros":0,"cacheHit":true}}`,
 }
 
 // rawConn is one wire connection driven a line at a time.

@@ -7,7 +7,6 @@ package sql
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // tokenKind classifies lexer tokens.
@@ -25,148 +24,161 @@ const (
 	tokStar
 	tokOp    // = <> < <= > >=
 	tokParam // ? placeholder
+	tokError // text that does not lex, from pos to the end
 )
 
 type token struct {
 	kind tokenKind
+	// text is the token's source span, except that `!=` reads as `<>`. A
+	// string token's span keeps its quotes and escapes: unquote reads it.
 	text string
 	pos  int
 }
 
 func (t token) String() string {
-	if t.kind == tokEOF {
+	switch t.kind {
+	case tokEOF:
 		return "end of input"
+	case tokString:
+		return fmt.Sprintf("%q", unquote(t.text))
 	}
 	return fmt.Sprintf("%q", t.text)
 }
 
-// lexer splits input into tokens. Keywords are returned as tokIdent and
-// matched case-insensitively by the parser.
-type lexer struct {
-	src  string
-	pos  int
-	toks []token
+// unquote returns the value of a string token: its text inside the quotes,
+// where a doubled quote inside a '-quoted literal is one quote character.
+func unquote(text string) string {
+	body := text[1 : len(text)-1]
+	if text[0] == '\'' {
+		return strings.ReplaceAll(body, "''", "'")
+	}
+	return body
 }
 
-// lex tokenizes the whole input up front.
+// err describes a tokError token: where and why the text stops lexing.
+func (t token) err() error {
+	if c := t.text[0]; c == '\'' || c == '"' {
+		return fmt.Errorf("sql: unterminated string at %d", t.pos)
+	}
+	return fmt.Errorf("sql: unexpected %q at %d", t.text[0], t.pos)
+}
+
+// lex tokenizes the whole input up front. Keywords are returned as tokIdent
+// and matched case-insensitively by the parser.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
+	toks := make([]token, 0, len(src)/3+2)
+	for end := 0; ; {
+		var t token
+		t.kind, t.pos, end = scan(src, end)
+		t.text = src[t.pos:end]
+		switch {
+		case t.kind == tokError:
+			return nil, t.err()
+		case t.kind == tokOp && t.text == "!=":
+			t.text = "<>"
 		}
-		l.toks = append(l.toks, t)
+		toks = append(toks, t)
 		if t.kind == tokEOF {
-			return l.toks, nil
+			return toks, nil
 		}
 	}
 }
 
-func (l *lexer) next() (token, error) {
-	for l.pos < len(l.src) && unicode.IsSpace(rune(l.src[l.pos])) {
-		l.pos++
+// scan finds the token at or after src[i] and returns its kind and span,
+// src[start:end]; it allocates nothing. A run of semicolons and white space
+// that ends src is the end of input. Text that does not lex is one tokError
+// span from where lexing stops to the end of src.
+func scan(src string, i int) (kind tokenKind, start, end int) {
+	for i < len(src) && isSpace(src[i]) {
+		i++
 	}
-	if l.pos >= len(l.src) {
-		return token{kind: tokEOF, pos: l.pos}, nil
+	start = i
+	if i == len(src) || src[i] == ';' && onlySemicolons(src[i:]) {
+		return tokEOF, len(src), len(src)
 	}
-	start := l.pos
-	c := l.src[l.pos]
+	c := src[i]
+	i++
 	switch {
-	case c == ',':
-		l.pos++
-		return token{tokComma, ",", start}, nil
-	case c == '.':
-		l.pos++
-		return token{tokDot, ".", start}, nil
-	case c == '(':
-		l.pos++
-		return token{tokLParen, "(", start}, nil
-	case c == ')':
-		l.pos++
-		return token{tokRParen, ")", start}, nil
-	case c == '*':
-		l.pos++
-		return token{tokStar, "*", start}, nil
-	case c == '?':
-		l.pos++
-		return token{tokParam, "?", start}, nil
-	case c == '=':
-		l.pos++
-		return token{tokOp, "=", start}, nil
-	case c == '<':
-		l.pos++
-		if l.pos < len(l.src) && (l.src[l.pos] == '=' || l.src[l.pos] == '>') {
-			l.pos++
-			return token{tokOp, l.src[start:l.pos], start}, nil
-		}
-		return token{tokOp, "<", start}, nil
-	case c == '>':
-		l.pos++
-		if l.pos < len(l.src) && l.src[l.pos] == '=' {
-			l.pos++
-			return token{tokOp, ">=", start}, nil
-		}
-		return token{tokOp, ">", start}, nil
-	case c == '!':
-		l.pos++
-		if l.pos < len(l.src) && l.src[l.pos] == '=' {
-			l.pos++
-			return token{tokOp, "<>", start}, nil
-		}
-		return token{}, fmt.Errorf("sql: unexpected %q at %d", c, start)
-	case c == '\'':
-		l.pos++
-		var b strings.Builder
-		for {
-			if l.pos >= len(l.src) {
-				return token{}, fmt.Errorf("sql: unterminated string at %d", start)
-			}
-			if l.src[l.pos] == '\'' {
-				if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-					b.WriteByte('\'') // '' escape
-					l.pos += 2
-					continue
-				}
-				l.pos++
-				return token{tokString, b.String(), start}, nil
-			}
-			b.WriteByte(l.src[l.pos])
-			l.pos++
-		}
-	case c == '"':
-		l.pos++
-		var b strings.Builder
-		for l.pos < len(l.src) && l.src[l.pos] != '"' {
-			b.WriteByte(l.src[l.pos])
-			l.pos++
-		}
-		if l.pos >= len(l.src) {
-			return token{}, fmt.Errorf("sql: unterminated string at %d", start)
-		}
-		l.pos++
-		return token{tokString, b.String(), start}, nil
-	case isDigit(c) || (c == '-' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])):
-		l.pos++
-		for l.pos < len(l.src) && (isDigit(l.src[l.pos]) || l.src[l.pos] == '.') {
-			l.pos++
-		}
-		return token{tokNumber, l.src[start:l.pos], start}, nil
 	case isIdentStart(c):
-		l.pos++
-		for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
-			l.pos++
+		for i < len(src) && isIdentPart(src[i]) {
+			i++
 		}
-		return token{tokIdent, l.src[start:l.pos], start}, nil
-	default:
-		return token{}, fmt.Errorf("sql: unexpected %q at %d", c, start)
+		return tokIdent, start, i
+	case isDigit(c) || (c == '-' && i < len(src) && isDigit(src[i])):
+		for i < len(src) && (isDigit(src[i]) || src[i] == '.') {
+			i++
+		}
+		return tokNumber, start, i
+	case c == ',':
+		return tokComma, start, i
+	case c == '.':
+		return tokDot, start, i
+	case c == '?':
+		return tokParam, start, i
+	case c == '=':
+		return tokOp, start, i
+	case c == '(':
+		return tokLParen, start, i
+	case c == ')':
+		return tokRParen, start, i
+	case c == '*':
+		return tokStar, start, i
+	case c == '<' || c == '>':
+		if i < len(src) && (src[i] == '=' || c == '<' && src[i] == '>') {
+			i++
+		}
+		return tokOp, start, i
+	case c == '!' && i < len(src) && src[i] == '=':
+		return tokOp, start, i + 1
+	case c == '\'' || c == '"':
+		for ; i < len(src); i++ {
+			if src[i] != c {
+				continue
+			}
+			if c == '\'' && i+1 < len(src) && src[i+1] == c {
+				i++ // '' escape
+				continue
+			}
+			return tokString, start, i + 1
+		}
 	}
+	return tokError, start, len(src)
 }
 
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }
-
-func isIdentStart(c byte) bool {
-	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+// onlySemicolons reports whether s holds nothing but semicolons and white
+// space.
+func onlySemicolons(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] != ';' && !isSpace(s[i]) {
+			return false
+		}
+	}
+	return true
 }
 
-func isIdentPart(c byte) bool { return isIdentStart(c) || isDigit(c) }
+// Byte classes: white space is unicode.IsSpace of the byte read as a rune,
+// so the lexer reads 0x85 and 0xA0 as white space too.
+const (
+	classSpace = 1 << iota
+	classLetter
+	classDigit
+)
+
+var classes = func() (t [256]uint8) {
+	for _, c := range []byte(" \t\n\v\f\r\x85\xa0") {
+		t[c] = classSpace
+	}
+	for c := 'a'; c <= 'z'; c++ {
+		t[c], t[c-'a'+'A'] = classLetter, classLetter
+	}
+	t['_'] = classLetter
+	for c := '0'; c <= '9'; c++ {
+		t[c] = classDigit
+	}
+	return t
+}()
+
+func isSpace(c byte) bool      { return classes[c] == classSpace }
+func isDigit(c byte) bool      { return classes[c] == classDigit }
+func isIdentStart(c byte) bool { return classes[c] == classLetter }
+func isIdentPart(c byte) bool  { return classes[c]&(classLetter|classDigit) != 0 }

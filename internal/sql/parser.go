@@ -94,34 +94,28 @@ func (p *parser) expect(kind tokenKind, what string) (token, error) {
 	return p.advance(), nil
 }
 
-// reserved words that terminate clauses; identifiers may not collide.
-var reserved = map[string]bool{
-	"select": true, "from": true, "where": true, "group": true, "order": true,
-	"by": true, "limit": true, "and": true, "as": true, "distinct": true,
-	"between": true, "in": true, "asc": true, "desc": true,
-}
-
 // IsReserved reports whether word is one of the dialect's reserved words
-// (case-insensitive). Reserved words can never be identifiers, so they are
-// the exact set a cache-key normalizer may case-fold without merging
-// statements that parse differently: identifier case is significant (the
-// parser preserves it and relation/attribute lookups are case-sensitive),
-// keyword case is not.
+// (case-insensitive), the words that terminate clauses. Reserved words can
+// never be identifiers, so they are the exact set a cache-key normalizer may
+// case-fold without merging statements that parse differently: identifier
+// case is significant (the parser preserves it and relation/attribute
+// lookups are case-sensitive), keyword case is not.
 func IsReserved(word string) bool {
-	// Reserved words are ASCII and at most eight letters: fold into a stack
-	// buffer; probing the map with a converted byte slice does not allocate.
+	// Reserved words are ASCII, two to eight letters: fold into a stack
+	// buffer; switching on the converted byte slice does not allocate.
 	var buf [8]byte
-	if len(word) > len(buf) {
+	if len(word) < 2 || len(word) > len(buf) {
 		return false
 	}
 	for i := 0; i < len(word); i++ {
-		c := word[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		buf[i] = c
+		buf[i] = word[i] | 0x20
 	}
-	return reserved[string(buf[:len(word)])]
+	switch string(buf[:len(word)]) {
+	case "select", "from", "where", "group", "order", "by", "limit", "and",
+		"as", "distinct", "between", "in", "asc", "desc":
+		return true
+	}
+	return false
 }
 
 func (p *parser) ident() (string, error) {
@@ -337,7 +331,8 @@ func (p *parser) parseLit() (relation.Value, error) {
 		return numberValue(t.text)
 	case tokString:
 		p.advance()
-		return relation.String(t.text), nil
+		// A copy: a value kept in a row or a plan must not pin the text.
+		return relation.String(strings.Clone(unquote(t.text))), nil
 	default:
 		return relation.Value{}, fmt.Errorf("sql: expected literal, found %s", t)
 	}

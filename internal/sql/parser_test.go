@@ -272,10 +272,11 @@ func TestParseStatementSelectAndErrors(t *testing.T) {
 
 // TestIsReserved: every reserved word is recognized in any letter case,
 // nothing else is — a word containing one, a longer word, a non-ASCII
-// look-alike — and the probe allocates nothing (NormalizeSQL runs it on
-// every word of every statement).
+// look-alike — and the probe allocates nothing (Normalize runs it on every
+// upper-case word of every statement).
 func TestIsReserved(t *testing.T) {
-	for word := range reserved {
+	for _, word := range []string{"select", "from", "where", "group", "order", "by", "limit",
+		"and", "as", "distinct", "between", "in", "asc", "desc"} {
 		for _, form := range []string{word, strings.ToUpper(word), strings.ToUpper(word[:1]) + word[1:]} {
 			if !IsReserved(form) {
 				t.Errorf("IsReserved(%q) = false", form)

@@ -713,36 +713,6 @@ func StatementInfo(src string) (StmtKind, error) {
 	}
 }
 
-// TrimExplainAnalyze strips a leading "EXPLAIN ANALYZE" prefix (case
-// insensitive, whitespace separated) and reports whether it was present.
-// Serving layers use it to compile and cache the inner SELECT under its own
-// statement template, so EXPLAIN ANALYZE shares the cached plan of the
-// query it wraps.
-func TrimExplainAnalyze(src string) (string, bool) {
-	s, ok := trimWord(strings.TrimSpace(src), "EXPLAIN")
-	if !ok {
-		return src, false
-	}
-	s, ok = trimWord(s, "ANALYZE")
-	if !ok {
-		return src, false
-	}
-	return s, true
-}
-
-// trimWord consumes one leading keyword followed by whitespace.
-func trimWord(s, word string) (string, bool) {
-	if len(s) <= len(word) || !strings.EqualFold(s[:len(word)], word) {
-		return s, false
-	}
-	rest := s[len(word):]
-	trimmed := strings.TrimLeft(rest, " \t\r\n")
-	if trimmed == rest {
-		return s, false
-	}
-	return trimmed, true
-}
-
 // Exec parses and runs one SQL statement: SELECT queries the BaaV store;
 // INSERT and DELETE update the database and incrementally maintain the
 // blocks and index postings (module M4); CREATE INDEX / DROP INDEX change

@@ -9,13 +9,14 @@ import (
 	"zidian"
 	"zidian/internal/obs"
 	"zidian/internal/server"
+	sqlpkg "zidian/internal/sql"
 	"zidian/internal/workload"
 )
 
 // checkLifted runs one SELECT three ways — compiled from its literal text
 // (what the server did before it lifted literals), through the server, and
-// from the LiftSQL template with the lifted values bound — and requires
-// byte-identical rows from all three, and from the template the same
+// from the sql.LiftLiterals template with the lifted values bound — and
+// requires byte-identical rows from all three, and from the template the same
 // EXPLAIN (classification headline with its access-path tags, and operator
 // tree, once the values are written back into the placeholders) and the
 // same traced kv get and scan-step counts as from the literal text. It
@@ -45,7 +46,7 @@ func checkLifted(t *testing.T, inst *zidian.Instance, srv *server.Server, label,
 		t.Fatalf("%s: %q\nserved:\n%s\nliteral compile:\n%s", label, sql, got, want)
 	}
 
-	tmpl, vals, ok := server.LiftSQL(sql)
+	tmpl, vals, ok := sqlpkg.LiftLiterals(sql)
 	if !ok {
 		return false // no equality literal: the server compiled the literal text
 	}
