@@ -939,7 +939,7 @@ func (s *Server) httpQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "use GET ?q= or POST {\"sql\": ...}", http.StatusMethodNotAllowed)
 		return
 	}
-	if strings.TrimSpace(sql) == "" {
+	if NormalizeSQL(sql) == "" { // nothing but white space and semicolons
 		http.Error(w, "empty statement", http.StatusBadRequest)
 		return
 	}

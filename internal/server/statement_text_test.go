@@ -17,22 +17,21 @@ import (
 	"zidian/internal/workload"
 )
 
+// statementInput is a statement text and the values a client bound to it.
+type statementInput struct {
+	src    string
+	params []relation.Value
+}
+
 // statementTextInputs are the texts whose plan-cache keys and statistics
 // templates testdata/statement_text.txt holds: every mot, airca and tpch
 // suite query, every loadgen template both with `?` (bound to the values
 // it would have inlined) and with its literals inlined, the nine serving
 // templates, and the hand cases of the normalizer, lift and anonymizer
 // tests.
-func statementTextInputs(t *testing.T) []struct {
-	src    string
-	params []relation.Value
-} {
-	type input = struct {
-		src    string
-		params []relation.Value
-	}
-	var in []input
-	add := func(src string, params ...relation.Value) { in = append(in, input{src, params}) }
+func statementTextInputs(t *testing.T) []statementInput {
+	var in []statementInput
+	add := func(src string, params ...relation.Value) { in = append(in, statementInput{src, params}) }
 	for _, name := range []string{"mot", "airca", "tpch"} {
 		w, err := workload.Generate(name, workload.Spec{Scale: 0.1, Seed: 1})
 		if err != nil {

@@ -257,15 +257,10 @@ func kindName(v relation.Value) string {
 // AnalyzedQuery returns the SELECT an EXPLAIN ANALYZE statement wraps: src
 // from its third token on, or src itself when it has none.
 func AnalyzedQuery(src string) string {
-	end := 0
-	for i := 0; i < 3; i++ {
-		kind, start, e := scan(src, end)
-		if kind == tokEOF || kind == tokError {
-			return src
-		}
-		if end = e; i == 2 {
-			return src[start:]
-		}
+	_, _, end := scan(src, 0)
+	_, _, end = scan(src, end)
+	if kind, start, _ := scan(src, end); kind != tokEOF && kind != tokError {
+		return src[start:]
 	}
 	return src
 }

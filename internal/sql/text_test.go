@@ -171,7 +171,7 @@ func BenchmarkStatementText(b *testing.B) {
 	}
 	b.Run("normalize+anonymize", func(b *testing.B) {
 		b.ReportAllocs()
-		for range b.N {
+		for b.Loop() {
 			for _, src := range pointTemplates {
 				Anonymize(Normalize(src), params)
 			}
@@ -179,7 +179,7 @@ func BenchmarkStatementText(b *testing.B) {
 	})
 	b.Run("lift", func(b *testing.B) {
 		b.ReportAllocs()
-		for range b.N {
+		for b.Loop() {
 			for _, src := range literal {
 				LiftLiterals(src)
 			}
@@ -187,7 +187,7 @@ func BenchmarkStatementText(b *testing.B) {
 	})
 	b.Run("parse", func(b *testing.B) {
 		b.ReportAllocs()
-		for range b.N {
+		for b.Loop() {
 			for _, src := range literal {
 				if _, err := ParseStatement(src); err != nil {
 					b.Fatal(err)
