@@ -54,17 +54,15 @@ func (b *Block) Expand() []relation.Tuple {
 // compress is set. It reports whether a new distinct tuple was added.
 func (b *Block) Add(t relation.Tuple, compress bool) bool {
 	if compress {
-		for i, u := range b.Tuples {
-			if u.Equal(t) {
-				if b.Counts == nil {
-					b.Counts = make([]int64, len(b.Tuples))
-					for j := range b.Counts {
-						b.Counts[j] = 1
-					}
+		if i := b.index(t); i >= 0 {
+			if b.Counts == nil {
+				b.Counts = make([]int64, len(b.Tuples))
+				for j := range b.Counts {
+					b.Counts[j] = 1
 				}
-				b.Counts[i]++
-				return false
 			}
+			b.Counts[i]++
+			return false
 		}
 	}
 	b.Tuples = append(b.Tuples, t)
@@ -76,21 +74,29 @@ func (b *Block) Add(t relation.Tuple, compress bool) bool {
 
 // Remove deletes one occurrence of t, reporting whether anything changed.
 func (b *Block) Remove(t relation.Tuple) bool {
-	for i, u := range b.Tuples {
-		if !u.Equal(t) {
-			continue
-		}
-		if b.Counts != nil && b.Counts[i] > 1 {
-			b.Counts[i]--
-			return true
-		}
-		b.Tuples = append(b.Tuples[:i], b.Tuples[i+1:]...)
-		if b.Counts != nil {
-			b.Counts = append(b.Counts[:i], b.Counts[i+1:]...)
-		}
+	i := b.index(t)
+	if i < 0 {
+		return false
+	}
+	if b.Counts != nil && b.Counts[i] > 1 {
+		b.Counts[i]--
 		return true
 	}
-	return false
+	b.Tuples = append(b.Tuples[:i], b.Tuples[i+1:]...)
+	if b.Counts != nil {
+		b.Counts = append(b.Counts[:i], b.Counts[i+1:]...)
+	}
+	return true
+}
+
+// index returns the position of the first stored tuple equal to t, or -1.
+func (b *Block) index(t relation.Tuple) int {
+	for i, u := range b.Tuples {
+		if u.Equal(t) {
+			return i
+		}
+	}
+	return -1
 }
 
 // AttrStats summarizes one numeric value attribute of a block.
@@ -110,9 +116,17 @@ type BlockStats struct {
 
 // ComputeStats derives statistics for a block of the given width.
 func (b *Block) ComputeStats(width int) *BlockStats {
-	st := &BlockStats{Rows: b.Rows(), Attrs: make([]AttrStats, width)}
+	st := &BlockStats{Attrs: make([]AttrStats, 0, width)}
+	b.statsInto(st, width)
+	return st
+}
+
+// statsInto is ComputeStats into st, reusing its attribute slice.
+func (b *Block) statsInto(st *BlockStats, width int) {
+	st.Rows = b.Rows()
+	st.Attrs = slices.Grow(st.Attrs[:0], width)[:width]
 	for i := range st.Attrs {
-		st.Attrs[i].Valid = true
+		st.Attrs[i] = AttrStats{Valid: true}
 	}
 	for ti, t := range b.Tuples {
 		mult := int64(1)
@@ -144,7 +158,6 @@ func (b *Block) ComputeStats(width int) *BlockStats {
 			st.Attrs[i].Valid = false
 		}
 	}
-	return st
 }
 
 // Block encoding layout (all integers little-endian or uvarint):
@@ -163,6 +176,11 @@ var errCorruptBlock = errors.New("baav: corrupt block encoding")
 
 // EncodeBlock serializes a block (and optional stats) into one KV value.
 func EncodeBlock(b *Block, stats *BlockStats, width int) []byte {
+	return appendBlock(nil, b, stats, width)
+}
+
+// appendBlock appends EncodeBlock's encoding of the block to dst.
+func appendBlock(dst []byte, b *Block, stats *BlockStats, width int) []byte {
 	var flags byte
 	if b.Counts != nil {
 		flags |= flagCounts
@@ -170,22 +188,20 @@ func EncodeBlock(b *Block, stats *BlockStats, width int) []byte {
 	if stats != nil {
 		flags |= flagStats
 	}
-	out := []byte{flags}
-	out = binary.AppendUvarint(out, uint64(len(b.Tuples)))
+	dst = append(dst, flags)
+	dst = binary.AppendUvarint(dst, uint64(len(b.Tuples)))
 	if stats != nil {
-		out = binary.AppendUvarint(out, uint64(stats.Rows))
-		out = binary.AppendUvarint(out, uint64(len(stats.Attrs)))
-		var buf [8]byte
+		dst = binary.AppendUvarint(dst, uint64(stats.Rows))
+		dst = binary.AppendUvarint(dst, uint64(len(stats.Attrs)))
 		for _, a := range stats.Attrs {
 			if !a.Valid {
-				out = append(out, 0)
+				dst = append(dst, 0)
 				continue
 			}
-			out = append(out, 1)
-			for _, f := range []float64{a.Min, a.Max, a.Sum} {
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-				out = append(out, buf[:]...)
-			}
+			dst = append(dst, 1)
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a.Min))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a.Max))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a.Sum))
 		}
 	}
 	for i, t := range b.Tuples {
@@ -193,11 +209,11 @@ func EncodeBlock(b *Block, stats *BlockStats, width int) []byte {
 			panic(fmt.Sprintf("baav: tuple width %d != block width %d", len(t), width))
 		}
 		if b.Counts != nil {
-			out = binary.AppendUvarint(out, uint64(b.Counts[i]))
+			dst = binary.AppendUvarint(dst, uint64(b.Counts[i]))
 		}
-		out = relation.AppendTuple(out, t)
+		dst = relation.AppendTuple(dst, t)
 	}
-	return out
+	return dst
 }
 
 // DecodeBlock deserializes a block of the given width. Stats are returned

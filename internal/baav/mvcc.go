@@ -1,6 +1,7 @@
 package baav
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -362,6 +363,7 @@ type Commit struct {
 	newTombs   []tombRef
 	blockDelta map[string]int
 	degreeMax  map[string]int
+	enc        segEncoder
 
 	installed bool
 	closed    bool
@@ -565,8 +567,8 @@ func (c *Commit) Ops() []kv.BatchOp {
 				continue // deleting an absent block: nothing to write
 			}
 			if newExists {
-				segOps, nsegs := c.st.encodeVersionOps(e.kvSchema, e.prefix, e.blk, c.seq)
-				ops = append(ops, segOps...)
+				var nsegs int
+				ops, nsegs = c.encodeVersionOps(ops, e.kvSchema, e.prefix, e.blk)
 				c.dirAdds = append(c.dirAdds, dirAdd{name, e.prefix, verEntry{ver: c.seq, nsegs: nsegs}})
 				if d := e.blk.Distinct(); d > c.degreeMax[name] {
 					c.degreeMax[name] = d
@@ -733,35 +735,63 @@ func (c *Commit) Close() {
 	c.r.commitMu.Unlock()
 }
 
-// encodeVersionOps encodes a block at one version into put ops, splitting
-// into segments at the configured threshold. Returns the ops and the
-// segment count.
-func (st *Store) encodeVersionOps(kvSchema KVSchema, prefix []byte, blk *Block, ver uint64) ([]kv.BatchOp, int) {
-	width := len(kvSchema.Val)
-	thr := st.Opts.SegmentThreshold
-	nsegs := (len(blk.Tuples) + thr - 1) / thr
-	ops := make([]kv.BatchOp, 0, nsegs)
-	for seg := 0; seg < nsegs; seg++ {
-		lo, hi := seg*thr, (seg+1)*thr
-		if hi > len(blk.Tuples) {
-			hi = len(blk.Tuples)
-		}
-		part := &Block{Tuples: blk.Tuples[lo:hi]}
+// segEncoder encodes blocks into their segment payloads — at most the
+// segment threshold of stored tuples each, with its statistics header when
+// the store keeps them, segment 0 led by the segment-count header — back to
+// back into one buffer it reuses from one block to the next, with the
+// scratch segment and statistics that go into it. Map loads every block
+// through one and a commit encodes its new versions through one.
+type segEncoder struct {
+	buf   []byte // the last block's segments
+	ends  []int  // where each of its segments ends in buf
+	key   []byte // a segment key, for a caller that writes one at a time
+	part  Block
+	stats BlockStats
+}
+
+// encode encodes blk, whose tuples are width values wide, into buf under
+// the store's options.
+func (e *segEncoder) encode(blk *Block, width int, opts Options) {
+	n, thr := len(blk.Tuples), opts.SegmentThreshold
+	e.buf = binary.AppendUvarint(e.buf[:0], uint64((n+thr-1)/thr))
+	e.ends = e.ends[:0]
+	for lo := 0; lo < n; lo += thr {
+		hi := min(lo+thr, n)
+		e.part.Tuples, e.part.Counts = blk.Tuples[lo:hi], nil
 		if blk.Counts != nil {
-			part.Counts = blk.Counts[lo:hi]
+			e.part.Counts = blk.Counts[lo:hi]
 		}
 		var stats *BlockStats
-		if st.Opts.Stats {
-			stats = part.ComputeStats(width)
+		if opts.Stats {
+			e.part.statsInto(&e.stats, width)
+			stats = &e.stats
 		}
-		payload := EncodeBlock(part, stats, width)
-		if seg == 0 {
-			head := binary.AppendUvarint(nil, uint64(nsegs))
-			payload = append(head, payload...)
-		}
-		ops = append(ops, kv.BatchOp{Route: prefix, Key: verSegKey(prefix, uint32(seg), ver), Value: payload})
+		e.buf = appendBlock(e.buf, &e.part, stats, width)
+		e.ends = append(e.ends, len(e.buf))
 	}
-	return ops, nsegs
+}
+
+// segments hands fn every segment of the block last encoded, in order, as
+// capped windows of one copy of buf: the copy is the only allocation, and
+// it is what the store keeps.
+func (e *segEncoder) segments(fn func(seg uint32, value []byte)) {
+	vals := bytes.Clone(e.buf)
+	start := 0
+	for seg, end := range e.ends {
+		fn(uint32(seg), vals[start:end:end])
+		start = end
+	}
+}
+
+// encodeVersionOps appends to ops the puts of blk as version c.seq of the
+// block under prefix, one per segment, and returns them with the segment
+// count.
+func (c *Commit) encodeVersionOps(ops []kv.BatchOp, kvSchema KVSchema, prefix []byte, blk *Block) ([]kv.BatchOp, int) {
+	c.enc.encode(blk, len(kvSchema.Val), c.st.Opts)
+	c.enc.segments(func(seg uint32, value []byte) {
+		ops = append(ops, kv.BatchOp{Route: prefix, Key: verSegKey(prefix, seg, c.seq), Value: value})
+	})
+	return ops, len(c.enc.ends)
 }
 
 // assembleSegs decodes a block from its ordered segment payloads (seg 0

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"slices"
-	"sort"
 	"sync"
 
 	"zidian/internal/kv"
@@ -92,9 +92,10 @@ func NewStore(schema *Schema, rels map[string]*relation.Schema, cluster *kv.Clus
 
 // Map builds the BaaV store of db on the schema (the mapping of Section
 // 4.1): for every KV schema, project the source relation onto X ∪ Y and
-// group by X.
+// group by X. One loader builds every instance.
 func Map(db *relation.Database, schema *Schema, cluster *kv.Cluster, opts Options) (*Store, error) {
 	st := NewStore(schema, RelSchemas(db), cluster, opts)
+	ld := loader{seed: maphash.MakeSeed()}
 	for _, kvSchema := range schema.KVs {
 		rel := db.Relation(kvSchema.Rel)
 		if rel == nil {
@@ -109,29 +110,125 @@ func Map(db *relation.Database, schema *Schema, cluster *kv.Cluster, opts Option
 		if err != nil {
 			return nil, err
 		}
-		groups := make(map[string]*Block)
-		var order []string
-		keyOf := make(map[string]relation.Tuple)
-		for _, t := range rel.Tuples {
-			key := t.Project(keyPos)
-			ks := relation.KeyString(key)
-			b, ok := groups[ks]
-			if !ok {
-				b = &Block{}
-				groups[ks] = b
-				keyOf[ks] = key
-				order = append(order, ks)
-			}
-			b.Add(t.Project(valPos), st.Opts.Compress)
-		}
-		sort.Strings(order) // deterministic layout
-		for _, ks := range order {
-			if err := st.loadBlock(kvSchema, keyOf[ks], groups[ks]); err != nil {
-				return nil, err
-			}
-		}
+		ld.load(st, kvSchema, rel.Tuples, keyPos, valPos)
 	}
 	return st, nil
+}
+
+// loader builds the KV instances of Map, one at a time, in buffers it
+// reuses from one block and one instance to the next, so that what a block
+// allocates is the encoded bytes the store keeps. It groups the rows by
+// block: a group is its block prefix, in a slab of prefixes a kv.Table
+// indexes, and a chain of row numbers through next. It then loads the
+// groups in prefix order, each block a scratch Block over one value slab.
+type loader struct {
+	seed   maphash.Seed
+	table  kv.Table
+	keys   []byte      // the groups' block prefixes back to back
+	groups []loadGroup // group id → its prefix and row chain
+	next   []int32     // row → the next row of its group, -1 after the last
+	order  []int32     // group ids in prefix order
+	blk    Block
+	vals   []relation.Value // the values of blk's tuples
+	counts []int64          // blk's multiplicities, kept whether or not blk carries them
+	enc    segEncoder
+}
+
+// loadGroup is one block of the instance being loaded: its prefix,
+// keys[off:off+n], and the first and last rows of its chain.
+type loadGroup struct {
+	off, n      int32
+	first, last int32
+}
+
+func (ld *loader) key(g int32) []byte {
+	gr := &ld.groups[g]
+	return ld.keys[gr.off : gr.off+gr.n]
+}
+
+// load writes kvSchema's instance of rows: each row's key attributes at
+// keyPos, its value attributes at valPos.
+func (ld *loader) load(st *Store, kvSchema KVSchema, rows []relation.Tuple, keyPos, valPos []int) {
+	ld.group(st.ids[kvSchema.Name], rows, keyPos)
+	ld.order = ld.order[:0]
+	for g := range ld.groups {
+		ld.order = append(ld.order, int32(g))
+	}
+	slices.SortFunc(ld.order, func(a, b int32) int { return bytes.Compare(ld.key(a), ld.key(b)) })
+	degree := 0
+	for _, g := range ld.order {
+		blk := ld.block(rows, ld.groups[g].first, valPos, st.Opts.Compress)
+		st.loadBlock(&ld.enc, kvSchema, ld.key(g), blk)
+		degree = max(degree, blk.Distinct())
+	}
+	st.statsMu.Lock()
+	st.blocks[kvSchema.Name] += len(ld.groups)
+	st.degrees[kvSchema.Name] = max(st.degrees[kvSchema.Name], degree)
+	st.statsMu.Unlock()
+}
+
+// group chains rows into groups by their block prefix: schema id id, then
+// the encoded key attributes at keyPos. Rows chain in relation order.
+func (ld *loader) group(id uint32, rows []relation.Tuple, keyPos []int) {
+	ld.table = kv.Table{}
+	ld.keys, ld.groups = ld.keys[:0], ld.groups[:0]
+	ld.next = slices.Grow(ld.next[:0], len(rows))[:len(rows)]
+	for r, t := range rows {
+		off := len(ld.keys)
+		ld.keys = binary.BigEndian.AppendUint32(ld.keys, id)
+		for _, p := range keyPos {
+			ld.keys = relation.AppendValue(ld.keys, t[p])
+		}
+		prefix := ld.keys[off:]
+		tag := uint32(maphash.Bytes(ld.seed, prefix))
+		slot, g := int(tag), int32(-1)
+		for ; ; slot++ {
+			if slot, g = ld.table.Probe(slot, tag); g < 0 || bytes.Equal(ld.key(g), prefix) {
+				break
+			}
+		}
+		ld.next[r] = -1
+		if g >= 0 {
+			ld.keys = ld.keys[:off]
+			ld.next[ld.groups[g].last] = int32(r)
+			ld.groups[g].last = int32(r)
+			continue
+		}
+		g = int32(len(ld.groups))
+		ld.groups = append(ld.groups, loadGroup{off: int32(off), n: int32(len(prefix)), first: int32(r), last: int32(r)})
+		ld.table.Add(slot, tag, g)
+	}
+}
+
+// block fills the scratch block with the rows chained from first, projected
+// onto valPos, as Block.Add would: with compress, a tuple equal to one
+// already stored raises its multiplicity instead, and the block carries
+// multiplicities once any tuple has two.
+func (ld *loader) block(rows []relation.Tuple, first int32, valPos []int, compress bool) *Block {
+	ld.blk.Tuples, ld.vals, ld.counts = ld.blk.Tuples[:0], ld.vals[:0], ld.counts[:0]
+	counted := false
+	for r := first; r >= 0; r = ld.next[r] {
+		lo := len(ld.vals)
+		for _, p := range valPos {
+			ld.vals = append(ld.vals, rows[r][p])
+		}
+		t := relation.Tuple(ld.vals[lo:len(ld.vals):len(ld.vals)])
+		if compress {
+			if i := ld.blk.index(t); i >= 0 {
+				ld.counts[i]++
+				counted = true
+				ld.vals = ld.vals[:lo]
+				continue
+			}
+		}
+		ld.blk.Tuples = append(ld.blk.Tuples, t)
+		ld.counts = append(ld.counts, 1)
+	}
+	ld.blk.Counts = nil
+	if counted {
+		ld.blk.Counts = ld.counts
+	}
+	return &ld.blk
 }
 
 // blockPrefix is the physical key prefix of one logical block: schema id
@@ -333,26 +430,18 @@ func (st *Store) fetch(kvt *obs.KV, b *blockBatch, seq uint64, probe bool, cols 
 	return blks, sizes, gets, nil
 }
 
-// loadBlock writes the initial (sequence-zero) version of a block during
-// Map, bypassing the commit machinery: the load is single-threaded and
-// nothing can be reading yet.
-func (st *Store) loadBlock(kvSchema KVSchema, key relation.Tuple, blk *Block) error {
-	if len(blk.Tuples) == 0 {
-		return nil
-	}
-	prefix := st.blockPrefix(st.ids[kvSchema.Name], key)
-	ops, nsegs := st.encodeVersionOps(kvSchema, prefix, blk, 0)
-	for _, op := range ops {
-		st.Cluster.PutRouted(op.Route, op.Key, op.Value)
-	}
-	st.mvcc.addVersion(kvSchema.Name, prefix, verEntry{ver: 0, nsegs: nsegs})
-	st.statsMu.Lock()
-	st.blocks[kvSchema.Name]++
-	if d := blk.Distinct(); d > st.degrees[kvSchema.Name] {
-		st.degrees[kvSchema.Name] = d
-	}
-	st.statsMu.Unlock()
-	return nil
+// loadBlock writes blk as the initial (sequence-zero) version of the block
+// under prefix during Map, bypassing the commit machinery: the load is
+// single-threaded and nothing can be reading yet. The block is encoded
+// through enc, whose buffers the next block reuses; the one copy of its
+// segments goes to the cluster, and the directory copies the prefix.
+func (st *Store) loadBlock(enc *segEncoder, kvSchema KVSchema, prefix []byte, blk *Block) {
+	enc.encode(blk, len(kvSchema.Val), st.Opts)
+	enc.segments(func(seg uint32, value []byte) {
+		enc.key = appendSegKey(enc.key[:0], prefix, seg, 0)
+		st.Cluster.PutRouted(prefix, enc.key, value)
+	})
+	st.mvcc.addVersion(kvSchema.Name, prefix, verEntry{ver: 0, nsegs: len(enc.ends)})
 }
 
 // PutBlock stores a block under key in the named KV instance, replacing

@@ -29,6 +29,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -250,42 +251,86 @@ func (m *Manager) Create(name, rel, attr string, schema *relation.Schema, tuples
 	d.id = m.nextID
 	m.nextID++
 
-	// Backfill: group block keys by indexed value, keeping each posting
-	// sorted and duplicate-free in encoded order.
-	groups := make(map[string][][]byte)
-	var order []string
-	valOf := make(map[string]relation.Value)
-	n := 0
-	for _, t := range tuples {
-		v := t[d.attrPos]
-		vk := relation.KeyString(relation.Tuple{v})
-		pk := relation.EncodeTuple(t.Project(d.keyPos))
-		if _, ok := groups[vk]; !ok {
-			order = append(order, vk)
-			valOf[vk] = v
-		}
-		lst, added := insertPosting(groups[vk], pk)
-		groups[vk] = lst
-		if added {
-			n++
-		}
-	}
 	st := &Stats{}
-	distinct := make([]relation.Value, 0, len(order))
-	for _, vk := range order {
-		lst := groups[vk]
-		m.cluster.Put(postingKey(d.id, valOf[vk]), joinPostings(lst))
-		st.Entries++
-		st.Postings += len(lst)
-		st.bump(0, len(lst))
-		distinct = append(distinct, valOf[vk])
-	}
+	n, distinct := m.backfill(d, tuples, st)
 	st.setValues(distinct)
 	m.cluster.Put(catalogKey(name), encodeCatalog(d))
 	m.defs[name] = d
 	m.byAttr[attrKey(rel, attr)] = name
 	m.stats[name] = st
 	return n, nil
+}
+
+// backfill writes d's postings over tuples, counting them into st, and
+// returns the number of (value, block key) pairs posted and the distinct
+// values. Each distinct value is encoded once and each tuple's block key
+// once, into one buffer; the keys are bucketed by value in tuple order, and
+// the values walked in encoded order, each bucket sorted and deduplicated
+// into one posting and one Put.
+func (m *Manager) backfill(d *Def, tuples []relation.Tuple, st *Stats) (n int, distinct []relation.Value) {
+	type span struct{ off, end int32 } // buf[off:end]
+	type value struct {
+		enc        span
+		row        int32 // the first tuple carrying it
+		start, len int32 // its keys, keys[start:start+len]
+	}
+	var buf []byte
+	ids := make(map[string]int32) // value encoding → index in vals
+	var vals []value
+	valOf := make([]int32, len(tuples))
+	keyOf := make([]span, len(tuples))
+	for i, t := range tuples {
+		off := len(buf)
+		buf = relation.AppendValue(buf, t[d.attrPos])
+		v, ok := ids[string(buf[off:])]
+		if ok {
+			buf = buf[:off]
+		} else {
+			v = int32(len(vals))
+			ids[string(buf[off:])] = v
+			vals = append(vals, value{enc: span{int32(off), int32(len(buf))}, row: int32(i)})
+		}
+		vals[v].len++
+		off = len(buf)
+		for _, p := range d.keyPos {
+			buf = relation.AppendValue(buf, t[p])
+		}
+		valOf[i], keyOf[i] = v, span{int32(off), int32(len(buf))}
+	}
+	start := int32(0)
+	for v := range vals {
+		vals[v].start, start = start, start+vals[v].len
+	}
+	keys := make([]span, len(tuples))
+	filled := make([]int32, len(vals))
+	for i, v := range valOf {
+		keys[vals[v].start+filled[v]] = keyOf[i]
+		filled[v]++
+	}
+	bytesOf := func(s span) []byte { return buf[s.off:s.end] }
+	slices.SortFunc(vals, func(a, b value) int { return bytes.Compare(bytesOf(a.enc), bytesOf(b.enc)) })
+	key := prefix(d.id)
+	for _, v := range vals {
+		ks := keys[v.start : v.start+v.len]
+		slices.SortFunc(ks, func(a, b span) int { return bytes.Compare(bytesOf(a), bytesOf(b)) })
+		ks = slices.CompactFunc(ks, func(a, b span) bool { return bytes.Equal(bytesOf(a), bytesOf(b)) })
+		size := 0
+		for _, k := range ks {
+			size += int(k.end - k.off)
+		}
+		posting := make([]byte, 0, size)
+		for _, k := range ks {
+			posting = append(posting, bytesOf(k)...)
+		}
+		key = append(key[:4], bytesOf(v.enc)...)
+		m.cluster.Put(key, posting)
+		n += len(ks)
+		st.Entries++
+		st.Postings += len(ks)
+		st.bump(0, len(ks))
+		distinct = append(distinct, tuples[v.row][d.attrPos])
+	}
+	return n, distinct
 }
 
 // Drop removes the index and all of its postings from the store.
@@ -324,9 +369,8 @@ func (m *Manager) Drop(name string) error {
 }
 
 // insertPosting splices an encoded block key into a sorted posting list,
-// reporting whether it was added (false: already present). Backfill and
-// commit staging share it so their ordering and dedup semantics cannot
-// diverge.
+// reporting whether it was added (false: already present): commit staging's
+// counterpart of backfill's sort.
 func insertPosting(lst [][]byte, pk []byte) ([][]byte, bool) {
 	at := sort.Search(len(lst), func(i int) bool { return bytes.Compare(lst[i], pk) >= 0 })
 	if at < len(lst) && bytes.Equal(lst[at], pk) {

@@ -1,0 +1,135 @@
+package workload_test
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"zidian/internal/baav"
+	"zidian/internal/index"
+	"zidian/internal/kv"
+	"zidian/internal/relation"
+	"zidian/internal/workload"
+)
+
+// loadDigestIndexes are the MOT indexes whose backfill the digests cover:
+// index_scan's three.
+var loadDigestIndexes = []struct{ name, rel, attr string }{
+	{"ix_obs_speed", "OBSERVATION", "speed"},
+	{"ix_obs_road", "OBSERVATION", "road_id"},
+	{"ix_vehicle_year", "VEHICLE", "year"},
+}
+
+// loadDigests renders what generating and loading each workload at scale 2
+// produced: a SHA-256 of every relation's encoded tuples in order, and per
+// engine and node count a SHA-256 of every node's (key, value) pairs after
+// the mapping, each KV instance's block count and degree, and the live
+// versions. For MOT it then backfills loadDigestIndexes and digests every
+// node again, with each index's statistics.
+func loadDigests(t *testing.T) string {
+	var b strings.Builder
+	engines := []struct {
+		name string
+		kind kv.EngineKind
+	}{{"hash", kv.EngineHash}, {"lsm", kv.EngineLSM}, {"sorted", kv.EngineSorted}}
+	for _, name := range []string{"mot", "tpch", "airca"} {
+		w, err := workload.Generate(name, workload.Spec{Scale: 2, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rel := range w.DB.Names() {
+			h := sha256.New()
+			var buf []byte
+			for _, tup := range w.DB.Relation(rel).Tuples {
+				buf = relation.AppendTuple(buf[:0], tup)
+				h.Write(buf)
+			}
+			fmt.Fprintf(&b, "%s relation %s rows %d %x\n", name, rel, w.DB.Relation(rel).Cardinality(), h.Sum(nil))
+		}
+		for _, eng := range engines {
+			for _, nodes := range []int{1, 4} {
+				cell := fmt.Sprintf("%s %s nodes=%d", name, eng.name, nodes)
+				cluster := kv.NewCluster(eng.kind, nodes)
+				st, err := baav.Map(w.DB, w.Schema, cluster, baav.DefaultOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				writeNodeDigests(&b, cell+" store", cluster)
+				for _, kvName := range w.Schema.Names() {
+					fmt.Fprintf(&b, "%s kv %s blocks %d degree %d\n", cell, kvName, st.InstanceBlocks(kvName), st.Degree(kvName))
+				}
+				fmt.Fprintf(&b, "%s versions_live %d\n", cell, st.VersionsLive())
+				if name != "mot" {
+					continue
+				}
+				m := index.NewManager(cluster)
+				for _, ix := range loadDigestIndexes {
+					rel := w.DB.Relation(ix.rel)
+					n, err := m.Create(ix.name, ix.rel, ix.attr, rel.Schema, rel.Tuples)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s, _ := m.StatsOf(ix.name)
+					lo, hi, _ := s.ValueBounds()
+					fmt.Fprintf(&b, "%s index %s indexed %d entries %d postings %d max %d bounds %v..%v\n",
+						cell, ix.name, n, s.Entries, s.Postings, s.MaxPosting, lo, hi)
+				}
+				writeNodeDigests(&b, cell+" indexed", cluster)
+			}
+		}
+	}
+	return b.String()
+}
+
+// writeNodeDigests writes one line per node of the cluster: its pair count
+// and a SHA-256 of its pairs in scan order, each key and value preceded by
+// its length.
+func writeNodeDigests(b *strings.Builder, cell string, cluster *kv.Cluster) {
+	for node := range cluster.NodeCount() {
+		h := sha256.New()
+		pairs := 0
+		var buf []byte
+		cluster.ScanNode(node, nil, func(k, v []byte) bool {
+			buf = binary.AppendUvarint(buf[:0], uint64(len(k)))
+			buf = append(buf, k...)
+			buf = binary.AppendUvarint(buf, uint64(len(v)))
+			h.Write(buf)
+			h.Write(v)
+			pairs++
+			return true
+		})
+		fmt.Fprintf(b, "%s node %d pairs %d %x\n", cell, node, pairs, h.Sum(nil))
+	}
+}
+
+// TestLoadDigestsHeld: generating mot, tpch and airca at scale 2 and loading
+// each onto every engine at one and four nodes produces, byte for byte, the
+// relations, stored pairs, instance statistics and index postings that
+// testdata/load_digests.txt holds. With the file absent, the test records it
+// and fails, so a change to it is reviewed.
+func TestLoadDigestsHeld(t *testing.T) {
+	const golden = "testdata/load_digests.txt"
+	got := loadDigests(t)
+	want, err := os.ReadFile(golden)
+	if os.IsNotExist(err) {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("recorded %s: review it and run again", golden)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("load digests moved at line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("load digests moved: %d lines, want %d", len(gl), len(wl))
+	}
+}

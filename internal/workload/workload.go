@@ -43,11 +43,26 @@ type Spec struct {
 	Seed int64
 }
 
-func (s Spec) rand() *rand.Rand {
+// source is one generator's random stream. It embeds the *rand.Rand every
+// draw reads and keeps the Zipf distributions zipfN has built on it, one per
+// (n, s): building one costs a few Exp/Log calls and draws nothing, so a
+// cached distribution yields exactly the values a fresh one would.
+type source struct {
+	*rand.Rand
+	zipfs map[zipfShape]*rand.Zipf
+}
+
+// zipfShape is the (n, s) of a zipfN distribution.
+type zipfShape struct {
+	n int
+	s float64
+}
+
+func (s Spec) rand() *source {
 	if s.Seed == 0 {
 		s.Seed = 1
 	}
-	return rand.New(rand.NewSource(s.Seed))
+	return &source{Rand: rand.New(rand.NewSource(s.Seed)), zipfs: make(map[zipfShape]*rand.Zipf)}
 }
 
 func (s Spec) scaled(base int) int {
@@ -100,19 +115,23 @@ func Generate(name string, spec Spec) (*Workload, error) {
 // zipfN draws a Zipf-distributed value in [0, n) with skew s (s > 1; larger
 // is more skewed). The real-life datasets use it to reproduce the skew the
 // paper attributes their speedups to.
-func zipfN(r *rand.Rand, n int, s float64) int {
+func zipfN(r *source, n int, s float64) int {
 	if n <= 1 {
 		return 0
 	}
-	z := rand.NewZipf(r, s, 1, uint64(n-1))
+	z := r.zipfs[zipfShape{n, s}]
+	if z == nil {
+		z = rand.NewZipf(r.Rand, s, 1, uint64(n-1))
+		r.zipfs[zipfShape{n, s}] = z
+	}
 	return int(z.Uint64())
 }
 
 // pick returns a uniform element of the pool.
-func pick(r *rand.Rand, pool []string) string { return pool[r.Intn(len(pool))] }
+func pick(r *source, pool []string) string { return pool[r.Intn(len(pool))] }
 
 // pickZipf returns a Zipf-skewed element of the pool (early entries hot).
-func pickZipf(r *rand.Rand, pool []string, s float64) string {
+func pickZipf(r *source, pool []string, s float64) string {
 	return pool[zipfN(r, len(pool), s)]
 }
 
