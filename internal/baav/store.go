@@ -119,15 +119,15 @@ func Map(db *relation.Database, schema *Schema, cluster *kv.Cluster, opts Option
 // reuses from one block and one instance to the next, so that what a block
 // allocates is the encoded bytes the store keeps. It groups the rows by
 // block: a group is its block prefix, in a slab of prefixes a kv.Table
-// indexes, and a chain of row numbers through next. It then loads the
-// groups in prefix order, each block a scratch Block over one value slab.
+// indexes, and a chain of row numbers through next. It then sorts the
+// groups by prefix and loads them in that order, each block a scratch Block
+// over one value slab.
 type loader struct {
 	seed   maphash.Seed
 	table  kv.Table
 	keys   []byte      // the groups' block prefixes back to back
 	groups []loadGroup // group id → its prefix and row chain
 	next   []int32     // row → the next row of its group, -1 after the last
-	order  []int32     // group ids in prefix order
 	blk    Block
 	vals   []relation.Value // the values of blk's tuples
 	counts []int64          // blk's multiplicities, kept whether or not blk carries them
@@ -141,24 +141,17 @@ type loadGroup struct {
 	first, last int32
 }
 
-func (ld *loader) key(g int32) []byte {
-	gr := &ld.groups[g]
-	return ld.keys[gr.off : gr.off+gr.n]
-}
+func (ld *loader) prefix(gr loadGroup) []byte { return ld.keys[gr.off : gr.off+gr.n] }
 
 // load writes kvSchema's instance of rows: each row's key attributes at
 // keyPos, its value attributes at valPos.
 func (ld *loader) load(st *Store, kvSchema KVSchema, rows []relation.Tuple, keyPos, valPos []int) {
 	ld.group(st.ids[kvSchema.Name], rows, keyPos)
-	ld.order = ld.order[:0]
-	for g := range ld.groups {
-		ld.order = append(ld.order, int32(g))
-	}
-	slices.SortFunc(ld.order, func(a, b int32) int { return bytes.Compare(ld.key(a), ld.key(b)) })
+	slices.SortFunc(ld.groups, func(a, b loadGroup) int { return bytes.Compare(ld.prefix(a), ld.prefix(b)) })
 	degree := 0
-	for _, g := range ld.order {
-		blk := ld.block(rows, ld.groups[g].first, valPos, st.Opts.Compress)
-		st.loadBlock(&ld.enc, kvSchema, ld.key(g), blk)
+	for _, gr := range ld.groups {
+		blk := ld.block(rows, gr.first, valPos, st.Opts.Compress)
+		st.loadBlock(&ld.enc, kvSchema, ld.prefix(gr), blk)
 		degree = max(degree, blk.Distinct())
 	}
 	st.statsMu.Lock()
@@ -183,7 +176,7 @@ func (ld *loader) group(id uint32, rows []relation.Tuple, keyPos []int) {
 		tag := uint32(maphash.Bytes(ld.seed, prefix))
 		slot, g := int(tag), int32(-1)
 		for ; ; slot++ {
-			if slot, g = ld.table.Probe(slot, tag); g < 0 || bytes.Equal(ld.key(g), prefix) {
+			if slot, g = ld.table.Probe(slot, tag); g < 0 || bytes.Equal(ld.prefix(ld.groups[g]), prefix) {
 				break
 			}
 		}
