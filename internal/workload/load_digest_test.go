@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -26,9 +27,12 @@ var loadDigestIndexes = []struct{ name, rel, attr string }{
 // loadDigests renders what generating and loading each workload at scale 2
 // produced: a SHA-256 of every relation's encoded tuples in order, and per
 // engine and node count a SHA-256 of every node's (key, value) pairs after
-// the mapping, each KV instance's block count and degree, and the live
-// versions. For MOT it then backfills loadDigestIndexes and digests every
-// node again, with each index's statistics.
+// the mapping, the cluster's stored bytes, each KV instance's block count
+// and degree and a SHA-256 of its blocks as ScanInstance decodes them, and
+// the live versions. For MOT it then backfills loadDigestIndexes and
+// digests every node again, with each index's statistics. The decoded lines
+// hold the content whatever the storage format; the pairs and bytes lines
+// hold the format.
 func loadDigests(t *testing.T) string {
 	var b strings.Builder
 	engines := []struct {
@@ -58,8 +62,10 @@ func loadDigests(t *testing.T) string {
 					t.Fatal(err)
 				}
 				writeNodeDigests(&b, cell+" store", cluster)
+				fmt.Fprintf(&b, "%s bytes %d\n", cell, cluster.SizeBytes())
 				for _, kvName := range w.Schema.Names() {
 					fmt.Fprintf(&b, "%s kv %s blocks %d degree %d\n", cell, kvName, st.InstanceBlocks(kvName), st.Degree(kvName))
+					fmt.Fprintf(&b, "%s kv %s decoded %x\n", cell, kvName, decodedDigest(t, st, kvName))
 				}
 				fmt.Fprintf(&b, "%s versions_live %d\n", cell, st.VersionsLive())
 				if name != "mot" {
@@ -82,6 +88,49 @@ func loadDigests(t *testing.T) string {
 		}
 	}
 	return b.String()
+}
+
+// decodedDigest is a SHA-256 of every block of the named instance as
+// ScanInstance returns it: the key, each tuple with its multiplicity, and
+// the bits of every statistics field.
+func decodedDigest(t *testing.T, st *baav.Store, name string) []byte {
+	h := sha256.New()
+	var buf []byte
+	err := st.ScanInstance(name, func(key relation.Tuple, blk *baav.Block, stats *baav.BlockStats) bool {
+		buf = relation.AppendTuple(buf[:0], key)
+		buf = binary.AppendUvarint(buf, uint64(len(blk.Tuples)))
+		for i, tup := range blk.Tuples {
+			mult := int64(1)
+			if blk.Counts != nil {
+				mult = blk.Counts[i]
+			}
+			buf = binary.AppendVarint(buf, mult)
+			buf = relation.AppendTuple(buf, tup)
+		}
+		if stats == nil {
+			buf = append(buf, 0)
+		} else {
+			buf = append(buf, 1)
+			buf = binary.AppendVarint(buf, stats.Rows)
+			buf = binary.AppendUvarint(buf, uint64(len(stats.Attrs)))
+			for _, a := range stats.Attrs {
+				if !a.Valid {
+					buf = append(buf, 0)
+					continue
+				}
+				buf = append(buf, 1)
+				for _, f := range []float64{a.Min, a.Max, a.Sum} {
+					buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(f))
+				}
+			}
+		}
+		h.Write(buf)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.Sum(nil)
 }
 
 // writeNodeDigests writes one line per node of the cluster: its pair count
