@@ -135,7 +135,7 @@ func TestBlockCodecRoundTrip(t *testing.T) {
 				}
 				// Fast path agrees.
 				var fast BlockStats
-				if ok, err := readStats(enc, &fast); err != nil || !ok {
+				if ok, err := readStats(enc, 2, &fast); err != nil || !ok {
 					t.Fatalf("fast stats: %v %v", ok, err)
 				}
 				if fast.Rows != gotStats.Rows || fast.Attrs[0].Sum != gotStats.Attrs[0].Sum {
@@ -173,10 +173,10 @@ func TestDecodeBlockCorrupt(t *testing.T) {
 	if _, _, err := DecodeBlock([]byte{0, 5}, 1); err == nil {
 		t.Fatal("truncated tuples must fail")
 	}
-	if _, err := readStats(nil, &BlockStats{}); err == nil {
+	if _, err := readStats(nil, 1, &BlockStats{}); err == nil {
 		t.Fatal("empty stats must fail")
 	}
-	if ok, err := readStats([]byte{0, 0}, &BlockStats{}); err != nil || ok {
+	if ok, err := readStats([]byte{0, 0}, 1, &BlockStats{}); err != nil || ok {
 		t.Fatal("no-stats block yields no stats")
 	}
 }

@@ -160,21 +160,31 @@ func (b *Block) statsInto(st *BlockStats, width int) {
 	}
 }
 
-// Block encoding layout (all integers little-endian or uvarint):
+// Block encoding layout (integers uvarint unless said otherwise):
 //
-//	flags byte           bit0 = has multiplicity counts, bit1 = has stats
+//	flags byte           bit0 = has multiplicity counts, bit1 = has a stats
+//	                     header, bit2 = one tuple whose stats are its own
 //	uvarint distinct     number of stored tuples
-//	[stats]              if bit1: uvarint width, then per attribute:
-//	                     1 byte valid flag; if valid, min/max/sum float64
-//	per tuple            [uvarint count if bit0] + width encoded values
+//	[stats]              if bit1: uvarint rows, uvarint width, then per
+//	                     attribute a valid byte (0 or 1) and, if valid,
+//	                     min, max and sum (relation.AppendCompactFloat)
+//	per tuple            [uvarint count if bit0] + width values in the
+//	                     compact codec (relation.AppendCompactValue)
+//
+// A block with statistics and one distinct tuple — most blocks of a store
+// keyed by a primary key — writes bit2 instead of a header: its stats are
+// its tuple's (min = max = the value, sum = value × count, rows = count),
+// and a reader builds them from the tuple exactly as ComputeStats would.
 const (
-	flagCounts byte = 1 << 0
-	flagStats  byte = 1 << 1
+	flagCounts     byte = 1 << 0
+	flagStats      byte = 1 << 1
+	flagTupleStats byte = 1 << 2
 )
 
 var errCorruptBlock = errors.New("baav: corrupt block encoding")
 
 // EncodeBlock serializes a block (and optional stats) into one KV value.
+// The stats of a one-tuple block are not written: they are its tuple's.
 func EncodeBlock(b *Block, stats *BlockStats, width int) []byte {
 	return appendBlock(nil, b, stats, width)
 }
@@ -185,7 +195,12 @@ func appendBlock(dst []byte, b *Block, stats *BlockStats, width int) []byte {
 	if b.Counts != nil {
 		flags |= flagCounts
 	}
-	if stats != nil {
+	switch {
+	case stats == nil:
+	case len(b.Tuples) == 1:
+		flags |= flagTupleStats
+		stats = nil
+	default:
 		flags |= flagStats
 	}
 	dst = append(dst, flags)
@@ -199,9 +214,9 @@ func appendBlock(dst []byte, b *Block, stats *BlockStats, width int) []byte {
 				continue
 			}
 			dst = append(dst, 1)
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a.Min))
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a.Max))
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a.Sum))
+			dst = relation.AppendCompactFloat(dst, a.Min)
+			dst = relation.AppendCompactFloat(dst, a.Max)
+			dst = relation.AppendCompactFloat(dst, a.Sum)
 		}
 	}
 	for i, t := range b.Tuples {
@@ -211,9 +226,27 @@ func appendBlock(dst []byte, b *Block, stats *BlockStats, width int) []byte {
 		if b.Counts != nil {
 			dst = binary.AppendUvarint(dst, uint64(b.Counts[i]))
 		}
-		dst = relation.AppendTuple(dst, t)
+		dst = relation.AppendCompactTuple(dst, t)
 	}
 	return dst
+}
+
+// payloadHeader reads the flags and distinct-tuple count that lead a block
+// payload, returning the offset just past them. Unknown flags, a header
+// beside bit2, and bit2 on other than one tuple are corruption.
+func payloadHeader(data []byte) (flags byte, n uint64, off int, err error) {
+	if len(data) == 0 {
+		return 0, 0, 0, errCorruptBlock
+	}
+	flags = data[0]
+	n, k := binary.Uvarint(data[1:])
+	switch {
+	case k <= 0, flags&^(flagCounts|flagStats|flagTupleStats) != 0:
+		return 0, 0, 0, errCorruptBlock
+	case flags&flagTupleStats != 0 && (n != 1 || flags&flagStats != 0):
+		return 0, 0, 0, errCorruptBlock
+	}
+	return flags, n, 1 + k, nil
 }
 
 // DecodeBlock deserializes a block of the given width. Stats are returned
@@ -277,19 +310,16 @@ func (a *blockArena) count(segs [][]byte, width int, cols []int) error {
 		keep = len(cols)
 	}
 	for _, data := range segs {
-		if len(data) == 0 {
-			return errCorruptBlock
-		}
-		n, k := binary.Uvarint(data[1:])
-		if k <= 0 {
-			return errCorruptBlock
+		flags, n, off, err := payloadHeader(data)
+		if err != nil {
+			return err
 		}
 		perTuple := max(width, 1)
-		if data[0]&flagCounts != 0 {
+		if flags&flagCounts != 0 {
 			perTuple++
 			a.counted = true
 		}
-		if n > uint64((len(data)-1-k)/perTuple) {
+		if n > uint64((len(data)-off)/perTuple) {
 			return errCorruptBlock
 		}
 		a.ntuples += int(n)
@@ -341,14 +371,14 @@ func (a *blockArena) decode(b *Block, segs [][]byte, width int, cols []int, want
 // payload of the arena carries multiplicities, every tuple gets one (1 when
 // its own payload has none); counted reports whether this one did.
 func (a *blockArena) payload(data []byte, width int, cols []int, wantStats bool) (stats *BlockStats, size int64, counted bool, err error) {
-	flags := data[0]
-	off := 1
-	n, k := binary.Uvarint(data[off:])
-	off += k
+	flags, n, off, err := payloadHeader(data)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	if wantStats && flags&(flagStats|flagTupleStats) != 0 {
+		stats = &BlockStats{}
+	}
 	if flags&flagStats != 0 {
-		if wantStats {
-			stats = &BlockStats{}
-		}
 		if off, err = decodeStats(data, off, stats); err != nil {
 			return nil, 0, false, err
 		}
@@ -382,9 +412,14 @@ func (a *blockArena) payload(data []byte, width int, cols []int, wantStats bool)
 		lo := len(a.vals)
 		a.vals = slices.Grow(a.vals, keep)[:lo+keep]
 		t := relation.Tuple(a.vals[lo : lo+keep : lo+keep])
-		k, sz, err := relation.DecodeColumns(t, data[off:], width, cols)
+		k, sz, err := relation.DecodeCompactColumns(t, data[off:], width, cols)
 		if err != nil {
-			return nil, 0, false, err
+			return nil, 0, false, errCorruptBlock
+		}
+		if flags&flagTupleStats != 0 && stats != nil {
+			if err := tupleStats(data[off:], width, mult, stats); err != nil {
+				return nil, 0, false, err
+			}
 		}
 		off += k
 		size += mult * int64(sz)
@@ -397,25 +432,58 @@ func (a *blockArena) payload(data []byte, width int, cols []int, wantStats bool)
 	return stats, size, counted, nil
 }
 
-// readStats reads only the statistics header of an encoded block, without
-// decoding the tuples — the fast path of statistics-backed aggregates — into
-// st, reusing its attribute slice; ok is false when the block carries no
-// header (or it is corrupt).
-func readStats(data []byte, st *BlockStats) (ok bool, err error) {
-	if len(data) == 0 {
-		return false, errCorruptBlock
-	}
-	if data[0]&flagStats == 0 {
+// readStats reads only the statistics of an encoded block of the given
+// width — its header, or for a one-tuple block its tuple's — without
+// decoding the tuples: the fast path of statistics-backed aggregates. It
+// reads into st, reusing its attribute slice; ok is false when the block
+// carries no stats.
+func readStats(data []byte, width int, st *BlockStats) (ok bool, err error) {
+	flags, _, off, err := payloadHeader(data)
+	switch {
+	case err != nil:
+		return false, err
+	case flags&flagStats != 0:
+		_, err := decodeStats(data, off, st)
+		return err == nil, err
+	case flags&flagTupleStats == 0:
 		return false, nil
 	}
-	_, k := binary.Uvarint(data[1:]) // the distinct count
-	if k <= 0 {
-		return false, errCorruptBlock
+	mult := int64(1)
+	if flags&flagCounts != 0 {
+		c, k := binary.Uvarint(data[off:])
+		if k <= 0 || c > math.MaxInt64 {
+			return false, errCorruptBlock
+		}
+		off += k
+		mult = int64(c)
 	}
-	if _, err := decodeStats(data, 1+k, st); err != nil {
+	if err := tupleStats(data[off:], width, mult, st); err != nil {
 		return false, err
 	}
 	return true, nil
+}
+
+// tupleStats builds into st — its attribute slice reused, grown once to
+// width — the statistics of a block whose one tuple, of multiplicity mult,
+// is encoded at the front of data: bit for bit what statsInto computes.
+func tupleStats(data []byte, width int, mult int64, st *BlockStats) error {
+	st.Rows = mult
+	st.Attrs = slices.Grow(st.Attrs[:0], width)[:width]
+	off := 0
+	for i := range st.Attrs {
+		f, numeric, k, err := relation.CompactNumber(data[off:])
+		if err != nil {
+			return errCorruptBlock
+		}
+		off += k
+		a := AttrStats{}
+		if numeric {
+			a = AttrStats{Valid: true, Min: f, Max: f}
+			a.Sum += f * float64(mult)
+		}
+		st.Attrs[i] = a
+	}
+	return nil
 }
 
 // decodeStats reads the stats header at off into st — its attribute slice
@@ -441,29 +509,22 @@ func decodeStats(data []byte, off int, st *BlockStats) (end int, err error) {
 		st.Attrs = slices.Grow(st.Attrs[:0], int(w))[:w]
 	}
 	for i := 0; i < int(w); i++ {
-		if off >= len(data) {
+		if off >= len(data) || data[off] > 1 {
 			return 0, errCorruptBlock
 		}
-		valid := data[off]
+		valid := data[off] == 1
 		off++
-		if st != nil {
-			st.Attrs[i] = AttrStats{}
-		}
-		if valid == 0 {
-			continue
-		}
-		if off+24 > len(data) {
-			return 0, errCorruptBlock
-		}
-		if st != nil {
-			st.Attrs[i] = AttrStats{
-				Valid: true,
-				Min:   math.Float64frombits(binary.LittleEndian.Uint64(data[off:])),
-				Max:   math.Float64frombits(binary.LittleEndian.Uint64(data[off+8:])),
-				Sum:   math.Float64frombits(binary.LittleEndian.Uint64(data[off+16:])),
+		var f [3]float64 // min, max, sum
+		if valid {
+			k, err := relation.DecodeCompactFloats(f[:], data[off:])
+			if err != nil {
+				return 0, errCorruptBlock
 			}
+			off += k
 		}
-		off += 24
+		if st != nil {
+			st.Attrs[i] = AttrStats{Valid: valid, Min: f[0], Max: f[1], Sum: f[2]}
+		}
 	}
 	return off, nil
 }

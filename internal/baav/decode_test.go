@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"zidian/internal/kv"
@@ -31,14 +32,15 @@ func wideBlock(rows int, compress bool) (*Block, int) {
 	return b, width
 }
 
-// checkPruned holds a pruned decode to the full one: the same error or
-// none, no stats built, the same multiplicities, every tuple the projection
-// of the full tuple, and the same accounting size — which is that of the
-// full-width rows, multiplicities applied.
-func checkPruned(t *testing.T, data []byte, width int, cols []int) {
+// checkPruned holds a pruned decode of a block's segment payloads to the
+// full one: the same error or none, no stats built, the same
+// multiplicities, every tuple the projection of the full tuple, and the
+// same accounting size — which is that of the full-width rows,
+// multiplicities applied.
+func checkPruned(t *testing.T, segs [][]byte, width int, cols []int) {
 	t.Helper()
-	full, _, fullSize, fullErr := decodeBlock(data, width, nil, true)
-	pruned, stats, size, err := decodeBlock(data, width, cols, false)
+	full, _, fullSize, fullErr := decodeSegs(segs, width, nil, true)
+	pruned, stats, size, err := decodeSegs(segs, width, cols, false)
 	if (fullErr == nil) != (err == nil) {
 		t.Fatalf("full decode: %v, decode of columns %v: %v", fullErr, cols, err)
 	}
@@ -80,7 +82,7 @@ func TestDecodeBlockColumns(t *testing.T) {
 			}
 			enc := EncodeBlock(b, stats, width)
 			for _, cols := range [][]int{{}, {0}, {13}, {2, 9, 11}, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}} {
-				checkPruned(t, enc, width, cols)
+				checkPruned(t, [][]byte{enc}, width, cols)
 			}
 			// An append to a decoded tuple must not reach its neighbour.
 			blk, _, _, err := decodeBlock(enc, width, []int{2, 9}, false)
@@ -101,7 +103,7 @@ func TestDecodeBlockColumns(t *testing.T) {
 func TestDecodeBlockBoundsCounts(t *testing.T) {
 	huge := binary.AppendUvarint(nil, 1<<40)
 	over := binary.AppendUvarint(nil, 1<<63)
-	row := relation.EncodeTuple(relation.Tuple{relation.Int(1)})
+	row := relation.AppendCompactTuple(nil, relation.Tuple{relation.Int(1)})
 	for name, data := range map[string][]byte{
 		"tuple count":  append([]byte{0}, huge...),
 		"with counts":  append(append([]byte{flagCounts}, huge...), 1, 2),
@@ -112,23 +114,209 @@ func TestDecodeBlockBoundsCounts(t *testing.T) {
 			t.Errorf("%s: err = %v, want %v", name, err, errCorruptBlock)
 		}
 	}
-	if _, err := readStats(append(append([]byte{flagStats, 0}, 1), huge...), &BlockStats{}); !errors.Is(err, errCorruptBlock) {
+	if _, err := readStats(append(append([]byte{flagStats, 0}, 1), huge...), 1, &BlockStats{}); !errors.Is(err, errCorruptBlock) {
 		t.Errorf("readStats: err = %v, want %v", err, errCorruptBlock)
 	}
 }
 
+// corruptPayloads are block payloads of width 1 that a compact codec
+// reader must refuse. Those flagged as one tuple whose stats are its own
+// are refused by readStats too, which reads that tuple.
+var corruptPayloads = map[string][]byte{
+	"truncated int varint":         {flagTupleStats, 1, 0x02, 0x80},
+	"truncated count varint":       {flagCounts | flagTupleStats, 1, 0x80},
+	"string length past payload":   {flagTupleStats, 1, 0x04, 5, 'a', 'b'},
+	"unknown value tag":            {flagTupleStats, 1, 0x09},
+	"unknown tag beside a header":  {0, 2, 0x01, 0x07},
+	"one-tuple flag on two tuples": {flagTupleStats, 2, 0x01, 0x01},
+	"header beside one-tuple flag": {flagStats | flagTupleStats, 1, 1, 1, 0, 0x01},
+	"unknown flag":                 {0x08, 1, 0x01},
+	"truncated header float":       {flagStats, 2, 2, 1, 1, 1, 0x00, 0x00, 0x01, 0x01},
+	"stats valid byte not 0 or 1":  {flagStats, 2, 2, 1, 2, 0x01, 0x01},
+}
+
+// TestDecodeBlockCorruptPayloads: every corrupt payload is errCorruptBlock
+// to the decoder, full or pruned, and to readStats when it carries stats.
+func TestDecodeBlockCorruptPayloads(t *testing.T) {
+	for name, data := range corruptPayloads {
+		for _, cols := range [][]int{nil, {}} {
+			if _, _, _, err := decodeBlock(data, 1, cols, true); !errors.Is(err, errCorruptBlock) {
+				t.Errorf("%s, columns %v: err = %v, want %v", name, cols, err, errCorruptBlock)
+			}
+		}
+		if data[0]&(flagStats|flagTupleStats) == 0 {
+			continue
+		}
+		if ok, err := readStats(data, 1, &BlockStats{}); !errors.Is(err, errCorruptBlock) {
+			t.Errorf("%s: readStats = %v, %v, want %v", name, ok, err, errCorruptBlock)
+		}
+	}
+}
+
+// fuzzValues are the values fuzzBlock draws from by index: the edges of
+// both codecs.
+var fuzzValues = []relation.Value{
+	relation.Null(),
+	relation.Int(0), relation.Int(-1), relation.Int(1 << 53), relation.Int(1<<53 + 1), relation.Int(-(1<<53 + 1)),
+	relation.Int(math.MinInt64), relation.Int(math.MaxInt64),
+	relation.Float(math.Copysign(0, -1)), relation.Float(0), relation.Float(0.5),
+	relation.Float(1<<53 + 2), relation.Float(-(1<<53 + 2)), relation.Float(math.Inf(1)), relation.Float(math.NaN()),
+	relation.String(""), relation.String("\x00"), relation.String("a\x00b"),
+}
+
+// fuzzBlock builds a block of tuples width values wide from data: per
+// value a byte picks a kind — one of fuzzValues, an int or float from the
+// next 8 bytes, or a string of up to 7 next bytes — until data runs out or
+// the block holds 64 rows. With compress, equal tuples share a
+// multiplicity.
+func fuzzBlock(data []byte, width int, compress bool) *Block {
+	next := func(n int) []byte {
+		var b [8]byte
+		copy(b[:], data[:min(n, len(data))])
+		data = data[min(n, len(data)):]
+		return b[:n]
+	}
+	b := &Block{}
+	for rows := 0; len(data) > 0 && rows < 64; rows++ {
+		t := make(relation.Tuple, width)
+		for i := range t {
+			switch k := next(1)[0]; k % 4 {
+			case 0:
+				t[i] = fuzzValues[int(k/4)%len(fuzzValues)]
+			case 1:
+				t[i] = relation.Int(int64(binary.LittleEndian.Uint64(next(8))))
+			case 2:
+				t[i] = relation.Float(math.Float64frombits(binary.LittleEndian.Uint64(next(8))))
+			default:
+				t[i] = relation.String(string(next(int(k/4) % 8)))
+			}
+		}
+		b.Add(t, compress)
+	}
+	return b
+}
+
+// sameStats reports whether two stats agree bit for bit: rows, and per
+// attribute validity and, when valid, the bits of min, max and sum.
+func sameStats(a, b *BlockStats) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.Rows != b.Rows || len(a.Attrs) != len(b.Attrs) {
+		return false
+	}
+	for i, x := range a.Attrs {
+		y := b.Attrs[i]
+		if x.Valid != y.Valid || x.Valid && (math.Float64bits(x.Min) != math.Float64bits(y.Min) ||
+			math.Float64bits(x.Max) != math.Float64bits(y.Max) || math.Float64bits(x.Sum) != math.Float64bits(y.Sum)) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkRoundTrip stores blk through the store's segment encoder and holds
+// what comes back to it: the same tuples bit for bit, the same
+// multiplicities, a pruned decode that agrees with the full one, and stats
+// — from the decoder and from readStats, merged over the segments as a scan
+// merges them — bit-identical to ComputeStats of each segment, merged.
+func checkRoundTrip(t *testing.T, blk *Block, width int, cols []int, opts Options) {
+	t.Helper()
+	if len(blk.Tuples) == 0 {
+		return // the store writes no empty block: zero segments is a tombstone
+	}
+	var enc segEncoder
+	enc.encode(blk, width, opts)
+	segments := func() [][]byte {
+		var segs [][]byte
+		enc.segments(func(_ uint32, v []byte) { segs = append(segs, v) })
+		if err := stripSegHeader(segs); err != nil {
+			t.Fatal(err)
+		}
+		return segs
+	}
+	var want *BlockStats
+	if opts.Stats {
+		for lo := 0; lo < len(blk.Tuples); lo += opts.SegmentThreshold {
+			hi := min(lo+opts.SegmentThreshold, len(blk.Tuples))
+			part := Block{Tuples: blk.Tuples[lo:hi]}
+			if blk.Counts != nil {
+				part.Counts = blk.Counts[lo:hi]
+			}
+			if st := part.ComputeStats(width); want == nil {
+				want = st
+			} else {
+				want.Merge(st)
+			}
+		}
+	}
+	got, stats, _, err := decodeSegs(segments(), width, nil, true)
+	if err != nil {
+		t.Fatalf("decode of an encoded block: %v", err)
+	}
+	if len(got.Tuples) != len(blk.Tuples) || (got.Counts == nil) != (blk.Counts == nil) {
+		t.Fatalf("%d tuples (counts %v), encoded %d (counts %v)", len(got.Tuples), got.Counts != nil, len(blk.Tuples), blk.Counts != nil)
+	}
+	for i, tup := range blk.Tuples {
+		if string(relation.AppendCompactTuple(nil, got.Tuples[i])) != string(relation.AppendCompactTuple(nil, tup)) {
+			t.Fatalf("tuple %d = %v, encoded %v", i, got.Tuples[i], tup)
+		}
+		if blk.Counts != nil && got.Counts[i] != blk.Counts[i] {
+			t.Fatalf("tuple %d: multiplicity %d, encoded %d", i, got.Counts[i], blk.Counts[i])
+		}
+	}
+	if !sameStats(stats, want) {
+		t.Fatalf("decoded stats %+v, computed %+v", stats, want)
+	}
+	var read *BlockStats
+	for i, seg := range segments() {
+		var st BlockStats
+		ok, err := readStats(seg, width, &st)
+		if err != nil || ok != opts.Stats {
+			t.Fatalf("readStats of segment %d = %v, %v; stats kept: %v", i, ok, err, opts.Stats)
+		}
+		if !ok {
+			continue
+		}
+		if i == 0 {
+			read = &st
+		} else {
+			read.Merge(&st)
+		}
+	}
+	if !sameStats(read, want) {
+		t.Fatalf("readStats %+v, computed %+v", read, want)
+	}
+	checkPruned(t, segments(), width, cols)
+}
+
 // FuzzDecodeBlock: no payload makes the decoder panic, and on every payload
 // a pruned decode is the projection of the full one with the same
-// accounting size (see checkPruned). mask picks the columns.
+// accounting size (see checkPruned). mask picks the columns. The input
+// also builds a block (fuzzBlock) of 1 to 6 columns that must survive the
+// store's encoder (checkRoundTrip); mask's top bits pick compression, the
+// stats and the segment threshold.
 func FuzzDecodeBlock(f *testing.F) {
 	for _, compress := range []bool{false, true} {
 		b, width := wideBlock(9, compress)
 		f.Add(EncodeBlock(b, nil, width), uint8(width), uint16(0b0000_1010_0000_0100))
 		f.Add(EncodeBlock(b, b.ComputeStats(width), width), uint8(width), uint16(0))
+		one := &Block{Tuples: b.Tuples[:1]}
+		f.Add(EncodeBlock(one, one.ComputeStats(width), width), uint8(width), uint16(0b0111_0000_0000_0110))
 	}
 	esc := &Block{Tuples: []relation.Tuple{{relation.String("a\x00b"), relation.Null(), relation.String("")}}}
 	f.Add(EncodeBlock(esc, nil, 3), uint8(3), uint16(0b101))
 	f.Add([]byte{flagCounts | flagStats, 0xff, 0xff, 0xff, 0xff, 0x0f}, uint8(1), uint16(1))
+	for _, data := range corruptPayloads {
+		f.Add(data, uint8(1), uint16(0b1100_0000_0000_0001))
+	}
+	// Every edge value, one per tuple and all in one, at a threshold of 1.
+	var edges []byte
+	for i := range fuzzValues {
+		edges = append(edges, byte(4*i))
+	}
+	f.Add(edges, uint8(0), uint16(0b1001_0000_0000_0000))
+	f.Add(edges, uint8(5), uint16(0b1101_0000_0000_0000))
 	f.Fuzz(func(t *testing.T, data []byte, width uint8, mask uint16) {
 		w := int(width % 17)
 		cols := []int{}
@@ -137,10 +325,20 @@ func FuzzDecodeBlock(f *testing.F) {
 				cols = append(cols, c)
 			}
 		}
-		checkPruned(t, data, w, cols)
+		checkPruned(t, [][]byte{data}, w, cols)
 		if blk, stats, err := DecodeBlock(data, w); err == nil && stats != nil && stats.Rows != blk.Rows() {
 			t.Fatalf("stats say %d rows, block has %d", stats.Rows, blk.Rows())
 		}
+		w = w%6 + 1
+		thresholds := []int{1, 2, 3, 4096}
+		opts := Options{Compress: mask&(1<<15) != 0, Stats: mask&(1<<14) == 0, SegmentThreshold: thresholds[mask>>12&3]}
+		keep := []int{}
+		for c := 0; c < w; c++ {
+			if mask&(1<<c) != 0 {
+				keep = append(keep, c)
+			}
+		}
+		checkRoundTrip(t, fuzzBlock(data, w, opts.Compress), w, keep, opts)
 	})
 }
 
@@ -249,5 +447,69 @@ func BenchmarkDecodeBlock(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// vehicleFullBlock is a block of MOT's vehicle_full instance: one VEHICLE
+// row's twelve value attributes, the shape of most blocks a point read
+// fetches.
+func vehicleFullBlock() (*Block, int) {
+	t := relation.Tuple{
+		relation.String("FORD"), relation.String("FORD-M017"), relation.String("PETROL"), relation.String("SILVER"),
+		relation.Int(2004), relation.Int(1600), relation.String("LONDON"), relation.Int(1240), relation.Int(5),
+		relation.Int(142), relation.String("BAND-C"), relation.String("2004-03-17"),
+	}
+	return &Block{Tuples: []relation.Tuple{t}}, len(t)
+}
+
+// BenchmarkBlockCodec is the block codec end to end on a one-tuple
+// vehicle_full block and a 64-tuple, 14-wide block, both with stats:
+// encode through the store's segment encoder, decode every column, decode
+// the three columns a typical index_scan plan reads, and read the stats
+// alone as a header walk does.
+func BenchmarkBlockCodec(b *testing.B) {
+	one, oneWidth := vehicleFullBlock()
+	wide, wideWidth := wideBlock(64, true)
+	for _, c := range []struct {
+		name  string
+		blk   *Block
+		width int
+		cols  []int
+	}{{"vehicle_full", one, oneWidth, []int{0, 4, 6}}, {"64x14", wide, wideWidth, []int{2, 9, 11}}} {
+		opts := DefaultOptions()
+		var enc segEncoder
+		enc.encode(c.blk, c.width, opts)
+		payload := enc.buf[len(binary.AppendUvarint(nil, 1)):]
+		b.Run(c.name+"/encode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				enc.encode(c.blk, c.width, opts)
+			}
+			b.SetBytes(int64(len(enc.buf)))
+		})
+		for _, d := range []struct {
+			name string
+			cols []int
+		}{{"decode", nil}, {"pruned", c.cols}} {
+			b.Run(c.name+"/"+d.name, func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(len(payload)))
+				for i := 0; i < b.N; i++ {
+					if _, _, _, err := decodeBlock(payload, c.width, d.cols, d.cols == nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		b.Run(c.name+"/readStats", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(payload)))
+			var st BlockStats
+			for i := 0; i < b.N; i++ {
+				if ok, err := readStats(payload, c.width, &st); !ok || err != nil {
+					b.Fatal(ok, err)
+				}
+			}
+		})
 	}
 }

@@ -736,8 +736,9 @@ func (c *Commit) Close() {
 }
 
 // segEncoder encodes blocks into their segment payloads — at most the
-// segment threshold of stored tuples each, with its statistics header when
-// the store keeps them, segment 0 led by the segment-count header — back to
+// segment threshold of stored tuples each, with its statistics when the
+// store keeps them (a header, or for one tuple the flag that says its
+// stats are its own), segment 0 led by the segment-count header — back to
 // back into one buffer it reuses from one block to the next, with the
 // scratch segment and statistics that go into it. Map loads every block
 // through one and a commit encodes its new versions through one.

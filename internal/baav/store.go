@@ -500,13 +500,15 @@ func (st *Store) scanBlocks(name string, scan func(prefix []byte, visit func(k, 
 }
 
 // HeaderBlock is one block as ScanStatsT walks it. The walk reuses it, and
-// every slice in it, for the next block.
+// every slice in it, for the next block: the attribute slices grow once to
+// the instance's width.
 type HeaderBlock struct {
 	// Key is the block key's order-preserving encoding: the key attributes'
 	// values, none of them decoded.
 	Key []byte
-	// Stats is the block's statistics header, merged over its segments; nil
-	// when a segment carries none.
+	// Stats is the block's statistics, merged over its segments: each
+	// segment's header, or a one-tuple segment's tuple (see the block
+	// layout); nil when a segment carries none.
 	Stats *BlockStats
 
 	segs         [][]byte
@@ -539,7 +541,7 @@ func (st *Store) ScanStatsT(kvt *obs.KV, name string, fn func(h *HeaderBlock) bo
 			if i > 0 {
 				into = &h.other
 			}
-			ok, err := readStats(payload, into)
+			ok, err := readStats(payload, width, into)
 			if err != nil {
 				return false, err
 			}

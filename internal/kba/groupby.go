@@ -45,7 +45,7 @@ func (g *groupTable) groupEncoded(enc []byte) ([]ra.AggState, error) {
 	if fresh {
 		at := len(g.keys)
 		g.keys = slices.Grow(g.keys, g.nkeys)[:at+g.nkeys]
-		if _, _, err := relation.DecodeColumns(g.keys[at:], enc, g.nkeys, nil); err != nil {
+		if _, err := relation.DecodeInto(g.keys[at:], enc); err != nil {
 			return nil, err
 		}
 	}

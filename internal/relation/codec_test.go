@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
@@ -239,13 +240,13 @@ func TestSkipMatchesDecode(t *testing.T) {
 	}
 }
 
-// TestQuickDecodeColumns: whatever columns are taken, DecodeColumns returns
-// the projection of the whole row, consumes the whole row's bytes and
-// reports the whole row's accounting size — strings with escaped zero bytes
-// and empty column lists included.
+// TestQuickDecodeColumns: whatever columns are taken, DecodeCompactColumns
+// returns the projection of the whole row, consumes the whole row's bytes
+// and reports the whole row's accounting size — strings with zero bytes and
+// empty column lists included.
 func TestQuickDecodeColumns(t *testing.T) {
 	f := func(p tuplePair, mask uint8) bool {
-		enc := append(EncodeTuple(p.A), 0xAB) // trailing byte: nothing may rely on exhaustion
+		enc := append(AppendCompactTuple(nil, p.A), 0xAB) // trailing byte: nothing may rely on exhaustion
 		cols := []int{}
 		for c := range p.A {
 			if mask&(1<<c) != 0 {
@@ -258,7 +259,7 @@ func TestQuickDecodeColumns(t *testing.T) {
 				want = p.A.Project(take)
 			}
 			got := make(Tuple, len(want))
-			n, size, err := DecodeColumns(got, enc, len(p.A), take)
+			n, size, err := DecodeCompactColumns(got, enc, len(p.A), take)
 			if err != nil || n != len(enc)-1 || size != p.A.SizeBytes() || !got.Equal(want) {
 				t.Logf("row %v columns %v: got %v, %d bytes, size %d, err %v", p.A, take, got, n, size, err)
 				return false
@@ -271,9 +272,9 @@ func TestQuickDecodeColumns(t *testing.T) {
 	}
 	// A skipped value is still checked: corruption is reported whether or
 	// not the column it sits in is read.
-	bad := append(EncodeTuple(Tuple{Int(1)}), tagString, 'a', 0x00, 0x77)
+	bad := append(AppendCompactTuple(nil, Tuple{Int(1)}), tagString, 5, 'a')
 	for _, take := range [][]int{nil, {0}, {1}, {}} {
-		if _, _, err := DecodeColumns(make(Tuple, 2), bad, 2, take); err == nil {
+		if _, _, err := DecodeCompactColumns(make(Tuple, 2), bad, 2, take); err == nil {
 			t.Fatalf("columns %v of a row with a corrupt string decoded", take)
 		}
 	}
@@ -296,5 +297,125 @@ func TestDecodeStringAllocatesOnce(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("SkipValue: %v allocations, want 0", n)
+	}
+}
+
+// TestQuickCompactRoundTrip: CompactNumber agrees with AsFloat on every
+// value of a compact row, bit for bit, and steps over exactly the row;
+// the edge values of every kind decode to themselves.
+func TestQuickCompactRoundTrip(t *testing.T) {
+	f := func(p tuplePair) bool {
+		enc := append(AppendCompactTuple(nil, p.A), 0xAB)
+		off := 0
+		for _, v := range p.A {
+			f, numeric, n, err := CompactNumber(enc[off:])
+			isNum := v.Kind == KindInt || v.Kind == KindFloat
+			if err != nil || numeric != isNum || isNum && math.Float64bits(f) != math.Float64bits(v.AsFloat()) {
+				t.Logf("CompactNumber(%v) = %v, %v, %v", v, f, numeric, err)
+				return false
+			}
+			off += n
+		}
+		return off == len(enc)-1
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []Value{Int(math.MinInt64), Int(math.MaxInt64), Int(-1), Float(math.Copysign(0, -1)),
+		Float(math.NaN()), String(""), String("\x00"), String("a\x00b"), Null()} {
+		got, n, err := DecodeCompactTuple(AppendCompactValue(nil, v), 1)
+		if err != nil || n != len(AppendCompactValue(nil, v)) || !bytes.Equal(AppendCompactTuple(nil, got), AppendCompactValue(nil, v)) {
+			t.Fatalf("round trip %v -> %v (%d bytes, %v)", v, got, n, err)
+		}
+	}
+}
+
+// TestCompactCorrupt: a truncated varint, a string running past the input
+// and an unknown tag are corruption, read or stepped over.
+func TestCompactCorrupt(t *testing.T) {
+	for _, b := range [][]byte{
+		{},
+		{tagInt},
+		{tagInt, 0x80},
+		{tagInt, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, // overflows 64 bits
+		{tagFloat, 1, 2, 3},
+		{tagString, 3, 'a', 'b'},
+		{tagString, 0x80},
+		{0x09},
+	} {
+		for _, take := range [][]int{nil, {}} {
+			if _, _, err := DecodeCompactColumns(make(Tuple, 1), b, 1, take); err == nil {
+				t.Errorf("columns %v of %v decoded", take, b)
+			}
+		}
+		if _, _, _, err := CompactNumber(b); err == nil {
+			t.Errorf("CompactNumber(%v) did not fail", b)
+		}
+	}
+}
+
+// TestCompactFloat: a statistic comes back bit for bit — −0, NaN, ±Inf and
+// the integers either side of 2⁵³ included — and costs one or two bytes
+// when it is a small integer.
+func TestCompactFloat(t *testing.T) {
+	for _, f := range []float64{0, math.Copysign(0, -1), 1, -1, 0.5, 63, -64, 1 << 53, -(1 << 53), 1<<53 + 2, -(1<<53 + 2),
+		math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN()} {
+		enc := AppendCompactFloat(nil, f)
+		var got [1]float64
+		n, err := DecodeCompactFloats(got[:], append(enc, 0xAB))
+		if err != nil || n != len(enc) || math.Float64bits(got[0]) != math.Float64bits(f) {
+			t.Fatalf("%v: decoded %v, %d of %d bytes, %v", f, got, n, len(enc), err)
+		}
+		if f == math.Trunc(f) && math.Abs(f) < 32 && !math.Signbit(f) && len(enc) != 1 {
+			t.Fatalf("%v takes %d bytes", f, len(enc))
+		}
+	}
+	for _, b := range [][]byte{{}, {0x80}, {3}, {1, 0, 0}, binary.AppendUvarint(nil, (1<<54+2)<<1)} {
+		if _, err := DecodeCompactFloats(make([]float64, 1), b); err == nil {
+			t.Fatalf("DecodeCompactFloats(%v) did not fail", b)
+		}
+	}
+}
+
+// observationRow is one row of MOT's OBSERVATION relation, 15 values wide.
+var observationRow = Tuple{
+	Int(104217), Int(37), Int(20842), String("2009-07-14"), Int(64), String("N"), Int(2),
+	String("DRY"), Int(17), String("LONDON"), Int(131), Int(0), Int(3), Int(4), String("MOTORWAY"),
+}
+
+// BenchmarkTupleCodec encodes and decodes one OBSERVATION row in each codec:
+// the order-preserving one keys use, the compact one blocks use.
+func BenchmarkTupleCodec(b *testing.B) {
+	codecs := []struct {
+		name   string
+		encode func([]byte, Tuple) []byte
+		decode func(Tuple, []byte) (int, error)
+	}{
+		{"ordered", AppendTuple, func(dst Tuple, b []byte) (int, error) { return DecodeInto(dst, b) }},
+		{"compact", AppendCompactTuple, func(dst Tuple, b []byte) (int, error) {
+			n, _, err := DecodeCompactColumns(dst, b, len(dst), nil)
+			return n, err
+		}},
+	}
+	for _, c := range codecs {
+		enc := c.encode(nil, observationRow)
+		b.Run(c.name+"/encode", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(enc)))
+			buf := make([]byte, 0, len(enc))
+			for i := 0; i < b.N; i++ {
+				buf = c.encode(buf[:0], observationRow)
+			}
+		})
+		b.Run(c.name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(enc)))
+			dst := make(Tuple, len(observationRow))
+			for i := 0; i < b.N; i++ {
+				if _, err := c.decode(dst, enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -17,7 +17,9 @@ import (
 
 // Store is a TaaV store: each tuple of each relation is one KV pair whose
 // key is the relation id plus the tuple's primary key (or a synthetic row
-// id when the relation has no key), and whose value is the whole tuple.
+// id when the relation has no key), and whose value is the whole tuple. As
+// in a BaaV block, the key is in the order-preserving codec and the value
+// in the compact one, so the two layouts compare on layout, not codec.
 type Store struct {
 	Cluster *kv.Cluster
 	Rels    map[string]*relation.Schema
@@ -101,7 +103,7 @@ func (s *Store) Insert(rel string, t relation.Tuple) error {
 	if err != nil {
 		return err
 	}
-	s.Cluster.Put(key, relation.EncodeTuple(t))
+	s.Cluster.Put(key, relation.AppendCompactTuple(nil, t))
 	return nil
 }
 
@@ -131,7 +133,7 @@ func (s *Store) Get(rel string, pk relation.Tuple) (relation.Tuple, bool, error)
 	if !found {
 		return nil, false, nil
 	}
-	t, _, err := relation.DecodeTuple(data, len(schema.Attrs))
+	t, _, err := relation.DecodeCompactTuple(data, len(schema.Attrs))
 	if err != nil {
 		return nil, false, err
 	}
@@ -149,7 +151,7 @@ func (s *Store) Scan(rel string, fn func(relation.Tuple) bool) error {
 	binary.BigEndian.PutUint32(prefix, s.ids[rel])
 	var scanErr error
 	s.Cluster.Scan(prefix, func(_, v []byte) bool {
-		t, _, err := relation.DecodeTuple(v, len(schema.Attrs))
+		t, _, err := relation.DecodeCompactTuple(v, len(schema.Attrs))
 		if err != nil {
 			scanErr = err
 			return false
@@ -170,7 +172,7 @@ func (s *Store) ScanNode(node int, rel string, fn func(relation.Tuple) bool) err
 	binary.BigEndian.PutUint32(prefix, s.ids[rel])
 	var scanErr error
 	s.Cluster.ScanNode(node, prefix, func(_, v []byte) bool {
-		t, _, err := relation.DecodeTuple(v, len(schema.Attrs))
+		t, _, err := relation.DecodeCompactTuple(v, len(schema.Attrs))
 		if err != nil {
 			scanErr = err
 			return false
