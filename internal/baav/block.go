@@ -479,7 +479,7 @@ func tupleStats(data []byte, width int, mult int64, st *BlockStats) error {
 		a := AttrStats{}
 		if numeric {
 			a = AttrStats{Valid: true, Min: f, Max: f}
-			a.Sum += f * float64(mult)
+			a.Sum += f * float64(mult) // from +0, as statsInto sums: a −0 value sums to +0
 		}
 		st.Attrs[i] = a
 	}
