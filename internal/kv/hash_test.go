@@ -356,7 +356,10 @@ var benchSink []byte
 // BenchmarkHashEngineGetPut is the hash engine's point operations over 10⁵
 // merged keys: a get that hits and one that misses, a put of a new key and
 // one overwriting a stored key, and a delete. The put-new and delete cases
-// rebuild the engine, untimed, every 10⁵ operations.
+// rebuild the engine, untimed, every 10⁵ operations. delete/after-puts is
+// one delete after an untimed burst of puts, over 10⁴ and 10⁵ merged keys,
+// as MVCC reclaim deletes between commits: the delete folds the pending puts
+// into the sorted ids and splices them, so its ns/op grows with the keys.
 func BenchmarkHashEngineGetPut(b *testing.B) {
 	const n = 100_000
 	keys := make([][]byte, 2*n) // even keys are stored, odd keys never are
@@ -364,15 +367,15 @@ func BenchmarkHashEngineGetPut(b *testing.B) {
 		keys[i] = hashKey(i)
 	}
 	val := []byte("a value of about the size of a posting")
-	fill := func() *hashEngine {
+	fillN := func(size int) *hashEngine {
 		e := newHashEngine()
-		for i := 0; i < n; i++ {
+		for i := 0; i < size; i++ {
 			e.Put(keys[2*i], val)
 		}
 		e.mergePending()
 		return e
 	}
-	e := fill()
+	e := fillN(n)
 	b.Run("get/hit", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -398,7 +401,7 @@ func BenchmarkHashEngineGetPut(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if i%n == 0 {
 					b.StopTimer()
-					e = fill()
+					e = fillN(n)
 					b.StartTimer()
 				}
 				op(e, i*7919%n)
@@ -407,6 +410,25 @@ func BenchmarkHashEngineGetPut(b *testing.B) {
 	}
 	b.Run("put/new", rounds(func(e *hashEngine, i int) { e.Put(keys[2*i+1], val) }))
 	b.Run("delete", rounds(func(e *hashEngine, i int) { e.Delete(keys[2*i]) }))
+	const burst = 16
+	for _, size := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("delete/after-puts/%dk", size/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			var e *hashEngine
+			for i := 0; i < b.N; i++ {
+				j := i % (size / burst)
+				b.StopTimer()
+				if j == 0 {
+					e = fillN(size)
+				}
+				for k := range burst {
+					e.Put(keys[2*(j*burst+k)+1], val)
+				}
+				b.StartTimer()
+				e.Delete(keys[2*(j*7919%size)])
+			}
+		})
+	}
 }
 
 // BenchmarkHashEngineRange is a range walk of the hash engine with 10⁵ keys

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"zidian/internal/golden"
 	"zidian/internal/relation"
 	"zidian/internal/server"
 	"zidian/internal/server/client"
@@ -167,10 +167,8 @@ func renderValues(vs []relation.Value) string {
 // TestStatementTextHeld: for every input, the plan-cache key and lifted
 // values stmtKey derives and the statistics template and kinds AnonymizeSQL
 // derives from them are what testdata/statement_text.txt holds, byte for
-// byte. With the file absent, the test records it and fails, so a change to
-// it is reviewed.
+// byte (internal/golden records it when absent).
 func TestStatementTextHeld(t *testing.T) {
-	const golden = "testdata/statement_text.txt"
 	var b strings.Builder
 	for _, in := range statementTextInputs(t) {
 		key, lifted := server.StmtKey(in.src, in.params)
@@ -182,25 +180,7 @@ func TestStatementTextHeld(t *testing.T) {
 		fmt.Fprintf(&b, "%q %s\n  key %q lifted %s\n  template %q kinds %v\n",
 			in.src, renderValues(in.params), key, renderValues(lifted), tmpl, kinds)
 	}
-	want, err := os.ReadFile(golden)
-	if os.IsNotExist(err) {
-		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Fatalf("recorded %s: review it and run again", golden)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := b.String(); got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := range min(len(gl), len(wl)) {
-			if gl[i] != wl[i] {
-				t.Fatalf("statement text moved at line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("statement text moved: %d lines, want %d", len(gl), len(wl))
-	}
+	golden.Check(t, "testdata/statement_text.txt", b.String())
 }
 
 // vehicleRow is an INSERT of one VEHICLE row under a fresh id, with make

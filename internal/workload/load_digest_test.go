@@ -5,11 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"os"
 	"strings"
 	"testing"
 
 	"zidian/internal/baav"
+	"zidian/internal/golden"
 	"zidian/internal/index"
 	"zidian/internal/kv"
 	"zidian/internal/relation"
@@ -157,28 +157,7 @@ func writeNodeDigests(b *strings.Builder, cell string, cluster *kv.Cluster) {
 // TestLoadDigestsHeld: generating mot, tpch and airca at scale 2 and loading
 // each onto every engine at one and four nodes produces, byte for byte, the
 // relations, stored pairs, instance statistics and index postings that
-// testdata/load_digests.txt holds. With the file absent, the test records it
-// and fails, so a change to it is reviewed.
+// testdata/load_digests.txt holds (internal/golden records it when absent).
 func TestLoadDigestsHeld(t *testing.T) {
-	const golden = "testdata/load_digests.txt"
-	got := loadDigests(t)
-	want, err := os.ReadFile(golden)
-	if os.IsNotExist(err) {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Fatalf("recorded %s: review it and run again", golden)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := range min(len(gl), len(wl)) {
-			if gl[i] != wl[i] {
-				t.Fatalf("load digests moved at line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("load digests moved: %d lines, want %d", len(gl), len(wl))
-	}
+	golden.Check(t, "testdata/load_digests.txt", loadDigests(t))
 }
