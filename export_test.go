@@ -6,16 +6,13 @@ import (
 	"zidian/internal/kba"
 )
 
-// Fixtures of the in-package differential suites, for the external test
+// The grid and the fixtures of the in-package tests, for the external test
 // package (zidian_test), which may import the serving layer where this
 // package's own tests cannot.
 var (
-	RangeSuite    = rangeSuite
-	ScatterSuite  = scatterSuite
-	RangeSuiteDDL = rangeSuiteDDL
-	RangeEngines  = rangeEngines
-	RangeItemsDB  = rangeItemsDB
-	RenderResult  = renderResult
+	EachCell     = eachCell
+	GridEngines  = gridEngines
+	RenderResult = renderResult
 )
 
 // UnresolvedCopy rebuilds a plan tree from its nodes' exported fields

@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"zidian"
 	"zidian/internal/obs"
 	"zidian/internal/server"
 	sqlpkg "zidian/internal/sql"
-	"zidian/internal/workload"
 )
 
 // checkLifted runs one SELECT three ways — compiled from its literal text
@@ -75,57 +75,23 @@ func checkLifted(t *testing.T, inst *zidian.Instance, srv *server.Server, label,
 	return true
 }
 
-// TestDifferentialLiftedVsLiteral covers every SELECT of the three workload
-// suites, the range suite and the scatter suite, on all three kv engines,
-// the ITEM suites both before and after their indexes exist.
+// TestDifferentialLiftedVsLiteral covers every literal query of the grid
+// (the suites without their ranged indexes), on all three kv engines at four
+// nodes and four workers.
 func TestDifferentialLiftedVsLiteral(t *testing.T) {
-	lifted, total := 0, 0
-	check := func(inst *zidian.Instance, srv *server.Server, label, sql string) {
-		t.Helper()
-		total++
-		if checkLifted(t, inst, srv, label, sql) {
-			lifted++
-		}
-	}
-	for _, eng := range zidian.RangeEngines {
-		for _, name := range []string{"mot", "airca", "tpch"} {
-			w, err := workload.Generate(name, workload.Spec{Scale: 0.1, Seed: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			inst, err := zidian.Open(w.DB, w.Schema, zidian.Options{Engine: eng, Nodes: 4, Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := server.New(inst, server.Config{})
-			for _, q := range w.Queries {
-				check(inst, srv, eng+"/"+name+"/"+q.Name, q.SQL)
-			}
-			srv.Shutdown(context.Background())
-		}
-
-		db, bv := zidian.RangeItemsDB(t)
-		inst, err := zidian.Open(db, bv, zidian.Options{Engine: eng, Nodes: 4, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := server.New(inst, server.Config{})
-		items := append(append([]string{}, zidian.RangeSuite...), zidian.ScatterSuite...)
-		for _, sql := range items {
-			check(inst, srv, eng+"/item/scan", sql)
-		}
-		for _, ddl := range zidian.RangeSuiteDDL {
-			if _, err := srv.Exec(context.Background(), ddl); err != nil {
-				t.Fatal(err)
+	var lifted, total atomic.Int64
+	zidian.EachCell(t, []int{4}, []int{4}, false, func(t *testing.T, c *zidian.GridCell) {
+		srv := server.New(c.Inst, server.Config{})
+		defer srv.Shutdown(context.Background())
+		for _, q := range c.Queries {
+			total.Add(1)
+			if checkLifted(t, c.Inst, srv, c.String()+": "+q.Name, q.SQL) {
+				lifted.Add(1)
 			}
 		}
-		for _, sql := range items {
-			check(inst, srv, eng+"/item/indexed", sql)
-		}
-		srv.Shutdown(context.Background())
-	}
-	t.Logf("%d of %d statements had equality literals to lift", lifted, total)
-	if lifted*4 < total {
-		t.Fatalf("only %d of %d statements were lifted: the suites no longer exercise the lift", lifted, total)
+	})
+	t.Logf("%d of %d statements had equality literals to lift", lifted.Load(), total.Load())
+	if lifted.Load()*4 < total.Load() {
+		t.Fatalf("only %d of %d statements were lifted: the suites no longer exercise the lift", lifted.Load(), total.Load())
 	}
 }

@@ -14,7 +14,7 @@ func TestRangeLimitPushdown(t *testing.T) {
 	const q = "select I.item_id, I.qty from ITEM I where I.sku between 'SKU-00050' and 'SKU-00149' limit 8"
 	const full = "select I.item_id, I.qty from ITEM I where I.sku between 'SKU-00050' and 'SKU-00149'"
 	var reference string
-	for _, eng := range rangeEngines {
+	for _, eng := range gridEngines {
 		db, bv := rangeItemsDB(t)
 		inst, err := Open(db, bv, Options{Engine: eng, Nodes: 4, Workers: 4})
 		if err != nil {

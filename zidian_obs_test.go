@@ -24,7 +24,7 @@ var obsSuite = []string{
 // delta, per op kind, on all three storage engines. Run under -race this
 // also exercises concurrent trace recording through the parallel executor.
 func TestAnalyzeTraceMatchesClusterDelta(t *testing.T) {
-	for _, eng := range rangeEngines {
+	for _, eng := range gridEngines {
 		db, bv := rangeItemsDB(t)
 		inst, err := Open(db, bv, Options{Engine: eng, Nodes: 4, Workers: 4})
 		if err != nil {
@@ -67,7 +67,7 @@ var kvOpsRe = regexp.MustCompile(`kv_ops=(\d+)`)
 // per plan line — headline, annotated tree, totals — and the totals line's
 // kv-op count matches the cluster delta for the statement.
 func TestExplainAnalyzeStatement(t *testing.T) {
-	for _, eng := range rangeEngines {
+	for _, eng := range gridEngines {
 		db, bv := rangeItemsDB(t)
 		inst, err := Open(db, bv, Options{Engine: eng, Nodes: 4, Workers: 4})
 		if err != nil {

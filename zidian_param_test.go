@@ -1,12 +1,10 @@
 package zidian
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
 	sqlpkg "zidian/internal/sql"
-	"zidian/internal/workload"
 )
 
 // paramize rewrites a literal SQL query into its `?` template: every
@@ -51,70 +49,9 @@ func renderResult(res *Result) string {
 	var b strings.Builder
 	b.WriteString(strings.Join(res.Cols, ",") + "\n")
 	for _, row := range res.Rows {
-		for i, v := range row {
-			if i > 0 {
-				b.WriteByte('|')
-			}
-			fmt.Fprintf(&b, "%d:%s", v.Kind, v.String())
-		}
-		b.WriteByte('\n')
+		b.WriteString(renderRow(row) + "\n")
 	}
 	return b.String()
-}
-
-// TestDifferentialLiteralVsParameterized runs every query of the three
-// workload suites both literal-inlined and as a bound `?` template and
-// requires byte-identical results: parameterized execution must be
-// indistinguishable from recompiling with the literals inlined.
-func TestDifferentialLiteralVsParameterized(t *testing.T) {
-	for _, name := range []string{"mot", "airca", "tpch"} {
-		t.Run(name, func(t *testing.T) {
-			w, err := workload.Generate(name, workload.Spec{Scale: 0.1, Seed: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			inst, err := Open(w.DB, w.Schema, Options{Nodes: 4, Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, q := range w.Queries {
-				tmpl, params := paramize(t, q.SQL)
-				litRes, litStats, err := inst.Query(q.SQL)
-				if err != nil {
-					t.Fatalf("%s literal: %v", q.Name, err)
-				}
-				p, err := inst.Prepare(tmpl)
-				if err != nil {
-					t.Fatalf("%s template %q: %v", q.Name, tmpl, err)
-				}
-				if p.NumParams() != len(params) {
-					t.Fatalf("%s: template has %d slots, extracted %d literals", q.Name, p.NumParams(), len(params))
-				}
-				parRes, parStats, err := p.Run(params...)
-				if err != nil {
-					t.Fatalf("%s bound: %v", q.Name, err)
-				}
-				if got, want := renderResult(parRes), renderResult(litRes); got != want {
-					t.Fatalf("%s: results differ\ntemplate %s\nliteral:\n%s\nparameterized:\n%s",
-						q.Name, tmpl, want, got)
-				}
-				// The access-path classification must be decided by the
-				// template's shape alone, matching the literal plan.
-				if litStats.ScanFree != parStats.ScanFree {
-					t.Fatalf("%s: scanFree literal=%v parameterized=%v", q.Name, litStats.ScanFree, parStats.ScanFree)
-				}
-				// Re-binding different values must not leak state: run again
-				// with the same values and expect the same answer.
-				again, _, err := p.Run(params...)
-				if err != nil {
-					t.Fatalf("%s re-run: %v", q.Name, err)
-				}
-				if renderResult(again) != renderResult(litRes) {
-					t.Fatalf("%s: second bound run differs", q.Name)
-				}
-			}
-		})
-	}
 }
 
 // TestPreparedTemplateReuse checks the core promise: one compiled template

@@ -9,11 +9,7 @@ import (
 	"zidian/internal/kba"
 	"zidian/internal/parallel"
 	"zidian/internal/ra"
-	sqlpkg "zidian/internal/sql"
-	"zidian/internal/workload"
 )
-
-var rangeEngines = []string{"hash", "lsm", "sorted"}
 
 // rangeItemsDB builds the ITEM fixture: 800 rows, 200 distinct skus (fan 4),
 // 50 distinct qtys (fan 16), 200 distinct prices (fan 4), pk-keyed full
@@ -72,84 +68,13 @@ var rangeSuiteDDL = []string{
 	"create index ix_item_price on ITEM(price)",
 }
 
-// TestDifferentialRangeSuite runs every range query four ways — forced full
-// scan (no indexes) and index-served, each literal-inlined and with
-// parameterized bounds — on all three kv engines, and requires byte-identical
-// results across all twelve combinations.
-func TestDifferentialRangeSuite(t *testing.T) {
-	for qi, src := range rangeSuite {
-		var reference string
-		var refLabel string
-		check := func(label string, res *Result) {
-			t.Helper()
-			got := renderResult(res)
-			if reference == "" {
-				reference, refLabel = got, label
-				return
-			}
-			if got != reference {
-				t.Fatalf("q%d %q:\n%s differs from %s\n--- %s\n%s--- %s\n%s",
-					qi, src, label, refLabel, refLabel, reference, label, got)
-			}
-		}
-		for _, eng := range rangeEngines {
-			db, bv := rangeItemsDB(t)
-			inst, err := Open(db, bv, Options{Engine: eng, Nodes: 4, Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tmpl, params := paramize(t, src)
-
-			// Forced full scan: no index exists yet.
-			scanRes, scanStats, err := inst.Query(src)
-			if err != nil {
-				t.Fatalf("q%d scan on %s: %v", qi, eng, err)
-			}
-			if strings.Contains(scanStats.Plan, "IndexRange") {
-				t.Fatalf("q%d: IndexRange before CREATE INDEX on %s", qi, eng)
-			}
-			check(eng+"/scan/literal", scanRes)
-			p, err := inst.Prepare(tmpl)
-			if err != nil {
-				t.Fatalf("q%d scan template %q: %v", qi, tmpl, err)
-			}
-			scanPar, _, err := p.Run(params...)
-			if err != nil {
-				t.Fatalf("q%d scan bound on %s: %v", qi, eng, err)
-			}
-			check(eng+"/scan/params", scanPar)
-
-			// Index-served: same statements after DDL.
-			for _, ddl := range rangeSuiteDDL {
-				if _, err := inst.Exec(ddl); err != nil {
-					t.Fatal(err)
-				}
-			}
-			idxRes, _, err := inst.Query(src)
-			if err != nil {
-				t.Fatalf("q%d index on %s: %v", qi, eng, err)
-			}
-			check(eng+"/index/literal", idxRes)
-			p2, err := inst.Prepare(tmpl)
-			if err != nil {
-				t.Fatalf("q%d index template: %v", qi, err)
-			}
-			idxPar, _, err := p2.Run(params...)
-			if err != nil {
-				t.Fatalf("q%d index bound on %s: %v", qi, eng, err)
-			}
-			check(eng+"/index/params", idxPar)
-		}
-	}
-}
-
 // TestRangeBoundedWalk asserts the access-path change is real, not just
 // plan text: Explain reports index-range, and the store's scan-next metrics
 // confirm the walk visits the matched posting lists instead of the
 // instance.
 func TestRangeBoundedWalk(t *testing.T) {
 	const q = "select I.item_id, I.qty from ITEM I where I.sku between 'SKU-00100' and 'SKU-00109'"
-	for _, eng := range rangeEngines {
+	for _, eng := range gridEngines {
 		db, bv := rangeItemsDB(t)
 		inst, err := Open(db, bv, Options{Engine: eng, Nodes: 4, Workers: 4})
 		if err != nil {
@@ -298,7 +223,7 @@ func TestIndexTrafficCounted(t *testing.T) {
 func TestRangeSpansBufferedSortedWrites(t *testing.T) {
 	const q = "select I.item_id, I.sku from ITEM I where I.sku between 'SKU-90000' and 'SKU-90009'"
 	var reference string
-	for _, eng := range rangeEngines {
+	for _, eng := range gridEngines {
 		db, bv := rangeItemsDB(t)
 		inst, err := Open(db, bv, Options{Engine: eng, Nodes: 2, Workers: 2})
 		if err != nil {
@@ -343,111 +268,6 @@ func TestRangeSpansBufferedSortedWrites(t *testing.T) {
 	}
 }
 
-// TestDifferentialWorkloadRangeQueries runs every workload-suite query that
-// carries a range predicate — scan vs indexed (indexes created on each
-// ranged attribute), literal vs parameterized — across all three engines,
-// requiring byte-identical results.
-func TestDifferentialWorkloadRangeQueries(t *testing.T) {
-	for _, name := range []string{"mot", "airca", "tpch"} {
-		t.Run(name, func(t *testing.T) {
-			w, err := workload.Generate(name, workload.Spec{Scale: 0.1, Seed: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Find the suite's range queries and the (relation, attribute)
-			// pairs their range conjuncts touch.
-			type rq struct {
-				name, sql string
-			}
-			var rqs []rq
-			ddl := map[string]string{}
-			for _, q := range w.Queries {
-				ast, err := sqlpkg.Parse(q.SQL)
-				if err != nil {
-					t.Fatalf("%s: %v", q.Name, err)
-				}
-				ranged := false
-				for _, p := range ast.Where {
-					switch p.Op {
-					case sqlpkg.OpLt, sqlpkg.OpLe, sqlpkg.OpGt, sqlpkg.OpGe:
-					default:
-						continue
-					}
-					if p.Lit == nil {
-						continue
-					}
-					ranged = true
-					rel := p.Left.Table
-					for _, ref := range ast.From {
-						if ref.Alias == p.Left.Table {
-							rel = ref.Name
-						}
-					}
-					key := rel + "." + p.Left.Name
-					ddl[key] = fmt.Sprintf("create index ix_%s_%s on %s(%s)",
-						strings.ToLower(rel), strings.ToLower(p.Left.Name), rel, p.Left.Name)
-				}
-				if ranged {
-					rqs = append(rqs, rq{q.Name, q.SQL})
-				}
-			}
-			if len(rqs) == 0 {
-				t.Fatalf("workload %s has no range queries to exercise", name)
-			}
-			for _, q := range rqs {
-				tmpl, params := paramize(t, q.sql)
-				var reference, refLabel string
-				check := func(label string, res *Result) {
-					t.Helper()
-					got := renderResult(res)
-					if reference == "" {
-						reference, refLabel = got, label
-						return
-					}
-					if got != reference {
-						t.Fatalf("%s: %s differs from %s\n--- %s\n%s--- %s\n%s",
-							q.name, label, refLabel, refLabel, reference, label, got)
-					}
-				}
-				for _, eng := range rangeEngines {
-					w2, err := workload.Generate(name, workload.Spec{Scale: 0.1, Seed: 1})
-					if err != nil {
-						t.Fatal(err)
-					}
-					inst, err := Open(w2.DB, w2.Schema, Options{Engine: eng, Nodes: 4, Workers: 4})
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, _, err := inst.Query(q.sql)
-					if err != nil {
-						t.Fatalf("%s scan on %s: %v", q.name, eng, err)
-					}
-					check(eng+"/scan", res)
-					for _, stmt := range ddl {
-						if _, err := inst.Exec(stmt); err != nil {
-							t.Fatalf("%s: %q: %v", q.name, stmt, err)
-						}
-					}
-					res2, _, err := inst.Query(q.sql)
-					if err != nil {
-						t.Fatalf("%s indexed on %s: %v", q.name, eng, err)
-					}
-					check(eng+"/indexed", res2)
-					p, err := inst.Prepare(tmpl)
-					if err != nil {
-						t.Fatalf("%s template %q: %v", q.name, tmpl, err)
-					}
-					res3, _, err := p.Run(params...)
-					if err != nil {
-						t.Fatalf("%s bound on %s: %v", q.name, eng, err)
-					}
-					check(eng+"/indexed/params", res3)
-				}
-			}
-		})
-	}
-}
-
 // TestRangeKindMismatchLiterals: literal predicate values whose numeric
 // kind differs from the indexed column's must still answer identically on
 // the key-encoded access paths. Compare treats int/float numerically, but
@@ -475,7 +295,7 @@ func TestRangeKindMismatchLiterals(t *testing.T) {
 		// Lossy float equality matches nothing — on every path.
 		{"select I.item_id from ITEM I where I.qty = 44.5", 0, ""},
 	}
-	for _, eng := range rangeEngines {
+	for _, eng := range gridEngines {
 		db, bv := rangeItemsDB(t)
 		inst, err := Open(db, bv, Options{Engine: eng, Nodes: 4, Workers: 4})
 		if err != nil {

@@ -8,13 +8,11 @@ import (
 	"zidian/internal/baav"
 )
 
-// The placement differential suite: the scattered per-node read pipelines
-// (scan fan-in, posting heap merge, batched routed gets) must answer every
-// query byte-identically to the single-node layout, on every engine, for
-// every node count — node count is placement, never semantics. Run under
-// -race in CI.
-
-var scatterTestNodes = []int{1, 2, 4, 8}
+// The placement suite: the scattered per-node read pipelines (scan fan-in,
+// posting heap merge, batched routed gets) must answer every query as the
+// single-node layout does, on every engine, for every node count — node
+// count is placement, never semantics. The grid (grid_test.go) runs
+// scatterSuite in every cell.
 
 // scatterSuite covers every scattered access path: whole-instance scans
 // (node-contiguous fan-in), pk point reads and index lookups (batched routed
@@ -29,68 +27,6 @@ var scatterSuite = []string{
 	"select I.sku, I.item_id from ITEM I where I.sku between 'SKU-00010' and 'SKU-00014' order by I.sku, I.item_id limit 5",
 	"select COUNT(*), SUM(I.qty), MIN(I.price), MAX(I.sku) from ITEM I",
 	"select COUNT(*), MIN(I.item_id) from ITEM I where I.price between 12 and 14",
-}
-
-// TestDifferentialScatterNodeCounts pins the reference at one node (where
-// scatter degenerates to the serial walk) and requires every other node
-// count, engine, and plan shape (scan vs index-served, literal vs bound) to
-// reproduce it byte for byte.
-func TestDifferentialScatterNodeCounts(t *testing.T) {
-	refs := make([]string, len(scatterSuite))
-	refLabels := make([]string, len(scatterSuite))
-	check := func(qi int, label string, res *Result) {
-		t.Helper()
-		got := renderResult(res)
-		if refs[qi] == "" {
-			refs[qi], refLabels[qi] = got, label
-			return
-		}
-		if got != refs[qi] {
-			t.Fatalf("q%d %q:\n%s differs from %s\n--- %s\n%s--- %s\n%s",
-				qi, scatterSuite[qi], label, refLabels[qi], refLabels[qi], refs[qi], label, got)
-		}
-	}
-	for _, eng := range rangeEngines {
-		for _, nodes := range scatterTestNodes {
-			db, bv := rangeItemsDB(t)
-			inst, err := Open(db, bv, Options{Engine: eng, Nodes: nodes, Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("%s/%dn", eng, nodes)
-
-			for qi, src := range scatterSuite {
-				res, _, err := inst.Query(src)
-				if err != nil {
-					t.Fatalf("q%d scan on %s: %v", qi, label, err)
-				}
-				check(qi, label+"/scan", res)
-			}
-			for _, ddl := range rangeSuiteDDL {
-				if _, err := inst.Exec(ddl); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for qi, src := range scatterSuite {
-				res, _, err := inst.Query(src)
-				if err != nil {
-					t.Fatalf("q%d indexed on %s: %v", qi, label, err)
-				}
-				check(qi, label+"/indexed", res)
-
-				tmpl, params := paramize(t, src)
-				p, err := inst.Prepare(tmpl)
-				if err != nil {
-					t.Fatalf("q%d template %q: %v", qi, tmpl, err)
-				}
-				bound, _, err := p.Run(params...)
-				if err != nil {
-					t.Fatalf("q%d bound on %s: %v", qi, label, err)
-				}
-				check(qi, label+"/indexed/params", bound)
-			}
-		}
-	}
 }
 
 // scatterMVCCInstance is a smaller ITEM fixture (200 rows) so every node's
@@ -165,10 +101,10 @@ func scatterCollect(t *testing.T, inst *Instance, mid func()) string {
 // Node count 1 is excluded: the degenerate single-node walk runs inline
 // under the node's read lock, so a writer cannot commit mid-scan at all —
 // pausing for one there would deadlock by design, and its differential
-// coverage comes from TestDifferentialScatterNodeCounts.
+// coverage comes from the grid (TestGolden).
 func TestScatterMidScanCommitMVCC(t *testing.T) {
-	for _, eng := range rangeEngines {
-		for _, nodes := range scatterTestNodes {
+	for _, eng := range gridEngines {
+		for _, nodes := range gridNodes {
 			if nodes == 1 {
 				continue
 			}

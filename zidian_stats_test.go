@@ -43,7 +43,7 @@ func TestStatsAggregatesMatchReference(t *testing.T) {
 			}
 			wants[i].Sort()
 		}
-		for _, eng := range zidian.RangeEngines {
+		for _, eng := range zidian.GridEngines {
 			for _, nodes := range []int{1, 4} {
 				for _, workers := range []int{1, 4} {
 					inst, err := zidian.Open(w.DB, w.Schema, zidian.Options{Engine: eng, Nodes: nodes, Workers: workers})
