@@ -6,6 +6,7 @@
 package golden
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,10 +37,18 @@ func Check(t testing.TB, path, got string) {
 		t.Fatal(err)
 		return
 	}
-	if got == string(want) {
-		return
+	if err := Compare(path, got, string(want)); err != nil {
+		t.Fatalf("%v", err)
 	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+}
+
+// Compare returns nil if got is want, and otherwise an error that names the
+// first line that differs, its number and its cell; name names want.
+func Compare(name, got, want string) error {
+	if got == want {
+		return nil
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
 	i := 0
 	for i < len(gl) && i < len(wl) && gl[i] == wl[i] {
 		i++
@@ -57,5 +66,5 @@ func Check(t testing.TB, path, got string) {
 			break
 		}
 	}
-	t.Fatalf("%s moved at line %d (cell %s):\n got %s\nwant %s", path, i+1, cell, line(gl), line(wl))
+	return fmt.Errorf("%s moved at line %d (cell %s):\n got %s\nwant %s", name, i+1, cell, line(gl), line(wl))
 }
