@@ -3,7 +3,6 @@ package zidian
 import (
 	"crypto/sha256"
 	"fmt"
-	"os"
 	"slices"
 	"strconv"
 	"strings"
@@ -48,87 +47,38 @@ type goldenForm struct {
 // without ORDER BY may answer any LIMIT rows of it); within a cell, the
 // template answers exactly the literal's rows and has its scan-free label.
 // No plan uses an index before the DDL that creates it. A plan labelled
-// scan-free steps no scan in its trace. The differential and held tests
-// below each hold one slice of this run.
-func TestGolden(t *testing.T) {
-	g := runGrid(t)
-	g.expect(t, "", everyQuery, checkReference, checkTemplate, checkIndexBeforeDDL, checkScanFree)
-	golden.Check(t, goldenPath, g.text())
+// scan-free steps no scan in its trace.
+func TestGolden(t *testing.T) { runGrid(t).verify(t) }
+
+// The differential and held tests the grid replaced keep their names, each
+// TestGolden's whole check of the grid's last run in this process.
+func TestDifferentialWorkerCounts(t *testing.T)           { recordedGrid(t).verify(t) }
+func TestDifferentialScatterNodeCounts(t *testing.T)      { recordedGrid(t).verify(t) }
+func TestDifferentialRangeSuite(t *testing.T)             { recordedGrid(t).verify(t) }
+func TestDifferentialWorkloadRangeQueries(t *testing.T)   { verifyPerSuite(t) }
+func TestDifferentialLiteralVsParameterized(t *testing.T) { verifyPerSuite(t) }
+func TestSuitePlansAnalyzeHeld(t *testing.T)              { recordedGrid(t).verify(t) }
+func TestServingTemplatesHoldTheirCounts(t *testing.T)    { recordedGrid(t).verify(t) }
+func TestServingTemplatesAnalyzeHeld(t *testing.T)        { recordedGrid(t).verify(t) }
+func TestMakeCountsAnalyzeHeld(t *testing.T)              { recordedGrid(t).verify(t) }
+
+// verifyPerSuite makes the check under the per-suite subtests the two
+// workload-suite differentials had.
+func verifyPerSuite(t *testing.T) {
+	for _, name := range []string{"mot", "airca", "tpch"} {
+		t.Run(name, func(t *testing.T) { recordedGrid(t).verify(t) })
+	}
 }
 
-const goldenPath = "testdata/golden.txt"
-
-// A check is one of the explicit checks each cell's run makes beside its
-// record.
-type check int
-
-const (
-	checkReference      check = iota // every answer is the reference evaluator's
-	checkTemplate                    // the template answers the literal's rows, with its scan-free label
-	checkIndexBeforeDDL              // no plan uses an index before the DDL
-	checkScanFree                    // a plan labelled scan-free steps no scan
-)
-
-// cellRecord is what the run of one grid cell recorded.
-type cellRecord struct {
-	cell     GridCell // its coordinates; no instance or queries
-	text     string   // its lines of testdata/golden.txt
-	queries  []queryRecord
-	findings []finding
-}
-
-// queryRecord is what one query of a cell answered.
-type queryRecord struct {
-	name     string
-	rows     [32]byte // SHA-256 of the literal form's rows, sorted
-	indexed  bool     // its literal plan uses an index
-	template bool     // it also ran as a bound template
-}
-
-// finding is a failed check of one query of a cell.
-type finding struct {
-	check check
-	query string
-	msg   string
-}
-
-func (r *cellRecord) fail(chk check, query, format string, args ...any) {
-	r.findings = append(r.findings, finding{chk, query, fmt.Sprintf(format, args...)})
-}
-
-// gridRun is one run of every cell of the grid.
+// gridRun is one run of every cell of the grid: the text of
+// testdata/golden.txt, and every explicit check that failed.
 type gridRun struct {
-	parts map[string][]*cellRecord // by dataset and engine, each in cell order
+	text     string
+	failures []string
 }
 
 // lastGrid is the last complete run of the grid in this process.
 var lastGrid atomic.Pointer[gridRun]
-
-// runGrid runs every cell of the grid once, recording each cell's
-// canonical form and every failed check.
-func runGrid(t *testing.T) *gridRun {
-	t.Helper()
-	g := &gridRun{parts: map[string][]*cellRecord{}}
-	var mu sync.Mutex
-	eachCell(t, gridNodes, gridWorkers, true, func(t *testing.T, c *GridCell) {
-		rec := &cellRecord{cell: GridCell{Dataset: c.Dataset, Indexed: c.Indexed, Engine: c.Engine, Nodes: c.Nodes, Workers: c.Workers}}
-		if c.phase.forms == nil {
-			c.phase.forms = compileForms(t, c, rec)
-		}
-		rec.text = golden.CellPrefix + c.String() + "\n" + cellCanonical(t, c, c.phase.forms, rec)
-		if !goldenFull(c) {
-			rec.text = fmt.Sprintf("%s%s sha256 %x\n", golden.CellPrefix, c, sha256.Sum256([]byte(rec.text)))
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		g.parts[c.Dataset+"/"+c.Engine] = append(g.parts[c.Dataset+"/"+c.Engine], rec)
-	})
-	if t.Failed() {
-		t.FailNow()
-	}
-	lastGrid.Store(g)
-	return g
-}
 
 // recordedGrid is the last run of the grid in this process, or a new one.
 func recordedGrid(t *testing.T) *gridRun {
@@ -139,294 +89,56 @@ func recordedGrid(t *testing.T) *gridRun {
 	return runGrid(t)
 }
 
-// cells returns the recorded cells that keep keeps, in the grid's order.
-func (g *gridRun) cells(keep func(*cellRecord) bool) []*cellRecord {
-	var out []*cellRecord
+// runGrid runs every cell of the grid once, recording each cell's
+// canonical form and every failed check.
+func runGrid(t *testing.T) *gridRun {
+	t.Helper()
+	g := &gridRun{}
+	var mu sync.Mutex
+	parts := map[string]string{} // by dataset and engine, one parallel subtest each
+	eachCell(t, gridNodes, gridWorkers, true, func(t *testing.T, c *GridCell) {
+		fail := func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			g.failures = append(g.failures, fmt.Sprintf("%s: ", c)+fmt.Sprintf(format, args...))
+		}
+		if c.phase.forms == nil {
+			c.phase.forms = compileForms(t, c, fail)
+		}
+		text := golden.CellPrefix + c.String() + "\n" + cellCanonical(t, c, c.phase.forms, fail)
+		if !goldenFull(c) {
+			text = fmt.Sprintf("%s%s sha256 %x\n", golden.CellPrefix, c, sha256.Sum256([]byte(text)))
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		parts[c.Dataset+"/"+c.Engine] += text
+	})
+	if t.Failed() {
+		t.FailNow()
+	}
 	for _, gd := range gridDatasets {
 		for _, eng := range gridEngines {
-			for _, rec := range g.parts[gd.name+"/"+eng] {
-				if keep(rec) {
-					out = append(out, rec)
-				}
-			}
+			g.text += parts[gd.name+"/"+eng]
 		}
 	}
-	return out
+	slices.Sort(g.failures) // the parallel subtests fail in any order
+	lastGrid.Store(g)
+	return g
 }
 
-// text is the golden text of every cell.
-func (g *gridRun) text() string {
-	var b strings.Builder
-	for _, rec := range g.cells(func(*cellRecord) bool { return true }) {
-		b.WriteString(rec.text)
-	}
-	return b.String()
-}
-
-// expect fails t with the first finding of the given checks among the
-// queries of dataset (every dataset if "") that keep keeps, and how many
-// there are.
-func (g *gridRun) expect(t *testing.T, dataset string, keep func(queryRecord) bool, checks ...check) {
+// verify fails t with the first of the run's failed checks, and unless its
+// text is what testdata/golden.txt holds.
+func (g *gridRun) verify(t *testing.T) {
 	t.Helper()
-	var failed []string
-	for _, rec := range g.cells(func(r *cellRecord) bool { return dataset == "" || r.cell.Dataset == dataset }) {
-		for _, f := range rec.findings {
-			i := slices.IndexFunc(rec.queries, func(q queryRecord) bool { return q.name == f.query })
-			if slices.Contains(checks, f.check) && keep(rec.queries[i]) {
-				failed = append(failed, fmt.Sprintf("%s: %s", &rec.cell, f.msg))
-			}
-		}
+	if len(g.failures) > 0 {
+		t.Errorf("%d failed checks; the first: %s", len(g.failures), g.failures[0])
 	}
-	if len(failed) > 0 {
-		t.Errorf("%d failed checks; the first: %s", len(failed), failed[0])
-	}
-}
-
-// sameRows fails t unless each query of dataset that keep keeps answers
-// the same rows, in any order, in every cell of both phases.
-func (g *gridRun) sameRows(t *testing.T, dataset string, keep func(queryRecord) bool) {
-	t.Helper()
-	cells := g.cells(func(r *cellRecord) bool { return r.cell.Dataset == dataset })
-	if len(cells) == 0 {
-		t.Fatalf("no %s cell recorded", dataset)
-	}
-	first, differ := cells[0], []string{}
-	for _, rec := range cells[1:] {
-		for i, q := range rec.queries {
-			if keep(q) && q.rows != first.queries[i].rows {
-				differ = append(differ, fmt.Sprintf("%s: %s answers other rows than in %s", &rec.cell, q.name, &first.cell))
-			}
-		}
-	}
-	if len(differ) > 0 {
-		t.Errorf("%d answers differ; the first: %s", len(differ), differ[0])
-	}
-}
-
-// held fails t unless the lines that keep keeps of every full cell of the
-// recorded grid that cell keeps are the lines testdata/golden.txt holds for
-// it. keep is given a line's query and form ("-- name form") and its block
-// (rows, stats, trace, explain or analyze).
-func (g *gridRun) held(t *testing.T, cell func(*cellRecord) bool, keep func(section, block string) bool) {
-	t.Helper()
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("%v: TestGolden records it", err)
-	}
-	wantCells := map[string]*strings.Builder{} // by cell
-	cur := &strings.Builder{}
-	for _, l := range strings.SplitAfter(string(want), "\n") {
-		if strings.HasPrefix(l, golden.CellPrefix) {
-			cur = &strings.Builder{}
-			wantCells[strings.TrimSuffix(strings.TrimPrefix(l, golden.CellPrefix), "\n")] = cur
-		}
-		cur.WriteString(l)
-	}
-	cells := g.cells(func(r *cellRecord) bool { return goldenFull(&r.cell) && cell(r) })
-	if len(cells) == 0 {
-		t.Fatal("no full cell of the grid to hold")
-	}
-	for _, rec := range cells {
-		got := heldLines(rec.text, keep)
-		if !strings.Contains(got, "\n-- ") {
-			t.Fatalf("%s holds no line to compare", &rec.cell)
-		}
-		w := wantCells[rec.cell.String()]
-		if w == nil {
-			t.Fatalf("%s holds no cell %s", goldenPath, &rec.cell)
-		}
-		if err := golden.Compare(goldenPath+"'s held lines", got, heldLines(w.String(), keep)); err != nil {
-			t.Error(err)
-		}
-	}
-}
-
-// heldLines is the cell line of a full cell's text and the lines of each
-// block keep keeps, each query's under its "-- name form" line.
-func heldLines(text string, keep func(section, block string) bool) string {
-	var b strings.Builder
-	section, heading, block := "", "", ""
-	for _, l := range strings.SplitAfter(text, "\n") {
-		switch {
-		case strings.HasPrefix(l, golden.CellPrefix):
-			b.WriteString(l)
-			continue
-		case strings.HasPrefix(l, "-- "):
-			section, heading = strings.TrimSuffix(l, "\n"), l
-			continue
-		case !strings.HasPrefix(l, "  "):
-			block, _, _ = strings.Cut(strings.TrimSuffix(l, "\n"), " ")
-		}
-		if keep(section, block) {
-			b.WriteString(heading + l)
-			heading = ""
-		}
-	}
-	return b.String()
-}
-
-// The tests below each hold one slice of the grid's run: its last run in
-// this process, or a run of their own when TestGolden has not made one.
-
-// everyQuery keeps every query.
-func everyQuery(queryRecord) bool { return true }
-
-// named keeps the queries whose name starts with prefix.
-func named(prefix string) func(queryRecord) bool {
-	return func(q queryRecord) bool { return strings.HasPrefix(q.name, prefix) }
-}
-
-var gridSuites = []string{"mot", "airca", "tpch"}
-
-// TestDifferentialWorkerCounts: the worker count is an execution axis,
-// never semantics. The grid runs every cell at workers 1, 2, 4 and 7 — the
-// workload suites with and without their ranged indexes, the ITEM suites
-// before and after theirs, the serving templates, on every engine and node
-// count — and every answer, literal and bound, is the reference
-// evaluator's.
-func TestDifferentialWorkerCounts(t *testing.T) {
-	g := recordedGrid(t)
-	all := g.cells(func(*cellRecord) bool { return true })
-	for _, workers := range gridWorkers {
-		if n := len(g.cells(func(r *cellRecord) bool { return r.cell.Workers == workers })); n*len(gridWorkers) != len(all) {
-			t.Errorf("%d of %d cells ran at %d workers", n, len(all), workers)
-		}
-	}
-	g.expect(t, "", everyQuery, checkReference)
-}
-
-// TestDifferentialScatterNodeCounts pins the scatter suite's rows in the
-// grid's first ITEM cell — one node, where scatter degenerates to the
-// serial walk — and requires every other node count, engine, worker count
-// and plan shape (scan vs index-served, literal vs bound) to reproduce
-// them byte for byte.
-func TestDifferentialScatterNodeCounts(t *testing.T) {
-	g := recordedGrid(t)
-	if first := g.cells(func(r *cellRecord) bool { return r.cell.Dataset == "item" })[0]; first.cell.Nodes != 1 {
-		t.Fatalf("the first ITEM cell is %s", &first.cell)
-	}
-	for _, nodes := range gridNodes {
-		for _, indexed := range []bool{false, true} {
-			if len(g.cells(func(r *cellRecord) bool {
-				return r.cell.Dataset == "item" && r.cell.Nodes == nodes && r.cell.Indexed == indexed
-			})) == 0 {
-				t.Errorf("no ITEM cell at %d nodes, indexed %t", nodes, indexed)
-			}
-		}
-	}
-	g.sameRows(t, "item", named("scatter"))
-	g.expect(t, "item", named("scatter"), checkReference, checkTemplate)
-}
-
-// TestDifferentialRangeSuite runs every range query four ways — full scan
-// (no indexes) and index-served, each literal-inlined and with bound `?`
-// values — in every ITEM cell of the grid, and requires the same rows from
-// all of them, the reference evaluator's. No plan uses an index before the
-// DDL; after it, some range query is index-served in every cell.
-func TestDifferentialRangeSuite(t *testing.T) {
-	g := recordedGrid(t)
-	g.sameRows(t, "item", named("range"))
-	g.expect(t, "item", named("range"), checkReference, checkTemplate, checkIndexBeforeDDL)
-	for _, rec := range g.cells(func(r *cellRecord) bool { return r.cell.Dataset == "item" && r.cell.Indexed }) {
-		if !slices.ContainsFunc(rec.queries, func(q queryRecord) bool { return named("range")(q) && q.indexed }) {
-			t.Errorf("%s: no range query is index-served", &rec.cell)
-		}
-	}
-}
-
-// TestDifferentialWorkloadRangeQueries runs every workload-suite query scan
-// vs indexed (suiteRangeDDL indexes each ranged attribute), literal vs
-// bound, in every cell of the grid: every answer is the reference
-// evaluator's, and with the indexes each query answers the rows it answers
-// without them in the hash engine's cell at the same node and worker
-// count.
-func TestDifferentialWorkloadRangeQueries(t *testing.T) {
-	g := recordedGrid(t)
-	for _, name := range gridSuites {
-		t.Run(name, func(t *testing.T) {
-			g.expect(t, name, everyQuery, checkReference, checkIndexBeforeDDL)
-			scans := map[string]*cellRecord{}
-			for _, rec := range g.cells(func(r *cellRecord) bool { return r.cell.Dataset == name && !r.cell.Indexed }) {
-				scans[rec.cell.String()] = rec
-			}
-			indexed := g.cells(func(r *cellRecord) bool { return r.cell.Dataset == name && r.cell.Indexed })
-			if len(indexed) != len(scans) {
-				t.Fatalf("%d %s cells ran with the indexes, %d without", len(indexed), name, len(scans))
-			}
-			for _, rec := range indexed {
-				scanCell := rec.cell
-				scanCell.Indexed, scanCell.Engine = false, "hash"
-				scan := scans[scanCell.String()]
-				for i, q := range rec.queries {
-					if q.rows != scan.queries[i].rows {
-						t.Errorf("%s: %s answers other rows than in %s", &rec.cell, q.name, &scanCell)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestDifferentialLiteralVsParameterized: every query of the three workload
-// suites runs literal-inlined and as a bound `?` template in every cell of
-// the grid, and the two answer the same rows with the same scan-free label:
-// parameterized execution is indistinguishable from recompiling with the
-// literals inlined.
-func TestDifferentialLiteralVsParameterized(t *testing.T) {
-	g := recordedGrid(t)
-	for _, name := range gridSuites {
-		t.Run(name, func(t *testing.T) {
-			cells := g.cells(func(r *cellRecord) bool { return r.cell.Dataset == name })
-			if len(cells) == 0 || !slices.ContainsFunc(cells[0].queries, func(q queryRecord) bool { return q.template }) {
-				t.Fatalf("no %s query ran as a template", name)
-			}
-			g.expect(t, name, everyQuery, checkTemplate)
-		})
-	}
-}
-
-// TestSuitePlansAnalyzeHeld: every mot, airca and tpch suite query at scale
-// 0.1, on the hash engine over four nodes at one worker and at four,
-// renders EXPLAIN ANALYZE (times masked), reads and ships the ExecStats and
-// answers the rows that testdata/golden.txt holds, line for line.
-func TestSuitePlansAnalyzeHeld(t *testing.T) {
-	recordedGrid(t).held(t, func(r *cellRecord) bool {
-		return slices.Contains(gridSuites, r.cell.Dataset) && !r.cell.Indexed
-	}, func(_, block string) bool { return block == "rows" || block == "stats" || block == "analyze" })
-}
-
-// TestServingTemplatesHoldTheirCounts: what the nine serving templates read
-// and ship at each binding — gets, blocks, values, scanned blocks, bytes,
-// shuffled bytes — and the rows they answer, at one worker and at four, are
-// what testdata/golden.txt holds.
-func TestServingTemplatesHoldTheirCounts(t *testing.T) {
-	recordedGrid(t).held(t, func(r *cellRecord) bool { return r.cell.Dataset == "serving" }, func(section, block string) bool {
-		return !strings.HasPrefix(section, "-- extra") && (block == "rows" || block == "stats")
-	})
-}
-
-// TestServingTemplatesAnalyzeHeld: EXPLAIN ANALYZE of the serving templates
-// at four workers, times masked, per binding and form, is line for line
-// what testdata/golden.txt holds: every operator keeps its span, rows,
-// worker fan-out, kv counts and columns.
-func TestServingTemplatesAnalyzeHeld(t *testing.T) {
-	recordedGrid(t).held(t, func(r *cellRecord) bool { return r.cell.Dataset == "serving" && r.cell.Workers == 4 }, func(section, block string) bool {
-		return !strings.HasPrefix(section, "-- extra") && block == "analyze"
-	})
-}
-
-// TestMakeCountsAnalyzeHeld: make_counts' walk of block statistics headers
-// and a γ over the same instance's scan (group by color) render EXPLAIN
-// ANALYZE as testdata/golden.txt holds it.
-func TestMakeCountsAnalyzeHeld(t *testing.T) {
-	recordedGrid(t).held(t, func(r *cellRecord) bool { return r.cell.Dataset == "serving" && r.cell.Workers == 4 }, func(section, block string) bool {
-		return (strings.HasPrefix(section, "-- make_counts[] ") || strings.HasPrefix(section, "-- extra00 ")) && block == "analyze"
-	})
+	golden.Check(t, "testdata/golden.txt", g.text)
 }
 
 // compileForms prepares and explains both forms of every query of the
 // cell; a query with no literal to bind has one.
-func compileForms(t *testing.T, c *GridCell, rec *cellRecord) [][]goldenForm {
+func compileForms(t *testing.T, c *GridCell, fail func(string, ...any)) [][]goldenForm {
 	t.Helper()
 	out := make([][]goldenForm, len(c.Queries))
 	for i, q := range c.Queries {
@@ -449,11 +161,11 @@ func compileForms(t *testing.T, c *GridCell, rec *cellRecord) [][]goldenForm {
 				f.headline = fmt.Sprintf("[%s] %s", c.Inst.planClass(f.p.info), f.p.info.Root)
 			}
 			if !c.Indexed && strings.Contains(f.explain, "Index") {
-				rec.fail(checkIndexBeforeDDL, q.Name, "%s: an index operator before the DDL:\n%s", q.Name, f.explain)
+				fail("%s: an index operator before the DDL:\n%s", q.Name, f.explain)
 			}
 		}
 		if f := out[i]; len(f) == 2 && f[0].p.info.ScanFree != f[1].p.info.ScanFree {
-			rec.fail(checkTemplate, q.Name, "%s: scan-free %t literal, %t as a template", q.Name, f[0].p.info.ScanFree, f[1].p.info.ScanFree)
+			fail("%s: scan-free %t literal, %t as a template", q.Name, f[0].p.info.ScanFree, f[1].p.info.ScanFree)
 		}
 	}
 	return out
@@ -471,22 +183,22 @@ func maskTimes(s string) string {
 }
 
 // cellCanonical runs both forms of every query of the cell once, checks
-// each answer into rec, and renders the cell's canonical form. A query with
+// each answer into fail, and renders the cell's canonical form. A query with
 // no literal to bind is its own template, and runs once.
-func cellCanonical(t *testing.T, c *GridCell, forms [][]goldenForm, rec *cellRecord) string {
+func cellCanonical(t *testing.T, c *GridCell, forms [][]goldenForm, fail func(string, ...any)) string {
 	t.Helper()
 	var b strings.Builder
 	for i, q := range c.Queries {
-		qr := queryRecord{name: q.Name, indexed: strings.Contains(forms[i][0].explain, "Index"), template: len(forms[i]) == 2}
+		var literalRows [32]byte // SHA-256 of the literal form's rows, sorted
 		for j, f := range forms[i] {
 			label := fmt.Sprintf("%s: %s %s", c, q.Name, f.name)
 			res, m, tr, nodes := runCell(t, c, f.p, f.params)
 			if err := checkAnswer(q, res); err != nil {
-				rec.fail(checkReference, q.Name, "%s %s: %v", q.Name, f.name, err)
+				fail("%s %s: %v", q.Name, f.name, err)
 			}
 			kvs := tr.KV.Snapshot()
 			if f.p.info.ScanFree && kvs.ScanNexts != 0 {
-				rec.fail(checkScanFree, q.Name, "%s %s: labelled scan-free, stepped %d scan nexts", q.Name, f.name, kvs.ScanNexts)
+				fail("%s %s: labelled scan-free, stepped %d scan nexts", q.Name, f.name, kvs.ScanNexts)
 			}
 
 			fmt.Fprintf(&b, "-- %s %s\n", q.Name, f.name)
@@ -496,10 +208,9 @@ func cellCanonical(t *testing.T, c *GridCell, forms [][]goldenForm, rec *cellRec
 			}
 			fmt.Fprintf(&b, "rows %d sha256 %x\n", len(rows), sha256.Sum256([]byte(strings.Join(rows, "\n"))))
 			if sum := sha256.Sum256([]byte(strings.Join(slices.Sorted(slices.Values(rows)), "\n"))); j == 0 {
-				qr.rows = sum
-				productArms.Store(c.String()+": "+q.Name, productArm{answerDigest(res), len(res.Rows), m.ExecStats})
-			} else if sum != qr.rows {
-				rec.fail(checkTemplate, q.Name, "%s answers other rows than the literal form", q.Name)
+				literalRows = sum
+			} else if sum != literalRows {
+				fail("%s answers other rows than the literal form", q.Name)
 			}
 			for _, r := range rows[:min(len(rows), 10)] { // the digest holds them all
 				b.WriteString("  " + r + "\n")
@@ -534,7 +245,6 @@ func cellCanonical(t *testing.T, c *GridCell, forms [][]goldenForm, rec *cellRec
 			}
 			b.WriteString("analyze\n" + analyze)
 		}
-		rec.queries = append(rec.queries, qr)
 	}
 	return b.String()
 }

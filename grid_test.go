@@ -1,11 +1,9 @@
 package zidian
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"runtime/debug"
 	"strings"
-	"sync"
 	"testing"
 
 	"zidian/internal/core"
@@ -79,42 +77,15 @@ func (c *GridCell) plan(t *testing.T, i int) *core.PlanInfo {
 	return plans[i]
 }
 
-// productArm is what parallel.RunKBA answers and counts for a cell's
-// literal plan: the arm the two-arm tests hold the executor's rewrites to.
-type productArm struct {
-	answer string // answerDigest of the rows in delivery order
-	rows   int
-	stats  kba.ExecStats
-}
-
-var productArms sync.Map // cell and query name → productArm
-
-// product runs the cell's i-th literal plan, or recalls the run TestGolden
-// or another two-arm test made of it.
-func (c *GridCell) product(t *testing.T, i int) productArm {
+// run runs info, the literal plan of one of the cell's queries or a rewrite
+// of it, at the cell's worker count on its store.
+func (c *GridCell) run(t *testing.T, info *core.PlanInfo) (*Result, kba.ExecStats) {
 	t.Helper()
-	key := c.String() + ": " + c.Queries[i].Name
-	if a, ok := productArms.Load(key); ok {
-		return a.(productArm)
-	}
-	res, m, err := parallel.RunKBA(c.plan(t, i), c.Inst.store, c.Workers)
+	res, m, err := parallel.RunKBA(info, c.Inst.store, c.Workers)
 	if err != nil {
-		t.Fatalf("%s: %v", key, err)
+		t.Fatalf("%s: %s: %v", c, info.Root, err)
 	}
-	a := productArm{answerDigest(res), len(res.Rows), m.ExecStats}
-	productArms.Store(key, a)
-	return a
-}
-
-// answerDigest is a SHA-256 of an answer's columns and rows, kinds
-// included, in delivery order.
-func answerDigest(res *Result) string {
-	h := sha256.New()
-	fmt.Fprintln(h, res.Cols)
-	for _, row := range res.Rows {
-		fmt.Fprintln(h, renderRow(row))
-	}
-	return string(h.Sum(nil))
+	return res, m.ExecStats
 }
 
 func (c *GridCell) String() string {

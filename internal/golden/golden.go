@@ -6,7 +6,6 @@
 package golden
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -37,18 +36,10 @@ func Check(t testing.TB, path, got string) {
 		t.Fatal(err)
 		return
 	}
-	if err := Compare(path, got, string(want)); err != nil {
-		t.Fatalf("%v", err)
+	if got == string(want) {
+		return
 	}
-}
-
-// Compare returns nil if got is want, and otherwise an error that names the
-// first line that differs, its number and its cell; name names want.
-func Compare(name, got, want string) error {
-	if got == want {
-		return nil
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 	i := 0
 	for i < len(gl) && i < len(wl) && gl[i] == wl[i] {
 		i++
@@ -66,5 +57,5 @@ func Compare(name, got, want string) error {
 			break
 		}
 	}
-	return fmt.Errorf("%s moved at line %d (cell %s):\n got %s\nwant %s", name, i+1, cell, line(gl), line(wl))
+	t.Fatalf("%s moved at line %d (cell %s):\n got %s\nwant %s", path, i+1, cell, line(gl), line(wl))
 }

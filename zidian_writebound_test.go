@@ -1,6 +1,7 @@
 package zidian
 
 import (
+	"fmt"
 	"testing"
 
 	"zidian/internal/obs"
@@ -19,32 +20,23 @@ func TestWriteCostIndependentOfSize(t *testing.T) {
 		"insert into TEST values (9000001, 900001, 1, '2011-06-01', 'PASS', 1000, 'CLASS-4', 45.0, 35, 0, 0, 0, 7, 'MI')",
 		"delete from TEST where test_id = 9000001",
 	}
-	cost := func(scale float64) []obs.KVSnapshot {
+	cost := func(scale float64) (out string) {
 		w := workload.MOT(workload.Spec{Scale: scale, Seed: 1})
 		inst, err := Open(w.DB, w.Schema, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out []obs.KVSnapshot
 		for _, src := range stmts {
 			tr := &obs.Trace{}
-			res, err := inst.ExecTraced(tr, src)
-			if err != nil {
-				t.Fatalf("scale %g: %q: %v", scale, src, err)
+			if res, err := inst.ExecTraced(tr, src); err != nil || res.Affected != 1 {
+				t.Fatalf("scale %g: %q: %v, or not one row affected", scale, src, err)
 			}
-			if res.Affected != 1 {
-				t.Fatalf("scale %g: %q affected %d rows", scale, src, res.Affected)
-			}
-			out = append(out, tr.KV.Snapshot())
+			kvs := tr.KV.Snapshot()
+			out += fmt.Sprintf("%q puts=%d deletes=%d bytes_written=%d\n", src, kvs.Puts, kvs.Deletes, kvs.BytesWritten)
 		}
 		return out
 	}
-	small, large := cost(0.2), cost(2)
-	for i, src := range stmts {
-		s, l := small[i], large[i]
-		if s.Puts != l.Puts || s.Deletes != l.Deletes || s.BytesWritten != l.BytesWritten {
-			t.Errorf("%q: scale 0.2 puts=%d deletes=%d bytes_written=%d, scale 2 puts=%d deletes=%d bytes_written=%d",
-				src, s.Puts, s.Deletes, s.BytesWritten, l.Puts, l.Deletes, l.BytesWritten)
-		}
+	if small, large := cost(0.2), cost(2); small != large {
+		t.Errorf("scale 0.2 writes\n%sscale 2 writes\n%s", small, large)
 	}
 }
