@@ -1132,22 +1132,17 @@ func (p *planner) applyAnchor(covered func(string) bool, fullOnly bool) bool {
 			if prev == nil && f.scanBased && !p.extendBeatsScan(f, s.Name) {
 				continue
 			}
-			// Output names must be fresh in the fragment.
-			collision := false
-			for _, v := range s.Val {
-				if f.has(atom.Alias + "." + v) {
-					collision = true
-					break
-				}
-			}
-			if collision {
-				continue
-			}
+			// A refinement fetches the one base tuple each row projects, so
+			// the values the fragment already holds are that tuple's own:
+			// the ∝ keeps only the new ones (kba's keepValues).
 			out := &kba.Extend{Input: f.plan, KV: s.Name, Alias: atom.Alias, KeyFrom: keyFrom}
 			f.plan = out
 			for _, v := range s.Val {
 				ref := ra.ColRef{Alias: atom.Alias, Attr: v}
 				name := ref.String()
+				if f.has(name) {
+					continue
+				}
 				f.attrs = append(f.attrs, name)
 				root := p.eq.Find(ref)
 				if _, ok := f.cols[root]; !ok {

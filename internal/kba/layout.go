@@ -176,16 +176,15 @@ func (l *layout) kept() int {
 
 // keepValues narrows a ∝ or scan layout, as derived with every value
 // attribute of the instance as its last width outputs, to the values named
-// in need.
+// in need, less those its input already carries: a ∝ that refines an atom
+// through a primary-key instance fetches again attributes of the tuple its
+// input row projects.
 func (l *layout) keepValues(need attrSet) {
-	if need == nil {
-		return
-	}
 	lead := len(l.attrs) - l.width
 	attrs := append([]string{}, l.attrs[:lead]...)
 	cols := []int{}
 	for i, a := range l.attrs[lead:] {
-		if need[a] {
+		if (need == nil || need[a]) && !slices.Contains(attrs[:lead], a) {
 			attrs = append(attrs, a)
 			cols = append(cols, i)
 		}

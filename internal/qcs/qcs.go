@@ -5,6 +5,8 @@ package qcs
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -175,8 +177,8 @@ func (d *Designer) Design(db *relation.Database, cfg Config) (*baav.Schema, *Rep
 	}
 	protected := make(map[string]bool)
 	if cfg.EnsurePreserving {
-		for relName, rel := range d.Rels {
-			if s, ok := fullSchema(relName, rel); ok {
+		for _, relName := range slices.Sorted(maps.Keys(d.Rels)) {
+			if s, ok := fullSchema(relName, d.Rels[relName]); ok {
 				add(s)
 				protected[s.Rel+"|"+strings.Join(s.Key, ",")] = true
 			}

@@ -160,8 +160,9 @@ func FuzzLift(f *testing.F) {
 }
 
 // TestPreparedKeyNormalizedOnce: the session keeps a prepared statement's
-// plan-cache key from prepare time, and execute — including its refresh
-// after DDL moved the epoch — reuses it instead of renormalizing the text.
+// plan-cache key and text from prepare time, and execute — including its
+// recompile after DDL moved the epoch — reuses the key instead of
+// renormalizing the text.
 func TestPreparedKeyNormalizedOnce(t *testing.T) {
 	inst, _, err := OpenWorkload("mot", 0.1, 7, 2, 2)
 	if err != nil {
@@ -174,7 +175,7 @@ func TestPreparedKeyNormalizedOnce(t *testing.T) {
 	if resp := srv.handle(sess, &Request{Op: "prepare", Name: "q", SQL: text}); !resp.OK {
 		t.Fatal(resp.Error)
 	}
-	_, key, ok := sess.Prepared("q")
+	key, _, ok := sess.Prepared("q")
 	if !ok || key != NormalizeSQL(text) {
 		t.Fatalf("session key = %q ok=%v, want %q", key, ok, NormalizeSQL(text))
 	}
@@ -193,12 +194,12 @@ func TestPreparedKeyNormalizedOnce(t *testing.T) {
 	if _, err := srv.Exec(context.Background(), "create index ix_make on VEHICLE(make)"); err != nil {
 		t.Fatal(err)
 	}
-	exec() // refreshes the plan under the stored key
-	p, key2, _ := sess.Prepared("q")
-	if key2 != key || p.Epoch() != inst.SchemaEpoch() {
-		t.Fatalf("after refresh: key %q (was %q), plan epoch %d vs %d", key2, key, p.Epoch(), inst.SchemaEpoch())
+	exec() // recompiles the plan under the stored key
+	key2, src, _ := sess.Prepared("q")
+	if key2 != key || src != text {
+		t.Fatalf("after DDL: key %q (was %q), text %q", key2, key, src)
 	}
-	if cached, ok := srv.Cache().Get(key); !ok || cached != p {
-		t.Fatal("the refreshed plan is not the cache's entry for the stored key")
+	if p, ok := srv.Cache().Get(key); !ok || p.Epoch() != inst.SchemaEpoch() {
+		t.Fatal("the stored key's cache entry was not recompiled at the current epoch")
 	}
 }

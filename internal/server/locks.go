@@ -2,17 +2,17 @@ package server
 
 import "sync"
 
-// The statement gate. Every statement passes one gate: SELECT, INSERT,
-// DELETE, plan compilation and plain EXPLAIN take it SHARED, and only DDL
-// (CREATE/DROP INDEX) takes it exclusive. Readers pin MVCC snapshots inside
+// The statement gate. Every statement passes one gate, in Server.serve:
+// SELECT, INSERT, DELETE, prepare and plain EXPLAIN take it SHARED, and
+// only DDL (CREATE/DROP INDEX) takes it exclusive. Readers pin MVCC snapshots inside
 // the instance and writers ride their relation's group committer, which
 // serializes conflicting writes itself, so the gate carries no isolation
 // between statements. DDL is the exception: index backfill reads the
 // relation's tuple slice and rewrites the posting space, so nothing may be
 // in flight — and with no statements in flight there are no pinned
-// snapshots to invalidate. The exclusive hold is also the window in which
-// the plan cache's epoch moves, which is why compilation captures the epoch
-// under a shared hold (see compileNorm).
+// snapshots to invalidate. A statement resolves its plan inside its own
+// shared hold, so DDL sent through the server never lands between a plan
+// and its run.
 //
 // The gate is a queue-fair (FIFO) readers-writer lock, not a sync.RWMutex:
 // arrivals are admitted strictly in order, with consecutive readers

@@ -195,7 +195,7 @@ func newServerObs(s *Server, cfg Config) *serverObs {
 	r.RegisterFunc("zidian_plan_cache_events_total",
 		"Plan cache activity, by event.", "counter", "event",
 		func() []obs.Sample {
-			st := s.cache.Stats()
+			st := s.Cache().Stats()
 			return []obs.Sample{
 				{Label: "hit", Value: float64(st.Hits)},
 				{Label: "miss", Value: float64(st.Misses)},
@@ -213,9 +213,9 @@ func newServerObs(s *Server, cfg Config) *serverObs {
 			return []obs.Sample{{Value: float64(s.cache.Len())}}
 		})
 	r.RegisterFunc("zidian_plan_cache_epoch",
-		"Current schema epoch of the plan cache.", "gauge", "",
+		"Schema epoch of the served instance; cached plans behind it are stale.", "gauge", "",
 		func() []obs.Sample {
-			return []obs.Sample{{Value: float64(s.cache.Epoch())}}
+			return []obs.Sample{{Value: float64(s.inst.SchemaEpoch())}}
 		})
 	r.RegisterFunc("zidian_kv_ops_total",
 		"KV operations served by the storage nodes, by op.", "counter", "op",

@@ -36,26 +36,19 @@ import (
 // evicts least-recently-used entries once it exceeds its share of the
 // capacity.
 //
-// Plans depend on the relational and BaaV schemas — fixed for the lifetime
-// of an opened instance — and on the secondary-index catalog, which DDL
-// mutates at runtime. The cache therefore carries a schema epoch: every
-// entry records the epoch it was compiled under, Invalidate advances the
-// epoch, and entries from older epochs are treated as misses and dropped on
-// access. Data maintenance (INSERT/DELETE) never invalidates plans; only
-// DDL does.
+// The cache does not judge what it holds. Whether a cached plan still fits
+// the catalog is the server's question, asked where it reads the cache (see
+// Server.cached), which drops an outdated entry with remove.
 type PlanCache struct {
 	shards []cacheShard
 	perCap int
-	epoch  atomic.Uint64
 
-	hits          atomic.Int64
-	paramsHits    atomic.Int64
-	liftedHits    atomic.Int64
-	literalHits   atomic.Int64
-	misses        atomic.Int64
-	evictions     atomic.Int64
-	invalidations atomic.Int64
-	stale         atomic.Int64
+	hits        atomic.Int64
+	paramsHits  atomic.Int64
+	liftedHits  atomic.Int64
+	literalHits atomic.Int64
+	misses      atomic.Int64
+	evictions   atomic.Int64
 }
 
 type cacheShard struct {
@@ -65,34 +58,8 @@ type cacheShard struct {
 }
 
 type cacheEntry struct {
-	key   string
-	plan  *zidian.Prepared
-	epoch uint64
-}
-
-// CacheStats is a point-in-time snapshot of cache effectiveness.
-type CacheStats struct {
-	Size      int     `json:"size"`
-	Capacity  int     `json:"capacity"`
-	Hits      int64   `json:"hits"`
-	Misses    int64   `json:"misses"`
-	Evictions int64   `json:"evictions"`
-	HitRate   float64 `json:"hitRate"`
-	// The three-way split of Hits by how the statement reached its entry:
-	// ParamsHits on a template the client parameterized itself, LiftedHits
-	// on a template the server derived by lifting the statement's equality
-	// literals (both kinds share entries: one plan serves every literal of a
-	// shape), LiteralHits on an entry keyed by literal text — the fallback,
-	// which only an exact-text repeat can hit. A lifted statement whose
-	// values the template rejects counts once, under its literal text.
-	ParamsHits  int64 `json:"paramsHits"`
-	LiftedHits  int64 `json:"liftedHits"`
-	LiteralHits int64 `json:"literalHits"`
-	// Epoch is the current schema epoch; Invalidations counts Invalidate
-	// calls and StaleDrops the entries discarded for trailing the epoch.
-	Epoch         uint64 `json:"epoch"`
-	Invalidations int64  `json:"invalidations"`
-	StaleDrops    int64  `json:"staleDrops"`
+	key  string
+	plan *zidian.Prepared
 }
 
 const defaultCacheShards = 16
@@ -119,24 +86,8 @@ func (c *PlanCache) shard(key string) *cacheShard {
 	return &c.shards[h.Sum32()%uint32(len(c.shards))]
 }
 
-// Epoch returns the cache's current schema epoch. Callers that compile
-// plans outside the cache's locks should capture the epoch before
-// compiling and hand it to PutAt, so a concurrent Invalidate marks the
-// entry stale rather than letting an outdated plan land under the new
-// epoch.
-func (c *PlanCache) Epoch() uint64 { return c.epoch.Load() }
-
-// Invalidate advances the schema epoch, logically flushing every cached
-// plan in O(1): entries compiled under older epochs read as misses and are
-// dropped when next touched. Serving layers call it after DDL.
-func (c *PlanCache) Invalidate() {
-	c.epoch.Add(1)
-	c.invalidations.Add(1)
-}
-
 // Get returns the cached plan for the normalized key, marking it most
-// recently used. Entries whose epoch trails the current schema epoch are
-// stale: they are removed and reported as misses.
+// recently used.
 func (c *PlanCache) Get(key string) (*zidian.Prepared, bool) {
 	plan, ok := c.lookup(key)
 	c.count(plan, ok, false)
@@ -148,7 +99,6 @@ func (c *PlanCache) Get(key string) (*zidian.Prepared, bool) {
 // template has accepted the lifted values, so a statement that falls back to
 // its literal text is counted once, by that text's lookup.
 func (c *PlanCache) lookup(key string) (*zidian.Prepared, bool) {
-	cur := c.epoch.Load()
 	s := c.shard(key)
 	s.mu.Lock()
 	el, ok := s.m[key]
@@ -156,19 +106,27 @@ func (c *PlanCache) lookup(key string) (*zidian.Prepared, bool) {
 		s.mu.Unlock()
 		return nil, false
 	}
-	e := el.Value.(*cacheEntry)
-	if e.epoch != cur {
-		s.lru.Remove(el)
-		delete(s.m, key)
-		s.mu.Unlock()
-		c.stale.Add(1)
-		return nil, false
-	}
 	s.lru.MoveToFront(el)
-	// Read under the lock: PutAt rewrites a live entry's plan in place.
-	plan := e.plan
+	// Read under the lock: Put rewrites a live entry's plan in place.
+	plan := el.Value.(*cacheEntry).plan
 	s.mu.Unlock()
 	return plan, true
+}
+
+// remove drops key's entry if it still holds plan, and reports whether it
+// did: of several statements that found the same outdated plan, one removes
+// it.
+func (c *PlanCache) remove(key string, plan *zidian.Prepared) bool {
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.m[key]
+	if !ok || el.Value.(*cacheEntry).plan != plan {
+		return false
+	}
+	s.lru.Remove(el)
+	delete(s.m, key)
+	return true
 }
 
 // count records one lookup's outcome; lifted attributes a hit to a template
@@ -189,30 +147,19 @@ func (c *PlanCache) count(plan *zidian.Prepared, hit, lifted bool) {
 	}
 }
 
-// Put stores a compiled plan under the normalized key at the current schema
-// epoch. Prefer PutAt when compilation happened outside the cache's locks.
+// Put stores a compiled plan (nil is a valid entry) under the normalized
+// key, evicting the shard's least-recently-used entry if it is full. Racing
+// Puts of the same key keep the latest plan.
 func (c *PlanCache) Put(key string, plan *zidian.Prepared) {
-	c.PutAt(key, plan, c.epoch.Load())
-}
-
-// PutAt stores a compiled plan under the normalized key, tagged with the
-// schema epoch the plan was compiled at, evicting the shard's
-// least-recently-used entry if it is full. Racing Puts of the same key keep
-// the latest plan; both compile to equivalent plans so either is correct.
-// A plan tagged with an old epoch is stored but reads as stale, so a DDL
-// racing a compilation can never resurrect an outdated plan.
-func (c *PlanCache) PutAt(key string, plan *zidian.Prepared, epoch uint64) {
 	s := c.shard(key)
 	s.mu.Lock()
 	if el, ok := s.m[key]; ok {
-		e := el.Value.(*cacheEntry)
-		e.plan = plan
-		e.epoch = epoch
+		el.Value.(*cacheEntry).plan = plan
 		s.lru.MoveToFront(el)
 		s.mu.Unlock()
 		return
 	}
-	s.m[key] = s.lru.PushFront(&cacheEntry{key: key, plan: plan, epoch: epoch})
+	s.m[key] = s.lru.PushFront(&cacheEntry{key: key, plan: plan})
 	var evicted int64
 	for s.lru.Len() > c.perCap {
 		oldest := s.lru.Back()
@@ -238,20 +185,18 @@ func (c *PlanCache) Len() int {
 	return n
 }
 
-// Stats snapshots hit/miss/eviction counters.
+// Stats snapshots hit/miss/eviction counters; the catalog fields are the
+// server's to fill (see ServerCache).
 func (c *PlanCache) Stats() CacheStats {
 	st := CacheStats{
-		Size:          c.Len(),
-		Capacity:      c.perCap * len(c.shards),
-		Hits:          c.hits.Load(),
-		ParamsHits:    c.paramsHits.Load(),
-		LiftedHits:    c.liftedHits.Load(),
-		LiteralHits:   c.literalHits.Load(),
-		Misses:        c.misses.Load(),
-		Evictions:     c.evictions.Load(),
-		Epoch:         c.epoch.Load(),
-		Invalidations: c.invalidations.Load(),
-		StaleDrops:    c.stale.Load(),
+		Size:        c.Len(),
+		Capacity:    c.perCap * len(c.shards),
+		Hits:        c.hits.Load(),
+		ParamsHits:  c.paramsHits.Load(),
+		LiftedHits:  c.liftedHits.Load(),
+		LiteralHits: c.literalHits.Load(),
+		Misses:      c.misses.Load(),
+		Evictions:   c.evictions.Load(),
 	}
 	if total := st.Hits + st.Misses; total > 0 {
 		st.HitRate = float64(st.Hits) / float64(total)

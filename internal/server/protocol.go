@@ -133,6 +133,32 @@ type ServerStats struct {
 	QueryLatency *LatencyQuantiles `json:"queryLatency,omitempty"`
 }
 
+// CacheStats is a point-in-time snapshot of plan cache effectiveness.
+type CacheStats struct {
+	Size      int     `json:"size"`
+	Capacity  int     `json:"capacity"`
+	Hits      int64   `json:"hits"`
+	Misses    int64   `json:"misses"`
+	Evictions int64   `json:"evictions"`
+	HitRate   float64 `json:"hitRate"`
+	// The three-way split of Hits by how the statement reached its entry:
+	// ParamsHits on a template the client parameterized itself, LiftedHits
+	// on a template the server derived by lifting the statement's equality
+	// literals (both kinds share entries: one plan serves every literal of a
+	// shape), LiteralHits on an entry keyed by literal text — the fallback,
+	// which only an exact-text repeat can hit. A lifted statement whose
+	// values the template rejects counts once, under its literal text.
+	ParamsHits  int64 `json:"paramsHits"`
+	LiftedHits  int64 `json:"liftedHits"`
+	LiteralHits int64 `json:"literalHits"`
+	// Epoch is the instance's schema epoch; Invalidations counts the schema
+	// changes since the server started, and StaleDrops the entries the
+	// server dropped because their plan trailed the epoch.
+	Epoch         uint64 `json:"epoch"`
+	Invalidations int64  `json:"invalidations"`
+	StaleDrops    int64  `json:"staleDrops"`
+}
+
 // StatementsPayload is the body of GET /stats/statements: the per-template
 // statement statistics registry, sorted and optionally truncated. Templates
 // are anonymized (literals replaced by ?), so the payload never carries data

@@ -125,7 +125,8 @@ func sessionID(ctx context.Context) uint64 {
 // schedules statements on one FIFO gate (see fairGate): queries and writes
 // hold it shared and run concurrently — readers pin MVCC snapshots, writers
 // group-commit per relation — and DDL alone holds it exclusively. Compiled
-// plans survive writes — they depend only on the schemas.
+// plans survive writes — they depend only on the schemas. Every statement
+// takes one path, serve.
 type Server struct {
 	inst  *zidian.Instance
 	cfg   Config
@@ -135,9 +136,13 @@ type Server struct {
 	// gate is the statement scheduler described above. The kv cluster is
 	// already safe for concurrent use and the store/index bookkeeping is
 	// internally synchronized; the gate only keeps DDL apart from every
-	// other statement, which is what the plan cache's epoch capture relies
-	// on.
+	// other statement, so a statement's plan and its run see one catalog.
 	gate fairGate
+
+	// startEpoch is the instance's schema epoch when the server started;
+	// staleDrops counts the cache entries dropped for trailing the epoch.
+	startEpoch uint64
+	staleDrops atomic.Int64
 
 	// obs is the metrics registry + slow-query log; nil when
 	// Config.DisableMetrics is set (every use is nil-safe).
@@ -179,6 +184,8 @@ func New(inst *zidian.Instance, cfg Config) *Server {
 		cancel:  cancel,
 		conns:   make(map[net.Conn]struct{}),
 		started: time.Now(),
+
+		startEpoch: inst.SchemaEpoch(),
 	}
 	if !cfg.DisableMetrics {
 		s.obs = newServerObs(s, cfg)
@@ -199,7 +206,24 @@ func (s *Server) MetricsRegistry() *obs.Registry {
 }
 
 // Cache exposes the shared plan cache (for stats and tests).
-func (s *Server) Cache() *PlanCache { return s.cache }
+func (s *Server) Cache() ServerCache { return ServerCache{s.cache, s} }
+
+// ServerCache is the server's plan cache: the LRU, with Stats that carry
+// the catalog fields the server keeps.
+type ServerCache struct {
+	*PlanCache
+	s *Server
+}
+
+// Stats is PlanCache.Stats with the instance's schema epoch, the schema
+// changes since the server started, and the server's stale drops.
+func (c ServerCache) Stats() CacheStats {
+	st := c.PlanCache.Stats()
+	st.Epoch = c.s.inst.SchemaEpoch()
+	st.Invalidations = int64(st.Epoch - c.s.startEpoch)
+	st.StaleDrops = c.s.staleDrops.Load()
+	return st
+}
 
 // Admission exposes the admission gate (for stats and tests).
 func (s *Server) Admission() *Admission { return s.adm }
@@ -390,50 +414,26 @@ func (s *Server) handle(sess *Session, req *Request) Response {
 			return fail(fmt.Errorf("server: prepare needs a statement name"))
 		}
 		key := NormalizeSQL(req.SQL)
-		p, _, err := s.compileNorm(key, req.SQL, false)
-		if err != nil {
+		if _, _, err := s.serve(ctx, stmt{verb: verbPrepare, src: req.SQL, key: key}); err != nil {
 			return fail(err)
 		}
-		if err := sess.SetPrepared(req.Name, key, p); err != nil {
+		if err := sess.SetPrepared(req.Name, key, req.SQL); err != nil {
 			return fail(err)
 		}
 		resp.OK = true
 	case "execute":
-		params := req.vals
 		if req.valErr != nil {
 			return fail(req.valErr)
 		}
-		p, key, ok := sess.Prepared(req.Name)
+		key, src, ok := sess.Prepared(req.Name)
 		if !ok {
 			return fail(fmt.Errorf("server: no prepared statement %q", req.Name))
 		}
-		// DDL since compilation? Recompile against the current catalog: the
-		// old plan may use a dropped index or miss a newly created one.
-		// runFresh repeats the refresh if another DDL lands mid-execution.
-		stored := p
-		if p.Epoch() != s.inst.SchemaEpoch() {
-			p2, _, err := s.compileNorm(key, p.SQL(), false)
-			if err != nil {
-				return fail(err)
-			}
-			p = p2
-		}
-		c := s.obs.begin(verbSelect)
-		c.setStmt(key, params)
-		c.setSession(sess.ID)
-		c.setRelations(p.Relations())
-		res, stats, ran, err := s.runFresh(ctx, c, key, p.SQL(), nil, p, params)
+		r, hit, err := s.serve(ctx, stmt{verb: verbSelect, src: src, key: key, params: req.vals})
 		if err != nil {
-			c.finish(0, true, err)
 			return fail(err)
 		}
-		c.finish(len(res.Rows), true, nil)
-		if ran != stored {
-			if err := sess.SetPrepared(req.Name, key, ran); err != nil {
-				return fail(err)
-			}
-		}
-		s.fillResult(&resp, res, stats, true)
+		s.fillResult(&resp, r.Result, r.Stats, hit)
 	case "close":
 		if !sess.ClosePrepared(req.Name) {
 			return fail(fmt.Errorf("server: no prepared statement %q", req.Name))
@@ -452,13 +452,12 @@ func (s *Server) handle(sess *Session, req *Request) Response {
 // Exec.
 func (s *Server) serveSQL(ctx context.Context, sql string, params []zidian.Value) (Response, error) {
 	var resp Response
-	key, lifted := stmtKey(sql, params)
-	if strings.HasPrefix(key, "select") {
-		res, stats, _, cacheHit, err := s.queryNorm(ctx, key, sql, params, lifted)
+	if st := selectStmt(sql, params); strings.HasPrefix(st.key, "select") {
+		r, hit, err := s.serve(ctx, st)
 		if err != nil {
 			return resp, err
 		}
-		s.fillResult(&resp, res, stats, cacheHit)
+		s.fillResult(&resp, r.Result, r.Stats, hit)
 		return resp, nil
 	}
 	r, err := s.Exec(ctx, sql, params...)
@@ -504,37 +503,100 @@ func stmtKey(src string, params []zidian.Value) (key string, lifted []zidian.Val
 	return NormalizeSQL(src), nil
 }
 
-// compileNorm returns the cached plan for the normalized key, compiling sql
-// and caching it on a miss, and reports whether it was a cache hit. With
-// lifted set the key came from the lift and the lookup is not counted here:
-// queryNorm counts it once the template has accepted the lifted values. The
-// cache epoch is captured under a shared hold of the gate — DDL holds it
-// exclusively while it invalidates — so a plan compiled just before a DDL
-// lands in the cache tagged stale instead of surviving the flush.
-func (s *Server) compileNorm(norm, sql string, lifted bool) (*zidian.Prepared, bool, error) {
-	p, ok := s.cache.lookup(norm)
-	if !lifted {
-		s.cache.count(p, ok, false)
-	}
-	if ok {
-		return p, true, nil
-	}
-	s.gate.RLock()
-	epoch := s.cache.Epoch()
-	p, err := s.inst.Prepare(sql)
-	s.gate.RUnlock()
-	if err != nil {
-		return nil, false, err
-	}
-	s.cache.PutAt(norm, p, epoch)
-	return p, false, nil
+// stmt is one statement on its way through serve.
+type stmt struct {
+	verb   string         // the metric label, which also says what step 4 does
+	src    string         // the SELECT a plan compiles from, or the text Exec runs
+	key    string         // the plan-cache key of src, or the `?` template lifted from it
+	lifted []zidian.Value // non-nil: key is a template, run bound to these values
+	params []zidian.Value // the values the client bound
 }
 
-// schedule admits one statement: an admission slot, then the statement gate
-// — exclusive for DDL, shared for everything else — and counts it. Queue and
-// gate waits land in the statement context even when acquisition fails, so a
-// timed-out statement still reports where its latency went. A nil return is
-// paired with one unschedule of the same mode.
+// verbPrepare marks the prepare op: it resolves a plan, runs nothing and
+// leaves no statement record.
+const verbPrepare = "prepare"
+
+// selectStmt is a SELECT with its plan-cache key (see stmtKey).
+func selectStmt(sql string, params []zidian.Value) stmt {
+	key, lifted := stmtKey(sql, params)
+	return stmt{verb: verbSelect, src: sql, key: key, lifted: lifted, params: params}
+}
+
+// serve is the statement lifecycle. Every statement the server runs passes
+// through it: the wire's query, exec, prepare and execute ops, HTTP /query,
+// EXPLAIN ANALYZE, Server.Query and Server.Exec. In order, it
+//
+//  1. begins the statement record;
+//  2. takes an admission slot, then the gate: exclusive for DDL, shared for
+//     everything else;
+//  3. resolves the plan (see plan), inside the gate hold, so no DDL sent
+//     through the server lands between a plan and its run;
+//  4. runs the plan, or hands the statement to Instance.ExecTraced;
+//  5. releases the gate and the slot, and finishes the record.
+//
+// SHOW STATEMENTS reads only the statement registry and skips steps 2 and
+// 3. It reports whether the plan came from the cache.
+func (s *Server) serve(ctx context.Context, st stmt) (r zidian.ExecResult, hit bool, err error) {
+	var c *stmtCtx
+	if st.verb != verbPrepare {
+		c = s.obs.begin(st.verb)
+	}
+	c.setSession(sessionID(ctx))
+	binds := st.params // the values whose kinds the statement feed reports
+	if st.lifted != nil {
+		binds = st.lifted
+	}
+	c.setStmt(st.key, binds)
+	rows := 0
+	if st.verb == verbShow {
+		r.Result, err = s.showStatements()
+		if err == nil {
+			rows = len(r.Result.Rows)
+		}
+		c.finish(rows, false, err)
+		return r, false, err
+	}
+	ddl := st.verb == verbDDL
+	if err = s.schedule(ctx, c, ddl); err != nil {
+		c.finish(0, false, err)
+		return r, false, err
+	}
+	if st.verb != verbPrepare {
+		s.queries.Add(1)
+	}
+	switch st.verb {
+	case verbSelect, verbExplainAnalyze, verbPrepare:
+		var p *zidian.Prepared
+		if p, hit, err = s.plan(c, &st); err != nil || st.verb == verbPrepare {
+			break
+		}
+		r.Relations = p.Relations()
+		c.setRelations(r.Relations)
+		if st.verb == verbSelect {
+			r.Result, r.Stats, err = p.RunTraced(c.Trace(), st.params...)
+		} else {
+			r.Result, r.Stats, _, err = p.Analyze(c.Trace(), st.params...)
+		}
+		if err == nil {
+			rows = len(r.Result.Rows)
+		}
+	default:
+		var x *zidian.ExecResult
+		if x, err = s.inst.ExecTraced(c.Trace(), st.src, st.params...); err == nil {
+			r, rows = *x, x.Affected
+			c.setRelations(r.Relations)
+		}
+	}
+	s.unschedule(ddl)
+	c.finish(rows, hit, err)
+	return r, hit, err
+}
+
+// schedule is step 2 of serve: an admission slot, then the statement gate,
+// exclusive or shared. Queue and gate waits land in the statement record
+// even when acquisition fails, so a timed-out statement still reports where
+// its latency went. A nil return is paired with one unschedule of the same
+// mode.
 func (s *Server) schedule(ctx context.Context, c *stmtCtx, exclusive bool) error {
 	qStart := time.Now()
 	err := s.adm.Acquire(ctx)
@@ -549,7 +611,6 @@ func (s *Server) schedule(ctx context.Context, c *stmtCtx, exclusive bool) error
 		s.gate.RLock()
 	}
 	c.locksWait(time.Since(lStart))
-	s.queries.Add(1)
 	return nil
 }
 
@@ -563,14 +624,51 @@ func (s *Server) unschedule(exclusive bool) {
 	s.adm.Release()
 }
 
-// run executes a compiled plan as one scheduled statement, binding params
-// into the plan template first.
-func (s *Server) run(ctx context.Context, c *stmtCtx, p *zidian.Prepared, params []zidian.Value) (*zidian.Result, *zidian.Stats, error) {
-	if err := s.schedule(ctx, c, false); err != nil {
-		return nil, nil, err
+// plan is step 3 of serve. A lifted statement runs its template bound to
+// the lifted values; when the template does not compile, or its slot kinds
+// reject a lifted value, the statement is served from its literal text
+// instead, so rows and error text are what they would be without the lift.
+func (s *Server) plan(c *stmtCtx, st *stmt) (*zidian.Prepared, bool, error) {
+	if st.lifted != nil {
+		if tp, hit, err := s.cached(st.key, st.key, true); err == nil {
+			if bp, err := tp.Bind(st.lifted...); err == nil {
+				s.cache.count(tp, hit, true)
+				return bp, hit, nil
+			}
+		}
+		st.key, st.lifted = NormalizeSQL(st.src), nil
+		c.setStmt(st.key, st.params)
 	}
-	defer s.unschedule(false)
-	return p.RunTraced(c.Trace(), params...)
+	return s.cached(st.key, st.src, false)
+}
+
+// cached returns the cache's plan for key, compiling src and caching it on
+// a miss, and reports whether it was a hit. A cached plan is stale exactly
+// when its epoch trails the instance's schema epoch: DDL, sent through the
+// server or run on the instance, changed the catalog after it was compiled.
+// A stale entry is dropped and counted, and src recompiled. With lifted set
+// the lookup is not counted here: plan counts it once the template has
+// accepted the lifted values.
+func (s *Server) cached(key, src string, lifted bool) (*zidian.Prepared, bool, error) {
+	p, ok := s.cache.lookup(key)
+	if ok && p.Epoch() < s.inst.SchemaEpoch() {
+		if s.cache.remove(key, p) {
+			s.staleDrops.Add(1)
+		}
+		ok = false
+	}
+	if !lifted {
+		s.cache.count(p, ok, false)
+	}
+	if ok {
+		return p, true, nil
+	}
+	p, err := s.inst.Prepare(src)
+	if err != nil {
+		return nil, false, err
+	}
+	s.cache.Put(key, p)
+	return p, false, nil
 }
 
 // Query compiles (or reuses) and executes one SELECT, binding params into
@@ -580,178 +678,58 @@ func (s *Server) run(ctx context.Context, c *stmtCtx, p *zidian.Prepared, params
 // (see stmtKey): the workload compiles once per template, not once per
 // literal.
 func (s *Server) Query(ctx context.Context, sql string, params ...zidian.Value) (*zidian.Result, *zidian.Stats, bool, error) {
-	key, lifted := stmtKey(sql, params)
-	res, stats, _, hit, err := s.queryNorm(ctx, key, sql, params, lifted)
-	return res, stats, hit, err
+	r, hit, err := s.serve(ctx, selectStmt(sql, params))
+	return r.Result, r.Stats, hit, err
 }
 
-// queryNorm is Query with stmtKey already applied; it also returns the plan
-// that ran. With lifted values, norm is a template: it is its own source
-// text (what a miss or an epoch change compiles), and the statement runs the
-// template bound to lifted. When the template does not compile, or its slot
-// kinds reject a lifted value, the statement is served from its literal text
-// instead, so rows and error text are what they would be without the lift.
-func (s *Server) queryNorm(ctx context.Context, norm, sql string, params, lifted []zidian.Value) (*zidian.Result, *zidian.Stats, *zidian.Prepared, bool, error) {
-	c := s.obs.begin(verbSelect)
-	c.setSession(sessionID(ctx))
-	var p *zidian.Prepared
-	var hit bool
-	binds := params // the values whose kinds the statement feed reports
-	if lifted != nil {
-		if tp, thit, err := s.compileNorm(norm, norm, true); err == nil {
-			if bp, err := tp.Bind(lifted...); err == nil {
-				s.cache.count(tp, thit, true)
-				p, hit, sql, binds = bp, thit, norm, lifted
-			}
-		}
-		if p == nil {
-			norm, lifted = NormalizeSQL(sql), nil
-		}
-	}
-	c.setStmt(norm, binds)
-	if p == nil {
-		var err error
-		if p, hit, err = s.compileNorm(norm, sql, false); err != nil {
-			c.finish(0, false, err)
-			return nil, nil, nil, false, err
-		}
-	}
-	c.setRelations(p.Relations())
-	res, stats, ran, err := s.runFresh(ctx, c, norm, sql, lifted, p, params)
-	if err != nil {
-		c.finish(0, hit, err)
-		return nil, nil, nil, hit, err
-	}
-	c.finish(len(res.Rows), hit, nil)
-	return res, stats, ran, hit, nil
-}
-
-// runFresh executes a compiled plan, recompiling and retrying when DDL made
-// the plan stale between compilation and execution (compile and run hold
-// the read lock in separate critical sections, so a DROP INDEX can land in
-// between and strand a plan on a vanished index). Non-nil lifted means p is
-// a template already bound to those values, and a recompiled template is
-// bound to them before the retry. It returns the plan that finally ran so
-// callers can refresh session state.
-func (s *Server) runFresh(ctx context.Context, c *stmtCtx, norm, sql string, lifted []zidian.Value, p *zidian.Prepared, params []zidian.Value) (*zidian.Result, *zidian.Stats, *zidian.Prepared, error) {
-	for attempt := 0; ; attempt++ {
-		res, stats, err := s.run(ctx, c, p, params)
-		if err == nil || attempt >= 2 || p.Epoch() == s.inst.SchemaEpoch() {
-			return res, stats, p, err
-		}
-		p2, _, cerr := s.compileNorm(norm, sql, lifted != nil)
-		if cerr == nil && lifted != nil {
-			p2, cerr = p2.Bind(lifted...)
-		}
-		if cerr != nil {
-			return nil, nil, p, cerr
-		}
-		p = p2
-	}
-}
-
-// Exec runs one SQL statement under the gate hold its kind requires: DDL
-// takes the gate exclusively and invalidates the plan cache while still
-// holding it — so no statement can observe the new catalog with an old plan
-// — and INSERT, DELETE and EXPLAIN take it shared like a read (the group
-// committer orders writes; EXPLAIN only plans). EXPLAIN ANALYZE schedules
-// like the SELECT it wraps (it executes), and a SELECT routed here delegates
-// to the cached read path. Params bind into `?` placeholders.
+// Exec runs one SQL statement of any kind through serve. DDL holds the gate
+// exclusively, so no statement runs beside it, and the plans compiled
+// before it go stale by their epoch. INSERT, DELETE and EXPLAIN hold it
+// shared like a read (the group committer orders writes; EXPLAIN only
+// plans). A SELECT takes the cached read path. EXPLAIN ANALYZE schedules
+// like the SELECT it wraps and answers the annotated operator tree: the
+// inner SELECT compiles through the plan cache under its own normalized
+// text, with no literals lifted, so the analyzed plan is the one compiled
+// from exactly the text given, and a `?` inner statement shares the cached
+// template of the query it wraps. Params bind into `?` placeholders.
 func (s *Server) Exec(ctx context.Context, sql string, params ...zidian.Value) (*zidian.ExecResult, error) {
 	kind, err := zidian.StatementInfo(sql)
 	if err != nil {
 		return nil, err
 	}
-	if kind == zidian.StmtShow {
-		return s.execShow(ctx)
-	}
-	if kind == zidian.StmtSelect {
-		key, lifted := stmtKey(sql, params)
-		res, stats, ran, _, err := s.queryNorm(ctx, key, sql, params, lifted)
-		if err != nil {
-			return nil, err
-		}
-		return &zidian.ExecResult{Result: res, Stats: stats, Relations: ran.Relations()}, nil
-	}
-	if kind == zidian.StmtExplainAnalyze {
-		return s.execExplainAnalyze(ctx, sql, params)
-	}
-	verb := verbExplain
+	st := stmt{verb: verbExplain, src: sql, params: params}
 	switch kind {
+	case zidian.StmtSelect:
+		st = selectStmt(sql, params)
+	case zidian.StmtExplainAnalyze:
+		st.verb, st.src = verbExplainAnalyze, sqlpkg.AnalyzedQuery(sql)
+	case zidian.StmtShow:
+		st.verb, st.key = verbShow, "show statements"
 	case zidian.StmtInsert:
-		verb = verbInsert
+		st.verb = verbInsert
 	case zidian.StmtDelete:
-		verb = verbDelete
+		st.verb = verbDelete
 	case zidian.StmtDDL:
-		verb = verbDDL
+		st.verb = verbDDL
 	}
-	c := s.obs.begin(verb)
-	c.setStmt(NormalizeSQL(sql), params)
-	c.setSession(sessionID(ctx))
-	ddl := kind == zidian.StmtDDL
-	if err := s.schedule(ctx, c, ddl); err != nil {
-		c.finish(0, false, err)
-		return nil, err
+	if st.key == "" {
+		st.key = NormalizeSQL(st.src)
 	}
-	defer s.unschedule(ddl)
-	r, err := s.inst.ExecTraced(c.Trace(), sql, params...)
+	r, _, err := s.serve(ctx, st)
 	if err != nil {
-		c.finish(0, false, err)
 		return nil, err
 	}
-	if r.SchemaChanged {
-		s.cache.Invalidate()
-	}
-	c.setRelations(r.Relations)
-	c.finish(r.Affected, false, nil)
-	return r, nil
+	return &r, nil
 }
 
-// execExplainAnalyze serves EXPLAIN ANALYZE <select>: the inner SELECT
-// compiles through the plan cache under its own normalized text — literals
-// are not lifted here, so the analyzed plan is the one compiled from
-// exactly the text given, and a `?` inner statement shares the cached
-// template of the query it wraps — the statement schedules exactly like a
-// read — admission, then the gate shared — and executes
-// under the statement trace; the client receives the annotated operator
-// tree instead of the rows.
-func (s *Server) execExplainAnalyze(ctx context.Context, src string, params []zidian.Value) (*zidian.ExecResult, error) {
-	inner := sqlpkg.AnalyzedQuery(src)
-	norm := NormalizeSQL(inner)
-	c := s.obs.begin(verbExplainAnalyze)
-	c.setStmt(norm, params)
-	c.setSession(sessionID(ctx))
-	p, hit, err := s.compileNorm(norm, inner, false)
-	if err != nil {
-		c.finish(0, false, err)
-		return nil, err
-	}
-	c.setRelations(p.Relations())
-	if err := s.schedule(ctx, c, false); err != nil {
-		c.finish(0, hit, err)
-		return nil, err
-	}
-	defer s.unschedule(false)
-	res, stats, _, err := p.Analyze(c.Trace(), params...)
-	if err != nil {
-		c.finish(0, hit, err)
-		return nil, err
-	}
-	c.finish(len(res.Rows), hit, nil)
-	return &zidian.ExecResult{Result: res, Stats: stats, Relations: p.Relations()}, nil
-}
-
-// execShow serves SHOW STATEMENTS: a relational rendering of the statement
-// statistics registry, ordered by total time. It reads only registry
-// snapshots — no data access, no admission — but still counts as a statement
-// under the "show" verb so the registry observes its own readers.
-func (s *Server) execShow(ctx context.Context) (*zidian.ExecResult, error) {
+// showStatements answers SHOW STATEMENTS: a relational rendering of the
+// statement statistics registry, ordered by total time. It reads only
+// registry snapshots, no data, but still counts as a statement under the
+// "show" verb so the registry observes its own readers.
+func (s *Server) showStatements() (*zidian.Result, error) {
 	if s.obs == nil {
 		return nil, fmt.Errorf("server: SHOW STATEMENTS requires metrics (disabled by configuration)")
 	}
-	c := s.obs.begin(verbShow)
-	c.setStmt("show statements", nil)
-	c.setSession(sessionID(ctx))
 	snap := s.obs.stmts.Snapshot()
 	entries := snap.Statements
 	obs.SortStmtEntries(entries, obs.SortByTotalTime)
@@ -785,8 +763,7 @@ func (s *Server) execShow(ctx context.Context) (*zidian.ExecResult, error) {
 			zidian.Float(hitPct),
 		})
 	}
-	c.finish(len(res.Rows), false, nil)
-	return &zidian.ExecResult{Result: res}, nil
+	return res, nil
 }
 
 // Stats snapshots server-wide statistics. With metrics enabled it includes
@@ -800,7 +777,7 @@ func (s *Server) Stats() ServerStats {
 		TotalSessions:  s.totalSess.Load(),
 		Queries:        s.queries.Load(),
 		Errors:         s.errors.Load(),
-		PlanCache:      s.cache.Stats(),
+		PlanCache:      s.Cache().Stats(),
 		Admission:      s.adm.Stats(),
 		StoreGets:      kvm.Gets,
 		StoreScanNexts: kvm.ScanNexts,

@@ -19,6 +19,22 @@ import (
 // scan once one exists (400 blocks vs ~21 gets).
 func startIndexServer(t *testing.T, cfg server.Config) (*server.Server, string) {
 	t.Helper()
+	srv := server.New(indexInstance(t), cfg)
+	tcp, _, err := srv.Start("127.0.0.1:0", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	return srv, tcp
+}
+
+// indexInstance opens startIndexServer's instance.
+func indexInstance(t *testing.T) *zidian.Instance {
+	t.Helper()
 	db := zidian.NewDatabase()
 	vehicle := zidian.NewRelation(zidian.MustRelSchema("VEHICLE",
 		[]zidian.Attr{
@@ -48,17 +64,7 @@ func startIndexServer(t *testing.T, cfg server.Config) (*server.Server, string) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(inst, cfg)
-	tcp, _, err := srv.Start("127.0.0.1:0", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	})
-	return srv, tcp
+	return inst
 }
 
 func sortedJSONRows(rows [][]any) []string {
@@ -266,6 +272,125 @@ func TestServerPreparedRevalidation(t *testing.T) {
 	}
 	if len(after2) != len(before) {
 		t.Fatalf("rows after drop = %d, want %d", len(after2), len(before))
+	}
+}
+
+// TestServerSeesInstanceDDL: DDL run on the instance itself, not sent
+// through the server, stales the server's cached plans too. After a DROP
+// INDEX the cached index plan recompiles instead of failing on the missing
+// index, and after a CREATE INDEX the next run plans with the index.
+func TestServerSeesInstanceDDL(t *testing.T) {
+	inst := indexInstance(t)
+	srv := server.New(inst, server.Config{})
+	defer srv.Shutdown(context.Background())
+	ddl := func(sql string) {
+		t.Helper()
+		if _, err := inst.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// run answers make mk, which vehicles i ≡ mk (mod 20) carry.
+	run := func(mk int, wantIndex, wantHit bool) {
+		t.Helper()
+		res, stats, hit, err := srv.Query(context.Background(),
+			fmt.Sprintf("select V.vehicle_id from VEHICLE V where V.make = 'MAKE-%02d'", mk))
+		if err != nil {
+			t.Fatalf("MAKE-%02d: %v", mk, err)
+		}
+		if got := strings.Contains(stats.Plan, "IndexLookup"); got != wantIndex || hit != wantHit {
+			t.Fatalf("MAKE-%02d: index plan %v (want %v), cache hit %v (want %v)\n%s", mk, got, wantIndex, hit, wantHit, stats.Plan)
+		}
+		var ids []int
+		for _, r := range res.Rows {
+			ids = append(ids, int(r[0].Int))
+		}
+		sort.Ints(ids)
+		for i, id := range ids {
+			if id != mk+20*i || len(ids) != 20 {
+				t.Fatalf("MAKE-%02d: ids %v", mk, ids)
+			}
+		}
+	}
+	ddl("create index ix_make on VEHICLE(make)")
+	run(3, true, false)
+	run(4, true, true)
+	ddl("drop index ix_make")
+	run(5, false, false)
+	run(6, false, true)
+	ddl("create index ix_make on VEHICLE(make)")
+	run(7, true, false)
+	if st := srv.Cache().Stats(); st.Epoch != 3 || st.Invalidations != 3 || st.StaleDrops != 2 {
+		t.Fatalf("cache stats = %+v, want epoch 3, 3 invalidations, 2 stale drops", st)
+	}
+}
+
+// TestStalePlanNeverServed: a plan compiled before a DDL, the window in
+// which DDL races a compilation, may land in the cache but is never served.
+// Of the statements that find it, one drops it.
+func TestStalePlanNeverServed(t *testing.T) {
+	inst := indexInstance(t)
+	srv := server.New(inst, server.Config{})
+	defer srv.Shutdown(context.Background())
+	const q = "select V.vehicle_id from VEHICLE V where V.make = ?"
+	old, err := inst.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inst.Exec("create index ix_make on VEHICLE(make)"); err != nil {
+		t.Fatal(err)
+	}
+	srv.Cache().Put(server.NormalizeSQL(q), old)
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		go func() {
+			_, stats, _, err := srv.Query(context.Background(), q, zidian.String("MAKE-01"))
+			if err == nil && !strings.Contains(stats.Plan, "IndexLookup") {
+				err = fmt.Errorf("the plan compiled before the index was served:\n%s", stats.Plan)
+			}
+			errs <- err
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := srv.Cache().Stats(); st.StaleDrops != 1 || st.Size != 1 {
+		t.Fatalf("cache stats = %+v, want 1 stale drop and 1 entry", st)
+	}
+}
+
+// TestInstanceDDLStalesEveryCachedPlan: one schema change stales every
+// cached plan. Each reads as a miss when next touched, is dropped and
+// counted once, and its recompiled plan hits again.
+func TestInstanceDDLStalesEveryCachedPlan(t *testing.T) {
+	inst := indexInstance(t)
+	srv := server.New(inst, server.Config{})
+	defer srv.Shutdown(context.Background())
+	// Range literals stay in the key: eight statements, eight entries.
+	query := func(i int, wantHit bool) {
+		t.Helper()
+		_, _, hit, err := srv.Query(context.Background(),
+			fmt.Sprintf("select V.vehicle_id from VEHICLE V where V.year > %d", 2000+i))
+		if err != nil || hit != wantHit {
+			t.Fatalf("year > %d: hit %v (want %v), err %v", 2000+i, hit, wantHit, err)
+		}
+	}
+	for _, hit := range []bool{false, true} {
+		for i := 0; i < 8; i++ {
+			query(i, hit)
+		}
+	}
+	if _, err := inst.Exec("create index ix_year on VEHICLE(year)"); err != nil {
+		t.Fatal(err)
+	}
+	for _, hit := range []bool{false, true} {
+		for i := 0; i < 8; i++ {
+			query(i, hit)
+		}
+	}
+	if st := srv.Cache().Stats(); st.Epoch != 1 || st.Invalidations != 1 || st.StaleDrops != 8 || st.Size != 8 {
+		t.Fatalf("cache stats = %+v, want epoch 1, 1 invalidation, 8 stale drops, 8 entries", st)
 	}
 }
 

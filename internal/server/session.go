@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"zidian"
 )
 
 // Session is the per-connection state of one client: an identity, the named
@@ -22,11 +20,11 @@ type Session struct {
 	started time.Time
 }
 
-// preparedStmt is a named statement with the plan-cache key of its text,
-// normalized once at prepare so executions and epoch refreshes reuse it.
+// preparedStmt is a named statement: its text, and the plan-cache key of
+// that text, normalized once at prepare so executions reuse it. The plan
+// itself lives in the cache, where every execution looks it up.
 type preparedStmt struct {
-	key  string
-	plan *zidian.Prepared
+	key, sql string
 }
 
 // newSession builds an empty session.
@@ -43,24 +41,24 @@ func newSession(id uint64, remote string) *Session {
 // client cannot grow server memory without bound.
 const maxPreparedPerSession = 256
 
-// SetPrepared names a compiled statement within the session, replacing any
-// previous statement of that name. key is the statement's plan-cache key.
-func (s *Session) SetPrepared(name, key string, p *zidian.Prepared) error {
+// SetPrepared names a statement within the session, replacing any previous
+// statement of that name. key is the plan-cache key of its text sql.
+func (s *Session) SetPrepared(name, key, sql string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.stmts[name]; !ok && len(s.stmts) >= maxPreparedPerSession {
 		return fmt.Errorf("server: session holds %d prepared statements already", maxPreparedPerSession)
 	}
-	s.stmts[name] = preparedStmt{key: key, plan: p}
+	s.stmts[name] = preparedStmt{key: key, sql: sql}
 	return nil
 }
 
-// Prepared looks up a named statement and its plan-cache key.
-func (s *Session) Prepared(name string) (p *zidian.Prepared, key string, ok bool) {
+// Prepared looks up a named statement's plan-cache key and text.
+func (s *Session) Prepared(name string) (key, sql string, ok bool) {
 	s.mu.Lock()
 	st, ok := s.stmts[name]
 	s.mu.Unlock()
-	return st.plan, st.key, ok
+	return st.key, st.sql, ok
 }
 
 // ClosePrepared drops a named statement, reporting whether it existed.

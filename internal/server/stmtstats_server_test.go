@@ -155,7 +155,7 @@ func TestOperatorSpansOnlyWhereRead(t *testing.T) {
 	}
 	cluster := inst.Store().Cluster
 	for _, sql := range mixedReadSuite() {
-		p, _, err := srv.compileNorm(NormalizeSQL(sql), sql, false)
+		p, err := inst.Prepare(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestOperatorSpansOnlyWhereRead(t *testing.T) {
 			c := srv.obs.begin(verb)
 			before := cluster.Metrics()
 			if verb == verbSelect {
-				_, _, err = srv.run(ctx, c, p, nil)
+				_, _, err = p.RunTraced(c.Trace())
 			} else {
 				_, _, _, err = p.Analyze(c.Trace())
 			}

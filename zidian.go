@@ -650,8 +650,8 @@ type ExecResult struct {
 	// Affected is the number of rows inserted or deleted, or the number of
 	// tuples backfilled by CREATE INDEX.
 	Affected int
-	// SchemaChanged marks catalog-changing DDL; serving layers must flush
-	// plan caches when it is set (the instance's SchemaEpoch advanced).
+	// SchemaChanged marks catalog-changing DDL: the instance's SchemaEpoch
+	// advanced, and every plan compiled before it is stale (Prepared.Epoch).
 	SchemaChanged bool
 	// Relations lists the base relations the statement touched: the read
 	// set for SELECT and EXPLAIN, the written relation for INSERT and
