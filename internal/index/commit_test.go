@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"zidian/internal/kv"
 	"zidian/internal/relation"
@@ -125,5 +126,54 @@ func TestCommitMatchesBackfill(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestReclaimDoesNotBlockReaders: ReclaimRemovals reads and rewrites its
+// fragments holding no manager lock, so under a service delay a Lookup of a
+// posting on another node, started while a reclamation is in its round
+// trips, finishes within about one delay of its own round trip instead of
+// first waiting out both of the reclamation's.
+func TestReclaimDoesNotBlockReaders(t *testing.T) {
+	const delay = 100 * time.Millisecond
+	c := kv.NewCluster(kv.EngineHash, 2)
+	m := NewManager(c)
+	tuples := itemTuples(40)
+	if _, err := m.Create("ix_sku", "ITEM", "sku", itemSchema(t), tuples); err != nil {
+		t.Fatal(err)
+	}
+	id := m.defs["ix_sku"].id
+	// The reclaimed posting and the looked-up one live on different nodes.
+	victim, other := tuples[0], relation.Value{}
+	for _, tp := range tuples {
+		if c.NodeFor(postingKey(id, tp[1])) != c.NodeFor(postingKey(id, victim[1])) {
+			other = tp[1]
+			break
+		}
+	}
+	if other.Kind == relation.KindNull {
+		t.Fatal("every posting on one node")
+	}
+	// Watermark 0: the delete's shrink stays pending.
+	if err := commit(m, "ITEM", 1, 0, func(cm *Commit) error { return cm.StageDelete(nil, victim) }); err != nil {
+		t.Fatal(err)
+	}
+	c.SetServiceDelay(delay)
+	done := make(chan error)
+	go func() { done <- m.ReclaimRemovals(nil, "ITEM", 1) }()
+	time.Sleep(delay / 4)
+	start := time.Now()
+	if _, _, err := m.Lookup("ix_sku", other); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if m.PendingRemovals("ITEM") != 0 {
+		t.Fatal("the shrink is still pending after reclamation")
+	}
+	if elapsed > 2*delay {
+		t.Fatalf("a lookup during reclamation took %v, want about one %v round trip", elapsed, delay)
 	}
 }

@@ -6,9 +6,10 @@
 // value. Postings are stored as ordinary key-value pairs in the same
 // kv.Cluster as the blocks they point at, so hash sharding, per-node metrics
 // and engine cost profiles apply to index traffic for free, and an index
-// lookup preserves the paper's round-trip economics: one get fetches the
-// posting, then one get per posted block key fetches exactly the blocks the
-// query needs, instead of scanning the whole instance.
+// lookup preserves the paper's round-trip economics: one batched round of
+// gets fetches the posting, then one get per posted block key fetches
+// exactly the blocks the query needs, instead of scanning the whole
+// instance.
 //
 // Physical layout. Index pairs live in a key space disjoint from BaaV
 // blocks: BaaV instance ids are small positive integers, index prefixes set
@@ -17,12 +18,28 @@
 // attributes) — which makes indexes persistent in the store itself: a fresh
 // Manager over the same cluster recovers them with Load.
 //
-//	catalog pair:  [0x80000000]      [enc(name)]  -> enc(rel, attr, id, key...)
-//	posting pair:  [0x80000000|id]   [enc(value)] -> enc(pk1) ++ enc(pk2) ++ ...
+//	catalog pair:    [0x80000000]    [enc(name)]              -> enc(rel, attr, id, key...)
+//	posting pair:    [0x80000000|id] [enc(value)]             -> enc(pk1) ++ enc(pk2) ++ ...
+//	later fragment:  [0x80000000|id] [enc(value)] [enc(pkF)]  -> enc(pkF) ++ ...
 //
-// Posting lists keep their block keys in encoded (memcmp) order, so
-// maintenance is a binary search plus splice and lookups return keys
-// deterministically.
+// Posting lists keep their block keys in encoded (memcmp) order, cut into
+// fragments of at most M block keys. The first fragment sits at the value's
+// posting key; each later one appends the encoded block key it starts at
+// (its fence), so a value's fragments sort together, in key order, between
+// the value and the next. All of them are routed by the value's posting
+// key and live on one node. A list of at most M keys is one pair, exactly
+// as if unfragmented:
+//
+//	enc(v)             -> pk1 .. pk120     fence ""     owns keys below pk121
+//	enc(v) enc(pk121)  -> pk121 .. pk240   fence pk121  owns pk121 up to pk241
+//	enc(v) enc(pk241)  -> pk241 .. pk310   fence pk241  owns pk241 and above
+//
+// An in-memory directory (Stats.vals) holds each value's fragment fences
+// and lengths, so an indexed write reads and rewrites only the fragment
+// its block key falls in — O(M) posting bytes whatever the list's length
+// — and a lookup is one get per fragment, issued in one batched round:
+// ⌈L/M⌉ for a list of L keys as CREATE INDEX writes it. Fragments split
+// but never merge, so deletes can leave a list more fragments than that.
 package index
 
 import (
@@ -45,6 +62,11 @@ const idxSpace = uint32(1) << 31
 
 // catalogID is the reserved index id of the catalog pairs.
 const catalogID = uint32(0)
+
+// M is the most block keys one posting fragment holds (≈ 1.2 KB of 9-byte
+// integer keys). A commit that grows a fragment past M splits it into
+// halves.
+const M = 128
 
 // Def describes one secondary index.
 type Def struct {
@@ -81,50 +103,52 @@ type Stats struct {
 
 	// vals lists the distinct indexed values currently present, sorted in
 	// encoded (memcmp) key order — the order the posting key space walks
-	// in. Maintenance splices one entry per created or drained posting
-	// list, so the min/max the planner uses to tighten range selectivity
-	// decay under deletes exactly like MaxPosting does.
+	// in — each with its fragment directory. Maintenance splices one entry
+	// per created or drained posting list, so the min/max the planner uses
+	// to tighten range selectivity decay under deletes exactly like
+	// MaxPosting does.
 	vals []valEntry
 }
 
-// valEntry pairs a distinct indexed value with its encoded key, which
-// defines the sort order of Stats.vals.
+// valEntry is one distinct indexed value: its encoded key, which defines
+// the sort order of Stats.vals, and its posting fragments in fence order.
 type valEntry struct {
-	key string
-	val relation.Value
+	key   string
+	val   relation.Value
+	frags []frag
 }
 
-// addValue splices a newly present distinct value into the sorted list.
-func (st *Stats) addValue(v relation.Value) {
-	k := string(relation.AppendValue(nil, v))
-	at := sort.Search(len(st.vals), func(i int) bool { return st.vals[i].key >= k })
-	if at < len(st.vals) && st.vals[at].key == k {
-		return
-	}
-	st.vals = append(st.vals, valEntry{})
-	copy(st.vals[at+1:], st.vals[at:])
-	st.vals[at] = valEntry{key: k, val: v}
+// frag is one posting fragment in the directory: the encoded block key its
+// pair key carries after the value ("" for the first fragment, whose key is
+// the posting key itself) and the number of block keys it stores. A
+// fragment owns the block keys from its fence up to the next fragment's.
+type frag struct {
+	fence string
+	n     int
 }
 
-// setValues installs the distinct-value list in one shot — backfill and
-// Load use it so building an index stays O(n log n) in the distinct-value
-// count instead of paying a splice per value. The input may be unordered.
-func (st *Stats) setValues(vals []relation.Value) {
-	st.vals = make([]valEntry, len(vals))
-	for i, v := range vals {
-		st.vals[i] = valEntry{key: string(relation.AppendValue(nil, v)), val: v}
+// length is the number of block keys the value's fragments store.
+func (e *valEntry) length() int {
+	n := 0
+	for _, f := range e.frags {
+		n += f.n
 	}
-	sort.Slice(st.vals, func(i, j int) bool { return st.vals[i].key < st.vals[j].key })
+	return n
 }
 
-// removeValue splices a drained distinct value out of the sorted list.
-func (st *Stats) removeValue(v relation.Value) {
-	k := string(relation.AppendValue(nil, v))
-	at := sort.Search(len(st.vals), func(i int) bool { return st.vals[i].key >= k })
-	if at >= len(st.vals) || st.vals[at].key != k {
-		return
-	}
-	st.vals = append(st.vals[:at], st.vals[at+1:]...)
+// locate returns the fragment whose range holds the encoded block key pk:
+// the last one fenced at or below it, or -1 when pk sorts before every
+// fragment (the first fragment drained while later ones remain).
+func (e *valEntry) locate(pk string) int {
+	return sort.Search(len(e.frags), func(i int) bool { return e.frags[i].fence > pk }) - 1
+}
+
+// find returns the position in vals of the value whose posting key is
+// route, or where it would be spliced in.
+func (st *Stats) find(route []byte) (int, bool) {
+	k := route[4:]
+	at := sort.Search(len(st.vals), func(i int) bool { return st.vals[i].key >= string(k) })
+	return at, at < len(st.vals) && st.vals[at].key == string(k)
 }
 
 // ValueBounds returns the smallest and largest indexed value currently
@@ -135,6 +159,13 @@ func (st *Stats) ValueBounds() (lo, hi relation.Value, ok bool) {
 		return relation.Value{}, relation.Value{}, false
 	}
 	return st.vals[0].val, st.vals[len(st.vals)-1].val, true
+}
+
+// resize moves one posting list from length from to length to, in the
+// posting count and the length histogram.
+func (st *Stats) resize(from, to int) {
+	st.Postings += to - from
+	st.bump(from, to)
 }
 
 // bump moves one posting list from length `from` to length `to` (zero
@@ -177,10 +208,10 @@ type Manager struct {
 	stats  map[string]*Stats
 	nextID uint32
 
-	// Deferred posting shrinks, per relation, keyed by pendKey — see
+	// Deferred posting shrinks, per relation and fragment (fragID) — see
 	// commit.go. Guarded by pendMu, never by mu.
 	pendMu  sync.Mutex
-	pending map[string]map[string]pendingRemoval
+	pending map[string]map[string]*pendingFrag // rel -> fragID -> shrinks
 }
 
 // NewManager builds an empty index manager over the cluster.
@@ -202,6 +233,12 @@ func prefix(id uint32) []byte {
 
 func postingKey(id uint32, v relation.Value) []byte {
 	return relation.AppendValue(prefix(id), v)
+}
+
+// fragKey is the pair key of the fragment fenced at fence of the value
+// whose posting key is route.
+func fragKey(route []byte, fence string) []byte {
+	return append(route[:len(route):len(route)], fence...)
 }
 
 func catalogKey(name string) []byte {
@@ -252,8 +289,7 @@ func (m *Manager) Create(name, rel, attr string, schema *relation.Schema, tuples
 	m.nextID++
 
 	st := &Stats{}
-	n, distinct := m.backfill(d, tuples, st)
-	st.setValues(distinct)
+	n := m.backfill(d, tuples, st)
 	m.cluster.Put(catalogKey(name), encodeCatalog(d))
 	m.defs[name] = d
 	m.byAttr[attrKey(rel, attr)] = name
@@ -261,13 +297,13 @@ func (m *Manager) Create(name, rel, attr string, schema *relation.Schema, tuples
 	return n, nil
 }
 
-// backfill writes d's postings over tuples, counting them into st, and
-// returns the number of (value, block key) pairs posted and the distinct
-// values. Each distinct value is encoded once and each tuple's block key
-// once, into one buffer; the keys are bucketed by value in tuple order, and
-// the values walked in encoded order, each bucket sorted and deduplicated
-// into one posting and one Put.
-func (m *Manager) backfill(d *Def, tuples []relation.Tuple, st *Stats) (n int, distinct []relation.Value) {
+// backfill writes d's postings over tuples, counting them into st and its
+// directory, and returns the number of (value, block key) pairs posted.
+// Each distinct value is encoded once and each tuple's block key once, into
+// one buffer; the keys are bucketed by value in tuple order, and the values
+// walked in encoded order, each bucket sorted and deduplicated into
+// ⌈L/M⌉ fragments of even length and one Put each.
+func (m *Manager) backfill(d *Def, tuples []relation.Tuple, st *Stats) (n int) {
 	type span struct{ off, end int32 } // buf[off:end]
 	type value struct {
 		enc        span
@@ -309,28 +345,48 @@ func (m *Manager) backfill(d *Def, tuples []relation.Tuple, st *Stats) (n int, d
 	}
 	bytesOf := func(s span) []byte { return buf[s.off:s.end] }
 	slices.SortFunc(vals, func(a, b value) int { return bytes.Compare(bytesOf(a.enc), bytesOf(b.enc)) })
-	key := prefix(d.id)
+	st.vals = make([]valEntry, 0, len(vals))
 	for _, v := range vals {
 		ks := keys[v.start : v.start+v.len]
 		slices.SortFunc(ks, func(a, b span) int { return bytes.Compare(bytesOf(a), bytesOf(b)) })
 		ks = slices.CompactFunc(ks, func(a, b span) bool { return bytes.Equal(bytesOf(a), bytesOf(b)) })
-		size := 0
-		for _, k := range ks {
-			size += int(k.end - k.off)
+		route := append(prefix(d.id), bytesOf(v.enc)...)
+		e := valEntry{key: string(bytesOf(v.enc)), val: tuples[v.row][d.attrPos]}
+		for _, piece := range pieces(len(ks)) {
+			part := ks[piece[0]:piece[1]]
+			size := 0
+			for _, k := range part {
+				size += int(k.end - k.off)
+			}
+			posting := make([]byte, 0, size)
+			for _, k := range part {
+				posting = append(posting, bytesOf(k)...)
+			}
+			f := frag{n: len(part)}
+			if piece[0] > 0 {
+				f.fence = string(bytesOf(part[0]))
+			}
+			m.cluster.PutRouted(route, fragKey(route, f.fence), posting)
+			e.frags = append(e.frags, f)
 		}
-		posting := make([]byte, 0, size)
-		for _, k := range ks {
-			posting = append(posting, bytesOf(k)...)
-		}
-		key = append(key[:4], bytesOf(v.enc)...)
-		m.cluster.Put(key, posting)
 		n += len(ks)
 		st.Entries++
-		st.Postings += len(ks)
-		st.bump(0, len(ks))
-		distinct = append(distinct, tuples[v.row][d.attrPos])
+		st.resize(0, len(ks))
+		st.vals = append(st.vals, e)
 	}
-	return n, distinct
+	return n
+}
+
+// pieces cuts a sorted run of n block keys into ⌈n/M⌉ fragments of even
+// length, as [start, end) bounds: one fragment up to M keys, halves up to
+// 2M.
+func pieces(n int) [][2]int {
+	k := (n + M - 1) / M
+	out := make([][2]int, k)
+	for j := range out {
+		out[j] = [2]int{j * n / k, (j + 1) * n / k}
+	}
+	return out
 }
 
 // Drop removes the index and all of its postings from the store.
@@ -355,8 +411,8 @@ func (m *Manager) Drop(name string) error {
 	delete(m.stats, name)
 	m.pendMu.Lock()
 	if pend := m.pending[d.Rel]; pend != nil {
-		for id := range pend {
-			if strings.HasPrefix(id, name+"\x00") {
+		for id, pf := range pend {
+			if pf.idx == name {
 				delete(pend, id)
 			}
 		}
@@ -405,28 +461,51 @@ func (m *Manager) Lookup(name string, v relation.Value) ([]relation.Tuple, int, 
 }
 
 // LookupManyT resolves the postings of several values of one index in a
-// single batched cluster round: the posting gets are grouped by owning
-// node and issued as one GetManyRouted — one emulated round trip and one
-// lock acquisition per node — instead of one routed get per value. The
-// gets count into the trace's kv counters (nil untraced) and each decoded
-// posting list into its posting-read counter. outs aligns with vs (nil for
-// a value with no posting); gets reports the point lookups issued, one per
-// value.
+// single batched cluster round: the directory names each value's fragments
+// (one, the posting key itself, for a value it does not hold), and their
+// gets are grouped by owning node and issued as one GetManyRouted — one
+// emulated round trip and one lock acquisition per node — instead of one
+// routed get per fragment. The gets count into the trace's kv counters (nil
+// untraced) and each decoded posting list, however many fragments it
+// spans, into its posting-read counter. outs aligns with vs (nil for a
+// value with no posting); gets reports the point lookups issued, one per
+// fragment.
 func (m *Manager) LookupManyT(t *obs.Trace, name string, vs []relation.Value) (outs [][]relation.Tuple, gets int, err error) {
 	if len(vs) == 0 {
 		return nil, 0, nil
 	}
 	m.mu.RLock()
 	d, ok := m.defs[name]
-	m.mu.RUnlock()
 	if !ok {
+		m.mu.RUnlock()
 		return nil, 0, fmt.Errorf("index: unknown index %q", name)
 	}
-	reqs := make([]kv.GetRequest, len(vs))
+	st := m.stats[name]
+	reqs := make([]kv.GetRequest, 0, len(vs))
+	// Value i's fragments end at reqs[ends[i]]; ends stays nil while every
+	// value has one.
+	var ends []int
 	for i, v := range vs {
-		key := postingKey(d.id, v)
-		reqs[i] = kv.GetRequest{Route: key, Key: key}
+		route := postingKey(d.id, v)
+		if at, ok := st.find(route); ok {
+			frags := st.vals[at].frags
+			if len(frags) > 1 && ends == nil {
+				ends = make([]int, len(vs))
+				for j := range i {
+					ends[j] = j + 1
+				}
+			}
+			for _, f := range frags {
+				reqs = append(reqs, kv.GetRequest{Route: route, Key: fragKey(route, f.fence)})
+			}
+		} else {
+			reqs = append(reqs, kv.GetRequest{Route: route, Key: route})
+		}
+		if ends != nil {
+			ends[i] = len(reqs)
+		}
 	}
+	m.mu.RUnlock()
 	res := m.cluster.GetManyRouted(t.KVCounters(), reqs)
 	if t != nil {
 		// Span annotation: how the batch's posting gets spread over the
@@ -439,22 +518,46 @@ func (m *Manager) LookupManyT(t *obs.Trace, name string, vs []relation.Value) (o
 	}
 	width := len(d.Key)
 	outs = make([][]relation.Tuple, len(vs))
-	for i, r := range res {
-		if !r.OK {
-			continue
+	start := 0
+	for i := range vs {
+		end := i + 1
+		if ends != nil {
+			end = ends[i]
 		}
-		t.CountPostings(1)
-		off := 0
-		for off < len(r.Value) {
-			tup, n, err := relation.DecodeTuple(r.Value[off:], width)
-			if err != nil {
-				return nil, len(vs), fmt.Errorf("index: %s: corrupt posting: %v", name, err)
+		read := false
+		for j := start; j < end; j++ {
+			if !res[j].OK {
+				continue
 			}
-			outs[i] = append(outs[i], tup)
-			off += n
+			read = true
+			// The next stored fragment owns the keys from its fence up: a
+			// split leaves copies of them here until reclamation.
+			var next []byte
+			for k := j + 1; k < end; k++ {
+				if res[k].OK {
+					next = reqs[k].Key[len(reqs[k].Route):]
+					break
+				}
+			}
+			b := res[j].Value
+			for off := 0; off < len(b); {
+				tup, n, err := relation.DecodeTuple(b[off:], width)
+				if err != nil {
+					return nil, len(reqs), fmt.Errorf("index: %s: corrupt posting: %v", name, err)
+				}
+				if next != nil && bytes.Compare(b[off:off+n], next) >= 0 {
+					break
+				}
+				outs[i] = append(outs[i], tup)
+				off += n
+			}
 		}
+		if read {
+			t.CountPostings(1)
+		}
+		start = end
 	}
-	return outs, len(vs), nil
+	return outs, len(reqs), nil
 }
 
 // Range returns the postings of every indexed value within the bounds, as
@@ -473,23 +576,26 @@ func (m *Manager) Range(name string, lo, hi *relation.Value, loIncl, hiIncl bool
 //
 // Postings are stored in encoded (memcmp) value order, so the read is one
 // ordered cluster walk bounded to the index prefix with encoded-value
-// fences — the engines seek to lo and stop past hi, visiting only the
-// posting lists the range matches, never the whole posting space. The walk
-// is the ordered gather over the scatter pipeline (kv.RangeMergeT): one
-// ordered stream per storage node, recombined by popping the smallest
-// stream head — each posting key lives on exactly one node and per-node
-// streams ascend, so that IS the global walk, while every node's seek round
-// trip and engine walk overlaps the others. Block-key dedup happens at the
-// merge point in global (value, block key) order, so the kept posting of a
-// block key listed under several in-range values is the same whatever the
-// node count or shard layout. The value encoding is prefix-free, so per-key
-// merge order equals the (value, block key) concatenated encoded order and
-// no post-sort is needed.
+// fences — the engines seek to lo and stop past hi's last fragment,
+// visiting only the posting lists the range matches, never the whole
+// posting space. The fences and the open-bound exclusion compare the value
+// part of a fragment's key. The walk is the ordered gather over the scatter
+// pipeline (kv.RangeMergeT): one ordered stream per storage node,
+// recombined by popping the smallest stream head — each posting key lives
+// on exactly one node and per-node streams ascend, so that IS the global
+// walk, while every node's seek round trip and engine walk overlaps the
+// others. Block-key dedup happens at the merge point in global (value,
+// block key) order, so the kept posting of a block key listed under several
+// in-range values is the same whatever the node count or shard layout. The
+// value encoding is prefix-free, so per-key merge order equals the (value,
+// block key) concatenated encoded order and no post-sort is needed.
 //
 // The merge is streaming and a bound LIMIT k costs O(k) scan steps per
-// node, not O(range): each node stops as soon as it alone has yielded limit
-// entries — its walk is ordered, so no later posting list on it can
-// displace an already-collected entry from the global first limit.
+// node, not O(range): each node stops after the fragment that brings it to
+// limit entries — its walk is ordered, so no later fragment on it can
+// displace an already-collected entry from the global first limit. A
+// fragment with a shrink pending may still hold copies a split handed on;
+// the node reads on to the next fragment, which owns them.
 func (m *Manager) RangeLimitT(t *obs.Trace, name string, lo, hi *relation.Value, loIncl, hiIncl bool, limit int) (vals []relation.Value, keys []relation.Tuple, scanned int, err error) {
 	m.mu.RLock()
 	d, ok := m.defs[name]
@@ -501,64 +607,112 @@ func (m *Manager) RangeLimitT(t *obs.Trace, name string, lo, hi *relation.Value,
 		return nil, nil, 0, nil
 	}
 	pfx := prefix(d.id)
-	var loKey, hiKey []byte
+	var loKey, hiKey, hiFence []byte
 	if lo != nil {
 		loKey = postingKey(d.id, *lo)
 	}
 	if hi != nil {
-		hiKey = postingKey(d.id, *hi)
+		// hi's later fragments extend its posting key with an encoded block
+		// key, whose kind tag sorts below 0xFF.
+		hiFence = append(postingKey(d.id, *hi), 0xFF)
+		hiKey = hiFence[:len(hiFence)-1]
 	}
 	width := len(d.Key)
 
 	// Open bounds: the fences are inclusive at the byte level, so an
-	// excluded endpoint shows up as its exact posting key and is skipped.
+	// excluded endpoint shows up as its fragments and is skipped. The value
+	// encoding is prefix-free: only the endpoint's own keys extend it.
 	excluded := func(k []byte) bool {
-		return (!loIncl && loKey != nil && bytes.Equal(k, loKey)) ||
-			(!hiIncl && hiKey != nil && bytes.Equal(k, hiKey))
+		return (!loIncl && loKey != nil && bytes.HasPrefix(k, loKey)) ||
+			(!hiIncl && hiKey != nil && bytes.HasPrefix(k, hiKey))
 	}
 
 	type entry struct {
 		val relation.Value
 		key relation.Tuple
 	}
-	var entries []entry
 	seen := make(map[string]bool)
-	var scanErr error
-	// process consumes one posting list in global key order; entries come
-	// out already globally ordered. Returns false to stop the walk —
-	// mid-list once the limit is reached: later postings of the list are
-	// larger in the global order, so none can belong to the answer.
-	process := func(k, v []byte) bool {
-		if excluded(k) {
-			return true
+	nodes := m.cluster.NodeCount()
+	// Per-node posting-list counts are taken at the merge point (the global
+	// walk the consumer actually processed), so they are as deterministic as
+	// scanned itself.
+	perNode := make([]int64, nodes)
+	// The walk's state, in one variable the closures below share. held is
+	// the fragment the walk has read but not yet consumed: the next pair
+	// decides how far it reaches. A value's fragments arrive together, and
+	// a later one owns the keys from its fence up, which a split leaves
+	// behind in the older one until reclamation.
+	var w struct {
+		entries []entry
+		scanned int
+		err     error
+		full    bool
+		held    struct {
+			k, v  []byte
+			val   relation.Value
+			vend  int // k[:vend] is the value's posting key
+			node  int
+			first bool // the value's first fragment in the walk
+			ok    bool
 		}
-		val, _, err := relation.DecodeValue(k[len(pfx):])
-		if err != nil {
-			scanErr = fmt.Errorf("index: %s: corrupt posting key: %v", name, err)
-			return false
+	}
+	// consume takes the held fragment's keys below next (all of them for
+	// nil) in global key order; entries come out already globally ordered.
+	// Returns false to stop the walk — mid-fragment once the limit is
+	// reached: later keys are larger in the global order, so none can
+	// belong to the answer, and they are never cut, looked up or decoded.
+	consume := func(next []byte) bool {
+		h := &w.held
+		if h.first {
+			w.scanned++
+			perNode[h.node]++
 		}
-		scanned++
-		// The list is walked only as far as the limit reaches: the rest of
-		// it is never cut, looked up or decoded.
-		full := false
-		err = eachPosting(v, width, func(pk []byte) bool {
+		err := eachPosting(h.v, width, func(pk []byte) bool {
+			if next != nil && bytes.Compare(pk, next) >= 0 {
+				return false
+			}
 			if seen[string(pk)] {
 				return true
 			}
 			seen[string(pk)] = true
 			tup, _, err := relation.DecodeTuple(pk, width)
 			if err != nil {
-				scanErr = fmt.Errorf("index: %s: corrupt posting: %v", name, err)
+				w.err = fmt.Errorf("index: %s: corrupt posting: %v", name, err)
 				return false
 			}
-			entries = append(entries, entry{val: val, key: tup})
-			full = limit >= 0 && len(entries) >= limit
-			return !full
+			w.entries = append(w.entries, entry{val: h.val, key: tup})
+			w.full = limit >= 0 && len(w.entries) >= limit
+			return !w.full
 		})
 		if err != nil {
-			scanErr = fmt.Errorf("index: %s: %v", name, err)
+			w.err = fmt.Errorf("index: %s: %v", name, err)
 		}
-		return scanErr == nil && !full
+		return w.err == nil && !w.full
+	}
+	process := func(node int, k, v []byte) bool {
+		if excluded(k) {
+			return true
+		}
+		val, n, err := relation.DecodeValue(k[len(pfx):])
+		if err != nil {
+			w.err = fmt.Errorf("index: %s: corrupt posting key: %v", name, err)
+			return false
+		}
+		h := &w.held
+		vend := len(pfx) + n
+		same := h.ok && bytes.Equal(k[:vend], h.k[:h.vend])
+		if h.ok {
+			var next []byte
+			if same {
+				next = k[vend:]
+			}
+			if !consume(next) {
+				return false
+			}
+		}
+		h.k, h.v, h.val, h.vend, h.node = k, v, val, vend, node
+		h.first, h.ok = !same, true
+		return true
 	}
 
 	// Producer-side LIMIT cut: a node stops after yielding limit entries
@@ -568,9 +722,9 @@ func (m *Manager) RangeLimitT(t *obs.Trace, name string, lo, hi *relation.Value,
 	// node — the cut keeps every candidate while holding each node's scan
 	// cost at O(limit), not O(range), deterministically (not subject to
 	// cancellation timing).
-	nodes := m.cluster.NodeCount()
 	var cut func(node int, k, v []byte) bool
 	if limit > 0 {
+		shrinking := m.shrinking(d)
 		counts := make([]int, nodes)
 		seenNode := make([]map[string]bool, nodes)
 		for i := range seenNode {
@@ -580,9 +734,11 @@ func (m *Manager) RangeLimitT(t *obs.Trace, name string, lo, hi *relation.Value,
 			if excluded(k) {
 				return true
 			}
-			// Walked as far as the node's limit and no further. A list that
-			// does not cut cleanly stops the node here; the merge surfaces
-			// the error when it gets to it.
+			// Walked as far as the node's limit and no further. A fragment
+			// that does not cut cleanly stops the node here; the merge
+			// surfaces the error when it gets to it. A fragment with a
+			// shrink pending may hold a split's copies of keys the merge
+			// takes from the next fragment, so the node reads on to it.
 			err := eachPosting(v, width, func(pk []byte) bool {
 				if !seenNode[node][string(pk)] {
 					seenNode[node][string(pk)] = true
@@ -590,31 +746,42 @@ func (m *Manager) RangeLimitT(t *obs.Trace, name string, lo, hi *relation.Value,
 				}
 				return counts[node] < limit
 			})
-			return err == nil && counts[node] < limit
+			return err == nil && (counts[node] < limit || shrinking[string(k)])
 		}
 	}
-	// Per-node posting-list counts are taken at the merge point (the global
-	// walk the consumer actually processed), so they are as deterministic as
-	// scanned itself.
-	perNode := make([]int64, nodes)
-	m.cluster.RangeMergeT(t.KVCounters(), pfx, loKey, hiKey, cut, func(node int, k, v []byte) bool {
-		before := scanned
-		ok := process(k, v)
-		perNode[node] += int64(scanned - before)
-		return ok
-	})
-	t.AnnotateNodes(perNode)
-	if scanErr != nil {
-		return nil, nil, scanned, scanErr
+	m.cluster.RangeMergeT(t.KVCounters(), pfx, loKey, hiFence, cut, process)
+	if w.held.ok && w.err == nil && !w.full {
+		consume(nil)
 	}
-	t.CountPostings(scanned)
-	vals = make([]relation.Value, len(entries))
-	keys = make([]relation.Tuple, len(entries))
-	for i, e := range entries {
+	t.AnnotateNodes(perNode)
+	if w.err != nil {
+		return nil, nil, w.scanned, w.err
+	}
+	t.CountPostings(w.scanned)
+	vals = make([]relation.Value, len(w.entries))
+	keys = make([]relation.Tuple, len(w.entries))
+	for i, e := range w.entries {
 		vals[i] = e.val
 		keys[i] = e.key
 	}
-	return vals, keys, scanned, nil
+	return vals, keys, w.scanned, nil
+}
+
+// shrinking returns the pair keys of d's fragments with a removal pending,
+// nil when there are none.
+func (m *Manager) shrinking(d *Def) map[string]bool {
+	m.pendMu.Lock()
+	defer m.pendMu.Unlock()
+	var out map[string]bool
+	for _, pf := range m.pending[d.Rel] {
+		if pf.idx == d.Name && len(pf.pks) > 0 {
+			if out == nil {
+				out = make(map[string]bool)
+			}
+			out[string(fragKey(pf.route, pf.fence))] = true
+		}
+	}
+	return out
 }
 
 // IndexOn reports the index covering rel(attr): its name and the block-key
@@ -695,6 +862,9 @@ func (m *Manager) StatsOf(name string) (Stats, bool) {
 	out := *st
 	out.lens = nil
 	out.vals = append([]valEntry{}, st.vals...)
+	for i := range out.vals {
+		out.vals[i].frags = nil
+	}
 	return out, true
 }
 
@@ -762,27 +932,33 @@ func (m *Manager) Load(rels map[string]*relation.Schema) error {
 		st := &Stats{}
 		width := len(d.Key)
 		pfx := prefix(d.id)
-		var distinct []relation.Value
+		// A node walks a value's fragments together and in fence order.
 		m.cluster.Scan(pfx, func(k, v []byte) bool {
-			lst, err := splitPostings(v, width)
+			n := 0
+			if err := eachPosting(v, width, func([]byte) bool { n++; return true }); err != nil {
+				scanErr = err
+				return false
+			}
+			val, vn, err := relation.DecodeValue(k[len(pfx):])
 			if err != nil {
 				scanErr = err
 				return false
 			}
-			val, _, err := relation.DecodeValue(k[len(pfx):])
-			if err != nil {
-				scanErr = err
-				return false
+			key, fence := string(k[len(pfx):len(pfx)+vn]), string(k[len(pfx)+vn:])
+			if last := len(st.vals) - 1; last >= 0 && st.vals[last].key == key {
+				st.vals[last].frags = append(st.vals[last].frags, frag{fence: fence, n: n})
+			} else {
+				st.vals = append(st.vals, valEntry{key: key, val: val, frags: []frag{{fence: fence, n: n}}})
 			}
-			st.Entries++
-			st.Postings += len(lst)
-			st.bump(0, len(lst))
-			distinct = append(distinct, val)
 			return true
 		})
-		st.setValues(distinct)
 		if scanErr != nil {
 			return scanErr
+		}
+		slices.SortFunc(st.vals, func(a, b valEntry) int { return strings.Compare(a.key, b.key) })
+		for _, e := range st.vals {
+			st.Entries++
+			st.resize(0, e.length())
 		}
 		m.defs[d.Name] = d
 		m.byAttr[attrKey(d.Rel, d.Attr)] = d.Name

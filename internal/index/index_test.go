@@ -10,7 +10,7 @@ import (
 	"zidian/internal/relation"
 )
 
-func itemSchema(t *testing.T) *relation.Schema {
+func itemSchema(t testing.TB) *relation.Schema {
 	t.Helper()
 	return relation.MustSchema("ITEM", []relation.Attr{
 		{Name: "id", Kind: relation.KindInt},

@@ -590,7 +590,7 @@ func (e *executor) runExtend(n *Extend, s *rowSink) (*PartRel, error) {
 	// row i of partition w finds its key, and so its block. The keys are
 	// rows of a slab sized as if every input row had its own.
 	total := shuffled.Len()
-	index := make(map[string]int32)
+	index := make(map[string]int32, total)
 	keys := make([]relation.Tuple, 0, total)
 	keySlab := newRowSlab(total, len(keyIdx))
 	flat := make([]int32, total)

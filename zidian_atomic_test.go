@@ -180,10 +180,12 @@ func TestInsertRollsBackOnCorruptPosting(t *testing.T) {
 	}
 }
 
-// TestDeleteRestoresBlocksOnCorruptPosting: when the posting removal fails
-// after the blocks were deleted, Delete re-inserts the blocks and leaves the
-// relation's tuples untouched.
-func TestDeleteRestoresBlocksOnCorruptPosting(t *testing.T) {
+// TestDeleteDefersShrinkOverCorruptPosting: a DELETE reads no posting — a
+// live row's block key is always posted — so a corrupt posting does not fail
+// it. Its shrink stays pending while the posting cannot be read and drains
+// on the next reclamation once it can. A DELETE whose block cannot be read
+// still fails whole, leaving the relation and the pk block untouched.
+func TestDeleteDefersShrinkOverCorruptPosting(t *testing.T) {
 	db, bv := atomicItemsDB(t)
 	inst, err := Open(db, bv, Options{Nodes: 3, Workers: 2})
 	if err != nil {
@@ -193,35 +195,49 @@ func TestDeleteRestoresBlocksOnCorruptPosting(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel := db.Relation("ITEM")
-	undo := corruptPair(t, inst, []uint32{1 << 31, 1<<31 | 1, 1<<31 | 2}, skuMatch("SKU-010"), []byte{0xFE})
-
 	victim := Tuple{Int(40), String("SKU-010"), Int(40)}
+	pkRows := func() int {
+		t.Helper()
+		res, _, err := inst.Query("select I.qty from ITEM I where I.item_id = 40")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(res.Rows)
+	}
+
+	undoBlock := corruptPair(t, inst, []uint32{1, 2}, skuMatch("SKU-010"), []byte{0x80})
 	if err := inst.Delete("ITEM", victim); err == nil {
-		t.Fatal("delete over a corrupt posting succeeded")
+		t.Fatal("delete over a corrupt block succeeded")
 	}
-	if rel.Cardinality() != 100 {
-		t.Fatalf("failed delete left the relation at %d tuples, want 100", rel.Cardinality())
+	if rel.Cardinality() != 100 || pkRows() != 1 {
+		t.Fatalf("failed delete left %d tuples and %d pk rows, want 100 and 1", rel.Cardinality(), pkRows())
 	}
-	res, _, err := inst.Query("select I.qty from ITEM I where I.item_id = 40")
-	if err != nil {
-		t.Fatal(err)
+	undoBlock()
+
+	undo := corruptPair(t, inst, []uint32{1 << 31, 1<<31 | 1, 1<<31 | 2}, skuMatch("SKU-010"), []byte{0xFE})
+	if err := inst.Delete("ITEM", victim); err != nil {
+		t.Fatalf("delete over a corrupt posting: %v", err)
 	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("failed delete left the pk block missing (%d rows)", len(res.Rows))
+	if rel.Cardinality() != 99 || pkRows() != 0 {
+		t.Fatalf("delete left %d tuples and %d pk rows, want 99 and 0", rel.Cardinality(), pkRows())
+	}
+	if n := inst.indexes.PendingRemovals("ITEM"); n != 1 {
+		t.Fatalf("%d posting shrinks pending over the corrupt posting, want 1", n)
 	}
 
 	undo()
-	if err := inst.Delete("ITEM", victim); err != nil {
-		t.Fatalf("delete after restoring the posting: %v", err)
+	inst.SweepMVCC()
+	if n := inst.indexes.PendingRemovals("ITEM"); n != 0 {
+		t.Fatalf("%d posting shrinks pending after the posting was restored", n)
 	}
-	if rel.Cardinality() != 99 {
-		t.Fatalf("cardinality = %d after recovery delete", rel.Cardinality())
+	if st, _ := inst.IndexStats("ix_sku"); st.Postings != 99 {
+		t.Fatalf("postings = %d after the shrink drained, want 99", st.Postings)
 	}
-	res, _, err = inst.Query("select I.item_id from ITEM I where I.sku = 'SKU-010'")
+	res, _, err := inst.Query("select I.item_id from ITEM I where I.sku = 'SKU-010'")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 3 {
-		t.Fatalf("sku posting holds %d rows after recovery delete, want 3", len(res.Rows))
+		t.Fatalf("sku posting holds %d rows after the delete, want 3", len(res.Rows))
 	}
 }
