@@ -213,7 +213,8 @@ type BatchOp struct {
 // into both the node metrics and the trace, so traced totals still equal
 // the cluster-wide metric delta. Ops land in input order within
 // each node; cross-node order is unspecified (the key space is disjoint by
-// construction, so it cannot matter).
+// construction, so it cannot matter). How long each node's lock is held
+// counts into its WriteHold: two clock reads per node per batch.
 func (c *Cluster) ApplyBatch(t *obs.KV, ops []BatchOp) {
 	if len(ops) == 0 {
 		return
@@ -226,6 +227,7 @@ func (c *Cluster) ApplyBatch(t *obs.KV, ops []BatchOp) {
 			continue
 		}
 		n.mu.Lock()
+		start := time.Now()
 		for _, i := range idxs {
 			op := ops[i]
 			if op.Delete {
@@ -238,6 +240,7 @@ func (c *Cluster) ApplyBatch(t *obs.KV, ops []BatchOp) {
 				t.CountPut(len(op.Key) + len(op.Value))
 			}
 		}
+		n.metrics.writeHold.Add(int64(time.Since(start)))
 		n.mu.Unlock()
 	}
 }

@@ -3,6 +3,7 @@ package kv
 import (
 	"bytes"
 	"hash/maphash"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 )
@@ -34,9 +35,9 @@ type Engine interface {
 	// It must not mutate engine state that another read depends on: engines
 	// merge on the write path. The one thing a read may do is fill a
 	// read-only view of state only writes change (the hash engine's sorted
-	// pending buffer) through an atomic pointer that every write clears —
-	// readers under the shared lock may race to build it, and each builds
-	// the same view.
+	// pending buffer) through an atomic pointer that every write changing
+	// that state clears — readers under the shared lock may race to build
+	// it, and each builds the same view.
 	ScanRange(from, to []byte, fn func(key, value []byte) bool)
 	// Len returns the number of stored pairs.
 	Len() int
@@ -62,8 +63,11 @@ type EngineKind int
 const (
 	// EngineHash is a hash-table engine that keeps its keys in order beside
 	// the table — a sorted slice plus a small pending buffer of fresh keys,
-	// sorted once per write burst by the first read that needs it; it plays
-	// the role of Cassandra's partition store ("cstore").
+	// sorted once per write burst by the first read that needs it. A delete
+	// leaves a tombstone that the next merge drops, as Cassandra drops its
+	// tombstones at compaction; it plays the role of Cassandra's partition
+	// store ("cstore"). All three engines delete through such a buffered
+	// tombstone.
 	EngineHash EngineKind = iota
 	// EngineLSM is a log-structured merge engine (memtable + sorted runs
 	// with compaction); it plays the role of HBase ("hstore").
@@ -106,27 +110,40 @@ func NewEngine(kind EngineKind) Engine {
 // neither the table nor the id slices below hold a pointer at all. It
 // maintains key order on the write path, so scans are pure reads and the
 // cluster can run them under per-node read locks concurrently with gets.
-// Fresh keys accumulate in a small unsorted pending buffer that Put folds
-// into the sorted id slice once it fills — one O(n) merge per hashMergeAt
-// writes keeps bulk loads near O(N log N) instead of the O(N²) a
-// splice-per-key would cost. ScanRange and PrefixEmpty read the pending
-// buffer through a sorted copy, built by the first of them after a write
-// and kept until the next one: a burst of range walks between two writes
-// sorts the buffer once, and the load path pays a nil check per Put.
+// Fresh keys accumulate in a small unsorted pending buffer, and a deleted
+// key leaves a tombstone: its id stays listed, marked dead, until the next
+// merge. Once the pending ids and the tombstones reach hashMergeAt together,
+// one merge folds the buffer into the sorted id slice and drops the dead ids
+// in the same pass — bulk loads stay near O(N log N) instead of the O(N²) a
+// splice-per-key would cost, and a delete costs O(1) amortized instead of an
+// O(n) splice. ScanRange and PrefixEmpty skip dead ids, and read the
+// pending buffer through a sorted copy, built by the first of them after a
+// write and kept until the next one: a burst of range walks between two
+// writes sorts the buffer once, and the load path pays a nil check per Put.
 type hashEngine struct {
 	recs []record // id → its pair; a free id holds the zero record
-	free []int32  // ids of deleted records, reused by the next new key
+	// free holds ids a merge reclaimed, reused by the next new key; no id
+	// in it is listed in keys or pending.
+	free []int32
+	// dead marks, one bit per id, the ndead ids deleted since the last
+	// merge. Each is listed once in keys or pending and keeps its record,
+	// whose key the merge compares, until the merge drops it and frees the
+	// id. A bit, not a record field, so the merge's pass over the sorted
+	// ids tests it without reading a record.
+	dead  []uint64
+	ndead int
 	// table finds a key's id, under the low 32 bits of its hash.
 	table Table
 	seed  maphash.Seed
 
-	keys    []int32 // ids in key order; excludes pending
+	keys    []int32 // ids in key order, dead ones included; excludes pending
 	pending []int32 // ids of fresh keys not yet merged, unsorted
 	size    int64
 	// sorted is pending in key order, or nil when no read has asked for it
 	// since the last write. Readers under the cluster's shared lock fill it
-	// (several may race; each stores an equal copy); Put, Delete and
-	// mergePending clear it under the exclusive lock.
+	// (several may race; each stores an equal copy); a Put of a fresh key
+	// and mergePending clear it under the exclusive lock. A delete keeps
+	// it: it holds ids, and readers test them for tombstones as they go.
 	sorted atomic.Pointer[[]int32]
 }
 
@@ -196,26 +213,76 @@ func (e *hashEngine) sortedPending() []int32 {
 	return v
 }
 
-// mergePending folds the pending buffer into the sorted id slice.
+// mergePending folds the pending buffer into the sorted id slice and drops
+// the dead ids from both in the same pass; only then are their ids free.
+// Each pending key gallops to its place among the sorted ids, and the ids
+// between two places are copied, not compared: O(p log(n/p)) compares for
+// p pending keys over n sorted ids, plus one pass over the ids.
 func (e *hashEngine) mergePending() {
-	if len(e.pending) == 0 {
+	if len(e.pending) == 0 && e.ndead == 0 {
 		return
 	}
 	e.dropSorted()
-	slices.SortFunc(e.pending, e.cmpIDs)
-	merged := make([]int32, 0, len(e.keys)+len(e.pending))
-	i, j := 0, 0
-	for i < len(e.keys) || j < len(e.pending) {
-		if j >= len(e.pending) || (i < len(e.keys) && e.cmpIDs(e.keys[i], e.pending[j]) < 0) {
-			merged = append(merged, e.keys[i])
-			i++
-		} else {
-			merged = append(merged, e.pending[j])
-			j++
+	pend := slices.DeleteFunc(e.pending, e.isDead)
+	slices.SortFunc(pend, e.cmpIDs)
+	// Each dead id is listed once, in keys or in pending.
+	merged := make([]int32, 0, len(e.keys)+len(e.pending)-e.ndead)
+	keys := e.keys
+	for _, id := range pend {
+		n := e.below(keys, e.key(id))
+		merged = append(e.appendLive(merged, keys[:n]), id)
+		keys = keys[n:]
+	}
+	e.keys = e.appendLive(merged, keys)
+	e.pending = e.pending[:0]
+	for w, word := range e.dead {
+		for ; word != 0; word &= word - 1 {
+			id := int32(w<<6 + bits.TrailingZeros64(word))
+			e.recs[id] = record{}
+			e.free = append(e.free, id)
+		}
+		e.dead[w] = 0
+	}
+	e.ndead = 0
+}
+
+// below returns how many of the ids, in key order, have keys below k. It
+// gallops — compares the 1st, 2nd, 4th, … id before it binary-searches — so
+// it costs O(log) of its answer, not of len(ids).
+func (e *hashEngine) below(ids []int32, k []byte) int {
+	hi := 1
+	for hi <= len(ids) && bytes.Compare(e.key(ids[hi-1]), k) < 0 {
+		hi *= 2
+	}
+	lo := hi / 2
+	return lo + e.lowerBound(ids[lo:min(hi, len(ids))], k)
+}
+
+// appendLive appends the ids that are not dead to dst.
+func (e *hashEngine) appendLive(dst, ids []int32) []int32 {
+	if e.ndead == 0 {
+		return append(dst, ids...)
+	}
+	for _, id := range ids {
+		if !e.isDead(id) {
+			dst = append(dst, id)
 		}
 	}
-	e.keys = merged
-	e.pending = e.pending[:0]
+	return dst
+}
+
+// isDead reports whether id carries a tombstone.
+func (e *hashEngine) isDead(id int32) bool {
+	w := int(id >> 6)
+	return w < len(e.dead) && e.dead[w]&(1<<(id&63)) != 0
+}
+
+// mergeIfFull merges once the pending ids and the tombstones reach
+// hashMergeAt together.
+func (e *hashEngine) mergeIfFull() {
+	if len(e.pending)+e.ndead >= hashMergeAt {
+		e.mergePending()
+	}
 }
 
 func (e *hashEngine) Put(key, value []byte) {
@@ -243,11 +310,15 @@ func (e *hashEngine) Put(key, value []byte) {
 	e.size += int64(len(rec))
 	e.pending = append(e.pending, id)
 	e.dropSorted()
-	if len(e.pending) >= hashMergeAt {
-		e.mergePending()
-	}
+	e.mergeIfFull()
 }
 
+// Delete takes the key out of the table and leaves a tombstone: the id
+// stays listed in keys or pending, marked dead, and the record keeps its
+// bytes until the next merge drops it. The sorted view of pending holds
+// ids, so it stays valid. O(1) amortized; deletes are not rare next to
+// puts: a mixed read/write load issues about 1.4 kv deletes per write
+// against 2.7 puts.
 func (e *hashEngine) Delete(key []byte) bool {
 	slot, id, ok := e.find(key, e.tag(key))
 	if !ok {
@@ -255,14 +326,14 @@ func (e *hashEngine) Delete(key []byte) bool {
 	}
 	e.table.Remove(slot)
 	e.size -= int64(len(e.recs[id].kv))
-	// Fold pending first, then splice once: two O(n) passes per key. Deletes
-	// are not rare next to puts: a mixed read/write load issues about 1.4 kv
-	// deletes per write against 2.7 puts.
-	e.mergePending()
-	i := e.lowerBound(e.keys, key)
-	e.keys = slices.Delete(e.keys, i, i+1)
-	e.recs[id] = record{}
-	e.free = append(e.free, id)
+	w := int(id >> 6)
+	if w >= len(e.dead) {
+		// Room for every id there is, so the bits grow as often as recs.
+		e.dead = append(e.dead, make([]uint64, (len(e.recs)+63)/64-len(e.dead))...)
+	}
+	e.dead[w] |= 1 << (id & 63)
+	e.ndead++
+	e.mergeIfFull()
 	return true
 }
 
@@ -282,7 +353,8 @@ func (e *hashEngine) lowerBound(ids []int32, from []byte) int {
 }
 
 // ScanRange merges the sorted ids and the sorted view of the pending buffer,
-// handing out windows into the records: no lookup and no copy per pair.
+// skipping dead ids and handing out windows into the records: no lookup and
+// no copy per pair.
 func (e *hashEngine) ScanRange(from, to []byte, fn func(key, value []byte) bool) {
 	pend := e.sortedPending()
 	pend = pend[e.lowerBound(pend, from):]
@@ -298,6 +370,9 @@ func (e *hashEngine) ScanRange(from, to []byte, fn func(key, value []byte) bool)
 		if to != nil && bytes.Compare(k, to) > 0 {
 			return
 		}
+		if e.isDead(id) {
+			continue
+		}
 		if !fn(k, e.val(id)) {
 			return
 		}
@@ -309,12 +384,17 @@ func (e *hashEngine) Len() int { return e.table.Len() }
 func (e *hashEngine) SizeBytes() int64 { return e.size }
 
 // PrefixEmpty: one binary search over the sorted ids and one over the
-// sorted view of the pending buffer, no mutation.
+// sorted view of the pending buffer, then a step past any dead ids that
+// carry the prefix — exact, and no mutation.
 func (e *hashEngine) PrefixEmpty(prefix []byte) bool {
 	for _, ids := range [2][]int32{e.keys, e.sortedPending()} {
-		i := e.lowerBound(ids, prefix)
-		if i < len(ids) && bytes.HasPrefix(e.key(ids[i]), prefix) {
-			return false
+		for _, id := range ids[e.lowerBound(ids, prefix):] {
+			if !bytes.HasPrefix(e.key(id), prefix) {
+				break
+			}
+			if !e.isDead(id) {
+				return false
+			}
 		}
 	}
 	return true

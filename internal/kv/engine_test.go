@@ -225,3 +225,148 @@ func TestEngineKindString(t *testing.T) {
 		t.Fatal("unknown kind")
 	}
 }
+
+// settle folds an engine's write buffers into its sorted store, as a
+// long-lived node's are between bursts: the hash engine's pending buffer and
+// tombstones, the sorted engine's write buffer, the LSM engine's memtable
+// and runs.
+func settle(e Engine) {
+	switch e := e.(type) {
+	case *hashEngine:
+		e.mergePending()
+	case *sortedEngine:
+		e.merge()
+	case *lsmEngine:
+		e.flush()
+		e.compact()
+	}
+}
+
+// benchSink keeps the benchmarks' results alive.
+var benchSink []byte
+
+// BenchmarkEngineGetPut is each engine's point operations over 10⁵ settled
+// keys: a get that hits and one that misses, a put of a new key and one
+// overwriting a stored key, and a delete. The put-new and delete cases
+// rebuild the engine, untimed, every 10⁵ operations. delete/after-puts is
+// one delete after an untimed burst of puts, over 10⁴ and 10⁵ settled keys,
+// as MVCC reclaim deletes between commits. Every engine buffers a delete as
+// a tombstone that a later O(n) merge drops, so what grows with the keys is
+// that merge's share: the hash engine merges every 4 096 writes and gallops,
+// the sorted engine every 1 024 and compares every key.
+func BenchmarkEngineGetPut(b *testing.B) {
+	const n = 100_000
+	keys := make([][]byte, 2*n) // even keys are stored, odd keys never are
+	for i := range keys {
+		keys[i] = hashKey(i)
+	}
+	val := []byte("a value of about the size of a posting")
+	for _, kind := range allKinds {
+		fillN := func(size int) Engine {
+			e := NewEngine(kind)
+			for i := 0; i < size; i++ {
+				e.Put(keys[2*i], val)
+			}
+			settle(e)
+			return e
+		}
+		b.Run(kind.String(), func(b *testing.B) {
+			e := fillN(n)
+			b.Run("get/hit", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					benchSink, _ = e.Get(keys[2*(i*7919%n)])
+				}
+			})
+			b.Run("get/miss", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					benchSink, _ = e.Get(keys[2*(i*7919%n)+1])
+				}
+			})
+			b.Run("put/overwrite", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					e.Put(keys[2*(i*7919%n)], val)
+				}
+			})
+			rounds := func(op func(e Engine, i int)) func(b *testing.B) {
+				return func(b *testing.B) {
+					b.ReportAllocs()
+					var e Engine
+					for i := 0; i < b.N; i++ {
+						if i%n == 0 {
+							b.StopTimer()
+							e = fillN(n)
+							b.StartTimer()
+						}
+						op(e, i*7919%n)
+					}
+				}
+			}
+			b.Run("put/new", rounds(func(e Engine, i int) { e.Put(keys[2*i+1], val) }))
+			b.Run("delete", rounds(func(e Engine, i int) { e.Delete(keys[2*i]) }))
+			const burst = 16
+			for _, size := range []int{10_000, 100_000} {
+				b.Run(fmt.Sprintf("delete/after-puts/%dk", size/1000), func(b *testing.B) {
+					b.ReportAllocs()
+					var e Engine
+					for i := 0; i < b.N; i++ {
+						j := i % (size / burst)
+						b.StopTimer()
+						if j == 0 {
+							e = fillN(size)
+						}
+						for k := range burst {
+							e.Put(keys[2*(j*burst+k)+1], val)
+						}
+						b.StartTimer()
+						e.Delete(keys[2*(j*7919%size)])
+					}
+				})
+			}
+		})
+	}
+}
+
+// BenchmarkEngineRange is a range walk of each engine with 10⁵ keys settled
+// and 4 000 fresh ones written after them, over a window of 1 and of 100
+// settled keys (and the fresh keys between them): what a posting-range walk
+// pays between two writes.
+func BenchmarkEngineRange(b *testing.B) {
+	const merged, fresh = 100_000, 4_000
+	keys := make([][]byte, 2*merged)
+	for i := range keys {
+		keys[i] = hashKey(i)
+	}
+	for _, kind := range allKinds {
+		b.Run(kind.String(), func(b *testing.B) {
+			e := NewEngine(kind)
+			r := rand.New(rand.NewSource(1))
+			for _, i := range r.Perm(merged) {
+				e.Put(keys[2*i], []byte("v"))
+			}
+			settle(e)
+			for _, i := range r.Perm(fresh) {
+				e.Put(keys[2*i*(merged/fresh)+1], []byte("v"))
+			}
+			for _, span := range []int{1, 100} {
+				b.Run(fmt.Sprintf("keys=%d", span), func(b *testing.B) {
+					b.ReportAllocs()
+					n := 0
+					// One callback for every walk: built per call, the
+					// closure would escape through the interface and
+					// allocate.
+					count := func(_, _ []byte) bool { n++; return true }
+					for i := 0; i < b.N; i++ {
+						lo := 2 * (i * 7919 % (merged - span))
+						e.ScanRange(keys[lo], keys[lo+2*(span-1)], count)
+					}
+					if n < b.N*span {
+						b.Fatalf("walked %d keys in %d walks of %d", n, b.N, span)
+					}
+				})
+			}
+		})
+	}
+}

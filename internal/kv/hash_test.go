@@ -96,7 +96,7 @@ func TestHashEngineMatchesSorted(t *testing.T) {
 					}
 				}
 				if len(h.pending) < before {
-					merges++ // a put filled the buffer, or a delete folded it
+					merges++ // a put or a delete filled the buffer
 				}
 			}
 			if pending == hashMergeAt-1 && merges == 0 {
@@ -111,15 +111,16 @@ func TestHashEngineMatchesSorted(t *testing.T) {
 
 // TestHashEngineSortedViewRace: eight readers under the shared lock race to
 // build the sorted view of a freshly written pending buffer while a writer
-// keeps writing under the exclusive lock; every reader sees every key the
-// writer had put before it locked. Run it under -race.
+// keeps putting and deleting under the exclusive lock, its deletes leaving
+// tombstones the readers step over; every reader sees exactly the keys live
+// when it locked. Run it under -race.
 func TestHashEngineSortedViewRace(t *testing.T) {
 	e := newHashEngine()
 	var mu sync.RWMutex
 	for i := 0; i < 500; i++ {
 		e.Put(hashKey(2*i), []byte("v"))
 	}
-	written := 500
+	live, last := 500, 499 // the live keys, and the index of the newest
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 8; g++ {
@@ -135,8 +136,8 @@ func TestHashEngineSortedViewRace(t *testing.T) {
 				mu.RLock()
 				n := 0
 				e.ScanRange(nil, nil, func(k, _ []byte) bool { n++; return true })
-				want := written
-				empty := e.PrefixEmpty(hashKey(2 * (want - 1)))
+				want := live
+				empty := e.PrefixEmpty(hashKey(2 * last))
 				mu.RUnlock()
 				if n != want || empty {
 					t.Errorf("reader saw %d keys (last key empty: %v), want %d", n, empty, want)
@@ -148,7 +149,11 @@ func TestHashEngineSortedViewRace(t *testing.T) {
 	for i := 500; i < 1500; i++ {
 		mu.Lock()
 		e.Put(hashKey(2*i), []byte("v"))
-		written++
+		live, last = live+1, i
+		if i%2 == 0 {
+			e.Delete(hashKey(i - 500)) // each of the first 500 keys once
+			live--
+		}
 		mu.Unlock()
 	}
 	close(stop)
@@ -263,7 +268,8 @@ func TestEnginePairsOutliveWrites(t *testing.T) {
 // keys of four symbols, so keys collide, nest and cross merges — and runs it
 // on the hash engine and the sorted engine side by side beside a model of
 // the stored pairs. Every answer must match the model, and after every
-// operation both engines agree on Len, SizeBytes and the whole walk.
+// operation both engines agree on Len, SizeBytes and the whole walk, and the
+// hash engine's id lists hold checkTombstones.
 func FuzzHashEngine(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1, 3, 3, 1, 1, 2, 1, 1, 4, 1, 0, 3, 5, 1, 1, 6})
 	f.Add(bytes.Repeat([]byte{0, 2, 1, 2, 7, 0, 2, 2, 3, 9, 1, 0, 1, 5, 2, 2}, 40))
@@ -275,6 +281,21 @@ func FuzzHashEngine(f *testing.F) {
 		rand.New(rand.NewSource(seed)).Read(b)
 		f.Add(b)
 	}
+	var o fuzzOps
+	// A key put again while its dead id is still listed: once merged, once
+	// still pending, and twice over within one pending buffer.
+	f.Add([]byte(o.put("a").merge().del("a").put("a").walk().get("a").probe("a").
+		put("b").del("b").put("b").del("b").put("b").walk().probe("b").merge().walk()))
+	// Walks across a run of dead ids, merged and pending, from inside it
+	// and from outside it.
+	f.Add([]byte(o.put("a").put("aa").put("ab").put("ab\x00").put("b").put("ba").merge().
+		del("aa").del("ab").del("ab\x00").walk().walkFrom("aa").
+		put("a\x00").put("a\xff").del("a\x00").del("a\xff").walk().walkFrom("a\x00").merge().walk()))
+	// A prefix whose only keys are dead: in the sorted ids, in pending, and
+	// in both, with a live key on either side of it.
+	f.Add([]byte(o.put("\x00").put("a").put("aa").put("ab").put("b").merge().
+		del("a").del("aa").del("ab").probe("a").
+		put("a\x00").put("ab").del("a\x00").del("ab").probe("a").probe("ab").merge().probe("a")))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, s := newHashEngine(), newSortedEngine()
 		model := map[string]string{}
@@ -346,121 +367,122 @@ func FuzzHashEngine(f *testing.F) {
 			if got, want := walk(h, nil, nil), walk(s, nil, nil); !slices.Equal(got, want) {
 				t.Fatalf("step %d: walk = %v, sorted engine %v", step, got, want)
 			}
+			if err := checkTombstones(h); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
 		}
 	})
 }
 
-// benchSink keeps the benchmarks' results alive.
-var benchSink []byte
+// fuzzOps encodes FuzzHashEngine's operations, so a seed reads as what it
+// does. Keys are spelled in its four symbols, \x00, a, b and \xff; a range
+// bound is a key and then 0 for nil or 1 to keep it.
+type fuzzOps []byte
 
-// BenchmarkHashEngineGetPut is the hash engine's point operations over 10⁵
-// merged keys: a get that hits and one that misses, a put of a new key and
-// one overwriting a stored key, and a delete. The put-new and delete cases
-// rebuild the engine, untimed, every 10⁵ operations. delete/after-puts is
-// one delete after an untimed burst of puts, over 10⁴ and 10⁵ merged keys,
-// as MVCC reclaim deletes between commits: the delete folds the pending puts
-// into the sorted ids and splices them, so its ns/op grows with the keys.
-func BenchmarkHashEngineGetPut(b *testing.B) {
-	const n = 100_000
-	keys := make([][]byte, 2*n) // even keys are stored, odd keys never are
-	for i := range keys {
-		keys[i] = hashKey(i)
+func (o fuzzOps) key(k string) fuzzOps {
+	o = append(o, byte(len(k)-1))
+	for _, c := range []byte(k) {
+		o = append(o, byte(strings.IndexByte("\x00ab\xff", c)))
 	}
-	val := []byte("a value of about the size of a posting")
-	fillN := func(size int) *hashEngine {
-		e := newHashEngine()
-		for i := 0; i < size; i++ {
-			e.Put(keys[2*i], val)
-		}
-		e.mergePending()
-		return e
-	}
-	e := fillN(n)
-	b.Run("get/hit", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchSink, _ = e.Get(keys[2*(i*7919%n)])
-		}
-	})
-	b.Run("get/miss", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			benchSink, _ = e.Get(keys[2*(i*7919%n)+1])
-		}
-	})
-	b.Run("put/overwrite", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e.Put(keys[2*(i*7919%n)], val)
-		}
-	})
-	rounds := func(op func(e *hashEngine, i int)) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			var e *hashEngine
-			for i := 0; i < b.N; i++ {
-				if i%n == 0 {
-					b.StopTimer()
-					e = fillN(n)
-					b.StartTimer()
-				}
-				op(e, i*7919%n)
-			}
-		}
-	}
-	b.Run("put/new", rounds(func(e *hashEngine, i int) { e.Put(keys[2*i+1], val) }))
-	b.Run("delete", rounds(func(e *hashEngine, i int) { e.Delete(keys[2*i]) }))
-	const burst = 16
-	for _, size := range []int{10_000, 100_000} {
-		b.Run(fmt.Sprintf("delete/after-puts/%dk", size/1000), func(b *testing.B) {
-			b.ReportAllocs()
-			var e *hashEngine
-			for i := 0; i < b.N; i++ {
-				j := i % (size / burst)
-				b.StopTimer()
-				if j == 0 {
-					e = fillN(size)
-				}
-				for k := range burst {
-					e.Put(keys[2*(j*burst+k)+1], val)
-				}
-				b.StartTimer()
-				e.Delete(keys[2*(j*7919%size)])
-			}
-		})
-	}
+	return o
 }
 
-// BenchmarkHashEngineRange is a range walk of the hash engine with 10⁵ keys
-// merged and 4 000 pending, over a window of 1 and of 100 merged keys (and
-// the pending keys between them): what a posting-range walk pays between
-// two writes.
-func BenchmarkHashEngineRange(b *testing.B) {
+func (o fuzzOps) put(k string) fuzzOps { return append(append(o, 0).key(k), 2) }
+func (o fuzzOps) del(k string) fuzzOps { return append(o, 2).key(k) }
+func (o fuzzOps) get(k string) fuzzOps { return append(o, 3).key(k) }
+func (o fuzzOps) merge() fuzzOps       { return append(o, 6) }
+
+// walk walks every pair, from nil to nil.
+func (o fuzzOps) walk() fuzzOps { return append(append(append(o, 4).key("a"), 0).key("a"), 0) }
+
+// walkFrom walks from k to the last key there can be.
+func (o fuzzOps) walkFrom(k string) fuzzOps {
+	return append(append(append(o, 4).key(k), 1).key("\xff\xff\xff"), 1)
+}
+
+// probe asks PrefixEmpty of k, one or two symbols long.
+func (o fuzzOps) probe(k string) fuzzOps { return append(append(o, 5).key(k), byte(len(k)-1)) }
+
+// checkTombstones holds the hash engine's id lists to the tombstone rules:
+// every id listed in keys or pending is listed once, and is either the
+// table's id for its key or marked dead; every mark is on a listed id, and
+// ndead counts them; and no free id is listed.
+func checkTombstones(h *hashEngine) error {
+	listed := map[int32]int{}
+	for _, id := range slices.Concat(h.keys, h.pending) {
+		listed[id]++
+	}
+	for id, n := range listed {
+		_, got, live := h.find(h.key(id), h.tag(h.key(id)))
+		if live = live && got == id; n != 1 || live == h.isDead(id) {
+			return fmt.Errorf("id %d (%q) listed %d times, in the table %v, marked dead %v",
+				id, h.key(id), n, live, h.isDead(id))
+		}
+	}
+	marked := 0
+	for id := range int32(64 * len(h.dead)) {
+		if h.isDead(id) {
+			if marked++; listed[id] == 0 {
+				return fmt.Errorf("dead id %d is not listed in keys or pending", id)
+			}
+		}
+	}
+	if marked != h.ndead {
+		return fmt.Errorf("%d ids marked dead, ndead %d", marked, h.ndead)
+	}
+	for _, id := range h.free {
+		if listed[id] != 0 {
+			return fmt.Errorf("free id %d is still listed", id)
+		}
+	}
+	return nil
+}
+
+// TestHashEngineDeleteCost: a delete leaves a tombstone. Over 10⁵ merged
+// keys and a burst of 16 fresh ones, it allocates nothing, leaves the burst
+// pending and the merged ids where they are — no fold of the buffer and no
+// splice of the sorted ids, both O(n) — and a later merge drops every
+// tombstone.
+func TestHashEngineDeleteCost(t *testing.T) {
+	const n, burst, deletes = 100_000, 16, 101
 	e := newHashEngine()
-	const merged, pending = 100_000, 4_000
-	keys := make([][]byte, 2*merged)
-	for i := range keys {
-		keys[i] = hashKey(i)
-	}
-	r := rand.New(rand.NewSource(1))
-	for _, i := range r.Perm(merged) {
-		e.Put(keys[2*i], []byte("v"))
+	val := []byte("a value of about the size of a posting")
+	for i := 0; i < n; i++ {
+		e.Put(hashKey(2*i), val)
 	}
 	e.mergePending()
-	for _, i := range r.Perm(pending) {
-		e.Put(keys[2*i*(merged/pending)+1], []byte("v"))
+	for i := 0; i < burst; i++ {
+		e.Put(hashKey(2*i+1), val)
 	}
-	for _, span := range []int{1, 100} {
-		b.Run(fmt.Sprintf("keys=%d", span), func(b *testing.B) {
-			b.ReportAllocs()
-			n := 0
-			for i := 0; i < b.N; i++ {
-				lo := 2 * (i * 7919 % (merged - span))
-				e.ScanRange(keys[lo], keys[lo+2*(span-1)], func(_, _ []byte) bool { n++; return true })
-			}
-			if n < b.N*span {
-				b.Fatalf("walked %d keys in %d walks of %d", n, b.N, span)
-			}
-		})
+	victims := make([][]byte, deletes)
+	for i := range victims {
+		victims[i] = hashKey(2 * 7 * i)
+	}
+	merged := &e.keys[0]
+	i := 0
+	// AllocsPerRun calls the delete once more than it measures.
+	allocs := testing.AllocsPerRun(deletes-1, func() {
+		if !e.Delete(victims[i]) {
+			t.Fatalf("delete of stored key %s missed", victims[i])
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("a delete allocates %v times, want 0", allocs)
+	}
+	if len(e.pending) != burst || len(e.keys) != n || &e.keys[0] != merged {
+		t.Errorf("deletes moved the id lists: %d pending (want %d), %d merged ids (want %d, in place)",
+			len(e.pending), burst, len(e.keys), n)
+	}
+	if got, want := e.Len(), n+burst-deletes; got != want {
+		t.Errorf("Len = %d, want %d", got, want)
+	}
+	e.mergePending()
+	if len(e.keys) != n+burst-deletes || e.ndead != 0 || len(e.free) != deletes {
+		t.Errorf("after the merge: %d ids, %d dead, %d free; want %d, 0, %d",
+			len(e.keys), len(e.dead), len(e.free), n+burst-deletes, deletes)
+	}
+	if err := checkTombstones(e); err != nil {
+		t.Error(err)
 	}
 }

@@ -5,7 +5,10 @@
 // systems used in the paper's evaluation (HBase, Kudu, Cassandra).
 package kv
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // Metrics counts storage operations. All counters are safe for concurrent
 // update; experiments snapshot them before and after a run and subtract.
@@ -16,12 +19,16 @@ type Metrics struct {
 	scanNexts atomic.Int64
 	bytesRead atomic.Int64
 	bytesWrit atomic.Int64
+	writeHold atomic.Int64 // nanoseconds
 }
 
 // Snapshot is an immutable copy of a Metrics at a point in time.
 type Snapshot struct {
 	Gets, Puts, Deletes, ScanNexts int64
 	BytesRead, BytesWritten        int64
+	// WriteHold is the time write batches held the node's lock exclusively:
+	// what readers of the node could not run during.
+	WriteHold time.Duration
 }
 
 // Snapshot copies the current counter values.
@@ -33,6 +40,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		ScanNexts:    m.scanNexts.Load(),
 		BytesRead:    m.bytesRead.Load(),
 		BytesWritten: m.bytesWrit.Load(),
+		WriteHold:    time.Duration(m.writeHold.Load()),
 	}
 }
 
@@ -44,6 +52,7 @@ func (m *Metrics) Reset() {
 	m.scanNexts.Store(0)
 	m.bytesRead.Store(0)
 	m.bytesWrit.Store(0)
+	m.writeHold.Store(0)
 }
 
 func (m *Metrics) countGet(bytes int) {
@@ -72,6 +81,7 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 		ScanNexts:    s.ScanNexts - o.ScanNexts,
 		BytesRead:    s.BytesRead - o.BytesRead,
 		BytesWritten: s.BytesWritten - o.BytesWritten,
+		WriteHold:    s.WriteHold - o.WriteHold,
 	}
 }
 
@@ -84,5 +94,6 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 		ScanNexts:    s.ScanNexts + o.ScanNexts,
 		BytesRead:    s.BytesRead + o.BytesRead,
 		BytesWritten: s.BytesWritten + o.BytesWritten,
+		WriteHold:    s.WriteHold + o.WriteHold,
 	}
 }

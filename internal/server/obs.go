@@ -293,6 +293,16 @@ func newServerObs(s *Server, cfg Config) *serverObs {
 			}
 			return out
 		})
+	r.RegisterFunc("zidian_kv_node_write_hold_seconds_total",
+		"Time write batches held a storage node's lock exclusively, stalling its readers, by storage node.", "counter", "node",
+		func() []obs.Sample {
+			cl := s.inst.Store().Cluster
+			out := make([]obs.Sample, cl.NodeCount())
+			for i := range out {
+				out[i] = obs.Sample{Label: strconv.Itoa(i), Value: cl.NodeMetrics(i).WriteHold.Seconds()}
+			}
+			return out
+		})
 	r.RegisterFunc("zidian_sessions",
 		"Open wire-protocol sessions.", "gauge", "",
 		func() []obs.Sample {

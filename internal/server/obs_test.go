@@ -123,6 +123,37 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsNodeWriteHold: one write advances the time write batches held
+// the storage nodes' locks, summed over the nodes.
+func TestMetricsNodeWriteHold(t *testing.T) {
+	_, tcp, httpA := startServer(t, server.Config{MaxConcurrent: 4, QueueDepth: 16, QueueTimeout: 5 * time.Second})
+	c, err := client.Dial(tcp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	held := func() float64 {
+		sum, nodes := 0.0, 0
+		for _, line := range strings.Split(scrapeMetrics(t, httpA), "\n") {
+			if strings.HasPrefix(line, "zidian_kv_node_write_hold_seconds_total{") {
+				sum += metricValue(t, line, strings.Fields(line)[0])
+				nodes++
+			}
+		}
+		if nodes == 0 {
+			t.Fatal("zidian_kv_node_write_hold_seconds_total has no node samples")
+		}
+		return sum
+	}
+	before := held()
+	if _, err := c.Exec("insert into VEHICLE values (900002, 'ZMAKE', 'ZM-2', 'PETROL', 'BLACK', 2026, 1600, 'R-1', 1200, 4, 120, 'BAND-A', '2026-01-15')"); err != nil {
+		t.Fatal(err)
+	}
+	if after := held(); after <= before {
+		t.Fatalf("write hold = %gs after a write, %gs before", after, before)
+	}
+}
+
 // TestMetricsGoCollector: the collector families come from runtime/metrics
 // at scrape time — a forced GC between two scrapes moves the cycle counter,
 // and the live heap holds the server's own data.
