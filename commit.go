@@ -88,7 +88,7 @@ func (co *committer) submit(op *writeOp) writeOutcome {
 	return out
 }
 
-// commit applies one batch as a single store+index commit. Staging is
+// commit applies one batch as a single store commit. Staging is
 // all-or-nothing: any operation failing to stage aborts the whole batch
 // (like a shared WAL write failing) with the relation rolled back and
 // nothing written — every waiter sees the error.
@@ -108,12 +108,12 @@ func (co *committer) commit(batch []*writeOp) {
 		return
 	}
 	defer c.Close()
-	ic := in.indexes.BeginCommit(co.rel)
 
 	// Seed the commit's block cache: one batched read round per node for
-	// every block the batch can touch. deleteWhere tuples are evaluated
-	// against the current relation — a best-effort prefetch; staging
-	// re-reads lazily anything the loop below touches that isn't cached.
+	// every block and posting fragment the batch can touch. deleteWhere
+	// tuples are evaluated against the current relation — a best-effort
+	// prefetch; staging re-reads lazily anything the loop below touches that
+	// isn't cached.
 	var pre []Tuple
 	for _, op := range batch {
 		pre = append(pre, op.insertRows...)
@@ -155,9 +155,6 @@ func (co *committer) commit(batch []*writeOp) {
 		if _, err := c.StageDelete(batchKV, t); err != nil {
 			return err
 		}
-		if err := ic.StageDelete(batchKV, t); err != nil {
-			return err
-		}
 		r.Tuples = append(r.Tuples[:at], r.Tuples[at+1:]...)
 		undos = append(undos, func() {
 			rest := append([]Tuple{t}, r.Tuples[at:]...)
@@ -176,10 +173,6 @@ func (co *committer) commit(batch []*writeOp) {
 				}
 				undos = append(undos, func() { r.Tuples = r.Tuples[:len(r.Tuples)-1] })
 				if err := c.StageInsert(batchKV, row); err != nil {
-					abort(err)
-					return
-				}
-				if err := ic.StageInsert(batchKV, row); err != nil {
 					abort(err)
 					return
 				}
@@ -224,18 +217,12 @@ func (co *committer) commit(batch []*writeOp) {
 		}
 	}
 
-	// One cluster round for the whole batch: new block versions, tombstones,
-	// and grown postings together. Install publishes the new sequence, then
-	// the watermark decides what retired state can go right away.
-	ops := append(c.Ops(), ic.Ops()...)
-	in.store.Cluster.ApplyBatch(batchKV, ops)
+	// One cluster round for the whole batch: new block and posting
+	// versions and tombstones together. Install publishes the new sequence,
+	// then the watermark decides what retired state can go right away.
+	in.store.Cluster.ApplyBatch(batchKV, c.Ops())
 	c.Install()
-	ic.Apply(c.Seq())
-	w := c.Reclaim(batchKV)
-	// Posting shrinks whose sequence is still pinned stay pending; they are
-	// retried on the relation's next commit, so an error here (a corrupt
-	// posting) delays reclamation without failing the installed write.
-	_ = in.indexes.ReclaimRemovals(batchKV, co.rel, w)
+	c.Reclaim(batchKV)
 
 	if f := in.onCommit.Load(); f != nil {
 		(*f)(len(batch))
@@ -247,79 +234,6 @@ func (co *committer) commit(batch []*writeOp) {
 		op.kvt.Merge(snap)
 		op.done <- writeOutcome{affected: affected[i]}
 	}
-}
-
-// snapshotIndex is the SecondaryIndex view a pinned statement executes
-// against. Postings obey a superset invariant (see internal/index), so
-// unlimited lookups and range walks are sound as-is: stale keys resolve to
-// blocks that lack the row at the snapshot and drop out. The one unsound
-// path is a pushed-down LIMIT — a stale key inside the first `limit`
-// postings would displace a real one that the executor then never fetches.
-// RangeLimitT therefore pushes the limit down only when the relation is
-// quiescent (no commit in flight, nothing newer than the snapshot, no
-// pending posting shrinks) before AND after the walk; on conflict it
-// re-walks unlimited and trims, trading scan steps for soundness.
-type snapshotIndex struct {
-	in   *Instance
-	snap map[string]uint64 // pinned sequences by relation
-}
-
-// quiescent reports whether rel has no write activity the pinned snapshot
-// could miss: the installed sequence equals both the commit stamp (no
-// commit in flight) and the pinned sequence, and no posting shrinks are
-// pending.
-func (si *snapshotIndex) quiescent(rel string) bool {
-	seq := si.in.store.CommitSeq(rel)
-	if si.in.store.CommitStamp(rel) != seq {
-		return false
-	}
-	if pinned, ok := si.snap[rel]; ok && pinned != seq {
-		return false
-	}
-	return si.in.indexes.PendingRemovals(rel) == 0
-}
-
-func (si *snapshotIndex) relOf(name string) string {
-	if d, ok := si.in.indexes.DefOf(name); ok {
-		return d.Rel
-	}
-	return ""
-}
-
-func (si *snapshotIndex) Lookup(name string, v Value) ([]Tuple, int, error) {
-	return si.in.indexes.Lookup(name, v)
-}
-
-func (si *snapshotIndex) LookupManyT(t *obs.Trace, name string, vs []Value) ([][]Tuple, int, error) {
-	return si.in.indexes.LookupManyT(t, name, vs)
-}
-
-func (si *snapshotIndex) Range(name string, lo, hi *Value, loIncl, hiIncl bool) ([]Value, []Tuple, int, error) {
-	return si.in.indexes.Range(name, lo, hi, loIncl, hiIncl)
-}
-
-func (si *snapshotIndex) RangeLimitT(t *obs.Trace, name string, lo, hi *Value, loIncl, hiIncl bool, limit int) ([]Value, []Tuple, int, error) {
-	rel := si.relOf(name)
-	if limit >= 0 && si.quiescent(rel) {
-		vals, keys, scanned, err := si.in.indexes.RangeLimitT(t, name, lo, hi, loIncl, hiIncl, limit)
-		if err == nil && si.quiescent(rel) {
-			return vals, keys, scanned, nil
-		}
-		if err != nil {
-			return nil, nil, scanned, err
-		}
-		// A commit landed mid-walk: the limited result may have admitted a
-		// stale posting in place of a real one. Fall through and re-walk.
-	}
-	vals, keys, scanned, err := si.in.indexes.RangeLimitT(t, name, lo, hi, loIncl, hiIncl, -1)
-	if err == nil && limit >= 0 && len(keys) > limit {
-		vals, keys = vals[:limit], keys[:limit]
-	}
-	return vals, keys, scanned, err
-}
-
-func (si *snapshotIndex) MaxPostings(name string) int {
-	return si.in.indexes.MaxPostings(name)
 }
 
 // RenderSnapshotSeqs renders pinned sequences for EXPLAIN ANALYZE totals

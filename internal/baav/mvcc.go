@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"zidian/internal/index"
 	"zidian/internal/kv"
 	"zidian/internal/obs"
 	"zidian/internal/relation"
@@ -77,11 +79,8 @@ type relMVCC struct {
 	commitMu sync.Mutex
 
 	// seq is the installed commit sequence: every version <= seq is fully
-	// written and visible. stamp is bumped to seq+1 when a commit begins
-	// writing, so stamp==seq means the relation is quiescent (no commit in
-	// flight) — the optimistic limit-pushdown walk keys off this.
-	seq   atomic.Uint64
-	stamp atomic.Uint64
+	// written and visible.
+	seq atomic.Uint64
 
 	pinMu sync.Mutex
 	pins  map[uint64]int // pinned snapshot sequence -> pin count
@@ -198,6 +197,16 @@ func (m *mvccState) addVersion(kvName string, prefix []byte, e verEntry) {
 	m.live.Add(1)
 }
 
+// dropDir removes a KV instance's whole version directory.
+func (m *mvccState) dropDir(kvName string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if d := m.dirs[kvName]; d != nil {
+		m.live.Add(-int64(d.count()))
+		delete(m.dirs, kvName)
+	}
+}
+
 // dropVersion removes one version of a block.
 func (m *mvccState) dropVersion(kvName string, prefix []byte, ver uint64) {
 	m.mu.Lock()
@@ -290,6 +299,7 @@ func (st *Store) AtSnapshot(s *Snapshot) *Store {
 	}
 	cp := *st
 	cp.snap = s
+	cp.Index = Indexes{&cp}
 	return &cp
 }
 
@@ -308,10 +318,6 @@ func (st *Store) snapSeqFor(rel string) uint64 {
 // CommitSeq returns the relation's installed commit sequence.
 func (st *Store) CommitSeq(rel string) uint64 { return st.mvcc.rel(rel).seq.Load() }
 
-// CommitStamp returns the relation's commit stamp: equal to CommitSeq when
-// the relation is quiescent, CommitSeq+1 while a commit is writing.
-func (st *Store) CommitStamp(rel string) uint64 { return st.mvcc.rel(rel).stamp.Load() }
-
 // Watermark returns the oldest sequence an active snapshot of rel may
 // read.
 func (st *Store) Watermark(rel string) uint64 { return st.mvcc.rel(rel).watermark() }
@@ -325,12 +331,22 @@ func (st *Store) VersionsReclaimed() int64 { return st.mvcc.reclaimed.Load() }
 
 // stagedEdit is one block's pending state inside a commit: the pre-image
 // (nil when the block is absent at the commit's base sequence) plus edits.
+// post is the index whose posting fragment the block is, nil for a block of
+// a KV schema.
 type stagedEdit struct {
 	kvSchema KVSchema
-	key      relation.Tuple
+	post     *posting
 	prefix   []byte
 	blk      *Block
 	dirty    bool
+}
+
+// fragSet is a posting fragment's length as of the commit, which Install
+// enters in its index's directory.
+type fragSet struct {
+	post   *posting
+	prefix []byte
+	n      int
 }
 
 // Commit is an open commit on one relation: it holds the relation's commit
@@ -344,14 +360,18 @@ type stagedEdit struct {
 //	c.Install()                          // bump the sequence: versions become visible
 //	w := c.Reclaim(kvt)                  // drop versions below the watermark
 //
-// Abandoning a commit before Install (Close after a staging error) leaves
-// the store untouched: staged edits live only in memory and nothing was
-// installed, so there is nothing to compensate.
+// A tuple's edits reach its block in every KV schema of the relation and
+// its posting in every index on it: the postings are blocks too, versioned,
+// installed and reclaimed with the rest. Abandoning a commit before Install
+// (Close after a staging error) leaves the store untouched: staged edits
+// live only in memory and nothing was installed, so there is nothing to
+// compensate.
 type Commit struct {
-	st  *Store
-	rel string
-	r   *relMVCC
-	seq uint64 // sequence this commit installs
+	st    *Store
+	rel   string
+	r     *relMVCC
+	seq   uint64     // sequence this commit installs
+	posts []*posting // the indexes on rel
 
 	staged    map[string]map[string]*stagedEdit // kv name -> prefix -> edit
 	rowsDelta int
@@ -361,164 +381,190 @@ type Commit struct {
 	dirAdds    []dirAdd
 	retires    []retiredVer
 	newTombs   []tombRef
+	fragSets   []fragSet
 	blockDelta map[string]int
 	degreeMax  map[string]int
 	enc        segEncoder
 
-	installed bool
-	closed    bool
+	closed bool
 }
 
 // BeginCommit opens a commit on rel, locking out other commits on the
-// relation and bumping the commit stamp (readers see stamp != seq while
-// the commit is in flight).
+// relation and index DDL on it.
 func (st *Store) BeginCommit(rel string) (*Commit, error) {
 	if _, ok := st.Rels[rel]; !ok {
 		return nil, fmt.Errorf("baav: unknown relation %q", rel)
 	}
 	r := st.mvcc.rel(rel)
 	r.commitMu.Lock()
-	seq := r.seq.Load() + 1
-	r.stamp.Store(seq)
 	return &Commit{
 		st:         st,
 		rel:        rel,
 		r:          r,
-		seq:        seq,
+		seq:        r.seq.Load() + 1,
+		posts:      st.onRel(rel),
 		staged:     make(map[string]map[string]*stagedEdit),
 		blockDelta: make(map[string]int),
 		degreeMax:  make(map[string]int),
 	}, nil
 }
 
-// Seq returns the sequence this commit will install.
-func (c *Commit) Seq() uint64 { return c.seq }
-
-// edit returns the staged state for one block, loading its pre-image from
-// the store (at the commit's base sequence) on first touch.
-func (c *Commit) edit(kvt *obs.KV, kvSchema KVSchema, key relation.Tuple) (*stagedEdit, error) {
-	byPrefix := c.stagedIn(kvSchema.Name)
-	prefix := c.st.blockPrefix(c.st.ids[kvSchema.Name], key)
-	if e, ok := byPrefix[string(prefix)]; ok {
-		return e, nil
-	}
-	blks, _, _, err := c.st.FetchBlocksT(kvt, kvSchema.Name, []relation.Tuple{key}, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	e := &stagedEdit{kvSchema: kvSchema, key: key, prefix: prefix, blk: blks[0]}
-	byPrefix[string(prefix)] = e
-	return e, nil
+// blockRef is one block a commit edits: its instance, the index it posts
+// for (nil for a KV schema's block) and its prefix.
+type blockRef struct {
+	kv     KVSchema
+	post   *posting
+	prefix []byte
 }
 
-// Prefetch batch-reads the pre-image blocks every tuple in the batch will
-// touch — one multi-get round trip per storage node instead of one get
-// per block — and seeds the staged-edit cache with them. Unlike a reader it
-// issues nothing for a block that is absent or tombstoned at the commit's
-// base sequence: the directory already says there is no pre-image.
-func (c *Commit) Prefetch(kvt *obs.KV, tuples []relation.Tuple) error {
+// refs appends to dst the blocks tuple t lands in: its block in every KV
+// schema of the relation, and in every index on it the posting fragment
+// that owns its block key.
+func (c *Commit) refs(dst []blockRef, t relation.Tuple) ([]blockRef, error) {
 	schema := c.st.Rels[c.rel]
-	var b blockBatch
-	var wants []*stagedEdit
+	if len(t) != len(schema.Attrs) {
+		return nil, fmt.Errorf("baav: tuple arity %d != %s arity %d", len(t), c.rel, len(schema.Attrs))
+	}
 	for _, kvSchema := range c.st.Schema.ForRelation(c.rel) {
 		keyPos, err := schema.Positions(kvSchema.Key)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		byPrefix := c.stagedIn(kvSchema.Name)
-		for _, t := range tuples {
-			if len(t) != len(schema.Attrs) {
-				return fmt.Errorf("baav: tuple arity %d != %s arity %d", len(t), c.rel, len(schema.Attrs))
-			}
-			key := t.Project(keyPos)
-			r := b.add(kvSchema.Name, len(kvSchema.Val), c.st.ids[kvSchema.Name], key)
-			prefix := b.prefix(&r)
-			if _, ok := byPrefix[string(prefix)]; ok {
-				b.buf = b.buf[:r.pre] // staged already, by an earlier round or tuple
-				continue
-			}
-			e := &stagedEdit{kvSchema: kvSchema, key: key, prefix: prefix}
-			byPrefix[string(prefix)] = e
-			b.reads = append(b.reads, r)
-			wants = append(wants, e)
-		}
+		dst = append(dst, blockRef{kv: kvSchema, prefix: c.st.blockPrefix(c.st.ids[kvSchema.Name], t.Project(keyPos))})
 	}
-	if len(wants) == 0 {
-		return nil
+	for _, p := range c.posts {
+		dst = append(dst, blockRef{kv: p.kv, post: p, prefix: p.fragment(c.st, t)})
+	}
+	return dst, nil
+}
+
+// stage returns the staged edits of refs, reading the pre-images of those
+// not staged yet in one batched round — one multi-get per storage node —
+// at the commit's base sequence. Unlike a reader it issues nothing for a
+// block absent or tombstoned there: the directory already says there is no
+// pre-image.
+func (c *Commit) stage(kvt *obs.KV, refs []blockRef) ([]*stagedEdit, error) {
+	var b blockBatch
+	var fresh []*stagedEdit
+	edits := make([]*stagedEdit, len(refs))
+	for i, ref := range refs {
+		byPrefix := c.stagedIn(ref.kv.Name)
+		e := byPrefix[string(ref.prefix)]
+		if e == nil {
+			e = &stagedEdit{kvSchema: ref.kv, post: ref.post, prefix: ref.prefix}
+			byPrefix[string(ref.prefix)] = e
+			pre := len(b.buf)
+			b.buf = append(b.buf, ref.prefix...)
+			b.reads = append(b.reads, blockRead{kv: ref.kv.Name, width: len(ref.kv.Val), pre: pre, end: len(b.buf)})
+			fresh = append(fresh, e)
+		}
+		edits[i] = e
+	}
+	if len(fresh) == 0 {
+		return edits, nil
 	}
 	blks, _, _, err := c.st.fetch(kvt, &b, c.seq-1, false, nil, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for i, e := range wants {
+	for i, e := range fresh {
 		e.blk = blks[i]
 	}
-	return nil
+	return edits, nil
 }
 
-// StageInsert stages one inserted tuple into every KV schema projecting
-// the relation: a read-modify-write of the affected block per schema,
-// O(deg(~D)) per tuple and independent of |D| (Section 8.2). Fallible
-// (reads, decoding) — an error leaves the commit abandonable with nothing
-// written.
-func (c *Commit) StageInsert(kvt *obs.KV, t relation.Tuple) error {
-	schema := c.st.Rels[c.rel]
-	if len(t) != len(schema.Attrs) {
-		return fmt.Errorf("baav: tuple arity %d != %s arity %d", len(t), c.rel, len(schema.Attrs))
+// Prefetch stages the pre-image of every block the batch's tuples will
+// touch — their blocks and posting fragments — in one batched round (see
+// stage), instead of a round per tuple.
+func (c *Commit) Prefetch(kvt *obs.KV, tuples []relation.Tuple) error {
+	var refs []blockRef
+	for _, t := range tuples {
+		var err error
+		if refs, err = c.refs(refs, t); err != nil {
+			return err
+		}
 	}
-	for _, kvSchema := range c.st.Schema.ForRelation(c.rel) {
-		keyPos, err := schema.Positions(kvSchema.Key)
-		if err != nil {
-			return err
-		}
-		valPos, err := schema.Positions(kvSchema.Val)
-		if err != nil {
-			return err
-		}
-		e, err := c.edit(kvt, kvSchema, t.Project(keyPos))
-		if err != nil {
-			return err
-		}
+	_, err := c.stage(kvt, refs)
+	return err
+}
+
+// StageInsert stages one inserted tuple: a read-modify-write of its block
+// in every KV schema projecting the relation, O(deg(~D)) per tuple and
+// independent of |D| (Section 8.2), and of its posting fragment in every
+// index, O(M). Fallible (reads, decoding) — an error leaves the commit
+// abandonable with nothing written.
+func (c *Commit) StageInsert(kvt *obs.KV, t relation.Tuple) error {
+	edits, err := c.stageTuple(kvt, t)
+	if err != nil {
+		return err
+	}
+	for _, e := range edits {
 		if e.blk == nil {
 			e.blk = &Block{}
 		}
-		e.blk.Add(t.Project(valPos), c.st.Opts.Compress)
-		e.dirty = true
+		row, err := c.row(e, t)
+		if err != nil {
+			return err
+		}
+		if e.post == nil {
+			e.blk.Add(row, c.st.Opts.Compress)
+			e.dirty = true
+			continue
+		}
+		at, found := slices.BinarySearchFunc(e.blk.Tuples, row, relation.Tuple.Compare)
+		if !found {
+			e.blk.Tuples = slices.Insert(e.blk.Tuples, at, row)
+			e.dirty = true
+		}
 	}
 	c.rowsDelta++
 	return nil
 }
 
-// StageDelete stages one deleted tuple; found reports whether any
-// projection actually held it.
+// StageDelete stages one deleted tuple; found reports whether any KV
+// schema's block actually held it.
 func (c *Commit) StageDelete(kvt *obs.KV, t relation.Tuple) (found bool, err error) {
-	schema := c.st.Rels[c.rel]
-	if len(t) != len(schema.Attrs) {
-		return false, fmt.Errorf("baav: tuple arity %d != %s arity %d", len(t), c.rel, len(schema.Attrs))
+	edits, err := c.stageTuple(kvt, t)
+	if err != nil {
+		return false, err
 	}
-	for _, kvSchema := range c.st.Schema.ForRelation(c.rel) {
-		keyPos, err := schema.Positions(kvSchema.Key)
+	for _, e := range edits {
+		row, err := c.row(e, t)
 		if err != nil {
 			return found, err
 		}
-		valPos, err := schema.Positions(kvSchema.Val)
-		if err != nil {
-			return found, err
-		}
-		e, err := c.edit(kvt, kvSchema, t.Project(keyPos))
-		if err != nil {
-			return found, err
-		}
-		if e.blk == nil || !e.blk.Remove(t.Project(valPos)) {
+		if e.blk == nil || !e.blk.Remove(row) {
 			continue
 		}
 		e.dirty = true
-		found = true
+		found = found || e.post == nil
 	}
 	if found {
 		c.rowsDelta--
 	}
 	return found, nil
+}
+
+// stageTuple returns the staged edits of the blocks t lands in.
+func (c *Commit) stageTuple(kvt *obs.KV, t relation.Tuple) ([]*stagedEdit, error) {
+	refs, err := c.refs(nil, t)
+	if err != nil {
+		return nil, err
+	}
+	return c.stage(kvt, refs)
+}
+
+// row is what t stores in e's block: its value attributes, or for a posting
+// fragment its block key.
+func (c *Commit) row(e *stagedEdit, t relation.Tuple) (relation.Tuple, error) {
+	if e.post != nil {
+		return t.Project(e.post.keyPos), nil
+	}
+	valPos, err := c.st.Rels[c.rel].Positions(e.kvSchema.Val)
+	if err != nil {
+		return nil, err
+	}
+	return t.Project(valPos), nil
 }
 
 // stagedIn returns the commit's staged edits of one KV instance by block
@@ -535,13 +581,15 @@ func (c *Commit) stagedIn(kvName string) map[string]*stagedEdit {
 // stagePut stages a whole-block replacement (PutBlock's path).
 func (c *Commit) stagePut(kvSchema KVSchema, key relation.Tuple, blk *Block) {
 	prefix := c.st.blockPrefix(c.st.ids[kvSchema.Name], key)
-	c.stagedIn(kvSchema.Name)[string(prefix)] = &stagedEdit{kvSchema: kvSchema, key: key, prefix: prefix, blk: blk, dirty: true}
+	c.stagedIn(kvSchema.Name)[string(prefix)] = &stagedEdit{kvSchema: kvSchema, prefix: prefix, blk: blk, dirty: true}
 }
 
 // Ops materializes the commit's dirty edits as versioned batch mutations
 // and computes the directory/bookkeeping deltas Install will apply. Pure:
-// no kv traffic, no visible state change.
+// no kv traffic, no visible state change. A posting fragment grown past M
+// keys splits first (see splitFragments).
 func (c *Commit) Ops() []kv.BatchOp {
+	c.splitFragments()
 	var ops []kv.BatchOp
 	kvNames := make([]string, 0, len(c.staged))
 	for name := range c.staged {
@@ -566,9 +614,16 @@ func (c *Commit) Ops() []kv.BatchOp {
 			if !oldExists && !newExists {
 				continue // deleting an absent block: nothing to write
 			}
-			if newExists {
+			if e.post != nil {
+				c.fragSets = append(c.fragSets, fragSet{e.post, e.prefix, len(e.blk.Tuples)})
+			}
+			switch {
+			case newExists && e.post != nil:
+				ops, _ = c.encodeVersionOps(ops, e.kvSchema, postingOpts, e.prefix, e.blk)
+				c.dirAdds = append(c.dirAdds, dirAdd{name, e.prefix, verEntry{ver: c.seq, nsegs: 1}})
+			case newExists:
 				var nsegs int
-				ops, nsegs = c.encodeVersionOps(ops, e.kvSchema, e.prefix, e.blk)
+				ops, nsegs = c.encodeVersionOps(ops, e.kvSchema, c.st.Opts, e.prefix, e.blk)
 				c.dirAdds = append(c.dirAdds, dirAdd{name, e.prefix, verEntry{ver: c.seq, nsegs: nsegs}})
 				if d := e.blk.Distinct(); d > c.degreeMax[name] {
 					c.degreeMax[name] = d
@@ -576,16 +631,18 @@ func (c *Commit) Ops() []kv.BatchOp {
 				if !oldExists {
 					c.blockDelta[name]++
 				}
-			} else {
+			default:
 				// Tombstone: one seg-0 pair whose header says zero segments.
 				ops = append(ops, kv.BatchOp{
-					Route: e.prefix,
+					Route: route(e.prefix),
 					Key:   verSegKey(e.prefix, 0, c.seq),
 					Value: binary.AppendUvarint(nil, 0),
 				})
 				c.dirAdds = append(c.dirAdds, dirAdd{name, e.prefix, verEntry{ver: c.seq, nsegs: 0}})
 				c.newTombs = append(c.newTombs, tombRef{kvName: name, prefix: ps, ver: c.seq})
-				c.blockDelta[name]--
+				if e.post == nil {
+					c.blockDelta[name]--
+				}
 			}
 			if hadOld {
 				c.retires = append(c.retires, retiredVer{
@@ -597,6 +654,35 @@ func (c *Commit) Ops() []kv.BatchOp {
 	}
 	c.opsBuilt = true
 	return ops
+}
+
+// splitFragments cuts every staged posting fragment grown past M keys into
+// ⌈n/M⌉ pieces of even length: the first stays under the fragment's fence
+// and each later one becomes the fragment fenced at its first key. The new
+// fences fall between the fragment's and the next live one's, where no live
+// fragment is staged; a drained one there is overwritten.
+func (c *Commit) splitFragments() {
+	var grown []*stagedEdit
+	for _, p := range c.posts {
+		for _, e := range c.staged[p.kv.Name] {
+			if e.dirty && len(e.blk.Tuples) > index.M {
+				grown = append(grown, e)
+			}
+		}
+	}
+	for _, e := range grown {
+		vend := len(route(e.prefix))
+		keys := e.blk.Tuples
+		ps := pieces(len(keys))
+		for _, piece := range ps[1:] {
+			prefix := relation.AppendTuple(e.prefix[:vend:vend], keys[piece[0]])
+			c.stagedIn(e.kvSchema.Name)[string(prefix)] = &stagedEdit{
+				kvSchema: e.kvSchema, post: e.post, prefix: prefix,
+				blk: &Block{Tuples: keys[piece[0]:piece[1]:piece[1]]}, dirty: true,
+			}
+		}
+		e.blk = &Block{Tuples: keys[:ps[0][1]:ps[0][1]]}
+	}
 }
 
 // Install makes the commit's versions visible: directory entries first,
@@ -625,17 +711,23 @@ func (c *Commit) Install() {
 		c.st.relRows[c.rel] = 0
 	}
 	c.st.statsMu.Unlock()
+	if len(c.fragSets) > 0 {
+		c.st.ix.mu.Lock()
+		for _, f := range c.fragSets {
+			f.post.setFragment(f.prefix, f.n)
+		}
+		c.st.ix.mu.Unlock()
+	}
 	c.r.retired = append(c.r.retired, c.retires...)
 	c.r.tombs = append(c.r.tombs, c.newTombs...)
 	c.r.seq.Store(c.seq)
-	c.installed = true
 }
 
 // Reclaim drops every retired version at or below the watermark (deleting
 // its kv pairs in one batch) and opportunistically removes tombstones that
 // are a block's sole remaining version below the watermark. Returns the
-// watermark so index maintenance can reclaim against the same bound. Must
-// be called before Close, after Install.
+// watermark it reclaimed against. Must be called before Close, after
+// Install.
 func (c *Commit) Reclaim(kvt *obs.KV) uint64 {
 	w, _ := c.st.reclaimRel(kvt, c.r)
 	return w
@@ -657,7 +749,7 @@ func (st *Store) reclaimRel(kvt *obs.KV, r *relMVCC) (w uint64, swept int) {
 		}
 		prefix := []byte(rv.prefix)
 		for seg := 0; seg < rv.segs; seg++ {
-			ops = append(ops, kv.BatchOp{Route: prefix, Key: verSegKey(prefix, uint32(seg), rv.ver), Delete: true})
+			ops = append(ops, kv.BatchOp{Route: route(prefix), Key: verSegKey(prefix, uint32(seg), rv.ver), Delete: true})
 		}
 		st.mvcc.dropVersion(rv.kvName, prefix, rv.ver)
 		swept++
@@ -672,11 +764,13 @@ func (st *Store) reclaimRel(kvt *obs.KV, r *relMVCC) (w uint64, swept int) {
 		}
 		if n == 1 && tb.ver <= w {
 			// Sole remaining version and unreachable: the block is fully
-			// deleted — drop the tombstone key itself. Older versions were
+			// deleted — drop the tombstone key itself, and a drained posting
+			// fragment from its index's directory. Older versions were
 			// already deleted above (same batch, earlier ops), so a reader
 			// can never resurrect a pre-delete version.
-			ops = append(ops, kv.BatchOp{Route: prefix, Key: verSegKey(prefix, 0, tb.ver), Delete: true})
+			ops = append(ops, kv.BatchOp{Route: route(prefix), Key: verSegKey(prefix, 0, tb.ver), Delete: true})
 			st.mvcc.dropVersion(tb.kvName, prefix, tb.ver)
+			st.forgetFragment(tb.kvName, prefix)
 			swept++
 			continue
 		}
@@ -692,14 +786,10 @@ func (st *Store) reclaimRel(kvt *obs.KV, r *relMVCC) (w uint64, swept int) {
 // would otherwise hold its last superseded versions (and tombstones)
 // forever, since reclamation normally rides the commit path. The sweep
 // takes the commit mutex opportunistically — TryLock, so it never delays
-// a live commit — and bumps neither the sequence nor the stamp, leaving
-// quiescence checks untouched. then, when non-nil, runs with the mutex
-// still held and the watermark the sweep reclaimed against — the hook for
-// retrying the relation's pending posting shrinks, which commits also only
-// touch under this mutex. Returns the number of versions dropped and
-// whether the sweep ran at all (false: a commit held the relation; the
-// next tick retries).
-func (st *Store) SweepRelation(rel string, then func(watermark uint64)) (swept int, ok bool) {
+// a live commit — and leaves the sequence alone. Returns the number of
+// versions dropped and whether the sweep ran at all (false: a commit held
+// the relation; the next tick retries).
+func (st *Store) SweepRelation(rel string) (swept int, ok bool) {
 	if _, known := st.Rels[rel]; !known {
 		return 0, false
 	}
@@ -708,12 +798,8 @@ func (st *Store) SweepRelation(rel string, then func(watermark uint64)) (swept i
 		return 0, false
 	}
 	defer r.commitMu.Unlock()
-	var w uint64
-	w, swept = st.reclaimRel(nil, r)
+	_, swept = st.reclaimRel(nil, r)
 	st.mvcc.sweptBg.Add(int64(swept))
-	if then != nil {
-		then(w)
-	}
 	return swept, true
 }
 
@@ -721,17 +807,12 @@ func (st *Store) SweepRelation(rel string, then func(watermark uint64)) (swept i
 // background sweep (a subset of VersionsReclaimed).
 func (st *Store) VersionsSwept() int64 { return st.mvcc.sweptBg.Load() }
 
-// Close ends the commit, releasing the relation's commit mutex. If the
-// commit was not installed the stamp is rolled back so the relation reads
-// quiescent again.
+// Close ends the commit, releasing the relation's commit mutex.
 func (c *Commit) Close() {
 	if c.closed {
 		return
 	}
 	c.closed = true
-	if !c.installed {
-		c.r.stamp.Store(c.r.seq.Load())
-	}
 	c.r.commitMu.Unlock()
 }
 
@@ -784,13 +865,13 @@ func (e *segEncoder) segments(fn func(seg uint32, value []byte)) {
 	}
 }
 
-// encodeVersionOps appends to ops the puts of blk as version c.seq of the
-// block under prefix, one per segment, and returns them with the segment
-// count.
-func (c *Commit) encodeVersionOps(ops []kv.BatchOp, kvSchema KVSchema, prefix []byte, blk *Block) ([]kv.BatchOp, int) {
-	c.enc.encode(blk, len(kvSchema.Val), c.st.Opts)
+// encodeVersionOps appends to ops the puts of blk, encoded under opts, as
+// version c.seq of the block under prefix, one per segment, and returns
+// them with the segment count.
+func (c *Commit) encodeVersionOps(ops []kv.BatchOp, kvSchema KVSchema, opts Options, prefix []byte, blk *Block) ([]kv.BatchOp, int) {
+	c.enc.encode(blk, len(kvSchema.Val), opts)
 	c.enc.segments(func(seg uint32, value []byte) {
-		ops = append(ops, kv.BatchOp{Route: prefix, Key: verSegKey(prefix, seg, c.seq), Value: value})
+		ops = append(ops, kv.BatchOp{Route: route(prefix), Key: verSegKey(prefix, seg, c.seq), Value: value})
 	})
 	return ops, len(c.enc.ends)
 }

@@ -85,24 +85,24 @@ func TestMVCCSnapshotReadsPinnedVersion(t *testing.T) {
 	}
 }
 
-// TestMVCCCommitStamp: the stamp tracks in-flight commits and rolls back
-// when a commit is abandoned, leaving the store untouched.
-func TestMVCCCommitStamp(t *testing.T) {
+// TestMVCCAbandonedCommit: a commit in flight installs nothing, and one
+// abandoned after staging leaves the store untouched.
+func TestMVCCAbandonedCommit(t *testing.T) {
 	st, _ := newTestStore(t, DefaultOptions())
 	kvt := &obs.KV{}
 	c, err := st.BeginCommit("SUPPLIER")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CommitStamp("SUPPLIER") != 1 || st.CommitSeq("SUPPLIER") != 0 {
-		t.Fatalf("in flight: stamp=%d seq=%d", st.CommitStamp("SUPPLIER"), st.CommitSeq("SUPPLIER"))
-	}
 	if err := c.StageInsert(kvt, relation.Tuple{relation.Int(13), relation.Int(1)}); err != nil {
 		t.Fatal(err)
 	}
+	if st.CommitSeq("SUPPLIER") != 0 {
+		t.Fatalf("in flight: seq=%d", st.CommitSeq("SUPPLIER"))
+	}
 	c.Close() // abandoned: nothing installed
-	if st.CommitStamp("SUPPLIER") != 0 || st.CommitSeq("SUPPLIER") != 0 {
-		t.Fatalf("after abort: stamp=%d seq=%d", st.CommitStamp("SUPPLIER"), st.CommitSeq("SUPPLIER"))
+	if st.CommitSeq("SUPPLIER") != 0 {
+		t.Fatalf("after abort: seq=%d", st.CommitSeq("SUPPLIER"))
 	}
 	if blk := supplierBlock(t, st, 1); blk.Distinct() != 2 {
 		t.Fatalf("aborted commit leaked: distinct = %d", blk.Distinct())

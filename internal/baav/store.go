@@ -39,10 +39,10 @@ type Store struct {
 	Rels    map[string]*relation.Schema
 	Opts    Options
 
-	// Index, when set, serves secondary-index lookups for IndexLookup plan
-	// leaves. Index pairs live in the same cluster under a disjoint key
-	// space (internal/index).
+	// Index serves secondary-index lookups for IndexLookup and IndexRange
+	// plan leaves: the view's Indexes, reading at its snapshot.
 	Index SecondaryIndex
+	ix    *indexState
 
 	ids   map[string]uint32 // KV schema name -> physical id
 	kvRel map[string]string // KV schema name -> source relation
@@ -81,7 +81,9 @@ func NewStore(schema *Schema, rels map[string]*relation.Schema, cluster *kv.Clus
 		blocks:  make(map[string]int),
 		relRows: make(map[string]int),
 		mvcc:    newMVCCState(),
+		ix:      &indexState{byName: make(map[string]*posting)},
 	}
+	st.Index = Indexes{st}
 	names := schema.Names()
 	for i, n := range names {
 		st.ids[n] = uint32(i + 1)
@@ -151,7 +153,7 @@ func (ld *loader) load(st *Store, kvSchema KVSchema, rows []relation.Tuple, keyP
 	degree := 0
 	for _, gr := range ld.groups {
 		blk := ld.block(rows, gr.first, valPos, st.Opts.Compress)
-		st.loadBlock(&ld.enc, kvSchema, ld.prefix(gr), blk)
+		st.loadBlock(&ld.enc, kvSchema, st.Opts, ld.prefix(gr), blk, 0)
 		degree = max(degree, blk.Distinct())
 	}
 	st.statsMu.Lock()
@@ -370,7 +372,7 @@ func (st *Store) fetch(kvt *obs.KV, b *blockBatch, seq uint64, probe bool, cols 
 		for seg := range r.gets {
 			lo := len(b.buf)
 			b.buf = appendSegKey(b.buf, b.buf[r.pre:r.end], uint32(seg), r.win.ver)
-			reqs = append(reqs, kv.GetRequest{Route: b.prefix(r), Key: b.buf[lo:len(b.buf):len(b.buf)]})
+			reqs = append(reqs, kv.GetRequest{Route: route(b.prefix(r)), Key: b.buf[lo:len(b.buf):len(b.buf)]})
 		}
 	}
 	res := st.Cluster.GetManyRouted(kvt, reqs)
@@ -423,18 +425,19 @@ func (st *Store) fetch(kvt *obs.KV, b *blockBatch, seq uint64, probe bool, cols 
 	return blks, sizes, gets, nil
 }
 
-// loadBlock writes blk as the initial (sequence-zero) version of the block
-// under prefix during Map, bypassing the commit machinery: the load is
-// single-threaded and nothing can be reading yet. The block is encoded
-// through enc, whose buffers the next block reuses; the one copy of its
-// segments goes to the cluster, and the directory copies the prefix.
-func (st *Store) loadBlock(enc *segEncoder, kvSchema KVSchema, prefix []byte, blk *Block) {
-	enc.encode(blk, len(kvSchema.Val), st.Opts)
+// loadBlock writes blk, encoded under opts, as version ver of the block
+// under prefix, bypassing the commit machinery: Map's load is
+// single-threaded and nothing can be reading yet, and an index backfill
+// writes a new instance no plan reads yet. The block is encoded through
+// enc, whose buffers the next block reuses; the one copy of its segments
+// goes to the cluster, and the directory copies the prefix.
+func (st *Store) loadBlock(enc *segEncoder, kvSchema KVSchema, opts Options, prefix []byte, blk *Block, ver uint64) {
+	enc.encode(blk, len(kvSchema.Val), opts)
 	enc.segments(func(seg uint32, value []byte) {
-		enc.key = appendSegKey(enc.key[:0], prefix, seg, 0)
-		st.Cluster.PutRouted(prefix, enc.key, value)
+		enc.key = appendSegKey(enc.key[:0], prefix, seg, ver)
+		st.Cluster.PutRouted(route(prefix), enc.key, value)
 	})
-	st.mvcc.addVersion(kvSchema.Name, prefix, verEntry{ver: 0, nsegs: len(enc.ends)})
+	st.mvcc.addVersion(kvSchema.Name, prefix, verEntry{ver: ver, nsegs: len(enc.ends)})
 }
 
 // PutBlock stores a block under key in the named KV instance, replacing

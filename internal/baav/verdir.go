@@ -143,6 +143,15 @@ func (d *verDir) drop(prefix []byte, ver uint64) bool {
 	return true
 }
 
+// count returns the number of versions the directory holds.
+func (d *verDir) count() int {
+	n := len(d.ents) - len(d.free)
+	for _, older := range d.older {
+		n += len(older)
+	}
+	return n
+}
+
 // compact copies the live entries' prefixes into a fresh slab.
 func (d *verDir) compact() {
 	keys := make([]byte, 0, len(d.keys)-d.dead)

@@ -28,10 +28,10 @@ type PlanStats interface {
 }
 
 // IndexCatalog lists the secondary indexes available to the planner. It is
-// implemented by internal/index.Manager. Unlike the BaaV schema, the
-// catalog is mutable at runtime (CREATE INDEX / DROP INDEX), so the planner
-// consults it on every Plan call; cached plans must be invalidated when it
-// changes (the serving layer's schema epoch does this).
+// implemented by baav.Indexes. Unlike the BaaV schema, the catalog is
+// mutable at runtime (CREATE INDEX / DROP INDEX), so the planner consults it
+// on every Plan call; cached plans must be invalidated when it changes (the
+// serving layer's schema epoch does this).
 type IndexCatalog interface {
 	// IndexOn returns, for an index on rel(attr), the index name and the
 	// block-key attributes its postings hold (the relation's primary key).
@@ -80,8 +80,8 @@ func (c *Checker) WithStats(stats PlanStats) *Checker {
 	return c
 }
 
-// WithIndexes attaches the secondary-index catalog (usually the
-// index.Manager of the opened instance).
+// WithIndexes attaches the secondary-index catalog (usually the store's
+// Indexes).
 func (c *Checker) WithIndexes(idx IndexCatalog) *Checker {
 	c.Indexes = idx
 	return c

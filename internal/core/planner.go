@@ -81,7 +81,7 @@ func (p *PlanInfo) Bounded(store *baav.Store, maxDeg int) bool {
 	// Index lookups fan out like blocks: a posting list longer than the
 	// degree bound makes the query unbounded on this store.
 	for _, name := range p.Indexes {
-		if store.Index == nil || store.Index.MaxPostings(name) > maxDeg {
+		if store.Index.MaxPostings(name) > maxDeg {
 			return false
 		}
 	}

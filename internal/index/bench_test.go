@@ -1,21 +1,22 @@
-package index
+package index_test
 
 import (
 	"fmt"
 	"testing"
 
+	"zidian/internal/baav"
 	"zidian/internal/kv"
 	"zidian/internal/relation"
 )
 
 // benchIndex builds ix_sku over n ITEM tuples on a 4-node hash cluster: ten
 // sku values of n/10 postings each.
-func benchIndex(b *testing.B, n int) *Manager {
-	m := NewManager(kv.NewCluster(kv.EngineHash, 4))
-	if _, err := m.Create("ix_sku", "ITEM", "sku", itemSchema(b), itemTuples(n)); err != nil {
+func benchIndex(b *testing.B, n int) *baav.Store {
+	st := itemStore(b, kv.EngineHash, 4)
+	if _, err := st.CreateIndex("ix_sku", "ITEM", "sku", itemTuples(n)); err != nil {
 		b.Fatal(err)
 	}
-	return m
+	return st
 }
 
 // BenchmarkIndexLookup times Lookup of one value's posting list, 100 and
@@ -23,12 +24,12 @@ func benchIndex(b *testing.B, n int) *Manager {
 func BenchmarkIndexLookup(b *testing.B) {
 	for _, n := range []int{1000, 20000} {
 		b.Run(fmt.Sprintf("postings%d", n/10), func(b *testing.B) {
-			m := benchIndex(b, n)
+			st := benchIndex(b, n)
 			v := relation.String("S03")
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				keys, _, err := m.Lookup("ix_sku", v)
+				keys, _, err := st.Index.Lookup("ix_sku", v)
 				if err != nil || len(keys) != n/10 {
 					b.Fatalf("%d keys, %v", len(keys), err)
 				}
@@ -41,7 +42,7 @@ func BenchmarkIndexLookup(b *testing.B) {
 // postings each: the whole window, and a LIMIT 20 that stops in the first
 // fragment.
 func BenchmarkIndexRange(b *testing.B) {
-	m := benchIndex(b, 20000)
+	st := benchIndex(b, 20000)
 	lo, hi := relation.String("S03"), relation.String("S05")
 	for _, c := range []struct {
 		name  string
@@ -54,7 +55,7 @@ func BenchmarkIndexRange(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, keys, _, err := m.RangeLimitT(nil, "ix_sku", &lo, &hi, true, true, c.limit)
+				_, keys, _, err := st.Index.RangeLimitT(nil, "ix_sku", &lo, &hi, true, true, c.limit)
 				if err != nil || len(keys) != want {
 					b.Fatalf("%d keys, %v", len(keys), err)
 				}

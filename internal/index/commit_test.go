@@ -1,41 +1,43 @@
-package index
+package index_test
 
 import (
 	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"zidian/internal/baav"
 	"zidian/internal/kv"
 	"zidian/internal/relation"
 )
 
-// clusterPairs dumps every pair of the cluster, node by node in key order.
-// The clusters below hold nothing but index pairs: catalog and postings.
-func clusterPairs(c *kv.Cluster) [][2][]byte {
+// postingPairs dumps the cluster's posting pairs — every key under an index
+// id — node by node in key order, each key without its version suffix.
+func postingPairs(c *kv.Cluster) [][2][]byte {
 	var out [][2][]byte
-	c.Scan(nil, func(k, v []byte) bool {
-		out = append(out, [2][]byte{append([]byte{}, k...), append([]byte{}, v...)})
+	c.Scan([]byte{0x80}, func(k, v []byte) bool {
+		out = append(out, [2][]byte{bytes.Clone(k[:len(k)-8]), bytes.Clone(v)})
 		return true
 	})
 	return out
 }
 
-// TestCommitMatchesBackfill: incremental maintenance through Commit +
-// ReclaimRemovals converges on exactly what a backfill of the surviving
-// tuples builds — the same posting pairs byte for byte and the same Stats,
-// histogram and value list included. The sequence mixes multi-tuple
-// batches, delete-then-reinsert of a pair whose shrink is still pending
-// (the watermark lags the commit sequence by up to three commits), and
+// TestCommitMatchesBackfill: postings maintained by commits converge, once
+// no reader pins an old sequence and reclamation has run, on exactly what a
+// backfill of the surviving tuples builds — the same posting pairs byte for
+// byte up to their version, one version per fragment, and the same
+// statistics. Pins lag the commits by up to three sequences, so drained
+// fragments and superseded versions wait for reclamation in between. The
+// sequence mixes multi-tuple batches, delete-then-reinsert of a pair, and
 // values that drain and reappear.
 func TestCommitMatchesBackfill(t *testing.T) {
 	for _, kind := range []kv.EngineKind{kv.EngineHash, kv.EngineLSM, kv.EngineSorted} {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%v/seed%d", kind, seed), func(t *testing.T) {
 				r := rand.New(rand.NewSource(seed))
-				schema := itemSchema(t)
 				tuple := func(id int) relation.Tuple {
 					return relation.Tuple{
 						relation.Int(int64(id)),
@@ -50,38 +52,35 @@ func TestCommitMatchesBackfill(t *testing.T) {
 					seedTuples = append(seedTuples, tuple(id))
 				}
 				indexes := [][2]string{{"ix_sku", "sku"}, {"ix_qty", "qty"}}
-				backfill := func(tuples []relation.Tuple) (*kv.Cluster, *Manager) {
-					c := kv.NewCluster(kind, 3)
-					m := NewManager(c)
+				backfill := func(tuples []relation.Tuple) *baav.Store {
+					st := itemStore(t, kind, 3)
 					for _, ix := range indexes {
-						if _, err := m.Create(ix[0], "ITEM", ix[1], schema, tuples); err != nil {
+						if _, err := st.CreateIndex(ix[0], "ITEM", ix[1], tuples); err != nil {
 							t.Fatal(err)
 						}
 					}
-					return c, m
+					return st
 				}
-				c, m := backfill(seedTuples)
+				st := backfill(seedTuples)
 
-				ops := 0
-				var seq uint64
-				for ops < 240 {
-					seq++
-					lag := uint64(r.Intn(4))
-					if lag > seq {
-						lag = seq
+				var pins []*baav.Snapshot
+				for ops := 0; ops < 240; {
+					pins = append(pins, st.PinSnapshot([]string{"ITEM"}))
+					for lag := r.Intn(4); len(pins) > lag; pins = pins[1:] {
+						pins[0].Release()
 					}
-					err := commit(m, "ITEM", seq, seq-lag, func(cm *Commit) error {
+					err := commit(st, func(c *baav.Commit) error {
 						for n := 1 + r.Intn(4); n > 0; n-- {
 							id := r.Intn(40)
 							ops++
 							if live[id] {
 								delete(live, id)
-								if err := cm.StageDelete(nil, tuple(id)); err != nil {
+								if _, err := c.StageDelete(nil, tuple(id)); err != nil {
 									return err
 								}
 							} else {
 								live[id] = true
-								if err := cm.StageInsert(nil, tuple(id)); err != nil {
+								if err := c.StageInsert(nil, tuple(id)); err != nil {
 									return err
 								}
 							}
@@ -92,11 +91,11 @@ func TestCommitMatchesBackfill(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if err := m.ReclaimRemovals(nil, "ITEM", seq); err != nil {
-					t.Fatal(err)
+				for _, p := range pins {
+					p.Release()
 				}
-				if n := m.PendingRemovals("ITEM"); n != 0 {
-					t.Fatalf("%d removals still pending at a passed watermark", n)
+				if _, ok := st.SweepRelation("ITEM"); !ok {
+					t.Fatal("sweep did not run")
 				}
 
 				var survivors []relation.Tuple
@@ -105,23 +104,19 @@ func TestCommitMatchesBackfill(t *testing.T) {
 						survivors = append(survivors, tuple(id))
 					}
 				}
-				c2, m2 := backfill(survivors)
-
-				got, want := clusterPairs(c), clusterPairs(c2)
-				if len(got) != len(want) {
-					t.Fatalf("%d index pairs after %d ops, backfill has %d", len(got), ops, len(want))
-				}
-				for i := range want {
-					if !bytes.Equal(got[i][0], want[i][0]) || !bytes.Equal(got[i][1], want[i][1]) {
-						t.Fatalf("pair %d differs from backfill:\n got %x -> %x\nwant %x -> %x",
-							i, got[i][0], got[i][1], want[i][0], want[i][1])
-					}
+				want := postingPairs(backfill(survivors).Cluster)
+				got := postingPairs(st.Cluster)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%d posting pairs after the commits, backfill has %d:\n got %x\nwant %x", len(got), len(want), got, want)
 				}
 				for _, ix := range indexes {
-					// The live Stats, not the StatsOf copy: the length
-					// histogram behind MaxPosting must agree too.
-					if gs, ws := m.stats[ix[0]], m2.stats[ix[0]]; !reflect.DeepEqual(gs, ws) {
-						t.Fatalf("%s stats = %+v, backfill has %+v", ix[0], gs, ws)
+					gs, _ := st.Indexes().Stats(ix[0])
+					gl, gh, _ := st.Indexes().ValueBounds(ix[0])
+					ref := backfill(survivors)
+					ws, _ := ref.Indexes().Stats(ix[0])
+					wl, wh, _ := ref.Indexes().ValueBounds(ix[0])
+					if gs != ws || !relation.Equal(gl, wl) || !relation.Equal(gh, wh) {
+						t.Fatalf("%s stats %+v bounds %s..%s, backfill has %+v %s..%s", ix[0], gs, gl, gh, ws, wl, wh)
 					}
 				}
 			})
@@ -129,24 +124,25 @@ func TestCommitMatchesBackfill(t *testing.T) {
 	}
 }
 
-// TestReclaimDoesNotBlockReaders: ReclaimRemovals reads and rewrites its
-// fragments holding no manager lock, so under a service delay a Lookup of a
-// posting on another node, started while a reclamation is in its round
-// trips, finishes within about one delay of its own round trip instead of
-// first waiting out both of the reclamation's.
+// TestReclaimDoesNotBlockReaders: reclamation deletes superseded posting
+// versions holding no lock an index reader takes across its round trip, so
+// under a service delay a Lookup of a posting on another node, started while
+// a sweep is in its round trip, finishes within about one delay of its own.
 func TestReclaimDoesNotBlockReaders(t *testing.T) {
 	const delay = 100 * time.Millisecond
-	c := kv.NewCluster(kv.EngineHash, 2)
-	m := NewManager(c)
+	st := itemStore(t, kv.EngineHash, 2)
 	tuples := itemTuples(40)
-	if _, err := m.Create("ix_sku", "ITEM", "sku", itemSchema(t), tuples); err != nil {
+	if _, err := st.CreateIndex("ix_sku", "ITEM", "sku", tuples); err != nil {
 		t.Fatal(err)
 	}
-	id := m.defs["ix_sku"].id
-	// The reclaimed posting and the looked-up one live on different nodes.
+	// A posting list routes by its index id (the store's first: 1, with
+	// the top bit set) and value.
+	node := func(v relation.Value) int {
+		return st.Cluster.NodeFor(relation.AppendValue([]byte{0x80, 0, 0, 1}, v))
+	}
 	victim, other := tuples[0], relation.Value{}
 	for _, tp := range tuples {
-		if c.NodeFor(postingKey(id, tp[1])) != c.NodeFor(postingKey(id, victim[1])) {
+		if node(tp[1]) != node(victim[1]) {
 			other = tp[1]
 			break
 		}
@@ -154,26 +150,32 @@ func TestReclaimDoesNotBlockReaders(t *testing.T) {
 	if other.Kind == relation.KindNull {
 		t.Fatal("every posting on one node")
 	}
-	// Watermark 0: the delete's shrink stays pending.
-	if err := commit(m, "ITEM", 1, 0, func(cm *Commit) error { return cm.StageDelete(nil, victim) }); err != nil {
+	// Under a pin the delete's superseded posting version stays.
+	snap := st.PinSnapshot([]string{"ITEM"})
+	if err := deleteTuple(st, victim); err != nil {
 		t.Fatal(err)
 	}
-	c.SetServiceDelay(delay)
-	done := make(chan error)
-	go func() { done <- m.ReclaimRemovals(nil, "ITEM", 1) }()
+	snap.Release()
+	st.Cluster.SetServiceDelay(delay)
+	done := make(chan int)
+	go func() {
+		swept, _ := st.SweepRelation("ITEM")
+		done <- swept
+	}()
 	time.Sleep(delay / 4)
 	start := time.Now()
-	if _, _, err := m.Lookup("ix_sku", other); err != nil {
+	if _, _, err := st.Index.Lookup("ix_sku", other); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if m.PendingRemovals("ITEM") != 0 {
-		t.Fatal("the shrink is still pending after reclamation")
+	if swept := <-done; swept == 0 {
+		t.Fatal("the sweep reclaimed nothing")
 	}
 	if elapsed > 2*delay {
 		t.Fatalf("a lookup during reclamation took %v, want about one %v round trip", elapsed, delay)
+	}
+	st.Cluster.SetServiceDelay(0)
+	if ids := lookupIDs(t, st, "ix_sku", victim[1]); slices.Contains(ids, victim[0].Int) {
+		t.Fatalf("deleted id %d still posted: %v", victim[0].Int, ids)
 	}
 }

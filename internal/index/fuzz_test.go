@@ -1,32 +1,34 @@
-package index
+package index_test
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 
+	"zidian/internal/baav"
+	"zidian/internal/index"
 	"zidian/internal/kv"
 	"zidian/internal/relation"
 )
 
-// FuzzPostings runs a seeded stream of index maintenance against a
-// sorted-set model: a backfill, insert and delete batches over three qty
-// values and 600 ids (so lists cross M, split and drain), pinned readers,
-// and reclamation at the watermark they hold and below it. The model keeps
-// each (value, id) pair's liveness and the sequence of its pending removal;
-// a pair is stored while it is live or its removal is pending. After every
-// step:
-//   - Lookup of each value, and of a value never indexed, returns exactly
-//     the stored ids, in order;
-//   - RangeLimitT over the whole index and over an open-closed window
-//     returns the stored pairs in (value, id) order, each id under its
-//     first value, and over the whole index with a limit their first
+// FuzzPostings runs a seeded stream of commits against a sorted-set model
+// at each sequence: a backfill, insert and delete batches over three qty
+// values and 600 ids (so lists cross M, split and drain), readers pinned at
+// past sequences, and reclamation sweeps. The model records the live (qty,
+// id) pairs at each pin. After every step:
+//   - at the latest sequence and at every pin, Lookup of each value, and of
+//     a value never indexed, returns exactly the model's ids at that
+//     sequence, in order;
+//   - at the latest sequence and at every pin, RangeLimitT over the whole
+//     index and over an open-closed window returns the model's pairs in
+//     (value, id) order, and over the whole index with a limit their first
 //     limit;
-//   - every pinned reader still finds each pair live at its snapshot;
-//   - with no removal pending, the stats and the fragment directory agree
-//     with the store pair for pair, and no fragment holds more than M keys.
+//   - the statistics agree with the model, and no fragment holds more than
+//     M keys;
+//   - once no reader is pinned and a sweep has run, every posting fragment
+//     is one live version: drained fragments and superseded versions are
+//     gone.
 func FuzzPostings(f *testing.F) {
 	f.Add(int64(0), []byte{0, 8, 16, 5, 3, 11, 19, 7, 6, 7})
 	f.Add(int64(4), []byte{0xF8, 0xF8, 0xF8, 0xF8, 5, 0xF8, 0xF8, 0xBB, 0xBB, 0xBB, 0xBB, 6, 7})
@@ -42,127 +44,64 @@ func FuzzPostings(f *testing.F) {
 		r := rand.New(rand.NewSource(seed))
 		kinds := []kv.EngineKind{kv.EngineHash, kv.EngineLSM, kv.EngineSorted}
 		useed := uint64(seed)
-		c := kv.NewCluster(kinds[useed%3], 1+int(useed/3%3))
-		m := NewManager(c)
+		st := itemStore(t, kinds[useed%3], 1+int(useed/3%3))
 		const ids, vals = 600, 3
 		tuple := func(id, q int) relation.Tuple {
 			return relation.Tuple{relation.Int(int64(id)), relation.String("S"), relation.Int(int64(q))}
 		}
-		type pair struct{ q, id int }
-		type state struct {
-			live, stored, added bool
-			pend                uint64 // sequence of the pending removal, 0 for none
-		}
-		model := map[pair]*state{}
 		valueOf := map[int]int{} // live id → its qty
 		var seedTuples []relation.Tuple
 		for id, n := 0, r.Intn(ids); id < n; id++ {
 			q := r.Intn(vals)
 			seedTuples = append(seedTuples, tuple(id, q))
-			model[pair{q, id}] = &state{live: true, stored: true}
 			valueOf[id] = q
 		}
-		if _, err := m.Create("ix_qty", "ITEM", "qty", itemSchema(t), seedTuples); err != nil {
+		if _, err := st.CreateIndex("ix_qty", "ITEM", "qty", seedTuples); err != nil {
 			t.Fatal(err)
 		}
 
-		var seq uint64
-		type pin struct {
-			seq  uint64
-			live []pair
-		}
-		var pins []pin // ascending seq
-		watermark := func() uint64 {
-			if len(pins) > 0 {
-				return pins[0].seq
-			}
-			return seq
-		}
-		reclaim := func(w uint64) {
-			if err := m.ReclaimRemovals(nil, "ITEM", w); err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range model {
-				if s.pend != 0 && s.pend <= w {
-					s.pend, s.stored = 0, false
-				}
-			}
-		}
-		commit := func(n int, del bool) {
-			seq++
-			cm := m.BeginCommit("ITEM")
-			var added []*state
-			for ; n > 0; n-- {
-				id := r.Intn(ids)
-				q, live := valueOf[id]
-				if live != del {
-					continue // an insert needs a free id, a delete a live one
-				}
-				if del {
-					delete(valueOf, id)
-					if err := cm.StageDelete(nil, tuple(id, q)); err != nil {
-						t.Fatal(err)
-					}
-					s := model[pair{q, id}]
-					s.live = false
-					if s.added {
-						s.stored, s.added = false, false // inserted and deleted in one batch
-					} else {
-						s.pend = seq
-					}
-					continue
-				}
-				q = r.Intn(vals)
-				valueOf[id] = q
-				if err := cm.StageInsert(nil, tuple(id, q)); err != nil {
-					t.Fatal(err)
-				}
-				s := model[pair{q, id}]
-				if s == nil {
-					s = &state{}
-					model[pair{q, id}] = s
-				}
-				s.live = true
-				if s.stored {
-					s.pend = 0 // re-added: its pending removal is canceled
-				} else {
-					s.stored, s.added = true, true
-					added = append(added, s)
-				}
-			}
-			c.ApplyBatch(nil, cm.Ops())
-			cm.Apply(seq)
-			for _, s := range added {
-				s.added = false
-			}
-		}
-
-		// stored returns the model's stored ids of each value, ascending.
-		stored := func() [][]int64 {
+		// lists returns the ids of each value live in valueOf, ascending.
+		lists := func(valueOf map[int]int) [][]int64 {
 			out := make([][]int64, vals+1)
-			for p, s := range model {
-				if s.stored {
-					out[p.q] = append(out[p.q], int64(p.id))
-				}
+			for id, q := range valueOf {
+				out[q] = append(out[q], int64(id))
 			}
 			for _, ids := range out {
 				slices.Sort(ids)
 			}
 			return out
 		}
-		// walk is the model's ordered walk over values [lo, hi]: each id
-		// under its first value.
-		walk := func(lists [][]int64, lo, hi int) (qs, out []int64) {
-			seen := map[int64]bool{}
-			for q := lo; q <= hi; q++ {
-				for _, id := range lists[q] {
-					if !seen[id] {
-						seen[id] = true
-						qs, out = append(qs, int64(q)), append(out, id)
+		type pin struct {
+			snap  *baav.Snapshot
+			lists [][]int64
+		}
+		var pins []pin
+		batch := func(n int, del bool) {
+			err := commit(st, func(c *baav.Commit) error {
+				for ; n > 0; n-- {
+					id := r.Intn(ids)
+					q, live := valueOf[id]
+					if live != del {
+						continue // an insert needs a free id, a delete a live one
+					}
+					if del {
+						delete(valueOf, id)
+						if _, err := c.StageDelete(nil, tuple(id, q)); err != nil {
+							return err
+						}
+						continue
+					}
+					q = r.Intn(vals)
+					valueOf[id] = q
+					if err := c.StageInsert(nil, tuple(id, q)); err != nil {
+						return err
 					}
 				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			return qs, out
 		}
 		flat := func(ts []relation.Tuple) []int64 {
 			out := make([]int64, len(ts))
@@ -178,28 +117,16 @@ func FuzzPostings(f *testing.F) {
 			}
 			return out
 		}
-
-		check := func(step int) {
-			lists := stored()
-			found := map[pair]bool{}
+		// read checks every read form of view against lists, the model at
+		// the view's sequence.
+		read := func(step int, at string, view *baav.Store, lists [][]int64) {
 			for q := 0; q <= vals; q++ {
-				keys, _, err := m.Lookup("ix_qty", relation.Int(int64(q)))
+				keys, _, err := view.Index.Lookup("ix_qty", relation.Int(int64(q)))
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, want := flat(keys), lists[q]
-				if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
-					t.Fatalf("step %d: Lookup(%d) = %v, model stores %v", step, q, got, want)
-				}
-				for _, id := range got {
-					found[pair{q, int(id)}] = true
-				}
-			}
-			for _, p := range pins {
-				for _, lp := range p.live {
-					if !found[lp] {
-						t.Fatalf("step %d: reader pinned at %d lost id %d under %d", step, p.seq, lp.id, lp.q)
-					}
+				if got := flat(keys); !reflect.DeepEqual(got, lists[q]) && len(got)+len(lists[q]) > 0 {
+					t.Fatalf("step %d %s: Lookup(%d) = %v, model has %v", step, at, q, got, lists[q])
 				}
 			}
 			lo, hi := relation.Int(0), relation.Int(vals-1)
@@ -207,10 +134,15 @@ func FuzzPostings(f *testing.F) {
 				loIncl bool
 				from   int
 				limits []int
-			}{{true, 0, []int{-1, 5, M + 3}}, {false, 1, []int{-1}}} {
-				wantQs, want := walk(lists, w.from, vals-1)
+			}{{true, 0, []int{-1, 5, index.M + 3}}, {false, 1, []int{-1}}} {
+				var wantQs, want []int64
+				for q := w.from; q < vals; q++ {
+					for _, id := range lists[q] {
+						wantQs, want = append(wantQs, int64(q)), append(want, id)
+					}
+				}
 				for _, limit := range w.limits {
-					gotVals, gotKeys, _, err := m.RangeLimitT(nil, "ix_qty", &lo, &hi, w.loIncl, true, limit)
+					gotVals, gotKeys, _, err := view.Index.RangeLimitT(nil, "ix_qty", &lo, &hi, w.loIncl, true, limit)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -219,83 +151,77 @@ func FuzzPostings(f *testing.F) {
 						n = limit
 					}
 					if got := flat(gotKeys); !reflect.DeepEqual(got, want[:n]) && len(got)+n > 0 {
-						t.Fatalf("step %d: range from %d limit %d = %v, model walks %v", step, w.from, limit, got, want[:n])
+						t.Fatalf("step %d %s: range from %d limit %d = %v, model walks %v", step, at, w.from, limit, got, want[:n])
 					}
 					if got := ints(gotVals); !reflect.DeepEqual(got, wantQs[:n]) && len(got)+n > 0 {
-						t.Fatalf("step %d: range from %d limit %d values = %v, model walks %v", step, w.from, limit, got, wantQs[:n])
+						t.Fatalf("step %d %s: range from %d limit %d values = %v, model walks %v", step, at, w.from, limit, got, wantQs[:n])
 					}
 				}
-			}
-			if m.PendingRemovals("ITEM") > 0 {
-				return
-			}
-			st := m.stats["ix_qty"]
-			postings, entries, maxLen := 0, 0, 0
-			for q := 0; q < vals; q++ {
-				if n := len(lists[q]); n > 0 {
-					postings, entries, maxLen = postings+n, entries+1, max(maxLen, n)
-				}
-			}
-			if st.Postings != postings || st.Entries != entries || st.MaxPosting != maxLen {
-				t.Fatalf("step %d: stats %d postings, %d entries, max %d; model %d, %d, %d",
-					step, st.Postings, st.Entries, st.MaxPosting, postings, entries, maxLen)
-			}
-			d := m.defs["ix_qty"]
-			var dir []string
-			for _, e := range st.vals {
-				for _, fr := range e.frags {
-					if fr.n > M {
-						t.Fatalf("step %d: a fragment of %s holds %d keys", step, e.val, fr.n)
-					}
-					dir = append(dir, fmt.Sprintf("%x %d", fragKey(postingKey(d.id, e.val), fr.fence), fr.n))
-				}
-			}
-			var pairs []string
-			for _, p := range clusterPairs(c) {
-				if k := p[0]; len(k) > 4 && string(k[:4]) == string(prefix(d.id)) {
-					lst, err := splitPostings(p[1], 1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					pairs = append(pairs, fmt.Sprintf("%x %d", k, len(lst)))
-				}
-			}
-			slices.Sort(dir)
-			slices.Sort(pairs)
-			if !reflect.DeepEqual(dir, pairs) {
-				t.Fatalf("step %d: directory %v, store %v", step, dir, pairs)
 			}
 		}
 
-		check(-1)
+		check := func(step int, swept bool) {
+			now := lists(valueOf)
+			read(step, "latest", st, now)
+			for _, p := range pins {
+				read(step, "pinned", st.AtSnapshot(p.snap), p.lists)
+			}
+			postings, entries, maxLen := 0, 0, 0
+			for q := 0; q < vals; q++ {
+				if n := len(now[q]); n > 0 {
+					postings, entries, maxLen = postings+n, entries+1, max(maxLen, n)
+				}
+			}
+			if s, _ := st.Indexes().Stats("ix_qty"); s != (baav.IndexStats{Entries: entries, Postings: postings, MaxPosting: maxLen}) {
+				t.Fatalf("step %d: stats %+v; model %d postings, %d entries, max %d", step, s, postings, entries, maxLen)
+			}
+			blocks := map[string]int{}
+			for _, p := range postingPairs(st.Cluster) {
+				blocks[string(p[0])]++
+				if p[1][0] == 0 {
+					if swept && len(pins) == 0 {
+						t.Fatalf("step %d: a drained fragment outlived reclamation", step)
+					}
+					continue
+				}
+				blk, _, err := baav.DecodeBlock(p[1][1:], 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(blk.Tuples) > index.M {
+					t.Fatalf("step %d: a fragment holds %d keys", step, len(blk.Tuples))
+				}
+			}
+			for _, n := range blocks {
+				if n > 1 && swept && len(pins) == 0 {
+					t.Fatalf("step %d: a fragment keeps %d versions after reclamation", step, n)
+				}
+			}
+		}
+
+		check(-1, false)
 		for step, b := range ops {
 			arg := int(b >> 3)
+			swept := false
 			switch b % 8 {
 			case 0, 1, 2:
-				commit(1+arg%48, false)
-				if arg%2 == 0 {
-					reclaim(watermark())
-				}
+				batch(1+arg%48, false)
 			case 3, 4:
-				commit(1+arg%24, true)
-				if arg%2 == 0 {
-					reclaim(watermark())
-				}
+				batch(1+arg%24, true)
 			case 5:
-				var live []pair
-				for id, q := range valueOf {
-					live = append(live, pair{q, id})
-				}
-				pins = append(pins, pin{seq: seq, live: live})
+				pins = append(pins, pin{snap: st.PinSnapshot([]string{"ITEM"}), lists: lists(valueOf)})
+				continue // a pin reads what the last check read at the latest sequence
 			case 6:
 				if len(pins) > 0 {
-					pins = slices.Delete(pins, arg%len(pins), arg%len(pins)+1)
+					at := arg % len(pins)
+					pins[at].snap.Release()
+					pins = slices.Delete(pins, at, at+1)
 				}
+				continue // no reader's view changed
 			case 7:
-				w := watermark()
-				reclaim(w - uint64(arg)%(w+1))
+				_, swept = st.SweepRelation("ITEM")
 			}
-			check(step)
+			check(step, swept)
 		}
 	})
 }

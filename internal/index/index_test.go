@@ -1,10 +1,11 @@
-package index
+package index_test
 
 import (
 	"fmt"
 	"reflect"
 	"testing"
 
+	"zidian/internal/baav"
 	"zidian/internal/kv"
 	"zidian/internal/obs"
 	"zidian/internal/relation"
@@ -31,33 +32,62 @@ func itemTuples(n int) []relation.Tuple {
 	return out
 }
 
-// commit drives one staged maintenance round the way the group committer
-// does: stage, apply the grown payloads, publish at seq, then apply the
-// deferred shrinks the watermark has passed.
-func commit(m *Manager, rel string, seq, watermark uint64, stage func(c *Commit) error) error {
-	c := m.BeginCommit(rel)
+// itemStore maps an empty ITEM relation onto a store of one pk-keyed KV
+// schema: the tests hand each index its tuples, and a commit edits blocks
+// and postings alike.
+func itemStore(t testing.TB, kind kv.EngineKind, nodes int) *baav.Store {
+	t.Helper()
+	db := relation.NewDatabase()
+	db.Add(relation.NewRelation(itemSchema(t)))
+	schema := baav.MustSchema(baav.RelSchemas(db), baav.KVSchema{Name: "item_full", Rel: "ITEM", Key: []string{"id"}, Val: []string{"sku", "qty"}})
+	st, err := baav.Map(db, schema, kv.NewCluster(kind, nodes), baav.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// commit runs one commit on ITEM the way the group committer does: stage,
+// apply the batch, install, reclaim.
+func commit(st *baav.Store, stage func(c *baav.Commit) error) error {
+	c, err := st.BeginCommit("ITEM")
+	if err != nil {
+		return err
+	}
+	defer c.Close()
 	if err := stage(c); err != nil {
 		return err
 	}
-	m.cluster.ApplyBatch(nil, c.Ops())
-	c.Apply(seq)
-	return m.ReclaimRemovals(nil, rel, watermark)
+	st.Cluster.ApplyBatch(nil, c.Ops())
+	c.Install()
+	c.Reclaim(nil)
+	return nil
 }
 
-// insertTuple and deleteTuple commit one tuple each with the watermark at
-// the commit's own sequence: no snapshot is pinned in these tests, so a
-// delete's shrink is due at once.
-func insertTuple(m *Manager, rel string, t relation.Tuple) error {
-	return commit(m, rel, 1, 1, func(c *Commit) error { return c.StageInsert(nil, t) })
+// insertTuple and deleteTuple commit one tuple each.
+func insertTuple(st *baav.Store, t relation.Tuple) error {
+	return commit(st, func(c *baav.Commit) error { return c.StageInsert(nil, t) })
 }
 
-func deleteTuple(m *Manager, rel string, t relation.Tuple) error {
-	return commit(m, rel, 1, 1, func(c *Commit) error { return c.StageDelete(nil, t) })
+func deleteTuple(st *baav.Store, t relation.Tuple) error {
+	return commit(st, func(c *baav.Commit) error {
+		_, err := c.StageDelete(nil, t)
+		return err
+	})
 }
 
-func lookupIDs(t *testing.T, m *Manager, name string, v relation.Value) []int64 {
+func stats(t *testing.T, st *baav.Store, name string) baav.IndexStats {
 	t.Helper()
-	keys, gets, err := m.Lookup(name, v)
+	s, ok := st.Indexes().Stats(name)
+	if !ok {
+		t.Fatalf("no index %q", name)
+	}
+	return s
+}
+
+func lookupIDs(t *testing.T, st *baav.Store, name string, v relation.Value) []int64 {
+	t.Helper()
+	keys, gets, err := st.Index.Lookup(name, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,17 +102,15 @@ func lookupIDs(t *testing.T, m *Manager, name string, v relation.Value) []int64 
 }
 
 func TestCreateBackfillLookup(t *testing.T) {
-	c := kv.NewCluster(kv.EngineHash, 3)
-	m := NewManager(c)
-	schema := itemSchema(t)
-	n, err := m.Create("ix_sku", "ITEM", "sku", schema, itemTuples(40))
+	st := itemStore(t, kv.EngineHash, 3)
+	n, err := st.CreateIndex("ix_sku", "ITEM", "sku", itemTuples(40))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 40 {
 		t.Fatalf("backfilled %d, want 40", n)
 	}
-	ids := lookupIDs(t, m, "ix_sku", relation.String("S03"))
+	ids := lookupIDs(t, st, "ix_sku", relation.String("S03"))
 	if len(ids) != 4 {
 		t.Fatalf("posting for S03 = %v, want 4 ids", ids)
 	}
@@ -94,178 +122,142 @@ func TestCreateBackfillLookup(t *testing.T) {
 			t.Fatalf("posting not sorted: %v", ids)
 		}
 	}
-	if ids := lookupIDs(t, m, "ix_sku", relation.String("NOPE")); len(ids) != 0 {
+	if ids := lookupIDs(t, st, "ix_sku", relation.String("NOPE")); len(ids) != 0 {
 		t.Fatalf("posting for absent value = %v", ids)
 	}
-	name, key, ok := m.IndexOn("ITEM", "sku")
+	name, key, ok := st.Indexes().IndexOn("ITEM", "sku")
 	if !ok || name != "ix_sku" || len(key) != 1 || key[0] != "id" {
 		t.Fatalf("IndexOn = %q %v %v", name, key, ok)
 	}
-	if _, _, ok := m.IndexOn("ITEM", "qty"); ok {
+	if _, _, ok := st.Indexes().IndexOn("ITEM", "qty"); ok {
 		t.Fatal("IndexOn reported an index that does not exist")
 	}
-	st, _ := m.StatsOf("ix_sku")
-	if st.Entries != 10 || st.Postings != 40 || st.MaxPosting != 4 {
-		t.Fatalf("stats = %+v", st)
+	if s := stats(t, st, "ix_sku"); s.Entries != 10 || s.Postings != 40 || s.MaxPosting != 4 {
+		t.Fatalf("stats = %+v", s)
 	}
-	if m.AvgPostings("ix_sku") != 4 {
-		t.Fatalf("avg postings = %d", m.AvgPostings("ix_sku"))
+	if st.Indexes().AvgPostings("ix_sku") != 4 {
+		t.Fatalf("avg postings = %d", st.Indexes().AvgPostings("ix_sku"))
 	}
 }
 
 func TestMaintenance(t *testing.T) {
-	c := kv.NewCluster(kv.EngineHash, 2)
-	m := NewManager(c)
-	schema := itemSchema(t)
-	if _, err := m.Create("ix_sku", "ITEM", "sku", schema, itemTuples(20)); err != nil {
+	st := itemStore(t, kv.EngineHash, 2)
+	if _, err := st.CreateIndex("ix_sku", "ITEM", "sku", itemTuples(20)); err != nil {
 		t.Fatal(err)
 	}
 	add := relation.Tuple{relation.Int(100), relation.String("S03"), relation.Int(1)}
-	if err := insertTuple(m, "ITEM", add); err != nil {
+	if err := insertTuple(st, add); err != nil {
 		t.Fatal(err)
 	}
-	if ids := lookupIDs(t, m, "ix_sku", relation.String("S03")); len(ids) != 3 || ids[2] != 100 {
+	if ids := lookupIDs(t, st, "ix_sku", relation.String("S03")); len(ids) != 3 || ids[2] != 100 {
 		t.Fatalf("after insert: %v", ids)
 	}
 	// Duplicate insert of the same block key is a no-op.
-	if err := insertTuple(m, "ITEM", add); err != nil {
+	if err := insertTuple(st, add); err != nil {
 		t.Fatal(err)
 	}
-	if ids := lookupIDs(t, m, "ix_sku", relation.String("S03")); len(ids) != 3 {
+	if ids := lookupIDs(t, st, "ix_sku", relation.String("S03")); len(ids) != 3 {
 		t.Fatalf("after duplicate insert: %v", ids)
 	}
-	if err := deleteTuple(m, "ITEM", add); err != nil {
+	if err := deleteTuple(st, add); err != nil {
 		t.Fatal(err)
 	}
-	if ids := lookupIDs(t, m, "ix_sku", relation.String("S03")); len(ids) != 2 {
+	if ids := lookupIDs(t, st, "ix_sku", relation.String("S03")); len(ids) != 2 {
 		t.Fatalf("after delete: %v", ids)
 	}
 	// Deleting the last posting of a value removes the pair entirely.
 	for _, id := range []int64{4, 14} {
-		if err := deleteTuple(m, "ITEM", relation.Tuple{relation.Int(id), relation.String("S04"), relation.Int(0)}); err != nil {
+		if err := deleteTuple(st, relation.Tuple{relation.Int(id), relation.String("S04"), relation.Int(0)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if ids := lookupIDs(t, m, "ix_sku", relation.String("S04")); len(ids) != 0 {
+	if ids := lookupIDs(t, st, "ix_sku", relation.String("S04")); len(ids) != 0 {
 		t.Fatalf("after draining S04: %v", ids)
 	}
-	st, _ := m.StatsOf("ix_sku")
-	if st.Entries != 9 {
-		t.Fatalf("entries after drain = %d, want 9", st.Entries)
-	}
-	// Maintenance on an unindexed relation is a no-op, not an error.
-	if err := insertTuple(m, "OTHER", relation.Tuple{relation.Int(1)}); err != nil {
-		t.Fatal(err)
+	s := stats(t, st, "ix_sku")
+	if s.Entries != 9 {
+		t.Fatalf("entries after drain = %d, want 9", s.Entries)
 	}
 	// A tuple too short to carry the indexed attribute fails at staging,
 	// before anything is written.
-	if err := insertTuple(m, "ITEM", relation.Tuple{relation.Int(7)}); err == nil {
+	if err := insertTuple(st, relation.Tuple{relation.Int(7)}); err == nil {
 		t.Fatal("short tuple staged without an arity error")
 	}
-	if after, _ := m.StatsOf("ix_sku"); after.Postings != st.Postings {
-		t.Fatalf("failed staging changed postings: %d -> %d", st.Postings, after.Postings)
+	if after := stats(t, st, "ix_sku"); after.Postings != s.Postings {
+		t.Fatalf("failed staging changed postings: %d -> %d", s.Postings, after.Postings)
 	}
 }
 
 func TestDropRemovesPairs(t *testing.T) {
-	c := kv.NewCluster(kv.EngineHash, 2)
-	m := NewManager(c)
+	st := itemStore(t, kv.EngineHash, 2)
+	c := st.Cluster
 	base := c.Len()
-	if _, err := m.Create("ix_sku", "ITEM", "sku", itemSchema(t), itemTuples(30)); err != nil {
+	if _, err := st.CreateIndex("ix_sku", "ITEM", "sku", itemTuples(30)); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() <= base {
 		t.Fatal("create wrote no pairs")
 	}
-	if err := m.Drop("ix_sku"); err != nil {
+	// Versions a commit retires, and a drained fragment's tombstone, go
+	// with the index too.
+	if err := insertTuple(st, relation.Tuple{relation.Int(100), relation.String("S01"), relation.Int(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Len(); got != base {
-		t.Fatalf("pairs after drop = %d, want %d", got, base)
+	if rel, err := st.DropIndex("ix_sku"); err != nil || rel != "ITEM" {
+		t.Fatalf("drop: %q, %v", rel, err)
 	}
-	if _, _, ok := m.IndexOn("ITEM", "sku"); ok {
+	if got := c.Len(); got != base+1 {
+		t.Fatalf("pairs after drop = %d, want %d: the base pairs and the inserted block", got, base+1)
+	}
+	if _, _, ok := st.Indexes().IndexOn("ITEM", "sku"); ok {
 		t.Fatal("dropped index still in catalog")
 	}
-	if err := m.Drop("ix_sku"); err == nil {
+	if _, err := st.DropIndex("ix_sku"); err == nil {
 		t.Fatal("double drop succeeded")
 	}
-	// The attribute is indexable again.
-	if _, err := m.Create("ix_sku2", "ITEM", "sku", itemSchema(t), itemTuples(10)); err != nil {
+	// The attribute is indexable again, and the name.
+	if _, err := st.CreateIndex("ix_sku", "ITEM", "sku", itemTuples(10)); err != nil {
 		t.Fatal(err)
+	}
+	if ids := lookupIDs(t, st, "ix_sku", relation.String("S01")); len(ids) != 1 || ids[0] != 1 {
+		t.Fatalf("recreated posting = %v", ids)
 	}
 }
 
 func TestCreateValidation(t *testing.T) {
-	m := NewManager(kv.NewCluster(kv.EngineHash, 1))
-	schema := itemSchema(t)
-	if _, err := m.Create("ix", "ITEM", "nope", schema, nil); err == nil {
+	db := relation.NewDatabase()
+	db.Add(relation.NewRelation(itemSchema(t)))
+	db.Add(relation.NewRelation(relation.MustSchema("NOKEY", []relation.Attr{{Name: "a", Kind: relation.KindInt}}, nil)))
+	schema := baav.MustSchema(baav.RelSchemas(db), baav.KVSchema{Name: "item_full", Rel: "ITEM", Key: []string{"id"}, Val: []string{"sku", "qty"}})
+	st, err := baav.Map(db, schema, kv.NewCluster(kv.EngineHash, 1), baav.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.CreateIndex("ix", "ITEM", "nope", nil); err == nil {
 		t.Fatal("indexing an unknown attribute succeeded")
 	}
-	if _, err := m.Create("ix", "ITEM", "sku", schema, nil); err != nil {
+	if _, err := st.CreateIndex("ix", "ITEM", "sku", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Create("ix", "ITEM", "qty", schema, nil); err == nil {
+	if _, err := st.CreateIndex("ix", "ITEM", "qty", nil); err == nil {
 		t.Fatal("duplicate index name succeeded")
 	}
-	if _, err := m.Create("ix2", "ITEM", "sku", schema, nil); err == nil {
+	if _, err := st.CreateIndex("ix2", "ITEM", "sku", nil); err == nil {
 		t.Fatal("double-indexing one attribute succeeded")
 	}
-	nokey := relation.MustSchema("NOKEY", []relation.Attr{{Name: "a", Kind: relation.KindInt}}, nil)
-	if _, err := m.Create("ix3", "NOKEY", "a", nokey, nil); err == nil {
+	if _, err := st.CreateIndex("ix3", "NOKEY", "a", nil); err == nil {
 		t.Fatal("indexing a keyless relation succeeded")
 	}
-}
-
-// TestLoadRecoversCatalog checks the persistent-in-store property: a fresh
-// Manager over the same cluster recovers definitions, postings and
-// statistics from the catalog pairs.
-func TestLoadRecoversCatalog(t *testing.T) {
-	c := kv.NewCluster(kv.EngineHash, 3)
-	m := NewManager(c)
-	schema := itemSchema(t)
-	if _, err := m.Create("ix_sku", "ITEM", "sku", schema, itemTuples(40)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Create("ix_qty", "ITEM", "qty", schema, itemTuples(40)); err != nil {
-		t.Fatal(err)
-	}
-
-	m2 := NewManager(c)
-	if err := m2.Load(map[string]*relation.Schema{"ITEM": schema}); err != nil {
-		t.Fatal(err)
-	}
-	names := m2.Names()
-	if len(names) != 2 || names[0] != "ix_qty" || names[1] != "ix_sku" {
-		t.Fatalf("recovered names = %v", names)
-	}
-	if ids := lookupIDs(t, m2, "ix_sku", relation.String("S07")); len(ids) != 4 {
-		t.Fatalf("recovered posting = %v", ids)
-	}
-	st, _ := m2.StatsOf("ix_qty")
-	if st.Entries != 5 || st.Postings != 40 || st.MaxPosting != 8 {
-		t.Fatalf("recovered stats = %+v", st)
-	}
-	// New ids must not collide with recovered ones: create after Load and
-	// check both indexes still answer.
-	if _, err := m2.Create("ix_more", "ITEM", "sku", schema, nil); err == nil {
-		t.Fatal("re-indexing recovered attribute succeeded")
-	}
-	if err := m2.Drop("ix_sku"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m2.Create("ix_sku_v2", "ITEM", "sku", schema, itemTuples(10)); err != nil {
-		t.Fatal(err)
-	}
-	if ids := lookupIDs(t, m2, "ix_qty", relation.Int(2)); len(ids) != 8 {
-		t.Fatalf("ix_qty posting after churn = %v", ids)
+	if _, err := st.CreateIndex("ix4", "NOPE", "a", nil); err == nil {
+		t.Fatal("indexing an unknown relation succeeded")
 	}
 }
 
 // rangeIDs runs a Range over ix_sku-style indexes and flattens the posted
 // ids, checking vals/keys stay parallel.
-func rangeIDs(t *testing.T, m *Manager, name string, lo, hi *relation.Value, loIncl, hiIncl bool) []int64 {
+func rangeIDs(t *testing.T, st *baav.Store, name string, lo, hi *relation.Value, loIncl, hiIncl bool) []int64 {
 	t.Helper()
-	vals, keys, _, err := m.Range(name, lo, hi, loIncl, hiIncl)
+	vals, keys, _, err := st.Index.Range(name, lo, hi, loIncl, hiIncl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,15 +277,15 @@ func rangeIDs(t *testing.T, m *Manager, name string, lo, hi *relation.Value, loI
 func TestRangeOrderedWalk(t *testing.T) {
 	for _, kind := range []kv.EngineKind{kv.EngineHash, kv.EngineLSM, kv.EngineSorted} {
 		t.Run(kind.String(), func(t *testing.T) {
-			c := kv.NewCluster(kind, 3)
-			m := NewManager(c)
-			if _, err := m.Create("ix_sku", "ITEM", "sku", itemSchema(t), itemTuples(40)); err != nil {
+			st := itemStore(t, kind, 3)
+			c := st.Cluster
+			if _, err := st.CreateIndex("ix_sku", "ITEM", "sku", itemTuples(40)); err != nil {
 				t.Fatal(err)
 			}
 			lo, hi := relation.String("S03"), relation.String("S05")
 
 			// Closed range: S03, S04, S05 → 12 ids, each id%10 in [3,5].
-			ids := rangeIDs(t, m, "ix_sku", &lo, &hi, true, true)
+			ids := rangeIDs(t, st, "ix_sku", &lo, &hi, true, true)
 			if len(ids) != 12 {
 				t.Fatalf("closed range ids = %v", ids)
 			}
@@ -306,7 +298,7 @@ func TestRangeOrderedWalk(t *testing.T) {
 			// Scan cost is the number of matched posting lists, not the
 			// whole posting space.
 			c.ResetMetrics()
-			_, _, scanned, err := m.Range("ix_sku", &lo, &hi, true, true)
+			_, _, scanned, err := st.Index.Range("ix_sku", &lo, &hi, true, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -318,39 +310,39 @@ func TestRangeOrderedWalk(t *testing.T) {
 			}
 
 			// Open ends exclude their boundary value.
-			if ids := rangeIDs(t, m, "ix_sku", &lo, &hi, false, true); len(ids) != 8 {
+			if ids := rangeIDs(t, st, "ix_sku", &lo, &hi, false, true); len(ids) != 8 {
 				t.Fatalf("(S03, S05] ids = %v", ids)
 			}
-			if ids := rangeIDs(t, m, "ix_sku", &lo, &hi, true, false); len(ids) != 8 {
+			if ids := rangeIDs(t, st, "ix_sku", &lo, &hi, true, false); len(ids) != 8 {
 				t.Fatalf("[S03, S05) ids = %v", ids)
 			}
-			if ids := rangeIDs(t, m, "ix_sku", &lo, &hi, false, false); len(ids) != 4 {
+			if ids := rangeIDs(t, st, "ix_sku", &lo, &hi, false, false); len(ids) != 4 {
 				t.Fatalf("(S03, S05) ids = %v", ids)
 			}
 
 			// Unbounded sides.
-			if ids := rangeIDs(t, m, "ix_sku", &lo, nil, true, true); len(ids) != 28 {
+			if ids := rangeIDs(t, st, "ix_sku", &lo, nil, true, true); len(ids) != 28 {
 				t.Fatalf("[S03, +inf) ids = %v", ids)
 			}
-			if ids := rangeIDs(t, m, "ix_sku", nil, &hi, true, true); len(ids) != 24 {
+			if ids := rangeIDs(t, st, "ix_sku", nil, &hi, true, true); len(ids) != 24 {
 				t.Fatalf("(-inf, S05] ids = %v", ids)
 			}
-			if ids := rangeIDs(t, m, "ix_sku", nil, nil, true, true); len(ids) != 40 {
+			if ids := rangeIDs(t, st, "ix_sku", nil, nil, true, true); len(ids) != 40 {
 				t.Fatalf("full range ids = %v", ids)
 			}
 
 			// Empty windows: inverted bounds and a gap between values.
-			if ids := rangeIDs(t, m, "ix_sku", &hi, &lo, true, true); len(ids) != 0 {
+			if ids := rangeIDs(t, st, "ix_sku", &hi, &lo, true, true); len(ids) != 0 {
 				t.Fatalf("inverted range ids = %v", ids)
 			}
 			gapLo, gapHi := relation.String("S03a"), relation.String("S03z")
-			if ids := rangeIDs(t, m, "ix_sku", &gapLo, &gapHi, true, true); len(ids) != 0 {
+			if ids := rangeIDs(t, st, "ix_sku", &gapLo, &gapHi, true, true); len(ids) != 0 {
 				t.Fatalf("gap range ids = %v", ids)
 			}
 
 			// Output is merged into encoded (value, key) order regardless of
 			// sharding.
-			vals, keys, _, err := m.Range("ix_sku", &lo, &hi, true, true)
+			vals, keys, _, err := st.Index.Range("ix_sku", &lo, &hi, true, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -363,7 +355,7 @@ func TestRangeOrderedWalk(t *testing.T) {
 				}
 			}
 
-			if _, _, _, err := m.Range("nope", &lo, &hi, true, true); err == nil {
+			if _, _, _, err := st.Index.Range("nope", &lo, &hi, true, true); err == nil {
 				t.Fatal("Range on unknown index succeeded")
 			}
 		})
@@ -374,19 +366,18 @@ func TestRangeOrderedWalk(t *testing.T) {
 // maintenance are visible to the ordered walk (including, on the sorted
 // engine, writes still sitting in the unmerged buffer).
 func TestRangeSeesMaintenance(t *testing.T) {
-	c := kv.NewCluster(kv.EngineSorted, 2)
-	m := NewManager(c)
-	if _, err := m.Create("ix_sku", "ITEM", "sku", itemSchema(t), itemTuples(20)); err != nil {
+	st := itemStore(t, kv.EngineSorted, 2)
+	if _, err := st.CreateIndex("ix_sku", "ITEM", "sku", itemTuples(20)); err != nil {
 		t.Fatal(err)
 	}
-	if err := insertTuple(m, "ITEM", relation.Tuple{relation.Int(200), relation.String("S03x"), relation.Int(0)}); err != nil {
+	if err := insertTuple(st, relation.Tuple{relation.Int(200), relation.String("S03x"), relation.Int(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := deleteTuple(m, "ITEM", relation.Tuple{relation.Int(4), relation.String("S04"), relation.Int(4)}); err != nil {
+	if err := deleteTuple(st, relation.Tuple{relation.Int(4), relation.String("S04"), relation.Int(4)}); err != nil {
 		t.Fatal(err)
 	}
 	lo, hi := relation.String("S03"), relation.String("S04")
-	ids := rangeIDs(t, m, "ix_sku", &lo, &hi, true, true)
+	ids := rangeIDs(t, st, "ix_sku", &lo, &hi, true, true)
 	// S03: {3, 13}, S03x: {200}, S04: {14} (4 deleted).
 	want := map[int64]bool{3: true, 13: true, 200: true, 14: true}
 	if len(ids) != len(want) {
@@ -403,9 +394,7 @@ func TestRangeSeesMaintenance(t *testing.T) {
 // longest list shrinks, so the planner's boundedness check recovers after a
 // heavy-delete workload (pre-fix, MaxPosting only ever grew).
 func TestMaxPostingDecay(t *testing.T) {
-	c := kv.NewCluster(kv.EngineHash, 2)
-	m := NewManager(c)
-	schema := itemSchema(t)
+	st := itemStore(t, kv.EngineHash, 2)
 	// One hot value with 30 postings, nine values with 1 each.
 	var tuples []relation.Tuple
 	for i := 0; i < 30; i++ {
@@ -414,40 +403,39 @@ func TestMaxPostingDecay(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		tuples = append(tuples, relation.Tuple{relation.Int(int64(100 + i)), relation.String(fmt.Sprintf("C%d", i)), relation.Int(0)})
 	}
-	if _, err := m.Create("ix_sku", "ITEM", "sku", schema, tuples); err != nil {
+	if _, err := st.CreateIndex("ix_sku", "ITEM", "sku", tuples); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.MaxPostings("ix_sku"); got != 30 {
+	if got := st.Index.MaxPostings("ix_sku"); got != 30 {
 		t.Fatalf("MaxPostings = %d, want 30", got)
 	}
 	// Drain the hot value down to 2 postings.
 	for i := 0; i < 28; i++ {
-		if err := deleteTuple(m, "ITEM", relation.Tuple{relation.Int(int64(i)), relation.String("HOT"), relation.Int(0)}); err != nil {
+		if err := deleteTuple(st, relation.Tuple{relation.Int(int64(i)), relation.String("HOT"), relation.Int(0)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := m.MaxPostings("ix_sku"); got != 2 {
+	if got := st.Index.MaxPostings("ix_sku"); got != 2 {
 		t.Fatalf("MaxPostings after drain = %d, want 2 (stale ceiling not recomputed)", got)
 	}
-	st, _ := m.StatsOf("ix_sku")
-	if st.Entries != 10 || st.Postings != 11 {
-		t.Fatalf("stats after drain = %+v", st)
+	if s := stats(t, st, "ix_sku"); s.Entries != 10 || s.Postings != 11 {
+		t.Fatalf("stats after drain = %+v", s)
 	}
 	// Growth after decay re-raises it.
 	for i := 0; i < 3; i++ {
-		if err := insertTuple(m, "ITEM", relation.Tuple{relation.Int(int64(300 + i)), relation.String("C0"), relation.Int(0)}); err != nil {
+		if err := insertTuple(st, relation.Tuple{relation.Int(int64(300 + i)), relation.String("C0"), relation.Int(0)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := m.MaxPostings("ix_sku"); got != 4 {
+	if got := st.Index.MaxPostings("ix_sku"); got != 4 {
 		t.Fatalf("MaxPostings after regrowth = %d, want 4", got)
 	}
 	// Deleting a non-longest list must not trigger a recompute visible as a
 	// wrong maximum.
-	if err := deleteTuple(m, "ITEM", relation.Tuple{relation.Int(101), relation.String("C1"), relation.Int(0)}); err != nil {
+	if err := deleteTuple(st, relation.Tuple{relation.Int(101), relation.String("C1"), relation.Int(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.MaxPostings("ix_sku"); got != 4 {
+	if got := st.Index.MaxPostings("ix_sku"); got != 4 {
 		t.Fatalf("MaxPostings after unrelated delete = %d, want 4", got)
 	}
 }
@@ -462,10 +450,10 @@ func TestMaxPostingDecay(t *testing.T) {
 func TestReadFormsAgree(t *testing.T) {
 	for _, kind := range []kv.EngineKind{kv.EngineHash, kv.EngineLSM, kv.EngineSorted} {
 		for _, nodes := range []int{1, 4} {
-			c := kv.NewCluster(kind, nodes)
-			m := NewManager(c)
+			st := itemStore(t, kind, nodes)
+			c := st.Cluster
 			// 200 tuples → 10 sku values × 20 postings each.
-			if _, err := m.Create("ix_sku", "ITEM", "sku", itemSchema(t), itemTuples(200)); err != nil {
+			if _, err := st.CreateIndex("ix_sku", "ITEM", "sku", itemTuples(200)); err != nil {
 				t.Fatal(err)
 			}
 			// traced runs a read form and checks its trace against the
@@ -490,7 +478,7 @@ func TestReadFormsAgree(t *testing.T) {
 			var gets int
 			var err error
 			if got := traced("LookupManyT", func(tr *obs.Trace) {
-				outs, gets, err = m.LookupManyT(tr, "ix_sku", vs)
+				outs, gets, err = st.Index.LookupManyT(tr, "ix_sku", vs)
 				if tr.PostingReads() != 2 {
 					t.Fatalf("%v/%d nodes LookupManyT: %d posting reads, want 2", kind, nodes, tr.PostingReads())
 				}
@@ -499,7 +487,7 @@ func TestReadFormsAgree(t *testing.T) {
 			}
 			for i, v := range vs {
 				before := c.Metrics()
-				keys, g, err := m.Lookup("ix_sku", v)
+				keys, g, err := st.Index.Lookup("ix_sku", v)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -512,7 +500,7 @@ func TestReadFormsAgree(t *testing.T) {
 			}
 
 			lo, hi := relation.String("S02"), relation.String("S08")
-			fullVals, fullKeys, fullScanned, err := m.Range("ix_sku", &lo, &hi, true, false)
+			fullVals, fullKeys, fullScanned, err := st.Index.Range("ix_sku", &lo, &hi, true, false)
 			if err != nil || len(fullKeys) != 120 || fullScanned != 6 {
 				t.Fatalf("%v/%d nodes Range: %d keys over %d lists, err %v", kind, nodes, len(fullKeys), fullScanned, err)
 			}
@@ -521,7 +509,7 @@ func TestReadFormsAgree(t *testing.T) {
 				var keys []relation.Tuple
 				var scanned int
 				got := traced(fmt.Sprint("RangeLimitT/", limit), func(tr *obs.Trace) {
-					vals, keys, scanned, err = m.RangeLimitT(tr, "ix_sku", &lo, &hi, true, false, limit)
+					vals, keys, scanned, err = st.Index.RangeLimitT(tr, "ix_sku", &lo, &hi, true, false, limit)
 					if err != nil || tr.PostingReads() != int64(scanned) {
 						t.Fatalf("%v/%d nodes limit %d: %d posting reads, %d scanned, err %v", kind, nodes, limit, tr.PostingReads(), scanned, err)
 					}
@@ -562,15 +550,15 @@ func TestRangeLimitWalksListsLazily(t *testing.T) {
 	lo, hi := relation.String("S00"), relation.String("S09")
 	var allocs [2]float64
 	for i, n := range []int{400, 40000} { // 40 and 4 000 postings per list
-		m := NewManager(kv.NewCluster(kv.EngineSorted, 3))
-		if _, err := m.Create("ix_sku", "ITEM", "sku", itemSchema(t), itemTuples(n)); err != nil {
+		st := itemStore(t, kv.EngineSorted, 3)
+		if _, err := st.CreateIndex("ix_sku", "ITEM", "sku", itemTuples(n)); err != nil {
 			t.Fatal(err)
 		}
-		_, want, _, err := m.RangeLimitT(nil, "ix_sku", &lo, &hi, true, true, -1)
+		_, want, _, err := st.Index.RangeLimitT(nil, "ix_sku", &lo, &hi, true, true, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, got, scanned, err := m.RangeLimitT(nil, "ix_sku", &lo, &hi, true, true, limit)
+		_, got, scanned, err := st.Index.RangeLimitT(nil, "ix_sku", &lo, &hi, true, true, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -578,7 +566,7 @@ func TestRangeLimitWalksListsLazily(t *testing.T) {
 			t.Fatalf("%d tuples: limit %d visited %d lists and returned %v, want 1 list and %v", n, limit, scanned, got, want[:limit])
 		}
 		allocs[i] = testing.AllocsPerRun(20, func() {
-			if _, _, _, err := m.RangeLimitT(nil, "ix_sku", &lo, &hi, true, true, limit); err != nil {
+			if _, _, _, err := st.Index.RangeLimitT(nil, "ix_sku", &lo, &hi, true, true, limit); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -1,4 +1,4 @@
-package index
+package index_test
 
 import (
 	"testing"
@@ -12,16 +12,14 @@ import (
 // posting of the extreme value must retighten the bound, exactly like
 // MaxPosting's histogram decay.
 func TestValueBoundsMaintenance(t *testing.T) {
-	c := kv.NewCluster(kv.EngineHash, 3)
-	m := NewManager(c)
-	schema := itemSchema(t)
+	st := itemStore(t, kv.EngineHash, 3)
 	tuples := itemTuples(40) // qty cycles 0..4
-	if _, err := m.Create("ix_qty", "ITEM", "qty", schema, tuples); err != nil {
+	if _, err := st.CreateIndex("ix_qty", "ITEM", "qty", tuples); err != nil {
 		t.Fatal(err)
 	}
 	wantBounds := func(lo, hi int64) {
 		t.Helper()
-		gotLo, gotHi, ok := m.ValueBounds("ix_qty")
+		gotLo, gotHi, ok := st.Indexes().ValueBounds("ix_qty")
 		if !ok || gotLo.Int != lo || gotHi.Int != hi {
 			t.Fatalf("ValueBounds = (%s, %s, %v), want (%d, %d)", gotLo, gotHi, ok, lo, hi)
 		}
@@ -29,19 +27,19 @@ func TestValueBoundsMaintenance(t *testing.T) {
 	wantBounds(0, 4)
 
 	// Widen both sides.
-	if err := insertTuple(m, "ITEM", relation.Tuple{relation.Int(100), relation.String("S99"), relation.Int(-3)}); err != nil {
+	if err := insertTuple(st, relation.Tuple{relation.Int(100), relation.String("S99"), relation.Int(-3)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := insertTuple(m, "ITEM", relation.Tuple{relation.Int(101), relation.String("S99"), relation.Int(9)}); err != nil {
+	if err := insertTuple(st, relation.Tuple{relation.Int(101), relation.String("S99"), relation.Int(9)}); err != nil {
 		t.Fatal(err)
 	}
 	wantBounds(-3, 9)
 
 	// Drain the extremes: the bounds must decay back.
-	if err := deleteTuple(m, "ITEM", relation.Tuple{relation.Int(100), relation.String("S99"), relation.Int(-3)}); err != nil {
+	if err := deleteTuple(st, relation.Tuple{relation.Int(100), relation.String("S99"), relation.Int(-3)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := deleteTuple(m, "ITEM", relation.Tuple{relation.Int(101), relation.String("S99"), relation.Int(9)}); err != nil {
+	if err := deleteTuple(st, relation.Tuple{relation.Int(101), relation.String("S99"), relation.Int(9)}); err != nil {
 		t.Fatal(err)
 	}
 	wantBounds(0, 4)
@@ -49,25 +47,14 @@ func TestValueBoundsMaintenance(t *testing.T) {
 	// Drain qty 4 entirely (tuples 4, 9, 14, ... carry it).
 	for _, tp := range tuples {
 		if tp[2].Int == 4 {
-			if err := deleteTuple(m, "ITEM", tp); err != nil {
+			if err := deleteTuple(st, tp); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	wantBounds(0, 3)
 
-	// A fresh Manager over the same cluster recovers the bounds from the
-	// stored postings.
-	m2 := NewManager(c)
-	if err := m2.Load(map[string]*relation.Schema{"ITEM": schema}); err != nil {
-		t.Fatal(err)
-	}
-	lo, hi, ok := m2.ValueBounds("ix_qty")
-	if !ok || lo.Int != 0 || hi.Int != 3 {
-		t.Fatalf("recovered ValueBounds = (%s, %s, %v), want (0, 3)", lo, hi, ok)
-	}
-
-	if _, _, ok := m.ValueBounds("nope"); ok {
+	if _, _, ok := st.Indexes().ValueBounds("nope"); ok {
 		t.Fatal("unknown index reported bounds")
 	}
 }
@@ -77,15 +64,13 @@ func TestValueBoundsMaintenance(t *testing.T) {
 // the unbounded walk's (value, key) order.
 func TestRangeLimitStreaming(t *testing.T) {
 	for _, kind := range []kv.EngineKind{kv.EngineHash, kv.EngineLSM, kv.EngineSorted} {
-		c := kv.NewCluster(kind, 4)
-		m := NewManager(c)
-		schema := itemSchema(t)
+		st := itemStore(t, kind, 4)
 		// 200 tuples → 10 sku values × 20 postings each.
-		if _, err := m.Create("ix_sku", "ITEM", "sku", schema, itemTuples(200)); err != nil {
+		if _, err := st.CreateIndex("ix_sku", "ITEM", "sku", itemTuples(200)); err != nil {
 			t.Fatal(err)
 		}
 		lo, hi := relation.String("S00"), relation.String("S09")
-		fullVals, fullKeys, fullScanned, err := m.Range("ix_sku", &lo, &hi, true, true)
+		fullVals, fullKeys, fullScanned, err := st.Index.Range("ix_sku", &lo, &hi, true, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +78,7 @@ func TestRangeLimitStreaming(t *testing.T) {
 			t.Fatalf("full range: %d keys over %d lists", len(fullKeys), fullScanned)
 		}
 		const limit = 7
-		vals, keys, scanned, err := m.RangeLimitT(nil, "ix_sku", &lo, &hi, true, true, limit)
+		vals, keys, scanned, err := st.Index.RangeLimitT(nil, "ix_sku", &lo, &hi, true, true, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,8 +87,8 @@ func TestRangeLimitStreaming(t *testing.T) {
 		}
 		// Each node stops after one posting list (20 entries ≥ limit), so
 		// at most one list per node is visited.
-		if scanned > c.NodeCount() {
-			t.Fatalf("limited walk visited %d lists, want <= %d", scanned, c.NodeCount())
+		if scanned > st.Cluster.NodeCount() {
+			t.Fatalf("limited walk visited %d lists, want <= %d", scanned, st.Cluster.NodeCount())
 		}
 		for i := range keys {
 			if !relation.Equal(keys[i][0], fullKeys[i][0]) || !relation.Equal(vals[i], fullVals[i]) {
@@ -112,7 +97,7 @@ func TestRangeLimitStreaming(t *testing.T) {
 			}
 		}
 		// Zero limit short-circuits; negative is unbounded.
-		if _, zk, zs, err := m.RangeLimitT(nil, "ix_sku", &lo, &hi, true, true, 0); err != nil || len(zk) != 0 || zs != 0 {
+		if _, zk, zs, err := st.Index.RangeLimitT(nil, "ix_sku", &lo, &hi, true, true, 0); err != nil || len(zk) != 0 || zs != 0 {
 			t.Fatalf("zero limit: %d keys, %d scanned, %v", len(zk), zs, err)
 		}
 	}

@@ -177,10 +177,6 @@ func errUnknownKV(name string) error {
 	return fmt.Errorf("kba: unknown KV schema %q", name)
 }
 
-func errNoIndexCatalog(index string) error {
-	return fmt.Errorf("kba: plan uses index %q but the store has no index catalog", index)
-}
-
 // layoutOf returns the layout Resolve stored on a node, or derives it now
 // for a node no Resolve has seen: a hand-built plan, or an operator over a
 // Lit-wrapped intermediate.
@@ -364,9 +360,6 @@ func (e *executor) runIndexLookup(n *IndexLookup) (*PartRel, error) {
 	if len(n.Args) > 0 {
 		return nil, errUnbound
 	}
-	if e.store.Index == nil {
-		return nil, errNoIndexCatalog(n.Index)
-	}
 	lists, gets, err := e.store.Index.LookupManyT(e.trace, n.Index, n.Values)
 	if err != nil {
 		return nil, err
@@ -435,9 +428,6 @@ func (e *executor) runIndexRange(n *IndexRange) (*PartRel, error) {
 	limit, err := rangeWalkLimit(n)
 	if err != nil {
 		return nil, err
-	}
-	if e.store.Index == nil {
-		return nil, errNoIndexCatalog(n.Index)
 	}
 	vals, keys, scanned, err := e.store.Index.RangeLimitT(e.trace, n.Index, lo, hi, n.LoIncl, n.HiIncl, limit)
 	if err != nil {

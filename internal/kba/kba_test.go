@@ -198,7 +198,7 @@ func TestExecutorErrors(t *testing.T) {
 	scanS := &ScanKV{KV: "SUPPLIER_by_nation", Alias: "S"}
 	scanPS := &ScanKV{KV: "PARTSUPP_by_supp", Alias: "PS"}
 	const unbound = "kba: plan template has unbound parameters (call Bind before executing)"
-	const noCatalog = `kba: plan uses index "ix" but the store has no index catalog`
+	const noIndex = `index: unknown index "ix"`
 	const setOp = `kba: set operation over mismatched attributes: kba: attribute "k" not in [other]`
 	cases := []struct {
 		name string
@@ -212,8 +212,8 @@ func TestExecutorErrors(t *testing.T) {
 		{"unknown KV schema in scan", &ScanKV{KV: "nope", Alias: "N"}, `kba: unknown KV schema "nope"`},
 		{"unknown KV schema in extend", &Extend{Input: seed, KV: "nope", Alias: "N", KeyFrom: []string{"x"}}, `kba: unknown KV schema "nope"`},
 		{"unknown KV schema in stats-agg", &StatsAgg{KV: "nope", Alias: "N"}, `kba: unknown KV schema "nope"`},
-		{"no index catalog for lookup", &IndexLookup{Index: "ix", ValAttr: "v", KeyAttrs: []string{"k"}, Values: []relation.Value{one}}, noCatalog},
-		{"no index catalog for range", &IndexRange{Index: "ix", ValAttr: "v", KeyAttrs: []string{"k"}}, noCatalog},
+		{"unknown index for lookup", &IndexLookup{Index: "ix", ValAttr: "v", KeyAttrs: []string{"k"}, Values: []relation.Value{one}}, noIndex},
+		{"unknown index for range", &IndexRange{Index: "ix", ValAttr: "v", KeyAttrs: []string{"k"}}, noIndex},
 		{"extend key arity", &Extend{Input: seed, KV: "PARTSUPP_by_supp", Alias: "PS"}, "kba: extend on PARTSUPP_by_supp needs 1 key attributes, got []"},
 		{"constant key arity", &Const{KeyAttrs: []string{"a", "b"}, Keys: []relation.Tuple{{one}}}, "kba: constant key (1) does not match attrs [a b]"},
 		{"extend key attribute", &Extend{Input: seed, KV: "NATION_by_name", Alias: "N", KeyFrom: []string{"zz"}}, `kba: attribute "zz" not in [x]`},

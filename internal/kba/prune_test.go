@@ -8,7 +8,6 @@ import (
 
 	"zidian/internal/baav"
 	"zidian/internal/core"
-	"zidian/internal/index"
 	"zidian/internal/kba"
 	"zidian/internal/kv"
 	"zidian/internal/ra"
@@ -43,15 +42,12 @@ func planner(tb testing.TB, w *workload.Workload, indexes [][3]string) (*baav.St
 	if err != nil {
 		tb.Fatal(err)
 	}
-	idx := index.NewManager(cluster)
-	store.Index = idx
 	for _, ix := range indexes {
-		rel := w.DB.Relation(ix[1])
-		if _, err := idx.Create(ix[0], ix[1], ix[2], rel.Schema, rel.Tuples); err != nil {
+		if _, err := store.CreateIndex(ix[0], ix[1], ix[2], w.DB.Relation(ix[1]).Tuples); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	return store, core.NewChecker(w.Schema, baav.RelSchemas(w.DB)).WithStats(store).WithIndexes(idx)
+	return store, core.NewChecker(w.Schema, baav.RelSchemas(w.DB)).WithStats(store).WithIndexes(store.Indexes())
 }
 
 // filteredAttrs lists an index for every (relation, attribute) a suite

@@ -27,7 +27,7 @@ import (
 //   - Ordered key-granularity merge (RangeMergeT): each key lives on
 //     exactly one node and per-node streams arrive in ascending key order,
 //     so popping the smallest stream head recombines them into one globally
-//     ordered walk. The posting-range walk in internal/index is this gather.
+//     ordered walk. The index range walk in internal/baav is this gather.
 //
 // Cancellation: when the consumer stops early (LIMIT, error), in-flight
 // node walks observe the cancel between pairs and abort instead of

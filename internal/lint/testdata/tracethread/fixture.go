@@ -5,7 +5,6 @@ package fixture
 
 import (
 	"zidian/internal/baav"
-	"zidian/internal/index"
 	"zidian/internal/kv"
 	"zidian/internal/obs"
 	"zidian/internal/relation"
@@ -43,12 +42,12 @@ func (e *env) fieldTrace(name string) {
 	e.store.ScanInstanceNodeT(e.kvt, 0, name, nil, nil) // ok: trace threaded
 }
 
-// postings covers the index manager's one-value and unbounded forms.
-func postings(m *index.Manager, t *obs.Trace, v relation.Value) {
-	m.Lookup("ix", v)                                 // want `untraced Manager\.Lookup on a traced path — use LookupManyT`
-	m.Range("ix", nil, nil, true, true)               // want `untraced Manager\.Range on a traced path — use RangeLimitT`
-	m.RangeLimitT(nil, "ix", nil, nil, true, true, 1) // want `Manager\.RangeLimitT called with a nil trace`
-	m.LookupManyT(t, "ix", []relation.Value{v})       // ok: trace threaded
+// postings covers the index reads' one-value and unbounded forms.
+func postings(x baav.Indexes, t *obs.Trace, v relation.Value) {
+	x.Lookup("ix", v)                                 // want `untraced Indexes\.Lookup on a traced path — use LookupManyT`
+	x.Range("ix", nil, nil, true, true)               // want `untraced Indexes\.Range on a traced path — use RangeLimitT`
+	x.RangeLimitT(nil, "ix", nil, nil, true, true, 1) // want `Indexes\.RangeLimitT called with a nil trace`
+	x.LookupManyT(t, "ix", []relation.Value{v})       // ok: trace threaded
 }
 
 // untraced has no trace anywhere: plain variants are the right call.

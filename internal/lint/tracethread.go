@@ -7,8 +7,8 @@ import (
 )
 
 // tracethread enforces the PR 6/9 observability contract: on the query
-// path (internal/index, internal/baav, internal/kba, internal/parallel,
-// internal/core), a kv.Cluster / index.Manager / baav.Store read must
+// path (internal/baav, internal/kba, internal/parallel, internal/core), a
+// kv.Cluster / baav.Store / baav.Indexes read must
 // thread the trace when the enclosing function has an *obs.Trace or *obs.KV
 // in scope. An untraced call in a traced function silently drops its kv ops
 // from EXPLAIN ANALYZE, /metrics, the slow-query log, and the
@@ -28,7 +28,7 @@ func tracethreadAnalyzer() *Analyzer {
 		Name: "tracethread",
 		Doc:  "query-path storage calls must thread the in-scope *obs.Trace/*obs.KV through ...T variants",
 		Inspects: func(p string) bool {
-			return pathHasSuffix(p, "internal/index", "internal/baav", "internal/kba", "internal/parallel", "internal/core")
+			return pathHasSuffix(p, "internal/baav", "internal/kba", "internal/parallel", "internal/core")
 		},
 		Run: runTracethread,
 	}
@@ -115,8 +115,8 @@ func traceInScope(p *Pass, fn *ast.FuncDecl) bool {
 	return found
 }
 
-// isStorageType reports whether the named type is kv.Cluster,
-// index.Manager, or baav.Store.
+// isStorageType reports whether the named type is kv.Cluster, baav.Store
+// or baav.Indexes.
 func isStorageType(n *types.Named) bool {
 	pkg := n.Obj().Pkg()
 	if pkg == nil {
@@ -125,9 +125,7 @@ func isStorageType(n *types.Named) bool {
 	switch n.Obj().Name() {
 	case "Cluster":
 		return pathHasSuffix(pkg.Path(), "internal/kv")
-	case "Manager":
-		return pathHasSuffix(pkg.Path(), "internal/index")
-	case "Store":
+	case "Store", "Indexes":
 		return pathHasSuffix(pkg.Path(), "internal/baav")
 	}
 	return false
@@ -143,6 +141,6 @@ var untracedForms = map[string]string{
 	"Cluster.ScanRange":  "ScanRangeNodeT",
 	"Store.GetBlock":     "GetBlocksT",
 	"Store.ScanInstance": "ScanInstanceNodeT",
-	"Manager.Lookup":     "LookupManyT",
-	"Manager.Range":      "RangeLimitT",
+	"Indexes.Lookup":     "LookupManyT",
+	"Indexes.Range":      "RangeLimitT",
 }

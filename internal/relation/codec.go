@@ -277,9 +277,10 @@ func DecodeAll(b []byte) (Tuple, error) {
 func KeyString(t Tuple) string { return string(EncodeTuple(t)) }
 
 // The compact codec encodes the values a store keeps but never compares as
-// bytes: the tuples inside a BaaV block and a TaaV tuple, and a block's
-// statistics. It does not preserve order, and keys, index postings and
-// encoded group keys stay on the order-preserving codec above.
+// bytes: the tuples inside a BaaV block (an index's posting fragments
+// included) and a TaaV tuple, and a block's statistics. It does not
+// preserve order, and keys and encoded group keys stay on the
+// order-preserving codec above.
 //
 // Layout per value: the kind tag of the order-preserving codec, then
 //   null:   nothing

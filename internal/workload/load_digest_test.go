@@ -10,7 +10,6 @@ import (
 
 	"zidian/internal/baav"
 	"zidian/internal/golden"
-	"zidian/internal/index"
 	"zidian/internal/kv"
 	"zidian/internal/relation"
 	"zidian/internal/workload"
@@ -71,15 +70,13 @@ func loadDigests(t *testing.T) string {
 				if name != "mot" {
 					continue
 				}
-				m := index.NewManager(cluster)
 				for _, ix := range loadDigestIndexes {
-					rel := w.DB.Relation(ix.rel)
-					n, err := m.Create(ix.name, ix.rel, ix.attr, rel.Schema, rel.Tuples)
+					n, err := st.CreateIndex(ix.name, ix.rel, ix.attr, w.DB.Relation(ix.rel).Tuples)
 					if err != nil {
 						t.Fatal(err)
 					}
-					s, _ := m.StatsOf(ix.name)
-					lo, hi, _ := s.ValueBounds()
+					s, _ := st.Indexes().Stats(ix.name)
+					lo, hi, _ := st.Indexes().ValueBounds(ix.name)
 					fmt.Fprintf(&b, "%s index %s indexed %d entries %d postings %d max %d bounds %v..%v\n",
 						cell, ix.name, n, s.Entries, s.Postings, s.MaxPosting, lo, hi)
 				}

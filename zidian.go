@@ -29,7 +29,6 @@ import (
 
 	"zidian/internal/baav"
 	"zidian/internal/core"
-	"zidian/internal/index"
 	"zidian/internal/kba"
 	"zidian/internal/kv"
 	"zidian/internal/obs"
@@ -153,7 +152,6 @@ type Instance struct {
 	schema  *BaaVSchema
 	store   *baav.Store
 	checker *core.Checker
-	indexes *index.Manager
 	opts    Options
 
 	// epoch counts catalog-changing DDL (CREATE INDEX / DROP INDEX). Plans
@@ -196,14 +194,11 @@ func Open(db *Database, schema *BaaVSchema, opts Options) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := index.NewManager(cluster)
-	store.Index = idx
 	in := &Instance{
 		db:      db,
 		schema:  schema,
 		store:   store,
-		checker: core.NewChecker(schema, baav.RelSchemas(db)).WithStats(store).WithIndexes(idx),
-		indexes: idx,
+		checker: core.NewChecker(schema, baav.RelSchemas(db)).WithStats(store).WithIndexes(store.Indexes()),
 		opts:    opts,
 	}
 	in.committers = make(map[string]*committer, len(db.Names()))
@@ -240,21 +235,15 @@ func (in *Instance) MVCCVersions() (live, reclaimed int64) {
 func (in *Instance) MVCCSwept() int64 { return in.store.VersionsSwept() }
 
 // SweepMVCC runs one reclamation pass over every relation: retired block
-// versions and sole tombstones below each relation's watermark are
-// dropped, and pending posting shrinks are retried against the same
-// watermark — work that normally rides the relation's next commit, done
-// now for relations that stopped receiving commits. Relations mid-commit
-// are skipped (the commit reclaims on its own way out). Returns the number
-// of versions swept.
+// and posting versions and sole tombstones below each relation's
+// watermark are dropped — work that normally rides the relation's next
+// commit, done now for relations that stopped receiving commits. Relations
+// mid-commit are skipped (the commit reclaims on its own way out). Returns
+// the number of versions swept.
 func (in *Instance) SweepMVCC() int64 {
 	var total int64
 	for _, rel := range in.db.Names() {
-		rel := rel
-		swept, ok := in.store.SweepRelation(rel, func(w uint64) {
-			// A failed shrink (corrupt posting) stays pending; the next
-			// sweep or commit retries it, exactly like the commit path.
-			_ = in.indexes.ReclaimRemovals(nil, rel, w)
-		})
+		swept, ok := in.store.SweepRelation(rel)
 		if ok {
 			total += int64(swept)
 		}
@@ -311,7 +300,7 @@ func (in *Instance) submitWrite(rel string, op *writeOp) writeOutcome {
 func (in *Instance) SchemaEpoch() uint64 { return in.epoch.Load() }
 
 // IndexNames lists the defined secondary indexes, sorted.
-func (in *Instance) IndexNames() []string { return in.indexes.Names() }
+func (in *Instance) IndexNames() []string { return in.store.Indexes().Names() }
 
 // Relations lists the base relations of the opened database, sorted. The
 // set is fixed at open time; serving layers label per-relation metrics
@@ -323,7 +312,9 @@ func (in *Instance) Relations() []string {
 }
 
 // IndexStats snapshots the named index's shape statistics.
-func (in *Instance) IndexStats(name string) (index.Stats, bool) { return in.indexes.StatsOf(name) }
+func (in *Instance) IndexStats(name string) (baav.IndexStats, bool) {
+	return in.store.Indexes().Stats(name)
+}
 
 // Store exposes the underlying BaaV store for advanced use.
 func (in *Instance) Store() *baav.Store { return in.store }
@@ -477,7 +468,6 @@ func (p *Prepared) RunTraced(t *obs.Trace, params ...Value) (*Result, *Stats, er
 func (in *Instance) pinView(rels []string, t *obs.Trace) (*baav.Store, func()) {
 	snap := in.store.PinSnapshot(rels)
 	view := in.store.AtSnapshot(snap)
-	view.Index = &snapshotIndex{in: in, snap: snap.Seqs}
 	if t != nil {
 		t.SnapshotSeqs = snap.Seqs
 	}
@@ -785,23 +775,19 @@ func (in *Instance) ExecTraced(t *obs.Trace, src string, params ...Value) (*Exec
 		if rel == nil {
 			return nil, fmt.Errorf("zidian: unknown relation %q", s.Table)
 		}
-		n, err := in.indexes.Create(s.Name, s.Table, s.Attr, rel.Schema, rel.Tuples)
+		n, err := in.store.CreateIndex(s.Name, s.Table, s.Attr, rel.Tuples)
 		if err != nil {
 			return nil, err
 		}
 		in.epoch.Add(1)
 		return &ExecResult{Affected: n, SchemaChanged: true, Relations: []string{s.Table}}, nil
 	case *sqlpkg.DropIndex:
-		def, hadDef := in.indexes.DefOf(s.Name)
-		if err := in.indexes.Drop(s.Name); err != nil {
+		rel, err := in.store.DropIndex(s.Name)
+		if err != nil {
 			return nil, err
 		}
 		in.epoch.Add(1)
-		r := &ExecResult{SchemaChanged: true}
-		if hadDef {
-			r.Relations = []string{def.Rel}
-		}
-		return r, nil
+		return &ExecResult{SchemaChanged: true, Relations: []string{rel}}, nil
 	case *sqlpkg.Explain:
 		q, err := ra.Bind(s.Query, in.db)
 		if err != nil {

@@ -40,35 +40,33 @@ func atomicItemsDB(t *testing.T) (*Database, *BaaVSchema) {
 }
 
 // corruptPair overwrites a stored pair with garbage and returns an undo. The
-// predicate selects the pair by its decoded single-attribute key; prefixes
-// under the given id are probed (BaaV instance ids are small integers, index
-// prefixes set the top bit — see the package layouts).
+// predicate selects the pair by the first value of its block key; prefixes
+// under the given ids are probed (BaaV instance ids are small integers,
+// index ids set the top bit — see the package layouts). Every key carries
+// segment (4) and version (8) suffixes; a block routes by its prefix, a
+// posting fragment by its index id and value.
 func corruptPair(t *testing.T, in *Instance, ids []uint32, match func(relation.Value) bool, garbage []byte) func() {
 	t.Helper()
 	cluster := in.Store().Cluster
 	for _, id := range ids {
 		prefix := make([]byte, 4)
 		binary.BigEndian.PutUint32(prefix, id)
-		var key, val []byte
+		var key, val, route []byte
 		cluster.Scan(prefix, func(k, v []byte) bool {
-			body := k[4:]
-			if id&(1<<31) == 0 {
-				body = k[4 : len(k)-12] // block keys carry segment (4) + version (8) suffixes
-			}
-			dv, _, err := relation.DecodeValue(body)
+			dv, n, err := relation.DecodeValue(k[4 : len(k)-12])
 			if err != nil || !match(dv) {
 				return true
 			}
 			key = append([]byte{}, k...)
 			val = append([]byte{}, v...)
+			route = key[:len(key)-12]
+			if id&(1<<31) != 0 {
+				route = key[:4+n]
+			}
 			return false
 		})
 		if key == nil {
 			continue
-		}
-		route := key
-		if id&(1<<31) == 0 {
-			route = key[:len(key)-12] // blocks route by their suffix-less prefix
 		}
 		cluster.PutRouted(route, key, garbage)
 		return func() { cluster.PutRouted(route, key, val) }
@@ -129,9 +127,9 @@ func TestInsertAbortsOnCorruptBlock(t *testing.T) {
 	}
 }
 
-// TestInsertRollsBackOnCorruptPosting: when index maintenance fails after
-// the blocks were written, Insert deletes the blocks again and un-appends
-// the relation tuple, so all three stores still agree.
+// TestInsertRollsBackOnCorruptPosting: an Insert reads its posting fragment
+// before anything is written, so a corrupt posting fails it whole and
+// un-appends the relation tuple: all three stores still agree.
 func TestInsertRollsBackOnCorruptPosting(t *testing.T) {
 	db, bv := atomicItemsDB(t)
 	inst, err := Open(db, bv, Options{Nodes: 3, Workers: 2})
@@ -142,7 +140,7 @@ func TestInsertRollsBackOnCorruptPosting(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel := db.Relation("ITEM")
-	// An invalid value tag fails splitPostings in the index's read phase.
+	// A truncated segment-count varint fails the commit's read phase.
 	undo := corruptPair(t, inst, []uint32{1 << 31, 1<<31 | 1, 1<<31 | 2}, skuMatch("SKU-010"), []byte{0xFE})
 
 	bad := Tuple{Int(999), String("SKU-010"), Int(7)}
@@ -180,12 +178,12 @@ func TestInsertRollsBackOnCorruptPosting(t *testing.T) {
 	}
 }
 
-// TestDeleteDefersShrinkOverCorruptPosting: a DELETE reads no posting — a
-// live row's block key is always posted — so a corrupt posting does not fail
-// it. Its shrink stays pending while the posting cannot be read and drains
-// on the next reclamation once it can. A DELETE whose block cannot be read
-// still fails whole, leaving the relation and the pk block untouched.
-func TestDeleteDefersShrinkOverCorruptPosting(t *testing.T) {
+// TestDeleteFailsWholeOverCorruptPosting: a DELETE reads its blocks and its
+// posting fragment in the commit's one prefetch round, so a corrupt block or
+// a corrupt posting fails it whole, leaving the relation, the pk block and
+// the posting untouched; once the posting reads again, the DELETE goes
+// through.
+func TestDeleteFailsWholeOverCorruptPosting(t *testing.T) {
 	db, bv := atomicItemsDB(t)
 	inst, err := Open(db, bv, Options{Nodes: 3, Workers: 2})
 	if err != nil {
@@ -215,23 +213,25 @@ func TestDeleteDefersShrinkOverCorruptPosting(t *testing.T) {
 	undoBlock()
 
 	undo := corruptPair(t, inst, []uint32{1 << 31, 1<<31 | 1, 1<<31 | 2}, skuMatch("SKU-010"), []byte{0xFE})
+	if err := inst.Delete("ITEM", victim); err == nil {
+		t.Fatal("delete over a corrupt posting succeeded")
+	}
+	if rel.Cardinality() != 100 || pkRows() != 1 {
+		t.Fatalf("failed delete left %d tuples and %d pk rows, want 100 and 1", rel.Cardinality(), pkRows())
+	}
+	if st, _ := inst.IndexStats("ix_sku"); st.Postings != 100 {
+		t.Fatalf("postings = %d after the failed delete, want 100", st.Postings)
+	}
+
+	undo()
 	if err := inst.Delete("ITEM", victim); err != nil {
-		t.Fatalf("delete over a corrupt posting: %v", err)
+		t.Fatalf("delete after restoring the posting: %v", err)
 	}
 	if rel.Cardinality() != 99 || pkRows() != 0 {
 		t.Fatalf("delete left %d tuples and %d pk rows, want 99 and 0", rel.Cardinality(), pkRows())
 	}
-	if n := inst.indexes.PendingRemovals("ITEM"); n != 1 {
-		t.Fatalf("%d posting shrinks pending over the corrupt posting, want 1", n)
-	}
-
-	undo()
-	inst.SweepMVCC()
-	if n := inst.indexes.PendingRemovals("ITEM"); n != 0 {
-		t.Fatalf("%d posting shrinks pending after the posting was restored", n)
-	}
 	if st, _ := inst.IndexStats("ix_sku"); st.Postings != 99 {
-		t.Fatalf("postings = %d after the shrink drained, want 99", st.Postings)
+		t.Fatalf("postings = %d after the delete, want 99", st.Postings)
 	}
 	res, _, err := inst.Query("select I.item_id from ITEM I where I.sku = 'SKU-010'")
 	if err != nil {

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"zidian/internal/baav"
 	"zidian/internal/obs"
+	"zidian/internal/ra"
 )
 
 // The MVCC differential suite: concurrent readers must observe exactly the
@@ -312,5 +314,108 @@ func TestMVCCPinBlocksReclamation(t *testing.T) {
 	}
 	if _, reclaimedAfter := inst.MVCCVersions(); reclaimedAfter == reclaimed0 {
 		t.Fatal("releasing the pin did not unblock reclamation")
+	}
+}
+
+// TestPostingsExactAtPin: a reader pinned before a run of commits reads each
+// posting list as it was at its sequence — through fragment splits and
+// drains — and a reader at the latest sequence reads the lists as they are
+// now: Lookup, Range, and RangeLimitT under a LIMIT each equal ra.Evaluate
+// over the rows at that sequence, in (value, key) order.
+func TestPostingsExactAtPin(t *testing.T) {
+	schema := MustRelSchema("EV", []Attr{
+		{Name: "id", Kind: KindInt},
+		{Name: "tag", Kind: KindInt},
+	}, []string{"id"})
+	// eval answers sql over a database holding rows, sorted.
+	eval := func(rows []Tuple, sql string) []Tuple {
+		t.Helper()
+		db := NewDatabase()
+		rel := NewRelation(schema)
+		for _, row := range rows {
+			rel.MustInsert(row)
+		}
+		db.Add(rel)
+		res, err := ra.Evaluate(ra.MustParse(sql, db), db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Sort()
+		return res.Rows
+	}
+	for _, engine := range mvccEngines {
+		db := NewDatabase()
+		rel := NewRelation(schema)
+		for i := 0; i < 300; i++ {
+			rel.MustInsert(Tuple{Int(int64(i)), Int(int64(i % 3))})
+		}
+		db.Add(rel)
+		bv, err := NewBaaVSchema(db, KVSchema{Name: "ev_full", Rel: "EV", Key: []string{"id"}, Val: []string{"tag"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := Open(db, bv, Options{Engine: engine, Nodes: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := inst.Exec("create index ix_ev_tag on EV(tag)"); err != nil {
+			t.Fatal(err)
+		}
+		check := func(at string, view *baav.Store, rows []Tuple) {
+			t.Helper()
+			for tag := 0; tag <= 3; tag++ {
+				keys, _, err := view.Index.Lookup("ix_ev_tag", Int(int64(tag)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := eval(rows, fmt.Sprintf("select E.id from EV E where E.tag = %d", tag))
+				if got := fmt.Sprint(keys); got != fmt.Sprint(want) && len(keys)+len(want) > 0 {
+					t.Fatalf("%s %s: Lookup(%d) = %s, want %s", engine, at, tag, got, want)
+				}
+			}
+			lo, hi := Int(1), Int(2)
+			want := eval(rows, "select E.tag, E.id from EV E where E.tag between 1 and 2")
+			for _, limit := range []int{-1, 1, 50, 150} {
+				vals, keys, _, err := view.Index.RangeLimitT(nil, "ix_ev_tag", &lo, &hi, true, true, limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := len(want)
+				if limit >= 0 {
+					n = min(n, limit)
+				}
+				got := make([]Tuple, len(keys))
+				for i, k := range keys {
+					got[i] = Tuple{vals[i], k[0]}
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want[:n]) {
+					t.Fatalf("%s %s: RangeLimitT limit %d answered %d postings, not the first %d rows of ra.Evaluate", engine, at, limit, len(got), n)
+				}
+			}
+			vals, keys, _, err := view.Index.Range("ix_ev_tag", &lo, &hi, true, true)
+			if err != nil || len(vals) != len(want) || len(keys) != len(want) {
+				t.Fatalf("%s %s: Range = %d postings (%v), want %d", engine, at, len(keys), err, len(want))
+			}
+		}
+
+		snap := inst.Store().PinSnapshot([]string{"EV"})
+		pinned := append([]Tuple{}, rel.Tuples...)
+		// 150 inserts carry tag 1's list from 100 keys past M twice, so its
+		// fragments split; deleting all but ten tag-2 rows drains its list.
+		for i := 300; i < 450; i++ {
+			if err := inst.Insert("EV", Tuple{Int(int64(i)), Int(1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 2; i < 270; i += 3 {
+			if err := inst.Delete("EV", Tuple{Int(int64(i)), Int(2)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("pinned", inst.Store().AtSnapshot(snap), pinned)
+		check("latest", inst.Store(), rel.Tuples)
+		snap.Release()
+		inst.SweepMVCC()
+		check("swept", inst.Store(), rel.Tuples)
 	}
 }

@@ -78,11 +78,12 @@ func TestSweepMVCCRespectsPins(t *testing.T) {
 	}
 }
 
-// TestSweepRetriesPendingPostingShrinks: posting shrinks blocked by a pin
-// stay pending; the sweep retries them against the released watermark, so
-// index statistics (and with them planner eligibility) recover on a
-// quiescent relation without another commit.
-func TestSweepRetriesPendingPostingShrinks(t *testing.T) {
+// TestSweepReclaimsDrainedPostings: deleting under a pin shrinks a posting
+// list at its commit — the index statistics, and with them planner
+// eligibility, are exact at once — while the pinned reader still reads the
+// list as of its sequence. Once the pin releases, the sweep reclaims the
+// superseded posting versions on the quiescent relation.
+func TestSweepReclaimsDrainedPostings(t *testing.T) {
 	db := NewDatabase()
 	schema := MustRelSchema("EV", []Attr{
 		{Name: "id", Kind: KindInt},
@@ -107,23 +108,26 @@ func TestSweepRetriesPendingPostingShrinks(t *testing.T) {
 	if _, err := inst.Exec("create index ix_ev_tag on EV(tag)"); err != nil {
 		t.Fatal(err)
 	}
-	// Drain the hot tag under a pin: the shrink of its posting list cannot
-	// run at commit time.
+	// Drain the hot tag under a pin.
 	snap := inst.Store().PinSnapshot([]string{"EV"})
 	for i := 0; i < 28; i++ {
 		if err := inst.Delete("EV", Tuple{Int(int64(i)), String("HOT")}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st, ok := inst.IndexStats("ix_ev_tag"); !ok || st.MaxPosting != 30 {
-		t.Fatalf("MaxPosting under pin = %d (ok=%v), want 30 still", st.MaxPosting, ok)
+	if st, ok := inst.IndexStats("ix_ev_tag"); !ok || st.MaxPosting != 2 {
+		t.Fatalf("MaxPosting after the deletes = %d (ok=%v), want 2", st.MaxPosting, ok)
+	}
+	keys, _, err := inst.Store().AtSnapshot(snap).Index.Lookup("ix_ev_tag", String("HOT"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 30 {
+		t.Fatalf("reader pinned before the deletes sees %d HOT postings, want 30", len(keys))
 	}
 	snap.Release()
 	if swept := inst.SweepMVCC(); swept <= 0 {
 		t.Fatal("sweep reclaimed nothing after the pin released")
-	}
-	if st, ok := inst.IndexStats("ix_ev_tag"); !ok || st.MaxPosting != 2 {
-		t.Fatalf("MaxPosting after sweep = %d (ok=%v), want 2 — pending shrink not retried", st.MaxPosting, ok)
 	}
 	res, _, err := inst.Query("select E.id from EV E where E.tag = 'HOT'")
 	if err != nil {
