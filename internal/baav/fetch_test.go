@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"zidian/internal/kv"
+	"zidian/internal/obs"
 	"zidian/internal/relation"
 )
 
@@ -115,46 +116,94 @@ func TestFetchedBlocksShareNoTail(t *testing.T) {
 	}
 }
 
+// rewriteAll commits every block of obsStore's instance once and leaves its
+// rows as they were — each block's first row inserted again and deleted —
+// so the version directory lists every block.
+func rewriteAll(tb testing.TB, st *Store, keys []relation.Tuple) {
+	tb.Helper()
+	blks, _, _, err := st.FetchBlocksT(nil, "obs_full", keys, nil, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_, err = commit(st, "OBS", func(c *Commit, kvt *obs.KV) error {
+		for i, blk := range blks {
+			row := append(relation.Tuple{keys[i][0]}, blk.Tuples[0]...)
+			if err := c.StageInsert(kvt, row); err != nil {
+				return err
+			}
+			if _, err := c.StageDelete(kvt, row); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if d := st.Directory(); d.Entries != len(keys) {
+		tb.Fatalf("directory lists %d blocks after rewriting %d", d.Entries, len(keys))
+	}
+}
+
+// blockStates are the two states a block is read in: as loaded, which the
+// version directory does not list, and rewritten by a commit, which it does.
+var blockStates = []struct {
+	name    string
+	prepare func(tb testing.TB, st *Store, keys []relation.Tuple)
+}{
+	{"as_loaded", func(testing.TB, *Store, []relation.Tuple) {}},
+	{"rewritten", rewriteAll},
+}
+
 // BenchmarkResolve is the version-directory half of a batched fetch: the
 // 512 blocks of one ∝ batch resolved, under one read lock, at the sequence a
-// snapshot pinned.
+// snapshot pinned, as loaded and once a commit has rewritten every block.
 func BenchmarkResolve(b *testing.B) {
-	st, keys := obsStore(b, 700)
-	snap := st.PinSnapshot([]string{"OBS"})
-	defer snap.Release()
-	seq, _ := snap.Seq("OBS")
-	var batch blockBatch
-	for _, key := range keys[:512] {
-		batch.reads = append(batch.reads, batch.add("obs_full", 14, st.ids["obs_full"], key))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.mvcc.resolve(&batch, seq)
-	}
-	if batch.reads[511].win.nsegs != 1 {
-		b.Fatalf("block 511 resolved to %+v", batch.reads[511].win)
+	for _, state := range blockStates {
+		b.Run(state.name, func(b *testing.B) {
+			st, keys := obsStore(b, 700)
+			state.prepare(b, st, keys)
+			snap := st.PinSnapshot([]string{"OBS"})
+			defer snap.Release()
+			seq, _ := snap.Seq("OBS")
+			var batch blockBatch
+			for _, key := range keys[:512] {
+				batch.reads = append(batch.reads, batch.add("obs_full", 14, st.ids["obs_full"], key))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st.mvcc.resolve(&batch, seq, true)
+			}
+			if batch.reads[511].win.nsegs != 1 {
+				b.Fatalf("block 511 resolved to %+v", batch.reads[511].win)
+			}
+		})
 	}
 }
 
 // BenchmarkFetchBlocks is one batched ∝ fetch from an obs_full-shaped
-// instance: 1, 20 and 700 keys, reading the three columns an index_scan
-// plan keeps (one of them a string) or all fourteen.
+// instance, as loaded and once a commit has rewritten every block: 1, 20
+// and 700 keys, reading the three columns an index_scan plan keeps (one of
+// them a string) or all fourteen.
 func BenchmarkFetchBlocks(b *testing.B) {
-	st, keys := obsStore(b, 700)
-	for _, n := range []int{1, 20, 700} {
-		for _, c := range []struct {
-			name string
-			cols []int
-		}{{"3of14", []int{2, 9, 11}}, {"all", nil}} {
-			b.Run(fmt.Sprintf("keys=%d/cols=%s", n, c.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, _, _, err := st.FetchBlocksT(nil, "obs_full", keys[:n], c.cols, nil); err != nil {
-						b.Fatal(err)
+	for _, state := range blockStates {
+		st, keys := obsStore(b, 700)
+		state.prepare(b, st, keys)
+		for _, n := range []int{1, 20, 700} {
+			for _, c := range []struct {
+				name string
+				cols []int
+			}{{"3of14", []int{2, 9, 11}}, {"all", nil}} {
+				b.Run(fmt.Sprintf("%s/keys=%d/cols=%s", state.name, n, c.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, _, _, err := st.FetchBlocksT(nil, "obs_full", keys[:n], c.cols, nil); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }

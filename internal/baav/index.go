@@ -334,13 +334,14 @@ func (st *Store) backfill(p *posting, rows []relation.Tuple, ver uint64) (n int)
 				f.fence = string(relation.EncodeTuple(part[0]))
 			}
 			prefix := append(vkey[:len(vkey):len(vkey)], f.fence...)
-			st.loadBlock(&ld.enc, p.kv, postingOpts, prefix, &Block{Tuples: part}, ver)
+			ld.write(st, p.kv, postingOpts, prefix, &Block{Tuples: part}, ver)
 			pv.frags = append(pv.frags, f)
 		}
 		p.vals = append(p.vals, pv)
 		p.resize(0, len(keys))
 		n += len(keys)
 	}
+	ld.loaded(st, p.kv.Name, ver)
 	return n
 }
 
@@ -362,14 +363,15 @@ func (st *Store) DropIndex(name string) (string, error) {
 	st.ix.mu.Unlock()
 	r.retired = slices.DeleteFunc(r.retired, func(rv retiredVer) bool { return rv.kvName == p.kv.Name })
 	r.tombs = slices.DeleteFunc(r.tombs, func(tb tombRef) bool { return tb.kvName == p.kv.Name })
-	st.mvcc.dropDir(p.kv.Name)
 	var ops []kv.BatchOp
 	st.Cluster.Scan(binary.BigEndian.AppendUint32(nil, p.id), func(k, _ []byte) bool {
 		k = bytes.Clone(k)
 		ops = append(ops, kv.BatchOp{Route: route(k[:len(k)-12]), Key: k, Delete: true})
 		return true
 	})
+	// The keys go before the versions that list them, as in reclamation.
 	st.Cluster.ApplyBatch(nil, ops)
+	st.mvcc.dropDir(p.kv.Name)
 	return p.kv.Rel, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"sort"
 	"sync"
@@ -28,10 +29,10 @@ import (
 // watermark — the oldest pinned snapshot sequence, or the current sequence
 // when nothing is pinned — passes the sequence that retired them.
 
-// verEntry is one materialized version of a block in the in-memory version
-// directory: its commit sequence and segment count (0 = tombstone). The
-// directory keeps point reads exact — a get resolves the winning version
-// in memory and issues only real segment gets, never a scan.
+// verEntry is one materialized version of a block: its commit sequence and
+// segment count (0 = tombstone). The version directory keeps point reads
+// exact — a get resolves the winning version in memory and issues only real
+// segment gets, never a scan.
 type verEntry struct {
 	ver   uint64
 	nsegs int
@@ -66,10 +67,13 @@ type tombRef struct {
 }
 
 // dirAdd is a version a commit enters in the directory when it installs.
+// loaded marks a block's as-loaded version, entered when a commit first
+// supersedes it: it was materialized, and counted live, by the load.
 type dirAdd struct {
 	kvName string
 	prefix []byte
 	e      verEntry
+	loaded bool
 }
 
 // relMVCC is the per-relation MVCC state.
@@ -104,23 +108,49 @@ func (r *relMVCC) watermark() uint64 {
 	return w
 }
 
+// instVersions is the version state of one KV instance. The instance's load
+// writes its blocks as version load, and the version directory lists only
+// what a commit wrote and the blocks loaded in more than one segment. So a
+// block the directory does not list has exactly one version, load, stored
+// in one segment — or it does not exist, and the get of its one segment
+// misses. A commit that first supersedes such a block enters its load
+// version as the older one; reclamation deletes a block's last versions
+// before it drops the entry that lists them (see reclaimRel), or a reader
+// would presume the deleted block as loaded.
+type instVersions struct {
+	load uint64
+	// loaded holds the hashes of the blocks the load wrote in one segment.
+	// A commit reads no pre-image for a block it rules out: readers do not
+	// consult it, and probe every block the directory does not list.
+	loaded loadFilter
+	dir    *verDir // nil until a version enters it
+	live   int64   // versions materialized: as loaded, plus those entered since
+}
+
 // mvccState is the store-wide MVCC bookkeeping, shared by every snapshot
-// view of one Store. mu guards the version directories: one read lock per
+// view of one Store. mu guards the instances' versions: one read lock per
 // fetch batch, the exclusive lock for every change.
 type mvccState struct {
-	mu   sync.RWMutex
-	dirs map[string]*verDir // kv name -> its version directory
-	rels map[string]*relMVCC
+	mu    sync.RWMutex
+	insts map[string]*instVersions // kv name -> its versions
+	rels  map[string]*relMVCC
+	seed  maphash.Seed // hashes block prefixes into the load filters
 
 	live      atomic.Int64 // block versions currently materialized
 	reclaimed atomic.Int64 // block versions reclaimed over the store's lifetime
 	sweptBg   atomic.Int64 // versions reclaimed by the background sweep alone
+
+	// beforeReclaimDeletes, when set, runs where reclamation has dropped
+	// its superseded versions from the directory and deleted nothing yet:
+	// tests read the store there.
+	beforeReclaimDeletes func()
 }
 
 func newMVCCState() *mvccState {
 	return &mvccState{
-		dirs: make(map[string]*verDir),
-		rels: make(map[string]*relMVCC),
+		insts: make(map[string]*instVersions),
+		rels:  make(map[string]*relMVCC),
+		seed:  maphash.MakeSeed(),
 	}
 }
 
@@ -141,81 +171,150 @@ func (m *mvccState) rel(name string) *relMVCC {
 	return r
 }
 
-// winner returns the newest version of a block visible at seq.
-func (m *mvccState) winner(kvName string, prefix []byte, seq uint64) (verEntry, bool) {
+// inst returns the instance's versions, creating them on first use. The
+// caller holds mu exclusively.
+func (m *mvccState) inst(kvName string) *instVersions {
+	in := m.insts[kvName]
+	if in == nil {
+		in = &instVersions{}
+		m.insts[kvName] = in
+	}
+	return in
+}
+
+// listed returns the directory's newest version of a block visible at seq;
+// ok is false when no version the directory lists is.
+func (m *mvccState) listed(kvName string, prefix []byte, seq uint64) (verEntry, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if d := m.dirs[kvName]; d != nil {
-		return d.winner(prefix, seq)
+	if in := m.insts[kvName]; in != nil && in.dir != nil {
+		e, _, ok := in.dir.winner(prefix, seq)
+		return e, ok
 	}
 	return verEntry{}, false
 }
 
-// head returns a block's newest version and its number of versions.
+// head returns a block's newest listed version and its number of listed
+// versions.
 func (m *mvccState) head(kvName string, prefix []byte) (verEntry, int) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if d := m.dirs[kvName]; d != nil {
-		return d.head(prefix)
+	if in := m.insts[kvName]; in != nil && in.dir != nil {
+		return in.dir.head(prefix)
 	}
 	return verEntry{}, 0
 }
 
 // resolve sets, under one read lock, every read's win to the version of its
-// block that wins at seq (see blockRead.win).
-func (m *mvccState) resolve(b *blockBatch, seq uint64) {
+// block that wins at seq (see blockRead.win): the directory's, or for a
+// block it does not list the instance's load version, presumed. While an
+// instance's directory lists nothing, as after its load, its table is not
+// probed. Without probe — a commit reading its pre-images — a block the
+// load filter rules out resolves absent at once.
+func (m *mvccState) resolve(b *blockBatch, seq uint64, probe bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	var d *verDir
-	kvName := ""
+	var in *instVersions
 	for i := range b.reads {
 		r := &b.reads[i]
-		if d == nil || r.kv != kvName {
-			d, kvName = m.dirs[r.kv], r.kv
+		if i == 0 || r.kv != b.reads[i-1].kv {
+			in = m.insts[r.kv]
 		}
-		win, ok := verEntry{}, false
-		if d != nil {
-			win, ok = d.winner(b.buf[r.pre:r.end], seq)
+		prefix := b.buf[r.pre:r.end]
+		r.win, r.loaded = verEntry{ver: seq}, false
+		if in != nil && in.dir != nil && in.dir.entries() > 0 {
+			if e, listed, visible := in.dir.winner(prefix, seq); visible {
+				r.win = e
+				continue
+			} else if listed {
+				continue
+			}
 		}
-		if !ok {
-			win = verEntry{ver: seq}
+		load := uint64(0)
+		if in != nil {
+			load = in.load
 		}
-		r.win = win
+		if load > seq || !probe && (in == nil || !in.loaded.has(maphash.Bytes(m.seed, prefix))) {
+			continue
+		}
+		r.win, r.loaded = verEntry{ver: load, nsegs: 1}, true
 	}
 }
 
-// addVersion enters a new version (necessarily the newest) of a block.
-func (m *mvccState) addVersion(kvName string, prefix []byte, e verEntry) {
+// enter enters commit-written versions, each necessarily its block's
+// newest, under one lock.
+func (m *mvccState) enter(adds []dirAdd) {
+	if len(adds) == 0 {
+		return
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	d := m.dirs[kvName]
-	if d == nil {
-		d = newVerDir()
-		m.dirs[kvName] = d
+	for _, a := range adds {
+		m.add(a.kvName, a.prefix, a.e, !a.loaded)
 	}
-	d.add(prefix, e)
-	m.live.Add(1)
 }
 
-// dropDir removes a KV instance's whole version directory.
+// add lists version e of a block, counting it live when it is new. The
+// caller holds mu exclusively.
+func (m *mvccState) add(kvName string, prefix []byte, e verEntry, counted bool) {
+	in := m.inst(kvName)
+	if in.dir == nil {
+		in.dir = newVerDir()
+	}
+	in.dir.add(prefix, e)
+	if counted {
+		in.live++
+		m.live.Add(1)
+	}
+}
+
+// dropDir removes a KV instance's versions, as loaded and listed.
 func (m *mvccState) dropDir(kvName string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if d := m.dirs[kvName]; d != nil {
-		m.live.Add(-int64(d.count()))
-		delete(m.dirs, kvName)
+	if in := m.insts[kvName]; in != nil {
+		m.live.Add(-in.live)
+		delete(m.insts, kvName)
 	}
 }
 
-// dropVersion removes one version of a block.
+// dropVersion removes one listed version of a block.
 func (m *mvccState) dropVersion(kvName string, prefix []byte, ver uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if d := m.dirs[kvName]; d == nil || !d.drop(prefix, ver) {
+	in := m.insts[kvName]
+	if in == nil || in.dir == nil || !in.dir.drop(prefix, ver) {
 		return
 	}
+	in.live--
 	m.live.Add(-1)
 	m.reclaimed.Add(1)
+}
+
+// DirectoryStats is the size of a store's version directories.
+type DirectoryStats struct {
+	// Entries is the number of blocks the directories list.
+	Entries int
+	// LiveBytes and DeadBytes are the memory they hold (see verDir.bytes).
+	LiveBytes, DeadBytes int64
+}
+
+// Directory returns the size of the store's version directories.
+func (st *Store) Directory() DirectoryStats {
+	m := st.mvcc
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	var s DirectoryStats
+	for _, in := range m.insts {
+		if in.dir == nil {
+			continue
+		}
+		live, dead := in.dir.bytes()
+		s.Entries += in.dir.entries()
+		s.LiveBytes += live
+		s.DeadBytes += dead
+	}
+	return s
 }
 
 // verSegKey is the physical key of one segment of one block version:
@@ -332,12 +431,14 @@ func (st *Store) VersionsReclaimed() int64 { return st.mvcc.reclaimed.Load() }
 // stagedEdit is one block's pending state inside a commit: the pre-image
 // (nil when the block is absent at the commit's base sequence) plus edits.
 // post is the index whose posting fragment the block is, nil for a block of
-// a KV schema.
+// a KV schema. loaded is the version the pre-image was read at when the
+// block is as loaded — no directory entry lists it — and nsegs 0 otherwise.
 type stagedEdit struct {
 	kvSchema KVSchema
 	post     *posting
 	prefix   []byte
 	blk      *Block
+	loaded   verEntry
 	dirty    bool
 }
 
@@ -440,10 +541,12 @@ func (c *Commit) refs(dst []blockRef, t relation.Tuple) ([]blockRef, error) {
 
 // stage returns the staged edits of refs, reading the pre-images of those
 // not staged yet in one batched round — one multi-get per storage node —
-// at the commit's base sequence. Unlike a reader it issues nothing for a
-// block absent or tombstoned there: the directory already says there is no
-// pre-image.
-func (c *Commit) stage(kvt *obs.KV, refs []blockRef) ([]*stagedEdit, error) {
+// at the commit's base sequence. Without probe it issues nothing for a
+// block the directory shows absent or tombstoned there, or one it does not
+// list and the instance's load did not write; a block it does not list
+// costs the one get of its as-loaded version, which shows whether it
+// exists. With probe every block costs a get, as a reader's would.
+func (c *Commit) stage(kvt *obs.KV, refs []blockRef, probe bool) ([]*stagedEdit, error) {
 	var b blockBatch
 	var fresh []*stagedEdit
 	edits := make([]*stagedEdit, len(refs))
@@ -463,12 +566,15 @@ func (c *Commit) stage(kvt *obs.KV, refs []blockRef) ([]*stagedEdit, error) {
 	if len(fresh) == 0 {
 		return edits, nil
 	}
-	blks, _, _, err := c.st.fetch(kvt, &b, c.seq-1, false, nil, nil)
+	blks, _, _, err := c.st.fetch(kvt, &b, c.seq-1, probe, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	for i, e := range fresh {
 		e.blk = blks[i]
+		if b.reads[i].loaded && blks[i] != nil {
+			e.loaded = b.reads[i].win
+		}
 	}
 	return edits, nil
 }
@@ -484,7 +590,7 @@ func (c *Commit) Prefetch(kvt *obs.KV, tuples []relation.Tuple) error {
 			return err
 		}
 	}
-	_, err := c.stage(kvt, refs)
+	_, err := c.stage(kvt, refs, false)
 	return err
 }
 
@@ -551,7 +657,7 @@ func (c *Commit) stageTuple(kvt *obs.KV, t relation.Tuple) ([]*stagedEdit, error
 	if err != nil {
 		return nil, err
 	}
-	return c.stage(kvt, refs)
+	return c.stage(kvt, refs, false)
 }
 
 // row is what t stores in e's block: its value attributes, or for a posting
@@ -578,12 +684,6 @@ func (c *Commit) stagedIn(kvName string) map[string]*stagedEdit {
 	return byPrefix
 }
 
-// stagePut stages a whole-block replacement (PutBlock's path).
-func (c *Commit) stagePut(kvSchema KVSchema, key relation.Tuple, blk *Block) {
-	prefix := c.st.blockPrefix(c.st.ids[kvSchema.Name], key)
-	c.stagedIn(kvSchema.Name)[string(prefix)] = &stagedEdit{kvSchema: kvSchema, prefix: prefix, blk: blk, dirty: true}
-}
-
 // Ops materializes the commit's dirty edits as versioned batch mutations
 // and computes the directory/bookkeeping deltas Install will apply. Pure:
 // no kv traffic, no visible state change. A posting fragment grown past M
@@ -608,7 +708,16 @@ func (c *Commit) Ops() []kv.BatchOp {
 			if !e.dirty {
 				continue
 			}
-			oldWinner, hadOld := c.st.mvcc.winner(name, e.prefix, c.seq-1)
+			// The old version is the as-loaded one the pre-image was read
+			// at, which the directory lists from now on, or the directory's.
+			// A fragment a split creates falls where no live fragment is,
+			// so it has no as-loaded version.
+			oldWinner, hadOld := e.loaded, e.loaded.nsegs > 0
+			if hadOld {
+				c.dirAdds = append(c.dirAdds, dirAdd{name, e.prefix, e.loaded, true})
+			} else {
+				oldWinner, hadOld = c.st.mvcc.listed(name, e.prefix, c.seq-1)
+			}
 			oldExists := hadOld && oldWinner.nsegs > 0
 			newExists := e.blk != nil && len(e.blk.Tuples) > 0
 			if !oldExists && !newExists {
@@ -620,11 +729,11 @@ func (c *Commit) Ops() []kv.BatchOp {
 			switch {
 			case newExists && e.post != nil:
 				ops, _ = c.encodeVersionOps(ops, e.kvSchema, postingOpts, e.prefix, e.blk)
-				c.dirAdds = append(c.dirAdds, dirAdd{name, e.prefix, verEntry{ver: c.seq, nsegs: 1}})
+				c.dirAdds = append(c.dirAdds, dirAdd{name, e.prefix, verEntry{ver: c.seq, nsegs: 1}, false})
 			case newExists:
 				var nsegs int
 				ops, nsegs = c.encodeVersionOps(ops, e.kvSchema, c.st.Opts, e.prefix, e.blk)
-				c.dirAdds = append(c.dirAdds, dirAdd{name, e.prefix, verEntry{ver: c.seq, nsegs: nsegs}})
+				c.dirAdds = append(c.dirAdds, dirAdd{name, e.prefix, verEntry{ver: c.seq, nsegs: nsegs}, false})
 				if d := e.blk.Distinct(); d > c.degreeMax[name] {
 					c.degreeMax[name] = d
 				}
@@ -638,7 +747,7 @@ func (c *Commit) Ops() []kv.BatchOp {
 					Key:   verSegKey(e.prefix, 0, c.seq),
 					Value: binary.AppendUvarint(nil, 0),
 				})
-				c.dirAdds = append(c.dirAdds, dirAdd{name, e.prefix, verEntry{ver: c.seq, nsegs: 0}})
+				c.dirAdds = append(c.dirAdds, dirAdd{name, e.prefix, verEntry{ver: c.seq, nsegs: 0}, false})
 				c.newTombs = append(c.newTombs, tombRef{kvName: name, prefix: ps, ver: c.seq})
 				if e.post == nil {
 					c.blockDelta[name]--
@@ -693,9 +802,7 @@ func (c *Commit) Install() {
 	if !c.opsBuilt {
 		c.Ops()
 	}
-	for _, a := range c.dirAdds {
-		c.st.mvcc.addVersion(a.kvName, a.prefix, a.e)
-	}
+	c.st.mvcc.enter(c.dirAdds)
 	c.st.statsMu.Lock()
 	for name, d := range c.blockDelta {
 		c.st.blocks[name] += d
@@ -735,9 +842,14 @@ func (c *Commit) Reclaim(kvt *obs.KV) uint64 {
 
 // reclaimRel is the reclamation core shared by commits and the background
 // sweep: drop retired versions and sole-remaining tombstones at or below
-// the relation's watermark, deleting their kv pairs in one batch. The
-// caller must hold r.commitMu (only commits and the sweep touch retired
-// and tombs). Returns the watermark and the number of versions dropped.
+// the relation's watermark, deleting their kv pairs in one batch. A retired
+// version leaves the directory at once — a newer version of its block stays
+// listed — but a tombstone that is its block's last listed version leaves
+// only after the batch: a reader resolving a block no entry lists presumes
+// it as loaded, and would read its as-loaded version back while the delete
+// is pending. The caller must hold r.commitMu (only commits and the sweep
+// touch retired and tombs). Returns the watermark and the number of
+// versions dropped.
 func (st *Store) reclaimRel(kvt *obs.KV, r *relMVCC) (w uint64, swept int) {
 	w = r.watermark()
 	var ops []kv.BatchOp
@@ -755,29 +867,37 @@ func (st *Store) reclaimRel(kvt *obs.KV, r *relMVCC) (w uint64, swept int) {
 		swept++
 	}
 	r.retired = keep
+	var gone []tombRef
 	keepT := r.tombs[:0]
 	for _, tb := range r.tombs {
-		prefix := []byte(tb.prefix)
-		newest, n := st.mvcc.head(tb.kvName, prefix)
+		newest, n := st.mvcc.head(tb.kvName, []byte(tb.prefix))
 		if n == 0 || newest.ver > tb.ver {
 			continue // superseded or gone: the normal retire path owns its key
 		}
 		if n == 1 && tb.ver <= w {
 			// Sole remaining version and unreachable: the block is fully
-			// deleted — drop the tombstone key itself, and a drained posting
-			// fragment from its index's directory. Older versions were
-			// already deleted above (same batch, earlier ops), so a reader
-			// can never resurrect a pre-delete version.
+			// deleted — its tombstone key goes in the same batch as its
+			// older versions.
+			prefix := []byte(tb.prefix)
 			ops = append(ops, kv.BatchOp{Route: route(prefix), Key: verSegKey(prefix, 0, tb.ver), Delete: true})
-			st.mvcc.dropVersion(tb.kvName, prefix, tb.ver)
-			st.forgetFragment(tb.kvName, prefix)
-			swept++
+			gone = append(gone, tb)
 			continue
 		}
 		keepT = append(keepT, tb)
 	}
 	r.tombs = keepT
+	if f := st.mvcc.beforeReclaimDeletes; f != nil {
+		f()
+	}
 	st.Cluster.ApplyBatch(kvt, ops)
+	// The block is gone from the store: now its entry, and a drained
+	// posting fragment from its index's directory.
+	for _, tb := range gone {
+		prefix := []byte(tb.prefix)
+		st.mvcc.dropVersion(tb.kvName, prefix, tb.ver)
+		st.forgetFragment(tb.kvName, prefix)
+		swept++
+	}
 	return w, swept
 }
 

@@ -134,6 +134,7 @@ type loader struct {
 	vals   []relation.Value // the values of blk's tuples
 	counts []int64          // blk's multiplicities, kept whether or not blk carries them
 	enc    segEncoder
+	hashes []uint64 // the instance's one-segment blocks, for its load filter
 }
 
 // loadGroup is one block of the instance being loaded: its prefix,
@@ -153,9 +154,10 @@ func (ld *loader) load(st *Store, kvSchema KVSchema, rows []relation.Tuple, keyP
 	degree := 0
 	for _, gr := range ld.groups {
 		blk := ld.block(rows, gr.first, valPos, st.Opts.Compress)
-		st.loadBlock(&ld.enc, kvSchema, st.Opts, ld.prefix(gr), blk, 0)
+		ld.write(st, kvSchema, st.Opts, ld.prefix(gr), blk, 0)
 		degree = max(degree, blk.Distinct())
 	}
+	ld.loaded(st, kvSchema.Name, 0)
 	st.statsMu.Lock()
 	st.blocks[kvSchema.Name] += len(ld.groups)
 	st.degrees[kvSchema.Name] = max(st.degrees[kvSchema.Name], degree)
@@ -328,8 +330,11 @@ type blockRead struct {
 	// win is the version that wins at the batch's sequence; nsegs 0 when no
 	// block is visible, and then ver is the version a reader probes: the
 	// winning tombstone's, or the sequence itself for a block with no
-	// version at or below it.
-	win verEntry
+	// version at or below it. loaded marks a win presumed because the
+	// directory does not list the block: its load version, in one segment,
+	// which a miss shows absent (see instVersions).
+	win    verEntry
+	loaded bool
 	// req is the block's first get in the round and gets how many it has:
 	// a segment each, or the one probe of a block not visible.
 	req, gets int
@@ -352,7 +357,7 @@ func (b *blockBatch) prefix(r *blockRead) []byte { return b.buf[r.pre:r.end:r.en
 // in one cluster round, and decodes what it read into one arena. cols,
 // statss and the results are FetchBlocksT's, aligned with b.reads.
 func (st *Store) fetch(kvt *obs.KV, b *blockBatch, seq uint64, probe bool, cols []int, statss []*BlockStats) (blks []*Block, sizes []int64, gets int, err error) {
-	st.mvcc.resolve(b, seq)
+	st.mvcc.resolve(b, seq, probe)
 	nreq, keyBytes, hits := 0, 0, 0
 	for i := range b.reads {
 		r := &b.reads[i]
@@ -379,6 +384,14 @@ func (st *Store) fetch(kvt *obs.KV, b *blockBatch, seq uint64, probe bool, cols 
 	gets = len(reqs)
 	blks = make([]*Block, len(b.reads))
 	sizes = make([]int64, len(b.reads))
+	for i := range b.reads {
+		// A block presumed as loaded whose one segment is not there does
+		// not exist.
+		if r := &b.reads[i]; r.loaded && !res[r.req].OK {
+			r.win.nsegs = 0
+			hits--
+		}
+	}
 	if hits == 0 {
 		return blks, sizes, gets, nil
 	}
@@ -425,26 +438,51 @@ func (st *Store) fetch(kvt *obs.KV, b *blockBatch, seq uint64, probe bool, cols 
 	return blks, sizes, gets, nil
 }
 
-// loadBlock writes blk, encoded under opts, as version ver of the block
-// under prefix, bypassing the commit machinery: Map's load is
-// single-threaded and nothing can be reading yet, and an index backfill
-// writes a new instance no plan reads yet. The block is encoded through
-// enc, whose buffers the next block reuses; the one copy of its segments
-// goes to the cluster, and the directory copies the prefix.
-func (st *Store) loadBlock(enc *segEncoder, kvSchema KVSchema, opts Options, prefix []byte, blk *Block, ver uint64) {
+// write writes blk, encoded under opts, as version ver of the block under
+// prefix, bypassing the commit machinery: Map's load is single-threaded and
+// nothing can be reading yet, and an index backfill writes a new instance
+// no plan reads yet. The block is encoded through the loader's encoder,
+// whose buffers the next block reuses; the one copy of its segments goes to
+// the cluster. A block of one segment is as loaded, which its hash records
+// for the instance's load filter; only a longer one enters the directory,
+// which copies its prefix.
+func (ld *loader) write(st *Store, kvSchema KVSchema, opts Options, prefix []byte, blk *Block, ver uint64) {
+	enc := &ld.enc
 	enc.encode(blk, len(kvSchema.Val), opts)
 	enc.segments(func(seg uint32, value []byte) {
 		enc.key = appendSegKey(enc.key[:0], prefix, seg, ver)
 		st.Cluster.PutRouted(route(prefix), enc.key, value)
 	})
-	st.mvcc.addVersion(kvSchema.Name, prefix, verEntry{ver: ver, nsegs: len(enc.ends)})
+	if len(enc.ends) == 1 {
+		ld.hashes = append(ld.hashes, maphash.Bytes(st.mvcc.seed, prefix))
+		return
+	}
+	m := st.mvcc
+	m.mu.Lock()
+	m.add(kvSchema.Name, prefix, verEntry{ver: ver, nsegs: len(enc.ends)}, true)
+	m.mu.Unlock()
 }
 
-// PutBlock stores a block under key in the named KV instance, replacing
-// any existing block, as a single-block commit on the owning relation: a
-// new version is written and installed, and unreachable versions are
-// reclaimed.
-func (st *Store) PutBlock(name string, key relation.Tuple, blk *Block) error {
+// loaded records the instance the loader has written as loaded at version
+// ver: its load version and filter, and its one-segment blocks live.
+func (ld *loader) loaded(st *Store, kvName string, ver uint64) {
+	m := st.mvcc
+	m.mu.Lock()
+	in := m.inst(kvName)
+	in.load, in.loaded = ver, newLoadFilter(ld.hashes)
+	in.live += int64(len(ld.hashes))
+	m.mu.Unlock()
+	m.live.Add(int64(len(ld.hashes)))
+	ld.hashes = ld.hashes[:0]
+}
+
+// UpdateBlock replaces the block under key in the named KV instance with
+// what fn makes of it, as a single-block commit on the owning relation: fn
+// receives the block at the installed sequence (nil when absent), which it
+// may modify, and returns the new block (nil or empty deletes it). The
+// read costs a get whether or not the block exists; the new version is
+// written and installed, and unreachable versions are reclaimed.
+func (st *Store) UpdateBlock(name string, key relation.Tuple, fn func(*Block) *Block) error {
 	kvSchema := st.Schema.ByName(name)
 	if kvSchema == nil {
 		return fmt.Errorf("baav: unknown KV schema %q", name)
@@ -454,7 +492,12 @@ func (st *Store) PutBlock(name string, key relation.Tuple, blk *Block) error {
 		return err
 	}
 	defer c.Close()
-	c.stagePut(*kvSchema, key, blk)
+	edits, err := c.stage(nil, []blockRef{{kv: *kvSchema, prefix: st.blockPrefix(st.ids[name], key)}}, true)
+	if err != nil {
+		return err
+	}
+	e := edits[0]
+	e.blk, e.dirty = fn(e.blk), true
 	st.Cluster.ApplyBatch(nil, c.Ops())
 	c.Install()
 	c.Reclaim(nil)

@@ -3,18 +3,21 @@ package baav
 import (
 	"bytes"
 	"hash/maphash"
+	"math/bits"
+	"unsafe"
 
 	"zidian/internal/kv"
 )
 
-// verDir is the version directory of one KV instance: for every block
-// prefix, its materialized versions, newest first. It is laid out for the
-// collector: the prefixes sit back to back in one byte slab, the blocks in
-// one array of entries that carry their newest version inline, and a
-// kv.Table finds a prefix's entry — so a block with one version costs no
-// heap object and no pointer. Only a block whose superseded versions await
-// reclamation has a slice, in older. verDir does no locking; mvccState's
-// mutex guards it.
+// verDir is the version directory of one KV instance: for every block a
+// commit wrote, and every block loaded in more than one segment, its
+// materialized versions, newest first (see instVersions for the blocks it
+// does not list). It is laid out for the collector: the prefixes sit back
+// to back in one byte slab, the blocks in one array of entries that carry
+// their newest version inline, and a kv.Table finds a prefix's entry — so a
+// block with one version costs no heap object and no pointer. Only a block
+// whose superseded versions await reclamation has a slice, in older. verDir
+// does no locking; mvccState's mutex guards it.
 type verDir struct {
 	seed  maphash.Seed
 	table kv.Table
@@ -55,21 +58,23 @@ func (d *verDir) find(prefix []byte, tag uint32) (slot int, id int32, ok bool) {
 	}
 }
 
-// winner returns the newest version of the block visible at seq.
-func (d *verDir) winner(prefix []byte, seq uint64) (verEntry, bool) {
+// winner returns the newest version of the block visible at seq: listed
+// reports whether the directory lists the block at all, visible whether one
+// of its versions is at or below seq.
+func (d *verDir) winner(prefix []byte, seq uint64) (e verEntry, listed, visible bool) {
 	_, id, ok := d.find(prefix, d.tag(prefix))
 	if !ok {
-		return verEntry{}, false
+		return verEntry{}, false, false
 	}
 	if e := d.ents[id].newest; e.ver <= seq {
-		return e, true
+		return e, true, true
 	}
 	for _, e := range d.older[id] {
 		if e.ver <= seq {
-			return e, true
+			return e, true, true
 		}
 	}
-	return verEntry{}, false
+	return verEntry{}, true, false
 }
 
 // head returns the block's newest version and its number of versions (0
@@ -143,13 +148,20 @@ func (d *verDir) drop(prefix []byte, ver uint64) bool {
 	return true
 }
 
-// count returns the number of versions the directory holds.
-func (d *verDir) count() int {
-	n := len(d.ents) - len(d.free)
+// entries returns the number of blocks the directory lists.
+func (d *verDir) entries() int { return len(d.ents) - len(d.free) }
+
+// bytes returns the memory the directory holds: live, what its entries use
+// — their prefixes in the slab, their slots in the entry array, their older
+// versions — and the table; dead, the slab's dead bytes and the free slots
+// of the entry array.
+func (d *verDir) bytes() (live, dead int64) {
+	const entSize, verSize = int64(unsafe.Sizeof(dirEntry{})), int64(unsafe.Sizeof(verEntry{}))
+	live = int64(len(d.keys)-d.dead) + int64(d.entries())*entSize + int64(d.table.Bytes())
 	for _, older := range d.older {
-		n += len(older)
+		live += int64(len(older)) * verSize
 	}
-	return n
+	return live, int64(d.dead) + int64(len(d.free))*entSize
 }
 
 // compact copies the live entries' prefixes into a fresh slab.
@@ -165,4 +177,49 @@ func (d *verDir) compact() {
 		e.off = int32(off)
 	}
 	d.keys, d.dead = keys, 0
+}
+
+// loadFilter is a Bloom filter over the hashes of the blocks an instance's
+// load wrote in one segment, filterBits bits and filterProbes probes per
+// block: it never rules out a loaded block, and rules in about one block in
+// 1 400 that the load did not write.
+type loadFilter struct{ bits []uint64 }
+
+const (
+	filterBits   = 16
+	filterProbes = 7
+)
+
+func newLoadFilter(hashes []uint64) loadFilter {
+	if len(hashes) == 0 {
+		return loadFilter{}
+	}
+	f := loadFilter{bits: make([]uint64, (len(hashes)*filterBits+63)/64)}
+	for _, h := range hashes {
+		for i := range filterProbes {
+			w, bit := f.at(h, i)
+			f.bits[w] |= bit
+		}
+	}
+	return f
+}
+
+// has reports whether the block hashed to h may be one the load wrote.
+func (f loadFilter) has(h uint64) bool {
+	if len(f.bits) == 0 {
+		return false
+	}
+	for i := range filterProbes {
+		if w, bit := f.at(h, i); f.bits[w]&bit == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// at returns the word and bit of probe i of hash h: double hashing, scaled
+// onto the filter's bits by a multiply.
+func (f loadFilter) at(h uint64, i int) (int, uint64) {
+	n, _ := bits.Mul64(h+uint64(i)*(bits.RotateLeft64(h, 32)|1), uint64(len(f.bits))*64)
+	return int(n / 64), 1 << (n % 64)
 }

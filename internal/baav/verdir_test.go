@@ -113,8 +113,9 @@ func FuzzVersionDirectory(f *testing.F) {
 						break
 					}
 				}
-				if got, ok := d.winner(p, at); got != want || ok != wantOK {
-					t.Fatalf("step %d: winner(%q, %d) = %v, %v; want %v, %v", step, p, at, got, ok, want, wantOK)
+				_, wantListed := model[string(p)]
+				if got, listed, ok := d.winner(p, at); got != want || ok != wantOK || listed != wantListed {
+					t.Fatalf("step %d: winner(%q, %d) = %v, %v, %v; want %v, %v, %v", step, p, at, got, listed, ok, want, wantListed, wantOK)
 				}
 			case 15:
 				d.compact()

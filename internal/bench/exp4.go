@@ -114,25 +114,23 @@ func measureThroughput(env *Env, cfg Config, nReads, nWrites int) ([]Throughput,
 		readBaav := tpms(sys.Profile, sys.Baav.Cluster.Metrics().Sub(before), env.Nodes, values)
 
 		// BaaV writes: a single put(k, v) whose key already exists is a
-		// read-modify-write of one block (the paper's write workload has
-		// single-put semantics; full multi-schema maintenance is measured
-		// by the maintenance tests, not here).
+		// read-modify-write of one block — one get, one put (the paper's
+		// write workload has single-put semantics; full multi-schema
+		// maintenance is measured by the maintenance tests, not here).
 		before = sys.Baav.Cluster.Metrics()
 		schemaT := env.Workload.Schema.ByName("test_by_vehicle")
 		relT := env.Workload.DB.Schema("TEST")
 		keyPos, _ := relT.Positions(schemaT.Key)
 		valPos, _ := relT.Positions(schemaT.Val)
 		for _, t := range fresh {
-			key := t.Project(keyPos)
-			blk, _, _, err := sys.Baav.GetBlock("test_by_vehicle", key)
+			err := sys.Baav.UpdateBlock("test_by_vehicle", t.Project(keyPos), func(blk *baav.Block) *baav.Block {
+				if blk == nil {
+					blk = &baav.Block{}
+				}
+				blk.Add(t.Project(valPos), true)
+				return blk
+			})
 			if err != nil {
-				return nil, err
-			}
-			if blk == nil {
-				blk = &baav.Block{}
-			}
-			blk.Add(t.Project(valPos), true)
-			if err := sys.Baav.PutBlock("test_by_vehicle", key, blk); err != nil {
 				return nil, err
 			}
 		}

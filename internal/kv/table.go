@@ -57,6 +57,9 @@ func (t *Table) Add(slot int, tag uint32, id int32) {
 // Len returns the number of entries.
 func (t *Table) Len() int { return t.n }
 
+// Bytes returns the size of the table's slots.
+func (t *Table) Bytes() int { return 8 * len(t.slots) }
+
 // empty returns the first empty slot of tag's probe sequence.
 func (t *Table) empty(tag uint32) int {
 	mask := len(t.slots) - 1

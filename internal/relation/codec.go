@@ -257,21 +257,6 @@ func SkipTuple(b []byte, n int) (int, error) {
 	return off, nil
 }
 
-// DecodeAll decodes values until b is exhausted.
-func DecodeAll(b []byte) (Tuple, error) {
-	var t Tuple
-	off := 0
-	for off < len(b) {
-		v, k, err := DecodeValue(b[off:])
-		if err != nil {
-			return nil, err
-		}
-		t = append(t, v)
-		off += k
-	}
-	return t, nil
-}
-
 // KeyString encodes a tuple and returns it as a string, convenient as a Go
 // map key for hashing keyed blocks and intermediate results.
 func KeyString(t Tuple) string { return string(EncodeTuple(t)) }

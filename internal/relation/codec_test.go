@@ -181,17 +181,6 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 }
 
-func TestDecodeAll(t *testing.T) {
-	tup := Tuple{Int(1), String("x"), Float(2.5), Null()}
-	got, err := DecodeAll(EncodeTuple(tup))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(tup) {
-		t.Fatalf("got %v want %v", got, tup)
-	}
-}
-
 func TestKeyString(t *testing.T) {
 	a := Tuple{Int(1), String("x")}
 	b := Tuple{Int(1), String("x")}

@@ -114,10 +114,21 @@ func newServerObs(s *Server, cfg Config) *serverObs {
 			return out
 		})
 	r.RegisterFunc("zidian_mvcc_versions_live",
-		"Block versions currently held in the version directory.", "gauge", "",
+		"Block versions currently materialized.", "gauge", "",
 		func() []obs.Sample {
 			live, _ := s.inst.MVCCVersions()
 			return []obs.Sample{{Value: float64(live)}}
+		})
+	r.RegisterFunc("zidian_mvcc_directory_entries",
+		"Blocks the MVCC version directories list: those commits wrote, not the blocks as loaded.", "gauge", "",
+		func() []obs.Sample {
+			return []obs.Sample{{Value: float64(s.inst.MVCCDirectory().Entries)}}
+		})
+	r.RegisterFunc("zidian_mvcc_directory_bytes",
+		"Memory of the MVCC version directories (prefix slab, entries, table): live, or dead until reuse or compaction.", "gauge", "kind",
+		func() []obs.Sample {
+			d := s.inst.MVCCDirectory()
+			return []obs.Sample{{Label: "dead", Value: float64(d.DeadBytes)}, {Label: "live", Value: float64(d.LiveBytes)}}
 		})
 	r.RegisterFunc("zidian_mvcc_versions_reclaimed_total",
 		"Retired block versions physically reclaimed since open.", "counter", "",

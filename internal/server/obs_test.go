@@ -103,6 +103,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v := metricValue(t, text, `zidian_kv_ops_total{op="get"}`); v == 0 {
 		t.Fatal("kv get counter is zero after point lookups")
 	}
+	// The insert's fresh blocks are the only ones the version directory
+	// lists: every loaded block is as loaded.
+	if v := metricValue(t, text, `zidian_mvcc_directory_entries`); v < 1 || v > 10 {
+		t.Fatalf("directory entries = %g after one insert, want its few blocks", v)
+	}
+	if v := metricValue(t, text, `zidian_mvcc_directory_bytes{kind="live"}`); v == 0 {
+		t.Fatal("directory live bytes are zero beside listed entries")
+	}
+	if v := metricValue(t, text, `zidian_mvcc_versions_live`); v < 100 {
+		t.Fatalf("versions live = %g, want every loaded block", v)
+	}
 	if v := metricValue(t, text, `zidian_query_duration_seconds_count{verb="select"}`); v < 5 {
 		t.Fatalf("latency histogram count = %g, want >= 5", v)
 	}

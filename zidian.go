@@ -229,6 +229,10 @@ func (in *Instance) MVCCVersions() (live, reclaimed int64) {
 	return in.store.VersionsLive(), in.store.VersionsReclaimed()
 }
 
+// MVCCDirectory reports the size of the version directories: they list
+// the block versions commits wrote, not the blocks as loaded.
+func (in *Instance) MVCCDirectory() baav.DirectoryStats { return in.store.Directory() }
+
 // MVCCSwept reports the block versions reclaimed by the background sweep —
 // a subset of the reclaimed total, counting only what SweepMVCC dropped on
 // relations between commits.

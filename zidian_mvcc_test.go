@@ -1,6 +1,7 @@
 package zidian
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"zidian/internal/baav"
 	"zidian/internal/obs"
 	"zidian/internal/ra"
+	"zidian/internal/workload"
 )
 
 // The MVCC differential suite: concurrent readers must observe exactly the
@@ -417,5 +419,50 @@ func TestPostingsExactAtPin(t *testing.T) {
 		snap.Release()
 		inst.SweepMVCC()
 		check("swept", inst.Store(), rel.Tuples)
+	}
+}
+
+// TestOpenListsNoLoadedBlocks: a block as loaded needs no version-directory
+// entry. After Open of MOT at scale 20 and the three CREATE INDEX of the
+// index_scan workload, the directory lists no block, while every loaded
+// block and posting fragment is one materialized version — one segment-0
+// pair each. A commit lists what it wrote that outlives reclamation.
+func TestOpenListsNoLoadedBlocks(t *testing.T) {
+	w := workload.MOT(workload.Spec{Scale: 20, Seed: 1})
+	in, err := Open(w.DB, w.Schema, Options{Engine: "hash", Nodes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ddl := range []string{
+		"create index ix_obs_road on OBSERVATION(road_id)",
+		"create index ix_vehicle_year on VEHICLE(year)",
+		"create index ix_obs_speed on OBSERVATION(speed)",
+	} {
+		if _, err := in.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := in.Store()
+	if d := st.Directory(); d.Entries != 0 || d.LiveBytes != 0 {
+		t.Fatalf("directory after load: %+v, want no entries", d)
+	}
+	var seg0 int64
+	st.Cluster.Scan(nil, func(k, _ []byte) bool {
+		if binary.BigEndian.Uint32(k[len(k)-12:]) == 0 {
+			seg0++
+		}
+		return true
+	})
+	if live, _ := in.MVCCVersions(); live != seg0 || live == 0 {
+		t.Fatalf("%d versions live, %d stored", live, seg0)
+	}
+	if _, err := in.Exec("delete from VEHICLE where vehicle_id = 7"); err != nil {
+		t.Fatal(err)
+	}
+	// The rewritten vehicle_by_make_model block and ix_vehicle_year
+	// fragment stay listed; vehicle 7's vehicle_full block is gone, and with
+	// nothing pinned so is its entry.
+	if d := st.Directory(); d.Entries != 2 {
+		t.Fatalf("directory after one delete: %+v, want 2 entries", d)
 	}
 }

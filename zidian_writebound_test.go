@@ -1,6 +1,7 @@
 package zidian
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -19,11 +20,14 @@ import (
 // bytes compare as well as the counts.
 //
 // The bound holds for an indexed relation too: an OBSERVATION INSERT and
-// its pk DELETE under ix_obs_speed, at MOT scales 2 and 20, with nothing
-// pinned, so each commit reclaims its own posting shrink. A statement's
-// posting traffic — its traced bytes minus those of the same statement on
-// another fresh id before CREATE INDEX — reads and writes one fragment: at
-// most M encoded keys, plus the fragment's pair key when written.
+// its pk DELETE under ix_obs_speed, at MOT scales 2 and 20, once M+1 more
+// inserts have grown the speed's posting list past M keys above every
+// loaded id, where the INSERT lands. A statement's posting traffic — its
+// traced bytes minus those of the same statement on another fresh id
+// before CREATE INDEX — reads one fragment and writes one: a header and at
+// most M keys in the compact codec, plus the fragment's pair key when
+// written (a delete of the superseded version writes no bytes). A commit
+// that did not split a fragment grown past M would read and write more.
 func TestWriteCostIndependentOfSize(t *testing.T) {
 	stmts := []string{
 		"insert into TEST values (9000001, 900001, 1, '2011-06-01', 'PASS', 1000, 'CLASS-4', 45.0, 35, 0, 0, 0, 7, 'MI')",
@@ -55,9 +59,14 @@ func TestWriteCostIndependentOfSize(t *testing.T) {
 			fmt.Sprintf("delete from OBSERVATION where obs_id = %d", id),
 		}
 	}
-	keyBytes := int64(len(relation.EncodeTuple(Tuple{Int(9000001)})))
-	readBound := index.M * keyBytes
-	writeBound := readBound + 4 + 2*keyBytes // index prefix, speed, fence
+	const growID = 9000010 // the rows that grow the posting list: above 9000002
+	// A fragment's one segment: the segment count, the block's flags and
+	// key count, and the keys, none longer than the largest id posted.
+	keyBytes := int64(len(relation.AppendCompactValue(nil, Int(growID+index.M))))
+	readBound := 2 + int64(len(binary.AppendUvarint(nil, index.M))) + index.M*keyBytes
+	// Its pair key: the index id, the speed and the fence, order-preserving,
+	// then the segment and the version.
+	writeBound := readBound + 4 + int64(len(relation.EncodeTuple(Tuple{Int(55), Int(growID + index.M)}))) + 12
 	for _, scale := range []float64{2, 20} {
 		w := workload.MOT(workload.Spec{Scale: scale, Seed: 1})
 		inst, err := Open(w.DB, w.Schema, Options{})
@@ -77,6 +86,12 @@ func TestWriteCostIndependentOfSize(t *testing.T) {
 		}
 		if _, err := inst.Exec("create index ix_obs_speed on OBSERVATION(speed)"); err != nil {
 			t.Fatal(err)
+		}
+		for i := range index.M + 1 {
+			src := fmt.Sprintf("insert into OBSERVATION values (%d, 1, %d, '2011-06-01', 55, 'N', 1, 'DRY', 12, 'R-GROW', 9, 0, 2, 1, 'URBAN')", growID+i, 800000+i)
+			if _, err := inst.Exec(src); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for i, src := range obsStmts(9000002) {
 			kvs := run(src)
