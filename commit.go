@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"zidian/internal/obs"
+	"zidian/internal/relation"
 )
 
 // Per-relation group commit. Writers never apply their own maintenance:
@@ -17,16 +18,16 @@ import (
 // emulated storage round trips amortizes across the batch, and readers
 // (which pin snapshots instead of taking locks) never wait at all.
 
-// writeOp is one queued logical write: exactly one of insertRows,
-// deleteTuple, or deleteWhere is set.
+// writeOp is one queued logical write: insertRows for an insert, match
+// for a delete.
 type writeOp struct {
-	insertRows  []Tuple
-	deleteTuple *Tuple
-	deleteWhere func(Tuple) bool
-	// deleteProbe, when set alongside deleteWhere, marks the predicate as a
-	// key-equality conjunction: at most one tuple matches, so the committer
-	// probes for it and stops instead of scanning the whole relation.
-	deleteProbe *deleteProbe
+	insertRows []Tuple
+	// match selects the tuples a delete removes. unique stops the delete at
+	// the first match: Instance.Delete removes one copy of its tuple, and a
+	// key-equality WHERE matches at most one tuple, so the committer stops
+	// there instead of walking the rest of the relation.
+	match  func(Tuple) bool
+	unique bool
 
 	kvt      *obs.KV    // statement's kv sink; batch totals merge into it
 	trace    *obs.Trace // receives CommitWaitNanos, may be nil
@@ -37,6 +38,26 @@ type writeOp struct {
 type writeOutcome struct {
 	affected int
 	err      error
+}
+
+// victims hands visit, in order, the position in r.Tuples of each tuple op
+// deletes: the first match only when op is unique. A visit that removes
+// the tuple leaves the walk at the same position; an error ends it.
+func (op *writeOp) victims(r *relation.Relation, visit func(at int) error) error {
+	for at := 0; at < len(r.Tuples); {
+		if !op.match(r.Tuples[at]) {
+			at++
+			continue
+		}
+		n := len(r.Tuples)
+		if err := visit(at); err != nil || op.unique {
+			return err
+		}
+		if len(r.Tuples) == n {
+			at++
+		}
+	}
+	return nil
 }
 
 // committer serializes and batches writes to one relation.
@@ -110,30 +131,18 @@ func (co *committer) commit(batch []*writeOp) {
 	defer c.Close()
 
 	// Seed the commit's block cache: one batched read round per node for
-	// every block and posting fragment the batch can touch. deleteWhere
-	// tuples are evaluated against the current relation — a best-effort
-	// prefetch; staging re-reads lazily anything the loop below touches that
-	// isn't cached.
+	// every block and posting fragment the batch can touch. Deletes are
+	// matched against the current relation — a best-effort prefetch;
+	// staging re-reads lazily anything the loop below touches that isn't
+	// cached.
 	var pre []Tuple
 	for _, op := range batch {
 		pre = append(pre, op.insertRows...)
-		if op.deleteTuple != nil {
-			pre = append(pre, *op.deleteTuple)
-		}
-		switch {
-		case op.deleteProbe != nil:
-			for _, u := range r.Tuples {
-				if op.deleteProbe.match(u) {
-					pre = append(pre, u)
-					break
-				}
-			}
-		case op.deleteWhere != nil:
-			for _, u := range r.Tuples {
-				if op.deleteWhere(u) {
-					pre = append(pre, u)
-				}
-			}
+		if op.match != nil {
+			op.victims(r, func(at int) error {
+				pre = append(pre, r.Tuples[at])
+				return nil
+			})
 		}
 	}
 	if err := c.Prefetch(batchKV, pre); err != nil {
@@ -150,21 +159,27 @@ func (co *committer) commit(batch []*writeOp) {
 		}
 		fail(err)
 	}
-	stageDelete := func(at int) error {
-		t := r.Tuples[at]
-		if _, err := c.StageDelete(batchKV, t); err != nil {
-			return err
-		}
-		r.Tuples = append(r.Tuples[:at], r.Tuples[at+1:]...)
-		undos = append(undos, func() {
-			rest := append([]Tuple{t}, r.Tuples[at:]...)
-			r.Tuples = append(r.Tuples[:at], rest...)
-		})
-		return nil
-	}
 	affected := make([]int, len(batch))
 	for i, op := range batch {
 		switch {
+		case op.match != nil:
+			err := op.victims(r, func(at int) error {
+				t := r.Tuples[at]
+				if _, err := c.StageDelete(batchKV, t); err != nil {
+					return err
+				}
+				r.Tuples = append(r.Tuples[:at], r.Tuples[at+1:]...)
+				undos = append(undos, func() {
+					rest := append([]Tuple{t}, r.Tuples[at:]...)
+					r.Tuples = append(r.Tuples[:at], rest...)
+				})
+				affected[i]++
+				return nil
+			})
+			if err != nil {
+				abort(err)
+				return
+			}
 		case op.insertRows != nil:
 			for _, row := range op.insertRows {
 				if err := r.Insert(row); err != nil {
@@ -178,42 +193,6 @@ func (co *committer) commit(batch []*writeOp) {
 				}
 			}
 			affected[i] = len(op.insertRows)
-		case op.deleteTuple != nil:
-			for at, u := range r.Tuples {
-				if u.Equal(*op.deleteTuple) {
-					if err := stageDelete(at); err != nil {
-						abort(err)
-						return
-					}
-					affected[i] = 1
-					break
-				}
-			}
-		case op.deleteProbe != nil:
-			// Key equality: the declared key is unique, so the first match
-			// is the only match.
-			for at, u := range r.Tuples {
-				if op.deleteProbe.match(u) {
-					if err := stageDelete(at); err != nil {
-						abort(err)
-						return
-					}
-					affected[i] = 1
-					break
-				}
-			}
-		case op.deleteWhere != nil:
-			for at := 0; at < len(r.Tuples); {
-				if !op.deleteWhere(r.Tuples[at]) {
-					at++
-					continue
-				}
-				if err := stageDelete(at); err != nil {
-					abort(err)
-					return
-				}
-				affected[i]++
-			}
 		}
 	}
 

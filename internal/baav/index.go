@@ -9,11 +9,50 @@ import (
 	"sort"
 	"sync"
 
-	"zidian/internal/index"
 	"zidian/internal/kv"
 	"zidian/internal/obs"
 	"zidian/internal/relation"
 )
+
+// Secondary indexes are KV schemas of the store.
+//
+// A secondary index on rel(attr) maps every value of a non-key attribute to
+// the set of block keys — the source relation's primary-key tuples K — of
+// the tuples carrying that value. In the paper's terms it is the KV schema
+// R⟨A, K⟩: the block under a value a is its posting list. Postings are
+// blocks of the store like any other, so one commit stages a write's block
+// and posting edits together, one version directory versions them, and one
+// watermark reclaims them. A pinned reader's lookup or range walk is exact
+// at its sequence, and an index lookup keeps the paper's round-trip
+// economics: one batched round of gets fetches the posting, then one get per
+// posted block key fetches exactly the blocks the query needs.
+//
+// Physical layout. A posting list is cut into fragments of at most M block
+// keys, each an ordinary block of the KV schema R⟨(A, fence), K⟩: its key is
+// the value and the fragment's fence, its block the sorted keys it owns.
+// The first fragment's fence is K's width of NULLs, which sorts below every
+// key; each later one's is the first key it was cut at. Index ids set the
+// top bit of the 4-byte id word, so posting blocks never share a prefix with
+// a BaaV instance's, and like every block a fragment's segment key carries
+// its segment and version:
+//
+//	[0x80000000|id] enc(v) enc(NULL…)  seg ^ver  ->  pk1 .. pk120
+//	[0x80000000|id] enc(v) enc(pk121)  seg ^ver  ->  pk121 .. pk240
+//	[0x80000000|id] enc(v) enc(pk241)  seg ^ver  ->  pk241 .. pk310
+//
+// Fragments are encoded in the compact block codec as one segment with no
+// statistics header. Every fragment of a value is routed by the value's
+// prefix, so a lookup reads them all from one node in one round. The store
+// keeps a directory of each value's fences and lengths, so an indexed write
+// reads and rewrites only the fragment that owns its block key — O(M)
+// posting bytes whatever the list's length — and a commit that grows a
+// fragment past M splits it into even pieces. A drained fragment is a
+// tombstone until reclamation drops it. Range predicates walk the index's
+// blocks in key order, which is (value, fence, version) order.
+
+// M is the most block keys one posting fragment holds: 0.5–0.8 KB of
+// integer keys in the compact codec.
+const M = 128
 
 // SecondaryIndex resolves block-aware secondary-index lookups at plan
 // execution time. Indexes implements it over the store's own posting
@@ -52,11 +91,11 @@ type SecondaryIndex interface {
 const idxSpace = uint32(1) << 31
 
 // postingOpts encode posting fragments: one segment (a fragment holds at
-// most index.M block keys), no statistics header, no multiplicities.
-var postingOpts = Options{SegmentThreshold: index.M}
+// most M block keys), no statistics header, no multiplicities.
+var postingOpts = Options{SegmentThreshold: M}
 
 // posting is one secondary index on rel(attr): the KV schema
-// R⟨(attr, fence), K⟩ its postings are stored under (see package index),
+// R⟨(attr, fence), K⟩ its postings are stored under (see the layout above),
 // and the directory of their fragments.
 type posting struct {
 	// kv names the index's version directory (a name no KV schema can
@@ -256,7 +295,7 @@ func route(prefix []byte) []byte {
 // length, as [start, end) bounds: one fragment up to M keys, halves up to
 // 2M.
 func pieces(n int) [][2]int {
-	k := (n + index.M - 1) / index.M
+	k := (n + M - 1) / M
 	out := make([][2]int, k)
 	for j := range out {
 		out[j] = [2]int{j * n / k, (j + 1) * n / k}
@@ -588,37 +627,45 @@ func (x Indexes) RangeLimitT(t *obs.Trace, name string, lo, hi *relation.Value, 
 	return vals, keys, scanned, nil
 }
 
-// versionWalk picks, from an ordered walk over a one-segment instance's
-// physical keys, the version of each block that wins at a sequence: a
-// block's versions arrive together, newest first.
+// versionWalk picks, from an ordered walk over an instance's physical
+// keys, the version of each block that wins at a sequence. A block's keys
+// arrive together in (segment, newest-version-first) order, so the first
+// segment-0 key at or below the sequence is the winning version, and its
+// later segments are the keys of the same version.
 type versionWalk struct {
 	block []byte
-	done  bool
+	ver   uint64
+	found bool
 }
 
-// wins reports whether k is the winning version of its block at seq.
+// in reports whether k, a block prefix followed by its segment and
+// inverted version, is a key of the block the walk is in.
+func (w *versionWalk) in(k []byte) bool { return bytes.Equal(k[:len(k)-12], w.block) }
+
+// wins moves the walk to k and reports whether k is a segment of its
+// block's winning version at seq.
 func (w *versionWalk) wins(k []byte, seq uint64) bool {
-	if block := k[:len(k)-12]; !bytes.Equal(block, w.block) {
-		w.block, w.done = append(w.block[:0], block...), false
+	if !w.in(k) {
+		w.block, w.found = append(w.block[:0], k[:len(k)-12]...), false
 	}
-	if w.done || ^binary.BigEndian.Uint64(k[len(k)-8:]) > seq {
-		return false
+	ver := ^binary.BigEndian.Uint64(k[len(k)-8:])
+	if binary.BigEndian.Uint32(k[len(k)-12:]) != 0 {
+		return w.found && ver == w.ver
 	}
-	w.done = true
+	if w.found || ver > seq {
+		return false // older than the winner, or not yet visible
+	}
+	w.found, w.ver = true, ver
 	return true
 }
 
 // decodePosting decodes a posting fragment's one segment; nil for a
 // tombstone.
 func decodePosting(v []byte, width int) (*Block, error) {
-	segs := [][]byte{v}
 	if nsegs, k := binary.Uvarint(v); k > 0 && nsegs == 0 {
 		return nil, nil
 	}
-	if err := stripSegHeader(segs); err != nil {
-		return nil, err
-	}
-	blk, _, _, err := decodeBlock(segs[0], width, nil, false)
+	blk, _, _, err := assembleSegs([][]byte{v}, width, nil, false)
 	return blk, err
 }
 
@@ -659,18 +706,8 @@ func (x Indexes) Stats(name string) (IndexStats, bool) {
 	return IndexStats{}, false
 }
 
-// AvgPostings estimates the posting-list length of one lookup against the
-// named index — the planner's analogue of a block-degree statistic.
-func (x Indexes) AvgPostings(name string) int {
-	s, _ := x.Stats(name)
-	if s.Entries == 0 {
-		return 1
-	}
-	return max(s.Postings/s.Entries, 1)
-}
-
 // Shape returns the entry and posting counts of the named index — the
-// planner's statistics for range-selectivity estimates. It implements
+// planner's statistics for its index-vs-scan decision. It implements
 // core.IndexCatalog.
 func (x Indexes) Shape(name string) (entries, postings int) {
 	s, _ := x.Stats(name)

@@ -1,4 +1,4 @@
-package index_test
+package baav_test
 
 import (
 	"fmt"

@@ -1,4 +1,4 @@
-package index_test
+package baav_test
 
 import (
 	"math/rand"
@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"zidian/internal/baav"
-	"zidian/internal/index"
 	"zidian/internal/kv"
 	"zidian/internal/relation"
 )
@@ -134,7 +133,7 @@ func FuzzPostings(f *testing.F) {
 				loIncl bool
 				from   int
 				limits []int
-			}{{true, 0, []int{-1, 5, index.M + 3}}, {false, 1, []int{-1}}} {
+			}{{true, 0, []int{-1, 5, baav.M + 3}}, {false, 1, []int{-1}}} {
 				var wantQs, want []int64
 				for q := w.from; q < vals; q++ {
 					for _, id := range lists[q] {
@@ -188,7 +187,7 @@ func FuzzPostings(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(blk.Tuples) > index.M {
+				if len(blk.Tuples) > baav.M {
 					t.Fatalf("step %d: a fragment holds %d keys", step, len(blk.Tuples))
 				}
 			}

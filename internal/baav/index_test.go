@@ -1,4 +1,4 @@
-package index_test
+package baav_test
 
 import (
 	"fmt"
@@ -135,8 +135,8 @@ func TestCreateBackfillLookup(t *testing.T) {
 	if s := stats(t, st, "ix_sku"); s.Entries != 10 || s.Postings != 40 || s.MaxPosting != 4 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if st.Indexes().AvgPostings("ix_sku") != 4 {
-		t.Fatalf("avg postings = %d", st.Indexes().AvgPostings("ix_sku"))
+	if entries, postings := st.Indexes().Shape("ix_sku"); entries != 10 || postings != 40 {
+		t.Fatalf("shape = %d entries, %d postings", entries, postings)
 	}
 }
 
@@ -440,14 +440,14 @@ func TestMaxPostingDecay(t *testing.T) {
 	}
 }
 
-// TestReadFormsAgree holds the one-implementation posting reads across
+// TestPostingReadFormsAgree holds the one-implementation posting reads across
 // engines and node counts: Lookup answers what LookupManyT answers at the
 // same index of a batch — present and missing postings alike — for the same
 // gets; Range is RangeLimitT unbounded; a limited walk is a prefix of it
 // whose scan cost one node's stream bounds exactly as four nodes' do; and
 // every form's traced kv totals equal the cluster metrics delta, with one
 // posting read per decoded list.
-func TestReadFormsAgree(t *testing.T) {
+func TestPostingReadFormsAgree(t *testing.T) {
 	for _, kind := range []kv.EngineKind{kv.EngineHash, kv.EngineLSM, kv.EngineSorted} {
 		for _, nodes := range []int{1, 4} {
 			st := itemStore(t, kind, nodes)

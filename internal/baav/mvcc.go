@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"zidian/internal/index"
 	"zidian/internal/kv"
 	"zidian/internal/obs"
 	"zidian/internal/relation"
@@ -774,7 +773,7 @@ func (c *Commit) splitFragments() {
 	var grown []*stagedEdit
 	for _, p := range c.posts {
 		for _, e := range c.staged[p.kv.Name] {
-			if e.dirty && len(e.blk.Tuples) > index.M {
+			if e.dirty && len(e.blk.Tuples) > M {
 				grown = append(grown, e)
 			}
 		}

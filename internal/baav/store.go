@@ -605,10 +605,8 @@ func (st *Store) ScanStatsT(kvt *obs.KV, name string, fn func(h *HeaderBlock) bo
 // visit, block by block, the encoded block key and the segment payloads of
 // the version that wins at this view's snapshot sequence (segs[0] still
 // carries the segment-count header; the key and the slice are reused
-// between calls), along with the instance's key and value widths. The
-// physical key order within one block is (segment, newest-version-first),
-// so the first segment-0 key at or below the snapshot sequence is the
-// block's winning version; segments of any other version, and versions
+// between calls), along with the instance's key and value widths.
+// versionWalk picks the winner; segments of any other version, and versions
 // newer than the snapshot (including in-flight uninstalled commits), are
 // skipped. A winning tombstone yields nothing — the block is deleted at this
 // snapshot. visit returning false stops the scan at the block boundary.
@@ -622,9 +620,7 @@ func (st *Store) scanWinners(name string, scan func(prefix []byte, visit func(k,
 	keyWidth := len(kvSchema.Key)
 	seqLimit := st.snapSeqFor(kvSchema.Rel)
 
-	var curPrefix []byte // block whose versions are being resolved
-	var winnerVer uint64
-	haveWinner := false
+	var w versionWalk
 	var segs [][]byte
 	var scanErr error
 
@@ -632,7 +628,7 @@ func (st *Store) scanWinners(name string, scan func(prefix []byte, visit func(k,
 		if len(segs) == 0 {
 			return true
 		}
-		ok, err := visit(keyWidth, width, curPrefix[4:], segs)
+		ok, err := visit(keyWidth, width, w.block[4:], segs)
 		segs = segs[:0]
 		scanErr = err
 		return ok && err == nil
@@ -648,36 +644,29 @@ func (st *Store) scanWinners(name string, scan func(prefix []byte, visit func(k,
 			scanErr = errCorruptBlock
 			return false
 		}
-		prefixLen := 4 + n
-		seg := binary.BigEndian.Uint32(k[prefixLen:])
-		ver := ^binary.BigEndian.Uint64(k[prefixLen+4:])
-		if !bytes.Equal(curPrefix, k[:prefixLen]) {
-			if !flush() {
-				return false
-			}
-			curPrefix = append(curPrefix[:0], k[:prefixLen]...)
-			haveWinner = false
+		// A new block completes the one in segs; visit reads its key from
+		// the walk, so flush before the walk moves.
+		if k = k[:4+n+12]; !w.in(k) && !flush() {
+			return false
 		}
-		if seg == 0 {
-			if haveWinner || ver > seqLimit {
-				return true // older than the winner, or not yet visible
-			}
-			haveWinner = true
-			winnerVer = ver
-			nsegs, hk := binary.Uvarint(v)
-			if hk <= 0 {
-				scanErr = errCorruptBlock
-				return false
-			}
-			if nsegs == 0 {
-				return true // tombstone: deleted at this snapshot
-			}
-			segs = append(segs, v)
+		if !w.wins(k, seqLimit) {
 			return true
 		}
-		if haveWinner && ver == winnerVer && len(segs) > 0 {
-			segs = append(segs, v)
+		if binary.BigEndian.Uint32(k[4+n:]) != 0 {
+			if len(segs) > 0 {
+				segs = append(segs, v) // a later segment of the winner
+			}
+			return true
 		}
+		nsegs, hk := binary.Uvarint(v)
+		if hk <= 0 {
+			scanErr = errCorruptBlock
+			return false
+		}
+		if nsegs == 0 {
+			return true // tombstone: deleted at this snapshot
+		}
+		segs = append(segs, v)
 		return true
 	})
 	if scanErr == nil {

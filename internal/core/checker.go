@@ -36,12 +36,9 @@ type IndexCatalog interface {
 	// IndexOn returns, for an index on rel(attr), the index name and the
 	// block-key attributes its postings hold (the relation's primary key).
 	IndexOn(rel, attr string) (name string, key []string, ok bool)
-	// AvgPostings estimates the posting-list length of one lookup — the
-	// cost statistic for the index-vs-scan decision.
-	AvgPostings(name string) int
 	// Shape returns the index's distinct-entry and total-posting counts —
-	// the statistics behind the range-vs-scan decision (range fraction ×
-	// average posting).
+	// the statistics behind the index-vs-scan decision (posting lists read
+	// × average posting).
 	Shape(name string) (entries, postings int)
 	// ValueBounds returns the smallest and largest value the index
 	// currently holds (ok false when unknown or empty). The planner uses

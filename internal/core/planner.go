@@ -184,11 +184,11 @@ type planner struct {
 	atomFrag map[string]*frag
 	// applied guards against re-applying the same (atom, schema) extend.
 	applied map[string]bool
-	// indexed marks atoms already seeded by an IndexLookup, so the access
+	// indexed marks atoms already seeded by an index leaf, so the access
 	// path is tried at most once per atom.
 	indexed map[string]bool
 
-	// rangeNode is the IndexRange leaf applyRange seeded (at most one per
+	// rangeNode is the IndexRange leaf applyIndex seeded (at most one per
 	// plan: only single-atom plans push limits), with the alias/attribute
 	// it ranges over; rangeExact reports that the walk's fences enforce
 	// exactly the query's recognized range conjuncts, so the residual
@@ -602,7 +602,7 @@ func (p *planner) coverAtoms() error {
 	for !allCovered() {
 		// Full-cover anchors first (the single-step chase of Example 7),
 		// then partial pk-refining anchors, then merges, then index
-		// lookups, then scans.
+		// lookups and range walks, then scans.
 		if p.applyAnchor(covered, true) || p.applyAnchor(covered, false) {
 			continue
 		}
@@ -612,9 +612,6 @@ func (p *planner) coverAtoms() error {
 		if p.applyIndex(covered) {
 			continue
 		}
-		if p.applyRange(covered) {
-			continue
-		}
 		if err := p.applyScan(covered); err != nil {
 			return err
 		}
@@ -622,87 +619,123 @@ func (p *planner) coverAtoms() error {
 	return nil
 }
 
-// applyIndex is the third access path: when a not-yet-fetched atom has a
-// constant-pinned non-key attribute covered by a secondary index, seed a
-// fragment with an IndexLookup of the constant's postings — the block keys
-// of the matching tuples — so the ordinary anchor step then fetches exactly
+// applyIndex is the secondary-index access path: when a not-yet-fetched
+// atom has a used attribute covered by a secondary index and pinned by the
+// query, seed a fragment with an index leaf that yields the block keys of
+// exactly the matching tuples — an IndexLookup of the constants' postings
+// for an equality pin, an IndexRange walk over the value-ordered posting
+// key space for range conjuncts — so the ordinary anchor step then fetches
 // those blocks through the primary-key KV schema instead of scanning the
-// instance. The index is taken only when a full-covering pk-keyed schema
-// exists for the subsequent ∝ and the posting estimate beats the scan under
-// the same 4× get-vs-scan-step ratio extendBeatsScan uses.
+// instance. The equality pass runs over every atom before the range pass,
+// and an equality-pinned attribute belongs to the lookup. A leaf is taken
+// only when a full-covering pk-keyed schema exists for the subsequent ∝ and
+// indexBeatsScan favours it. Values and bounds may be parameter slots, so
+// an `= ?` or `BETWEEN ? AND ?` template fixes the access path once and
+// binds per execution.
 func (p *planner) applyIndex(covered func(string) bool) bool {
 	if p.c.Indexes == nil {
 		return false
 	}
 	vals, ok := p.seedValues()
-	if !ok || len(vals) == 0 {
-		return false
+	if !ok {
+		return false // statically empty seed; run() bails out earlier
 	}
-	for _, atom := range p.q.Atoms {
-		if covered(atom.Alias) || p.atomFrag[atom.Alias] != nil || p.indexed[atom.Alias] {
-			continue
+	for _, ranged := range [2]bool{false, true} {
+		if !ranged && len(vals) == 0 {
+			continue // nothing pinned to look up
 		}
-		used := p.q.AttrsUsed(atom.Alias)
-		for _, attr := range used {
-			root := p.eq.Find(ra.ColRef{Alias: atom.Alias, Attr: attr})
-			vs := vals[root]
-			if len(vs) == 0 {
+		for _, atom := range p.q.Atoms {
+			if covered(atom.Alias) || p.atomFrag[atom.Alias] != nil || p.indexed[atom.Alias] {
 				continue
 			}
-			name, key, ok := p.c.Indexes.IndexOn(atom.Rel, attr)
-			if !ok {
-				continue
-			}
-			// The lookup only pays off if a KV schema keyed exactly by the
-			// posted block keys covers the atom, so one ∝ completes it.
-			if !p.hasIndexAnchor(atom, key, used) {
-				continue
-			}
-			if !p.indexBeatsScan(atom, used, name, len(vs)) {
-				continue
-			}
-			valCol := "$idx." + atom.Alias + "." + attr
-			keyCols := make([]string, len(key))
-			for i, k := range key {
-				keyCols[i] = atom.Alias + "." + k
-			}
-			lookup := &kba.IndexLookup{
-				Index: name, Alias: atom.Alias,
-				ValAttr: valCol, KeyAttrs: keyCols,
-			}
-			// A lookup over parameter slots stays a template leaf; Bind
-			// resolves the probe values per execution.
-			template := false
-			for _, a := range vs {
-				if a.IsSlot {
-					template = true
-					break
+			used := p.q.AttrsUsed(atom.Alias)
+			for _, attr := range used {
+				root := p.eq.Find(ra.ColRef{Alias: atom.Alias, Attr: attr})
+				vs := vals[root]
+				var rawLo, rawHi, lo, hi *rangeBound
+				if ranged {
+					if len(vs) > 0 {
+						continue
+					}
+					rawLo, rawHi = p.rangeConjuncts(atom.Alias, attr)
+					kind := relation.KindNull
+					if rel, ok := p.c.Rels[atom.Rel]; ok {
+						if i := rel.Index(attr); i >= 0 {
+							kind = rel.Attrs[i].Kind
+						}
+					}
+					lo, hi = alignRangeBound(rawLo, kind, true), alignRangeBound(rawHi, kind, false)
+					if lo == nil && hi == nil {
+						continue
+					}
+				} else if len(vs) == 0 {
+					continue
 				}
-			}
-			if template {
-				lookup.Args = append([]kba.Arg{}, vs...)
-			} else {
-				for _, a := range vs {
-					lookup.Values = append(lookup.Values, a.Lit)
+				name, key, ok := p.c.Indexes.IndexOn(atom.Rel, attr)
+				// The leaf only pays off if a KV schema keyed exactly by the
+				// posted block keys covers the atom, so one ∝ completes it.
+				if !ok || !p.hasIndexAnchor(atom, key, used) {
+					continue
 				}
-			}
-			f := &frag{
-				plan:  lookup,
-				attrs: append([]string{valCol}, keyCols...),
-				cols:  make(map[ra.ColRef]string),
-			}
-			f.cols[root] = valCol
-			for i, k := range key {
-				kroot := p.eq.Find(ra.ColRef{Alias: atom.Alias, Attr: k})
-				if _, ok := f.cols[kroot]; !ok {
-					f.cols[kroot] = keyCols[i]
+				entries, postings := p.c.Indexes.Shape(name)
+				avg := 1
+				if entries > 0 {
+					avg = max(postings/entries, 1)
 				}
+				lists := len(vs)
+				if ranged {
+					lists = p.rangeLists(name, entries, lo, hi)
+				}
+				if !p.indexBeatsScan(atom, used, lists, avg) {
+					continue
+				}
+				leaf := kba.PostingLeaf{Index: name, Alias: atom.Alias,
+					ValAttr: "$idx." + atom.Alias + "." + attr, KeyAttrs: make([]string, len(key))}
+				for i, k := range key {
+					leaf.KeyAttrs[i] = atom.Alias + "." + k
+				}
+				f := &frag{
+					attrs:  append([]string{leaf.ValAttr}, leaf.KeyAttrs...),
+					cols:   map[ra.ColRef]string{root: leaf.ValAttr},
+					rowEst: lists * avg,
+				}
+				for i, k := range key {
+					kroot := p.eq.Find(ra.ColRef{Alias: atom.Alias, Attr: k})
+					if _, ok := f.cols[kroot]; !ok {
+						f.cols[kroot] = leaf.KeyAttrs[i]
+					}
+				}
+				if ranged {
+					node := &kba.IndexRange{PostingLeaf: leaf}
+					if lo != nil {
+						a := lo.arg
+						node.Lo, node.LoIncl = &a, lo.incl
+					}
+					if hi != nil {
+						a := hi.arg
+						node.Hi, node.HiIncl = &a, hi.incl
+					}
+					f.plan = node
+					p.ranges = append(p.ranges, name)
+					p.recordRange(node, atom.Alias, attr, rawLo, rawHi, lo, hi)
+				} else {
+					lookup := &kba.IndexLookup{PostingLeaf: leaf}
+					// A lookup over parameter slots stays a template leaf;
+					// Bind resolves the probe values per execution.
+					if slices.ContainsFunc(vs, func(a kba.Arg) bool { return a.IsSlot }) {
+						lookup.Args = append([]kba.Arg{}, vs...)
+					} else {
+						for _, a := range vs {
+							lookup.Values = append(lookup.Values, a.Lit)
+						}
+					}
+					f.plan = lookup
+					p.indexes = append(p.indexes, name)
+				}
+				p.frags = append(p.frags, f)
+				p.indexed[atom.Alias] = true
+				return true
 			}
-			f.rowEst = len(vs) * p.c.Indexes.AvgPostings(name)
-			p.frags = append(p.frags, f)
-			p.indexes = append(p.indexes, name)
-			p.indexed[atom.Alias] = true
-			return true
 		}
 	}
 	return false
@@ -735,11 +768,16 @@ func (p *planner) hasIndexAnchor(atom ra.Atom, key []string, used []string) bool
 	return false
 }
 
-// smallestCoveringBlocks returns the block count of the smallest KV
-// instance covering the atom's used attributes — the cheapest scan the
-// index and range paths must beat. Zero means no covering instance (or no
-// statistics for it).
-func (p *planner) smallestCoveringBlocks(atom ra.Atom, used []string) int {
+// indexBeatsScan compares an index path over lists posting lists of avg
+// block keys each — one posting read per list plus one block get per
+// posted key — against scanning the smallest KV instance covering the
+// atom's used attributes, with the same 4× ratio as extendBeatsScan.
+// Without statistics, or with nothing to scan, the index wins, matching the
+// chase's default preference for gets.
+func (p *planner) indexBeatsScan(atom ra.Atom, used []string, lists, avg int) bool {
+	if p.c.Stats == nil {
+		return true
+	}
 	blocks := 0
 	for _, s := range p.c.Schema.ForRelation(atom.Rel) {
 		if !attrsCover(s.Attrs(), used) {
@@ -749,23 +787,7 @@ func (p *planner) smallestCoveringBlocks(atom ra.Atom, used []string) int {
 			blocks = b
 		}
 	}
-	return blocks
-}
-
-// indexBeatsScan compares the index path (one posting get per constant plus
-// one block get per posted key) against scanning the smallest covering
-// instance, with the same 4× ratio as extendBeatsScan. Without statistics
-// the bounded lookup wins, matching the chase's default preference for gets.
-func (p *planner) indexBeatsScan(atom ra.Atom, used []string, name string, nVals int) bool {
-	if p.c.Stats == nil {
-		return true
-	}
-	blocks := p.smallestCoveringBlocks(atom, used)
-	if blocks <= 0 {
-		return true // nothing to scan: the index is the only access path
-	}
-	probes := nVals * (1 + p.c.Indexes.AvgPostings(name))
-	return blocks > 4*probes
+	return blocks <= 0 || blocks > 4*lists*(1+avg)
 }
 
 // rangeBound is one side of a recognized range predicate, as a bind-time
@@ -869,98 +891,6 @@ func alignRangeBound(b *rangeBound, kind relation.Kind, lower bool) *rangeBound 
 	return &rangeBound{arg: kba.LitArg(relation.Int(int64(fence))), incl: incl}
 }
 
-// applyRange is the fourth access path: when a not-yet-fetched atom has a
-// range predicate on an indexed non-key attribute, seed a fragment with an
-// IndexRange — one bounded ordered walk over the value-ordered posting key
-// space, yielding the block keys of exactly the matching tuples — so the
-// anchor step then fetches those blocks through the primary-key KV schema
-// instead of scanning the instance. Like applyIndex it requires a
-// full-covering pk-keyed anchor schema and a favourable cost estimate; the
-// range bounds may be literals or parameter slots, so a `BETWEEN ? AND ?`
-// template fixes the access path once and binds per execution.
-func (p *planner) applyRange(covered func(string) bool) bool {
-	if p.c.Indexes == nil {
-		return false
-	}
-	vals, ok := p.seedValues()
-	if !ok {
-		return false // statically empty seed; run() bails out earlier
-	}
-	for _, atom := range p.q.Atoms {
-		if covered(atom.Alias) || p.atomFrag[atom.Alias] != nil || p.indexed[atom.Alias] {
-			continue
-		}
-		used := p.q.AttrsUsed(atom.Alias)
-		for _, attr := range used {
-			root := p.eq.Find(ra.ColRef{Alias: atom.Alias, Attr: attr})
-			if len(vals[root]) > 0 {
-				continue // equality-pinned: the lookup path owns this attribute
-			}
-			lo, hi := p.rangeConjuncts(atom.Alias, attr)
-			if lo == nil && hi == nil {
-				continue
-			}
-			rawLo, rawHi := lo, hi
-			kind := relation.KindNull
-			if rel, ok := p.c.Rels[atom.Rel]; ok {
-				if i := rel.Index(attr); i >= 0 {
-					kind = rel.Attrs[i].Kind
-				}
-			}
-			lo, hi = alignRangeBound(lo, kind, true), alignRangeBound(hi, kind, false)
-			if lo == nil && hi == nil {
-				continue
-			}
-			name, key, ok := p.c.Indexes.IndexOn(atom.Rel, attr)
-			if !ok {
-				continue
-			}
-			if !p.hasIndexAnchor(atom, key, used) {
-				continue
-			}
-			if !p.rangeBeatsScan(atom, used, name, lo, hi) {
-				continue
-			}
-			valCol := "$idx." + atom.Alias + "." + attr
-			keyCols := make([]string, len(key))
-			for i, k := range key {
-				keyCols[i] = atom.Alias + "." + k
-			}
-			node := &kba.IndexRange{
-				Index: name, Alias: atom.Alias,
-				ValAttr: valCol, KeyAttrs: keyCols,
-			}
-			if lo != nil {
-				a := lo.arg
-				node.Lo, node.LoIncl = &a, lo.incl
-			}
-			if hi != nil {
-				a := hi.arg
-				node.Hi, node.HiIncl = &a, hi.incl
-			}
-			f := &frag{
-				plan:  node,
-				attrs: append([]string{valCol}, keyCols...),
-				cols:  make(map[ra.ColRef]string),
-			}
-			f.cols[root] = valCol
-			for i, k := range key {
-				kroot := p.eq.Find(ra.ColRef{Alias: atom.Alias, Attr: k})
-				if _, ok := f.cols[kroot]; !ok {
-					f.cols[kroot] = keyCols[i]
-				}
-			}
-			f.rowEst = p.rangeRowEst(name, lo, hi)
-			p.frags = append(p.frags, f)
-			p.ranges = append(p.ranges, name)
-			p.indexed[atom.Alias] = true
-			p.recordRange(node, atom.Alias, attr, rawLo, rawHi, lo, hi)
-			return true
-		}
-	}
-	return false
-}
-
 // Assumed matched fractions of the distinct-value space when the bounds'
 // positions within the domain are unknown — the fallback for parameter
 // slots (a `?` bound must plan identically to any literal: the template
@@ -1036,49 +966,13 @@ func (p *planner) rangeFrac(name string, lo, hi *rangeBound) float64 {
 	return (hiF - loF) / (maxF - minF)
 }
 
-// rangeMatched estimates how many posting lists a range matches.
-func (p *planner) rangeMatched(name string, lo, hi *rangeBound) (matched, avg int) {
-	entries, postings := p.c.Indexes.Shape(name)
+// rangeLists estimates how many of the index's entries — its posting
+// lists — a range matches.
+func (p *planner) rangeLists(name string, entries int, lo, hi *rangeBound) int {
 	if entries <= 0 {
-		return 0, 1
+		return 0
 	}
-	matched = int(math.Ceil(p.rangeFrac(name, lo, hi) * float64(entries)))
-	if matched > entries {
-		matched = entries
-	}
-	avg = postings / entries
-	if avg < 1 {
-		avg = 1
-	}
-	return matched, avg
-}
-
-// rangeRowEst bounds the fragment rows an IndexRange is expected to emit.
-func (p *planner) rangeRowEst(name string, lo, hi *rangeBound) int {
-	matched, avg := p.rangeMatched(name, lo, hi)
-	return matched * avg
-}
-
-// rangeBeatsScan compares the range path — frac × entries posting-list
-// steps on the ordered walk plus one block get per matched posting —
-// against scanning the smallest covering instance, under the same 4×
-// get-vs-scan-step ratio as extendBeatsScan and indexBeatsScan. Without
-// statistics the bounded walk wins, matching the chase's preference for
-// targeted access.
-func (p *planner) rangeBeatsScan(atom ra.Atom, used []string, name string, lo, hi *rangeBound) bool {
-	if p.c.Stats == nil {
-		return true
-	}
-	blocks := p.smallestCoveringBlocks(atom, used)
-	if blocks <= 0 {
-		return true // nothing to scan: the range walk is the only access path
-	}
-	matched, avg := p.rangeMatched(name, lo, hi)
-	if matched <= 0 {
-		return true
-	}
-	probes := matched * (1 + avg)
-	return blocks > 4*probes
+	return min(int(math.Ceil(p.rangeFrac(name, lo, hi)*float64(entries))), entries)
 }
 
 // applyAnchor extends a fragment with one KV instance for an uncovered atom

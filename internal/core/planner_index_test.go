@@ -28,8 +28,6 @@ func (f *fakeCatalog) IndexOn(rel, attr string) (string, []string, bool) {
 	return "", nil, false
 }
 
-func (f *fakeCatalog) AvgPostings(string) int { return f.avg }
-
 func (f *fakeCatalog) ValueBounds(string) (relation.Value, relation.Value, bool) {
 	if f.min == nil || f.max == nil {
 		return relation.Value{}, relation.Value{}, false

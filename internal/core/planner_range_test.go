@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -337,5 +338,74 @@ func TestPlannerRangeEqualityWins(t *testing.T) {
 	}
 	if !hasIndexLookup(info.Root) {
 		t.Fatalf("equality pin lost the lookup path: %s", info.Root)
+	}
+}
+
+// catalogs serves several fakeCatalog indexes, each under its own name.
+type catalogs []*fakeCatalog
+
+func (cs catalogs) of(name string) *fakeCatalog {
+	for _, c := range cs {
+		if c.name == name {
+			return c
+		}
+	}
+	return &fakeCatalog{}
+}
+
+func (cs catalogs) IndexOn(rel, attr string) (string, []string, bool) {
+	for _, c := range cs {
+		if name, key, ok := c.IndexOn(rel, attr); ok {
+			return name, key, true
+		}
+	}
+	return "", nil, false
+}
+
+func (cs catalogs) Shape(name string) (int, int) { return cs.of(name).Shape(name) }
+
+func (cs catalogs) ValueBounds(name string) (relation.Value, relation.Value, bool) {
+	return cs.of(name).ValueBounds(name)
+}
+
+// TestPlannerLookupSeedsBeforeRange: with an equality-indexed atom and a
+// range-indexed atom in one query, the equality pass runs over every atom
+// before the range pass, so the IndexLookup seeds the plan's first fragment
+// even though the ranged atom comes first in the FROM list.
+func TestPlannerLookupSeedsBeforeRange(t *testing.T) {
+	db, c := indexFixture(t)
+	c.WithStats(&fakeStats{blocks: 1000}).WithIndexes(catalogs{
+		{rel: "ITEM", attr: "sku", name: "ix_sku", key: []string{"id"}, avg: 4, entries: 250},
+		{rel: "ITEM", attr: "qty", name: "ix_qty", key: []string{"id"}, avg: 4},
+	})
+	q := ra.MustParse("select I.id, J.id from ITEM I, ITEM J where I.sku between 'A' and 'B' and J.qty = 5", db)
+	info, err := c.Plan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leaves []string
+	var walk func(p kba.Plan)
+	walk = func(p kba.Plan) {
+		switch n := p.(type) {
+		case *kba.IndexLookup:
+			leaves = append(leaves, "lookup "+n.Alias)
+		case *kba.IndexRange:
+			leaves = append(leaves, "range "+n.Alias)
+		}
+		for _, ch := range p.Children() {
+			walk(ch)
+		}
+	}
+	walk(info.Root)
+	if want := []string{"lookup J", "range I"}; !slices.Equal(leaves, want) {
+		t.Fatalf("index leaves %v, want %v: %s", leaves, want, info.Root)
+	}
+	if !slices.Equal(info.Indexes, []string{"ix_qty"}) || !slices.Equal(info.Ranges, []string{"ix_sku"}) || len(info.Scans) != 0 {
+		t.Fatalf("indexes %v, ranges %v, scans %v: %s", info.Indexes, info.Ranges, info.Scans, info.Root)
+	}
+	const want = "π[I.id,J.id](σ[J.qty=5∧I.sku>=A∧I.sku<=B](((const[$const.J.qty=(5)] ⋈[$const.J.qty=$idx.J.qty] " +
+		"(IndexLookup[ix_qty=5 as J] ∝ item_full on J.id as J)) ⋈[] (IndexRange[ix_sku∈[A, B] as I] ∝ item_full on I.id as I))))"
+	if got := info.Root.String(); got != want {
+		t.Fatalf("plan\n%s\nwant\n%s", got, want)
 	}
 }

@@ -3,7 +3,6 @@ package kba
 import (
 	"errors"
 	"fmt"
-	"iter"
 	"sync/atomic"
 
 	"zidian/internal/baav"
@@ -146,10 +145,8 @@ func (e *executor) exec(p Plan) (*PartRel, error) {
 		return e.runConst(n)
 	case *ScanKV:
 		return e.runScan(n, &rowSink{})
-	case *IndexLookup:
-		return e.runIndexLookup(n)
-	case *IndexRange:
-		return e.runIndexRange(n)
+	case indexLeaf:
+		return e.runPostings(n)
 	case *Extend:
 		return e.runExtend(n, &rowSink{})
 	case *Shift:
@@ -293,40 +290,73 @@ func (e *executor) walkScan(kvName string, lay *layout, visit func(w int, key re
 	return err
 }
 
-// postingRows shapes an index walk's n (value, block key) pairs into rows
+// indexLeaf is IndexLookup or IndexRange: a PostingLeaf whose rows are
+// the (value, block key) pairs it reads from its secondary index.
+type indexLeaf interface {
+	Plan
+	posting() *PostingLeaf
+	layout() *layout
+	// postings reads the leaf's pairs from the store.
+	postings(e *executor) (postings, error)
+}
+
+// postings are n (value, block key) pairs: the block keys lists[i] — or,
+// with no lists, keys[i] alone — are posted under vals[i].
+type postings struct {
+	vals  []relation.Value
+	lists [][]relation.Tuple
+	keys  []relation.Tuple
+	n     int
+}
+
+// under returns the block keys posted under vals[i].
+func (ps *postings) under(i int) []relation.Tuple {
+	if ps.lists != nil {
+		return ps.lists[i]
+	}
+	return ps.keys[i : i+1]
+}
+
+// runPostings shapes an index leaf's (value, block key) pairs into rows
 // partitioned by their full content, so the downstream ∝ starts from an
 // even spread of probe keys, and accounts the postings as fetched data. A
-// first pass over pairs routes and counts them; the second carves the rows
-// out of one slab, each partition's contiguous in one row array.
-func (e *executor) postingRows(p Plan, have *layout, index string, n int, pairs iter.Seq2[relation.Value, relation.Tuple]) (*PartRel, error) {
-	lay, err := e.layoutOf(p, have, nil, nil)
+// first pass over the pairs routes and counts them; the second carves the
+// rows out of one slab, each partition's contiguous in one row array.
+func (e *executor) runPostings(p indexLeaf) (*PartRel, error) {
+	ps, err := p.postings(e)
 	if err != nil {
 		return nil, err
 	}
-	width, workers := len(lay.attrs), e.workers
+	lay, err := e.layoutOf(p, p.layout(), nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	width, workers, n := len(lay.attrs), e.workers, ps.n
 	dst := make([]int32, n)
 	// start[w] is where partition w begins in rows; fill[w] its next slot.
 	counts := make([]int, 2*workers+1)
 	start, fill := counts[:workers+1], counts[workers+1:]
 	var data, bytes int64
 	i := 0
-	for v, k := range pairs {
-		if len(k) != width-1 {
-			return nil, fmt.Errorf("kba: index %q posts %d key attributes, plan expects %d", index, len(k), width-1)
-		}
-		data += int64(width)
-		bytes += int64(v.SizeBytes() + k.SizeBytes())
-		d := 0
-		if workers > 1 {
-			h := hashValue(fnvOffset64, v)
-			for _, x := range k {
-				h = hashValue(h, x)
+	for j, v := range ps.vals {
+		for _, k := range ps.under(j) {
+			if len(k) != width-1 {
+				return nil, fmt.Errorf("kba: index %q posts %d key attributes, plan expects %d", p.posting().Index, len(k), width-1)
 			}
-			d = int(h % uint64(workers))
+			data += int64(width)
+			bytes += int64(v.SizeBytes() + k.SizeBytes())
+			d := 0
+			if workers > 1 {
+				h := hashValue(fnvOffset64, v)
+				for _, x := range k {
+					h = hashValue(h, x)
+				}
+				d = int(h % uint64(workers))
+			}
+			dst[i] = int32(d)
+			start[d+1]++
+			i++
 		}
-		dst[i] = int32(d)
-		start[d+1]++
-		i++
 	}
 	for w := 0; w < workers; w++ {
 		start[w+1] += start[w]
@@ -335,13 +365,15 @@ func (e *executor) postingRows(p Plan, have *layout, index string, n int, pairs 
 	slab := newRowSlab(n, width)
 	rows := make([]relation.Tuple, n)
 	i = 0
-	for v, k := range pairs {
-		row := slab.next()
-		row[0] = v
-		copy(row[1:], k)
-		rows[fill[dst[i]]] = row
-		fill[dst[i]]++
-		i++
+	for j, v := range ps.vals {
+		for _, k := range ps.under(j) {
+			row := slab.next()
+			row[0] = v
+			copy(row[1:], k)
+			rows[fill[dst[i]]] = row
+			fill[dst[i]]++
+			i++
+		}
 	}
 	out := NewPartRel(lay.attrs, workers)
 	for w := range out.Parts {
@@ -354,30 +386,22 @@ func (e *executor) postingRows(p Plan, have *layout, index string, n int, pairs 
 	return out, nil
 }
 
-// runIndexLookup fetches every constant's posting list in one batched
-// cluster round (the point gets group by owning node).
-func (e *executor) runIndexLookup(n *IndexLookup) (*PartRel, error) {
+// postings fetches every constant's posting list in one batched cluster
+// round (the point gets group by owning node).
+func (n *IndexLookup) postings(e *executor) (postings, error) {
 	if len(n.Args) > 0 {
-		return nil, errUnbound
+		return postings{}, errUnbound
 	}
 	lists, gets, err := e.store.Index.LookupManyT(e.trace, n.Index, n.Values)
 	if err != nil {
-		return nil, err
+		return postings{}, err
 	}
 	e.gets.Add(int64(gets))
-	postings := 0
+	ps := postings{vals: n.Values, lists: lists}
 	for _, list := range lists {
-		postings += len(list)
+		ps.n += len(list)
 	}
-	return e.postingRows(n, n.lay, n.Index, postings, func(yield func(relation.Value, relation.Tuple) bool) {
-		for i, v := range n.Values {
-			for _, k := range lists[i] {
-				if !yield(v, k) {
-					return
-				}
-			}
-		}
-	})
+	return ps, nil
 }
 
 // rangeBounds resolves an IndexRange node's bound Args into the values the
@@ -418,29 +442,23 @@ func rangeWalkLimit(n *IndexRange) (int, error) {
 	return int(v.Int), nil
 }
 
-// runIndexRange performs the bounded ordered posting walk once (the walk is
-// one cluster range scan; parallelizing it would not reduce its cost).
-func (e *executor) runIndexRange(n *IndexRange) (*PartRel, error) {
+// postings performs the bounded ordered posting walk once (the walk is one
+// cluster range scan; parallelizing it would not reduce its cost).
+func (n *IndexRange) postings(e *executor) (postings, error) {
 	lo, hi, err := rangeBounds(n)
 	if err != nil {
-		return nil, err
+		return postings{}, err
 	}
 	limit, err := rangeWalkLimit(n)
 	if err != nil {
-		return nil, err
+		return postings{}, err
 	}
 	vals, keys, scanned, err := e.store.Index.RangeLimitT(e.trace, n.Index, lo, hi, n.LoIncl, n.HiIncl, limit)
 	if err != nil {
-		return nil, err
+		return postings{}, err
 	}
 	e.scanned.Add(int64(scanned))
-	return e.postingRows(n, n.lay, n.Index, len(keys), func(yield func(relation.Value, relation.Tuple) bool) {
-		for i, k := range keys {
-			if !yield(vals[i], k) {
-				return
-			}
-		}
-	})
+	return postings{vals: vals, keys: keys, n: len(keys)}, nil
 }
 
 // runChain runs the chain p tops inside whatever feeds it (see rowSink),

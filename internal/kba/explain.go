@@ -54,10 +54,8 @@ func NodeLabel(p Plan) string {
 		return strings.TrimPrefix(strings.TrimSuffix(n.String(), "]"), "const[")
 	case *ScanKV:
 		return fmt.Sprintf("%s as %s", n.KV, n.Alias)
-	case *IndexLookup:
-		return strings.TrimPrefix(strings.TrimSuffix(n.String(), "]"), "IndexLookup[")
-	case *IndexRange:
-		return strings.TrimPrefix(strings.TrimSuffix(n.String(), "]"), "IndexRange[")
+	case indexLeaf:
+		return strings.TrimPrefix(strings.TrimSuffix(n.String(), "]"), OpName(n)+"[")
 	case *Extend:
 		return fmt.Sprintf("∝ %s on %s as %s", n.KV, strings.Join(n.KeyFrom, ","), n.Alias)
 	case *Shift:

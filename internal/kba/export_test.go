@@ -25,8 +25,6 @@ func layoutIn(p Plan) *layout {
 	return p.(interface{ layout() *layout }).layout()
 }
 
-func (r *resolved) layout() *layout { return r.lay }
-
 // allColumns is the output of p with nothing pruned anywhere under it.
 func allColumns(p Plan, schema *baav.Schema) ([]string, error) {
 	if l, ok := p.(*Lit); ok {

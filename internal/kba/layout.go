@@ -49,6 +49,8 @@ type resolved struct{ lay *layout }
 
 func (r *resolved) setLayout(l *layout) { r.lay = l }
 
+func (r *resolved) layout() *layout { return r.lay }
+
 // Resolve derives every operator's layout once and stores it on the nodes,
 // so executions read index vectors, qualified names and parameter-free
 // predicates instead of rebuilding them. It returns the root's output
@@ -201,10 +203,10 @@ func deriveLayout(p Plan, schema *baav.Schema, l, r []string) (*layout, error) {
 	switch n := p.(type) {
 	case *Const:
 		return &layout{attrs: append([]string{}, n.KeyAttrs...), key: identity(len(n.KeyAttrs))}, nil
-	case *IndexLookup:
-		return postingLayout(n.ValAttr, n.KeyAttrs), nil
-	case *IndexRange:
-		return postingLayout(n.ValAttr, n.KeyAttrs), nil
+	case indexLeaf:
+		leaf := n.posting()
+		attrs := append([]string{leaf.ValAttr}, leaf.KeyAttrs...)
+		return &layout{attrs: attrs, key: identity(len(attrs))}, nil
 	case *ScanKV:
 		kv := schema.ByName(n.KV)
 		if kv == nil {
@@ -281,13 +283,6 @@ func deriveLayout(p Plan, schema *baav.Schema, l, r []string) (*layout, error) {
 	default:
 		return nil, fmt.Errorf("kba: unknown plan node %T", p)
 	}
-}
-
-// postingLayout is the layout of an index leaf: (value, block key) rows
-// partitioned by their full content.
-func postingLayout(valAttr string, keyAttrs []string) *layout {
-	attrs := append([]string{valAttr}, keyAttrs...)
-	return &layout{attrs: attrs, key: identity(len(attrs))}
 }
 
 func groupByLayout(n *GroupBy, in []string) (*layout, error) {

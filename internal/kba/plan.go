@@ -128,14 +128,9 @@ func (e *Extend) String() string {
 	return fmt.Sprintf("(%s ∝ %s on %s as %s)", e.Input, e.KV, strings.Join(e.KeyFrom, ","), e.Alias)
 }
 
-// IndexLookup is the secondary-index access path: for each constant in
-// Values it fetches the posting list of the parameter index — the block
-// keys of tuples carrying that value — and emits one row (value, block key)
-// per posting. Like Const it is a bounded leaf: it issues one get per value
-// and never scans a KV instance, so plans built on it stay scan-free. The
-// planner feeds its output into ∝ on a KV schema keyed by the posted block
-// keys, replacing a full instance scan with a handful of round trips.
-type IndexLookup struct {
+// PostingLeaf is what the two secondary-index leaves share: the index they
+// read and the (value, block key) rows they emit.
+type PostingLeaf struct {
 	// Index names the secondary index (a catalog name, not a KV schema).
 	Index string
 	// Alias is the query alias whose tuples the index locates.
@@ -147,6 +142,19 @@ type IndexLookup struct {
 	// KeyAttrs are the alias-qualified output columns of the posted block
 	// keys, in the index's declared key order.
 	KeyAttrs []string
+}
+
+func (l *PostingLeaf) posting() *PostingLeaf { return l }
+
+// IndexLookup is the secondary-index access path: for each constant in
+// Values it fetches the posting list of the parameter index — the block
+// keys of tuples carrying that value — and emits one row (value, block key)
+// per posting. Like Const it is a bounded leaf: it issues one get per value
+// and never scans a KV instance, so plans built on it stay scan-free. The
+// planner feeds its output into ∝ on a KV schema keyed by the posted block
+// keys, replacing a full instance scan with a handful of round trips.
+type IndexLookup struct {
+	PostingLeaf
 	// Values are the constants to look up.
 	Values []relation.Value
 	// Args, in a plan template, are the lookup values with parameter slots
@@ -181,16 +189,7 @@ func (l *IndexLookup) String() string {
 // is not a get-only leaf: the posting walk is a (bounded) scan, so plans
 // containing it are not scan-free in the paper's strict sense.
 type IndexRange struct {
-	// Index names the secondary index (a catalog name, not a KV schema).
-	Index string
-	// Alias is the query alias whose tuples the range locates.
-	Alias string
-	// ValAttr is the output column carrying the matched value, under a
-	// synthetic "$idx." name (see IndexLookup.ValAttr).
-	ValAttr string
-	// KeyAttrs are the alias-qualified output columns of the posted block
-	// keys, in the index's declared key order.
-	KeyAttrs []string
+	PostingLeaf
 	// Lo and Hi bound the walk; a nil side is unbounded. In a plan template
 	// a bound may be a parameter slot, resolved by Bind; a node whose bound
 	// still holds a slot is not executable.

@@ -48,7 +48,7 @@ func TestApplyBatchValuesAndAccounting(t *testing.T) {
 			c.ApplyBatch(&kvt, ops)
 			// Every op landed, colocated with its route.
 			for _, op := range ops {
-				v, ok := c.GetRouted(op.Route, op.Key)
+				v, ok := c.GetRoutedT(nil, op.Route, op.Key)
 				if !ok || string(v) != string(op.Value) {
 					t.Fatalf("key %q = %q, %v; want %q", op.Key, v, ok, op.Value)
 				}
@@ -74,7 +74,7 @@ func TestApplyBatchValuesAndAccounting(t *testing.T) {
 			if got := kvt.Snapshot().Deletes; got != 5 {
 				t.Fatalf("trace deletes = %d, want 5", got)
 			}
-			if _, ok := c.GetRouted(ops[0].Route, ops[0].Key); ok {
+			if _, ok := c.GetRoutedT(nil, ops[0].Route, ops[0].Key); ok {
 				t.Fatal("batched delete left the pair")
 			}
 			if m := c.Metrics(); m.Puts != int64(len(ops)) || m.Deletes != 5 {
@@ -176,7 +176,7 @@ func TestServiceDelayQueuesPerNode(t *testing.T) {
 			wg.Add(1)
 			go func(r []byte) {
 				defer wg.Done()
-				c.GetRouted(r, r)
+				c.GetRoutedT(nil, r, r)
 			}(r)
 		}
 		wg.Wait()

@@ -142,17 +142,13 @@ func (c *Cluster) NodeFor(key []byte) int {
 }
 
 // Get retrieves the value stored under key, counting one get invocation.
-func (c *Cluster) Get(key []byte) ([]byte, bool) { return c.GetRouted(key, key) }
+func (c *Cluster) Get(key []byte) ([]byte, bool) { return c.GetRoutedT(nil, key, key) }
 
-// GetRouted is Get with an explicit routing key: the pair lives on the node
-// that owns route rather than key. BaaV stores route all segments of one
-// logical block by the block's key prefix so the block stays colocated.
-func (c *Cluster) GetRouted(route, key []byte) ([]byte, bool) {
-	return c.GetRoutedT(nil, route, key)
-}
-
-// GetRoutedT is GetRouted with a per-statement trace sink (nil for
-// untraced callers); the trace counts exactly what the node metrics count.
+// GetRoutedT is Get with an explicit routing key and a per-statement trace
+// sink (nil for untraced callers): the pair lives on the node that owns
+// route rather than key — BaaV stores route all segments of one logical
+// block by the block's key prefix so the block stays colocated — and the
+// trace counts exactly what the node metrics count.
 func (c *Cluster) GetRoutedT(t *obs.KV, route, key []byte) ([]byte, bool) {
 	ni := c.NodeFor(route)
 	c.roundWait(t, ni)

@@ -230,13 +230,13 @@ func TestClusterRoutedOps(t *testing.T) {
 	if found != 5 {
 		t.Fatalf("segments scattered: %d of 5 on the owner node", found)
 	}
-	if v, ok := c.GetRouted(route, []byte("block-7/3")); !ok || string(v) != "v" {
+	if v, ok := c.GetRoutedT(nil, route, []byte("block-7/3")); !ok || string(v) != "v" {
 		t.Fatalf("routed get = %q %v", v, ok)
 	}
 	if !c.DeleteRouted(route, []byte("block-7/3")) {
 		t.Fatal("routed delete")
 	}
-	if _, ok := c.GetRouted(route, []byte("block-7/3")); ok {
+	if _, ok := c.GetRoutedT(nil, route, []byte("block-7/3")); ok {
 		t.Fatal("deleted segment visible")
 	}
 }

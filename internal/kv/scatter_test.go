@@ -319,7 +319,7 @@ func TestRangeScatterCancelMidStream(t *testing.T) {
 }
 
 // TestGetManyRoutedMatchesPointGets: the batched routed fetch must agree
-// with one-at-a-time GetRouted on hits, misses, and routed (block-prefix)
+// with one-at-a-time GetRoutedT on hits, misses, and routed (block-prefix)
 // keys, while touching each owning node once.
 func TestGetManyRoutedMatchesPointGets(t *testing.T) {
 	for _, kind := range allKinds {
@@ -332,7 +332,7 @@ func TestGetManyRoutedMatchesPointGets(t *testing.T) {
 			}
 			got := c.GetManyRouted(nil, reqs)
 			for i, r := range reqs {
-				wantV, wantOK := c.GetRouted(r.Route, r.Key)
+				wantV, wantOK := c.GetRoutedT(nil, r.Route, r.Key)
 				if got[i].OK != wantOK || !bytes.Equal(got[i].Value, wantV) {
 					t.Fatalf("%v/%d nodes req %d (%q): batched (%x,%v) vs point (%x,%v)",
 						kind, nodes, i, r.Key, got[i].Value, got[i].OK, wantV, wantOK)

@@ -18,7 +18,6 @@ func tracedParam(c *kv.Cluster, t *obs.KV) {
 	c.ScanT(nil, []byte("p"), keep)                     // want `Cluster\.ScanT called with a nil trace`
 	c.ScanT(t, []byte("p"), keep)                       // ok: trace threaded
 	c.Get([]byte("k"))                                  // want `untraced Cluster\.Get on a traced path — use GetRoutedT`
-	c.GetRouted([]byte("k"), []byte("k"))               // want `untraced Cluster\.GetRouted on a traced path — use GetRoutedT`
 	c.GetRoutedT(t, []byte("k"), []byte("k"))           // ok: trace threaded
 	c.ScanNode(0, []byte("p"), keep)                    // want `untraced Cluster\.ScanNode on a traced path — use ScanNodeT`
 	c.ScanNodeT(t, 0, []byte("p"), keep)                // ok: trace threaded

@@ -135,7 +135,6 @@ func isStorageType(n *types.Named) bool {
 // trace, each with the traced form that does the same work.
 var untracedForms = map[string]string{
 	"Cluster.Get":        "GetRoutedT",
-	"Cluster.GetRouted":  "GetRoutedT",
 	"Cluster.Scan":       "ScanT",
 	"Cluster.ScanNode":   "ScanNodeT",
 	"Cluster.ScanRange":  "ScanRangeNodeT",

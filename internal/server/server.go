@@ -71,10 +71,10 @@ type Config struct {
 	// HTTP surface.
 	EnablePprof bool
 	// ReclaimInterval sets the cadence of the background MVCC reclamation
-	// sweeper, which drops retired block versions and retries pending
-	// posting shrinks on relations that stopped receiving commits. Zero
-	// uses the 5s default; negative disables the sweeper (retired state
-	// then waits for each relation's next commit, as before).
+	// sweeper, which drops the retired block and posting versions of
+	// relations that stopped receiving commits. Zero uses the 5s default;
+	// negative disables the sweeper, and retired versions then wait for
+	// their relation's next commit.
 	ReclaimInterval time.Duration
 }
 

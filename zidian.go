@@ -614,7 +614,7 @@ func (in *Instance) Insert(rel string, t Tuple) error {
 // Insert and with the same all-or-nothing staging discipline. Deleting a
 // tuple the relation does not hold is a no-op, not an error.
 func (in *Instance) Delete(rel string, t Tuple) error {
-	return in.submitWrite(rel, &writeOp{deleteTuple: &t}).err
+	return in.submitWrite(rel, &writeOp{match: t.Equal, unique: true}).err
 }
 
 // DataPreserving checks Condition (I) for the instance's schema; when it
@@ -762,14 +762,14 @@ func (in *Instance) ExecTraced(t *obs.Trace, src string, params ...Value) (*Exec
 		if rel == nil {
 			return nil, fmt.Errorf("zidian: unknown relation %q", s.Table)
 		}
-		check, probe, err := compileDeletePreds(rel.Schema, s, params)
+		match, unique, err := compileDeletePreds(rel.Schema, s, params)
 		if err != nil {
 			return nil, err
 		}
 		// The predicate is evaluated inside the committer, against the
 		// relation as of this operation's slot in its batch — a doomed set
 		// computed here could go stale while the op waits in the queue.
-		out := in.submitWrite(s.Table, &writeOp{deleteWhere: check, deleteProbe: probe, kvt: t.KVCounters(), trace: t})
+		out := in.submitWrite(s.Table, &writeOp{match: match, unique: unique, kvt: t.KVCounters(), trace: t})
 		if out.err != nil {
 			return nil, out.err
 		}
@@ -827,7 +827,7 @@ func (in *Instance) ExecTraced(t *obs.Trace, src string, params ...Value) (*Exec
 // deleteProbe is the primary-key fast path for DELETE: when the WHERE
 // clause is a conjunction of equality predicates covering exactly the
 // relation's declared key, at most one tuple can match, so the committer
-// probes for it directly and stops at the first hit instead of evaluating
+// compares the key alone and stops at the first hit instead of evaluating
 // the compiled predicate chain over the whole relation — the dominant CPU
 // cost of point deletes on large relations.
 type deleteProbe struct {
@@ -848,10 +848,10 @@ func (p *deleteProbe) match(t Tuple) bool {
 // compileDeletePreds compiles a DELETE's WHERE clause against the target
 // relation's schema; column references may be bare or table-qualified, and
 // value positions may be `?` placeholders bound from params (validated
-// against the referenced column's kind). The returned probe is non-nil for
-// the key-equality form described on deleteProbe; the predicate function is
-// always valid and the two agree on key-unique data.
-func compileDeletePreds(schema *RelSchema, s *sqlpkg.Delete, params []Value) (func(Tuple) bool, *deleteProbe, error) {
+// against the referenced column's kind). For the key-equality form
+// described on deleteProbe it returns the probe's match, unique; otherwise
+// the compiled predicate.
+func compileDeletePreds(schema *RelSchema, s *sqlpkg.Delete, params []Value) (match func(Tuple) bool, unique bool, err error) {
 	var preds []kba.Pred
 	colName := func(c sqlpkg.Col) (string, error) {
 		if c.Table != "" && c.Table != s.Table {
@@ -884,7 +884,7 @@ func compileDeletePreds(schema *RelSchema, s *sqlpkg.Delete, params []Value) (fu
 	for _, p := range s.Where {
 		left, err := colName(p.Left)
 		if err != nil {
-			return nil, nil, err
+			return nil, false, err
 		}
 		pred := kba.Pred{Attr: left, Op: p.Op, In: p.In}
 		switch {
@@ -895,7 +895,7 @@ func compileDeletePreds(schema *RelSchema, s *sqlpkg.Delete, params []Value) (fu
 			for _, pr := range p.InParams {
 				v, err := bindTo(&pr, left)
 				if err != nil {
-					return nil, nil, err
+					return nil, false, err
 				}
 				pred.In = append(pred.In, v)
 			}
@@ -903,14 +903,14 @@ func compileDeletePreds(schema *RelSchema, s *sqlpkg.Delete, params []Value) (fu
 		case p.Right != nil:
 			right, err := colName(*p.Right)
 			if err != nil {
-				return nil, nil, err
+				return nil, false, err
 			}
 			pred.RAttr = right
 			eqOK = false
 		case p.Param != nil:
 			v, err := bindTo(p.Param, left)
 			if err != nil {
-				return nil, nil, err
+				return nil, false, err
 			}
 			pred.Lit = &v
 		case p.Lit != nil:
@@ -928,22 +928,21 @@ func compileDeletePreds(schema *RelSchema, s *sqlpkg.Delete, params []Value) (fu
 	}
 	check, err := kba.CompilePreds(schema.AttrNames(), preds)
 	if err != nil {
-		return nil, nil, err
+		return nil, false, err
 	}
-	var probe *deleteProbe
-	if eqOK && len(schema.Key) > 0 && len(eq) == len(schema.Key) {
-		probe = &deleteProbe{}
-		for _, k := range schema.Key {
-			v, ok := eq[k]
-			if !ok {
-				probe = nil
-				break
-			}
-			probe.pos = append(probe.pos, schema.Index(k))
-			probe.vals = append(probe.vals, v)
+	if !eqOK || len(schema.Key) == 0 || len(eq) != len(schema.Key) {
+		return check, false, nil
+	}
+	probe := &deleteProbe{}
+	for _, k := range schema.Key {
+		v, ok := eq[k]
+		if !ok {
+			return check, false, nil
 		}
+		probe.pos = append(probe.pos, schema.Index(k))
+		probe.vals = append(probe.vals, v)
 	}
-	return check, probe, nil
+	return probe.match, true, nil
 }
 
 // bindInsertRows resolves an INSERT's rows, substituting bound parameters

@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// The background reclamation sweep: retired MVCC versions and pending
-// posting shrinks on a quiescent relation are reclaimed between commits —
-// normally that work rides the relation's *next* commit, so the last
-// commit's retirees would otherwise sit live forever.
+// The background reclamation sweep: the retired block and posting versions
+// of a quiescent relation are reclaimed between commits — normally that
+// work rides the relation's *next* commit, so the last commit's retirees
+// would otherwise sit live forever.
 
 // TestSweepMVCCQuiescentRelation: deletes committed while a snapshot was
 // pinned leave their superseded versions live; once the pin releases and the

@@ -116,6 +116,60 @@ func TestFacadeMaintenance(t *testing.T) {
 	}
 }
 
+// TestDeleteDuplicateCopies: in a relation without a key, Delete removes
+// one copy of a tuple the relation holds twice, while a WHERE delete removes
+// every tuple it matches; the store answers the same as the relation.
+func TestDeleteDuplicateCopies(t *testing.T) {
+	db := NewDatabase()
+	log := NewRelation(MustRelSchema("LOG",
+		[]Attr{{Name: "tag", Kind: KindString}, {Name: "n", Kind: KindInt}}, nil))
+	for _, row := range []Tuple{{String("a"), Int(1)}, {String("a"), Int(1)}, {String("a"), Int(2)}, {String("b"), Int(1)}} {
+		log.MustInsert(row)
+	}
+	db.Add(log)
+	schema, err := NewBaaVSchema(db, KVSchema{Name: "log_by_tag", Rel: "LOG", Key: []string{"tag"}, Val: []string{"n"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := Open(db, schema, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := func() []string {
+		t.Helper()
+		res, _, err := inst.Query("select L.n from LOG L where L.tag = 'a'")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sortedRows(res)
+	}
+	if got, want := rows(), []string{"(1)", "(1)", "(2)"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded: %v, want %v", got, want)
+	}
+	if err := inst.Delete("LOG", Tuple{String("a"), Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rows(), []string{"(1)", "(2)"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after Delete: %v, want %v", got, want)
+	}
+	if n := len(db.Relation("LOG").Tuples); n != 3 {
+		t.Fatalf("after Delete the relation holds %d tuples, want 3", n)
+	}
+	res, err := inst.Exec("delete from LOG where tag = 'a'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Affected != 2 {
+		t.Fatalf("WHERE delete affected %d, want 2", res.Affected)
+	}
+	if got := rows(); len(got) != 0 {
+		t.Fatalf("after WHERE delete: %v, want none", got)
+	}
+	if n := len(db.Relation("LOG").Tuples); n != 1 {
+		t.Fatalf("after WHERE delete the relation holds %d tuples, want 1", n)
+	}
+}
+
 func TestFacadeDataPreserving(t *testing.T) {
 	inst := facadeInstance(t)
 	ok, missing := inst.DataPreserving()

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"testing"
 
-	"zidian/internal/index"
+	"zidian/internal/baav"
 	"zidian/internal/obs"
 	"zidian/internal/relation"
 	"zidian/internal/workload"
@@ -62,11 +62,11 @@ func TestWriteCostIndependentOfSize(t *testing.T) {
 	const growID = 9000010 // the rows that grow the posting list: above 9000002
 	// A fragment's one segment: the segment count, the block's flags and
 	// key count, and the keys, none longer than the largest id posted.
-	keyBytes := int64(len(relation.AppendCompactValue(nil, Int(growID+index.M))))
-	readBound := 2 + int64(len(binary.AppendUvarint(nil, index.M))) + index.M*keyBytes
+	keyBytes := int64(len(relation.AppendCompactValue(nil, Int(growID+baav.M))))
+	readBound := 2 + int64(len(binary.AppendUvarint(nil, baav.M))) + baav.M*keyBytes
 	// Its pair key: the index id, the speed and the fence, order-preserving,
 	// then the segment and the version.
-	writeBound := readBound + 4 + int64(len(relation.EncodeTuple(Tuple{Int(55), Int(growID + index.M)}))) + 12
+	writeBound := readBound + 4 + int64(len(relation.EncodeTuple(Tuple{Int(55), Int(growID + baav.M)}))) + 12
 	for _, scale := range []float64{2, 20} {
 		w := workload.MOT(workload.Spec{Scale: scale, Seed: 1})
 		inst, err := Open(w.DB, w.Schema, Options{})
@@ -87,7 +87,7 @@ func TestWriteCostIndependentOfSize(t *testing.T) {
 		if _, err := inst.Exec("create index ix_obs_speed on OBSERVATION(speed)"); err != nil {
 			t.Fatal(err)
 		}
-		for i := range index.M + 1 {
+		for i := range baav.M + 1 {
 			src := fmt.Sprintf("insert into OBSERVATION values (%d, 1, %d, '2011-06-01', 55, 'N', 1, 'DRY', 12, 'R-GROW', 9, 0, 2, 1, 'URBAN')", growID+i, 800000+i)
 			if _, err := inst.Exec(src); err != nil {
 				t.Fatal(err)
