@@ -44,7 +44,6 @@ func main() {
 		queueTO  = flag.Duration("queue-timeout", time.Second, "admission queue timeout")
 		cacheSz  = flag.Int("plan-cache", 4096, "plan cache capacity (plans)")
 		drainTO  = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown drain timeout")
-		obsOn    = flag.Bool("obs", true, "collect metrics and serve /metrics (off disables all observability counting)")
 		slowTO   = flag.Duration("slow-query-threshold", 0, "log statements slower than this as JSON lines (0 disables)")
 		slowLog  = flag.String("slow-query-log", "", "slow-query log file (default stderr); with -slow-query-max-bytes the file rotates to <path>.1 at the cap")
 		slowMax  = flag.Int64("slow-query-max-bytes", 0, "byte cap for the slow-query log: rotate a -slow-query-log file at the cap, or drop further lines (counted on zidian_slow_query_dropped_total); 0 = unbounded")
@@ -81,7 +80,6 @@ func main() {
 		QueueDepth:         *queue,
 		QueueTimeout:       *queueTO,
 		PlanCacheSize:      *cacheSz,
-		DisableMetrics:     !*obsOn,
 		SlowQueryThreshold: *slowTO,
 		SlowQueryMaxBytes:  *slowMax,
 		StmtStatsCapacity:  *stmtCap,

@@ -28,10 +28,9 @@ func UnresolvedCopy(t *testing.T, p kba.Plan) kba.Plan {
 		out = &kba.ScanKV{KV: n.KV, Alias: n.Alias}
 	case *kba.StatsAgg:
 		out = &kba.StatsAgg{KV: n.KV, Alias: n.Alias, Keys: n.Keys, Aggs: n.Aggs}
-	case *kba.IndexLookup:
-		out = &kba.IndexLookup{PostingLeaf: n.PostingLeaf, Values: n.Values, Args: n.Args}
 	case *kba.IndexRange:
-		out = &kba.IndexRange{PostingLeaf: n.PostingLeaf, Lo: n.Lo, Hi: n.Hi, LoIncl: n.LoIncl, HiIncl: n.HiIncl, Limit: n.Limit}
+		out = &kba.IndexRange{Index: n.Index, Alias: n.Alias, ValAttr: n.ValAttr, KeyAttrs: n.KeyAttrs,
+			Lo: n.Lo, Hi: n.Hi, LoIncl: n.LoIncl, HiIncl: n.HiIncl, Limit: n.Limit}
 	case *kba.Extend:
 		out = &kba.Extend{Input: UnresolvedCopy(t, n.Input), KV: n.KV, Alias: n.Alias, KeyFrom: n.KeyFrom}
 	case *kba.Shift:

@@ -272,3 +272,31 @@ func inlineParams(tmpl string, params []Value) string {
 	}
 	return tmpl
 }
+
+// TestScanFreeVerdictsAgree holds the GET/VC chase to the plans over every
+// grid cell: wherever the planner labels a query's plan scan-free — an
+// equality index lookup among them, one more ∝ over the index's KV schema
+// R⟨A, K⟩ — the checker says scan-free too, on the parsed query and through
+// Instance.ScanFree. A plan depends on no worker count, so each instance and
+// phase is checked once.
+func TestScanFreeVerdictsAgree(t *testing.T) {
+	eachCell(t, gridNodes, gridWorkers[:1], true, func(t *testing.T, c *GridCell) {
+		for i, q := range c.Queries {
+			if !c.plan(t, i).ScanFree {
+				continue
+			}
+			parsed, err := ra.Parse(q.SQL, c.Inst.db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaInstance, err := c.Inst.ScanFree(q.SQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !c.Inst.checker.ScanFree(parsed) || !viaInstance {
+				t.Errorf("%s: %s: plan labelled scan-free, Checker.ScanFree %v, Instance.ScanFree %v: %s",
+					c, q.Name, c.Inst.checker.ScanFree(parsed), viaInstance, c.plan(t, i).Root)
+			}
+		}
+	})
+}

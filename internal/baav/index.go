@@ -7,6 +7,7 @@ import (
 	"hash/maphash"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"zidian/internal/kv"
@@ -54,21 +55,16 @@ import (
 // integer keys in the compact codec.
 const M = 128
 
-// SecondaryIndex resolves block-aware secondary-index lookups at plan
+// SecondaryIndex resolves block-aware secondary-index reads at plan
 // execution time. Indexes implements it over the store's own posting
-// schemas, at the snapshot of the store view it was taken from; executors
-// only need the read path.
+// schemas, at the snapshot of the store view it was taken from. An equality
+// lookup inside a plan is a ∝ over the index's KV schema (FetchBlocksT
+// serves it); Lookup is that read for one value.
 type SecondaryIndex interface {
 	// Lookup returns the block keys posted under v in the named index and
-	// the number of get invocations issued: LookupManyT for one value,
+	// the number of get invocations issued: FetchBlocksT of one value,
 	// untraced.
 	Lookup(name string, v relation.Value) ([]relation.Tuple, int, error)
-	// LookupManyT resolves several values' postings in one batched cluster
-	// round (the gets group by owning node), counting kv ops into the
-	// trace's kv sink and decoded posting lists into its posting-read
-	// counter (nil untraced). outs aligns with vs, nil for a value with no
-	// posting; gets is one per fragment read.
-	LookupManyT(t *obs.Trace, name string, vs []relation.Value) (outs [][]relation.Tuple, gets int, err error)
 	// Range returns the postings of every indexed value within the bounds
 	// (nil = unbounded side; loIncl/hiIncl select closed ends) as parallel
 	// slices — vals[i] posted block key keys[i] — in encoded (value, key)
@@ -81,9 +77,6 @@ type SecondaryIndex interface {
 	// per node, so a pushed-down LIMIT costs O(limit) scan steps instead of
 	// O(range).
 	RangeLimitT(t *obs.Trace, name string, lo, hi *relation.Value, loIncl, hiIncl bool, limit int) (vals []relation.Value, keys []relation.Tuple, scanned int, err error)
-	// MaxPostings returns the longest posting list of the named index; the
-	// boundedness check treats it like a block degree.
-	MaxPostings(name string) int
 }
 
 // idxSpace is the top bit of an index's 4-byte physical id: posting blocks
@@ -98,10 +91,11 @@ var postingOpts = Options{SegmentThreshold: M}
 // R⟨(attr, fence), K⟩ its postings are stored under (see the layout above),
 // and the directory of their fragments.
 type posting struct {
-	// kv names the index's version directory (a name no KV schema can
-	// take) and its relation; kv.Val is K, the relation's primary key.
+	// kv is the index as the KV schema R⟨attr, K⟩ a plan's ∝ names: the
+	// index's name (which no KV schema of the store takes; it also names
+	// the version directory), its relation, the attribute, and K, the
+	// relation's primary key.
 	kv      KVSchema
-	name    string
 	attr    string
 	attrPos int
 	keyPos  []int
@@ -139,9 +133,9 @@ type IndexStats struct {
 	Entries int
 	// Postings is the total number of (value, block key) pairs.
 	Postings int
-	// MaxPosting is the exact length of the longest posting list: it
-	// shrinks under deletes too, so the planner's boundedness check
-	// recovers after a heavy-delete workload.
+	// MaxPosting is the exact length of the longest posting list — the
+	// index's degree (Store.Degree): it shrinks under deletes too, so the
+	// planner's boundedness check recovers after a heavy-delete workload.
 	MaxPosting int
 }
 
@@ -319,6 +313,8 @@ func (st *Store) CreateIndex(name, rel, attr string, tuples []relation.Tuple) (i
 		return 0, fmt.Errorf("index: relation %s has no primary key to post", rel)
 	case !schema.Has(attr):
 		return 0, fmt.Errorf("index: relation %s has no attribute %q", rel, attr)
+	case st.Schema.ByName(name) != nil:
+		return 0, fmt.Errorf("index: %q names a KV schema", name)
 	}
 	keyPos, err := schema.Positions(schema.Key)
 	if err != nil {
@@ -334,13 +330,12 @@ func (st *Store) CreateIndex(name, rel, attr string, tuples []relation.Tuple) (i
 	}
 	for _, p := range st.ix.byName {
 		if p.kv.Rel == rel && p.attr == attr {
-			return 0, fmt.Errorf("index: %s(%s) is already indexed by %q", rel, attr, p.name)
+			return 0, fmt.Errorf("index: %s(%s) is already indexed by %q", rel, attr, p.kv.Name)
 		}
 	}
 	st.ix.nextID++
 	p := &posting{
-		kv:      KVSchema{Name: "\x00index " + name, Rel: rel, Key: []string{attr}, Val: append([]string{}, schema.Key...)},
-		name:    name,
+		kv:      KVSchema{Name: name, Rel: rel, Key: []string{attr}, Val: append([]string{}, schema.Key...)},
 		attr:    attr,
 		attrPos: schema.Index(attr),
 		keyPos:  keyPos,
@@ -446,34 +441,32 @@ func (x Indexes) posting(name string) (*posting, error) {
 	return p, nil
 }
 
-// Lookup returns the block keys posted under v, in key order: LookupManyT
-// for one value, untraced.
+// Lookup returns the block keys posted under v, in key order: FetchBlocksT
+// of one value, untraced.
 func (x Indexes) Lookup(name string, v relation.Value) ([]relation.Tuple, int, error) {
-	outs, gets, err := x.LookupManyT(nil, name, []relation.Value{v})
-	if err != nil {
-		return nil, gets, err
-	}
-	return outs[0], gets, nil
-}
-
-// LookupManyT resolves the postings of several values in one batched
-// cluster round at the view's sequence: the directory names each value's
-// fragments (the first, for a value it does not hold), the version
-// directory resolves each one's version, and their gets go out as one
-// GetManyRouted — one round trip per owning node. A fragment not visible at
-// the sequence costs the get of a miss. Each value read counts one posting
-// read into the trace.
-func (x Indexes) LookupManyT(t *obs.Trace, name string, vs []relation.Value) (outs [][]relation.Tuple, gets int, err error) {
-	if len(vs) == 0 {
-		return nil, 0, nil
-	}
 	p, err := x.posting(name)
 	if err != nil {
 		return nil, 0, err
 	}
+	blks, _, gets, err := x.st.fetchPostings(nil, p, []relation.Tuple{{v}}, nil)
+	if err != nil || blks[0] == nil {
+		return nil, gets, err
+	}
+	return blks[0].Tuples, gets, nil
+}
+
+// fetchPostings is FetchBlocksT over index p as the KV schema R⟨A, K⟩: the
+// block under a value is its posting list, the block keys its fragments
+// hold at the view's sequence, in key order. The directory names each
+// value's fragments (the first, for a value it does not hold), the version
+// directory resolves each one's version, and their gets go out as one
+// GetManyRouted — every fragment of a value routed by the value, one round
+// trip per owning node. A fragment not visible at the sequence costs the
+// get of a miss. A value's size is its fragments' sizes summed.
+func (st *Store) fetchPostings(kvt *obs.KV, p *posting, keys []relation.Tuple, cols []int) (blks []*Block, sizes []int64, gets int, err error) {
 	width := len(p.kv.Val)
 	var b blockBatch
-	ends := make([]int, len(vs)) // value i's fragments end at b.reads[ends[i]]
+	ends := make([]int, len(keys)) // value i's fragments end at b.reads[ends[i]]
 	var vkey []byte
 	add := func(fence string) {
 		pre := len(b.buf)
@@ -481,9 +474,13 @@ func (x Indexes) LookupManyT(t *obs.Trace, name string, vs []relation.Value) (ou
 		b.buf = append(b.buf, fence...)
 		b.reads = append(b.reads, blockRead{kv: p.kv.Name, width: width, pre: pre, end: len(b.buf)})
 	}
-	x.st.ix.mu.RLock()
-	for i, v := range vs {
-		vkey = relation.AppendValue(vkey[:0], v)
+	st.ix.mu.RLock()
+	for i, key := range keys {
+		if len(key) != 1 {
+			st.ix.mu.RUnlock()
+			return nil, nil, 0, fmt.Errorf("index: %s is keyed by one value, got %v", p.kv.Name, key)
+		}
+		vkey = relation.AppendValue(vkey[:0], key[0])
 		if at, ok := p.find(vkey); ok {
 			for _, f := range p.vals[at].frags {
 				add(f.fence)
@@ -493,34 +490,28 @@ func (x Indexes) LookupManyT(t *obs.Trace, name string, vs []relation.Value) (ou
 		}
 		ends[i] = len(b.reads)
 	}
-	x.st.ix.mu.RUnlock()
-	blks, _, gets, err := x.st.fetch(t.KVCounters(), &b, x.st.snapSeqFor(p.kv.Rel), true, nil, nil)
+	st.ix.mu.RUnlock()
+	frags, fragSizes, gets, err := st.fetch(kvt, &b, st.snapSeqFor(p.kv.Rel), true, cols, nil)
 	if err != nil {
-		return nil, gets, fmt.Errorf("index: %s: %v", name, err)
+		return nil, nil, gets, fmt.Errorf("index: %s: %v", p.kv.Name, err)
 	}
-	if t != nil {
-		perNode := make([]int64, x.st.Cluster.NodeCount())
-		for i := range b.reads {
-			perNode[x.st.Cluster.NodeFor(route(b.prefix(&b.reads[i])))] += int64(b.reads[i].gets)
-		}
-		t.AnnotateNodes(perNode)
-	}
-	outs = make([][]relation.Tuple, len(vs))
+	blks, sizes = make([]*Block, len(keys)), make([]int64, len(keys))
 	start := 0
-	for i := range vs {
-		read := false
-		for _, blk := range blks[start:ends[i]] {
-			if blk != nil {
-				read = true
-				outs[i] = append(outs[i], blk.Tuples...)
+	for i, end := range ends {
+		for j, f := range frags[start:end] {
+			if f == nil {
+				continue
 			}
+			if blks[i] == nil {
+				blks[i] = f
+			} else {
+				blks[i].Tuples = append(blks[i].Tuples, f.Tuples...)
+			}
+			sizes[i] += fragSizes[start+j]
 		}
-		if read {
-			t.CountPostings(1)
-		}
-		start = ends[i]
+		start = end
 	}
-	return outs, gets, nil
+	return blks, sizes, gets, nil
 }
 
 // Range returns the postings of every indexed value within the bounds:
@@ -683,17 +674,20 @@ func postingLen(v []byte) (int, error) {
 	return int(n), err
 }
 
-// IndexOn reports the index covering rel(attr): its name and the block-key
-// attributes its postings hold. It implements core.IndexCatalog.
-func (x Indexes) IndexOn(rel, attr string) (string, []string, bool) {
+// OnRelation returns the indexes on rel as KV schemas R⟨A, K⟩, named by
+// the index and sorted by name; nil when rel has none. The schemas' slices
+// are shared: callers do not modify them. It implements core.IndexCatalog.
+func (x Indexes) OnRelation(rel string) []KVSchema {
 	x.st.ix.mu.RLock()
-	defer x.st.ix.mu.RUnlock()
+	var out []KVSchema
 	for _, p := range x.st.ix.byName {
-		if p.kv.Rel == rel && p.attr == attr {
-			return p.name, append([]string{}, p.kv.Val...), true
+		if p.kv.Rel == rel {
+			out = append(out, p.kv)
 		}
 	}
-	return "", nil, false
+	x.st.ix.mu.RUnlock()
+	slices.SortFunc(out, func(a, b KVSchema) int { return strings.Compare(a.Name, b.Name) })
+	return out
 }
 
 // Stats snapshots the named index's shape.
@@ -714,10 +708,15 @@ func (x Indexes) Shape(name string) (entries, postings int) {
 	return s.Entries, s.Postings
 }
 
-// MaxPostings returns the longest posting list of the named index.
-func (x Indexes) MaxPostings(name string) int {
-	s, _ := x.Stats(name)
-	return s.MaxPosting
+// KVSchema returns the named index as the KV schema R⟨A, K⟩ a plan's ∝
+// names, or nil. It implements core.IndexCatalog.
+func (x Indexes) KVSchema(name string) *KVSchema {
+	x.st.ix.mu.RLock()
+	defer x.st.ix.mu.RUnlock()
+	if p := x.st.ix.byName[name]; p != nil {
+		return &p.kv
+	}
+	return nil
 }
 
 // ValueBounds returns the smallest and largest value the named index holds

@@ -125,12 +125,10 @@ func TestCreateBackfillLookup(t *testing.T) {
 	if ids := lookupIDs(t, st, "ix_sku", relation.String("NOPE")); len(ids) != 0 {
 		t.Fatalf("posting for absent value = %v", ids)
 	}
-	name, key, ok := st.Indexes().IndexOn("ITEM", "sku")
-	if !ok || name != "ix_sku" || len(key) != 1 || key[0] != "id" {
-		t.Fatalf("IndexOn = %q %v %v", name, key, ok)
-	}
-	if _, _, ok := st.Indexes().IndexOn("ITEM", "qty"); ok {
-		t.Fatal("IndexOn reported an index that does not exist")
+	// ITEM's one index is the KV schema ITEM⟨sku, id⟩: no index on qty.
+	want := []baav.KVSchema{{Name: "ix_sku", Rel: "ITEM", Key: []string{"sku"}, Val: []string{"id"}}}
+	if got := st.Indexes().OnRelation("ITEM"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("OnRelation = %v, want %v", got, want)
 	}
 	if s := stats(t, st, "ix_sku"); s.Entries != 10 || s.Postings != 40 || s.MaxPosting != 4 {
 		t.Fatalf("stats = %+v", s)
@@ -209,8 +207,8 @@ func TestDropRemovesPairs(t *testing.T) {
 	if got := c.Len(); got != base+1 {
 		t.Fatalf("pairs after drop = %d, want %d: the base pairs and the inserted block", got, base+1)
 	}
-	if _, _, ok := st.Indexes().IndexOn("ITEM", "sku"); ok {
-		t.Fatal("dropped index still in catalog")
+	if got := st.Indexes().OnRelation("ITEM"); got != nil {
+		t.Fatalf("dropped index still in catalog: %v", got)
 	}
 	if _, err := st.DropIndex("ix_sku"); err == nil {
 		t.Fatal("double drop succeeded")
@@ -250,6 +248,11 @@ func TestCreateValidation(t *testing.T) {
 	}
 	if _, err := st.CreateIndex("ix4", "NOPE", "a", nil); err == nil {
 		t.Fatal("indexing an unknown relation succeeded")
+	}
+	// An index is a KV schema a ∝ names, so it cannot take a KV schema's
+	// name.
+	if _, err := st.CreateIndex("item_full", "ITEM", "qty", nil); err == nil {
+		t.Fatal("an index took a KV schema's name")
 	}
 }
 
@@ -390,9 +393,10 @@ func TestRangeSeesMaintenance(t *testing.T) {
 	}
 }
 
-// TestMaxPostingDecay: the delete path must shrink MaxPosting once the
-// longest list shrinks, so the planner's boundedness check recovers after a
-// heavy-delete workload (pre-fix, MaxPosting only ever grew).
+// TestMaxPostingDecay: the delete path must shrink MaxPosting — the degree
+// Store.Degree reports for the index — once the longest list shrinks, so
+// the planner's boundedness check recovers after a heavy-delete workload
+// (pre-fix, MaxPosting only ever grew).
 func TestMaxPostingDecay(t *testing.T) {
 	st := itemStore(t, kv.EngineHash, 2)
 	// One hot value with 30 postings, nine values with 1 each.
@@ -406,8 +410,8 @@ func TestMaxPostingDecay(t *testing.T) {
 	if _, err := st.CreateIndex("ix_sku", "ITEM", "sku", tuples); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Index.MaxPostings("ix_sku"); got != 30 {
-		t.Fatalf("MaxPostings = %d, want 30", got)
+	if got := st.Degree("ix_sku"); got != 30 {
+		t.Fatalf("Degree = %d, want 30", got)
 	}
 	// Drain the hot value down to 2 postings.
 	for i := 0; i < 28; i++ {
@@ -415,8 +419,8 @@ func TestMaxPostingDecay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := st.Index.MaxPostings("ix_sku"); got != 2 {
-		t.Fatalf("MaxPostings after drain = %d, want 2 (stale ceiling not recomputed)", got)
+	if got := st.Degree("ix_sku"); got != 2 {
+		t.Fatalf("Degree after drain = %d, want 2 (stale ceiling not recomputed)", got)
 	}
 	if s := stats(t, st, "ix_sku"); s.Entries != 10 || s.Postings != 11 {
 		t.Fatalf("stats after drain = %+v", s)
@@ -427,26 +431,26 @@ func TestMaxPostingDecay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := st.Index.MaxPostings("ix_sku"); got != 4 {
-		t.Fatalf("MaxPostings after regrowth = %d, want 4", got)
+	if got := st.Degree("ix_sku"); got != 4 {
+		t.Fatalf("Degree after regrowth = %d, want 4", got)
 	}
 	// Deleting a non-longest list must not trigger a recompute visible as a
 	// wrong maximum.
 	if err := deleteTuple(st, relation.Tuple{relation.Int(101), relation.String("C1"), relation.Int(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Index.MaxPostings("ix_sku"); got != 4 {
-		t.Fatalf("MaxPostings after unrelated delete = %d, want 4", got)
+	if got := st.Degree("ix_sku"); got != 4 {
+		t.Fatalf("Degree after unrelated delete = %d, want 4", got)
 	}
 }
 
 // TestPostingReadFormsAgree holds the one-implementation posting reads across
-// engines and node counts: Lookup answers what LookupManyT answers at the
-// same index of a batch — present and missing postings alike — for the same
-// gets; Range is RangeLimitT unbounded; a limited walk is a prefix of it
-// whose scan cost one node's stream bounds exactly as four nodes' do; and
-// every form's traced kv totals equal the cluster metrics delta, with one
-// posting read per decoded list.
+// engines and node counts: Lookup answers what FetchBlocksT over the index
+// answers at the same index of a batch — present and missing postings
+// alike — for the same gets; Range is RangeLimitT unbounded; a limited walk
+// is a prefix of it whose scan cost one node's stream bounds exactly as four
+// nodes' do; and every form's traced kv totals equal the cluster metrics
+// delta, with one posting read per list a walk decodes.
 func TestPostingReadFormsAgree(t *testing.T) {
 	for _, kind := range []kv.EngineKind{kv.EngineHash, kv.EngineLSM, kv.EngineSorted} {
 		for _, nodes := range []int{1, 4} {
@@ -467,23 +471,27 @@ func TestPostingReadFormsAgree(t *testing.T) {
 				if got.Gets != d.Gets || got.ScanNexts != d.ScanNexts || got.BytesRead != d.BytesRead || d.Gets+d.ScanNexts == 0 {
 					t.Fatalf("%v/%d nodes %s: trace %+v vs metrics delta %+v", kind, nodes, form, got, d)
 				}
-				if tr.PostingReads() == 0 {
-					t.Fatalf("%v/%d nodes %s: no posting reads traced", kind, nodes, form)
-				}
 				return got
 			}
 
 			vs := []relation.Value{relation.String("S03"), relation.String("nope"), relation.String("S07")}
-			var outs [][]relation.Tuple
+			probes := make([]relation.Tuple, len(vs))
+			for i, v := range vs {
+				probes[i] = relation.Tuple{v}
+			}
+			outs := make([][]relation.Tuple, len(vs))
 			var gets int
 			var err error
-			if got := traced("LookupManyT", func(tr *obs.Trace) {
-				outs, gets, err = st.Index.LookupManyT(tr, "ix_sku", vs)
-				if tr.PostingReads() != 2 {
-					t.Fatalf("%v/%d nodes LookupManyT: %d posting reads, want 2", kind, nodes, tr.PostingReads())
+			if got := traced("FetchBlocksT", func(tr *obs.Trace) {
+				var blks []*baav.Block
+				blks, _, gets, err = st.FetchBlocksT(tr.KVCounters(), "ix_sku", probes, nil, nil)
+				for i, blk := range blks {
+					if blk != nil {
+						outs[i] = blk.Tuples
+					}
 				}
 			}); err != nil || got.Gets != int64(gets) || gets != len(vs) {
-				t.Fatalf("%v/%d nodes LookupManyT: traced %d gets, reported %d, err %v", kind, nodes, got.Gets, gets, err)
+				t.Fatalf("%v/%d nodes FetchBlocksT: traced %d gets, reported %d, err %v", kind, nodes, got.Gets, gets, err)
 			}
 			for i, v := range vs {
 				before := c.Metrics()

@@ -7,6 +7,7 @@ package baav
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"zidian/internal/relation"
@@ -32,6 +33,11 @@ func (s KVSchema) Attrs() []string {
 	out = append(out, s.Key...)
 	out = append(out, s.Val...)
 	return out
+}
+
+// Has reports whether a is one of X ∪ Y.
+func (s KVSchema) Has(a string) bool {
+	return slices.Contains(s.Key, a) || slices.Contains(s.Val, a)
 }
 
 // String renders the schema as "name: Rel⟨X | Y⟩".

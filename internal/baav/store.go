@@ -39,8 +39,9 @@ type Store struct {
 	Rels    map[string]*relation.Schema
 	Opts    Options
 
-	// Index serves secondary-index lookups for IndexLookup and IndexRange
-	// plan leaves: the view's Indexes, reading at its snapshot.
+	// Index serves secondary-index reads — Lookup, and the IndexRange
+	// leaf's walk — at the view's snapshot: the view's Indexes. A plan's
+	// equality lookup is a ∝ over the index (FetchBlocksT).
 	Index SecondaryIndex
 	ix    *indexState
 
@@ -258,7 +259,7 @@ func (st *Store) GetBlock(name string, key relation.Tuple) (blk *Block, stats *B
 }
 
 // GetBlocksT is FetchBlocksT taking every column and the blocks' stats
-// headers; statss aligns with keys like blks.
+// headers; statss aligns with keys like blks (a posting list has none).
 func (st *Store) GetBlocksT(kvt *obs.KV, name string, keys []relation.Tuple) (blks []*Block, statss []*BlockStats, gets int, err error) {
 	if len(keys) > 0 {
 		statss = make([]*BlockStats, len(keys))
@@ -292,12 +293,19 @@ func (st *Store) GetBlocksT(kvt *obs.KV, name string, keys []relation.Tuple) (bl
 // number of get invocations issued. The blocks share one arena (see
 // blockArena): each is the caller's to modify, and an append to one cannot
 // reach another.
+//
+// name may be a secondary index, the KV schema R⟨A, K⟩: a key is one value
+// and its block the value's posting list (see fetchPostings), with no stats
+// header.
 func (st *Store) FetchBlocksT(kvt *obs.KV, name string, keys []relation.Tuple, cols []int, statss []*BlockStats) (blks []*Block, sizes []int64, gets int, err error) {
 	if len(keys) == 0 {
 		return nil, nil, 0, nil
 	}
 	kvSchema := st.Schema.ByName(name)
 	if kvSchema == nil {
+		if p, err := st.Indexes().posting(name); err == nil {
+			return st.fetchPostings(kvt, p, keys, cols)
+		}
 		return nil, nil, 0, fmt.Errorf("baav: unknown KV schema %q", name)
 	}
 	id := st.ids[name]
@@ -711,9 +719,13 @@ func (st *Store) RelationRows(rel string) int {
 func (st *Store) HasBlockStats() bool { return st.Opts.Stats }
 
 // Degree returns the largest distinct block size observed for the named KV
-// instance (deg(~D) of Section 4.1), and the store-wide maximum when name
-// is empty.
+// instance (deg(~D) of Section 4.1) — for a secondary index, its longest
+// posting list — and the BaaV instances' maximum when name is empty.
 func (st *Store) Degree(name string) int {
+	if name != "" && st.Schema.ByName(name) == nil {
+		s, _ := st.Indexes().Stats(name)
+		return s.MaxPosting
+	}
 	st.statsMu.RLock()
 	defer st.statsMu.RUnlock()
 	if name != "" {
@@ -726,6 +738,15 @@ func (st *Store) Degree(name string) int {
 		}
 	}
 	return max
+}
+
+// KVSchema returns the KV schema named name: one of the BaaV schema's, or a
+// secondary index as R⟨A, K⟩; nil when there is none.
+func (st *Store) KVSchema(name string) *KVSchema {
+	if s := st.Schema.ByName(name); s != nil {
+		return s
+	}
+	return st.Indexes().KVSchema(name)
 }
 
 // ComputeDegree scans the instance and returns the exact maximum block size.

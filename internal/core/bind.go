@@ -10,7 +10,7 @@ import (
 // returning an executable PlanInfo. It validates arity (exactly NumParams
 // values) and per-slot types (numeric kinds coerce losslessly, anything
 // else is a mismatch), then rewrites only the plan nodes that carry
-// parameter slots — constant seeds, index lookups and residual selections —
+// parameter slots — constant seeds, range bounds and residual selections —
 // sharing every other node with the template. No parsing, checking or plan
 // generation happens: this is the whole point of plan templates, the
 // compile cost is paid once per template rather than once per literal.

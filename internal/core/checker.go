@@ -2,8 +2,8 @@
 // contribution: the closure clo(~R, ~𝐑) and data/result preservability
 // characterizations (Conditions (I) and (II), Theorems 1–3), the GET/VC
 // chase and the scan-free characterization (Condition (III), Theorems 4–5),
-// the bounded-query check, and chase-based KBA plan generation (Section 6.2,
-// Theorem 6).
+// and chase-based KBA plan generation (Section 6.2, Theorem 6) with its
+// bounded-plan check.
 package core
 
 import (
@@ -28,14 +28,19 @@ type PlanStats interface {
 }
 
 // IndexCatalog lists the secondary indexes available to the planner. It is
-// implemented by baav.Indexes. Unlike the BaaV schema, the catalog is
-// mutable at runtime (CREATE INDEX / DROP INDEX), so the planner consults it
-// on every Plan call; cached plans must be invalidated when it changes (the
-// serving layer's schema epoch does this).
+// implemented by baav.Indexes. An index on R.A is the KV schema R⟨A, K⟩: the
+// chase reasons over it like any KV schema, and an equality lookup is a ∝
+// over it. Unlike the BaaV schema, the catalog is mutable at runtime (CREATE
+// INDEX / DROP INDEX), so the planner consults it on every Plan call; cached
+// plans must be invalidated when it changes (the serving layer's schema
+// epoch does this).
 type IndexCatalog interface {
-	// IndexOn returns, for an index on rel(attr), the index name and the
-	// block-key attributes its postings hold (the relation's primary key).
-	IndexOn(rel, attr string) (name string, key []string, ok bool)
+	// OnRelation returns the indexes on rel as KV schemas R⟨A, K⟩, named
+	// by the index: Key is [A], Val the block-key attributes its postings
+	// hold (the relation's primary key).
+	OnRelation(rel string) []baav.KVSchema
+	// KVSchema returns the named index as the KV schema R⟨A, K⟩, or nil.
+	KVSchema(name string) *baav.KVSchema
 	// Shape returns the index's distinct-entry and total-posting counts —
 	// the statistics behind the index-vs-scan decision (posting lists read
 	// × average posting).
@@ -60,8 +65,9 @@ type Checker struct {
 	// that already contain a scan; scan-free plans never probe from an
 	// unbounded fragment).
 	Stats PlanStats
-	// Indexes, when set, enables the planner's third access path: secondary
-	// index lookups for constant predicates on non-key attributes.
+	// Indexes, when set, adds the secondary indexes to the KV schemas the
+	// chase and the planner reason over: ∝ steps over an index for constant
+	// predicates on non-key attributes, and range walks.
 	Indexes IndexCatalog
 }
 
@@ -95,16 +101,31 @@ func (c *Checker) pkOf(s baav.KVSchema) []string {
 	if !ok || len(rel.Key) == 0 {
 		return nil
 	}
-	have := make(map[string]bool)
-	for _, a := range s.Attrs() {
-		have[a] = true
-	}
 	for _, k := range rel.Key {
-		if !have[k] {
+		if !s.Has(k) {
 			return nil
 		}
 	}
 	return rel.Key
+}
+
+// kvSchemas returns the KV schemas over rel that the chase reasons with:
+// the BaaV schema's, then each secondary index on rel as R⟨A, K⟩.
+func (c *Checker) kvSchemas(rel string) []baav.KVSchema {
+	out := c.Schema.ForRelation(rel)
+	if c.Indexes == nil {
+		return out
+	}
+	return append(out, c.Indexes.OnRelation(rel)...)
+}
+
+// KVSchema returns the KV schema named name — the BaaV schema's, or a
+// secondary index's — or nil: what kba.Resolve looks plan nodes up in.
+func (c *Checker) KVSchema(name string) *baav.KVSchema {
+	if s := c.Schema.ByName(name); s != nil || c.Indexes == nil {
+		return s
+	}
+	return c.Indexes.KVSchema(name)
 }
 
 // Clo computes clo(~S, ~𝐑) for the named anchor KV schema: the attribute
@@ -113,15 +134,19 @@ func (c *Checker) pkOf(s baav.KVSchema) []string {
 // definition). The optional allowed filter restricts which schemas may
 // participate (used by VC, which only admits GET-covered schemas).
 func (c *Checker) Clo(anchor string, allowed func(baav.KVSchema) bool) map[string]bool {
-	s := c.Schema.ByName(anchor)
+	s := c.KVSchema(anchor)
 	if s == nil {
 		return nil
 	}
+	return c.clo(*s, c.kvSchemas(s.Rel), allowed)
+}
+
+// clo is Clo for anchor s among its relation's KV schemas sameRel.
+func (c *Checker) clo(s baav.KVSchema, sameRel []baav.KVSchema, allowed func(baav.KVSchema) bool) map[string]bool {
 	clo := make(map[string]bool)
 	for _, a := range s.Attrs() {
 		clo[a] = true
 	}
-	sameRel := c.Schema.ForRelation(s.Rel)
 	for changed := true; changed; {
 		changed = false
 		for _, s2 := range sameRel {
@@ -142,10 +167,12 @@ func (c *Checker) Clo(anchor string, allowed func(baav.KVSchema) bool) map[strin
 			if !inClo {
 				continue
 			}
-			for _, a := range s2.Attrs() {
-				if !clo[a] {
-					clo[a] = true
-					changed = true
+			for _, attrs := range [2][]string{s2.Key, s2.Val} {
+				for _, a := range attrs {
+					if !clo[a] {
+						clo[a] = true
+						changed = true
+					}
 				}
 			}
 		}
@@ -160,8 +187,9 @@ func (c *Checker) DataPreserving() (bool, []string) {
 	var missing []string
 	for relName, rel := range c.Rels {
 		ok := false
-		for _, s := range c.Schema.ForRelation(relName) {
-			clo := c.Clo(s.Name, nil)
+		schemas := c.kvSchemas(relName)
+		for _, s := range schemas {
+			clo := c.clo(s, schemas, nil)
 			if len(clo) != len(rel.Attrs) {
 				continue
 			}
@@ -195,8 +223,9 @@ func (c *Checker) ResultPreserving(q *ra.Query) bool {
 	for _, atom := range m.Atoms {
 		used := m.AttrsUsed(atom.Alias)
 		ok := false
-		for _, s := range c.Schema.ForRelation(atom.Rel) {
-			clo := c.Clo(s.Name, nil)
+		schemas := c.kvSchemas(atom.Rel)
+		for _, s := range schemas {
+			clo := c.clo(s, schemas, nil)
 			covered := true
 			for _, a := range used {
 				if !clo[a] {
@@ -219,7 +248,8 @@ func (c *Checker) ResultPreserving(q *ra.Query) bool {
 // ScanFree checks Condition (III) on min(Q): every atom's used attributes
 // X_R^min(Q) lie inside some verifiable combination W ∈ VC(min(Q), ~𝐑)
 // (Theorem 4; the RAaggr effective syntax of Theorem 5 again reduces to the
-// SPC core).
+// SPC core). The secondary indexes are KV schemas of ~𝐑 here, so a query
+// the planner answers by a ∝ over an index is scan-free.
 func (c *Checker) ScanFree(q *ra.Query) bool {
 	m := q.Minimize()
 	eq := ra.BuildEqClasses(m)
@@ -241,18 +271,21 @@ func (c *Checker) ScanFree(q *ra.Query) bool {
 func (c *Checker) atomScanFree(q *ra.Query, eq *ra.EqClasses, get map[ra.ColRef]bool, atom ra.Atom) bool {
 	used := q.AttrsUsed(atom.Alias)
 	inGet := func(s baav.KVSchema) bool {
-		for _, a := range s.Attrs() {
-			if !get[eq.Find(ra.ColRef{Alias: atom.Alias, Attr: a})] {
-				return false
+		for _, attrs := range [2][]string{s.Key, s.Val} {
+			for _, a := range attrs {
+				if !get[eq.Find(ra.ColRef{Alias: atom.Alias, Attr: a})] {
+					return false
+				}
 			}
 		}
 		return true
 	}
-	for _, s := range c.Schema.ForRelation(atom.Rel) {
+	schemas := c.kvSchemas(atom.Rel)
+	for _, s := range schemas {
 		if !inGet(s) {
 			continue
 		}
-		clo := c.Clo(s.Name, inGet)
+		clo := c.clo(s, schemas, inGet)
 		covered := true
 		for _, a := range used {
 			if !clo[a] {
@@ -271,7 +304,8 @@ func (c *Checker) atomScanFree(q *ra.Query, eq *ra.EqClasses, get map[ra.ColRef]
 // values are retrievable with scan-free plans (Section 6.1): constant
 // attributes seed the set (rule a; IN lists count as finite constant sets),
 // equality transitivity is built into the class representation (rule b),
-// and KV schemas propagate keys to values per atom (rule c).
+// and KV schemas — secondary indexes among them — propagate keys to values
+// per atom (rule c).
 func (c *Checker) GetSet(q *ra.Query, eq *ra.EqClasses) map[ra.ColRef]bool {
 	get := make(map[ra.ColRef]bool)
 	for _, ce := range eq.ConstCols() {
@@ -286,10 +320,14 @@ func (c *Checker) GetSet(q *ra.Query, eq *ra.EqClasses) map[ra.ColRef]bool {
 	for _, pe := range q.EqParams {
 		get[eq.Find(pe.Col)] = true
 	}
+	schemas := make([][]baav.KVSchema, len(q.Atoms))
+	for i, atom := range q.Atoms {
+		schemas[i] = c.kvSchemas(atom.Rel)
+	}
 	for changed := true; changed; {
 		changed = false
-		for _, atom := range q.Atoms {
-			for _, s := range c.Schema.ForRelation(atom.Rel) {
+		for i, atom := range q.Atoms {
+			for _, s := range schemas[i] {
 				keyIn := true
 				for _, k := range s.Key {
 					if !get[eq.Find(ra.ColRef{Alias: atom.Alias, Attr: k})] {
@@ -311,35 +349,4 @@ func (c *Checker) GetSet(q *ra.Query, eq *ra.EqClasses) map[ra.ColRef]bool {
 		}
 	}
 	return get
-}
-
-// Bounded reports whether the query is bounded over the store: scan-free,
-// with every KV instance reachable by the chase having degree at most
-// maxDeg (Section 6.1's corollary).
-func (c *Checker) Bounded(q *ra.Query, store *baav.Store, maxDeg int) bool {
-	if !c.ScanFree(q) {
-		return false
-	}
-	m := q.Minimize()
-	eq := ra.BuildEqClasses(m)
-	if eq.Unsat {
-		return true
-	}
-	get := c.GetSet(m, eq)
-	for _, atom := range m.Atoms {
-		for _, s := range c.Schema.ForRelation(atom.Rel) {
-			// Only instances the chase can touch matter.
-			keyIn := true
-			for _, k := range s.Key {
-				if !get[eq.Find(ra.ColRef{Alias: atom.Alias, Attr: k})] {
-					keyIn = false
-					break
-				}
-			}
-			if keyIn && store.Degree(s.Name) > maxDeg {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -193,18 +195,63 @@ func TestScanFreeClassification(t *testing.T) {
 	}
 }
 
+// TestBounded holds PlanInfo.Bounded, the one boundedness rule: a plan is
+// bounded when it is scan-free and every instance its ∝ steps extend — an
+// index among them, whose degree is its longest posting list — has degree
+// at most the bound.
 func TestBounded(t *testing.T) {
 	db, store, c := fixture(t, 1)
-	q := ra.MustParse(paperQ1, db)
-	if !c.Bounded(q, store, 1000) {
+	plan := func(c *Checker, db *relation.Database, src string) *PlanInfo {
+		t.Helper()
+		info, err := c.Plan(ra.MustParse(src, db))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info
+	}
+	q1 := plan(c, db, paperQ1)
+	if !q1.Bounded(store, 1000) {
 		t.Fatal("Q1 is bounded under a generous degree bound")
 	}
-	if c.Bounded(q, store, 1) {
+	if q1.Bounded(store, 1) {
 		t.Fatal("degree bound 1 must fail (blocks are larger)")
 	}
-	agg := ra.MustParse("select SUM(PS.supplycost) from PARTSUPP PS", db)
-	if c.Bounded(agg, store, 1000) {
-		t.Fatal("non-scan-free queries are unbounded")
+	if plan(c, db, "select SUM(PS.supplycost) from PARTSUPP PS").Bounded(store, 1000) {
+		t.Fatal("non-scan-free plans are unbounded")
+	}
+
+	// ITEM: one hot sku posted 30 times, nine skus posted once; item_full
+	// holds one tuple per block.
+	db, c = indexFixture(t)
+	item := db.Relation("ITEM")
+	for i := 0; i < 39; i++ {
+		sku := "HOT"
+		if i >= 30 {
+			sku = fmt.Sprintf("C%d", i)
+		}
+		item.MustInsert(relation.Tuple{relation.Int(int64(i)), relation.String(sku), relation.Int(int64(i))})
+	}
+	ist, err := baav.Map(db, c.Schema, kv.NewCluster(kv.EngineHash, 2), baav.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ist.CreateIndex("ix_sku", "ITEM", "sku", item.Tuples); err != nil {
+		t.Fatal(err)
+	}
+	c.WithStats(ist).WithIndexes(ist.Indexes())
+	lookup := plan(c, db, "select I.id, I.qty from ITEM I where I.sku = 'C31'")
+	if !slices.Equal(lookup.Extends, []string{"ix_sku", "item_full"}) || !lookup.ScanFree {
+		t.Fatalf("lookup plan: %s (extends %v)", lookup.Root, lookup.Extends)
+	}
+	if ist.Degree("item_full") != 1 || ist.Degree("ix_sku") != 30 {
+		t.Fatalf("degrees: item_full %d, ix_sku %d", ist.Degree("item_full"), ist.Degree("ix_sku"))
+	}
+	// Only the index's longest posting list exceeds 29.
+	if lookup.Bounded(ist, 29) {
+		t.Fatal("a posting list of 30 must make the lookup unbounded at 29")
+	}
+	if !lookup.Bounded(ist, 30) {
+		t.Fatal("the lookup is bounded at its index's longest posting list")
 	}
 }
 

@@ -29,13 +29,12 @@ type PlanInfo struct {
 	Empty bool
 	// ScanFree reports whether Root scans no KV instance.
 	ScanFree bool
-	// Extends and Scans list the KV instances accessed by ∝ and by scans;
-	// Indexes lists the secondary indexes accessed by IndexLookup leaves,
-	// and Ranges those walked by IndexRange leaves (bounded ordered posting
-	// scans serving range predicates).
+	// Extends and Scans list the KV instances accessed by ∝ — secondary
+	// indexes among them, for equality lookups — and by scans; Ranges lists
+	// the indexes walked by IndexRange leaves (bounded ordered posting scans
+	// serving range predicates).
 	Extends []string
 	Scans   []string
-	Indexes []string
 	Ranges  []string
 	// Relations lists the base relations the query reads, sorted and
 	// deduplicated. Every KV instance, index posting, and statistic the
@@ -64,8 +63,9 @@ type PlanInfo struct {
 	shape *resultShape
 }
 
-// Bounded reports whether the plan is bounded on the store: scan-free with
-// every extended instance's degree at most maxDeg.
+// Bounded reports whether the plan is bounded on the store (Section 6.1's
+// corollary): scan-free with every extended instance's degree at most
+// maxDeg. An index's degree is its longest posting list.
 func (p *PlanInfo) Bounded(store *baav.Store, maxDeg int) bool {
 	if p.Empty {
 		return true
@@ -75,13 +75,6 @@ func (p *PlanInfo) Bounded(store *baav.Store, maxDeg int) bool {
 	}
 	for _, name := range p.Extends {
 		if store.Degree(name) > maxDeg {
-			return false
-		}
-	}
-	// Index lookups fan out like blocks: a posting list longer than the
-	// degree bound makes the query unbounded on this store.
-	for _, name := range p.Indexes {
-		if store.Index.MaxPostings(name) > maxDeg {
 			return false
 		}
 	}
@@ -125,7 +118,7 @@ func (c *Checker) Plan(q *ra.Query) (*PlanInfo, error) {
 			// Everything an execution would derive from the plan and the
 			// schema alone is derived here, once. A plan that does not
 			// resolve keeps reporting its error when it runs.
-			info.shape, _ = info.shapeOver(kba.Resolve(info.Root, c.Schema))
+			info.shape, _ = info.shapeOver(kba.Resolve(info.Root, c.KVSchema))
 		}
 	}
 	return info, err
@@ -174,7 +167,6 @@ type planner struct {
 	frags   []*frag
 	extends []string
 	scans   []string
-	indexes []string
 	ranges  []string
 
 	// sfAtom marks atoms that the GET/VC chase proves reachable scan-free;
@@ -184,7 +176,7 @@ type planner struct {
 	atomFrag map[string]*frag
 	// applied guards against re-applying the same (atom, schema) extend.
 	applied map[string]bool
-	// indexed marks atoms already seeded by an index leaf, so the access
+	// indexed marks atoms already reached through an index, so the access
 	// path is tried at most once per atom.
 	indexed map[string]bool
 
@@ -255,7 +247,7 @@ func (p *planner) pushRangeLimit() {
 	if len(q.Atoms) != 1 || q.IsAggregate() || q.Distinct || len(q.OrderBy) > 0 {
 		return
 	}
-	if len(p.scans) > 0 || len(p.indexes) > 0 || len(p.extends) != 1 {
+	if len(p.scans) > 0 || len(p.extends) != 1 {
 		return
 	}
 	if len(q.EqConsts)+len(q.EqParams)+len(q.Ins)+len(q.EqAttrs) > 0 {
@@ -315,7 +307,6 @@ func (p *planner) run() (*PlanInfo, error) {
 		ScanFree:   kba.IsScanFree(f.plan),
 		Extends:    p.extends,
 		Scans:      p.scans,
-		Indexes:    p.indexes,
 		Ranges:     p.ranges,
 		OutCols:    outCols,
 		NumParams:  p.q.NumParams,
@@ -602,7 +593,7 @@ func (p *planner) coverAtoms() error {
 	for !allCovered() {
 		// Full-cover anchors first (the single-step chase of Example 7),
 		// then partial pk-refining anchors, then merges, then index
-		// lookups and range walks, then scans.
+		// steps, then scans.
 		if p.applyAnchor(covered, true) || p.applyAnchor(covered, false) {
 			continue
 		}
@@ -620,14 +611,15 @@ func (p *planner) coverAtoms() error {
 }
 
 // applyIndex is the secondary-index access path: when a not-yet-fetched
-// atom has a used attribute covered by a secondary index and pinned by the
-// query, seed a fragment with an index leaf that yields the block keys of
-// exactly the matching tuples — an IndexLookup of the constants' postings
-// for an equality pin, an IndexRange walk over the value-ordered posting
-// key space for range conjuncts — so the ordinary anchor step then fetches
-// those blocks through the primary-key KV schema instead of scanning the
+// atom has a used attribute covered by a secondary index on R.A and pinned
+// by the query, reach the block keys of exactly the matching tuples — for
+// an equality pin, a ∝ over the index's KV schema R⟨A, K⟩ from the fragment
+// holding the pinned class (the constant seed); for range conjuncts, an
+// IndexRange walk over the value-ordered posting key space, seeding a
+// fragment of its own — so the ordinary anchor step then fetches those
+// blocks through the primary-key KV schema instead of scanning the
 // instance. The equality pass runs over every atom before the range pass,
-// and an equality-pinned attribute belongs to the lookup. A leaf is taken
+// and an equality-pinned attribute belongs to the lookup. A step is taken
 // only when a full-covering pk-keyed schema exists for the subsequent ∝ and
 // indexBeatsScan favours it. Values and bounds may be parameter slots, so
 // an `= ?` or `BETWEEN ? AND ?` template fixes the access path once and
@@ -648,6 +640,7 @@ func (p *planner) applyIndex(covered func(string) bool) bool {
 			if covered(atom.Alias) || p.atomFrag[atom.Alias] != nil || p.indexed[atom.Alias] {
 				continue
 			}
+			ixs := p.c.Indexes.OnRelation(atom.Rel)
 			used := p.q.AttrsUsed(atom.Alias)
 			for _, attr := range used {
 				root := p.eq.Find(ra.ColRef{Alias: atom.Alias, Attr: attr})
@@ -671,12 +664,14 @@ func (p *planner) applyIndex(covered func(string) bool) bool {
 				} else if len(vs) == 0 {
 					continue
 				}
-				name, key, ok := p.c.Indexes.IndexOn(atom.Rel, attr)
-				// The leaf only pays off if a KV schema keyed exactly by the
-				// posted block keys covers the atom, so one ∝ completes it.
-				if !ok || !p.hasIndexAnchor(atom, key, used) {
+				at := slices.IndexFunc(ixs, func(s baav.KVSchema) bool { return s.Key[0] == attr })
+				// The index only pays off if a KV schema keyed exactly by
+				// the posted block keys covers the atom, so one ∝ completes
+				// it.
+				if at < 0 || !p.hasIndexAnchor(atom, ixs[at].Val, used) {
 					continue
 				}
+				name, key := ixs[at].Name, ixs[at].Val
 				entries, postings := p.c.Indexes.Shape(name)
 				avg := 1
 				if entries > 0 {
@@ -689,24 +684,14 @@ func (p *planner) applyIndex(covered func(string) bool) bool {
 				if !p.indexBeatsScan(atom, used, lists, avg) {
 					continue
 				}
-				leaf := kba.PostingLeaf{Index: name, Alias: atom.Alias,
-					ValAttr: "$idx." + atom.Alias + "." + attr, KeyAttrs: make([]string, len(key))}
+				keyAttrs := make([]string, len(key))
 				for i, k := range key {
-					leaf.KeyAttrs[i] = atom.Alias + "." + k
+					keyAttrs[i] = atom.Alias + "." + k
 				}
-				f := &frag{
-					attrs:  append([]string{leaf.ValAttr}, leaf.KeyAttrs...),
-					cols:   map[ra.ColRef]string{root: leaf.ValAttr},
-					rowEst: lists * avg,
-				}
-				for i, k := range key {
-					kroot := p.eq.Find(ra.ColRef{Alias: atom.Alias, Attr: k})
-					if _, ok := f.cols[kroot]; !ok {
-						f.cols[kroot] = leaf.KeyAttrs[i]
-					}
-				}
+				var f *frag
 				if ranged {
-					node := &kba.IndexRange{PostingLeaf: leaf}
+					node := &kba.IndexRange{Index: name, Alias: atom.Alias,
+						ValAttr: "$idx." + atom.Alias + "." + attr, KeyAttrs: keyAttrs}
 					if lo != nil {
 						a := lo.arg
 						node.Lo, node.LoIncl = &a, lo.incl
@@ -715,24 +700,27 @@ func (p *planner) applyIndex(covered func(string) bool) bool {
 						a := hi.arg
 						node.Hi, node.HiIncl = &a, hi.incl
 					}
-					f.plan = node
+					f = &frag{plan: node, attrs: append([]string{node.ValAttr}, keyAttrs...),
+						cols: map[ra.ColRef]string{root: node.ValAttr}}
+					p.frags = append(p.frags, f)
 					p.ranges = append(p.ranges, name)
 					p.recordRange(node, atom.Alias, attr, rawLo, rawHi, lo, hi)
 				} else {
-					lookup := &kba.IndexLookup{PostingLeaf: leaf}
-					// A lookup over parameter slots stays a template leaf;
-					// Bind resolves the probe values per execution.
-					if slices.ContainsFunc(vs, func(a kba.Arg) bool { return a.IsSlot }) {
-						lookup.Args = append([]kba.Arg{}, vs...)
-					} else {
-						for _, a := range vs {
-							lookup.Values = append(lookup.Values, a.Lit)
-						}
+					var keyFrom []string
+					if f, keyFrom = p.findKeyFragment(atom.Alias, []string{attr}); f == nil {
+						continue
 					}
-					f.plan = lookup
-					p.indexes = append(p.indexes, name)
+					f.plan = &kba.Extend{Input: f.plan, KV: name, Alias: atom.Alias, KeyFrom: keyFrom}
+					f.attrs = append(f.attrs, keyAttrs...)
+					p.extends = append(p.extends, name)
 				}
-				p.frags = append(p.frags, f)
+				f.rowEst = max(f.rowEst, lists*avg)
+				for i, k := range key {
+					kroot := p.eq.Find(ra.ColRef{Alias: atom.Alias, Attr: k})
+					if _, ok := f.cols[kroot]; !ok {
+						f.cols[kroot] = keyAttrs[i]
+					}
+				}
 				p.indexed[atom.Alias] = true
 				return true
 			}
@@ -761,7 +749,7 @@ func (p *planner) hasIndexAnchor(atom ra.Atom, key []string, used []string) bool
 				break
 			}
 		}
-		if exact && attrsCover(s.Attrs(), used) {
+		if exact && covers(s, used) {
 			return true
 		}
 	}
@@ -780,7 +768,7 @@ func (p *planner) indexBeatsScan(atom ra.Atom, used []string, lists, avg int) bo
 	}
 	blocks := 0
 	for _, s := range p.c.Schema.ForRelation(atom.Rel) {
-		if !attrsCover(s.Attrs(), used) {
+		if !covers(s, used) {
 			continue
 		}
 		if b := p.c.Stats.InstanceBlocks(s.Name); blocks == 0 || b < blocks {
@@ -989,7 +977,7 @@ func (p *planner) applyAnchor(covered func(string) bool, fullOnly bool) bool {
 		}
 		used := p.q.AttrsUsed(atom.Alias)
 		for _, s := range p.c.Schema.ForRelation(atom.Rel) {
-			full := attrsCover(s.Attrs(), used)
+			full := covers(s, used)
 			if fullOnly && !full {
 				continue
 			}
@@ -1103,7 +1091,7 @@ func (p *planner) applyScan(covered func(string) bool) error {
 		used := p.q.AttrsUsed(atom.Alias)
 		var best *baav.KVSchema
 		for i, s := range p.c.Schema.ForRelation(atom.Rel) {
-			if !attrsCover(s.Attrs(), used) {
+			if !covers(s, used) {
 				continue
 			}
 			if best == nil || len(s.Attrs()) < len(best.Attrs()) {
@@ -1367,13 +1355,10 @@ func maxInt(a, b int) int {
 	return b
 }
 
-func attrsCover(have []string, want []string) bool {
-	set := make(map[string]bool, len(have))
-	for _, a := range have {
-		set[a] = true
-	}
+// covers reports whether the schema holds every attribute in want.
+func covers(s baav.KVSchema, want []string) bool {
 	for _, w := range want {
-		if !set[w] {
+		if !s.Has(w) {
 			return false
 		}
 	}

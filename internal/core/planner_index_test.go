@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,11 +22,18 @@ type fakeCatalog struct {
 	min, max *relation.Value
 }
 
-func (f *fakeCatalog) IndexOn(rel, attr string) (string, []string, bool) {
-	if rel == f.rel && attr == f.attr {
-		return f.name, f.key, true
+func (f *fakeCatalog) OnRelation(rel string) []baav.KVSchema {
+	if rel != f.rel {
+		return nil
 	}
-	return "", nil, false
+	return []baav.KVSchema{*f.KVSchema(f.name)}
+}
+
+func (f *fakeCatalog) KVSchema(name string) *baav.KVSchema {
+	if name != f.name {
+		return nil
+	}
+	return &baav.KVSchema{Name: f.name, Rel: f.rel, Key: []string{f.attr}, Val: f.key}
 }
 
 func (f *fakeCatalog) ValueBounds(string) (relation.Value, relation.Value, bool) {
@@ -67,16 +75,18 @@ func indexFixture(t *testing.T) (*relation.Database, *Checker) {
 	return db, NewChecker(schema, baav.RelSchemas(db))
 }
 
-func hasIndexLookup(p kba.Plan) bool {
-	if _, ok := p.(*kba.IndexLookup); ok {
-		return true
+// indexStep returns the plan's ∝ over a secondary index (named ix_…), or
+// nil.
+func indexStep(p kba.Plan) *kba.Extend {
+	if e, ok := p.(*kba.Extend); ok && strings.HasPrefix(e.KV, "ix_") {
+		return e
 	}
 	for _, c := range p.Children() {
-		if hasIndexLookup(c) {
-			return true
+		if e := indexStep(c); e != nil {
+			return e
 		}
 	}
-	return false
+	return nil
 }
 
 func TestPlannerPicksIndexLookup(t *testing.T) {
@@ -88,20 +98,20 @@ func TestPlannerPicksIndexLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hasIndexLookup(info.Root) {
-		t.Fatalf("plan has no IndexLookup: %s", info.Root)
-	}
 	if !info.ScanFree {
 		t.Fatalf("index plan not scan-free: %s", info.Root)
 	}
-	if len(info.Indexes) != 1 || info.Indexes[0] != "ix_sku" {
-		t.Fatalf("info.Indexes = %v", info.Indexes)
+	if !slices.Equal(info.Extends, []string{"ix_sku", "item_full"}) {
+		t.Fatalf("info.Extends = %v", info.Extends)
 	}
 	if len(info.Scans) != 0 {
 		t.Fatalf("index plan still scans %v", info.Scans)
 	}
-	if !strings.Contains(info.Root.String(), "IndexLookup[ix_sku") {
-		t.Fatalf("plan rendering lacks IndexLookup: %s", info.Root)
+	// The lookup is one more ∝ step on the constant seed: no leaf of its
+	// own, no ⋈ joining it back.
+	want := "π[I.id,I.qty](σ[I.sku=S](((const[$const.I.sku=(S)] ∝ ix_sku on $const.I.sku as I) ∝ item_full on I.id as I)))"
+	if got := info.Root.String(); got != want {
+		t.Fatalf("plan = %s\nwant   %s", got, want)
 	}
 }
 
@@ -116,7 +126,7 @@ func TestPlannerIndexCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hasIndexLookup(info.Root) {
+	if indexStep(info.Root) != nil {
 		t.Fatalf("planner took the index over a cheaper scan: %s", info.Root)
 	}
 	if len(info.Scans) != 1 {
@@ -124,7 +134,8 @@ func TestPlannerIndexCost(t *testing.T) {
 	}
 }
 
-// TestPlannerIndexIN: an IN list becomes one IndexLookup over all values.
+// TestPlannerIndexIN: an IN list becomes one ∝ over the index from a seed
+// of all its values.
 func TestPlannerIndexIN(t *testing.T) {
 	db, c := indexFixture(t)
 	c.WithStats(&fakeStats{blocks: 1000}).
@@ -134,22 +145,12 @@ func TestPlannerIndexIN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lk *kba.IndexLookup
-	var find func(p kba.Plan)
-	find = func(p kba.Plan) {
-		if n, ok := p.(*kba.IndexLookup); ok {
-			lk = n
-		}
-		for _, ch := range p.Children() {
-			find(ch)
-		}
-	}
-	find(info.Root)
+	lk := indexStep(info.Root)
 	if lk == nil {
-		t.Fatalf("no IndexLookup in %s", info.Root)
+		t.Fatalf("no ∝ over the index in %s", info.Root)
 	}
-	if len(lk.Values) != 3 {
-		t.Fatalf("lookup values = %v", lk.Values)
+	if seed, ok := lk.Input.(*kba.Const); !ok || len(seed.Keys) != 3 {
+		t.Fatalf("lookup input = %s", lk.Input)
 	}
 }
 
@@ -163,8 +164,8 @@ func TestPlannerIndexWithoutCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hasIndexLookup(info.Root) {
-		t.Fatal("IndexLookup planned without a catalog")
+	if indexStep(info.Root) != nil {
+		t.Fatal("index lookup planned without a catalog")
 	}
 	if len(info.Scans) != 1 {
 		t.Fatalf("expected scan fallback, got %s", info.Root)
@@ -183,8 +184,8 @@ func TestPlannerIndexAnchorRequired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hasIndexLookup(info.Root) {
-		t.Fatalf("IndexLookup planned without a matching anchor schema: %s", info.Root)
+	if indexStep(info.Root) != nil {
+		t.Fatalf("index lookup planned without a matching anchor schema: %s", info.Root)
 	}
 }
 
@@ -216,8 +217,8 @@ func TestPlannerIndexJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hasIndexLookup(info.Root) {
-		t.Fatalf("join plan has no IndexLookup: %s", info.Root)
+	if indexStep(info.Root) == nil {
+		t.Fatalf("join plan has no index lookup: %s", info.Root)
 	}
 	if !info.ScanFree || len(info.Scans) != 0 {
 		t.Fatalf("join plan not scan-free: %s (scans %v)", info.Root, info.Scans)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"zidian/internal/baav"
 	"zidian/internal/kba"
 	"zidian/internal/ra"
 	"zidian/internal/relation"
@@ -324,7 +325,7 @@ func TestPlannerRangeNeedsAnchor(t *testing.T) {
 }
 
 // TestPlannerRangeEqualityWins: an equality pin on the same attribute keeps
-// the IndexLookup path; the range conjunct stays residual.
+// the lookup path, a ∝ over the index; the range conjunct stays residual.
 func TestPlannerRangeEqualityWins(t *testing.T) {
 	c, _ := rangeFixture(t)
 	db, _ := indexFixture(t)
@@ -336,7 +337,7 @@ func TestPlannerRangeEqualityWins(t *testing.T) {
 	if findIndexRange(info.Root) != nil {
 		t.Fatalf("range path taken over the equality lookup: %s", info.Root)
 	}
-	if !hasIndexLookup(info.Root) {
+	if indexStep(info.Root) == nil {
 		t.Fatalf("equality pin lost the lookup path: %s", info.Root)
 	}
 }
@@ -353,16 +354,17 @@ func (cs catalogs) of(name string) *fakeCatalog {
 	return &fakeCatalog{}
 }
 
-func (cs catalogs) IndexOn(rel, attr string) (string, []string, bool) {
+func (cs catalogs) OnRelation(rel string) []baav.KVSchema {
+	var out []baav.KVSchema
 	for _, c := range cs {
-		if name, key, ok := c.IndexOn(rel, attr); ok {
-			return name, key, true
-		}
+		out = append(out, c.OnRelation(rel)...)
 	}
-	return "", nil, false
+	return out
 }
 
 func (cs catalogs) Shape(name string) (int, int) { return cs.of(name).Shape(name) }
+
+func (cs catalogs) KVSchema(name string) *baav.KVSchema { return cs.of(name).KVSchema(name) }
 
 func (cs catalogs) ValueBounds(name string) (relation.Value, relation.Value, bool) {
 	return cs.of(name).ValueBounds(name)
@@ -370,8 +372,9 @@ func (cs catalogs) ValueBounds(name string) (relation.Value, relation.Value, boo
 
 // TestPlannerLookupSeedsBeforeRange: with an equality-indexed atom and a
 // range-indexed atom in one query, the equality pass runs over every atom
-// before the range pass, so the IndexLookup seeds the plan's first fragment
-// even though the ranged atom comes first in the FROM list.
+// before the range pass, so the lookup extends the plan's first fragment,
+// the constant seed, even though the ranged atom comes first in the FROM
+// list.
 func TestPlannerLookupSeedsBeforeRange(t *testing.T) {
 	db, c := indexFixture(t)
 	c.WithStats(&fakeStats{blocks: 1000}).WithIndexes(catalogs{
@@ -387,8 +390,10 @@ func TestPlannerLookupSeedsBeforeRange(t *testing.T) {
 	var walk func(p kba.Plan)
 	walk = func(p kba.Plan) {
 		switch n := p.(type) {
-		case *kba.IndexLookup:
-			leaves = append(leaves, "lookup "+n.Alias)
+		case *kba.Extend:
+			if strings.HasPrefix(n.KV, "ix_") {
+				leaves = append(leaves, "lookup "+n.Alias)
+			}
 		case *kba.IndexRange:
 			leaves = append(leaves, "range "+n.Alias)
 		}
@@ -400,11 +405,11 @@ func TestPlannerLookupSeedsBeforeRange(t *testing.T) {
 	if want := []string{"lookup J", "range I"}; !slices.Equal(leaves, want) {
 		t.Fatalf("index leaves %v, want %v: %s", leaves, want, info.Root)
 	}
-	if !slices.Equal(info.Indexes, []string{"ix_qty"}) || !slices.Equal(info.Ranges, []string{"ix_sku"}) || len(info.Scans) != 0 {
-		t.Fatalf("indexes %v, ranges %v, scans %v: %s", info.Indexes, info.Ranges, info.Scans, info.Root)
+	if !slices.Equal(info.Extends, []string{"ix_qty", "item_full", "item_full"}) || !slices.Equal(info.Ranges, []string{"ix_sku"}) || len(info.Scans) != 0 {
+		t.Fatalf("extends %v, ranges %v, scans %v: %s", info.Extends, info.Ranges, info.Scans, info.Root)
 	}
-	const want = "π[I.id,J.id](σ[J.qty=5∧I.sku>=A∧I.sku<=B](((const[$const.J.qty=(5)] ⋈[$const.J.qty=$idx.J.qty] " +
-		"(IndexLookup[ix_qty=5 as J] ∝ item_full on J.id as J)) ⋈[] (IndexRange[ix_sku∈[A, B] as I] ∝ item_full on I.id as I))))"
+	const want = "π[I.id,J.id](σ[J.qty=5∧I.sku>=A∧I.sku<=B]((((const[$const.J.qty=(5)] ∝ ix_qty on $const.J.qty as J) ∝ item_full on J.id as J) " +
+		"⋈[] (IndexRange[ix_sku∈[A, B] as I] ∝ item_full on I.id as I))))"
 	if got := info.Root.String(); got != want {
 		t.Fatalf("plan\n%s\nwant\n%s", got, want)
 	}

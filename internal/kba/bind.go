@@ -38,23 +38,6 @@ func Bind(p Plan, params []relation.Value) (Plan, error) {
 			keys = append(keys, t)
 		}
 		return &Const{KeyAttrs: n.KeyAttrs, Keys: dedupeTuples(keys), resolved: n.resolved}, nil
-	case *IndexLookup:
-		if len(n.Args) == 0 {
-			return n, nil
-		}
-		vals := make([]relation.Value, 0, len(n.Values)+len(n.Args))
-		vals = append(vals, n.Values...)
-		for _, a := range n.Args {
-			v, err := a.Resolve(params)
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, v)
-		}
-		out := *n
-		out.Args = nil
-		out.Values = dedupeValues(vals)
-		return &out, nil
 	case *IndexRange:
 		if !n.hasSlots() {
 			return n, nil
@@ -231,10 +214,6 @@ func HasParams(p Plan) bool {
 		if len(n.Args) > 0 {
 			return true
 		}
-	case *IndexLookup:
-		if len(n.Args) > 0 {
-			return true
-		}
 	case *IndexRange:
 		if n.hasSlots() {
 			return true
@@ -265,20 +244,6 @@ func dedupeTuples(ts []relation.Tuple) []relation.Tuple {
 		if !seen[k] {
 			seen[k] = true
 			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// dedupeValues removes duplicate lookup values, preserving first-seen order.
-func dedupeValues(vs []relation.Value) []relation.Value {
-	seen := make(map[string]bool, len(vs))
-	out := vs[:0:0]
-	for _, v := range vs {
-		k := relation.KeyString(relation.Tuple{v})
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, v)
 		}
 	}
 	return out

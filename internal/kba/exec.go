@@ -145,8 +145,8 @@ func (e *executor) exec(p Plan) (*PartRel, error) {
 		return e.runConst(n)
 	case *ScanKV:
 		return e.runScan(n, &rowSink{})
-	case indexLeaf:
-		return e.runPostings(n)
+	case *IndexRange:
+		return e.runRange(n)
 	case *Extend:
 		return e.runExtend(n, &rowSink{})
 	case *Shift:
@@ -181,11 +181,11 @@ func (e *executor) layoutOf(p Plan, have *layout, l, r []string) (*layout, error
 	if have != nil {
 		return have, nil
 	}
-	var schema *baav.Schema
+	var kvs func(string) *baav.KVSchema
 	if e.store != nil {
-		schema = e.store.Schema
+		kvs = e.store.KVSchema
 	}
-	return deriveLayout(p, schema, l, r)
+	return deriveLayout(p, kvs, l, r)
 }
 
 func (e *executor) runConst(n *Const) (*PartRel, error) {
@@ -290,118 +290,77 @@ func (e *executor) walkScan(kvName string, lay *layout, visit func(w int, key re
 	return err
 }
 
-// indexLeaf is IndexLookup or IndexRange: a PostingLeaf whose rows are
-// the (value, block key) pairs it reads from its secondary index.
-type indexLeaf interface {
-	Plan
-	posting() *PostingLeaf
-	layout() *layout
-	// postings reads the leaf's pairs from the store.
-	postings(e *executor) (postings, error)
-}
-
-// postings are n (value, block key) pairs: the block keys lists[i] — or,
-// with no lists, keys[i] alone — are posted under vals[i].
-type postings struct {
-	vals  []relation.Value
-	lists [][]relation.Tuple
-	keys  []relation.Tuple
-	n     int
-}
-
-// under returns the block keys posted under vals[i].
-func (ps *postings) under(i int) []relation.Tuple {
-	if ps.lists != nil {
-		return ps.lists[i]
-	}
-	return ps.keys[i : i+1]
-}
-
-// runPostings shapes an index leaf's (value, block key) pairs into rows
-// partitioned by their full content, so the downstream ∝ starts from an
-// even spread of probe keys, and accounts the postings as fetched data. A
-// first pass over the pairs routes and counts them; the second carves the
-// rows out of one slab, each partition's contiguous in one row array.
-func (e *executor) runPostings(p indexLeaf) (*PartRel, error) {
-	ps, err := p.postings(e)
+// runRange walks an IndexRange leaf's postings once (the walk is one
+// cluster range scan; parallelizing it would not reduce its cost) and
+// shapes its (value, block key) pairs into rows partitioned by their full
+// content, so the downstream ∝ starts from an even spread of probe keys,
+// accounting the postings as fetched data. A first pass over the pairs
+// routes and counts them; the second carves the rows out of one slab, each
+// partition's contiguous in one row array.
+func (e *executor) runRange(n *IndexRange) (*PartRel, error) {
+	lo, hi, err := rangeBounds(n)
 	if err != nil {
 		return nil, err
 	}
-	lay, err := e.layoutOf(p, p.layout(), nil, nil)
+	limit, err := rangeWalkLimit(n)
 	if err != nil {
 		return nil, err
 	}
-	width, workers, n := len(lay.attrs), e.workers, ps.n
-	dst := make([]int32, n)
+	vals, keys, scanned, err := e.store.Index.RangeLimitT(e.trace, n.Index, lo, hi, n.LoIncl, n.HiIncl, limit)
+	if err != nil {
+		return nil, err
+	}
+	e.scanned.Add(int64(scanned))
+	lay, err := e.layoutOf(n, n.lay, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	width, workers := len(lay.attrs), e.workers
+	dst := make([]int32, len(keys))
 	// start[w] is where partition w begins in rows; fill[w] its next slot.
 	counts := make([]int, 2*workers+1)
 	start, fill := counts[:workers+1], counts[workers+1:]
 	var data, bytes int64
-	i := 0
-	for j, v := range ps.vals {
-		for _, k := range ps.under(j) {
-			if len(k) != width-1 {
-				return nil, fmt.Errorf("kba: index %q posts %d key attributes, plan expects %d", p.posting().Index, len(k), width-1)
-			}
-			data += int64(width)
-			bytes += int64(v.SizeBytes() + k.SizeBytes())
-			d := 0
-			if workers > 1 {
-				h := hashValue(fnvOffset64, v)
-				for _, x := range k {
-					h = hashValue(h, x)
-				}
-				d = int(h % uint64(workers))
-			}
-			dst[i] = int32(d)
-			start[d+1]++
-			i++
+	for i, k := range keys {
+		if len(k) != width-1 {
+			return nil, fmt.Errorf("kba: index %q posts %d key attributes, plan expects %d", n.Index, len(k), width-1)
 		}
+		v := vals[i]
+		data += int64(width)
+		bytes += int64(v.SizeBytes() + k.SizeBytes())
+		d := 0
+		if workers > 1 {
+			h := hashValue(fnvOffset64, v)
+			for _, x := range k {
+				h = hashValue(h, x)
+			}
+			d = int(h % uint64(workers))
+		}
+		dst[i] = int32(d)
+		start[d+1]++
 	}
 	for w := 0; w < workers; w++ {
 		start[w+1] += start[w]
 		fill[w] = start[w]
 	}
-	slab := newRowSlab(n, width)
-	rows := make([]relation.Tuple, n)
-	i = 0
-	for j, v := range ps.vals {
-		for _, k := range ps.under(j) {
-			row := slab.next()
-			row[0] = v
-			copy(row[1:], k)
-			rows[fill[dst[i]]] = row
-			fill[dst[i]]++
-			i++
-		}
+	slab := newRowSlab(len(keys), width)
+	rows := make([]relation.Tuple, len(keys))
+	for i, k := range keys {
+		row := slab.next()
+		row[0] = vals[i]
+		copy(row[1:], k)
+		rows[fill[dst[i]]] = row
+		fill[dst[i]]++
 	}
 	out := NewPartRel(lay.attrs, workers)
 	for w := range out.Parts {
-		if lo, hi := start[w], start[w+1]; lo < hi {
-			out.Parts[w] = rows[lo:hi:hi]
+		if from, to := start[w], start[w+1]; from < to {
+			out.Parts[w] = rows[from:to:to]
 		}
 	}
 	e.data.Add(data)
 	e.bytes.Add(bytes)
 	return out, nil
-}
-
-// postings fetches every constant's posting list in one batched cluster
-// round (the point gets group by owning node).
-func (n *IndexLookup) postings(e *executor) (postings, error) {
-	if len(n.Args) > 0 {
-		return postings{}, errUnbound
-	}
-	lists, gets, err := e.store.Index.LookupManyT(e.trace, n.Index, n.Values)
-	if err != nil {
-		return postings{}, err
-	}
-	e.gets.Add(int64(gets))
-	ps := postings{vals: n.Values, lists: lists}
-	for _, list := range lists {
-		ps.n += len(list)
-	}
-	return ps, nil
 }
 
 // rangeBounds resolves an IndexRange node's bound Args into the values the
@@ -440,25 +399,6 @@ func rangeWalkLimit(n *IndexRange) (int, error) {
 		return 0, fmt.Errorf("kba: index range limit must be a non-negative integer, got %s", v)
 	}
 	return int(v.Int), nil
-}
-
-// postings performs the bounded ordered posting walk once (the walk is one
-// cluster range scan; parallelizing it would not reduce its cost).
-func (n *IndexRange) postings(e *executor) (postings, error) {
-	lo, hi, err := rangeBounds(n)
-	if err != nil {
-		return postings{}, err
-	}
-	limit, err := rangeWalkLimit(n)
-	if err != nil {
-		return postings{}, err
-	}
-	vals, keys, scanned, err := e.store.Index.RangeLimitT(e.trace, n.Index, lo, hi, n.LoIncl, n.HiIncl, limit)
-	if err != nil {
-		return postings{}, err
-	}
-	e.scanned.Add(int64(scanned))
-	return postings{vals: vals, keys: keys, n: len(keys)}, nil
 }
 
 // runChain runs the chain p tops inside whatever feeds it (see rowSink),
@@ -572,9 +512,11 @@ func (e *executor) compile(s *rowSink, attrs []string) ([]string, error) {
 // read-only blocks — the query fetches only the blocks it needs, and pays
 // one storage round per node instead of one per distinct key. Input rows
 // with no matching block are joined away. It writes its rows through s; the
-// executor set to fetch-all runs the retrieve-then-join strawman instead.
+// executor set to fetch-all runs the retrieve-then-join strawman instead,
+// except over a secondary index, which has no instance to retrieve whole: a
+// lookup there stays one batch of gets.
 func (e *executor) runExtend(n *Extend, s *rowSink) (*PartRel, error) {
-	if e.fetchAll {
+	if e.fetchAll && e.store.Schema.ByName(n.KV) != nil {
 		return e.runExtendFetchAll(n, s)
 	}
 	in, err := e.run(n.Input)

@@ -16,8 +16,6 @@ func OpName(p Plan) string {
 		return "Const"
 	case *ScanKV:
 		return "ScanKV"
-	case *IndexLookup:
-		return "IndexLookup"
 	case *IndexRange:
 		return "IndexRange"
 	case *Extend:
@@ -54,8 +52,8 @@ func NodeLabel(p Plan) string {
 		return strings.TrimPrefix(strings.TrimSuffix(n.String(), "]"), "const[")
 	case *ScanKV:
 		return fmt.Sprintf("%s as %s", n.KV, n.Alias)
-	case indexLeaf:
-		return strings.TrimPrefix(strings.TrimSuffix(n.String(), "]"), OpName(n)+"[")
+	case *IndexRange:
+		return strings.TrimPrefix(strings.TrimSuffix(n.String(), "]"), "IndexRange[")
 	case *Extend:
 		return fmt.Sprintf("∝ %s on %s as %s", n.KV, strings.Join(n.KeyFrom, ","), n.Alias)
 	case *Shift:

@@ -26,18 +26,18 @@ func layoutIn(p Plan) *layout {
 }
 
 // allColumns is the output of p with nothing pruned anywhere under it.
-func allColumns(p Plan, schema *baav.Schema) ([]string, error) {
+func allColumns(p Plan, kvs func(string) *baav.KVSchema) ([]string, error) {
 	if l, ok := p.(*Lit); ok {
 		return l.V.Attrs, nil
 	}
 	var ins [2][]string
 	for i, c := range p.Children() {
 		var err error
-		if ins[i], err = allColumns(c, schema); err != nil {
+		if ins[i], err = allColumns(c, kvs); err != nil {
 			return nil, err
 		}
 	}
-	lay, err := deriveLayout(p, schema, ins[0], ins[1])
+	lay, err := deriveLayout(p, kvs, ins[0], ins[1])
 	if err != nil {
 		return nil, err
 	}
@@ -50,9 +50,9 @@ func allColumns(p Plan, schema *baav.Schema) ([]string, error) {
 // operator's layout holds for it; what a ∝ or scan keeps of its instance is
 // an ascending selection of the instance's value attributes; and the inputs
 // of δ, ∪ and − — which compare whole rows — are not pruned at all.
-func CheckRequired(p Plan, schema *baav.Schema) error {
+func CheckRequired(p Plan, kvs func(string) *baav.KVSchema) error {
 	for _, c := range p.Children() {
-		if err := CheckRequired(c, schema); err != nil {
+		if err := CheckRequired(c, kvs); err != nil {
 			return err
 		}
 	}
@@ -81,7 +81,7 @@ func CheckRequired(p Plan, schema *baav.Schema) error {
 	}
 	unpruned := func() error {
 		for i, c := range p.Children() {
-			all, err := allColumns(c, schema)
+			all, err := allColumns(c, kvs)
 			if err != nil {
 				return err
 			}
@@ -92,7 +92,7 @@ func CheckRequired(p Plan, schema *baav.Schema) error {
 		return nil
 	}
 	values := func(kv, alias string) error {
-		val := qualify(alias, schema.ByName(kv).Val)
+		val := qualify(alias, kvs(kv).Val)
 		attrs, cols, width := ReadColumns(p)
 		if width != len(val) {
 			return fmt.Errorf("%s %s: width %d, instance has %d values", OpName(p), kv, width, len(val))

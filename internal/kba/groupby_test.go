@@ -49,7 +49,7 @@ func makeCounts(store *baav.Store, key string) Plan {
 			{Func: sql.AggMax, Attr: "C.year", Name: "latest"},
 		},
 	}
-	Resolve(p, store.Schema)
+	Resolve(p, store.KVSchema)
 	return p
 }
 

@@ -206,14 +206,12 @@ func TestExecutorErrors(t *testing.T) {
 		want string
 	}{
 		{"unbound const", &Const{KeyAttrs: []string{"x"}, Args: [][]Arg{{slot}}}, unbound},
-		{"unbound index lookup", &IndexLookup{PostingLeaf: PostingLeaf{Index: "ix", ValAttr: "v", KeyAttrs: []string{"k"}}, Args: []Arg{slot}}, unbound},
-		{"unbound range bound", &IndexRange{PostingLeaf: PostingLeaf{Index: "ix", ValAttr: "v", KeyAttrs: []string{"k"}}, Lo: &slot}, unbound},
-		{"unbound range limit", &IndexRange{PostingLeaf: PostingLeaf{Index: "ix", ValAttr: "v", KeyAttrs: []string{"k"}}, Limit: &slot}, unbound},
+		{"unbound range bound", &IndexRange{Index: "ix", ValAttr: "v", KeyAttrs: []string{"k"}, Lo: &slot}, unbound},
+		{"unbound range limit", &IndexRange{Index: "ix", ValAttr: "v", KeyAttrs: []string{"k"}, Limit: &slot}, unbound},
 		{"unknown KV schema in scan", &ScanKV{KV: "nope", Alias: "N"}, `kba: unknown KV schema "nope"`},
 		{"unknown KV schema in extend", &Extend{Input: seed, KV: "nope", Alias: "N", KeyFrom: []string{"x"}}, `kba: unknown KV schema "nope"`},
 		{"unknown KV schema in stats-agg", &StatsAgg{KV: "nope", Alias: "N"}, `kba: unknown KV schema "nope"`},
-		{"unknown index for lookup", &IndexLookup{PostingLeaf: PostingLeaf{Index: "ix", ValAttr: "v", KeyAttrs: []string{"k"}}, Values: []relation.Value{one}}, noIndex},
-		{"unknown index for range", &IndexRange{PostingLeaf: PostingLeaf{Index: "ix", ValAttr: "v", KeyAttrs: []string{"k"}}}, noIndex},
+		{"unknown index for range", &IndexRange{Index: "ix", ValAttr: "v", KeyAttrs: []string{"k"}}, noIndex},
 		{"extend key arity", &Extend{Input: seed, KV: "PARTSUPP_by_supp", Alias: "PS"}, "kba: extend on PARTSUPP_by_supp needs 1 key attributes, got []"},
 		{"constant key arity", &Const{KeyAttrs: []string{"a", "b"}, Keys: []relation.Tuple{{one}}}, "kba: constant key (1) does not match attrs [a b]"},
 		{"extend key attribute", &Extend{Input: seed, KV: "NATION_by_name", Alias: "N", KeyFrom: []string{"zz"}}, `kba: attribute "zz" not in [x]`},

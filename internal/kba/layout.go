@@ -19,7 +19,7 @@ type layout struct {
 	attrs []string
 	// key holds positions in the (left) input: ∝ KeyFrom, ↑ NewKey, ⋈ LOn,
 	// π Attrs, γ Keys. Where the operator hashes whole rows — constant and
-	// index leaves, δ, − — it is the identity over attrs.
+	// range leaves, δ, − — it is the identity over attrs.
 	key []int
 	// rkey holds positions in the right input: ⋈ ROn, and for ∪ and − the
 	// left side's attributes. For γ it is the identity over the group keys,
@@ -67,13 +67,16 @@ func (r *resolved) layout() *layout { return r.lay }
 // stepped over when it is decoded), and every operator above resolves its
 // positions against the narrower rows.
 //
+// kvs finds the KV schema a ∝ or scan names: a BaaV schema's ByName, or a
+// store's KVSchema, which finds its secondary indexes too.
+//
 // A plan that does not resolve as a whole (an unknown KV schema, an
 // attribute its input lacks) is left untouched, returns nil, and reports
 // its error when executed, reading every column, as an unresolved plan
 // always has.
-func Resolve(p Plan, schema *baav.Schema) []string {
+func Resolve(p Plan, kvs func(name string) *baav.KVSchema) []string {
 	var r resolver
-	attrs := r.resolve(p, schema, nil)
+	attrs := r.resolve(p, kvs, nil)
 	if attrs == nil {
 		return nil
 	}
@@ -144,7 +147,7 @@ func asks(p Plan, need attrSet) (l, r attrSet) {
 
 // resolve derives the layouts under p given that p's consumers read need of
 // its output, and returns p's output attributes.
-func (r *resolver) resolve(p Plan, schema *baav.Schema, need attrSet) []string {
+func (r *resolver) resolve(p Plan, kvs func(string) *baav.KVSchema, need attrSet) []string {
 	if l, ok := p.(*Lit); ok {
 		return l.V.Attrs
 	}
@@ -152,11 +155,11 @@ func (r *resolver) resolve(p Plan, schema *baav.Schema, need attrSet) []string {
 	ask[0], ask[1] = asks(p, need)
 	var ins [2][]string
 	for i, c := range p.Children() {
-		if ins[i] = r.resolve(c, schema, ask[i]); ins[i] == nil {
+		if ins[i] = r.resolve(c, kvs, ask[i]); ins[i] == nil {
 			return nil
 		}
 	}
-	lay, err := deriveLayout(p, schema, ins[0], ins[1])
+	lay, err := deriveLayout(p, kvs, ins[0], ins[1])
 	if err != nil {
 		return nil
 	}
@@ -199,24 +202,23 @@ func (l *layout) keepValues(need attrSet) {
 // deriveLayout computes one operator's layout from its inputs' attributes
 // (l for a single input, l and r for two, neither for a leaf). Checks run
 // in the order the operators have always reported them.
-func deriveLayout(p Plan, schema *baav.Schema, l, r []string) (*layout, error) {
+func deriveLayout(p Plan, kvs func(string) *baav.KVSchema, l, r []string) (*layout, error) {
 	switch n := p.(type) {
 	case *Const:
 		return &layout{attrs: append([]string{}, n.KeyAttrs...), key: identity(len(n.KeyAttrs))}, nil
-	case indexLeaf:
-		leaf := n.posting()
-		attrs := append([]string{leaf.ValAttr}, leaf.KeyAttrs...)
+	case *IndexRange:
+		attrs := append([]string{n.ValAttr}, n.KeyAttrs...)
 		return &layout{attrs: attrs, key: identity(len(attrs))}, nil
 	case *ScanKV:
-		kv := schema.ByName(n.KV)
+		kv := kvs(n.KV)
 		if kv == nil {
 			return nil, errUnknownKV(n.KV)
 		}
 		return &layout{attrs: append(qualify(n.Alias, kv.Key), qualify(n.Alias, kv.Val)...), width: len(kv.Val)}, nil
 	case *StatsAgg:
-		return statsAggLayout(n, schema)
+		return statsAggLayout(n, kvs)
 	case *Extend:
-		kv := schema.ByName(n.KV)
+		kv := kvs(n.KV)
 		if kv == nil {
 			return nil, errUnknownKV(n.KV)
 		}
@@ -316,8 +318,8 @@ func groupByLayout(n *GroupBy, in []string) (*layout, error) {
 // statsAggLayout is a StatsAgg's layout: key holds the group keys' positions
 // in the instance key, ascending, and aggs each aggregate's value position
 // (-1 for COUNT(*)); width is the instance's value width.
-func statsAggLayout(n *StatsAgg, schema *baav.Schema) (*layout, error) {
-	kv := schema.ByName(n.KV)
+func statsAggLayout(n *StatsAgg, kvs func(string) *baav.KVSchema) (*layout, error) {
+	kv := kvs(n.KV)
 	if kv == nil {
 		return nil, errUnknownKV(n.KV)
 	}

@@ -110,7 +110,9 @@ func (s *ScanKV) String() string { return fmt.Sprintf("scan[%s as %s]", s.KV, s.
 // Alias). It never scans the KV instance.
 type Extend struct {
 	Input Plan
-	// KV names the parameter KV schema ~R⟨X,Y⟩.
+	// KV names the parameter KV schema ~R⟨X,Y⟩: one of the BaaV schema's,
+	// or a secondary index on R.A as R⟨A, K⟩, whose block under a value is
+	// the posted block keys K.
 	KV string
 	// Alias qualifies the fetched Y attributes in the output.
 	Alias string
@@ -128,10 +130,18 @@ func (e *Extend) String() string {
 	return fmt.Sprintf("(%s ∝ %s on %s as %s)", e.Input, e.KV, strings.Join(e.KeyFrom, ","), e.Alias)
 }
 
-// PostingLeaf is what the two secondary-index leaves share: the index they
-// read and the (value, block key) rows they emit.
-type PostingLeaf struct {
-	// Index names the secondary index (a catalog name, not a KV schema).
+// IndexRange is the ordered-posting-scan access path for range predicates:
+// it walks the parameter index's posting key space between the Lo and Hi
+// bounds — one bounded ordered cluster scan, since postings are stored in
+// encoded value order — and emits one row (value, block key) per posting in
+// the range. Its output feeds ∝ on a KV schema keyed by the posted block
+// keys, so a selective range fetches exactly the blocks it matches instead
+// of scanning the instance. An equality lookup needs no leaf of its own: it
+// is a ∝ over the index's KV schema R⟨A, K⟩. A range is an ordered walk,
+// not a ∝: the posting walk is a (bounded) scan, so plans containing it are
+// not scan-free in the paper's strict sense.
+type IndexRange struct {
+	// Index names the secondary index.
 	Index string
 	// Alias is the query alias whose tuples the index locates.
 	Alias string
@@ -142,54 +152,6 @@ type PostingLeaf struct {
 	// KeyAttrs are the alias-qualified output columns of the posted block
 	// keys, in the index's declared key order.
 	KeyAttrs []string
-}
-
-func (l *PostingLeaf) posting() *PostingLeaf { return l }
-
-// IndexLookup is the secondary-index access path: for each constant in
-// Values it fetches the posting list of the parameter index — the block
-// keys of tuples carrying that value — and emits one row (value, block key)
-// per posting. Like Const it is a bounded leaf: it issues one get per value
-// and never scans a KV instance, so plans built on it stay scan-free. The
-// planner feeds its output into ∝ on a KV schema keyed by the posted block
-// keys, replacing a full instance scan with a handful of round trips.
-type IndexLookup struct {
-	PostingLeaf
-	// Values are the constants to look up.
-	Values []relation.Value
-	// Args, in a plan template, are the lookup values with parameter slots
-	// unresolved; Bind materializes them into Values. A lookup with
-	// non-empty Args is not executable.
-	Args []Arg
-	resolved
-}
-
-// Children implements Plan.
-func (l *IndexLookup) Children() []Plan { return nil }
-
-// String renders the node.
-func (l *IndexLookup) String() string {
-	parts := make([]string, 0, len(l.Values)+len(l.Args))
-	for _, v := range l.Values {
-		parts = append(parts, v.String())
-	}
-	for _, a := range l.Args {
-		parts = append(parts, a.String())
-	}
-	return fmt.Sprintf("IndexLookup[%s=%s as %s]", l.Index, strings.Join(parts, "|"), l.Alias)
-}
-
-// IndexRange is the ordered-posting-scan access path for range predicates:
-// it walks the parameter index's posting key space between the Lo and Hi
-// bounds — one bounded ordered cluster scan, since postings are stored in
-// encoded value order — and emits one row (value, block key) per posting in
-// the range. Like IndexLookup, its output feeds ∝ on a KV schema keyed by
-// the posted block keys, so a selective range fetches exactly the blocks it
-// matches instead of scanning the instance. Unlike Const and IndexLookup it
-// is not a get-only leaf: the posting walk is a (bounded) scan, so plans
-// containing it are not scan-free in the paper's strict sense.
-type IndexRange struct {
-	PostingLeaf
 	// Lo and Hi bound the walk; a nil side is unbounded. In a plan template
 	// a bound may be a parameter slot, resolved by Bind; a node whose bound
 	// still holds a slot is not executable.

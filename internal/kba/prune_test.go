@@ -103,7 +103,7 @@ func TestRequiredAttributesHold(t *testing.T) {
 		if info.Root == nil {
 			return false
 		}
-		if err := kba.CheckRequired(info.Root, c.Schema); err != nil {
+		if err := kba.CheckRequired(info.Root, c.KVSchema); err != nil {
 			t.Fatalf("%s: %s\n%v", label, info.Root, err)
 		}
 		return prunes(info.Root)
@@ -163,10 +163,10 @@ func TestRequiredAttributesHold(t *testing.T) {
 		{&kba.Diff{L: seed(), R: seed()}, append(append([]string{}, all...), all...)},
 	} {
 		root := &kba.Project{Input: h.under, Attrs: []string{"V.make"}}
-		if kba.Resolve(root, c.Schema) == nil {
+		if kba.Resolve(root, c.KVSchema) == nil {
 			t.Fatalf("%s does not resolve", root)
 		}
-		if err := kba.CheckRequired(root, c.Schema); err != nil {
+		if err := kba.CheckRequired(root, c.KVSchema); err != nil {
 			t.Fatalf("%s: %v", root, err)
 		}
 		if got := kept(root); !slices.Equal(got, h.reads) {
@@ -221,10 +221,12 @@ func TestSelectOnlyColumnStillDecoded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The outermost ∝ fetches the tuples; the one under it is the lookup
+	// over the index.
 	var ext *kba.Extend
 	var find func(p kba.Plan)
 	find = func(p kba.Plan) {
-		if e, ok := p.(*kba.Extend); ok {
+		if e, ok := p.(*kba.Extend); ok && ext == nil {
 			ext = e
 		}
 		for _, c := range p.Children() {
@@ -235,7 +237,7 @@ func TestSelectOnlyColumnStillDecoded(t *testing.T) {
 	if ext == nil {
 		t.Fatalf("no ∝ in %s", info.Root)
 	}
-	if err := kba.CheckRequired(info.Root, c.Schema); err != nil {
+	if err := kba.CheckRequired(info.Root, c.KVSchema); err != nil {
 		t.Fatal(err)
 	}
 	attrs, cols, width := kba.ReadColumns(ext)
@@ -332,7 +334,7 @@ func makeCountsPlans(b *testing.B) (store *baav.Store, headers, scan kba.Plan) {
 		Keys:  []string{"V.make"},
 		Aggs:  []kba.AggSpec{{Func: sql.AggCount, Star: true, Name: "COUNT(*)"}},
 	}
-	kba.Resolve(scan, c.Schema)
+	kba.Resolve(scan, c.KVSchema)
 	return store, info.Root, scan
 }
 
@@ -370,7 +372,7 @@ func BenchmarkStatsAggPrefix(b *testing.B) {
 func groupOverMOT(b *testing.B, name string, plan kba.Plan) *baav.Store {
 	w := workload.MOT(workload.Spec{Scale: 2, Seed: 1})
 	store, c := planner(b, w, nil)
-	if kba.Resolve(plan, c.Schema) == nil {
+	if kba.Resolve(plan, c.KVSchema) == nil {
 		b.Fatalf("%s does not resolve", plan)
 	}
 	for _, q := range w.Queries {

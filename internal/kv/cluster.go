@@ -21,7 +21,6 @@ import (
 // sorted engine overlays its write buffer on the sorted array without
 // folding it — so scan-heavy mixes parallelize with gets.
 type Cluster struct {
-	kind  EngineKind
 	nodes []*node
 
 	// serviceDelayNanos, when non-zero, emulates the network a real
@@ -117,15 +116,12 @@ func NewCluster(kind EngineKind, n int) *Cluster {
 	if n < 1 {
 		n = 1
 	}
-	c := &Cluster{kind: kind, nodes: make([]*node, n)}
+	c := &Cluster{nodes: make([]*node, n)}
 	for i := range c.nodes {
 		c.nodes[i] = &node{eng: NewEngine(kind)}
 	}
 	return c
 }
-
-// Kind returns the engine kind used by the cluster's nodes.
-func (c *Cluster) Kind() EngineKind { return c.kind }
 
 // NodeCount returns the number of storage nodes.
 func (c *Cluster) NodeCount() int { return len(c.nodes) }

@@ -41,12 +41,13 @@ func (e *env) fieldTrace(name string) {
 	e.store.ScanInstanceNodeT(e.kvt, 0, name, nil, nil) // ok: trace threaded
 }
 
-// postings covers the index reads' one-value and unbounded forms.
-func postings(x baav.Indexes, t *obs.Trace, v relation.Value) {
-	x.Lookup("ix", v)                                 // want `untraced Indexes\.Lookup on a traced path — use LookupManyT`
-	x.Range("ix", nil, nil, true, true)               // want `untraced Indexes\.Range on a traced path — use RangeLimitT`
-	x.RangeLimitT(nil, "ix", nil, nil, true, true, 1) // want `Indexes\.RangeLimitT called with a nil trace`
-	x.LookupManyT(t, "ix", []relation.Value{v})       // ok: trace threaded
+// postings covers the index reads' one-value and unbounded forms. A
+// lookup's traced form is the ∝ read over the index.
+func postings(x baav.Indexes, st *baav.Store, t *obs.Trace, v relation.Value) {
+	x.Lookup("ix", v)                                                      // want `untraced Indexes\.Lookup on a traced path — use Store\.FetchBlocksT`
+	x.Range("ix", nil, nil, true, true)                                    // want `untraced Indexes\.Range on a traced path — use RangeLimitT`
+	x.RangeLimitT(nil, "ix", nil, nil, true, true, 1)                      // want `Indexes\.RangeLimitT called with a nil trace`
+	st.FetchBlocksT(t.KVCounters(), "ix", []relation.Tuple{{v}}, nil, nil) // ok: trace threaded
 }
 
 // untraced has no trace anywhere: plain variants are the right call.

@@ -140,6 +140,6 @@ var untracedForms = map[string]string{
 	"Cluster.ScanRange":  "ScanRangeNodeT",
 	"Store.GetBlock":     "GetBlocksT",
 	"Store.ScanInstance": "ScanInstanceNodeT",
-	"Indexes.Lookup":     "LookupManyT",
+	"Indexes.Lookup":     "Store.FetchBlocksT",
 	"Indexes.Range":      "RangeLimitT",
 }

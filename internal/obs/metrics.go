@@ -190,9 +190,6 @@ func newHistogram(buckets []float64) *Histogram {
 	return &Histogram{bounds: buckets, counts: make([]atomic.Int64, len(buckets)+1)}
 }
 
-// NewHistogram returns an unregistered histogram (for traces and tests).
-func NewHistogram(buckets []float64) *Histogram { return newHistogram(buckets) }
-
 // Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) {
 	s := d.Seconds()

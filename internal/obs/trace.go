@@ -135,8 +135,8 @@ func (s KVSnapshot) Ops() int64 { return s.Gets + s.Puts + s.Deletes + s.ScanNex
 // so spans open and close on one goroutine.
 type Trace struct {
 	KV           KV
-	postingReads atomic.Int64 // index posting lists decoded
-	blocks       atomic.Int64 // data blocks fetched and decoded
+	postingReads atomic.Int64 // posting lists index range walks decoded
+	blocks       atomic.Int64 // blocks fetched and decoded, equality lookups' posting lists among them
 
 	// QueueWaitNanos and LockWaitNanos are written once by the server
 	// before the executor runs (or after a failed acquire), never raced.

@@ -99,8 +99,8 @@ func newBinding(cols []ColRef) *binding {
 func (b *binding) has(c ColRef) bool { _, ok := b.idx[c]; return ok }
 
 // Evaluate runs the query over an in-memory database. It is the reference
-// ("ground truth") evaluator: single-node, no storage accounting. Templates
-// must be bound first (BindParams) — the evaluator works on literals only.
+// ("ground truth") evaluator: single-node, no storage accounting. It works
+// on literals only: a template is refused.
 func Evaluate(q *Query, db *relation.Database) (*Result, error) {
 	if q.NumParams > 0 {
 		return nil, fmt.Errorf("ra: cannot evaluate a template with %d unbound parameters", q.NumParams)

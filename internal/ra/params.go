@@ -50,52 +50,3 @@ func (q *Query) LimitOf(vals []relation.Value) (int, error) {
 	}
 	return int(v.Int), nil
 }
-
-// BindParams substitutes bound values into a template query, returning an
-// equivalent literal-only query: col = ? becomes a constant equality, `?`
-// IN elements become literal elements, and `?` filter bounds become literal
-// bounds. The receiver is not modified. It is the query-level counterpart of
-// the plan-level Bind, used by the reference evaluator and by differential
-// tests; the serving hot path binds compiled plans instead.
-func (q *Query) BindParams(params []relation.Value) (*Query, error) {
-	vals, err := CheckParams(params, q.NumParams, q.ParamKinds)
-	if err != nil {
-		return nil, err
-	}
-	if q.NumParams == 0 {
-		return q, nil
-	}
-	out := *q
-	out.NumParams = 0
-	out.ParamKinds = nil
-	if q.LimitParam != nil {
-		n, err := q.LimitOf(vals)
-		if err != nil {
-			return nil, err
-		}
-		out.Limit = n
-		out.LimitParam = nil
-	}
-	out.EqParams = nil
-	out.EqConsts = append([]ConstEq{}, q.EqConsts...)
-	for _, pe := range q.EqParams {
-		out.EqConsts = append(out.EqConsts, ConstEq{Col: pe.Col, Val: vals[pe.Slot]})
-	}
-	out.Ins = nil
-	for _, in := range q.Ins {
-		b := InPred{Col: in.Col, Vals: append([]relation.Value{}, in.Vals...)}
-		for _, slot := range in.Slots {
-			b.Vals = append(b.Vals, vals[slot])
-		}
-		out.Ins = append(out.Ins, b)
-	}
-	out.Filters = nil
-	for _, f := range q.Filters {
-		if f.Param != nil {
-			lit := vals[*f.Param]
-			f = Filter{Col: f.Col, Op: f.Op, Lit: &lit}
-		}
-		out.Filters = append(out.Filters, f)
-	}
-	return &out, nil
-}

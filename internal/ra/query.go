@@ -98,8 +98,8 @@ type Query struct {
 	// the plan template is independent of it.
 	LimitParam *int
 	// NumParams counts the `?` placeholders; a query with NumParams > 0 is a
-	// template and must be bound (plan-level Bind, or BindParams here) with
-	// exactly that many values before execution.
+	// template and must be bound (the plan-level Bind) with exactly that
+	// many values before execution.
 	NumParams int
 	// ParamKinds records, per placeholder slot, the relation.Kind of the
 	// column the placeholder is compared with (or inserted into). Bind

@@ -73,18 +73,6 @@ func (v Value) AsFloat() float64 {
 	}
 }
 
-// AsInt converts numeric values to int64 (truncating floats).
-func (v Value) AsInt() int64 {
-	switch v.Kind {
-	case KindInt:
-		return v.Int
-	case KindFloat:
-		return int64(v.Flt)
-	default:
-		return 0
-	}
-}
-
 // Compare orders two values. Numeric values (int and float) compare
 // numerically across kinds; otherwise values of different kinds order by
 // Kind. NULL sorts before everything.

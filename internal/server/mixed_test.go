@@ -47,7 +47,8 @@ func mixedDB(t *testing.T) (*zidian.Database, *zidian.BaaVSchema) {
 }
 
 // mixedDDL indexes tag and num on every relation, so the readers exercise
-// the IndexLookup and IndexRange access paths while postings churn.
+// the equality lookup (a ∝ over the index) and IndexRange access paths
+// while postings churn.
 func mixedDDL() []string {
 	var out []string
 	for _, name := range mixedRels {
@@ -83,7 +84,7 @@ func mixedWriteOps(w int) []string {
 	return out
 }
 
-// mixedReadSuite is the differential read set: point, nonkey (IndexLookup),
+// mixedReadSuite is the differential read set: point, nonkey (∝ over an index),
 // range (IndexRange), and an aggregate, per relation.
 func mixedReadSuite() []string {
 	var out []string

@@ -28,9 +28,7 @@ const (
 
 // serverObs is the server's observability surface: the metrics registry
 // behind /metrics, the per-statement measurement context, and the
-// slow-query log. A nil *serverObs (Config.DisableMetrics) is fully inert —
-// every method is nil-safe, begin returns a nil context, and the nil trace
-// it yields turns off counting all the way down to the kv cluster.
+// slow-query log.
 type serverObs struct {
 	reg *obs.Registry
 
@@ -87,9 +85,9 @@ func newServerObs(s *Server, cfg Config) *serverObs {
 	o.lockWait = r.NewHistogram("zidian_lock_wait_seconds",
 		"Time statements spent waiting at the statement gate (nonzero only around DDL).", nil)
 	o.postings = r.NewCounter("zidian_index_posting_reads_total",
-		"Secondary-index posting entries read by traced statements.")
+		"Posting lists secondary-index range walks read in traced statements.")
 	o.blocks = r.NewCounter("zidian_blocks_fetched_total",
-		"BaaV blocks fetched and decoded by traced statements.")
+		"BaaV blocks, equality index lookups' posting lists among them, fetched and decoded by traced statements.")
 	o.slowDropped = r.NewCounter("zidian_slow_query_dropped_total",
 		"Slow-query log lines dropped by the size cap.")
 	// Batch sizes ride the histogram machinery by encoding a batch of n
@@ -358,14 +356,10 @@ func runtimeMetric(name string) float64 {
 	}
 }
 
-// begin opens a per-statement measurement context. Nil receiver → nil
-// context → nil trace, so a disabled server pays only nil checks. The trace
-// carries counters only — all that finish and the slow log read — except
-// under EXPLAIN ANALYZE, the one verb whose answer is the operator tree.
+// begin opens a per-statement measurement context. The trace carries
+// counters only — all that finish and the slow log read — except under
+// EXPLAIN ANALYZE, the one verb whose answer is the operator tree.
 func (o *serverObs) begin(verb string) *stmtCtx {
-	if o == nil {
-		return nil
-	}
 	trace := obs.CountersOnly()
 	if verb == verbExplainAnalyze {
 		trace = &obs.Trace{}
@@ -390,7 +384,8 @@ type stmtCtx struct {
 	done      bool
 }
 
-// Trace returns the statement's trace (nil when metrics are disabled).
+// Trace returns the statement's trace (nil for a prepare, which records
+// none).
 func (c *stmtCtx) Trace() *obs.Trace {
 	if c == nil {
 		return nil

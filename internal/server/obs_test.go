@@ -184,34 +184,6 @@ func TestMetricsGoCollector(t *testing.T) {
 	}
 }
 
-// TestMetricsDisabled: with DisableMetrics the endpoint 404s and serving
-// still works.
-func TestMetricsDisabled(t *testing.T) {
-	srv, tcp, httpA := startServer(t, server.Config{
-		MaxConcurrent: 4, QueueDepth: 16, QueueTimeout: time.Second,
-		DisableMetrics: true,
-	})
-	if srv.MetricsRegistry() != nil {
-		t.Fatal("registry present despite DisableMetrics")
-	}
-	c, err := client.Dial(tcp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, _, _, err := c.Query(fmt.Sprintf(testTemplates[0], 1)); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get("http://" + httpA + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/metrics status = %s, want 404", resp.Status)
-	}
-}
-
 // TestPlanCacheMetricsAcrossDDL asserts the registry's plan-cache counters
 // through a miss → hit → DDL invalidation → stale-miss sequence.
 func TestPlanCacheMetricsAcrossDDL(t *testing.T) {

@@ -129,7 +129,7 @@ type ServerStats struct {
 	StoreGets      int64          `json:"storeGets"`
 	StoreScanNexts int64          `json:"storeScanNexts"`
 	// QueryLatency summarizes the server-side statement latency histogram
-	// (all verbs merged); nil when metrics are disabled or nothing ran yet.
+	// (all verbs merged); nil when nothing ran yet.
 	QueryLatency *LatencyQuantiles `json:"queryLatency,omitempty"`
 }
 

@@ -38,11 +38,6 @@ type Config struct {
 	PlanCacheSize int
 	// MaxLineBytes bounds one wire-protocol line (default 1 MiB).
 	MaxLineBytes int
-	// DisableMetrics turns the observability layer off entirely: no
-	// registry, no per-statement traces, no slow-query log, and /metrics
-	// answers 404. Metrics are on by default; this exists for overhead
-	// measurement (zidian-bench -exp server with -obs=off).
-	DisableMetrics bool
 	// SlowQueryThreshold, when positive, emits one structured JSON line to
 	// SlowQueryLog for every statement whose server-side wall time meets or
 	// exceeds it (including statements that failed slowly, e.g. queue
@@ -144,8 +139,7 @@ type Server struct {
 	startEpoch uint64
 	staleDrops atomic.Int64
 
-	// obs is the metrics registry + slow-query log; nil when
-	// Config.DisableMetrics is set (every use is nil-safe).
+	// obs is the metrics registry + slow-query log.
 	obs *serverObs
 
 	// stopSweep halts the background MVCC reclamation sweeper; nil when
@@ -187,9 +181,7 @@ func New(inst *zidian.Instance, cfg Config) *Server {
 
 		startEpoch: inst.SchemaEpoch(),
 	}
-	if !cfg.DisableMetrics {
-		s.obs = newServerObs(s, cfg)
-	}
+	s.obs = newServerObs(s, cfg)
 	if inst != nil && cfg.ReclaimInterval >= 0 {
 		s.stopSweep = inst.StartReclaimSweeper(cfg.ReclaimInterval)
 	}
@@ -197,13 +189,8 @@ func New(inst *zidian.Instance, cfg Config) *Server {
 }
 
 // MetricsRegistry exposes the server's metrics registry for tests and
-// embedders; nil when Config.DisableMetrics is set.
-func (s *Server) MetricsRegistry() *obs.Registry {
-	if s.obs == nil {
-		return nil
-	}
-	return s.obs.reg
-}
+// embedders.
+func (s *Server) MetricsRegistry() *obs.Registry { return s.obs.reg }
 
 // Cache exposes the shared plan cache (for stats and tests).
 func (s *Server) Cache() ServerCache { return ServerCache{s.cache, s} }
@@ -224,9 +211,6 @@ func (c ServerCache) Stats() CacheStats {
 	st.StaleDrops = c.s.staleDrops.Load()
 	return st
 }
-
-// Admission exposes the admission gate (for stats and tests).
-func (s *Server) Admission() *Admission { return s.adm }
 
 // Start listens on the given TCP and HTTP addresses (":0" picks a free
 // port; an empty address disables that surface) and serves in background
@@ -727,9 +711,6 @@ func (s *Server) Exec(ctx context.Context, sql string, params ...zidian.Value) (
 // registry snapshots, no data, but still counts as a statement under the
 // "show" verb so the registry observes its own readers.
 func (s *Server) showStatements() (*zidian.Result, error) {
-	if s.obs == nil {
-		return nil, fmt.Errorf("server: SHOW STATEMENTS requires metrics (disabled by configuration)")
-	}
 	snap := s.obs.stmts.Snapshot()
 	entries := snap.Statements
 	obs.SortStmtEntries(entries, obs.SortByTotalTime)
@@ -782,15 +763,12 @@ func (s *Server) Stats() ServerStats {
 		StoreGets:      kvm.Gets,
 		StoreScanNexts: kvm.ScanNexts,
 	}
-	if s.obs != nil {
-		snap := s.obs.latency.MergedSnapshot()
-		if snap.QuantilesValid() {
-			st.QueryLatency = &LatencyQuantiles{
-				Count:     snap.Count,
-				P50Micros: snap.Quantile(0.50) * 1e6,
-				P95Micros: snap.Quantile(0.95) * 1e6,
-				P99Micros: snap.Quantile(0.99) * 1e6,
-			}
+	if snap := s.obs.latency.MergedSnapshot(); snap.QuantilesValid() {
+		st.QueryLatency = &LatencyQuantiles{
+			Count:     snap.Count,
+			P50Micros: snap.Quantile(0.50) * 1e6,
+			P95Micros: snap.Quantile(0.95) * 1e6,
+			P99Micros: snap.Quantile(0.99) * 1e6,
 		}
 	}
 	return st
@@ -802,9 +780,8 @@ func (s *Server) Stats() ServerStats {
 //	GET  /healthz liveness
 //	GET  /stats   server statistics (JSON superset of the metrics families)
 //	GET  /stats/statements per-template statement statistics
-//	              (?top=K bounds the list, ?by=total_time|calls|kv_ops sorts;
-//	              404 when metrics are disabled)
-//	GET  /metrics Prometheus text exposition (404 when metrics are disabled)
+//	              (?top=K bounds the list, ?by=total_time|calls|kv_ops sorts)
+//	GET  /metrics Prometheus text exposition
 //	GET  /debug/pprof/* profiling, when Config.EnablePprof is set
 func (s *Server) ServeHTTP(ln net.Listener) error {
 	mux := http.NewServeMux()
@@ -820,10 +797,6 @@ func (s *Server) ServeHTTP(ln net.Listener) error {
 	})
 	mux.HandleFunc("/stats/statements", s.httpStatements)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		if s.obs == nil {
-			http.Error(w, "metrics disabled", http.StatusNotFound)
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		s.obs.reg.WritePrometheus(w)
 	})
@@ -854,10 +827,6 @@ func (s *Server) ServeHTTP(ln net.Listener) error {
 // registry as JSON, sorted by ?by= (total_time default, calls, kv_ops) and
 // bounded by ?top=K.
 func (s *Server) httpStatements(w http.ResponseWriter, r *http.Request) {
-	if s.obs == nil {
-		http.Error(w, "metrics disabled", http.StatusNotFound)
-		return
-	}
 	by := r.URL.Query().Get("by")
 	switch by {
 	case "", obs.SortByTotalTime, obs.SortByCalls, obs.SortByKVOps:

@@ -125,7 +125,7 @@ func TestServerWireDML(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(expResp.Rows) != 1 || !strings.Contains(fmt.Sprint(expResp.Rows[0]), "IndexLookup") {
+	if len(expResp.Rows) != 1 || !strings.Contains(fmt.Sprint(expResp.Rows[0]), "∝ ix_make on") {
 		t.Fatalf("explain over the wire = %v", expResp.Rows)
 	}
 	_, viaIndex, stats, err := c.Query(q)
@@ -297,7 +297,7 @@ func TestServerSeesInstanceDDL(t *testing.T) {
 		if err != nil {
 			t.Fatalf("MAKE-%02d: %v", mk, err)
 		}
-		if got := strings.Contains(stats.Plan, "IndexLookup"); got != wantIndex || hit != wantHit {
+		if got := strings.Contains(stats.Plan, "∝ ix_make"); got != wantIndex || hit != wantHit {
 			t.Fatalf("MAKE-%02d: index plan %v (want %v), cache hit %v (want %v)\n%s", mk, got, wantIndex, hit, wantHit, stats.Plan)
 		}
 		var ids []int
@@ -344,7 +344,7 @@ func TestStalePlanNeverServed(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		go func() {
 			_, stats, _, err := srv.Query(context.Background(), q, zidian.String("MAKE-01"))
-			if err == nil && !strings.Contains(stats.Plan, "IndexLookup") {
+			if err == nil && !strings.Contains(stats.Plan, "∝ ix_make") {
 				err = fmt.Errorf("the plan compiled before the index was served:\n%s", stats.Plan)
 			}
 			errs <- err

@@ -69,11 +69,3 @@ func (s *Session) ClosePrepared(name string) bool {
 	s.mu.Unlock()
 	return ok
 }
-
-// PreparedCount returns the number of named statements held.
-func (s *Session) PreparedCount() int {
-	s.mu.Lock()
-	n := len(s.stmts)
-	s.mu.Unlock()
-	return n
-}

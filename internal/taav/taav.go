@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"zidian/internal/kv"
-	"zidian/internal/ra"
 	"zidian/internal/relation"
 )
 
@@ -180,45 +179,4 @@ func (s *Store) ScanNode(node int, rel string, fn func(relation.Tuple) bool) err
 		return fn(t)
 	})
 	return scanErr
-}
-
-// Stats summarizes the logical data access of one baseline execution.
-type Stats struct {
-	// Gets counts get invocations; a full scan of a relation costs one get
-	// per tuple under TaaV (Section 1).
-	Gets       int64
-	DataValues int64
-	BytesRead  int64
-}
-
-// Execute answers the query with the baseline strategy: fully retrieve every
-// relation the query mentions (no predicate pushdown), then evaluate in the
-// SQL layer via the reference evaluator.
-func Execute(q *ra.Query, s *Store) (*ra.Result, *Stats, error) {
-	stats := &Stats{}
-	mem := relation.NewDatabase()
-	fetched := make(map[string]bool)
-	for _, atom := range q.Atoms {
-		if fetched[atom.Rel] {
-			continue
-		}
-		fetched[atom.Rel] = true
-		rel := relation.NewRelation(atom.Schema)
-		err := s.Scan(atom.Rel, func(t relation.Tuple) bool {
-			rel.Tuples = append(rel.Tuples, t)
-			stats.Gets++
-			stats.DataValues += int64(len(t))
-			stats.BytesRead += int64(t.SizeBytes())
-			return true
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		mem.Add(rel)
-	}
-	res, err := ra.Evaluate(q, mem)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, stats, nil
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"zidian/internal/kv"
-	"zidian/internal/ra"
 	"zidian/internal/relation"
 )
 
@@ -109,47 +108,6 @@ func TestInsertDelete(t *testing.T) {
 	}
 	if err := s.Insert("NOPE", nil); err == nil {
 		t.Fatal("unknown relation")
-	}
-}
-
-func TestExecuteBaseline(t *testing.T) {
-	db := testDB()
-	cluster := kv.NewCluster(kv.EngineLSM, 3)
-	s, _ := Map(db, cluster)
-	q := ra.MustParse(`select S.suppkey from SUPPLIER S, NATION N
-		where S.nationkey = N.nationkey and N.name = 'GERMANY'`, db)
-	res, stats, err := Execute(q, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := ra.Evaluate(q, db)
-	if !res.Equal(want) {
-		t.Fatalf("baseline answer %v != reference %v", res.Rows, want.Rows)
-	}
-	// The baseline retrieves BOTH relations in full: 10 + 2 tuples.
-	if stats.Gets != 12 {
-		t.Fatalf("gets = %d (baseline must fetch everything)", stats.Gets)
-	}
-	if stats.DataValues != 24 || stats.BytesRead <= 0 {
-		t.Fatalf("stats = %+v", stats)
-	}
-}
-
-func TestExecuteSelfJoinScansOnce(t *testing.T) {
-	db := testDB()
-	s, _ := Map(db, kv.NewCluster(kv.EngineHash, 2))
-	q := ra.MustParse(`select A.suppkey, B.suppkey from SUPPLIER A, SUPPLIER B
-		where A.nationkey = B.nationkey and A.suppkey < B.suppkey`, db)
-	res, stats, err := Execute(q, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := ra.Evaluate(q, db)
-	if !res.Equal(want) {
-		t.Fatalf("self join answer differs")
-	}
-	if stats.Gets != 10 {
-		t.Fatalf("gets = %d (one scan per distinct relation)", stats.Gets)
 	}
 }
 

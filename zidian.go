@@ -577,8 +577,9 @@ func (in *Instance) explainQuery(q *ra.Query) (string, []string, error) {
 }
 
 // planClass names a compiled plan's classification for EXPLAIN headlines:
-// scan-freeness, boundedness under the instance's degree bound, and the
-// index access paths it uses.
+// scan-freeness, boundedness under the instance's degree bound, and whether
+// it walks an index range. An equality index lookup is a ∝ step and needs no
+// label of its own.
 func (in *Instance) planClass(info *core.PlanInfo) string {
 	kind := "not scan-free"
 	if info.ScanFree {
@@ -586,9 +587,6 @@ func (in *Instance) planClass(info *core.PlanInfo) string {
 		if info.Bounded(in.store, in.opts.MaxBoundedDegree) {
 			kind = "scan-free, bounded"
 		}
-	}
-	if len(info.Indexes) > 0 {
-		kind += ", index-assisted"
 	}
 	if len(info.Ranges) > 0 {
 		kind += ", index-range"

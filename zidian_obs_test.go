@@ -89,7 +89,7 @@ func TestExplainAnalyzeStatement(t *testing.T) {
 			t.Fatalf("%s: plan rows = %d, want headline + tree + totals", eng, len(r.Result.Rows))
 		}
 		headline := r.Result.Rows[0][0].Str
-		if !strings.Contains(headline, "IndexLookup") || !strings.Contains(headline, "index-assisted") {
+		if !strings.HasPrefix(headline, "[scan-free, bounded] ") || !strings.Contains(headline, "∝ ix_item_sku on") {
 			t.Fatalf("%s: headline = %q", eng, headline)
 		}
 		var totals string
@@ -120,7 +120,7 @@ func TestExplainAnalyzeStatement(t *testing.T) {
 		// and plain EXPLAIN says nothing of it.
 		var extend string
 		for _, row := range r.Result.Rows {
-			if strings.Contains(row[0].Str, "Extend ") {
+			if strings.Contains(row[0].Str, "Extend ∝ item_full ") {
 				extend = row[0].Str
 			}
 		}

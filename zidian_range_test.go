@@ -164,8 +164,8 @@ func TestIndexTrafficCounted(t *testing.T) {
 		sql, node string
 		walked    bool
 	}{
-		{"select I.item_id, I.qty from ITEM I where I.sku = 'SKU-00042'", "IndexLookup", false},
-		{"select I.item_id, I.qty from ITEM I where I.sku between 'SKU-00050' and 'SKU-00059'", "IndexRange", true},
+		{"select I.item_id, I.qty from ITEM I where I.sku = 'SKU-00042'", "Extend ∝ ix_item_sku", false},
+		{"select I.item_id, I.qty from ITEM I where I.sku between 'SKU-00050' and 'SKU-00059'", "IndexRange ix_item_sku", true},
 	} {
 		q, err := ra.Parse(c.sql, inst.db)
 		if err != nil {
@@ -192,11 +192,12 @@ func TestIndexTrafficCounted(t *testing.T) {
 		if (m.ScanBlocks > 0) != c.walked {
 			t.Fatalf("%q: walked posting lists = %d", c.sql, m.ScanBlocks)
 		}
-		// The postings alone: the plan's index leaf, run by itself.
+		// The postings alone: the plan's index read — the ∝ over the index
+		// with its seed, or the range leaf — run by itself.
 		var leaf kba.Plan
 		var find func(p kba.Plan)
 		find = func(p kba.Plan) {
-			if kba.OpName(p) == c.node {
+			if strings.HasPrefix(kba.OpName(p)+" "+kba.NodeLabel(p), c.node) {
 				leaf = p
 			}
 			for _, ch := range p.Children() {
@@ -213,6 +214,37 @@ func TestIndexTrafficCounted(t *testing.T) {
 		}
 		if postings.BytesRead == 0 || postings.BytesRead >= m.BytesRead {
 			t.Fatalf("%q: posting bytes %d of %d total", c.sql, postings.BytesRead, m.BytesRead)
+		}
+	}
+}
+
+// TestFetchAllOverIndexes: the retrieve-then-join strawman answers an
+// index plan as the interleaved executor does. A ∝ over the index stays a
+// batch of gets; the ∝ over the instance is flattened.
+func TestFetchAllOverIndexes(t *testing.T) {
+	db, bv := rangeItemsDB(t)
+	inst, err := Open(db, bv, Options{Engine: "hash", Nodes: 4, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inst.Exec("create index ix_item_sku on ITEM(sku)"); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{
+		"select I.item_id, I.qty from ITEM I where I.sku = 'SKU-00042'",
+		"select I.item_id, I.qty from ITEM I where I.sku between 'SKU-00050' and 'SKU-00059'",
+	} {
+		info, err := inst.checker.Plan(ra.MustParse(src, inst.db))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := parallel.RunKBA(info, inst.store, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := parallel.RunKBAFetchAll(info, inst.store, 4)
+		if err != nil || !got.Equal(want) {
+			t.Fatalf("%s: fetch-all answered %v (err %v), interleaved %v", info.Root, got, err, want)
 		}
 	}
 }
@@ -290,8 +322,8 @@ func TestRangeKindMismatchLiterals(t *testing.T) {
 		// so [10, 12] matches i%200 ∈ {0..20}, 4 rows each.
 		{"select I.item_id from ITEM I where I.price between 10 and 12", 84, "IndexRange"},
 		// Equality with an integral float over an int column takes the
-		// IndexLookup path and must still find the postings.
-		{"select I.item_id from ITEM I where I.qty = 44.0", 16, "IndexLookup"},
+		// lookup path, a ∝ over the index, and must still find the postings.
+		{"select I.item_id from ITEM I where I.qty = 44.0", 16, "∝ ix_item_qty on"},
 		// Lossy float equality matches nothing — on every path.
 		{"select I.item_id from ITEM I where I.qty = 44.5", 0, ""},
 	}
@@ -369,7 +401,7 @@ func TestFacadeIndexEligibilityAfterDeletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(stats.Plan, "IndexLookup") {
+	if !strings.Contains(stats.Plan, "∝ ix_ev_tag on") {
 		t.Fatalf("expected an index plan: %s", stats.Plan)
 	}
 	if stats.Bounded {

@@ -153,9 +153,9 @@ var servingAllocBudget = map[string]float64{
 	"vehicle_speeding":   45,
 	"vehicle_test_stats": 58,
 	"vehicle_history":    94,
-	"road_observations":  352,
-	"year_band":          305,
-	"speed_band_limit":   304,
+	"road_observations":  247,
+	"year_band":          220,
+	"speed_band_limit":   148,
 	"make_counts":        124,
 }
 

@@ -371,7 +371,7 @@ func sortedRows(res *Result) []string {
 }
 
 // TestFacadeSecondaryIndex walks the whole index lifecycle through SQL:
-// scan plan before DDL, IndexLookup plan after, bit-for-bit identical
+// scan plan before DDL, a ∝ over the index after, bit-for-bit identical
 // answers under insert/delete churn, and the scan plan again after DROP.
 func TestFacadeSecondaryIndex(t *testing.T) {
 	inst := indexInstance(t)
@@ -381,8 +381,8 @@ func TestFacadeSecondaryIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(plan, "IndexLookup") {
-		t.Fatalf("IndexLookup before CREATE INDEX: %s", plan)
+	if strings.Contains(plan, "ix_make") {
+		t.Fatalf("index lookup before CREATE INDEX: %s", plan)
 	}
 	scanRes, scanStats, err := inst.Query(q)
 	if err != nil {
@@ -413,7 +413,7 @@ func TestFacadeSecondaryIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan, "IndexLookup") || !strings.Contains(plan, "index-assisted") {
+	if !strings.HasPrefix(plan, "[scan-free, bounded] ") || !strings.Contains(plan, "∝ ix_make on") || strings.Contains(plan, "⋈") {
 		t.Fatalf("post-DDL plan: %s", plan)
 	}
 	idxRes, idxStats, err := inst.Query(q)
@@ -486,7 +486,7 @@ func TestFacadeExplainStatement(t *testing.T) {
 	if res.Result == nil || len(res.Result.Rows) != 1 || len(res.Result.Cols) != 1 {
 		t.Fatalf("explain result = %+v", res)
 	}
-	if plan := res.Result.Rows[0][0].Str; !strings.Contains(plan, "IndexLookup") {
+	if plan := res.Result.Rows[0][0].Str; !strings.Contains(plan, "∝ ix_make on") {
 		t.Fatalf("explain plan = %q", plan)
 	}
 }
@@ -526,7 +526,7 @@ func TestFacadePreparedEpoch(t *testing.T) {
 	if !reflect.DeepEqual(sortedRows(res), sortedRows(res2)) {
 		t.Fatal("stale and fresh plans disagree")
 	}
-	if !p2.ScanFree() || !strings.Contains(p2.Plan(), "IndexLookup") {
+	if !p2.ScanFree() || !strings.Contains(p2.Plan(), "∝ ix_make on") {
 		t.Fatalf("recompiled plan = %s", p2.Plan())
 	}
 	// A plan whose index is dropped must fail loudly, not silently return
