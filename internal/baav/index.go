@@ -23,7 +23,7 @@ import (
 // R⟨A, K⟩: the block under a value a is its posting list. Postings are
 // blocks of the store like any other, so one commit stages a write's block
 // and posting edits together, one version directory versions them, and one
-// watermark reclaims them. A pinned reader's lookup or range walk is exact
+// watermark reclaims them. A pinned reader's lookup or range read is exact
 // at its sequence, and an index lookup keeps the paper's round-trip
 // economics: one batched round of gets fetches the posting, then one get per
 // posted block key fetches exactly the blocks the query needs.
@@ -48,8 +48,10 @@ import (
 // reads and rewrites only the fragment that owns its block key — O(M)
 // posting bytes whatever the list's length — and a commit that grows a
 // fragment past M splits it into even pieces. A drained fragment is a
-// tombstone until reclamation drops it. Range predicates walk the index's
-// blocks in key order, which is (value, fence, version) order.
+// tombstone until reclamation drops it. A range predicate reads by key too:
+// the directory lists the fragments of the values in its window, in (value,
+// fence) order, and one batched round of gets fetches them at the reader's
+// sequence, exact at its pin. No posting read walks the index in key order.
 
 // M is the most block keys one posting fragment holds: 0.5–0.8 KB of
 // integer keys in the compact codec.
@@ -68,14 +70,15 @@ type SecondaryIndex interface {
 	// Range returns the postings of every indexed value within the bounds
 	// (nil = unbounded side; loIncl/hiIncl select closed ends) as parallel
 	// slices — vals[i] posted block key keys[i] — in encoded (value, key)
-	// order, plus the number of posting lists visited by the bounded
-	// ordered walk: RangeLimitT untraced and unbounded.
+	// order, plus the number of posting lists read: the fragments the
+	// directory lists in the window, fetched by batched gets at the view's
+	// sequence. It is RangeLimitT untraced and unbounded.
 	Range(name string, lo, hi *relation.Value, loIncl, hiIncl bool) (vals []relation.Value, keys []relation.Tuple, scanned int, err error)
 	// RangeLimitT is Range bounded to the first limit postings in (value,
 	// key) order (negative = unbounded) under a per-statement trace (nil
-	// untraced): the streaming merge stops the walk after O(limit) postings
-	// per node, so a pushed-down LIMIT costs O(limit) scan steps instead of
-	// O(range).
+	// untraced): it fetches fragments a window at a time until they hold
+	// limit keys at the view's sequence, so a pushed-down LIMIT costs
+	// O(limit) postings instead of O(range), exact at the pin.
 	RangeLimitT(t *obs.Trace, name string, lo, hi *relation.Value, loIncl, hiIncl bool, limit int) (vals []relation.Value, keys []relation.Tuple, scanned int, err error)
 }
 
@@ -464,16 +467,9 @@ func (x Indexes) Lookup(name string, v relation.Value) ([]relation.Tuple, int, e
 // trip per owning node. A fragment not visible at the sequence costs the
 // get of a miss. A value's size is its fragments' sizes summed.
 func (st *Store) fetchPostings(kvt *obs.KV, p *posting, keys []relation.Tuple, cols []int) (blks []*Block, sizes []int64, gets int, err error) {
-	width := len(p.kv.Val)
 	var b blockBatch
 	ends := make([]int, len(keys)) // value i's fragments end at b.reads[ends[i]]
 	var vkey []byte
-	add := func(fence string) {
-		pre := len(b.buf)
-		b.buf = append(binary.BigEndian.AppendUint32(b.buf, p.id), vkey...)
-		b.buf = append(b.buf, fence...)
-		b.reads = append(b.reads, blockRead{kv: p.kv.Name, width: width, pre: pre, end: len(b.buf)})
-	}
 	st.ix.mu.RLock()
 	for i, key := range keys {
 		if len(key) != 1 {
@@ -483,10 +479,10 @@ func (st *Store) fetchPostings(kvt *obs.KV, p *posting, keys []relation.Tuple, c
 		vkey = relation.AppendValue(vkey[:0], key[0])
 		if at, ok := p.find(vkey); ok {
 			for _, f := range p.vals[at].frags {
-				add(f.fence)
+				addFrag(&b, p, vkey, f.fence)
 			}
 		} else {
-			add(p.fence0)
+			addFrag(&b, p, vkey, p.fence0)
 		}
 		ends[i] = len(b.reads)
 	}
@@ -514,6 +510,15 @@ func (st *Store) fetchPostings(kvt *obs.KV, p *posting, keys []relation.Tuple, c
 	return blks, sizes, gets, nil
 }
 
+// addFrag appends to the batch the read of index p's fragment under the
+// encoded value vkey and fence.
+func addFrag[K string | []byte](b *blockBatch, p *posting, vkey K, fence string) {
+	pre := len(b.buf)
+	b.buf = binary.BigEndian.AppendUint32(b.buf, p.id)
+	b.buf = append(append(b.buf, vkey...), fence...)
+	b.reads = append(b.reads, blockRead{kv: p.kv.Name, width: len(p.kv.Val), pre: pre, end: len(b.buf)})
+}
+
 // Range returns the postings of every indexed value within the bounds:
 // RangeLimitT untraced and unbounded.
 func (x Indexes) Range(name string, lo, hi *relation.Value, loIncl, hiIncl bool) (vals []relation.Value, keys []relation.Tuple, scanned int, err error) {
@@ -523,155 +528,129 @@ func (x Indexes) Range(name string, lo, hi *relation.Value, loIncl, hiIncl bool)
 // RangeLimitT returns the first limit postings, in (value, block key)
 // order, of every indexed value within the bounds, at the view's sequence
 // (see Range); a negative limit is unbounded, a zero limit returns nothing.
-// Scan steps count into the trace's kv counters (nil untraced) and each
-// posting list visited into its posting-read counter; scanned reports the
-// posting lists visited.
+// Gets count into the trace's kv counters (nil untraced) and each posting
+// list read into its posting-read counter; scanned reports the posting
+// lists read.
 //
-// The fragments' block keys sort in (value, fence, version) order, so the
-// read is one ordered walk over the index's instance, bounded by the
-// encoded bounds: the ordered gather over the scatter pipeline
-// (kv.RangeMergeT), one ordered stream per storage node merged by its
-// smallest head. A fragment's versions arrive together, newest first; the
-// first at or below the sequence wins, and a winning tombstone is a drained
-// fragment. A bound LIMIT k costs O(k) postings per node: each node stops
-// once its winning fragments hold limit keys, since no later key on it can
-// displace one already in the global first limit.
+// The read is a directory listing plus batched gets, the physical read of
+// an equality lookup: the directory lists the fragments of the values in
+// the window in (value, fence) order, with no kv operation, and their gets
+// go out at the view's sequence as one round, routed by value. A listed
+// fragment not visible at the sequence — drained, or written after it —
+// costs no get. Under a limit the listing stops once the fragments'
+// directory lengths reach what is still missing. Those lengths are the
+// installed sequence's, which a pinned view's can exceed (drains after the
+// pin) or fall short of (inserts after the pin), so while the view's
+// fragments hold fewer keys than the limit the read lists and fetches the
+// next window: a LIMIT k costs O(k) postings, and the answer is exact at
+// the pin.
 func (x Indexes) RangeLimitT(t *obs.Trace, name string, lo, hi *relation.Value, loIncl, hiIncl bool, limit int) (vals []relation.Value, keys []relation.Tuple, scanned int, err error) {
 	p, err := x.posting(name)
 	if err != nil || limit == 0 {
 		return nil, nil, 0, err
 	}
-	pfx := binary.BigEndian.AppendUint32(nil, p.id)
-	var loKey, hiKey, hiFence []byte
+	l := fragList{st: x.st, p: p, loIncl: loIncl, hiIncl: hiIncl}
 	if lo != nil {
-		loKey = relation.AppendValue(pfx[:4:4], *lo)
+		l.lo = relation.AppendValue(nil, *lo)
 	}
 	if hi != nil {
-		// hi's fragments extend its encoding with a fence and a version.
-		hiFence = append(relation.AppendValue(pfx[:4:4], *hi), 0xFF)
-		hiKey = hiFence[:len(hiFence)-1]
-	}
-	// The fences are inclusive at the byte level, so an excluded endpoint
-	// shows up as its fragments and is skipped. The value encoding is
-	// prefix-free: only the endpoint's own keys extend it.
-	excluded := func(k []byte) bool {
-		return (!loIncl && loKey != nil && bytes.HasPrefix(k, loKey)) ||
-			(!hiIncl && hiKey != nil && bytes.HasPrefix(k, hiKey))
+		l.hi = relation.AppendValue(nil, *hi)
 	}
 	seq := x.st.snapSeqFor(p.kv.Rel)
-	width := len(p.kv.Val)
-	nodes := x.st.Cluster.NodeCount()
-
-	var w struct {
-		at      versionWalk
-		lastVal []byte // the value of the last posting list consumed
-		val     relation.Value
-		err     error
-	}
-	perNode := make([]int64, nodes)
-	process := func(node int, k, v []byte) bool {
-		if excluded(k) || !w.at.wins(k, seq) {
-			return true
+	var refs []fragRef
+	var last string // the encoding of the last value read
+	for limit < 0 || len(keys) < limit {
+		if refs = l.next(refs, limit-len(keys)); len(refs) == 0 {
+			break
 		}
-		blk, err := decodePosting(v, width)
-		if err == nil && blk != nil && (w.lastVal == nil || !bytes.HasPrefix(k[4:], w.lastVal)) {
-			var n int
-			w.val, n, err = relation.DecodeValue(k[4:])
-			w.lastVal = append(w.lastVal[:0], k[4:4+n]...)
-			scanned++
-			perNode[node]++
+		var b blockBatch
+		for _, r := range refs {
+			addFrag(&b, p, r.vkey, r.fence)
 		}
+		blks, _, _, err := x.st.fetch(t.KVCounters(), &b, seq, false, nil, nil)
 		if err != nil {
-			w.err = fmt.Errorf("index: %s: corrupt posting: %v", name, err)
-			return false
+			return nil, nil, scanned, fmt.Errorf("index: %s: %v", name, err)
 		}
-		if blk == nil {
-			return true // drained at this sequence
-		}
-		for _, key := range blk.Tuples {
-			vals, keys = append(vals, w.val), append(keys, key)
-			if len(keys) == limit {
-				return false
+	read:
+		for i, blk := range blks {
+			if blk == nil {
+				continue // not visible at the sequence, or drained
+			}
+			if refs[i].vkey != last {
+				last = refs[i].vkey
+				scanned++
+			}
+			for _, key := range blk.Tuples {
+				vals, keys = append(vals, refs[i].val), append(keys, key)
+				if len(keys) == limit {
+					break read
+				}
 			}
 		}
-		return true
-	}
-	var cut func(node int, k, v []byte) bool
-	if limit > 0 {
-		walks := make([]versionWalk, nodes)
-		counts := make([]int, nodes)
-		cut = func(node int, k, v []byte) bool {
-			if excluded(k) || !walks[node].wins(k, seq) {
-				return true
-			}
-			n, err := postingLen(v)
-			counts[node] += n
-			return err == nil && counts[node] < limit
-		}
-	}
-	x.st.Cluster.RangeMergeT(t.KVCounters(), pfx, loKey, hiFence, cut, process)
-	t.AnnotateNodes(perNode)
-	if w.err != nil {
-		return nil, nil, scanned, w.err
 	}
 	t.CountPostings(scanned)
 	return vals, keys, scanned, nil
 }
 
-// versionWalk picks, from an ordered walk over an instance's physical
-// keys, the version of each block that wins at a sequence. A block's keys
-// arrive together in (segment, newest-version-first) order, so the first
-// segment-0 key at or below the sequence is the winning version, and its
-// later segments are the keys of the same version.
-type versionWalk struct {
-	block []byte
-	ver   uint64
-	found bool
+// fragRef is a fragment a range read lists: its value, the value's
+// encoding and the fragment's fence, shared with the directory.
+type fragRef struct {
+	val         relation.Value
+	vkey, fence string
 }
 
-// in reports whether k, a block prefix followed by its segment and
-// inverted version, is a key of the block the walk is in.
-func (w *versionWalk) in(k []byte) bool { return bytes.Equal(k[:len(k)-12], w.block) }
-
-// wins moves the walk to k and reports whether k is a segment of its
-// block's winning version at seq.
-func (w *versionWalk) wins(k []byte, seq uint64) bool {
-	if !w.in(k) {
-		w.block, w.found = append(w.block[:0], k[:len(k)-12]...), false
-	}
-	ver := ^binary.BigEndian.Uint64(k[len(k)-8:])
-	if binary.BigEndian.Uint32(k[len(k)-12:]) != 0 {
-		return w.found && ver == w.ver
-	}
-	if w.found || ver > seq {
-		return false // older than the winner, or not yet visible
-	}
-	w.found, w.ver = true, ver
-	return true
+// fragList lists from the directory, a window at a time, the fragments of
+// index p's values within encoded bounds (nil: an open side), in (value,
+// fence) order. It resumes after the last fragment it listed by key, not by
+// position, since commits splice the directory between windows.
+type fragList struct {
+	st             *Store
+	p              *posting
+	lo, hi         []byte
+	loIncl, hiIncl bool
+	after          []byte // the encoded value of the last fragment listed; nil before the first
+	fence          string // and its fence
 }
 
-// decodePosting decodes a posting fragment's one segment; nil for a
-// tombstone.
-func decodePosting(v []byte, width int) (*Block, error) {
-	if nsegs, k := binary.Uvarint(v); k > 0 && nsegs == 0 {
-		return nil, nil
+// next lists into refs (reused) the fragments after the last one listed
+// until their directory lengths sum to need (negative: to the bounds' end).
+// Drained fragments are listed too: a pinned view may see keys in them.
+func (l *fragList) next(refs []fragRef, need int) []fragRef {
+	p := l.p
+	l.st.ix.mu.RLock()
+	defer l.st.ix.mu.RUnlock()
+	at, fi, ok := 0, 0, false
+	switch {
+	case l.after != nil:
+		if at, ok = p.find(l.after); ok {
+			frags := p.vals[at].frags
+			fi = sort.Search(len(frags), func(i int) bool { return frags[i].fence > l.fence })
+		}
+	case l.lo != nil:
+		if at, ok = p.find(l.lo); ok && !l.loIncl {
+			at++
+		}
 	}
-	blk, _, _, err := assembleSegs([][]byte{v}, width, nil, false)
-	return blk, err
-}
-
-// postingLen reads the number of block keys a posting fragment's segment
-// holds (zero for a tombstone) from its headers.
-func postingLen(v []byte) (int, error) {
-	nsegs, k := binary.Uvarint(v)
-	if k <= 0 {
-		return 0, errCorruptBlock
+	refs = refs[:0]
+	sum := 0
+list:
+	for ; at < len(p.vals); at, fi = at+1, 0 {
+		pv := &p.vals[at]
+		if l.hi != nil && (pv.key > string(l.hi) || !l.hiIncl && pv.key == string(l.hi)) {
+			break
+		}
+		for _, f := range pv.frags[fi:] {
+			if need >= 0 && sum >= need {
+				break list
+			}
+			refs = append(refs, fragRef{val: pv.val, vkey: pv.key, fence: f.fence})
+			sum += f.n
+		}
 	}
-	if nsegs == 0 {
-		return 0, nil
+	if n := len(refs); n > 0 {
+		l.after, l.fence = append(l.after[:0], refs[n-1].vkey...), refs[n-1].fence
 	}
-	_, n, _, err := payloadHeader(v[k:])
-	return int(n), err
+	return refs
 }
 
 // OnRelation returns the indexes on rel as KV schemas R⟨A, K⟩, named by
@@ -720,8 +699,8 @@ func (x Indexes) KVSchema(name string) *KVSchema {
 }
 
 // ValueBounds returns the smallest and largest value the named index holds
-// at the installed sequence, in encoded order, which matches the posting
-// walk. It implements core.IndexCatalog; ok is false for unknown or empty
+// at the installed sequence, in encoded order, which matches a range
+// read's. It implements core.IndexCatalog; ok is false for unknown or empty
 // indexes.
 func (x Indexes) ValueBounds(name string) (lo, hi relation.Value, ok bool) {
 	x.st.ix.mu.RLock()

@@ -59,9 +59,9 @@ func TestValueBoundsMaintenance(t *testing.T) {
 	}
 }
 
-// TestRangeLimitStreaming: a bound LIMIT stops the ordered posting walk
-// after O(limit) scan steps, and the kept entries are exactly the prefix of
-// the unbounded walk's (value, key) order.
+// TestRangeLimitStreaming: a bound LIMIT stops the range read after O(limit)
+// gets and no scan step, and the kept entries are exactly the prefix of the
+// unbounded read's (value, key) order.
 func TestRangeLimitStreaming(t *testing.T) {
 	for _, kind := range []kv.EngineKind{kv.EngineHash, kv.EngineLSM, kv.EngineSorted} {
 		st := itemStore(t, kind, 4)
@@ -78,6 +78,7 @@ func TestRangeLimitStreaming(t *testing.T) {
 			t.Fatalf("full range: %d keys over %d lists", len(fullKeys), fullScanned)
 		}
 		const limit = 7
+		before := st.Cluster.Metrics()
 		vals, keys, scanned, err := st.Index.RangeLimitT(nil, "ix_sku", &lo, &hi, true, true, limit)
 		if err != nil {
 			t.Fatal(err)
@@ -85,10 +86,10 @@ func TestRangeLimitStreaming(t *testing.T) {
 		if len(keys) != limit {
 			t.Fatalf("limited range returned %d keys, want %d", len(keys), limit)
 		}
-		// Each node stops after one posting list (20 entries ≥ limit), so
-		// at most one list per node is visited.
-		if scanned > st.Cluster.NodeCount() {
-			t.Fatalf("limited walk visited %d lists, want <= %d", scanned, st.Cluster.NodeCount())
+		// The first posting list (one fragment of 20 entries ≥ limit)
+		// carries the limit: one list read, by one get.
+		if d := st.Cluster.Metrics().Sub(before); scanned != 1 || d.Gets != 1 || d.ScanNexts != 0 {
+			t.Fatalf("limited read: %d lists, %d gets, %d scan steps, want 1, 1 and 0", scanned, d.Gets, d.ScanNexts)
 		}
 		for i := range keys {
 			if !relation.Equal(keys[i][0], fullKeys[i][0]) || !relation.Equal(vals[i], fullVals[i]) {

@@ -274,9 +274,9 @@ func rangeIDs(t *testing.T, st *baav.Store, name string, lo, hi *relation.Value,
 	return out
 }
 
-// TestRangeOrderedWalk checks the ordered posting walk on every engine
-// kind: bounds, inclusivity, unbounded sides, empty windows, and the
-// deterministic (value, key) output order.
+// TestRangeOrderedWalk checks the range read on every engine kind: bounds,
+// inclusivity, unbounded sides, empty windows, and the deterministic (value,
+// key) output order.
 func TestRangeOrderedWalk(t *testing.T) {
 	for _, kind := range []kv.EngineKind{kv.EngineHash, kv.EngineLSM, kv.EngineSorted} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -298,8 +298,8 @@ func TestRangeOrderedWalk(t *testing.T) {
 				}
 			}
 
-			// Scan cost is the number of matched posting lists, not the
-			// whole posting space.
+			// Read cost is one get per matched posting fragment, not the
+			// whole posting space, and no scan step.
 			c.ResetMetrics()
 			_, _, scanned, err := st.Index.Range("ix_sku", &lo, &hi, true, true)
 			if err != nil {
@@ -308,8 +308,8 @@ func TestRangeOrderedWalk(t *testing.T) {
 			if scanned != 3 {
 				t.Fatalf("scanned %d posting lists, want 3", scanned)
 			}
-			if got := c.Metrics().ScanNexts; got != 3 {
-				t.Fatalf("cluster scan steps = %d, want 3 (bounded walk)", got)
+			if m := c.Metrics(); m.Gets != 3 || m.ScanNexts != 0 {
+				t.Fatalf("cluster gets = %d, scan steps = %d, want 3 and 0 (one get per fragment)", m.Gets, m.ScanNexts)
 			}
 
 			// Open ends exclude their boundary value.
@@ -447,10 +447,10 @@ func TestMaxPostingDecay(t *testing.T) {
 // TestPostingReadFormsAgree holds the one-implementation posting reads across
 // engines and node counts: Lookup answers what FetchBlocksT over the index
 // answers at the same index of a batch — present and missing postings
-// alike — for the same gets; Range is RangeLimitT unbounded; a limited walk
-// is a prefix of it whose scan cost one node's stream bounds exactly as four
-// nodes' do; and every form's traced kv totals equal the cluster metrics
-// delta, with one posting read per list a walk decodes.
+// alike — for the same gets; Range is RangeLimitT unbounded; a limited read
+// is a prefix of it that costs one get per fragment its limit reaches and no
+// scan step, on one node as on four; and every form's traced kv totals equal
+// the cluster metrics delta, with one posting read per list a read decodes.
 func TestPostingReadFormsAgree(t *testing.T) {
 	for _, kind := range []kv.EngineKind{kv.EngineHash, kv.EngineLSM, kv.EngineSorted} {
 		for _, nodes := range []int{1, 4} {
@@ -529,30 +529,27 @@ func TestPostingReadFormsAgree(t *testing.T) {
 				if !reflect.DeepEqual(keys, fullKeys[:want]) || !reflect.DeepEqual(vals, fullVals[:want]) {
 					t.Fatalf("%v/%d nodes limit %d: not the first %d postings of the unbounded walk", kind, nodes, limit, want)
 				}
-				// A node stops after the list that carries it to limit
-				// entries: the scan is bounded per node, cancellation timing
-				// aside. The excluded hi fence key costs each walk one step.
-				perNode := int64(fullScanned + 1)
+				// Each list is one fragment of 20 keys: the read fetches
+				// the fragments its limit reaches, one get each, whatever
+				// the node count, and the excluded hi value costs nothing.
+				frags := int64(fullScanned)
 				if limit > 0 {
-					perNode = int64((limit + 19) / 20)
+					frags = int64((limit + 19) / 20)
 				}
-				if got.ScanNexts > int64(nodes)*perNode || int64(scanned) > got.ScanNexts {
-					t.Fatalf("%v/%d nodes limit %d: %d scan steps for %d lists merged, bound %d per node",
-						kind, nodes, limit, got.ScanNexts, scanned, perNode)
-				}
-				if nodes == 1 && limit > 0 && got.ScanNexts != perNode {
-					t.Fatalf("%v/1 node limit %d: %d scan steps, want exactly %d", kind, limit, got.ScanNexts, perNode)
+				if got.Gets != frags || got.ScanNexts != 0 || int64(scanned) != frags {
+					t.Fatalf("%v/%d nodes limit %d: %d gets, %d scan steps for %d lists, want %d gets and no scan step",
+						kind, nodes, limit, got.Gets, got.ScanNexts, scanned, frags)
 				}
 			}
 		}
 	}
 }
 
-// TestRangeLimitWalksListsLazily: under a limit a posting list is walked
-// only as far as the limit reaches — at the merge and at the producer-side
-// cut — so what a LIMIT k walk allocates does not grow with the length of
-// the lists it stops in. The answer and the lists visited are those of the
-// unlimited walk's first k.
+// TestRangeLimitWalksListsLazily: under a limit a range read lists and
+// fetches only the fragments the limit reaches — the window is cut per
+// fragment, not per value — so what a LIMIT k read allocates does not grow
+// with the length of the lists it stops in. The answer and the lists read
+// are those of the unlimited read's first k.
 func TestRangeLimitWalksListsLazily(t *testing.T) {
 	const limit = 5
 	lo, hi := relation.String("S00"), relation.String("S09")
@@ -580,6 +577,6 @@ func TestRangeLimitWalksListsLazily(t *testing.T) {
 		})
 	}
 	if allocs[1] > allocs[0]+10 {
-		t.Fatalf("LIMIT %d walk: %.0f allocations over 40-posting lists, %.0f over 4 000-posting lists", limit, allocs[0], allocs[1])
+		t.Fatalf("LIMIT %d read: %.0f allocations over 40-posting lists, %.0f over 4 000-posting lists", limit, allocs[0], allocs[1])
 	}
 }

@@ -119,8 +119,9 @@ func (r *relMVCC) watermark() uint64 {
 type instVersions struct {
 	load uint64
 	// loaded holds the hashes of the blocks the load wrote in one segment.
-	// A commit reads no pre-image for a block it rules out: readers do not
-	// consult it, and probe every block the directory does not list.
+	// A commit reads no pre-image, and an index range read no fragment, for
+	// a block it rules out; the other readers do not consult it, and probe
+	// every block the directory does not list.
 	loaded loadFilter
 	dir    *verDir // nil until a version enters it
 	live   int64   // versions materialized: as loaded, plus those entered since
@@ -208,8 +209,9 @@ func (m *mvccState) head(kvName string, prefix []byte) (verEntry, int) {
 // block that wins at seq (see blockRead.win): the directory's, or for a
 // block it does not list the instance's load version, presumed. While an
 // instance's directory lists nothing, as after its load, its table is not
-// probed. Without probe — a commit reading its pre-images — a block the
-// load filter rules out resolves absent at once.
+// probed. Without probe — a commit reading its pre-images, an index range
+// reading the fragments its directory lists — a block the load filter rules
+// out resolves absent at once.
 func (m *mvccState) resolve(b *blockBatch, seq uint64, probe bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

@@ -683,6 +683,38 @@ func (st *Store) scanWinners(name string, scan func(prefix []byte, visit func(k,
 	return scanErr
 }
 
+// versionWalk picks, from an ordered walk over an instance's physical
+// keys, the version of each block that wins at a sequence. A block's keys
+// arrive together in (segment, newest-version-first) order, so the first
+// segment-0 key at or below the sequence is the winning version, and its
+// later segments are the keys of the same version.
+type versionWalk struct {
+	block []byte
+	ver   uint64
+	found bool
+}
+
+// in reports whether k, a block prefix followed by its segment and
+// inverted version, is a key of the block the walk is in.
+func (w *versionWalk) in(k []byte) bool { return bytes.Equal(k[:len(k)-12], w.block) }
+
+// wins moves the walk to k and reports whether k is a segment of its
+// block's winning version at seq.
+func (w *versionWalk) wins(k []byte, seq uint64) bool {
+	if !w.in(k) {
+		w.block, w.found = append(w.block[:0], k[:len(k)-12]...), false
+	}
+	ver := ^binary.BigEndian.Uint64(k[len(k)-8:])
+	if binary.BigEndian.Uint32(k[len(k)-12:]) != 0 {
+		return w.found && ver == w.ver
+	}
+	if w.found || ver > seq {
+		return false // older than the winner, or not yet visible
+	}
+	w.found, w.ver = true, ver
+	return true
+}
+
 // InstanceBlocks returns the number of keyed blocks in the named KV
 // instance — the planner's cost statistic for scan-vs-probe decisions.
 func (st *Store) InstanceBlocks(name string) int {

@@ -26,7 +26,7 @@ import (
 // other at hot nodes — exactly like region servers in an HBase or
 // Cassandra deployment. Adding nodes adds aggregate service capacity, and
 // because the read path scatters per node (point gets batch one round per
-// owning node, scans and posting walks pipeline one walk per node), a
+// owning node, scans pipeline one walk per node), a
 // point-read-heavy mix should scale near-linearly until the SQL layer's
 // CPU becomes the bottleneck. The delay=0 phase is the control: with no
 // emulated service time the in-process cluster is pure CPU and the curve

@@ -67,7 +67,7 @@ type Checker struct {
 	Stats PlanStats
 	// Indexes, when set, adds the secondary indexes to the KV schemas the
 	// chase and the planner reason over: ∝ steps over an index for constant
-	// predicates on non-key attributes, and range walks.
+	// predicates on non-key attributes, and range reads.
 	Indexes IndexCatalog
 }
 

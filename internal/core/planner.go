@@ -31,8 +31,8 @@ type PlanInfo struct {
 	ScanFree bool
 	// Extends and Scans list the KV instances accessed by ∝ — secondary
 	// indexes among them, for equality lookups — and by scans; Ranges lists
-	// the indexes walked by IndexRange leaves (bounded ordered posting scans
-	// serving range predicates).
+	// the indexes read by IndexRange leaves (the posting fragments of a
+	// value window, serving range predicates).
 	Extends []string
 	Scans   []string
 	Ranges  []string
@@ -147,14 +147,9 @@ func (c *Checker) plan(q *ra.Query) (*PlanInfo, error) {
 	}
 	p := &planner{
 		c: c, q: q, eq: eq,
-		sfAtom:   make(map[string]bool),
 		atomFrag: make(map[string]*frag),
 		applied:  make(map[string]bool),
 		indexed:  make(map[string]bool),
-	}
-	get := c.GetSet(q, eq)
-	for _, atom := range q.Atoms {
-		p.sfAtom[atom.Alias] = c.atomScanFree(q, eq, get, atom)
 	}
 	return p.run()
 }
@@ -276,6 +271,13 @@ func (p *planner) pushRangeLimit() {
 func (p *planner) run() (*PlanInfo, error) {
 	if info, ok := p.tryStatsAgg(); ok {
 		return info, nil
+	}
+	// The GET/VC chase only serves the ∝ plans below: a statistics
+	// aggregate reads neither.
+	get := p.c.GetSet(p.q, p.eq)
+	p.sfAtom = make(map[string]bool, len(p.q.Atoms))
+	for _, atom := range p.q.Atoms {
+		p.sfAtom[atom.Alias] = p.c.atomScanFree(p.q, p.eq, get, atom)
 	}
 	if seed, err := p.buildSeed(); err != nil {
 		return nil, err
@@ -615,7 +617,7 @@ func (p *planner) coverAtoms() error {
 // by the query, reach the block keys of exactly the matching tuples — for
 // an equality pin, a ∝ over the index's KV schema R⟨A, K⟩ from the fragment
 // holding the pinned class (the constant seed); for range conjuncts, an
-// IndexRange walk over the value-ordered posting key space, seeding a
+// IndexRange read of the posting lists in the value window, seeding a
 // fragment of its own — so the ordinary anchor step then fetches those
 // blocks through the primary-key KV schema instead of scanning the
 // instance. The equality pass runs over every atom before the range pass,

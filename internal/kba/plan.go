@@ -130,16 +130,17 @@ func (e *Extend) String() string {
 	return fmt.Sprintf("(%s ∝ %s on %s as %s)", e.Input, e.KV, strings.Join(e.KeyFrom, ","), e.Alias)
 }
 
-// IndexRange is the ordered-posting-scan access path for range predicates:
-// it walks the parameter index's posting key space between the Lo and Hi
-// bounds — one bounded ordered cluster scan, since postings are stored in
-// encoded value order — and emits one row (value, block key) per posting in
-// the range. Its output feeds ∝ on a KV schema keyed by the posted block
-// keys, so a selective range fetches exactly the blocks it matches instead
-// of scanning the instance. An equality lookup needs no leaf of its own: it
-// is a ∝ over the index's KV schema R⟨A, K⟩. A range is an ordered walk,
-// not a ∝: the posting walk is a (bounded) scan, so plans containing it are
-// not scan-free in the paper's strict sense.
+// IndexRange is the access path for range predicates: it reads the posting
+// lists of the index's values between the Lo and Hi bounds — the store's
+// directory lists their fragments, and one batched round of gets fetches
+// them — and emits one row (value, block key) per posting in the range, in
+// (value, key) order. Its output feeds ∝ on a KV schema keyed by the posted
+// block keys, so a selective range fetches exactly the blocks it matches
+// instead of scanning the instance. An equality lookup needs no leaf of its
+// own: it is a ∝ over the index's KV schema R⟨A, K⟩. A range leaf is a seed
+// read from the index's data — which values lie in the window is known only
+// from what the index holds, not from a constant of the query — so plans
+// containing it are not scan-free in the paper's strict sense.
 type IndexRange struct {
 	// Index names the secondary index.
 	Index string
@@ -400,9 +401,9 @@ func (d *Distinct) String() string { return fmt.Sprintf("δ(%s)", d.Input) }
 
 // IsScanFree reports whether the plan is scan-free over its BaaV schema:
 // every leaf is a constant (Section 4.2). Extend parameters do not count as
-// leaves. An IndexRange leaf is a bounded ordered scan of the posting key
-// space — far cheaper than an instance scan, but still a scan, so plans
-// containing one are not scan-free.
+// leaves. An IndexRange leaf reads by key, but its seed — the values in
+// its window — comes from the index's data, not from a constant of the
+// query, so plans containing one are not scan-free.
 func IsScanFree(p Plan) bool {
 	switch p.(type) {
 	case *ScanKV, *StatsAgg, *IndexRange:

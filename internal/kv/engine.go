@@ -29,9 +29,9 @@ type Engine interface {
 	Delete(key []byte) bool
 	// ScanRange visits pairs with from <= key <= to (bytewise), in ascending
 	// key order, until fn returns false. A nil from starts at the first key;
-	// a nil to runs to the last. The bounded seek is what makes ordered
-	// posting-range walks cost O(range), not O(instance): keys below from are
-	// never visited. A prefix scan is the range [prefix, successor(prefix)].
+	// a nil to runs to the last. The bounded seek is what makes a window
+	// walk cost O(window), not O(instance): keys below from are never
+	// visited. A prefix scan is the range [prefix, successor(prefix)].
 	// It must not mutate engine state that another read depends on: engines
 	// merge on the write path. The one thing a read may do is fill a
 	// read-only view of state only writes change (the hash engine's sorted

@@ -1,33 +1,25 @@
 package kv
 
 import (
-	"bytes"
 	"sync"
 
 	"zidian/internal/obs"
 )
 
 // The scatter pipeline: the placement layer that turns "walk the cluster"
-// into "walk every node at once". A logical scan names a key window;
-// RangeScatterT fans it out as one streaming node walk (ScanRangeNodeT) per
-// storage node, each in its own goroutine behind a bounded channel, and a
-// gather step recombines the per-node streams. There is one pipeline and two
-// gathers (a one-node cluster has nothing to overlap: both gathers then run
-// the node's walk inline, see Cluster.walkSingle):
-//
-//   - Node-contiguous gather (ScanT): each node's stream is delivered
-//     whole, in node order, exactly matching the output of walking the
-//     nodes one after another. Callers that reassemble multi-pair records
-//     from adjacent keys (BaaV multi-segment blocks — segments of one block
-//     are colocated on the block's owner node) rely on streams never
-//     interleaving at pair granularity. The win is overlap: every node's
-//     emulated seek round trip and engine walk runs concurrently instead
-//     of back to back.
-//
-//   - Ordered key-granularity merge (RangeMergeT): each key lives on
-//     exactly one node and per-node streams arrive in ascending key order,
-//     so popping the smallest stream head recombines them into one globally
-//     ordered walk. The index range walk in internal/baav is this gather.
+// into "walk every node at once". A logical scan names a key prefix;
+// RangeScatterT fans it out as one streaming node walk (ScanNodeT) per
+// storage node, each in its own goroutine behind a bounded channel, and the
+// gather, ScanT, delivers each node's stream whole, in node order, exactly
+// matching the output of walking the nodes one after another. Callers that
+// reassemble multi-pair records from adjacent keys (BaaV multi-segment
+// blocks — segments of one block are colocated on the block's owner node)
+// rely on streams never interleaving at pair granularity. The win is
+// overlap: every node's emulated seek round trip and engine walk runs
+// concurrently instead of back to back. A one-node cluster has nothing to
+// overlap: ScanT then runs the node's walk inline.
+// No read needs a global key order across nodes: an index range reads its
+// fragments by batched gets (internal/baav).
 //
 // Cancellation: when the consumer stops early (LIMIT, error), in-flight
 // node walks observe the cancel between pairs and abort instead of
@@ -55,14 +47,14 @@ type Pair struct {
 	Value []byte
 }
 
-// RangeStream is one node's ordered, bounded-window walk inside a
-// RangeScatterT: pairs arrive in ascending key order on C until the walk
-// ends or the scatter is canceled.
+// RangeStream is one node's ordered walk inside a RangeScatterT: pairs
+// arrive in ascending key order on C until the walk ends or the scatter is
+// canceled.
 type RangeStream struct {
 	C <-chan []Pair
 }
 
-// RangeScatter tracks the per-node pipelines of one scattered range walk.
+// RangeScatter tracks the per-node pipelines of one scattered walk.
 type RangeScatter struct {
 	// Streams has one ordered pair stream per storage node.
 	Streams []RangeStream
@@ -79,17 +71,12 @@ func (s *RangeScatter) Cancel() {
 	s.wg.Wait()
 }
 
-// RangeScatterT starts one bounded range walk per storage node — the
-// window semantics of ScanRangeNodeT: keys carrying prefix with
-// lo <= k <= hi, ascending per node — each in its own goroutine behind a
-// bounded channel, and returns the per-node streams for the caller to
-// gather. cut, when non-nil, is the producer-side early stop: it runs in
-// the node's goroutine after each pair is appended and stops that node's
-// walk when it returns false — callers use it to cap how far a LIMIT-bound
-// walk scans per node. Nodes with no keys under the prefix are skipped
-// without a seek round trip. The caller must Cancel the scatter once it
-// stops consuming.
-func (c *Cluster) RangeScatterT(t *obs.KV, prefix, lo, hi []byte, cut func(node int, k, v []byte) bool) *RangeScatter {
+// RangeScatterT starts one walk per storage node over the keys carrying
+// prefix — ScanNodeT's, ascending per node — each in its own goroutine
+// behind a bounded channel, and returns the per-node streams for the caller
+// to gather. Nodes with no keys under the prefix are skipped without a seek
+// round trip. The caller must Cancel the scatter once it stops consuming.
+func (c *Cluster) RangeScatterT(t *obs.KV, prefix []byte) *RangeScatter {
 	s := &RangeScatter{
 		Streams: make([]RangeStream, len(c.nodes)),
 		done:    make(chan struct{}),
@@ -114,7 +101,7 @@ func (c *Cluster) RangeScatterT(t *obs.KV, prefix, lo, hi []byte, cut func(node 
 					return false
 				}
 			}
-			c.ScanRangeNodeT(t, i, prefix, lo, hi, func(k, v []byte) bool {
+			c.ScanNodeT(t, i, prefix, func(k, v []byte) bool {
 				select {
 				case <-s.done:
 					return false
@@ -124,10 +111,6 @@ func (c *Cluster) RangeScatterT(t *obs.KV, prefix, lo, hi []byte, cut func(node 
 					chunk = make([]Pair, 0, scanChunk)
 				}
 				chunk = append(chunk, Pair{Key: k, Value: v})
-				if cut != nil && !cut(i, k, v) {
-					flush()
-					return false
-				}
 				if len(chunk) == scanChunk {
 					return flush()
 				}
@@ -137,56 +120,6 @@ func (c *Cluster) RangeScatterT(t *obs.KV, prefix, lo, hi []byte, cut func(node 
 		}(i, ch)
 	}
 	return s
-}
-
-// RangeMergeT walks the window of RangeScatterT in global ascending key
-// order: the ordered gather. It pops the smallest head among the live node
-// streams, refills that stream, and repeats — node counts are small, so a
-// linear min over stream heads beats a heap. fn receives the node each pair
-// came from so callers can account fan-out, and stops the walk by returning
-// false; the scatter is always canceled before returning, so an early stop
-// aborts the in-flight node walks. fn must not issue cluster operations.
-func (c *Cluster) RangeMergeT(t *obs.KV, prefix, lo, hi []byte, cut, fn func(node int, k, v []byte) bool) {
-	if c.walkSingle(t, prefix, lo, hi, cut, fn) {
-		return
-	}
-	s := c.RangeScatterT(t, prefix, lo, hi, cut)
-	defer s.Cancel()
-	chunks := make([][]Pair, len(s.Streams))
-	at := make([]int, len(s.Streams))
-	live := make([]bool, len(s.Streams))
-	// refill ensures stream i has a head pair, blocking on its channel;
-	// reports false once the stream is exhausted.
-	refill := func(i int) bool {
-		for at[i] >= len(chunks[i]) {
-			chunk, ok := <-s.Streams[i].C
-			if !ok {
-				return false
-			}
-			chunks[i], at[i] = chunk, 0
-		}
-		return true
-	}
-	for i := range s.Streams {
-		live[i] = refill(i)
-	}
-	for {
-		min := -1
-		for i := range live {
-			if live[i] && (min < 0 || bytes.Compare(chunks[i][at[i]].Key, chunks[min][at[min]].Key) < 0) {
-				min = i
-			}
-		}
-		if min < 0 {
-			return
-		}
-		p := chunks[min][at[min]]
-		at[min]++
-		if !fn(min, p.Key, p.Value) {
-			return
-		}
-		live[min] = refill(min)
-	}
 }
 
 // nodePrefixEmpty probes, under a brief read lock, whether the node's

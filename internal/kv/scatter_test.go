@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -143,11 +142,8 @@ func TestTracedReadsEqualMetricsDelta(t *testing.T) {
 				c.ScanRangeNodeT(kvt, i, prefix, lo, hi, keep)
 			}
 		}},
-		{"RangeMergeT", func(c *Cluster, kvt *obs.KV, prefix []byte) {
-			c.RangeMergeT(kvt, prefix, nil, nil, nil, func(_ int, k, v []byte) bool { return true })
-		}},
 		{"RangeScatterT", func(c *Cluster, kvt *obs.KV, prefix []byte) {
-			s := c.RangeScatterT(kvt, prefix, nil, nil, nil)
+			s := c.RangeScatterT(kvt, prefix)
 			for _, stream := range s.Streams {
 				for range stream.C {
 				}
@@ -185,34 +181,19 @@ func TestTracedReadsEqualMetricsDelta(t *testing.T) {
 	}
 }
 
-// TestRangeScatterStreamsMatchSerial: each node stream of a scattered range
-// walk must deliver exactly the pairs of that node's serial bounded walk, in
-// the same ascending order.
+// TestRangeScatterStreamsMatchSerial: each node stream of a scattered walk
+// must deliver exactly the pairs of that node's serial walk, in the same
+// ascending order — for an ordinary prefix, the empty prefix (everything),
+// an all-0xFF prefix (no successor fence) and a prefix no node holds.
 func TestRangeScatterStreamsMatchSerial(t *testing.T) {
-	prefix := []byte("blk/")
-	windows := []struct{ lo, hi string }{
-		{"", ""},                       // whole prefix
-		{"blk/00100", "blk/00199"},     // interior two-sided
-		{"blk/00250", ""},              // half-open upper
-		{"", "blk/00049"},              // half-open lower
-		{"blk/00200", "blk/00100"},     // inverted: empty
-		{"blk/00123x", "blk/00123xzz"}, // gap: empty
-	}
 	for _, kind := range allKinds {
 		for _, nodes := range scatterNodeCounts {
 			c := scatterFixture(kind, nodes, 300)
-			for _, w := range windows {
-				var lo, hi []byte
-				if w.lo != "" {
-					lo = []byte(w.lo)
-				}
-				if w.hi != "" {
-					hi = []byte(w.hi)
-				}
-				s := c.RangeScatterT(nil, prefix, lo, hi, nil)
+			for _, prefix := range [][]byte{[]byte("blk/"), nil, ffPrefix, []byte("nope/")} {
+				s := c.RangeScatterT(nil, prefix)
 				for i := 0; i < nodes; i++ {
 					var want []Pair
-					c.ScanRangeNodeT(nil, i, prefix, lo, hi, func(k, v []byte) bool {
+					c.ScanNodeT(nil, i, prefix, func(k, v []byte) bool {
 						want = append(want, Pair{Key: k, Value: v})
 						return true
 					})
@@ -221,80 +202,13 @@ func TestRangeScatterStreamsMatchSerial(t *testing.T) {
 						got = append(got, chunk...)
 					}
 					if collectPairs(got) != collectPairs(want) {
-						t.Fatalf("%v/%d nodes window [%q,%q] node %d: stream diverged from serial walk (%d vs %d pairs)",
-							kind, nodes, w.lo, w.hi, i, len(got), len(want))
+						t.Fatalf("%v/%d nodes prefix %q node %d: stream diverged from serial walk (%d vs %d pairs)",
+							kind, nodes, prefix, i, len(got), len(want))
 					}
 				}
 				s.Cancel()
 			}
 		}
-	}
-}
-
-// TestRangeMergeIsGlobalOrder: the ordered gather delivers the window's
-// pairs of all nodes in one ascending key order, each tagged with its owner
-// node, and an early stop sees exactly the first k of them.
-func TestRangeMergeIsGlobalOrder(t *testing.T) {
-	prefix, lo, hi := []byte("blk/"), []byte("blk/00050"), []byte("blk/00249")
-	for _, kind := range allKinds {
-		for _, nodes := range scatterNodeCounts {
-			c := scatterFixture(kind, nodes, 300)
-			var ref []Pair
-			for i := 0; i < nodes; i++ {
-				c.ScanRangeNodeT(nil, i, prefix, lo, hi, func(k, v []byte) bool {
-					ref = append(ref, Pair{Key: k, Value: v})
-					return true
-				})
-			}
-			sort.Slice(ref, func(i, j int) bool { return bytes.Compare(ref[i].Key, ref[j].Key) < 0 })
-			for _, stop := range []int{-1, 1, 64, 65} {
-				var got []Pair
-				c.RangeMergeT(nil, prefix, lo, hi, nil, func(node int, k, v []byte) bool {
-					if node != c.NodeFor(k) {
-						t.Fatalf("%v/%d nodes: pair %q tagged node %d, owner %d", kind, nodes, k, node, c.NodeFor(k))
-					}
-					got = append(got, Pair{Key: k, Value: v})
-					return stop < 0 || len(got) < stop
-				})
-				wantN := stop
-				if stop < 0 {
-					wantN = len(ref)
-				}
-				if len(ref) != 200 || collectPairs(got) != collectPairs(ref[:wantN]) {
-					t.Fatalf("%v/%d nodes stop=%d: merged walk is not the first %d of %d pairs in key order (got %d)",
-						kind, nodes, stop, wantN, len(ref), len(got))
-				}
-			}
-		}
-	}
-}
-
-// TestRangeScatterProducerCut: the producer-side early stop must end a
-// node's stream after the pair that tripped it, leaving other nodes intact.
-func TestRangeScatterProducerCut(t *testing.T) {
-	for _, kind := range allKinds {
-		c := scatterFixture(kind, 4, 300)
-		const perNode = 5
-		counts := make([]int, 4)
-		s := c.RangeScatterT(nil, []byte("blk/"), nil, nil, func(node int, k, v []byte) bool {
-			counts[node]++ // producer-side: one goroutine per node, slots disjoint
-			return counts[node] < perNode
-		})
-		for i := 0; i < 4; i++ {
-			var got []Pair
-			for chunk := range s.Streams[i].C {
-				got = append(got, chunk...)
-			}
-			var want []Pair
-			c.ScanRangeNodeT(nil, i, []byte("blk/"), nil, nil, func(k, v []byte) bool {
-				want = append(want, Pair{Key: k, Value: v})
-				return len(want) < perNode
-			})
-			if collectPairs(got) != collectPairs(want) {
-				t.Fatalf("%v node %d: cut stream is not the serial walk's first %d pairs", kind, i, perNode)
-			}
-		}
-		s.Cancel()
 	}
 }
 
@@ -304,7 +218,7 @@ func TestRangeScatterProducerCut(t *testing.T) {
 func TestRangeScatterCancelMidStream(t *testing.T) {
 	for _, kind := range allKinds {
 		c := scatterFixture(kind, 4, 2000)
-		s := c.RangeScatterT(nil, []byte("blk/"), nil, nil, nil)
+		s := c.RangeScatterT(nil, []byte("blk/"))
 		// Consume one chunk from one stream, then walk away.
 		for range s.Streams[0].C {
 			break

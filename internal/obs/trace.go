@@ -135,7 +135,7 @@ func (s KVSnapshot) Ops() int64 { return s.Gets + s.Puts + s.Deletes + s.ScanNex
 // so spans open and close on one goroutine.
 type Trace struct {
 	KV           KV
-	postingReads atomic.Int64 // posting lists index range walks decoded
+	postingReads atomic.Int64 // posting lists index range reads decoded
 	blocks       atomic.Int64 // blocks fetched and decoded, equality lookups' posting lists among them
 
 	// QueueWaitNanos and LockWaitNanos are written once by the server
@@ -219,10 +219,8 @@ type OpNode struct {
 	KV        KVSnapshot    `json:"kv"`
 	Workers   int           `json:"workers,omitempty"`
 	PerWorker []int64       `json:"perWorker,omitempty"`
-	// Nodes and PerNode record the storage-node fan-out of a scattered
-	// walk or batched fetch: how many nodes the operator touched and each
-	// node's contribution (pairs walked, postings yielded, or gets served,
-	// depending on the operator).
+	// Nodes and PerNode record the storage-node fan-out of a scan: how
+	// many nodes the operator touched and the rows each node gave.
 	Nodes   int     `json:"nodes,omitempty"`
 	PerNode []int64 `json:"perNode,omitempty"`
 	// Cols and Width, on ∝ and scan spans, are how many of the instance's
@@ -284,9 +282,8 @@ func (n *OpNode) ResolveLabels() {
 }
 
 // AnnotateNodes records a storage-node fan-out on the innermost open
-// span: perNode holds each node's contribution to the operator's walk or
-// batch. Called by the access-path layers (scan scatter, posting merge,
-// batched gets) while their operator's span is on top of the stack; safe
+// span: perNode holds each node's contribution to the operator's walk.
+// Called by the scan while its operator's span is on top of the stack; safe
 // no-op on a nil or span-less trace. Like the span stack itself it must be
 // called from the driving goroutine only.
 func (t *Trace) AnnotateNodes(perNode []int64) {

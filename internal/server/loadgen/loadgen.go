@@ -157,7 +157,8 @@ func nonKeyTemplates(workload string) ([]Template, []string, error) {
 
 // rangeTemplates returns the range-predicate suite for a workload: each
 // template is a two-sided BETWEEN window over an indexed non-key attribute,
-// served by the IndexRange ordered-posting-scan access path, together with
+// served by the IndexRange access path (a directory listing of the
+// window's posting fragments plus batched gets), together with
 // the CREATE INDEX statements the windows rely on. Every request draws a
 // fresh window position, and with Options.Parameterized both bounds travel
 // as wire parameters so one plan-cache template serves every window.
@@ -165,7 +166,7 @@ func rangeTemplates(workload string) ([]Template, []string, error) {
 	// The selected output attributes deliberately include one column only
 	// the relation's pk-keyed full instance covers (color, lane, taxi_out):
 	// a narrower non-pk instance covering the whole query would make the
-	// planner's cost model — correctly — prefer scanning it over walking
+	// planner's cost model — correctly — prefer scanning it over reading
 	// the posting range.
 	switch workload {
 	case "mot":

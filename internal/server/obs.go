@@ -85,7 +85,7 @@ func newServerObs(s *Server, cfg Config) *serverObs {
 	o.lockWait = r.NewHistogram("zidian_lock_wait_seconds",
 		"Time statements spent waiting at the statement gate (nonzero only around DDL).", nil)
 	o.postings = r.NewCounter("zidian_index_posting_reads_total",
-		"Posting lists secondary-index range walks read in traced statements.")
+		"Posting lists read by secondary-index range reads in traced statements.")
 	o.blocks = r.NewCounter("zidian_blocks_fetched_total",
 		"BaaV blocks, equality index lookups' posting lists among them, fetched and decoded by traced statements.")
 	o.slowDropped = r.NewCounter("zidian_slow_query_dropped_total",

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// TestRangeLimitPushdown: `... BETWEEN ? AND ? LIMIT k` stops the ordered
-// posting walk after O(k) scan steps instead of merging the whole range —
-// asserted through the store's scan-next metrics, not just the plan text —
-// and the k rows are the same on every engine and under parameterized
-// bounds.
+// TestRangeLimitPushdown: `... BETWEEN ? AND ? LIMIT k` stops the range
+// read after O(k) posting gets instead of fetching the whole range —
+// asserted through the store's get and scan-next metrics, not just the plan
+// text — and the k rows are the same on every engine and under
+// parameterized bounds.
 func TestRangeLimitPushdown(t *testing.T) {
 	const q = "select I.item_id, I.qty from ITEM I where I.sku between 'SKU-00050' and 'SKU-00149' limit 8"
 	const full = "select I.item_id, I.qty from ITEM I where I.sku between 'SKU-00050' and 'SKU-00149'"
@@ -31,8 +31,9 @@ func TestRangeLimitPushdown(t *testing.T) {
 			t.Fatalf("%s: LIMIT not pushed into the range walk: %s", eng, plan)
 		}
 
-		// The unbounded window spans 100 posting lists; the bound walk may
-		// stop each of the 4 nodes after ~2 lists (4 postings each).
+		// The unbounded window spans 100 posting lists of 4 postings, one
+		// fragment each; the bound read needs ~2 of them. Every row costs
+		// the get of its block besides.
 		before := inst.Store().Cluster.Metrics()
 		res, _, err := inst.Query(q)
 		if err != nil {
@@ -42,8 +43,8 @@ func TestRangeLimitPushdown(t *testing.T) {
 		if len(res.Rows) != 8 {
 			t.Fatalf("%s: rows = %d, want 8", eng, len(res.Rows))
 		}
-		if delta.ScanNexts > 16 {
-			t.Fatalf("%s: bound walk took %d scan steps, want O(limit) <= 16", eng, delta.ScanNexts)
+		if postingGets := delta.Gets - 8; delta.ScanNexts != 0 || postingGets > 16 {
+			t.Fatalf("%s: bound read took %d posting gets and %d scan steps, want O(limit) <= 16 and none", eng, postingGets, delta.ScanNexts)
 		}
 		before = inst.Store().Cluster.Metrics()
 		fullRes, _, err := inst.Query(full)
@@ -51,9 +52,9 @@ func TestRangeLimitPushdown(t *testing.T) {
 			t.Fatal(err)
 		}
 		fullDelta := inst.Store().Cluster.Metrics().Sub(before)
-		if len(fullRes.Rows) != 400 || fullDelta.ScanNexts < 100 {
-			t.Fatalf("%s: control walk visited %d lists for %d rows, expected the whole range",
-				eng, fullDelta.ScanNexts, len(fullRes.Rows))
+		if len(fullRes.Rows) != 400 || fullDelta.Gets-400 < 100 {
+			t.Fatalf("%s: control read fetched %d posting fragments for %d rows, expected the whole range",
+				eng, fullDelta.Gets-400, len(fullRes.Rows))
 		}
 
 		// The limited answer is a subset of the range, deterministic across

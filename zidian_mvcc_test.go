@@ -85,7 +85,7 @@ func mvccWriteScript(n int) []string {
 }
 
 // mvccReadSuite covers the three reader shapes: an index point lookup, an
-// index range walk, and a full-relation aggregate.
+// index range read, and a full-relation aggregate.
 var mvccReadSuite = []string{
 	"select I.qty from ITEM I where I.sku = 'SKU-00012'",
 	"select I.item_id from ITEM I where I.qty between 10 and 20",
@@ -321,9 +321,10 @@ func TestMVCCPinBlocksReclamation(t *testing.T) {
 
 // TestPostingsExactAtPin: a reader pinned before a run of commits reads each
 // posting list as it was at its sequence — through fragment splits and
-// drains — and a reader at the latest sequence reads the lists as they are
-// now: Lookup, Range, and RangeLimitT under a LIMIT each equal ra.Evaluate
-// over the rows at that sequence, in (value, key) order.
+// drains, down to a list drained to nothing — and a reader at the latest
+// sequence reads the lists as they are now: Lookup, Range, and RangeLimitT
+// under a LIMIT each equal ra.Evaluate over the rows at that sequence, in
+// (value, key) order.
 func TestPostingsExactAtPin(t *testing.T) {
 	schema := MustRelSchema("EV", []Attr{
 		{Name: "id", Kind: KindInt},
@@ -351,6 +352,9 @@ func TestPostingsExactAtPin(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			rel.MustInsert(Tuple{Int(int64(i)), Int(int64(i % 3))})
 		}
+		for i := 1000; i < 1040; i++ {
+			rel.MustInsert(Tuple{Int(int64(i)), Int(3)})
+		}
 		db.Add(rel)
 		bv, err := NewBaaVSchema(db, KVSchema{Name: "ev_full", Rel: "EV", Key: []string{"id"}, Val: []string{"tag"}})
 		if err != nil {
@@ -375,9 +379,13 @@ func TestPostingsExactAtPin(t *testing.T) {
 					t.Fatalf("%s %s: Lookup(%d) = %s, want %s", engine, at, tag, got, want)
 				}
 			}
-			lo, hi := Int(1), Int(2)
-			want := eval(rows, "select E.tag, E.id from EV E where E.tag between 1 and 2")
-			for _, limit := range []int{-1, 1, 50, 150} {
+			// At the pin, LIMIT 150 and 220 outrun tag 1's 100 keys and
+			// 220 tag 2's too, so their reads fetch further windows: the
+			// second spans tag 3, which the directory holds as drained
+			// (length 0) while the pin still sees its 40 keys.
+			lo, hi := Int(1), Int(3)
+			want := eval(rows, "select E.tag, E.id from EV E where E.tag between 1 and 3")
+			for _, limit := range []int{-1, 1, 50, 150, 220} {
 				vals, keys, _, err := view.Index.RangeLimitT(nil, "ix_ev_tag", &lo, &hi, true, true, limit)
 				if err != nil {
 					t.Fatal(err)
@@ -403,7 +411,8 @@ func TestPostingsExactAtPin(t *testing.T) {
 		snap := inst.Store().PinSnapshot([]string{"EV"})
 		pinned := append([]Tuple{}, rel.Tuples...)
 		// 150 inserts carry tag 1's list from 100 keys past M twice, so its
-		// fragments split; deleting all but ten tag-2 rows drains its list.
+		// fragments split; deleting all but ten tag-2 rows drains its list,
+		// and deleting every tag-3 row drains that one to nothing.
 		for i := 300; i < 450; i++ {
 			if err := inst.Insert("EV", Tuple{Int(int64(i)), Int(1)}); err != nil {
 				t.Fatal(err)
@@ -411,6 +420,11 @@ func TestPostingsExactAtPin(t *testing.T) {
 		}
 		for i := 2; i < 270; i += 3 {
 			if err := inst.Delete("EV", Tuple{Int(int64(i)), Int(2)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 1000; i < 1040; i++ {
+			if err := inst.Delete("EV", Tuple{Int(int64(i)), Int(3)}); err != nil {
 				t.Fatal(err)
 			}
 		}

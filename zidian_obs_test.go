@@ -167,9 +167,9 @@ func TestTracedPointLookupScanFree(t *testing.T) {
 	}
 }
 
-// TestTracedLimitPushdownBounded: `range LIMIT k` stays O(k) in scan steps,
-// asserted through the trace (the regression the LIMIT pushdown PR fixed,
-// now pinned via the observability layer).
+// TestTracedLimitPushdownBounded: `range LIMIT k` stays O(k) in posting
+// lists read, with no scan step, asserted through the trace (the regression
+// the LIMIT pushdown fixed, pinned via the observability layer).
 func TestTracedLimitPushdownBounded(t *testing.T) {
 	db, bv := rangeItemsDB(t)
 	inst, err := Open(db, bv, Options{Nodes: 4, Workers: 4})
@@ -191,10 +191,10 @@ func TestTracedLimitPushdownBounded(t *testing.T) {
 	if len(res.Rows) != 8 {
 		t.Fatalf("rows = %d, want 8", len(res.Rows))
 	}
-	if scans := tr.KV.Snapshot().ScanNexts; scans > 16 {
-		t.Fatalf("bound walk traced %d scan steps, want O(limit) <= 16", scans)
+	if scans, lists := tr.KV.Snapshot().ScanNexts, tr.PostingReads(); scans != 0 || lists > 16 {
+		t.Fatalf("bound read traced %d posting lists and %d scan steps, want O(limit) <= 16 and none", lists, scans)
 	}
-	// Control: the unbounded window walks the whole range.
+	// Control: the unbounded window reads the whole range.
 	full, err := inst.Prepare("select I.item_id, I.qty from ITEM I where I.sku between 'SKU-00050' and 'SKU-00149'")
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestTracedLimitPushdownBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fres.Rows) != 400 || ftr.KV.Snapshot().ScanNexts < 100 {
-		t.Fatalf("control: rows=%d scans=%d, expected the whole range", len(fres.Rows), ftr.KV.Snapshot().ScanNexts)
+	if len(fres.Rows) != 400 || ftr.PostingReads() < 100 {
+		t.Fatalf("control: rows=%d posting lists=%d, expected the whole range", len(fres.Rows), ftr.PostingReads())
 	}
 }
