@@ -168,7 +168,7 @@ func TestTracedPointLookupScanFree(t *testing.T) {
 }
 
 // TestTracedLimitPushdownBounded: `range LIMIT k` stays O(k) in posting
-// lists read, with no scan step, asserted through the trace (the regression
+// gets, with no scan step, asserted through the trace (the regression
 // the LIMIT pushdown fixed, pinned via the observability layer).
 func TestTracedLimitPushdownBounded(t *testing.T) {
 	db, bv := rangeItemsDB(t)
@@ -191,8 +191,10 @@ func TestTracedLimitPushdownBounded(t *testing.T) {
 	if len(res.Rows) != 8 {
 		t.Fatalf("rows = %d, want 8", len(res.Rows))
 	}
-	if scans, lists := tr.KV.Snapshot().ScanNexts, tr.PostingReads(); scans != 0 || lists > 16 {
-		t.Fatalf("bound read traced %d posting lists and %d scan steps, want O(limit) <= 16 and none", lists, scans)
+	// 8 gets fetch the rows' blocks; the rest fetch posting fragments.
+	s := tr.KV.Snapshot()
+	if postingGets := s.Gets - 8; s.ScanNexts != 0 || postingGets > 16 {
+		t.Fatalf("bound read traced %d posting gets and %d scan steps, want O(limit) <= 16 and none", postingGets, s.ScanNexts)
 	}
 	// Control: the unbounded window reads the whole range.
 	full, err := inst.Prepare("select I.item_id, I.qty from ITEM I where I.sku between 'SKU-00050' and 'SKU-00149'")
@@ -204,7 +206,7 @@ func TestTracedLimitPushdownBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fres.Rows) != 400 || ftr.PostingReads() < 100 {
-		t.Fatalf("control: rows=%d posting lists=%d, expected the whole range", len(fres.Rows), ftr.PostingReads())
+	if fgets := ftr.KV.Snapshot().Gets - 400; len(fres.Rows) != 400 || ftr.PostingReads() < 100 || fgets < 100 {
+		t.Fatalf("control: rows=%d posting lists=%d posting gets=%d, expected the whole range", len(fres.Rows), ftr.PostingReads(), fgets)
 	}
 }
