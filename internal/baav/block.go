@@ -300,32 +300,51 @@ type blockArena struct {
 	counted        bool
 }
 
-// count adds one block's segment payloads to the arena's size. A tuple takes
-// at least a byte per value and a byte of count, so a tuple count the
-// payload cannot hold is corruption — caught here, before it sizes an
-// allocation.
+// count adds one block's segment payloads to the arena's size.
 func (a *blockArena) count(segs [][]byte, width int, cols []int) error {
 	keep := width
 	if cols != nil {
 		keep = len(cols)
 	}
 	for _, data := range segs {
-		flags, n, off, err := payloadHeader(data)
+		n, counted, err := payloadTuples(data, width)
 		if err != nil {
 			return err
 		}
-		perTuple := max(width, 1)
-		if flags&flagCounts != 0 {
-			perTuple++
-			a.counted = true
-		}
-		if n > uint64((len(data)-off)/perTuple) {
-			return errCorruptBlock
-		}
-		a.ntuples += int(n)
-		a.nvals += int(n) * keep
+		a.counted = a.counted || counted
+		a.ntuples += n
+		a.nvals += n * keep
 	}
 	return nil
+}
+
+// payloadTuples reads from a block payload's header how many tuples it
+// stores and whether it carries multiplicities. A tuple takes at least a
+// byte per value and a byte of count, so a tuple count the payload cannot
+// hold is corruption — caught here, before it sizes an allocation.
+func payloadTuples(data []byte, width int) (n int, counted bool, err error) {
+	flags, nt, off, err := payloadHeader(data)
+	if err != nil {
+		return 0, false, err
+	}
+	perTuple := max(width, 1)
+	if counted = flags&flagCounts != 0; counted {
+		perTuple++
+	}
+	if nt > uint64((len(data)-off)/perTuple) {
+		return 0, false, errCorruptBlock
+	}
+	return int(nt), counted, nil
+}
+
+// reset empties the arena for one block of the given tuples and values,
+// keeping its arrays where they are large enough: an arena reused block
+// after block stops allocating at the largest. Every tuple gets a
+// multiplicity.
+func (a *blockArena) reset(tuples, vals int) {
+	a.tuples = slices.Grow(a.tuples[:0], tuples)
+	a.vals = slices.Grow(a.vals[:0], vals)
+	a.counts = slices.Grow(a.counts[:0], max(tuples, 1))
 }
 
 // alloc makes the arena's arrays at the size count reached.
@@ -360,7 +379,7 @@ func (a *blockArena) decode(b *Block, segs [][]byte, width int, cols []int, want
 		}
 	}
 	end := len(a.tuples)
-	b.Tuples = a.tuples[first:end:end]
+	b.Tuples, b.Counts = a.tuples[first:end:end], nil
 	if counted {
 		b.Counts = a.counts[first:end:end]
 	}

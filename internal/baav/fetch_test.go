@@ -2,6 +2,7 @@ package baav
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"zidian/internal/kv"
@@ -166,14 +167,18 @@ func BenchmarkResolve(b *testing.B) {
 			snap := st.PinSnapshot([]string{"OBS"})
 			defer snap.Release()
 			seq, _ := snap.Seq("OBS")
-			var batch blockBatch
-			for _, key := range keys[:512] {
-				batch.reads = append(batch.reads, batch.add("obs_full", 14, st.ids["obs_full"], key))
+			kb, err := st.NewKeyBatch("obs_full", 512)
+			if err != nil {
+				b.Fatal(err)
 			}
+			for _, key := range keys[:512] {
+				kb.Add(key, nil)
+			}
+			batch := &kb.b
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				st.mvcc.resolve(&batch, seq, true)
+				st.mvcc.resolve(batch, seq, true)
 			}
 			if batch.reads[511].win.nsegs != 1 {
 				b.Fatalf("block 511 resolved to %+v", batch.reads[511].win)
@@ -185,8 +190,34 @@ func BenchmarkResolve(b *testing.B) {
 // BenchmarkFetchBlocks is one batched ∝ fetch from an obs_full-shaped
 // instance, as loaded and once a commit has rewritten every block: 1, 20
 // and 700 keys, reading the three columns an index_scan plan keeps (one of
-// them a string) or all fourteen.
+// them a string) or all fourteen. The 700 blocks fit in cache; the cold
+// case reads 700 random keys of 100 000 blocks, another 700 each time of
+// 64 batches.
 func BenchmarkFetchBlocks(b *testing.B) {
+	b.Run("cold", func(b *testing.B) {
+		const blocks, batch, batches = 100_000, 700, 64
+		st, keys := obsStore(b, blocks)
+		r := rand.New(rand.NewSource(1))
+		sets := make([][]relation.Tuple, batches)
+		for i := range sets {
+			for range batch {
+				sets[i] = append(sets[i], keys[r.Intn(blocks)])
+			}
+		}
+		for _, c := range []struct {
+			name string
+			cols []int
+		}{{"3of14", []int{2, 9, 11}}, {"all", nil}} {
+			b.Run(fmt.Sprintf("keys=%d/cols=%s", batch, c.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, _, err := st.FetchBlocksT(nil, "obs_full", sets[i%batches], c.cols, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	})
 	for _, state := range blockStates {
 		st, keys := obsStore(b, 700)
 		state.prepare(b, st, keys)

@@ -447,67 +447,14 @@ func (x Indexes) posting(name string) (*posting, error) {
 // Lookup returns the block keys posted under v, in key order: FetchBlocksT
 // of one value, untraced.
 func (x Indexes) Lookup(name string, v relation.Value) ([]relation.Tuple, int, error) {
-	p, err := x.posting(name)
-	if err != nil {
+	if _, err := x.posting(name); err != nil {
 		return nil, 0, err
 	}
-	blks, _, gets, err := x.st.fetchPostings(nil, p, []relation.Tuple{{v}}, nil)
+	blks, _, gets, err := x.st.FetchBlocksT(nil, name, []relation.Tuple{{v}}, nil, nil)
 	if err != nil || blks[0] == nil {
 		return nil, gets, err
 	}
 	return blks[0].Tuples, gets, nil
-}
-
-// fetchPostings is FetchBlocksT over index p as the KV schema R⟨A, K⟩: the
-// block under a value is its posting list, the block keys its fragments
-// hold at the view's sequence, in key order. The directory names each
-// value's fragments (the first, for a value it does not hold), the version
-// directory resolves each one's version, and their gets go out as one
-// GetManyRouted — every fragment of a value routed by the value, one round
-// trip per owning node. A fragment not visible at the sequence costs the
-// get of a miss. A value's size is its fragments' sizes summed.
-func (st *Store) fetchPostings(kvt *obs.KV, p *posting, keys []relation.Tuple, cols []int) (blks []*Block, sizes []int64, gets int, err error) {
-	var b blockBatch
-	ends := make([]int, len(keys)) // value i's fragments end at b.reads[ends[i]]
-	var vkey []byte
-	st.ix.mu.RLock()
-	for i, key := range keys {
-		if len(key) != 1 {
-			st.ix.mu.RUnlock()
-			return nil, nil, 0, fmt.Errorf("index: %s is keyed by one value, got %v", p.kv.Name, key)
-		}
-		vkey = relation.AppendValue(vkey[:0], key[0])
-		if at, ok := p.find(vkey); ok {
-			for _, f := range p.vals[at].frags {
-				addFrag(&b, p, vkey, f.fence)
-			}
-		} else {
-			addFrag(&b, p, vkey, p.fence0)
-		}
-		ends[i] = len(b.reads)
-	}
-	st.ix.mu.RUnlock()
-	frags, fragSizes, gets, err := st.fetch(kvt, &b, st.snapSeqFor(p.kv.Rel), true, cols, nil)
-	if err != nil {
-		return nil, nil, gets, fmt.Errorf("index: %s: %v", p.kv.Name, err)
-	}
-	blks, sizes = make([]*Block, len(keys)), make([]int64, len(keys))
-	start := 0
-	for i, end := range ends {
-		for j, f := range frags[start:end] {
-			if f == nil {
-				continue
-			}
-			if blks[i] == nil {
-				blks[i] = f
-			} else {
-				blks[i].Tuples = append(blks[i].Tuples, f.Tuples...)
-			}
-			sizes[i] += fragSizes[start+j]
-		}
-		start = end
-	}
-	return blks, sizes, gets, nil
 }
 
 // addFrag appends to the batch the read of index p's fragment under the
@@ -516,7 +463,7 @@ func addFrag[K string | []byte](b *blockBatch, p *posting, vkey K, fence string)
 	pre := len(b.buf)
 	b.buf = binary.BigEndian.AppendUint32(b.buf, p.id)
 	b.buf = append(append(b.buf, vkey...), fence...)
-	b.reads = append(b.reads, blockRead{kv: p.kv.Name, width: len(p.kv.Val), pre: pre, end: len(b.buf)})
+	b.reads = append(b.reads, blockRead{kv: &p.kv, pre: int32(pre), end: int32(len(b.buf))})
 }
 
 // Range returns the postings of every indexed value within the bounds:
@@ -567,7 +514,7 @@ func (x Indexes) RangeLimitT(t *obs.Trace, name string, lo, hi *relation.Value, 
 		for _, r := range refs {
 			addFrag(&b, p, r.vkey, r.fence)
 		}
-		blks, _, _, err := x.st.fetch(t.KVCounters(), &b, seq, false, nil, nil)
+		blks, err := x.st.fetch(t.KVCounters(), &b, seq, false)
 		if err != nil {
 			return nil, nil, scanned, fmt.Errorf("index: %s: %v", name, err)
 		}

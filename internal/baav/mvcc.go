@@ -218,8 +218,8 @@ func (m *mvccState) resolve(b *blockBatch, seq uint64, probe bool) {
 	var in *instVersions
 	for i := range b.reads {
 		r := &b.reads[i]
-		if i == 0 || r.kv != b.reads[i-1].kv {
-			in = m.insts[r.kv]
+		if i == 0 || r.kv.Name != b.reads[i-1].kv.Name {
+			in = m.insts[r.kv.Name]
 		}
 		prefix := b.buf[r.pre:r.end]
 		r.win, r.loaded = verEntry{ver: seq}, false
@@ -559,7 +559,7 @@ func (c *Commit) stage(kvt *obs.KV, refs []blockRef, probe bool) ([]*stagedEdit,
 			byPrefix[string(ref.prefix)] = e
 			pre := len(b.buf)
 			b.buf = append(b.buf, ref.prefix...)
-			b.reads = append(b.reads, blockRead{kv: ref.kv.Name, width: len(ref.kv.Val), pre: pre, end: len(b.buf)})
+			b.reads = append(b.reads, blockRead{kv: &e.kvSchema, pre: int32(pre), end: int32(len(b.buf))})
 			fresh = append(fresh, e)
 		}
 		edits[i] = e
@@ -567,7 +567,7 @@ func (c *Commit) stage(kvt *obs.KV, refs []blockRef, probe bool) ([]*stagedEdit,
 	if len(fresh) == 0 {
 		return edits, nil
 	}
-	blks, _, _, err := c.st.fetch(kvt, &b, c.seq-1, probe, nil, nil)
+	blks, err := c.st.fetch(kvt, &b, c.seq-1, probe)
 	if err != nil {
 		return nil, err
 	}
@@ -1009,14 +1009,20 @@ func assembleSegs(segs [][]byte, width int, cols []int, wantStats bool) (*Block,
 
 // stripSegHeader checks the segment-count header of a block's segment 0
 // against the segments read and steps segs[0] past it.
-func stripSegHeader(segs [][]byte) error {
-	nsegs, k := binary.Uvarint(segs[0])
+func stripSegHeader(segs [][]byte) (err error) {
+	segs[0], err = segHeader(segs[0], len(segs))
+	return err
+}
+
+// segHeader checks the segment-count header that leads seg0, a block's
+// segment 0, against the nsegs segments read, and returns seg0 past it.
+func segHeader(seg0 []byte, nsegs int) ([]byte, error) {
+	n, k := binary.Uvarint(seg0)
 	if k <= 0 {
-		return errCorruptBlock
+		return nil, errCorruptBlock
 	}
-	if int(nsegs) != len(segs) {
-		return fmt.Errorf("baav: block header says %d segments, read %d", nsegs, len(segs))
+	if int(n) != nsegs {
+		return nil, fmt.Errorf("baav: block header says %d segments, read %d", n, nsegs)
 	}
-	segs[0] = segs[0][k:]
-	return nil
+	return seg0[k:], nil
 }

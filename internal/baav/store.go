@@ -272,15 +272,11 @@ func (st *Store) GetBlocksT(kvt *obs.KV, name string, keys []relation.Tuple) (bl
 }
 
 // FetchBlocksT retrieves several keyed blocks of one KV instance in a single
-// batched cluster round, counting into the kv trace sink (nil untraced).
-// The read resolves against this view's snapshot sequence: every block's
-// winning version resolves in memory, then all their segments go out as one
-// GetManyRouted — one emulated round trip and one lock acquisition per
-// owning node however many blocks the round touches. A block that is absent
-// or tombstoned at the snapshot still costs the one get (and round trip) of
-// a physical miss: its probe rides the same batch. The absent probe's key
-// cannot hit — a version at exactly the snapshot sequence would have been
-// visible.
+// batched cluster round and decodes them, counting into the kv trace sink
+// (nil untraced). It is a KeyBatch read with no deduplication — every key
+// reads its own block, as often as it is listed — whose blocks are decoded
+// here, into one arena, on the calling goroutine. The ∝ reads through a
+// KeyBatch instead, and its workers decode the blocks (KeyBatch.Decode).
 //
 // cols lists, ascending, the value positions the caller reads: the blocks'
 // tuples hold those values only, in that order, and the rest of each tuple
@@ -290,51 +286,265 @@ func (st *Store) GetBlocksT(kvt *obs.KV, name string, keys []relation.Tuple) (bl
 // keys: blks[i] is nil where no block is visible, sizes[i] the accounting
 // size of the whole block as fetched — full width, multiplicities applied —
 // so what a fetch is reported to cost does not depend on cols. gets is the
-// number of get invocations issued. The blocks share one arena (see
-// blockArena): each is the caller's to modify, and an append to one cannot
-// reach another.
+// number of get invocations issued (see KeyBatch.ReadT). The blocks share
+// one arena (see blockArena): each is the caller's to modify, and an append
+// to one cannot reach another.
 //
 // name may be a secondary index, the KV schema R⟨A, K⟩: a key is one value
-// and its block the value's posting list (see fetchPostings), with no stats
-// header.
+// and its block the value's posting list, with no stats header.
 func (st *Store) FetchBlocksT(kvt *obs.KV, name string, keys []relation.Tuple, cols []int, statss []*BlockStats) (blks []*Block, sizes []int64, gets int, err error) {
 	if len(keys) == 0 {
 		return nil, nil, 0, nil
 	}
-	kvSchema := st.Schema.ByName(name)
-	if kvSchema == nil {
-		if p, err := st.Indexes().posting(name); err == nil {
-			return st.fetchPostings(kvt, p, keys, cols)
-		}
-		return nil, nil, 0, fmt.Errorf("baav: unknown KV schema %q", name)
+	kb, err := st.NewKeyBatch(name, len(keys))
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	id := st.ids[name]
-	// The prefixes, then (see fetch) one segment key per block — a prefix
-	// and 12 bytes — in one buffer sized for both.
-	size := 0
 	for _, key := range keys {
-		size += 2*(4+relation.EncodedLen(key)) + 12
+		if kb.post != nil && len(key) != 1 {
+			return nil, nil, 0, fmt.Errorf("index: %s is keyed by one value, got %v", name, key)
+		}
+		kb.push(kb.appendPrefix(key, nil))
 	}
-	b := blockBatch{buf: make([]byte, 0, size), reads: make([]blockRead, len(keys))}
-	for i, key := range keys {
-		b.reads[i] = b.add(name, len(kvSchema.Val), id, key)
+	if gets, err = kb.ReadT(kvt); err != nil {
+		return nil, nil, gets, err
 	}
-	return st.fetch(kvt, &b, st.snapSeqFor(kvSchema.Rel), true, cols, statss)
+	blks, sizes, err = kb.b.decode(cols, statss)
+	return blks, sizes, gets, err
+}
+
+// KeyBatch is one batched read of blocks of a KV schema — an instance, or a
+// secondary index as R⟨A, K⟩ — the read of the interleaved ∝: Add each input
+// row's key, read every block in one round (ReadT), then decode each block
+// where its rows are written (Decode). A key is encoded once, as its block
+// prefix, into the batch's buffer, and deduplicated on those bytes; the
+// blocks stay raw segment windows into the kv store until decoded.
+type KeyBatch struct {
+	st   *Store
+	kv   *KVSchema // the instance, or the index as R⟨A, K⟩
+	post *posting  // the index; nil for an instance
+	id   uint32    // the schema's physical id
+	n    int       // the keys expected, for sizing
+	// table finds an added key by its block prefix, under the low 32 bits
+	// of its hash.
+	table kv.Table
+	// b holds the keys' block prefixes and, for an instance, a read per
+	// key; ReadT replaces an index's value reads with its fragments'.
+	b blockBatch
+}
+
+// NewKeyBatch starts a batched read of blocks of the KV schema name, sized
+// for n keys.
+func (st *Store) NewKeyBatch(name string, n int) (*KeyBatch, error) {
+	kb := &KeyBatch{st: st, n: n}
+	if s := st.Schema.ByName(name); s != nil {
+		kb.kv, kb.id = s, st.ids[name]
+	} else if p, err := st.Indexes().posting(name); err == nil {
+		kb.kv, kb.post, kb.id = &p.kv, p, p.id
+	} else {
+		return nil, fmt.Errorf("baav: unknown KV schema %q", name)
+	}
+	kb.b.reads = make([]blockRead, 0, n)
+	return kb, nil
+}
+
+// Add adds the key of row — its values at cols, the KV schema's key
+// attributes — and returns the key's number in the batch: a new one, with
+// fresh set, or the number an equal key got when it was added first. Keys
+// are numbered in the order they are first added.
+func (kb *KeyBatch) Add(row relation.Tuple, cols []int) (k int32, fresh bool) {
+	b := &kb.b
+	pre := kb.appendPrefix(row, cols)
+	prefix := b.buf[pre:]
+	if len(b.reads) == 0 {
+		kb.table.Reserve(kb.n)
+	}
+	tag := uint32(maphash.Bytes(kb.st.mvcc.seed, prefix))
+	slot := int(tag)
+	for ; ; slot++ {
+		if slot, k = kb.table.Probe(slot, tag); k < 0 {
+			break
+		}
+		if bytes.Equal(b.prefix(&b.reads[k]), prefix) {
+			b.buf = b.buf[:pre]
+			return k, false
+		}
+	}
+	k = kb.push(pre)
+	kb.table.Add(slot, tag, k)
+	return k, true
+}
+
+// appendPrefix encodes onto the buffer the block prefix of the key made of
+// row's values at cols (nil: the whole row) and returns where it starts.
+// The first key sizes the buffer for the batch, prefixes and segment keys,
+// as if every key were as long.
+func (kb *KeyBatch) appendPrefix(row relation.Tuple, cols []int) int {
+	b := &kb.b
+	if b.buf == nil {
+		n := 4
+		if cols == nil {
+			n += relation.EncodedLen(row)
+		}
+		for _, c := range cols {
+			n += relation.EncodedLen(row[c : c+1])
+		}
+		b.buf = make([]byte, 0, kb.n*(2*n+16))
+	}
+	pre := len(b.buf)
+	b.buf = binary.BigEndian.AppendUint32(b.buf, kb.id)
+	if cols == nil {
+		b.buf = relation.AppendTuple(b.buf, row)
+	} else {
+		for _, c := range cols {
+			b.buf = relation.AppendValue(b.buf, row[c])
+		}
+	}
+	return pre
+}
+
+// push adds a read of the block whose prefix starts the buffer at pre and
+// returns its key's number.
+func (kb *KeyBatch) push(pre int) int32 {
+	b := &kb.b
+	b.reads = append(b.reads, blockRead{kv: kb.kv, pre: int32(pre), end: int32(len(b.buf))})
+	return int32(len(b.reads) - 1)
+}
+
+// ReadT reads the batch's blocks in one cluster round, counting into the kv
+// trace sink (nil untraced), and returns the number of get invocations
+// issued. Every block's winning version at this view's snapshot sequence
+// resolves in memory, then all their segments go out as one
+// GetManyRouted — one emulated round trip and one lock acquisition per
+// owning node however many blocks the round touches, and in the hash
+// engine one overlapped lookup of each node's keys. A block that is absent
+// or tombstoned at the snapshot still costs the one get (and round trip) of
+// a physical miss: its probe rides the same batch. The absent probe's key
+// cannot hit — a version at exactly the snapshot sequence would have been
+// visible.
+//
+// Over an index, the directory first names each value's fragments (the
+// first, for a value it does not hold), and every fragment of a value is
+// routed by the value; a value's block is its visible fragments' keys, in
+// key order, a fragment not visible costing the get of a miss.
+//
+// Nothing is decoded: the blocks stay windows into the store, each
+// payload's stored-tuple count read from its header.
+func (kb *KeyBatch) ReadT(kvt *obs.KV) (gets int, err error) {
+	if len(kb.b.reads) == 0 {
+		return 0, nil
+	}
+	if kb.post != nil {
+		kb.fragments()
+	}
+	gets, err = kb.st.read(kvt, &kb.b, kb.st.snapSeqFor(kb.kv.Rel), true)
+	if err != nil && kb.post != nil {
+		err = fmt.Errorf("index: %s: %v", kb.kv.Name, err)
+	}
+	return gets, err
+}
+
+// fragments replaces each value's read with reads of the fragments the
+// directory lists for it, and groups them by value in b.ends.
+func (kb *KeyBatch) fragments() {
+	b, p := &kb.b, kb.post
+	vals := b.reads
+	b.reads, b.ends = make([]blockRead, 0, len(vals)), make([]int32, len(vals))
+	kb.st.ix.mu.RLock()
+	for i, r := range vals {
+		vkey := b.buf[r.pre+4 : r.end]
+		if at, ok := p.find(vkey); ok {
+			for _, f := range p.vals[at].frags {
+				addFrag(b, p, vkey, f.fence)
+			}
+		} else {
+			addFrag(b, p, vkey, p.fence0)
+		}
+		b.ends[i] = int32(len(b.reads))
+	}
+	kb.st.ix.mu.RUnlock()
+}
+
+// Hits returns how many of the batch's keys have a visible block; valid
+// after ReadT.
+func (kb *KeyBatch) Hits() int {
+	n := 0
+	for k := range kb.b.keys() {
+		if kb.b.visible(k) {
+			n++
+		}
+	}
+	return n
+}
+
+// Tuples returns how many tuples key k's block stores — distinct ones, each
+// counted once whatever its multiplicity — read from its payload headers
+// alone: 0 when no block is visible. Valid after ReadT.
+func (kb *KeyBatch) Tuples(k int32) int { return kb.b.tuples(int(k)) }
+
+// BlockBuf is one worker's block of a KeyBatch, decoded into buffers the
+// next decode reuses: they grow to the largest block it holds and then stop
+// allocating. It remembers which block it holds, so a run of rows reading
+// one block decodes it once.
+type BlockBuf struct {
+	kb   *KeyBatch
+	k    int32
+	hit  bool // key k has a visible block, out
+	size int64
+	out  Block
+	a    blockArena
+	segs [][]byte
+}
+
+// Decode returns key k's block — nil when none is visible — decoded into
+// buf, keeping the value positions in cols (ascending; nil keeps all) with
+// its multiplicities, and its accounting size (see FetchBlocksT). The block
+// is valid until buf decodes another; a Decode of the block buf holds
+// returns it as it is, so one buf takes one cols per batch. Valid after
+// ReadT; several workers may Decode from one batch at once, each into its
+// own buf.
+func (kb *KeyBatch) Decode(k int32, cols []int, buf *BlockBuf) (*Block, int64, error) {
+	if buf.kb != kb || buf.k != k {
+		buf.kb, buf.hit = nil, false
+		if buf.segs = kb.b.segs(buf.segs[:0], int(k)); len(buf.segs) > 0 {
+			n, keep := kb.Tuples(k), len(kb.kv.Val)
+			if cols != nil {
+				keep = len(cols)
+			}
+			buf.a.reset(n, n*keep)
+			_, size, err := buf.a.decode(&buf.out, buf.segs, len(kb.kv.Val), cols, false)
+			if err != nil {
+				return nil, 0, err
+			}
+			buf.hit, buf.size = true, size
+		}
+		buf.kb, buf.k = kb, k
+	}
+	if !buf.hit {
+		return nil, 0, nil
+	}
+	return &buf.out, buf.size, nil
 }
 
 // blockBatch is one batched block read: every block's prefix, then every
-// segment key, in one byte buffer, and per block what the version
-// directory resolved for it.
+// segment key, in one byte buffer, per block what the version directory
+// resolved for it, and after the read its answers. The batch reads blocks
+// for keys: each read is a key's, unless ends groups the reads — an index
+// value's fragments — by key.
 type blockBatch struct {
 	buf   []byte
 	reads []blockRead
+	// ends, when set, marks where each key's reads end: key k's are
+	// reads[ends[k-1]:ends[k]].
+	ends []int32
+	// res is the round's answers: read r's are res[r.req:][:r.gets].
+	res []kv.GetResult
 }
 
 // blockRead is one block of a batch.
 type blockRead struct {
-	kv       string // KV schema name
-	width    int    // its value width
-	pre, end int    // the block prefix is buf[pre:end]
+	kv       *KVSchema // the block's KV schema
+	pre, end int32     // the block prefix is buf[pre:end]
 	// win is the version that wins at the batch's sequence; nsegs 0 when no
 	// block is visible, and then ver is the version a reader probes: the
 	// winning tombstone's, or the sequence itself for a block with no
@@ -343,40 +553,91 @@ type blockRead struct {
 	// which a miss shows absent (see instVersions).
 	win    verEntry
 	loaded bool
+	// counted marks a block whose segments carry multiplicities.
+	counted bool
 	// req is the block's first get in the round and gets how many it has:
 	// a segment each, or the one probe of a block not visible.
-	req, gets int
-}
-
-// add encodes the prefix of key's block in instance kv (schema id id, value
-// width width) onto the buffer and returns its read.
-func (b *blockBatch) add(kv string, width int, id uint32, key relation.Tuple) blockRead {
-	pre := len(b.buf)
-	b.buf = binary.BigEndian.AppendUint32(b.buf, id)
-	b.buf = relation.AppendTuple(b.buf, key)
-	return blockRead{kv: kv, width: width, pre: pre, end: len(b.buf)}
+	req, gets int32
+	// tuples is how many tuples the block's segments store, read from
+	// their payload headers: 0 for a block not visible.
+	tuples int32
 }
 
 // prefix returns read r's block prefix, capped.
 func (b *blockBatch) prefix(r *blockRead) []byte { return b.buf[r.pre:r.end:r.end] }
 
-// fetch resolves the batch's blocks at seq in the version directory, issues
-// their segment gets — and, with probe, a get for every block not visible —
-// in one cluster round, and decodes what it read into one arena. cols,
-// statss and the results are FetchBlocksT's, aligned with b.reads.
-func (st *Store) fetch(kvt *obs.KV, b *blockBatch, seq uint64, probe bool, cols []int, statss []*BlockStats) (blks []*Block, sizes []int64, gets int, err error) {
+// keys returns the number of keys the batch reads blocks for.
+func (b *blockBatch) keys() int {
+	if b.ends != nil {
+		return len(b.ends)
+	}
+	return len(b.reads)
+}
+
+// span returns key k's reads, reads[from:to].
+func (b *blockBatch) span(k int) (from, to int) {
+	if b.ends == nil {
+		return k, k + 1
+	}
+	if k > 0 {
+		from = int(b.ends[k-1])
+	}
+	return from, int(b.ends[k])
+}
+
+// visible reports whether key k has a block visible: a visible read.
+func (b *blockBatch) visible(k int) bool {
+	from, to := b.span(k)
+	for _, r := range b.reads[from:to] {
+		if r.win.nsegs > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// tuples returns how many tuples key k's block stores, from its reads'
+// payload headers.
+func (b *blockBatch) tuples(k int) int {
+	n := 0
+	from, to := b.span(k)
+	for _, r := range b.reads[from:to] {
+		n += int(r.tuples)
+	}
+	return n
+}
+
+// segs appends to dst the segment payloads of key k's visible reads, in
+// order: its block's, or an index value's fragments'.
+func (b *blockBatch) segs(dst [][]byte, k int) [][]byte {
+	from, to := b.span(k)
+	for _, r := range b.reads[from:to] {
+		for _, g := range b.res[r.req : int(r.req)+r.win.nsegs] {
+			dst = append(dst, g.Value)
+		}
+	}
+	return dst
+}
+
+// read is the first half of a batched read: it resolves the batch's blocks
+// at seq in the version directory and issues their segment gets — and,
+// with probe, a get for every block not visible — in one cluster round.
+// After it, a visible block r's segment payloads are
+// res[r.req:r.req+r.win.nsegs], the first stepped past its segment-count
+// header, r.tuples counts their stored tuples and r.counted says whether
+// any carries multiplicities; a block not visible has nsegs 0. It returns
+// the number of gets issued.
+func (st *Store) read(kvt *obs.KV, b *blockBatch, seq uint64, probe bool) (gets int, err error) {
 	st.mvcc.resolve(b, seq, probe)
-	nreq, keyBytes, hits := 0, 0, 0
+	nreq, keyBytes := 0, 0
 	for i := range b.reads {
 		r := &b.reads[i]
-		r.req, r.gets = nreq, r.win.nsegs
-		if r.gets > 0 {
-			hits++
-		} else if probe {
+		r.req, r.gets, r.tuples, r.counted = int32(nreq), int32(r.win.nsegs), 0, false
+		if r.gets == 0 && probe {
 			r.gets = 1
 		}
-		nreq += r.gets
-		keyBytes += r.gets * (r.end - r.pre + 12)
+		nreq += int(r.gets)
+		keyBytes += int(r.gets) * int(r.end-r.pre+12)
 	}
 	b.buf = slices.Grow(b.buf, keyBytes)
 	reqs := make([]kv.GetRequest, 0, nreq)
@@ -388,62 +649,95 @@ func (st *Store) fetch(kvt *obs.KV, b *blockBatch, seq uint64, probe bool, cols 
 			reqs = append(reqs, kv.GetRequest{Route: route(b.prefix(r)), Key: b.buf[lo:len(b.buf):len(b.buf)]})
 		}
 	}
-	res := st.Cluster.GetManyRouted(kvt, reqs)
-	gets = len(reqs)
-	blks = make([]*Block, len(b.reads))
-	sizes = make([]int64, len(b.reads))
+	b.res = st.Cluster.GetManyRouted(kvt, reqs)
 	for i := range b.reads {
+		r := &b.reads[i]
 		// A block presumed as loaded whose one segment is not there does
 		// not exist.
-		if r := &b.reads[i]; r.loaded && !res[r.req].OK {
+		if r.loaded && !b.res[r.req].OK {
 			r.win.nsegs = 0
-			hits--
+		}
+		segs := b.res[r.req : int(r.req)+r.win.nsegs]
+		for s, g := range segs {
+			if !g.OK {
+				return len(reqs), fmt.Errorf("baav: missing segment %d of block in %s", s, r.kv.Name)
+			}
+		}
+		if len(segs) == 0 {
+			continue
+		}
+		if segs[0].Value, err = segHeader(segs[0].Value, len(segs)); err != nil {
+			return len(reqs), err
+		}
+		for _, g := range segs {
+			n, counted, err := payloadTuples(g.Value, len(r.kv.Val))
+			if err != nil {
+				return len(reqs), err
+			}
+			r.tuples += int32(n)
+			r.counted = r.counted || counted
+		}
+	}
+	return len(reqs), nil
+}
+
+// decode is the second half of a batched read for callers that keep the
+// blocks: it decodes every key's visible segments into one arena. cols,
+// statss and the results are FetchBlocksT's, aligned with the batch's keys.
+func (b *blockBatch) decode(cols []int, statss []*BlockStats) (blks []*Block, sizes []int64, err error) {
+	nkeys := b.keys()
+	blks, sizes = make([]*Block, nkeys), make([]int64, nkeys)
+	// Size the arena from what read counted, then decode.
+	var a blockArena
+	for _, r := range b.reads {
+		keep := len(r.kv.Val)
+		if cols != nil {
+			keep = len(cols)
+		}
+		a.ntuples += int(r.tuples)
+		a.nvals += int(r.tuples) * keep
+		a.counted = a.counted || r.counted
+	}
+	hits := 0
+	for k := range nkeys {
+		if b.visible(k) {
+			hits++
 		}
 	}
 	if hits == 0 {
-		return blks, sizes, gets, nil
-	}
-	// Check every block's segments and size the arena, then decode.
-	segs := make([][]byte, len(res))
-	var a blockArena
-	for i := range b.reads {
-		r := &b.reads[i]
-		if r.win.nsegs == 0 {
-			continue
-		}
-		mine := segs[r.req : r.req+r.win.nsegs]
-		for s, g := range res[r.req : r.req+r.win.nsegs] {
-			if !g.OK {
-				return nil, nil, gets, fmt.Errorf("baav: missing segment %d of block in %s", s, r.kv)
-			}
-			mine[s] = g.Value
-		}
-		if err := stripSegHeader(mine); err != nil {
-			return nil, nil, gets, err
-		}
-		if err := a.count(mine, r.width, cols); err != nil {
-			return nil, nil, gets, err
-		}
+		return blks, sizes, nil
 	}
 	a.alloc()
+	var segs [][]byte
 	blocks := make([]Block, hits)
-	for i := range b.reads {
-		r := &b.reads[i]
-		if r.win.nsegs == 0 {
+	for k := range nkeys {
+		if segs = b.segs(segs[:0], k); len(segs) == 0 {
 			continue
 		}
 		blk := &blocks[0]
 		blocks = blocks[1:]
-		stats, size, err := a.decode(blk, segs[r.req:r.req+r.win.nsegs], r.width, cols, statss != nil)
+		from, _ := b.span(k)
+		stats, size, err := a.decode(blk, segs, len(b.reads[from].kv.Val), cols, statss != nil)
 		if err != nil {
-			return nil, nil, gets, err
+			return nil, nil, err
 		}
-		blks[i], sizes[i] = blk, size
+		blks[k], sizes[k] = blk, size
 		if statss != nil {
-			statss[i] = stats
+			statss[k] = stats
 		}
 	}
-	return blks, sizes, gets, nil
+	return blks, sizes, nil
+}
+
+// fetch reads the batch's blocks at seq (see read) and decodes them into one
+// arena, whole, aligned with its reads: the commit's pre-image reads and an
+// index range's fragments.
+func (st *Store) fetch(kvt *obs.KV, b *blockBatch, seq uint64, probe bool) ([]*Block, error) {
+	if _, err := st.read(kvt, b, seq, probe); err != nil {
+		return nil, err
+	}
+	blks, _, err := b.decode(nil, nil)
+	return blks, err
 }
 
 // write writes blk, encoded under opts, as version ver of the block under

@@ -215,13 +215,13 @@ func (e *executor) runConst(n *Const) (*PartRel, error) {
 }
 
 // countBlock accounts one fetched or scanned block: its values and the
-// accounting size of its key and rows. rows is the block's expanded row
-// count, width and size the instance's full width and the whole block's
-// size — a column-pruned read accounts for what it fetched, not for what it
-// kept.
-func countBlock(key relation.Tuple, rows, width int, size int64, data, bytes *int64) {
-	*data += int64(rows*width + len(key))
-	*bytes += int64(key.SizeBytes()) + size
+// accounting size of its key and rows. keyLen and keySize are its key's
+// values and their size, rows the block's expanded row count, width and
+// size the instance's full width and the whole block's size — a
+// column-pruned read accounts for what it fetched, not for what it kept.
+func countBlock(keyLen, keySize, rows, width int, size int64, data, bytes *int64) {
+	*data += int64(rows*width + keyLen)
+	*bytes += int64(keySize) + size
 }
 
 // annotateCols records on the ∝ or scan span how many of the instance's
@@ -272,7 +272,7 @@ func (e *executor) walkScan(kvName string, lay *layout, visit func(w int, key re
 				e.trace.CountBlocks(1)
 				blocks++
 				perNode[node] += rows
-				countBlock(key, int(rows), lay.width, size, &data, &bytes)
+				countBlock(len(key), key.SizeBytes(), int(rows), lay.width, size, &data, &bytes)
 				visit(w, key, blk)
 				return true
 			})
@@ -506,11 +506,15 @@ func (e *executor) compile(s *rowSink, attrs []string) ([]string, error) {
 	return attrs, nil
 }
 
-// runExtend is the interleaved ∝: deduplicate the target keys across the
-// whole input, fetch every needed block in one batched cluster round per
-// owning node, then have workers expand their partitions against the shared
-// read-only blocks — the query fetches only the blocks it needs, and pays
-// one storage round per node instead of one per distinct key. Input rows
+// runExtend is the interleaved ∝: read every block the input's keys name
+// in one batched cluster round per owning node, then have workers expand
+// their partitions against those blocks — the query fetches only the blocks
+// it needs, and pays one storage round per node instead of one per distinct
+// key. Each input row's key is encoded once, as its block prefix, into the
+// batch, which deduplicates the keys on those bytes. The round leaves the
+// blocks raw; each worker decodes the blocks its rows read into a buffer of
+// its own (rowWriter.fetched), once per run of rows that read one block,
+// and accounts for each block at the first row that reads it. Input rows
 // with no matching block are joined away. It writes its rows through s; the
 // executor set to fetch-all runs the retrieve-then-join strawman instead,
 // except over a secondary index, which has no instance to retrieve whole: a
@@ -533,71 +537,66 @@ func (e *executor) runExtend(n *Extend, s *rowSink) (*PartRel, error) {
 	}
 	keyIdx := lay.key
 	shuffled := repartition(in, keyIdx, &e.shuffle)
-
-	// Collect the distinct probe keys across all partitions (order is
-	// deterministic: partition-major, first occurrence wins). Each row's
-	// key is encoded once, into a buffer the rows share; at[w][i] is where
-	// row i of partition w finds its key, and so its block. The keys are
-	// rows of a slab sized as if every input row had its own.
 	total := shuffled.Len()
-	index := make(map[string]int32, total)
-	keys := make([]relation.Tuple, 0, total)
-	keySlab := newRowSlab(total, len(keyIdx))
+	kb, err := e.store.NewKeyBatch(n.KV, total)
+	if err != nil {
+		return nil, err
+	}
+	// at[w][i] is the key of row i of partition w in the batch, which
+	// numbers the distinct keys partition-major, first occurrence first; a
+	// key's first row holds its complement. Repartitioning by the key put
+	// all of a key's rows on one worker.
 	flat := make([]int32, total)
 	at := make([][]int32, len(shuffled.Parts))
-	var buf []byte
 	for w, part := range shuffled.Parts {
 		at[w], flat = flat[:len(part)], flat[len(part):]
 		for i, row := range part {
-			buf = appendKey(buf[:0], row, keyIdx)
-			k, ok := index[string(buf)]
-			if !ok {
-				k = int32(len(keys))
-				index[string(buf)] = k
-				key := keySlab.next()
-				for j, c := range keyIdx {
-					key[j] = row[c]
-				}
-				keys = append(keys, key)
+			k, fresh := kb.Add(row, keyIdx)
+			if fresh {
+				k = ^k
 			}
 			at[w][i] = k
 		}
 	}
-	blks, sizes, gets, err := e.store.FetchBlocksT(e.kv(), n.KV, keys, lay.cols, nil)
+	gets, err := kb.ReadT(e.kv())
 	if err != nil {
 		return nil, err
 	}
 	e.gets.Add(int64(gets))
-	rowsOf := make([]int, len(keys))
-	var hits, data, bytes int64
-	for i, key := range keys {
-		if blk := blks[i]; blk != nil {
-			rowsOf[i] = int(blk.Rows())
-			e.trace.CountBlocks(1)
-			hits++
-			countBlock(key, rowsOf[i], lay.width, sizes[i], &data, &bytes)
-		}
-	}
-	e.blocks.Add(hits)
-	e.data.Add(data)
-	e.bytes.Add(bytes)
+	hits := kb.Hits()
+	e.trace.CountBlocks(hits)
+	e.blocks.Add(int64(hits))
 	e.annotateCols(lay)
 
 	out := NewPartRel(attrs, e.workers)
 	err = ForWorkers(e.workers, total, func(w int) error {
+		// The blocks' stored tuples size the writer: their rows, unless a
+		// block carries multiplicities.
 		count := 0
 		for _, k := range at[w] {
-			count += rowsOf[k]
+			count += kb.Tuples(max(k, ^k))
 		}
 		if count == 0 {
 			return nil
 		}
 		wr := s.writer(count, true)
+		var data, bytes int64
 		for i, row := range shuffled.Parts[w] {
-			if blk := blks[at[w][i]]; blk != nil {
-				wr.block(row, blk)
+			k := at[w][i]
+			blk, size, err := wr.fetched(row, kb, max(k, ^k), lay.cols)
+			if err != nil {
+				return err
+			}
+			if blk != nil && k < 0 {
+				var keySize int
+				for _, c := range keyIdx {
+					keySize += row[c].SizeBytes()
+				}
+				countBlock(len(keyIdx), keySize, int(blk.Rows()), lay.width, size, &data, &bytes)
 			}
 		}
+		e.data.Add(data)
+		e.bytes.Add(bytes)
 		out.Parts[w] = wr.finish(w)
 		return nil
 	})

@@ -171,6 +171,7 @@ type rowWriter struct {
 	scratch      relation.Tuple // the row a producer fills under a chain
 	groups       *groupTable
 	made, passed int64
+	dec          baav.BlockBuf // the ∝ block fetched decodes into
 }
 
 // writer returns a worker's writer for the count rows its producer will make
@@ -283,6 +284,19 @@ func (w *rowWriter) block(lead relation.Tuple, blk *baav.Block) {
 			fold(st, w.scratch, w.s.groupLay.aggs, n)
 		}
 	}
+}
+
+// fetched keeps the rows of lead against key k's block of kb, as block
+// does, decoding the block — its value positions in cols, with
+// multiplicities — into the writer's buffer unless the buffer holds it
+// already. It returns the block, nil when none is visible, and its
+// accounting size.
+func (w *rowWriter) fetched(lead relation.Tuple, kb *baav.KeyBatch, k int32, cols []int) (*baav.Block, int64, error) {
+	blk, size, err := kb.Decode(k, cols, &w.dec)
+	if blk != nil {
+		w.block(lead, blk)
+	}
+	return blk, size, err
 }
 
 // finish returns what the writer of the given worker kept — its rows, or

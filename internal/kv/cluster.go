@@ -151,9 +151,9 @@ func (c *Cluster) GetRoutedT(t *obs.KV, route, key []byte) ([]byte, bool) {
 	n := c.nodes[ni]
 	n.mu.RLock()
 	v, ok := n.eng.Get(key)
-	n.metrics.countGet(len(v))
+	n.metrics.countGets(1, len(v))
 	n.mu.RUnlock()
-	t.CountGet(len(v))
+	t.CountGets(1, len(v))
 	return v, ok
 }
 
@@ -251,9 +251,10 @@ type GetResult struct {
 }
 
 // GetManyRouted resolves a set of routed lookups grouped by owning node:
-// one emulated round trip and one read-lock acquisition per node per batch.
-// Results align with the request slice. Per-op accounting matches
-// GetRoutedT exactly.
+// one emulated round trip and one read-lock acquisition per node per batch,
+// and one Engine.GetMany per node, so the hash engine overlaps the probes of
+// a node's keys. Results align with the request slice. The accounting
+// matches GetRoutedT's per op, counted once per node.
 func (c *Cluster) GetManyRouted(t *obs.KV, reqs []GetRequest) []GetResult {
 	out := make([]GetResult, len(reqs))
 	if len(reqs) == 0 {
@@ -267,13 +268,14 @@ func (c *Cluster) GetManyRouted(t *obs.KV, reqs []GetRequest) []GetResult {
 			continue
 		}
 		n.mu.RLock()
-		for _, i := range idxs {
-			v, ok := n.eng.Get(reqs[i].Key)
-			n.metrics.countGet(len(v))
-			t.CountGet(len(v))
-			out[i] = GetResult{Value: v, OK: ok}
-		}
+		n.eng.GetMany(reqs, idxs, out)
 		n.mu.RUnlock()
+		read := 0
+		for _, i := range idxs {
+			read += len(out[i].Value)
+		}
+		n.metrics.countGets(len(idxs), read)
+		t.CountGets(len(idxs), read)
 	}
 	return out
 }

@@ -246,7 +246,7 @@ func settle(e Engine) {
 var benchSink []byte
 
 // BenchmarkEngineGetPut is each engine's point operations over 10⁵ settled
-// keys: a get that hits and one that misses, a put of a new key and one
+// keys: a get that hits and one that misses, a batch of 700 gets, a put of a new key and one
 // overwriting a stored key, and a delete. The put-new and delete cases
 // rebuild the engine, untimed, every 10⁵ operations. delete/after-puts is
 // one delete after an untimed burst of puts, over 10⁴ and 10⁵ settled keys,
@@ -282,6 +282,29 @@ func BenchmarkEngineGetPut(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					benchSink, _ = e.Get(keys[2*(i*7919%n)+1])
+				}
+			})
+			// One GetMany of 700 random stored keys, as a ∝ batch hands a
+			// node, each batch another of 64: 44 800 keys, so the records a
+			// batch reads are mostly out of cache.
+			const batch, batches = 700, 64
+			reqs := make([]GetRequest, batch*batches)
+			idxs := make([]int32, batch)
+			r := rand.New(rand.NewSource(1))
+			for i := range reqs {
+				reqs[i].Key = keys[2*r.Intn(n)]
+			}
+			out := make([]GetResult, len(reqs))
+			b.Run("get/batch=700", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for j := range idxs {
+						idxs[j] = int32(i%batches*batch + j)
+					}
+					e.GetMany(reqs, idxs, out)
+				}
+				if !out[batch-1].OK {
+					b.Fatal("a stored key missed")
 				}
 			})
 			b.Run("put/overwrite", func(b *testing.B) {

@@ -299,6 +299,7 @@ func FuzzHashEngine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, s := newHashEngine(), newSortedEngine()
 		model := map[string]string{}
+		var deleted [][]byte
 		next := func() byte {
 			if len(data) == 0 {
 				return 0
@@ -335,12 +336,27 @@ func FuzzHashEngine(f *testing.F) {
 				}
 				s.Delete(k)
 				delete(model, string(k))
+				deleted = append(deleted, k)
 			case 3:
 				k := key()
 				v, ok := h.Get(k)
 				want, wantOK := model[string(k)]
 				if ok != wantOK || string(v) != want {
 					t.Fatalf("step %d: Get(%q) = %q, %v; want %q, %v", step, k, v, ok, want, wantOK)
+				}
+				// The grouped lookup, over k, repeats of it, the last keys
+				// deleted and keys never stored, in an order the step draws.
+				batch := [][]byte{k, k, []byte("c"), []byte("\x00c\xff")}
+				for i := range step % 3 {
+					batch = append(batch, k)
+					if len(deleted) > i {
+						batch = append(batch, deleted[len(deleted)-1-i])
+					}
+				}
+				r := rand.New(rand.NewSource(int64(step)))
+				r.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+				if err := checkGetMany(h, model, batch); err != nil {
+					t.Fatalf("step %d: %v", step, err)
 				}
 			case 4:
 				from, to := orNil(key()), orNil(key())
@@ -372,6 +388,101 @@ func FuzzHashEngine(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkGetMany resolves keys in one GetMany and holds every answer to the
+// model of the stored pairs.
+func checkGetMany(e Engine, model map[string]string, keys [][]byte) error {
+	reqs := make([]GetRequest, len(keys))
+	idxs := make([]int32, len(keys))
+	for i, k := range keys {
+		reqs[i].Key, idxs[i] = k, int32(i)
+	}
+	out := make([]GetResult, len(keys))
+	e.GetMany(reqs, idxs, out)
+	for i, k := range keys {
+		want, ok := model[string(k)]
+		if out[i].OK != ok || string(out[i].Value) != want {
+			return fmt.Errorf("GetMany answer %d, %q: %q, %v; want %q, %v", i, k, out[i].Value, out[i].OK, want, ok)
+		}
+	}
+	return nil
+}
+
+// TestHashEngineGroupedLookupCollisions: the grouped lookup falls back to
+// the full probe where the home slot does not answer — two keys under one
+// 32-bit tag and five under one home slot of the first, 64-slot table, some
+// stored and some never — and agrees with the model and with Get for each
+// key present, absent, deleted (the delete shifts entries back over its
+// slot), after a merge, and stored again.
+func TestHashEngineGroupedLookupCollisions(t *testing.T) {
+	e := newHashEngine()
+	// twins are two keys of one tag, mates five of one home slot.
+	var twins, mates [][]byte
+	byTag := map[uint32][]byte{}
+	byHome := map[uint32][][]byte{}
+	for i := 0; twins == nil; i++ {
+		k := []byte(fmt.Sprintf("c%d", i))
+		tag := e.tag(k)
+		if twin, ok := byTag[tag]; ok {
+			twins = [][]byte{twin, k}
+		}
+		byTag[tag] = k
+		if home := tag % minTableSlots; len(mates) == 0 {
+			if byHome[home] = append(byHome[home], k); len(byHome[home]) == 5 {
+				mates = byHome[home]
+			}
+		}
+		if i > 1<<22 {
+			t.Fatal("no two keys share a tag")
+		}
+	}
+	model := map[string]string{}
+	put := func(k []byte) {
+		v := "v" + string(k)
+		e.Put(k, []byte(v))
+		model[string(k)] = v
+	}
+	del := func(k []byte) {
+		e.Delete(k)
+		delete(model, string(k))
+	}
+	all := slices.Concat(twins, mates, twins, mates[2:3])
+	check := func(stage string) {
+		t.Helper()
+		r := rand.New(rand.NewSource(int64(len(stage))))
+		for range 4 {
+			r.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+			if err := checkGetMany(e, model, all); err != nil {
+				t.Fatalf("%s: %v", stage, err)
+			}
+		}
+		for _, k := range all {
+			v, ok := e.Get(k)
+			if want, wantOK := model[string(k)]; ok != wantOK || string(v) != want {
+				t.Fatalf("%s: Get(%q) = %q, %v; want %q, %v", stage, k, v, ok, want, wantOK)
+			}
+		}
+	}
+	check("empty")
+	put(twins[0]) // twins[1] is not stored yet
+	for _, k := range mates[:4] {
+		put(k) // mates[4] is never stored
+	}
+	if len(e.table.slots) != minTableSlots {
+		t.Fatalf("table has %d slots, want %d", len(e.table.slots), minTableSlots)
+	}
+	check("present")
+	put(twins[1])
+	check("both twins")
+	del(twins[0])
+	del(mates[1])
+	check("deleted")
+	e.mergePending()
+	check("merged")
+	put(twins[0])
+	put(mates[1])
+	check("stored again")
 }
 
 // fuzzOps encodes FuzzHashEngine's operations, so a seed reads as what it

@@ -58,6 +58,13 @@ func (e *lsmEngine) Get(key []byte) ([]byte, bool) {
 	return nil, false
 }
 
+// GetMany answers key by key.
+func (e *lsmEngine) GetMany(reqs []GetRequest, idxs []int32, out []GetResult) {
+	for _, i := range idxs {
+		out[i].Value, out[i].OK = e.Get(reqs[i].Key)
+	}
+}
+
 func (e *lsmEngine) Put(key, value []byte) {
 	k := string(key)
 	e.mem[k] = value

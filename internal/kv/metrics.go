@@ -55,8 +55,8 @@ func (m *Metrics) Reset() {
 	m.writeHold.Store(0)
 }
 
-func (m *Metrics) countGet(bytes int) {
-	m.gets.Add(1)
+func (m *Metrics) countGets(gets, bytes int) {
+	m.gets.Add(int64(gets))
 	m.bytesRead.Add(int64(bytes))
 }
 

@@ -43,6 +43,13 @@ func (e *sortedEngine) Get(key []byte) ([]byte, bool) {
 	return nil, false
 }
 
+// GetMany answers key by key.
+func (e *sortedEngine) GetMany(reqs []GetRequest, idxs []int32, out []GetResult) {
+	for _, i := range idxs {
+		out[i].Value, out[i].OK = e.Get(reqs[i].Key)
+	}
+}
+
 func (e *sortedEngine) Put(key, value []byte) {
 	e.buf[string(key)] = value
 	if len(e.buf) >= e.mergeAt {

@@ -1,5 +1,7 @@
 package kv
 
+import "math/bits"
+
 // Table is an open-addressing hash index from keys its user stores elsewhere
 // to their int32 ids. Each slot is one word, tag<<32 | id+1 (0: empty), tag
 // being the low 32 bits of the key's hash; a key's home slot is its tag
@@ -52,6 +54,14 @@ func (t *Table) Add(slot int, tag uint32, id int32) {
 	}
 	t.slots[slot] = uint64(tag)<<32 | uint64(id+1)
 	t.n++
+}
+
+// Reserve sizes an empty table for n entries, so that adding them does not
+// grow it: for a few entries, a table of a few slots.
+func (t *Table) Reserve(n int) {
+	if t.n == 0 {
+		t.slots = make([]uint64, 1<<bits.Len(uint(4*n/3)))
+	}
 }
 
 // Len returns the number of entries.

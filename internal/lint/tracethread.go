@@ -8,7 +8,7 @@ import (
 
 // tracethread enforces the PR 6/9 observability contract: on the query
 // path (internal/baav, internal/kba, internal/parallel, internal/core), a
-// kv.Cluster / baav.Store / baav.Indexes read must
+// kv.Cluster / baav.Store / baav.Indexes / baav.KeyBatch read must
 // thread the trace when the enclosing function has an *obs.Trace or *obs.KV
 // in scope. An untraced call in a traced function silently drops its kv ops
 // from EXPLAIN ANALYZE, /metrics, the slow-query log, and the
@@ -125,7 +125,7 @@ func isStorageType(n *types.Named) bool {
 	switch n.Obj().Name() {
 	case "Cluster":
 		return pathHasSuffix(pkg.Path(), "internal/kv")
-	case "Store", "Indexes":
+	case "Store", "Indexes", "KeyBatch":
 		return pathHasSuffix(pkg.Path(), "internal/baav")
 	}
 	return false

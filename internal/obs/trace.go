@@ -21,13 +21,13 @@ type KV struct {
 	waitNanos                      atomic.Int64 // emulated storage round-trip sleeps
 }
 
-// CountGet records one point read of n value bytes.
-func (k *KV) CountGet(n int) {
+// CountGets records gets point reads of bytes value bytes in all.
+func (k *KV) CountGets(gets, bytes int) {
 	if k == nil {
 		return
 	}
-	k.gets.Add(1)
-	k.bytesRead.Add(int64(n))
+	k.gets.Add(int64(gets))
+	k.bytesRead.Add(int64(bytes))
 }
 
 // CountPut records one write of n key+value bytes.

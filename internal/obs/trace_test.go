@@ -20,7 +20,7 @@ func TestTraceConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			kv := tr.KVCounters()
 			for i := 0; i < perWorker; i++ {
-				kv.CountGet(10)
+				kv.CountGets(1, 10)
 				kv.CountScanNext(20)
 				kv.CountPut(5)
 				kv.CountDelete()
@@ -55,7 +55,7 @@ func TestTraceConcurrentRecording(t *testing.T) {
 func TestTraceNilSafe(t *testing.T) {
 	var tr *Trace
 	var kv *KV
-	kv.CountGet(1)
+	kv.CountGets(1, 1)
 	kv.CountPut(1)
 	kv.CountDelete()
 	kv.CountScanNext(1)
@@ -84,7 +84,7 @@ func TestTraceSpanTree(t *testing.T) {
 	tr := &Trace{}
 	root := tr.StartOp("HashJoin", "S.nationkey = N.nationkey")
 	left := tr.StartOp("IndexLookup", "NATION(name)")
-	tr.KVCounters().CountGet(100)
+	tr.KVCounters().CountGets(1, 100)
 	tr.FinishOp(left, 1)
 	right := tr.StartOp("ScanRange", "SUPPLIER")
 	tr.KVCounters().CountScanNext(50)

@@ -2,6 +2,7 @@ package zidian
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -153,15 +154,24 @@ var servingAllocBudget = map[string]float64{
 	"vehicle_speeding":   45,
 	"vehicle_test_stats": 58,
 	"vehicle_history":    94,
-	"road_observations":  247,
-	"year_band":          220,
-	"speed_band_limit":   148,
+	"road_observations":  143,
+	"year_band":          138,
+	"speed_band_limit":   70,
 	"make_counts":        124,
 }
 
+// servingByteBudget is, for the two index templates whose ∝ reads the most
+// blocks, the bytes a run of servingAllocBudget's allocates, averaged over
+// 50 runs (measured 55 105 and 27 584), plus about a KiB.
+var servingByteBudget = map[string]uint64{
+	"road_observations": 55 << 10,
+	"year_band":         28 << 10,
+}
+
 // TestServingTemplatesAllocBudget: executing and shaping each of the nine
-// serving templates allocates no more than its budget above, so no change
-// to the executor raises its allocation without changing the table. The race
+// serving templates allocates no more than its budgets above, in
+// allocations and, for two, in bytes, so no change to the executor raises
+// its allocation without changing the tables. The race
 // detector drops sync.Pool items at random, so under it the counts are not
 // fixed and the test does not run.
 func TestServingTemplatesAllocBudget(t *testing.T) {
@@ -178,7 +188,7 @@ func TestServingTemplatesAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tpl.name, err)
 		}
-		allocs := testing.AllocsPerRun(20, func() {
+		run := func() {
 			out, _, err := kba.Run(bound.Root, inst.store, 1, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -186,10 +196,25 @@ func TestServingTemplatesAllocBudget(t *testing.T) {
 			if _, err := bound.ToResult(out); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		allocs := testing.AllocsPerRun(20, run)
 		t.Logf("%s %.0f", tpl.name, allocs)
 		if budget, ok := servingAllocBudget[tpl.name]; !ok || allocs > budget {
 			t.Errorf("%s allocates %.0f times per run, budget %.0f", tpl.name, allocs, budget)
+		}
+		if budget, ok := servingByteBudget[tpl.name]; ok {
+			const runs = 50
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+			t.Logf("%s %d bytes", tpl.name, perRun)
+			if perRun > budget {
+				t.Errorf("%s allocates %d bytes per run, budget %d", tpl.name, perRun, budget)
+			}
 		}
 	}
 }
