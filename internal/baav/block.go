@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"slices"
 
+	"zidian/internal/kv"
 	"zidian/internal/relation"
 )
 
@@ -97,6 +99,116 @@ func (b *Block) index(t relation.Tuple) int {
 		}
 	}
 	return -1
+}
+
+// hashDedupMin is the number of distinct tuples from which a tupleSet finds
+// a tuple by hash instead of comparing it with every stored one.
+const hashDedupMin = 16
+
+// tupleSet answers Block.index for a block that grows by appends only,
+// which is how the loader builds one: below hashDedupMin stored tuples by
+// Block.index's scan, from there through a table of the stored tuples by
+// hashTuple. A block holding a NaN, which has no hash, stays on the scan,
+// and a sought NaN is scanned for.
+type tupleSet struct {
+	seed  maphash.Seed
+	table kv.Table // stored tuple's position by the low 32 bits of its hash
+	scan  bool     // the block holds a tuple with no hash
+}
+
+// reset empties the set for a new block.
+func (s *tupleSet) reset() {
+	s.table.Reset()
+	s.scan = false
+}
+
+// index returns the position of the first tuple of blk equal to t, or -1,
+// in which case the caller appends t to blk.
+func (s *tupleSet) index(blk *Block, t relation.Tuple) int {
+	n := len(blk.Tuples)
+	if s.scan || n < hashDedupMin || s.table.Len() == 0 && !s.fill(blk) {
+		return blk.index(t)
+	}
+	h, ok := hashTuple(s.seed, t)
+	if !ok {
+		i := blk.index(t)
+		s.scan = i < 0
+		return i
+	}
+	slot, i := s.find(blk, t, uint32(h))
+	if i < 0 {
+		s.table.Add(slot, uint32(h), int32(n))
+	}
+	return i
+}
+
+// fill enters blk's tuples into the empty table, reporting false, and
+// leaving the set on the scan, when one has no hash.
+func (s *tupleSet) fill(blk *Block) bool {
+	for j, u := range blk.Tuples {
+		h, ok := hashTuple(s.seed, u)
+		if !ok {
+			s.reset()
+			s.scan = true
+			return false
+		}
+		slot, _ := s.find(blk, u, uint32(h))
+		s.table.Add(slot, uint32(h), int32(j))
+	}
+	return true
+}
+
+// find returns the position of the first stored tuple of blk equal to t,
+// whose hash has the low 32 bits tag, or -1, with the slot where t enters
+// the table. Equal tuples hash alike, so every candidate lies on tag's
+// probe sequence before its first empty slot. The walk keeps the first by
+// position, as Block.index does, because Equal is not transitive: two Ints
+// beyond ±2⁵³ that differ can both equal the Float they round to.
+func (s *tupleSet) find(blk *Block, t relation.Tuple, tag uint32) (slot, i int) {
+	i = -1
+	for slot = int(tag); ; slot++ {
+		var j int32
+		if slot, j = s.table.Probe(slot, tag); j < 0 {
+			return slot, i
+		}
+		if (i < 0 || int(j) < i) && blk.Tuples[j].Equal(t) {
+			i = int(j)
+		}
+	}
+}
+
+// hashTuple hashes t consistently with relation.Equal: a number hashes as
+// its float64 value, with −0 as +0, so Int(3) and Float(3) hash alike. ok
+// is false when t holds a NaN, which equals every number.
+func hashTuple(seed maphash.Seed, t relation.Tuple) (h uint64, ok bool) {
+	h = uint64(len(t))
+	for _, v := range t {
+		var x uint64
+		switch v.Kind {
+		case relation.KindInt:
+			x = math.Float64bits(float64(v.Int))
+		case relation.KindFloat:
+			f := v.Flt
+			if f != f {
+				return 0, false
+			}
+			if f == 0 {
+				f = 0 // −0 as +0
+			}
+			x = math.Float64bits(f)
+		case relation.KindString:
+			x = maphash.String(seed, v.Str)
+		default:
+			x = uint64(v.Kind)
+		}
+		h = (h ^ x) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	// The table's home slot is the hash's low bits: fold the high ones in.
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h, true
 }
 
 // AttrStats summarizes one numeric value attribute of a block.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/maphash"
 	"slices"
 	"sort"
 	"strings"
@@ -355,11 +354,11 @@ func (st *Store) CreateIndex(name, rel, attr string, tuples []relation.Tuple) (i
 // directory. The loader groups the rows by value; each value's block keys
 // are sorted, deduplicated and cut into ⌈L/M⌉ fragments of even length.
 func (st *Store) backfill(p *posting, rows []relation.Tuple, ver uint64) (n int) {
-	ld := loader{seed: maphash.MakeSeed()}
+	ld := newLoader(st)
 	ld.group(p.id, rows, []int{p.attrPos})
 	slices.SortFunc(ld.groups, func(a, b loadGroup) int { return bytes.Compare(ld.prefix(a), ld.prefix(b)) })
 	for _, gr := range ld.groups {
-		keys := ld.block(rows, gr.first, p.keyPos, false).Tuples
+		keys := ld.block(rows, gr.first, p.keyPos, false, false).Tuples
 		slices.SortFunc(keys, relation.Tuple.Compare)
 		keys = slices.CompactFunc(keys, relation.Tuple.Equal)
 		vkey := ld.prefix(gr)

@@ -942,8 +942,9 @@ func (c *Commit) Close() {
 // store keeps them (a header, or for one tuple the flag that says its
 // stats are its own), segment 0 led by the segment-count header — back to
 // back into one buffer it reuses from one block to the next, with the
-// scratch segment and statistics that go into it. Map loads every block
-// through one and a commit encodes its new versions through one.
+// scratch segment and statistics that go into it. Each of Map's loaders
+// loads its blocks through one and a commit encodes its new versions
+// through one.
 type segEncoder struct {
 	buf   []byte // the last block's segments
 	ends  []int  // where each of its segments ends in buf

@@ -2,11 +2,14 @@ package baav
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"zidian/internal/kv"
 	"zidian/internal/obs"
@@ -95,11 +98,55 @@ func NewStore(schema *Schema, rels map[string]*relation.Schema, cluster *kv.Clus
 
 // Map builds the BaaV store of db on the schema (the mapping of Section
 // 4.1): for every KV schema, project the source relation onto X ∪ Y and
-// group by X. One loader builds every instance.
+// group by X. The instances share nothing but the cluster's nodes, so they
+// load concurrently: min(GOMAXPROCS, instances) loaders, one on the calling
+// goroutine, take the instances largest first (rows × value width), each
+// one whole. Map checks every KV schema against db before any loader starts
+// and returns once every loader has finished.
 func Map(db *relation.Database, schema *Schema, cluster *kv.Cluster, opts Options) (*Store, error) {
 	st := NewStore(schema, RelSchemas(db), cluster, opts)
-	ld := loader{seed: maphash.MakeSeed()}
-	for _, kvSchema := range schema.KVs {
+	jobs, err := st.loadJobs(db)
+	if err != nil {
+		return nil, err
+	}
+	slices.SortStableFunc(jobs, func(a, b loadJob) int { return cmp.Compare(b.size(), a.size()) })
+	var next atomic.Int64
+	run := func() {
+		ld := newLoader(st)
+		for j := next.Add(1) - 1; j < int64(len(jobs)); j = next.Add(1) - 1 {
+			ld.load(st, &jobs[j])
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(jobs)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	run()
+	wg.Wait()
+	return st, nil
+}
+
+// loadJob is one KV instance to load: the schema, its relation's rows, and
+// the positions of its key and value attributes in them.
+type loadJob struct {
+	kv             KVSchema
+	rows           []relation.Tuple
+	keyPos, valPos []int
+}
+
+// size is the job's rows × value width, by which Map orders the jobs.
+func (j *loadJob) size() int { return len(j.rows) * len(j.valPos) }
+
+// loadJobs checks every KV schema of the store against db and returns the
+// instances to load, in schema order, recording each source relation's row
+// count.
+func (st *Store) loadJobs(db *relation.Database) ([]loadJob, error) {
+	jobs := make([]loadJob, 0, len(st.Schema.KVs))
+	for _, kvSchema := range st.Schema.KVs {
 		rel := db.Relation(kvSchema.Rel)
 		if rel == nil {
 			return nil, fmt.Errorf("baav: relation %q missing from database", kvSchema.Rel)
@@ -113,18 +160,20 @@ func Map(db *relation.Database, schema *Schema, cluster *kv.Cluster, opts Option
 		if err != nil {
 			return nil, err
 		}
-		ld.load(st, kvSchema, rel.Tuples, keyPos, valPos)
+		jobs = append(jobs, loadJob{kv: kvSchema, rows: rel.Tuples, keyPos: keyPos, valPos: valPos})
 	}
-	return st, nil
+	return jobs, nil
 }
 
-// loader builds the KV instances of Map, one at a time, in buffers it
-// reuses from one block and one instance to the next, so that what a block
-// allocates is the encoded bytes the store keeps. It groups the rows by
-// block: a group is its block prefix, in a slab of prefixes a kv.Table
-// indexes, and a chain of row numbers through next. It then sorts the
-// groups by prefix and loads them in that order, each block a scratch Block
-// over one value slab.
+// loader builds KV instances, one at a time, in buffers it reuses from one
+// block and one instance to the next, so that what a block allocates is the
+// encoded bytes the store keeps. It groups the rows by block: a group is
+// its block prefix, in a slab of prefixes a kv.Table indexes, and a chain
+// of row numbers through next. It then sorts the groups by prefix and loads
+// them in that order, each block a scratch Block over one value slab, and
+// hands the segments to the cluster through a kv.Loader, a batch per node
+// at a time. Map runs a loader per core; a loader itself is for one
+// goroutine.
 type loader struct {
 	seed   maphash.Seed
 	table  kv.Table
@@ -134,8 +183,16 @@ type loader struct {
 	blk    Block
 	vals   []relation.Value // the values of blk's tuples
 	counts []int64          // blk's multiplicities, kept whether or not blk carries them
+	set    tupleSet         // finds blk's tuple equal to the next one
 	enc    segEncoder
+	puts   *kv.Loader
 	hashes []uint64 // the instance's one-segment blocks, for its load filter
+}
+
+// newLoader returns a loader onto st's cluster.
+func newLoader(st *Store) loader {
+	seed := maphash.MakeSeed()
+	return loader{seed: seed, set: tupleSet{seed: seed}, puts: st.Cluster.NewLoader()}
 }
 
 // loadGroup is one block of the instance being loaded: its prefix,
@@ -147,28 +204,28 @@ type loadGroup struct {
 
 func (ld *loader) prefix(gr loadGroup) []byte { return ld.keys[gr.off : gr.off+gr.n] }
 
-// load writes kvSchema's instance of rows: each row's key attributes at
-// keyPos, its value attributes at valPos.
-func (ld *loader) load(st *Store, kvSchema KVSchema, rows []relation.Tuple, keyPos, valPos []int) {
-	ld.group(st.ids[kvSchema.Name], rows, keyPos)
+// load writes the job's instance.
+func (ld *loader) load(st *Store, job *loadJob) {
+	name := job.kv.Name
+	ld.group(st.ids[name], job.rows, job.keyPos)
 	slices.SortFunc(ld.groups, func(a, b loadGroup) int { return bytes.Compare(ld.prefix(a), ld.prefix(b)) })
 	degree := 0
 	for _, gr := range ld.groups {
-		blk := ld.block(rows, gr.first, valPos, st.Opts.Compress)
-		ld.write(st, kvSchema, st.Opts, ld.prefix(gr), blk, 0)
+		blk := ld.block(job.rows, gr.first, job.valPos, st.Opts.Compress, true)
+		ld.write(st, job.kv, st.Opts, ld.prefix(gr), blk, 0)
 		degree = max(degree, blk.Distinct())
 	}
-	ld.loaded(st, kvSchema.Name, 0)
+	ld.loaded(st, name, 0)
 	st.statsMu.Lock()
-	st.blocks[kvSchema.Name] += len(ld.groups)
-	st.degrees[kvSchema.Name] = max(st.degrees[kvSchema.Name], degree)
+	st.blocks[name] += len(ld.groups)
+	st.degrees[name] = max(st.degrees[name], degree)
 	st.statsMu.Unlock()
 }
 
 // group chains rows into groups by their block prefix: schema id id, then
 // the encoded key attributes at keyPos. Rows chain in relation order.
 func (ld *loader) group(id uint32, rows []relation.Tuple, keyPos []int) {
-	ld.table = kv.Table{}
+	ld.table.Reset()
 	ld.keys, ld.groups = ld.keys[:0], ld.groups[:0]
 	ld.next = slices.Grow(ld.next[:0], len(rows))[:len(rows)]
 	for r, t := range rows {
@@ -201,21 +258,43 @@ func (ld *loader) group(id uint32, rows []relation.Tuple, keyPos []int) {
 // block fills the scratch block with the rows chained from first, projected
 // onto valPos, as Block.Add would: with compress, a tuple equal to one
 // already stored raises its multiplicity instead, and the block carries
-// multiplicities once any tuple has two.
-func (ld *loader) block(rows []relation.Tuple, first int32, valPos []int, compress bool) *Block {
+// multiplicities once any tuple has two. With window, and valPos a run of
+// adjacent positions, a tuple is that window of its row, which a block
+// encoded once in row order reads without a copy; otherwise its values are
+// copied into the loader's value slab, where a caller that sorts the
+// tuples compares them without reaching into the relation.
+func (ld *loader) block(rows []relation.Tuple, first int32, valPos []int, compress, window bool) *Block {
 	ld.blk.Tuples, ld.vals, ld.counts = ld.blk.Tuples[:0], ld.vals[:0], ld.counts[:0]
+	ld.set.reset()
+	lo, hi := valPos[0], -1 // the window rows[r][lo:hi], when hi >= 0
+	if window {
+		hi = lo + len(valPos)
+		for i, p := range valPos {
+			if p != lo+i {
+				hi = -1
+				break
+			}
+		}
+	}
 	counted := false
 	for r := first; r >= 0; r = ld.next[r] {
-		lo := len(ld.vals)
-		for _, p := range valPos {
-			ld.vals = append(ld.vals, rows[r][p])
+		var t relation.Tuple
+		if hi >= 0 {
+			t = rows[r][lo:hi:hi]
+		} else {
+			off := len(ld.vals)
+			for _, p := range valPos {
+				ld.vals = append(ld.vals, rows[r][p])
+			}
+			t = ld.vals[off:len(ld.vals):len(ld.vals)]
 		}
-		t := relation.Tuple(ld.vals[lo:len(ld.vals):len(ld.vals)])
 		if compress {
-			if i := ld.blk.index(t); i >= 0 {
+			if i := ld.set.index(&ld.blk, t); i >= 0 {
 				ld.counts[i]++
 				counted = true
-				ld.vals = ld.vals[:lo]
+				if hi < 0 {
+					ld.vals = ld.vals[:len(ld.vals)-len(t)]
+				}
 				continue
 			}
 		}
@@ -741,19 +820,19 @@ func (st *Store) fetch(kvt *obs.KV, b *blockBatch, seq uint64, probe bool) ([]*B
 }
 
 // write writes blk, encoded under opts, as version ver of the block under
-// prefix, bypassing the commit machinery: Map's load is single-threaded and
-// nothing can be reading yet, and an index backfill writes a new instance
-// no plan reads yet. The block is encoded through the loader's encoder,
-// whose buffers the next block reuses; the one copy of its segments goes to
-// the cluster. A block of one segment is as loaded, which its hash records
-// for the instance's load filter; only a longer one enters the directory,
-// which copies its prefix.
+// prefix, bypassing the commit machinery: nothing reads an instance while
+// Map loads it or a backfill writes it, and one loader writes all of it.
+// The block is encoded through the loader's encoder, whose buffers the next
+// block reuses; the one copy of its segments goes to the loader's puts,
+// which hand them to their node a batch at a time. A block of one segment
+// is as loaded, which its hash records for the instance's load filter; only
+// a longer one enters the directory, which copies its prefix.
 func (ld *loader) write(st *Store, kvSchema KVSchema, opts Options, prefix []byte, blk *Block, ver uint64) {
 	enc := &ld.enc
 	enc.encode(blk, len(kvSchema.Val), opts)
 	enc.segments(func(seg uint32, value []byte) {
 		enc.key = appendSegKey(enc.key[:0], prefix, seg, ver)
-		st.Cluster.PutRouted(route(prefix), enc.key, value)
+		ld.puts.Put(route(prefix), enc.key, value)
 	})
 	if len(enc.ends) == 1 {
 		ld.hashes = append(ld.hashes, maphash.Bytes(st.mvcc.seed, prefix))
@@ -765,9 +844,11 @@ func (ld *loader) write(st *Store, kvSchema KVSchema, opts Options, prefix []byt
 	m.mu.Unlock()
 }
 
-// loaded records the instance the loader has written as loaded at version
-// ver: its load version and filter, and its one-segment blocks live.
+// loaded hands the cluster the instance's pending puts and records the
+// instance as loaded at version ver: its load version and filter, and its
+// one-segment blocks live.
 func (ld *loader) loaded(st *Store, kvName string, ver uint64) {
+	ld.puts.Flush()
 	m := st.mvcc
 	m.mu.Lock()
 	in := m.inst(kvName)

@@ -161,15 +161,15 @@ func (c *Cluster) GetRoutedT(t *obs.KV, route, key []byte) ([]byte, bool) {
 func (c *Cluster) Put(key, value []byte) { c.PutRouted(key, key, value) }
 
 // PutRouted is Put with an explicit routing key. Statement writes go
-// through ApplyBatch, which is where their trace accounting lives; this is
-// the single-op form the bulk load and catalog writes use.
+// through ApplyBatch, which is where their trace accounting lives, and a
+// bulk load through a Loader; this is the single-op form.
 func (c *Cluster) PutRouted(route, key, value []byte) {
 	ni := c.NodeFor(route)
 	c.roundWait(nil, ni)
 	n := c.nodes[ni]
 	n.mu.Lock()
 	n.eng.Put(key, value)
-	n.metrics.countPut(len(key) + len(value))
+	n.metrics.countPuts(1, len(key)+len(value))
 	n.mu.Unlock()
 }
 
@@ -228,7 +228,7 @@ func (c *Cluster) ApplyBatch(t *obs.KV, ops []BatchOp) {
 				t.CountDelete()
 			} else {
 				n.eng.Put(op.Key, op.Value)
-				n.metrics.countPut(len(op.Key) + len(op.Value))
+				n.metrics.countPuts(1, len(op.Key)+len(op.Value))
 				t.CountPut(len(op.Key) + len(op.Value))
 			}
 		}

@@ -64,6 +64,14 @@ func (t *Table) Reserve(n int) {
 	}
 }
 
+// Reset empties the table and keeps its slots for the next entries.
+func (t *Table) Reset() {
+	if t.n > 0 {
+		clear(t.slots)
+		t.n = 0
+	}
+}
+
 // Len returns the number of entries.
 func (t *Table) Len() int { return t.n }
 
