@@ -354,11 +354,12 @@ func (st *Store) CreateIndex(name, rel, attr string, tuples []relation.Tuple) (i
 // directory. The loader groups the rows by value; each value's block keys
 // are sorted, deduplicated and cut into ⌈L/M⌉ fragments of even length.
 func (st *Store) backfill(p *posting, rows []relation.Tuple, ver uint64) (n int) {
-	ld := newLoader(st)
+	ld := newLoader()
 	ld.group(p.id, rows, []int{p.attrPos})
 	slices.SortFunc(ld.groups, func(a, b loadGroup) int { return bytes.Compare(ld.prefix(a), ld.prefix(b)) })
+	var prefix []byte // a fragment's, scratch
 	for _, gr := range ld.groups {
-		keys := ld.block(rows, gr.first, p.keyPos, false, false).Tuples
+		keys := ld.block(rows, gr.first, p.keyPos, false).Tuples
 		slices.SortFunc(keys, relation.Tuple.Compare)
 		keys = slices.CompactFunc(keys, relation.Tuple.Equal)
 		vkey := ld.prefix(gr)
@@ -369,7 +370,7 @@ func (st *Store) backfill(p *posting, rows []relation.Tuple, ver uint64) (n int)
 			if piece[0] > 0 {
 				f.fence = string(relation.EncodeTuple(part[0]))
 			}
-			prefix := append(vkey[:len(vkey):len(vkey)], f.fence...)
+			prefix = append(append(prefix[:0], vkey...), f.fence...)
 			ld.write(st, p.kv, postingOpts, prefix, &Block{Tuples: part}, ver)
 			pv.frags = append(pv.frags, f)
 		}

@@ -23,8 +23,7 @@ var loadTestOpts = Options{SegmentThreshold: 16, Compress: true, Stats: true}
 // compressed long blocks of repeated tuples (ORDERS_by_region, past
 // hashDedupMin distinct tuples, with numbers stored as Int and as Float),
 // segmented blocks (ORDERS_by_item, LINE_by_order), and a relation with no
-// block of more than a tuple (ITEM_by_id). ORDERS_by_item's value
-// attributes are not adjacent in the relation, so the loader copies them.
+// block of more than a tuple (ITEM_by_id).
 func loadTestDB() (*relation.Database, *Schema) {
 	db := relation.NewDatabase()
 	orders := relation.NewRelation(relation.MustSchema("ORDERS", []relation.Attr{
@@ -74,7 +73,7 @@ func loadSequential(t *testing.T, db *relation.Database, schema *Schema, cluster
 	if err != nil {
 		t.Fatal(err)
 	}
-	ld := newLoader(st)
+	ld := newLoader()
 	for i := range jobs {
 		ld.load(st, &jobs[i])
 	}
@@ -247,8 +246,7 @@ func sameValue(a, b relation.Value) bool {
 // below hashDedupMin distinct tuples, a hash table from there — holds the
 // tuples Block.Add(t, true) keeps over the same rows, spelled as first
 // seen, in the same order with the same multiplicities, at and around the
-// threshold and far past it, whatever spelling each number arrives in;
-// whether its tuples are windows of the rows or copies of their values.
+// threshold and far past it, whatever spelling each number arrives in.
 func TestLoaderBlockDedupMatchesAdd(t *testing.T) {
 	cases := []dedupCase{
 		{name: "one", n: 1},
@@ -259,42 +257,37 @@ func TestLoaderBlockDedupMatchesAdd(t *testing.T) {
 		{name: "nan", n: 200, nan: true},
 		{name: "big", n: 200, big: true},
 	}
-	ld := newLoader(NewStore(MustSchema(nil), nil, kv.NewCluster(kv.EngineHash, 1), DefaultOptions()))
-	layouts := []struct {
-		name   string
-		valPos []int
-	}{{"windows", []int{0, 1, 2}}, {"copies", []int{2, 0, 1}}}
+	ld := newLoader()
+	valPos := []int{2, 0, 1}
 	for seed := range int64(2) {
 		for _, c := range cases {
 			if seed > 0 && c.n > 1000 {
 				continue // one draw of the long case is enough, and it is slow
 			}
-			for _, l := range layouts {
-				t.Run(fmt.Sprintf("%s/%s/seed=%d", c.name, l.name, seed), func(t *testing.T) {
-					rows := c.rows(rand.New(rand.NewSource(seed)))
-					var want Block
-					for _, r := range rows {
-						tup := make(relation.Tuple, len(l.valPos))
-						for i, p := range l.valPos {
-							tup[i] = r[p]
-						}
-						want.Add(tup, true)
+			t.Run(fmt.Sprintf("%s/seed=%d", c.name, seed), func(t *testing.T) {
+				rows := c.rows(rand.New(rand.NewSource(seed)))
+				var want Block
+				for _, r := range rows {
+					tup := make(relation.Tuple, len(valPos))
+					for i, p := range valPos {
+						tup[i] = r[p]
 					}
-					ld.group(1, rows, []int{3})
-					got := ld.block(rows, ld.groups[0].first, l.valPos, true, true)
-					if len(got.Tuples) != len(want.Tuples) {
-						t.Fatalf("%d rows: %d distinct tuples, Block.Add keeps %d", len(rows), len(got.Tuples), len(want.Tuples))
+					want.Add(tup, true)
+				}
+				ld.group(1, rows, []int{3})
+				got := ld.block(rows, ld.groups[0].first, valPos, true)
+				if len(got.Tuples) != len(want.Tuples) {
+					t.Fatalf("%d rows: %d distinct tuples, Block.Add keeps %d", len(rows), len(got.Tuples), len(want.Tuples))
+				}
+				for i, tup := range got.Tuples {
+					if !slices.EqualFunc(tup, want.Tuples[i], sameValue) {
+						t.Fatalf("tuple %d is %v, Block.Add keeps %v", i, tup, want.Tuples[i])
 					}
-					for i, tup := range got.Tuples {
-						if !slices.EqualFunc(tup, want.Tuples[i], sameValue) {
-							t.Fatalf("tuple %d is %v, Block.Add keeps %v", i, tup, want.Tuples[i])
-						}
-					}
-					if !slices.Equal(got.Counts, want.Counts) {
-						t.Fatalf("multiplicities %v, Block.Add keeps %v", got.Counts, want.Counts)
-					}
-				})
-			}
+				}
+				if !slices.Equal(got.Counts, want.Counts) {
+					t.Fatalf("multiplicities %v, Block.Add keeps %v", got.Counts, want.Counts)
+				}
+			})
 		}
 	}
 }
@@ -306,7 +299,7 @@ func TestLoaderBlockDedupMatchesAdd(t *testing.T) {
 // so that their probe sequence wraps round the end of the table before it
 // grows, which moves the later Ints ahead of the earlier ones.
 func TestLoaderBlockDedupFirstOfEqual(t *testing.T) {
-	ld := newLoader(NewStore(MustSchema(nil), nil, kv.NewCluster(kv.EngineHash, 1), DefaultOptions()))
+	ld := newLoader()
 	base := int64(1 << 60) // float64 steps by 256 here: base+k rounds to base for k < 128
 	for ; ; base += 512 {
 		if h, _ := hashTuple(ld.seed, relation.Tuple{relation.Float(float64(base))}); h&63 >= 40 {
@@ -323,7 +316,7 @@ func TestLoaderBlockDedupFirstOfEqual(t *testing.T) {
 		want.Add(r[1:], true)
 	}
 	ld.group(1, rows, []int{0})
-	got := ld.block(rows, ld.groups[0].first, []int{1}, true, true)
+	got := ld.block(rows, ld.groups[0].first, []int{1}, true)
 	if !slices.Equal(got.Counts, want.Counts) || len(got.Tuples) != len(want.Tuples) {
 		t.Fatalf("%d tuples with multiplicities %v, Block.Add keeps %d with %v", len(got.Tuples), got.Counts, len(want.Tuples), want.Counts)
 	}

@@ -948,7 +948,6 @@ func (c *Commit) Close() {
 type segEncoder struct {
 	buf   []byte // the last block's segments
 	ends  []int  // where each of its segments ends in buf
-	key   []byte // a segment key, for a caller that writes one at a time
 	part  Block
 	stats BlockStats
 }

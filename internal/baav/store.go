@@ -112,7 +112,7 @@ func Map(db *relation.Database, schema *Schema, cluster *kv.Cluster, opts Option
 	slices.SortStableFunc(jobs, func(a, b loadJob) int { return cmp.Compare(b.size(), a.size()) })
 	var next atomic.Int64
 	run := func() {
-		ld := newLoader(st)
+		ld := newLoader()
 		for j := next.Add(1) - 1; j < int64(len(jobs)); j = next.Add(1) - 1 {
 			ld.load(st, &jobs[j])
 		}
@@ -171,9 +171,10 @@ func (st *Store) loadJobs(db *relation.Database) ([]loadJob, error) {
 // its block prefix, in a slab of prefixes a kv.Table indexes, and a chain
 // of row numbers through next. It then sorts the groups by prefix and loads
 // them in that order, each block a scratch Block over one value slab, and
-// hands the segments to the cluster through a kv.Loader, a batch per node
-// at a time. Map runs a loader per core; a loader itself is for one
-// goroutine.
+// hands the segments to the cluster loadBatch at a time through
+// Cluster.ApplyBatch, which pays each node one emulated round and one lock
+// acquisition per batch. Map runs a loader per core; a loader itself is for
+// one goroutine.
 type loader struct {
 	seed   maphash.Seed
 	table  kv.Table
@@ -185,14 +186,18 @@ type loader struct {
 	counts []int64          // blk's multiplicities, kept whether or not blk carries them
 	set    tupleSet         // finds blk's tuple equal to the next one
 	enc    segEncoder
-	puts   *kv.Loader
-	hashes []uint64 // the instance's one-segment blocks, for its load filter
+	ops    []kv.BatchOp // the segment puts not yet handed to the cluster
+	opKeys []byte       // their keys back to back
+	hashes []uint64     // the instance's one-segment blocks, for its load filter
 }
 
-// newLoader returns a loader onto st's cluster.
-func newLoader(st *Store) loader {
+// loadBatch is the most segment puts a loader hands the cluster at once.
+const loadBatch = 256
+
+// newLoader returns a loader.
+func newLoader() loader {
 	seed := maphash.MakeSeed()
-	return loader{seed: seed, set: tupleSet{seed: seed}, puts: st.Cluster.NewLoader()}
+	return loader{seed: seed, set: tupleSet{seed: seed}, ops: make([]kv.BatchOp, 0, loadBatch)}
 }
 
 // loadGroup is one block of the instance being loaded: its prefix,
@@ -211,7 +216,7 @@ func (ld *loader) load(st *Store, job *loadJob) {
 	slices.SortFunc(ld.groups, func(a, b loadGroup) int { return bytes.Compare(ld.prefix(a), ld.prefix(b)) })
 	degree := 0
 	for _, gr := range ld.groups {
-		blk := ld.block(job.rows, gr.first, job.valPos, st.Opts.Compress, true)
+		blk := ld.block(job.rows, gr.first, job.valPos, st.Opts.Compress)
 		ld.write(st, job.kv, st.Opts, ld.prefix(gr), blk, 0)
 		degree = max(degree, blk.Distinct())
 	}
@@ -258,43 +263,22 @@ func (ld *loader) group(id uint32, rows []relation.Tuple, keyPos []int) {
 // block fills the scratch block with the rows chained from first, projected
 // onto valPos, as Block.Add would: with compress, a tuple equal to one
 // already stored raises its multiplicity instead, and the block carries
-// multiplicities once any tuple has two. With window, and valPos a run of
-// adjacent positions, a tuple is that window of its row, which a block
-// encoded once in row order reads without a copy; otherwise its values are
-// copied into the loader's value slab, where a caller that sorts the
-// tuples compares them without reaching into the relation.
-func (ld *loader) block(rows []relation.Tuple, first int32, valPos []int, compress, window bool) *Block {
+// multiplicities once any tuple has two.
+func (ld *loader) block(rows []relation.Tuple, first int32, valPos []int, compress bool) *Block {
 	ld.blk.Tuples, ld.vals, ld.counts = ld.blk.Tuples[:0], ld.vals[:0], ld.counts[:0]
 	ld.set.reset()
-	lo, hi := valPos[0], -1 // the window rows[r][lo:hi], when hi >= 0
-	if window {
-		hi = lo + len(valPos)
-		for i, p := range valPos {
-			if p != lo+i {
-				hi = -1
-				break
-			}
-		}
-	}
 	counted := false
 	for r := first; r >= 0; r = ld.next[r] {
-		var t relation.Tuple
-		if hi >= 0 {
-			t = rows[r][lo:hi:hi]
-		} else {
-			off := len(ld.vals)
-			for _, p := range valPos {
-				ld.vals = append(ld.vals, rows[r][p])
-			}
-			t = ld.vals[off:len(ld.vals):len(ld.vals)]
+		lo := len(ld.vals)
+		for _, p := range valPos {
+			ld.vals = append(ld.vals, rows[r][p])
 		}
+		t := relation.Tuple(ld.vals[lo:len(ld.vals):len(ld.vals)])
 		if compress {
 			if i := ld.set.index(&ld.blk, t); i >= 0 {
 				ld.counts[i]++
 				counted = true
-				if hi < 0 {
-					ld.vals = ld.vals[:len(ld.vals)-len(t)]
-				}
+				ld.vals = ld.vals[:lo]
 				continue
 			}
 		}
@@ -823,16 +807,22 @@ func (st *Store) fetch(kvt *obs.KV, b *blockBatch, seq uint64, probe bool) ([]*B
 // prefix, bypassing the commit machinery: nothing reads an instance while
 // Map loads it or a backfill writes it, and one loader writes all of it.
 // The block is encoded through the loader's encoder, whose buffers the next
-// block reuses; the one copy of its segments goes to the loader's puts,
-// which hand them to their node a batch at a time. A block of one segment
-// is as loaded, which its hash records for the instance's load filter; only
-// a longer one enters the directory, which copies its prefix.
+// block reuses; the one copy of its segments goes to the loader's pending
+// puts, which reach the cluster a batch at a time, each routed by the part
+// of its key that route picks out of prefix. A block of one segment is as
+// loaded, which its hash records for the instance's load filter; only a
+// longer one enters the directory, which copies its prefix.
 func (ld *loader) write(st *Store, kvSchema KVSchema, opts Options, prefix []byte, blk *Block, ver uint64) {
 	enc := &ld.enc
 	enc.encode(blk, len(kvSchema.Val), opts)
 	enc.segments(func(seg uint32, value []byte) {
-		enc.key = appendSegKey(enc.key[:0], prefix, seg, ver)
-		ld.puts.Put(route(prefix), enc.key, value)
+		if len(ld.ops) == loadBatch {
+			ld.flush(st)
+		}
+		off := len(ld.opKeys)
+		ld.opKeys = appendSegKey(ld.opKeys, prefix, seg, ver)
+		key := ld.opKeys[off:len(ld.opKeys):len(ld.opKeys)]
+		ld.ops = append(ld.ops, kv.BatchOp{Route: key[:len(route(prefix))], Key: key, Value: value})
 	})
 	if len(enc.ends) == 1 {
 		ld.hashes = append(ld.hashes, maphash.Bytes(st.mvcc.seed, prefix))
@@ -848,7 +838,7 @@ func (ld *loader) write(st *Store, kvSchema KVSchema, opts Options, prefix []byt
 // instance as loaded at version ver: its load version and filter, and its
 // one-segment blocks live.
 func (ld *loader) loaded(st *Store, kvName string, ver uint64) {
-	ld.puts.Flush()
+	ld.flush(st)
 	m := st.mvcc
 	m.mu.Lock()
 	in := m.inst(kvName)
@@ -857,6 +847,13 @@ func (ld *loader) loaded(st *Store, kvName string, ver uint64) {
 	m.mu.Unlock()
 	m.live.Add(int64(len(ld.hashes)))
 	ld.hashes = ld.hashes[:0]
+}
+
+// flush hands the cluster the pending puts. A key that opKeys outgrew
+// still reads from the slab it was written to; the engines copy keys.
+func (ld *loader) flush(st *Store) {
+	st.Cluster.ApplyBatch(nil, ld.ops)
+	ld.ops, ld.opKeys = ld.ops[:0], ld.opKeys[:0]
 }
 
 // UpdateBlock replaces the block under key in the named KV instance with

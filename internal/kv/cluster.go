@@ -160,16 +160,16 @@ func (c *Cluster) GetRoutedT(t *obs.KV, route, key []byte) ([]byte, bool) {
 // Put stores value under key.
 func (c *Cluster) Put(key, value []byte) { c.PutRouted(key, key, value) }
 
-// PutRouted is Put with an explicit routing key. Statement writes go
-// through ApplyBatch, which is where their trace accounting lives, and a
-// bulk load through a Loader; this is the single-op form.
+// PutRouted is Put with an explicit routing key. Statement writes and the
+// bulk load go through ApplyBatch, which is where their trace accounting
+// lives; this is the single-op form.
 func (c *Cluster) PutRouted(route, key, value []byte) {
 	ni := c.NodeFor(route)
 	c.roundWait(nil, ni)
 	n := c.nodes[ni]
 	n.mu.Lock()
 	n.eng.Put(key, value)
-	n.metrics.countPuts(1, len(key)+len(value))
+	n.metrics.countPut(len(key) + len(value))
 	n.mu.Unlock()
 }
 
@@ -190,8 +190,8 @@ func (c *Cluster) DeleteRouted(route, key []byte) bool {
 
 // BatchOp is one mutation inside an ApplyBatch: a put of Value under Key
 // (or a delete of Key when Delete is set), routed to the node that owns
-// Route. Batching exists so a group commit can land many block/posting
-// edits on a node for the cost of one round trip.
+// Route. Batching exists so a group commit, or a bulk load, can land many
+// block/posting edits on a node for the cost of one round trip.
 type BatchOp struct {
 	Route  []byte
 	Key    []byte
@@ -228,7 +228,7 @@ func (c *Cluster) ApplyBatch(t *obs.KV, ops []BatchOp) {
 				t.CountDelete()
 			} else {
 				n.eng.Put(op.Key, op.Value)
-				n.metrics.countPuts(1, len(op.Key)+len(op.Value))
+				n.metrics.countPut(len(op.Key) + len(op.Value))
 				t.CountPut(len(op.Key) + len(op.Value))
 			}
 		}

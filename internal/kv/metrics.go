@@ -60,8 +60,8 @@ func (m *Metrics) countGets(gets, bytes int) {
 	m.bytesRead.Add(int64(bytes))
 }
 
-func (m *Metrics) countPuts(puts, bytes int) {
-	m.puts.Add(int64(puts))
+func (m *Metrics) countPut(bytes int) {
+	m.puts.Add(1)
 	m.bytesWrit.Add(int64(bytes))
 }
 

@@ -64,12 +64,19 @@ func (t *Table) Reserve(n int) {
 	}
 }
 
-// Reset empties the table and keeps its slots for the next entries.
+// Reset empties the table. It keeps the slots for the next entries when
+// they were at least an eighth full, so that clearing them costs no more
+// than adding the entries did; a sparser table, which a few entries left
+// in a table grown for many, is dropped instead.
 func (t *Table) Reset() {
-	if t.n > 0 {
+	switch {
+	case t.n == 0:
+	case 8*t.n >= len(t.slots):
 		clear(t.slots)
-		t.n = 0
+	default:
+		t.slots = nil
 	}
+	t.n = 0
 }
 
 // Len returns the number of entries.
