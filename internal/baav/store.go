@@ -953,7 +953,9 @@ func (h *HeaderBlock) Decode() (*Block, error) {
 // decoding neither its key nor its tuples, and counting into the kv trace
 // sink. Like the block scans it resolves each block's winning version at
 // this view's snapshot sequence and visits a segmented block once, its
-// segments' headers merged.
+// segments' headers merged. It walks the nodes one after another on the
+// caller's goroutine (kv.Cluster.ScanT), so fn runs under a node's read
+// lock and must not issue store operations.
 func (st *Store) ScanStatsT(kvt *obs.KV, name string, fn func(h *HeaderBlock) bool) error {
 	scan := func(prefix []byte, visit func(k, v []byte) bool) { st.Cluster.ScanT(kvt, prefix, visit) }
 	var h HeaderBlock

@@ -25,13 +25,13 @@ import (
 // 1/delay rounds per second and concurrent statements queue behind each
 // other at hot nodes — exactly like region servers in an HBase or
 // Cassandra deployment. Adding nodes adds aggregate service capacity, and
-// because the read path scatters per node (point gets batch one round per
-// owning node, scans pipeline one walk per node), a
-// point-read-heavy mix should scale near-linearly until the SQL layer's
-// CPU becomes the bottleneck. The delay=0 phase is the control: with no
-// emulated service time the in-process cluster is pure CPU and the curve
-// is expected flat — it measures the placement layer's overhead, not
-// scaling.
+// because point gets batch one round per owning node, a point-read-heavy
+// mix should scale near-linearly until the SQL layer's CPU becomes the
+// bottleneck. (A whole-instance scan walks the nodes one after another and
+// pays their seek rounds in turn; the suite makes none.) The delay=0 phase
+// is the control: with no emulated service time the in-process cluster is
+// pure CPU and the curve is expected flat — it measures the placement
+// layer's overhead, not scaling.
 //
 // Cells reuse one loaded instance per node count (the suite is read-only,
 // so every phase sees identical data) and the report keeps each cell's

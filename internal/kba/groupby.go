@@ -140,8 +140,9 @@ func (e *executor) mergeGroups(n *GroupBy, lay *layout, partial *PartRel) (*Part
 // ints, as over the rows, and the header's float64s hold those only within
 // 2⁵³. A block whose header cannot stand in (none kept, a column with a
 // value that is not a number, an int column beyond 2⁵³) has its tuples
-// decoded and folded instead. The walk runs once on the driving goroutine
-// and its (tiny) output is dealt round-robin to the workers.
+// decoded and folded instead. The walk runs once, visiting the nodes one
+// after another on the driving goroutine, and its (tiny) output is dealt
+// round-robin to the workers.
 func (e *executor) runStatsAgg(n *StatsAgg) (*PartRel, error) {
 	lay, err := e.layoutOf(n, n.lay, nil, nil)
 	if err != nil {

@@ -231,10 +231,12 @@ func TestEngineWindowsAreCapped(t *testing.T) {
 	})
 }
 
-// TestEnginePairsOutliveWrites is the kv.Pair contract: pairs already handed
-// out keep their bytes across later overwrites — with values of the same
-// length, which an engine writing in place would reuse — deletes and enough
-// fresh writes to merge, flush or compact every engine's buffers.
+// TestEnginePairsOutliveWrites is the Engine window contract, which a
+// KeyBatch's raw segment windows rely on until they are decoded: pairs
+// already handed out keep their bytes across later overwrites — with values
+// of the same length, which an engine writing in place would reuse —
+// deletes and enough fresh writes to merge, flush or compact every engine's
+// buffers.
 func TestEnginePairsOutliveWrites(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, e Engine) {
 		for i := 0; i < 50; i++ {

@@ -157,7 +157,7 @@ var servingAllocBudget = map[string]float64{
 	"road_observations":  143,
 	"year_band":          138,
 	"speed_band_limit":   70,
-	"make_counts":        124,
+	"make_counts":        88,
 }
 
 // servingByteBudget is, for the two index templates whose ∝ reads the most

@@ -8,16 +8,16 @@ import (
 	"zidian/internal/baav"
 )
 
-// The placement suite: the scattered per-node read pipelines (scan fan-in,
-// posting heap merge, batched routed gets) must answer every query as the
+// The placement suite: reads over an instance spread across storage nodes
+// (whole-instance scans, batched routed gets) must answer every query as the
 // single-node layout does, on every engine, for every node count — node
 // count is placement, never semantics. The grid (grid_test.go) runs
 // scatterSuite in every cell.
 
-// scatterSuite covers every scattered access path: whole-instance scans
-// (node-contiguous fan-in), pk point reads and index lookups (batched routed
-// gets), index ranges (ordered heap merge), LIMIT walks (producer-side cut),
-// and aggregates over all of them.
+// scatterSuite covers every access path over spread data: whole-instance
+// scans (every node walked in node order), pk point reads, index lookups
+// and index ranges (batched routed gets), LIMIT walks, and aggregates over
+// all of them.
 var scatterSuite = []string{
 	"select I.item_id, I.sku, I.qty, I.price from ITEM I",
 	"select I.qty from ITEM I where I.item_id = 123",
@@ -29,10 +29,8 @@ var scatterSuite = []string{
 	"select COUNT(*), MIN(I.item_id) from ITEM I where I.price between 12 and 14",
 }
 
-// scatterMVCCInstance is a smaller ITEM fixture (200 rows) so every node's
-// scatter pipeline buffers its whole walk without consumer backpressure —
-// the mid-scan-commit test below relies on producers releasing their node
-// locks while the gather is paused inside the callback.
+// scatterMVCCInstance is a small ITEM fixture: 200 rows under one KV
+// instance, item_full, keyed by item_id.
 func scatterMVCCInstance(t *testing.T, engine string, nodes int) *Instance {
 	t.Helper()
 	db := NewDatabase()
@@ -63,25 +61,25 @@ func scatterMVCCInstance(t *testing.T, engine string, nodes int) *Instance {
 	return inst
 }
 
-// scatterCollect renders one scattered walk of item_full — block keys and
-// tuple payloads in delivery order — pinning a snapshot around the walk
+// renderBlock appends one block of item_full to b: its key, then its tuples.
+func renderBlock(b *strings.Builder, key Tuple, blk *baav.Block) {
+	fmt.Fprintf(b, "%v:", key)
+	for _, tu := range blk.Tuples {
+		fmt.Fprintf(b, "%v|", tu)
+	}
+	b.WriteByte('\n')
+}
+
+// scatterCollect renders one whole-instance scan of item_full — block keys
+// and tuple payloads in delivery order — pinning a snapshot around the walk
 // exactly like statement execution does.
-func scatterCollect(t *testing.T, inst *Instance, mid func()) string {
+func scatterCollect(t *testing.T, inst *Instance) string {
 	t.Helper()
 	snap := inst.Store().PinSnapshot([]string{"ITEM"})
 	defer snap.Release()
 	var b strings.Builder
-	first := true
 	err := inst.Store().AtSnapshot(snap).ScanInstance("item_full", func(key Tuple, blk *baav.Block, _ *baav.BlockStats) bool {
-		if first && mid != nil {
-			mid()
-			first = false
-		}
-		fmt.Fprintf(&b, "%v:", key)
-		for _, tu := range blk.Tuples {
-			fmt.Fprintf(&b, "%v|", tu)
-		}
-		b.WriteByte('\n')
+		renderBlock(&b, key, blk)
 		return true
 	})
 	if err != nil {
@@ -90,49 +88,46 @@ func scatterCollect(t *testing.T, inst *Instance, mid func()) string {
 	return b.String()
 }
 
-// TestScatterMidScanCommitMVCC: a commit that lands while a scattered scan
-// is mid-delivery must be invisible to that scan. The callback pauses the
-// gather after the first block and blocks until a writer commits an insert
-// and a delete through the group committer — per-node producers have already
-// buffered their walks and released their locks, so the commit fully
-// installs while the scan is in flight. The paused scan must still deliver
-// exactly the pre-commit state; a fresh scan afterwards sees the new one.
-//
-// Node count 1 is excluded: the degenerate single-node walk runs inline
-// under the node's read lock, so a writer cannot commit mid-scan at all —
-// pausing for one there would deadlock by design, and its differential
-// coverage comes from the grid (TestGolden).
+// TestScatterMidScanCommitMVCC: a commit that lands while a pinned scan is
+// in flight must be invisible to that scan. The scan pins a snapshot and
+// walks item_full node by node; between the walk of node 0 and the rest (on
+// one node: after the pin, before the walk) an insert and a delete commit
+// through the group committer. A node walk holds its node's read lock while
+// it delivers, so the commit lands between walks, never inside one. The
+// concatenated walks must still render exactly the pre-commit scan; a fresh
+// scan afterwards sees the new state.
 func TestScatterMidScanCommitMVCC(t *testing.T) {
 	for _, eng := range gridEngines {
 		for _, nodes := range gridNodes {
-			if nodes == 1 {
-				continue
-			}
 			inst := scatterMVCCInstance(t, eng, nodes)
-			before := scatterCollect(t, inst, nil)
+			before := scatterCollect(t, inst)
 
-			committed := make(chan error, 1)
-			got := scatterCollect(t, inst, func() {
-				go func() {
+			snap := inst.Store().PinSnapshot([]string{"ITEM"})
+			view := inst.Store().AtSnapshot(snap)
+			var b strings.Builder
+			for node := range nodes {
+				if node == min(1, nodes-1) {
 					if _, err := inst.Exec("insert into ITEM values (9000, 'SKU-MID', 7)"); err != nil {
-						committed <- err
-						return
+						t.Fatalf("%s/%dn: mid-scan insert: %v", eng, nodes, err)
 					}
-					_, err := inst.Exec("delete from ITEM where item_id = 150")
-					committed <- err
-				}()
-				if err := <-committed; err != nil {
-					t.Errorf("%s/%dn: mid-scan writer: %v", eng, nodes, err)
+					if _, err := inst.Exec("delete from ITEM where item_id = 150"); err != nil {
+						t.Fatalf("%s/%dn: mid-scan delete: %v", eng, nodes, err)
+					}
 				}
-			})
-			if t.Failed() {
-				t.FailNow()
+				err := view.ScanInstanceNodeT(nil, node, "item_full", nil, func(key Tuple, blk *baav.Block, _ int64) bool {
+					renderBlock(&b, key, blk)
+					return true
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
-			if got != before {
-				t.Fatalf("%s/%dn: scan started before the commit observed it", eng, nodes)
+			snap.Release()
+			if b.String() != before {
+				t.Fatalf("%s/%dn: scan pinned before the commit observed it", eng, nodes)
 			}
 
-			after := scatterCollect(t, inst, nil)
+			after := scatterCollect(t, inst)
 			if after == before {
 				t.Fatalf("%s/%dn: committed insert+delete invisible to a fresh scan", eng, nodes)
 			}
